@@ -301,11 +301,6 @@ pub struct ScaleFlags {
     pub population: usize,
     /// Simulated horizon in days.
     pub horizon_days: u64,
-    /// Shard-worker count for the sharded-handlers execution mode
-    /// (`--parallel-shards <n>`; 0 = use the binary's default).
-    pub parallel_shards: usize,
-    /// Enable the ziggurat normal sampler (`--fast-rng`).
-    pub fast_rng: bool,
 }
 
 impl ScaleFlags {
@@ -316,8 +311,6 @@ impl ScaleFlags {
         let mut flags = Self {
             population: default_population,
             horizon_days: default_horizon_days,
-            parallel_shards: 0,
-            fast_rng: false,
         };
         let mut args = std::env::args().skip(1);
         while let Some(arg) = args.next() {
@@ -334,15 +327,6 @@ impl ScaleFlags {
                         .and_then(|v| v.parse().ok())
                         .expect("--horizon-days needs a positive integer");
                 }
-                "--parallel-shards" => {
-                    flags.parallel_shards = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--parallel-shards needs a positive integer");
-                }
-                "--fast-rng" => {
-                    flags.fast_rng = true;
-                }
                 // Observability flags belong to [`ObsFlags`]; skip them (and
                 // their values) so binaries can take both flag families.
                 "--obs" | "--obs-interval" => {
@@ -351,7 +335,7 @@ impl ScaleFlags {
                 other => {
                     panic!(
                         "unknown flag {other:?} (expected --population <n>, --horizon-days <d>, \
-                         --parallel-shards <n>, --fast-rng, --obs <path>, --obs-interval <ms>)"
+                         --obs <path>, --obs-interval <ms>)"
                     )
                 }
             }

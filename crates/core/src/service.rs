@@ -28,7 +28,7 @@
 //!
 //! Every sealed window is written as its own durable file
 //! (`windows/win-<index>.json`, via
-//! [`write_file_durable`](ipfs_mon_tracestore::fault::write_file_durable):
+//! [`write_file_durable`]:
 //! tmp + fsync + atomic rename) *in index order*. That makes the window
 //! directory itself the restart state:
 //!

@@ -1,6 +1,6 @@
 //! Windowed adapters over the paper's analyses: factories that plug the
 //! existing accumulators into
-//! [`WindowedSink`](ipfs_mon_tracestore::WindowedSink), producing
+//! [`WindowedSink`], producing
 //! per-window request-type series, rolling popularity, and daily (or any
 //! interval) network-size reports from a live stream.
 //!

@@ -29,8 +29,8 @@ pub use config::{NodeConfig, NodeRole};
 pub use counters::SimCounter;
 pub use gateway::{CacheOutcome, GatewayCache, GatewayCacheConfig, GatewayOperator};
 pub use network::{
-    BitswapObservation, DynWorkloadSource, ExecOptions, MonitorSink, Network, NetworkDhtView,
-    RecordingSink, RunReport,
+    BitswapObservation, DynWorkloadSource, MonitorSink, Network, NetworkDhtView, RecordingSink,
+    RunReport,
 };
 pub use spec::{
     ContentSpec, GatewayRequestEvent, MonitorSpec, NodeSpec, RequestEvent, Scenario,

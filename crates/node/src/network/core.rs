@@ -1,17 +1,13 @@
 //! The scenario-immutable half of a [`Network`](super::Network).
 //!
-//! Everything a run never mutates is gathered here and shared via
-//! `Arc<ScenarioCore>`: the [`Scenario`] itself, the derived node and monitor
-//! identities, the DHT routing tables, the precomputed latency table, and the
-//! base generator the per-node observation RNG streams derive from. Shard
-//! workers in the sharded execution mode hold clones of the `Arc` and read
-//! from it concurrently with the main thread; the serial modes read through
-//! the same `Arc` so there is exactly one code path for lookups.
+//! Everything a run never mutates is gathered here: the [`Scenario`] itself,
+//! the derived node and monitor identities, the DHT routing tables, the
+//! precomputed latency table, and the base generator the per-node
+//! observation RNG streams derive from. The state half of the handlers and
+//! the observer both read it by shared reference.
 //!
-//! The only writers are the pre-run scenario editors (`add_content`,
-//! `register_monitor_provider` routing through the runtime provider index) —
-//! they go through `Arc::make_mut`, which is a plain mutation while the run
-//! has not started (reference count 1) and a copy-on-write afterwards.
+//! The only writer is the pre-run scenario editor `add_content` (probe
+//! tooling appends content to a built network).
 
 use crate::spec::Scenario;
 use ipfs_mon_kad::RoutingTable;
@@ -20,8 +16,8 @@ use ipfs_mon_simnet::rng::SimRng;
 use ipfs_mon_types::{Cid, Multiaddr, PeerId};
 use std::collections::HashMap;
 
-/// Scenario-immutable state shared by the main loop and every shard worker.
-#[derive(Debug, Clone)]
+/// Scenario-immutable state of a run.
+#[derive(Debug)]
 pub(super) struct ScenarioCore {
     /// The scenario this network was built from. Content may be appended
     /// before a run starts (probe tooling); nothing is mutated during one.
@@ -46,8 +42,7 @@ pub(super) struct ScenarioCore {
     pub(super) latency: LatencyTable,
     /// Base generator of the per-node observation streams; node `i` draws
     /// from `obs_base.derive_indexed("node", i)`, created lazily on first
-    /// use. Kept here so the inline executor and every shard worker derive
-    /// identical streams.
+    /// use.
     pub(super) obs_base: SimRng,
 }
 
@@ -56,12 +51,6 @@ impl ScenarioCore {
     #[inline]
     pub(super) fn monitor_count(&self) -> usize {
         self.monitor_ids.len()
-    }
-
-    /// Number of (non-monitor) nodes.
-    #[inline]
-    pub(super) fn node_count(&self) -> usize {
-        self.node_peers.len()
     }
 
     /// Root CID of content item `index`.

@@ -29,52 +29,45 @@
 //!
 //! # Event loop
 //!
-//! By default the simulator runs **lazily**: churn schedules and the request
-//! vectors feed the run through per-process cursors ([`ScheduleCursor`] per
-//! node, one cursor per request vector, plus any external
-//! [`EventSource`]-backed processes registered via [`Network::with_sources`]),
-//! merged on demand by a small head-heap. Only *runtime* events
-//! (re-broadcasts, retrieval completions, attack injections) live in the
-//! scheduler — a hierarchical timer wheel — so the pending set scales with
-//! concurrency, not with `population × horizon`. Timestamp ties between
-//! sources are broken by source rank (node order, then user requests, then
-//! gateway requests, then external sources) and source events at an instant
-//! precede runtime events at the same instant, which reproduces bit for bit
-//! the FIFO sequence order of the seed's fully materialized scheduler. The
-//! materialized path (and the seed's binary-heap scheduler) remain available
-//! through [`ExecOptions`] as an equivalence oracle and benchmark baseline.
+//! Churn schedules and the request vectors feed the run through per-process
+//! cursors ([`ScheduleCursor`] per node, one cursor per request vector, plus
+//! any external [`EventSource`]-backed processes registered via
+//! [`Network::with_sources`]), merged on demand by a small head-heap. Only
+//! *runtime* events (re-broadcasts, retrieval completions, attack
+//! injections) live in the scheduler — a hierarchical timer wheel — so the
+//! pending set scales with concurrency, not with `population × horizon`.
+//! Timestamp ties between sources are broken by source rank (node order,
+//! then user requests, then gateway requests, then external sources), and
+//! source events at an instant precede runtime events at the same instant.
+//! That is the FIFO order a scheduler delivers when every source is drained
+//! into it, in rank order, before the run; this module's tests keep exactly
+//! that drained run as the reference the loop is compared against.
 //!
 //! # Structure: scenario core, runtime state, observation half
 //!
-//! The simulator state is split into three layers:
-//!
 //! ```text
-//!  Arc<ScenarioCore>      scenario, identities, routing tables, latency
-//!  (core.rs, immutable)   table, observation RNG base — shared read-only
-//!          │               with every shard worker
+//!  ScenarioCore           scenario, identities, routing tables, latency
+//!  (core.rs, immutable)   table, observation RNG base
+//!          │
 //!          ▼
 //!  runtime state          online flags, block stores, gateway caches,
 //!  (state.rs, mutable)    provider index, pending-want slab, counters,
-//!          │               runtime queue — main thread only, serial order
+//!          │               runtime queue, decision RNG stream
 //!          ▼
 //!  observation half       monitor-link rows + per-node observation RNG
-//!  (sharded.rs)           streams → sink records; inline (serial modes)
-//!                          or on shard worker threads (sharded mode)
+//!  (observe.rs)           streams → sink records
 //! ```
 //!
-//! Every handler runs its *state half* on the main thread and emits
-//! `ObsWork` items for its *observation half*. The serial modes execute
-//! those inline after each event through a single-shard executor; the sixth
-//! execution mode, [`ExecOptions::sharded`], ships them to persistent worker
-//! threads and merges the results back in event order — byte-identical to
-//! the serial lazy mode by construction (see the `sharded` module docs).
+//! Every handler runs its *state half* and emits `ObsWork` items for its
+//! *observation half*, which the loop applies to the sink after each event
+//! (see the `observe` module docs for why the two are kept apart).
 
 mod core;
-mod sharded;
+mod observe;
 mod state;
 
 use self::core::ScenarioCore;
-use self::sharded::{apply_sink_op, ObsShard, ObsWork, SinkOp};
+use self::observe::{ObsWork, Observer};
 use self::state::{NodeState, PendingSlab, ProviderIndex};
 use crate::counters::SimCounter;
 use crate::gateway::{CacheOutcome, GatewayCache, GatewayCacheConfig};
@@ -85,8 +78,8 @@ use ipfs_mon_kad::{DhtView, RoutingTable};
 use ipfs_mon_obs as obs;
 use ipfs_mon_simnet::churn::{ChurnEvent, ScheduleCursor};
 use ipfs_mon_simnet::metrics::{Counters, TypedCounters};
-use ipfs_mon_simnet::rng::{NormalSampler, SimRng};
-use ipfs_mon_simnet::scheduler::{BaselineScheduler, Scheduler};
+use ipfs_mon_simnet::rng::SimRng;
+use ipfs_mon_simnet::scheduler::Scheduler;
 use ipfs_mon_simnet::source::EventSource;
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
 use ipfs_mon_types::{Cid, Country, Multiaddr, PeerId};
@@ -94,7 +87,6 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::Arc;
 
 /// One Bitswap wantlist entry as received by a monitor: the raw material of
 /// the paper's `(timestamp, node_ID, address, request_type, CID)` tuples.
@@ -211,173 +203,13 @@ enum NetEvent {
     },
 }
 
-/// The scheduler behind a run: the timer wheel by default, or the seed's
-/// binary-heap implementation for baseline measurements.
-#[derive(Debug)]
-enum Queue {
-    Wheel(Scheduler<NetEvent>),
-    Baseline(BaselineScheduler<NetEvent>),
-}
-
-impl Queue {
-    fn schedule_at(&mut self, at: SimTime, event: NetEvent) {
-        match self {
-            Queue::Wheel(q) => {
-                q.schedule_at(at, event);
-            }
-            Queue::Baseline(q) => {
-                q.schedule_at(at, event);
-            }
-        }
-    }
-
-    fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, NetEvent)> {
-        match self {
-            Queue::Wheel(q) => q.pop_until(deadline),
-            Queue::Baseline(q) => q.pop_until(deadline),
-        }
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        match self {
-            Queue::Wheel(q) => q.peek_time(),
-            Queue::Baseline(q) => q.peek_time(),
-        }
-    }
-
-    fn advance_to(&mut self, t: SimTime) {
-        match self {
-            Queue::Wheel(q) => q.advance_to(t),
-            Queue::Baseline(q) => q.advance_to(t),
-        }
-    }
-
-    fn pending(&self) -> usize {
-        match self {
-            Queue::Wheel(q) => q.pending(),
-            Queue::Baseline(q) => q.pending(),
-        }
-    }
-}
-
-/// How a [`Network`] executes its scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecOptions {
-    /// Pre-schedule every churn transition and request into the event queue
-    /// at construction (the seed behaviour, O(population × horizon) memory)
-    /// instead of pulling them lazily from per-process sources.
-    pub materialized: bool,
-    /// Drive the run with the seed's binary-heap scheduler instead of the
-    /// timer wheel. Delivery order is identical; only cost differs. Requires
-    /// `materialized` (the lazy merge loop peeks the queue per event, which
-    /// is O(pending) on the seed scheduler).
-    pub baseline_scheduler: bool,
-    /// Advance the lazy event-source processes on this many worker threads,
-    /// partitioned into independent regions that run ahead of the main loop
-    /// between monitor-visible synchronization barriers (fixed-width time
-    /// windows). `0` or `1` keeps source advancement on the main thread.
-    /// Requires lazy execution; the merged event order — and therefore the
-    /// monitor trace — is bit-identical to the serial lazy mode (the
-    /// per-process event streams do not depend on simulation state, so
-    /// *when* they are pulled cannot change *what* they yield; the barrier
-    /// merge re-establishes the exact `(time, source rank)` order).
-    pub parallel_regions: usize,
-    /// Ship the observation half of every handler (per-monitor attach draws,
-    /// broadcast latency samples, sink records) to this many persistent shard
-    /// worker threads, partitioned by node index. `0` keeps observation
-    /// execution inline on the main thread. Requires lazy sourcing; the
-    /// merged sink-op order — and therefore the monitor trace — is
-    /// bit-identical to the serial lazy mode (the observation half never
-    /// feeds back into handler state, and results are re-merged in global
-    /// event order at every flush barrier).
-    pub shard_handlers: usize,
-    /// Draw standard normals (latency jitter) with the table-driven ziggurat
-    /// sampler instead of the seed's Box–Muller transform. Roughly 2× fewer
-    /// transcendental calls per latency sample; the *distribution* is
-    /// identical but the concrete draw sequence differs, so this is opt-in
-    /// and off by default. All execution modes remain mutually
-    /// digest-identical under either sampler.
-    pub fast_rng: bool,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        Self::lazy()
-    }
-}
-
-impl ExecOptions {
-    /// Lazy event sourcing on the timer wheel — the default.
-    pub fn lazy() -> Self {
-        Self {
-            materialized: false,
-            baseline_scheduler: false,
-            parallel_regions: 0,
-            shard_handlers: 0,
-            fast_rng: false,
-        }
-    }
-
-    /// Lazy event sourcing with the source processes partitioned into
-    /// `regions` independent regions advanced on worker threads. Digest-
-    /// identical to [`ExecOptions::lazy`]; see
-    /// [`ExecOptions::parallel_regions`].
-    pub fn lazy_parallel(regions: usize) -> Self {
-        Self {
-            parallel_regions: regions,
-            ..Self::lazy()
-        }
-    }
-
-    /// The sharded core: lazy sourcing with source advancement *and* the
-    /// observation half of every handler distributed over `shards` worker
-    /// threads (conservative-lookahead flush windows, deterministic merge).
-    /// Digest-identical to [`ExecOptions::lazy`]; see
-    /// [`ExecOptions::shard_handlers`].
-    pub fn sharded(shards: usize) -> Self {
-        Self {
-            parallel_regions: shards,
-            shard_handlers: shards.max(1),
-            ..Self::lazy()
-        }
-    }
-
-    /// The seed configuration: everything materialized up front, delivered
-    /// from the binary-heap scheduler. Used as the benchmark baseline and as
-    /// the equivalence oracle in tests.
-    pub fn seed_baseline() -> Self {
-        Self {
-            materialized: true,
-            baseline_scheduler: true,
-            ..Self::lazy()
-        }
-    }
-
-    /// Materialized scheduling on the timer wheel (isolates the scheduler
-    /// swap from the lazy-sourcing change).
-    pub fn materialized_wheel() -> Self {
-        Self {
-            materialized: true,
-            ..Self::lazy()
-        }
-    }
-
-    /// Enables the ziggurat normal sampler (see [`ExecOptions::fast_rng`]).
-    pub fn with_fast_rng(mut self) -> Self {
-        self.fast_rng = true;
-        self
-    }
-}
-
 /// An external, boxed workload source (see [`Network::with_sources`]).
-/// `Send` so that [`ExecOptions::parallel_regions`] can move a region's
-/// sources onto a worker thread.
+/// `Send`, so a [`Network`] holding such sources can move to another thread.
 pub type DynWorkloadSource = Box<dyn EventSource<Event = WorkloadEvent> + Send>;
 
 /// One lazy initial-event process of a run. Ranks (vector order) break
 /// timestamp ties: churn sources come first in node order, then the two
-/// request vectors, then external sources — matching the order the
-/// materialized path assigned sequence numbers in.
+/// request vectors, then external sources.
 enum SourceState {
     /// Churn transitions of one node, read straight off its schedule.
     Churn { node: usize, cursor: ScheduleCursor },
@@ -406,26 +238,26 @@ pub struct RunReport {
     /// Number of nodes that were online at least once.
     pub nodes_ever_online: usize,
     /// Peak number of pending events observed during the run: scheduled
-    /// runtime events plus one head per live event source. In lazy mode this
-    /// tracks concurrency (O(active sources)); in materialized mode it is
-    /// O(population × horizon), the seed behaviour.
+    /// runtime events plus one head per live event source. Tracks
+    /// concurrency (O(active sources)), not `population × horizon`.
     pub peak_pending: usize,
 }
 
 /// The executable network simulation built from a [`Scenario`].
 pub struct Network {
-    /// Scenario-immutable state, shared with shard workers (see `core.rs`).
-    core: Arc<ScenarioCore>,
+    /// Scenario-immutable state (see `core.rs`).
+    core: ScenarioCore,
     nodes: Vec<NodeState>,
     /// Providers per content index (flat sorted node lists + monitor masks).
     providers: ProviderIndex,
     /// Outstanding wants of all nodes, in one slab.
     pending: PendingSlab,
-    queue: Queue,
+    /// Runtime events: re-broadcasts, retrieval completions, injections.
+    queue: Scheduler<NetEvent>,
     /// Lazy initial-event processes, merged through `heads`.
     sources: Vec<SourceState>,
     /// Next event time per live source, keyed `(time, rank)` — min-heap via
-    /// `Reverse`. Rank ties reproduce materialized FIFO order.
+    /// `Reverse`.
     heads: BinaryHeap<Reverse<(SimTime, u32)>>,
     /// The decision stream: resolution draws and fetch delays only.
     rng: SimRng,
@@ -436,17 +268,10 @@ pub struct Network {
     operator_cursor: Vec<usize>,
     online_count: usize,
     peak_pending: usize,
-    options: ExecOptions,
-    /// Global sequence number of the event currently being handled; tags the
-    /// observation work the handler emits so shard results merge in order.
-    event_seq: u64,
-    /// Observation work emitted by handlers, not yet executed.
-    pending_obs: Vec<(u64, ObsWork)>,
-    /// Scratch buffer for inline observation execution.
-    obs_scratch: Vec<(u64, SinkOp)>,
-    /// The inline observation executor of the non-sharded modes (`None` when
-    /// `shard_handlers >= 1`; the sharded loop spawns per-shard executors).
-    obs_exec: Option<ObsShard>,
+    /// Observation work emitted by the handlers of the current event.
+    pending_obs: Vec<ObsWork>,
+    /// Monitor links and observation RNG streams (see `observe.rs`).
+    observer: Observer,
 }
 
 impl Network {
@@ -458,80 +283,25 @@ impl Network {
     ///
     /// Panics if [`Scenario::validate`] reports problems.
     pub fn new(scenario: Scenario) -> Self {
-        Self::build(scenario, ExecOptions::default(), Vec::new())
+        Self::with_sources(scenario, Vec::new())
     }
 
-    /// Builds a network with explicit execution options (lazy vs materialized
-    /// scheduling, wheel vs seed scheduler, inline vs sharded observation
-    /// execution). All combinations produce byte-identical monitor traces;
-    /// they differ only in cost.
+    /// Builds a network fed by additional external event sources on top of
+    /// whatever the scenario's own vectors contain. Sources rank after churn
+    /// and the scenario vectors for timestamp tie-breaking, in the order
+    /// given — pass node-request sources first, then gateway streams, to
+    /// mirror the layout of the scenario vectors.
     ///
     /// # Panics
     ///
     /// Panics if [`Scenario::validate`] reports problems.
-    pub fn with_options(scenario: Scenario, options: ExecOptions) -> Self {
-        Self::build(scenario, options, Vec::new())
-    }
-
-    /// Builds a lazy network fed by additional external event sources on top
-    /// of whatever the scenario's own vectors contain. Sources rank after
-    /// churn and the scenario vectors for timestamp tie-breaking, in the
-    /// order given — pass node-request sources first, then gateway streams,
-    /// to mirror the materialized layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`Scenario::validate`] reports problems.
-    pub fn with_sources(scenario: Scenario, sources: Vec<DynWorkloadSource>) -> Self {
-        Self::build(scenario, ExecOptions::lazy(), sources)
-    }
-
-    /// Like [`Network::with_sources`], with explicit execution options
-    /// (e.g. [`ExecOptions::lazy_parallel`]). The options must be a lazy
-    /// configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`Scenario::validate`] reports problems or the options are
-    /// inconsistent with external sources.
-    pub fn with_sources_options(
-        scenario: Scenario,
-        sources: Vec<DynWorkloadSource>,
-        options: ExecOptions,
-    ) -> Self {
-        Self::build(scenario, options, sources)
-    }
-
-    fn build(scenario: Scenario, options: ExecOptions, external: Vec<DynWorkloadSource>) -> Self {
+    pub fn with_sources(scenario: Scenario, external: Vec<DynWorkloadSource>) -> Self {
         let problems = scenario.validate();
         assert!(
             problems.is_empty(),
             "scenario is inconsistent: {problems:?}"
         );
-        assert!(
-            !options.materialized || external.is_empty(),
-            "external sources require lazy execution"
-        );
-        assert!(
-            options.materialized || !options.baseline_scheduler,
-            "lazy execution requires the timer wheel: the source-merge loop peeks the queue \
-             once per event, which is O(pending) on the seed scheduler"
-        );
-        assert!(
-            !options.materialized || options.parallel_regions <= 1,
-            "parallel regions advance lazy sources; the materialized path has none"
-        );
-        assert!(
-            options.shard_handlers == 0 || !options.materialized,
-            "sharded handler execution requires lazy sourcing"
-        );
-        // The root generator. The sampler choice is set before *any* stream
-        // is derived so it propagates into every derived stream; the
-        // identity/table streams draw uniforms only and are unaffected.
-        let mut root = SimRng::new(scenario.seed);
-        if options.fast_rng {
-            root.set_normal_sampler(NormalSampler::Ziggurat);
-        }
+        let root = SimRng::new(scenario.seed);
         let mut id_rng = root.derive("node-identities");
 
         // Node identities and state.
@@ -606,61 +376,28 @@ impl Network {
             routing_tables.insert(i, table);
         }
 
-        let mut queue = if options.baseline_scheduler {
-            Queue::Baseline(BaselineScheduler::new())
-        } else {
-            Queue::Wheel(Scheduler::new())
-        };
         let mut sources = Vec::new();
-        if options.materialized {
-            // The seed path: every initial event into the queue up front.
-            for (i, spec) in scenario.nodes.iter().enumerate() {
-                for session in &spec.schedule.sessions {
-                    queue.schedule_at(session.start, NetEvent::NodeOnline(i));
-                    queue.schedule_at(session.end, NetEvent::NodeOffline(i));
-                }
-            }
-            for r in &scenario.requests {
-                queue.schedule_at(
-                    r.at,
-                    NetEvent::UserRequest {
-                        node: r.node,
-                        content: r.content,
-                    },
-                );
-            }
-            for r in &scenario.gateway_requests {
-                queue.schedule_at(
-                    r.at,
-                    NetEvent::GatewayHttp {
-                        operator: r.operator,
-                        content: r.content,
-                    },
-                );
-            }
-        } else {
-            for (i, spec) in scenario.nodes.iter().enumerate() {
-                if !spec.schedule.sessions.is_empty() {
-                    sources.push(SourceState::Churn {
-                        node: i,
-                        cursor: ScheduleCursor::new(),
-                    });
-                }
-            }
-            if !scenario.requests.is_empty() {
-                sources.push(SourceState::Requests {
-                    cursor: 0,
-                    order: stable_time_order(&scenario.requests, |r| r.at),
+        for (i, spec) in scenario.nodes.iter().enumerate() {
+            if !spec.schedule.sessions.is_empty() {
+                sources.push(SourceState::Churn {
+                    node: i,
+                    cursor: ScheduleCursor::new(),
                 });
             }
-            if !scenario.gateway_requests.is_empty() {
-                sources.push(SourceState::GatewayRequests {
-                    cursor: 0,
-                    order: stable_time_order(&scenario.gateway_requests, |r| r.at),
-                });
-            }
-            sources.extend(external.into_iter().map(SourceState::External));
         }
+        if !scenario.requests.is_empty() {
+            sources.push(SourceState::Requests {
+                cursor: 0,
+                order: stable_time_order(&scenario.requests, |r| r.at),
+            });
+        }
+        if !scenario.gateway_requests.is_empty() {
+            sources.push(SourceState::GatewayRequests {
+                cursor: 0,
+                order: stable_time_order(&scenario.gateway_requests, |r| r.at),
+            });
+        }
+        sources.extend(external.into_iter().map(SourceState::External));
 
         let operator_cursor = vec![0; scenario.operators.len()];
         let ever_online = vec![false; nodes.len()];
@@ -669,7 +406,7 @@ impl Network {
         // moves into the core.
         let latency = scenario.params.latency.table();
         let obs_base = root.derive("node-obs");
-        let core = Arc::new(ScenarioCore {
+        let core = ScenarioCore {
             scenario,
             node_peers,
             node_addrs,
@@ -680,15 +417,14 @@ impl Network {
             peer_index,
             latency,
             obs_base,
-        });
-        let obs_exec =
-            (options.shard_handlers == 0).then(|| ObsShard::new(Arc::clone(&core), 1, 0));
+        };
+        let observer = Observer::new(nodes.len(), core.monitor_count());
         let mut network = Self {
             core,
             nodes,
             providers,
             pending,
-            queue,
+            queue: Scheduler::new(),
             sources,
             heads: BinaryHeap::new(),
             rng: root.derive("runtime"),
@@ -698,14 +434,14 @@ impl Network {
             operator_cursor,
             online_count: 0,
             peak_pending: 0,
-            options,
-            event_seq: 0,
             pending_obs: Vec::new(),
-            obs_scratch: Vec::new(),
-            obs_exec,
+            observer,
         };
         network.heads = (0..network.sources.len())
-            .filter_map(|rank| network.source_peek(rank).map(|t| Reverse((t, rank as u32))))
+            .filter_map(|rank| {
+                source_state_peek(&network.sources[rank], &network.core.scenario)
+                    .map(|t| Reverse((t, rank as u32)))
+            })
             .collect();
         network
     }
@@ -796,18 +532,9 @@ impl Network {
     pub fn add_content(&mut self, spec: ContentSpec) -> usize {
         self.providers.push_content(&spec.initial_providers);
         self.pending.ensure_nodes(self.nodes.len());
-        let index = {
-            // Plain mutation before a run starts (refcount 1); copy-on-write
-            // if a shard worker were still holding the old snapshot.
-            let core = Arc::make_mut(&mut self.core);
-            let index = core.scenario.content.len();
-            core.root_index.insert(spec.dag.root.clone(), index);
-            core.scenario.content.push(spec);
-            index
-        };
-        if let Some(exec) = &mut self.obs_exec {
-            exec.refresh_core(Arc::clone(&self.core));
-        }
+        let index = self.core.scenario.content.len();
+        self.core.root_index.insert(spec.dag.root.clone(), index);
+        self.core.scenario.content.push(spec);
         index
     }
 
@@ -817,8 +544,8 @@ impl Network {
         self.providers.insert_monitor(content, monitor);
     }
 
-    /// Schedules an additional user request (attack tooling; works identically
-    /// in lazy and materialized mode, before or during a run).
+    /// Schedules an additional user request (attack tooling). It goes through
+    /// the runtime queue, so at its instant it follows every source event.
     pub fn schedule_request(&mut self, request: RequestEvent) {
         self.queue.schedule_at(
             request.at,
@@ -866,30 +593,21 @@ impl Network {
     // Lazy source plumbing.
     // ------------------------------------------------------------------
 
-    /// Timestamp of the next event of source `rank`, if any.
-    fn source_peek(&self, rank: usize) -> Option<SimTime> {
-        source_state_peek(&self.sources[rank], &self.core.scenario)
-    }
-
-    /// Pulls the next event of source `rank`.
-    fn source_pop(&mut self, rank: usize) -> Option<(SimTime, NetEvent)> {
-        source_state_pop(&mut self.sources[rank], &self.core.scenario)
-    }
-
     /// Takes the event of the source at the top of the head-heap, refreshes
     /// the heap entry, and syncs the queue clock.
     fn take_source_head(&mut self) -> (SimTime, NetEvent) {
         let Reverse((t, rank)) = self.heads.pop().expect("head checked by caller");
-        let (at, event) = self
-            .source_pop(rank as usize)
+        let source = &mut self.sources[rank as usize];
+        let scenario = &self.core.scenario;
+        let (at, event) = source_state_pop(source, scenario)
             .expect("a head entry implies a pending source event");
         debug_assert_eq!(at, t, "head time must match the source peek");
-        if let Some(next) = self.source_peek(rank as usize) {
+        if let Some(next) = source_state_peek(source, scenario) {
             debug_assert!(next >= at, "sources must yield nondecreasing times");
             self.heads.push(Reverse((next, rank)));
         }
         // Keep the queue clock in step so past-scheduling (attack tooling)
-        // clamps exactly as it does on the materialized path.
+        // clamps to the time of the latest event, whichever side it came from.
         self.queue.advance_to(at);
         (at, event)
     }
@@ -898,52 +616,17 @@ impl Network {
     // Execution.
     // ------------------------------------------------------------------
 
+    /// Applies the observation work of the event just handled to the sink.
+    fn drain_obs<S: MonitorSink>(&mut self, sink: &mut S) {
+        for work in self.pending_obs.drain(..) {
+            self.observer
+                .execute(&self.core, work, &mut self.counters, sink);
+        }
+    }
+
     /// Runs the simulation to completion, feeding `sink` with everything the
     /// monitors observe.
     pub fn run<S: MonitorSink>(&mut self, sink: &mut S) -> RunReport {
-        if self.options.shard_handlers >= 1 {
-            return self.run_sharded(sink);
-        }
-        if self.options.parallel_regions >= 2 && self.sources.len() >= 2 {
-            return self.run_parallel_regions(sink);
-        }
-        self.run_serial(sink)
-    }
-
-    /// Executes the pending observation work inline (single-shard executor)
-    /// and applies the resulting sink ops — the non-sharded modes' equivalent
-    /// of one dispatch/collect round, run after every event.
-    fn drain_obs_inline<S: MonitorSink>(&mut self, sink: &mut S) {
-        if self.pending_obs.is_empty() {
-            return;
-        }
-        let mut work = std::mem::take(&mut self.pending_obs);
-        let mut out = std::mem::take(&mut self.obs_scratch);
-        let mut exec = self
-            .obs_exec
-            .take()
-            .expect("non-sharded modes keep an inline observation executor");
-        for (seq, item) in &work {
-            exec.execute(*seq, item, &mut out);
-        }
-        for (_, op) in &out {
-            apply_sink_op(&self.core, &mut self.counters, op, sink);
-        }
-        work.clear();
-        out.clear();
-        self.pending_obs = work;
-        self.obs_scratch = out;
-        self.obs_exec = Some(exec);
-    }
-
-    /// Queues one observation-half task, tagged with the current event's
-    /// global sequence number.
-    #[inline]
-    fn push_obs(&mut self, work: ObsWork) {
-        self.pending_obs.push((self.event_seq, work));
-    }
-
-    fn run_serial<S: MonitorSink>(&mut self, sink: &mut S) -> RunReport {
         let horizon_end = SimTime::ZERO + self.core.scenario.horizon;
         let mut events = 0u64;
         // Obs: batched event counter (one local add per event), pending-set
@@ -962,16 +645,13 @@ impl Network {
                 obs_pending.set(pending as u64);
             }
             let (now, event) = match self.heads.peek() {
-                // No live sources (materialized mode, or all sources drained):
-                // drain the queue exactly as the seed loop did, without paying
-                // a peek per event.
+                // No live sources left: drain the queue without paying a
+                // peek per event.
                 None => match self.queue.pop_until(horizon_end) {
                     Some(popped) => popped,
                     None => break,
                 },
-                // Initial-event sources win timestamp ties against runtime
-                // events: their materialized counterparts carried the lowest
-                // sequence numbers.
+                // Sources win timestamp ties against runtime events.
                 Some(&Reverse((ts, _))) => {
                     let take_source = match self.queue.peek_time() {
                         Some(tq) => ts <= tq,
@@ -993,171 +673,8 @@ impl Network {
             events += 1;
             obs_events.incr();
             let _span = (events & 1023 == 0).then(|| dispatch_hist.timer());
-            self.event_seq = events;
             self.handle_event(now, event);
-            self.drain_obs_inline(sink);
-        }
-        RunReport {
-            counters: self.counters.to_counters(),
-            events_processed: events,
-            nodes_ever_online: self.ever_online_count,
-            peak_pending: self.peak_pending,
-        }
-    }
-
-    /// The parallel-regions event loop (see
-    /// [`ExecOptions::parallel_regions`]).
-    ///
-    /// The lazy source processes are partitioned round-robin into
-    /// independent regions, *keeping their global ranks*. The run then
-    /// alternates between two phases separated by monitor-visible
-    /// synchronization barriers (fixed-width time windows):
-    ///
-    /// 1. **advance** — every region, on its own worker thread, pulls all of
-    ///    its sources' events up to the barrier and sorts them by
-    ///    `(time, rank)`. Source processes are pure functions of the
-    ///    scenario and their own RNG streams — never of simulation state —
-    ///    so running them ahead of the main loop yields exactly the events
-    ///    the serial merge would have pulled one at a time.
-    /// 2. **apply** — the main thread merges the region batches (a k-way
-    ///    merge by `(time, rank)`, reproducing the head-heap's order
-    ///    exactly) and interleaves them with the runtime queue under the
-    ///    serial loop's tie rule: a source event at `t` precedes queue
-    ///    events at `t` and follows queue events before `t`.
-    ///
-    /// The handler side stays sequential, so the monitor trace, counters and
-    /// event count are bit-identical to the serial lazy mode — asserted by
-    /// the digest checks in `simnet_bench` and the equivalence tests.
-    /// `peak_pending` additionally counts the buffered window (bounded by
-    /// window width × aggregate event rate, not by the horizon).
-    fn run_parallel_regions<S: MonitorSink>(&mut self, sink: &mut S) -> RunReport {
-        /// Barrier spacing: long enough to amortize the per-window thread
-        /// fan-out, short enough that a window's event buffer stays a small
-        /// slice of the horizon.
-        const REGION_WINDOW: SimDuration = SimDuration::from_hours(1);
-
-        let horizon_end = SimTime::ZERO + self.core.scenario.horizon;
-        let regions = self.options.parallel_regions.min(self.sources.len());
-        // Partition the sources round-robin, keeping each one's global rank
-        // (the merge key that reproduces serial order). The head-heap is not
-        // used in this mode.
-        let mut partitions: Vec<Vec<(u32, SourceState)>> =
-            (0..regions).map(|_| Vec::new()).collect();
-        for (rank, source) in std::mem::take(&mut self.sources).into_iter().enumerate() {
-            partitions[rank % regions].push((rank as u32, source));
-        }
-        self.heads.clear();
-
-        let mut events = 0u64;
-        // Same obs instrumentation as the serial loop (the two modes must
-        // stay comparable in both output and overhead), plus a span per
-        // region-advance barrier.
-        let mut obs_events = obs::BatchedCounter::new(obs::counter!("sim.events"));
-        let obs_pending = obs::gauge!("sim.pending");
-        let dispatch_hist = obs::histogram!("sim.handler_dispatch_ns");
-        let mut buffer: Vec<(SimTime, u32, NetEvent)> = Vec::new();
-        let mut next = 0usize;
-        let mut barrier = SimTime::ZERO;
-        loop {
-            // Advance phase: refill the buffer from the regions, window by
-            // window, until something is buffered or the horizon is reached.
-            while next >= buffer.len() && barrier < horizon_end {
-                barrier = (barrier + REGION_WINDOW).min(horizon_end);
-                let deadline = barrier;
-                let scenario = &self.core.scenario;
-                let _advance_span = obs::histogram!("sim.region_advance_ns").timer();
-                let batches: Vec<Vec<(SimTime, u32, NetEvent)>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = partitions
-                        .iter_mut()
-                        .map(|partition| {
-                            scope.spawn(move || {
-                                let mut batch = Vec::new();
-                                for (rank, source) in partition.iter_mut() {
-                                    while source_state_peek(source, scenario)
-                                        .is_some_and(|t| t <= deadline)
-                                    {
-                                        let (at, event) = source_state_pop(source, scenario)
-                                            .expect("peek implies a pending event");
-                                        batch.push((at, *rank, event));
-                                    }
-                                }
-                                // Stable by (time, rank): equal keys only
-                                // arise within one source, whose pull order
-                                // is preserved.
-                                batch.sort_by_key(|&(t, rank, _)| (t, rank));
-                                batch
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|handle| handle.join().expect("region worker panicked"))
-                        .collect()
-                });
-                buffer.clear();
-                next = 0;
-                for batch in batches {
-                    buffer.extend(batch);
-                }
-                // Merge of the per-region sorted batches; stability keeps
-                // intra-source order on (unreachable) full-key ties.
-                buffer.sort_by_key(|&(t, rank, _)| (t, rank));
-                if buffer.is_empty() {
-                    // Quiet window: jump the barrier to just before the
-                    // earliest pending source event (or the horizon, when
-                    // every source is exhausted) instead of spinning
-                    // through empty windows.
-                    barrier = partitions
-                        .iter()
-                        .flatten()
-                        .filter_map(|(_, source)| source_state_peek(source, scenario))
-                        .min()
-                        .map(|t| SimTime::from_millis(t.as_millis().saturating_sub(1)))
-                        .unwrap_or(horizon_end)
-                        .clamp(barrier, horizon_end);
-                }
-            }
-
-            let pending = self.queue.pending() + (buffer.len() - next);
-            if pending > self.peak_pending {
-                self.peak_pending = pending;
-            }
-            if events & 4095 == 0 {
-                obs_pending.set(pending as u64);
-            }
-            // Apply phase: the serial loop's rule, verbatim — source events
-            // win timestamp ties against queue events.
-            let (now, event) = match buffer.get(next) {
-                None => match self.queue.pop_until(horizon_end) {
-                    Some(popped) => popped,
-                    None => break,
-                },
-                Some(&(ts, _, _)) => {
-                    let take_source = match self.queue.peek_time() {
-                        Some(tq) => ts <= tq,
-                        None => true,
-                    };
-                    if take_source {
-                        let (at, _, event) = buffer[next];
-                        next += 1;
-                        // Keep the queue clock in step, as the serial
-                        // source-head path does.
-                        self.queue.advance_to(at);
-                        (at, event)
-                    } else {
-                        match self.queue.pop_until(horizon_end) {
-                            Some(popped) => popped,
-                            None => break,
-                        }
-                    }
-                }
-            };
-            events += 1;
-            obs_events.incr();
-            let _span = (events & 1023 == 0).then(|| dispatch_hist.timer());
-            self.event_seq = events;
-            self.handle_event(now, event);
-            self.drain_obs_inline(sink);
+            self.drain_obs(sink);
         }
         RunReport {
             counters: self.counters.to_counters(),
@@ -1169,7 +686,7 @@ impl Network {
 
     // ------------------------------------------------------------------
     // Handlers: the state half. Observable side effects are queued as
-    // `ObsWork` (executed inline or on shard workers, identically).
+    // `ObsWork` and applied to the sink once the event is handled.
     // ------------------------------------------------------------------
 
     fn handle_event(&mut self, now: SimTime, event: NetEvent) {
@@ -1202,7 +719,7 @@ impl Network {
             self.ever_online_count += 1;
         }
         self.counters.incr(SimCounter::NodeOnlineEvents);
-        self.push_obs(ObsWork::Online { node: i, at: now });
+        self.pending_obs.push(ObsWork::Online { node: i, at: now });
     }
 
     fn handle_offline(&mut self, i: usize, now: SimTime) {
@@ -1213,7 +730,7 @@ impl Network {
         self.online_count = self.online_count.saturating_sub(1);
         self.counters.incr(SimCounter::NodeOfflineEvents);
         self.pending.clear_node(i);
-        self.push_obs(ObsWork::Offline { node: i, at: now });
+        self.pending_obs.push(ObsWork::Offline { node: i, at: now });
     }
 
     fn want_request_type(&self, node: usize, now: SimTime) -> RequestType {
@@ -1253,7 +770,7 @@ impl Network {
 
         self.pending.insert(node, content, now);
         let rtype = self.want_request_type(node, now);
-        self.push_obs(ObsWork::Broadcast {
+        self.pending_obs.push(ObsWork::Broadcast {
             node,
             rtype,
             content: content as u32,
@@ -1277,7 +794,7 @@ impl Network {
             return;
         }
         let rtype = self.want_request_type(node, now);
-        self.push_obs(ObsWork::Broadcast {
+        self.pending_obs.push(ObsWork::Broadcast {
             node,
             rtype,
             content: content as u32,
@@ -1331,7 +848,7 @@ impl Network {
                 // The requester finds the monitor in the DHT, connects and
                 // sends a targeted WANT_BLOCK — exactly the signal the
                 // gateway-probing attack waits for.
-                self.push_obs(ObsWork::Targeted {
+                self.pending_obs.push(ObsWork::Targeted {
                     node,
                     monitor: m,
                     content: content as u32,
@@ -1414,7 +931,7 @@ impl Network {
 
         // CANCEL goes out to every peer that received the want broadcast —
         // monitors included.
-        self.push_obs(ObsWork::Broadcast {
+        self.pending_obs.push(ObsWork::Broadcast {
             node,
             rtype: RequestType::Cancel,
             content: content as u32,
@@ -1467,7 +984,7 @@ impl Network {
                 // almost immediately and is cancelled again a few hundred
                 // milliseconds later.
                 let rtype = self.want_request_type(node, now);
-                self.push_obs(ObsWork::RevalidateCancel {
+                self.pending_obs.push(ObsWork::RevalidateCancel {
                     node,
                     rtype,
                     content: content as u32,
@@ -1482,9 +999,7 @@ impl Network {
     }
 }
 
-/// Timestamp of a source's next event, if any. Free-standing (state +
-/// scenario, no `&Network`) so that region workers advance sources with the
-/// *identical* code the serial merge loop uses.
+/// Timestamp of a source's next event, if any.
 fn source_state_peek(source: &SourceState, scenario: &Scenario) -> Option<SimTime> {
     match source {
         SourceState::Churn { node, cursor } => {
@@ -1501,8 +1016,7 @@ fn source_state_peek(source: &SourceState, scenario: &Scenario) -> Option<SimTim
     }
 }
 
-/// Pulls a source's next event. See [`source_state_peek`] for why this is
-/// free-standing.
+/// Pulls a source's next event.
 fn source_state_pop(source: &mut SourceState, scenario: &Scenario) -> Option<(SimTime, NetEvent)> {
     match source {
         SourceState::Churn { node, cursor } => {
@@ -1551,17 +1065,6 @@ fn source_state_pop(source: &mut SourceState, scenario: &Scenario) -> Option<(Si
     }
 }
 
-/// The node whose state a source's events act on, if it names exactly one —
-/// the partition affinity the sharded driver uses. Partitioning never affects
-/// the merged order (ranks are global), so a `None` falls back to round-robin.
-fn source_shard_hint(source: &SourceState) -> Option<usize> {
-    match source {
-        SourceState::Churn { node, .. } => Some(*node),
-        SourceState::External(s) => s.shard_hint(),
-        SourceState::Requests { .. } | SourceState::GatewayRequests { .. } => None,
-    }
-}
-
 /// Resolves a vector cursor to the element index it points at — through the
 /// stable time permutation when one exists — or `None` past the end. Both
 /// request-vector source kinds peek and pop through this one helper so their
@@ -1574,8 +1077,8 @@ fn cursor_index(len: usize, cursor: usize, order: &Option<Box<[u32]>>) -> Option
 }
 
 /// Stable permutation of `items` by timestamp, or `None` when they are
-/// already sorted (the generated workloads always are). Stable order on ties
-/// matches the sequence-number order the materialized path would use.
+/// already sorted (the generated workloads always are). Ties keep vector
+/// order.
 fn stable_time_order<T>(items: &[T], at: impl Fn(&T) -> SimTime) -> Option<Box<[u32]>> {
     assert!(
         u32::try_from(items.len()).is_ok(),
@@ -1642,6 +1145,7 @@ mod tests {
     use ipfs_mon_blockstore::build_file;
     use ipfs_mon_kad::Crawler;
     use ipfs_mon_simnet::churn::{NodeSchedule, OnlineSession};
+    use ipfs_mon_simnet::source::IterSource;
 
     fn always_online(horizon: SimDuration) -> NodeSchedule {
         NodeSchedule {
@@ -1944,7 +1448,7 @@ mod tests {
     }
 
     /// Scenario with churn, user requests and gateway traffic — every event
-    /// kind at once — for the execution-mode equivalence tests.
+    /// kind at once — for the comparisons against [`drained`].
     fn busy_scenario(seed: u64) -> Scenario {
         let horizon = SimDuration::from_hours(3);
         let mut scenario = Scenario::new(seed, horizon);
@@ -2023,65 +1527,67 @@ mod tests {
         scenario
     }
 
-    #[test]
-    fn all_execution_modes_produce_identical_traces() {
-        for seed in [7, 21, 99] {
-            let mut reference_sink = RecordingSink::new(2);
-            let reference =
-                Network::with_options(busy_scenario(seed), ExecOptions::seed_baseline())
-                    .run(&mut reference_sink);
-            for options in [
-                ExecOptions::materialized_wheel(),
-                ExecOptions::lazy(),
-                ExecOptions::lazy_parallel(2),
-                ExecOptions::lazy_parallel(5),
-                ExecOptions::sharded(1),
-                ExecOptions::sharded(2),
-                ExecOptions::sharded(7),
-            ] {
-                let mut sink = RecordingSink::new(2);
-                let report = Network::with_options(busy_scenario(seed), options).run(&mut sink);
-                assert_eq!(
-                    sink.observations, reference_sink.observations,
-                    "observations diverge for seed {seed} under {options:?}"
-                );
-                assert_eq!(
-                    sink.connections, reference_sink.connections,
-                    "connections diverge for seed {seed} under {options:?}"
-                );
-                assert_eq!(report.events_processed, reference.events_processed);
-                assert_eq!(
-                    format!("{:?}", report.counters),
-                    format!("{:?}", reference.counters)
-                );
+    /// The reference the event loop is held to: every source drained, in
+    /// rank order, into the runtime queue before the run, so the scheduler's
+    /// FIFO sequence numbers decide every tie.
+    fn drained(mut network: Network) -> Network {
+        for source in &mut network.sources {
+            while let Some((at, event)) = source_state_pop(source, &network.core.scenario) {
+                network.queue.schedule_at(at, event);
             }
         }
+        network.heads.clear();
+        network
+    }
+
+    fn record(mut network: Network) -> (RecordingSink, RunReport) {
+        let mut sink = RecordingSink::new(network.monitor_count());
+        let report = network.run(&mut sink);
+        (sink, report)
+    }
+
+    /// `busy_scenario` with both request vectors moved into external sources.
+    fn externally_fed(seed: u64) -> Network {
+        let mut scenario = busy_scenario(seed);
+        let requests = std::mem::take(&mut scenario.requests).into_iter().map(|r| {
+            let (node, content) = (r.node, r.content);
+            (r.at, WorkloadEvent::Request { node, content })
+        });
+        let gateway = std::mem::take(&mut scenario.gateway_requests)
+            .into_iter()
+            .map(|r| {
+                let (operator, content) = (r.operator, r.content);
+                (r.at, WorkloadEvent::Gateway { operator, content })
+            });
+        Network::with_sources(
+            scenario,
+            vec![
+                Box::new(IterSource::new(requests)),
+                Box::new(IterSource::new(gateway)),
+            ],
+        )
     }
 
     #[test]
-    fn fast_rng_modes_are_mutually_identical() {
-        // The ziggurat sampler changes the latency draws relative to
-        // Box–Muller, but every execution mode must agree with every other
-        // under the *same* sampler.
-        for seed in [7, 21] {
-            let mut reference_sink = RecordingSink::new(2);
-            Network::with_options(busy_scenario(seed), ExecOptions::lazy().with_fast_rng())
-                .run(&mut reference_sink);
-            for options in [
-                ExecOptions::seed_baseline().with_fast_rng(),
-                ExecOptions::lazy_parallel(3).with_fast_rng(),
-                ExecOptions::sharded(3).with_fast_rng(),
+    fn all_execution_modes_produce_identical_traces() {
+        for seed in [7, 21, 99] {
+            let (reference_sink, reference) = record(drained(Network::new(busy_scenario(seed))));
+            for (feed, network) in [
+                ("scenario vectors", Network::new(busy_scenario(seed))),
+                ("external sources", externally_fed(seed)),
+                ("drained external sources", drained(externally_fed(seed))),
             ] {
-                let mut sink = RecordingSink::new(2);
-                Network::with_options(busy_scenario(seed), options).run(&mut sink);
+                let (sink, report) = record(network);
                 assert_eq!(
                     sink.observations, reference_sink.observations,
-                    "observations diverge for seed {seed} under {options:?}"
+                    "observations diverge for seed {seed} fed by {feed}"
                 );
                 assert_eq!(
                     sink.connections, reference_sink.connections,
-                    "connections diverge for seed {seed} under {options:?}"
+                    "connections diverge for seed {seed} fed by {feed}"
                 );
+                assert_eq!(report.events_processed, reference.events_processed);
+                assert_eq!(report.counters, reference.counters);
             }
         }
     }
@@ -2089,7 +1595,7 @@ mod tests {
     #[test]
     fn lazy_mode_keeps_pending_set_small() {
         let mut scenario = busy_scenario(5);
-        // Many more requests so materialized pending dwarfs concurrency.
+        // Many more requests so the drained pending set dwarfs concurrency.
         for i in 0..2_000u64 {
             scenario.requests.push(RequestEvent {
                 at: SimTime::from_secs(10 + i * 5),
@@ -2097,19 +1603,17 @@ mod tests {
                 content: (i % 2) as usize,
             });
         }
-        let materialized =
-            Network::with_options(scenario.clone(), ExecOptions::materialized_wheel())
-                .run(&mut RecordingSink::new(2));
-        let lazy = Network::new(scenario).run(&mut RecordingSink::new(2));
+        let (_, materialized) = record(drained(Network::new(scenario.clone())));
+        let (_, lazy) = record(Network::new(scenario));
         assert_eq!(materialized.events_processed, lazy.events_processed);
         assert!(
             materialized.peak_pending >= 2_000,
-            "materialized peak {} should carry the whole horizon",
+            "drained peak {} should carry the whole horizon",
             materialized.peak_pending
         );
         assert!(
             lazy.peak_pending < materialized.peak_pending / 10,
-            "lazy peak {} should track concurrency, not horizon (materialized {})",
+            "lazy peak {} should track concurrency, not horizon (drained {})",
             lazy.peak_pending,
             materialized.peak_pending
         );
@@ -2118,8 +1622,8 @@ mod tests {
     #[test]
     fn unsorted_request_vectors_replay_in_materialized_order() {
         let mut scenario = base_scenario(6);
-        // Deliberately unsorted, with a timestamp tie: the materialized path
-        // delivers ties in vector order, and the lazy path must match.
+        // Deliberately unsorted, with a timestamp tie: a scheduler delivers
+        // ties in vector order, and the request cursor must match.
         scenario.requests = vec![
             RequestEvent {
                 at: SimTime::from_secs(600),
@@ -2137,21 +1641,26 @@ mod tests {
                 content: 1,
             },
         ];
-        let mut lazy_sink = RecordingSink::new(1);
-        let mut materialized_sink = RecordingSink::new(1);
-        Network::new(scenario.clone()).run(&mut lazy_sink);
-        Network::with_options(scenario, ExecOptions::materialized_wheel())
-            .run(&mut materialized_sink);
+        // The reference schedules the vector as it stands, not through the
+        // cursor's permutation.
+        let mut reference = drained(Network::new(Scenario {
+            requests: Vec::new(),
+            ..scenario.clone()
+        }));
+        for r in &scenario.requests {
+            reference.schedule_request(*r);
+        }
+        let (lazy_sink, _) = record(Network::new(scenario));
+        let (materialized_sink, _) = record(reference);
         assert_eq!(lazy_sink.observations, materialized_sink.observations);
     }
 
     #[test]
     fn mid_run_request_injection_works_in_lazy_mode() {
         // Attack tooling schedules extra requests against a built network;
-        // in lazy mode those go through the runtime queue and must interleave
-        // with source events exactly as on the materialized path.
-        let build = |options: ExecOptions| {
-            let mut network = Network::with_options(busy_scenario(3), options);
+        // those go through the runtime queue and must interleave with source
+        // events exactly as when everything sits in the queue.
+        let inject = |mut network: Network| {
             network.schedule_request(RequestEvent {
                 at: SimTime::from_secs(3_040), // ties a churn + request instant
                 node: 4,
@@ -2162,63 +1671,110 @@ mod tests {
                 node: 5,
                 content: 0,
             });
-            let mut sink = RecordingSink::new(2);
-            let report = network.run(&mut sink);
-            (sink, report)
+            record(network)
         };
-        let (lazy_sink, lazy_report) = build(ExecOptions::lazy());
-        let (seed_sink, seed_report) = build(ExecOptions::seed_baseline());
+        let (lazy_sink, lazy_report) = inject(Network::new(busy_scenario(3)));
+        let (seed_sink, seed_report) = inject(drained(Network::new(busy_scenario(3))));
         assert_eq!(lazy_sink.observations, seed_sink.observations);
         assert_eq!(lazy_sink.connections, seed_sink.connections);
         assert_eq!(lazy_report.events_processed, seed_report.events_processed);
-        // The sharded mode must interleave injected runtime events under the
-        // same tie rule.
-        for shards in [1, 2, 7] {
-            let (sharded_sink, sharded_report) = build(ExecOptions::sharded(shards));
-            assert_eq!(
-                sharded_sink.observations, seed_sink.observations,
-                "observations diverge with {shards} shards"
-            );
-            assert_eq!(sharded_sink.connections, seed_sink.connections);
-            assert_eq!(
-                sharded_report.events_processed,
-                seed_report.events_processed
-            );
-        }
     }
 
     #[test]
     fn probe_content_added_at_runtime_is_observable_in_sharded_mode() {
-        // add_content + register_monitor_provider after build (the
-        // gateway-probing flow) goes through Arc::make_mut; the sharded
-        // workers must see the refreshed core.
-        let run = |options: ExecOptions| {
-            let mut network = Network::with_options(busy_scenario(11), options);
-            let content = network.add_content(ContentSpec {
-                dag: build_file(7_777, 100, 1024, 4),
-                initial_providers: vec![],
-            });
-            network.register_monitor_provider(1, content);
+        // add_content + register_monitor_provider after build: the
+        // gateway-probing flow.
+        let mut network = Network::new(busy_scenario(11));
+        let content = network.add_content(ContentSpec {
+            dag: build_file(7_777, 100, 1024, 4),
+            initial_providers: vec![],
+        });
+        network.register_monitor_provider(1, content);
+        network.schedule_request(RequestEvent {
+            at: SimTime::from_secs(500),
+            node: 0,
+            content,
+        });
+        let root = network.content_root(content).clone();
+        let (sink, report) = record(network);
+        assert_eq!(report.counters.get("resolved_via_monitor_provider"), 1);
+        assert!(sink.observations[1]
+            .iter()
+            .any(|o| o.request_type == RequestType::WantBlock && o.cid == root));
+    }
+
+    #[test]
+    fn ties_go_to_sources_by_rank_then_to_the_queue_and_late_injections_clamp() {
+        let t = SimTime::from_secs(1_000);
+        let late = SimTime::from_secs(5_000);
+        let mut scenario = base_scenario(3);
+        // Sessions outlast the horizon, so everyone is still online when the
+        // first run returns. At `t`, node 1 comes online (churn source) and
+        // requests content 0 (request source); node 2 comes online at `late`,
+        // after the runtime activity of `t` has died down.
+        for (node, start) in [(0, SimTime::ZERO), (1, t), (2, late)] {
+            scenario.nodes[node].schedule = NodeSchedule {
+                stable: false,
+                sessions: vec![OnlineSession {
+                    start,
+                    end: SimTime::ZERO + scenario.horizon + SimDuration::from_hours(1),
+                }],
+            };
+        }
+        scenario.requests.push(RequestEvent {
+            at: t,
+            node: 1,
+            content: 0,
+        });
+        let run_twice = |mut network: Network| {
+            // A runtime-queue event at `t`, older than anything the run will
+            // schedule.
             network.schedule_request(RequestEvent {
-                at: SimTime::from_secs(500),
-                node: 0,
-                content,
+                at: t,
+                node: 1,
+                content: 1,
             });
-            let mut sink = RecordingSink::new(2);
-            let report = network.run(&mut sink);
-            (sink, report)
+            let mut sink = RecordingSink::new(1);
+            let first = network.run(&mut sink);
+            let seen = sink.observations[0].len();
+            // Scheduled for the past; the clock stands at `late`.
+            network.schedule_request(RequestEvent {
+                at: t,
+                node: 2,
+                content: 1,
+            });
+            let second = network.run(&mut sink);
+            let roots = [
+                network.content_root(0).clone(),
+                network.content_root(1).clone(),
+            ];
+            (sink, seen, first, second, roots)
         };
-        let (serial_sink, serial_report) = run(ExecOptions::lazy());
-        let (sharded_sink, sharded_report) = run(ExecOptions::sharded(3));
-        assert_eq!(serial_sink.observations, sharded_sink.observations);
-        assert_eq!(serial_sink.connections, sharded_sink.connections);
-        assert_eq!(
-            serial_report.events_processed,
-            sharded_report.events_processed
-        );
-        assert_eq!(
-            serial_report.counters.get("resolved_via_monitor_provider"),
-            1
-        );
+
+        let (sink, seen, first, second, roots) = run_twice(Network::new(scenario.clone()));
+        // Churn before requests: node 1 was online for both of its requests.
+        assert_eq!(first.counters.get("requests_while_offline"), 0);
+        assert_eq!(first.counters.get("requests_total"), 2);
+        // Source before queue: the monitor heard the want for content 0
+        // first, although the want for content 1 was scheduled earlier.
+        let wants: Vec<&Cid> = sink.observations[0][..seen]
+            .iter()
+            .filter(|o| o.request_type.is_request())
+            .map(|o| &o.cid)
+            .take(2)
+            .collect();
+        assert_eq!(wants, [&roots[0], &roots[1]]);
+        // The last event of the first run was node 2's churn source event at
+        // `late`, which took the queue clock with it: the injection for the
+        // past is delivered at `late`, not at `t`.
+        assert_eq!(second.counters.get("requests_total"), 3);
+        assert!(sink.observations[0].len() > seen);
+        assert!(sink.observations[0][seen..]
+            .iter()
+            .all(|o| o.timestamp >= late));
+
+        let (reference_sink, ..) = run_twice(drained(Network::new(scenario)));
+        assert_eq!(sink.observations, reference_sink.observations);
+        assert_eq!(sink.connections, reference_sink.connections);
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! * [`time`] — millisecond-resolution simulated clock and durations,
 //! * [`scheduler`] — a deterministic discrete-event queue (a hierarchical
-//!   timer wheel, plus the seed heap implementation as a baseline/oracle),
+//!   timer wheel),
 //! * [`source`] — pull-based event sources for lazy event generation,
 //! * [`rng`] — seeded randomness with labelled sub-streams,
 //! * [`region`] — country mixes (GeoIP substitute) and an inter-region
@@ -35,8 +35,8 @@ pub use churn::{
 };
 pub use metrics::{BucketedSeries, CounterId, Counters, TypedCounters};
 pub use region::{CountryMix, LatencyModel, LatencyTable};
-pub use rng::{NormalSampler, SimRng};
-pub use scheduler::{BaselineScheduler, EventId, Scheduler};
+pub use rng::SimRng;
+pub use scheduler::{EventId, Scheduler};
 pub use source::{EventSource, IterSource};
 pub use time::{SimDuration, SimTime};
 

@@ -9,31 +9,12 @@
 use ipfs_mon_types::sha256;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use std::sync::OnceLock;
-
-/// Which algorithm [`SimRng::sample_standard_normal`] uses.
-///
-/// The two samplers draw *different* streams for the same generator state, so
-/// switching changes every digest downstream. Box–Muller is the default and
-/// the stream all digest-verified execution modes are baselined on; the
-/// ziggurat is an opt-in fast path (`--fast-rng` in the benches) that
-/// re-baselines digests for the run that enables it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NormalSampler {
-    /// Exact Box–Muller transform (two uniforms, `ln`/`sqrt`/`cos` per draw).
-    #[default]
-    BoxMuller,
-    /// 128-layer Marsaglia–Tsang ziggurat: one `u64` draw and a table lookup
-    /// on the ~98.5 % fast path, no transcendentals.
-    Ziggurat,
-}
 
 /// A seeded random number generator with labelled sub-stream derivation.
 #[derive(Debug, Clone)]
 pub struct SimRng {
     seed: u64,
     inner: StdRng,
-    normal: NormalSampler,
 }
 
 impl SimRng {
@@ -44,7 +25,6 @@ impl SimRng {
         Self {
             seed,
             inner: StdRng::from_seed(sha256::sha256(&key)),
-            normal: NormalSampler::default(),
         }
     }
 
@@ -67,26 +47,7 @@ impl SimRng {
         Self {
             seed: sub_seed,
             inner: StdRng::from_seed(digest),
-            normal: self.normal,
         }
-    }
-
-    /// Selects the standard-normal sampling algorithm. Derived generators
-    /// inherit the setting, so flipping it on a root generator before
-    /// deriving sub-streams switches a whole component tree.
-    pub fn set_normal_sampler(&mut self, sampler: NormalSampler) {
-        self.normal = sampler;
-    }
-
-    /// Builder-style variant of [`Self::set_normal_sampler`].
-    pub fn with_normal_sampler(mut self, sampler: NormalSampler) -> Self {
-        self.normal = sampler;
-        self
-    }
-
-    /// The currently selected standard-normal sampler.
-    pub fn normal_sampler(&self) -> NormalSampler {
-        self.normal
     }
 
     /// Derives an independent generator for a numbered entity (e.g. node 17).
@@ -118,52 +79,11 @@ impl SimRng {
         (mu + sigma * self.sample_standard_normal()).exp()
     }
 
-    /// Samples a standard normal with the configured sampler (Box–Muller by
-    /// default; see [`NormalSampler`]).
+    /// Samples a standard normal (Box–Muller transform).
     pub fn sample_standard_normal(&mut self) -> f64 {
-        match self.normal {
-            NormalSampler::BoxMuller => {
-                let u1: f64 = self.inner.gen_range(f64::MIN_POSITIVE..1.0);
-                let u2: f64 = self.inner.gen_range(0.0..1.0);
-                (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-            }
-            NormalSampler::Ziggurat => self.sample_standard_normal_ziggurat(),
-        }
-    }
-
-    /// Marsaglia–Tsang ziggurat over the standard normal: 128 equal-area
-    /// layers, one `u64` draw plus a table compare on the fast path, exact
-    /// wedge/tail rejection on the slow path.
-    fn sample_standard_normal_ziggurat(&mut self) -> f64 {
-        let zig = ziggurat_tables();
-        loop {
-            let bits = self.inner.next_u64();
-            let layer = (bits & 0x7f) as usize;
-            let sign = if bits & 0x80 == 0 { 1.0 } else { -1.0 };
-            // 53-bit uniform in [0, 1).
-            let u = (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-            let x = u * zig.x[layer];
-            if x < zig.x[layer + 1] {
-                return sign * x;
-            }
-            if layer == 0 {
-                // Tail beyond R: Marsaglia's exponential rejection.
-                loop {
-                    let u1: f64 = self.inner.gen_range(f64::MIN_POSITIVE..1.0);
-                    let u2: f64 = self.inner.gen_range(f64::MIN_POSITIVE..1.0);
-                    let tail_x = -u1.ln() / ZIG_R;
-                    let tail_y = -u2.ln();
-                    if tail_y + tail_y >= tail_x * tail_x {
-                        return sign * (ZIG_R + tail_x);
-                    }
-                }
-            }
-            // Wedge between the layer rectangle and the density curve.
-            let v: f64 = self.inner.gen_range(0.0..1.0);
-            if zig.f[layer] + v * (zig.f[layer + 1] - zig.f[layer]) < (-0.5 * x * x).exp() {
-                return sign * x;
-            }
-        }
+        let u1: f64 = self.inner.gen_range(f64::MIN_POSITIVE..1.0);
+        let u2: f64 = self.inner.gen_range(0.0..1.0);
+        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
     }
 
     /// Chooses an index according to the given non-negative weights.
@@ -184,43 +104,6 @@ impl SimRng {
         }
         weights.len() - 1
     }
-}
-
-/// Rightmost layer edge of the 128-layer normal ziggurat.
-const ZIG_R: f64 = 3.442_619_855_899;
-/// Common area of each of the 128 layers (base rectangle + tail for layer 0).
-const ZIG_V: f64 = 9.912_563_035_262_17e-3;
-
-/// Precomputed layer edges `x[i]` (decreasing, `x[128] = 0`) and densities
-/// `f[i] = exp(-x[i]^2 / 2)` for the normal ziggurat.
-struct ZigguratTables {
-    x: [f64; 129],
-    f: [f64; 129],
-}
-
-fn ziggurat_tables() -> &'static ZigguratTables {
-    static TABLES: OnceLock<ZigguratTables> = OnceLock::new();
-    TABLES.get_or_init(|| {
-        let pdf = |x: f64| (-0.5 * x * x).exp();
-        let mut x = [0.0f64; 129];
-        // Layer 0's rectangle is widened to V / f(R) so that a uniform draw
-        // over it lands below R with probability (R * f(R)) / V; the
-        // remainder routes to the exact tail sampler.
-        x[0] = ZIG_V / pdf(ZIG_R);
-        x[1] = ZIG_R;
-        for i in 2..128 {
-            let prev = x[i - 1];
-            // Equal-area recurrence: V = x[i-1] * (f(x[i]) - f(x[i-1])).
-            let density = (ZIG_V / prev + pdf(prev)).min(1.0);
-            x[i] = (-2.0 * density.ln()).max(0.0).sqrt();
-        }
-        x[128] = 0.0;
-        let mut f = [0.0f64; 129];
-        for (fi, xi) in f.iter_mut().zip(x.iter()) {
-            *fi = pdf(*xi);
-        }
-        ZigguratTables { x, f }
-    })
 }
 
 impl RngCore for SimRng {
@@ -317,57 +200,6 @@ mod tests {
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.03, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "variance {var}");
-    }
-
-    #[test]
-    fn ziggurat_tables_are_monotone_and_finite() {
-        let zig = ziggurat_tables();
-        for i in 0..128 {
-            assert!(zig.x[i].is_finite() && zig.x[i] > zig.x[i + 1], "layer {i}");
-            assert!(zig.f[i].is_finite() && zig.f[i] < zig.f[i + 1], "layer {i}");
-        }
-        assert_eq!(zig.x[128], 0.0);
-        assert!((zig.f[128] - 1.0).abs() < 1e-12);
-        assert!((zig.x[1] - ZIG_R).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ziggurat_moments_match_standard_normal() {
-        let mut rng = SimRng::new(13).with_normal_sampler(NormalSampler::Ziggurat);
-        let n = 200_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.sample_standard_normal()).collect();
-        let nf = n as f64;
-        let mean = samples.iter().sum::<f64>() / nf;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / nf;
-        let skew = samples.iter().map(|x| (x - mean).powi(3)).sum::<f64>() / nf / var.powf(1.5);
-        let kurt = samples.iter().map(|x| (x - mean).powi(4)).sum::<f64>() / nf / var.powi(2);
-        assert!(mean.abs() < 0.02, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.03, "variance {var}");
-        assert!(skew.abs() < 0.05, "skewness {skew}");
-        assert!((kurt - 3.0).abs() < 0.15, "kurtosis {kurt}");
-        // Tail mass: P(|X| > 3) = 0.0027 for the standard normal.
-        let tail = samples.iter().filter(|x| x.abs() > 3.0).count() as f64 / nf;
-        assert!((tail - 0.0027).abs() < 0.001, "tail mass {tail}");
-    }
-
-    #[test]
-    fn normal_sampler_is_inherited_by_derived_streams() {
-        let root = SimRng::new(21).with_normal_sampler(NormalSampler::Ziggurat);
-        let child = root.derive("runtime").derive_indexed("node", 3);
-        assert_eq!(child.normal_sampler(), NormalSampler::Ziggurat);
-        let plain = SimRng::new(21).derive("runtime");
-        assert_eq!(plain.normal_sampler(), NormalSampler::BoxMuller);
-    }
-
-    #[test]
-    fn box_muller_stream_is_unchanged_by_sampler_field() {
-        // The default path must stay bit-identical: digests of all existing
-        // execution modes are baselined on this stream.
-        let mut a = SimRng::new(99);
-        let mut b = SimRng::new(99).with_normal_sampler(NormalSampler::BoxMuller);
-        for _ in 0..100 {
-            assert_eq!(a.sample_standard_normal(), b.sample_standard_normal());
-        }
     }
 
     #[test]

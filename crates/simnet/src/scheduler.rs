@@ -9,19 +9,15 @@
 //! order they were scheduled (FIFO tie-breaking by sequence number), so a
 //! seeded simulation always produces the same trace.
 //!
-//! Two implementations share the same API and the same delivery order
-//! (they differ only in cost, and in `pending()`, which on the baseline
-//! still counts unreaped cancellation tombstones — the seed behaviour):
-//!
-//! * [`Scheduler`] — a hierarchical timer wheel (256-slot levels starting at
-//!   millisecond granularity, 256× coarser per level, plus an overflow heap
-//!   for the very far future). `schedule_at`/`pop` are O(1) amortized,
-//!   `peek_time` is a cached O(1) field read, and cancelled events are
-//!   tracked by a sliding per-sequence bit window whose memory is bounded by
-//!   the *live* sequence span, not by the run length.
-//! * [`BaselineScheduler`] — the original `BinaryHeap + HashSet`-tombstone
-//!   implementation, kept verbatim as a property-test oracle and as the
-//!   "before" side of the `simnet_bench` comparison.
+//! [`Scheduler`] is a hierarchical timer wheel (256-slot levels starting at
+//! millisecond granularity, 256× coarser per level, plus an overflow heap
+//! for the very far future). `schedule_at`/`pop` are O(1) amortized,
+//! `peek_time` is a cached O(1) field read, and cancelled events are
+//! tracked by a sliding per-sequence bit window whose memory is bounded by
+//! the *live* sequence span, not by the run length. The original
+//! `BinaryHeap + HashSet`-tombstone implementation lives on in this module's
+//! tests, where a property test drives both in lockstep to prove the
+//! delivery order identical.
 //!
 //! The wheel's four levels, each 256 slots, with the span one slot covers:
 //!
@@ -37,8 +33,7 @@
 //! separates it from the current time; when the clock enters a coarse slot,
 //! that slot's events *cascade* down one level, regaining resolution. Each
 //! event therefore moves at most `levels` times total — the O(1) amortized
-//! bound — while a binary heap pays O(log pending) on every operation, which
-//! is what the `simnet_bench` scheduler replay measures against.
+//! bound — while a binary heap pays O(log pending) on every operation.
 
 use crate::time::{SimDuration, SimTime};
 use ipfs_mon_obs as obs;
@@ -611,174 +606,126 @@ impl<E> Scheduler<E> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Baseline (seed) implementation.
-// ---------------------------------------------------------------------------
-
-#[derive(Debug)]
-struct ScheduledEvent<E> {
-    at: SimTime,
-    seq: u64,
-    payload: E,
-}
-
-// Order by (time, sequence) — BinaryHeap is a max-heap, so comparisons are
-// wrapped in `Reverse` at the call sites.
-impl<E> PartialEq for ScheduledEvent<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for ScheduledEvent<E> {}
-impl<E> PartialOrd for ScheduledEvent<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for ScheduledEvent<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// The seed scheduler: a `BinaryHeap` ordered by `(time, seq)` with a
-/// `HashSet` of cancellation tombstones and an O(n) [`peek_time`].
-///
-/// Kept for two purposes: the scheduler property tests drive it in lockstep
-/// with the timer wheel to prove delivery order is bit-identical, and
-/// `simnet_bench` runs it as the "before" side of the event-loop comparison.
-/// New code should use [`Scheduler`].
-///
-/// [`peek_time`]: BaselineScheduler::peek_time
-#[derive(Debug)]
-pub struct BaselineScheduler<E> {
-    queue: BinaryHeap<Reverse<ScheduledEvent<E>>>,
-    now: SimTime,
-    next_seq: u64,
-    cancelled: std::collections::HashSet<u64>,
-    delivered: u64,
-}
-
-impl<E> Default for BaselineScheduler<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> BaselineScheduler<E> {
-    /// Creates an empty scheduler at time zero.
-    pub fn new() -> Self {
-        Self {
-            queue: BinaryHeap::new(),
-            now: SimTime::ZERO,
-            next_seq: 0,
-            cancelled: std::collections::HashSet::new(),
-            delivered: 0,
-        }
-    }
-
-    /// The current simulated time: the timestamp of the most recently popped
-    /// event (or zero before any event was delivered).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of events delivered so far.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Number of events still pending (including cancelled ones not yet
-    /// reaped).
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Returns true if no events remain.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
-    }
-
-    /// Advances the clock without delivering an event, clamped to the
-    /// earliest pending event so `pop` stays time-monotone.
-    pub fn advance_to(&mut self, t: SimTime) {
-        let t = match self.peek_time() {
-            Some(next) => t.min(next),
-            None => t,
-        };
-        self.now = self.now.max(t);
-    }
-
-    /// Schedules `payload` for the absolute time `at` (clamped to `now`).
-    pub fn schedule_at(&mut self, at: SimTime, payload: E) -> EventId {
-        let at = at.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.queue
-            .push(Reverse(ScheduledEvent { at, seq, payload }));
-        EventId(seq)
-    }
-
-    /// Schedules `payload` for `delay` after the current time.
-    pub fn schedule_after(&mut self, delay: SimDuration, payload: E) -> EventId {
-        self.schedule_at(self.now + delay, payload)
-    }
-
-    /// Cancels a previously scheduled event. Note the seed quirk this
-    /// implementation preserves: cancelling an already-delivered id returns
-    /// true and leaks a tombstone ([`Scheduler::cancel`] fixes both).
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_seq {
-            return false;
-        }
-        self.cancelled.insert(id.0)
-    }
-
-    /// Pops the next event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(Reverse(event)) = self.queue.pop() {
-            if self.cancelled.remove(&event.seq) {
-                continue;
-            }
-            debug_assert!(event.at >= self.now, "time must be monotone");
-            self.now = event.at;
-            self.delivered += 1;
-            return Some((event.at, event.payload));
-        }
-        None
-    }
-
-    /// Pops the next event only if it is scheduled at or before `deadline`.
-    pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        loop {
-            let head_at = self.queue.peek().map(|Reverse(e)| (e.at, e.seq))?;
-            if head_at.0 > deadline {
-                return None;
-            }
-            if self.cancelled.contains(&head_at.1) {
-                self.queue.pop();
-                self.cancelled.remove(&head_at.1);
-                continue;
-            }
-            return self.pop();
-        }
-    }
-
-    /// Timestamp of the next pending (non-cancelled) event, if any. O(n) —
-    /// the scan the timer wheel's cached minimum exists to avoid.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.queue
-            .iter()
-            .filter(|Reverse(e)| !self.cancelled.contains(&e.seq))
-            .map(|Reverse(e)| e.at)
-            .min()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[derive(Debug)]
+    struct ScheduledEvent<E> {
+        at: SimTime,
+        seq: u64,
+        payload: E,
+    }
+
+    // Order by (time, sequence) — BinaryHeap is a max-heap, so comparisons
+    // are wrapped in `Reverse` at the call sites.
+    impl<E> PartialEq for ScheduledEvent<E> {
+        fn eq(&self, other: &Self) -> bool {
+            self.at == other.at && self.seq == other.seq
+        }
+    }
+    impl<E> Eq for ScheduledEvent<E> {}
+    impl<E> PartialOrd for ScheduledEvent<E> {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl<E> Ord for ScheduledEvent<E> {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            (self.at, self.seq).cmp(&(other.at, other.seq))
+        }
+    }
+
+    /// The seed scheduler, the oracle of the lockstep property test: a
+    /// `BinaryHeap` ordered by `(time, seq)` with a `HashSet` of
+    /// cancellation tombstones and an O(n) `peek_time`.
+    #[derive(Debug)]
+    struct BaselineScheduler<E> {
+        queue: BinaryHeap<Reverse<ScheduledEvent<E>>>,
+        now: SimTime,
+        next_seq: u64,
+        cancelled: std::collections::HashSet<u64>,
+        delivered: u64,
+    }
+
+    impl<E> BaselineScheduler<E> {
+        fn new() -> Self {
+            Self {
+                queue: BinaryHeap::new(),
+                now: SimTime::ZERO,
+                next_seq: 0,
+                cancelled: std::collections::HashSet::new(),
+                delivered: 0,
+            }
+        }
+
+        fn now(&self) -> SimTime {
+            self.now
+        }
+
+        fn delivered(&self) -> u64 {
+            self.delivered
+        }
+
+        /// Schedules `payload` for the absolute time `at` (clamped to `now`).
+        fn schedule_at(&mut self, at: SimTime, payload: E) -> EventId {
+            let at = at.max(self.now);
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.queue
+                .push(Reverse(ScheduledEvent { at, seq, payload }));
+            EventId(seq)
+        }
+
+        /// Cancels a previously scheduled event. Note the seed quirk this
+        /// implementation preserves: cancelling an already-delivered id
+        /// returns true and leaks a tombstone ([`Scheduler::cancel`] fixes
+        /// both).
+        fn cancel(&mut self, id: EventId) -> bool {
+            if id.0 >= self.next_seq {
+                return false;
+            }
+            self.cancelled.insert(id.0)
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, E)> {
+            while let Some(Reverse(event)) = self.queue.pop() {
+                if self.cancelled.remove(&event.seq) {
+                    continue;
+                }
+                debug_assert!(event.at >= self.now, "time must be monotone");
+                self.now = event.at;
+                self.delivered += 1;
+                return Some((event.at, event.payload));
+            }
+            None
+        }
+
+        fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
+            loop {
+                let head_at = self.queue.peek().map(|Reverse(e)| (e.at, e.seq))?;
+                if head_at.0 > deadline {
+                    return None;
+                }
+                if self.cancelled.contains(&head_at.1) {
+                    self.queue.pop();
+                    self.cancelled.remove(&head_at.1);
+                    continue;
+                }
+                return self.pop();
+            }
+        }
+
+        /// Timestamp of the next pending (non-cancelled) event, if any.
+        fn peek_time(&self) -> Option<SimTime> {
+            self.queue
+                .iter()
+                .filter(|Reverse(e)| !self.cancelled.contains(&e.seq))
+                .map(|Reverse(e)| e.at)
+                .min()
+        }
+    }
 
     #[test]
     fn delivers_in_time_order() {

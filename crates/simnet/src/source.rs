@@ -1,37 +1,32 @@
 //! Pull-based event sources.
 //!
-//! The seed simulator pre-materialized every churn transition and workload
-//! arrival of the whole horizon into the scheduler before the first event
-//! fired — O(population × horizon) memory up front. An [`EventSource`] turns
-//! that inside out: each generating process (a node's churn schedule, a
-//! node's Poisson request process, a gateway arrival stream) exposes only its
-//! *next* event, and the simulation loop merges sources on demand. The
-//! pending set then scales with the number of concurrently active processes,
-//! not with the length of the run.
+//! An [`EventSource`] is one generating process of a simulation (a node's
+//! churn schedule, a node's Poisson request process, a gateway arrival
+//! stream) that exposes only its *next* event; the simulation loop merges
+//! sources on demand. The pending set then scales with the number of
+//! concurrently active processes, not with `population × horizon` as it
+//! would if every event of the run were scheduled up front.
 //!
 //! Contract: a source yields events in nondecreasing time order, and
 //! [`EventSource::peek_time`] always matches the timestamp the next call to
 //! [`EventSource::next_event`] will return. Merging is deterministic: the
 //! driver breaks timestamp ties by source **rank** — the order sources were
-//! registered — which reproduces exactly the FIFO sequence-number order the
-//! materialized path produced:
+//! registered:
 //!
 //! ```text
 //!  rank 0   churn(node 0)  ──┐           merge key: (next event time, rank)
 //!  rank 1   churn(node 1)  ──┤
 //!  ...                       ├──► head-heap ──► event loop ──► handlers
-//!  rank N   node requests ──┤      (or: per-region batches, merged by the
-//!  rank N+1 gateway reqs  ──┘       same key at a synchronization barrier)
+//!  rank N   node requests ──┤
+//!  rank N+1 gateway reqs  ──┘
 //!
 //!  tie at time t:  lower rank first; and source events at t precede
-//!  runtime (scheduler) events at t — the materialized path scheduled the
-//!  initial events first, so they carried the lower sequence numbers.
+//!  runtime (scheduler) events at t.
 //! ```
 //!
-//! Because a source's event stream depends only on the scenario and its own
-//! RNG stream — never on simulation state — sources may be advanced *ahead*
-//! of the main loop, on other threads, without changing a single event;
-//! that is what the simulator's parallel-regions mode exploits.
+//! This is the order a scheduler would deliver if every source were drained
+//! into it, in rank order, before the run — FIFO sequence numbers — and the
+//! node crate's tests hold the loop to exactly that reference.
 
 use crate::time::SimTime;
 
@@ -45,15 +40,6 @@ pub trait EventSource {
 
     /// Produces the next event. Timestamps never decrease between calls.
     fn next_event(&mut self) -> Option<(SimTime, Self::Event)>;
-
-    /// An affinity hint for sharded drivers: the entity (commonly a node
-    /// index) whose state this source's events act on, or `None` when the
-    /// source fans out across entities. Partitioning never affects the merged
-    /// event order — ranks are global — so hints are purely a locality
-    /// optimization and the default is fine for any source.
-    fn shard_hint(&self) -> Option<usize> {
-        None
-    }
 }
 
 impl<S: EventSource + ?Sized> EventSource for Box<S> {
@@ -65,10 +51,6 @@ impl<S: EventSource + ?Sized> EventSource for Box<S> {
 
     fn next_event(&mut self) -> Option<(SimTime, Self::Event)> {
         (**self).next_event()
-    }
-
-    fn shard_hint(&self) -> Option<usize> {
-        (**self).shard_hint()
     }
 }
 

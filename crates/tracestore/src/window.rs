@@ -1,5 +1,5 @@
 //! Event-time windowing over trace streams: [`WindowedSink`] slices any
-//! per-window accumulator ([`WindowAccum`]) into tumbling or sliding
+//! per-window accumulator (an [`AnalysisSink`]) into tumbling or sliding
 //! windows ([`WindowSpec`]), seals windows as a cross-monitor watermark
 //! passes them, and emits sealed [`WindowResult`]s — through a callback as
 //! they close (the monitoring service's mode) or collected for

@@ -223,12 +223,6 @@ impl EventSource for NodeRequestSource {
             },
         ))
     }
-
-    fn shard_hint(&self) -> Option<usize> {
-        // Every event of this source acts on one node; sharded drivers can
-        // co-locate it with that node's other sources.
-        Some(self.node)
-    }
 }
 
 /// The global gateway HTTP arrival stream, pulled one event at a time —

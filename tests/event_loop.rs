@@ -1,44 +1,200 @@
-//! Integration tests for the simulator event loop rewrite: timer-wheel
-//! scheduling, lazy event sourcing, sharded handler execution, and their
-//! bit-identity with the seed's fully materialized execution path.
+//! Integration tests for the simulator event loop: lazy event sourcing on
+//! the timer wheel, pinned bit for bit to the seed's fully materialized
+//! binary-heap execution path through golden digests.
 
+use ipfs_monitoring::blockstore::build_file;
 use ipfs_monitoring::core::{GatewayProber, MonitorCollector};
-use ipfs_monitoring::node::{ExecOptions, Network, RecordingSink, RequestEvent};
+use ipfs_monitoring::node::{
+    BitswapObservation, ContentSpec, MonitorSink, Network, RecordingSink, RequestEvent,
+};
 use ipfs_monitoring::simnet::rng::SimRng;
 use ipfs_monitoring::simnet::time::{SimDuration, SimTime};
-use ipfs_monitoring::simnet::{ChurnModel, NormalSampler};
-use ipfs_monitoring::workload::{build_scenario, build_scenario_lazy};
-use proptest::prelude::*;
+use ipfs_monitoring::simnet::ChurnModel;
+use ipfs_monitoring::types::{Multiaddr, PeerId};
+use ipfs_monitoring::workload::{build_scenario, build_scenario_lazy, ScenarioConfig};
+use std::hash::{Hash, Hasher};
 
 mod common;
 use common::scenario_config;
 
-/// (a) Timer-wheel delivery on the full simulator is identical to the seed
-/// heap scheduler, materialized and lazy alike, across seeds.
+/// FNV-1a over the `Hash` byte stream of everything a sink is fed, in feed
+/// order. std's `DefaultHasher` algorithm is unspecified; a committed
+/// constant needs a fixed one.
+struct Fnv(u64);
+
+impl Hasher for Fnv {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Order-sensitive digest of the monitor-visible trace.
+struct DigestSink(Fnv);
+
+impl DigestSink {
+    fn new() -> Self {
+        Self(Fnv(0xcbf2_9ce4_8422_2325))
+    }
+}
+
+impl MonitorSink for DigestSink {
+    fn record(&mut self, monitor: usize, observation: BitswapObservation) {
+        (monitor, observation).hash(&mut self.0);
+    }
+
+    fn peer_connected(&mut self, monitor: usize, peer: PeerId, address: Multiaddr, at: SimTime) {
+        (0u8, monitor, peer, address, at).hash(&mut self.0);
+    }
+
+    fn peer_disconnected(&mut self, monitor: usize, peer: PeerId, at: SimTime) {
+        (1u8, monitor, peer, at).hash(&mut self.0);
+    }
+}
+
+/// The three bridge scenarios, all on `scenario_config(seed, 150)`.
+#[derive(Debug, Clone, Copy)]
+enum Bridge {
+    /// Seed 3, default churn.
+    Plain,
+    /// Seed 17, `ChurnModel::always_online()`.
+    AlwaysOnline,
+    /// Seed 58 with the attack tooling applied to the built network: a probe
+    /// per gateway operator, one runtime-added content item provided by
+    /// monitor 1, and two injected requests (one for the new item, one in
+    /// the past of the first, exercising the runtime queue's ordering).
+    Probed,
+}
+
+impl Bridge {
+    fn config(self) -> ScenarioConfig {
+        match self {
+            Bridge::Plain => scenario_config(3, 150),
+            Bridge::AlwaysOnline => {
+                let mut config = scenario_config(17, 150);
+                config.population.churn = ChurnModel::always_online();
+                config
+            }
+            Bridge::Probed => scenario_config(58, 150),
+        }
+    }
+
+    fn prepare(self, network: &mut Network) {
+        if !matches!(self, Bridge::Probed) {
+            return;
+        }
+        GatewayProber::new().probe_all_operators(
+            network,
+            0,
+            SimTime::ZERO + SimDuration::from_hours(1),
+            600,
+            &mut SimRng::new(9),
+        );
+        let content = network.add_content(ContentSpec {
+            dag: build_file(7_777, 100, 1024, 4),
+            initial_providers: vec![],
+        });
+        network.register_monitor_provider(1, content);
+        network.schedule_request(RequestEvent {
+            at: SimTime::ZERO + SimDuration::from_hours(12),
+            node: 11,
+            content,
+        });
+        network.schedule_request(RequestEvent {
+            at: SimTime::ZERO + SimDuration::from_secs(3_600),
+            node: 7,
+            content: 0,
+        });
+    }
+}
+
+/// What a bridge run is pinned on.
+#[derive(Debug, PartialEq, Eq)]
+struct Golden {
+    digest: u64,
+    events_processed: u64,
+    counters: String,
+}
+
+fn golden_of(mut network: Network) -> Golden {
+    let mut sink = DigestSink::new();
+    let report = network.run(&mut sink);
+    Golden {
+        digest: sink.0.finish(),
+        events_processed: report.events_processed,
+        counters: report
+            .counters
+            .iter()
+            .map(|(name, value)| format!("{name}={value}"))
+            .collect::<Vec<_>>()
+            .join(" "),
+    }
+}
+
+/// Recorded at commit `50ddedf` — the last with the seed's execution path in
+/// the tree — by running each [`Bridge`] scenario under that commit's
+/// seed-baseline options: every initial event materialized into the
+/// binary-heap scheduler before the run.
+fn seed_baseline_golden(case: Bridge) -> Golden {
+    let (digest, events_processed, counters) = match case {
+        Bridge::Plain => (
+            3379958705083995122,
+            9586,
+            "broadcasts=722 cancels=320 gateway_cache_hits=88 gateway_cache_misses=236 \
+             gateway_cache_revalidations=13 gateway_http_failed=12 gateway_http_requests=349 \
+             monitor_entries_recorded=12178 node_offline_events=175 node_online_events=175 \
+             rebroadcasts=7580 requests_already_pending=11 requests_cache_hit=94 \
+             requests_total=827 resolved_via_neighbour=320 wants_timed_out=379",
+        ),
+        Bridge::AlwaysOnline => (
+            15102900194178394260,
+            5965,
+            "broadcasts=1252 cancels=1140 gateway_cache_hits=88 gateway_cache_misses=240 \
+             gateway_cache_revalidations=15 gateway_http_failed=31 gateway_http_requests=374 \
+             monitor_entries_recorded=5786 node_offline_events=166 node_online_events=166 \
+             rebroadcasts=2102 requests_already_pending=2 requests_cache_hit=894 \
+             requests_total=2148 resolved_via_neighbour=1140 wants_timed_out=109",
+        ),
+        Bridge::Probed => (
+            15908590564707354795,
+            7801,
+            "broadcasts=680 cancels=366 gateway_cache_hits=98 gateway_cache_misses=233 \
+             gateway_cache_revalidations=14 gateway_http_failed=22 gateway_http_requests=367 \
+             monitor_entries_recorded=9511 node_offline_events=182 node_online_events=182 \
+             rebroadcasts=5885 requests_already_pending=12 requests_cache_hit=53 \
+             requests_total=745 requests_while_offline=1 resolved_via_monitor_provider=2 \
+             resolved_via_neighbour=364 wants_timed_out=299",
+        ),
+    };
+    Golden {
+        digest,
+        events_processed,
+        counters: counters.to_string(),
+    }
+}
+
+/// (a) The bridge across the removal of the seed's execution path: the one
+/// event loop reproduces the seed baseline's trace digest, event count and
+/// counters, whether fed from scenario vectors or from generated sources.
 #[test]
 fn execution_modes_agree_across_seeds() {
-    for seed in [3, 17, 58] {
-        let config = scenario_config(seed, 150);
-        let monitor_count = config.monitors.len();
-        let mut runs = Vec::new();
-        for options in [
-            ExecOptions::seed_baseline(),
-            ExecOptions::materialized_wheel(),
-            ExecOptions::lazy(),
-        ] {
-            let mut sink = RecordingSink::new(monitor_count);
-            let report = Network::with_options(build_scenario(&config), options).run(&mut sink);
-            runs.push((sink, report));
-        }
-        let (reference_sink, reference_report) = &runs[0];
-        for (sink, report) in &runs[1..] {
-            assert_eq!(
-                sink.observations, reference_sink.observations,
-                "seed {seed}"
-            );
-            assert_eq!(sink.connections, reference_sink.connections, "seed {seed}");
-            assert_eq!(report.events_processed, reference_report.events_processed);
-        }
+    for case in [Bridge::Plain, Bridge::AlwaysOnline, Bridge::Probed] {
+        let config = case.config();
+        let golden = seed_baseline_golden(case);
+
+        let mut network = Network::new(build_scenario(&config));
+        case.prepare(&mut network);
+        assert_eq!(golden_of(network), golden, "{case:?}, scenario vectors");
+
+        let (scenario, sources) = build_scenario_lazy(&config);
+        let mut network = Network::with_sources(scenario, sources);
+        case.prepare(&mut network);
+        assert_eq!(golden_of(network), golden, "{case:?}, generated sources");
     }
 }
 
@@ -50,7 +206,7 @@ fn lazy_generation_is_byte_identical_across_seeds_and_churn() {
     for (seed, always_online) in [(5u64, false), (6, true), (91, false)] {
         let mut config = scenario_config(seed, 120);
         if always_online {
-            config.population.churn = ipfs_monitoring::simnet::ChurnModel::always_online();
+            config.population.churn = ChurnModel::always_online();
         }
         let labels: Vec<String> = config.monitors.iter().map(|m| m.label.clone()).collect();
 
@@ -79,213 +235,59 @@ fn lazy_generation_is_byte_identical_across_seeds_and_churn() {
     }
 }
 
-/// (b') Parallel regions — lazily generated sources partitioned onto worker
-/// threads and advanced between synchronization barriers — are byte-identical
-/// to serial lazy execution, for every region count from trivial to
-/// more-regions-than-cores, with vector-backed and generated sources alike.
-#[test]
-fn parallel_regions_are_byte_identical_to_lazy_serial() {
-    for seed in [12u64, 73] {
-        let config = scenario_config(seed, 120);
-        let monitor_count = config.monitors.len();
-
-        let mut serial_sink = RecordingSink::new(monitor_count);
-        let (scenario, sources) = build_scenario_lazy(&config);
-        let serial_report = Network::with_sources(scenario, sources).run(&mut serial_sink);
-
-        for regions in [2, 3, 8] {
-            // Generated sources (the production path).
-            let (scenario, sources) = build_scenario_lazy(&config);
-            let mut sink = RecordingSink::new(monitor_count);
-            let report = Network::with_sources_options(
-                scenario,
-                sources,
-                ExecOptions::lazy_parallel(regions),
-            )
-            .run(&mut sink);
-            assert_eq!(
-                sink.observations, serial_sink.observations,
-                "seed {seed}, {regions} regions"
-            );
-            assert_eq!(sink.connections, serial_sink.connections);
-            assert_eq!(report.events_processed, serial_report.events_processed);
-            assert_eq!(report.counters, serial_report.counters);
-
-            // Vector-backed sources (scenario request vectors, no externals).
-            let mut sink = RecordingSink::new(monitor_count);
-            let report =
-                Network::with_options(build_scenario(&config), ExecOptions::lazy_parallel(regions))
-                    .run(&mut sink);
-            assert_eq!(
-                sink.observations, serial_sink.observations,
-                "seed {seed}, {regions} regions, vector-backed"
-            );
-            assert_eq!(report.events_processed, serial_report.events_processed);
-        }
-    }
-}
-
-/// Lazy execution keeps the pending set proportional to live sources, not to
-/// the number of scheduled events.
+/// The pending set stays proportional to live sources, not to the number of
+/// events the run will deliver.
 #[test]
 fn lazy_pending_tracks_concurrency_not_horizon() {
     let config = scenario_config(33, 250);
-    let materialized =
-        Network::with_options(build_scenario(&config), ExecOptions::materialized_wheel())
-            .run(&mut RecordingSink::new(config.monitors.len()));
-    let lazy =
-        Network::new(build_scenario(&config)).run(&mut RecordingSink::new(config.monitors.len()));
-    assert_eq!(materialized.events_processed, lazy.events_processed);
+    let scenario = build_scenario(&config);
+    // What a scheduler would hold with every initial event queued up front.
+    let initial_events = scenario
+        .nodes
+        .iter()
+        .map(|n| 2 * n.schedule.sessions.len())
+        .sum::<usize>()
+        + scenario.requests.len()
+        + scenario.gateway_requests.len();
+    let lazy = Network::new(scenario).run(&mut RecordingSink::new(config.monitors.len()));
     assert!(
-        materialized.peak_pending > lazy.peak_pending * 4,
-        "materialized {} vs lazy {}",
-        materialized.peak_pending,
+        initial_events > lazy.peak_pending * 4,
+        "{initial_events} initial events vs lazy peak pending {}",
         lazy.peak_pending
     );
     assert!(
-        (lazy.peak_pending as u64) < materialized.events_processed / 10,
+        (lazy.peak_pending as u64) < lazy.events_processed / 10,
         "lazy peak pending {} should be far below {} events",
         lazy.peak_pending,
-        materialized.events_processed
+        lazy.events_processed
     );
 }
 
-/// (c) Mid-run request injection — the gateway-probing attack tooling — works
-/// identically in lazy mode: probes prepared against a lazy network land at
-/// the same instants and discover the same peers as on the seed path.
+/// (c) Mid-run request injection — the gateway-probing attack tooling —
+/// lands probes at the same instants and discovers the same peers as on the
+/// seed path (constants recorded at commit `50ddedf` under its
+/// seed-baseline options).
 #[test]
 fn gateway_probing_injection_matches_seed_path_in_lazy_mode() {
-    let run = |options: ExecOptions| {
-        let config = scenario_config(44, 150);
-        let mut network = Network::with_options(build_scenario(&config), options);
-        let mut prober = GatewayProber::new();
-        let mut rng = SimRng::new(9);
-        prober.probe_all_operators(
-            &mut network,
-            0,
-            SimTime::ZERO + SimDuration::from_hours(1),
-            600,
-            &mut rng,
-        );
-        let mut sink = RecordingSink::new(network.monitor_count());
-        let report = network.run(&mut sink);
-        let flat: Vec<_> = sink.observations.concat();
-        let probe_hits: Vec<_> = prober
-            .probes()
-            .iter()
-            .map(|p| flat.iter().filter(|o| o.cid == p.cid).count())
-            .collect();
-        (sink, report, probe_hits)
-    };
-    let (lazy_sink, lazy_report, lazy_hits) = run(ExecOptions::lazy());
-    let (seed_sink, seed_report, seed_hits) = run(ExecOptions::seed_baseline());
-    assert_eq!(lazy_sink.observations, seed_sink.observations);
-    assert_eq!(lazy_report.events_processed, seed_report.events_processed);
-    assert_eq!(lazy_hits, seed_hits);
-    assert!(
-        lazy_hits.iter().any(|&h| h > 0),
-        "at least one probe must surface in the trace"
+    let config = scenario_config(44, 150);
+    let mut network = Network::new(build_scenario(&config));
+    let mut prober = GatewayProber::new();
+    prober.probe_all_operators(
+        &mut network,
+        0,
+        SimTime::ZERO + SimDuration::from_hours(1),
+        600,
+        &mut SimRng::new(9),
     );
-    // The observation-offload sharded path sees the probes' injected requests
-    // and runtime-added content identically.
-    let (sharded_sink, sharded_report, sharded_hits) = run(ExecOptions::sharded(3));
-    assert_eq!(sharded_sink.observations, seed_sink.observations);
-    assert_eq!(
-        sharded_report.events_processed,
-        seed_report.events_processed
-    );
-    assert_eq!(sharded_hits, seed_hits);
-}
-
-/// (d) Sharded handler execution — the serial state half plus parallel
-/// observation workers — is byte-identical to serial lazy execution across
-/// seeds, churn models, and shard counts from trivial to odd/oversubscribed.
-#[test]
-fn sharded_handlers_are_byte_identical_across_churn_and_shard_counts() {
-    for (seed, always_online) in [(5u64, false), (6, true), (91, false)] {
-        let mut config = scenario_config(seed, 120);
-        if always_online {
-            config.population.churn = ChurnModel::always_online();
-        }
-        let monitor_count = config.monitors.len();
-
-        let mut serial_sink = RecordingSink::new(monitor_count);
-        let (scenario, sources) = build_scenario_lazy(&config);
-        let serial_report = Network::with_sources(scenario, sources).run(&mut serial_sink);
-
-        for shards in [1, 2, 7] {
-            let (scenario, sources) = build_scenario_lazy(&config);
-            let mut sink = RecordingSink::new(monitor_count);
-            let report =
-                Network::with_sources_options(scenario, sources, ExecOptions::sharded(shards))
-                    .run(&mut sink);
-            assert_eq!(
-                sink.observations, serial_sink.observations,
-                "seed {seed}, {shards} shards"
-            );
-            assert_eq!(sink.connections, serial_sink.connections);
-            assert_eq!(report.events_processed, serial_report.events_processed);
-            assert_eq!(report.counters, serial_report.counters);
-        }
-    }
-}
-
-/// (d') Requests injected into a built network through the runtime queue
-/// interleave with source events under the same tie rule on the sharded path
-/// as on the seed path, for every shard count.
-#[test]
-fn sharded_mode_interleaves_injected_requests_like_seed_path() {
-    let run = |options: ExecOptions| {
-        let config = scenario_config(58, 150);
-        let mut network = Network::with_options(build_scenario(&config), options);
-        network.schedule_request(RequestEvent {
-            at: SimTime::ZERO + SimDuration::from_secs(3_600),
-            node: 7,
-            content: 0,
-        });
-        network.schedule_request(RequestEvent {
-            at: SimTime::ZERO + SimDuration::from_hours(12),
-            node: 11,
-            content: 0,
-        });
-        let mut sink = RecordingSink::new(network.monitor_count());
-        let report = network.run(&mut sink);
-        (sink, report)
-    };
-    let (seed_sink, seed_report) = run(ExecOptions::seed_baseline());
-    for shards in [1, 2, 7] {
-        let (sharded_sink, sharded_report) = run(ExecOptions::sharded(shards));
-        assert_eq!(
-            sharded_sink.observations, seed_sink.observations,
-            "{shards} shards"
-        );
-        assert_eq!(sharded_sink.connections, seed_sink.connections);
-        assert_eq!(
-            sharded_report.events_processed,
-            seed_report.events_processed
-        );
-    }
-}
-
-proptest! {
-    /// The ziggurat fast path draws from the same distribution as Box–Muller:
-    /// over random seeds, the first two sample moments agree within sampling
-    /// tolerance (the streams themselves intentionally differ).
-    #[test]
-    fn ziggurat_moments_match_box_muller(seed in 0u64..1_000_000) {
-        let n = 40_000usize;
-        let moments = |sampler: NormalSampler| {
-            let mut rng = SimRng::new(seed).with_normal_sampler(sampler);
-            let samples: Vec<f64> = (0..n).map(|_| rng.sample_standard_normal()).collect();
-            let mean = samples.iter().sum::<f64>() / n as f64;
-            let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-            (mean, var)
-        };
-        let (bm_mean, bm_var) = moments(NormalSampler::BoxMuller);
-        let (zig_mean, zig_var) = moments(NormalSampler::Ziggurat);
-        prop_assert!((bm_mean - zig_mean).abs() < 0.05,
-            "means diverge: box–muller {bm_mean}, ziggurat {zig_mean}");
-        prop_assert!((bm_var - zig_var).abs() < 0.08,
-            "variances diverge: box–muller {bm_var}, ziggurat {zig_var}");
-    }
+    let mut sink = RecordingSink::new(network.monitor_count());
+    let report = network.run(&mut sink);
+    let flat: Vec<_> = sink.observations.concat();
+    let probe_hits: Vec<_> = prober
+        .probes()
+        .iter()
+        .map(|p| flat.iter().filter(|o| o.cid == p.cid).count())
+        .collect();
+    assert_eq!(report.events_processed, 8991);
+    assert_eq!(flat.len(), 8177);
+    assert_eq!(probe_hits, [3, 5, 0]);
 }
