@@ -3,20 +3,21 @@
 //! Generates a realistic two-monitor trace with the standard scenario
 //! machinery, then measures encode/decode throughput and bytes-per-entry of
 //! the segment format against the JSON debug format, the streaming
-//! preprocessing path against the in-memory one, and single-threaded vs
-//! per-monitor-parallel manifest ingestion. The acceptance bar of the
-//! tracestore subsystem is a segment under 50 % of the equivalent JSON.
+//! preprocessing path against the in-memory one, serial vs per-monitor
+//! analysis, the codec × merge-mode read matrix, and checkpoint/recovery
+//! cost. The acceptance bar of the tracestore subsystem is a segment under
+//! 50 % of the equivalent JSON.
 
 use ipfs_mon_bench::{print_header, run_experiment, scaled, spill_to_manifest_with, ObsFlags};
 use ipfs_mon_core::{
-    flag_segment, unify_and_flag, unify_and_flag_segment, windowed_request_types,
-    ActivityCountsSink, EntryStatsSink, PopularitySink, PreprocessConfig, RequestTypeSink,
+    flag_source, unify_and_flag, unify_and_flag_source, windowed_request_types, ActivityCountsSink,
+    EntryStatsSink, PopularitySink, PreprocessConfig, RequestTypeSink,
 };
 use ipfs_mon_simnet::time::SimDuration;
 use ipfs_mon_tracestore::{
     recover_dataset, run_sink, ChunkScratch, ChunkSource, ChunkView, Codec, DatasetConfig,
-    DatasetWriter, LatePolicy, Manifest, ManifestReader, MonitoringDataset, ReadOptions,
-    SegmentConfig, SegmentSource, SliceSource, TraceEntry, TraceReader, TraceSource, WindowSpec,
+    DatasetWriter, FileSource, LatePolicy, Manifest, ManifestReader, MonitoringDataset,
+    ReadOptions, SegmentConfig, SliceSource, TraceEntry, TraceReader, TraceSource, WindowSpec,
 };
 use ipfs_mon_workload::ScenarioConfig;
 use std::time::Instant;
@@ -108,7 +109,7 @@ fn main() {
     let reader = TraceReader::new(SliceSource::new(&segment)).expect("open segment");
     let start = Instant::now();
     let (streamed, streamed_stats) =
-        unify_and_flag_segment(&reader, PreprocessConfig::default()).expect("stream segment");
+        unify_and_flag_source(&reader, PreprocessConfig::default()).expect("stream segment");
     let streaming_s = start.elapsed().as_secs_f64();
     assert_eq!(
         streamed.entries, trace.entries,
@@ -118,10 +119,11 @@ fn main() {
 
     // Pure streaming consumption (no materialization), as analyses use it.
     let start = Instant::now();
-    let mut stream = flag_segment(&reader, PreprocessConfig::default());
+    let mut stream = flag_source(&reader, PreprocessConfig::default());
     let primary = (&mut stream).filter(|e| e.flags.is_primary()).count();
     let tracked = stream.tracked_keys();
     let pure_streaming_s = start.elapsed().as_secs_f64();
+    assert!(stream.take_source_error().is_none(), "segment stream error");
 
     println!(
         "\n  preprocessing ({} entries, {} primary):",
@@ -145,94 +147,30 @@ fn main() {
         tracked
     );
 
-    // Per-monitor parallel manifest ingestion vs the single-threaded writer.
-    // Split each of the two monitors round-robin into two shards (preserving
-    // per-monitor arrival order) to model the ≥4-monitor deployments where
-    // parallel ingestion pays off.
+    // A 4-monitor manifest for the parallel analysis engine: split each of
+    // the two monitors round-robin into two shards (preserving per-monitor
+    // arrival order) to model the >=4-monitor deployments where per-monitor
+    // workers pay off.
     let fan_out = 4usize;
-    let mut shards: Vec<Vec<TraceEntry>> = vec![Vec::new(); fan_out];
     let labels: Vec<String> = (0..fan_out).map(|m| format!("m{m}")).collect();
-    for (monitor, entries) in dataset.entries.iter().enumerate() {
-        for (i, entry) in entries.iter().enumerate() {
-            let shard = monitor * 2 + (i % 2);
-            let mut entry = entry.clone();
-            entry.monitor = shard;
-            shards[shard].push(entry);
-        }
-    }
-    let per_shard: Vec<usize> = shards.iter().map(Vec::len).collect();
     let dataset_config = DatasetConfig {
         rotate_after_entries: (total_entries as u64 / (fan_out as u64 * 2)).max(1),
         ..DatasetConfig::default()
     };
-
-    let dir_single = std::env::temp_dir().join(format!("ts-bench-single-{}", std::process::id()));
-    let start = Instant::now();
-    let mut writer =
-        DatasetWriter::create(&dir_single, labels.clone(), dataset_config).expect("create");
-    for shard in &shards {
-        for entry in shard {
-            writer.append(entry).expect("append");
+    let dir_fan_out = std::env::temp_dir().join(format!("ts-bench-fanout-{}", std::process::id()));
+    let mut writer = DatasetWriter::create(&dir_fan_out, labels, dataset_config).expect("create");
+    for (monitor, entries) in dataset.entries.iter().enumerate() {
+        for (i, entry) in entries.iter().enumerate() {
+            let mut entry = entry.clone();
+            entry.monitor = monitor * 2 + (i % 2);
+            writer.append(&entry).expect("append");
         }
     }
-    let single_summary = writer.finish().expect("finish");
-    let single_s = start.elapsed().as_secs_f64();
-
-    let dir_parallel =
-        std::env::temp_dir().join(format!("ts-bench-parallel-{}", std::process::id()));
-    let start = Instant::now();
-    let writer =
-        DatasetWriter::create(&dir_parallel, labels.clone(), dataset_config).expect("create");
-    let (builder, monitor_writers) = writer.into_parts();
-    let handles: Vec<_> = monitor_writers
-        .into_iter()
-        .zip(std::mem::take(&mut shards))
-        .map(|(mut monitor_writer, shard)| {
-            std::thread::spawn(move || {
-                for entry in &shard {
-                    monitor_writer.append(entry).expect("append");
-                }
-                monitor_writer.finish().expect("finish monitor")
-            })
-        })
-        .collect();
-    let parts = handles
-        .into_iter()
-        .map(|h| h.join().expect("ingest thread"))
-        .collect();
-    let parallel_summary = builder.finish(parts).expect("finish manifest");
-    let parallel_s = start.elapsed().as_secs_f64();
-
-    assert_eq!(single_summary.total_entries, total_entries as u64);
-    assert_eq!(parallel_summary.total_entries, total_entries as u64);
-    let reader = ManifestReader::open(&parallel_summary.manifest_path).expect("open manifest");
-    assert_eq!(reader.total_entries(), total_entries as u64);
-
-    let speedup = single_s / parallel_s.max(1e-9);
+    let summary = writer.finish().expect("finish");
+    assert_eq!(summary.total_entries, total_entries as u64);
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    println!(
-        "\n  manifest ingestion ({} monitors, {:?} entries/monitor, {} segments):",
-        fan_out, per_shard, parallel_summary.segment_count
-    );
-    println!(
-        "  {:<22} {:>12.0} entries/s",
-        "single-thread",
-        entries_per_s(total_entries, single_s)
-    );
-    println!(
-        "  {:<22} {:>12.0} entries/s",
-        "per-monitor parallel",
-        entries_per_s(total_entries, parallel_s)
-    );
-    println!(
-        "  parallel ingest speedup: {speedup:.2}x ({fan_out} monitors, {cores} cores available)"
-    );
-    if cores < 2 {
-        println!("  note: single-core host — parallel ingestion needs >= 2 cores to win");
-    }
-    std::fs::remove_dir_all(&dir_single).ok();
 
     // Parallel analysis engine: the ported sinks (request-type series,
     // popularity, activity counts, descriptive stats) in one composed pass
@@ -249,7 +187,8 @@ fn main() {
             (ActivityCountsSink::new(), EntryStatsSink::new()),
         )
     };
-    let reader = ManifestReader::open(&dir_parallel).expect("open manifest");
+    let reader = ManifestReader::open(&dir_fan_out).expect("open manifest");
+    assert_eq!(reader.total_entries(), total_entries as u64);
     let mut serial_best = f64::MAX;
     let mut parallel_best = f64::MAX;
     let mut outputs = None;
@@ -307,12 +246,12 @@ fn main() {
         entries_per_s(total_entries, parallel_best),
     );
     drop(reader);
-    std::fs::remove_dir_all(&dir_parallel).ok();
+    std::fs::remove_dir_all(&dir_fan_out).ok();
 
-    // Codec / source / merge matrix: the same dataset behind every
-    // combination of payload codec (raw vs lz vs col), segment source (file
-    // vs mmap), and merge mode (serial vs decode-ahead), each verified
-    // bit-identical to the in-memory merged reference.
+    // Codec / merge matrix: the same dataset behind every combination of
+    // payload codec (raw vs lz vs col) and merge mode (serial vs
+    // decode-ahead), each verified bit-identical to the in-memory merged
+    // reference.
     //
     // "decode MB/s" is a *logical* throughput: the numerator is always the
     // raw-codec on-disk size so that rows are directly comparable — a codec
@@ -323,15 +262,15 @@ fn main() {
     let rotate = (total_entries as u64 / 4).max(1);
     println!("\n  codec matrix ({total_entries} entries):");
     println!(
-        "  {:<6} {:<6} {:<13} {:>12} {:>13} {:>14}",
-        "codec", "source", "merge", "bytes/entry", "decode MB/s", "entries/s"
+        "  {:<6} {:<13} {:>12} {:>13} {:>14}",
+        "codec", "merge", "bytes/entry", "decode MB/s", "entries/s"
     );
     let mut on_disk = [0u64; 3];
-    // Best-of-3 pure chunk-decode wall time per [source][codec]: every
-    // chunk of every segment parsed and column-validated with recycled
-    // scratch, no merge heap, no prefetch thread, and no per-entry
+    // Best-of-5 pure chunk-decode wall time per codec: every chunk of every
+    // segment read through `FileSource`, parsed and column-validated with
+    // recycled scratch, no merge heap, no prefetch thread, and no per-entry
     // materialization (which costs the same for every codec) in the way.
-    let mut pure_decode = [[f64::INFINITY; 3]; 2];
+    let mut pure_decode = [f64::INFINITY; 3];
     for (c, codec) in Codec::all().into_iter().enumerate() {
         let dir = std::env::temp_dir().join(format!(
             "ts-bench-codec-{}-{}",
@@ -351,63 +290,54 @@ fn main() {
             .expect("read manifest dir")
             .map(|e| e.expect("dir entry").metadata().expect("metadata").len())
             .sum();
-        for mmap in [false, true] {
-            for decode_ahead in [false, true] {
-                let options = ReadOptions::default().mmap(mmap).decode_ahead(decode_ahead);
-                let reader = ManifestReader::open_with(&dir, options).expect("open manifest");
-                let start = Instant::now();
-                let mut stream = reader.merged_entries();
-                let merged: Vec<TraceEntry> = (&mut stream).collect();
-                let elapsed = start.elapsed().as_secs_f64();
-                assert!(stream.take_error().is_none(), "stream error in matrix");
-                assert_eq!(merged, reference, "matrix stream must match in-memory");
-                println!(
-                    "  {:<6} {:<6} {:<13} {:>12.1} {:>13.1} {:>14.0}",
-                    codec.name(),
-                    if mmap { "mmap" } else { "file" },
-                    if decode_ahead {
-                        "decode-ahead"
-                    } else {
-                        "serial"
-                    },
-                    on_disk[c] as f64 / total_entries.max(1) as f64,
-                    mib_per_s(on_disk[0] as usize, elapsed),
-                    entries_per_s(total_entries, elapsed),
-                );
-            }
+        for decode_ahead in [false, true] {
+            let options = ReadOptions::default().decode_ahead(decode_ahead);
+            let reader = ManifestReader::open_with(&dir, options).expect("open manifest");
+            let start = Instant::now();
+            let mut stream = reader.merged_entries();
+            let merged: Vec<TraceEntry> = (&mut stream).collect();
+            let elapsed = start.elapsed().as_secs_f64();
+            assert!(stream.take_error().is_none(), "stream error in matrix");
+            assert_eq!(merged, reference, "matrix stream must match in-memory");
+            println!(
+                "  {:<6} {:<13} {:>12.1} {:>13.1} {:>14.0}",
+                codec.name(),
+                if decode_ahead {
+                    "decode-ahead"
+                } else {
+                    "serial"
+                },
+                on_disk[c] as f64 / total_entries.max(1) as f64,
+                mib_per_s(on_disk[0] as usize, elapsed),
+                entries_per_s(total_entries, elapsed),
+            );
         }
         let manifest = Manifest::load(&dir).expect("load manifest");
-        let segments: Vec<_> = manifest
+        let readers: Vec<_> = manifest
             .segments
             .iter()
-            .map(|meta| dir.join(&meta.file_name))
+            .map(|meta| {
+                let source = FileSource::open(dir.join(&meta.file_name)).expect("open segment");
+                TraceReader::new(source).expect("segment reader")
+            })
             .collect();
-        for (s, mmap) in [false, true].into_iter().enumerate() {
-            let readers: Vec<_> = segments
-                .iter()
-                .map(|path| {
-                    let source = SegmentSource::open(path, mmap).expect("open segment");
-                    TraceReader::new(source).expect("segment reader")
-                })
-                .collect();
-            for _ in 0..5 {
-                let mut scratch = ChunkScratch::default();
-                let start = Instant::now();
-                let mut decoded = 0u64;
-                for reader in &readers {
-                    for info in reader.chunks() {
-                        let frame = reader
-                            .source()
-                            .read_at(info.offset, info.len as usize)
-                            .expect("read chunk frame");
-                        let view = ChunkView::parse_with(frame, scratch).expect("decode chunk");
-                        decoded += info.entries;
-                        scratch = view.into_scratch();
-                    }
+        for _ in 0..5 {
+            let mut scratch = ChunkScratch::default();
+            let start = Instant::now();
+            let mut decoded = 0u64;
+            for reader in &readers {
+                for info in reader.chunks() {
+                    let frame = reader
+                        .source()
+                        .read_at(info.offset, info.len as usize)
+                        .expect("read chunk frame");
+                    let view = ChunkView::parse_with(frame, scratch).expect("decode chunk");
+                    decoded += info.entries;
+                    scratch = view.into_scratch();
                 }
-                assert_eq!(decoded, total_entries as u64, "pure decode covers dataset");
-                pure_decode[s][c] = pure_decode[s][c].min(start.elapsed().as_secs_f64());
             }
+            assert_eq!(decoded, total_entries as u64, "pure decode covers dataset");
+            pure_decode[c] = pure_decode[c].min(start.elapsed().as_secs_f64());
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -428,16 +358,13 @@ fn main() {
         "  col manifest = {:.1}% of lz on disk",
         on_disk[2] as f64 / on_disk[1].max(1) as f64 * 100.0
     );
-    for (s, source) in ["file", "mmap"].into_iter().enumerate() {
-        println!(
-            "  pure chunk decode ({source}, best of 5): raw {:>7.1} MB/s  lz {:>7.1} MB/s  col {:>7.1} MB/s",
-            mib_per_s(on_disk[0] as usize, pure_decode[s][0]),
-            mib_per_s(on_disk[0] as usize, pure_decode[s][1]),
-            mib_per_s(on_disk[0] as usize, pure_decode[s][2]),
-        );
-    }
-    let lz_decode_s = pure_decode[0][1] + pure_decode[1][1];
-    let col_decode_s = pure_decode[0][2] + pure_decode[1][2];
+    println!(
+        "  pure chunk decode (file, best of 5): raw {:>7.1} MB/s  lz {:>7.1} MB/s  col {:>7.1} MB/s",
+        mib_per_s(on_disk[0] as usize, pure_decode[0]),
+        mib_per_s(on_disk[0] as usize, pure_decode[1]),
+        mib_per_s(on_disk[0] as usize, pure_decode[2]),
+    );
+    let [_, lz_decode_s, col_decode_s] = pure_decode;
     assert!(
         on_disk[1] < on_disk[0],
         "compressed manifest must be strictly smaller than raw"

@@ -159,7 +159,6 @@ pub fn spill_to_manifest_with(
 /// parsed from the common command-line flags:
 ///
 /// * `--codec <raw|lz|col>` — chunk payload codec for the spilled manifest,
-/// * `--mmap` — read segments through zero-copy mapped buffers,
 /// * `--decode-ahead` — decode each monitor chain on its own prefetch worker.
 ///
 /// Every binary that takes these flags asserts its streaming output equals
@@ -168,7 +167,7 @@ pub fn spill_to_manifest_with(
 pub struct StorageFlags {
     /// Chunk payload codec for written segments.
     pub codec: ipfs_mon_tracestore::Codec,
-    /// Segment source and merge-mode options for reading back.
+    /// Merge-mode options for reading back.
     pub options: ipfs_mon_tracestore::ReadOptions,
 }
 
@@ -184,7 +183,6 @@ impl StorageFlags {
                     flags.codec =
                         ipfs_mon_tracestore::Codec::parse(&name).expect("unknown codec name");
                 }
-                "--mmap" => flags.options.mmap = true,
                 "--decode-ahead" => flags.options.decode_ahead = true,
                 // Observability flags belong to [`ObsFlags`]; skip them (and
                 // their values) so binaries can take both flag families.
@@ -192,7 +190,7 @@ impl StorageFlags {
                     args.next();
                 }
                 other => panic!(
-                    "unknown flag {other:?} (expected --codec <raw|lz|col>, --mmap, --decode-ahead, \
+                    "unknown flag {other:?} (expected --codec <raw|lz|col>, --decode-ahead, \
                      --obs <path>, --obs-interval <ms>)"
                 ),
             }
@@ -203,9 +201,8 @@ impl StorageFlags {
     /// One-line description for experiment output.
     pub fn describe(&self) -> String {
         format!(
-            "codec={} source={} merge={}",
+            "codec={} merge={}",
             self.codec.name(),
-            if self.options.mmap { "mmap" } else { "file" },
             if self.options.decode_ahead {
                 "decode-ahead"
             } else {

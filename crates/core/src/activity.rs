@@ -30,11 +30,12 @@ pub struct RequestTypeSeries {
     pub rows: Vec<(SimTime, u64, u64)>,
 }
 
-/// The per-stream accumulator behind every Fig. 4 entry point (in-memory,
-/// streaming, and the per-monitor [`crate::sinks::RequestTypeSink`]): two
-/// bucketed counters, one per want type, raw (no deduplication) and without
-/// cancels. Keeping all entry points on this one type is what makes their
-/// equivalence an identity rather than a proof obligation.
+/// The per-stream accumulator behind both Fig. 4 entry points (in-memory
+/// [`request_type_series`] and the per-monitor
+/// [`crate::sinks::RequestTypeSink`]): two bucketed counters, one per want
+/// type, raw (no deduplication) and without cancels. Keeping both entry
+/// points on this one type is what makes their equivalence an identity
+/// rather than a proof obligation.
 #[derive(Debug, Clone)]
 pub(crate) struct TypeSeriesAccum {
     bucket: SimDuration,
@@ -246,35 +247,6 @@ pub fn per_peer_request_counts(trace: &UnifiedTrace) -> Vec<(PeerId, u64)> {
     let mut rows: Vec<(PeerId, u64)> = counts.into_iter().collect();
     rows.sort_by_key(|row| std::cmp::Reverse(row.1));
     rows
-}
-
-/// Streaming counterpart of [`per_peer_request_counts`]: aggregates over any
-/// entry stream (e.g. a flagged tracestore segment stream), keeping only the
-/// per-peer counters in memory. Non-primary entries and cancels are filtered
-/// out, matching the in-memory path.
-pub fn per_peer_request_counts_stream<I: IntoIterator<Item = crate::trace::TraceEntry>>(
-    entries: I,
-) -> Vec<(PeerId, u64)> {
-    use ipfs_mon_tracestore::AnalysisSink;
-    let mut sink = crate::sinks::ActivityCountsSink::new();
-    for entry in entries {
-        sink.consume(entry);
-    }
-    sink.finish().per_peer
-}
-
-/// Streaming counterpart of [`request_type_series`]: builds the Fig. 4 series
-/// from one monitor's raw entry stream (e.g.
-/// `TraceReader::stream_monitor(m)`) without materializing the trace.
-pub fn request_type_series_stream<I: IntoIterator<Item = crate::trace::TraceEntry>>(
-    entries: I,
-    bucket: SimDuration,
-) -> RequestTypeSeries {
-    let mut accum = TypeSeriesAccum::new(bucket);
-    for entry in entries {
-        accum.record(&entry);
-    }
-    accum.finish()
 }
 
 #[cfg(test)]

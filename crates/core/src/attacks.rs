@@ -16,12 +16,11 @@
 //!   the gateway's HTTP side; the Bitswap request that arrives at the monitor
 //!   carries the gateway node's peer ID.
 //!
-//! Every trace-driven attack is a single-pass streaming scan: the `_stream`
-//! variants consume any flagged entry iterator at constant memory, the
-//! [`run_attacks_source`] harness evaluates IDW, TNW and TPI together in one
-//! pass over any [`TraceSource`] (in-memory dataset, segment, or
-//! multi-segment manifest), and the historical [`UnifiedTrace`] entry points
-//! are thin wrappers over the streaming scans.
+//! Every trace-driven attack is a single-pass scan: [`run_attacks_source`]
+//! evaluates IDW, TNW and TPI together in one constant-memory pass over any
+//! [`TraceSource`] (in-memory dataset, segment, or multi-segment manifest),
+//! and the [`UnifiedTrace`] entry points run the same [`AttackScan`] with a
+//! single target over an already-flagged trace.
 
 use crate::preprocess::{flag_source, PreprocessConfig};
 use crate::trace::{TraceEntry, UnifiedTrace};
@@ -49,33 +48,13 @@ pub struct WanterObservation {
     pub at: SimTime,
 }
 
-/// Runs the IDW attack over a flagged entry stream in one pass: all peers
-/// observed requesting `cid`, with their request times (primary requests
-/// only — repeats don't add information). Accepts owned entries or
-/// references, so materialized traces scan without cloning.
-pub fn identify_data_wanters_stream<I>(entries: I, cid: &Cid) -> Vec<WanterObservation>
-where
-    I: IntoIterator,
-    I::Item: Borrow<TraceEntry>,
-{
-    let mut observations: Vec<WanterObservation> = entries
-        .into_iter()
-        .filter_map(|entry| {
-            let e = entry.borrow();
-            (e.flags.is_primary() && e.is_request() && e.cid == *cid).then_some(WanterObservation {
-                peer: e.peer,
-                at: e.timestamp,
-            })
-        })
-        .collect();
-    observations.sort_by_key(|o| (o.at, o.peer));
-    observations
-}
-
-/// Runs the IDW attack against a materialized trace. Thin wrapper over
-/// [`identify_data_wanters_stream`].
+/// Runs the IDW attack against a materialized trace: all peers observed
+/// requesting `cid`, with their request times (primary requests only —
+/// repeats don't add information). An [`AttackScan`] with one IDW target.
 pub fn identify_data_wanters(trace: &UnifiedTrace, cid: &Cid) -> Vec<WanterObservation> {
-    identify_data_wanters_stream(&trace.entries, cid)
+    let mut scan = AttackScan::new(std::slice::from_ref(cid), &[]);
+    trace.entries.iter().for_each(|entry| scan.observe(entry));
+    scan.finish().0.remove(cid).unwrap_or_default()
 }
 
 // ---------------------------------------------------------------------------
@@ -101,32 +80,12 @@ impl NodeWantProfile {
     }
 }
 
-/// Runs the TNW attack over a flagged entry stream in one pass: everything
-/// the target peer was observed requesting. Accepts owned entries or
-/// references, so materialized traces scan without cloning.
-pub fn track_node_wants_stream<I>(entries: I, target: &PeerId) -> NodeWantProfile
-where
-    I: IntoIterator,
-    I::Item: Borrow<TraceEntry>,
-{
-    let mut profile = NodeWantProfile::default();
-    for entry in entries.into_iter() {
-        let e = entry.borrow();
-        if e.flags.is_primary() && e.is_request() && e.peer == *target {
-            profile
-                .wants
-                .entry(e.cid.clone())
-                .or_default()
-                .push(e.timestamp);
-        }
-    }
-    profile
-}
-
-/// Runs the TNW attack against a materialized trace. Thin wrapper over
-/// [`track_node_wants_stream`].
+/// Runs the TNW attack against a materialized trace: everything the target
+/// peer was observed requesting. An [`AttackScan`] with one TNW target.
 pub fn track_node_wants(trace: &UnifiedTrace, target: &PeerId) -> NodeWantProfile {
-    track_node_wants_stream(&trace.entries, target)
+    let mut scan = AttackScan::new(&[], std::slice::from_ref(target));
+    trace.entries.iter().for_each(|entry| scan.observe(entry));
+    scan.finish().1.remove(target).unwrap_or_default()
 }
 
 // ---------------------------------------------------------------------------
@@ -384,12 +343,12 @@ impl GatewayProber {
         &self.probes
     }
 
-    /// After the simulation ran, evaluates every probe against a raw entry
-    /// stream in one pass: any peer that requested a probe CID is (part of)
-    /// the gateway's IPFS side. Probe CIDs are unique random blocks, so raw
-    /// (unflagged) entries are the right input. Accepts owned entries or
-    /// references, so materialized traces scan without cloning.
-    pub fn evaluate_stream<I>(&self, entries: I) -> Vec<GatewayProbeResult>
+    /// Evaluates every probe against a raw entry stream in one pass: any
+    /// peer that requested a probe CID is (part of) the gateway's IPFS side.
+    /// Probe CIDs are unique random blocks, so raw (unflagged) entries are
+    /// the right input. Accepts owned entries or references, so
+    /// materialized traces scan without cloning.
+    fn scan<I>(&self, entries: I) -> Vec<GatewayProbeResult>
     where
         I: IntoIterator,
         I::Item: Borrow<TraceEntry>,
@@ -424,24 +383,23 @@ impl GatewayProber {
             .collect()
     }
 
-    /// Evaluates every probe against any [`TraceSource`] without
-    /// materializing the trace.
+    /// After the simulation ran, evaluates every probe against any
+    /// [`TraceSource`] without materializing the trace.
     pub fn evaluate_source<T: TraceSource>(
         &self,
         source: &T,
     ) -> Result<Vec<GatewayProbeResult>, SegmentError> {
         let mut entries = source.merged_entries();
-        let results = self.evaluate_stream(&mut entries);
+        let results = self.scan(&mut entries);
         if let Some(error) = entries.take_error() {
             return Err(error);
         }
         Ok(results)
     }
 
-    /// Evaluates every probe against a materialized trace. Thin wrapper over
-    /// [`GatewayProber::evaluate_stream`].
+    /// Evaluates every probe against a materialized trace.
     pub fn evaluate(&self, trace: &UnifiedTrace) -> Vec<GatewayProbeResult> {
-        self.evaluate_stream(&trace.entries)
+        self.scan(&trace.entries)
     }
 }
 

@@ -19,8 +19,8 @@
 //!    origin-group rate series (Fig. 6). The merge-order-independent
 //!    analyses are additionally ported to the parallel analysis engine as
 //!    [`sinks`] (one worker per monitor chain, no k-way merge; see
-//!    [`AnalysisSink`]), with the single-stream entry points kept as thin
-//!    wrappers over the same accumulators.
+//!    [`AnalysisSink`]); the in-memory functions over an already-flagged
+//!    trace stay as the reference the sinks are tested against.
 //! 4. **Privacy attacks** ([`attacks`]) — IDW, TNW, TPI and the gateway
 //!    probing methodology of Sec. VI.
 //! 5. **Continuous monitoring** ([`windowed`], [`service`]) — the same
@@ -52,31 +52,26 @@ pub mod windowed;
 
 pub use activity::{
     country_shares, multicodec_shares, origin_group_rates, per_peer_request_counts,
-    per_peer_request_counts_stream, request_type_series, request_type_series_stream,
-    OriginGroupRates, RequestTypeSeries,
+    request_type_series, OriginGroupRates, RequestTypeSeries,
 };
 pub use attacks::{
-    gateway_nodes_by_operator, identify_data_wanters, identify_data_wanters_stream,
-    run_attacks_source, test_past_interest, track_node_wants, track_node_wants_stream, AttackScan,
-    AttackSuiteReport, AttackTargets, GatewayProbe, GatewayProbeResult, GatewayProber,
-    NodeWantProfile, TpiOutcome, WanterObservation,
+    gateway_nodes_by_operator, identify_data_wanters, run_attacks_source, test_past_interest,
+    track_node_wants, AttackScan, AttackSuiteReport, AttackTargets, GatewayProbe,
+    GatewayProbeResult, GatewayProber, NodeWantProfile, TpiOutcome, WanterObservation,
 };
 pub use countermeasures::{
     apply as apply_countermeasure, evaluate as evaluate_countermeasure, Countermeasure,
     CountermeasureEvaluation, MitigatedTrace,
 };
-pub use monitor::{ManifestCollector, MonitorCollector, SpillingCollector};
+pub use monitor::{ManifestCollector, MonitorCollector};
 pub use netsize::{
     coverage, estimate_network_size, estimate_network_size_source, peer_id_positions,
     CoverageReport, NetworkSizeReport, PeerSetSnapshot, SnapshotBuilder,
 };
-pub use popularity::{
-    popularity_report, popularity_scores, popularity_scores_stream, PopularityReport,
-    PopularityScores,
-};
+pub use popularity::{popularity_report, popularity_scores, PopularityReport, PopularityScores};
 pub use preprocess::{
-    flag_segment, flag_source, unify_and_flag, unify_and_flag_segment, unify_and_flag_source,
-    unify_and_flag_stream, FlaggedStream, PreprocessConfig, PreprocessStats, StreamingPreprocessor,
+    flag_source, unify_and_flag, unify_and_flag_source, FlaggedStream, PreprocessConfig,
+    PreprocessStats, StreamingPreprocessor,
 };
 pub use service::{
     format_window_line, window_file_name, MonitorService, ServiceConfig, ServiceReport,

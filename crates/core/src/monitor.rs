@@ -6,18 +6,17 @@
 //! the [`MonitorSink`] interface of the network simulator and accumulates the
 //! resulting [`MonitoringDataset`]; in a real deployment the same component
 //! would sit inside a modified IPFS client, as the paper's implementation
-//! does.
+//! does. [`ManifestCollector`] is the same sink at constant memory: it
+//! spills straight to a checkpointable on-disk dataset, and
+//! [`MonitorCollector`] stays as the in-memory reference it is tested
+//! against.
 
 use crate::trace::{ConnectionRecord, EntryFlags, MonitoringDataset, TraceEntry};
 use ipfs_mon_node::{BitswapObservation, MonitorSink};
 use ipfs_mon_obs as obs;
 use ipfs_mon_simnet::time::SimTime;
-use ipfs_mon_tracestore::{
-    DatasetConfig, DatasetSummary, DatasetWriter, SegmentConfig, SegmentError, SegmentSummary,
-    TraceWriter,
-};
+use ipfs_mon_tracestore::{DatasetConfig, DatasetSummary, DatasetWriter, SegmentError};
 use ipfs_mon_types::{Multiaddr, PeerId};
-use std::io::Write;
 use std::path::Path;
 
 /// Collects the observations of all monitoring nodes of a deployment.
@@ -99,9 +98,9 @@ impl MonitorSink for MonitorCollector {
     }
 }
 
-/// Per-monitor open-connection bookkeeping shared by the spilling sinks.
+/// Per-monitor open-connection bookkeeping of [`ManifestCollector`].
 ///
-/// Encapsulates the two subtle rules both must agree on with
+/// Encapsulates the two subtle rules it must agree on with
 /// [`MonitorCollector`]: a reconnect without an observed disconnect flushes
 /// the displaced record still open-ended, and records left open at the end
 /// drain in a deterministic order so identical runs produce byte-identical
@@ -165,110 +164,14 @@ impl OpenConnections {
     }
 }
 
-/// A [`MonitorSink`] that spills every observation straight into a tracestore
-/// segment instead of accumulating it in memory.
-///
-/// This is the collection mode for experiment scales where a
-/// [`MonitorCollector`] would not fit in RAM: entries go to the sharded
-/// [`TraceWriter`] (one columnar chunk at a time), only open connections and
-/// the footer metadata stay resident. Call [`SpillingCollector::finish`] to
-/// close the segment; the result can be re-read with
-/// [`ipfs_mon_tracestore::TraceReader`] and preprocessed with
-/// [`crate::preprocess::flag_segment`] without ever holding the full trace.
-pub struct SpillingCollector<W: Write> {
-    writer: TraceWriter<W>,
-    open: OpenConnections,
-    /// First write error, if any (the [`MonitorSink`] interface is
-    /// infallible; errors surface in [`SpillingCollector::finish`]).
-    error: Option<SegmentError>,
-}
-
-impl<W: Write> SpillingCollector<W> {
-    /// Creates a collector writing a segment to `sink`.
-    pub fn new(
-        monitor_labels: Vec<String>,
-        sink: W,
-        config: SegmentConfig,
-    ) -> Result<Self, SegmentError> {
-        let monitors = monitor_labels.len();
-        Ok(Self {
-            writer: TraceWriter::new(sink, monitor_labels, config)?,
-            open: OpenConnections::new(monitors),
-            error: None,
-        })
-    }
-
-    /// Convenience constructor matching the paper's two-monitor setup.
-    pub fn us_de(sink: W, config: SegmentConfig) -> Result<Self, SegmentError> {
-        Self::new(vec!["us".into(), "de".into()], sink, config)
-    }
-
-    /// Number of monitors.
-    pub fn monitor_count(&self) -> usize {
-        self.writer.monitor_count()
-    }
-
-    /// Entries spilled or buffered so far.
-    pub fn total_entries(&self) -> u64 {
-        self.writer.total_entries()
-    }
-
-    /// Closes still-open connections into the footer (with no disconnect
-    /// time, as [`MonitorCollector`] does), flushes all shards, and writes
-    /// the segment footer.
-    pub fn finish(mut self) -> Result<SegmentSummary, SegmentError> {
-        if let Some(error) = self.error {
-            return Err(error);
-        }
-        for record in self.open.drain_sorted() {
-            self.writer.record_connection(record);
-        }
-        self.writer.finish()
-    }
-}
-
-impl<W: Write> MonitorSink for SpillingCollector<W> {
-    fn record(&mut self, monitor: usize, observation: BitswapObservation) {
-        if self.error.is_some() {
-            return;
-        }
-        obs::counter!("collect.observations").incr();
-        let entry = TraceEntry {
-            timestamp: observation.timestamp,
-            peer: observation.peer,
-            address: observation.address,
-            request_type: observation.request_type,
-            cid: observation.cid,
-            monitor,
-            flags: EntryFlags::default(),
-        };
-        if let Err(error) = self.writer.append(&entry) {
-            self.error = Some(error);
-        }
-    }
-
-    fn peer_connected(&mut self, monitor: usize, peer: PeerId, address: Multiaddr, at: SimTime) {
-        if let Some(record) = self.open.connect(monitor, peer, address, at) {
-            self.writer.record_connection(record);
-        }
-    }
-
-    fn peer_disconnected(&mut self, monitor: usize, peer: PeerId, at: SimTime) {
-        if let Some(record) = self.open.disconnect(monitor, peer, at) {
-            self.writer.record_connection(record);
-        }
-    }
-}
-
 /// A [`MonitorSink`] that spills observations into a multi-segment dataset —
 /// one rotating segment chain per monitor plus a manifest, the collection
-/// mode for long-horizon deployments where even one segment file per monitor
-/// would grow unwieldy.
+/// mode for experiment scales where a [`MonitorCollector`] would not fit in
+/// RAM: only open connections and the footer metadata stay resident.
 ///
-/// Open-connection bookkeeping matches [`SpillingCollector`]; entries and
-/// closed connections go straight to the monitor's current segment. Call
-/// [`ManifestCollector::finish`] to close all chains and write the manifest;
-/// re-read everything with [`ipfs_mon_tracestore::ManifestReader`] and run
+/// Entries and closed connections go straight to the monitor's current
+/// segment. Call [`ManifestCollector::finish`] to close all chains and write
+/// the manifest; re-read everything with [`ipfs_mon_tracestore::ManifestReader`] and run
 /// the analyses through [`ipfs_mon_tracestore::TraceSource`] without ever
 /// materializing the trace.
 pub struct ManifestCollector {
@@ -449,16 +352,20 @@ mod tests {
     }
 
     #[test]
-    fn spilling_collector_matches_in_memory_collector() {
+    fn manifest_collector_matches_in_memory_collector() {
         // Drive the same observation sequence through both sinks; the
-        // segment must reconstruct into the in-memory collector's dataset.
+        // dataset must read back as the in-memory collector's dataset.
+        let dir = std::env::temp_dir().join(format!("ipmm-collector-{}", std::process::id()));
         let mut in_memory = MonitorCollector::us_de();
-        let mut bytes = Vec::new();
-        let mut spilling = SpillingCollector::us_de(
-            &mut bytes,
-            ipfs_mon_tracestore::SegmentConfig {
-                chunk_capacity: 4,
-                ..SegmentConfig::default()
+        let mut spilling = ManifestCollector::us_de(
+            &dir,
+            DatasetConfig {
+                segment: ipfs_mon_tracestore::SegmentConfig {
+                    chunk_capacity: 4,
+                    ..Default::default()
+                },
+                rotate_after_entries: 3,
+                ..DatasetConfig::default()
             },
         )
         .unwrap();
@@ -476,21 +383,23 @@ mod tests {
 
         let summary = spilling.finish().unwrap();
         assert_eq!(summary.total_entries, 10);
-        assert_eq!(summary.connections, 2);
 
         let expected = in_memory.into_dataset();
-        let roundtripped = crate::trace::MonitoringDataset::from_segment_bytes(&bytes).unwrap();
-        assert_eq!(roundtripped.monitor_labels, expected.monitor_labels);
-        assert_eq!(roundtripped.entries, expected.entries);
+        let reader = ipfs_mon_tracestore::ManifestReader::open(&dir).unwrap();
+        assert_eq!(reader.monitor_labels(), expected.monitor_labels);
+        for (monitor, entries) in expected.entries.iter().enumerate() {
+            let stored: Vec<TraceEntry> = reader.stream_monitor_sorted(monitor).collect();
+            assert_eq!(&stored, entries);
+        }
         // Connection order may differ (open connections drain from a map at
         // finish); compare as sets.
-        let mut a = roundtripped.connections.clone();
+        let mut a: Vec<ConnectionRecord> = reader.connections().collect();
         let mut b = expected.connections.clone();
-        let key = |c: &crate::trace::ConnectionRecord| {
-            (c.monitor, c.peer, c.connected_at, c.disconnected_at)
-        };
+        let key = |c: &ConnectionRecord| (c.monitor, c.peer, c.connected_at, c.disconnected_at);
         a.sort_by_key(key);
         b.sort_by_key(key);
         assert_eq!(a, b);
+        drop(reader);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

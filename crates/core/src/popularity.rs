@@ -64,8 +64,8 @@ impl PopularityScores {
     }
 }
 
-/// Incremental per-CID score aggregation shared by the in-memory and
-/// streaming entry points and by [`crate::sinks::PopularitySink`].
+/// Incremental per-CID score aggregation shared by the in-memory
+/// [`popularity_scores`] and [`crate::sinks::PopularitySink`].
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ScoreAccumulator {
     rrp: HashMap<Cid, u64>,
@@ -108,22 +108,6 @@ pub fn popularity_scores(trace: &UnifiedTrace) -> PopularityScores {
         accumulator.add(&entry.cid, entry.peer);
     }
     accumulator.finish()
-}
-
-/// Streaming counterpart of [`popularity_scores`]: consumes any entry stream
-/// — typically [`crate::preprocess::flag_segment`] over a tracestore segment
-/// — holding only the per-CID aggregates in memory, never the trace itself.
-/// Non-primary and cancel entries are filtered out, matching the in-memory
-/// path.
-pub fn popularity_scores_stream<I: IntoIterator<Item = crate::trace::TraceEntry>>(
-    entries: I,
-) -> PopularityScores {
-    use ipfs_mon_tracestore::AnalysisSink;
-    let mut sink = crate::sinks::PopularitySink::new();
-    for entry in entries {
-        sink.consume(entry);
-    }
-    sink.finish()
 }
 
 /// Full popularity analysis: scores, ECDF curves and power-law tests for both

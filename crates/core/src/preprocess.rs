@@ -22,22 +22,19 @@
 //!   manifest) without materializing the trace, in memory bounded by the
 //!   number of *active* `(peer, request type, CID)` keys inside the dedup
 //!   windows (stale keys are evicted as time advances). Storage-level
-//!   choices — chunk payload codec, file vs mmap segment source, serial vs
-//!   decode-ahead merging (`ipfs_mon_tracestore::ReadOptions`) — are wholly
-//!   below this interface: every combination delivers the same merged
-//!   stream, so flags (and every analysis downstream of them) are
-//!   bit-identical across all of them;
-//! * [`unify_and_flag`] — the historical in-memory entry point, now a thin
-//!   wrapper over the streaming engine fed from the dataset source;
-//! * [`unify_and_flag_stream`] / [`flag_segment`] — lower-level variants for
-//!   callers that already hold a merged stream or a single segment reader.
+//!   choices — chunk payload codec, serial vs decode-ahead merging
+//!   (`ipfs_mon_tracestore::ReadOptions`) — are wholly below this
+//!   interface: every combination delivers the same merged stream, so flags
+//!   (and every analysis downstream of them) are bit-identical across all
+//!   of them;
+//! * [`unify_and_flag`] — the in-memory entry point: [`unify_and_flag_source`]
+//!   over the dataset source.
 //!
 //! Every path produces bit-identical flags because it is the same code.
 
 use crate::trace::{MonitoringDataset, TraceEntry, UnifiedTrace};
 use ipfs_mon_bitswap::RequestType;
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
-use ipfs_mon_tracestore::reader::{ChunkSource, MergedEntryStream, TraceReader};
 use ipfs_mon_tracestore::{SegmentError, SourceEntries, TraceSource};
 use ipfs_mon_types::{Cid, PeerId};
 use serde::{Deserialize, Serialize};
@@ -193,9 +190,8 @@ impl StreamingPreprocessor {
 }
 
 /// Unifies the per-monitor traces of `dataset` into one time-ordered trace
-/// and sets the duplicate/re-broadcast flags. Thin wrapper over the
-/// streaming engine: the dataset's [`TraceSource`] merged stream is the
-/// time-ordered view the flagging windows expect.
+/// and sets the duplicate/re-broadcast flags: the dataset's [`TraceSource`]
+/// merged stream is the time-ordered view the flagging windows expect.
 pub fn unify_and_flag(
     dataset: &MonitoringDataset,
     config: PreprocessConfig,
@@ -203,13 +199,15 @@ pub fn unify_and_flag(
     unify_and_flag_source(dataset, config).expect("in-memory sources cannot fail")
 }
 
-/// Lazily flags a time-ordered entry stream. See [`unify_and_flag_stream`].
-pub struct FlaggedStream<I> {
-    inner: I,
+/// The lazily flagged merged stream of a [`TraceSource`]: yields the
+/// source's `(timestamp, monitor)`-ordered entries with flags set, without
+/// materializing the trace. See [`flag_source`].
+pub struct FlaggedStream<'a> {
+    inner: SourceEntries<'a>,
     preprocessor: StreamingPreprocessor,
 }
 
-impl<I> FlaggedStream<I> {
+impl FlaggedStream<'_> {
     /// Statistics over the entries yielded so far (complete once the stream
     /// is exhausted).
     pub fn stats(&self) -> PreprocessStats {
@@ -220,21 +218,19 @@ impl<I> FlaggedStream<I> {
     pub fn tracked_keys(&self) -> usize {
         self.preprocessor.tracked_keys()
     }
-}
 
-impl<'a, S: ChunkSource> FlaggedStream<MergedEntryStream<'a, S>> {
-    /// Takes the segment read error that ended the stream early, if any.
+    /// Takes the storage error that ended the stream early, if any.
     ///
     /// A segment-backed stream ends silently when a chunk fails its CRC or
-    /// decode; check this after exhausting a [`flag_segment`] stream, or the
-    /// statistics cover a truncated trace with no indication anything is
-    /// wrong. ([`unify_and_flag_segment`] does this for you.)
-    pub fn take_error(&mut self) -> Option<SegmentError> {
+    /// decode; check this after exhausting the stream, or the statistics
+    /// cover a truncated trace with no indication anything is wrong.
+    /// ([`unify_and_flag_source`] does this for you.)
+    pub fn take_source_error(&mut self) -> Option<SegmentError> {
         self.inner.take_error()
     }
 }
 
-impl<I: Iterator<Item = TraceEntry>> Iterator for FlaggedStream<I> {
+impl Iterator for FlaggedStream<'_> {
     type Item = TraceEntry;
 
     fn next(&mut self) -> Option<TraceEntry> {
@@ -244,46 +240,14 @@ impl<I: Iterator<Item = TraceEntry>> Iterator for FlaggedStream<I> {
     }
 }
 
-/// Streaming counterpart of [`unify_and_flag`]: wraps a `(timestamp,
-/// monitor)`-ordered entry stream (e.g.
-/// [`TraceReader::stream_merged`]) and yields the same entries with flags
-/// set, without materializing the trace.
-pub fn unify_and_flag_stream<I: Iterator<Item = TraceEntry>>(
-    merged: I,
-    monitors: usize,
-    config: PreprocessConfig,
-) -> FlaggedStream<I> {
-    FlaggedStream {
-        inner: merged,
-        preprocessor: StreamingPreprocessor::new(monitors, config),
-    }
-}
-
-/// Opens a flagged stream over everything stored in a tracestore segment.
-pub fn flag_segment<'a, S: ChunkSource>(
-    reader: &'a TraceReader<S>,
-    config: PreprocessConfig,
-) -> FlaggedStream<MergedEntryStream<'a, S>> {
-    unify_and_flag_stream(reader.stream_merged(), reader.monitor_count(), config)
-}
-
-impl FlaggedStream<SourceEntries<'_>> {
-    /// Takes the storage error that ended a source-backed stream early, if
-    /// any. See [`FlaggedStream::take_error`] on the segment variant for why
-    /// checking matters. ([`unify_and_flag_source`] does this for you.)
-    pub fn take_source_error(&mut self) -> Option<SegmentError> {
-        self.inner.take_error()
-    }
-}
-
 /// Opens a flagged stream over any [`TraceSource`] — the universal
 /// preprocessing entry point: the same call handles an in-memory dataset, a
 /// single segment, or a multi-segment manifest.
-pub fn flag_source<T: TraceSource>(
-    source: &T,
-    config: PreprocessConfig,
-) -> FlaggedStream<SourceEntries<'_>> {
-    unify_and_flag_stream(source.merged_entries(), source.monitor_count(), config)
+pub fn flag_source<T: TraceSource>(source: &T, config: PreprocessConfig) -> FlaggedStream<'_> {
+    FlaggedStream {
+        inner: source.merged_entries(),
+        preprocessor: StreamingPreprocessor::new(source.monitor_count(), config),
+    }
 }
 
 /// Streams any [`TraceSource`] through preprocessing into an in-memory
@@ -297,21 +261,6 @@ pub fn unify_and_flag_source<T: TraceSource>(
     let entries: Vec<TraceEntry> = (&mut stream).collect();
     let stats = stream.stats();
     if let Some(error) = stream.take_source_error() {
-        return Err(error);
-    }
-    Ok((UnifiedTrace { entries }, stats))
-}
-
-/// Convenience: streams a segment through preprocessing into an in-memory
-/// [`UnifiedTrace`] — the segment-backed equivalent of [`unify_and_flag`].
-pub fn unify_and_flag_segment<S: ChunkSource>(
-    reader: &TraceReader<S>,
-    config: PreprocessConfig,
-) -> Result<(UnifiedTrace, PreprocessStats), SegmentError> {
-    let mut stream = flag_segment(reader, config);
-    let entries: Vec<TraceEntry> = (&mut stream).collect();
-    let stats = stream.stats();
-    if let Some(error) = stream.take_error() {
         return Err(error);
     }
     Ok((UnifiedTrace { entries }, stats))
@@ -493,7 +442,7 @@ mod tests {
             .unwrap();
         let reader = ipfs_mon_tracestore::TraceReader::new(SliceSource::new(&bytes)).unwrap();
         let (streamed_trace, streamed_stats) =
-            unify_and_flag_segment(&reader, PreprocessConfig::default()).unwrap();
+            unify_and_flag_source(&reader, PreprocessConfig::default()).unwrap();
 
         assert_eq!(streamed_trace.entries, trace.entries);
         assert_eq!(streamed_stats, stats);

@@ -525,7 +525,7 @@ mod tests {
             timestamp: SimTime::from_millis(ms),
             peer: PeerId::derived(4, ms % 7),
             address: Multiaddr::new(1, 4001, Transport::Tcp, Country::De),
-            request_type: if ms % 3 == 0 {
+            request_type: if ms.is_multiple_of(3) {
                 RequestType::WantBlock
             } else {
                 RequestType::WantHave

@@ -1,13 +1,14 @@
 //! The merge-order-independent analyses, ported to the parallel analysis
 //! engine ([`AnalysisSink`]).
 //!
-//! Each sink here is the *canonical* implementation of its analysis: the
-//! older in-memory and single-stream entry points (`request_type_series*`,
-//! `popularity_scores*`, `per_peer_request_counts_stream`, …) are thin
-//! wrappers over the same accumulators, so running a sink serially over a
-//! merged stream and running it per monitor via
-//! [`ManifestReader::run_parallel`](ipfs_mon_tracestore::ManifestReader::run_parallel)
-//! is equivalent *by construction* — and property-tested anyway
+//! Each sink here is the *canonical* implementation of its analysis; every
+//! analysis has exactly two entry points — the sink (driven by
+//! [`run_sink`], the `*_source` helpers below, or per monitor via
+//! [`ManifestReader::run_parallel`](ipfs_mon_tracestore::ManifestReader::run_parallel))
+//! and the in-memory function over an already-flagged trace
+//! (`request_type_series`, `popularity_scores`, `per_peer_request_counts`,
+//! …), which shares the sink's accumulator where one exists and is the
+//! reference the equivalence suites compare against
 //! (`tests/parallel_analysis.rs`).
 //!
 //! Every sink's `combine` works on exact aggregates (integer counters, bucket
@@ -99,7 +100,7 @@ pub fn request_type_series_source<T: TraceSource>(
 
 /// Computes raw (RRP) and unique (URP) request popularity per CID over the
 /// primary requests of a stream — the sink form of
-/// [`crate::popularity::popularity_scores_stream`].
+/// [`crate::popularity::popularity_scores`].
 #[derive(Debug, Clone, Default)]
 pub struct PopularitySink {
     accumulator: ScoreAccumulator,
@@ -161,7 +162,7 @@ pub struct ActivityCounts {
 }
 
 /// Counts per-peer and per-multicodec request activity — the sink form of
-/// [`crate::activity::per_peer_request_counts_stream`] and
+/// [`crate::activity::per_peer_request_counts`] and
 /// [`crate::activity::multicodec_shares`] in one pass.
 #[derive(Debug, Clone, Default)]
 pub struct ActivityCountsSink {
@@ -436,7 +437,7 @@ pub fn entry_stats_source<T: TraceSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::EntryFlags;
+    use crate::trace::{EntryFlags, UnifiedTrace};
     use ipfs_mon_bitswap::RequestType;
     use ipfs_mon_types::{Cid, Country, Multiaddr, Transport};
 
@@ -531,7 +532,9 @@ mod tests {
     fn activity_counts_match_wrapped_entry_points() {
         let entries = sample_entries();
         let counts = fold(ActivityCountsSink::new(), &entries).finish();
-        let per_peer = crate::activity::per_peer_request_counts_stream(entries.iter().cloned());
+        let per_peer = crate::activity::per_peer_request_counts(&UnifiedTrace {
+            entries: entries.clone(),
+        });
         assert_eq!(counts.per_peer, per_peer);
         assert_eq!(counts.raw_requests + counts.cancels, entries.len() as u64);
         let share_sum: f64 = counts.multicodec.iter().map(|(_, _, s)| s).sum();

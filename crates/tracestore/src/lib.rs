@@ -30,20 +30,18 @@
 //!   monitor) that spills fixed-size chunks to any `io::Write` sink as
 //!   entries arrive, so collection runs in constant memory.
 //! * [`manifest`] — multi-segment datasets: one rotating segment chain per
-//!   monitor (each chain writable from its own thread via
-//!   [`manifest::MonitorWriter`]) tied together by a CRC-framed
+//!   monitor ([`manifest::MonitorWriter`]) tied together by a CRC-framed
 //!   [`manifest::Manifest`] index, written by [`manifest::DatasetWriter`].
 //! * [`reader`] — [`reader::TraceReader`], a constant-memory streaming reader
 //!   (one decoded chunk per active monitor stream) over pluggable
-//!   [`reader::ChunkSource`]s (in-memory slice, block-cached file, mapped
-//!   buffer), plus a k-way merged stream that yields all entries ordered by
+//!   [`reader::ChunkSource`]s ([`reader::SliceSource`] for bytes already in
+//!   memory, [`reader::FileSource`] with one positioned read per chunk),
+//!   plus a k-way merged stream that yields all entries ordered by
 //!   `(timestamp, monitor)` — exactly the order the preprocessing windows of
 //!   `ipfs-mon-core` expect — and [`reader::ManifestReader`], the same
 //!   merged view over a manifest spanning many segments, serially or with
 //!   one decode-ahead prefetch worker per monitor chain
 //!   ([`reader::ReadOptions`]).
-//! * [`mmap`] — [`mmap::MmapSource`], the whole-segment mapped buffer source
-//!   serving zero-copy borrowed reads.
 //! * [`source`] — the [`source::TraceSource`] trait: one streaming interface
 //!   (labels + merged entries + connection records) over the in-memory
 //!   dataset, a single segment, and a multi-segment manifest, so every
@@ -82,7 +80,6 @@ pub mod crc;
 pub mod fault;
 pub mod manifest;
 pub mod migrate;
-pub mod mmap;
 pub mod reader;
 pub mod record;
 pub mod recover;
@@ -101,16 +98,15 @@ pub use fault::{
     RetryFile, RetryPolicy, Storage, StorageFile,
 };
 pub use manifest::{
-    Checkpoint, DatasetConfig, DatasetSummary, DatasetWriter, Manifest, ManifestBuilder,
-    MonitorCheckpoint, MonitorSummary, MonitorWriter, OpenSegmentState, SegmentMeta,
-    CHECKPOINT_FILE_NAME, MANIFEST_FILE_NAME,
+    Checkpoint, DatasetConfig, DatasetSummary, DatasetWriter, Manifest, MonitorCheckpoint,
+    MonitorSummary, MonitorWriter, OpenSegmentState, SegmentMeta, CHECKPOINT_FILE_NAME,
+    MANIFEST_FILE_NAME,
 };
 pub use migrate::{migrate_manifest, migrate_manifest_with, MigrateReport, MIGRATE_TMP_SUFFIX};
-pub use mmap::MmapSource;
 pub use reader::{
     ChainedMonitorStream, ChunkSource, EntryStream, FileSource, ManifestMergedStream,
-    ManifestReader, MergedEntryStream, PrefetchedMonitorStream, ReadOptions, SegmentSource,
-    SkippedSegment, SliceSource, SortedEntryStream, TraceReader,
+    ManifestReader, MergedEntryStream, PrefetchedMonitorStream, ReadOptions, SkippedSegment,
+    SliceSource, SortedEntryStream, TraceReader,
 };
 pub use record::{ConnectionRecord, EntryFlags, MonitoringDataset, TraceEntry, UnifiedTrace};
 pub use recover::{

@@ -6,9 +6,9 @@
 //! paper's ten-day deployment. This module scales the write side in both
 //! directions:
 //!
-//! * **per-monitor segments** — every monitor writes its own segment files,
-//!   so each monitor can ingest from its own thread with no shared state
-//!   (a [`MonitorWriter`] is `Send` and owns everything it touches);
+//! * **per-monitor segments** — every monitor writes its own segment files
+//!   through its own [`MonitorWriter`], so the read side can decode one
+//!   chain per worker with no shared state;
 //! * **segment rotation** — a monitor's segment is finished and a new one
 //!   opened every [`DatasetConfig::rotate_after_entries`] entries, keeping
 //!   individual files bounded over arbitrarily long horizons;
@@ -535,8 +535,8 @@ impl Default for DatasetConfig {
 type SegmentSink = BufWriter<RetryFile>;
 
 /// The writer for one monitor's segment chain. Owns its open file and all
-/// rotation state, so it can live on its own ingestion thread; the handles of
-/// a dataset are tied back together by [`ManifestBuilder::finish`].
+/// rotation state; the chains of a dataset are tied back together by
+/// [`DatasetWriter::finish`].
 ///
 /// All file-system mutations go through the [`Storage`] the writer was
 /// created with; transient I/O errors are absorbed by a bounded-backoff
@@ -753,46 +753,6 @@ pub struct MonitorSummary {
     pub total_entries: u64,
 }
 
-/// Assembles the manifest once every [`MonitorWriter`] has finished.
-pub struct ManifestBuilder {
-    dir: PathBuf,
-    storage: Arc<dyn Storage>,
-    monitor_labels: Vec<String>,
-}
-
-impl ManifestBuilder {
-    /// Collects the per-monitor results, durably writes the manifest file,
-    /// removes any in-flight checkpoint (the manifest supersedes it), and
-    /// returns the dataset summary.
-    pub fn finish(self, parts: Vec<MonitorSummary>) -> Result<DatasetSummary, SegmentError> {
-        let mut segments: Vec<SegmentMeta> =
-            parts.iter().flat_map(|p| p.segments.clone()).collect();
-        segments.sort_by_key(|s| (s.monitor, s.sequence));
-        let manifest = Manifest {
-            monitor_labels: self.monitor_labels,
-            segments,
-        };
-        let manifest_path = manifest.write_to_with(&self.dir, &*self.storage)?;
-        // The durable manifest is now the authoritative index; a leftover
-        // checkpoint would only describe a stale mid-flight state.
-        match self
-            .storage
-            .remove_file(&self.dir.join(CHECKPOINT_FILE_NAME))
-        {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
-        }
-        Ok(DatasetSummary {
-            segment_count: manifest.segments.len(),
-            total_entries: manifest.total_entries(),
-            bytes_written: parts.iter().map(|p| p.bytes_written).sum(),
-            manifest,
-            manifest_path,
-        })
-    }
-}
-
 /// Statistics of a finished multi-segment dataset.
 #[derive(Debug, Clone)]
 pub struct DatasetSummary {
@@ -811,16 +771,10 @@ pub struct DatasetSummary {
 /// Writes a multi-segment dataset into a directory: one rotating segment
 /// chain per monitor plus a closing manifest.
 ///
-/// Two usage modes:
-///
-/// * **single-threaded** — call [`DatasetWriter::append`] /
-///   [`DatasetWriter::record_connection`] and entries are routed to their
-///   monitor's chain; [`DatasetWriter::finish`] closes everything and writes
-///   the manifest.
-/// * **parallel** — [`DatasetWriter::into_parts`] splits the writer into one
-///   independent, `Send` [`MonitorWriter`] per monitor (move each onto its
-///   own ingestion thread) plus a [`ManifestBuilder`] that ties the results
-///   back together.
+/// [`DatasetWriter::append`] / [`DatasetWriter::record_connection`] route
+/// entries and connection records to their monitor's chain;
+/// [`DatasetWriter::checkpoint`] seals a crash-recovery point, and
+/// [`DatasetWriter::finish`] closes everything and writes the manifest.
 pub struct DatasetWriter {
     dir: PathBuf,
     storage: Arc<dyn Storage>,
@@ -980,27 +934,40 @@ impl DatasetWriter {
         self.writers[record.monitor].record_connection(record)
     }
 
-    /// Splits into per-monitor writers (one per thread) and the manifest
-    /// builder that reassembles them.
-    pub fn into_parts(self) -> (ManifestBuilder, Vec<MonitorWriter>) {
-        (
-            ManifestBuilder {
-                dir: self.dir,
-                storage: self.storage,
-                monitor_labels: self.monitor_labels,
-            },
-            self.writers,
-        )
-    }
-
-    /// Closes all segment chains and writes the manifest.
+    /// Closes all segment chains, durably writes the manifest file, removes
+    /// any in-flight checkpoint (the manifest supersedes it), and returns
+    /// the dataset summary.
     pub fn finish(self) -> Result<DatasetSummary, SegmentError> {
-        let (builder, writers) = self.into_parts();
-        let parts = writers
+        let parts = self
+            .writers
             .into_iter()
             .map(MonitorWriter::finish)
             .collect::<Result<Vec<_>, _>>()?;
-        builder.finish(parts)
+        let mut segments: Vec<SegmentMeta> =
+            parts.iter().flat_map(|p| p.segments.clone()).collect();
+        segments.sort_by_key(|s| (s.monitor, s.sequence));
+        let manifest = Manifest {
+            monitor_labels: self.monitor_labels,
+            segments,
+        };
+        let manifest_path = manifest.write_to_with(&self.dir, &*self.storage)?;
+        // The durable manifest is now the authoritative index; a leftover
+        // checkpoint would only describe a stale mid-flight state.
+        match self
+            .storage
+            .remove_file(&self.dir.join(CHECKPOINT_FILE_NAME))
+        {
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(e.into()),
+        }
+        Ok(DatasetSummary {
+            segment_count: manifest.segments.len(),
+            total_entries: manifest.total_entries(),
+            bytes_written: parts.iter().map(|p| p.bytes_written).sum(),
+            manifest,
+            manifest_path,
+        })
     }
 }
 

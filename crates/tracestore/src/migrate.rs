@@ -29,7 +29,7 @@
 use crate::codec::Codec;
 use crate::fault::{RealStorage, Storage};
 use crate::manifest::{Manifest, MANIFEST_FILE_NAME};
-use crate::reader::{ChunkSource, SegmentSource, TraceReader};
+use crate::reader::{ChunkSource, FileSource, TraceReader};
 use crate::segment::{SegmentConfig, SegmentError};
 use crate::writer::TraceWriter;
 use ipfs_mon_obs as obs;
@@ -92,7 +92,7 @@ fn segment_matches<S: ChunkSource>(
 /// Rewrites one segment file to `target`, verifying the rewrite before the
 /// atomic swap. Returns the number of entries streamed.
 fn rewrite_segment(storage: &dyn Storage, path: &Path, target: Codec) -> Result<u64, SegmentError> {
-    let reader = TraceReader::new(SegmentSource::open(path, false)?)?;
+    let reader = TraceReader::new(FileSource::open(path)?)?;
     let labels = reader.monitor_labels().to_vec();
 
     let tmp_path = migrate_tmp_path(path);
@@ -151,7 +151,7 @@ fn verify_identical<S: ChunkSource>(
     tmp_path: &Path,
 ) -> Result<(), SegmentError> {
     let mismatch = |what: &str| SegmentError::Corrupt(format!("migrate verification: {what}"));
-    let rewritten = TraceReader::new(SegmentSource::open(tmp_path, false)?)?;
+    let rewritten = TraceReader::new(FileSource::open(tmp_path)?)?;
     if rewritten.monitor_labels() != original.monitor_labels() {
         return Err(mismatch("monitor labels differ"));
     }
@@ -240,7 +240,7 @@ pub fn migrate_manifest_with(
         let path = dir.join(&segment.file_name);
         report.bytes_before += std::fs::metadata(&path)?.len();
         let already_done = {
-            let reader = TraceReader::new(SegmentSource::open(&path, false)?)?;
+            let reader = TraceReader::new(FileSource::open(&path)?)?;
             segment_matches(&reader, target)?
         };
         if already_done {

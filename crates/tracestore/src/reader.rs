@@ -2,7 +2,6 @@
 //! manifest-spanning multi-segment datasets ([`ManifestReader`]).
 
 use crate::manifest::{Manifest, SegmentMeta};
-use crate::mmap::MmapSource;
 use crate::record::{ConnectionRecord, MonitoringDataset, TraceEntry};
 use crate::segment::{
     decode_footer, ChunkEntries, ChunkInfo, ChunkView, Footer, SegmentError, FOOTER_MAGIC,
@@ -13,15 +12,14 @@ use ipfs_mon_simnet::time::{SimDuration, SimTime};
 use std::borrow::Cow;
 use std::collections::BinaryHeap;
 use std::path::Path;
-use std::sync::mpsc;
-use std::sync::Mutex;
+use std::sync::{mpsc, Arc, Mutex};
 
 /// Random-access byte source a segment is read from.
 ///
-/// Implementations exist for in-memory slices ([`SliceSource`]), buffered
-/// files ([`FileSource`]), and mapped files ([`MmapSource`]); all hand out
-/// independent reads from a shared `&self`, which is what lets several
-/// monitor streams walk one segment concurrently during a k-way merge.
+/// Implementations exist for in-memory slices ([`SliceSource`]) and files
+/// ([`FileSource`]); both hand out independent reads from a shared `&self`,
+/// which is what lets several monitor streams walk one segment concurrently
+/// during a k-way merge.
 ///
 /// `read_at` returns a [`Cow`]: sources that already hold the segment in
 /// memory lend a borrowed slice (zero-copy — chunk decode then borrows
@@ -41,8 +39,8 @@ pub trait ChunkSource {
 
 /// Shared ownership composes: an `Arc`'d source is a source. This is what
 /// lets a [`ManifestReader`] and its decode-ahead workers read the same
-/// open file handles / mapped buffers instead of each opening their own.
-impl<S: ChunkSource> ChunkSource for std::sync::Arc<S> {
+/// open file handles instead of each opening their own.
+impl<S: ChunkSource> ChunkSource for Arc<S> {
     fn read_at(&self, offset: u64, len: usize) -> Result<Cow<'_, [u8]>, SegmentError> {
         (**self).read_at(offset, len)
     }
@@ -80,39 +78,15 @@ impl ChunkSource for SliceSource<'_> {
     }
 }
 
-/// Bytes per cached [`FileSource`] block.
-const FILE_BLOCK_SIZE: usize = 256 * 1024;
-/// Blocks kept per [`FileSource`] — one per concurrently walking stream is
-/// ideal. Manifest datasets hold one monitor (one stream) per file, so
-/// eight covers any realistic single-file multi-monitor segment; a merged
-/// read of a single file with *more* monitors than this degrades to one
-/// block-sized read per chunk (each stream evicts the others), still
-/// correct but with read amplification — shard such datasets into
-/// per-monitor segments instead.
-const FILE_CACHED_BLOCKS: usize = 8;
-
-/// A tiny LRU of file blocks (filled lazily, so idle sources hold nothing)
-/// that lets chunk-sized reads (typically tens of KiB) skip the syscall per
-/// chunk, and serves chunk revisits — a repeated scan of the same segment,
-/// or several streams walking interleaved chunk sequences — from memory
-/// instead of re-reading the file.
-#[derive(Debug, Default)]
-struct BlockCache {
-    /// `(block_index, bytes)`, most recently used last.
-    blocks: Vec<(u64, Vec<u8>)>,
-}
-
-/// A segment stored in a file. Reads are positioned (`pread`-style) and
-/// served through a small block cache, so the source can serve multiple
-/// concurrent streams from `&self` while issuing far fewer syscalls than
-/// one per chunk.
+/// A segment stored in a file. Every read is one bounds-checked positioned
+/// (`pread`-style) read, so the source serves multiple concurrent streams
+/// from `&self`; caching is left to the OS page cache.
 #[derive(Debug)]
 pub struct FileSource {
     file: std::fs::File,
     /// Segment files are immutable once finished; the length is fixed at
     /// open time.
     len: u64,
-    cache: Mutex<BlockCache>,
 }
 
 impl FileSource {
@@ -124,14 +98,10 @@ impl FileSource {
     /// Wraps an already-open file.
     pub fn from_file(file: std::fs::File) -> Result<Self, SegmentError> {
         let len = file.metadata()?.len();
-        Ok(Self {
-            file,
-            len,
-            cache: Mutex::new(BlockCache::default()),
-        })
+        Ok(Self { file, len })
     }
 
-    /// One positioned read straight from the file, bypassing the cache.
+    /// One positioned read straight from the file.
     #[cfg(unix)]
     fn pread(&self, offset: u64, len: usize) -> Result<Vec<u8>, SegmentError> {
         use std::os::unix::fs::FileExt;
@@ -151,42 +121,6 @@ impl FileSource {
         file.read_exact(&mut buf)?;
         Ok(buf)
     }
-
-    /// Copies `offset..offset + len` out of the block cache, faulting in
-    /// missing blocks with one block-sized read each.
-    fn read_cached(&self, offset: u64, len: usize) -> Result<Vec<u8>, SegmentError> {
-        let mut out = Vec::with_capacity(len);
-        let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
-        let mut position = offset;
-        let end = offset + len as u64;
-        while position < end {
-            let block_index = position / FILE_BLOCK_SIZE as u64;
-            let slot = match cache.blocks.iter().position(|(i, _)| *i == block_index) {
-                Some(found) => {
-                    // Refresh LRU position.
-                    let block = cache.blocks.remove(found);
-                    cache.blocks.push(block);
-                    cache.blocks.len() - 1
-                }
-                None => {
-                    let block_start = block_index * FILE_BLOCK_SIZE as u64;
-                    let block_len = (self.len - block_start).min(FILE_BLOCK_SIZE as u64) as usize;
-                    let bytes = self.pread(block_start, block_len)?;
-                    if cache.blocks.len() >= FILE_CACHED_BLOCKS {
-                        cache.blocks.remove(0);
-                    }
-                    cache.blocks.push((block_index, bytes));
-                    cache.blocks.len() - 1
-                }
-            };
-            let (_, block) = &cache.blocks[slot];
-            let in_block = (position % FILE_BLOCK_SIZE as u64) as usize;
-            let take = block.len().min(in_block + (end - position) as usize) - in_block;
-            out.extend_from_slice(&block[in_block..in_block + take]);
-            position += take as u64;
-        }
-        Ok(out)
-    }
 }
 
 impl ChunkSource for FileSource {
@@ -197,52 +131,11 @@ impl ChunkSource for FileSource {
         {
             return Err(SegmentError::Corrupt("read past end of segment".into()));
         }
-        // Oversized reads would only thrash the cache; go straight through.
-        if len >= FILE_BLOCK_SIZE {
-            return Ok(Cow::Owned(self.pread(offset, len)?));
-        }
-        Ok(Cow::Owned(self.read_cached(offset, len)?))
+        Ok(Cow::Owned(self.pread(offset, len)?))
     }
 
     fn len(&self) -> Result<u64, SegmentError> {
         Ok(self.len)
-    }
-}
-
-/// The source behind one segment of a [`ManifestReader`]: buffered file
-/// reads or an mmap-style mapped buffer, chosen by [`ReadOptions::mmap`].
-#[derive(Debug)]
-pub enum SegmentSource {
-    /// Positioned, block-cached file reads.
-    File(FileSource),
-    /// Whole-segment mapped buffer with zero-copy borrowed reads.
-    Mmap(MmapSource),
-}
-
-impl SegmentSource {
-    /// Opens `path` with the chosen strategy.
-    pub fn open(path: impl AsRef<Path>, mmap: bool) -> Result<Self, SegmentError> {
-        Ok(if mmap {
-            SegmentSource::Mmap(MmapSource::open(path)?)
-        } else {
-            SegmentSource::File(FileSource::open(path)?)
-        })
-    }
-}
-
-impl ChunkSource for SegmentSource {
-    fn read_at(&self, offset: u64, len: usize) -> Result<Cow<'_, [u8]>, SegmentError> {
-        match self {
-            SegmentSource::File(source) => source.read_at(offset, len),
-            SegmentSource::Mmap(source) => source.read_at(offset, len),
-        }
-    }
-
-    fn len(&self) -> Result<u64, SegmentError> {
-        match self {
-            SegmentSource::File(source) => source.len(),
-            SegmentSource::Mmap(source) => source.len(),
-        }
     }
 }
 
@@ -279,8 +172,9 @@ impl<S: ChunkSource> TraceReader<S> {
         }
         let stored_crc = u32::from_le_bytes(trailer[0..4].try_into().unwrap());
         let payload_len = u64::from_le_bytes(trailer[4..12].try_into().unwrap());
-        let footer_start = total_len
-            .checked_sub(TRAILER_LEN as u64 + payload_len)
+        let footer_start = (TRAILER_LEN as u64)
+            .checked_add(payload_len)
+            .and_then(|tail_len| total_len.checked_sub(tail_len))
             .ok_or_else(|| SegmentError::Corrupt("footer length out of range".into()))?;
         if footer_start < header_len {
             return Err(SegmentError::Corrupt("footer overlaps header".into()));
@@ -619,10 +513,6 @@ impl<S: ChunkSource> Iterator for MergedEntryStream<'_, S> {
 /// How a [`ManifestReader`] reads its segments.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadOptions {
-    /// Open segments through [`MmapSource`] (whole-segment buffers with
-    /// zero-copy borrowed chunk reads) instead of block-cached [`FileSource`]
-    /// reads.
-    pub mmap: bool,
     /// Decode ahead: run one bounded prefetch worker per monitor chain, so
     /// chunk decode overlaps the k-way merge and the monitors decode in
     /// parallel. The merged order and bytes are identical to the serial
@@ -647,12 +537,6 @@ pub struct ReadOptions {
 }
 
 impl ReadOptions {
-    /// Builder-style setter for [`ReadOptions::mmap`].
-    pub fn mmap(mut self, mmap: bool) -> Self {
-        self.mmap = mmap;
-        self
-    }
-
     /// Builder-style setter for [`ReadOptions::decode_ahead`].
     pub fn decode_ahead(mut self, decode_ahead: bool) -> Self {
         self.decode_ahead = decode_ahead;
@@ -687,7 +571,7 @@ pub struct SkippedSegment {
 
 /// Shared skip report: open-time skips are recorded at construction,
 /// stream-time skips by (possibly concurrent decode-ahead) streams.
-type SkipLog = std::sync::Arc<std::sync::Mutex<Vec<SkippedSegment>>>;
+type SkipLog = Arc<Mutex<Vec<SkippedSegment>>>;
 
 /// Manifest-side identity of an opened segment, kept aligned with the
 /// reader chain so stream-time failures can be attributed in skip reports.
@@ -731,8 +615,8 @@ pub struct ManifestReader {
     monitor_labels: Vec<String>,
     /// Per global monitor: that monitor's segments in rotation order. The
     /// sources are `Arc`-shared so decode-ahead workers stream from the
-    /// same open handles / mapped buffers instead of re-opening files.
-    segments: Vec<Vec<TraceReader<SharedSegmentSource>>>,
+    /// same open handles instead of re-opening files.
+    segments: Vec<Vec<TraceReader<Arc<FileSource>>>>,
     /// Manifest identity of each opened segment, aligned with `segments` —
     /// lets [`ReadOptions::skip_corrupt`] streams attribute mid-stream
     /// failures to the right file in the skip report.
@@ -743,9 +627,6 @@ pub struct ManifestReader {
     options: ReadOptions,
     total_entries: u64,
 }
-
-/// The `Arc`-shared source type behind every manifest segment.
-type SharedSegmentSource = std::sync::Arc<SegmentSource>;
 
 impl ManifestReader {
     /// Opens a dataset from `path` — the manifest file or the directory
@@ -780,7 +661,7 @@ impl ManifestReader {
     ) -> Result<Self, SegmentError> {
         let dir = dir.as_ref();
         let skipped: SkipLog = SkipLog::default();
-        let mut keyed: Vec<Vec<(SegmentIdent, TraceReader<SharedSegmentSource>)>> =
+        let mut keyed: Vec<Vec<(SegmentIdent, TraceReader<Arc<FileSource>>)>> =
             (0..manifest.monitor_labels.len())
                 .map(|_| Vec::new())
                 .collect();
@@ -789,36 +670,35 @@ impl ManifestReader {
         // structural manifest damage (bad monitor index, duplicate rotation
         // sequences) stays a hard error below either way — a skip report
         // cannot make an ambiguous chain merge well-defined.
-        let open_one =
-            |meta: &SegmentMeta| -> Result<TraceReader<SharedSegmentSource>, SegmentError> {
-                let path = dir.join(&meta.file_name);
-                let source = std::sync::Arc::new(SegmentSource::open(&path, options.mmap)?);
-                let reader = TraceReader::new(source)?;
-                if reader.monitor_count() != 1 {
-                    return Err(SegmentError::Corrupt(format!(
-                        "segment {} holds {} monitors, expected a per-monitor segment",
-                        meta.file_name,
-                        reader.monitor_count()
-                    )));
-                }
-                if reader.monitor_labels()[0] != manifest.monitor_labels[meta.monitor] {
-                    return Err(SegmentError::Corrupt(format!(
-                        "segment {} is labelled '{}' but the manifest maps it to '{}'",
-                        meta.file_name,
-                        reader.monitor_labels()[0],
-                        manifest.monitor_labels[meta.monitor]
-                    )));
-                }
-                if reader.total_entries() != meta.entries {
-                    return Err(SegmentError::Corrupt(format!(
-                        "segment {} holds {} entries but the manifest records {}",
-                        meta.file_name,
-                        reader.total_entries(),
-                        meta.entries
-                    )));
-                }
-                Ok(reader)
-            };
+        let open_one = |meta: &SegmentMeta| -> Result<TraceReader<Arc<FileSource>>, SegmentError> {
+            let path = dir.join(&meta.file_name);
+            let source = Arc::new(FileSource::open(&path)?);
+            let reader = TraceReader::new(source)?;
+            if reader.monitor_count() != 1 {
+                return Err(SegmentError::Corrupt(format!(
+                    "segment {} holds {} monitors, expected a per-monitor segment",
+                    meta.file_name,
+                    reader.monitor_count()
+                )));
+            }
+            if reader.monitor_labels()[0] != manifest.monitor_labels[meta.monitor] {
+                return Err(SegmentError::Corrupt(format!(
+                    "segment {} is labelled '{}' but the manifest maps it to '{}'",
+                    meta.file_name,
+                    reader.monitor_labels()[0],
+                    manifest.monitor_labels[meta.monitor]
+                )));
+            }
+            if reader.total_entries() != meta.entries {
+                return Err(SegmentError::Corrupt(format!(
+                    "segment {} holds {} entries but the manifest records {}",
+                    meta.file_name,
+                    reader.total_entries(),
+                    meta.entries
+                )));
+            }
+            Ok(reader)
+        };
         for meta in &manifest.segments {
             if meta.monitor >= manifest.monitor_labels.len() {
                 return Err(SegmentError::Corrupt(format!(
@@ -888,12 +768,12 @@ impl ManifestReader {
     /// DatasetWriter::create(&dir, vec!["us".into()], DatasetConfig::default())?
     ///     .finish()?;
     ///
-    /// // Default: block-cached file reads, serial merge.
+    /// // Default: serial merge, every failure a hard error.
     /// let reader = ManifestReader::open(&dir)?;
-    /// assert!(!reader.read_options().mmap);
+    /// assert!(!reader.read_options().decode_ahead);
     ///
-    /// // Opt in to mapped buffers and decode-ahead workers per monitor chain.
-    /// let options = ReadOptions::default().mmap(true).decode_ahead(true);
+    /// // Opt in to decode-ahead workers per monitor chain.
+    /// let options = ReadOptions::default().decode_ahead(true);
     /// let reader = ManifestReader::open_with(&dir, options)?;
     /// assert_eq!(reader.read_options(), options);
     ///
@@ -1033,7 +913,7 @@ impl ManifestReader {
 /// readers on their own thread, run exactly the same code as the serial
 /// path — that sameness is the byte-identity argument.
 fn chain_stream(
-    readers: &[TraceReader<SharedSegmentSource>],
+    readers: &[TraceReader<Arc<FileSource>>],
     monitor: usize,
     skip: Option<(SkipLog, Vec<SegmentIdent>)>,
 ) -> ChainedMonitorStream<'_> {
@@ -1075,7 +955,7 @@ struct ActiveSegment<'a> {
     /// Rotation index of the segment in its chain (the stable tie-break).
     index: usize,
     head: TraceEntry,
-    stream: SortedEntryStream<'a, SharedSegmentSource>,
+    stream: SortedEntryStream<'a, Arc<FileSource>>,
 }
 
 /// One monitor's entries across its segment chain, in exact
@@ -1090,7 +970,7 @@ struct ActiveSegment<'a> {
 /// chain length. Yielded entries carry the *global* monitor index.
 pub struct ChainedMonitorStream<'a> {
     monitor: usize,
-    readers: &'a [TraceReader<SharedSegmentSource>],
+    readers: &'a [TraceReader<Arc<FileSource>>],
     /// Suffix-minimum timestamp floor per rotation index: no entry in
     /// segments `i..` can be earlier than `floors[i]`.
     floors: Vec<SimTime>,
@@ -1236,8 +1116,8 @@ enum Prefetched {
 /// One monitor chain decoded ahead on its own worker thread.
 ///
 /// The worker opens its own [`TraceReader`]s over the chain's `Arc`-shared
-/// sources (same file handles / mapped buffers as the serial path — one
-/// extra footer decode each, no extra opens and no duplicated buffers),
+/// sources (same file handles as the serial path — one extra footer decode
+/// each, no extra opens),
 /// runs the identical [`ChainedMonitorStream`] the serial path runs, and
 /// ships entries in bounded batches over a rendezvous-depth channel,
 /// closing with an explicit done/failed message.
@@ -1253,7 +1133,7 @@ pub struct PrefetchedMonitorStream {
 }
 
 fn spawn_prefetch(
-    sources: Vec<SharedSegmentSource>,
+    sources: Vec<Arc<FileSource>>,
     monitor: usize,
     skip: Option<(SkipLog, Vec<SegmentIdent>)>,
 ) -> PrefetchedMonitorStream {
@@ -1569,14 +1449,58 @@ mod tests {
         assert_eq!(merged, reference);
     }
 
+    /// Writes `bytes` to a fresh temp file and opens it as a [`FileSource`].
+    fn file_source(tag: &str, bytes: &[u8]) -> (std::path::PathBuf, FileSource) {
+        let path =
+            std::env::temp_dir().join(format!("tracestore-{tag}-{}.seg", std::process::id()));
+        std::fs::write(&path, bytes).unwrap();
+        let source = FileSource::open(&path).unwrap();
+        (path, source)
+    }
+
+    #[test]
+    fn reads_are_borrowed_and_bounds_checked() {
+        let bytes = [1u8, 2, 3, 4, 5];
+        let slice = SliceSource::new(&bytes);
+        let (path, file) = file_source("bounds", &bytes);
+        assert!(matches!(slice.read_at(1, 3).unwrap(), Cow::Borrowed(_)));
+        assert!(matches!(file.read_at(1, 3).unwrap(), Cow::Owned(_)));
+        for source in [&slice as &dyn ChunkSource, &file] {
+            assert_eq!(source.len().unwrap(), 5);
+            assert_eq!(source.read_at(1, 3).unwrap().as_ref(), &[2, 3, 4]);
+            assert_eq!(source.read_at(0, 5).unwrap().as_ref(), &bytes);
+            assert!(source.read_at(5, 0).unwrap().is_empty());
+            assert!(source.read_at(3, 3).is_err());
+            assert!(source.read_at(6, 0).is_err());
+            assert!(source.read_at(u64::MAX, 1).is_err());
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn overflowing_footer_length_is_corrupt_not_panic() {
+        let mut bytes = build_segment(&[entry(1, 1, 0)], 1, 8);
+        // Trailer layout: crc (4) | payload length (8) | magic (4).
+        let len = bytes.len();
+        bytes[len - 12..len - 4].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            TraceReader::new(SliceSource::new(&bytes)),
+            Err(SegmentError::Corrupt(_))
+        ));
+        let (path, file) = file_source("footer-overflow", &bytes);
+        assert!(matches!(
+            TraceReader::new(file),
+            Err(SegmentError::Corrupt(_))
+        ));
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn file_source_roundtrip() {
         let entries: Vec<TraceEntry> = (0..50).map(|i| entry(i * 7, i % 5, 0)).collect();
         let bytes = build_segment(&entries, 1, 16);
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("tracestore-test-{}.seg", std::process::id()));
-        std::fs::write(&path, &bytes).unwrap();
-        let reader = TraceReader::new(FileSource::open(&path).unwrap()).unwrap();
+        let (path, source) = file_source("roundtrip", &bytes);
+        let reader = TraceReader::new(source).unwrap();
         let streamed: Vec<TraceEntry> = reader.stream_monitor(0).collect();
         std::fs::remove_file(&path).ok();
         assert_eq!(streamed, entries);

@@ -530,7 +530,7 @@ impl<T: Clone + Eq + std::hash::Hash> Interner<T> {
 
 /// The decoded column planes a [`ChunkView`] reads from: borrowed straight
 /// out of the frame for raw chunks (zero-copy when the frame itself is
-/// borrowed, e.g. from an mmap-style source), owned for decompressed ones.
+/// borrowed, e.g. from a `SliceSource`), owned for decompressed ones.
 enum Planes<'a> {
     /// Raw codec: the planes are a sub-range of the frame.
     Frame {
@@ -833,7 +833,7 @@ impl<'a> ChunkView<'a> {
 
     /// Decodes a columnar `Col` body (mode 0) directly into the view's
     /// columns — no intermediate plane bytes are materialized; the
-    /// dictionaries stay borrowed out of the frame (zero-copy under mmap).
+    /// dictionaries stay borrowed out of the frame.
     /// Decodes a columnar body straight into the view's columns. `planes`
     /// holds the columnar bytes (inside the frame for plain columnar
     /// bodies, an owned decompressed buffer for LZ-compressed ones);

@@ -1,17 +1,17 @@
 //! Quickstart: simulate a small IPFS-like network, attach two passive
 //! monitors, collect Bitswap traces, preprocess them and print headline
 //! statistics — then do it again at constant memory, spilling the trace to a
-//! tracestore segment on disk and streaming it back for analysis.
+//! tracestore dataset on disk and streaming it back for analysis.
 //!
 //! Run with `cargo run --example quickstart`.
 
 use ipfs_monitoring::core::{
-    estimate_network_size, flag_segment, popularity_scores, popularity_scores_stream,
-    unify_and_flag, MonitorCollector, PreprocessConfig, SpillingCollector,
+    estimate_network_size, flag_source, popularity_scores, unify_and_flag, AnalysisSink,
+    ManifestCollector, MonitorCollector, PopularitySink, PreprocessConfig,
 };
 use ipfs_monitoring::node::Network;
 use ipfs_monitoring::simnet::time::{SimDuration, SimTime};
-use ipfs_monitoring::tracestore::{FileSource, SegmentConfig, TraceReader};
+use ipfs_monitoring::tracestore::{DatasetConfig, ManifestReader};
 use ipfs_monitoring::workload::{build_scenario, ScenarioConfig};
 
 fn main() {
@@ -66,39 +66,41 @@ fn main() {
     );
 
     // 5. The same pipeline at production scale: instead of accumulating the
-    //    trace in memory, spill it to a columnar tracestore segment as it is
+    //    trace in memory, spill it to a tracestore dataset (one rotating
+    //    chain of columnar segments per monitor plus a manifest) as it is
     //    collected. Memory stays bounded by one chunk per monitor no matter
     //    how long the deployment runs.
-    let segment_path = std::env::temp_dir().join("quickstart_trace.seg");
-    let sink = std::fs::File::create(&segment_path).expect("create segment file");
-    let mut spilling =
-        SpillingCollector::us_de(sink, SegmentConfig::default()).expect("open segment writer");
+    let dataset_dir = std::env::temp_dir().join("quickstart_trace");
+    let mut spilling = ManifestCollector::us_de(&dataset_dir, DatasetConfig::default())
+        .expect("open dataset writer");
     let mut network = Network::new(build_scenario(&config));
     network.run(&mut spilling);
-    let summary = spilling.finish().expect("finish segment");
+    let summary = spilling.finish().expect("finish dataset");
     println!(
-        "spilled {} entries to {} ({} bytes, {:.1} bytes/entry, {} chunks)",
+        "spilled {} entries to {} ({} bytes, {:.1} bytes/entry, {} segments)",
         summary.total_entries,
-        segment_path.display(),
+        dataset_dir.display(),
         summary.bytes_written,
         summary.bytes_written as f64 / summary.total_entries.max(1) as f64,
-        summary.chunks,
+        summary.segment_count,
     );
 
-    // 6. Re-open the segment and re-run the analysis without ever holding the
+    // 6. Re-open the dataset and re-run the analysis without ever holding the
     //    full trace: the reader k-way merges the per-monitor chunk streams in
-    //    timestamp order and the preprocessor flags entries on the fly.
-    let reader = TraceReader::new(FileSource::open(&segment_path).expect("open segment"))
-        .expect("read footer");
-    let mut stream = flag_segment(&reader, PreprocessConfig::default());
-    let streamed_scores = popularity_scores_stream(&mut stream);
+    //    timestamp order, the preprocessor flags entries on the fly, and the
+    //    popularity sink keeps only the per-CID aggregates.
+    let reader = ManifestReader::open(&dataset_dir).expect("open dataset");
+    let mut stream = flag_source(&reader, PreprocessConfig::default());
+    let mut popularity = PopularitySink::new();
+    (&mut stream).for_each(|entry| popularity.consume(entry));
+    let streamed_scores = popularity.finish();
     let streamed_stats = stream.stats();
     // A segment-backed stream ends silently on a bad chunk — always check.
-    if let Some(error) = stream.take_error() {
+    if let Some(error) = stream.take_source_error() {
         panic!("segment read failed mid-stream: {error}");
     }
     println!(
-        "streamed from segment: {} entries, {} primary, {} distinct CIDs (window state: {} keys)",
+        "streamed from dataset: {} entries, {} primary, {} distinct CIDs (window state: {} keys)",
         streamed_stats.total,
         streamed_stats.primary,
         streamed_scores.cid_count(),
@@ -108,6 +110,8 @@ fn main() {
         streamed_stats, stats,
         "streaming must match the in-memory pipeline"
     );
-    assert_eq!(streamed_scores.cid_count(), scores.cid_count());
-    std::fs::remove_file(&segment_path).ok();
+    assert_eq!(streamed_scores, scores);
+    drop(stream);
+    drop(reader);
+    std::fs::remove_dir_all(&dataset_dir).ok();
 }

@@ -1,13 +1,13 @@
-//! Codec, source, and merge-mode robustness for the tracestore I/O path.
+//! Codec and merge-mode robustness for the tracestore I/O path.
 //!
 //! Covers the three-layer read stack introduced with the pluggable codecs:
 //! typed errors for every kind of codec-level damage (unknown codec byte,
 //! corrupted compressed body, CRC-vs-codec corruption, single-byte damage
 //! anywhere in a `col` body), mixed-codec manifests (per-segment codec
 //! migration) streaming identically to the in-memory path, equality of every
-//! `(codec, source, merge-mode)` combination — all three codecs × two
-//! sources × two merge modes — the offline `migrate_manifest` rewrite, and
-//! the on-disk size wins of the compressed codecs.
+//! `(codec, merge-mode)` combination — all three codecs × two merge modes —
+//! the offline `migrate_manifest` rewrite, and the on-disk size wins of the
+//! compressed codecs.
 
 mod common;
 
@@ -152,23 +152,21 @@ proptest! {
         manifest.write_to(&dir).unwrap();
 
         let (trace, stats) = unify_and_flag(&dataset, PreprocessConfig::default());
-        for mmap in [false, true] {
-            for decode_ahead in [false, true] {
-                let options = ReadOptions::default().mmap(mmap).decode_ahead(decode_ahead);
-                let reader = ManifestReader::open_with(&dir, options).unwrap();
-                let (streamed, streamed_stats) =
-                    unify_and_flag_source(&reader, PreprocessConfig::default()).unwrap();
-                prop_assert_eq!(
-                    &streamed.entries, &trace.entries,
-                    "mmap={} decode_ahead={}", mmap, decode_ahead
-                );
-                prop_assert_eq!(streamed_stats, stats);
-            }
+        for decode_ahead in [false, true] {
+            let options = ReadOptions::default().decode_ahead(decode_ahead);
+            let reader = ManifestReader::open_with(&dir, options).unwrap();
+            let (streamed, streamed_stats) =
+                unify_and_flag_source(&reader, PreprocessConfig::default()).unwrap();
+            prop_assert_eq!(
+                &streamed.entries, &trace.entries,
+                "decode_ahead={}", decode_ahead
+            );
+            prop_assert_eq!(streamed_stats, stats);
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Every `(codec, mmap, decode_ahead)` combination over a writer-produced
+    /// Every `(codec, decode_ahead)` combination over a writer-produced
     /// manifest yields the identical merged stream — the equality the
     /// experiment binaries assert per run, property-tested across shapes.
     #[test]
@@ -187,18 +185,16 @@ proptest! {
                 rotate_after_entries: (per_monitor as u64 / 3).max(1),
                 ..DatasetConfig::default()
             });
-            for mmap in [false, true] {
-                for decode_ahead in [false, true] {
-                    let options = ReadOptions::default().mmap(mmap).decode_ahead(decode_ahead);
-                    let reader = ManifestReader::open_with(&dir, options).unwrap();
-                    let mut stream = reader.merged_entries();
-                    let merged: Vec<TraceEntry> = (&mut stream).collect();
-                    prop_assert!(stream.take_error().is_none());
-                    prop_assert_eq!(
-                        &merged, &reference,
-                        "codec={} mmap={} decode_ahead={}", codec.name(), mmap, decode_ahead
-                    );
-                }
+            for decode_ahead in [false, true] {
+                let options = ReadOptions::default().decode_ahead(decode_ahead);
+                let reader = ManifestReader::open_with(&dir, options).unwrap();
+                let mut stream = reader.merged_entries();
+                let merged: Vec<TraceEntry> = (&mut stream).collect();
+                prop_assert!(stream.take_error().is_none());
+                prop_assert_eq!(
+                    &merged, &reference,
+                    "codec={} decode_ahead={}", codec.name(), decode_ahead
+                );
             }
             std::fs::remove_dir_all(&dir).ok();
         }
@@ -207,7 +203,7 @@ proptest! {
 
 /// Network-size estimation and the IDW/TNW attacks — the analyses the
 /// experiment binaries run — must produce byte-identical reports whichever
-/// codec, segment source, and merge mode the manifest is read with.
+/// codec and merge mode the manifest is read with.
 #[test]
 fn netsize_and_attacks_agree_across_all_modes() {
     let dataset = random_dataset(97, 2, 600, 600);
@@ -236,38 +232,32 @@ fn netsize_and_attacks_agree_across_all_modes() {
                 ..DatasetConfig::default()
             },
         );
-        for mmap in [false, true] {
-            for decode_ahead in [false, true] {
-                let options = ReadOptions::default().mmap(mmap).decode_ahead(decode_ahead);
-                let reader = ManifestReader::open_with(&dir, options).unwrap();
-                let tag = format!(
-                    "codec={} mmap={mmap} decode_ahead={decode_ahead}",
-                    codec.name()
-                );
+        for decode_ahead in [false, true] {
+            let options = ReadOptions::default().decode_ahead(decode_ahead);
+            let reader = ManifestReader::open_with(&dir, options).unwrap();
+            let tag = format!("codec={} decode_ahead={decode_ahead}", codec.name());
 
-                let report =
-                    estimate_network_size_source(&reader, window_start, window_end, interval)
-                        .unwrap();
-                assert_eq!(
-                    serde_json::to_string(&report).unwrap(),
-                    serde_json::to_string(&reference_report).unwrap(),
-                    "netsize differs: {tag}"
-                );
+            let report =
+                estimate_network_size_source(&reader, window_start, window_end, interval).unwrap();
+            assert_eq!(
+                serde_json::to_string(&report).unwrap(),
+                serde_json::to_string(&reference_report).unwrap(),
+                "netsize differs: {tag}"
+            );
 
-                let suite = run_attacks_source(
-                    &reader,
-                    PreprocessConfig::default(),
-                    &AttackTargets {
-                        idw_cids: vec![target_cid.clone()],
-                        tnw_peers: vec![target_peer],
-                        tpi_probes: Vec::new(),
-                    },
-                    None,
-                )
-                .unwrap();
-                assert_eq!(suite.idw[&target_cid], reference_idw, "IDW differs: {tag}");
-                assert_eq!(suite.tnw[&target_peer], reference_tnw, "TNW differs: {tag}");
-            }
+            let suite = run_attacks_source(
+                &reader,
+                PreprocessConfig::default(),
+                &AttackTargets {
+                    idw_cids: vec![target_cid.clone()],
+                    tnw_peers: vec![target_peer],
+                    tpi_probes: Vec::new(),
+                },
+                None,
+            )
+            .unwrap();
+            assert_eq!(suite.idw[&target_cid], reference_idw, "IDW differs: {tag}");
+            assert_eq!(suite.tnw[&target_peer], reference_tnw, "TNW differs: {tag}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

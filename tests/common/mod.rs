@@ -4,12 +4,12 @@
 #![allow(dead_code)]
 
 use ipfs_monitoring::bitswap::RequestType;
-use ipfs_monitoring::core::MonitorCollector;
+use ipfs_monitoring::core::{flag_source, AnalysisSink, MonitorCollector, PreprocessConfig};
 use ipfs_monitoring::node::Network;
 use ipfs_monitoring::simnet::time::SimTime;
 use ipfs_monitoring::tracestore::{
     ConnectionRecord, DatasetConfig, DatasetWriter, EntryFlags, MonitoringDataset, SegmentConfig,
-    TraceEntry,
+    TraceEntry, TraceSource,
 };
 use ipfs_monitoring::types::{Cid, Country, Multiaddr, Multicodec, PeerId, Transport};
 use ipfs_monitoring::workload::{build_scenario, ScenarioConfig};
@@ -143,4 +143,13 @@ pub fn simulated_dataset(seed: u64, nodes: usize) -> MonitoringDataset {
     let mut collector = MonitorCollector::new(labels);
     Network::new(build_scenario(&config)).run(&mut collector);
     collector.into_dataset()
+}
+
+/// Feeds the flagged merged stream of `source` through `sink`, failing on a
+/// storage error — how an analysis consumes a trace it never materializes.
+pub fn run_flagged<K: AnalysisSink>(source: &impl TraceSource, mut sink: K) -> K::Output {
+    let mut stream = flag_source(source, PreprocessConfig::default());
+    (&mut stream).for_each(|entry| sink.consume(entry));
+    assert!(stream.take_source_error().is_none());
+    sink.finish()
 }

@@ -1,8 +1,7 @@
 //! Multi-segment manifest + `TraceSource` integration coverage.
 //!
 //! Property tests proving that datasets round-trip losslessly through
-//! per-monitor rotated segment chains, that parallel per-monitor ingestion is
-//! byte-identical to single-threaded routing, that chunk corruption inside
+//! per-monitor rotated segment chains, that chunk corruption inside
 //! any segment of a manifest is detected, and that the streaming analyses
 //! (preprocessing, network-size estimation, the privacy attacks) produce
 //! output identical to the in-memory path when driven from a manifest-backed
@@ -19,8 +18,8 @@ use ipfs_monitoring::core::{
 use ipfs_monitoring::node::Network;
 use ipfs_monitoring::simnet::time::{SimDuration, SimTime};
 use ipfs_monitoring::tracestore::{
-    ConnectionRecord, DatasetConfig, DatasetWriter, ManifestReader, SegmentConfig, TraceEntry,
-    TraceReader, TraceSource,
+    ConnectionRecord, DatasetConfig, ManifestReader, SegmentConfig, TraceEntry, TraceReader,
+    TraceSource,
 };
 use ipfs_monitoring::workload::{build_scenario, ScenarioConfig};
 use proptest::prelude::*;
@@ -124,68 +123,6 @@ fn corrupted_chunk_in_manifest_segment_is_detected() {
     )
     .is_err());
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Per-monitor parallel ingestion must produce byte-identical segment files
-/// (and manifest) to single-threaded routing of the same data.
-#[test]
-fn parallel_ingestion_is_byte_identical_to_single_threaded() {
-    let dataset = random_dataset(99, 4, 300, 800);
-    let config = DatasetConfig {
-        segment: SegmentConfig {
-            chunk_capacity: 64,
-            ..SegmentConfig::default()
-        },
-        rotate_after_entries: 90,
-        ..DatasetConfig::default()
-    };
-
-    let dir_single = temp_dir("par-single");
-    write_manifest(&dataset, &dir_single, config);
-
-    let dir_parallel = temp_dir("par-threads");
-    let writer =
-        DatasetWriter::create(&dir_parallel, dataset.monitor_labels.clone(), config).unwrap();
-    let (builder, monitor_writers) = writer.into_parts();
-    let handles: Vec<_> = monitor_writers
-        .into_iter()
-        .map(|mut monitor_writer| {
-            let monitor = monitor_writer.monitor();
-            let entries = dataset.entries[monitor].clone();
-            let connections: Vec<ConnectionRecord> = dataset
-                .connections
-                .iter()
-                .filter(|c| c.monitor == monitor)
-                .cloned()
-                .collect();
-            std::thread::spawn(move || {
-                for entry in &entries {
-                    monitor_writer.append(entry).unwrap();
-                }
-                for connection in connections {
-                    monitor_writer.record_connection(connection).unwrap();
-                }
-                monitor_writer.finish().unwrap()
-            })
-        })
-        .collect();
-    let parts = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    builder.finish(parts).unwrap();
-
-    let mut names: Vec<String> = std::fs::read_dir(&dir_single)
-        .unwrap()
-        .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .collect();
-    names.sort();
-    assert!(names.len() > dataset.monitor_count(), "rotation happened");
-    for name in &names {
-        let single = std::fs::read(dir_single.join(name)).unwrap();
-        let parallel = std::fs::read(dir_parallel.join(name)).unwrap();
-        assert_eq!(single, parallel, "file {name} differs between modes");
-    }
-
-    std::fs::remove_dir_all(&dir_single).ok();
-    std::fs::remove_dir_all(&dir_parallel).ok();
 }
 
 /// End-to-end on a simulated scenario: collection through `ManifestCollector`

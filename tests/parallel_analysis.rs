@@ -12,21 +12,21 @@
 //!    worker completion order a parallel run could exhibit) equals the
 //!    serial output.
 //!
-//! Plus equivalence of the sink outputs with the pre-engine entry points
-//! they wrap (`request_type_series`, `popularity_scores_stream`,
-//! `per_peer_request_counts_stream`, `multicodec_shares`).
+//! Plus equivalence of the sink outputs with the in-memory reference
+//! functions (`request_type_series`, `popularity_scores`,
+//! `per_peer_request_counts`, `multicodec_shares`).
 
 mod common;
 
-use common::{random_dataset, write_manifest_rotated as write_manifest};
+use common::{random_dataset, run_flagged, write_manifest_rotated as write_manifest};
 use ipfs_monitoring::core::{
-    activity_counts_source, entry_stats_source, multicodec_shares, per_peer_request_counts_stream,
-    popularity_scores_source, popularity_scores_stream, request_type_series,
-    request_type_series_source, ActivityCountsSink, AnalysisSink, EntryStatsSink, PopularitySink,
-    RequestTypeSink,
+    activity_counts_source, entry_stats_source, multicodec_shares, per_peer_request_counts,
+    popularity_scores, popularity_scores_source, request_type_series, request_type_series_source,
+    unify_and_flag, ActivityCountsSink, AnalysisSink, EntryStatsSink, PopularitySink,
+    PreprocessConfig, RequestTypeSink,
 };
 use ipfs_monitoring::simnet::time::SimDuration;
-use ipfs_monitoring::tracestore::{run_sink, ManifestReader, ReadOptions, TraceSource};
+use ipfs_monitoring::tracestore::{run_sink, ManifestReader, ReadOptions};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -71,14 +71,13 @@ proptest! {
         jitter in 0u64..2_000,
         rotate in 5u64..60,
         chunk in 1usize..32,
-        mmap in any::<bool>(),
         decode_ahead in any::<bool>(),
         shuffle_seed in 0u64..u64::MAX,
     ) {
         let dataset = random_dataset(seed, monitors, per_monitor, jitter);
         let dir = temp_dir("prop", seed);
         write_manifest(&dataset, &dir, rotate, chunk);
-        let options = ReadOptions::default().mmap(mmap).decode_ahead(decode_ahead);
+        let options = ReadOptions::default().decode_ahead(decode_ahead);
         let reader = ManifestReader::open_with(&dir, options).unwrap();
 
         // A shuffled worker-completion order.
@@ -119,8 +118,8 @@ proptest! {
     }
 }
 
-/// The sinks equal the pre-engine entry points they wrap, on a trace from
-/// the standard in-memory path (the reference semantics).
+/// The sinks equal the in-memory reference functions, on a trace from the
+/// standard in-memory path (the reference semantics).
 #[test]
 fn sink_outputs_match_wrapped_entry_points() {
     let dataset = random_dataset(4242, 3, 400, 1_500);
@@ -144,18 +143,19 @@ fn sink_outputs_match_wrapped_entry_points() {
         reader.run_parallel(RequestTypeSink::new(bucket)).unwrap()
     );
 
-    // Popularity: equals the single-stream wrapper over the merged stream.
-    let scores = popularity_scores_source(&reader).unwrap();
-    assert_eq!(scores, popularity_scores_stream(reader.merged_entries()));
-    assert_eq!(scores, reader.run_parallel(PopularitySink::new()).unwrap());
+    // Popularity and per-peer counts over the flagged stream equal the
+    // in-memory functions over the in-memory flagged trace.
+    let (trace, _) = unify_and_flag(&dataset, PreprocessConfig::default());
+    let (flagged_scores, flagged_counts) =
+        run_flagged(&reader, (PopularitySink::new(), ActivityCountsSink::new()));
+    assert_eq!(flagged_scores, popularity_scores(&trace));
+    assert_eq!(flagged_counts.per_peer, per_peer_request_counts(&trace));
 
-    // Activity counts: per-peer rows equal the stream wrapper, multicodec
-    // rows equal the in-memory Table I computation.
+    // Over the raw stream the serial and per-monitor drivers agree, and the
+    // multicodec rows equal the in-memory Table I computation.
+    let scores = popularity_scores_source(&reader).unwrap();
+    assert_eq!(scores, reader.run_parallel(PopularitySink::new()).unwrap());
     let counts = activity_counts_source(&reader).unwrap();
-    assert_eq!(
-        counts.per_peer,
-        per_peer_request_counts_stream(reader.merged_entries())
-    );
     assert_eq!(counts.multicodec, multicodec_shares(&dataset));
     assert_eq!(
         counts,

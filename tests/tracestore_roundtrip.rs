@@ -5,16 +5,20 @@
 //! flags bit-identical to the in-memory `unify_and_flag`, and that damage to
 //! a segment is detected rather than decoded.
 
+mod common;
+
+use common::run_flagged;
 use ipfs_monitoring::bitswap::RequestType;
 use ipfs_monitoring::core::{
-    popularity_scores, popularity_scores_stream, unify_and_flag, unify_and_flag_segment,
-    MonitorCollector, PreprocessConfig, SpillingCollector,
+    popularity_scores, unify_and_flag, unify_and_flag_source, ManifestCollector, MonitorCollector,
+    PopularitySink, PreprocessConfig,
 };
 use ipfs_monitoring::node::Network;
 use ipfs_monitoring::simnet::time::{SimDuration, SimTime};
 use ipfs_monitoring::tracestore::{
-    ConnectionRecord, EntryFlags, FileSource, MonitoringDataset, SegmentConfig, SegmentError,
-    SliceSource, TraceEntry, TraceReader, TraceWriter,
+    ConnectionRecord, DatasetConfig, EntryFlags, FileSource, ManifestReader, MonitoringDataset,
+    SegmentConfig, SegmentError, SliceSource, TraceEntry, TraceReader, TraceWriter,
+    MANIFEST_FILE_NAME,
 };
 use ipfs_monitoring::types::{Cid, Country, Multiaddr, Multicodec, PeerId, Transport};
 use ipfs_monitoring::workload::{build_scenario, ScenarioConfig};
@@ -110,7 +114,7 @@ proptest! {
             .unwrap();
         let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
         let (streamed, streamed_stats) =
-            unify_and_flag_segment(&reader, PreprocessConfig::default()).unwrap();
+            unify_and_flag_source(&reader, PreprocessConfig::default()).unwrap();
 
         prop_assert_eq!(&streamed.entries, &trace.entries);
         prop_assert_eq!(streamed_stats, stats);
@@ -206,7 +210,7 @@ fn corrupted_chunk_is_detected() {
     // The streaming preprocessing path surfaces the same damage instead of
     // silently analyzing a truncated trace.
     let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
-    assert!(unify_and_flag_segment(&reader, PreprocessConfig::default()).is_err());
+    assert!(unify_and_flag_source(&reader, PreprocessConfig::default()).is_err());
 }
 
 #[test]
@@ -217,7 +221,7 @@ fn truncated_segment_is_rejected() {
 }
 
 /// End-to-end: the same simulated scenario collected by the in-memory
-/// collector and by the spill-to-segment collector must yield identical
+/// collector and by the spill-to-disk collector must yield identical
 /// entries, identical preprocessing flags, and identical downstream analysis
 /// — with real monitor delivery jitter, not synthetic data.
 #[test]
@@ -230,45 +234,60 @@ fn scenario_spill_matches_in_memory_pipeline() {
     let dataset = in_memory.into_dataset();
     assert!(dataset.total_entries() > 0);
 
-    let mut bytes = Vec::new();
-    let mut spilling = SpillingCollector::us_de(
-        &mut bytes,
-        SegmentConfig {
-            chunk_capacity: 256,
-            ..SegmentConfig::default()
-        },
-    )
-    .unwrap();
-    Network::new(build_scenario(&config)).run(&mut spilling);
-    spilling.finish().unwrap();
+    let spill = |tag: &str| {
+        let dir = std::env::temp_dir().join(format!(
+            "tracestore_roundtrip_spill_{tag}_{}",
+            std::process::id()
+        ));
+        let dataset_config = DatasetConfig {
+            segment: SegmentConfig {
+                chunk_capacity: 256,
+                ..SegmentConfig::default()
+            },
+            rotate_after_entries: 1_000,
+            ..DatasetConfig::default()
+        };
+        let mut spilling = ManifestCollector::us_de(&dir, dataset_config).unwrap();
+        Network::new(build_scenario(&config)).run(&mut spilling);
+        let summary = spilling.finish().unwrap();
+        (dir, summary)
+    };
+    let (dir, summary) = spill("a");
 
     // Spilling is deterministic: an identical run yields identical bytes.
-    let mut bytes_again = Vec::new();
-    let mut spilling = SpillingCollector::us_de(
-        &mut bytes_again,
-        SegmentConfig {
-            chunk_capacity: 256,
-            ..SegmentConfig::default()
-        },
-    )
-    .unwrap();
-    Network::new(build_scenario(&config)).run(&mut spilling);
-    spilling.finish().unwrap();
-    assert_eq!(bytes, bytes_again);
+    let (dir_again, summary_again) = spill("b");
+    assert_eq!(summary.manifest, summary_again.manifest);
+    let file_names = summary
+        .manifest
+        .segments
+        .iter()
+        .map(|s| s.file_name.as_str());
+    for name in file_names.chain([MANIFEST_FILE_NAME]) {
+        let bytes = std::fs::read(dir.join(name)).unwrap();
+        assert_eq!(
+            bytes,
+            std::fs::read(dir_again.join(name)).unwrap(),
+            "{name}"
+        );
+    }
+    std::fs::remove_dir_all(&dir_again).ok();
 
-    let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
+    let reader = ManifestReader::open(&dir).unwrap();
     assert_eq!(reader.total_entries() as usize, dataset.total_entries());
 
     let (trace, stats) = unify_and_flag(&dataset, PreprocessConfig::default());
     let (streamed, streamed_stats) =
-        unify_and_flag_segment(&reader, PreprocessConfig::default()).unwrap();
+        unify_and_flag_source(&reader, PreprocessConfig::default()).unwrap();
     assert_eq!(streamed.entries, trace.entries);
     assert_eq!(streamed_stats, stats);
 
     // A representative analysis agrees between the two paths as well.
-    let in_memory_scores = popularity_scores(&trace);
-    let streamed_scores = popularity_scores_stream(streamed.entries.iter().cloned());
-    assert_eq!(streamed_scores.cid_count(), in_memory_scores.cid_count());
+    assert_eq!(
+        run_flagged(&reader, PopularitySink::new()),
+        popularity_scores(&trace)
+    );
+    drop(reader);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Every streaming analysis variant must agree with its in-memory
@@ -277,8 +296,8 @@ fn scenario_spill_matches_in_memory_pipeline() {
 fn streaming_analysis_variants_match_in_memory() {
     use ipfs_monitoring::analysis::{summarize, summarize_stream, Ecdf};
     use ipfs_monitoring::core::{
-        flag_segment, per_peer_request_counts, per_peer_request_counts_stream, request_type_series,
-        request_type_series_stream,
+        per_peer_request_counts, request_type_series, request_type_series_source,
+        ActivityCountsSink,
     };
 
     let dataset = random_dataset(99, 2, 400, 1_000);
@@ -293,16 +312,19 @@ fn streaming_analysis_variants_match_in_memory() {
 
     // Per-peer request counts over the flagged stream.
     let in_memory = per_peer_request_counts(&trace);
-    let streamed =
-        per_peer_request_counts_stream(flag_segment(&reader, PreprocessConfig::default()));
+    let streamed = run_flagged(&reader, ActivityCountsSink::new()).per_peer;
     assert!(!in_memory.is_empty());
     assert_eq!(streamed, in_memory);
 
-    // Fig. 4 request-type series from one monitor's raw stream.
+    // Fig. 4 request-type series of every monitor from the raw stream.
     let bucket = SimDuration::from_secs(60);
-    let in_memory_series = request_type_series(&dataset, 0, bucket);
-    let streamed_series = request_type_series_stream(reader.stream_monitor(0), bucket);
-    assert_eq!(streamed_series.rows, in_memory_series.rows);
+    let streamed_series = request_type_series_source(&reader, bucket).unwrap();
+    for (monitor, series) in streamed_series.iter().enumerate() {
+        assert_eq!(
+            series.rows,
+            request_type_series(&dataset, monitor, bucket).rows
+        );
+    }
 
     // Descriptive summary and ECDF over the per-peer counts as a sample.
     let samples: Vec<f64> = in_memory.iter().map(|(_, count)| *count as f64).collect();
