@@ -249,7 +249,7 @@ fn main() {
     std::fs::remove_dir_all(&dir_fan_out).ok();
 
     // Codec / merge matrix: the same dataset behind every combination of
-    // payload codec (raw vs lz vs col) and merge mode (serial vs
+    // writable codec (raw vs col) and merge mode (serial vs
     // decode-ahead), each verified bit-identical to the in-memory merged
     // reference.
     //
@@ -265,13 +265,13 @@ fn main() {
         "  {:<6} {:<13} {:>12} {:>13} {:>14}",
         "codec", "merge", "bytes/entry", "decode MB/s", "entries/s"
     );
-    let mut on_disk = [0u64; 3];
+    let mut on_disk = [0u64; 2];
     // Best-of-5 pure chunk-decode wall time per codec: every chunk of every
     // segment read through `FileSource`, parsed and column-validated with
     // recycled scratch, no merge heap, no prefetch thread, and no per-entry
     // materialization (which costs the same for every codec) in the way.
-    let mut pure_decode = [f64::INFINITY; 3];
-    for (c, codec) in Codec::all().into_iter().enumerate() {
+    let mut pure_decode = [f64::INFINITY; 2];
+    for (c, codec) in Codec::writable().into_iter().enumerate() {
         let dir = std::env::temp_dir().join(format!(
             "ts-bench-codec-{}-{}",
             codec.name(),
@@ -341,50 +341,23 @@ fn main() {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
-    let codec_ratio = on_disk[1] as f64 / on_disk[0].max(1) as f64;
+    let [raw_bytes, col_bytes] = on_disk;
+    let [raw_decode_s, col_decode_s] = pure_decode;
     println!(
-        "  lz manifest = {:.1}% of raw on disk ({} vs {} bytes)",
-        codec_ratio * 100.0,
-        on_disk[1],
-        on_disk[0]
+        "  col manifest = {:.1}% of raw on disk ({col_bytes} vs {raw_bytes} bytes)",
+        col_bytes as f64 / raw_bytes.max(1) as f64 * 100.0,
     );
     println!(
-        "  col manifest = {:.1}% of raw on disk ({} vs {} bytes)",
-        on_disk[2] as f64 / on_disk[0].max(1) as f64 * 100.0,
-        on_disk[2],
-        on_disk[0]
-    );
-    println!(
-        "  col manifest = {:.1}% of lz on disk",
-        on_disk[2] as f64 / on_disk[1].max(1) as f64 * 100.0
-    );
-    println!(
-        "  pure chunk decode (file, best of 5): raw {:>7.1} MB/s  lz {:>7.1} MB/s  col {:>7.1} MB/s",
-        mib_per_s(on_disk[0] as usize, pure_decode[0]),
-        mib_per_s(on_disk[0] as usize, pure_decode[1]),
-        mib_per_s(on_disk[0] as usize, pure_decode[2]),
-    );
-    let [_, lz_decode_s, col_decode_s] = pure_decode;
-    assert!(
-        on_disk[1] < on_disk[0],
-        "compressed manifest must be strictly smaller than raw"
+        "  pure chunk decode (file, best of 5): raw {:>7.1} MB/s  col {:>7.1} MB/s",
+        mib_per_s(raw_bytes as usize, raw_decode_s),
+        mib_per_s(raw_bytes as usize, col_decode_s),
     );
     assert!(
-        on_disk[2] < on_disk[1],
-        "col manifest must be strictly smaller than lz"
-    );
-    assert!(
-        col_decode_s < lz_decode_s,
-        "col decode must be faster than lz ({col_decode_s:.4}s vs {lz_decode_s:.4}s)"
+        col_bytes < raw_bytes,
+        "col manifest must be strictly smaller than raw"
     );
     println!(
-        "  col beats lz: {:.1}% of lz bytes, {:.2}x lz decode throughput",
-        on_disk[2] as f64 / on_disk[1].max(1) as f64 * 100.0,
-        lz_decode_s / col_decode_s.max(1e-9)
-    );
-    println!(
-        "BENCH_tracestore.json {{\"mode\":\"codec-matrix\",\"entries\":{total_entries},\"raw_bytes\":{},\"lz_bytes\":{},\"col_bytes\":{},\"lz_decode_s\":{lz_decode_s:.4},\"col_decode_s\":{col_decode_s:.4}}}",
-        on_disk[0], on_disk[1], on_disk[2]
+        "BENCH_tracestore.json {{\"mode\":\"codec-matrix\",\"entries\":{total_entries},\"raw_bytes\":{raw_bytes},\"col_bytes\":{col_bytes},\"col_decode_s\":{col_decode_s:.4}}}"
     );
 
     // Durability and recovery: what periodic checkpoints cost on the ingest

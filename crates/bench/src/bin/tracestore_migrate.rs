@@ -7,13 +7,16 @@
 //! crash mid-run leaves at worst an ignored `.migrate-tmp` file behind.
 //!
 //! ```text
-//! tracestore_migrate <manifest-dir> [--codec <raw|lz|col>]
-//! tracestore_migrate --demo [--codec <raw|lz|col>]
+//! tracestore_migrate <manifest-dir> [--codec <raw|col>]
+//! tracestore_migrate --demo [--codec <raw|col>]
 //! ```
 //!
+//! The source dataset may hold any mix of chunk layouts, including the
+//! decode-only `lz` one; only `raw` and `col` can be migrated *to*.
+//!
 //! `--demo` is a self-contained smoke mode for CI: it generates a small
-//! simulated trace, spills it as an `lz` manifest, migrates it to the target
-//! codec (default `col`), and verifies the merged entry stream is unchanged.
+//! simulated trace, spills it as a `raw` manifest, migrates it to `col`, and
+//! verifies the merged entry stream is unchanged.
 
 use ipfs_mon_bench::{run_experiment, scaled, spill_to_manifest_with};
 use ipfs_mon_simnet::time::SimDuration;
@@ -23,7 +26,8 @@ use ipfs_mon_tracestore::{
 use ipfs_mon_workload::ScenarioConfig;
 use std::path::PathBuf;
 
-const USAGE: &str = "usage: tracestore_migrate <manifest-dir> [--codec <raw|lz|col>] | --demo [--codec <raw|lz|col>]";
+const USAGE: &str =
+    "usage: tracestore_migrate <manifest-dir> [--codec <raw|col>] | --demo [--codec <raw|col>]";
 
 fn main() {
     let mut dir: Option<PathBuf> = None;
@@ -34,7 +38,7 @@ fn main() {
         match arg.as_str() {
             "--codec" => {
                 let name = args.next().unwrap_or_else(|| panic!("{USAGE}"));
-                codec = Codec::parse(&name).expect("unknown codec name");
+                codec = Codec::parse(&name).unwrap_or_else(|error| panic!("--codec: {error}"));
             }
             "--demo" => demo = true,
             "--help" | "-h" => {
@@ -93,22 +97,22 @@ fn main() {
     );
 
     if demo {
-        assert!(
-            report.segments_rewritten > 0,
-            "demo migration must rewrite the lz segments"
-        );
         if codec == Codec::Col {
             assert!(
+                report.segments_rewritten > 0,
+                "demo migration must rewrite the raw segments"
+            );
+            assert!(
                 report.bytes_after < report.bytes_before,
-                "col manifest must be smaller than the lz one it replaced"
+                "col manifest must be smaller than the raw one it replaced"
             );
         }
         std::fs::remove_dir_all(&dir).ok();
-        println!("migrate demo PASS (lz -> {})", codec.name());
+        println!("migrate demo PASS (raw -> {})", codec.name());
     }
 }
 
-/// Generates a small two-monitor trace and spills it as an `lz` manifest.
+/// Generates a small two-monitor trace and spills it as a `raw` manifest.
 fn prepare_demo_manifest(dir: &std::path::Path) {
     let mut config = ScenarioConfig::analysis_week(61, scaled(200).min(200));
     config.horizon = SimDuration::from_days(1);
@@ -117,13 +121,13 @@ fn prepare_demo_manifest(dir: &std::path::Path) {
         &run.dataset,
         dir,
         DatasetConfig {
-            segment: SegmentConfig::with_codec(Codec::Lz),
+            segment: SegmentConfig::with_codec(Codec::Raw),
             rotate_after_entries: (run.dataset.total_entries() as u64 / 4).max(1),
             ..DatasetConfig::default()
         },
     );
     println!(
-        "demo manifest: {} segments, {} entries (codec=lz) at {}",
+        "demo manifest: {} segments, {} entries (codec=raw) at {}",
         summary.segment_count,
         summary.total_entries,
         dir.display()

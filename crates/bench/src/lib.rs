@@ -158,7 +158,7 @@ pub fn spill_to_manifest_with(
 /// Storage-path choices shared by the trace-driven experiment binaries,
 /// parsed from the common command-line flags:
 ///
-/// * `--codec <raw|lz|col>` — chunk payload codec for the spilled manifest,
+/// * `--codec <raw|col>` — chunk body layout for the spilled manifest,
 /// * `--decode-ahead` — decode each monitor chain on its own prefetch worker.
 ///
 /// Every binary that takes these flags asserts its streaming output equals
@@ -179,9 +179,9 @@ impl StorageFlags {
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--codec" => {
-                    let name = args.next().expect("--codec needs a value (raw|lz|col)");
-                    flags.codec =
-                        ipfs_mon_tracestore::Codec::parse(&name).expect("unknown codec name");
+                    let name = args.next().expect("--codec needs a value (raw|col)");
+                    flags.codec = ipfs_mon_tracestore::Codec::parse(&name)
+                        .unwrap_or_else(|error| panic!("--codec: {error}"));
                 }
                 "--decode-ahead" => flags.options.decode_ahead = true,
                 // Observability flags belong to [`ObsFlags`]; skip them (and
@@ -190,7 +190,7 @@ impl StorageFlags {
                     args.next();
                 }
                 other => panic!(
-                    "unknown flag {other:?} (expected --codec <raw|lz|col>, --decode-ahead, \
+                    "unknown flag {other:?} (expected --codec <raw|col>, --decode-ahead, \
                      --obs <path>, --obs-interval <ms>)"
                 ),
             }

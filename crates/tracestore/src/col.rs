@@ -1,25 +1,25 @@
-//! The `Col` codec (byte 2): column-aware per-plane encoding.
+//! The `Col` layout (codec byte 2): column-aware per-plane encoding.
 //!
-//! Where [`LzCodec`](crate::codec::LzCodec) treats the column planes as an
-//! opaque byte stream, `Col` understands them: each plane is re-encoded with
-//! a representation matched to the column's actual value distribution, and
-//! the decoder unpacks fixed-width bit runs in branch-light batches straight
-//! into the reader's scratch columns instead of re-parsing per-entry
-//! varints.
+//! Where the raw layout stores every column as per-entry varints, `Col`
+//! re-encodes each column with a representation matched to its actual value
+//! distribution, and the decoder unpacks fixed-width bit runs in
+//! branch-light batches straight into the reader's scratch columns instead
+//! of re-parsing per-entry varints. `segment::encode_chunk` hands
+//! `encode_columns` the interned columns of a chunk; `decode_columns` is
+//! the read path's inverse, called by
+//! [`ChunkView::parse`](crate::segment::ChunkView::parse).
 //!
 //! ```text
 //! body        := mode:u8 payload
-//! mode 1      := raw column planes, verbatim (fallback — keeps the codec
-//!                bijective over arbitrary plane bytes)
-//! mode 2      := lz(mode-0 payload) — emitted when the LZ pass over the
-//!                columnar bytes is strictly smaller (highly repetitive
-//!                index or timestamp columns)
 //! mode 0      := monitor:varint count:varint
 //!                base:varint miniblock*          -- count-1 deltas, ≤64 each
 //!                dict_column(peer, 32-byte entries)
 //!                addr_column                     -- 8-byte entries
 //!                dict_column(cid, length-prefixed entries)
 //!                packed2(request types) packed2(flags)
+//! mode 2      := lz(mode-0 payload) — emitted when the LZ pass over the
+//!                columnar bytes is strictly smaller (highly repetitive
+//!                index or timestamp columns)
 //! miniblock   := min:zigzag-varint width:u8 bits(delta - min, width)
 //! dict_column := len:varint dict_bytes bits(index, ceil(log2(len)))
 //! addr_column := len:varint dict_bytes
@@ -39,23 +39,20 @@
 //! pick run-length tokens when strictly smaller than the packed bytes (flag
 //! planes are usually one run; request-type planes usually are not).
 //!
-//! Mode 0 is only emitted when the input parses as canonical column planes
-//! (strict varints, in-range indexes, zero padding bits) — anything else
-//! ships verbatim under mode 1, which keeps `decode(encode(x)) == x` for
-//! every input the trait contract covers. Decoding is strictly validated:
-//! truncated bit runs, out-of-range dictionary indexes, and RLE runs past
-//! the entry count all surface [`SegmentError::Corrupt`], never a panic.
+//! Mode byte 1 is retired: it framed the raw planes verbatim inside a `Col`
+//! body, a form no writer ever emitted (a chunk that does not shrink is
+//! framed `Raw` instead), and is refused as an unknown mode. Decoding is
+//! strictly validated: truncated bit runs, out-of-range dictionary indexes,
+//! and RLE runs past the entry count all surface [`SegmentError::Corrupt`],
+//! never a panic.
 
-use crate::codec::{ChunkCodec, Codec, MAX_DECODED_LEN};
-use crate::segment::{unzigzag, zigzag, Cursor, SegmentError, MULTIADDR_LEN};
+use crate::codec::lz_compress;
+use crate::segment::{unzigzag, zigzag, ChunkColumns, Cursor, SegmentError, MULTIADDR_LEN};
 use ipfs_mon_types::varint;
-use std::borrow::Cow;
 use std::ops::Range;
 
 /// Leading body byte of a columnar-encoded chunk.
 pub(crate) const MODE_COLUMNAR: u8 = 0;
-/// Leading body byte of a verbatim-planes fallback chunk.
-pub(crate) const MODE_VERBATIM: u8 = 1;
 /// Leading body byte of an LZ-compressed columnar chunk (emitted when the
 /// compressed columnar form is strictly smaller than the plain one — highly
 /// repetitive index or timestamp columns).
@@ -76,16 +73,6 @@ const ADDR_PEER_INDEXES: u8 = 1;
 fn corrupt(what: &str) -> SegmentError {
     SegmentError::Corrupt(format!("col body: {what}"))
 }
-
-/// Byte 2: column-aware per-plane encoding with a vectorized batch decoder.
-///
-/// See the [module docs](crate::col) for the wire format. The trait-level
-/// [`decode`](ChunkCodec::decode) reconstructs the raw column planes (used
-/// by tests and the bijectivity contract); the production read path decodes
-/// columnar bodies directly into [`crate::segment::ChunkView`] columns
-/// without materializing the planes at all.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ColCodec;
 
 /// Bits needed to represent `max` (0 for 0).
 fn bits_for(max: u64) -> u32 {
@@ -152,115 +139,14 @@ fn unpack_bits(bytes: &[u8], count: usize, width: u32, out: &mut Vec<u64>) {
 }
 
 // ---------------------------------------------------------------------------
-// Encoding: parse canonical planes, emit columns (verbatim fallback)
+// Encoding: interned columns in, columnar body out
 // ---------------------------------------------------------------------------
 
-/// One dictionary column parsed out of raw planes.
-struct DictColumn<'a> {
-    len: usize,
-    bytes: &'a [u8],
-    indexes: Vec<u64>,
-}
-
-/// Raw column planes parsed for re-encoding. `None` from the parser means
-/// the input is not canonical planes and must ship verbatim.
-struct RawPlanes<'a> {
-    monitor: u64,
-    count: usize,
-    base: u64,
-    deltas: Vec<i64>,
-    peer: DictColumn<'a>,
-    addr: DictColumn<'a>,
-    cid: DictColumn<'a>,
-    type_plane: &'a [u8],
-    flag_plane: &'a [u8],
-}
-
-fn parse_indexes(cursor: &mut Cursor<'_>, count: usize, dict_len: usize) -> Option<Vec<u64>> {
-    let mut indexes = Vec::with_capacity(count);
-    for _ in 0..count {
-        let index = cursor.varint().ok()?;
-        if index >= dict_len as u64 {
-            return None;
-        }
-        indexes.push(index);
-    }
-    Some(indexes)
-}
-
-/// Whether the partial last byte of a 2-bit plane is zero-padded (the only
-/// form the decoder's plane reconstruction can reproduce).
-fn padding_is_zero(plane: &[u8], count: usize) -> bool {
-    count.is_multiple_of(4) || plane[count / 4] >> ((count % 4) * 2) == 0
-}
-
-fn parse_raw_planes(raw: &[u8]) -> Option<RawPlanes<'_>> {
-    let mut cursor = Cursor::new(raw);
-    let monitor = cursor.varint().ok()?;
-    let count = cursor.varint().ok()? as usize;
-    if count == 0 {
-        return None;
-    }
-    let base = cursor.varint().ok()?;
-    let mut deltas = Vec::with_capacity(count - 1);
-    for _ in 1..count {
-        deltas.push(unzigzag(cursor.varint().ok()?));
-    }
-
-    fn dict<'a>(cursor: &mut Cursor<'a>, count: usize, entry_len: usize) -> Option<DictColumn<'a>> {
-        let len = cursor.varint().ok()? as usize;
-        let bytes = cursor.take(len.checked_mul(entry_len)?).ok()?;
-        let indexes = parse_indexes(cursor, count, len)?;
-        Some(DictColumn {
-            len,
-            bytes,
-            indexes,
-        })
-    }
-    let peer = dict(&mut cursor, count, 32)?;
-    let addr = dict(&mut cursor, count, MULTIADDR_LEN)?;
-
-    let cid_len = cursor.varint().ok()? as usize;
-    let cid_start = cursor.position();
-    for _ in 0..cid_len {
-        let len = cursor.varint().ok()? as usize;
-        cursor.take(len).ok()?;
-    }
-    let cid_bytes = &raw[cid_start..cursor.position()];
-    let cid_indexes = parse_indexes(&mut cursor, count, cid_len)?;
-
-    let type_plane = cursor.take(count.div_ceil(4)).ok()?;
-    let flag_plane = cursor.take(count.div_ceil(4)).ok()?;
-    if !padding_is_zero(type_plane, count) || !padding_is_zero(flag_plane, count) {
-        return None;
-    }
-    if !cursor.is_at_end() {
-        return None;
-    }
-    Some(RawPlanes {
-        monitor,
-        count,
-        base,
-        deltas,
-        peer,
-        addr,
-        cid: DictColumn {
-            len: cid_len,
-            bytes: cid_bytes,
-            indexes: cid_indexes,
-        },
-        type_plane,
-        flag_plane,
-    })
-}
-
-fn encode_dict_column(column: &DictColumn<'_>, out: &mut Vec<u8>) {
-    varint::encode(column.len as u64, out);
-    out.extend_from_slice(column.bytes);
-    // `len >= 1` whenever indexes exist (every index was validated < len),
-    // so the width derivation never underflows.
-    let width = bits_for((column.len - 1) as u64);
-    pack_bits(&column.indexes, width, out);
+/// Packs a dictionary index column at the width its dictionary needs.
+fn encode_indexes(indexes: &[u64], dict_len: usize, out: &mut Vec<u8>) {
+    // `dict_len >= 1`: chunks are never empty, so every dictionary holds at
+    // least the first entry's value and the width never underflows.
+    pack_bits(indexes, bits_for((dict_len - 1) as u64), out);
 }
 
 /// Run-length tokens over a packed 2-bit plane.
@@ -290,13 +176,15 @@ fn encode_2bit_plane(plane: &[u8], count: usize, out: &mut Vec<u8>) {
     }
 }
 
-fn encode_columnar(planes: &RawPlanes<'_>, out: &mut Vec<u8>) {
-    out.push(MODE_COLUMNAR);
-    varint::encode(planes.monitor, out);
-    varint::encode(planes.count as u64, out);
-    varint::encode(planes.base, out);
+/// The mode-0 payload (everything after the mode byte).
+fn encode_columnar(columns: &ChunkColumns<'_>, out: &mut Vec<u8>) {
+    let count = columns.entries.len();
+    varint::encode(columns.monitor as u64, out);
+    varint::encode(count as u64, out);
+    varint::encode(columns.base_ms(), out);
+    let deltas: Vec<i64> = columns.timestamp_deltas().collect();
     let mut offsets = Vec::with_capacity(MINIBLOCK);
-    for block in planes.deltas.chunks(MINIBLOCK) {
+    for block in deltas.chunks(MINIBLOCK) {
         let min = block.iter().copied().min().expect("chunks are non-empty");
         varint::encode(zigzag(min), out);
         offsets.clear();
@@ -306,25 +194,48 @@ fn encode_columnar(planes: &RawPlanes<'_>, out: &mut Vec<u8>) {
         out.push(width as u8);
         pack_bits(&offsets, width, out);
     }
-    encode_dict_column(&planes.peer, out);
+    columns.write_peer_dict(out);
+    encode_indexes(&columns.peer_indexes, columns.peer_dict.len(), out);
     // Address column: one observed address per peer makes the index column
     // a copy of the peer one almost always — a marker byte replaces it.
-    varint::encode(planes.addr.len as u64, out);
-    out.extend_from_slice(planes.addr.bytes);
-    if planes.addr.indexes == planes.peer.indexes {
+    columns.write_addr_dict(out);
+    if columns.addr_indexes == columns.peer_indexes {
         out.push(ADDR_PEER_INDEXES);
     } else {
         out.push(ADDR_OWN_INDEXES);
-        let width = bits_for((planes.addr.len - 1) as u64);
-        pack_bits(&planes.addr.indexes, width, out);
+        encode_indexes(&columns.addr_indexes, columns.addr_dict.len(), out);
     }
-    encode_dict_column(&planes.cid, out);
-    encode_2bit_plane(planes.type_plane, planes.count, out);
-    encode_2bit_plane(planes.flag_plane, planes.count, out);
+    columns.write_cid_dict(out);
+    encode_indexes(&columns.cid_indexes, columns.cid_dict.len(), out);
+    let mut plane = Vec::with_capacity(count.div_ceil(4));
+    columns.write_type_plane(&mut plane);
+    encode_2bit_plane(&plane, count, out);
+    plane.clear();
+    columns.write_flag_plane(&mut plane);
+    encode_2bit_plane(&plane, count, out);
+}
+
+/// Appends the `Col` body of `columns` — mode byte, then the columnar
+/// payload or its LZ-compressed form — to `out`.
+pub(crate) fn encode_columns(columns: &ChunkColumns<'_>, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.push(MODE_COLUMNAR);
+    encode_columnar(columns, out);
+    // Columnar packing removes per-value redundancy; an LZ pass on top
+    // removes cross-value repetition (cyclic index patterns, constant-step
+    // timestamps across miniblocks). Keep whichever is strictly smaller —
+    // decoders dispatch on the mode byte.
+    let mut lz = Vec::with_capacity(out.len() - start);
+    lz.push(MODE_COLUMNAR_LZ);
+    lz_compress(&out[start + 1..], &mut lz);
+    if lz.len() < out.len() - start {
+        out.truncate(start);
+        out.extend_from_slice(&lz);
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Decoding: shared column parser
+// Decoding: columnar body into scratch columns
 // ---------------------------------------------------------------------------
 
 /// Where the verbatim dictionary regions live inside a columnar body
@@ -558,451 +469,222 @@ pub(crate) fn decode_columns(
     })
 }
 
-// ---------------------------------------------------------------------------
-// Trait-level decode: reconstruct the raw planes
-// ---------------------------------------------------------------------------
-
-/// Rebuilds the raw column planes from a columnar body — the bijectivity
-/// path ([`ChunkCodec::decode`]); production reads use [`decode_columns`].
-fn reconstruct_planes(body: &[u8], out: &mut Vec<u8>) -> Result<(), SegmentError> {
-    let ceiling = |out: &Vec<u8>| {
-        if out.len() > MAX_DECODED_LEN {
-            Err(corrupt("reconstructed planes exceed chunk ceiling"))
-        } else {
-            Ok(())
-        }
-    };
-    let mut cursor = Cursor::new(body);
-    let monitor = cursor.varint()?;
-    let count = cursor.varint()? as usize;
-    if count == 0 {
-        return Err(corrupt("empty columnar chunk"));
-    }
-    if count.div_ceil(32) as u64 > cursor.remaining() as u64 {
-        return Err(corrupt("entry count exceeds body size"));
-    }
-    varint::encode(monitor, out);
-    varint::encode(count as u64, out);
-    let base = cursor.varint()?;
-    varint::encode(base, out);
-
-    let mut bits = Vec::with_capacity(MINIBLOCK);
-    let mut remaining = count - 1;
-    while remaining > 0 {
-        let block = remaining.min(MINIBLOCK);
-        let min = unzigzag(cursor.varint()?);
-        let width = cursor.byte()? as u32;
-        if width > 64 {
-            return Err(corrupt("bit width over 64"));
-        }
-        let bytes =
-            cursor.take(packed_len(block, width).expect("miniblock bit length fits usize"))?;
-        bits.clear();
-        unpack_bits(bytes, block, width, &mut bits);
-        for &offset in &bits {
-            let delta = i64::try_from(min as i128 + offset as i128)
-                .map_err(|_| corrupt("timestamp delta overflow"))?;
-            varint::encode(zigzag(delta), out);
-        }
-        remaining -= block;
-        ceiling(out)?;
-    }
-
-    // Re-emits one dictionary column: header + verbatim dictionary bytes +
-    // varint indexes. Leaves the decoded indexes in `indexes` (the address
-    // column may reference the peer ones).
-    #[allow(clippy::too_many_arguments)]
-    fn emit_dict_column(
-        body: &[u8],
-        count: usize,
-        cursor: &mut Cursor<'_>,
-        out: &mut Vec<u8>,
-        len: usize,
-        region: Range<usize>,
-        indexes: &mut Vec<usize>,
-        bits: &mut Vec<u64>,
-    ) -> Result<(), SegmentError> {
-        varint::encode(len as u64, out);
-        out.extend_from_slice(&body[region]);
-        indexes.clear();
-        read_packed_indexes(cursor, count, len, indexes, bits)?;
-        for &index in indexes.iter() {
-            varint::encode(index as u64, out);
-        }
-        Ok(())
-    }
-
-    let mut bits = Vec::new();
-    let mut indexes = Vec::new();
-    let (peer_len, peer_region) = decode_dict_region(&mut cursor, 32)?;
-    emit_dict_column(
-        body,
-        count,
-        &mut cursor,
-        out,
-        peer_len,
-        peer_region,
-        &mut indexes,
-        &mut bits,
-    )?;
-    ceiling(out)?;
-
-    let (addr_len, addr_region) = decode_dict_region(&mut cursor, MULTIADDR_LEN)?;
-    varint::encode(addr_len as u64, out);
-    out.extend_from_slice(&body[addr_region]);
-    match cursor.byte()? {
-        ADDR_PEER_INDEXES => {
-            // `indexes` still holds the peer index column.
-            let max = indexes.iter().copied().max().unwrap_or(0);
-            if max >= addr_len {
-                return Err(SegmentError::Corrupt(format!(
-                    "col body: dictionary index {max} out of range (dictionary holds {addr_len})"
-                )));
-            }
-            for &index in indexes.iter() {
-                varint::encode(index as u64, out);
-            }
-        }
-        ADDR_OWN_INDEXES => {
-            indexes.clear();
-            read_packed_indexes(&mut cursor, count, addr_len, &mut indexes, &mut bits)?;
-            for &index in indexes.iter() {
-                varint::encode(index as u64, out);
-            }
-        }
-        _ => return Err(corrupt("unknown address column sub-mode")),
-    }
-    ceiling(out)?;
-
-    let (cid_len, cid_region) = decode_cid_dict_region(&mut cursor)?;
-    emit_dict_column(
-        body,
-        count,
-        &mut cursor,
-        out,
-        cid_len,
-        cid_region,
-        &mut indexes,
-        &mut bits,
-    )?;
-    ceiling(out)?;
-
-    let mut plane = Vec::new();
-    decode_2bit_plane(&mut cursor, count, 2, &mut plane)?;
-    out.extend_from_slice(&plane);
-    decode_2bit_plane(&mut cursor, count, 3, &mut plane)?;
-    out.extend_from_slice(&plane);
-    if !cursor.is_at_end() {
-        return Err(corrupt("trailing bytes after columns"));
-    }
-    ceiling(out)
-}
-
-impl ChunkCodec for ColCodec {
-    fn id(&self) -> Codec {
-        Codec::Col
-    }
-
-    fn encode(&self, raw: &[u8], out: &mut Vec<u8>) {
-        match parse_raw_planes(raw) {
-            Some(planes) => {
-                let start = out.len();
-                encode_columnar(&planes, out);
-                // Columnar packing removes per-value redundancy; an LZ pass
-                // on top removes cross-value repetition (cyclic index
-                // patterns, constant-step timestamps across miniblocks).
-                // Keep whichever is strictly smaller — decoders dispatch on
-                // the mode byte.
-                let mut lz = Vec::with_capacity(out.len() - start);
-                lz.push(MODE_COLUMNAR_LZ);
-                crate::codec::LzCodec.encode(&out[start + 1..], &mut lz);
-                if lz.len() < out.len() - start {
-                    out.truncate(start);
-                    out.extend_from_slice(&lz);
-                }
-            }
-            None => {
-                out.push(MODE_VERBATIM);
-                out.extend_from_slice(raw);
-            }
-        }
-    }
-
-    fn decode<'a>(&self, body: &'a [u8]) -> Result<Cow<'a, [u8]>, SegmentError> {
-        if let Some((&MODE_VERBATIM, rest)) = body.split_first() {
-            return Ok(Cow::Borrowed(rest));
-        }
-        let mut out = Vec::new();
-        self.decode_into(body, &mut out)?;
-        Ok(Cow::Owned(out))
-    }
-
-    fn decode_into(&self, body: &[u8], out: &mut Vec<u8>) -> Result<(), SegmentError> {
-        out.clear();
-        match body.split_first() {
-            Some((&MODE_VERBATIM, rest)) => {
-                out.extend_from_slice(rest);
-                Ok(())
-            }
-            Some((&MODE_COLUMNAR, rest)) => reconstruct_planes(rest, out),
-            Some((&MODE_COLUMNAR_LZ, rest)) => {
-                let mut columnar = Vec::new();
-                crate::codec::LzCodec.decode_into(rest, &mut columnar)?;
-                reconstruct_planes(&columnar, out)
-            }
-            Some(_) => Err(corrupt("unknown mode byte")),
-            None => Err(corrupt("empty body")),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::Codec;
+    use crate::record::{EntryFlags, TraceEntry};
+    use crate::segment::{encode_chunk, frame_payload, write_frame, ChunkView};
+    use ipfs_mon_bitswap::RequestType;
+    use ipfs_mon_simnet::time::SimTime;
+    use ipfs_mon_types::{Cid, Country, Multiaddr, Multicodec, PeerId, Transport};
+    use std::borrow::Cow;
 
-    fn roundtrip(planes: &[u8]) -> Vec<u8> {
-        let mut encoded = Vec::new();
-        ColCodec.encode(planes, &mut encoded);
-        let decoded = ColCodec.decode(&encoded).unwrap();
-        assert_eq!(decoded.as_ref(), planes, "col round-trip mismatch");
-        encoded
+    fn entry(ms: u64, peer: u64, addr: u32, cid: u8, request_type: RequestType) -> TraceEntry {
+        TraceEntry {
+            timestamp: SimTime::from_millis(ms),
+            peer: PeerId::derived(5, peer),
+            address: Multiaddr::new(addr, 4001, Transport::Tcp, Country::De),
+            request_type,
+            cid: Cid::new_v1(Multicodec::Raw, &[cid]),
+            monitor: 3,
+            flags: EntryFlags::default(),
+        }
     }
 
-    /// Builds canonical raw planes from explicit columns.
-    #[allow(clippy::too_many_arguments)]
-    fn build_planes(
-        monitor: u64,
-        timestamps: &[u64],
-        peer_dict: usize,
-        peer_indexes: &[u64],
-        addr_dict: usize,
-        addr_indexes: &[u64],
-        cid_dict: usize,
-        cid_indexes: &[u64],
-        types: &[u8],
-        flags: &[u8],
-    ) -> Vec<u8> {
-        let count = timestamps.len();
-        assert!(count > 0);
-        let mut out = Vec::new();
-        varint::encode(monitor, &mut out);
-        varint::encode(count as u64, &mut out);
-        varint::encode(timestamps[0], &mut out);
-        for window in timestamps.windows(2) {
-            varint::encode(zigzag(window[1] as i64 - window[0] as i64), &mut out);
-        }
-        varint::encode(peer_dict as u64, &mut out);
-        for i in 0..peer_dict {
-            out.extend_from_slice(&[i as u8; 32]);
-        }
-        for &index in peer_indexes {
-            varint::encode(index, &mut out);
-        }
-        varint::encode(addr_dict as u64, &mut out);
-        for i in 0..addr_dict {
-            // ip, port, transport 0 (tcp), country 0 — all decodable.
-            out.extend_from_slice(&(i as u32).to_be_bytes());
-            out.extend_from_slice(&(4001u16).to_be_bytes());
-            out.push(0);
-            out.push(0);
-        }
-        for &index in addr_indexes {
-            varint::encode(index, &mut out);
-        }
-        varint::encode(cid_dict as u64, &mut out);
-        for i in 0..cid_dict {
-            let bytes = vec![i as u8; 4];
-            varint::encode(bytes.len() as u64, &mut out);
-            out.extend_from_slice(&bytes);
-        }
-        for &index in cid_indexes {
-            varint::encode(index, &mut out);
-        }
-        let pack2 = |values: &[u8], out: &mut Vec<u8>| {
-            let mut current = 0u8;
-            let mut filled = 0;
-            for &v in values {
-                current |= (v & 0b11) << (filled * 2);
-                filled += 1;
-                if filled == 4 {
-                    out.push(current);
-                    current = 0;
-                    filled = 0;
-                }
-            }
-            if filled > 0 {
-                out.push(current);
-            }
-        };
-        pack2(types, &mut out);
-        pack2(flags, &mut out);
-        out
+    /// `count` entries cycling through `dicts` peers, addresses and CIDs
+    /// (one address per peer, so the address column rides on the peer one)
+    /// at a constant timestamp step.
+    fn uniform_entries(count: usize, dicts: usize) -> Vec<TraceEntry> {
+        let types = [
+            RequestType::WantHave,
+            RequestType::WantBlock,
+            RequestType::Cancel,
+        ];
+        (0..count)
+            .map(|i| {
+                let slot = (i % dicts) as u64;
+                entry(
+                    1_000 + i as u64 * 37,
+                    slot,
+                    slot as u32,
+                    slot as u8,
+                    types[i % 3],
+                )
+            })
+            .collect()
     }
 
-    fn uniform_planes(count: usize, dicts: usize) -> Vec<u8> {
-        let timestamps: Vec<u64> = (0..count as u64).map(|i| 1_000 + i * 37).collect();
-        let indexes: Vec<u64> = (0..count as u64).map(|i| i % dicts as u64).collect();
-        let types: Vec<u8> = (0..count).map(|i| (i % 3) as u8).collect();
-        let flags = vec![0u8; count];
-        build_planes(
-            3,
-            &timestamps,
-            dicts,
-            &indexes,
-            dicts,
-            &indexes,
-            dicts,
-            &indexes,
-            &types,
-            &flags,
-        )
+    /// Frames `entries` as a `Col` chunk and returns the frame with its body
+    /// (mode byte first).
+    fn col_chunk(entries: &[TraceEntry]) -> (Vec<u8>, Vec<u8>) {
+        let mut frame = Vec::new();
+        encode_chunk(3, entries, Codec::Col, &mut frame);
+        let payload = frame_payload(&frame);
+        assert_eq!(payload[0], Codec::Col.byte(), "chunk fell back to raw");
+        let body = payload[1..].to_vec();
+        (frame, body)
+    }
+
+    /// Parses a `Col` chunk built around `body` (valid CRC, so only the body
+    /// decides the outcome).
+    fn parse_body(body: &[u8]) -> Result<Vec<TraceEntry>, SegmentError> {
+        let mut payload = vec![Codec::Col.byte()];
+        payload.extend_from_slice(body);
+        let mut frame = Vec::new();
+        write_frame(&payload, &mut frame);
+        ChunkView::parse(Cow::Owned(frame)).map(|view| view.into_entries().collect())
+    }
+
+    fn roundtrip(entries: &[TraceEntry]) -> Vec<u8> {
+        let (frame, body) = col_chunk(entries);
+        let view = ChunkView::parse(Cow::Borrowed(&frame)).unwrap();
+        assert_eq!(view.codec(), Codec::Col);
+        let decoded: Vec<TraceEntry> = view.into_entries().collect();
+        assert_eq!(decoded, entries, "col round-trip mismatch");
+        body
     }
 
     #[test]
     fn columnar_roundtrips_typical_planes() {
-        for count in [1usize, 3, 63, 64, 65, 200, 1000] {
+        for count in [3usize, 63, 64, 65, 200, 1000] {
             for dicts in [1usize, 2, 7, 129] {
                 if dicts > count {
                     continue;
                 }
-                let planes = uniform_planes(count, dicts);
-                let encoded = roundtrip(&planes);
                 // Periodic `i % dicts` columns may favor the LZ'd columnar
-                // form; either way the planes must have parsed as columns.
-                assert_ne!(encoded[0], MODE_VERBATIM, "count={count} dicts={dicts}");
+                // form; decoders accept both.
+                let body = roundtrip(&uniform_entries(count, dicts));
+                assert!(
+                    body[0] == MODE_COLUMNAR || body[0] == MODE_COLUMNAR_LZ,
+                    "count={count} dicts={dicts}"
+                );
             }
         }
     }
 
     #[test]
     fn columnar_beats_verbatim_on_typical_planes() {
-        let planes = uniform_planes(1000, 7);
-        let mut encoded = Vec::new();
-        ColCodec.encode(&planes, &mut encoded);
+        let entries = uniform_entries(1000, 7);
+        let (col, _) = col_chunk(&entries);
+        let mut raw = Vec::new();
+        encode_chunk(3, &entries, Codec::Raw, &mut raw);
         assert!(
-            encoded.len() < planes.len() / 2,
+            col.len() < raw.len() / 2,
             "columnar form barely smaller: {} -> {}",
-            planes.len(),
-            encoded.len()
+            raw.len(),
+            col.len()
         );
     }
 
     #[test]
     fn single_value_dictionary_costs_zero_index_bits() {
-        let timestamps: Vec<u64> = (0..256u64).map(|i| 1_000 + i * 37).collect();
-        let indexes = vec![0u64; 256];
-        let constant = vec![0u8; 256];
-        let small = build_planes(
-            3,
-            &timestamps,
-            1,
-            &indexes,
-            1,
-            &indexes,
-            1,
-            &indexes,
-            &constant,
-            &constant,
-        );
-        let mut encoded = Vec::new();
-        ColCodec.encode(&small, &mut encoded);
-        assert_ne!(encoded[0], MODE_VERBATIM);
+        let entries: Vec<TraceEntry> = (0..256u64)
+            .map(|i| entry(1_000 + i * 37, 0, 0, 0, RequestType::WantHave))
+            .collect();
         // 256 constant-step timestamps collapse to one width-0 miniblock per
         // 64 deltas and the three index columns to zero bytes; everything
         // left is the dictionaries plus a fixed few bytes of headers.
+        let body = roundtrip(&entries);
         assert!(
-            encoded.len() < 32 + MULTIADDR_LEN + 5 + 64,
+            body.len() < 32 + MULTIADDR_LEN + 5 + 64,
             "single-value-dict chunk too large: {} bytes",
-            encoded.len()
+            body.len()
         );
-        roundtrip(&small);
     }
 
     #[test]
     fn adversarial_columns_roundtrip() {
         // Max-width indexes: dictionary sizes straddling power-of-two edges.
         for dicts in [2usize, 3, 4, 5, 8, 9, 16, 17, 255, 256, 257] {
-            let planes = uniform_planes(dicts, dicts);
-            roundtrip(&planes);
+            roundtrip(&uniform_entries(dicts.max(8), dicts));
         }
-        // Non-monotonic and duplicate timestamps.
-        let timestamps = [5_000u64, 5_000, 4_000, 9_999_999, 0, 0, 1];
-        let idx = [0u64, 0, 0, 0, 0, 0, 0];
-        let types = [2u8, 2, 2, 2, 2, 2, 2];
-        let flags = [3u8, 3, 3, 3, 3, 3, 3];
-        let planes = build_planes(0, &timestamps, 1, &idx, 1, &idx, 1, &idx, &types, &flags);
-        let encoded = roundtrip(&planes);
-        assert_ne!(encoded[0], MODE_VERBATIM);
+        // An address column that does not follow the peer column carries
+        // its own packed indexes.
+        let mut own_addresses = uniform_entries(200, 7);
+        for (i, entry) in own_addresses.iter_mut().enumerate() {
+            entry.address.ip = (i * 5 % 11) as u32;
+        }
+        roundtrip(&own_addresses);
+        // Non-monotonic and duplicate timestamps, every flag bit set.
+        let mut jumpy: Vec<TraceEntry> = [5_000u64, 5_000, 4_000, 9_999_999, 0, 0, 1]
+            .into_iter()
+            .map(|ms| entry(ms, 0, 0, 0, RequestType::Cancel))
+            .collect();
+        for entry in &mut jumpy {
+            entry.flags = EntryFlags {
+                inter_monitor_duplicate: true,
+                rebroadcast: true,
+            };
+        }
+        roundtrip(&jumpy);
         // All-one-flag plane: a single RLE run.
-        let count = 500;
-        let ts: Vec<u64> = (0..count as u64).collect();
-        let idx: Vec<u64> = vec![0; count];
-        let ones = vec![1u8; count];
-        let zeros = vec![0u8; count];
-        roundtrip(&build_planes(
-            1, &ts, 1, &idx, 1, &idx, 1, &idx, &zeros, &ones,
-        ));
-    }
-
-    #[test]
-    fn non_plane_input_falls_back_to_verbatim() {
-        for junk in [
-            &b""[..],
-            &b"\x00"[..],
-            &b"not column planes at all"[..],
-            &[0xffu8; 64][..],
-        ] {
-            let mut encoded = Vec::new();
-            ColCodec.encode(junk, &mut encoded);
-            assert_eq!(encoded[0], MODE_VERBATIM);
-            assert_eq!(ColCodec.decode(&encoded).unwrap().as_ref(), junk);
+        let mut flagged: Vec<TraceEntry> = (0..500u64)
+            .map(|i| entry(i, 0, 0, 0, RequestType::WantHave))
+            .collect();
+        for entry in &mut flagged {
+            entry.flags.inter_monitor_duplicate = true;
         }
-    }
-
-    #[test]
-    fn empty_dictionary_planes_fall_back_to_verbatim() {
-        // count = 0 planes (no indexes, empty dicts) are not representable
-        // columnar — they must still round-trip, via mode 1.
-        let mut planes = Vec::new();
-        varint::encode(0, &mut planes); // monitor
-        varint::encode(0, &mut planes); // count — writers never emit this
-        let mut encoded = Vec::new();
-        ColCodec.encode(&planes, &mut encoded);
-        assert_eq!(encoded[0], MODE_VERBATIM);
-        assert_eq!(ColCodec.decode(&encoded).unwrap().as_ref(), &planes[..]);
-    }
-
-    #[test]
-    fn nonzero_padding_bits_fall_back_to_verbatim() {
-        let mut planes = uniform_planes(3, 1);
-        let last = planes.len() - 1;
-        planes[last] |= 0b1100_0000; // fourth slot of a 3-entry flag plane
-        let mut encoded = Vec::new();
-        ColCodec.encode(&planes, &mut encoded);
-        assert_eq!(encoded[0], MODE_VERBATIM);
-        assert_eq!(ColCodec.decode(&encoded).unwrap().as_ref(), &planes[..]);
+        roundtrip(&flagged);
     }
 
     #[test]
     fn truncated_bodies_error_never_panic() {
-        let planes = uniform_planes(300, 7);
-        let mut encoded = Vec::new();
-        ColCodec.encode(&planes, &mut encoded);
-        for cut in 0..encoded.len() {
-            match ColCodec.decode(&encoded[..cut]) {
-                Ok(out) => assert_ne!(out.as_ref(), &planes[..]),
-                Err(SegmentError::Corrupt(_)) => {}
-                Err(other) => panic!("unexpected error kind: {other}"),
+        let entries = uniform_entries(300, 7);
+        // Both body forms: the encoder's pick and the plain columnar one.
+        let (_, picked) = col_chunk(&entries);
+        let mut plain = vec![MODE_COLUMNAR];
+        encode_columnar(&ChunkColumns::intern(3, &entries), &mut plain);
+        for body in [picked, plain] {
+            assert_eq!(parse_body(&body).unwrap(), entries);
+            for cut in 0..body.len() {
+                match parse_body(&body[..cut]) {
+                    Ok(decoded) => assert_ne!(decoded, entries),
+                    Err(SegmentError::Corrupt(_)) => {}
+                    Err(other) => panic!("unexpected error kind: {other}"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn retired_verbatim_mode_byte_is_corrupt() {
+        // Mode byte 1 used to frame raw planes inside a `Col` body. Valid
+        // planes behind it must be refused, not decoded.
+        let entries = uniform_entries(8, 2);
+        let mut raw = Vec::new();
+        encode_chunk(3, &entries, Codec::Raw, &mut raw);
+        let mut body = vec![1u8];
+        body.extend_from_slice(&frame_payload(&raw)[1..]);
+        match parse_body(&body) {
+            Err(SegmentError::Corrupt(what)) => assert!(what.contains("mode byte"), "{what}"),
+            other => panic!("mode byte 1 must be corrupt: {other:?}"),
+        }
+        assert!(matches!(parse_body(&[]), Err(SegmentError::Corrupt(_))));
+        assert!(matches!(parse_body(&[9]), Err(SegmentError::Corrupt(_))));
+    }
+
+    #[test]
+    fn crafted_entry_counts_are_corrupt() {
+        for (count, expected) in [
+            (0u64, "empty columnar chunk"),
+            (1 << 40, "exceeds body size"),
+        ] {
+            let mut body = vec![MODE_COLUMNAR];
+            varint::encode(0, &mut body); // monitor
+            varint::encode(count, &mut body);
+            varint::encode(100, &mut body); // base
+            match parse_body(&body) {
+                Err(SegmentError::Corrupt(what)) => assert!(what.contains(expected), "{what}"),
+                other => panic!("count {count}: unexpected outcome: {other:?}"),
             }
         }
     }
 
     #[test]
     fn out_of_range_dictionary_index_is_corrupt() {
-        // Hand-build a columnar body: 2 entries, peer dict of 2 (width 1),
-        // with a doctored index bit stream — width 1 can only express 0/1,
-        // both in range, so corrupt the dict length to 3 (width 2) instead
-        // and pack index value 3.
+        // Hand-build a columnar body: 2 entries, peer dict of 3 (width 2)
+        // whose packed index stream holds the value 3.
         let mut body = vec![MODE_COLUMNAR];
         varint::encode(0, &mut body); // monitor
         varint::encode(2, &mut body); // count
@@ -1012,31 +694,28 @@ mod tests {
         varint::encode(3, &mut body); // peer dict len 3 -> width 2
         body.extend_from_slice(&[0u8; 96]);
         body.push(0b0011); // indexes [3, 0] — 3 out of range
-        let err = ColCodec.decode(&body).unwrap_err();
-        match err {
-            SegmentError::Corrupt(what) => assert!(what.contains("out of range"), "{what}"),
-            other => panic!("unexpected error kind: {other}"),
+        match parse_body(&body) {
+            Err(SegmentError::Corrupt(what)) => assert!(what.contains("out of range"), "{what}"),
+            other => panic!("unexpected outcome: {other:?}"),
         }
     }
 
     #[test]
     fn rle_run_past_entry_count_is_corrupt() {
-        let planes = uniform_planes(8, 1);
         // Force the plain columnar form: the encoder may prefer the LZ'd
         // one, but decoders accept both and this test doctors mode-0 bytes.
-        let parsed = parse_raw_planes(&planes).expect("canonical planes");
-        let mut encoded = Vec::new();
-        encode_columnar(&parsed, &mut encoded);
-        assert_eq!(encoded[0], MODE_COLUMNAR);
+        let entries = uniform_entries(8, 1);
+        let mut body = vec![MODE_COLUMNAR];
+        encode_columnar(&ChunkColumns::intern(3, &entries), &mut body);
+        assert_eq!(parse_body(&body).unwrap(), entries);
         // The flag plane is the tail: a single RLE token (run 8, value 0).
         // Inflate the run length.
-        let last = encoded.len() - 1;
-        assert_eq!(encoded[last], 8 << 2);
-        encoded[last] = 9 << 2;
-        let err = ColCodec.decode(&encoded).unwrap_err();
-        match err {
-            SegmentError::Corrupt(what) => assert!(what.contains("RLE run"), "{what}"),
-            other => panic!("unexpected error kind: {other}"),
+        let last = body.len() - 1;
+        assert_eq!(body[last], 8 << 2);
+        body[last] = 9 << 2;
+        match parse_body(&body) {
+            Err(SegmentError::Corrupt(what)) => assert!(what.contains("RLE run"), "{what}"),
+            other => panic!("unexpected outcome: {other:?}"),
         }
     }
 

@@ -16,12 +16,14 @@
 //!   random and streaming access. Decoding goes through the borrowed
 //!   [`segment::ChunkView`] (dictionary slices + column cursors); owned
 //!   entries are materialized only at the stream boundary.
-//! * [`codec`] — the pluggable chunk payload codecs behind the codec byte:
-//!   [`codec::RawCodec`] (verbatim planes), [`codec::LzCodec`]
-//!   (back-reference compression with per-chunk raw fallback) and
-//!   [`col::ColCodec`] (column-aware bit-packed encoding with a vectorized
-//!   batch decoder — see [`col`]). Codecs mix freely within a dataset, so
-//!   migration is per-segment or even per-chunk.
+//! * [`codec`] — the codec byte ([`codec::Codec`]) naming a chunk's body
+//!   layout. Writers emit two: `Raw` (the column planes verbatim) and `Col`
+//!   (column-aware bit-packed encoding with a vectorized batch decoder and
+//!   per-chunk raw fallback — see [`col`]). A third byte, `Lz`
+//!   (back-reference compression over the planes), is one legacy decode
+//!   arm: readers still accept it, no writer produces it. Layouts mix
+//!   freely within a dataset, so migration is per-segment or even
+//!   per-chunk.
 //! * [`migrate`] — [`migrate::migrate_manifest`], the offline rewrite of a
 //!   manifest dataset to a target codec: segment-by-segment, verified
 //!   entry-stream-identical, with an atomic per-segment swap so readers see
@@ -91,8 +93,7 @@ pub mod tail;
 pub mod window;
 pub mod writer;
 
-pub use codec::{ChunkCodec, Codec, LzCodec, RawCodec};
-pub use col::ColCodec;
+pub use codec::Codec;
 pub use fault::{
     is_transient, with_retry, write_file_durable, CrashMode, FaultPlan, FaultyStorage, RealStorage,
     RetryFile, RetryPolicy, Storage, StorageFile,

@@ -804,11 +804,7 @@ impl DatasetWriter {
         config: DatasetConfig,
         storage: Arc<dyn Storage>,
     ) -> Result<Self, SegmentError> {
-        if config.segment.chunk_capacity == 0 {
-            return Err(SegmentError::InvalidConfig(
-                "chunk capacity must be positive".into(),
-            ));
-        }
+        config.segment.validate()?;
         if config.rotate_after_entries == 0 {
             return Err(SegmentError::InvalidConfig(
                 "rotation threshold must be positive".into(),

@@ -24,7 +24,10 @@
 //!
 //! Chunk codec bytes live *inside* the per-chunk CRC, so mixed-codec
 //! datasets (including half-migrated ones) read transparently; migration is
-//! an optimization pass, never a correctness requirement.
+//! an optimization pass, never a correctness requirement. The source may
+//! hold any layout a reader accepts, legacy `Lz` chunks included; the target
+//! must be one a writer emits (`Raw` or `Col` — `Lz` is
+//! [`SegmentError::InvalidConfig`]).
 
 use crate::codec::Codec;
 use crate::fault::{RealStorage, Storage};
@@ -228,6 +231,7 @@ pub fn migrate_manifest_with(
     target: Codec,
     storage: &dyn Storage,
 ) -> Result<MigrateReport, SegmentError> {
+    target.check_writable()?;
     let dir = dir.as_ref();
     let manifest = Manifest::load(dir.join(MANIFEST_FILE_NAME))?;
     sweep_stale_tmp_files(dir, storage)?;
@@ -327,18 +331,27 @@ mod tests {
         dir
     }
 
+    /// A copy of `tests/fixtures/lz_v2`: a dataset written with the `Lz`
+    /// codec before it was retired as a write target.
+    fn copy_lz_fixture(dir: &Path) {
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/lz_v2");
+        for entry in std::fs::read_dir(fixture).unwrap() {
+            let entry = entry.unwrap();
+            std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+        }
+    }
+
     #[test]
     fn migrates_lz_dataset_to_col_and_preserves_stream() {
         let dir = temp_dir("lz-to-col");
-        let total = write_dataset(&dir, Codec::Lz);
+        copy_lz_fixture(&dir);
         let before = merged_entries(&dir);
-        assert_eq!(before.len() as u64, total);
+        assert_eq!(before.len(), 120);
 
         let report = migrate_manifest(&dir, Codec::Col).unwrap();
         assert_eq!(report.segments_rewritten, report.segments_total);
         assert_eq!(report.segments_skipped, 0);
-        assert_eq!(report.entries, total);
-        assert!(report.bytes_after < report.bytes_before, "col beats lz");
+        assert_eq!(report.entries, 120);
 
         assert_eq!(merged_entries(&dir), before);
         // Second run is a no-op: everything already carries Col.
@@ -379,7 +392,7 @@ mod tests {
         use crate::fault::{FaultPlan, FaultyStorage};
 
         let dir = temp_dir("crash-sweep");
-        write_dataset(&dir, Codec::Lz);
+        write_dataset(&dir, Codec::Raw);
         let before = merged_entries(&dir);
 
         // Learn the op budget of a clean migration, then crash at every op
@@ -394,7 +407,7 @@ mod tests {
 
         for crash_at in 0..total_ops {
             let fresh = temp_dir(&format!("crash-sweep-{crash_at}"));
-            write_dataset(&fresh, Codec::Lz);
+            write_dataset(&fresh, Codec::Raw);
             let faulty = FaultyStorage::new(FaultPlan::crash_at(crash_at));
             let result = migrate_manifest_with(&fresh, Codec::Col, &faulty);
             assert!(

@@ -318,7 +318,7 @@ impl<S: ChunkSource> EntryStream<'_, S> {
     }
 
     fn load_next_chunk(&mut self) -> bool {
-        let Some(info) = self.chunks.get(self.next_chunk) else {
+        let Some(&info) = self.chunks.get(self.next_chunk) else {
             return false;
         };
         self.next_chunk += 1;
@@ -337,6 +337,20 @@ impl<S: ChunkSource> EntryStream<'_, S> {
             .map(ChunkEntries::into_scratch)
             .unwrap_or_default();
         match ChunkView::parse_with(frame, scratch) {
+            // The index row chose this chunk for this stream and promised
+            // its size; a chunk that says otherwise must not be delivered.
+            Ok(view) if view.monitor() != info.monitor || view.len() as u64 != info.entries => {
+                self.error = Some(SegmentError::Corrupt(format!(
+                    "chunk at offset {} holds {} entries of monitor {} but its index row says \
+                     {} entries of monitor {}",
+                    info.offset,
+                    view.len(),
+                    view.monitor(),
+                    info.entries,
+                    info.monitor
+                )));
+                false
+            }
             Ok(view) => {
                 self.current = Some(view.into_entries());
                 true
@@ -1493,6 +1507,73 @@ mod tests {
             Err(SegmentError::Corrupt(_))
         ));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Rewrites the footer of a written segment through `doctor`, with a
+    /// valid footer CRC — damage the checksum cannot catch.
+    fn with_doctored_footer(bytes: &[u8], doctor: impl FnOnce(&mut Footer)) -> Vec<u8> {
+        let len = bytes.len();
+        let payload_len = u64::from_le_bytes(bytes[len - 12..len - 4].try_into().unwrap()) as usize;
+        let footer_start = len - TRAILER_LEN - payload_len;
+        let mut footer = decode_footer(&bytes[footer_start..footer_start + payload_len]).unwrap();
+        doctor(&mut footer);
+        let mut doctored = bytes[..footer_start].to_vec();
+        crate::segment::encode_footer(&footer, &mut doctored);
+        doctored
+    }
+
+    /// The first error met opening `source` and draining every monitor.
+    fn first_error<S: ChunkSource>(source: S) -> Option<SegmentError> {
+        let reader = match TraceReader::new(source) {
+            Ok(reader) => reader,
+            Err(error) => return Some(error),
+        };
+        (0..reader.monitor_count()).find_map(|monitor| {
+            let mut stream = reader.stream_monitor(monitor);
+            (&mut stream).for_each(drop);
+            stream.take_error()
+        })
+    }
+
+    #[test]
+    fn inconsistent_chunk_index_is_corrupt_not_a_shortened_stream() {
+        let entries: Vec<TraceEntry> = (0..40)
+            .map(|i| entry(i * 10, i, (i % 2) as usize))
+            .collect();
+        let bytes = build_segment(&entries, 2, 8);
+        assert!(first_error(SliceSource::new(&bytes)).is_none());
+
+        type Doctor = fn(&mut Footer);
+        let cases: [(&str, bool, Doctor); 5] = [
+            // Refused when the footer is decoded: a row naming a monitor the
+            // segment does not have, and rows that do not add up to the total.
+            ("index-monitor", true, |f| f.chunks[1].monitor = 99),
+            ("index-total", true, |f| f.total_entries += 1),
+            ("index-row", true, |f| f.chunks[1].entries -= 1),
+            // Self-consistent rows that disagree with the chunks they point
+            // at open fine and are refused when the chunk is decoded: a row
+            // moved to the other monitor, an entry moved between two rows.
+            ("row-monitor", false, |f| f.chunks[0].monitor = 1),
+            ("row-entries", false, |f| {
+                f.chunks[0].entries -= 1;
+                f.chunks[2].entries += 1;
+            }),
+        ];
+        for (tag, refused_at_open, doctor) in cases {
+            let doctored = with_doctored_footer(&bytes, doctor);
+            let (path, file) = file_source(tag, &doctored);
+            assert_eq!(
+                TraceReader::new(SliceSource::new(&doctored)).is_err(),
+                refused_at_open
+            );
+            for error in [first_error(SliceSource::new(&doctored)), first_error(file)] {
+                assert!(
+                    matches!(error, Some(SegmentError::Corrupt(_))),
+                    "{tag}: {error:?}"
+                );
+            }
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]

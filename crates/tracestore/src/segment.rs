@@ -12,14 +12,18 @@
 //! ```
 //!
 //! Each chunk holds up to [`SegmentConfig::chunk_capacity`] entries of one
-//! monitor. The body is the chunk's column planes, transformed by the codec
-//! named in the leading payload byte (see [`crate::codec`]); the planes
-//! store entries column-wise:
+//! monitor, in the layout named by the leading payload byte (see
+//! [`crate::codec`]). `encode_chunk` is the one place that writes them: it
+//! interns the chunk's three dictionaries and emits either the raw column
+//! planes, which store entries column-wise —
 //!
 //! * timestamps as a varint base plus zigzag-varint deltas,
 //! * peers, addresses, and CIDs as per-chunk dictionaries (first-appearance
 //!   order) plus varint index columns,
-//! * request types and entry flags bit-packed at two bits per entry.
+//! * request types and entry flags bit-packed at two bits per entry
+//!
+//! — or the columnar body of [`crate::col`], which keeps the same
+//! dictionaries and packs every other column to its actual width.
 //!
 //! Decoding is split in two stages: [`ChunkView`] parses a frame into
 //! borrowed dictionary slices and column cursors (validating everything),
@@ -33,7 +37,7 @@
 //! trailing `payload_len` and magic — so segments stream in append-only
 //! fashion and still open in O(footer).
 
-use crate::codec::{ChunkCodec, Codec, LzCodec};
+use crate::codec::{lz_decompress, Codec};
 use crate::crc::crc32;
 use crate::record::{ConnectionRecord, MonitoringDataset, TraceEntry};
 use ipfs_mon_bitswap::RequestType;
@@ -69,9 +73,11 @@ pub struct SegmentConfig {
     /// Maximum number of entries per chunk. Larger chunks compress better
     /// (dictionaries amortize); smaller chunks bound reader memory tighter.
     pub chunk_capacity: usize,
-    /// Payload codec for newly written chunks. Readers ignore this and
-    /// dispatch on the per-chunk codec byte, so datasets may mix codecs
-    /// freely (per-segment migration included).
+    /// Body layout of newly written chunks: [`Codec::Raw`] or
+    /// [`Codec::Col`] (the decode-only [`Codec::Lz`] is refused when a
+    /// writer is created). Readers ignore this and dispatch on the
+    /// per-chunk codec byte, so datasets may mix codecs freely
+    /// (per-segment migration included).
     pub codec: Codec,
 }
 
@@ -91,6 +97,16 @@ impl SegmentConfig {
             codec,
             ..Self::default()
         }
+    }
+
+    /// What every writer checks before it writes a byte.
+    pub(crate) fn validate(&self) -> Result<(), SegmentError> {
+        if self.chunk_capacity == 0 {
+            return Err(SegmentError::InvalidConfig(
+                "chunk capacity must be positive".into(),
+            ));
+        }
+        self.codec.check_writable()
     }
 }
 
@@ -357,13 +373,138 @@ fn unpack_2bit(bytes: &[u8], count: usize) -> Vec<u8> {
 // Chunk encoding
 // ---------------------------------------------------------------------------
 
-/// Encodes one monitor's buffered entries as a framed columnar chunk,
-/// appending the frame to `out`. The column planes are passed through
-/// `codec`; a compressing codec that fails to shrink this particular chunk
-/// falls back to raw framing (the codec byte is per chunk, so readers never
-/// notice), which guarantees a compressed segment is never larger than its
-/// raw twin. Returns the frame's [`ChunkInfo`] (with `offset` left at 0 for
-/// the caller to fill in).
+/// One chunk's entries with their three dictionaries interned — the columns
+/// both body layouts are written from. Dictionaries are in first-appearance
+/// order so the index columns are decodable with nothing but this chunk.
+pub(crate) struct ChunkColumns<'a> {
+    pub(crate) monitor: usize,
+    pub(crate) entries: &'a [TraceEntry],
+    pub(crate) peer_dict: Vec<PeerId>,
+    pub(crate) peer_indexes: Vec<u64>,
+    pub(crate) addr_dict: Vec<Multiaddr>,
+    pub(crate) addr_indexes: Vec<u64>,
+    pub(crate) cid_dict: Vec<&'a Cid>,
+    pub(crate) cid_indexes: Vec<u64>,
+}
+
+impl<'a> ChunkColumns<'a> {
+    pub(crate) fn intern(monitor: usize, entries: &'a [TraceEntry]) -> Self {
+        let mut peer_dict: Interner<PeerId> = Interner::default();
+        let mut peer_indexes = Vec::with_capacity(entries.len());
+        let mut addr_dict: Interner<Multiaddr> = Interner::default();
+        let mut addr_indexes = Vec::with_capacity(entries.len());
+        let mut cid_dict: Interner<&Cid> = Interner::default();
+        let mut cid_indexes = Vec::with_capacity(entries.len());
+        for entry in entries {
+            peer_indexes.push(peer_dict.intern(&entry.peer));
+            addr_indexes.push(addr_dict.intern(&entry.address));
+            cid_indexes.push(cid_dict.intern(&&entry.cid));
+        }
+        Self {
+            monitor,
+            entries,
+            peer_dict: peer_dict.into_values(),
+            peer_indexes,
+            addr_dict: addr_dict.into_values(),
+            addr_indexes,
+            cid_dict: cid_dict.into_values(),
+            cid_indexes,
+        }
+    }
+
+    /// Timestamp of the first entry, in milliseconds.
+    pub(crate) fn base_ms(&self) -> u64 {
+        self.entries[0].timestamp.as_millis()
+    }
+
+    /// Signed millisecond step from each entry to the next (`len - 1` of
+    /// them; monitors log in arrival order, so steps may be negative).
+    pub(crate) fn timestamp_deltas(&self) -> impl Iterator<Item = i64> + '_ {
+        self.entries
+            .windows(2)
+            .map(|pair| pair[1].timestamp.as_millis() as i64 - pair[0].timestamp.as_millis() as i64)
+    }
+
+    /// `len:varint` + 32 bytes per peer — how both layouts open the column.
+    pub(crate) fn write_peer_dict(&self, out: &mut Vec<u8>) {
+        varint::encode(self.peer_dict.len() as u64, out);
+        for peer in &self.peer_dict {
+            out.extend_from_slice(peer.as_bytes());
+        }
+    }
+
+    /// `len:varint` + [`MULTIADDR_LEN`] bytes per address.
+    pub(crate) fn write_addr_dict(&self, out: &mut Vec<u8>) {
+        varint::encode(self.addr_dict.len() as u64, out);
+        for addr in &self.addr_dict {
+            encode_multiaddr(addr, out);
+        }
+    }
+
+    /// `len:varint` + one length-prefixed binary CID per entry.
+    pub(crate) fn write_cid_dict(&self, out: &mut Vec<u8>) {
+        varint::encode(self.cid_dict.len() as u64, out);
+        for cid in &self.cid_dict {
+            let bytes = cid.to_bytes();
+            varint::encode(bytes.len() as u64, out);
+            out.extend_from_slice(&bytes);
+        }
+    }
+
+    /// The request-type plane, two bits per entry (see [`pack_2bit`]).
+    pub(crate) fn write_type_plane(&self, out: &mut Vec<u8>) {
+        pack_2bit(
+            self.entries
+                .iter()
+                .map(|e| request_type_code(e.request_type)),
+            out,
+        );
+    }
+
+    /// The flag plane, two bits per entry.
+    pub(crate) fn write_flag_plane(&self, out: &mut Vec<u8>) {
+        pack_2bit(
+            self.entries.iter().map(|e| {
+                u8::from(e.flags.inter_monitor_duplicate) | (u8::from(e.flags.rebroadcast) << 1)
+            }),
+            out,
+        );
+    }
+
+    /// The raw layout: every column as varints, in one pass.
+    fn write_planes(&self, out: &mut Vec<u8>) {
+        fn write_indexes(indexes: &[u64], out: &mut Vec<u8>) {
+            for &index in indexes {
+                varint::encode(index, out);
+            }
+        }
+        varint::encode(self.monitor as u64, out);
+        varint::encode(self.entries.len() as u64, out);
+        varint::encode(self.base_ms(), out);
+        for delta in self.timestamp_deltas() {
+            varint::encode(zigzag(delta), out);
+        }
+        self.write_peer_dict(out);
+        write_indexes(&self.peer_indexes, out);
+        self.write_addr_dict(out);
+        write_indexes(&self.addr_indexes, out);
+        self.write_cid_dict(out);
+        write_indexes(&self.cid_indexes, out);
+        self.write_type_plane(out);
+        self.write_flag_plane(out);
+    }
+}
+
+/// Encodes one monitor's buffered entries as a framed chunk, appending the
+/// frame to `out` — the one place that knows both body layouts. The raw
+/// planes are always written (in place, behind the codec byte, so the raw
+/// path copies nothing); under [`Codec::Col`] the columnar body of
+/// [`crate::col`] replaces them unless it fails to shrink this particular
+/// chunk (the codec byte is per chunk, so readers never notice), which
+/// guarantees a `Col` segment is never larger than its raw twin. Timed per
+/// codec as `store.chunk_encode_ns.*` (columnarization + layout, not the
+/// caller's sink write). Returns the frame's [`ChunkInfo`] (with `offset`
+/// left at 0 for the caller to fill in).
 pub(crate) fn encode_chunk(
     monitor: usize,
     entries: &[TraceEntry],
@@ -371,115 +512,31 @@ pub(crate) fn encode_chunk(
     out: &mut Vec<u8>,
 ) -> ChunkInfo {
     assert!(!entries.is_empty(), "chunks must hold at least one entry");
-    // The payload is built in place: slot 0 holds the codec byte (patched
-    // after the fact if compression falls back to raw), the planes follow —
-    // so the raw path copies nothing and the compressing path copies once.
+    let (columnar, histogram) = match codec {
+        Codec::Raw => (false, obs::histogram!("store.chunk_encode_ns.raw")),
+        Codec::Col => (true, obs::histogram!("store.chunk_encode_ns.col")),
+        Codec::Lz => unreachable!("writers refuse Codec::Lz when they are configured"),
+    };
+    let _span = histogram.timer();
+    let columns = ChunkColumns::intern(monitor, entries);
     let mut payload = Vec::with_capacity(entries.len() * 8);
-    payload.push(codec.byte());
+    payload.push(Codec::Raw.byte());
+    columns.write_planes(&mut payload);
 
-    varint::encode(monitor as u64, &mut payload);
-    varint::encode(entries.len() as u64, &mut payload);
-
-    // Timestamp column: base + zigzag deltas.
-    let base = entries[0].timestamp.as_millis();
-    varint::encode(base, &mut payload);
-    let mut previous = base;
-    for entry in &entries[1..] {
-        let ms = entry.timestamp.as_millis();
-        varint::encode(zigzag(ms as i64 - previous as i64), &mut payload);
-        previous = ms;
-    }
-
-    // Dictionary columns. Dictionaries are in first-appearance order so the
-    // index column is decodable with nothing but this chunk.
-    let mut peer_dict: Interner<PeerId> = Interner::default();
-    let mut peer_indexes = Vec::with_capacity(entries.len());
-    let mut addr_dict: Interner<Multiaddr> = Interner::default();
-    let mut addr_indexes = Vec::with_capacity(entries.len());
-    let mut cid_dict: Interner<&Cid> = Interner::default();
-    let mut cid_indexes = Vec::with_capacity(entries.len());
-    for entry in entries {
-        peer_indexes.push(peer_dict.intern(&entry.peer));
-        addr_indexes.push(addr_dict.intern(&entry.address));
-        cid_indexes.push(cid_dict.intern(&&entry.cid));
-    }
-    let (peer_dict, addr_dict, cid_dict) = (
-        peer_dict.into_values(),
-        addr_dict.into_values(),
-        cid_dict.into_values(),
-    );
-
-    varint::encode(peer_dict.len() as u64, &mut payload);
-    for peer in &peer_dict {
-        payload.extend_from_slice(peer.as_bytes());
-    }
-    for &index in &peer_indexes {
-        varint::encode(index, &mut payload);
-    }
-
-    varint::encode(addr_dict.len() as u64, &mut payload);
-    for addr in &addr_dict {
-        encode_multiaddr(addr, &mut payload);
-    }
-    for &index in &addr_indexes {
-        varint::encode(index, &mut payload);
-    }
-
-    varint::encode(cid_dict.len() as u64, &mut payload);
-    for cid in &cid_dict {
-        let bytes = cid.to_bytes();
-        varint::encode(bytes.len() as u64, &mut payload);
-        payload.extend_from_slice(&bytes);
-    }
-    for &index in &cid_indexes {
-        varint::encode(index, &mut payload);
-    }
-
-    // Bit-packed request types and flags.
-    pack_2bit(
-        entries.iter().map(|e| request_type_code(e.request_type)),
-        &mut payload,
-    );
-    pack_2bit(
-        entries.iter().map(|e| {
-            u8::from(e.flags.inter_monitor_duplicate) | (u8::from(e.flags.rebroadcast) << 1)
-        }),
-        &mut payload,
-    );
-
-    // Pick the codec envelope, with raw fallback when compression does not
-    // pay for this chunk — or when the planes exceed the decoder's
-    // declared-length ceiling, which a compressing codec could not represent
-    // readably (raw has no ceiling).
+    // Planes above the decoder's declared-length ceiling stay raw (raw has
+    // no ceiling), so self-written segments always read back.
     let planes_len = payload.len() - 1;
-    let codec = if planes_len > crate::codec::MAX_DECODED_LEN {
-        Codec::Raw
-    } else {
-        codec
-    };
-    let payload = if codec == Codec::Raw {
-        payload[0] = Codec::Raw.byte();
-        payload
-    } else {
-        let mut compressed = Vec::with_capacity(planes_len + 1);
-        compressed.push(codec.byte());
-        codec
-            .implementation()
-            .encode(&payload[1..], &mut compressed);
-        if compressed.len() > planes_len {
-            payload[0] = Codec::Raw.byte();
-            payload
-        } else {
-            compressed
+    if columnar && planes_len <= crate::codec::MAX_DECODED_LEN {
+        let mut body = Vec::with_capacity(planes_len + 1);
+        body.push(Codec::Col.byte());
+        crate::col::encode_columns(&columns, &mut body);
+        if body.len() <= planes_len {
+            payload = body;
         }
-    };
+    }
 
-    // Frame: length prefix, payload, CRC (the CRC covers the codec byte).
     let frame_start = out.len();
-    varint::encode(payload.len() as u64, out);
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-
+    write_frame(&payload, out);
     ChunkInfo {
         offset: 0,
         len: (out.len() - frame_start) as u64,
@@ -488,6 +545,14 @@ pub(crate) fn encode_chunk(
         first_timestamp: entries[0].timestamp,
         last_timestamp: entries[entries.len() - 1].timestamp,
     }
+}
+
+/// Frames a chunk payload: length prefix, payload, CRC (the CRC covers the
+/// codec byte).
+pub(crate) fn write_frame(payload: &[u8], out: &mut Vec<u8>) {
+    varint::encode(payload.len() as u64, out);
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
 }
 
 /// A first-appearance-order dictionary with O(1) lookup. Values are stored
@@ -697,25 +762,15 @@ impl<'a> ChunkView<'a> {
                 codec,
                 scratch,
             ),
-            // Compressed planes decode into the recycled buffer.
+            // The one legacy arm: LZ over the raw planes, written by earlier
+            // versions only. Decompress into the recycled buffer.
             Codec::Lz => {
                 let mut planes = std::mem::take(&mut scratch.planes);
-                codec
-                    .implementation()
-                    .decode_into(&frame_bytes[body_range], &mut planes)?;
+                lz_decompress(&frame_bytes[body_range], &mut planes)?;
                 Self::parse_planes(Planes::Owned(planes), codec, scratch)
             }
-            // Columnar bodies decode straight into the view's columns; the
-            // verbatim fallback mode is raw planes shifted one byte.
+            // Columnar bodies decode straight into the view's columns.
             Codec::Col => match frame_bytes.get(body_range.start).copied() {
-                Some(crate::col::MODE_VERBATIM) => Self::parse_planes(
-                    Planes::Frame {
-                        range: body_range.start + 1..body_range.end,
-                        frame,
-                    },
-                    codec,
-                    scratch,
-                ),
                 Some(crate::col::MODE_COLUMNAR) => Self::parse_columnar(
                     Planes::Frame {
                         range: body_range,
@@ -728,12 +783,14 @@ impl<'a> ChunkView<'a> {
                     // LZ-compressed columnar body: decompress into the
                     // recycled buffer, then decode columns from it.
                     let mut columnar = std::mem::take(&mut scratch.planes);
-                    LzCodec.decode_into(
+                    lz_decompress(
                         &frame_bytes[body_range.start + 1..body_range.end],
                         &mut columnar,
                     )?;
                     Self::parse_columnar(Planes::Owned(columnar), 0, scratch)
                 }
+                // Mode byte 1 was a verbatim-planes body no writer ever
+                // emitted; it is refused like any other unknown mode.
                 _ => Err(SegmentError::Corrupt(
                     "col body: missing or unknown mode byte".into(),
                 )),
@@ -741,8 +798,9 @@ impl<'a> ChunkView<'a> {
         }
     }
 
-    /// Validates raw column planes — the layout every codec except columnar
-    /// `Col` bodies decodes to — so `entry()` is infallible afterwards.
+    /// Validates raw column planes — the body of `Raw` chunks and what a
+    /// legacy `Lz` body decompresses to — so `entry()` is infallible
+    /// afterwards.
     fn parse_planes(
         planes: Planes<'a>,
         codec: Codec,
@@ -783,20 +841,11 @@ impl<'a> ChunkView<'a> {
         read_indexes(&mut cursor, count, peer_count, "peer", &mut peer_indexes)?;
 
         let addr_count = checked_count(&mut cursor, MULTIADDR_LEN, "address dictionary")?;
-        addr_dict.reserve(addr_count);
-        for _ in 0..addr_count {
-            addr_dict.push(decode_multiaddr(cursor.take(MULTIADDR_LEN)?)?);
-        }
+        read_addr_dict(&mut cursor, addr_count, &mut addr_dict)?;
         read_indexes(&mut cursor, count, addr_count, "address", &mut addr_indexes)?;
 
         let cid_count = checked_count(&mut cursor, 2, "CID dictionary")?;
-        cid_dict.reserve(cid_count);
-        for _ in 0..cid_count {
-            let len = cursor.varint()? as usize;
-            let cid = Cid::from_bytes(cursor.take(len)?)
-                .map_err(|e| SegmentError::Corrupt(format!("bad CID in dictionary: {e:?}")))?;
-            cid_dict.push(cid);
-        }
+        read_cid_dict(&mut cursor, cid_count, &mut cid_dict)?;
         read_indexes(&mut cursor, count, cid_count, "CID", &mut cid_indexes)?;
 
         let type_plane = cursor.pos..cursor.pos + count.div_ceil(4);
@@ -831,13 +880,11 @@ impl<'a> ChunkView<'a> {
         })
     }
 
-    /// Decodes a columnar `Col` body (mode 0) directly into the view's
-    /// columns — no intermediate plane bytes are materialized; the
-    /// dictionaries stay borrowed out of the frame.
-    /// Decodes a columnar body straight into the view's columns. `planes`
-    /// holds the columnar bytes (inside the frame for plain columnar
-    /// bodies, an owned decompressed buffer for LZ-compressed ones);
-    /// `offset` is where they start within `planes.bytes()`.
+    /// Decodes a columnar `Col` body straight into the view's columns — no
+    /// intermediate plane bytes are materialized. `planes` holds the
+    /// columnar bytes (inside the frame for plain columnar bodies, an owned
+    /// decompressed buffer for LZ-compressed ones); `offset` is where they
+    /// start within `planes.bytes()`.
     fn parse_columnar(
         planes: Planes<'a>,
         offset: usize,
@@ -868,18 +915,16 @@ impl<'a> ChunkView<'a> {
 
         // Decode (and validate) the address and CID dictionaries from their
         // verbatim regions, exactly as the raw plane parser does.
-        addr_dict.reserve(layout.addr_dict.len() / MULTIADDR_LEN);
-        for entry in body[layout.addr_dict.clone()].chunks(MULTIADDR_LEN) {
-            addr_dict.push(decode_multiaddr(entry)?);
-        }
-        cid_dict.reserve(layout.cid_dict_len);
-        let mut cid_cursor = Cursor::new(&body[layout.cid_dict.clone()]);
-        for _ in 0..layout.cid_dict_len {
-            let len = cid_cursor.varint()? as usize;
-            let cid = Cid::from_bytes(cid_cursor.take(len)?)
-                .map_err(|e| SegmentError::Corrupt(format!("bad CID in dictionary: {e:?}")))?;
-            cid_dict.push(cid);
-        }
+        read_addr_dict(
+            &mut Cursor::new(&body[layout.addr_dict.clone()]),
+            layout.addr_dict.len() / MULTIADDR_LEN,
+            &mut addr_dict,
+        )?;
+        read_cid_dict(
+            &mut Cursor::new(&body[layout.cid_dict.clone()]),
+            layout.cid_dict_len,
+            &mut cid_dict,
+        )?;
 
         obs::counter!("store.chunks_decoded").incr();
         obs::counter!("store.entries_decoded").add(layout.count as u64);
@@ -1027,6 +1072,14 @@ impl Iterator for ChunkEntries<'_> {
 
 impl ExactSizeIterator for ChunkEntries<'_> {}
 
+/// The payload (codec byte first) of a chunk frame written by
+/// [`write_frame`].
+#[cfg(test)]
+pub(crate) fn frame_payload(frame: &[u8]) -> &[u8] {
+    let (payload_len, used) = varint::decode(frame).expect("length prefix");
+    &frame[used..used + payload_len as usize]
+}
+
 /// Decodes a framed chunk (starting at the length prefix) into entries.
 /// Test convenience — production streams go through [`ChunkView`] and
 /// materialize at the stream boundary instead.
@@ -1034,6 +1087,37 @@ impl ExactSizeIterator for ChunkEntries<'_> {}
 pub(crate) fn decode_chunk(frame: &[u8]) -> Result<Vec<TraceEntry>, SegmentError> {
     let view = ChunkView::parse(Cow::Borrowed(frame))?;
     Ok(view.into_entries().collect())
+}
+
+/// Decodes (and validates) `count` address dictionary entries — the same
+/// bytes in both layouts.
+fn read_addr_dict(
+    cursor: &mut Cursor<'_>,
+    count: usize,
+    dict: &mut Vec<Multiaddr>,
+) -> Result<(), SegmentError> {
+    dict.reserve(count);
+    for _ in 0..count {
+        dict.push(decode_multiaddr(cursor.take(MULTIADDR_LEN)?)?);
+    }
+    Ok(())
+}
+
+/// Decodes (and validates) `count` length-prefixed CID dictionary entries —
+/// the same bytes in both layouts.
+fn read_cid_dict(
+    cursor: &mut Cursor<'_>,
+    count: usize,
+    dict: &mut Vec<Cid>,
+) -> Result<(), SegmentError> {
+    dict.reserve(count);
+    for _ in 0..count {
+        let len = cursor.varint()? as usize;
+        let cid = Cid::from_bytes(cursor.take(len)?)
+            .map_err(|e| SegmentError::Corrupt(format!("bad CID in dictionary: {e:?}")))?;
+        dict.push(cid);
+    }
+    Ok(())
 }
 
 fn read_indexes(
@@ -1174,20 +1258,40 @@ pub(crate) fn decode_footer(payload: &[u8]) -> Result<Footer, SegmentError> {
         connections.push(decode_connection(&mut cursor)?);
     }
 
+    // The index is what streams navigate by, so it must be self-consistent:
+    // a row naming a monitor the segment does not have would be filtered out
+    // of every stream, and rows that do not add up to the total would make
+    // the reported entry count disagree with what streams deliver.
     let chunk_count = checked_count(&mut cursor, 6, "chunk index")?;
     let mut chunks = Vec::with_capacity(chunk_count);
+    let mut indexed_entries = 0u64;
     for _ in 0..chunk_count {
-        chunks.push(ChunkInfo {
+        let info = ChunkInfo {
             offset: cursor.varint()?,
             len: cursor.varint()?,
             monitor: cursor.varint()? as usize,
             entries: cursor.varint()?,
             first_timestamp: SimTime::from_millis(cursor.varint()?),
             last_timestamp: SimTime::from_millis(cursor.varint()?),
-        });
+        };
+        if info.monitor >= label_count {
+            return Err(SegmentError::Corrupt(format!(
+                "chunk index names monitor {} but the segment has {label_count}",
+                info.monitor
+            )));
+        }
+        indexed_entries = indexed_entries
+            .checked_add(info.entries)
+            .ok_or_else(|| SegmentError::Corrupt("chunk index entry counts overflow".into()))?;
+        chunks.push(info);
     }
 
     let total_entries = cursor.varint()?;
+    if indexed_entries != total_entries {
+        return Err(SegmentError::Corrupt(format!(
+            "chunk index holds {indexed_entries} entries but the footer total is {total_entries}"
+        )));
+    }
     if !cursor.is_at_end() {
         return Err(SegmentError::Corrupt("trailing bytes in footer".into()));
     }
@@ -1275,22 +1379,45 @@ mod tests {
         assert_eq!(decode_chunk(&frame).unwrap(), entries);
     }
 
+    /// Re-frames a raw chunk as writers before the `Lz` retirement did: the
+    /// LZ pass over the planes behind codec byte 1.
+    fn legacy_lz_frame(raw_frame: &[u8]) -> Vec<u8> {
+        let payload = frame_payload(raw_frame);
+        assert_eq!(payload[0], Codec::Raw.byte());
+        let mut lz = vec![Codec::Lz.byte()];
+        crate::codec::lz_compress(&payload[1..], &mut lz);
+        let mut frame = Vec::new();
+        write_frame(&lz, &mut frame);
+        frame
+    }
+
     #[test]
     fn chunk_roundtrip_through_every_codec() {
         let entries: Vec<TraceEntry> = (0..500)
             .map(|i| entry(1_000 + i * 13, i % 5, (i % 7) as u8, 2))
             .collect();
-        let mut scratch = ChunkScratch::default();
-        for codec in Codec::all() {
+        let mut frames = Vec::new();
+        for codec in Codec::writable() {
             let mut frame = Vec::new();
             let info = encode_chunk(2, &entries, codec, &mut frame);
             assert_eq!(info.entries, 500);
-            let view = ChunkView::parse(Cow::Borrowed(&frame)).unwrap();
+            frames.push((codec, frame));
+        }
+        // The decode-only layout, between the two written ones so the
+        // recycled scratch crosses every borrowed/owned planes transition.
+        let lz = legacy_lz_frame(&frames[0].1);
+        assert!(lz.len() < frames[0].1.len(), "lz frame not smaller");
+        frames.insert(1, (Codec::Lz, lz));
+
+        let mut scratch = ChunkScratch::default();
+        for (codec, frame) in &frames {
+            let view = ChunkView::parse(Cow::Borrowed(frame)).unwrap();
+            assert_eq!(view.codec(), *codec);
             assert_eq!(view.len(), 500);
             let decoded: Vec<TraceEntry> = view.into_entries().collect();
             assert_eq!(decoded, entries, "codec {codec:?} round-trip");
             // Same result through the scratch-recycling entry point.
-            let view = ChunkView::parse_with(Cow::Borrowed(&frame), scratch).unwrap();
+            let view = ChunkView::parse_with(Cow::Borrowed(frame), scratch).unwrap();
             let mut entries_iter = view.into_entries();
             let recycled: Vec<TraceEntry> = (&mut entries_iter).collect();
             assert_eq!(recycled, entries, "codec {codec:?} scratch round-trip");
@@ -1299,7 +1426,7 @@ mod tests {
     }
 
     #[test]
-    fn col_chunks_are_smaller_than_lz_on_dictionary_heavy_data() {
+    fn col_chunks_are_smaller_than_raw_on_dictionary_heavy_data() {
         // Pseudorandom draws (full-avalanche splitmix64): periodic or
         // quasi-periodic `i % k`-style selections are a best case for LZ
         // back-references that real traces never offer.
@@ -1317,39 +1444,19 @@ mod tests {
                 entry(ms, h % 13, ((h >> 32) % 17) as u8, 0)
             })
             .collect();
-        let mut lz = Vec::new();
-        encode_chunk(0, &entries, Codec::Lz, &mut lz);
+        let mut raw = Vec::new();
+        encode_chunk(0, &entries, Codec::Raw, &mut raw);
         let mut col = Vec::new();
         let info = encode_chunk(0, &entries, Codec::Col, &mut col);
         assert!(
-            col.len() < lz.len(),
-            "col chunk not smaller: {} vs {} lz",
+            col.len() < raw.len(),
+            "col chunk not smaller: {} vs {} raw",
             col.len(),
-            lz.len()
+            raw.len()
         );
         assert_eq!(info.entries, 2000);
         let view = ChunkView::parse(Cow::Borrowed(&col)).unwrap();
         assert_eq!(view.codec(), Codec::Col);
-    }
-
-    #[test]
-    fn lz_chunks_are_smaller_on_dictionary_heavy_data() {
-        let entries: Vec<TraceEntry> = (0..2000)
-            .map(|i| entry(i * 10, i % 3, (i % 3) as u8, 0))
-            .collect();
-        let mut raw = Vec::new();
-        encode_chunk(0, &entries, Codec::Raw, &mut raw);
-        let mut lz = Vec::new();
-        let info = encode_chunk(0, &entries, Codec::Lz, &mut lz);
-        assert!(
-            lz.len() < raw.len(),
-            "lz chunk not smaller: {} vs {} raw",
-            lz.len(),
-            raw.len()
-        );
-        assert_eq!(info.entries, 2000);
-        let view = ChunkView::parse(Cow::Borrowed(&lz)).unwrap();
-        assert_eq!(view.codec(), Codec::Lz);
     }
 
     #[test]
@@ -1375,9 +1482,7 @@ mod tests {
         let mut payload = vec![Codec::Raw.byte()];
         payload.extend_from_slice(&planes);
         let mut frame = Vec::new();
-        varint::encode(payload.len() as u64, &mut frame);
-        frame.extend_from_slice(&payload);
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
+        write_frame(&payload, &mut frame);
         assert!(matches!(
             decode_chunk(&frame),
             Err(SegmentError::Corrupt(_))

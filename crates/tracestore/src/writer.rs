@@ -4,12 +4,12 @@
 //! [`crate::segment::FORMAT_VERSION`] for the v1→v2 compatibility rule):
 //! every spilled chunk is framed as
 //! `payload_len:varint · payload · crc32(payload):u32le` with the payload's
-//! first byte naming the chunk codec ([`crate::codec`]) that transformed the
-//! column planes behind it. Earlier docs described the v1 framing, which
+//! first byte naming the layout ([`crate::codec`]) of the body behind it —
+//! `Raw` or `Col`, never the decode-only `Lz`, which
+//! [`TraceWriter::new`] refuses. Earlier docs described the v1 framing, which
 //! had no codec byte — the CRC of a v2 chunk covers codec byte *and* body,
 //! so a reader can never mistake one format for the other silently.
 
-use crate::codec::Codec;
 use crate::record::{ConnectionRecord, TraceEntry};
 use crate::segment::{
     encode_chunk, encode_footer, ChunkInfo, Footer, SegmentConfig, SegmentError, SegmentSummary,
@@ -17,15 +17,6 @@ use crate::segment::{
 };
 use ipfs_mon_obs as obs;
 use std::io::Write;
-
-/// Per-codec stage histogram for chunk encoding (`store.chunk_encode_ns.*`).
-pub(crate) fn encode_stage_histogram(codec: Codec) -> obs::Histogram {
-    match codec {
-        Codec::Raw => obs::histogram!("store.chunk_encode_ns.raw"),
-        Codec::Lz => obs::histogram!("store.chunk_encode_ns.lz"),
-        Codec::Col => obs::histogram!("store.chunk_encode_ns.col"),
-    }
-}
 
 /// Writes a segment incrementally: entries are buffered per monitor (one
 /// shard each) and spilled to the sink as framed columnar **v2** chunks —
@@ -58,11 +49,7 @@ impl<W: Write> TraceWriter<W> {
         monitor_labels: Vec<String>,
         config: SegmentConfig,
     ) -> Result<Self, SegmentError> {
-        if config.chunk_capacity == 0 {
-            return Err(SegmentError::InvalidConfig(
-                "chunk capacity must be positive".into(),
-            ));
-        }
+        config.validate()?;
         sink.write_all(HEADER_MAGIC)?;
         sink.write_all(&[FORMAT_VERSION])?;
         let monitors = monitor_labels.len();
@@ -176,12 +163,7 @@ impl<W: Write> TraceWriter<W> {
         }
         let entries = std::mem::take(&mut self.shards[monitor]);
         let mut frame = Vec::new();
-        let mut info: ChunkInfo = {
-            // Span covers columnarization + codec transform, not the sink
-            // write below (which may be a file with its own latency story).
-            let _span = encode_stage_histogram(self.config.codec).timer();
-            encode_chunk(monitor, &entries, self.config.codec, &mut frame)
-        };
+        let mut info: ChunkInfo = encode_chunk(monitor, &entries, self.config.codec, &mut frame);
         info.offset = self.offset;
         self.sink.write_all(&frame)?;
         self.offset += frame.len() as u64;

@@ -1,25 +1,28 @@
 //! Codec and merge-mode robustness for the tracestore I/O path.
 //!
-//! Covers the three-layer read stack introduced with the pluggable codecs:
-//! typed errors for every kind of codec-level damage (unknown codec byte,
-//! corrupted compressed body, CRC-vs-codec corruption, single-byte damage
-//! anywhere in a `col` body), mixed-codec manifests (per-segment codec
-//! migration) streaming identically to the in-memory path, equality of every
-//! `(codec, merge-mode)` combination — all three codecs × two merge modes —
-//! the offline `migrate_manifest` rewrite, and the on-disk size wins of the
-//! compressed codecs.
+//! Covers the read stack behind the per-chunk codec byte: typed errors for
+//! every kind of codec-level damage (unknown codec byte, corrupted
+//! compressed body, CRC-vs-codec corruption, single-byte damage anywhere in
+//! a `col` body), mixed-codec manifests (per-segment codec migration)
+//! streaming identically to the in-memory path, equality of every
+//! `(codec, merge-mode)` combination — both writable codecs × two merge
+//! modes — the offline `migrate_manifest` rewrite, the on-disk size win of
+//! `col`, byte-identity of both layouts with the commit that last wrote them
+//! through the plug-in codec layer, and the decode-only `lz` layout read
+//! from a fixture that commit wrote.
 
 mod common;
 
-use common::{random_dataset, temp_dir, write_manifest};
+use common::{random_dataset, simulated_dataset, temp_dir, write_manifest};
 use ipfs_monitoring::core::{
     estimate_network_size, estimate_network_size_source, identify_data_wanters, run_attacks_source,
     track_node_wants, unify_and_flag, unify_and_flag_source, AttackTargets, PreprocessConfig,
 };
 use ipfs_monitoring::simnet::time::{SimDuration, SimTime};
 use ipfs_monitoring::tracestore::{
-    Codec, DatasetConfig, Manifest, ManifestReader, ReadOptions, SegmentConfig, SegmentError,
-    SegmentMeta, SliceSource, TraceEntry, TraceReader, TraceSource, TraceWriter,
+    migrate_manifest, Codec, DatasetConfig, Manifest, ManifestReader, ReadOptions, SegmentConfig,
+    SegmentError, SegmentMeta, SliceSource, TraceEntry, TraceReader, TraceSource, TraceWriter,
+    MIGRATE_TMP_SUFFIX,
 };
 use ipfs_monitoring::types::varint;
 use proptest::prelude::*;
@@ -30,6 +33,15 @@ fn dir_bytes(dir: &Path) -> u64 {
         .unwrap()
         .map(|entry| entry.unwrap().metadata().unwrap().len())
         .sum()
+}
+
+/// The merged stream of the manifest dataset in `dir`, read without error.
+fn merged_entries(dir: &Path) -> Vec<TraceEntry> {
+    let reader = ManifestReader::open(dir).unwrap();
+    let mut stream = reader.merged_entries();
+    let entries: Vec<TraceEntry> = (&mut stream).collect();
+    assert!(stream.take_error().is_none());
+    entries
 }
 
 /// Writes one single-monitor segment with the given codec and returns its
@@ -54,23 +66,77 @@ fn monitor_segment(label: &str, entries: &[TraceEntry], codec: Codec, chunk: usi
     bytes
 }
 
+/// Payload byte range (codec byte first) of a segment's first chunk frame.
+fn first_chunk_payload(bytes: &[u8]) -> (usize, usize) {
+    let reader = TraceReader::new(SliceSource::new(bytes)).unwrap();
+    let frame_start = reader.chunks()[0].offset as usize;
+    // Skip the length varint; the payload's first byte is the codec byte,
+    // then the body.
+    let (payload_len, varint_len) = varint::decode(&bytes[frame_start..]).unwrap();
+    let payload_start = frame_start + varint_len;
+    (payload_start, payload_start + payload_len as usize)
+}
+
+/// Exhaustive single-byte damage sweep over the first chunk body of a
+/// one-monitor segment, through the full reader stack, with the chunk CRC
+/// repaired after every flip so only the body decoder stands between the
+/// damage and the stream. Every flip must either surface a *typed* error or
+/// decode cleanly (flips inside dictionary bytes give different-but-valid
+/// entries) — never a panic. Returns `(typed errors, clean decodes)`.
+fn body_damage_sweep(bytes: &[u8]) -> (usize, usize) {
+    let (payload_start, payload_end) = first_chunk_payload(bytes);
+    let crc_range = payload_end..payload_end + 4;
+    let mut typed_errors = 0usize;
+    let mut clean_decodes = 0usize;
+    for pos in payload_start + 1..payload_end {
+        let mut damaged = bytes.to_vec();
+        damaged[pos] ^= 0xA5;
+        let crc = ipfs_monitoring::tracestore::crc::crc32(&damaged[payload_start..payload_end]);
+        damaged[crc_range.clone()].copy_from_slice(&crc.to_le_bytes());
+
+        let reader = TraceReader::new(SliceSource::new(&damaged)).unwrap();
+        let mut stream = reader.stream_monitor(0);
+        let _ = (&mut stream).count();
+        match stream.take_error() {
+            Some(SegmentError::Corrupt(_)) | Some(SegmentError::UnknownCodec(_)) => {
+                typed_errors += 1;
+            }
+            Some(other) => panic!("unexpected error type at body offset {pos}: {other:?}"),
+            None => clean_decodes += 1,
+        }
+    }
+    (typed_errors, clean_decodes)
+}
+
+/// Every truncation of a segment must fail to open, or open and stream to a
+/// typed error or a clean end — never a panic.
+fn truncation_sweep(bytes: &[u8]) {
+    for cut in 0..bytes.len() {
+        let Ok(reader) = TraceReader::new(SliceSource::new(&bytes[..cut])) else {
+            continue;
+        };
+        for monitor in 0..reader.monitor_count() {
+            let mut stream = reader.stream_monitor(monitor);
+            let _ = (&mut stream).count();
+            let _ = stream.take_error();
+        }
+    }
+}
+
 /// Damages a written segment at the codec layer in three distinct ways and
 /// checks that each surfaces its own *typed* error — never a panic, and
 /// never a silent wrong answer.
 #[test]
 fn codec_damage_surfaces_typed_errors() {
     let dataset = random_dataset(41, 1, 300, 400);
-    let bytes = monitor_segment("m0", &dataset.entries[0], Codec::Lz, 64);
-    let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
-    let chunk = reader.chunks()[0];
-    // Locate the payload inside the first chunk frame: skip the length
-    // varint; the payload's first byte is the codec byte, then the body.
-    let frame_start = chunk.offset as usize;
-    let (payload_len, varint_len) = varint::decode(&bytes[frame_start..]).unwrap();
-    let payload_start = frame_start + varint_len;
-    let payload_end = payload_start + payload_len as usize;
+    let bytes = monitor_segment("m0", &dataset.entries[0], Codec::Col, 64);
+    let (payload_start, payload_end) = first_chunk_payload(&bytes);
     let crc_range = payload_end..payload_end + 4;
-    assert_eq!(bytes[payload_start], Codec::Lz.byte(), "first chunk is lz");
+    assert_eq!(
+        bytes[payload_start],
+        Codec::Col.byte(),
+        "first chunk is col"
+    );
 
     let reopen = |bytes: &[u8]| -> SegmentError {
         let reader = TraceReader::new(SliceSource::new(bytes)).unwrap();
@@ -91,8 +157,8 @@ fn codec_damage_surfaces_typed_errors() {
     assert!(matches!(reopen(&unknown), SegmentError::UnknownCodec(9)));
 
     // (2) Corrupted compressed body under a valid CRC (e.g. a buggy encoder
-    // or truncated-then-padded payload): the LZ decoder must reject with a
-    // typed Corrupt error.
+    // or truncated-then-padded payload): the body decoder must reject with
+    // a typed Corrupt error.
     let mut damaged = bytes.clone();
     for byte in &mut damaged[payload_end - 6..payload_end] {
         *byte = 0xff;
@@ -133,7 +199,7 @@ proptest! {
         let mut metas = Vec::new();
         for (monitor, entries) in dataset.entries.iter().enumerate() {
             for (sequence, window) in entries.chunks(rotate).enumerate() {
-                let codec = Codec::all()[(monitor + sequence) % 3];
+                let codec = Codec::writable()[(monitor + sequence) % 2];
                 let file_name = format!("seg-{monitor:03}-{sequence:05}.seg");
                 let bytes = monitor_segment(&format!("m{monitor}"), window, codec, chunk);
                 std::fs::write(dir.join(&file_name), &bytes).unwrap();
@@ -178,7 +244,7 @@ proptest! {
         let dataset = random_dataset(seed, 2, per_monitor, jitter);
         let reference: Vec<TraceEntry> = dataset.merged_entries().collect();
 
-        for codec in Codec::all() {
+        for codec in Codec::writable() {
             let dir = temp_dir(&format!("modes-{seed}-{per_monitor}-{}", codec.name()));
             write_manifest(&dataset, &dir, DatasetConfig {
                 segment: SegmentConfig { chunk_capacity: 16, codec },
@@ -218,7 +284,7 @@ fn netsize_and_attacks_agree_across_all_modes() {
     let reference_idw = identify_data_wanters(&trace, &target_cid);
     let reference_tnw = track_node_wants(&trace, &target_peer);
 
-    for codec in Codec::all() {
+    for codec in Codec::writable() {
         let dir = temp_dir(&format!("analyses-{}", codec.name()));
         write_manifest(
             &dataset,
@@ -263,15 +329,15 @@ fn netsize_and_attacks_agree_across_all_modes() {
     }
 }
 
-/// The compressed codec must make the dataset strictly smaller on disk for
-/// dictionary-heavy traces (the realistic shape: few distinct peers/CIDs per
-/// chunk, repetitive index columns).
+/// `col` must make the dataset strictly smaller on disk for dictionary-heavy
+/// traces (the realistic shape: few distinct peers/CIDs per chunk,
+/// repetitive index columns).
 #[test]
-fn col_manifest_is_strictly_smaller_than_lz_on_disk() {
+fn col_manifest_is_strictly_smaller_than_raw_on_disk() {
     let dataset = random_dataset(11, 2, 4_000, 800);
-    let lz_dir = temp_dir("size2-lz");
-    let col_dir = temp_dir("size2-col");
-    for (dir, codec) in [(&lz_dir, Codec::Lz), (&col_dir, Codec::Col)] {
+    let raw_dir = temp_dir("size-raw");
+    let col_dir = temp_dir("size-col");
+    for (dir, codec) in [(&raw_dir, Codec::Raw), (&col_dir, Codec::Col)] {
         write_manifest(
             &dataset,
             dir,
@@ -285,11 +351,11 @@ fn col_manifest_is_strictly_smaller_than_lz_on_disk() {
             },
         );
     }
-    let lz_bytes = dir_bytes(&lz_dir);
+    let raw_bytes = dir_bytes(&raw_dir);
     let col_bytes = dir_bytes(&col_dir);
     assert!(
-        col_bytes < lz_bytes,
-        "col manifest not smaller: {col_bytes} vs {lz_bytes} lz"
+        col_bytes < raw_bytes,
+        "col manifest not smaller: {col_bytes} vs {raw_bytes} raw"
     );
 
     // And it still reads back identically.
@@ -298,52 +364,23 @@ fn col_manifest_is_strictly_smaller_than_lz_on_disk() {
     let (trace, _) = unify_and_flag(&dataset, PreprocessConfig::default());
     assert_eq!(streamed.entries, trace.entries);
 
-    std::fs::remove_dir_all(&lz_dir).ok();
+    std::fs::remove_dir_all(&raw_dir).ok();
     std::fs::remove_dir_all(&col_dir).ok();
 }
 
-/// Exhaustive single-byte damage sweep over a `col` chunk body, through the
-/// full reader stack: every flip must either surface a *typed* error
-/// (truncated bit-pack runs, out-of-range dictionary indexes, RLE overruns —
-/// all `Corrupt` — or an unknown codec byte) or decode cleanly into
-/// different-but-valid entries (flips inside dictionary bytes). Never a
-/// panic, never a checksum-skipping shortcut.
+/// [`body_damage_sweep`] over a `col` chunk body: truncated bit-pack runs,
+/// out-of-range dictionary indexes and RLE overruns are all `Corrupt`.
 #[test]
 fn col_body_damage_sweep_never_panics() {
     let dataset = random_dataset(43, 1, 400, 400);
     let bytes = monitor_segment("m0", &dataset.entries[0], Codec::Col, 64);
-    let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
-    let chunk = reader.chunks()[0];
-    let frame_start = chunk.offset as usize;
-    let (payload_len, varint_len) = varint::decode(&bytes[frame_start..]).unwrap();
-    let payload_start = frame_start + varint_len;
-    let payload_end = payload_start + payload_len as usize;
-    let crc_range = payload_end..payload_end + 4;
+    let (payload_start, _) = first_chunk_payload(&bytes);
     assert_eq!(
         bytes[payload_start],
         Codec::Col.byte(),
         "first chunk is col"
     );
-
-    let mut typed_errors = 0usize;
-    let mut clean_decodes = 0usize;
-    for pos in payload_start + 1..payload_end {
-        let mut damaged = bytes.clone();
-        damaged[pos] ^= 0xA5;
-        let crc = ipfs_monitoring::tracestore::crc::crc32(&damaged[payload_start..payload_end]);
-        damaged[crc_range.clone()].copy_from_slice(&crc.to_le_bytes());
-
-        let reader = TraceReader::new(SliceSource::new(&damaged)).unwrap();
-        let mut stream = reader.stream_monitor(0);
-        let _ = (&mut stream).count();
-        match stream.take_error() {
-            Some(SegmentError::Corrupt(_)) | Some(SegmentError::UnknownCodec(_)) => {
-                typed_errors += 1;
-            }
-            Some(other) => panic!("unexpected error type at body offset {pos}: {other:?}"),
-            None => clean_decodes += 1,
-        }
-    }
+    let (typed_errors, clean_decodes) = body_damage_sweep(&bytes);
     // A healthy sweep hits both outcomes: structural bytes (widths, counts,
     // run lengths, indexes) produce typed errors; dictionary payload bytes
     // decode to different entries.
@@ -354,15 +391,13 @@ fn col_body_damage_sweep_never_panics() {
     );
 }
 
-/// Migration round-trip: a hand-assembled manifest whose segments cycle all
-/// three codecs is rewritten to all-`col` — the merged stream must be
+/// Migration round-trip: a hand-assembled manifest whose segments alternate
+/// both writable codecs is rewritten to all-`col` — the merged stream must be
 /// byte-identical before and after, already-`col` segments are skipped, a
 /// stale temp file from a crashed previous run is swept, and a second run is
 /// a no-op.
 #[test]
 fn migrate_rewrites_mixed_manifest_to_col() {
-    use ipfs_monitoring::tracestore::{migrate_manifest, MIGRATE_TMP_SUFFIX};
-
     let dataset = random_dataset(59, 2, 400, 600);
     let dir = temp_dir("migrate-mixed");
     std::fs::create_dir_all(&dir).unwrap();
@@ -370,7 +405,7 @@ fn migrate_rewrites_mixed_manifest_to_col() {
     let mut col_segments = 0usize;
     for (monitor, entries) in dataset.entries.iter().enumerate() {
         for (sequence, window) in entries.chunks(120).enumerate() {
-            let codec = Codec::all()[(monitor + sequence) % 3];
+            let codec = Codec::writable()[(monitor + sequence) % 2];
             if codec == Codec::Col {
                 col_segments += 1;
             }
@@ -395,13 +430,7 @@ fn migrate_rewrites_mixed_manifest_to_col() {
     let stale = dir.join(format!("seg-000-00000.seg{MIGRATE_TMP_SUFFIX}"));
     std::fs::write(&stale, b"half-written garbage").unwrap();
 
-    let reference: Vec<TraceEntry> = {
-        let reader = ManifestReader::open(&dir).unwrap();
-        let mut stream = reader.merged_entries();
-        let entries: Vec<TraceEntry> = (&mut stream).collect();
-        assert!(stream.take_error().is_none());
-        entries
-    };
+    let reference = merged_entries(&dir);
 
     let report = migrate_manifest(&dir, Codec::Col).unwrap();
     assert!(!stale.exists(), "stale temp file must be swept");
@@ -411,11 +440,11 @@ fn migrate_rewrites_mixed_manifest_to_col() {
         report.segments_total - col_segments
     );
 
-    let reader = ManifestReader::open(&dir).unwrap();
-    let mut stream = reader.merged_entries();
-    let migrated: Vec<TraceEntry> = (&mut stream).collect();
-    assert!(stream.take_error().is_none());
-    assert_eq!(migrated, reference, "stream must survive migration intact");
+    assert_eq!(
+        merged_entries(&dir),
+        reference,
+        "stream must survive migration intact"
+    );
 
     // Second run: everything already col, nothing rewritten, size unchanged.
     let before = dir_bytes(&dir);
@@ -427,38 +456,172 @@ fn migrate_rewrites_mixed_manifest_to_col() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn lz_manifest_is_strictly_smaller_on_disk() {
-    let dataset = random_dataset(7, 2, 4_000, 800);
-    let raw_dir = temp_dir("size-raw");
-    let lz_dir = temp_dir("size-lz");
-    for (dir, codec) in [(&raw_dir, Codec::Raw), (&lz_dir, Codec::Lz)] {
-        write_manifest(
-            &dataset,
-            dir,
-            DatasetConfig {
-                segment: SegmentConfig {
-                    chunk_capacity: 1024,
-                    codec,
-                },
-                rotate_after_entries: 2_000,
-                ..DatasetConfig::default()
-            },
-        );
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &byte in bytes {
+        hash = (hash ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
     }
-    let raw_bytes = dir_bytes(&raw_dir);
-    let lz_bytes = dir_bytes(&lz_dir);
-    assert!(
-        lz_bytes < raw_bytes,
-        "lz manifest not smaller: {lz_bytes} vs {raw_bytes} raw"
+    hash
+}
+
+/// FNV-1a over every file of a dataset directory in name order — name,
+/// length, bytes — so a single differing byte in any segment or in
+/// `manifest.ipmm` changes the digest.
+fn dir_digest(dir: &Path) -> u64 {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    let mut hash = 0xcbf2_9ce4_8422_2325;
+    for name in names {
+        let bytes = std::fs::read(dir.join(&name)).unwrap();
+        hash = fnv1a(hash, name.as_bytes());
+        hash = fnv1a(hash, &(bytes.len() as u64).to_le_bytes());
+        hash = fnv1a(hash, &bytes);
+    }
+    hash
+}
+
+/// Bridge across the removal of the plug-in codec layer: the digests below
+/// were recorded on commit `51f7942`, whose `Col` encoder serialised the raw
+/// planes, re-parsed them and re-encoded the result. Writing straight from
+/// the interned columns must produce the same bytes in every file, for both
+/// layouts. Chunk capacity 7 exercises the per-chunk raw fallback and the
+/// plain columnar body, 64 and 4 096 the LZ-compressed columnar body
+/// (rotation closes a segment every 6 000 entries, so 4 096 also yields
+/// partial chunks).
+#[test]
+fn encoder_output_is_byte_identical_to_the_recorded_parent() {
+    const CHUNKS: [usize; 3] = [7, 64, 4_096];
+    // [dataset][codec][chunk capacity]
+    const RECORDED: [[[u64; 3]; 2]; 2] = [
+        [
+            [0xc331d6a067cf9b4b, 0x6d0bdf1f9412da24, 0x096ff84bf82733d4],
+            [0x39fc6c02b5b5f052, 0x88a498c55c6acf2b, 0xe3f14caad59b8307],
+        ],
+        [
+            [0xa81203845e0cbcaf, 0x85be4f92d2b94cd4, 0x4d405a58932f634e],
+            [0x2200400dfabe4cff, 0x6b73b671fbaff658, 0x94b78391f3321c0a],
+        ],
+    ];
+    let datasets = [
+        ("random", random_dataset(2022, 3, 9_000, 900)),
+        ("simulated", simulated_dataset(7, 150)),
+    ];
+    for ((name, dataset), recorded) in datasets.iter().zip(RECORDED) {
+        for (codec, recorded) in Codec::writable().into_iter().zip(recorded) {
+            for (chunk, recorded) in CHUNKS.into_iter().zip(recorded) {
+                let dir = temp_dir(&format!("bridge-{name}-{}-{chunk}", codec.name()));
+                write_manifest(
+                    dataset,
+                    &dir,
+                    DatasetConfig {
+                        segment: SegmentConfig {
+                            chunk_capacity: chunk,
+                            codec,
+                        },
+                        rotate_after_entries: 6_000,
+                        ..DatasetConfig::default()
+                    },
+                );
+                assert_eq!(
+                    dir_digest(&dir),
+                    recorded,
+                    "{name} dataset, codec {}, chunk capacity {chunk}",
+                    codec.name()
+                );
+                std::fs::remove_dir_all(&dir).ok();
+            }
+        }
+    }
+}
+
+/// The dataset under `tests/fixtures/lz_v2`, regenerated: commit `51f7942`
+/// wrote it with `Codec::Lz`, 16-entry chunks and rotation every 30 entries.
+fn lz_fixture() -> (
+    std::path::PathBuf,
+    ipfs_monitoring::tracestore::MonitoringDataset,
+) {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/lz_v2");
+    (dir, random_dataset(314, 2, 60, 500))
+}
+
+/// No writer emits codec byte 1 any more, but datasets that carry it must
+/// keep reading: entry-for-entry equal to the dataset they were written
+/// from, robust to damage, and migratable to `col`. Fails if the byte-1
+/// decode arm is removed.
+#[test]
+fn lz_fixture_reads_survives_damage_and_migrates() {
+    let (fixture, dataset) = lz_fixture();
+    let manifest = Manifest::load(fixture.join("manifest.ipmm")).unwrap();
+
+    let reference: Vec<TraceEntry> = dataset.merged_entries().collect();
+    assert_eq!(merged_entries(&fixture), reference);
+    let reader = ManifestReader::open(&fixture).unwrap();
+    assert_eq!(reader.connections().count(), dataset.connections.len());
+
+    // The fixture really is `lz`, and the damage sweeps run over its bytes.
+    for segment in &manifest.segments {
+        let bytes = std::fs::read(fixture.join(&segment.file_name)).unwrap();
+        let (payload_start, _) = first_chunk_payload(&bytes);
+        assert_eq!(bytes[payload_start], Codec::Lz.byte(), "first chunk is lz");
+        let (typed_errors, clean_decodes) = body_damage_sweep(&bytes);
+        assert!(typed_errors > 0, "no flip surfaced a typed error");
+        assert!(
+            clean_decodes > 0,
+            "no flip landed in plain dictionary bytes"
+        );
+        truncation_sweep(&bytes);
+    }
+
+    // A copy migrates to `col` with the merged stream intact.
+    let dir = temp_dir("lz-fixture-migrate");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for entry in std::fs::read_dir(&fixture).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
+    }
+    let report = migrate_manifest(&dir, Codec::Col).unwrap();
+    assert_eq!(report.segments_rewritten, manifest.segments.len());
+    assert_eq!(merged_entries(&dir), reference);
+    for segment in &manifest.segments {
+        let bytes = std::fs::read(dir.join(&segment.file_name)).unwrap();
+        let (payload_start, _) = first_chunk_payload(&bytes);
+        assert_eq!(bytes[payload_start], Codec::Col.byte());
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every writer entry point refuses the decode-only codec by name.
+#[test]
+fn lz_is_refused_as_a_write_target() {
+    let refused = |result: Result<(), SegmentError>| match result {
+        Err(SegmentError::InvalidConfig(what)) => assert!(what.contains("'col'"), "{what}"),
+        other => panic!("lz must be InvalidConfig: {other:?}"),
+    };
+    refused(Codec::parse("lz").map(drop));
+    refused(
+        TraceWriter::new(
+            Vec::new(),
+            vec!["m".into()],
+            SegmentConfig::with_codec(Codec::Lz),
+        )
+        .map(drop),
     );
-
-    // And it still reads back identically.
-    let reader = ManifestReader::open(&lz_dir).unwrap();
-    let (streamed, _) = unify_and_flag_source(&reader, PreprocessConfig::default()).unwrap();
-    let (trace, _) = unify_and_flag(&dataset, PreprocessConfig::default());
-    assert_eq!(streamed.entries, trace.entries);
-
-    std::fs::remove_dir_all(&raw_dir).ok();
-    std::fs::remove_dir_all(&lz_dir).ok();
+    let dir = temp_dir("lz-refused");
+    let config = DatasetConfig {
+        segment: SegmentConfig::with_codec(Codec::Lz),
+        ..DatasetConfig::default()
+    };
+    refused(
+        ipfs_monitoring::tracestore::DatasetWriter::create(&dir, vec!["m".into()], config)
+            .map(drop),
+    );
+    assert!(
+        !dir.exists(),
+        "a refused configuration must not create files"
+    );
+    let (fixture, _) = lz_fixture();
+    refused(migrate_manifest(&fixture, Codec::Lz).map(drop));
 }
