@@ -14,12 +14,14 @@ use ipfs_mon_core::{
     EntryStatsSink, PopularitySink, PreprocessConfig, RequestTypeSink,
 };
 use ipfs_mon_simnet::time::SimDuration;
+use ipfs_mon_tracestore::crc::crc32;
 use ipfs_mon_tracestore::{
     recover_dataset, run_sink, ChunkScratch, ChunkSource, ChunkView, Codec, DatasetConfig,
     DatasetWriter, FileSource, LatePolicy, Manifest, ManifestReader, MonitoringDataset,
     ReadOptions, SegmentConfig, SliceSource, TraceEntry, TraceReader, TraceSource, WindowSpec,
 };
 use ipfs_mon_workload::ScenarioConfig;
+use std::hint::black_box;
 use std::time::Instant;
 
 fn mib_per_s(bytes: usize, seconds: f64) -> f64 {
@@ -352,12 +354,26 @@ fn main() {
         mib_per_s(raw_bytes as usize, raw_decode_s),
         mib_per_s(raw_bytes as usize, col_decode_s),
     );
+    // The checksum alone, over the in-memory segment (repeated to at least
+    // 16 MiB per timed run): every stored byte passes through it on every
+    // read, so this is the ceiling of the row above.
+    let crc_passes = (16 << 20) / segment.len().max(1) + 1;
+    let mut crc_s = f64::INFINITY;
+    for _ in 0..5 {
+        let start = Instant::now();
+        for _ in 0..crc_passes {
+            black_box(crc32(black_box(&segment)));
+        }
+        crc_s = crc_s.min(start.elapsed().as_secs_f64());
+    }
+    let crc_mb_s = mib_per_s(segment.len() * crc_passes, crc_s);
+    println!("  crc MB/s (segment bytes, best of 5): {crc_mb_s:>7.1}");
     assert!(
         col_bytes < raw_bytes,
         "col manifest must be strictly smaller than raw"
     );
     println!(
-        "BENCH_tracestore.json {{\"mode\":\"codec-matrix\",\"entries\":{total_entries},\"raw_bytes\":{raw_bytes},\"col_bytes\":{col_bytes},\"col_decode_s\":{col_decode_s:.4}}}"
+        "BENCH_tracestore.json {{\"mode\":\"codec-matrix\",\"entries\":{total_entries},\"raw_bytes\":{raw_bytes},\"col_bytes\":{col_bytes},\"col_decode_s\":{col_decode_s:.4},\"crc_mb_s\":{crc_mb_s:.1}}}"
     );
 
     // Durability and recovery: what periodic checkpoints cost on the ingest

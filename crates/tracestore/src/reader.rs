@@ -10,7 +10,8 @@ use crate::segment::{
 use ipfs_mon_obs as obs;
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
 use std::borrow::Cow;
-use std::collections::BinaryHeap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::path::Path;
 use std::sync::{mpsc, Arc, Mutex};
 
@@ -258,9 +259,10 @@ impl<S: ChunkSource> TraceReader<S> {
         SortedEntryStream {
             inner: self.stream_monitor(monitor),
             lateness: SimDuration::from_millis(self.max_lateness_ms(monitor)),
-            buffer: BinaryHeap::new(),
-            next_seq: 0,
-            high_water: None,
+            ring: VecDeque::new(),
+            base_seq: 0,
+            keys: BinaryHeap::new(),
+            high_water: SimTime::ZERO,
             drained: false,
         }
     }
@@ -378,43 +380,23 @@ impl<S: ChunkSource> Iterator for EntryStream<'_, S> {
     }
 }
 
-/// An entry waiting in a [`SortedEntryStream`]'s reorder buffer, ordered for
-/// a min-heap: earliest timestamp first, arrival sequence breaking ties.
-struct Pending {
-    entry: TraceEntry,
-    seq: u64,
-}
-
-impl PartialEq for Pending {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-    }
-}
-
-impl Eq for Pending {}
-
-impl PartialOrd for Pending {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Pending {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest first.
-        (other.entry.timestamp, other.seq).cmp(&(self.entry.timestamp, self.seq))
-    }
-}
-
 /// One monitor's entries delivered in exact `(timestamp, arrival)` order via
 /// a bounded reorder buffer (see [`TraceReader::stream_monitor_sorted`]).
+///
+/// Held entries sit in an arrival-order ring and only their 16-byte
+/// `(timestamp, arrival)` keys are heap-ordered, so an entry is moved in once
+/// and out once however far its key sifts.
 pub struct SortedEntryStream<'a, S: ChunkSource> {
     inner: EntryStream<'a, S>,
     lateness: SimDuration,
-    buffer: BinaryHeap<Pending>,
-    next_seq: u64,
+    /// Slot `i` holds arrival number `base_seq + i`, `None` once emitted;
+    /// the front slot is always a held entry.
+    ring: VecDeque<Option<TraceEntry>>,
+    base_seq: u64,
+    /// Min-heap over the keys of the held entries.
+    keys: BinaryHeap<Reverse<(SimTime, u64)>>,
     /// Highest timestamp pulled from the arrival stream so far.
-    high_water: Option<SimTime>,
+    high_water: SimTime,
     drained: bool,
 }
 
@@ -426,7 +408,7 @@ impl<S: ChunkSource> SortedEntryStream<'_, S> {
 
     /// Entries currently held in the reorder buffer.
     pub fn buffered(&self) -> usize {
-        self.buffer.len()
+        self.keys.len()
     }
 }
 
@@ -438,32 +420,30 @@ impl<S: ChunkSource> Iterator for SortedEntryStream<'_, S> {
             // An entry is safe to emit once the arrival stream has advanced
             // past its timestamp by more than the recorded lateness bound:
             // every future arrival then has a strictly later timestamp.
-            if let (Some(peek), Some(high)) = (self.buffer.peek(), self.high_water) {
-                if self.drained || high.since(peek.entry.timestamp) > self.lateness {
-                    return self.buffer.pop().map(|p| p.entry);
+            match self.keys.peek() {
+                Some(&Reverse((timestamp, seq)))
+                    if self.drained || self.high_water.since(timestamp) > self.lateness =>
+                {
+                    self.keys.pop();
+                    let entry = self.ring[(seq - self.base_seq) as usize].take();
+                    while let Some(None) = self.ring.front() {
+                        self.ring.pop_front();
+                        self.base_seq += 1;
+                    }
+                    return entry;
                 }
-            } else if self.drained {
-                return self.buffer.pop().map(|p| p.entry);
+                None if self.drained => return None,
+                _ => {}
             }
 
             match self.inner.next() {
                 Some(entry) => {
-                    self.high_water = Some(match self.high_water {
-                        Some(high) if high >= entry.timestamp => high,
-                        _ => entry.timestamp,
-                    });
-                    self.buffer.push(Pending {
-                        entry,
-                        seq: self.next_seq,
-                    });
-                    self.next_seq += 1;
+                    self.high_water = self.high_water.max(entry.timestamp);
+                    let seq = self.base_seq + self.ring.len() as u64;
+                    self.keys.push(Reverse((entry.timestamp, seq)));
+                    self.ring.push_back(Some(entry));
                 }
-                None => {
-                    self.drained = true;
-                    if self.buffer.is_empty() {
-                        return None;
-                    }
-                }
+                None => self.drained = true,
             }
         }
     }
@@ -1315,6 +1295,8 @@ mod tests {
     use ipfs_mon_bitswap::RequestType;
     use ipfs_mon_simnet::time::SimTime;
     use ipfs_mon_types::{Cid, Country, Multiaddr, Multicodec, PeerId, Transport};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn entry(ms: u64, peer: u64, monitor: usize) -> TraceEntry {
         TraceEntry {
@@ -1434,6 +1416,63 @@ mod tests {
         expected.sort_by_key(|e| e.timestamp);
         let sorted: Vec<TraceEntry> = reader.stream_monitor_sorted(0).collect();
         assert_eq!(sorted, expected);
+    }
+
+    /// Streams `arrival` back through the sorted stream, checks it against a
+    /// stable sort by timestamp, and returns the most entries the reorder
+    /// buffer held after any emission.
+    fn check_sorted_stream(arrival: &[TraceEntry], capacity: usize) -> usize {
+        let bytes = build_segment(arrival, 1, capacity);
+        let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
+        let mut expected = arrival.to_vec();
+        expected.sort_by_key(|e| e.timestamp);
+
+        let mut stream = reader.stream_monitor_sorted(0);
+        let mut peak = 0;
+        let mut sorted = Vec::with_capacity(arrival.len());
+        while let Some(entry) = stream.next() {
+            sorted.push(entry);
+            peak = peak.max(stream.buffered());
+        }
+        assert!(stream.take_error().is_none());
+        assert_eq!(stream.buffered(), 0);
+        assert!(sorted == expected, "sorted stream is not the stable sort");
+        peak
+    }
+
+    #[test]
+    fn sorted_stream_is_a_stable_sort_of_adversarial_arrivals() {
+        // Reverse-sorted: every arrival is later than the whole buffer.
+        let reversed: Vec<TraceEntry> = (0..2_000).map(|i| entry(5_000 - i, i, 0)).collect();
+        assert_eq!(check_sorted_stream(&reversed, 64), reversed.len() - 1);
+
+        // All-equal timestamps: the high-water mark never passes anything,
+        // so all is held and the arrival number alone decides the order.
+        let equal: Vec<TraceEntry> = (0..2_000).map(|i| entry(777, i, 0)).collect();
+        assert_eq!(check_sorted_stream(&equal, 64), equal.len() - 1);
+
+        // Jitter of up to four chunks' worth of entries, so late entries
+        // land in earlier positions than whole chunks decoded before them.
+        let mut rng = StdRng::seed_from_u64(15);
+        let jittered: Vec<TraceEntry> = (0..5_000u64)
+            .map(|i| entry(10_000 + i * 10 - rng.gen_range(0..640u64), i % 97, 0))
+            .collect();
+        // Held entries are bounded by the disorder window, not the trace.
+        let peak = check_sorted_stream(&jittered, 16);
+        assert!((2..200).contains(&peak), "peak {peak}");
+    }
+
+    #[test]
+    fn sorted_stream_survives_a_whole_trace_backward_jump() {
+        // The first arrival carries the latest timestamp, so the lateness
+        // bound is the full span and every entry is held until the stream
+        // drains; the sawtooth behind it makes each arrival sort into the
+        // middle of what is held. A buffer that is quadratic in the held
+        // count does not finish this inside a test run.
+        let n = 200_000u64;
+        let mut arrival = vec![entry(10_000_000, 0, 0)];
+        arrival.extend((1..n).map(|i| entry((i % 1_000) * 5_000 + i / 1_000, i % 251, 0)));
+        assert_eq!(check_sorted_stream(&arrival, 4_096), arrival.len() - 1);
     }
 
     #[test]

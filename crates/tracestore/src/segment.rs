@@ -732,22 +732,29 @@ impl<'a> ChunkView<'a> {
         let payload_start = cursor.pos;
         let payload = cursor.take(payload_len)?;
         let stored_crc = u32::from_le_bytes(cursor.take(4)?.try_into().unwrap());
+        // Decode-stage span, split per codec. It covers the checksum pass —
+        // the one step that touches every payload byte — so it is chosen
+        // from the codec byte before that byte is verified; a byte naming no
+        // codec gets no span and is refused below, after the checksum.
+        let codec = match payload.first() {
+            Some(&byte) => Codec::from_byte(byte),
+            None => Err(SegmentError::Corrupt("empty chunk payload".into())),
+        };
+        let _span = codec
+            .as_ref()
+            .ok()
+            .map(|&codec| decode_stage_histogram(codec).timer());
+        let crc_span = obs::histogram!("store.chunk_crc_ns").timer();
         if crc32(payload) != stored_crc {
             return Err(SegmentError::ChecksumMismatch {
                 location: "chunk".into(),
             });
         }
+        drop(crc_span);
         if !cursor.is_at_end() {
             return Err(SegmentError::Corrupt("trailing bytes after chunk".into()));
         }
-        if payload.is_empty() {
-            return Err(SegmentError::Corrupt("empty chunk payload".into()));
-        }
-        let codec = Codec::from_byte(payload[0])?;
-        // Decode-stage span, split per codec. The envelope work above is a
-        // few branches; the decompression and column work below is where
-        // decode time actually goes.
-        let _span = decode_stage_histogram(codec).timer();
+        let codec = codec?;
         let body_range = payload_start + 1..payload_start + payload_len;
         scratch.clear();
         match codec {
@@ -813,8 +820,12 @@ impl<'a> ChunkView<'a> {
         let mut addr_dict = std::mem::take(&mut scratch.addr_dict);
         let mut cid_dict = std::mem::take(&mut scratch.cid_dict);
 
+        // Raw planes interleave columns and dictionaries, so the columns
+        // span is recorded once per column run between dictionaries.
+        let columns = obs::histogram!("store.chunk_columns_ns");
         let bytes = planes.bytes();
         let mut cursor = Cursor::new(bytes);
+        let span = columns.timer();
         let monitor = cursor.varint()? as usize;
         let count = checked_count(&mut cursor, 1, "entry")?;
 
@@ -839,13 +850,17 @@ impl<'a> ChunkView<'a> {
         cursor.take(peer_count * 32)?;
         let peer_dict = peer_dict_start..cursor.pos;
         read_indexes(&mut cursor, count, peer_count, "peer", &mut peer_indexes)?;
+        drop(span);
 
         let addr_count = checked_count(&mut cursor, MULTIADDR_LEN, "address dictionary")?;
         read_addr_dict(&mut cursor, addr_count, &mut addr_dict)?;
+        let span = columns.timer();
         read_indexes(&mut cursor, count, addr_count, "address", &mut addr_indexes)?;
+        drop(span);
 
         let cid_count = checked_count(&mut cursor, 2, "CID dictionary")?;
         read_cid_dict(&mut cursor, cid_count, &mut cid_dict)?;
+        let span = columns.timer();
         read_indexes(&mut cursor, count, cid_count, "CID", &mut cid_indexes)?;
 
         let type_plane = cursor.pos..cursor.pos + count.div_ceil(4);
@@ -858,6 +873,7 @@ impl<'a> ChunkView<'a> {
         if !cursor.is_at_end() {
             return Err(SegmentError::Corrupt("trailing bytes in payload".into()));
         }
+        drop(span);
 
         obs::counter!("store.chunks_decoded").incr();
         obs::counter!("store.entries_decoded").add(count as u64);
@@ -902,6 +918,7 @@ impl<'a> ChunkView<'a> {
 
         // The columnar bytes; layout ranges are relative to them.
         let body = &planes.bytes()[offset..];
+        let columns_span = obs::histogram!("store.chunk_columns_ns").timer();
         let layout = crate::col::decode_columns(
             body,
             &mut timestamps,
@@ -912,6 +929,7 @@ impl<'a> ChunkView<'a> {
             &mut flag_plane,
             &mut bits,
         )?;
+        drop(columns_span);
 
         // Decode (and validate) the address and CID dictionaries from their
         // verbatim regions, exactly as the raw plane parser does.
@@ -1096,6 +1114,7 @@ fn read_addr_dict(
     count: usize,
     dict: &mut Vec<Multiaddr>,
 ) -> Result<(), SegmentError> {
+    let _span = obs::histogram!("store.chunk_dict_ns").timer();
     dict.reserve(count);
     for _ in 0..count {
         dict.push(decode_multiaddr(cursor.take(MULTIADDR_LEN)?)?);
@@ -1110,6 +1129,7 @@ fn read_cid_dict(
     count: usize,
     dict: &mut Vec<Cid>,
 ) -> Result<(), SegmentError> {
+    let _span = obs::histogram!("store.chunk_dict_ns").timer();
     dict.reserve(count);
     for _ in 0..count {
         let len = cursor.varint()? as usize;

@@ -97,6 +97,15 @@ fn pipeline_metrics_track_real_work() {
             .map(|(_, h)| h.count)
             .sum::<u64>();
         assert!(decode >= 1, "decode stage histogram must have samples");
+        // Its sub-spans fire on every chunk, whatever the codec.
+        for name in [
+            "store.chunk_crc_ns",
+            "store.chunk_columns_ns",
+            "store.chunk_dict_ns",
+        ] {
+            let samples = after.histograms.get(name).map_or(0, |h| h.count);
+            assert!(samples >= 1, "{name} must have samples");
+        }
     } else {
         assert!(after.counters.is_empty());
         assert!(after.histograms.is_empty());
