@@ -24,9 +24,9 @@ fn main() {
     config.workload.gateway_requests_per_hour = 20.0;
     let run = run_experiment(&config);
 
-    // The series is computed by streaming the spilled manifest through the
-    // codec/source/merge combination the flags selected, then cross-checked
-    // against the in-memory path.
+    // The series is computed by streaming the spilled manifest under the
+    // codec the flags selected, then cross-checked against the in-memory
+    // path.
     let dir = std::env::temp_dir().join(format!("fig4-manifest-{}", std::process::id()));
     let summary = spill_to_manifest_with(
         &run.dataset,
@@ -37,8 +37,7 @@ fn main() {
             ..DatasetConfig::default()
         },
     );
-    let reader =
-        ManifestReader::open_with(&summary.manifest_path, flags.options).expect("open manifest");
+    let reader = ManifestReader::open(&summary.manifest_path).expect("open manifest");
     let streamed = request_type_series_source(&reader, SimDuration::from_days(7))
         .expect("stream request-type series");
     std::fs::remove_dir_all(&dir).ok();

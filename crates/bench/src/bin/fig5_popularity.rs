@@ -21,8 +21,8 @@ fn main() {
     let run = run_experiment(&config);
 
     // The unified trace is re-derived by streaming the spilled manifest
-    // through the selected codec/source/merge combination and must match the
-    // in-memory preprocessing byte for byte.
+    // under the selected codec and must match the in-memory preprocessing
+    // byte for byte.
     let dir = std::env::temp_dir().join(format!("fig5-manifest-{}", std::process::id()));
     let summary = spill_to_manifest_with(
         &run.dataset,
@@ -33,8 +33,7 @@ fn main() {
             ..DatasetConfig::default()
         },
     );
-    let reader =
-        ManifestReader::open_with(&summary.manifest_path, flags.options).expect("open manifest");
+    let reader = ManifestReader::open(&summary.manifest_path).expect("open manifest");
     let (streamed, _) =
         unify_and_flag_source(&reader, PreprocessConfig::default()).expect("stream manifest");
     std::fs::remove_dir_all(&dir).ok();

@@ -32,8 +32,8 @@ fn main() {
 
     // The analysis runs from a multi-segment manifest without materializing
     // the dataset — the constant-memory path a ten-day deployment needs.
-    // Codec, source, and merge mode come from the command line; whatever the
-    // choice, the result below is asserted equal to the in-memory reference.
+    // The codec comes from the command line; whichever it is, the result
+    // below is asserted equal to the in-memory reference.
     let dir = std::env::temp_dir().join(format!("sec5c-manifest-{}", std::process::id()));
     let summary = spill_to_manifest_with(
         &run.dataset,
@@ -44,8 +44,7 @@ fn main() {
             ..DatasetConfig::default()
         },
     );
-    let reader =
-        ManifestReader::open_with(&summary.manifest_path, flags.options).expect("open manifest");
+    let reader = ManifestReader::open(&summary.manifest_path).expect("open manifest");
     let report = estimate_network_size_source(&reader, window_start, window_end, interval)
         .expect("streaming estimation");
 

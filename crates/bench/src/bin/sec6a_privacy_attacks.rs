@@ -12,7 +12,7 @@ use ipfs_mon_core::{
 use ipfs_mon_simnet::time::SimDuration;
 use ipfs_mon_tracestore::{DatasetConfig, ManifestReader, SegmentConfig};
 use ipfs_mon_workload::ScenarioConfig;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 fn main() {
     let flags = StorageFlags::from_args();
@@ -27,7 +27,7 @@ fn main() {
 
     // All trace-driven attacks run from a multi-segment manifest in one
     // constant-memory pass; the in-memory results below only cross-check it,
-    // for whatever codec/source/merge combination the flags selected.
+    // for whichever codec the flags selected.
     let dir = std::env::temp_dir().join(format!("sec6a-manifest-{}", std::process::id()));
     let summary = spill_to_manifest_with(
         &run.dataset,
@@ -38,12 +38,13 @@ fn main() {
             ..DatasetConfig::default()
         },
     );
-    let reader =
-        ManifestReader::open_with(&summary.manifest_path, flags.options).expect("open manifest");
+    let reader = ManifestReader::open(&summary.manifest_path).expect("open manifest");
 
     // Ground truth: which nodes issued a user request for which content.
-    let mut truth_by_content: HashMap<usize, HashSet<_>> = HashMap::new();
-    let mut truth_by_node: HashMap<usize, HashSet<usize>> = HashMap::new();
+    // Ordered maps: the targets below are picked by iterating these, and the
+    // printed rows must not depend on hash order.
+    let mut truth_by_content: BTreeMap<usize, HashSet<_>> = BTreeMap::new();
+    let mut truth_by_node: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
     for request in &scenario.requests {
         truth_by_content
             .entry(request.content)

@@ -45,8 +45,8 @@ fn main() {
     let run = run_network(network);
 
     // The probe watch-list is evaluated against the unified trace streamed
-    // back from a spilled manifest under the selected codec/source/merge
-    // combination, cross-checked against the in-memory preprocessing.
+    // back from a spilled manifest under the selected codec, cross-checked
+    // against the in-memory preprocessing.
     let dir = std::env::temp_dir().join(format!("sec6b-manifest-{}", std::process::id()));
     let summary = spill_to_manifest_with(
         &run.dataset,
@@ -57,8 +57,7 @@ fn main() {
             ..DatasetConfig::default()
         },
     );
-    let reader =
-        ManifestReader::open_with(&summary.manifest_path, flags.options).expect("open manifest");
+    let reader = ManifestReader::open(&summary.manifest_path).expect("open manifest");
     let (streamed, _) =
         unify_and_flag_source(&reader, PreprocessConfig::default()).expect("stream manifest");
     std::fs::remove_dir_all(&dir).ok();

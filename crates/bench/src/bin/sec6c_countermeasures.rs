@@ -23,8 +23,8 @@ fn main() {
     let run = run_experiment(&config);
 
     // The adversary's view is replayed from a spilled manifest under the
-    // selected codec/source/merge combination and cross-checked against the
-    // in-memory preprocessing before the countermeasures are applied.
+    // selected codec and cross-checked against the in-memory preprocessing
+    // before the countermeasures are applied.
     let dir = std::env::temp_dir().join(format!("sec6c-manifest-{}", std::process::id()));
     let summary = spill_to_manifest_with(
         &run.dataset,
@@ -35,8 +35,7 @@ fn main() {
             ..DatasetConfig::default()
         },
     );
-    let reader =
-        ManifestReader::open_with(&summary.manifest_path, flags.options).expect("open manifest");
+    let reader = ManifestReader::open(&summary.manifest_path).expect("open manifest");
     let (streamed, _) =
         unify_and_flag_source(&reader, PreprocessConfig::default()).expect("stream manifest");
     std::fs::remove_dir_all(&dir).ok();

@@ -18,9 +18,8 @@ fn main() {
     config.horizon = SimDuration::from_days(3);
     let run = run_experiment(&config);
 
-    // The table is computed by streaming the spilled manifest through the
-    // selected codec/source/merge combination, cross-checked against the
-    // in-memory computation.
+    // The table is computed by streaming the spilled manifest under the
+    // selected codec, cross-checked against the in-memory computation.
     let dir = std::env::temp_dir().join(format!("table1-manifest-{}", std::process::id()));
     let summary = spill_to_manifest_with(
         &run.dataset,
@@ -31,8 +30,7 @@ fn main() {
             ..DatasetConfig::default()
         },
     );
-    let reader =
-        ManifestReader::open_with(&summary.manifest_path, flags.options).expect("open manifest");
+    let reader = ManifestReader::open(&summary.manifest_path).expect("open manifest");
     let counts = activity_counts_source(&reader).expect("stream activity counts");
     std::fs::remove_dir_all(&dir).ok();
 

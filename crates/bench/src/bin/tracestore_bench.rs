@@ -4,8 +4,7 @@
 //! machinery, then measures encode/decode throughput and bytes-per-entry of
 //! the segment format against the JSON debug format, the streaming
 //! preprocessing path against the in-memory one, serial vs per-monitor
-//! analysis, the codec × merge-mode read matrix, and checkpoint/recovery
-//! cost. The acceptance bar of the tracestore subsystem is a segment under
+//! analysis, the per-codec read matrix, and checkpoint/recovery cost. The acceptance bar of the tracestore subsystem is a segment under
 //! 50 % of the equivalent JSON.
 
 use ipfs_mon_bench::{print_header, run_experiment, scaled, spill_to_manifest_with, ObsFlags};
@@ -18,7 +17,7 @@ use ipfs_mon_tracestore::crc::crc32;
 use ipfs_mon_tracestore::{
     recover_dataset, run_sink, ChunkScratch, ChunkSource, ChunkView, Codec, DatasetConfig,
     DatasetWriter, FileSource, LatePolicy, Manifest, ManifestReader, MonitoringDataset,
-    ReadOptions, SegmentConfig, SliceSource, TraceEntry, TraceReader, TraceSource, WindowSpec,
+    SegmentConfig, TraceEntry, TraceReader, TraceSource, WindowSpec,
 };
 use ipfs_mon_workload::ScenarioConfig;
 use std::hint::black_box;
@@ -103,15 +102,17 @@ fn main() {
         ratio * 100.0
     );
 
-    // Streaming preprocessing over the segment vs the in-memory path.
+    // Streaming preprocessing over an on-disk dataset vs the in-memory path.
     let start = Instant::now();
     let (trace, stats) = unify_and_flag(dataset, PreprocessConfig::default());
     let in_memory_s = start.elapsed().as_secs_f64();
 
-    let reader = TraceReader::new(SliceSource::new(&segment)).expect("open segment");
+    let dir_stream = std::env::temp_dir().join(format!("ts-bench-stream-{}", std::process::id()));
+    spill_to_manifest_with(dataset, &dir_stream, DatasetConfig::default());
+    let reader = ManifestReader::open(&dir_stream).expect("open manifest");
     let start = Instant::now();
     let (streamed, streamed_stats) =
-        unify_and_flag_source(&reader, PreprocessConfig::default()).expect("stream segment");
+        unify_and_flag_source(&reader, PreprocessConfig::default()).expect("stream manifest");
     let streaming_s = start.elapsed().as_secs_f64();
     assert_eq!(
         streamed.entries, trace.entries,
@@ -125,7 +126,11 @@ fn main() {
     let primary = (&mut stream).filter(|e| e.flags.is_primary()).count();
     let tracked = stream.tracked_keys();
     let pure_streaming_s = start.elapsed().as_secs_f64();
-    assert!(stream.take_source_error().is_none(), "segment stream error");
+    assert!(
+        stream.take_source_error().is_none(),
+        "manifest stream error"
+    );
+    std::fs::remove_dir_all(&dir_stream).ok();
 
     println!(
         "\n  preprocessing ({} entries, {} primary):",
@@ -138,12 +143,12 @@ fn main() {
     );
     println!(
         "  {:<22} {:>12.0} entries/s",
-        "segment -> unified",
+        "manifest -> unified",
         entries_per_s(stats.total, streaming_s)
     );
     println!(
         "  {:<22} {:>12.0} entries/s  ({} primary, {} window keys resident)",
-        "segment streaming",
+        "manifest streaming",
         entries_per_s(stats.total, pure_streaming_s),
         primary,
         tracked
@@ -250,9 +255,8 @@ fn main() {
     drop(reader);
     std::fs::remove_dir_all(&dir_fan_out).ok();
 
-    // Codec / merge matrix: the same dataset behind every combination of
-    // writable codec (raw vs col) and merge mode (serial vs
-    // decode-ahead), each verified bit-identical to the in-memory merged
+    // Codec matrix: the same dataset behind each writable codec (raw vs
+    // col), the merged read verified bit-identical to the in-memory merged
     // reference.
     //
     // "decode MB/s" is a *logical* throughput: the numerator is always the
@@ -264,13 +268,13 @@ fn main() {
     let rotate = (total_entries as u64 / 4).max(1);
     println!("\n  codec matrix ({total_entries} entries):");
     println!(
-        "  {:<6} {:<13} {:>12} {:>13} {:>14}",
-        "codec", "merge", "bytes/entry", "decode MB/s", "entries/s"
+        "  {:<6} {:>12} {:>13} {:>14}",
+        "codec", "bytes/entry", "decode MB/s", "entries/s"
     );
     let mut on_disk = [0u64; 2];
     // Best-of-5 pure chunk-decode wall time per codec: every chunk of every
     // segment read through `FileSource`, parsed and column-validated with
-    // recycled scratch, no merge heap, no prefetch thread, and no per-entry
+    // recycled scratch, no merge, no prefetch thread, and no per-entry
     // materialization (which costs the same for every codec) in the way.
     let mut pure_decode = [f64::INFINITY; 2];
     for (c, codec) in Codec::writable().into_iter().enumerate() {
@@ -292,28 +296,20 @@ fn main() {
             .expect("read manifest dir")
             .map(|e| e.expect("dir entry").metadata().expect("metadata").len())
             .sum();
-        for decode_ahead in [false, true] {
-            let options = ReadOptions::default().decode_ahead(decode_ahead);
-            let reader = ManifestReader::open_with(&dir, options).expect("open manifest");
-            let start = Instant::now();
-            let mut stream = reader.merged_entries();
-            let merged: Vec<TraceEntry> = (&mut stream).collect();
-            let elapsed = start.elapsed().as_secs_f64();
-            assert!(stream.take_error().is_none(), "stream error in matrix");
-            assert_eq!(merged, reference, "matrix stream must match in-memory");
-            println!(
-                "  {:<6} {:<13} {:>12.1} {:>13.1} {:>14.0}",
-                codec.name(),
-                if decode_ahead {
-                    "decode-ahead"
-                } else {
-                    "serial"
-                },
-                on_disk[c] as f64 / total_entries.max(1) as f64,
-                mib_per_s(on_disk[0] as usize, elapsed),
-                entries_per_s(total_entries, elapsed),
-            );
-        }
+        let reader = ManifestReader::open(&dir).expect("open manifest");
+        let start = Instant::now();
+        let mut stream = reader.merged_entries();
+        let merged: Vec<TraceEntry> = (&mut stream).collect();
+        let elapsed = start.elapsed().as_secs_f64();
+        assert!(stream.take_error().is_none(), "stream error in matrix");
+        assert_eq!(merged, reference, "matrix stream must match in-memory");
+        println!(
+            "  {:<6} {:>12.1} {:>13.1} {:>14.0}",
+            codec.name(),
+            on_disk[c] as f64 / total_entries.max(1) as f64,
+            mib_per_s(on_disk[0] as usize, elapsed),
+            entries_per_s(total_entries, elapsed),
+        );
         let manifest = Manifest::load(&dir).expect("load manifest");
         let readers: Vec<_> = manifest
             .segments

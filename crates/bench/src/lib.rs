@@ -155,20 +155,16 @@ pub fn spill_to_manifest_with(
     writer.finish().expect("finish manifest")
 }
 
-/// Storage-path choices shared by the trace-driven experiment binaries,
-/// parsed from the common command-line flags:
+/// The storage-path choice shared by the trace-driven experiment binaries,
+/// parsed from the common command-line flag `--codec <raw|col>` — the chunk
+/// body layout for the spilled manifest.
 ///
-/// * `--codec <raw|col>` — chunk body layout for the spilled manifest,
-/// * `--decode-ahead` — decode each monitor chain on its own prefetch worker.
-///
-/// Every binary that takes these flags asserts its streaming output equals
-/// the in-memory reference, so any combination is verified per run.
+/// Every binary that takes the flag asserts its streaming output equals
+/// the in-memory reference, so either codec is verified per run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StorageFlags {
     /// Chunk payload codec for written segments.
     pub codec: ipfs_mon_tracestore::Codec,
-    /// Merge-mode options for reading back.
-    pub options: ipfs_mon_tracestore::ReadOptions,
 }
 
 impl StorageFlags {
@@ -183,15 +179,14 @@ impl StorageFlags {
                     flags.codec = ipfs_mon_tracestore::Codec::parse(&name)
                         .unwrap_or_else(|error| panic!("--codec: {error}"));
                 }
-                "--decode-ahead" => flags.options.decode_ahead = true,
                 // Observability flags belong to [`ObsFlags`]; skip them (and
                 // their values) so binaries can take both flag families.
                 "--obs" | "--obs-interval" => {
                     args.next();
                 }
                 other => panic!(
-                    "unknown flag {other:?} (expected --codec <raw|col>, --decode-ahead, \
-                     --obs <path>, --obs-interval <ms>)"
+                    "unknown flag {other:?} (expected --codec <raw|col>, --obs <path>, \
+                     --obs-interval <ms>)"
                 ),
             }
         }
@@ -200,15 +195,7 @@ impl StorageFlags {
 
     /// One-line description for experiment output.
     pub fn describe(&self) -> String {
-        format!(
-            "codec={} merge={}",
-            self.codec.name(),
-            if self.options.decode_ahead {
-                "decode-ahead"
-            } else {
-                "serial"
-            }
-        )
+        format!("codec={}", self.codec.name())
     }
 }
 

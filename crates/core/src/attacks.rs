@@ -18,7 +18,7 @@
 //!
 //! Every trace-driven attack is a single-pass scan: [`run_attacks_source`]
 //! evaluates IDW, TNW and TPI together in one constant-memory pass over any
-//! [`TraceSource`] (in-memory dataset, segment, or multi-segment manifest),
+//! [`TraceSource`] (in-memory dataset or on-disk manifest dataset),
 //! and the [`UnifiedTrace`] entry points run the same [`AttackScan`] with a
 //! single target over an already-flagged trace.
 
@@ -32,7 +32,6 @@ use ipfs_mon_tracestore::{SegmentError, TraceSource};
 use ipfs_mon_types::{Cid, Multicodec, PeerId};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
-use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 // ---------------------------------------------------------------------------
@@ -343,23 +342,17 @@ impl GatewayProber {
         &self.probes
     }
 
-    /// Evaluates every probe against a raw entry stream in one pass: any
+    /// Evaluates every probe against a materialized trace in one pass: any
     /// peer that requested a probe CID is (part of) the gateway's IPFS side.
     /// Probe CIDs are unique random blocks, so raw (unflagged) entries are
-    /// the right input. Accepts owned entries or references, so
-    /// materialized traces scan without cloning.
-    fn scan<I>(&self, entries: I) -> Vec<GatewayProbeResult>
-    where
-        I: IntoIterator,
-        I::Item: Borrow<TraceEntry>,
-    {
+    /// the right input.
+    pub fn evaluate(&self, trace: &UnifiedTrace) -> Vec<GatewayProbeResult> {
         let mut by_cid: HashMap<&Cid, Vec<usize>> = HashMap::new();
         for (index, probe) in self.probes.iter().enumerate() {
             by_cid.entry(&probe.cid).or_default().push(index);
         }
         let mut discovered: Vec<HashSet<PeerId>> = vec![HashSet::new(); self.probes.len()];
-        for entry in entries.into_iter() {
-            let e = entry.borrow();
+        for e in &trace.entries {
             if !e.is_request() {
                 continue;
             }
@@ -381,25 +374,6 @@ impl GatewayProber {
                 }
             })
             .collect()
-    }
-
-    /// After the simulation ran, evaluates every probe against any
-    /// [`TraceSource`] without materializing the trace.
-    pub fn evaluate_source<T: TraceSource>(
-        &self,
-        source: &T,
-    ) -> Result<Vec<GatewayProbeResult>, SegmentError> {
-        let mut entries = source.merged_entries();
-        let results = self.scan(&mut entries);
-        if let Some(error) = entries.take_error() {
-            return Err(error);
-        }
-        Ok(results)
-    }
-
-    /// Evaluates every probe against a materialized trace.
-    pub fn evaluate(&self, trace: &UnifiedTrace) -> Vec<GatewayProbeResult> {
-        self.scan(&trace.entries)
     }
 }
 

@@ -28,7 +28,7 @@ use ipfs_mon_simnet::time::SimDuration;
 use ipfs_mon_types::{Cid, Multicodec, PeerId};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// A privacy countermeasure from the Sec. VI-C design space.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -220,7 +220,8 @@ fn apply_gateway_usage(trace: &UnifiedTrace, adoption: f64, rng: &mut SimRng) ->
     // Users adopting gateway access stop emitting Bitswap requests from their
     // own node: drop their entries (the gateway side would show up instead,
     // already aggregated and therefore not attributable to the user).
-    let peers: HashSet<PeerId> = trace.entries.iter().map(|e| e.peer).collect();
+    // Ordered, so each peer's adoption draw does not depend on hash order.
+    let peers: BTreeSet<PeerId> = trace.entries.iter().map(|e| e.peer).collect();
     let adopting: HashSet<PeerId> = peers
         .into_iter()
         .filter(|_| rng.gen_bool(adoption))

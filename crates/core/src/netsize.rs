@@ -12,8 +12,7 @@
 //! entries), the sweep's per-monitor *active-connection* multisets, and the
 //! unique-peer sets the report itself needs. It works over any
 //! [`TraceSource`] via [`estimate_network_size_source`] — an in-memory
-//! dataset, a single segment, or a multi-segment manifest all produce
-//! identical reports.
+//! dataset and an on-disk manifest dataset produce identical reports.
 
 use crate::trace::MonitoringDataset;
 use ipfs_mon_analysis::{committee_estimate, summarize, two_monitor_estimate, Summary};

@@ -133,8 +133,15 @@ pub struct PopularityReport {
 /// is applied).
 pub fn popularity_report(trace: &UnifiedTrace, bootstrap: usize, seed: u64) -> PopularityReport {
     let scores = popularity_scores(trace);
-    let rrp_samples: Vec<f64> = scores.rrp.values().map(|&v| v as f64).collect();
-    let urp_samples: Vec<f64> = scores.urp.values().map(|&v| v as f64).collect();
+    // The bootstrap draws from its samples by index; sorted, it sees the
+    // same input every run instead of the hash map's iteration order.
+    let sorted_samples = |scores: &HashMap<Cid, u64>| -> Vec<f64> {
+        let mut counts: Vec<u64> = scores.values().copied().collect();
+        counts.sort_unstable();
+        counts.into_iter().map(|v| v as f64).collect()
+    };
+    let rrp_samples = sorted_samples(&scores.rrp);
+    let urp_samples = sorted_samples(&scores.urp);
     PopularityReport {
         cid_count: scores.cid_count(),
         rrp_curve: scores.rrp_ecdf().curve(),
@@ -258,6 +265,45 @@ mod tests {
         assert_eq!(report.cid_count, 200);
         let urp = report.urp_power_law.expect("enough samples to fit");
         assert!(urp.rejected, "p = {}", urp.p_value);
+    }
+
+    #[test]
+    fn report_is_identical_from_run_to_run() {
+        // A heavy-tailed URP distribution over a mixed body, so the bootstrap
+        // p-value lies strictly between 0 and 1 and depends on every draw.
+        let mut entries = Vec::new();
+        let mut rng_state = 9u64;
+        let mut next = || {
+            rng_state ^= rng_state << 13;
+            rng_state ^= rng_state >> 7;
+            rng_state ^= rng_state << 17;
+            rng_state
+        };
+        for cid in 0..=255u8 {
+            let u = (next() % 10_000 + 1) as f64 / 10_000.0;
+            let requesters = (2.0 * u.powf(-1.0 / 1.3)) as u64 + next() % 3;
+            for peer in 0..requesters.min(400) {
+                entries.push(entry(
+                    peer * 1000 + cid as u64,
+                    cid,
+                    RequestType::WantHave,
+                    EntryFlags::default(),
+                ));
+            }
+        }
+        let trace = UnifiedTrace { entries };
+        let first = popularity_report(&trace, 60, 11);
+        let second = popularity_report(&trace, 60, 11);
+        let p_value = first
+            .urp_power_law
+            .as_ref()
+            .expect("enough samples")
+            .p_value;
+        assert!(p_value > 0.0 && p_value < 1.0, "p = {p_value}");
+        assert_eq!(
+            serde_json::to_string(&first).unwrap(),
+            serde_json::to_string(&second).unwrap()
+        );
     }
 
     #[test]

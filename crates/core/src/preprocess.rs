@@ -18,12 +18,11 @@
 //! through the [`TraceSource`] abstraction:
 //!
 //! * [`flag_source`] / [`unify_and_flag_source`] — flag the merged stream of
-//!   *any* trace source (in-memory dataset, single segment, multi-segment
-//!   manifest) without materializing the trace, in memory bounded by the
-//!   number of *active* `(peer, request type, CID)` keys inside the dedup
-//!   windows (stale keys are evicted as time advances). Storage-level
-//!   choices — chunk payload codec, serial vs decode-ahead merging
-//!   (`ipfs_mon_tracestore::ReadOptions`) — are wholly below this
+//!   *any* trace source (in-memory dataset or on-disk manifest dataset)
+//!   without materializing the trace, in memory bounded by the number of
+//!   *active* `(peer, request type, CID)` keys inside the dedup windows
+//!   (stale keys are evicted as time advances). Storage-level choices — the
+//!   chunk payload codec, segment rotation — are wholly below this
 //!   interface: every combination delivers the same merged stream, so flags
 //!   (and every analysis downstream of them) are bit-identical across all
 //!   of them;
@@ -202,12 +201,12 @@ pub fn unify_and_flag(
 /// The lazily flagged merged stream of a [`TraceSource`]: yields the
 /// source's `(timestamp, monitor)`-ordered entries with flags set, without
 /// materializing the trace. See [`flag_source`].
-pub struct FlaggedStream<'a> {
-    inner: SourceEntries<'a>,
+pub struct FlaggedStream {
+    inner: SourceEntries,
     preprocessor: StreamingPreprocessor,
 }
 
-impl FlaggedStream<'_> {
+impl FlaggedStream {
     /// Statistics over the entries yielded so far (complete once the stream
     /// is exhausted).
     pub fn stats(&self) -> PreprocessStats {
@@ -230,7 +229,7 @@ impl FlaggedStream<'_> {
     }
 }
 
-impl Iterator for FlaggedStream<'_> {
+impl Iterator for FlaggedStream {
     type Item = TraceEntry;
 
     fn next(&mut self) -> Option<TraceEntry> {
@@ -241,9 +240,9 @@ impl Iterator for FlaggedStream<'_> {
 }
 
 /// Opens a flagged stream over any [`TraceSource`] — the universal
-/// preprocessing entry point: the same call handles an in-memory dataset, a
-/// single segment, or a multi-segment manifest.
-pub fn flag_source<T: TraceSource>(source: &T, config: PreprocessConfig) -> FlaggedStream<'_> {
+/// preprocessing entry point: the same call handles an in-memory dataset or
+/// an on-disk manifest dataset.
+pub fn flag_source<T: TraceSource>(source: &T, config: PreprocessConfig) -> FlaggedStream {
     FlaggedStream {
         inner: source.merged_entries(),
         preprocessor: StreamingPreprocessor::new(source.monitor_count(), config),
@@ -270,7 +269,7 @@ pub fn unify_and_flag_source<T: TraceSource>(
 mod tests {
     use super::*;
     use crate::trace::EntryFlags;
-    use ipfs_mon_tracestore::{SegmentConfig, SliceSource};
+    use ipfs_mon_tracestore::{DatasetConfig, DatasetWriter, ManifestReader, SegmentConfig};
     use ipfs_mon_types::{Country, Multiaddr, Multicodec, Transport};
 
     fn entry(millis: u64, peer: u64, cid: u8, monitor: usize, rtype: RequestType) -> TraceEntry {
@@ -410,8 +409,8 @@ mod tests {
     #[test]
     fn streaming_over_segment_matches_in_memory_path() {
         // Interleaved duplicates, re-broadcasts and noise across two
-        // monitors, then: flags from the streaming path over a segment must
-        // equal flags from unify_and_flag exactly.
+        // monitors, then: flags from the streaming path over on-disk
+        // segments must equal flags from unify_and_flag exactly.
         let mut raw = Vec::new();
         for i in 0..200u64 {
             let peer = i % 11;
@@ -434,15 +433,25 @@ mod tests {
 
         let (trace, stats) = unify_and_flag(&ds, PreprocessConfig::default());
 
-        let bytes = ds
-            .to_segment_bytes(SegmentConfig {
+        let dir = std::env::temp_dir().join(format!("preprocess-stream-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = DatasetConfig {
+            segment: SegmentConfig {
                 chunk_capacity: 16,
                 ..SegmentConfig::default()
-            })
-            .unwrap();
-        let reader = ipfs_mon_tracestore::TraceReader::new(SliceSource::new(&bytes)).unwrap();
+            },
+            rotate_after_entries: 60,
+            ..DatasetConfig::default()
+        };
+        let mut writer = DatasetWriter::create(&dir, ds.monitor_labels.clone(), config).unwrap();
+        for e in ds.entries.iter().flatten() {
+            writer.append(e).unwrap();
+        }
+        writer.finish().unwrap();
+        let reader = ManifestReader::open(&dir).unwrap();
         let (streamed_trace, streamed_stats) =
             unify_and_flag_source(&reader, PreprocessConfig::default()).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
 
         assert_eq!(streamed_trace.entries, trace.entries);
         assert_eq!(streamed_stats, stats);

@@ -35,19 +35,19 @@
 //!   monitor ([`manifest::MonitorWriter`]) tied together by a CRC-framed
 //!   [`manifest::Manifest`] index, written by [`manifest::DatasetWriter`].
 //! * [`reader`] — [`reader::TraceReader`], a constant-memory streaming reader
-//!   (one decoded chunk per active monitor stream) over pluggable
-//!   [`reader::ChunkSource`]s ([`reader::SliceSource`] for bytes already in
-//!   memory, [`reader::FileSource`] with one positioned read per chunk),
-//!   plus a k-way merged stream that yields all entries ordered by
+//!   of one segment (one decoded chunk per active monitor stream) over
+//!   pluggable [`reader::ChunkSource`]s ([`reader::SliceSource`] for bytes
+//!   already in memory, [`reader::FileSource`] with one positioned read per
+//!   chunk), and [`reader::ManifestReader`], a dataset spanning many
+//!   segments behind its manifest: per-monitor chain streams plus the k-way
+//!   merged stream that yields all entries ordered by
 //!   `(timestamp, monitor)` — exactly the order the preprocessing windows of
-//!   `ipfs-mon-core` expect — and [`reader::ManifestReader`], the same
-//!   merged view over a manifest spanning many segments, serially or with
-//!   one decode-ahead prefetch worker per monitor chain
-//!   ([`reader::ReadOptions`]).
+//!   `ipfs-mon-core` expect — with each monitor chain decoded ahead on its
+//!   own bounded prefetch worker.
 //! * [`source`] — the [`source::TraceSource`] trait: one streaming interface
 //!   (labels + merged entries + connection records) over the in-memory
-//!   dataset, a single segment, and a multi-segment manifest, so every
-//!   analysis runs unchanged against any of them.
+//!   dataset and the on-disk manifest dataset, so every analysis runs
+//!   unchanged against either.
 //! * [`sink`] — the parallel analysis engine: the [`sink::AnalysisSink`]
 //!   trait (per-entry `consume`, associative `combine`, `finish`), the
 //!   serial [`sink::run_sink`] driver over any source, and
@@ -106,8 +106,7 @@ pub use manifest::{
 pub use migrate::{migrate_manifest, migrate_manifest_with, MigrateReport, MIGRATE_TMP_SUFFIX};
 pub use reader::{
     ChainedMonitorStream, ChunkSource, EntryStream, FileSource, ManifestMergedStream,
-    ManifestReader, MergedEntryStream, PrefetchedMonitorStream, ReadOptions, SkippedSegment,
-    SliceSource, SortedEntryStream, TraceReader,
+    ManifestReader, ReadOptions, SkippedSegment, SliceSource, SortedEntryStream, TraceReader,
 };
 pub use record::{ConnectionRecord, EntryFlags, MonitoringDataset, TraceEntry, UnifiedTrace};
 pub use recover::{
@@ -122,7 +121,7 @@ pub use sketch::{
     CountMinSink, CountMinSketch, FrequencySketches, HeavyHitter, HeavyHitters, SpaceSaving,
     SpaceSavingSink, TopK,
 };
-pub use source::{EntryStreamLike, SourceConnections, SourceEntries, TraceSource};
+pub use source::{SourceConnections, SourceEntries, TraceSource};
 pub use tail::{DatasetTail, TailPoll};
 pub use window::{
     LatePolicy, WindowBounds, WindowResult, WindowSpec, WindowedOutput, WindowedSink,

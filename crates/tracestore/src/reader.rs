@@ -38,19 +38,6 @@ pub trait ChunkSource {
     fn len(&self) -> Result<u64, SegmentError>;
 }
 
-/// Shared ownership composes: an `Arc`'d source is a source. This is what
-/// lets a [`ManifestReader`] and its decode-ahead workers read the same
-/// open file handles instead of each opening their own.
-impl<S: ChunkSource> ChunkSource for Arc<S> {
-    fn read_at(&self, offset: u64, len: usize) -> Result<Cow<'_, [u8]>, SegmentError> {
-        (**self).read_at(offset, len)
-    }
-
-    fn len(&self) -> Result<u64, SegmentError> {
-        (**self).len()
-    }
-}
-
 /// A segment held in memory.
 #[derive(Debug, Clone, Copy)]
 pub struct SliceSource<'a> {
@@ -267,20 +254,6 @@ impl<S: ChunkSource> TraceReader<S> {
         }
     }
 
-    /// Streams all entries of all monitors merged by `(timestamp, monitor)`
-    /// — the exact order `ipfs_mon_core::preprocess` expects, bit-identical
-    /// to globally stable-sorting the dataset by `(timestamp, monitor)`.
-    pub fn stream_merged(&self) -> MergedEntryStream<'_, S> {
-        let mut streams = Vec::with_capacity(self.monitor_count());
-        let mut heads = Vec::with_capacity(self.monitor_count());
-        for monitor in 0..self.monitor_count() {
-            let mut stream = self.stream_monitor_sorted(monitor);
-            heads.push(stream.next());
-            streams.push(stream);
-        }
-        MergedEntryStream { streams, heads }
-    }
-
     /// Reconstructs the full in-memory dataset (lossless inverse of writing).
     pub fn to_dataset(&self) -> Result<MonitoringDataset, SegmentError> {
         let mut dataset = MonitoringDataset::new(self.footer.monitor_labels.clone());
@@ -368,6 +341,9 @@ impl<S: ChunkSource> EntryStream<'_, S> {
 impl<S: ChunkSource> Iterator for EntryStream<'_, S> {
     type Item = TraceEntry;
 
+    // Inlined into the reorder buffer: out of line, every entry of every
+    // chain stream pays a call that returns 136 bytes through memory.
+    #[inline]
     fn next(&mut self) -> Option<TraceEntry> {
         loop {
             if let Some(entry) = self.current.as_mut().and_then(Iterator::next) {
@@ -449,57 +425,6 @@ impl<S: ChunkSource> Iterator for SortedEntryStream<'_, S> {
     }
 }
 
-/// Advances a linear-scan k-way merge one step: yields the head with the
-/// smallest `(timestamp, stream index)` and refills it from its stream.
-///
-/// The index tie-break is what makes every merge in this module *stable*:
-/// with time-sorted, arrival-stable input streams whose index order is
-/// arrival order (monitor index, or rotation sequence within a monitor), the
-/// merged output equals a stable sort of the concatenated input — the
-/// bit-identity guarantee the preprocessing equivalence tests pin down. With
-/// one candidate per stream, a linear scan beats a heap for the stream
-/// counts deployments use (the paper ran two monitors).
-fn merge_next<I: Iterator<Item = TraceEntry>>(
-    streams: &mut [I],
-    heads: &mut [Option<TraceEntry>],
-) -> Option<TraceEntry> {
-    let best = heads
-        .iter()
-        .enumerate()
-        .filter_map(|(i, head)| head.as_ref().map(|e| (e.timestamp, i)))
-        .min()?
-        .1;
-    let entry = heads[best].take();
-    heads[best] = streams[best].next();
-    entry
-}
-
-/// K-way merge of all monitor streams by `(timestamp, monitor)`.
-///
-/// Holds one decoded chunk, a lateness-bounded reorder buffer, and one
-/// lookahead entry per monitor — constant memory in the trace length.
-pub struct MergedEntryStream<'a, S: ChunkSource> {
-    streams: Vec<SortedEntryStream<'a, S>>,
-    heads: Vec<Option<TraceEntry>>,
-}
-
-impl<S: ChunkSource> MergedEntryStream<'_, S> {
-    /// Returns the first error any underlying stream hit, if one did.
-    pub fn take_error(&mut self) -> Option<SegmentError> {
-        self.streams
-            .iter_mut()
-            .find_map(SortedEntryStream::take_error)
-    }
-}
-
-impl<S: ChunkSource> Iterator for MergedEntryStream<'_, S> {
-    type Item = TraceEntry;
-
-    fn next(&mut self) -> Option<TraceEntry> {
-        merge_next(&mut self.streams, &mut self.heads)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Multi-segment datasets
 // ---------------------------------------------------------------------------
@@ -507,18 +432,13 @@ impl<S: ChunkSource> Iterator for MergedEntryStream<'_, S> {
 /// How a [`ManifestReader`] reads its segments.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadOptions {
-    /// Decode ahead: run one bounded prefetch worker per monitor chain, so
-    /// chunk decode overlaps the k-way merge and the monitors decode in
-    /// parallel. The merged order and bytes are identical to the serial
-    /// path — the workers run the very same per-monitor streams.
-    pub decode_ahead: bool,
     /// Degrade gracefully instead of failing the whole read when a segment
     /// is missing, truncated or corrupt.
     ///
     /// With this set, a segment that fails to open or validate against the
     /// manifest is *skipped* (recorded in
     /// [`ManifestReader::skipped_segments`]) rather than aborting
-    /// [`ManifestReader::from_manifest_with`], and a segment whose stream
+    /// [`ManifestReader::open_with`], and a segment whose stream
     /// dies mid-decode (chunk CRC mismatch, I/O error) is retired from the
     /// merge the same way instead of latching a stream error. Healthy
     /// segments still stream in exact order; the skip report says precisely
@@ -531,12 +451,6 @@ pub struct ReadOptions {
 }
 
 impl ReadOptions {
-    /// Builder-style setter for [`ReadOptions::decode_ahead`].
-    pub fn decode_ahead(mut self, decode_ahead: bool) -> Self {
-        self.decode_ahead = decode_ahead;
-        self
-    }
-
     /// Builder-style setter for [`ReadOptions::skip_corrupt`].
     pub fn skip_corrupt(mut self, skip_corrupt: bool) -> Self {
         self.skip_corrupt = skip_corrupt;
@@ -564,7 +478,7 @@ pub struct SkippedSegment {
 }
 
 /// Shared skip report: open-time skips are recorded at construction,
-/// stream-time skips by (possibly concurrent decode-ahead) streams.
+/// stream-time skips by the (concurrent) per-monitor chain streams.
 type SkipLog = Arc<Mutex<Vec<SkippedSegment>>>;
 
 /// Manifest-side identity of an opened segment, kept aligned with the
@@ -607,15 +521,15 @@ fn record_skip(log: &SkipLog, monitor: usize, ident: &SegmentIdent, reason: Stri
 /// (per-segment codec migration) reads transparently.
 pub struct ManifestReader {
     monitor_labels: Vec<String>,
-    /// Per global monitor: that monitor's segments in rotation order. The
-    /// sources are `Arc`-shared so decode-ahead workers stream from the
-    /// same open handles instead of re-opening files.
-    segments: Vec<Vec<TraceReader<Arc<FileSource>>>>,
+    /// Per global monitor: that monitor's segments in rotation order. Each
+    /// chain is `Arc`-shared so the prefetch workers of a merged stream
+    /// read through these validated handles instead of re-opening files.
+    segments: Vec<Arc<[TraceReader<FileSource>]>>,
     /// Manifest identity of each opened segment, aligned with `segments` —
     /// lets [`ReadOptions::skip_corrupt`] streams attribute mid-stream
     /// failures to the right file in the skip report.
     idents: Vec<Vec<SegmentIdent>>,
-    /// Skip report shared with every stream (and decode-ahead worker) the
+    /// Skip report shared with every stream (and prefetch worker) the
     /// reader spawns; only populated under [`ReadOptions::skip_corrupt`].
     skipped: SkipLog,
     options: ReadOptions,
@@ -635,27 +549,12 @@ impl ManifestReader {
         let path = path.as_ref();
         let manifest = Manifest::load(path)?;
         let dir = if path.is_dir() {
-            path.to_path_buf()
+            path
         } else {
-            path.parent().unwrap_or(Path::new(".")).to_path_buf()
+            path.parent().unwrap_or(Path::new("."))
         };
-        Self::from_manifest_with(&manifest, dir, options)
-    }
-
-    /// Opens the segments of an already-loaded manifest relative to `dir`.
-    pub fn from_manifest(manifest: &Manifest, dir: impl AsRef<Path>) -> Result<Self, SegmentError> {
-        Self::from_manifest_with(manifest, dir, ReadOptions::default())
-    }
-
-    /// Like [`ManifestReader::from_manifest`], with explicit [`ReadOptions`].
-    pub fn from_manifest_with(
-        manifest: &Manifest,
-        dir: impl AsRef<Path>,
-        options: ReadOptions,
-    ) -> Result<Self, SegmentError> {
-        let dir = dir.as_ref();
         let skipped: SkipLog = SkipLog::default();
-        let mut keyed: Vec<Vec<(SegmentIdent, TraceReader<Arc<FileSource>>)>> =
+        let mut keyed: Vec<Vec<(SegmentIdent, TraceReader<FileSource>)>> =
             (0..manifest.monitor_labels.len())
                 .map(|_| Vec::new())
                 .collect();
@@ -664,10 +563,8 @@ impl ManifestReader {
         // structural manifest damage (bad monitor index, duplicate rotation
         // sequences) stays a hard error below either way — a skip report
         // cannot make an ambiguous chain merge well-defined.
-        let open_one = |meta: &SegmentMeta| -> Result<TraceReader<Arc<FileSource>>, SegmentError> {
-            let path = dir.join(&meta.file_name);
-            let source = Arc::new(FileSource::open(&path)?);
-            let reader = TraceReader::new(source)?;
+        let open_one = |meta: &SegmentMeta| -> Result<TraceReader<FileSource>, SegmentError> {
+            let reader = TraceReader::new(FileSource::open(dir.join(&meta.file_name))?)?;
             if reader.monitor_count() != 1 {
                 return Err(SegmentError::Corrupt(format!(
                     "segment {} holds {} monitors, expected a per-monitor segment",
@@ -739,43 +636,16 @@ impl ManifestReader {
                 chain_readers.push(reader);
             }
             idents.push(chain_idents);
-            segments.push(chain_readers);
+            segments.push(chain_readers.into());
         }
         Ok(Self {
-            monitor_labels: manifest.monitor_labels.clone(),
+            monitor_labels: manifest.monitor_labels,
             segments,
             idents,
             skipped,
             options,
             total_entries,
         })
-    }
-
-    /// The [`ReadOptions`] the reader was opened with.
-    ///
-    /// ```
-    /// use ipfs_mon_tracestore::{
-    ///     DatasetConfig, DatasetWriter, ManifestReader, ReadOptions,
-    /// };
-    ///
-    /// let dir = std::env::temp_dir().join(format!("ipmm-doc-{}", std::process::id()));
-    /// DatasetWriter::create(&dir, vec!["us".into()], DatasetConfig::default())?
-    ///     .finish()?;
-    ///
-    /// // Default: serial merge, every failure a hard error.
-    /// let reader = ManifestReader::open(&dir)?;
-    /// assert!(!reader.read_options().decode_ahead);
-    ///
-    /// // Opt in to decode-ahead workers per monitor chain.
-    /// let options = ReadOptions::default().decode_ahead(true);
-    /// let reader = ManifestReader::open_with(&dir, options)?;
-    /// assert_eq!(reader.read_options(), options);
-    ///
-    /// std::fs::remove_dir_all(&dir).ok();
-    /// # Ok::<(), ipfs_mon_tracestore::SegmentError>(())
-    /// ```
-    pub fn read_options(&self) -> ReadOptions {
-        self.options
     }
 
     /// The monitor labels of the dataset.
@@ -860,54 +730,38 @@ impl ManifestReader {
     }
 
     /// Streams all entries of all monitors merged by `(timestamp, monitor)` —
-    /// the same order [`TraceReader::stream_merged`] delivers for a single
-    /// segment, and the order preprocessing expects.
+    /// the order preprocessing expects, bit-identical to stable-sorting the
+    /// whole dataset by `(timestamp, monitor)`.
     ///
-    /// With [`ReadOptions::decode_ahead`] set, each monitor chain is decoded
-    /// by its own bounded prefetch worker and the k-way merge consumes the
-    /// prefetched batches — same entries, same order, decode running on all
-    /// monitor chains concurrently.
-    pub fn stream_merged(&self) -> ManifestMergedStream<'_> {
-        let monitors = self.monitor_count();
-        let mut heads = Vec::with_capacity(monitors);
-        if self.options.decode_ahead {
-            let mut streams = Vec::with_capacity(monitors);
-            for monitor in 0..monitors {
-                let sources = self.segments[monitor]
-                    .iter()
-                    .map(|reader| reader.source().clone())
-                    .collect();
-                let mut stream = spawn_prefetch(sources, monitor, self.skip_context(monitor));
-                heads.push(stream.next());
-                streams.push(stream);
-            }
-            ManifestMergedStream {
-                inner: MergedInner::DecodeAhead(streams),
-                heads,
-                merged: obs::BatchedCounter::new(obs::counter!("store.merged_entries")),
-            }
-        } else {
-            let mut streams = Vec::with_capacity(monitors);
-            for monitor in 0..monitors {
-                let mut stream = self.stream_monitor_sorted(monitor);
-                heads.push(stream.next());
-                streams.push(stream);
-            }
-            ManifestMergedStream {
-                inner: MergedInner::Serial(streams),
-                heads,
-                merged: obs::BatchedCounter::new(obs::counter!("store.merged_entries")),
-            }
+    /// Each monitor chain is decoded by its own bounded prefetch worker and
+    /// the k-way merge consumes the prefetched batches, so decode runs on all
+    /// monitor chains concurrently and overlaps the consumer. The workers
+    /// share the reader's segment handles; the stream itself owns them, so it
+    /// does not borrow the reader, and dropping it stops and joins them.
+    pub fn stream_merged(&self) -> ManifestMergedStream {
+        let mut streams: Vec<PrefetchedMonitorStream> = self
+            .segments
+            .iter()
+            .enumerate()
+            .map(|(monitor, chain)| {
+                spawn_prefetch(chain.clone(), monitor, self.skip_context(monitor))
+            })
+            .collect();
+        let heads = streams.iter_mut().map(Iterator::next).collect();
+        ManifestMergedStream {
+            streams,
+            heads,
+            merged: obs::BatchedCounter::new(obs::counter!("store.merged_entries")),
         }
     }
 }
 
 /// Builds the lazily-admitting chain merge over one monitor's segment
-/// readers. Free-standing so that decode-ahead workers, which own their
-/// readers on their own thread, run exactly the same code as the serial
-/// path — that sameness is the byte-identity argument.
+/// readers. Free-standing so that prefetch workers, which hold their chain
+/// by `Arc` on their own thread, run exactly the code
+/// [`ManifestReader::stream_monitor_sorted`] runs on the caller's.
 fn chain_stream(
-    readers: &[TraceReader<Arc<FileSource>>],
+    readers: &[TraceReader<FileSource>],
     monitor: usize,
     skip: Option<(SkipLog, Vec<SegmentIdent>)>,
 ) -> ChainedMonitorStream<'_> {
@@ -949,7 +803,7 @@ struct ActiveSegment<'a> {
     /// Rotation index of the segment in its chain (the stable tie-break).
     index: usize,
     head: TraceEntry,
-    stream: SortedEntryStream<'a, Arc<FileSource>>,
+    stream: SortedEntryStream<'a, FileSource>,
 }
 
 /// One monitor's entries across its segment chain, in exact
@@ -964,7 +818,7 @@ struct ActiveSegment<'a> {
 /// chain length. Yielded entries carry the *global* monitor index.
 pub struct ChainedMonitorStream<'a> {
     monitor: usize,
-    readers: &'a [TraceReader<Arc<FileSource>>],
+    readers: &'a [TraceReader<FileSource>],
     /// Suffix-minimum timestamp floor per rotation index: no entry in
     /// segments `i..` can be earlier than `floors[i]`.
     floors: Vec<SimTime>,
@@ -1088,16 +942,17 @@ impl Iterator for ChainedMonitorStream<'_> {
     }
 }
 
-/// Entries per decode-ahead batch. Sized near one default chunk so a batch
+/// Entries per prefetch batch. Sized near one default chunk so a batch
 /// amortizes channel synchronization without holding much more memory than
-/// the serial path's one-decoded-chunk working set.
-const DECODE_AHEAD_BATCH: usize = 2048;
-/// Batches a prefetch worker may queue ahead of the merge: one being
-/// consumed, one ready — the classic double buffer (the worker builds a
-/// third while the channel is full, blocking once it finishes).
-const DECODE_AHEAD_DEPTH: usize = 2;
+/// the chain stream's one-decoded-chunk working set.
+const PREFETCH_BATCH: usize = 2048;
+/// Batches a prefetch worker may queue ahead of the merge. With the batch
+/// the merge is consuming and the one the worker is building (it blocks
+/// once that is finished and the queue is full), up to four per monitor
+/// are alive at once.
+const PREFETCH_DEPTH: usize = 2;
 
-/// What a decode-ahead worker ships to the merge.
+/// What a prefetch worker ships to the merge.
 enum Prefetched {
     /// The next batch of entries, in stream order.
     Batch(Vec<TraceEntry>),
@@ -1109,17 +964,14 @@ enum Prefetched {
 
 /// One monitor chain decoded ahead on its own worker thread.
 ///
-/// The worker opens its own [`TraceReader`]s over the chain's `Arc`-shared
-/// sources (same file handles as the serial path — one extra footer decode
-/// each, no extra opens),
-/// runs the identical [`ChainedMonitorStream`] the serial path runs, and
-/// ships entries in bounded batches over a rendezvous-depth channel,
-/// closing with an explicit done/failed message.
+/// The worker runs the [`ChainedMonitorStream`] over the reader's own
+/// validated segment handles and ships entries in bounded batches over a
+/// rendezvous-depth channel, closing with an explicit done/failed message.
 /// A hangup *without* that closing message means the worker died (panic);
 /// the consumer reports it as an error rather than a clean, silently
 /// truncated stream. Dropping the stream disconnects the channel; the
 /// worker notices on its next send and exits, and `Drop` joins it.
-pub struct PrefetchedMonitorStream {
+struct PrefetchedMonitorStream {
     receiver: Option<mpsc::Receiver<Prefetched>>,
     current: std::vec::IntoIter<TraceEntry>,
     error: Option<SegmentError>,
@@ -1127,40 +979,15 @@ pub struct PrefetchedMonitorStream {
 }
 
 fn spawn_prefetch(
-    sources: Vec<Arc<FileSource>>,
+    readers: Arc<[TraceReader<FileSource>]>,
     monitor: usize,
     skip: Option<(SkipLog, Vec<SegmentIdent>)>,
 ) -> PrefetchedMonitorStream {
-    let (sender, receiver) = mpsc::sync_channel(DECODE_AHEAD_DEPTH);
+    let (sender, receiver) = mpsc::sync_channel(PREFETCH_DEPTH);
     let worker = std::thread::spawn(move || {
-        let mut readers = Vec::with_capacity(sources.len());
-        let mut kept_idents = Vec::with_capacity(sources.len());
-        for (index, source) in sources.into_iter().enumerate() {
-            match TraceReader::new(source) {
-                Ok(reader) => {
-                    readers.push(reader);
-                    if let Some((_, idents)) = &skip {
-                        kept_idents.push(idents[index].clone());
-                    }
-                }
-                Err(error) => match &skip {
-                    // The footer already validated at open time, so a decode
-                    // failure here means the file changed underneath us —
-                    // still a skippable per-segment failure in degraded mode.
-                    Some((log, idents)) => {
-                        record_skip(log, monitor, &idents[index], error.to_string());
-                    }
-                    None => {
-                        let _ = sender.send(Prefetched::Failed(error));
-                        return;
-                    }
-                },
-            }
-        }
-        let skip = skip.map(|(log, _)| (log, kept_idents));
         let mut stream = chain_stream(&readers, monitor, skip);
         loop {
-            let batch: Vec<TraceEntry> = stream.by_ref().take(DECODE_AHEAD_BATCH).collect();
+            let batch: Vec<TraceEntry> = stream.by_ref().take(PREFETCH_BATCH).collect();
             if batch.is_empty() {
                 break;
             }
@@ -1183,13 +1010,6 @@ fn spawn_prefetch(
     }
 }
 
-impl PrefetchedMonitorStream {
-    /// Returns the error that ended the worker's stream early, if any.
-    pub fn take_error(&mut self) -> Option<SegmentError> {
-        self.error.take()
-    }
-}
-
 impl Iterator for PrefetchedMonitorStream {
     type Item = TraceEntry;
 
@@ -1209,6 +1029,7 @@ impl Iterator for PrefetchedMonitorStream {
                     return None;
                 }
                 Ok(Prefetched::Failed(error)) => {
+                    self.receiver = None;
                     self.error = Some(error);
                     return None;
                 }
@@ -1218,7 +1039,7 @@ impl Iterator for PrefetchedMonitorStream {
                 Err(mpsc::RecvError) => {
                     self.receiver = None;
                     self.error = Some(SegmentError::Corrupt(
-                        "decode-ahead worker terminated unexpectedly".into(),
+                        "prefetch worker terminated unexpectedly".into(),
                     ));
                     return None;
                 }
@@ -1237,51 +1058,45 @@ impl Drop for PrefetchedMonitorStream {
     }
 }
 
-/// The two execution modes behind [`ManifestMergedStream`].
-enum MergedInner<'a> {
-    /// Everything on the calling thread.
-    Serial(Vec<ChainedMonitorStream<'a>>),
-    /// One decode-ahead worker per monitor chain.
-    DecodeAhead(Vec<PrefetchedMonitorStream>),
-}
-
-/// K-way merge of all monitors' chained streams by `(timestamp, monitor)`.
+/// K-way merge of all monitors' chained streams by `(timestamp, monitor)`,
+/// each chain decoded ahead by its own worker (see
+/// [`ManifestReader::stream_merged`]).
 ///
-/// Runs serially or in decode-ahead mode (see [`ReadOptions::decode_ahead`]);
-/// both modes yield byte-identical streams.
-pub struct ManifestMergedStream<'a> {
-    inner: MergedInner<'a>,
+/// The monitor-index tie-break is what makes the merge *stable*: the chain
+/// streams are time-sorted and arrival-stable, so the merged output equals a
+/// stable sort of the monitor-major concatenation — the bit-identity
+/// guarantee the preprocessing equivalence tests pin down. With one
+/// candidate per monitor, a linear scan beats a heap for the monitor counts
+/// deployments use (the paper ran two).
+pub struct ManifestMergedStream {
+    streams: Vec<PrefetchedMonitorStream>,
     heads: Vec<Option<TraceEntry>>,
     /// Obs progress (`store.merged_entries`), batched: one local add per
     /// yielded entry, flushed every few thousand and on drop.
     merged: obs::BatchedCounter,
 }
 
-impl ManifestMergedStream<'_> {
-    /// Returns the first error any underlying stream hit, if one did.
+impl ManifestMergedStream {
+    /// Returns the first error any monitor chain hit, if one did.
     pub fn take_error(&mut self) -> Option<SegmentError> {
-        match &mut self.inner {
-            MergedInner::Serial(streams) => streams
-                .iter_mut()
-                .find_map(ChainedMonitorStream::take_error),
-            MergedInner::DecodeAhead(streams) => streams
-                .iter_mut()
-                .find_map(PrefetchedMonitorStream::take_error),
-        }
+        self.streams.iter_mut().find_map(|s| s.error.take())
     }
 }
 
-impl Iterator for ManifestMergedStream<'_> {
+impl Iterator for ManifestMergedStream {
     type Item = TraceEntry;
 
     fn next(&mut self) -> Option<TraceEntry> {
-        let entry = match &mut self.inner {
-            MergedInner::Serial(streams) => merge_next(streams, &mut self.heads),
-            MergedInner::DecodeAhead(streams) => merge_next(streams, &mut self.heads),
-        };
-        if entry.is_some() {
-            self.merged.incr();
-        }
+        let best = self
+            .heads
+            .iter()
+            .enumerate()
+            .filter_map(|(i, head)| head.as_ref().map(|e| (e.timestamp, i)))
+            .min()?
+            .1;
+        let entry = self.heads[best].take();
+        self.heads[best] = self.streams[best].next();
+        self.merged.incr();
         entry
     }
 }
@@ -1289,6 +1104,7 @@ impl Iterator for ManifestMergedStream<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manifest::{DatasetConfig, DatasetWriter};
     use crate::record::EntryFlags;
     use crate::segment::SegmentConfig;
     use crate::writer::TraceWriter;
@@ -1329,6 +1145,33 @@ mod tests {
         bytes
     }
 
+    /// Writes `entries` as a dataset that rotates every three chunks and
+    /// returns its merged stream.
+    fn merged_via_manifest(tag: &str, entries: &[TraceEntry], capacity: usize) -> Vec<TraceEntry> {
+        let dir = std::env::temp_dir().join(format!("tracestore-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = DatasetConfig {
+            segment: SegmentConfig {
+                chunk_capacity: capacity,
+                ..SegmentConfig::default()
+            },
+            rotate_after_entries: 3 * capacity as u64,
+            ..DatasetConfig::default()
+        };
+        let mut writer =
+            DatasetWriter::create(&dir, vec!["m0".into(), "m1".into()], config).unwrap();
+        for entry in entries {
+            writer.append(entry).unwrap();
+        }
+        writer.finish().unwrap();
+        let reader = ManifestReader::open(&dir).unwrap();
+        let mut stream = reader.stream_merged();
+        let merged: Vec<TraceEntry> = stream.by_ref().collect();
+        assert!(stream.take_error().is_none());
+        std::fs::remove_dir_all(&dir).ok();
+        merged
+    }
+
     #[test]
     fn merged_stream_orders_by_timestamp_then_monitor() {
         // Interleaved timestamps across two monitors, including a tie at
@@ -1341,10 +1184,8 @@ mod tests {
             entry(300, 5, 1),
             entry(400, 6, 1),
         ];
-        let bytes = build_segment(&entries, 2, 2);
-        let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
-        let merged: Vec<(u64, usize)> = reader
-            .stream_merged()
+        let merged: Vec<(u64, usize)> = merged_via_manifest("merge-order", &entries, 2)
+            .iter()
             .map(|e| (e.timestamp.as_millis(), e.monitor))
             .collect();
         assert_eq!(
@@ -1487,9 +1328,6 @@ mod tests {
                 (i % 2) as usize,
             ));
         }
-        let bytes = build_segment(&arrival, 2, 16);
-        let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
-
         // Reference: the in-memory unification order (monitor-major concat,
         // stable sort by (timestamp, monitor)).
         let mut reference: Vec<TraceEntry> = Vec::new();
@@ -1498,8 +1336,7 @@ mod tests {
         }
         reference.sort_by_key(|e| (e.timestamp, e.monitor));
 
-        let merged: Vec<TraceEntry> = reader.stream_merged().collect();
-        assert_eq!(merged, reference);
+        assert_eq!(merged_via_manifest("merge-jitter", &arrival, 16), reference);
     }
 
     /// Writes `bytes` to a fresh temp file and opens it as a [`FileSource`].

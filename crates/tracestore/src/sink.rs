@@ -27,10 +27,9 @@
 //! With that contract, [`ManifestReader::run_parallel`] feeds every monitor
 //! chain's decode stream to a sink clone on its own worker thread and never
 //! materializes the merge at all — each worker runs the *same*
-//! per-monitor chain stream the serial k-way merge would have consumed (the
-//! byte-identity argument is the same as for decode-ahead mode: same code,
-//! same streams, only the interleaving differs, and the sink contract makes
-//! the interleaving irrelevant).
+//! per-monitor chain stream the merged stream's prefetch workers run (same
+//! code, same streams, only the interleaving differs, and the sink contract
+//! makes the interleaving irrelevant).
 //!
 //! The serial driver [`run_sink`] runs the same sink over the merged stream
 //! of *any* [`TraceSource`]; the single-stream analysis entry points in
@@ -159,7 +158,7 @@ impl ManifestReader {
     ///
     /// Each worker streams its monitor's segment chain — the identical
     /// [`ChainedMonitorStream`](crate::reader::ChainedMonitorStream) the
-    /// serial merge consumes, over the same `Arc`-shared sources — into a
+    /// merged stream consumes, over the same segment handles — into a
     /// clone of `sink`; the partial sinks are then combined in monitor
     /// order and finished on the calling thread. For any sink honouring the
     /// [`AnalysisSink`] contract the output equals

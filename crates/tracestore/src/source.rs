@@ -7,72 +7,47 @@
 //!
 //! * [`MonitoringDataset`] — the in-memory path (the reference semantics:
 //!   monitor-major concatenation, stable-sorted by `(timestamp, monitor)`),
-//! * [`TraceReader`] — a single on-disk segment, streamed chunk by chunk,
-//! * [`ManifestReader`] — a multi-segment dataset behind a manifest.
+//! * [`ManifestReader`] — an on-disk dataset behind a manifest, streamed
+//!   chunk by chunk.
 //!
-//! Consumers written against `&impl TraceSource` run identically over all
-//! three, so an analysis validated in memory scales to a ten-day on-disk
-//! trace without touching its code. Segment-backed streams can fail
-//! mid-iteration (CRC damage); [`SourceEntries::take_error`] surfaces that
-//! uniformly — in-memory sources simply never report one.
+//! Consumers written against `&impl TraceSource` run identically over both,
+//! so an analysis validated in memory scales to a ten-day on-disk trace
+//! without touching its code. Disk-backed streams can fail mid-iteration
+//! (CRC damage); [`SourceEntries::take_error`] surfaces that uniformly —
+//! in-memory sources simply never report one.
 
-use crate::reader::{
-    ChunkSource, ManifestMergedStream, ManifestReader, MergedEntryStream, TraceReader,
-};
+use crate::reader::{ManifestMergedStream, ManifestReader};
 use crate::record::{ConnectionRecord, MonitoringDataset, TraceEntry};
 use crate::segment::SegmentError;
 
-/// A merged entry stream that may end early with a storage error.
-///
-/// Implemented by every stream type a [`TraceSource`] can hand out; the
-/// default `take_error` (no error, ever) fits infallible in-memory streams.
-pub trait EntryStreamLike: Iterator<Item = TraceEntry> {
-    /// Returns the error that ended the stream early, if any.
-    fn take_error(&mut self) -> Option<SegmentError> {
-        None
-    }
-}
-
-impl EntryStreamLike for std::vec::IntoIter<TraceEntry> {}
-
-impl<S: ChunkSource> EntryStreamLike for MergedEntryStream<'_, S> {
-    fn take_error(&mut self) -> Option<SegmentError> {
-        MergedEntryStream::take_error(self)
-    }
-}
-
-impl EntryStreamLike for ManifestMergedStream<'_> {
-    fn take_error(&mut self) -> Option<SegmentError> {
-        ManifestMergedStream::take_error(self)
-    }
-}
-
 /// The merged, `(timestamp, monitor)`-ordered entry stream of a
 /// [`TraceSource`].
-pub struct SourceEntries<'a> {
-    inner: Box<dyn EntryStreamLike + 'a>,
+pub enum SourceEntries {
+    /// The sorted entries of an in-memory dataset.
+    Memory(std::vec::IntoIter<TraceEntry>),
+    /// The merged stream of an on-disk dataset.
+    Manifest(ManifestMergedStream),
 }
 
-impl<'a> SourceEntries<'a> {
-    /// Wraps a concrete stream.
-    pub fn new(stream: impl EntryStreamLike + 'a) -> Self {
-        Self {
-            inner: Box::new(stream),
-        }
-    }
-
+impl SourceEntries {
     /// Returns the storage error that ended the stream early, if any. Check
     /// after exhausting the stream when analyzing untrusted segments.
     pub fn take_error(&mut self) -> Option<SegmentError> {
-        self.inner.take_error()
+        match self {
+            Self::Memory(_) => None,
+            Self::Manifest(stream) => stream.take_error(),
+        }
     }
 }
 
-impl Iterator for SourceEntries<'_> {
+impl Iterator for SourceEntries {
     type Item = TraceEntry;
 
     fn next(&mut self) -> Option<TraceEntry> {
-        self.inner.next()
+        match self {
+            Self::Memory(entries) => entries.next(),
+            Self::Manifest(stream) => stream.next(),
+        }
     }
 }
 
@@ -103,7 +78,7 @@ impl Iterator for SourceConnections<'_> {
 /// A readable trace, wherever it lives.
 ///
 /// An analysis written against `&impl TraceSource` runs unchanged over the
-/// in-memory dataset, a single on-disk segment, or a multi-segment manifest:
+/// in-memory dataset or an on-disk manifest dataset:
 ///
 /// ```
 /// use ipfs_mon_bitswap::RequestType;
@@ -142,8 +117,7 @@ impl Iterator for SourceConnections<'_> {
 /// assert_eq!(times, vec![10, 20]);
 /// ```
 ///
-/// The same `count_requests` accepts a [`TraceReader`] or [`ManifestReader`]
-/// — see [`crate::sink`] for the analysis engine built on top of this trait.
+/// The same `count_requests` accepts a [`ManifestReader`] — see [`crate::sink`] for the analysis engine built on top of this trait.
 pub trait TraceSource {
     /// The monitor labels of the dataset.
     fn monitor_labels(&self) -> &[String];
@@ -156,7 +130,7 @@ pub trait TraceSource {
     /// All entries of all monitors, merged by `(timestamp, monitor)` with
     /// arrival order breaking ties — the order preprocessing expects, and
     /// bit-identical across every implementation for the same data.
-    fn merged_entries(&self) -> SourceEntries<'_>;
+    fn merged_entries(&self) -> SourceEntries;
 
     /// All connection records of the dataset.
     fn connection_records(&self) -> SourceConnections<'_>;
@@ -172,12 +146,12 @@ impl TraceSource for MonitoringDataset {
         &self.monitor_labels
     }
 
-    fn merged_entries(&self) -> SourceEntries<'_> {
+    fn merged_entries(&self) -> SourceEntries {
         // The reference order: monitor-major concatenation, stable-sorted by
         // (timestamp, monitor) — what `unify_and_flag` has always produced.
         let mut entries: Vec<TraceEntry> = self.entries.iter().flatten().cloned().collect();
         entries.sort_by_key(|e| (e.timestamp, e.monitor));
-        SourceEntries::new(entries.into_iter())
+        SourceEntries::Memory(entries.into_iter())
     }
 
     fn connection_records(&self) -> SourceConnections<'_> {
@@ -189,31 +163,13 @@ impl TraceSource for MonitoringDataset {
     }
 }
 
-impl<S: ChunkSource> TraceSource for TraceReader<S> {
-    fn monitor_labels(&self) -> &[String] {
-        TraceReader::monitor_labels(self)
-    }
-
-    fn merged_entries(&self) -> SourceEntries<'_> {
-        SourceEntries::new(self.stream_merged())
-    }
-
-    fn connection_records(&self) -> SourceConnections<'_> {
-        SourceConnections::new(self.connections().iter().cloned())
-    }
-
-    fn entry_count(&self) -> Option<u64> {
-        Some(self.total_entries())
-    }
-}
-
 impl TraceSource for ManifestReader {
     fn monitor_labels(&self) -> &[String] {
         ManifestReader::monitor_labels(self)
     }
 
-    fn merged_entries(&self) -> SourceEntries<'_> {
-        SourceEntries::new(self.stream_merged())
+    fn merged_entries(&self) -> SourceEntries {
+        SourceEntries::Manifest(self.stream_merged())
     }
 
     fn connection_records(&self) -> SourceConnections<'_> {

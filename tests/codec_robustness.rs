@@ -1,12 +1,11 @@
-//! Codec and merge-mode robustness for the tracestore I/O path.
+//! Codec robustness for the tracestore I/O path.
 //!
 //! Covers the read stack behind the per-chunk codec byte: typed errors for
 //! every kind of codec-level damage (unknown codec byte, corrupted
 //! compressed body, CRC-vs-codec corruption, single-byte damage anywhere in
 //! a `col` body), mixed-codec manifests (per-segment codec migration)
-//! streaming identically to the in-memory path, equality of every
-//! `(codec, merge-mode)` combination — both writable codecs × two merge
-//! modes — the offline `migrate_manifest` rewrite, the on-disk size win of
+//! streaming identically to the in-memory path, equality of the merged
+//! read under both writable codecs, the offline `migrate_manifest` rewrite, the on-disk size win of
 //! `col`, byte-identity of both layouts with the commit that last wrote them
 //! through the plug-in codec layer, and the decode-only `lz` layout read
 //! from a fixture that commit wrote.
@@ -20,8 +19,8 @@ use ipfs_monitoring::core::{
 };
 use ipfs_monitoring::simnet::time::{SimDuration, SimTime};
 use ipfs_monitoring::tracestore::{
-    migrate_manifest, Codec, DatasetConfig, Manifest, ManifestReader, ReadOptions, SegmentConfig,
-    SegmentError, SegmentMeta, SliceSource, TraceEntry, TraceReader, TraceSource, TraceWriter,
+    migrate_manifest, Codec, DatasetConfig, Manifest, ManifestReader, SegmentConfig, SegmentError,
+    SegmentMeta, SliceSource, TraceEntry, TraceReader, TraceSource, TraceWriter,
     MIGRATE_TMP_SUFFIX,
 };
 use ipfs_monitoring::types::varint;
@@ -179,7 +178,7 @@ fn codec_damage_surfaces_typed_errors() {
 proptest! {
     /// Per-segment codec migration: a hand-assembled manifest whose segment
     /// chains alternate raw and compressed segments must stream exactly the
-    /// in-memory reference, through every source and merge mode.
+    /// in-memory reference.
     #[test]
     fn mixed_codec_manifest_matches_in_memory(
         seed in 0u64..1_000_000,
@@ -218,23 +217,17 @@ proptest! {
         manifest.write_to(&dir).unwrap();
 
         let (trace, stats) = unify_and_flag(&dataset, PreprocessConfig::default());
-        for decode_ahead in [false, true] {
-            let options = ReadOptions::default().decode_ahead(decode_ahead);
-            let reader = ManifestReader::open_with(&dir, options).unwrap();
-            let (streamed, streamed_stats) =
-                unify_and_flag_source(&reader, PreprocessConfig::default()).unwrap();
-            prop_assert_eq!(
-                &streamed.entries, &trace.entries,
-                "decode_ahead={}", decode_ahead
-            );
-            prop_assert_eq!(streamed_stats, stats);
-        }
+        let reader = ManifestReader::open(&dir).unwrap();
+        let (streamed, streamed_stats) =
+            unify_and_flag_source(&reader, PreprocessConfig::default()).unwrap();
+        prop_assert_eq!(&streamed.entries, &trace.entries);
+        prop_assert_eq!(streamed_stats, stats);
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Every `(codec, decode_ahead)` combination over a writer-produced
-    /// manifest yields the identical merged stream — the equality the
-    /// experiment binaries assert per run, property-tested across shapes.
+    /// Either codec over a writer-produced manifest yields the merged
+    /// stream of the in-memory reference — the equality the experiment
+    /// binaries assert per run, property-tested across shapes.
     #[test]
     fn all_codec_source_merge_modes_agree(
         seed in 0u64..1_000_000,
@@ -251,17 +244,7 @@ proptest! {
                 rotate_after_entries: (per_monitor as u64 / 3).max(1),
                 ..DatasetConfig::default()
             });
-            for decode_ahead in [false, true] {
-                let options = ReadOptions::default().decode_ahead(decode_ahead);
-                let reader = ManifestReader::open_with(&dir, options).unwrap();
-                let mut stream = reader.merged_entries();
-                let merged: Vec<TraceEntry> = (&mut stream).collect();
-                prop_assert!(stream.take_error().is_none());
-                prop_assert_eq!(
-                    &merged, &reference,
-                    "codec={} decode_ahead={}", codec.name(), decode_ahead
-                );
-            }
+            prop_assert_eq!(&merged_entries(&dir), &reference, "codec={}", codec.name());
             std::fs::remove_dir_all(&dir).ok();
         }
     }
@@ -269,7 +252,7 @@ proptest! {
 
 /// Network-size estimation and the IDW/TNW attacks — the analyses the
 /// experiment binaries run — must produce byte-identical reports whichever
-/// codec and merge mode the manifest is read with.
+/// codec the manifest was written with.
 #[test]
 fn netsize_and_attacks_agree_across_all_modes() {
     let dataset = random_dataset(97, 2, 600, 600);
@@ -298,33 +281,30 @@ fn netsize_and_attacks_agree_across_all_modes() {
                 ..DatasetConfig::default()
             },
         );
-        for decode_ahead in [false, true] {
-            let options = ReadOptions::default().decode_ahead(decode_ahead);
-            let reader = ManifestReader::open_with(&dir, options).unwrap();
-            let tag = format!("codec={} decode_ahead={decode_ahead}", codec.name());
+        let reader = ManifestReader::open(&dir).unwrap();
+        let tag = format!("codec={}", codec.name());
 
-            let report =
-                estimate_network_size_source(&reader, window_start, window_end, interval).unwrap();
-            assert_eq!(
-                serde_json::to_string(&report).unwrap(),
-                serde_json::to_string(&reference_report).unwrap(),
-                "netsize differs: {tag}"
-            );
+        let report =
+            estimate_network_size_source(&reader, window_start, window_end, interval).unwrap();
+        assert_eq!(
+            serde_json::to_string(&report).unwrap(),
+            serde_json::to_string(&reference_report).unwrap(),
+            "netsize differs: {tag}"
+        );
 
-            let suite = run_attacks_source(
-                &reader,
-                PreprocessConfig::default(),
-                &AttackTargets {
-                    idw_cids: vec![target_cid.clone()],
-                    tnw_peers: vec![target_peer],
-                    tpi_probes: Vec::new(),
-                },
-                None,
-            )
-            .unwrap();
-            assert_eq!(suite.idw[&target_cid], reference_idw, "IDW differs: {tag}");
-            assert_eq!(suite.tnw[&target_peer], reference_tnw, "TNW differs: {tag}");
-        }
+        let suite = run_attacks_source(
+            &reader,
+            PreprocessConfig::default(),
+            &AttackTargets {
+                idw_cids: vec![target_cid.clone()],
+                tnw_peers: vec![target_peer],
+                tpi_probes: Vec::new(),
+            },
+            None,
+        )
+        .unwrap();
+        assert_eq!(suite.idw[&target_cid], reference_idw, "IDW differs: {tag}");
+        assert_eq!(suite.tnw[&target_peer], reference_tnw, "TNW differs: {tag}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -355,8 +355,9 @@ impl AnalysisSink for CountSink {
 }
 
 /// `ReadOptions::skip_corrupt` streams a damaged dataset end to end —
-/// deleted, truncated, and CRC-corrupted segments — in every merge mode, and
-/// reports exactly which segments were skipped.
+/// deleted, truncated, and CRC-corrupted segments — through the merged
+/// stream and the parallel driver, and reports exactly which segments were
+/// skipped.
 #[test]
 fn skip_corrupt_streams_damaged_dataset_with_exact_report() {
     let dir = temp_dir("skip-corrupt");
@@ -408,57 +409,53 @@ fn skip_corrupt_streams_damaged_dataset_with_exact_report() {
         .collect();
     let expected_m1: Vec<TraceEntry> = reference[1][50..].to_vec();
 
-    for decode_ahead in [false, true] {
-        let options = ReadOptions::default()
-            .skip_corrupt(true)
-            .decode_ahead(decode_ahead);
-        let reader = ManifestReader::open_with(&dir, options).unwrap();
+    let options = ReadOptions::default().skip_corrupt(true);
+    let reader = ManifestReader::open_with(&dir, options).unwrap();
 
-        // Open-time skips are visible immediately.
-        let at_open = reader.skipped_segments();
-        assert_eq!(
-            at_open
-                .iter()
-                .map(|s| (s.monitor, s.sequence))
-                .collect::<Vec<_>>(),
-            vec![(0, 1), (1, 0)],
-            "open-time report must name the deleted and truncated segments"
-        );
+    // Open-time skips are visible immediately.
+    let at_open = reader.skipped_segments();
+    assert_eq!(
+        at_open
+            .iter()
+            .map(|s| (s.monitor, s.sequence))
+            .collect::<Vec<_>>(),
+        vec![(0, 1), (1, 0)],
+        "open-time report must name the deleted and truncated segments"
+    );
 
-        let mut stream = reader.stream_merged();
-        let entries: Vec<TraceEntry> = stream.by_ref().collect();
-        assert!(stream.take_error().is_none(), "degraded mode never errors");
-        drop(stream);
+    let mut stream = reader.stream_merged();
+    let entries: Vec<TraceEntry> = stream.by_ref().collect();
+    assert!(stream.take_error().is_none(), "degraded mode never errors");
+    drop(stream);
 
-        let merged_m0: Vec<_> = entries.iter().filter(|e| e.monitor == 0).cloned().collect();
-        let merged_m1: Vec<_> = entries.iter().filter(|e| e.monitor == 1).cloned().collect();
-        assert_eq!(merged_m0, expected_m0, "decode_ahead={decode_ahead}");
-        assert_eq!(merged_m1, expected_m1, "decode_ahead={decode_ahead}");
+    let merged_m0: Vec<_> = entries.iter().filter(|e| e.monitor == 0).cloned().collect();
+    let merged_m1: Vec<_> = entries.iter().filter(|e| e.monitor == 1).cloned().collect();
+    assert_eq!(merged_m0, expected_m0);
+    assert_eq!(merged_m1, expected_m1);
 
-        // After the drain the report also carries the mid-stream casualty.
-        let skipped = reader.skipped_segments();
-        assert_eq!(
-            skipped
-                .iter()
-                .map(|s| (s.monitor, s.sequence, s.file_name.as_str()))
-                .collect::<Vec<_>>(),
-            vec![
-                (0, 1, "seg-000-00001.seg"),
-                (0, 2, "seg-000-00002.seg"),
-                (1, 0, "seg-001-00000.seg"),
-            ],
-            "decode_ahead={decode_ahead}: report must be exact"
-        );
-        for skip in &skipped {
-            assert!(!skip.reason.is_empty(), "every skip carries a reason");
-        }
-
-        // The parallel analysis driver degrades the same way.
-        let reader = ManifestReader::open_with(&dir, options).unwrap();
-        let total = reader.run_parallel(CountSink::default()).unwrap();
-        assert_eq!(total, (expected_m0.len() + expected_m1.len()) as u64);
-        assert_eq!(reader.skipped_segments().len(), 3);
+    // After the drain the report also carries the mid-stream casualty.
+    let skipped = reader.skipped_segments();
+    assert_eq!(
+        skipped
+            .iter()
+            .map(|s| (s.monitor, s.sequence, s.file_name.as_str()))
+            .collect::<Vec<_>>(),
+        vec![
+            (0, 1, "seg-000-00001.seg"),
+            (0, 2, "seg-000-00002.seg"),
+            (1, 0, "seg-001-00000.seg"),
+        ],
+        "report must be exact"
+    );
+    for skip in &skipped {
+        assert!(!skip.reason.is_empty(), "every skip carries a reason");
     }
+
+    // The parallel analysis driver degrades the same way.
+    let reader = ManifestReader::open_with(&dir, options).unwrap();
+    let total = reader.run_parallel(CountSink::default()).unwrap();
+    assert_eq!(total, (expected_m0.len() + expected_m1.len()) as u64);
+    assert_eq!(reader.skipped_segments().len(), 3);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -9,7 +9,7 @@
 
 mod common;
 
-use common::{random_dataset, temp_dir, write_manifest};
+use common::{random_dataset, temp_dir, write_manifest, write_manifest_rotated};
 use ipfs_monitoring::core::{
     estimate_network_size, estimate_network_size_source, identify_data_wanters, run_attacks_source,
     track_node_wants, unify_and_flag, unify_and_flag_source, AttackTargets, ManifestCollector,
@@ -18,8 +18,8 @@ use ipfs_monitoring::core::{
 use ipfs_monitoring::node::Network;
 use ipfs_monitoring::simnet::time::{SimDuration, SimTime};
 use ipfs_monitoring::tracestore::{
-    ConnectionRecord, DatasetConfig, ManifestReader, SegmentConfig, TraceEntry, TraceReader,
-    TraceSource,
+    ConnectionRecord, DatasetConfig, ManifestReader, ReadOptions, SegmentConfig, TraceEntry,
+    TraceReader, TraceSource,
 };
 use ipfs_monitoring::workload::{build_scenario, ScenarioConfig};
 use proptest::prelude::*;
@@ -314,21 +314,11 @@ fn manifest_listing_order_is_normalized_and_duplicates_rejected() {
 }
 
 /// The `TraceSource` implementations agree with each other: the same data
-/// viewed as an in-memory dataset, a single segment, and a manifest yields
-/// one identical merged stream.
+/// viewed as an in-memory dataset and as a manifest yields one identical
+/// merged stream and the same connection records.
 #[test]
 fn all_trace_sources_yield_identical_merged_streams() {
     let dataset = random_dataset(55, 3, 250, 1_200);
-
-    let bytes = dataset
-        .to_segment_bytes(SegmentConfig {
-            chunk_capacity: 32,
-            ..SegmentConfig::default()
-        })
-        .unwrap();
-    let segment_reader =
-        TraceReader::new(ipfs_monitoring::tracestore::SliceSource::new(&bytes)).unwrap();
-
     let dir = temp_dir("sources");
     write_manifest(
         &dataset,
@@ -345,19 +335,43 @@ fn all_trace_sources_yield_identical_merged_streams() {
     let manifest_reader = ManifestReader::open(&dir).unwrap();
 
     let from_memory: Vec<TraceEntry> = dataset.merged_entries().collect();
-    let from_segment: Vec<TraceEntry> = segment_reader.merged_entries().collect();
     let from_manifest: Vec<TraceEntry> = manifest_reader.merged_entries().collect();
     assert_eq!(from_memory.len(), dataset.total_entries());
-    assert_eq!(from_segment, from_memory);
     assert_eq!(from_manifest, from_memory);
 
-    assert_eq!(
-        sorted_connections(segment_reader.connection_records().collect()),
-        sorted_connections(dataset.connections.clone())
-    );
     assert_eq!(
         sorted_connections(manifest_reader.connection_records().collect()),
         sorted_connections(dataset.connections.clone())
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A merged stream abandoned part-way stops and joins its prefetch workers
+/// on drop and leaves nothing behind in the reader: the next pass from the
+/// same reader is complete and reference-equal.
+#[test]
+fn abandoned_merged_stream_leaves_the_reader_reusable() {
+    // Several prefetch batches per monitor, so the workers are blocked on a
+    // full channel (not finished) when the stream is dropped.
+    let dataset = random_dataset(77, 3, 9_000, 800);
+    let dir = temp_dir("abandon");
+    write_manifest_rotated(&dataset, &dir, 2_000, 256);
+    let reference: Vec<TraceEntry> = dataset.merged_entries().collect();
+    let reader =
+        ManifestReader::open_with(&dir, ReadOptions::default().skip_corrupt(true)).unwrap();
+    assert!((0..3).all(|monitor| reader.segment_count(monitor) >= 4));
+
+    for taken in [0, 1, 5_000] {
+        let mut stream = reader.merged_entries();
+        let head: Vec<TraceEntry> = stream.by_ref().take(taken).collect();
+        assert_eq!(head, reference[..taken]);
+        drop(stream);
+    }
+
+    let mut stream = reader.merged_entries();
+    let full: Vec<TraceEntry> = stream.by_ref().collect();
+    assert!(stream.take_error().is_none());
+    assert_eq!(full, reference);
+    assert!(reader.skipped_segments().is_empty());
     std::fs::remove_dir_all(&dir).ok();
 }

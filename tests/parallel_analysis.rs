@@ -26,7 +26,7 @@ use ipfs_monitoring::core::{
     PreprocessConfig, RequestTypeSink,
 };
 use ipfs_monitoring::simnet::time::SimDuration;
-use ipfs_monitoring::tracestore::{run_sink, ManifestReader, ReadOptions};
+use ipfs_monitoring::tracestore::{run_sink, ManifestReader};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -61,8 +61,8 @@ fn combine_in_order<K: AnalysisSink + Clone>(mut parts: Vec<K>, order: &[usize])
 
 proptest! {
     /// Driver equivalence + combine-order invariance for all four ported
-    /// analyses, over random datasets, rotation layouts, read options and
-    /// shuffled combine orders.
+    /// analyses, over random datasets, rotation layouts and shuffled
+    /// combine orders.
     #[test]
     fn parallel_engine_matches_serial_wrappers(
         seed in 0u64..1_000_000,
@@ -71,14 +71,12 @@ proptest! {
         jitter in 0u64..2_000,
         rotate in 5u64..60,
         chunk in 1usize..32,
-        decode_ahead in any::<bool>(),
         shuffle_seed in 0u64..u64::MAX,
     ) {
         let dataset = random_dataset(seed, monitors, per_monitor, jitter);
         let dir = temp_dir("prop", seed);
         write_manifest(&dataset, &dir, rotate, chunk);
-        let options = ReadOptions::default().decode_ahead(decode_ahead);
-        let reader = ManifestReader::open_with(&dir, options).unwrap();
+        let reader = ManifestReader::open(&dir).unwrap();
 
         // A shuffled worker-completion order.
         let mut order: Vec<usize> = (0..monitors).collect();

@@ -1,9 +1,9 @@
 //! Tracestore integration coverage.
 //!
 //! Property tests proving that arbitrary datasets round-trip losslessly
-//! through columnar segments, that the streaming preprocessing path yields
-//! flags bit-identical to the in-memory `unify_and_flag`, and that damage to
-//! a segment is detected rather than decoded.
+//! through columnar segments, that the streaming analyses over a spilled
+//! dataset agree with their in-memory counterparts, and that damage to a
+//! segment is detected rather than decoded.
 
 mod common;
 
@@ -100,27 +100,6 @@ proptest! {
     }
 
     #[test]
-    fn streaming_preprocessing_matches_in_memory(
-        seed in 0u64..1_000_000,
-        monitors in 1usize..4,
-        per_monitor in 1usize..300,
-        jitter in 0u64..3_000,
-    ) {
-        let dataset = random_dataset(seed, monitors, per_monitor, jitter);
-        let (trace, stats) = unify_and_flag(&dataset, PreprocessConfig::default());
-
-        let bytes = dataset
-            .to_segment_bytes(SegmentConfig { chunk_capacity: 32 , ..SegmentConfig::default() })
-            .unwrap();
-        let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
-        let (streamed, streamed_stats) =
-            unify_and_flag_source(&reader, PreprocessConfig::default()).unwrap();
-
-        prop_assert_eq!(&streamed.entries, &trace.entries);
-        prop_assert_eq!(streamed_stats, stats);
-    }
-
-    #[test]
     fn chunk_capacity_does_not_change_contents(
         seed in 0u64..1_000_000,
         capacity in 1usize..200,
@@ -206,11 +185,6 @@ fn corrupted_chunk_is_detected() {
         Err(SegmentError::ChecksumMismatch { .. }) | Err(SegmentError::Corrupt(_)) => {}
         other => panic!("corruption not detected: {other:?}"),
     }
-
-    // The streaming preprocessing path surfaces the same damage instead of
-    // silently analyzing a truncated trace.
-    let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
-    assert!(unify_and_flag_source(&reader, PreprocessConfig::default()).is_err());
 }
 
 #[test]
@@ -291,7 +265,7 @@ fn scenario_spill_matches_in_memory_pipeline() {
 }
 
 /// Every streaming analysis variant must agree with its in-memory
-/// counterpart when fed the same segment-backed stream.
+/// counterpart when fed the same data from disk.
 #[test]
 fn streaming_analysis_variants_match_in_memory() {
     use ipfs_monitoring::analysis::{summarize, summarize_stream, Ecdf};
@@ -302,13 +276,9 @@ fn streaming_analysis_variants_match_in_memory() {
 
     let dataset = random_dataset(99, 2, 400, 1_000);
     let (trace, _) = unify_and_flag(&dataset, PreprocessConfig::default());
-    let bytes = dataset
-        .to_segment_bytes(SegmentConfig {
-            chunk_capacity: 64,
-            ..SegmentConfig::default()
-        })
-        .unwrap();
-    let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
+    let dir = common::temp_dir("roundtrip-variants");
+    common::write_manifest_rotated(&dataset, &dir, 150, 64);
+    let reader = ManifestReader::open(&dir).unwrap();
 
     // Per-peer request counts over the flagged stream.
     let in_memory = per_peer_request_counts(&trace);
@@ -325,6 +295,7 @@ fn streaming_analysis_variants_match_in_memory() {
             request_type_series(&dataset, monitor, bucket).rows
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
 
     // Descriptive summary and ECDF over the per-peer counts as a sample.
     let samples: Vec<f64> = in_memory.iter().map(|(_, count)| *count as f64).collect();
