@@ -53,9 +53,14 @@ impl TypeSeriesAccum {
     }
 
     pub(crate) fn record(&mut self, entry: &crate::trace::TraceEntry) {
-        match entry.request_type {
-            RequestType::WantHave => self.want_have.record(entry.timestamp),
-            RequestType::WantBlock => self.want_block.record(entry.timestamp),
+        self.record_n(entry.request_type, entry.timestamp, 1);
+    }
+
+    /// Accounts `n` entries of one type in the bucket containing `at`.
+    pub(crate) fn record_n(&mut self, request_type: RequestType, at: SimTime, n: u64) {
+        match request_type {
+            RequestType::WantHave => self.want_have.record_n(at, n),
+            RequestType::WantBlock => self.want_block.record_n(at, n),
             RequestType::Cancel => {}
         }
     }

@@ -22,13 +22,13 @@
 //! and the [`UnifiedTrace`] entry points run the same [`AttackScan`] with a
 //! single target over an already-flagged trace.
 
-use crate::preprocess::{flag_source, PreprocessConfig};
+use crate::preprocess::{flag_entries, PreprocessConfig};
 use crate::trace::{TraceEntry, UnifiedTrace};
 use ipfs_mon_blockstore::{Block, BuiltDag};
 use ipfs_mon_node::{ContentSpec, GatewayRequestEvent, Network};
 use ipfs_mon_simnet::rng::SimRng;
 use ipfs_mon_simnet::time::SimTime;
-use ipfs_mon_tracestore::{SegmentError, TraceSource};
+use ipfs_mon_tracestore::{RowTargets, SegmentError, TraceSource};
 use ipfs_mon_types::{Cid, Multicodec, PeerId};
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
@@ -202,6 +202,11 @@ impl AttackScan {
 /// evaluated against the live network (they query node caches, not traces).
 /// Per-target results are identical to the single-target entry points.
 ///
+/// The scan only ever looks at entries naming a target CID or sent by a
+/// target peer, so it asks the source for just those
+/// ([`TraceSource::merged_entries_matching`]); they carry the same flags
+/// there as in the whole trace (see `flag_entries`).
+///
 /// TPI probes without a network are an error — an archived-trace analysis
 /// must not silently report zero probe outcomes as if none were requested.
 pub fn run_attacks_source<T: TraceSource>(
@@ -216,7 +221,15 @@ pub fn run_attacks_source<T: TraceSource>(
         ));
     }
     let mut scan = AttackScan::new(&targets.idw_cids, &targets.tnw_peers);
-    let mut stream = flag_source(source, config);
+    let mentioned = RowTargets {
+        cids: targets.idw_cids.iter().cloned().collect(),
+        peers: targets.tnw_peers.iter().copied().collect(),
+    };
+    let mut stream = flag_entries(
+        source.merged_entries_matching(&mentioned),
+        source.monitor_count(),
+        config,
+    );
     for entry in &mut stream {
         scan.observe(&entry);
     }

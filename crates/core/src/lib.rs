@@ -87,7 +87,7 @@ pub use trace::{
 };
 pub use windowed::{
     netsize_window_factory, popularity_window_factory, request_type_window_factory,
-    windowed_netsize, windowed_popularity, windowed_request_types, NetsizeWindowSink,
+    windowed_netsize, windowed_popularity, windowed_request_types,
 };
 // The parallel-analysis engine primitives live in `ipfs-mon-tracestore`
 // (below this crate in the dependency order, so that

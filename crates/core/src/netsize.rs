@@ -17,7 +17,9 @@
 use crate::trace::MonitoringDataset;
 use ipfs_mon_analysis::{committee_estimate, summarize, two_monitor_estimate, Summary};
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
-use ipfs_mon_tracestore::{ConnectionRecord, SegmentError, TraceEntry, TraceSource};
+use ipfs_mon_tracestore::{
+    AnalysisSink, ChunkView, ConnectionRecord, SegmentError, TraceEntry, TraceSource,
+};
 use ipfs_mon_types::PeerId;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
@@ -240,10 +242,51 @@ impl SnapshotBuilder {
     }
 }
 
+/// The builder as an analysis: entries are Bitswap-activity evidence, the
+/// report is the output. A builder seeded with connection records may be
+/// cloned per worker and merged back — `finish` keeps a multiset of active
+/// connections per peer, so connection events repeated in every clone leave
+/// each snapshot's membership (and so the report) unchanged.
+impl AnalysisSink for SnapshotBuilder {
+    type Output = NetworkSizeReport;
+    const BY_CHUNK: bool = true;
+
+    fn consume(&mut self, entry: TraceEntry) {
+        self.observe_entry(&entry);
+    }
+
+    fn consume_chunk(&mut self, monitor: usize, chunk: &ChunkView<'_>) {
+        debug_assert!(monitor < self.monitors);
+        // The peers at least one row names — a dictionary entry no row
+        // references sent nothing.
+        let mut referenced = vec![false; chunk.peer_dict_len()];
+        for &peer in chunk.peer_indexes() {
+            referenced[peer] = true;
+        }
+        let active = &mut self.bitswap_active[monitor];
+        active.extend(
+            (0..referenced.len())
+                .filter(|&peer| referenced[peer])
+                .map(|peer| chunk.peer(peer)),
+        );
+    }
+
+    fn combine(&mut self, other: Self) {
+        self.merge(other);
+    }
+
+    fn finish(self) -> NetworkSizeReport {
+        SnapshotBuilder::finish(self)
+    }
+}
+
 /// Computes peer-set snapshots every `interval` over `[start, end]` and runs
-/// both estimators on each, streaming from any [`TraceSource`] — the trace is
-/// never materialized, so this runs at constant memory over a multi-segment
-/// manifest just as over an in-memory dataset, with identical output.
+/// both estimators on each, from any [`TraceSource`] — the trace is never
+/// materialized and the monitors' streams are never merged
+/// ([`TraceSource::run_unmerged`]): all the builder wants of an entry is
+/// which peer sent it to which monitor, which an on-disk dataset answers
+/// from each chunk's peer dictionary. In-memory and on-disk datasets produce
+/// identical reports.
 pub fn estimate_network_size_source<T: TraceSource>(
     source: &T,
     start: SimTime,
@@ -251,17 +294,10 @@ pub fn estimate_network_size_source<T: TraceSource>(
     interval: SimDuration,
 ) -> Result<NetworkSizeReport, SegmentError> {
     let mut builder = SnapshotBuilder::new(source.monitor_count(), start, end, interval);
-    let mut entries = source.merged_entries();
-    for entry in &mut entries {
-        builder.observe_entry(&entry);
-    }
-    if let Some(error) = entries.take_error() {
-        return Err(error);
-    }
     for record in source.connection_records() {
         builder.observe_connection(&record);
     }
-    Ok(builder.finish())
+    source.run_unmerged(builder)
 }
 
 /// Computes peer-set snapshots every `interval` over `[start, end]` and runs

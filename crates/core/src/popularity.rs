@@ -65,38 +65,49 @@ impl PopularityScores {
 }
 
 /// Incremental per-CID score aggregation shared by the in-memory
-/// [`popularity_scores`] and [`crate::sinks::PopularitySink`].
+/// [`popularity_scores`] and [`crate::sinks::PopularitySink`]: per CID, the
+/// request count and the set of requesters, under one key.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ScoreAccumulator {
-    rrp: HashMap<Cid, u64>,
-    requesters: HashMap<Cid, HashSet<PeerId>>,
+    scores: HashMap<Cid, (u64, HashSet<PeerId>)>,
 }
 
 impl ScoreAccumulator {
     pub(crate) fn add(&mut self, cid: &Cid, peer: PeerId) {
-        *self.rrp.entry(cid.clone()).or_insert(0) += 1;
-        self.requesters.entry(cid.clone()).or_default().insert(peer);
+        self.add_requests(cid, 1, [peer]);
+    }
+
+    /// Accounts `requests` requests for `cid` that came from `peers` — the
+    /// one aggregation rule, whether the requests arrive one entry at a time
+    /// or counted per chunk.
+    pub(crate) fn add_requests(
+        &mut self,
+        cid: &Cid,
+        requests: u64,
+        peers: impl IntoIterator<Item = PeerId>,
+    ) {
+        let (count, requesters) = self.scores.entry(cid.clone()).or_default();
+        *count += requests;
+        requesters.extend(peers);
     }
 
     /// Merges another accumulator: request counts add, requester sets union —
     /// both independent of how the entries were partitioned, which is what
     /// makes the popularity scores safe to compute per monitor and combine.
     pub(crate) fn merge(&mut self, other: Self) {
-        for (cid, count) in other.rrp {
-            *self.rrp.entry(cid).or_insert(0) += count;
-        }
-        for (cid, peers) in other.requesters {
-            self.requesters.entry(cid).or_default().extend(peers);
+        for (cid, (requests, peers)) in other.scores {
+            self.add_requests(&cid, requests, peers);
         }
     }
 
     pub(crate) fn finish(self) -> PopularityScores {
-        let urp = self
-            .requesters
-            .into_iter()
-            .map(|(cid, peers)| (cid, peers.len() as u64))
-            .collect();
-        PopularityScores { rrp: self.rrp, urp }
+        let mut rrp = HashMap::with_capacity(self.scores.len());
+        let mut urp = HashMap::with_capacity(self.scores.len());
+        for (cid, (requests, peers)) in self.scores {
+            urp.insert(cid.clone(), peers.len() as u64);
+            rrp.insert(cid, requests);
+        }
+        PopularityScores { rrp, urp }
     }
 }
 

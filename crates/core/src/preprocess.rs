@@ -243,9 +243,25 @@ impl Iterator for FlaggedStream {
 /// preprocessing entry point: the same call handles an in-memory dataset or
 /// an on-disk manifest dataset.
 pub fn flag_source<T: TraceSource>(source: &T, config: PreprocessConfig) -> FlaggedStream {
+    flag_entries(source.merged_entries(), source.monitor_count(), config)
+}
+
+/// Flags an entry stream of `monitors` monitors that is in
+/// `(timestamp, monitor)` order. The flags of an entry depend only on the
+/// earlier entries with its own `(peer, request type, CID)` key, so a stream
+/// filtered by CID or by peer ([`TraceSource::merged_entries_matching`])
+/// gets exactly the flags its entries have in the whole trace: every entry
+/// sharing a key with a kept entry is kept too, the kept entries are still
+/// in order, and eviction only ever drops keys too old to matter. Only the
+/// [`FlaggedStream::stats`] then describe the filtered stream, not the trace.
+pub(crate) fn flag_entries(
+    entries: SourceEntries,
+    monitors: usize,
+    config: PreprocessConfig,
+) -> FlaggedStream {
     FlaggedStream {
-        inner: source.merged_entries(),
-        preprocessor: StreamingPreprocessor::new(source.monitor_count(), config),
+        inner: entries,
+        preprocessor: StreamingPreprocessor::new(monitors, config),
     }
 }
 

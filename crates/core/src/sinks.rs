@@ -27,8 +27,9 @@ use crate::activity::{RequestTypeSeries, TypeSeriesAccum};
 use crate::popularity::{PopularityScores, ScoreAccumulator};
 use crate::trace::TraceEntry;
 use ipfs_mon_analysis::StreamSummary;
+use ipfs_mon_bitswap::RequestType;
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
-use ipfs_mon_tracestore::{run_sink, AnalysisSink, SegmentError, TraceSource};
+use ipfs_mon_tracestore::{run_sink, AnalysisSink, ChunkView, SegmentError, TraceSource};
 use ipfs_mon_types::{Multicodec, PeerId};
 use std::collections::BTreeMap;
 
@@ -65,9 +66,41 @@ impl RequestTypeSink {
 
 impl AnalysisSink for RequestTypeSink {
     type Output = Vec<RequestTypeSeries>;
+    const BY_CHUNK: bool = true;
 
     fn consume(&mut self, entry: TraceEntry) {
         self.slot(entry.monitor).record(&entry);
+    }
+
+    fn consume_chunk(&mut self, monitor: usize, chunk: &ChunkView<'_>) {
+        let bucket = self.bucket;
+        let accum = self.slot(monitor);
+        // A row mostly falls into the bucket of the previous row of its
+        // type: count such a run here and touch the series once per run.
+        // Per want type: a timestamp inside the run's bucket, and its rows.
+        let mut runs: [Option<(SimTime, u64)>; 2] = [None; 2];
+        let types = [RequestType::WantHave, RequestType::WantBlock];
+        for (row, &ms) in chunk.timestamps_ms().iter().enumerate() {
+            let Some(slot) = types.iter().position(|&t| t == chunk.request_type(row)) else {
+                continue;
+            };
+            let at = SimTime::from_millis(ms);
+            match &mut runs[slot] {
+                Some((first, rows)) if first.bucket_index(bucket) == at.bucket_index(bucket) => {
+                    *rows += 1;
+                }
+                run => {
+                    if let Some((first, rows)) = run.replace((at, 1)) {
+                        accum.record_n(types[slot], first, rows);
+                    }
+                }
+            }
+        }
+        for (request_type, run) in types.into_iter().zip(runs) {
+            if let Some((first, rows)) = run {
+                accum.record_n(request_type, first, rows);
+            }
+        }
     }
 
     fn combine(&mut self, other: Self) {
@@ -115,10 +148,38 @@ impl PopularitySink {
 
 impl AnalysisSink for PopularitySink {
     type Output = PopularityScores;
+    const BY_CHUNK: bool = true;
 
     fn consume(&mut self, entry: TraceEntry) {
         if entry.flags.is_primary() && entry.is_request() {
             self.accumulator.add(&entry.cid, entry.peer);
+        }
+    }
+
+    fn consume_chunk(&mut self, _monitor: usize, chunk: &ChunkView<'_>) {
+        // Requests per CID index, and the (CID index, peer index) of every
+        // primary request: sorted, they group by CID with each requester
+        // once.
+        let mut requests = vec![0u64; chunk.cid_dict().len()];
+        let mut pairs = Vec::with_capacity(chunk.len());
+        let columns = chunk.cid_indexes().iter().zip(chunk.peer_indexes());
+        for (row, (&cid, &peer)) in columns.enumerate() {
+            if chunk.flags(row).is_primary() && chunk.request_type(row) != RequestType::Cancel {
+                requests[cid] += 1;
+                pairs.push((cid, peer));
+            }
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        // The global map is touched once per distinct CID of the chunk, a
+        // requester set once per distinct (CID, peer) pair.
+        for of_cid in pairs.chunk_by(|a, b| a.0 == b.0) {
+            let cid = of_cid[0].0;
+            self.accumulator.add_requests(
+                &chunk.cid_dict()[cid],
+                requests[cid],
+                of_cid.iter().map(|&(_, peer)| chunk.peer(peer)),
+            );
         }
     }
 
@@ -180,21 +241,62 @@ impl ActivityCountsSink {
     }
 }
 
+impl ActivityCountsSink {
+    /// Accounts `n` raw requests for CIDs of one codec (Table I counts raw
+    /// requests).
+    fn add_raw(&mut self, codec: Multicodec, n: u64) {
+        *self.multicodec.entry(codec).or_insert(0) += n;
+        self.raw_requests += n;
+    }
+
+    /// Accounts `n` primary requests of one peer (the per-peer outlier table
+    /// counts primary requests).
+    fn add_primary(&mut self, peer: PeerId, n: u64) {
+        *self.per_peer.entry(peer).or_insert(0) += n;
+        self.primary_requests += n;
+    }
+}
+
 impl AnalysisSink for ActivityCountsSink {
     type Output = ActivityCounts;
+    const BY_CHUNK: bool = true;
 
     fn consume(&mut self, entry: TraceEntry) {
         if !entry.is_request() {
             self.cancels += 1;
             return;
         }
-        // Table I counts raw requests; the per-peer outlier table counts
-        // primary ones — same filters as the wrapped entry points.
-        *self.multicodec.entry(entry.cid.codec()).or_insert(0) += 1;
-        self.raw_requests += 1;
+        self.add_raw(entry.cid.codec(), 1);
         if entry.flags.is_primary() {
-            *self.per_peer.entry(entry.peer).or_insert(0) += 1;
-            self.primary_requests += 1;
+            self.add_primary(entry.peer, 1);
+        }
+    }
+
+    fn consume_chunk(&mut self, _monitor: usize, chunk: &ChunkView<'_>) {
+        // Count per dictionary index; the maps are touched once per CID and
+        // per peer that a row of the chunk actually counted.
+        let mut raw = vec![0u64; chunk.cid_dict().len()];
+        let mut primary = vec![0u64; chunk.peer_dict_len()];
+        let columns = chunk.cid_indexes().iter().zip(chunk.peer_indexes());
+        for (row, (&cid, &peer)) in columns.enumerate() {
+            if chunk.request_type(row) == RequestType::Cancel {
+                self.cancels += 1;
+                continue;
+            }
+            raw[cid] += 1;
+            if chunk.flags(row).is_primary() {
+                primary[peer] += 1;
+            }
+        }
+        for (cid, n) in chunk.cid_dict().iter().zip(raw) {
+            if n > 0 {
+                self.add_raw(cid.codec(), n);
+            }
+        }
+        for (peer, n) in primary.into_iter().enumerate() {
+            if n > 0 {
+                self.add_primary(chunk.peer(peer), n);
+            }
         }
     }
 

@@ -4,7 +4,8 @@
 //! per-window request-type series, rolling popularity, and daily (or any
 //! interval) network-size reports from a live stream.
 //!
-//! Each factory builds a fresh per-window [`AnalysisSink`]; the windowing
+//! Each factory builds a fresh per-window
+//! [`AnalysisSink`](ipfs_mon_tracestore::AnalysisSink); the windowing
 //! machinery (watermarks, late-entry policy, sealing, callback/deferred
 //! emission) lives in [`ipfs_mon_tracestore::window`]. The convenience
 //! constructors here return *deferred* sinks (sealed windows collected
@@ -12,62 +13,12 @@
 //! `run_sink`/`run_parallel`); the continuous service builds
 //! callback-mode sinks from the same factories.
 
-use crate::netsize::{NetworkSizeReport, SnapshotBuilder};
+use crate::netsize::SnapshotBuilder;
 use crate::sinks::{PopularitySink, RequestTypeSink};
-use crate::trace::{ConnectionRecord, TraceEntry};
+use crate::trace::ConnectionRecord;
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
-use ipfs_mon_tracestore::{AnalysisSink, LatePolicy, WindowBounds, WindowSpec, WindowedSink};
+use ipfs_mon_tracestore::{LatePolicy, WindowBounds, WindowSpec, WindowedSink};
 use std::sync::Arc;
-
-/// Per-window network-size estimation: a [`SnapshotBuilder`] over the
-/// window's sub-grid, pre-fed with the connection records overlapping the
-/// window, absorbing the window's entries as Bitswap-activity evidence.
-#[derive(Debug, Clone)]
-pub struct NetsizeWindowSink {
-    builder: SnapshotBuilder,
-}
-
-impl NetsizeWindowSink {
-    /// Creates the sink for one window: snapshots every `interval` at
-    /// `start, start + interval, …` strictly inside `[start, end)`, seeded
-    /// with every connection record overlapping the window.
-    pub fn for_window(
-        monitors: usize,
-        bounds: &WindowBounds,
-        interval: SimDuration,
-        connections: &[ConnectionRecord],
-    ) -> Self {
-        // The builder sweeps an inclusive `[start, end]` grid; stop one
-        // millisecond short so the snapshot at the next window's start is
-        // not double-reported.
-        let sweep_end = SimTime::from_millis(bounds.end.as_millis() - 1);
-        let mut builder = SnapshotBuilder::new(monitors, bounds.start, sweep_end, interval);
-        for record in connections {
-            let overlaps = record.connected_at < bounds.end
-                && record.disconnected_at.is_none_or(|d| d > bounds.start);
-            if overlaps {
-                builder.observe_connection(record);
-            }
-        }
-        Self { builder }
-    }
-}
-
-impl AnalysisSink for NetsizeWindowSink {
-    type Output = NetworkSizeReport;
-
-    fn consume(&mut self, entry: TraceEntry) {
-        self.builder.observe_entry(&entry);
-    }
-
-    fn combine(&mut self, other: Self) {
-        self.builder.merge(other.builder);
-    }
-
-    fn finish(self) -> NetworkSizeReport {
-        self.builder.finish()
-    }
-}
 
 /// Factory for per-window request-type series accumulators (Fig. 4 per
 /// window): one [`RequestTypeSink`] with the given bucket width per
@@ -85,15 +36,31 @@ pub fn popularity_window_factory() -> impl Fn(&WindowBounds) -> PopularitySink +
     |_| PopularitySink::new()
 }
 
-/// Factory for per-window network-size estimation: a
-/// [`NetsizeWindowSink`] snapshotting every `interval`, seeded from the
-/// shared connection log.
+/// Factory for per-window network-size estimation: a [`SnapshotBuilder`]
+/// snapshotting every `interval` at `start, start + interval, …` strictly
+/// inside the window's `[start, end)`, seeded with every record of the shared
+/// connection log that overlaps the window, absorbing the window's entries
+/// as Bitswap-activity evidence.
 pub fn netsize_window_factory(
     monitors: usize,
     interval: SimDuration,
     connections: Arc<Vec<ConnectionRecord>>,
-) -> impl Fn(&WindowBounds) -> NetsizeWindowSink + Clone + Send + Sync {
-    move |bounds| NetsizeWindowSink::for_window(monitors, bounds, interval, &connections)
+) -> impl Fn(&WindowBounds) -> SnapshotBuilder + Clone + Send + Sync {
+    move |bounds| {
+        // The builder sweeps an inclusive `[start, end]` grid; stop one
+        // millisecond short so the snapshot at the next window's start is
+        // not double-reported.
+        let sweep_end = SimTime::from_millis(bounds.end.as_millis() - 1);
+        let mut builder = SnapshotBuilder::new(monitors, bounds.start, sweep_end, interval);
+        for record in connections.iter() {
+            let overlaps = record.connected_at < bounds.end
+                && record.disconnected_at.is_none_or(|d| d > bounds.start);
+            if overlaps {
+                builder.observe_connection(record);
+            }
+        }
+        builder
+    }
 }
 
 /// Deferred windowed request-type series: seals one `Vec<RequestTypeSeries>`
@@ -133,7 +100,8 @@ pub fn windowed_popularity(
 }
 
 /// Deferred windowed network-size estimation (daily netsize when `spec`
-/// tumbles by days): seals one [`NetworkSizeReport`] per window.
+/// tumbles by days): seals one
+/// [`NetworkSizeReport`](crate::netsize::NetworkSizeReport) per window.
 pub fn windowed_netsize(
     monitors: usize,
     spec: WindowSpec,
@@ -141,10 +109,8 @@ pub fn windowed_netsize(
     policy: LatePolicy,
     interval: SimDuration,
     connections: Arc<Vec<ConnectionRecord>>,
-) -> WindowedSink<
-    NetsizeWindowSink,
-    impl Fn(&WindowBounds) -> NetsizeWindowSink + Clone + Send + Sync,
-> {
+) -> WindowedSink<SnapshotBuilder, impl Fn(&WindowBounds) -> SnapshotBuilder + Clone + Send + Sync>
+{
     WindowedSink::deferred(
         monitors,
         spec,
@@ -157,7 +123,7 @@ pub fn windowed_netsize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::EntryFlags;
+    use crate::trace::{EntryFlags, TraceEntry};
     use ipfs_mon_bitswap::RequestType;
     use ipfs_mon_types::{Cid, Country, Multiaddr, Multicodec, PeerId, Transport};
 

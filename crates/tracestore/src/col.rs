@@ -533,14 +533,14 @@ mod tests {
         payload.extend_from_slice(body);
         let mut frame = Vec::new();
         write_frame(&payload, &mut frame);
-        ChunkView::parse(Cow::Owned(frame)).map(|view| view.into_entries().collect())
+        ChunkView::parse(Cow::Owned(frame)).map(|view| view.entries().collect())
     }
 
     fn roundtrip(entries: &[TraceEntry]) -> Vec<u8> {
         let (frame, body) = col_chunk(entries);
         let view = ChunkView::parse(Cow::Borrowed(&frame)).unwrap();
         assert_eq!(view.codec(), Codec::Col);
-        let decoded: Vec<TraceEntry> = view.into_entries().collect();
+        let decoded: Vec<TraceEntry> = view.entries().collect();
         assert_eq!(decoded, entries, "col round-trip mismatch");
         body
     }

@@ -114,14 +114,14 @@ pub use recover::{
     ResumeCursor, QUARANTINE_DIR_NAME, RECOVER_TMP_SUFFIX,
 };
 pub use segment::{
-    ChunkEntries, ChunkInfo, ChunkScratch, ChunkView, SegmentConfig, SegmentError, SegmentSummary,
+    ChunkInfo, ChunkScratch, ChunkView, SegmentConfig, SegmentError, SegmentSummary,
 };
 pub use sink::{run_sink, AnalysisSink, ParallelProgress};
 pub use sketch::{
     CountMinSink, CountMinSketch, FrequencySketches, HeavyHitter, HeavyHitters, SpaceSaving,
     SpaceSavingSink, TopK,
 };
-pub use source::{SourceConnections, SourceEntries, TraceSource};
+pub use source::{RowTargets, SourceConnections, SourceEntries, TraceSource};
 pub use tail::{DatasetTail, TailPoll};
 pub use window::{
     LatePolicy, WindowBounds, WindowResult, WindowSpec, WindowedOutput, WindowedSink,

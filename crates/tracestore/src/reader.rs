@@ -4,9 +4,10 @@
 use crate::manifest::{Manifest, SegmentMeta};
 use crate::record::{ConnectionRecord, MonitoringDataset, TraceEntry};
 use crate::segment::{
-    decode_footer, ChunkEntries, ChunkInfo, ChunkView, Footer, SegmentError, FOOTER_MAGIC,
+    decode_footer, ChunkInfo, ChunkScratch, ChunkView, Footer, SegmentError, FOOTER_MAGIC,
     FORMAT_VERSION, HEADER_MAGIC, TRAILER_LEN,
 };
+use crate::source::RowTargets;
 use ipfs_mon_obs as obs;
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
 use std::borrow::Cow;
@@ -211,6 +212,16 @@ impl<S: ChunkSource> TraceReader<S> {
     /// Streams one monitor's entries in storage (arrival) order, decoding one
     /// chunk at a time.
     pub fn stream_monitor(&self, monitor: usize) -> EntryStream<'_, S> {
+        self.stream_monitor_with(monitor, None)
+    }
+
+    /// [`TraceReader::stream_monitor`] with a [`ChunkHook`] that sees every
+    /// chunk before its rows.
+    fn stream_monitor_with<'a>(
+        &'a self,
+        monitor: usize,
+        hook: Option<ChunkHook<'a>>,
+    ) -> EntryStream<'a, S> {
         let chunks = self
             .footer
             .chunks
@@ -223,6 +234,12 @@ impl<S: ChunkSource> TraceReader<S> {
             chunks,
             next_chunk: 0,
             current: None,
+            hook,
+            filtered: false,
+            selected: Vec::new(),
+            cursor: 0,
+            watermarked: 0,
+            high_water: SimTime::ZERO,
             error: None,
         }
     }
@@ -243,13 +260,20 @@ impl<S: ChunkSource> TraceReader<S> {
     /// by the lateness bound recorded at write time restores exact order with
     /// memory proportional to the disorder window, not the trace.
     pub fn stream_monitor_sorted(&self, monitor: usize) -> SortedEntryStream<'_, S> {
+        self.stream_monitor_sorted_with(monitor, None)
+    }
+
+    fn stream_monitor_sorted_with<'a>(
+        &'a self,
+        monitor: usize,
+        hook: Option<ChunkHook<'a>>,
+    ) -> SortedEntryStream<'a, S> {
         SortedEntryStream {
-            inner: self.stream_monitor(monitor),
+            inner: self.stream_monitor_with(monitor, hook),
             lateness: SimDuration::from_millis(self.max_lateness_ms(monitor)),
             ring: VecDeque::new(),
             base_seq: 0,
             keys: BinaryHeap::new(),
-            high_water: SimTime::ZERO,
             drained: false,
         }
     }
@@ -269,6 +293,50 @@ impl<S: ChunkSource> TraceReader<S> {
     }
 }
 
+/// A stream's per-chunk callback: it sees every chunk the stream has read —
+/// after [`load_chunk`] has validated it, before any row is materialised.
+///
+/// The hook may read the chunk's columns, and it decides which rows the
+/// stream goes on to materialise: it returns `true` after writing their
+/// indexes (ascending) into the vector, or `false` for "every row". A
+/// chunk-level sink run offers the chunk to its sink here; a filtered stream
+/// resolves its targets against the chunk's dictionaries here.
+pub(crate) type ChunkHook<'a> = &'a dyn Fn(&ChunkView<'_>, &mut Vec<usize>) -> bool;
+
+/// Reads the chunk an index row names and turns it into a view — the one
+/// place every read path does so. The frame is CRC-checked and every column
+/// validated in full by [`ChunkView::parse_with`] (which recycles `scratch`),
+/// and the view is then held to what the index row promised: the row chose
+/// this chunk for its stream and announced its size, so a chunk that says
+/// otherwise must not be delivered.
+fn load_chunk<'a, S: ChunkSource>(
+    source: &'a S,
+    info: &ChunkInfo,
+    scratch: ChunkScratch,
+) -> Result<ChunkView<'a>, SegmentError> {
+    let frame = source.read_at(info.offset, info.len as usize)?;
+    let view = ChunkView::parse_with(frame, scratch)?;
+    if view.monitor() != info.monitor || view.len() as u64 != info.entries {
+        return Err(SegmentError::Corrupt(format!(
+            "chunk at offset {} holds {} entries of monitor {} but its index row says {} entries \
+             of monitor {}",
+            info.offset,
+            view.len(),
+            view.monitor(),
+            info.entries,
+            info.monitor
+        )));
+    }
+    Ok(view)
+}
+
+/// `high_water` raised to the latest of `times_ms`.
+fn latest(high_water: SimTime, times_ms: &[u64]) -> SimTime {
+    times_ms.iter().fold(high_water, |latest, &ms| {
+        latest.max(SimTime::from_millis(ms))
+    })
+}
+
 /// Iterator over one monitor's entries, decoding chunk by chunk.
 ///
 /// Each chunk is parsed into a validated, borrowed [`ChunkView`] and owned
@@ -282,7 +350,21 @@ pub struct EntryStream<'a, S: ChunkSource> {
     source: &'a S,
     chunks: Vec<ChunkInfo>,
     next_chunk: usize,
-    current: Option<ChunkEntries<'a>>,
+    current: Option<ChunkView<'a>>,
+    hook: Option<ChunkHook<'a>>,
+    /// Whether the hook selected rows of `current` (into `selected`); every
+    /// row is yielded otherwise.
+    filtered: bool,
+    selected: Vec<usize>,
+    /// Next position in `selected` when `filtered`, else next row.
+    cursor: usize,
+    /// Rows of `current` whose timestamps `high_water` already covers.
+    watermarked: usize,
+    /// Highest timestamp of any row the stream has moved past, yielded or
+    /// not. The reorder buffer releases against this, so a filtered stream
+    /// releases what it holds as soon as the unfiltered one would have
+    /// pulled the next selected row.
+    high_water: SimTime,
     error: Option<SegmentError>,
 }
 
@@ -297,37 +379,28 @@ impl<S: ChunkSource> EntryStream<'_, S> {
             return false;
         };
         self.next_chunk += 1;
-        let frame = match self.source.read_at(info.offset, info.len as usize) {
-            Ok(frame) => frame,
-            Err(error) => {
-                self.error = Some(error);
-                return false;
-            }
-        };
+        if let Some(view) = &self.current {
+            // Rows the hook left out still happened: account for their times
+            // before the chunk goes.
+            let unseen = &view.timestamps_ms()[self.watermarked..];
+            self.high_water = latest(self.high_water, unseen);
+        }
         // Recycle the previous chunk's column allocations: one scratch set
         // serves the whole chain instead of a fresh Vec per column per chunk.
         let scratch = self
             .current
             .take()
-            .map(ChunkEntries::into_scratch)
+            .map(ChunkView::into_scratch)
             .unwrap_or_default();
-        match ChunkView::parse_with(frame, scratch) {
-            // The index row chose this chunk for this stream and promised
-            // its size; a chunk that says otherwise must not be delivered.
-            Ok(view) if view.monitor() != info.monitor || view.len() as u64 != info.entries => {
-                self.error = Some(SegmentError::Corrupt(format!(
-                    "chunk at offset {} holds {} entries of monitor {} but its index row says \
-                     {} entries of monitor {}",
-                    info.offset,
-                    view.len(),
-                    view.monitor(),
-                    info.entries,
-                    info.monitor
-                )));
-                false
-            }
+        match load_chunk(self.source, &info, scratch) {
             Ok(view) => {
-                self.current = Some(view.into_entries());
+                self.selected.clear();
+                self.filtered = self
+                    .hook
+                    .is_some_and(|hook| hook(&view, &mut self.selected));
+                self.cursor = 0;
+                self.watermarked = 0;
+                self.current = Some(view);
                 true
             }
             Err(error) => {
@@ -346,8 +419,19 @@ impl<S: ChunkSource> Iterator for EntryStream<'_, S> {
     #[inline]
     fn next(&mut self) -> Option<TraceEntry> {
         loop {
-            if let Some(entry) = self.current.as_mut().and_then(Iterator::next) {
-                return Some(entry);
+            if let Some(view) = &self.current {
+                let row = if self.filtered {
+                    self.selected.get(self.cursor).copied()
+                } else {
+                    (self.cursor < view.len()).then_some(self.cursor)
+                };
+                if let Some(row) = row {
+                    self.cursor += 1;
+                    let passed = &view.timestamps_ms()[self.watermarked..=row];
+                    self.high_water = latest(self.high_water, passed);
+                    self.watermarked = row + 1;
+                    return Some(view.entry(row));
+                }
             }
             if self.error.is_some() || !self.load_next_chunk() {
                 return None;
@@ -371,8 +455,6 @@ pub struct SortedEntryStream<'a, S: ChunkSource> {
     base_seq: u64,
     /// Min-heap over the keys of the held entries.
     keys: BinaryHeap<Reverse<(SimTime, u64)>>,
-    /// Highest timestamp pulled from the arrival stream so far.
-    high_water: SimTime,
     drained: bool,
 }
 
@@ -398,7 +480,7 @@ impl<S: ChunkSource> Iterator for SortedEntryStream<'_, S> {
             // every future arrival then has a strictly later timestamp.
             match self.keys.peek() {
                 Some(&Reverse((timestamp, seq)))
-                    if self.drained || self.high_water.since(timestamp) > self.lateness =>
+                    if self.drained || self.inner.high_water.since(timestamp) > self.lateness =>
                 {
                     self.keys.pop();
                     let entry = self.ring[(seq - self.base_seq) as usize].take();
@@ -414,7 +496,6 @@ impl<S: ChunkSource> Iterator for SortedEntryStream<'_, S> {
 
             match self.inner.next() {
                 Some(entry) => {
-                    self.high_water = self.high_water.max(entry.timestamp);
                     let seq = self.base_seq + self.ring.len() as u64;
                     self.keys.push(Reverse((entry.timestamp, seq)));
                     self.ring.push_back(Some(entry));
@@ -726,7 +807,22 @@ impl ManifestReader {
     /// nearly time-disjoint, so the working set stays at the few segments
     /// overlapping the frontier instead of the whole chain.
     pub fn stream_monitor_sorted(&self, monitor: usize) -> ChainedMonitorStream<'_> {
-        chain_stream(&self.segments[monitor], monitor, self.skip_context(monitor))
+        self.stream_monitor_sorted_with(monitor, None)
+    }
+
+    /// [`ManifestReader::stream_monitor_sorted`] with a [`ChunkHook`] that
+    /// sees every chunk of the chain before its rows.
+    pub(crate) fn stream_monitor_sorted_with<'a>(
+        &'a self,
+        monitor: usize,
+        hook: Option<ChunkHook<'a>>,
+    ) -> ChainedMonitorStream<'a> {
+        chain_stream(
+            &self.segments[monitor],
+            monitor,
+            self.skip_context(monitor),
+            hook,
+        )
     }
 
     /// Streams all entries of all monitors merged by `(timestamp, monitor)` —
@@ -739,12 +835,30 @@ impl ManifestReader {
     /// share the reader's segment handles; the stream itself owns them, so it
     /// does not borrow the reader, and dropping it stops and joins them.
     pub fn stream_merged(&self) -> ManifestMergedStream {
+        self.merge_chains(None)
+    }
+
+    /// [`ManifestReader::stream_merged`], over every row (`None`) or over
+    /// the rows that mention a target. Targets are pushed down into the
+    /// chain decode: every chunk is still read, CRC-checked, validated in
+    /// full and matched against its index row, but the targets are then
+    /// resolved against the chunk's dictionaries and only matching rows are
+    /// materialised — a chunk whose rows name no target is pruned without
+    /// building one entry. Reorder, chain merge, prefetch and the k-way merge
+    /// are the unfiltered stream's code over fewer rows, so the result is
+    /// exactly the unfiltered stream with the other rows removed.
+    pub(crate) fn merge_chains(&self, targets: Option<Arc<RowTargets>>) -> ManifestMergedStream {
         let mut streams: Vec<PrefetchedMonitorStream> = self
             .segments
             .iter()
             .enumerate()
             .map(|(monitor, chain)| {
-                spawn_prefetch(chain.clone(), monitor, self.skip_context(monitor))
+                spawn_prefetch(
+                    chain.clone(),
+                    monitor,
+                    self.skip_context(monitor),
+                    targets.clone(),
+                )
             })
             .collect();
         let heads = streams.iter_mut().map(Iterator::next).collect();
@@ -760,11 +874,12 @@ impl ManifestReader {
 /// readers. Free-standing so that prefetch workers, which hold their chain
 /// by `Arc` on their own thread, run exactly the code
 /// [`ManifestReader::stream_monitor_sorted`] runs on the caller's.
-fn chain_stream(
-    readers: &[TraceReader<FileSource>],
+fn chain_stream<'a>(
+    readers: &'a [TraceReader<FileSource>],
     monitor: usize,
     skip: Option<(SkipLog, Vec<SegmentIdent>)>,
-) -> ChainedMonitorStream<'_> {
+    hook: Option<ChunkHook<'a>>,
+) -> ChainedMonitorStream<'a> {
     // floors[i] = a safe lower bound on every timestamp in segments i..:
     // within a segment, an entry can precede its chunk's first timestamp
     // by at most the recorded lateness bound, and a suffix-minimum makes
@@ -793,6 +908,7 @@ fn chain_stream(
         active: Vec::new(),
         error: None,
         skip,
+        hook,
     }
 }
 
@@ -832,6 +948,8 @@ pub struct ChainedMonitorStream<'a> {
     /// stream dies is recorded there and the merge continues; when `None`,
     /// the failure latches into `error` as usual.
     skip: Option<(SkipLog, Vec<SegmentIdent>)>,
+    /// Handed to every segment stream the chain admits.
+    hook: Option<ChunkHook<'a>>,
 }
 
 impl ChainedMonitorStream<'_> {
@@ -878,7 +996,7 @@ impl ChainedMonitorStream<'_> {
         obs::counter!("store.segments_admitted").incr();
         let index = self.next_pending;
         self.next_pending += 1;
-        let mut stream = self.readers[index].stream_monitor_sorted(0);
+        let mut stream = self.readers[index].stream_monitor_sorted_with(0, self.hook);
         match stream.next() {
             Some(head) => self.active.push(ActiveSegment {
                 index,
@@ -982,10 +1100,15 @@ fn spawn_prefetch(
     readers: Arc<[TraceReader<FileSource>]>,
     monitor: usize,
     skip: Option<(SkipLog, Vec<SegmentIdent>)>,
+    targets: Option<Arc<RowTargets>>,
 ) -> PrefetchedMonitorStream {
     let (sender, receiver) = mpsc::sync_channel(PREFETCH_DEPTH);
     let worker = std::thread::spawn(move || {
-        let mut stream = chain_stream(&readers, monitor, skip);
+        let select = targets.as_deref().map(|targets| {
+            move |chunk: &ChunkView<'_>, rows: &mut Vec<usize>| targets.select(chunk, rows)
+        });
+        let hook = select.as_ref().map(|select| select as ChunkHook<'_>);
+        let mut stream = chain_stream(&readers, monitor, skip, hook);
         loop {
             let batch: Vec<TraceEntry> = stream.by_ref().take(PREFETCH_BATCH).collect();
             if batch.is_empty() {

@@ -30,6 +30,8 @@
 //! and owned [`TraceEntry`]s are materialized from the view one at a time —
 //! only at the stream boundary, so no intermediate `Vec<TraceEntry>` is
 //! built and dictionary values are decoded once per chunk, not per entry.
+//! Readers that only aggregate or filter stop at the first stage: the view's
+//! column accessors hand out the dictionaries and index columns as parsed.
 //!
 //! The footer carries the monitor labels, all connection records, the chunk
 //! index (offset, length, monitor, entry count, timestamp bounds), and the
@@ -637,7 +639,7 @@ impl PackedPlane {
 /// Recyclable decode allocations: every column a [`ChunkView`] materializes,
 /// plus the decompression buffer and the bit-unpack workspace. Streaming
 /// readers pass the previous chunk's scratch into
-/// [`ChunkView::parse_with`] (via [`ChunkEntries::into_scratch`]), so a long
+/// [`ChunkView::parse_with`] (via [`ChunkView::into_scratch`]), so a long
 /// chain decode reuses one set of allocations instead of paying `Vec` churn
 /// per chunk.
 #[derive(Default)]
@@ -679,6 +681,9 @@ impl ChunkScratch {
 /// never builds an intermediate `Vec<TraceEntry>` and the only per-entry
 /// cost is a flat copy (CID digests store inline — see
 /// `ipfs_mon_types::multihash` — so even the CID clone is allocation-free).
+/// The columns are also readable as they are ([`ChunkView::cid_dict`],
+/// [`ChunkView::peer_indexes`], …) for consumers that count per dictionary
+/// index or select rows without building entries.
 pub struct ChunkView<'a> {
     planes: Planes<'a>,
     codec: Codec,
@@ -718,7 +723,7 @@ impl<'a> ChunkView<'a> {
     }
 
     /// [`ChunkView::parse`] with recycled allocations: `scratch` (usually
-    /// recovered from the previous chunk via [`ChunkEntries::into_scratch`])
+    /// recovered from the previous chunk via [`ChunkView::into_scratch`])
     /// provides every column buffer the view fills, so chain decodes reuse
     /// one set of allocations. On error the scratch is dropped.
     pub fn parse_with(
@@ -989,11 +994,75 @@ impl<'a> ChunkView<'a> {
         self.count == 0
     }
 
-    /// The decoded timestamp column (milliseconds), in append order. Used by
-    /// recovery to rebuild chunk index rows and lateness bounds without
-    /// materializing full entries.
-    pub(crate) fn timestamps_ms(&self) -> &[u64] {
+    // Column accessors. Everything below reads columns `parse_with` has
+    // already CRC-checked and validated in full (every index is inside its
+    // dictionary, every request-type code is defined), so none of them can
+    // fail on a parsed view. The dictionaries are what the chunk *stores*:
+    // a crafted chunk may carry dictionary entries no row references, so an
+    // aggregate over "what the chunk's rows mention" must go through the
+    // index columns, never over a raw dictionary.
+
+    /// The timestamp column (milliseconds), one per row, in append order.
+    pub fn timestamps_ms(&self) -> &[u64] {
         &self.timestamps
+    }
+
+    /// Number of entries in the chunk's peer dictionary.
+    pub fn peer_dict_len(&self) -> usize {
+        self.peer_dict.len() / 32
+    }
+
+    /// The `index`-th entry of the chunk's peer dictionary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= self.peer_dict_len()`.
+    pub fn peer(&self, index: usize) -> PeerId {
+        let dict = &self.planes.bytes()[self.peer_dict.clone()];
+        let bytes: [u8; 32] = dict[index * 32..][..32]
+            .try_into()
+            .expect("peer dictionary holds 32 bytes per entry");
+        PeerId::from_bytes(bytes)
+    }
+
+    /// Per row, the index of its peer in the peer dictionary.
+    pub fn peer_indexes(&self) -> &[usize] {
+        &self.peer_indexes
+    }
+
+    /// The chunk's CID dictionary.
+    pub fn cid_dict(&self) -> &[Cid] {
+        &self.cid_dict
+    }
+
+    /// Per row, the index of its CID in [`ChunkView::cid_dict`].
+    pub fn cid_indexes(&self) -> &[usize] {
+        &self.cid_indexes
+    }
+
+    /// The request type of row `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    pub fn request_type(&self, i: usize) -> RequestType {
+        assert!(i < self.count, "entry index {i} out of range");
+        request_type_from_code(self.type_plane.get(self.planes.bytes(), i))
+            .expect("request types validated in parse")
+    }
+
+    /// The stored flags of row `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    pub fn flags(&self, i: usize) -> crate::record::EntryFlags {
+        assert!(i < self.count, "entry index {i} out of range");
+        let flags = self.flag_plane.get(self.planes.bytes(), i);
+        crate::record::EntryFlags {
+            inter_monitor_duplicate: flags & 0b01 != 0,
+            rebroadcast: flags & 0b10 != 0,
+        }
     }
 
     /// Materializes the `i`-th entry as an owned [`TraceEntry`].
@@ -1002,35 +1071,21 @@ impl<'a> ChunkView<'a> {
     ///
     /// Panics if `i >= self.len()`.
     pub fn entry(&self, i: usize) -> TraceEntry {
-        assert!(i < self.count, "entry index {i} out of range");
-        let planes = self.planes.bytes();
-        let peer_start = self.peer_dict.start + self.peer_indexes[i] * 32;
-        let peer_bytes: [u8; 32] = planes[peer_start..peer_start + 32]
-            .try_into()
-            .expect("peer dictionary slice is 32 bytes per entry");
-        let flags = self.flag_plane.get(planes, i);
         TraceEntry {
             timestamp: SimTime::from_millis(self.timestamps[i]),
-            peer: PeerId::from_bytes(peer_bytes),
+            peer: self.peer(self.peer_indexes[i]),
             address: self.addr_dict[self.addr_indexes[i]],
-            request_type: request_type_from_code(self.type_plane.get(planes, i))
-                .expect("request types validated in parse"),
+            request_type: self.request_type(i),
             cid: self.cid_dict[self.cid_indexes[i]].clone(),
             monitor: self.monitor,
-            flags: crate::record::EntryFlags {
-                inter_monitor_duplicate: flags & 0b01 != 0,
-                rebroadcast: flags & 0b10 != 0,
-            },
+            flags: self.flags(i),
         }
     }
 
-    /// Converts the view into an iterator materializing each entry at the
-    /// moment it is yielded — the stream boundary.
-    pub fn into_entries(self) -> ChunkEntries<'a> {
-        ChunkEntries {
-            view: self,
-            next: 0,
-        }
+    /// Every entry of the chunk in append order, each materialized at the
+    /// moment it is yielded.
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = TraceEntry> + '_ {
+        (0..self.count).map(|i| self.entry(i))
     }
 
     /// Recovers the view's recyclable allocations for the next
@@ -1056,40 +1111,6 @@ impl<'a> ChunkView<'a> {
     }
 }
 
-/// Owning iterator over a [`ChunkView`], materializing entries lazily.
-pub struct ChunkEntries<'a> {
-    view: ChunkView<'a>,
-    next: usize,
-}
-
-impl ChunkEntries<'_> {
-    /// Recovers the underlying view's recyclable allocations (see
-    /// [`ChunkView::into_scratch`]); any entries not yet yielded are lost.
-    pub fn into_scratch(self) -> ChunkScratch {
-        self.view.into_scratch()
-    }
-}
-
-impl Iterator for ChunkEntries<'_> {
-    type Item = TraceEntry;
-
-    fn next(&mut self) -> Option<TraceEntry> {
-        if self.next >= self.view.len() {
-            return None;
-        }
-        let entry = self.view.entry(self.next);
-        self.next += 1;
-        Some(entry)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = self.view.len() - self.next;
-        (remaining, Some(remaining))
-    }
-}
-
-impl ExactSizeIterator for ChunkEntries<'_> {}
-
 /// The payload (codec byte first) of a chunk frame written by
 /// [`write_frame`].
 #[cfg(test)]
@@ -1104,7 +1125,7 @@ pub(crate) fn frame_payload(frame: &[u8]) -> &[u8] {
 #[cfg(test)]
 pub(crate) fn decode_chunk(frame: &[u8]) -> Result<Vec<TraceEntry>, SegmentError> {
     let view = ChunkView::parse(Cow::Borrowed(frame))?;
-    Ok(view.into_entries().collect())
+    Ok(view.entries().collect())
 }
 
 /// Decodes (and validates) `count` address dictionary entries — the same
@@ -1434,14 +1455,13 @@ mod tests {
             let view = ChunkView::parse(Cow::Borrowed(frame)).unwrap();
             assert_eq!(view.codec(), *codec);
             assert_eq!(view.len(), 500);
-            let decoded: Vec<TraceEntry> = view.into_entries().collect();
+            let decoded: Vec<TraceEntry> = view.entries().collect();
             assert_eq!(decoded, entries, "codec {codec:?} round-trip");
             // Same result through the scratch-recycling entry point.
             let view = ChunkView::parse_with(Cow::Borrowed(frame), scratch).unwrap();
-            let mut entries_iter = view.into_entries();
-            let recycled: Vec<TraceEntry> = (&mut entries_iter).collect();
+            let recycled: Vec<TraceEntry> = view.entries().collect();
             assert_eq!(recycled, entries, "codec {codec:?} scratch round-trip");
-            scratch = entries_iter.into_scratch();
+            scratch = view.into_scratch();
         }
     }
 

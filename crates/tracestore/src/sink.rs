@@ -35,7 +35,33 @@
 //! of *any* [`TraceSource`]; the single-stream analysis entry points in
 //! `ipfs-mon-core` are thin wrappers over it, and the equivalence
 //! `run_parallel(sink) == run_sink(source, sink)` is property-tested in
-//! `tests/parallel_analysis.rs`.
+//! `tests/parallel_analysis.rs` and `tests/column_paths.rs`.
+//!
+//! # Entries or chunks
+//!
+//! What a sink may assume depends on how it is fed:
+//!
+//! * **per entry** ([`AnalysisSink::consume`], every sink): the entries of
+//!   one monitor arrive in that monitor's exact `(timestamp, arrival)`
+//!   order, each complete and owned;
+//! * **per chunk** ([`AnalysisSink::consume_chunk`], sinks that declare
+//!   [`AnalysisSink::BY_CHUNK`]): one monitor's rows as stored — arrival
+//!   order, not time order, cut wherever the writer's buffer filled — as
+//!   validated columns: dictionaries of the distinct peers and CIDs, and per
+//!   row an index into each. A sink whose result is a multiset aggregate
+//!   (counts per key, sets of keys) folds a chunk by counting per dictionary
+//!   *index* and touching its own maps once per distinct key, instead of
+//!   hashing the same 32- or 36-byte key for every row.
+//!
+//! [`ManifestReader::run_parallel`] is the driver that reads chunks: it
+//! decodes each chunk once, offers it to the sink, and only if some member
+//! of the composition is not chunk-capable goes on to materialise the rows,
+//! put them in time order and hand them to those members
+//! ([`AnalysisSink::consume_row`]). A sink that needs the order — gaps
+//! between successive entries, event-time windows — simply does not declare
+//! `BY_CHUNK` and is fed as before. Every check is the entry path's: the
+//! chunk was read, CRC-verified, column-validated and matched against its
+//! index row by the very stream that would have materialised it.
 //!
 //! # Example
 //!
@@ -79,9 +105,10 @@
 
 use crate::reader::ManifestReader;
 use crate::record::TraceEntry;
-use crate::segment::SegmentError;
+use crate::segment::{ChunkView, SegmentError};
 use crate::source::TraceSource;
 use ipfs_mon_obs as obs;
+use std::cell::{Cell, RefCell};
 
 /// A streaming analysis whose result does not depend on the interleaving of
 /// entries *across* monitors.
@@ -102,8 +129,38 @@ pub trait AnalysisSink {
     /// What the analysis produces.
     type Output;
 
+    /// Whether the sink is *chunk-capable*: it folds whole chunks through
+    /// [`AnalysisSink::consume_chunk`], and a driver that reads chunks then
+    /// never hands it those chunks' rows. Set it exactly when
+    /// `consume_chunk` is implemented.
+    const BY_CHUNK: bool = false;
+
     /// Folds one entry into the sink's state.
     fn consume(&mut self, entry: TraceEntry);
+
+    /// The chunk-level entry point: folds every row of one validated chunk
+    /// straight from its columns, to the same state
+    /// [`AnalysisSink::consume`] would reach over the chunk's rows.
+    ///
+    /// Only a sink whose result is a multiset aggregate can do this: a chunk
+    /// is one monitor's rows in *arrival* order — not time-sorted, and not
+    /// aligned with the chunks before and after it — so per chunk a sink may
+    /// assume the monitor and nothing about order. `monitor` is the
+    /// dataset-wide index every row of the chunk would carry in
+    /// [`TraceEntry::monitor`]; [`ChunkView::monitor`] is only the index
+    /// inside the chunk's own segment file. The default does nothing: such a
+    /// sink is fed rows.
+    fn consume_chunk(&mut self, _monitor: usize, _chunk: &ChunkView<'_>) {}
+
+    /// One row of a chunk that was offered to
+    /// [`AnalysisSink::consume_chunk`]: consumed unless the sink has folded
+    /// the chunk already. Provided — only a composition overrides it, to
+    /// route the row to those of its members that still need it.
+    fn consume_row(&mut self, entry: TraceEntry) {
+        if !Self::BY_CHUNK {
+            self.consume(entry);
+        }
+    }
 
     /// Merges another sink's partial state into this one.
     fn combine(&mut self, other: Self);
@@ -117,9 +174,22 @@ pub trait AnalysisSink {
 impl<A: AnalysisSink, B: AnalysisSink> AnalysisSink for (A, B) {
     type Output = (A::Output, B::Output);
 
+    /// Rows can be skipped only when no member needs them.
+    const BY_CHUNK: bool = A::BY_CHUNK && B::BY_CHUNK;
+
     fn consume(&mut self, entry: TraceEntry) {
         self.0.consume(entry.clone());
         self.1.consume(entry);
+    }
+
+    fn consume_chunk(&mut self, monitor: usize, chunk: &ChunkView<'_>) {
+        self.0.consume_chunk(monitor, chunk);
+        self.1.consume_chunk(monitor, chunk);
+    }
+
+    fn consume_row(&mut self, entry: TraceEntry) {
+        self.0.consume_row(entry.clone());
+        self.1.consume_row(entry);
     }
 
     fn combine(&mut self, other: Self) {
@@ -206,24 +276,36 @@ impl ManifestReader {
         }
         // One worker's chain pass. Shared by the single-monitor (inline) and
         // multi-monitor (scoped threads) paths so both report identically.
-        let run_chain = |monitor: usize, mut worker_sink: K| -> (Result<K, SegmentError>, u64) {
+        let run_chain = |monitor: usize, worker_sink: K| -> (Result<K, SegmentError>, u64) {
             let _span = obs::histogram!("analysis.worker_pass_ns").timer();
-            let mut consumed = obs::BatchedCounter::new(obs::counter(&format!(
+            let consumed = obs::counter(&format!(
                 "analysis.entries.{}",
                 self.monitor_labels()[monitor]
-            )));
-            let mut total = obs::BatchedCounter::new(obs::counter!("analysis.entries"));
-            let mut stream = self.stream_monitor_sorted(monitor);
-            let mut count = 0u64;
+            ));
+            let total = obs::counter!("analysis.entries");
+            // The chain stream calls the hook with every chunk it has just
+            // validated and hands out the rows afterwards, so the sink is
+            // borrowed from both sides, never at the same time.
+            let worker_sink = RefCell::new(worker_sink);
+            let count = Cell::new(0u64);
+            let offer = |chunk: &ChunkView<'_>, _rows: &mut Vec<usize>| {
+                worker_sink.borrow_mut().consume_chunk(monitor, chunk);
+                count.set(count.get() + chunk.len() as u64);
+                consumed.add(chunk.len() as u64);
+                total.add(chunk.len() as u64);
+                // A composition of chunk-capable sinks is done with the
+                // chunk: select none of its rows, so none is materialised.
+                K::BY_CHUNK
+            };
+            let mut stream = self.stream_monitor_sorted_with(monitor, Some(&offer));
             for entry in &mut stream {
-                worker_sink.consume(entry);
-                count += 1;
-                consumed.incr();
-                total.incr();
+                worker_sink.borrow_mut().consume_row(entry);
             }
-            match stream.take_error() {
-                Some(error) => (Err(error), count),
-                None => (Ok(worker_sink), count),
+            let error = stream.take_error();
+            drop(stream);
+            match error {
+                Some(error) => (Err(error), count.get()),
+                None => (Ok(worker_sink.into_inner()), count.get()),
             }
         };
         let results: Vec<(Result<K, SegmentError>, u64)> = if monitors == 1 {

@@ -1,9 +1,25 @@
 //! [`TraceSource`] — one streaming interface over every trace representation.
 //!
 //! The analyses of the methodology layer need exactly three things from a
-//! trace, none of which require it to be materialized: the monitor labels, a
-//! time-ordered merged entry stream, and the connection records. This module
-//! abstracts those behind one trait, implemented by
+//! trace, none of which require it to be materialized: the monitor labels,
+//! the entries, and the connection records. The entries come in the three
+//! shapes the analyses consume them in —
+//!
+//! * [`TraceSource::merged_entries`]: every entry, in global
+//!   `(timestamp, monitor)` order, for what compares entries across
+//!   monitors (duplicate flagging);
+//! * [`TraceSource::merged_entries_matching`]: the same stream restricted to
+//!   rows naming a target CID or peer ([`RowTargets`]), for scans that only
+//!   ever look at a few of them (the attacks);
+//! * [`TraceSource::run_unmerged`]: no stream at all — an
+//!   [`AnalysisSink`] run over each monitor's entries, for aggregates that
+//!   do not care how monitors interleave (network size) —
+//!
+//! and the last two are where a source that stores dictionaries saves work:
+//! a [`ManifestReader`] resolves targets against each chunk's dictionaries
+//! and hands chunk-capable sinks the columns, while the in-memory dataset
+//! runs the defaults (filter the merged stream; run the sink over it). This
+//! module abstracts those behind one trait, implemented by
 //!
 //! * [`MonitoringDataset`] — the in-memory path (the reference semantics:
 //!   monitor-major concatenation, stable-sorted by `(timestamp, monitor)`),
@@ -18,7 +34,56 @@
 
 use crate::reader::{ManifestMergedStream, ManifestReader};
 use crate::record::{ConnectionRecord, MonitoringDataset, TraceEntry};
-use crate::segment::SegmentError;
+use crate::segment::{ChunkView, SegmentError};
+use crate::sink::{run_sink, AnalysisSink};
+use ipfs_mon_obs as obs;
+use ipfs_mon_types::{Cid, PeerId};
+use std::collections::HashSet;
+use std::sync::Arc;
+
+/// What a filtered merged stream keeps ([`TraceSource::merged_entries_matching`]):
+/// the rows whose CID is one of `cids` or whose peer is one of `peers`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct RowTargets {
+    /// Rows requesting (or cancelling) one of these CIDs match.
+    pub cids: HashSet<Cid>,
+    /// Rows sent by one of these peers match.
+    pub peers: HashSet<PeerId>,
+}
+
+impl RowTargets {
+    /// Whether `entry` mentions a target.
+    pub fn matches(&self, entry: &TraceEntry) -> bool {
+        self.cids.contains(&entry.cid) || self.peers.contains(&entry.peer)
+    }
+
+    /// The [`ChunkHook`](crate::reader::ChunkHook) of a filtered stream:
+    /// resolves the targets against the chunk's two dictionaries (one probe
+    /// per dictionary entry, not per row) and selects the rows that index a
+    /// hit. Always selects, so a chunk without a target yields no row at all.
+    pub(crate) fn select(&self, chunk: &ChunkView<'_>, rows: &mut Vec<usize>) -> bool {
+        let cid_hits: Vec<bool> = chunk
+            .cid_dict()
+            .iter()
+            .map(|cid| self.cids.contains(cid))
+            .collect();
+        let peer_hits: Vec<bool> = (0..chunk.peer_dict_len())
+            .map(|index| self.peers.contains(&chunk.peer(index)))
+            .collect();
+        let columns = chunk.cid_indexes().iter().zip(chunk.peer_indexes());
+        rows.extend(
+            columns
+                .enumerate()
+                .filter(|&(_, (&cid, &peer))| cid_hits[cid] || peer_hits[peer])
+                .map(|(row, _)| row),
+        );
+        if rows.is_empty() {
+            obs::counter!("store.chunks_pruned").incr();
+        }
+        obs::counter!("store.rows_selected").add(rows.len() as u64);
+        true
+    }
+}
 
 /// The merged, `(timestamp, monitor)`-ordered entry stream of a
 /// [`TraceSource`].
@@ -27,6 +92,9 @@ pub enum SourceEntries {
     Memory(std::vec::IntoIter<TraceEntry>),
     /// The merged stream of an on-disk dataset.
     Manifest(ManifestMergedStream),
+    /// The rows of another stream that mention a target — what
+    /// [`TraceSource::merged_entries_matching`] yields by default.
+    Matching(Box<SourceEntries>, RowTargets),
 }
 
 impl SourceEntries {
@@ -36,6 +104,7 @@ impl SourceEntries {
         match self {
             Self::Memory(_) => None,
             Self::Manifest(stream) => stream.take_error(),
+            Self::Matching(entries, _) => entries.take_error(),
         }
     }
 }
@@ -47,6 +116,7 @@ impl Iterator for SourceEntries {
         match self {
             Self::Memory(entries) => entries.next(),
             Self::Manifest(stream) => stream.next(),
+            Self::Matching(entries, targets) => entries.find(|entry| targets.matches(entry)),
         }
     }
 }
@@ -132,6 +202,30 @@ pub trait TraceSource {
     /// bit-identical across every implementation for the same data.
     fn merged_entries(&self) -> SourceEntries;
 
+    /// The rows of [`TraceSource::merged_entries`] that mention a target —
+    /// their CID is in `targets.cids` or their peer in `targets.peers` — in
+    /// the same order. For the scans that only ever look at a few CIDs and
+    /// peers: a source that stores dictionaries ([`ManifestReader`]) pushes
+    /// the targets into its decoder and never builds the other rows.
+    fn merged_entries_matching(&self, targets: &RowTargets) -> SourceEntries {
+        SourceEntries::Matching(Box::new(self.merged_entries()), targets.clone())
+    }
+
+    /// Runs `sink` over every entry without merging the monitors' streams —
+    /// the counterpart of [`TraceSource::merged_entries`] for analyses that
+    /// are [`AnalysisSink`]s, i.e. indifferent to how monitors interleave.
+    /// The merged order is one valid interleaving, so the default is
+    /// [`run_sink`]; [`ManifestReader`] runs one worker per monitor chain
+    /// and lets chunk-capable sinks read columns
+    /// ([`ManifestReader::run_parallel`]).
+    fn run_unmerged<K>(&self, sink: K) -> Result<K::Output, SegmentError>
+    where
+        K: AnalysisSink + Clone + Send,
+        Self: Sized,
+    {
+        run_sink(self, sink)
+    }
+
     /// All connection records of the dataset.
     fn connection_records(&self) -> SourceConnections<'_>;
 
@@ -170,6 +264,17 @@ impl TraceSource for ManifestReader {
 
     fn merged_entries(&self) -> SourceEntries {
         SourceEntries::Manifest(self.stream_merged())
+    }
+
+    fn merged_entries_matching(&self, targets: &RowTargets) -> SourceEntries {
+        SourceEntries::Manifest(self.merge_chains(Some(Arc::new(targets.clone()))))
+    }
+
+    fn run_unmerged<K>(&self, sink: K) -> Result<K::Output, SegmentError>
+    where
+        K: AnalysisSink + Clone + Send,
+    {
+        self.run_parallel(sink)
     }
 
     fn connection_records(&self) -> SourceConnections<'_> {

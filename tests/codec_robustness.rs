@@ -15,13 +15,14 @@ mod common;
 use common::{random_dataset, simulated_dataset, temp_dir, write_manifest};
 use ipfs_monitoring::core::{
     estimate_network_size, estimate_network_size_source, identify_data_wanters, run_attacks_source,
-    track_node_wants, unify_and_flag, unify_and_flag_source, AttackTargets, PreprocessConfig,
+    track_node_wants, unify_and_flag, unify_and_flag_source, ActivityCountsSink, AttackTargets,
+    EntryStatsSink, PopularitySink, PreprocessConfig,
 };
 use ipfs_monitoring::simnet::time::{SimDuration, SimTime};
 use ipfs_monitoring::tracestore::{
-    migrate_manifest, Codec, DatasetConfig, Manifest, ManifestReader, SegmentConfig, SegmentError,
-    SegmentMeta, SliceSource, TraceEntry, TraceReader, TraceSource, TraceWriter,
-    MIGRATE_TMP_SUFFIX,
+    migrate_manifest, run_sink, Codec, DatasetConfig, Manifest, ManifestReader, MonitoringDataset,
+    RowTargets, SegmentConfig, SegmentError, SegmentMeta, SliceSource, TraceEntry, TraceReader,
+    TraceSource, TraceWriter, MIGRATE_TMP_SUFFIX,
 };
 use ipfs_monitoring::types::varint;
 use proptest::prelude::*;
@@ -76,6 +77,20 @@ fn first_chunk_payload(bytes: &[u8]) -> (usize, usize) {
     (payload_start, payload_start + payload_len as usize)
 }
 
+/// Every single-byte flip of the first chunk's body (codec byte excluded),
+/// each with the chunk CRC repaired so that only the body decoder stands
+/// between the damage and the reader: `(body offset, damaged segment)`.
+fn body_flips(bytes: &[u8]) -> impl Iterator<Item = (usize, Vec<u8>)> + '_ {
+    let (payload_start, payload_end) = first_chunk_payload(bytes);
+    (payload_start + 1..payload_end).map(move |pos| {
+        let mut damaged = bytes.to_vec();
+        damaged[pos] ^= 0xA5;
+        let crc = ipfs_monitoring::tracestore::crc::crc32(&damaged[payload_start..payload_end]);
+        damaged[payload_end..payload_end + 4].copy_from_slice(&crc.to_le_bytes());
+        (pos, damaged)
+    })
+}
+
 /// Exhaustive single-byte damage sweep over the first chunk body of a
 /// one-monitor segment, through the full reader stack, with the chunk CRC
 /// repaired after every flip so only the body decoder stands between the
@@ -83,16 +98,9 @@ fn first_chunk_payload(bytes: &[u8]) -> (usize, usize) {
 /// decode cleanly (flips inside dictionary bytes give different-but-valid
 /// entries) — never a panic. Returns `(typed errors, clean decodes)`.
 fn body_damage_sweep(bytes: &[u8]) -> (usize, usize) {
-    let (payload_start, payload_end) = first_chunk_payload(bytes);
-    let crc_range = payload_end..payload_end + 4;
     let mut typed_errors = 0usize;
     let mut clean_decodes = 0usize;
-    for pos in payload_start + 1..payload_end {
-        let mut damaged = bytes.to_vec();
-        damaged[pos] ^= 0xA5;
-        let crc = ipfs_monitoring::tracestore::crc::crc32(&damaged[payload_start..payload_end]);
-        damaged[crc_range.clone()].copy_from_slice(&crc.to_le_bytes());
-
+    for (pos, damaged) in body_flips(bytes) {
         let reader = TraceReader::new(SliceSource::new(&damaged)).unwrap();
         let mut stream = reader.stream_monitor(0);
         let _ = (&mut stream).count();
@@ -104,6 +112,70 @@ fn body_damage_sweep(bytes: &[u8]) -> (usize, usize) {
             None => clean_decodes += 1,
         }
     }
+    (typed_errors, clean_decodes)
+}
+
+/// [`body_damage_sweep`] through the readers that stop at the columns: the
+/// same flips, applied to the one segment of a dataset on disk, must take the
+/// chunk-level sink run and a filtered stream to the same typed error the
+/// entry-reading run ends in, or to the same result — never a panic, never
+/// an answer the entry path would not give. Returns
+/// `(typed errors, clean decodes)`.
+fn column_reader_damage_sweep(
+    dataset: &MonitoringDataset,
+    config: DatasetConfig,
+) -> (usize, usize) {
+    let dir = temp_dir("column-sweep");
+    write_manifest(dataset, &dir, config);
+    let segment = dir.join("seg-000-00000.seg");
+    let bytes = std::fs::read(&segment).unwrap();
+    let sinks = || {
+        (
+            (PopularitySink::new(), ActivityCountsSink::new()),
+            EntryStatsSink::new(),
+        )
+    };
+    let first = &dataset.entries[0][0];
+    let targets = RowTargets {
+        cids: [first.cid.clone()].into(),
+        peers: [first.peer].into(),
+    };
+    let typed = |error: &SegmentError| {
+        matches!(
+            error,
+            SegmentError::Corrupt(_) | SegmentError::UnknownCodec(_)
+        )
+    };
+    let mut typed_errors = 0usize;
+    let mut clean_decodes = 0usize;
+    for (pos, damaged) in body_flips(&bytes) {
+        std::fs::write(&segment, &damaged).unwrap();
+        let reader = ManifestReader::open(&dir).unwrap();
+
+        let by_entry = run_sink(&reader, sinks());
+        let by_chunk = reader.run_parallel(sinks());
+        let mut filtered = reader.merged_entries_matching(&targets);
+        let matching: Vec<TraceEntry> = (&mut filtered).collect();
+        match (by_entry, by_chunk, filtered.take_error()) {
+            (Ok(by_entry), Ok(by_chunk), None) => {
+                assert_eq!(by_chunk, by_entry, "body offset {pos}");
+                let expected: Vec<TraceEntry> = reader
+                    .merged_entries()
+                    .filter(|entry| targets.matches(entry))
+                    .collect();
+                assert_eq!(matching, expected, "body offset {pos}");
+                clean_decodes += 1;
+            }
+            (Err(by_entry), Err(by_chunk), Some(filtered)) => {
+                assert!(typed(&by_entry), "body offset {pos}: {by_entry:?}");
+                assert_eq!(by_chunk.to_string(), by_entry.to_string());
+                assert_eq!(filtered.to_string(), by_entry.to_string());
+                typed_errors += 1;
+            }
+            disagreement => panic!("paths disagree at body offset {pos}: {disagreement:?}"),
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
     (typed_errors, clean_decodes)
 }
 
@@ -368,6 +440,24 @@ fn col_body_damage_sweep_never_panics() {
     assert!(
         clean_decodes > 0,
         "no flip landed in plain dictionary bytes"
+    );
+
+    // The same chunk on disk, through the chunk-level run and a filtered
+    // stream: the first chunk of the dataset's only segment is the chunk
+    // swept above (a chunk depends on its own 64 entries only, so a shorter
+    // tail behind it changes nothing), and the outcomes split the same way.
+    let config = DatasetConfig {
+        segment: SegmentConfig {
+            chunk_capacity: 64,
+            codec: Codec::Col,
+        },
+        ..DatasetConfig::default()
+    };
+    let mut head = dataset;
+    head.entries[0].truncate(80);
+    assert_eq!(
+        column_reader_damage_sweep(&head, config),
+        (typed_errors, clean_decodes)
     );
 }
 

@@ -1,0 +1,362 @@
+//! The column-reading paths against the entry-reading ones.
+//!
+//! Three analyses stop short of building entries when the trace is an
+//! on-disk dataset: a `run_parallel` of chunk-capable sinks folds chunks by
+//! dictionary index, `estimate_network_size_source` reads peer dictionaries,
+//! and `run_attacks_source` pushes its targets into the chunk decode. Each
+//! must give exactly what the entry path gives — on clean datasets
+//! ([`differential_case`]), on a chunk whose dictionaries hold entries no
+//! row references, and on damaged datasets (same error, same skip report).
+
+mod common;
+
+use common::{differential_case, temp_dir, write_manifest};
+use ipfs_monitoring::core::{
+    estimate_network_size, estimate_network_size_source, flag_source, run_attacks_source,
+    ActivityCountsSink, AnalysisSink, AttackScan, EntryStatsSink, PopularitySink, PreprocessConfig,
+    RequestTypeSink, SnapshotBuilder,
+};
+use ipfs_monitoring::simnet::time::{SimDuration, SimTime};
+use ipfs_monitoring::tracestore::crc::crc32;
+use ipfs_monitoring::tracestore::{
+    run_sink, Codec, DatasetConfig, ManifestReader, ReadOptions, RowTargets, SegmentConfig,
+    SegmentError, SkippedSegment, SliceSource, TraceEntry, TraceReader, TraceSource,
+};
+use ipfs_monitoring::types::{varint, Cid, Multicodec, PeerId};
+use proptest::prelude::*;
+use std::path::Path;
+
+const START: SimTime = SimTime::ZERO;
+const INTERVAL: SimDuration = SimDuration::from_mins(2);
+
+fn window_end() -> SimTime {
+    SimTime::from_millis(1 << 20)
+}
+
+/// The composition the repo benchmark runs: three chunk-capable sinks and
+/// one (`EntryStatsSink`) that needs every row in sorted order.
+type FourSinks = (
+    (RequestTypeSink, PopularitySink),
+    (ActivityCountsSink, EntryStatsSink),
+);
+
+fn four_sinks() -> FourSinks {
+    (
+        (
+            RequestTypeSink::new(SimDuration::from_secs(30)),
+            PopularitySink::new(),
+        ),
+        (ActivityCountsSink::new(), EntryStatsSink::new()),
+    )
+}
+
+/// The network-size builder over the test window.
+fn snapshot_builder(monitors: usize) -> SnapshotBuilder {
+    SnapshotBuilder::new(monitors, START, window_end(), INTERVAL)
+}
+
+fn json<T: serde::Serialize>(value: &T) -> String {
+    serde_json::to_string(value).unwrap()
+}
+
+proptest! {
+    /// On any dataset and layout: the filtered attack scan equals the scan
+    /// of the whole flagged trace, whichever source it runs over; network
+    /// size from peer dictionaries equals network size from entries; and
+    /// the chunk-level sink run equals the serial one, with exact progress.
+    #[test]
+    fn column_paths_match_entry_paths(seed in 0u64..1_000_000) {
+        let case = differential_case(seed);
+        let dir = temp_dir(&format!("columns-{seed}"));
+        write_manifest(&case.dataset, &dir, case.layout);
+        let reader = ManifestReader::open(&dir).unwrap();
+        for monitor in 0..reader.monitor_count() {
+            prop_assert!(reader.segment_count(monitor) >= 2, "layout must rotate");
+        }
+        let config = PreprocessConfig::default();
+
+        // Attacks: unfiltered reference, then both sources' filtered scans.
+        let mut scan = AttackScan::new(&case.targets.idw_cids, &case.targets.tnw_peers);
+        let mut flagged = flag_source(&reader, config);
+        (&mut flagged).for_each(|entry| scan.observe(&entry));
+        prop_assert!(flagged.take_source_error().is_none());
+        let (idw, tnw) = scan.finish();
+        prop_assert!(!idw[&case.targets.idw_cids[0]].is_empty(), "target CID is requested");
+        prop_assert!(idw[&case.targets.idw_cids[1]].is_empty(), "absent CID");
+        let on_disk = run_attacks_source(&reader, config, &case.targets, None).unwrap();
+        let in_memory = run_attacks_source(&case.dataset, config, &case.targets, None).unwrap();
+        prop_assert_eq!(&on_disk.idw, &idw);
+        prop_assert_eq!(&on_disk.tnw, &tnw);
+        prop_assert_eq!(&on_disk, &in_memory);
+
+        // Network size.
+        let from_columns =
+            estimate_network_size_source(&reader, START, window_end(), INTERVAL).unwrap();
+        let reference = estimate_network_size(&case.dataset, START, window_end(), INTERVAL);
+        prop_assert_eq!(json(&from_columns), json(&reference));
+
+        // The benchmark's composition, chunk-capable and entry-only mixed.
+        let progress = reader.run_parallel_with_progress(four_sinks());
+        let per_monitor: Vec<u64> =
+            case.dataset.entries.iter().map(|entries| entries.len() as u64).collect();
+        prop_assert_eq!(&progress.entries_consumed, &per_monitor);
+        prop_assert_eq!(progress.result.unwrap(), run_sink(&reader, four_sinks()).unwrap());
+        // And with no entry-only member: not one row is materialised.
+        let pair = (four_sinks().0, snapshot_builder(reader.monitor_count()));
+        let by_chunk = reader.run_parallel(pair.clone()).unwrap();
+        let by_entry = run_sink(&reader, pair).unwrap();
+        prop_assert_eq!(&by_chunk.0, &by_entry.0);
+        prop_assert_eq!(json(&by_chunk.1), json(&by_entry.1));
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Re-points the last row's peer and CID index of a segment's first (raw)
+/// chunk at dictionary entry 0 and repairs the chunk CRC: not one other byte
+/// moves, but the last entry of both dictionaries — which that row had
+/// introduced — is now referenced by no row.
+fn orphan_last_dictionary_entries(bytes: &mut [u8]) {
+    let frame = TraceReader::new(SliceSource::new(bytes)).unwrap().chunks()[0].offset as usize;
+    let mut pos = frame;
+    let read = |pos: &mut usize| {
+        let (value, used) = varint::decode(&bytes[*pos..]).unwrap();
+        *pos += used;
+        value as usize
+    };
+    let payload_len = read(&mut pos);
+    let payload = pos..pos + payload_len;
+    assert_eq!(bytes[pos], Codec::Raw.byte(), "the patch reads raw planes");
+    pos += 1;
+    let _monitor = read(&mut pos);
+    let count = read(&mut pos);
+    for _ in 0..count {
+        read(&mut pos); // timestamp base, then deltas
+    }
+    let mut last_index_at = [0usize; 3];
+    for (dictionary, at) in last_index_at.iter_mut().enumerate() {
+        let entries = read(&mut pos);
+        match dictionary {
+            0 => pos += entries * 32, // peers
+            1 => pos += entries * 8,  // addresses
+            _ => {
+                for _ in 0..entries {
+                    let len = read(&mut pos); // CIDs are length-prefixed
+                    pos += len;
+                }
+            }
+        }
+        for _ in 0..count - 1 {
+            read(&mut pos);
+        }
+        *at = pos;
+        let last = read(&mut pos);
+        if dictionary != 1 {
+            assert_eq!(
+                last,
+                entries - 1,
+                "the last row introduces a dictionary entry"
+            );
+            assert!((1..128).contains(&last), "a one-byte index");
+        }
+    }
+    bytes[last_index_at[0]] = 0;
+    bytes[last_index_at[2]] = 0;
+    let crc = crc32(&bytes[payload.clone()]);
+    bytes[payload.end..payload.end + 4].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// A crafted (or merely unusual) chunk may carry dictionary entries no row
+/// references. Aggregates that read dictionaries must count what the rows
+/// mention, not what the dictionaries hold.
+#[test]
+fn unreferenced_dictionary_entries_change_nothing() {
+    // One chunk per monitor; the last row of monitor 0's brings a peer and a
+    // CID (of a codec) of its own, which the patch then orphans.
+    let mut dataset = common::random_dataset(77, 2, 60, 300);
+    let last = dataset.entries[0].last_mut().unwrap();
+    last.peer = PeerId::derived(31, 0);
+    last.cid = Cid::new_v1(Multicodec::DagCbor, b"orphan");
+    let dir = temp_dir("orphans");
+    write_manifest(&dataset, &dir, DatasetConfig::default());
+    let segment = dir.join("seg-000-00000.seg");
+    let mut bytes = std::fs::read(&segment).unwrap();
+    orphan_last_dictionary_entries(&mut bytes);
+    std::fs::write(&segment, &bytes).unwrap();
+
+    // What the patched dataset says, row by row.
+    let orphan = dataset.entries[0].last().unwrap().clone();
+    let first = dataset.entries[0][0].clone();
+    let last = dataset.entries[0].last_mut().unwrap();
+    last.peer = first.peer;
+    last.cid = first.cid;
+    let reader = ManifestReader::open(&dir).unwrap();
+    let streamed: Vec<TraceEntry> = reader.merged_entries().collect();
+    assert_eq!(streamed, dataset.merged_entries().collect::<Vec<_>>());
+
+    let by_chunk = reader.run_parallel(four_sinks()).unwrap();
+    assert_eq!(by_chunk, run_sink(&dataset, four_sinks()).unwrap());
+    let ((_, popularity), (activity, _)) = by_chunk;
+    assert!(!popularity.rrp.contains_key(&orphan.cid));
+    assert!(activity
+        .per_peer
+        .iter()
+        .all(|&(peer, _)| peer != orphan.peer));
+    assert!(activity
+        .multicodec
+        .iter()
+        .all(|&(codec, _, _)| codec != orphan.cid.codec()));
+
+    let netsize = estimate_network_size_source(&reader, START, window_end(), INTERVAL).unwrap();
+    let reference = estimate_network_size(&dataset, START, window_end(), INTERVAL);
+    assert_eq!(json(&netsize), json(&reference));
+    let active: std::collections::HashSet<_> =
+        dataset.entries[0].iter().map(|entry| entry.peer).collect();
+    assert_eq!(netsize.bitswap_active_per_monitor[0], active.len());
+
+    // A filtered stream asked for the orphans finds the dictionary hits and
+    // no row behind them.
+    let targets = RowTargets {
+        cids: [orphan.cid].into(),
+        peers: [orphan.peer].into(),
+    };
+    let mut matching = reader.merged_entries_matching(&targets);
+    assert_eq!((&mut matching).count(), 0);
+    assert!(matching.take_error().is_none());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Counts entries — an entry-only sink, for the entry path of `run_parallel`.
+#[derive(Clone, Default)]
+struct CountSink(u64);
+
+impl AnalysisSink for CountSink {
+    type Output = u64;
+    fn consume(&mut self, _entry: TraceEntry) {
+        self.0 += 1;
+    }
+    fn combine(&mut self, other: Self) {
+        self.0 += other.0;
+    }
+    fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+/// Every way of reading the dataset in `dir`, as `(path name, error, skip
+/// report)`: the entry and chunk forms of `run_parallel`, the merged stream
+/// and a filtered one.
+fn read_every_way(
+    dir: &Path,
+    options: ReadOptions,
+    targets: &RowTargets,
+) -> Vec<(&'static str, Option<String>, Vec<SkippedSegment>)> {
+    let error_text = |error: Option<SegmentError>| error.map(|error| error.to_string());
+    let mut outcomes = Vec::new();
+    let reader = ManifestReader::open_with(dir, options).unwrap();
+    let by_entry = reader.run_parallel(CountSink::default());
+    outcomes.push((
+        "entry run",
+        error_text(by_entry.err()),
+        reader.skipped_segments(),
+    ));
+    let reader = ManifestReader::open_with(dir, options).unwrap();
+    let by_chunk = reader.run_parallel((PopularitySink::new(), ActivityCountsSink::new()));
+    outcomes.push((
+        "chunk run",
+        error_text(by_chunk.err()),
+        reader.skipped_segments(),
+    ));
+    for (name, filtered) in [("merged stream", false), ("filtered stream", true)] {
+        let reader = ManifestReader::open_with(dir, options).unwrap();
+        let mut stream = if filtered {
+            reader.merged_entries_matching(targets)
+        } else {
+            reader.merged_entries()
+        };
+        (&mut stream).for_each(drop);
+        let error = error_text(stream.take_error());
+        drop(stream);
+        outcomes.push((name, error, reader.skipped_segments()));
+    }
+    outcomes
+}
+
+/// A chunk that fails its CRC fails every path the same way: the same first
+/// error without `skip_corrupt` (the lowest failing monitor's), the same
+/// skip report with it — also for chunks a filtered stream would have
+/// pruned, because pruning happens after validation.
+#[test]
+fn damage_surfaces_identically_on_every_path() {
+    let dataset = common::random_dataset(5, 2, 400, 500);
+    let dir = temp_dir("column-damage");
+    let layout = DatasetConfig {
+        rotate_after_entries: 100,
+        segment: SegmentConfig {
+            chunk_capacity: 16,
+            codec: Codec::Col,
+        },
+        ..DatasetConfig::default()
+    };
+    write_manifest(&dataset, &dir, layout);
+    // Break a middle chunk of one segment per monitor (footers stay valid).
+    for file in ["seg-000-00002.seg", "seg-001-00001.seg"] {
+        let path = dir.join(file);
+        let mut bytes = std::fs::read(&path).unwrap();
+        let chunk = TraceReader::new(SliceSource::new(&bytes)).unwrap().chunks()[3];
+        bytes[(chunk.offset + chunk.len / 2) as usize] ^= 0x20;
+        std::fs::write(&path, &bytes).unwrap();
+    }
+    // Targets absent from the dataset: the filtered stream prunes every
+    // chunk, and must still have validated each one first.
+    let targets = RowTargets {
+        cids: Default::default(),
+        peers: [PeerId::derived(1, 1)].into(),
+    };
+
+    let strict = read_every_way(&dir, ReadOptions::default(), &targets);
+    let (_, first_error, _) = &strict[0];
+    assert!(first_error.is_some(), "damage must surface");
+    for (path, error, skipped) in &strict {
+        assert_eq!(error, first_error, "{path}");
+        assert!(skipped.is_empty(), "{path}");
+    }
+
+    let degraded = read_every_way(&dir, ReadOptions::default().skip_corrupt(true), &targets);
+    let (_, _, first_report) = &degraded[0];
+    let named: Vec<(usize, u64)> = first_report
+        .iter()
+        .map(|s| (s.monitor, s.sequence))
+        .collect();
+    assert_eq!(named, vec![(0, 2), (1, 1)]);
+    for (path, error, skipped) in &degraded {
+        assert_eq!(error, &None, "{path}");
+        assert_eq!(skipped, first_report, "{path}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The in-memory default of the filtered stream is the merged stream with
+/// the other rows removed, and the on-disk pushdown equals it.
+#[test]
+fn filtered_stream_is_the_merged_stream_minus_other_rows() {
+    let case = differential_case(9);
+    let dir = temp_dir("filtered");
+    write_manifest(&case.dataset, &dir, case.layout);
+    let reader = ManifestReader::open(&dir).unwrap();
+    let targets = RowTargets {
+        cids: case.targets.idw_cids.iter().cloned().collect(),
+        peers: case.targets.tnw_peers.iter().copied().collect(),
+    };
+    let expected: Vec<TraceEntry> = case
+        .dataset
+        .merged_entries()
+        .filter(|entry| targets.matches(entry))
+        .collect();
+    assert!(!expected.is_empty() && expected.len() < case.dataset.total_entries());
+    let in_memory: Vec<TraceEntry> = case.dataset.merged_entries_matching(&targets).collect();
+    let on_disk: Vec<TraceEntry> = reader.merged_entries_matching(&targets).collect();
+    assert_eq!(in_memory, expected);
+    assert_eq!(on_disk, expected);
+    std::fs::remove_dir_all(&dir).ok();
+}

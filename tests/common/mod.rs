@@ -4,12 +4,14 @@
 #![allow(dead_code)]
 
 use ipfs_monitoring::bitswap::RequestType;
-use ipfs_monitoring::core::{flag_source, AnalysisSink, MonitorCollector, PreprocessConfig};
+use ipfs_monitoring::core::{
+    flag_source, AnalysisSink, AttackTargets, MonitorCollector, PreprocessConfig,
+};
 use ipfs_monitoring::node::Network;
 use ipfs_monitoring::simnet::time::SimTime;
 use ipfs_monitoring::tracestore::{
-    ConnectionRecord, DatasetConfig, DatasetWriter, EntryFlags, MonitoringDataset, SegmentConfig,
-    TraceEntry, TraceSource,
+    Codec, ConnectionRecord, DatasetConfig, DatasetWriter, EntryFlags, MonitoringDataset,
+    SegmentConfig, TraceEntry, TraceSource,
 };
 use ipfs_monitoring::types::{Cid, Country, Multiaddr, Multicodec, PeerId, Transport};
 use ipfs_monitoring::workload::{build_scenario, ScenarioConfig};
@@ -93,6 +95,59 @@ pub fn random_dataset(
         });
     }
     dataset
+}
+
+/// One case of the differential suites that hold the column-reading paths
+/// (chunk-level sink runs, filtered streams) to the entry-reading ones: a
+/// dataset, the on-disk layout to spill it with, and attack targets.
+pub struct DifferentialCase {
+    /// At least two monitors, arrival jitter, and stored flags on some rows
+    /// (so the flag plane is read, not assumed clear).
+    pub dataset: MonitoringDataset,
+    /// Rotation into several segments per monitor, small chunks, `raw` or
+    /// `col`.
+    pub layout: DatasetConfig,
+    /// IDW: a requested CID and an absent one. TNW: a peer that requested
+    /// that CID, another present peer, and an absent one.
+    pub targets: AttackTargets,
+}
+
+/// The one generator of the differential suites: everything about the case
+/// derives from `seed`.
+pub fn differential_case(seed: u64) -> DifferentialCase {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed_c01a);
+    let monitors = rng.gen_range(2usize..4);
+    let per_monitor = rng.gen_range(40usize..360);
+    let mut dataset = random_dataset(seed, monitors, per_monitor, rng.gen_range(0u64..1_500));
+    for entry in dataset.entries.iter_mut().flatten() {
+        entry.flags.inter_monitor_duplicate = rng.gen_bool(0.1);
+        entry.flags.rebroadcast = rng.gen_bool(0.1);
+    }
+    let layout = DatasetConfig {
+        rotate_after_entries: rng
+            .gen_range(per_monitor as u64 / 5..per_monitor as u64 / 2)
+            .max(1),
+        segment: SegmentConfig {
+            chunk_capacity: rng.gen_range(1usize..48),
+            codec: Codec::writable()[rng.gen_range(0usize..2)],
+        },
+        ..DatasetConfig::default()
+    };
+    let wanted = dataset.entries[0]
+        .iter()
+        .find(|entry| entry.is_request())
+        .expect("a dataset this size holds a request");
+    let other = &dataset.entries[monitors - 1][per_monitor / 2];
+    let targets = AttackTargets {
+        idw_cids: vec![wanted.cid.clone(), Cid::new_v1(Multicodec::Raw, b"absent")],
+        tnw_peers: vec![wanted.peer, other.peer, PeerId::derived(30, seed)],
+        tpi_probes: Vec::new(),
+    };
+    DifferentialCase {
+        dataset,
+        layout,
+        targets,
+    }
 }
 
 /// Spills a dataset (entries and connections) into a manifest directory

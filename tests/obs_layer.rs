@@ -113,6 +113,43 @@ fn pipeline_metrics_track_real_work() {
     }
 }
 
+/// A filtered stream accounts what its pushdown saved: every chunk is still
+/// decoded, only the rows naming a target are selected, and a chunk naming
+/// none is counted as pruned.
+#[test]
+fn pushdown_counters_track_selected_rows_and_pruned_chunks() {
+    use ipfs_monitoring::tracestore::{RowTargets, TraceSource};
+    let dataset = run_pipeline(44);
+    let wanted = &dataset.entries[0][0];
+    let targets = RowTargets {
+        cids: [wanted.cid.clone()].into(),
+        peers: [wanted.peer].into(),
+    };
+    let dir = temp_dir("pushdown");
+    write_manifest(&dataset, &dir);
+    let reader = ManifestReader::open(&dir).expect("open manifest");
+    let before = obs::snapshot();
+    let selected = reader.merged_entries_matching(&targets).count() as u64;
+    let nothing = reader
+        .merged_entries_matching(&RowTargets::default())
+        .count();
+    let after = obs::snapshot();
+    std::fs::remove_dir_all(&dir).ok();
+
+    assert!(selected > 0 && selected < dataset.total_entries() as u64);
+    assert_eq!(nothing, 0);
+    if obs::is_enabled() {
+        let delta = |name: &str| {
+            after.counters.get(name).copied().unwrap_or(0)
+                - before.counters.get(name).copied().unwrap_or(0)
+        };
+        // Other tests of this binary decode concurrently, none filters.
+        assert_eq!(delta("store.rows_selected"), selected);
+        assert!(delta("store.entries_decoded") >= 2 * dataset.total_entries() as u64);
+        assert!(delta("store.chunks_pruned") >= (dataset.total_entries() as u64).div_ceil(64));
+    }
+}
+
 /// Per-monitor progress from `run_parallel_with_progress` is exact in both
 /// build flavours: it is functional accounting, not a metrics read-back.
 #[test]
@@ -261,4 +298,107 @@ fn snapshot_roundtrips_through_facade_json() {
             Some(1)
         );
     }
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_sources(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("read source directory") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_sources(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The metric names `source` registers: the string literal opening the
+/// argument of each `obs::counter`/`gauge`/`histogram` call, macro or
+/// function, behind an optional `&format!(`. A `{…}` placeholder in a
+/// formatted name reads `<label>`, as the catalog writes it.
+fn registered_names(source: &str) -> Vec<String> {
+    let mut names = Vec::new();
+    for kind in ["obs::counter", "obs::gauge", "obs::histogram"] {
+        for (at, _) in source.match_indices(kind) {
+            let call = source[at + kind.len()..].trim_start_matches('!');
+            let Some(argument) = call.strip_prefix('(') else {
+                continue;
+            };
+            let argument = argument.trim_start().trim_start_matches('&').trim_start();
+            let argument = argument
+                .strip_prefix("format!(")
+                .unwrap_or(argument)
+                .trim_start();
+            let Some(literal) = argument.strip_prefix('"') else {
+                continue;
+            };
+            let name = &literal[..literal.find('"').expect("closing quote")];
+            names.push(match (name.find('{'), name.find('}')) {
+                (Some(open), Some(close)) => {
+                    format!("{}<label>{}", &name[..open], &name[close + 1..])
+                }
+                _ => name.to_string(),
+            });
+        }
+    }
+    names
+}
+
+/// The names the catalog table of docs/OBSERVABILITY.md documents: every
+/// back-quoted name of each row's first cell, `a.{x,y}` expanded.
+fn catalogued_names(doc: &str) -> Vec<String> {
+    let catalog = doc
+        .split("## Metric catalog")
+        .nth(1)
+        .expect("catalog section");
+    let catalog = catalog.split("\n## ").next().expect("catalog body");
+    let mut names = Vec::new();
+    for row in catalog.lines().filter(|line| line.starts_with("| `")) {
+        let cell = row.split('|').nth(1).expect("first cell");
+        for name in cell.split('`').skip(1).step_by(2) {
+            match (name.find('{'), name.find('}')) {
+                (Some(open), Some(close)) => {
+                    for variant in name[open + 1..close].split(',') {
+                        names.push(format!("{}{variant}{}", &name[..open], &name[close + 1..]));
+                    }
+                }
+                _ => names.push(name.to_string()),
+            }
+        }
+    }
+    names
+}
+
+/// The metric catalog cannot drift from the code: every name a crate
+/// registers has a row in docs/OBSERVABILITY.md, and every row names a
+/// metric some crate registers. (`crates/obs` itself only registers the
+/// placeholder names of its own examples and tests.)
+#[test]
+fn metric_catalog_matches_the_names_in_code() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = Vec::new();
+    rust_sources(&root.join("crates"), &mut sources);
+    let mut in_code = std::collections::BTreeSet::new();
+    for path in sources {
+        if path.starts_with(root.join("crates/obs")) {
+            continue;
+        }
+        let source = std::fs::read_to_string(&path).expect("read source");
+        in_code.extend(registered_names(&source));
+    }
+    let doc = std::fs::read_to_string(root.join("docs/OBSERVABILITY.md")).expect("read catalog");
+    let in_catalog: std::collections::BTreeSet<String> =
+        catalogued_names(&doc).into_iter().collect();
+
+    assert!(in_code.len() > 40, "the scan found only {in_code:?}");
+    let undocumented: Vec<_> = in_code.difference(&in_catalog).collect();
+    let unregistered: Vec<_> = in_catalog.difference(&in_code).collect();
+    assert!(
+        undocumented.is_empty(),
+        "registered but not in the catalog: {undocumented:?}"
+    );
+    assert!(
+        unregistered.is_empty(),
+        "in the catalog but registered nowhere: {unregistered:?}"
+    );
 }
