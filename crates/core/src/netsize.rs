@@ -18,7 +18,7 @@ use crate::trace::MonitoringDataset;
 use ipfs_mon_analysis::{committee_estimate, summarize, two_monitor_estimate, Summary};
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
 use ipfs_mon_tracestore::{
-    AnalysisSink, ChunkView, ConnectionRecord, SegmentError, TraceEntry, TraceSource,
+    AnalysisSink, ChunkView, ConnectionRecord, Rows, SegmentError, TraceEntry, TraceSource,
 };
 use ipfs_mon_types::PeerId;
 use serde::{Deserialize, Serialize};
@@ -249,7 +249,7 @@ impl SnapshotBuilder {
 /// each snapshot's membership (and so the report) unchanged.
 impl AnalysisSink for SnapshotBuilder {
     type Output = NetworkSizeReport;
-    const BY_CHUNK: bool = true;
+    const ROWS: Rows = Rows::None;
 
     fn consume(&mut self, entry: TraceEntry) {
         self.observe_entry(&entry);

@@ -30,6 +30,23 @@
 //!   over the dataset source.
 //!
 //! Every path produces bit-identical flags because it is the same code.
+//!
+//! # The engine's table
+//!
+//! [`StreamingPreprocessor::flag`] runs once per row on the thread that
+//! consumes the merged stream, and most rows repeat a key that is already
+//! live (re-broadcasts and inter-monitor copies are more than half of a real
+//! trace — that is why they are flagged). The state is therefore laid out
+//! for the repeat: a map from key to an offset into one flat arena of
+//! last-seen slots (`monitors` per key, `None` for "never", so every `u64`
+//! stays a legal timestamp), looked up with `get` before anything is
+//! inserted, hashed by a keyed fold-multiply word hasher instead of SipHash.
+//! Eviction returns a dead key's slots to a free list, so the arena is
+//! bounded by the largest live population, not by the trace. Peer IDs and
+//! CIDs are outside input: the hasher's two seeds are random per engine
+//! (from [`RandomState`]), and no other map takes this hasher. The engine
+//! this replaced — `HashMap<key, Vec<Option<SimTime>>>` under SipHash — is
+//! the oracle of this module's tests.
 
 use crate::trace::{MonitoringDataset, TraceEntry, UnifiedTrace};
 use ipfs_mon_bitswap::RequestType;
@@ -37,7 +54,9 @@ use ipfs_mon_simnet::time::{SimDuration, SimTime};
 use ipfs_mon_tracestore::{SegmentError, SourceEntries, TraceSource};
 use ipfs_mon_types::{Cid, PeerId};
 use serde::{Deserialize, Serialize};
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 
 /// Preprocessing configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -89,6 +108,94 @@ type EntryKey = (PeerId, RequestType, Cid);
 /// Entries processed between evictions of stale window state.
 const EVICTION_PERIOD: usize = 8192;
 
+/// `a × b` as 128 bits, the two halves xor-ed together: every bit of either
+/// factor reaches every bit of the result.
+#[inline]
+fn fold_multiply(a: u64, b: u64) -> u64 {
+    let product = u128::from(a) * u128::from(b);
+    product as u64 ^ (product >> 64) as u64
+}
+
+/// The flagging table's hasher: one fold-multiply per 8-byte word of the key
+/// (the construction `foldhash` is built on), keyed by the two seeds of its
+/// [`WordHashBuilder`]. The default SipHash cost more than everything else
+/// [`StreamingPreprocessor::flag`] does to a row put together.
+struct WordHasher {
+    state: u64,
+    multiplier: u64,
+}
+
+impl Hasher for WordHasher {
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.state = fold_multiply(self.state ^ word, self.multiplier);
+    }
+
+    // What a derived `Hash` feeds besides byte strings: slice lengths and
+    // enum discriminants.
+    #[inline]
+    fn write_usize(&mut self, word: usize) {
+        self.write_u64(word as u64);
+    }
+
+    #[inline]
+    fn write_isize(&mut self, word: isize) {
+        self.write_u64(word as u64);
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.write_u64(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
+        }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            let mut word = [0u8; 8];
+            word[..tail.len()].copy_from_slice(tail);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.state
+    }
+}
+
+/// Seeds of one engine's [`WordHasher`]s, drawn from the standard library's
+/// per-process randomness when the engine is created. Peer IDs and CIDs come
+/// out of trace files, so the table must not hash them with anything a file's
+/// author could know: without the seeds, keys cannot be chosen to collide.
+#[derive(Debug, Clone)]
+struct WordHashBuilder {
+    initial: u64,
+    multiplier: u64,
+}
+
+impl WordHashBuilder {
+    fn random() -> Self {
+        let random = RandomState::new();
+        Self {
+            initial: random.hash_one(0u8),
+            // An even multiplier would shift the low bits out of every product.
+            multiplier: random.hash_one(1u8) | 1,
+        }
+    }
+}
+
+impl BuildHasher for WordHashBuilder {
+    type Hasher = WordHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> WordHasher {
+        WordHasher {
+            state: self.initial,
+            multiplier: self.multiplier,
+        }
+    }
+}
+
 /// The window-flagging engine shared by the in-memory and streaming paths.
 ///
 /// Feed entries in `(timestamp, monitor)` order via
@@ -96,11 +203,21 @@ const EVICTION_PERIOD: usize = 8192;
 /// monitor per active key; keys whose last activity has fallen outside the
 /// larger window are evicted periodically, so memory tracks the *rate* of
 /// distinct keys, not the length of the trace.
+///
+/// The layout is described in the [module docs](self): the arena holds
+/// `monitors × 16` bytes per key of the *largest* population live between
+/// two evictions and never more, which [`Self::tracked_keys`] bounds.
 #[derive(Debug, Clone)]
 pub struct StreamingPreprocessor {
     config: PreprocessConfig,
     monitors: usize,
-    last_seen: HashMap<EntryKey, Vec<Option<SimTime>>>,
+    /// Live keys, each with the offset of its slots in `last_seen`.
+    slots_of: HashMap<EntryKey, usize, WordHashBuilder>,
+    /// Per live key, when each monitor last saw it: `monitors` consecutive
+    /// slots. `None` is "never" — every `u64` is a legal timestamp.
+    last_seen: Vec<Option<SimTime>>,
+    /// Offsets of the slots evicted keys left behind, all `None` again.
+    free: Vec<usize>,
     stats: PreprocessStats,
     since_eviction: usize,
 }
@@ -111,7 +228,9 @@ impl StreamingPreprocessor {
         Self {
             config,
             monitors: monitors.max(1),
-            last_seen: HashMap::new(),
+            slots_of: HashMap::with_hasher(WordHashBuilder::random()),
+            last_seen: Vec::new(),
+            free: Vec::new(),
             stats: PreprocessStats::default(),
             since_eviction: 0,
         }
@@ -119,24 +238,38 @@ impl StreamingPreprocessor {
 
     /// Sets the duplicate/re-broadcast flags of `entry` and updates the
     /// window state. Entries must arrive in `(timestamp, monitor)` order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `entry.monitor` is not below the monitor count the engine
+    /// was created for. Every [`TraceSource`] stamps its entries with an
+    /// index below its own [`TraceSource::monitor_count`].
     pub fn flag(&mut self, entry: &mut TraceEntry) {
         let key: EntryKey = (entry.peer, entry.request_type, entry.cid.clone());
-        let per_monitor = self
-            .last_seen
-            .entry(key)
-            .or_insert_with(|| vec![None; self.monitors]);
+        // Look up before inserting: a repeat costs one hash and touches
+        // nothing but its own slots.
+        let offset = match self.slots_of.get(&key) {
+            Some(&offset) => offset,
+            None => {
+                let offset = self.free.pop().unwrap_or_else(|| {
+                    let offset = self.last_seen.len();
+                    self.last_seen.resize(offset + self.monitors, None);
+                    offset
+                });
+                self.slots_of.insert(key, offset);
+                offset
+            }
+        };
+        let per_monitor = &mut self.last_seen[offset..offset + self.monitors];
 
         // Inter-monitor duplicate: some other monitor saw it recently.
         let is_duplicate = per_monitor.iter().enumerate().any(|(m, seen)| {
             m != entry.monitor
-                && seen
-                    .map(|t| entry.timestamp.since(t) <= self.config.duplicate_window)
-                    .unwrap_or(false)
+                && seen.is_some_and(|t| entry.timestamp.since(t) <= self.config.duplicate_window)
         });
         // Re-broadcast: the same monitor saw it within the larger window.
         let is_rebroadcast = per_monitor[entry.monitor]
-            .map(|t| entry.timestamp.since(t) <= self.config.rebroadcast_window)
-            .unwrap_or(false);
+            .is_some_and(|t| entry.timestamp.since(t) <= self.config.rebroadcast_window);
 
         entry.flags.inter_monitor_duplicate = is_duplicate;
         entry.flags.rebroadcast = is_rebroadcast;
@@ -167,23 +300,37 @@ impl StreamingPreprocessor {
 
     /// Number of keys currently tracked (exposed for memory diagnostics).
     pub fn tracked_keys(&self) -> usize {
-        self.last_seen.len()
+        self.slots_of.len()
     }
 
     /// Drops keys that can no longer influence any future entry: input is
     /// time-ordered, so a key whose every last-seen timestamp lies further
-    /// than the larger window before `now` is dead state.
+    /// than the larger window before `now` is dead state. Its slots are
+    /// blanked and handed to the next new key.
     fn evict_stale(&mut self, now: SimTime) {
         let horizon = self
             .config
             .duplicate_window
             .as_millis()
             .max(self.config.rebroadcast_window.as_millis());
-        self.last_seen.retain(|_, per_monitor| {
-            per_monitor
+        let Self {
+            slots_of,
+            last_seen,
+            free,
+            monitors,
+            ..
+        } = self;
+        slots_of.retain(|_, offset| {
+            let per_monitor = &mut last_seen[*offset..*offset + *monitors];
+            let live = per_monitor
                 .iter()
                 .flatten()
-                .any(|&t| now.since(t).as_millis() <= horizon)
+                .any(|&t| now.since(t).as_millis() <= horizon);
+            if !live {
+                per_monitor.fill(None);
+                free.push(*offset);
+            }
+            live
         });
     }
 }
@@ -287,6 +434,208 @@ mod tests {
     use crate::trace::EntryFlags;
     use ipfs_mon_tracestore::{DatasetConfig, DatasetWriter, ManifestReader, SegmentConfig};
     use ipfs_mon_types::{Country, Multiaddr, Multicodec, Transport};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The engine this module had before the flat table: a SipHash map from
+    /// key to a heap vector of last-seen times, `entry()` on every row. Kept
+    /// as the oracle the table is held to.
+    struct OracleEngine {
+        config: PreprocessConfig,
+        monitors: usize,
+        last_seen: HashMap<EntryKey, Vec<Option<SimTime>>>,
+        stats: PreprocessStats,
+        since_eviction: usize,
+    }
+
+    impl OracleEngine {
+        fn new(monitors: usize, config: PreprocessConfig) -> Self {
+            Self {
+                config,
+                monitors: monitors.max(1),
+                last_seen: HashMap::new(),
+                stats: PreprocessStats::default(),
+                since_eviction: 0,
+            }
+        }
+
+        fn flag(&mut self, entry: &mut TraceEntry) {
+            let key: EntryKey = (entry.peer, entry.request_type, entry.cid.clone());
+            let per_monitor = self
+                .last_seen
+                .entry(key)
+                .or_insert_with(|| vec![None; self.monitors]);
+            let is_duplicate = per_monitor.iter().enumerate().any(|(m, seen)| {
+                m != entry.monitor
+                    && seen
+                        .map(|t| entry.timestamp.since(t) <= self.config.duplicate_window)
+                        .unwrap_or(false)
+            });
+            let is_rebroadcast = per_monitor[entry.monitor]
+                .map(|t| entry.timestamp.since(t) <= self.config.rebroadcast_window)
+                .unwrap_or(false);
+            entry.flags.inter_monitor_duplicate = is_duplicate;
+            entry.flags.rebroadcast = is_rebroadcast;
+            per_monitor[entry.monitor] = Some(entry.timestamp);
+
+            self.stats.total += 1;
+            self.stats.inter_monitor_duplicates += usize::from(is_duplicate);
+            self.stats.rebroadcasts += usize::from(is_rebroadcast);
+            self.stats.primary += usize::from(!is_duplicate && !is_rebroadcast);
+
+            self.since_eviction += 1;
+            if self.since_eviction >= EVICTION_PERIOD {
+                let horizon = self
+                    .config
+                    .duplicate_window
+                    .as_millis()
+                    .max(self.config.rebroadcast_window.as_millis());
+                let now = entry.timestamp;
+                self.last_seen.retain(|_, per_monitor| {
+                    per_monitor
+                        .iter()
+                        .flatten()
+                        .any(|&t| now.since(t).as_millis() <= horizon)
+                });
+                self.since_eviction = 0;
+            }
+        }
+    }
+
+    /// A `(timestamp, monitor)`-ordered trace built to lean on everything
+    /// the table does: many distinct keys seen once (one case in sixteen has
+    /// more than three eviction periods' worth, the others enough to cross
+    /// one eviction), a few hot keys that recur — some after they were
+    /// evicted —, repeats at exactly the window edges on the same and on
+    /// another monitor, runs of equal timestamps, and the largest timestamp
+    /// there is at the end.
+    fn oracle_case(seed: u64) -> (usize, Vec<TraceEntry>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let monitors = rng.gen_range(1usize..=5);
+        let distinct = if seed.is_multiple_of(16) {
+            3 * EVICTION_PERIOD + 1
+        } else {
+            EVICTION_PERIOD * 3 / 4
+        };
+        let types = [
+            RequestType::WantHave,
+            RequestType::WantBlock,
+            RequestType::Cancel,
+        ];
+        // Hashing a peer and a CID per row would be most of the test's time.
+        let template = entry(0, 0, 0, 0, RequestType::WantHave);
+        let cids: Vec<Cid> = (0..8u8)
+            .map(|i| Cid::new_v1(Multicodec::Raw, &[i]))
+            .collect();
+        let mut entries = Vec::new();
+        let mut clock = 0u64;
+        let mut cold = 0u64;
+        while (cold as usize) < distinct {
+            // Steps of zero keep several rows on one timestamp.
+            clock += [0, 0, 1, 40, 900, 2_500][rng.gen_range(0usize..6)];
+            let peer = if rng.gen_bool(0.15) {
+                rng.gen_range(0u64..HOT_PEERS)
+            } else {
+                cold += 1;
+                HOT_PEERS + cold
+            };
+            let mut bytes = [0u8; 32];
+            // Big-endian: peer IDs compare as their numbers do.
+            bytes[..8].copy_from_slice(&peer.to_be_bytes());
+            let first = TraceEntry {
+                timestamp: SimTime::from_millis(clock),
+                peer: PeerId::from_bytes(bytes),
+                request_type: types[rng.gen_range(0usize..3)],
+                cid: cids[(peer % 8) as usize].clone(),
+                monitor: rng.gen_range(0usize..monitors),
+                ..template.clone()
+            };
+            if rng.gen_bool(0.2) {
+                let gap = [0, 5_000, 5_001, 31_000, 31_001][rng.gen_range(0usize..5)];
+                entries.push(TraceEntry {
+                    timestamp: SimTime::from_millis(clock + gap),
+                    monitor: rng.gen_range(0usize..monitors),
+                    ..first.clone()
+                });
+            }
+            entries.push(first);
+        }
+        let last = entries[0].clone();
+        for monitor in 0..2 * monitors {
+            entries.push(TraceEntry {
+                timestamp: SimTime::from_millis(u64::MAX),
+                monitor: monitor / 2,
+                ..last.clone()
+            });
+        }
+        entries.sort_by_key(|e| (e.timestamp, e.monitor));
+        (monitors, entries)
+    }
+
+    /// Peers `0..HOT_PEERS` of an [`oracle_case`] recur throughout the trace.
+    const HOT_PEERS: u64 = 6;
+
+    proptest! {
+        /// Same flags on every row, the same statistics and the same number
+        /// of tracked keys after every row as the engine this one replaced.
+        #[test]
+        fn table_engine_equals_the_map_of_vectors_engine(seed in 0u64..1_000_000) {
+            let (monitors, entries) = oracle_case(seed);
+            let config = PreprocessConfig::default();
+            let mut engine = StreamingPreprocessor::new(monitors, config);
+            let mut oracle = OracleEngine::new(monitors, config);
+            let mut evicted_and_seen_again = false;
+            for (row, original) in entries.iter().enumerate() {
+                let (mut flagged, mut expected) = (original.clone(), original.clone());
+                let before = engine.tracked_keys();
+                engine.flag(&mut flagged);
+                oracle.flag(&mut expected);
+                prop_assert_eq!(flagged.flags, expected.flags, "row {}", row);
+                prop_assert_eq!(engine.tracked_keys(), oracle.last_seen.len(), "row {}", row);
+                // A hot key that adds to the table this late was in it
+                // before: it has been evicted in between.
+                evicted_and_seen_again |= row > EVICTION_PERIOD
+                    && engine.tracked_keys() > before
+                    && original.peer.as_bytes()[..8] < HOT_PEERS.to_be_bytes()[..];
+            }
+            prop_assert_eq!(engine.stats(), oracle.stats);
+            prop_assert!(evicted_and_seen_again);
+            prop_assert!(engine.stats().rebroadcasts > 0 && engine.stats().inter_monitor_duplicates > 0
+                || monitors == 1);
+            // The arena holds the largest live population, not the trace.
+            prop_assert!(engine.last_seen.len() <= 2 * (EVICTION_PERIOD + 64) * monitors);
+            prop_assert_eq!(
+                engine.last_seen.len(),
+                (engine.tracked_keys() + engine.free.len()) * monitors
+            );
+        }
+    }
+
+    /// A dataset file is outside input: an entry's stored `monitor` may name
+    /// a monitor the dataset does not have, and there may be more entry
+    /// vectors than labels. Flagging goes by the vector an entry sits in.
+    #[test]
+    fn stored_monitor_indexes_are_not_trusted() {
+        let corrected = dataset(vec![
+            entry(1_000, 1, 1, 0, RequestType::WantHave),
+            entry(2_500, 1, 1, 1, RequestType::WantHave),
+            entry(9_000, 1, 1, 0, RequestType::WantHave),
+        ]);
+        let mut doctored = corrected.clone();
+        doctored.entries[0][1].monitor = 7;
+        doctored.entries[1][0].monitor = usize::MAX;
+        doctored.monitor_labels.truncate(1);
+        let doctored = MonitoringDataset::from_json(&doctored.to_json().unwrap()).unwrap();
+        assert_eq!(doctored.entries[0][1].monitor, 7);
+
+        let (expected, expected_stats) = unify_and_flag(&corrected, PreprocessConfig::default());
+        let (trace, stats) = unify_and_flag(&doctored, PreprocessConfig::default());
+        assert_eq!(trace.entries, expected.entries);
+        assert_eq!(stats, expected_stats);
+        assert_eq!(stats.inter_monitor_duplicates, 1);
+        assert_eq!(stats.rebroadcasts, 1);
+    }
 
     fn entry(millis: u64, peer: u64, cid: u8, monitor: usize, rtype: RequestType) -> TraceEntry {
         TraceEntry {

@@ -29,7 +29,7 @@ use crate::trace::TraceEntry;
 use ipfs_mon_analysis::StreamSummary;
 use ipfs_mon_bitswap::RequestType;
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
-use ipfs_mon_tracestore::{run_sink, AnalysisSink, ChunkView, SegmentError, TraceSource};
+use ipfs_mon_tracestore::{run_sink, AnalysisSink, ChunkView, Rows, SegmentError, TraceSource};
 use ipfs_mon_types::{Multicodec, PeerId};
 use std::collections::BTreeMap;
 
@@ -66,7 +66,7 @@ impl RequestTypeSink {
 
 impl AnalysisSink for RequestTypeSink {
     type Output = Vec<RequestTypeSeries>;
-    const BY_CHUNK: bool = true;
+    const ROWS: Rows = Rows::None;
 
     fn consume(&mut self, entry: TraceEntry) {
         self.slot(entry.monitor).record(&entry);
@@ -148,7 +148,7 @@ impl PopularitySink {
 
 impl AnalysisSink for PopularitySink {
     type Output = PopularityScores;
-    const BY_CHUNK: bool = true;
+    const ROWS: Rows = Rows::None;
 
     fn consume(&mut self, entry: TraceEntry) {
         if entry.flags.is_primary() && entry.is_request() {
@@ -259,7 +259,7 @@ impl ActivityCountsSink {
 
 impl AnalysisSink for ActivityCountsSink {
     type Output = ActivityCounts;
-    const BY_CHUNK: bool = true;
+    const ROWS: Rows = Rows::None;
 
     fn consume(&mut self, entry: TraceEntry) {
         if !entry.is_request() {
@@ -398,8 +398,8 @@ impl StatsAccum {
         self.gap_sum_sq += (gap_ms as u128) * (gap_ms as u128);
     }
 
-    fn record(&mut self, entry: &TraceEntry) {
-        let ts = entry.timestamp;
+    /// The order-dependent half of a row: span and inter-arrival gap.
+    fn record_time(&mut self, ts: SimTime) {
         if let Some(last) = self.last {
             // Per-monitor streams are time-sorted by every driver; the
             // saturation only guards against a contract-violating caller.
@@ -407,12 +407,13 @@ impl StatsAccum {
         }
         self.first = Some(self.first.map_or(ts, |f| f.min(ts)));
         self.last = Some(self.last.map_or(ts, |l| l.max(ts)));
-        self.entries += 1;
-        if entry.is_request() {
-            self.requests += 1;
-        } else {
-            self.cancels += 1;
-        }
+    }
+
+    /// The order-free half: `requests` wants and `cancels` cancels.
+    fn record_kinds(&mut self, requests: u64, cancels: u64) {
+        self.entries += requests + cancels;
+        self.requests += requests;
+        self.cancels += cancels;
     }
 
     /// Merges two partials of the same monitor stream. This is where the
@@ -509,9 +510,27 @@ impl EntryStatsSink {
 
 impl AnalysisSink for EntryStatsSink {
     type Output = Vec<MonitorEntryStats>;
+    /// Of a row in order, only the timestamp matters (span, gaps); what
+    /// kind of row it is can be counted in any order, so per chunk.
+    const ROWS: Rows = Rows::Times;
 
     fn consume(&mut self, entry: TraceEntry) {
-        self.slot(entry.monitor).record(&entry);
+        let accum = self.slot(entry.monitor);
+        let request = u64::from(entry.is_request());
+        accum.record_kinds(request, 1 - request);
+        accum.record_time(entry.timestamp);
+    }
+
+    fn consume_chunk(&mut self, monitor: usize, chunk: &ChunkView<'_>) {
+        let requests = (0..chunk.len())
+            .filter(|&row| chunk.request_type(row).is_request())
+            .count() as u64;
+        self.slot(monitor)
+            .record_kinds(requests, chunk.len() as u64 - requests);
+    }
+
+    fn consume_time(&mut self, monitor: usize, timestamp: SimTime) {
+        self.slot(monitor).record_time(timestamp);
     }
 
     fn combine(&mut self, other: Self) {

@@ -116,7 +116,7 @@ pub use recover::{
 pub use segment::{
     ChunkInfo, ChunkScratch, ChunkView, SegmentConfig, SegmentError, SegmentSummary,
 };
-pub use sink::{run_sink, AnalysisSink, ParallelProgress};
+pub use sink::{run_sink, AnalysisSink, ParallelProgress, Rows};
 pub use sketch::{
     CountMinSink, CountMinSketch, FrequencySketches, HeavyHitter, HeavyHitters, SpaceSaving,
     SpaceSavingSink, TopK,

@@ -13,6 +13,7 @@ use ipfs_mon_simnet::time::{SimDuration, SimTime};
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::marker::PhantomData;
 use std::path::Path;
 use std::sync::{mpsc, Arc, Mutex};
 
@@ -217,11 +218,11 @@ impl<S: ChunkSource> TraceReader<S> {
 
     /// [`TraceReader::stream_monitor`] with a [`ChunkHook`] that sees every
     /// chunk before its rows.
-    fn stream_monitor_with<'a>(
+    fn stream_monitor_with<'a, R: StreamRow>(
         &'a self,
         monitor: usize,
         hook: Option<ChunkHook<'a>>,
-    ) -> EntryStream<'a, S> {
+    ) -> EntryStream<'a, S, R> {
         let chunks = self
             .footer
             .chunks
@@ -241,6 +242,7 @@ impl<S: ChunkSource> TraceReader<S> {
             watermarked: 0,
             high_water: SimTime::ZERO,
             error: None,
+            row: PhantomData,
         }
     }
 
@@ -263,16 +265,16 @@ impl<S: ChunkSource> TraceReader<S> {
         self.stream_monitor_sorted_with(monitor, None)
     }
 
-    fn stream_monitor_sorted_with<'a>(
+    fn stream_monitor_sorted_with<'a, R: StreamRow>(
         &'a self,
         monitor: usize,
         hook: Option<ChunkHook<'a>>,
-    ) -> SortedEntryStream<'a, S> {
+    ) -> SortedEntryStream<'a, S, R> {
         SortedEntryStream {
             inner: self.stream_monitor_with(monitor, hook),
             lateness: SimDuration::from_millis(self.max_lateness_ms(monitor)),
-            ring: VecDeque::new(),
-            base_seq: 0,
+            held: R::Held::default(),
+            next_seq: 0,
             keys: BinaryHeap::new(),
             drained: false,
         }
@@ -290,6 +292,108 @@ impl<S: ChunkSource> TraceReader<S> {
         }
         dataset.connections = self.footer.connections.clone();
         Ok(dataset)
+    }
+}
+
+/// What a chain stream builds of each row it yields: the whole
+/// [`TraceEntry`], or only its timestamp ([`SimTime`]) for a consumer that
+/// needs one monitor's rows in time order but nothing else of them. Chunk
+/// decode, the reorder buffer and the chain merge are one implementation
+/// generic over this, so both kinds of row come out in the same order, under
+/// the same release rule and the same tie-breaks.
+pub trait StreamRow: Sized {
+    /// What a [`SortedEntryStream`] keeps of the rows it holds back besides
+    /// their `(timestamp, arrival)` keys.
+    type Held: Default;
+
+    /// Builds row `row` of a validated chunk.
+    fn build(chunk: &ChunkView<'_>, row: usize) -> Self;
+
+    /// The row's timestamp.
+    fn timestamp(&self) -> SimTime;
+
+    /// Sets the dataset-wide monitor index, where the row carries one.
+    fn stamp(&mut self, monitor: usize);
+
+    /// Holds back a row. Rows are held in arrival order and numbered
+    /// consecutively from 0.
+    fn hold(held: &mut Self::Held, row: Self);
+
+    /// Hands back the held row with timestamp `timestamp` and arrival number
+    /// `seq`.
+    fn release(held: &mut Self::Held, timestamp: SimTime, seq: u64) -> Self;
+}
+
+/// Held entries in arrival order: an entry moves in once and out once
+/// however far its key sifts in the heap.
+#[derive(Default)]
+pub struct EntryRing {
+    /// Slot `i` holds arrival number `base_seq + i`, `None` once released;
+    /// the front slot is always a held entry.
+    slots: VecDeque<Option<TraceEntry>>,
+    base_seq: u64,
+}
+
+impl StreamRow for TraceEntry {
+    type Held = EntryRing;
+
+    #[inline]
+    fn build(chunk: &ChunkView<'_>, row: usize) -> Self {
+        chunk.entry(row)
+    }
+
+    #[inline]
+    fn timestamp(&self) -> SimTime {
+        self.timestamp
+    }
+
+    #[inline]
+    fn stamp(&mut self, monitor: usize) {
+        self.monitor = monitor;
+    }
+
+    #[inline]
+    fn hold(ring: &mut EntryRing, entry: Self) {
+        ring.slots.push_back(Some(entry));
+    }
+
+    #[inline]
+    fn release(ring: &mut EntryRing, _timestamp: SimTime, seq: u64) -> Self {
+        let entry = ring.slots[(seq - ring.base_seq) as usize]
+            .take()
+            .expect("a keyed entry is held until it is released");
+        while let Some(None) = ring.slots.front() {
+            ring.slots.pop_front();
+            ring.base_seq += 1;
+        }
+        entry
+    }
+}
+
+/// The time-only row: its key in the reorder heap is the whole row, so
+/// nothing else is held.
+impl StreamRow for SimTime {
+    type Held = ();
+
+    #[inline]
+    fn build(chunk: &ChunkView<'_>, row: usize) -> Self {
+        SimTime::from_millis(chunk.timestamps_ms()[row])
+    }
+
+    #[inline]
+    fn timestamp(&self) -> SimTime {
+        *self
+    }
+
+    #[inline]
+    fn stamp(&mut self, _monitor: usize) {}
+
+    #[inline]
+    fn hold(_held: &mut (), _row: Self) {}
+
+    #[inline]
+    fn release(_held: &mut (), timestamp: SimTime, _seq: u64) -> Self {
+        timestamp
     }
 }
 
@@ -341,12 +445,13 @@ fn latest(high_water: SimTime, times_ms: &[u64]) -> SimTime {
 ///
 /// Each chunk is parsed into a validated, borrowed [`ChunkView`] and owned
 /// entries are materialized one by one as the iterator is advanced — the
-/// stream boundary is the only place an owned [`TraceEntry`] is built.
+/// stream boundary is the only place an owned [`TraceEntry`] is built (or,
+/// for a time-only stream, nothing but the [`SimTime`]: see [`StreamRow`]).
 ///
 /// Decode failures (which chunk CRCs make vanishingly unlikely short of
 /// actual corruption) end the stream early; check [`EntryStream::take_error`]
 /// after exhaustion when the distinction matters.
-pub struct EntryStream<'a, S: ChunkSource> {
+pub struct EntryStream<'a, S: ChunkSource, R: StreamRow = TraceEntry> {
     source: &'a S,
     chunks: Vec<ChunkInfo>,
     next_chunk: usize,
@@ -366,9 +471,10 @@ pub struct EntryStream<'a, S: ChunkSource> {
     /// pulled the next selected row.
     high_water: SimTime,
     error: Option<SegmentError>,
+    row: PhantomData<R>,
 }
 
-impl<S: ChunkSource> EntryStream<'_, S> {
+impl<S: ChunkSource, R: StreamRow> EntryStream<'_, S, R> {
     /// Returns the error that ended the stream early, if any.
     pub fn take_error(&mut self) -> Option<SegmentError> {
         self.error.take()
@@ -411,13 +517,13 @@ impl<S: ChunkSource> EntryStream<'_, S> {
     }
 }
 
-impl<S: ChunkSource> Iterator for EntryStream<'_, S> {
-    type Item = TraceEntry;
+impl<S: ChunkSource, R: StreamRow> Iterator for EntryStream<'_, S, R> {
+    type Item = R;
 
     // Inlined into the reorder buffer: out of line, every entry of every
     // chain stream pays a call that returns 136 bytes through memory.
     #[inline]
-    fn next(&mut self) -> Option<TraceEntry> {
+    fn next(&mut self) -> Option<R> {
         loop {
             if let Some(view) = &self.current {
                 let row = if self.filtered {
@@ -430,7 +536,7 @@ impl<S: ChunkSource> Iterator for EntryStream<'_, S> {
                     let passed = &view.timestamps_ms()[self.watermarked..=row];
                     self.high_water = latest(self.high_water, passed);
                     self.watermarked = row + 1;
-                    return Some(view.entry(row));
+                    return Some(R::build(view, row));
                 }
             }
             if self.error.is_some() || !self.load_next_chunk() {
@@ -443,22 +549,21 @@ impl<S: ChunkSource> Iterator for EntryStream<'_, S> {
 /// One monitor's entries delivered in exact `(timestamp, arrival)` order via
 /// a bounded reorder buffer (see [`TraceReader::stream_monitor_sorted`]).
 ///
-/// Held entries sit in an arrival-order ring and only their 16-byte
-/// `(timestamp, arrival)` keys are heap-ordered, so an entry is moved in once
-/// and out once however far its key sifts.
-pub struct SortedEntryStream<'a, S: ChunkSource> {
-    inner: EntryStream<'a, S>,
+/// Only the 16-byte `(timestamp, arrival)` keys of the held rows are
+/// heap-ordered; held entries sit in an arrival-order ring ([`EntryRing`]),
+/// and of a time-only row nothing but its key is held.
+pub struct SortedEntryStream<'a, S: ChunkSource, R: StreamRow = TraceEntry> {
+    inner: EntryStream<'a, S, R>,
     lateness: SimDuration,
-    /// Slot `i` holds arrival number `base_seq + i`, `None` once emitted;
-    /// the front slot is always a held entry.
-    ring: VecDeque<Option<TraceEntry>>,
-    base_seq: u64,
-    /// Min-heap over the keys of the held entries.
+    held: R::Held,
+    /// Arrival number of the next row pulled from `inner`.
+    next_seq: u64,
+    /// Min-heap over the keys of the held rows.
     keys: BinaryHeap<Reverse<(SimTime, u64)>>,
     drained: bool,
 }
 
-impl<S: ChunkSource> SortedEntryStream<'_, S> {
+impl<S: ChunkSource, R: StreamRow> SortedEntryStream<'_, S, R> {
     /// Returns the error that ended the underlying stream early, if any.
     pub fn take_error(&mut self) -> Option<SegmentError> {
         self.inner.take_error()
@@ -470,10 +575,10 @@ impl<S: ChunkSource> SortedEntryStream<'_, S> {
     }
 }
 
-impl<S: ChunkSource> Iterator for SortedEntryStream<'_, S> {
-    type Item = TraceEntry;
+impl<S: ChunkSource, R: StreamRow> Iterator for SortedEntryStream<'_, S, R> {
+    type Item = R;
 
-    fn next(&mut self) -> Option<TraceEntry> {
+    fn next(&mut self) -> Option<R> {
         loop {
             // An entry is safe to emit once the arrival stream has advanced
             // past its timestamp by more than the recorded lateness bound:
@@ -483,22 +588,17 @@ impl<S: ChunkSource> Iterator for SortedEntryStream<'_, S> {
                     if self.drained || self.inner.high_water.since(timestamp) > self.lateness =>
                 {
                     self.keys.pop();
-                    let entry = self.ring[(seq - self.base_seq) as usize].take();
-                    while let Some(None) = self.ring.front() {
-                        self.ring.pop_front();
-                        self.base_seq += 1;
-                    }
-                    return entry;
+                    return Some(R::release(&mut self.held, timestamp, seq));
                 }
                 None if self.drained => return None,
                 _ => {}
             }
 
             match self.inner.next() {
-                Some(entry) => {
-                    let seq = self.base_seq + self.ring.len() as u64;
-                    self.keys.push(Reverse((entry.timestamp, seq)));
-                    self.ring.push_back(Some(entry));
+                Some(row) => {
+                    self.keys.push(Reverse((row.timestamp(), self.next_seq)));
+                    self.next_seq += 1;
+                    R::hold(&mut self.held, row);
                 }
                 None => self.drained = true,
             }
@@ -812,11 +912,11 @@ impl ManifestReader {
 
     /// [`ManifestReader::stream_monitor_sorted`] with a [`ChunkHook`] that
     /// sees every chunk of the chain before its rows.
-    pub(crate) fn stream_monitor_sorted_with<'a>(
+    pub(crate) fn stream_monitor_sorted_with<'a, R: StreamRow>(
         &'a self,
         monitor: usize,
         hook: Option<ChunkHook<'a>>,
-    ) -> ChainedMonitorStream<'a> {
+    ) -> ChainedMonitorStream<'a, R> {
         chain_stream(
             &self.segments[monitor],
             monitor,
@@ -874,12 +974,12 @@ impl ManifestReader {
 /// readers. Free-standing so that prefetch workers, which hold their chain
 /// by `Arc` on their own thread, run exactly the code
 /// [`ManifestReader::stream_monitor_sorted`] runs on the caller's.
-fn chain_stream<'a>(
+fn chain_stream<'a, R: StreamRow>(
     readers: &'a [TraceReader<FileSource>],
     monitor: usize,
     skip: Option<(SkipLog, Vec<SegmentIdent>)>,
     hook: Option<ChunkHook<'a>>,
-) -> ChainedMonitorStream<'a> {
+) -> ChainedMonitorStream<'a, R> {
     // floors[i] = a safe lower bound on every timestamp in segments i..:
     // within a segment, an entry can precede its chunk's first timestamp
     // by at most the recorded lateness bound, and a suffix-minimum makes
@@ -915,11 +1015,11 @@ fn chain_stream<'a>(
 /// One segment admitted to a [`ChainedMonitorStream`] merge and not yet
 /// exhausted. The invariant that `head` is always populated is what lets the
 /// chain retire exhausted streams immediately.
-struct ActiveSegment<'a> {
+struct ActiveSegment<'a, R: StreamRow> {
     /// Rotation index of the segment in its chain (the stable tie-break).
     index: usize,
-    head: TraceEntry,
-    stream: SortedEntryStream<'a, FileSource>,
+    head: R,
+    stream: SortedEntryStream<'a, FileSource, R>,
 }
 
 /// One monitor's entries across its segment chain, in exact
@@ -932,7 +1032,7 @@ struct ActiveSegment<'a> {
 /// retired when exhausted (see [`ManifestReader::stream_monitor_sorted`]), so
 /// merge state is bounded by the segments overlapping the frontier, not the
 /// chain length. Yielded entries carry the *global* monitor index.
-pub struct ChainedMonitorStream<'a> {
+pub struct ChainedMonitorStream<'a, R: StreamRow = TraceEntry> {
     monitor: usize,
     readers: &'a [TraceReader<FileSource>],
     /// Suffix-minimum timestamp floor per rotation index: no entry in
@@ -940,7 +1040,7 @@ pub struct ChainedMonitorStream<'a> {
     floors: Vec<SimTime>,
     /// Next rotation index not yet admitted to the merge.
     next_pending: usize,
-    active: Vec<ActiveSegment<'a>>,
+    active: Vec<ActiveSegment<'a, R>>,
     /// First error from a retired stream (live streams keep their own).
     error: Option<SegmentError>,
     /// [`ReadOptions::skip_corrupt`] mode: the shared skip log plus the
@@ -952,7 +1052,7 @@ pub struct ChainedMonitorStream<'a> {
     hook: Option<ChunkHook<'a>>,
 }
 
-impl ChainedMonitorStream<'_> {
+impl<R: StreamRow> ChainedMonitorStream<'_, R> {
     /// Returns the first error any underlying segment stream hit, if one did.
     ///
     /// In [`ReadOptions::skip_corrupt`] mode this always returns `None` —
@@ -1012,10 +1112,10 @@ impl ChainedMonitorStream<'_> {
     }
 }
 
-impl Iterator for ChainedMonitorStream<'_> {
-    type Item = TraceEntry;
+impl<R: StreamRow> Iterator for ChainedMonitorStream<'_, R> {
+    type Item = R;
 
-    fn next(&mut self) -> Option<TraceEntry> {
+    fn next(&mut self) -> Option<R> {
         loop {
             // Min by (timestamp, rotation index): the earlier segment wins
             // ties, which is exactly arrival order across a rotation
@@ -1024,7 +1124,7 @@ impl Iterator for ChainedMonitorStream<'_> {
                 .active
                 .iter()
                 .enumerate()
-                .map(|(pos, a)| ((a.head.timestamp, a.index), pos))
+                .map(|(pos, a)| ((a.head.timestamp(), a.index), pos))
                 .min();
             let has_pending = self.next_pending < self.readers.len();
             match candidate {
@@ -1041,7 +1141,7 @@ impl Iterator for ChainedMonitorStream<'_> {
                     self.admit_next();
                 }
                 Some((_, pos)) => {
-                    let mut entry = match self.active[pos].stream.next() {
+                    let mut row = match self.active[pos].stream.next() {
                         Some(next_head) => std::mem::replace(&mut self.active[pos].head, next_head),
                         None => {
                             let mut retired = self.active.swap_remove(pos);
@@ -1052,8 +1152,8 @@ impl Iterator for ChainedMonitorStream<'_> {
                             retired.head
                         }
                     };
-                    entry.monitor = self.monitor;
-                    return Some(entry);
+                    row.stamp(self.monitor);
+                    return Some(row);
                 }
             }
         }
@@ -1108,7 +1208,7 @@ fn spawn_prefetch(
             move |chunk: &ChunkView<'_>, rows: &mut Vec<usize>| targets.select(chunk, rows)
         });
         let hook = select.as_ref().map(|select| select as ChunkHook<'_>);
-        let mut stream = chain_stream(&readers, monitor, skip, hook);
+        let mut stream = chain_stream::<TraceEntry>(&readers, monitor, skip, hook);
         loop {
             let batch: Vec<TraceEntry> = stream.by_ref().take(PREFETCH_BATCH).collect();
             if batch.is_empty() {

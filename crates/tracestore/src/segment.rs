@@ -293,9 +293,11 @@ impl<'a> Cursor<'a> {
         Self { bytes, pos: 0 }
     }
 
+    // Inlined with `varint::decode`'s short arms: the per-row call of every
+    // index and delta column.
+    #[inline]
     pub(crate) fn varint(&mut self) -> Result<u64, SegmentError> {
-        let (value, used) = varint::decode(&self.bytes[self.pos..])
-            .map_err(|e| SegmentError::Corrupt(format!("bad varint: {e:?}")))?;
+        let (value, used) = varint::decode(&self.bytes[self.pos..]).map_err(bad_varint)?;
         self.pos += used;
         Ok(value)
     }
@@ -324,6 +326,12 @@ impl<'a> Cursor<'a> {
     pub(crate) fn is_at_end(&self) -> bool {
         self.pos == self.bytes.len()
     }
+}
+
+/// Out of line, so the inlined [`Cursor::varint`] carries no formatting code.
+#[cold]
+fn bad_varint(error: ipfs_mon_types::TypesError) -> SegmentError {
+    SegmentError::Corrupt(format!("bad varint: {error:?}"))
 }
 
 /// Validates an element count decoded from untrusted input against the bytes

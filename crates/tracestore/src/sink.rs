@@ -37,31 +37,41 @@
 //! `run_parallel(sink) == run_sink(source, sink)` is property-tested in
 //! `tests/parallel_analysis.rs` and `tests/column_paths.rs`.
 //!
-//! # Entries or chunks
+//! # Entries, timestamps or chunks
 //!
 //! What a sink may assume depends on how it is fed:
 //!
 //! * **per entry** ([`AnalysisSink::consume`], every sink): the entries of
 //!   one monitor arrive in that monitor's exact `(timestamp, arrival)`
 //!   order, each complete and owned;
-//! * **per chunk** ([`AnalysisSink::consume_chunk`], sinks that declare
-//!   [`AnalysisSink::BY_CHUNK`]): one monitor's rows as stored — arrival
-//!   order, not time order, cut wherever the writer's buffer filled — as
-//!   validated columns: dictionaries of the distinct peers and CIDs, and per
-//!   row an index into each. A sink whose result is a multiset aggregate
-//!   (counts per key, sets of keys) folds a chunk by counting per dictionary
-//!   *index* and touching its own maps once per distinct key, instead of
-//!   hashing the same 32- or 36-byte key for every row.
+//! * **per chunk** ([`AnalysisSink::consume_chunk`]): one monitor's rows as
+//!   stored — arrival order, not time order, cut wherever the writer's
+//!   buffer filled — as validated columns: dictionaries of the distinct
+//!   peers and CIDs, and per row an index into each. A sink whose result is
+//!   a multiset aggregate (counts per key, sets of keys) folds a chunk by
+//!   counting per dictionary *index* and touching its own maps once per
+//!   distinct key, instead of hashing the same 32- or 36-byte key for every
+//!   row;
+//! * **per timestamp** ([`AnalysisSink::consume_time`]): one monitor's
+//!   timestamps in the order its entries would arrive in, and nothing else.
 //!
 //! [`ManifestReader::run_parallel`] is the driver that reads chunks: it
-//! decodes each chunk once, offers it to the sink, and only if some member
-//! of the composition is not chunk-capable goes on to materialise the rows,
-//! put them in time order and hand them to those members
-//! ([`AnalysisSink::consume_row`]). A sink that needs the order — gaps
-//! between successive entries, event-time windows — simply does not declare
-//! `BY_CHUNK` and is fed as before. Every check is the entry path's: the
-//! chunk was read, CRC-verified, column-validated and matched against its
-//! index row by the very stream that would have materialised it.
+//! decodes each chunk once, offers it to the sink, and then delivers what
+//! the sink's [`AnalysisSink::ROWS`] says it still needs of the chunk's
+//! rows — [`Rows::None`] for a sink that is done with a chunk once it has
+//! folded it; [`Rows::Times`] for a sink that takes everything but the
+//! order from the chunk and needs only the sorted timestamps on top (gaps
+//! between successive entries); [`Rows::Entries`], the default, for a sink
+//! that is fed as before (event-time windows, any sink that implements
+//! `consume` alone). A composition needs the most any member needs, and
+//! [`AnalysisSink::consume_row`] routes each entry to the members by their
+//! kind. Timestamps come out of the same reorder buffer and chain merge as
+//! entries ([`StreamRow`](crate::reader::StreamRow)) — same release rule,
+//! same tie-breaks, so the sequence of timestamps is the entry stream's,
+//! exactly — but no 136-byte entry is built, held or moved for them. Every
+//! check is the entry path's: the chunk was read, CRC-verified,
+//! column-validated and matched against its index row by the very stream
+//! that would have materialised it.
 //!
 //! # Example
 //!
@@ -108,7 +118,34 @@ use crate::record::TraceEntry;
 use crate::segment::{ChunkView, SegmentError};
 use crate::source::TraceSource;
 use ipfs_mon_obs as obs;
+use ipfs_mon_simnet::time::SimTime;
 use std::cell::{Cell, RefCell};
+
+/// What a sink still needs of a chunk's rows once
+/// [`AnalysisSink::consume_chunk`] has seen the chunk — the least first, so a
+/// composition needs the maximum of its members.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Rows {
+    /// Nothing: `consume_chunk` folds the whole chunk.
+    None,
+    /// Each row's timestamp, in the monitor's time order
+    /// ([`AnalysisSink::consume_time`]); `consume_chunk` folds the rest.
+    Times,
+    /// Each row as an entry, in the monitor's time order
+    /// ([`AnalysisSink::consume`]).
+    Entries,
+}
+
+impl Rows {
+    /// The greater need of two.
+    pub const fn max(self, other: Self) -> Self {
+        if (self as u8) < (other as u8) {
+            other
+        } else {
+            self
+        }
+    }
+}
 
 /// A streaming analysis whose result does not depend on the interleaving of
 /// entries *across* monitors.
@@ -129,11 +166,12 @@ pub trait AnalysisSink {
     /// What the analysis produces.
     type Output;
 
-    /// Whether the sink is *chunk-capable*: it folds whole chunks through
-    /// [`AnalysisSink::consume_chunk`], and a driver that reads chunks then
-    /// never hands it those chunks' rows. Set it exactly when
-    /// `consume_chunk` is implemented.
-    const BY_CHUNK: bool = false;
+    /// What a driver that reads chunks must still deliver of a chunk's rows
+    /// after offering the chunk to [`AnalysisSink::consume_chunk`]. Whatever
+    /// is declared, `consume_chunk` plus the declared deliveries must reach
+    /// the state [`AnalysisSink::consume`] reaches over the same rows. The
+    /// default suits a sink that implements `consume` alone.
+    const ROWS: Rows = Rows::Entries;
 
     /// Folds one entry into the sink's state.
     fn consume(&mut self, entry: TraceEntry);
@@ -152,13 +190,22 @@ pub trait AnalysisSink {
     /// sink is fed rows.
     fn consume_chunk(&mut self, _monitor: usize, _chunk: &ChunkView<'_>) {}
 
+    /// The timestamp of one row of `monitor`, for a [`Rows::Times`] sink: a
+    /// monitor's timestamps arrive in the order [`AnalysisSink::consume`]
+    /// would see its entries in, and every row delivered here was in a chunk
+    /// offered to [`AnalysisSink::consume_chunk`] (not necessarily the
+    /// latest one: rows are held back until they are in order).
+    fn consume_time(&mut self, _monitor: usize, _timestamp: SimTime) {}
+
     /// One row of a chunk that was offered to
-    /// [`AnalysisSink::consume_chunk`]: consumed unless the sink has folded
-    /// the chunk already. Provided — only a composition overrides it, to
-    /// route the row to those of its members that still need it.
+    /// [`AnalysisSink::consume_chunk`], as an entry: the sink takes of it
+    /// what its [`AnalysisSink::ROWS`] says it still needs. Provided — only
+    /// a composition overrides it, to route the row to each of its members.
     fn consume_row(&mut self, entry: TraceEntry) {
-        if !Self::BY_CHUNK {
-            self.consume(entry);
+        match Self::ROWS {
+            Rows::None => {}
+            Rows::Times => self.consume_time(entry.monitor, entry.timestamp),
+            Rows::Entries => self.consume(entry),
         }
     }
 
@@ -174,8 +221,7 @@ pub trait AnalysisSink {
 impl<A: AnalysisSink, B: AnalysisSink> AnalysisSink for (A, B) {
     type Output = (A::Output, B::Output);
 
-    /// Rows can be skipped only when no member needs them.
-    const BY_CHUNK: bool = A::BY_CHUNK && B::BY_CHUNK;
+    const ROWS: Rows = A::ROWS.max(B::ROWS);
 
     fn consume(&mut self, entry: TraceEntry) {
         self.0.consume(entry.clone());
@@ -185,6 +231,11 @@ impl<A: AnalysisSink, B: AnalysisSink> AnalysisSink for (A, B) {
     fn consume_chunk(&mut self, monitor: usize, chunk: &ChunkView<'_>) {
         self.0.consume_chunk(monitor, chunk);
         self.1.consume_chunk(monitor, chunk);
+    }
+
+    fn consume_time(&mut self, monitor: usize, timestamp: SimTime) {
+        self.0.consume_time(monitor, timestamp);
+        self.1.consume_time(monitor, timestamp);
     }
 
     fn consume_row(&mut self, entry: TraceEntry) {
@@ -293,16 +344,30 @@ impl ManifestReader {
                 count.set(count.get() + chunk.len() as u64);
                 consumed.add(chunk.len() as u64);
                 total.add(chunk.len() as u64);
-                // A composition of chunk-capable sinks is done with the
-                // chunk: select none of its rows, so none is materialised.
-                K::BY_CHUNK
+                // A sink that is done with the chunk selects none of its
+                // rows, so none is built.
+                K::ROWS == Rows::None
             };
-            let mut stream = self.stream_monitor_sorted_with(monitor, Some(&offer));
-            for entry in &mut stream {
-                worker_sink.borrow_mut().consume_row(entry);
-            }
-            let error = stream.take_error();
-            drop(stream);
+            // Entries only if some member consumes entries: a composition
+            // that needs at most the times is fed from the same reorder and
+            // chain merge over bare timestamps.
+            let error = if K::ROWS == Rows::Entries {
+                let mut stream =
+                    self.stream_monitor_sorted_with::<TraceEntry>(monitor, Some(&offer));
+                for entry in &mut stream {
+                    worker_sink.borrow_mut().consume_row(entry);
+                }
+                stream.take_error()
+            } else {
+                let mut stream = self.stream_monitor_sorted_with::<SimTime>(monitor, Some(&offer));
+                let mut timed = 0u64;
+                for timestamp in &mut stream {
+                    worker_sink.borrow_mut().consume_time(monitor, timestamp);
+                    timed += 1;
+                }
+                obs::counter!("store.rows_timed").add(timed);
+                stream.take_error()
+            };
             match error {
                 Some(error) => (Err(error), count.get()),
                 None => (Ok(worker_sink.into_inner()), count.get()),
@@ -470,6 +535,76 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         assert_eq!(a, b);
         assert_eq!(a.0, vec![50, 50]);
+    }
+
+    /// A [`Rows::Times`] sink: rows are counted from the chunk, their
+    /// timestamps recorded per monitor in the order they are delivered.
+    #[derive(Clone, Default, PartialEq, Debug)]
+    struct TimeProbe {
+        rows: u64,
+        times: Vec<Vec<SimTime>>,
+    }
+
+    impl AnalysisSink for TimeProbe {
+        type Output = Self;
+        const ROWS: Rows = Rows::Times;
+
+        fn consume(&mut self, entry: TraceEntry) {
+            self.rows += 1;
+            self.consume_time(entry.monitor, entry.timestamp);
+        }
+
+        fn consume_chunk(&mut self, _monitor: usize, chunk: &ChunkView<'_>) {
+            self.rows += chunk.len() as u64;
+        }
+
+        fn consume_time(&mut self, monitor: usize, timestamp: SimTime) {
+            if self.times.len() <= monitor {
+                self.times.resize(monitor + 1, Vec::new());
+            }
+            self.times[monitor].push(timestamp);
+        }
+
+        fn combine(&mut self, other: Self) {
+            self.rows += other.rows;
+            for (monitor, times) in other.times.into_iter().enumerate() {
+                for timestamp in times {
+                    self.consume_time(monitor, timestamp);
+                }
+            }
+        }
+
+        fn finish(self) -> Self {
+            self
+        }
+    }
+
+    #[test]
+    fn a_composition_is_fed_the_most_any_member_needs() {
+        assert_eq!(TimeProbe::ROWS, Rows::Times);
+        assert_eq!(ProbeSink::ROWS, Rows::Entries);
+        assert_eq!(<(TimeProbe, TimeProbe)>::ROWS, Rows::Times);
+        assert_eq!(<((TimeProbe, ProbeSink), TimeProbe)>::ROWS, Rows::Entries);
+
+        let dir = build_manifest_dir("rows", 2, 90);
+        let reader = ManifestReader::open(&dir).unwrap();
+        let expected = run_sink(&reader, TimeProbe::default()).unwrap();
+        assert_eq!(expected.rows, 180);
+        assert_eq!(expected.times[1].len(), 90);
+        // Fed timestamps, and fed entries beside a member that needs them:
+        // the same rows, in the same order.
+        let timed = reader.run_parallel(TimeProbe::default()).unwrap();
+        let ((beside, entries), nested) = reader
+            .run_parallel((
+                (TimeProbe::default(), ProbeSink::default()),
+                TimeProbe::default(),
+            ))
+            .unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(timed, expected);
+        assert_eq!(beside, expected);
+        assert_eq!(nested, expected);
+        assert_eq!(entries.0, vec![90, 90]);
     }
 
     #[test]

@@ -43,8 +43,8 @@
 use crate::record::TraceEntry;
 use crate::sink::AnalysisSink;
 use ipfs_mon_types::{Cid, PeerId};
+use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 /// A Count-Min frequency sketch: `depth` rows of `width` counters, every
@@ -189,7 +189,12 @@ struct SsCounter {
 pub struct SpaceSaving<K> {
     capacity: usize,
     total: u64,
-    counters: HashMap<K, SsCounter>,
+    /// The tracked keys, sorted by key. A lookup is a binary search and the
+    /// eviction scan a walk over one allocation; at the handful of counters
+    /// a top-K summary holds (every caller runs 4–8), hashing a 36-byte CID
+    /// three times per miss cost more than both. Past a few dozen counters
+    /// a hash map would win again (docs/BENCHMARKS.md has the crossover).
+    counters: Vec<(K, SsCounter)>,
     /// Estimate for keys absent from `counters`. Zero while streaming;
     /// after a merge it carries the summed absent-bounds of the inputs.
     offset: u64,
@@ -198,7 +203,7 @@ pub struct SpaceSaving<K> {
     streaming: bool,
 }
 
-impl<K: Hash + Eq + Ord + Clone> SpaceSaving<K> {
+impl<K: Ord + Clone> SpaceSaving<K> {
     /// Creates a summary tracking at most `capacity` keys while streaming.
     ///
     /// # Panics
@@ -209,7 +214,7 @@ impl<K: Hash + Eq + Ord + Clone> SpaceSaving<K> {
         Self {
             capacity,
             total: 0,
-            counters: HashMap::with_capacity(capacity),
+            counters: Vec::with_capacity(capacity),
             offset: 0,
             streaming: true,
         }
@@ -232,7 +237,11 @@ impl<K: Hash + Eq + Ord + Clone> SpaceSaving<K> {
         } else if self.counters.len() >= self.capacity {
             // At capacity: an absent key was evicted at or below the
             // current minimum counter.
-            self.counters.values().map(|c| c.count).min().unwrap_or(0)
+            self.counters
+                .iter()
+                .map(|(_, c)| c.count)
+                .min()
+                .unwrap_or(0)
         } else {
             // Never full: absent keys were truly never seen.
             0
@@ -253,32 +262,46 @@ impl<K: Hash + Eq + Ord + Clone> SpaceSaving<K> {
             "space-saving summaries cannot record after a merge"
         );
         self.total += 1;
-        if let Some(counter) = self.counters.get_mut(key) {
-            counter.count += 1;
-            return;
-        }
+        let slot = match self
+            .counters
+            .binary_search_by(|(tracked, _)| tracked.cmp(key))
+        {
+            Ok(found) => {
+                self.counters[found].1.count += 1;
+                return;
+            }
+            Err(slot) => slot,
+        };
         if self.counters.len() < self.capacity {
             self.counters
-                .insert(key.clone(), SsCounter { count: 1, error: 0 });
+                .insert(slot, (key.clone(), SsCounter { count: 1, error: 0 }));
             return;
         }
         // Evict the deterministic minimum: smallest count, largest key as
         // the tie-break (so smaller keys, which sort first in the report,
-        // are preferentially retained).
-        let victim = self
+        // are preferentially retained) — in key order, the last of the
+        // minima.
+        let (victim, evicted) = self
             .counters
             .iter()
-            .min_by(|(ka, ca), (kb, cb)| ca.count.cmp(&cb.count).then_with(|| kb.cmp(ka)))
-            .map(|(k, c)| (k.clone(), c.count))
+            .map(|(_, c)| c.count)
+            .enumerate()
+            .min_by_key(|&(index, count)| (count, std::cmp::Reverse(index)))
             .expect("capacity is positive");
-        self.counters.remove(&victim.0);
-        self.counters.insert(
+        self.counters[victim] = (
             key.clone(),
             SsCounter {
-                count: victim.1 + 1,
-                error: victim.1,
+                count: evicted + 1,
+                error: evicted,
             },
         );
+        // The newcomer replaced the victim in place; slide it to where its
+        // key belongs.
+        if victim < slot {
+            self.counters[victim..slot].rotate_left(1);
+        } else {
+            self.counters[slot..=victim].rotate_right(1);
+        }
     }
 
     /// Merges another summary of the same capacity: the exact pointwise sum
@@ -296,25 +319,40 @@ impl<K: Hash + Eq + Ord + Clone> SpaceSaving<K> {
         );
         let bound_self = self.absent_bound();
         let bound_other = other.absent_bound();
-        let mut merged: HashMap<K, SsCounter> =
-            HashMap::with_capacity(self.counters.len() + other.counters.len());
-        for (key, mine) in self.counters.drain() {
-            let theirs = other.counters.get(&key).copied().unwrap_or(SsCounter {
-                count: bound_other,
-                error: bound_other,
-            });
-            merged.insert(
-                key,
-                SsCounter {
-                    count: mine.count + theirs.count,
-                    error: mine.error + theirs.error,
-                },
-            );
-        }
-        for (key, theirs) in other.counters {
-            merged.entry(key).or_insert(SsCounter {
-                count: theirs.count + bound_self,
-                error: theirs.error + bound_self,
+        let sum = |a: SsCounter, b: SsCounter| SsCounter {
+            count: a.count + b.count,
+            error: a.error + b.error,
+        };
+        // A key one side does not track counts there as that side's bound.
+        let untracked = |bound: u64| SsCounter {
+            count: bound,
+            error: bound,
+        };
+        let mut merged = Vec::with_capacity(self.counters.len() + other.counters.len());
+        let mut mine = std::mem::take(&mut self.counters).into_iter().peekable();
+        let mut theirs = other.counters.into_iter().peekable();
+        // Both sides are sorted by key, and so is their union.
+        loop {
+            let order = match (mine.peek(), theirs.peek()) {
+                (Some((a, _)), Some((b, _))) => a.cmp(b),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (None, None) => break,
+            };
+            merged.push(match order {
+                Ordering::Less => {
+                    let (key, counter) = mine.next().expect("peeked");
+                    (key, sum(counter, untracked(bound_other)))
+                }
+                Ordering::Greater => {
+                    let (key, counter) = theirs.next().expect("peeked");
+                    (key, sum(counter, untracked(bound_self)))
+                }
+                Ordering::Equal => {
+                    let (key, counter) = mine.next().expect("peeked");
+                    let (_, other) = theirs.next().expect("peeked");
+                    (key, sum(counter, other))
+                }
             });
         }
         self.counters = merged;
@@ -493,6 +531,7 @@ impl AnalysisSink for CountMinSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     #[test]
     fn count_min_never_undercounts() {
@@ -548,6 +587,68 @@ mod tests {
             if count > threshold {
                 assert!(report.entries.iter().any(|hh| hh.key == *key));
             }
+        }
+    }
+
+    /// The classical update over an unordered list — the reference for
+    /// *which* key each eviction picks (smallest count, then largest key).
+    fn reference_report(capacity: usize, stream: &[u64]) -> Vec<HeavyHitter<u64>> {
+        let mut counters: Vec<HeavyHitter<u64>> = Vec::new();
+        for &key in stream {
+            if let Some(tracked) = counters.iter_mut().find(|c| c.key == key) {
+                tracked.count += 1;
+            } else if counters.len() < capacity {
+                counters.push(HeavyHitter {
+                    key,
+                    count: 1,
+                    error: 0,
+                });
+            } else {
+                let victim = counters
+                    .iter_mut()
+                    .min_by(|a, b| a.count.cmp(&b.count).then_with(|| b.key.cmp(&a.key)))
+                    .unwrap();
+                *victim = HeavyHitter {
+                    key,
+                    count: victim.count + 1,
+                    error: victim.count,
+                };
+            }
+        }
+        counters.sort_by(|a, b| b.count.cmp(&a.count).then_with(|| a.key.cmp(&b.key)));
+        counters
+    }
+
+    #[test]
+    fn space_saving_evicts_like_the_classical_update() {
+        // Few distinct keys against small capacities: ties between minimum
+        // counters at nearly every eviction.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for (capacity, distinct) in [(1, 5), (2, 7), (3, 40), (8, 23), (8, 400), (16, 90)] {
+            let stream: Vec<u64> = (0..3_000)
+                .map(|_| {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    // Squared to skew: low keys are heavy, the tail is cold.
+                    let draw = (state >> 33) % (distinct * distinct);
+                    draw.isqrt()
+                })
+                .collect();
+            let mut ss = SpaceSaving::new(capacity);
+            for key in &stream {
+                ss.record(key);
+            }
+            let keys: Vec<&u64> = ss.counters.iter().map(|(key, _)| key).collect();
+            assert!(
+                keys.windows(2).all(|pair| pair[0] < pair[1]),
+                "sorted by key"
+            );
+            assert_eq!(
+                ss.finish().entries,
+                reference_report(capacity, &stream),
+                "capacity {capacity}, {distinct} distinct keys"
+            );
         }
     }
 

@@ -17,7 +17,7 @@
 //!
 //! and the last two are where a source that stores dictionaries saves work:
 //! a [`ManifestReader`] resolves targets against each chunk's dictionaries
-//! and hands chunk-capable sinks the columns, while the in-memory dataset
+//! and hands sinks that fold chunks the columns, while the in-memory dataset
 //! runs the defaults (filter the merged stream; run the sink over it). This
 //! module abstracts those behind one trait, implemented by
 //!
@@ -192,7 +192,10 @@ pub trait TraceSource {
     /// The monitor labels of the dataset.
     fn monitor_labels(&self) -> &[String];
 
-    /// Number of monitors.
+    /// Number of monitors. Every entry the source yields carries a
+    /// [`TraceEntry::monitor`] below this — the source stamps the index
+    /// itself, it is never taken from stored bytes — so consumers may size
+    /// per-monitor state by it and index without checking.
     fn monitor_count(&self) -> usize {
         self.monitor_labels().len()
     }
@@ -216,7 +219,7 @@ pub trait TraceSource {
     /// are [`AnalysisSink`]s, i.e. indifferent to how monitors interleave.
     /// The merged order is one valid interleaving, so the default is
     /// [`run_sink`]; [`ManifestReader`] runs one worker per monitor chain
-    /// and lets chunk-capable sinks read columns
+    /// and lets sinks that fold chunks read columns
     /// ([`ManifestReader::run_parallel`]).
     fn run_unmerged<K>(&self, sink: K) -> Result<K::Output, SegmentError>
     where
@@ -240,10 +243,27 @@ impl TraceSource for MonitoringDataset {
         &self.monitor_labels
     }
 
+    /// A dataset read from JSON may hold more entry vectors than labels.
+    fn monitor_count(&self) -> usize {
+        self.monitor_labels.len().max(self.entries.len())
+    }
+
     fn merged_entries(&self) -> SourceEntries {
         // The reference order: monitor-major concatenation, stable-sorted by
         // (timestamp, monitor) — what `unify_and_flag` has always produced.
-        let mut entries: Vec<TraceEntry> = self.entries.iter().flatten().cloned().collect();
+        // An entry's monitor is the vector it sits in, as on disk it is the
+        // chain it sits in: the stored field is whatever a file said.
+        let mut entries: Vec<TraceEntry> = self
+            .entries
+            .iter()
+            .enumerate()
+            .flat_map(|(monitor, of_monitor)| {
+                of_monitor.iter().map(move |entry| TraceEntry {
+                    monitor,
+                    ..entry.clone()
+                })
+            })
+            .collect();
         entries.sort_by_key(|e| (e.timestamp, e.monitor));
         SourceEntries::Memory(entries.into_iter())
     }

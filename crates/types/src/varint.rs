@@ -1,5 +1,13 @@
 //! Unsigned LEB128 varints, the integer encoding used throughout the IPFS
-//! stack (multihash prefixes, CIDv1 prefixes, Bitswap wire messages).
+//! stack (multihash prefixes, CIDv1 prefixes, Bitswap wire messages) and by
+//! every column of a trace chunk.
+//!
+//! [`decode`] is the hot call of chunk parsing — four per stored row — and
+//! nearly every value there is one or two bytes long, so those two lengths
+//! are decoded inline and the byte-at-a-time loop with its overflow checks
+//! stays out of line for the rest. It is a scalar fast path, not a second
+//! decoder: the tests hold it to the general loop on every one- and two-byte
+//! input (every three-byte input in the `#[ignore]`d release test CI runs).
 
 use crate::error::TypesError;
 
@@ -33,7 +41,28 @@ pub fn encode_to_vec(value: u64) -> Vec<u8> {
 /// Decodes an unsigned varint from the front of `input`.
 ///
 /// Returns the decoded value and the number of bytes consumed.
+///
+/// One- and two-byte encodings — every dictionary index, timestamp delta and
+/// length prefix a trace chunk holds — are decoded inline at the call site;
+/// anything else goes to the general decoder, whose verdict (value, length
+/// or error) the two short arms reproduce exactly.
+#[inline]
 pub fn decode(input: &[u8]) -> Result<(u64, usize), TypesError> {
+    match *input {
+        [only, ..] if only < 0x80 => Ok((u64::from(only), 1)),
+        // A zero second byte is the non-canonical `0x80 0x00` family: left
+        // to the general decoder, which rejects it.
+        [low, high, ..] if high < 0x80 && high != 0 => {
+            Ok((u64::from(low & 0x7f) | u64::from(high) << 7, 2))
+        }
+        _ => decode_general(input),
+    }
+}
+
+/// The general decoder: any length, every check. [`decode`] answers one- and
+/// two-byte encodings itself and defers everything else here.
+#[inline(never)]
+fn decode_general(input: &[u8]) -> Result<(u64, usize), TypesError> {
     let mut value: u64 = 0;
     let mut shift: u32 = 0;
     for (i, &byte) in input.iter().enumerate() {
@@ -108,6 +137,36 @@ mod tests {
     }
 
     #[test]
+    fn lone_continuation_byte_is_eof() {
+        assert!(matches!(decode(&[0x80]), Err(TypesError::UnexpectedEof)));
+    }
+
+    /// The fast path must be indistinguishable from the general decoder:
+    /// same value and consumed length, or the same error.
+    fn assert_same_as_general(input: &[u8]) {
+        assert_eq!(decode(input), decode_general(input), "input {input:02x?}");
+    }
+
+    #[test]
+    fn fast_path_equals_general_decoder_on_every_short_input() {
+        assert_same_as_general(&[]);
+        for first in 0..=u8::MAX {
+            assert_same_as_general(&[first]);
+            for second in 0..=u8::MAX {
+                assert_same_as_general(&[first, second]);
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "16.7 M inputs: run in release (`cargo test --release -p ipfs-mon-types varint -- --include-ignored`, as CI does)"]
+    fn fast_path_equals_general_decoder_on_every_three_byte_input() {
+        for word in 0..1u32 << 24 {
+            assert_same_as_general(&word.to_le_bytes()[..3]);
+        }
+    }
+
+    #[test]
     fn decode_overlong_is_overflow() {
         let buf = [0xffu8; 11];
         assert!(matches!(decode(&buf), Err(TypesError::VarintOverflow)));
@@ -136,6 +195,11 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn fast_path_equals_general_decoder(input in proptest::collection::vec(any::<u8>(), 0..14)) {
+            prop_assert_eq!(decode(&input), decode_general(&input));
+        }
+
         #[test]
         fn roundtrip(value: u64) {
             let buf = encode_to_vec(value);

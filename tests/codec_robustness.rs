@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::{random_dataset, simulated_dataset, temp_dir, write_manifest};
+use common::{random_dataset, simulated_dataset, temp_dir, write_manifest, CountSink};
 use ipfs_monitoring::core::{
     estimate_network_size, estimate_network_size_source, identify_data_wanters, run_attacks_source,
     track_node_wants, unify_and_flag, unify_and_flag_source, ActivityCountsSink, AttackTargets,
@@ -117,10 +117,11 @@ fn body_damage_sweep(bytes: &[u8]) -> (usize, usize) {
 
 /// [`body_damage_sweep`] through the readers that stop at the columns: the
 /// same flips, applied to the one segment of a dataset on disk, must take the
-/// chunk-level sink run and a filtered stream to the same typed error the
-/// entry-reading run ends in, or to the same result — never a panic, never
-/// an answer the entry path would not give. Returns
-/// `(typed errors, clean decodes)`.
+/// chunk-level sink run — fed sorted timestamps on top of the chunks (the
+/// sinks below need no more), or entries (with an entry counter beside
+/// them) — and a filtered stream to the same typed error the entry-reading
+/// run ends in, or to the same result — never a panic, never an answer the
+/// entry path would not give. Returns `(typed errors, clean decodes)`.
 fn column_reader_damage_sweep(
     dataset: &MonitoringDataset,
     config: DatasetConfig,
@@ -154,6 +155,14 @@ fn column_reader_damage_sweep(
 
         let by_entry = run_sink(&reader, sinks());
         let by_chunk = reader.run_parallel(sinks());
+        let with_rows = reader.run_parallel((sinks(), CountSink::default()));
+        match (&by_chunk, with_rows) {
+            (Ok(by_chunk), Ok((with_rows, _))) => assert_eq!(&with_rows, by_chunk),
+            (Err(by_chunk), Err(with_rows)) => {
+                assert_eq!(with_rows.to_string(), by_chunk.to_string())
+            }
+            disagreement => panic!("row kinds disagree at body offset {pos}: {disagreement:?}"),
+        }
         let mut filtered = reader.merged_entries_matching(&targets);
         let matching: Vec<TraceEntry> = (&mut filtered).collect();
         match (by_entry, by_chunk, filtered.take_error()) {

@@ -2,18 +2,19 @@
 //!
 //! Three analyses stop short of building entries when the trace is an
 //! on-disk dataset: a `run_parallel` of chunk-capable sinks folds chunks by
-//! dictionary index, `estimate_network_size_source` reads peer dictionaries,
-//! and `run_attacks_source` pushes its targets into the chunk decode. Each
-//! must give exactly what the entry path gives — on clean datasets
+//! dictionary index (and feeds a sink that needs order nothing but the
+//! sorted timestamps), `estimate_network_size_source` reads peer
+//! dictionaries, and `run_attacks_source` pushes its targets into the chunk
+//! decode. Each must give exactly what the entry path gives — on clean datasets
 //! ([`differential_case`]), on a chunk whose dictionaries hold entries no
 //! row references, and on damaged datasets (same error, same skip report).
 
 mod common;
 
-use common::{differential_case, temp_dir, write_manifest};
+use common::{differential_case, temp_dir, write_manifest, CountSink};
 use ipfs_monitoring::core::{
     estimate_network_size, estimate_network_size_source, flag_source, run_attacks_source,
-    ActivityCountsSink, AnalysisSink, AttackScan, EntryStatsSink, PopularitySink, PreprocessConfig,
+    ActivityCountsSink, AttackScan, EntryStatsSink, PopularitySink, PreprocessConfig,
     RequestTypeSink, SnapshotBuilder,
 };
 use ipfs_monitoring::simnet::time::{SimDuration, SimTime};
@@ -33,8 +34,9 @@ fn window_end() -> SimTime {
     SimTime::from_millis(1 << 20)
 }
 
-/// The composition the repo benchmark runs: three chunk-capable sinks and
-/// one (`EntryStatsSink`) that needs every row in sorted order.
+/// The composition the repo benchmark runs: three sinks that fold whole
+/// chunks and one (`EntryStatsSink`) that also needs every timestamp in
+/// sorted order — no member needs an entry.
 type FourSinks = (
     (RequestTypeSink, PopularitySink),
     (ActivityCountsSink, EntryStatsSink),
@@ -63,7 +65,8 @@ proptest! {
     /// On any dataset and layout: the filtered attack scan equals the scan
     /// of the whole flagged trace, whichever source it runs over; network
     /// size from peer dictionaries equals network size from entries; and
-    /// the chunk-level sink run equals the serial one, with exact progress.
+    /// the chunk-level sink run equals the serial one, with exact progress,
+    /// whether its rows are delivered as nothing, timestamps or entries.
     #[test]
     fn column_paths_match_entry_paths(seed in 0u64..1_000_000) {
         let case = differential_case(seed);
@@ -95,13 +98,25 @@ proptest! {
         let reference = estimate_network_size(&case.dataset, START, window_end(), INTERVAL);
         prop_assert_eq!(json(&from_columns), json(&reference));
 
-        // The benchmark's composition, chunk-capable and entry-only mixed.
+        // The benchmark's composition: fed chunks and sorted timestamps.
+        let expected = run_sink(&reader, four_sinks()).unwrap();
         let progress = reader.run_parallel_with_progress(four_sinks());
         let per_monitor: Vec<u64> =
             case.dataset.entries.iter().map(|entries| entries.len() as u64).collect();
         prop_assert_eq!(&progress.entries_consumed, &per_monitor);
-        prop_assert_eq!(progress.result.unwrap(), run_sink(&reader, four_sinks()).unwrap());
-        // And with no entry-only member: not one row is materialised.
+        prop_assert_eq!(&progress.result.unwrap(), &expected);
+        // The timestamp consumer alone.
+        let progress = reader.run_parallel_with_progress(EntryStatsSink::new());
+        prop_assert_eq!(&progress.entries_consumed, &per_monitor);
+        prop_assert_eq!(&progress.result.unwrap(), &(expected.1).1);
+        // With a member that needs entries, every member is fed from the
+        // entries and none changes its answer.
+        let progress = reader.run_parallel_with_progress((four_sinks(), CountSink::default()));
+        prop_assert_eq!(&progress.entries_consumed, &per_monitor);
+        let (four, counted) = progress.result.unwrap();
+        prop_assert_eq!(&four, &expected);
+        prop_assert_eq!(counted, per_monitor.iter().sum::<u64>());
+        // And with no member that needs rows at all: not one is built.
         let pair = (four_sinks().0, snapshot_builder(reader.monitor_count()));
         let by_chunk = reader.run_parallel(pair.clone()).unwrap();
         let by_entry = run_sink(&reader, pair).unwrap();
@@ -226,26 +241,9 @@ fn unreferenced_dictionary_entries_change_nothing() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Counts entries — an entry-only sink, for the entry path of `run_parallel`.
-#[derive(Clone, Default)]
-struct CountSink(u64);
-
-impl AnalysisSink for CountSink {
-    type Output = u64;
-    fn consume(&mut self, _entry: TraceEntry) {
-        self.0 += 1;
-    }
-    fn combine(&mut self, other: Self) {
-        self.0 += other.0;
-    }
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
-
 /// Every way of reading the dataset in `dir`, as `(path name, error, skip
-/// report)`: the entry and chunk forms of `run_parallel`, the merged stream
-/// and a filtered one.
+/// report)`: the entry, timestamp and chunk forms of `run_parallel`, the
+/// merged stream and a filtered one.
 fn read_every_way(
     dir: &Path,
     options: ReadOptions,
@@ -258,6 +256,13 @@ fn read_every_way(
     outcomes.push((
         "entry run",
         error_text(by_entry.err()),
+        reader.skipped_segments(),
+    ));
+    let reader = ManifestReader::open_with(dir, options).unwrap();
+    let by_time = reader.run_parallel(EntryStatsSink::new());
+    outcomes.push((
+        "time run",
+        error_text(by_time.err()),
         reader.skipped_segments(),
     ));
     let reader = ManifestReader::open_with(dir, options).unwrap();

@@ -150,6 +150,25 @@ pub fn differential_case(seed: u64) -> DifferentialCase {
     }
 }
 
+/// Counts entries — a sink that implements `consume` alone, so a driver
+/// that reads chunks must build every entry for it (and for any composition
+/// it is a member of).
+#[derive(Clone, Default)]
+pub struct CountSink(pub u64);
+
+impl AnalysisSink for CountSink {
+    type Output = u64;
+    fn consume(&mut self, _entry: TraceEntry) {
+        self.0 += 1;
+    }
+    fn combine(&mut self, other: Self) {
+        self.0 += other.0;
+    }
+    fn finish(self) -> u64 {
+        self.0
+    }
+}
+
 /// Spills a dataset (entries and connections) into a manifest directory
 /// under the given configuration.
 pub fn write_manifest(dataset: &MonitoringDataset, dir: &Path, config: DatasetConfig) {

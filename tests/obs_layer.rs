@@ -150,6 +150,39 @@ fn pushdown_counters_track_selected_rows_and_pruned_chunks() {
     }
 }
 
+/// A `run_parallel` that feeds its sink timestamps accounts every row it
+/// delivered that way; one that feeds entries accounts none.
+#[test]
+fn time_only_rows_are_counted() {
+    use ipfs_monitoring::core::EntryStatsSink;
+    let dataset = run_pipeline(45);
+    let dir = temp_dir("rows-timed");
+    write_manifest(&dataset, &dir);
+    let reader = ManifestReader::open(&dir).expect("open manifest");
+    let before = obs::snapshot();
+    let stats = reader.run_parallel(EntryStatsSink::new()).expect("stats");
+    let counted = reader
+        .run_parallel((EntryStatsSink::new(), CountSink::default()))
+        .expect("stats beside an entry consumer");
+    let after = obs::snapshot();
+    std::fs::remove_dir_all(&dir).ok();
+
+    let total = dataset.total_entries() as u64;
+    assert_eq!(stats.iter().map(|m| m.entries).sum::<u64>(), total);
+    assert_eq!(counted, (stats, total));
+    if obs::is_enabled() {
+        // No other test of this binary runs a sink that takes timestamps.
+        let timed = |snapshot: &obs::Snapshot| {
+            snapshot
+                .counters
+                .get("store.rows_timed")
+                .copied()
+                .unwrap_or(0)
+        };
+        assert_eq!(timed(&after) - timed(&before), total);
+    }
+}
+
 /// Per-monitor progress from `run_parallel_with_progress` is exact in both
 /// build flavours: it is functional accounting, not a metrics read-back.
 #[test]
