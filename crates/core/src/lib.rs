@@ -70,8 +70,8 @@ pub use netsize::{
 };
 pub use popularity::{popularity_report, popularity_scores, PopularityReport, PopularityScores};
 pub use preprocess::{
-    flag_source, unify_and_flag, unify_and_flag_source, FlaggedStream, PreprocessConfig,
-    PreprocessStats, StreamingPreprocessor,
+    flag_entries, flag_source, unify_and_flag, unify_and_flag_source, FlaggedStream,
+    PreprocessConfig, PreprocessStats, StreamingPreprocessor,
 };
 pub use service::{
     format_window_line, window_file_name, MonitorService, ServiceConfig, ServiceReport,

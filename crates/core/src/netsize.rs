@@ -16,6 +16,7 @@
 
 use crate::trace::MonitoringDataset;
 use ipfs_mon_analysis::{committee_estimate, summarize, two_monitor_estimate, Summary};
+use ipfs_mon_obs as obs;
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
 use ipfs_mon_tracestore::{
     AnalysisSink, ChunkView, ConnectionRecord, Rows, SegmentError, TraceEntry, TraceSource,
@@ -105,10 +106,16 @@ impl SnapshotBuilder {
     }
 
     /// Accounts one connection record: its endpoints become sweep events and
-    /// its peer counts toward the whole-window uniques of its monitor.
+    /// its peer counts toward the whole-window uniques of its monitor. The
+    /// record's monitor index is whatever a file said: one naming a monitor
+    /// the builder was not created for is skipped and counted
+    /// (`netsize.records_skipped`).
     pub fn observe_connection(&mut self, record: &ConnectionRecord) {
-        debug_assert!(record.monitor < self.monitors);
-        self.weekly_unique[record.monitor].insert(record.peer);
+        let Some(unique) = self.weekly_unique.get_mut(record.monitor) else {
+            obs::counter!("netsize.records_skipped").incr();
+            return;
+        };
+        unique.insert(record.peer);
         self.events
             .push((record.connected_at, false, record.monitor, record.peer));
         if let Some(at) = record.disconnected_at {
@@ -118,9 +125,16 @@ impl SnapshotBuilder {
 
     /// Accounts one trace entry (flags and request type are irrelevant here:
     /// any observed entry makes its sender Bitswap-active, as in the paper).
+    /// Every [`TraceSource`] stamps its entries with a monitor below its
+    /// monitor count; an entry from elsewhere that names a monitor the
+    /// builder was not created for is skipped like such a connection record.
     pub fn observe_entry(&mut self, entry: &TraceEntry) {
-        debug_assert!(entry.monitor < self.monitors);
-        self.bitswap_active[entry.monitor].insert(entry.peer);
+        match self.bitswap_active.get_mut(entry.monitor) {
+            Some(active) => {
+                active.insert(entry.peer);
+            }
+            None => obs::counter!("netsize.records_skipped").incr(),
+        }
     }
 
     /// Merges another builder over the same snapshot grid: sweep events
@@ -161,6 +175,15 @@ impl SnapshotBuilder {
         // Per monitor: multiset of active connections per peer (overlapping
         // records for the same peer each count once until their disconnect).
         let mut active: Vec<HashMap<PeerId, u32>> = vec![HashMap::new(); monitors];
+        // Across monitors, kept by the same events so that a snapshot costs
+        // the events since the last one, not the peers active at it: per
+        // peer, the monitors it is active on (the keys are the union), and
+        // the number of peers active on both of the first two monitors.
+        let mut active_on: HashMap<PeerId, u32> = HashMap::new();
+        let mut on_both_01 = 0usize;
+        let on_other_of_01 = |active: &[HashMap<PeerId, u32>], monitor: usize, peer: &PeerId| {
+            monitors >= 2 && monitor < 2 && active[1 - monitor].contains_key(peer)
+        };
         let mut next_event = 0usize;
         let mut snapshots = Vec::new();
         let mut t = self.start;
@@ -177,25 +200,32 @@ impl SnapshotBuilder {
                         *count -= 1;
                         if *count == 0 {
                             active[monitor].remove(&peer);
+                            if let Some(on) = active_on.get_mut(&peer) {
+                                *on -= 1;
+                                if *on == 0 {
+                                    active_on.remove(&peer);
+                                }
+                            }
+                            if on_other_of_01(&active, monitor, &peer) {
+                                on_both_01 -= 1;
+                            }
                         }
                     }
                 } else {
-                    *active[monitor].entry(peer).or_insert(0) += 1;
+                    let count = active[monitor].entry(peer).or_insert(0);
+                    *count += 1;
+                    if *count == 1 {
+                        *active_on.entry(peer).or_insert(0) += 1;
+                        if on_other_of_01(&active, monitor, &peer) {
+                            on_both_01 += 1;
+                        }
+                    }
                 }
             }
 
             let sizes: Vec<usize> = active.iter().map(HashMap::len).collect();
-            let union: HashSet<PeerId> = active.iter().flat_map(HashMap::keys).copied().collect();
-            let intersection_01 = if monitors >= 2 {
-                let (small, large) = if active[0].len() <= active[1].len() {
-                    (&active[0], &active[1])
-                } else {
-                    (&active[1], &active[0])
-                };
-                Some(small.keys().filter(|p| large.contains_key(*p)).count())
-            } else {
-                None
-            };
+            let union_size = active_on.len();
+            let intersection_01 = (monitors >= 2).then_some(on_both_01);
             let estimate_capture_recapture =
                 intersection_01.and_then(|k| two_monitor_estimate(sizes[0], sizes[1], k).ok());
             let mean_w = if monitors > 0 {
@@ -203,11 +233,11 @@ impl SnapshotBuilder {
             } else {
                 0.0
             };
-            let estimate_committee = committee_estimate(union.len(), monitors, mean_w).ok();
+            let estimate_committee = committee_estimate(union_size, monitors, mean_w).ok();
             snapshots.push(PeerSetSnapshot {
                 at: t,
                 sizes,
-                union_size: union.len(),
+                union_size,
                 intersection_01,
                 estimate_capture_recapture,
                 estimate_committee,
@@ -256,7 +286,6 @@ impl AnalysisSink for SnapshotBuilder {
     }
 
     fn consume_chunk(&mut self, monitor: usize, chunk: &ChunkView<'_>) {
-        debug_assert!(monitor < self.monitors);
         // The peers at least one row names — a dictionary entry no row
         // references sent nothing.
         let mut referenced = vec![false; chunk.peer_dict_len()];
@@ -310,9 +339,12 @@ pub fn estimate_network_size(
     end: SimTime,
     interval: SimDuration,
 ) -> NetworkSizeReport {
-    let mut builder = SnapshotBuilder::new(dataset.monitor_count(), start, end, interval);
-    for entry in dataset.entries.iter().flatten() {
-        builder.observe_entry(entry);
+    // As the dataset's `TraceSource` counts and stamps them: an entry's
+    // monitor is the vector it sits in, whatever its stored field says.
+    let monitors = TraceSource::monitor_count(dataset);
+    let mut builder = SnapshotBuilder::new(monitors, start, end, interval);
+    for (active, entries) in builder.bitswap_active.iter_mut().zip(&dataset.entries) {
+        active.extend(entries.iter().map(|entry| entry.peer));
     }
     for record in &dataset.connections {
         builder.observe_connection(record);
@@ -492,6 +524,97 @@ mod tests {
         assert_eq!(report.bitswap_active_per_monitor, vec![20, 10]);
         assert_eq!(report.bitswap_active_union, 20);
         assert!(report.weekly_unique_union >= report.weekly_unique_per_monitor[0]);
+    }
+
+    /// A dataset file is outside input: a connection record may name a
+    /// monitor the dataset does not have, and an entry's stored `monitor`
+    /// may be anything. The record is skipped, the entry counts for the
+    /// vector it sits in, and neither path panics.
+    #[test]
+    fn stored_monitor_indexes_are_not_trusted() {
+        let mut corrected = synthetic_dataset(300, 0.6, 0.5);
+        for (i, record) in corrected.connections.iter_mut().enumerate() {
+            record.disconnected_at = i
+                .is_multiple_of(3)
+                .then(|| SimTime::from_secs(40 + i as u64));
+        }
+        for i in 0..12u64 {
+            corrected.entries[(i % 2) as usize].push(TraceEntry {
+                timestamp: SimTime::from_secs(i),
+                peer: PeerId::derived(42, i / 2),
+                address: addr(),
+                request_type: RequestType::WantHave,
+                cid: Cid::new_v1(Multicodec::Raw, &[1]),
+                monitor: (i % 2) as usize,
+                flags: Default::default(),
+            });
+        }
+        let mut doctored = corrected.clone();
+        doctored.entries[0][1].monitor = 9;
+        doctored.entries[1][0].monitor = usize::MAX;
+        doctored.connections[0].monitor = 7;
+        doctored.connections[5].monitor = usize::MAX;
+        let doctored = MonitoringDataset::from_json(&doctored.to_json().unwrap()).unwrap();
+        assert_eq!(doctored.connections[0].monitor, 7);
+        // What is left once the two records are skipped.
+        corrected.connections.remove(5);
+        corrected.connections.remove(0);
+
+        let window = (
+            SimTime::ZERO,
+            SimTime::from_secs(120),
+            SimDuration::from_secs(20),
+        );
+        let expected = estimate_network_size(&corrected, window.0, window.1, window.2);
+        assert!(expected.snapshots.len() > 1 && expected.weekly_unique_union > 0);
+        assert_eq!(expected.bitswap_active_per_monitor, vec![6, 6]);
+        let in_memory = estimate_network_size(&doctored, window.0, window.1, window.2);
+        let as_source =
+            estimate_network_size_source(&doctored, window.0, window.1, window.2).unwrap();
+        assert_eq!(format!("{in_memory:?}"), format!("{expected:?}"));
+        assert_eq!(format!("{as_source:?}"), format!("{expected:?}"));
+    }
+
+    /// The union and the intersection the sweep keeps by event are what a
+    /// recount of the active sets at each snapshot gives.
+    #[test]
+    fn swept_union_and_intersection_equal_a_recount() {
+        let mut ds = synthetic_dataset(400, 0.6, 0.5);
+        let mut extra = Vec::new();
+        for (i, record) in ds.connections.iter_mut().enumerate() {
+            let i = i as u64;
+            record.connected_at = SimTime::from_secs(i % 50);
+            record.disconnected_at =
+                (!i.is_multiple_of(4)).then(|| SimTime::from_secs(i % 50 + i % 37));
+            if i.is_multiple_of(5) {
+                // An overlapping second connection of the same peer.
+                extra.push(ConnectionRecord {
+                    connected_at: SimTime::from_secs(i % 50 + 3),
+                    disconnected_at: Some(SimTime::from_secs(i % 50 + 60)),
+                    ..record.clone()
+                });
+            }
+        }
+        ds.connections.extend(extra);
+        let report = estimate_network_size(
+            &ds,
+            SimTime::ZERO,
+            SimTime::from_secs(120),
+            SimDuration::from_secs(7),
+        );
+        assert!(report.snapshots.iter().any(|s| s.intersection_01 > Some(0)));
+        for snapshot in &report.snapshots {
+            let sets = [
+                ds.peer_set_at(0, snapshot.at),
+                ds.peer_set_at(1, snapshot.at),
+            ];
+            assert_eq!(snapshot.sizes, vec![sets[0].len(), sets[1].len()]);
+            assert_eq!(snapshot.union_size, sets[0].union(&sets[1]).count());
+            assert_eq!(
+                snapshot.intersection_01,
+                Some(sets[0].intersection(&sets[1]).count())
+            );
+        }
     }
 
     #[test]

@@ -33,30 +33,49 @@
 //!
 //! # The engine's table
 //!
-//! [`StreamingPreprocessor::flag`] runs once per row on the thread that
-//! consumes the merged stream, and most rows repeat a key that is already
-//! live (re-broadcasts and inter-monitor copies are more than half of a real
-//! trace — that is why they are flagged). The state is therefore laid out
-//! for the repeat: a map from key to an offset into one flat arena of
-//! last-seen slots (`monitors` per key, `None` for "never", so every `u64`
-//! stays a legal timestamp), looked up with `get` before anything is
-//! inserted, hashed by a keyed fold-multiply word hasher instead of SipHash.
-//! Eviction returns a dead key's slots to a free list, so the arena is
-//! bounded by the largest live population, not by the trace. Peer IDs and
-//! CIDs are outside input: the hasher's two seeds are random per engine
-//! (from [`RandomState`]), and no other map takes this hasher. The engine
-//! this replaced — `HashMap<key, Vec<Option<SimTime>>>` under SipHash — is
-//! the oracle of this module's tests.
+//! The engine flags one row at a time on the thread that consumes the merged
+//! stream, and most rows repeat a key that is already live (re-broadcasts
+//! and inter-monitor copies are more than half of a real trace — that is why
+//! they are flagged). The state is therefore laid out for the repeat: a map
+//! from key to an offset into one flat arena of last-seen slots (`monitors`
+//! per key, `None` for "never", so every `u64` stays a legal timestamp),
+//! looked up with `get` before anything is inserted. Eviction returns a dead
+//! key's slots to a free list, so the arena is bounded by the largest live
+//! population, not by the trace.
+//!
+//! A key is filed under a hash built from parts: `H(peer)` and `H(cid)` by a
+//! keyed fold-multiply word hasher (instead of SipHash), then those two and
+//! the request type folded once more under the same seeds. The parts are what
+//! an on-disk dataset lets the engine share: a chunk stores each distinct
+//! peer and CID once, so [`FlaggedStream`] over a manifest source hashes a
+//! chunk's two dictionaries when it meets the chunk's first row and every
+//! row of the chunk then costs two lookups in that memo and the three-word
+//! fold — and the lookup borrows peer and CID from the chunk, so a repeat
+//! copies nothing. An entry that is already built
+//! ([`StreamingPreprocessor::flag`]: in-memory sources, filtered in-memory
+//! streams) hashes its own peer and CID to the same parts and goes through
+//! the same table.
+//!
+//! Peer IDs and CIDs are outside input. The hasher's two seeds are random per
+//! engine (from [`RandomState`]), never leave it (the part hashes of a chunk
+//! are made by the engine on its own thread and kept where only its stream
+//! can reach them), and no other map takes this hasher: without the seeds,
+//! keys cannot be chosen to collide. And a hash only ever *places* a key:
+//! every hit compares the whole key — peer, request type, CID — so two keys
+//! that do share a hash are two keys. The engine this replaced —
+//! `HashMap<key, Vec<Option<SimTime>>>` under SipHash — is the oracle of this
+//! module's tests, for both ways in.
 
-use crate::trace::{MonitoringDataset, TraceEntry, UnifiedTrace};
+use crate::trace::{EntryFlags, MonitoringDataset, TraceEntry, UnifiedTrace};
 use ipfs_mon_bitswap::RequestType;
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
-use ipfs_mon_tracestore::{SegmentError, SourceEntries, TraceSource};
+use ipfs_mon_tracestore::{ChunkView, MergedRow, SegmentError, SourceEntries, TraceSource};
 use ipfs_mon_types::{Cid, PeerId};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
 /// Preprocessing configuration.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -102,8 +121,106 @@ impl PreprocessStats {
     }
 }
 
-/// Key identifying "the same logical entry" for both windows.
-type EntryKey = (PeerId, RequestType, Cid);
+/// What identifies "the same logical entry" for both windows — peer, request
+/// type and CID — wherever the three lie: in a key the table stores, in an
+/// entry, or in a chunk's dictionaries and type plane. With them the hash the
+/// key is filed under ([`StreamingPreprocessor::key_hash`]), which places a
+/// key in the table and never identifies it: equality is on all of it.
+trait KeyParts {
+    fn parts(&self) -> (u64, &[u8; 32], RequestType, &Cid);
+}
+
+impl Hash for dyn KeyParts + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.parts().0);
+    }
+}
+
+impl PartialEq for dyn KeyParts + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn KeyParts + '_ {}
+
+/// A key as the table owns it.
+#[derive(Debug, Clone)]
+struct StoredKey {
+    hash: u64,
+    peer: PeerId,
+    request_type: RequestType,
+    cid: Cid,
+}
+
+impl KeyParts for StoredKey {
+    fn parts(&self) -> (u64, &[u8; 32], RequestType, &Cid) {
+        (
+            self.hash,
+            self.peer.as_bytes(),
+            self.request_type,
+            &self.cid,
+        )
+    }
+}
+
+// The table finds a stored key through its parts, so a lookup borrows the
+// peer and the CID from wherever the row keeps them; `Hash` and `Eq` are
+// those of the parts, as `Borrow` requires.
+impl<'a> Borrow<dyn KeyParts + 'a> for StoredKey {
+    fn borrow(&self) -> &(dyn KeyParts + 'a) {
+        self
+    }
+}
+
+impl Hash for StoredKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl PartialEq for StoredKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for StoredKey {}
+
+/// A key whose peer and CID are borrowed from the row it is looked up for.
+struct BorrowedKey<'a> {
+    hash: u64,
+    peer: &'a [u8; 32],
+    request_type: RequestType,
+    cid: &'a Cid,
+}
+
+impl KeyParts for BorrowedKey<'_> {
+    fn parts(&self) -> (u64, &[u8; 32], RequestType, &Cid) {
+        (self.hash, self.peer, self.request_type, self.cid)
+    }
+}
+
+/// The table's own hasher: a key arrives already hashed under the engine's
+/// seeds and feeds that one word.
+#[derive(Debug, Clone, Copy, Default)]
+struct HashedOnce(u64);
+
+impl Hasher for HashedOnce {
+    #[inline]
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("a table key feeds its hash as one word");
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// Entries processed between evictions of stale window state.
 const EVICTION_PERIOD: usize = 8192;
@@ -116,10 +233,11 @@ fn fold_multiply(a: u64, b: u64) -> u64 {
     product as u64 ^ (product >> 64) as u64
 }
 
-/// The flagging table's hasher: one fold-multiply per 8-byte word of the key
-/// (the construction `foldhash` is built on), keyed by the two seeds of its
-/// [`WordHashBuilder`]. The default SipHash cost more than everything else
-/// [`StreamingPreprocessor::flag`] does to a row put together.
+/// The flagging engine's hasher: one fold-multiply per 8-byte word of what it
+/// is fed (the construction `foldhash` is built on), keyed by the two seeds
+/// of its [`WordHashBuilder`]. It makes the part hashes — of a peer, of a CID
+/// — and folds them into the hash a key is filed under. The default SipHash
+/// cost more than everything else the engine does to a row put together.
 struct WordHasher {
     state: u64,
     multiplier: u64,
@@ -211,8 +329,11 @@ impl BuildHasher for WordHashBuilder {
 pub struct StreamingPreprocessor {
     config: PreprocessConfig,
     monitors: usize,
+    /// The engine's seeds: every part hash and every key hash is made under
+    /// them, and they never leave the engine.
+    hasher: WordHashBuilder,
     /// Live keys, each with the offset of its slots in `last_seen`.
-    slots_of: HashMap<EntryKey, usize, WordHashBuilder>,
+    slots_of: HashMap<StoredKey, usize, BuildHasherDefault<HashedOnce>>,
     /// Per live key, when each monitor last saw it: `monitors` consecutive
     /// slots. `None` is "never" — every `u64` is a legal timestamp.
     last_seen: Vec<Option<SimTime>>,
@@ -225,15 +346,32 @@ pub struct StreamingPreprocessor {
 impl StreamingPreprocessor {
     /// Creates an engine for traces of `monitors` monitors.
     pub fn new(monitors: usize, config: PreprocessConfig) -> Self {
+        Self::with_hasher(monitors, config, WordHashBuilder::random())
+    }
+
+    fn with_hasher(monitors: usize, config: PreprocessConfig, hasher: WordHashBuilder) -> Self {
         Self {
             config,
             monitors: monitors.max(1),
-            slots_of: HashMap::with_hasher(WordHashBuilder::random()),
+            hasher,
+            slots_of: HashMap::default(),
             last_seen: Vec::new(),
             free: Vec::new(),
             stats: PreprocessStats::default(),
             since_eviction: 0,
         }
+    }
+
+    /// The hash a key is filed under: its part hashes and request type, one
+    /// seeded fold-multiply each. Keyed like the part hashes, so parts cannot
+    /// be chosen to cancel.
+    #[inline]
+    fn key_hash(&self, peer_hash: u64, request_type: RequestType, cid_hash: u64) -> u64 {
+        let mut hasher = self.hasher.build_hasher();
+        hasher.write_u64(peer_hash);
+        hasher.write_u64(request_type as u64);
+        hasher.write_u64(cid_hash);
+        hasher.finish()
     }
 
     /// Sets the duplicate/re-broadcast flags of `entry` and updates the
@@ -245,10 +383,65 @@ impl StreamingPreprocessor {
     /// was created for. Every [`TraceSource`] stamps its entries with an
     /// index below its own [`TraceSource::monitor_count`].
     pub fn flag(&mut self, entry: &mut TraceEntry) {
-        let key: EntryKey = (entry.peer, entry.request_type, entry.cid.clone());
-        // Look up before inserting: a repeat costs one hash and touches
-        // nothing but its own slots.
-        let offset = match self.slots_of.get(&key) {
+        let peer = entry.peer.as_bytes();
+        let key = BorrowedKey {
+            hash: self.key_hash(
+                self.hasher.hash_one(peer),
+                entry.request_type,
+                self.hasher.hash_one(&entry.cid),
+            ),
+            peer,
+            request_type: entry.request_type,
+            cid: &entry.cid,
+        };
+        entry.flags = self.flag_key(&key, entry.monitor, entry.timestamp);
+    }
+
+    /// [`StreamingPreprocessor::flag`] for a row still in its chunk: the
+    /// flags the row's entry is to carry. The part hashes come from the
+    /// chunk's memo — made on the chunk's first row, one per entry of its
+    /// peer and CID dictionaries, under this engine's seeds — and the key
+    /// borrows peer and CID from the dictionaries.
+    pub(crate) fn flag_row(&mut self, row: &mut MergedRow<'_>) -> EntryFlags {
+        let chunk = row.chunk;
+        if row.memo.is_empty() {
+            self.hash_dictionaries(chunk, row.memo);
+        }
+        let peer = chunk.peer_indexes()[row.row];
+        let cid = chunk.cid_indexes()[row.row];
+        let request_type = chunk.request_type(row.row);
+        let key = BorrowedKey {
+            hash: self.key_hash(
+                row.memo[peer],
+                request_type,
+                row.memo[chunk.peer_dict_len() + cid],
+            ),
+            peer: chunk.peer_bytes(peer),
+            request_type,
+            cid: &chunk.cid_dict()[cid],
+        };
+        self.flag_key(&key, row.monitor, row.timestamp)
+    }
+
+    /// The part hashes of a chunk: of every peer of its dictionary, then of
+    /// every CID — also of an entry no row references, which is hashed here
+    /// and never looked up.
+    fn hash_dictionaries(&self, chunk: &ChunkView<'_>, hashes: &mut Vec<u64>) {
+        let peers = (0..chunk.peer_dict_len()).map(|peer| chunk.peer_bytes(peer));
+        hashes.extend(peers.map(|peer| self.hasher.hash_one(peer)));
+        hashes.extend(chunk.cid_dict().iter().map(|cid| self.hasher.hash_one(cid)));
+    }
+
+    /// Flags one row of monitor `monitor` at `timestamp` whose key is `key`.
+    fn flag_key(
+        &mut self,
+        key: &BorrowedKey<'_>,
+        monitor: usize,
+        timestamp: SimTime,
+    ) -> EntryFlags {
+        // Look up before inserting: a repeat costs no allocation, no copy of
+        // the key and touches nothing but its own slots.
+        let offset = match self.slots_of.get(key as &dyn KeyParts) {
             Some(&offset) => offset,
             None => {
                 let offset = self.free.pop().unwrap_or_else(|| {
@@ -256,7 +449,13 @@ impl StreamingPreprocessor {
                     self.last_seen.resize(offset + self.monitors, None);
                     offset
                 });
-                self.slots_of.insert(key, offset);
+                let stored = StoredKey {
+                    hash: key.hash,
+                    peer: PeerId::from_bytes(*key.peer),
+                    request_type: key.request_type,
+                    cid: key.cid.clone(),
+                };
+                self.slots_of.insert(stored, offset);
                 offset
             }
         };
@@ -264,16 +463,12 @@ impl StreamingPreprocessor {
 
         // Inter-monitor duplicate: some other monitor saw it recently.
         let is_duplicate = per_monitor.iter().enumerate().any(|(m, seen)| {
-            m != entry.monitor
-                && seen.is_some_and(|t| entry.timestamp.since(t) <= self.config.duplicate_window)
+            m != monitor && seen.is_some_and(|t| timestamp.since(t) <= self.config.duplicate_window)
         });
         // Re-broadcast: the same monitor saw it within the larger window.
-        let is_rebroadcast = per_monitor[entry.monitor]
-            .is_some_and(|t| entry.timestamp.since(t) <= self.config.rebroadcast_window);
-
-        entry.flags.inter_monitor_duplicate = is_duplicate;
-        entry.flags.rebroadcast = is_rebroadcast;
-        per_monitor[entry.monitor] = Some(entry.timestamp);
+        let is_rebroadcast = per_monitor[monitor]
+            .is_some_and(|t| timestamp.since(t) <= self.config.rebroadcast_window);
+        per_monitor[monitor] = Some(timestamp);
 
         self.stats.total += 1;
         if is_duplicate {
@@ -288,8 +483,12 @@ impl StreamingPreprocessor {
 
         self.since_eviction += 1;
         if self.since_eviction >= EVICTION_PERIOD {
-            self.evict_stale(entry.timestamp);
+            self.evict_stale(timestamp);
             self.since_eviction = 0;
+        }
+        EntryFlags {
+            inter_monitor_duplicate: is_duplicate,
+            rebroadcast: is_rebroadcast,
         }
     }
 
@@ -380,6 +579,16 @@ impl Iterator for FlaggedStream {
     type Item = TraceEntry;
 
     fn next(&mut self) -> Option<TraceEntry> {
+        // An on-disk dataset hands out its rows where they lie: the engine
+        // reads the key out of the chunk, and the entry is built once, here.
+        if let SourceEntries::Manifest(stream) = &mut self.inner {
+            let mut row = stream.next_row()?;
+            let flags = self.preprocessor.flag_row(&mut row);
+            return Some(TraceEntry {
+                flags,
+                ..row.entry()
+            });
+        }
         let mut entry = self.inner.next()?;
         self.preprocessor.flag(&mut entry);
         Some(entry)
@@ -401,7 +610,7 @@ pub fn flag_source<T: TraceSource>(source: &T, config: PreprocessConfig) -> Flag
 /// sharing a key with a kept entry is kept too, the kept entries are still
 /// in order, and eviction only ever drops keys too old to matter. Only the
 /// [`FlaggedStream::stats`] then describe the filtered stream, not the trace.
-pub(crate) fn flag_entries(
+pub fn flag_entries(
     entries: SourceEntries,
     monitors: usize,
     config: PreprocessConfig,
@@ -431,12 +640,13 @@ pub fn unify_and_flag_source<T: TraceSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::EntryFlags;
     use ipfs_mon_tracestore::{DatasetConfig, DatasetWriter, ManifestReader, SegmentConfig};
     use ipfs_mon_types::{Country, Multiaddr, Multicodec, Transport};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    type EntryKey = (PeerId, RequestType, Cid);
 
     /// The engine this module had before the flat table: a SipHash map from
     /// key to a heap vector of last-seen times, `entry()` on every row. Kept
@@ -578,7 +788,9 @@ mod tests {
 
     proptest! {
         /// Same flags on every row, the same statistics and the same number
-        /// of tracked keys after every row as the engine this one replaced.
+        /// of tracked keys after every row as the engine this one replaced —
+        /// for entries flagged in memory, and for the same rows flagged where
+        /// they lie in the chunks of an on-disk dataset.
         #[test]
         fn table_engine_equals_the_map_of_vectors_engine(seed in 0u64..1_000_000) {
             let (monitors, entries) = oracle_case(seed);
@@ -586,13 +798,16 @@ mod tests {
             let mut engine = StreamingPreprocessor::new(monitors, config);
             let mut oracle = OracleEngine::new(monitors, config);
             let mut evicted_and_seen_again = false;
+            // Per row, what the oracle said: the flags and the keys tracked.
+            let mut expected = Vec::with_capacity(entries.len());
             for (row, original) in entries.iter().enumerate() {
-                let (mut flagged, mut expected) = (original.clone(), original.clone());
+                let (mut flagged, mut by_oracle) = (original.clone(), original.clone());
                 let before = engine.tracked_keys();
                 engine.flag(&mut flagged);
-                oracle.flag(&mut expected);
-                prop_assert_eq!(flagged.flags, expected.flags, "row {}", row);
+                oracle.flag(&mut by_oracle);
+                prop_assert_eq!(flagged.flags, by_oracle.flags, "row {}", row);
                 prop_assert_eq!(engine.tracked_keys(), oracle.last_seen.len(), "row {}", row);
+                expected.push((by_oracle.flags, oracle.last_seen.len()));
                 // A hot key that adds to the table this late was in it
                 // before: it has been evicted in between.
                 evicted_and_seen_again |= row > EVICTION_PERIOD
@@ -609,7 +824,67 @@ mod tests {
                 engine.last_seen.len(),
                 (engine.tracked_keys() + engine.free.len()) * monitors
             );
+
+            // The other way in. A chunk stores timestamps as signed deltas,
+            // so the rows at `u64::MAX` ms — the last of the trace — stay out.
+            let on_disk = entries.iter().take_while(|e| e.timestamp.as_millis() < u64::MAX);
+            let dir = std::env::temp_dir()
+                .join(format!("preprocess-oracle-{seed}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let layout = DatasetConfig {
+                segment: SegmentConfig {
+                    chunk_capacity: 1 + (seed % 97) as usize,
+                    ..SegmentConfig::default()
+                },
+                rotate_after_entries: 1_000 + seed % 1_000,
+                ..DatasetConfig::default()
+            };
+            let labels = (0..monitors).map(|m| format!("m{m}")).collect();
+            let mut writer = DatasetWriter::create(&dir, labels, layout).unwrap();
+            let mut written = 0;
+            for entry in on_disk {
+                writer.append(entry).unwrap();
+                written += 1;
+            }
+            writer.finish().unwrap();
+            let reader = ManifestReader::open(&dir).unwrap();
+            let mut stream = flag_source(&reader, config);
+            let mut row = 0;
+            while let Some(flagged) = stream.next() {
+                prop_assert_eq!(&flagged.peer, &entries[row].peer, "row {}", row);
+                prop_assert_eq!(flagged.flags, expected[row].0, "row {} from its chunk", row);
+                prop_assert_eq!(stream.tracked_keys(), expected[row].1, "row {} from its chunk", row);
+                row += 1;
+            }
+            prop_assert!(stream.take_source_error().is_none());
+            prop_assert_eq!(row, written);
+            std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    /// A hash places a key in the table and never identifies it: under seeds
+    /// that give every key the same hash, the engine still flags as the
+    /// oracle does and tracks as many keys.
+    #[test]
+    fn keys_that_share_a_hash_are_told_apart() {
+        let (monitors, entries) = oracle_case(3);
+        let config = PreprocessConfig::default();
+        let colliding = WordHashBuilder {
+            initial: 0,
+            multiplier: 0,
+        };
+        let mut engine = StreamingPreprocessor::with_hasher(monitors, config, colliding);
+        let mut oracle = OracleEngine::new(monitors, config);
+        for original in &entries[..1_500] {
+            let (mut flagged, mut expected) = (original.clone(), original.clone());
+            engine.flag(&mut flagged);
+            oracle.flag(&mut expected);
+            assert_eq!(flagged.flags, expected.flags);
+            assert_eq!(engine.tracked_keys(), oracle.last_seen.len());
+        }
+        assert!(engine.tracked_keys() > 1_000);
+        assert!(engine.slots_of.keys().all(|key| key.hash == 0));
+        assert_eq!(engine.stats(), oracle.stats);
     }
 
     /// A dataset file is outside input: an entry's stored `monitor` may name

@@ -106,7 +106,8 @@ pub use manifest::{
 pub use migrate::{migrate_manifest, migrate_manifest_with, MigrateReport, MIGRATE_TMP_SUFFIX};
 pub use reader::{
     ChainedMonitorStream, ChunkSource, EntryStream, FileSource, ManifestMergedStream,
-    ManifestReader, ReadOptions, SkippedSegment, SliceSource, SortedEntryStream, TraceReader,
+    ManifestReader, MergedRow, ReadOptions, SkippedSegment, SliceSource, SortedEntryStream,
+    TraceReader,
 };
 pub use record::{ConnectionRecord, EntryFlags, MonitoringDataset, TraceEntry, UnifiedTrace};
 pub use recover::{

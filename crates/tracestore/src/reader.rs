@@ -7,13 +7,11 @@ use crate::segment::{
     decode_footer, ChunkInfo, ChunkScratch, ChunkView, Footer, SegmentError, FOOTER_MAGIC,
     FORMAT_VERSION, HEADER_MAGIC, TRAILER_LEN,
 };
-use crate::source::RowTargets;
 use ipfs_mon_obs as obs;
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-use std::marker::PhantomData;
 use std::path::Path;
 use std::sync::{mpsc, Arc, Mutex};
 
@@ -25,10 +23,11 @@ use std::sync::{mpsc, Arc, Mutex};
 /// during a k-way merge.
 ///
 /// `read_at` returns a [`Cow`]: sources that already hold the segment in
-/// memory lend a borrowed slice (zero-copy — chunk decode then borrows
-/// dictionary bytes straight from the source buffer, see
-/// [`crate::segment::ChunkView`]); file-backed sources return an owned
-/// buffer.
+/// memory lend a borrowed slice (footer and header reads copy nothing);
+/// file-backed sources return an owned buffer. A chunk read through a
+/// stream owns its frame either way — it outlives the borrow, shared with
+/// whoever builds its rows — so an in-memory source pays one copy of the frame there
+/// and a file-backed one none.
 // `len` is fallible (file metadata) — a paired `is_empty` would be too, and a
 // zero-length source is just a corrupt segment, so the lint buys nothing here.
 #[allow(clippy::len_without_is_empty)]
@@ -218,11 +217,11 @@ impl<S: ChunkSource> TraceReader<S> {
 
     /// [`TraceReader::stream_monitor`] with a [`ChunkHook`] that sees every
     /// chunk before its rows.
-    fn stream_monitor_with<'a, R: StreamRow>(
+    fn stream_monitor_with<'a>(
         &'a self,
         monitor: usize,
         hook: Option<ChunkHook<'a>>,
-    ) -> EntryStream<'a, S, R> {
+    ) -> EntryStream<'a, S> {
         let chunks = self
             .footer
             .chunks
@@ -235,6 +234,7 @@ impl<S: ChunkSource> TraceReader<S> {
             chunks,
             next_chunk: 0,
             current: None,
+            current_number: 0,
             hook,
             filtered: false,
             selected: Vec::new(),
@@ -242,7 +242,7 @@ impl<S: ChunkSource> TraceReader<S> {
             watermarked: 0,
             high_water: SimTime::ZERO,
             error: None,
-            row: PhantomData,
+            built: entries_built(),
         }
     }
 
@@ -262,20 +262,19 @@ impl<S: ChunkSource> TraceReader<S> {
     /// by the lateness bound recorded at write time restores exact order with
     /// memory proportional to the disorder window, not the trace.
     pub fn stream_monitor_sorted(&self, monitor: usize) -> SortedEntryStream<'_, S> {
-        self.stream_monitor_sorted_with(monitor, None)
+        SortedEntryStream {
+            keys: self.sorted_keys(monitor, None),
+            rows: KeyedRows::default(),
+        }
     }
 
-    fn stream_monitor_sorted_with<'a, R: StreamRow>(
-        &'a self,
-        monitor: usize,
-        hook: Option<ChunkHook<'a>>,
-    ) -> SortedEntryStream<'a, S, R> {
-        SortedEntryStream {
+    /// The rows of [`TraceReader::stream_monitor_sorted`] as keys, with a
+    /// [`ChunkHook`] that sees every chunk before its rows.
+    fn sorted_keys<'a>(&'a self, monitor: usize, hook: Option<ChunkHook<'a>>) -> SortedKeys<'a, S> {
+        SortedKeys {
             inner: self.stream_monitor_with(monitor, hook),
             lateness: SimDuration::from_millis(self.max_lateness_ms(monitor)),
-            held: R::Held::default(),
-            next_seq: 0,
-            keys: BinaryHeap::new(),
+            held: BinaryHeap::new(),
             drained: false,
         }
     }
@@ -295,131 +294,215 @@ impl<S: ChunkSource> TraceReader<S> {
     }
 }
 
-/// What a chain stream builds of each row it yields: the whole
-/// [`TraceEntry`], or only its timestamp ([`SimTime`]) for a consumer that
-/// needs one monitor's rows in time order but nothing else of them. Chunk
-/// decode, the reorder buffer and the chain merge are one implementation
-/// generic over this, so both kinds of row come out in the same order, under
-/// the same release rule and the same tie-breaks.
-pub trait StreamRow: Sized {
-    /// What a [`SortedEntryStream`] keeps of the rows it holds back besides
-    /// their `(timestamp, arrival)` keys.
-    type Held: Default;
-
-    /// Builds row `row` of a validated chunk.
-    fn build(chunk: &ChunkView<'_>, row: usize) -> Self;
-
-    /// The row's timestamp.
-    fn timestamp(&self) -> SimTime;
-
-    /// Sets the dataset-wide monitor index, where the row carries one.
-    fn stamp(&mut self, monitor: usize);
-
-    /// Holds back a row. Rows are held in arrival order and numbered
-    /// consecutively from 0.
-    fn hold(held: &mut Self::Held, row: Self);
-
-    /// Hands back the held row with timestamp `timestamp` and arrival number
-    /// `seq`.
-    fn release(held: &mut Self::Held, timestamp: SimTime, seq: u64) -> Self;
+/// A row on its way through the read path: where it sorts and where it is.
+///
+/// From the chunk decode through the reorder buffer, the chain merge, the
+/// prefetch batches and the k-way merge a row is these 16 bytes, never a
+/// 136-byte [`TraceEntry`]: the chunk it points into is validated, shared
+/// ([`SharedChunk`]) and handed along beside the keys ([`KeyedChunk`]), and
+/// the entry is built once, by whoever hands the row out of the crate.
+///
+/// The derived order *is* `(timestamp, arrival)` within one segment stream:
+/// chunks are numbered in the order they are read and rows in the order
+/// they were appended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct RowKey {
+    timestamp: SimTime,
+    /// Where the row is: in the upper half the number of its chunk among the
+    /// chunks its chain has made keys into (see [`Handoff`]), in the lower
+    /// its index in that chunk. One word, so that keys compare as a pair.
+    place: u64,
 }
 
-/// Held entries in arrival order: an entry moves in once and out once
-/// however far its key sifts in the heap.
-#[derive(Default)]
-pub struct EntryRing {
-    /// Slot `i` holds arrival number `base_seq + i`, `None` once released;
-    /// the front slot is always a held entry.
-    slots: VecDeque<Option<TraceEntry>>,
-    base_seq: u64,
-}
-
-impl StreamRow for TraceEntry {
-    type Held = EntryRing;
-
-    #[inline]
-    fn build(chunk: &ChunkView<'_>, row: usize) -> Self {
-        chunk.entry(row)
-    }
-
-    #[inline]
-    fn timestamp(&self) -> SimTime {
-        self.timestamp
-    }
-
-    #[inline]
-    fn stamp(&mut self, monitor: usize) {
-        self.monitor = monitor;
-    }
-
-    #[inline]
-    fn hold(ring: &mut EntryRing, entry: Self) {
-        ring.slots.push_back(Some(entry));
-    }
-
-    #[inline]
-    fn release(ring: &mut EntryRing, _timestamp: SimTime, seq: u64) -> Self {
-        let entry = ring.slots[(seq - ring.base_seq) as usize]
-            .take()
-            .expect("a keyed entry is held until it is released");
-        while let Some(None) = ring.slots.front() {
-            ring.slots.pop_front();
-            ring.base_seq += 1;
+impl RowKey {
+    /// The key of row `row` — below `u32::MAX`, as [`load_chunk`] sees to —
+    /// of chunk number `chunk`.
+    fn new(timestamp: SimTime, chunk: u32, row: usize) -> Self {
+        Self {
+            timestamp,
+            place: u64::from(chunk) << 32 | row as u64,
         }
+    }
+
+    fn chunk(self) -> u32 {
+        (self.place >> 32) as u32
+    }
+
+    fn row(self) -> usize {
+        self.place as u32 as usize
+    }
+}
+
+const _: () = assert!(std::mem::size_of::<RowKey>() == 16);
+
+/// A validated chunk that row keys point into. It owns its frame, so it
+/// outlives the stream that read it and crosses to the thread that builds
+/// the rows. It lives while a key points into it; after the last one its
+/// chain takes it back when it reads its next chunk ([`Handoff::reclaim`]),
+/// or — the chain having nothing left to read — it goes with that key.
+pub(crate) type SharedChunk = Arc<ChunkView<'static>>;
+
+/// A chunk while keys point into it: how it is handed from the stream that
+/// read it to whoever resolves the keys, and how that one holds it.
+struct KeyedChunk {
+    chunk: SharedChunk,
+    /// Keys into the chunk that are still held; all of them at first.
+    keys_held: u32,
+    /// See [`MergedRow::memo`].
+    memo: Vec<u64>,
+}
+
+/// Where the segment streams of one chain leave the chunks they have made
+/// keys into, numbered in that order, for whoever resolves the keys: the
+/// stream's own [`ChunkRing`], or — shipped with the next prefetch batch —
+/// the merge's. The chain keeps a reference of its own to each, and takes a
+/// chunk back to decode the next one into once it is the last to hold it.
+#[derive(Default)]
+struct Handoff {
+    next_number: u32,
+    fresh: Vec<KeyedChunk>,
+    /// The chunks handed off and not taken back yet.
+    lent: Vec<SharedChunk>,
+}
+
+impl Handoff {
+    /// Numbers `chunk`, into which `rows` keys will be made.
+    fn register(&mut self, chunk: &SharedChunk, rows: u32) -> Result<u32, SegmentError> {
+        let number = self.next_number;
+        self.next_number = number.checked_add(1).ok_or_else(|| {
+            SegmentError::Corrupt("a monitor chain of more than 2^32 chunks".into())
+        })?;
+        self.fresh.push(KeyedChunk {
+            chunk: chunk.clone(),
+            keys_held: rows,
+            memo: Vec::new(),
+        });
+        self.lent.push(chunk.clone());
+        Ok(number)
+    }
+
+    /// Takes back the chunks whose every key has been let go: the
+    /// allocations of one to decode the next chunk into, the others freed.
+    /// One set then serves a whole chain, instead of a fresh `Vec` per
+    /// column per chunk, and the thread that builds the rows frees nothing.
+    fn reclaim(&mut self) -> ChunkScratch {
+        let mut scratch = None;
+        let mut at = 0;
+        while at < self.lent.len() {
+            // Nobody else can clone a chunk this holds the last reference to.
+            if Arc::strong_count(&self.lent[at]) > 1 {
+                at += 1;
+            } else if let Ok(chunk) = Arc::try_unwrap(self.lent.swap_remove(at)) {
+                scratch.get_or_insert_with(|| chunk.into_scratch());
+            }
+        }
+        scratch.unwrap_or_default()
+    }
+}
+
+/// The chunks the keys of one chain still point into, by chunk number.
+#[derive(Default)]
+struct ChunkRing {
+    /// Slot `i` holds chunk number `first + i`, `None` once the last key
+    /// into it was let go; the front slot is always a held chunk.
+    slots: VecDeque<Option<KeyedChunk>>,
+    first: u32,
+}
+
+impl ChunkRing {
+    /// Takes over freshly numbered chunks, in numbering order.
+    #[inline]
+    fn admit(&mut self, fresh: &mut Vec<KeyedChunk>) {
+        // Once per chunk, asked once per row.
+        if !fresh.is_empty() {
+            self.slots.extend(fresh.drain(..).map(Some));
+        }
+    }
+
+    /// The chunk of a key that is still held.
+    #[inline]
+    fn slot(&mut self, key: RowKey) -> &mut KeyedChunk {
+        self.slots[key.chunk().wrapping_sub(self.first) as usize]
+            .as_mut()
+            .expect("a chunk is held until the last key into it is let go")
+    }
+
+    /// Lets go of `key`, and of its chunk with the last key into it.
+    #[inline]
+    fn let_go(&mut self, key: RowKey) {
+        let slot = self.slot(key);
+        slot.keys_held -= 1;
+        if slot.keys_held == 0 {
+            self.slots[key.chunk().wrapping_sub(self.first) as usize] = None;
+            while let Some(None) = self.slots.front() {
+                self.slots.pop_front();
+                self.first = self.first.wrapping_add(1);
+            }
+        }
+    }
+}
+
+/// What a stream that yields entries on the thread that read them keeps
+/// beside its keys: the chunks they point into, and the count of the
+/// entries built from them.
+struct KeyedRows {
+    handoff: Handoff,
+    ring: ChunkRing,
+    built: obs::BatchedCounter,
+}
+
+impl Default for KeyedRows {
+    fn default() -> Self {
+        Self {
+            handoff: Handoff::default(),
+            ring: ChunkRing::default(),
+            built: entries_built(),
+        }
+    }
+}
+
+impl KeyedRows {
+    /// Builds the entry `key` points at and lets go of the key.
+    #[inline]
+    fn build(&mut self, key: RowKey) -> TraceEntry {
+        self.ring.admit(&mut self.handoff.fresh);
+        let entry = self.ring.slot(key).chunk.entry(key.row());
+        self.ring.let_go(key);
+        self.built.incr();
         entry
     }
 }
 
-/// The time-only row: its key in the reorder heap is the whole row, so
-/// nothing else is held.
-impl StreamRow for SimTime {
-    type Held = ();
-
-    #[inline]
-    fn build(chunk: &ChunkView<'_>, row: usize) -> Self {
-        SimTime::from_millis(chunk.timestamps_ms()[row])
-    }
-
-    #[inline]
-    fn timestamp(&self) -> SimTime {
-        *self
-    }
-
-    #[inline]
-    fn stamp(&mut self, _monitor: usize) {}
-
-    #[inline]
-    fn hold(_held: &mut (), _row: Self) {}
-
-    #[inline]
-    fn release(_held: &mut (), timestamp: SimTime, _seq: u64) -> Self {
-        timestamp
-    }
+/// `store.entries_built`: one per [`TraceEntry`] a stream of this module
+/// materialises.
+fn entries_built() -> obs::BatchedCounter {
+    obs::BatchedCounter::new(obs::counter!("store.entries_built"))
 }
 
 /// A stream's per-chunk callback: it sees every chunk the stream has read —
-/// after [`load_chunk`] has validated it, before any row is materialised.
+/// after [`load_chunk`] has validated it, before a key into it exists.
 ///
 /// The hook may read the chunk's columns, and it decides which rows the
-/// stream goes on to materialise: it returns `true` after writing their
-/// indexes (ascending) into the vector, or `false` for "every row". A
-/// chunk-level sink run offers the chunk to its sink here; a filtered stream
-/// resolves its targets against the chunk's dictionaries here.
-pub(crate) type ChunkHook<'a> = &'a dyn Fn(&ChunkView<'_>, &mut Vec<usize>) -> bool;
+/// stream goes on to yield: it returns `true` after writing their indexes
+/// (ascending) into the vector, or `false` for "every row". A chunk-level
+/// sink run offers the chunk to its sink here; a filtered stream resolves
+/// its targets against the chunk's dictionaries here.
+pub(crate) type ChunkHook<'a> = &'a dyn Fn(&SharedChunk, &mut Vec<usize>) -> bool;
 
 /// Reads the chunk an index row names and turns it into a view — the one
 /// place every read path does so. The frame is CRC-checked and every column
 /// validated in full by [`ChunkView::parse_with`] (which recycles `scratch`),
 /// and the view is then held to what the index row promised: the row chose
 /// this chunk for its stream and announced its size, so a chunk that says
-/// otherwise must not be delivered.
-fn load_chunk<'a, S: ChunkSource>(
-    source: &'a S,
+/// otherwise must not be delivered. Only a view this returned is ever keyed
+/// into. The view owns its frame (a copy, when the source lent a borrow).
+fn load_chunk<S: ChunkSource>(
+    source: &S,
     info: &ChunkInfo,
     scratch: ChunkScratch,
-) -> Result<ChunkView<'a>, SegmentError> {
-    let frame = source.read_at(info.offset, info.len as usize)?;
-    let view = ChunkView::parse_with(frame, scratch)?;
+) -> Result<ChunkView<'static>, SegmentError> {
+    let frame = source.read_at(info.offset, info.len as usize)?.into_owned();
+    let view = ChunkView::parse_with(Cow::Owned(frame), scratch)?;
     if view.monitor() != info.monitor || view.len() as u64 != info.entries {
         return Err(SegmentError::Corrupt(format!(
             "chunk at offset {} holds {} entries of monitor {} but its index row says {} entries \
@@ -429,6 +512,12 @@ fn load_chunk<'a, S: ChunkSource>(
             view.monitor(),
             info.entries,
             info.monitor
+        )));
+    }
+    if u32::try_from(view.len()).is_err() {
+        return Err(SegmentError::Corrupt(format!(
+            "chunk at offset {} holds more rows than a row key addresses",
+            info.offset
         )));
     }
     Ok(view)
@@ -443,19 +532,21 @@ fn latest(high_water: SimTime, times_ms: &[u64]) -> SimTime {
 
 /// Iterator over one monitor's entries, decoding chunk by chunk.
 ///
-/// Each chunk is parsed into a validated, borrowed [`ChunkView`] and owned
-/// entries are materialized one by one as the iterator is advanced — the
-/// stream boundary is the only place an owned [`TraceEntry`] is built (or,
-/// for a time-only stream, nothing but the [`SimTime`]: see [`StreamRow`]).
+/// Each chunk is parsed into a validated [`ChunkView`] and an owned entry is
+/// materialized from it as the iterator is advanced. Inside a sorted or
+/// chained stream the same decode yields 16-byte row keys instead and no
+/// entry is built here at all.
 ///
 /// Decode failures (which chunk CRCs make vanishingly unlikely short of
 /// actual corruption) end the stream early; check [`EntryStream::take_error`]
 /// after exhaustion when the distinction matters.
-pub struct EntryStream<'a, S: ChunkSource, R: StreamRow = TraceEntry> {
+pub struct EntryStream<'a, S: ChunkSource> {
     source: &'a S,
     chunks: Vec<ChunkInfo>,
     next_chunk: usize,
-    current: Option<ChunkView<'a>>,
+    current: Option<SharedChunk>,
+    /// The number `current` was handed off under.
+    current_number: u32,
     hook: Option<ChunkHook<'a>>,
     /// Whether the hook selected rows of `current` (into `selected`); every
     /// row is yielded otherwise.
@@ -471,42 +562,65 @@ pub struct EntryStream<'a, S: ChunkSource, R: StreamRow = TraceEntry> {
     /// pulled the next selected row.
     high_water: SimTime,
     error: Option<SegmentError>,
-    row: PhantomData<R>,
+    built: obs::BatchedCounter,
 }
 
-impl<S: ChunkSource, R: StreamRow> EntryStream<'_, S, R> {
+impl<S: ChunkSource> EntryStream<'_, S> {
     /// Returns the error that ended the stream early, if any.
     pub fn take_error(&mut self) -> Option<SegmentError> {
         self.error.take()
     }
 
-    fn load_next_chunk(&mut self) -> bool {
-        let Some(&info) = self.chunks.get(self.next_chunk) else {
-            return false;
-        };
-        self.next_chunk += 1;
-        if let Some(view) = &self.current {
+    /// Reads the next chunk, offers it to the hook and — when its keys will
+    /// be resolved by someone else — hands it off.
+    fn load_next_chunk(&mut self, mut handoff: Option<&mut Handoff>) -> bool {
+        let previous = self.current.take();
+        if let Some(view) = &previous {
             // Rows the hook left out still happened: account for their times
             // before the chunk goes.
             let unseen = &view.timestamps_ms()[self.watermarked..];
             self.high_water = latest(self.high_water, unseen);
         }
-        // Recycle the previous chunk's column allocations: one scratch set
-        // serves the whole chain instead of a fresh Vec per column per chunk.
-        let scratch = self
-            .current
-            .take()
+        let Some(&info) = self.chunks.get(self.next_chunk) else {
+            // Nothing is left to decode into a chunk taken back: from here
+            // on a chunk goes with the last key into it.
+            if let Some(handoff) = handoff {
+                handoff.lent.clear();
+            }
+            return false;
+        };
+        self.next_chunk += 1;
+        // Recycle column allocations: of the previous chunk if no key was
+        // made into it, else of a chunk handed off earlier whose keys are
+        // all gone.
+        let scratch = previous
+            .and_then(|chunk| Arc::try_unwrap(chunk).ok())
             .map(ChunkView::into_scratch)
+            .or_else(|| handoff.as_deref_mut().map(Handoff::reclaim))
             .unwrap_or_default();
-        match load_chunk(self.source, &info, scratch) {
-            Ok(view) => {
-                self.selected.clear();
-                self.filtered = self
-                    .hook
-                    .is_some_and(|hook| hook(&view, &mut self.selected));
+        let loaded = load_chunk(self.source, &info, scratch).and_then(|view| {
+            let chunk = Arc::new(view);
+            self.selected.clear();
+            self.filtered = self
+                .hook
+                .is_some_and(|hook| hook(&chunk, &mut self.selected));
+            let rows = if self.filtered {
+                self.selected.len()
+            } else {
+                chunk.len()
+            };
+            // `load_chunk` bounds a chunk's rows by `u32::MAX`.
+            self.current_number = match handoff {
+                Some(handoff) if rows > 0 => handoff.register(&chunk, rows as u32)?,
+                _ => 0,
+            };
+            Ok(chunk)
+        });
+        match loaded {
+            Ok(chunk) => {
                 self.cursor = 0;
                 self.watermarked = 0;
-                self.current = Some(view);
+                self.current = Some(chunk);
                 true
             }
             Err(error) => {
@@ -515,15 +629,10 @@ impl<S: ChunkSource, R: StreamRow> EntryStream<'_, S, R> {
             }
         }
     }
-}
 
-impl<S: ChunkSource, R: StreamRow> Iterator for EntryStream<'_, S, R> {
-    type Item = R;
-
-    // Inlined into the reorder buffer: out of line, every entry of every
-    // chain stream pays a call that returns 136 bytes through memory.
+    /// Moves to the next row the stream yields: its index in `current`.
     #[inline]
-    fn next(&mut self) -> Option<R> {
+    fn next_row(&mut self, mut handoff: Option<&mut Handoff>) -> Option<usize> {
         loop {
             if let Some(view) = &self.current {
                 let row = if self.filtered {
@@ -536,11 +645,70 @@ impl<S: ChunkSource, R: StreamRow> Iterator for EntryStream<'_, S, R> {
                     let passed = &view.timestamps_ms()[self.watermarked..=row];
                     self.high_water = latest(self.high_water, passed);
                     self.watermarked = row + 1;
-                    return Some(R::build(view, row));
+                    return Some(row);
                 }
             }
-            if self.error.is_some() || !self.load_next_chunk() {
+            if self.error.is_some() || !self.load_next_chunk(handoff.as_deref_mut()) {
                 return None;
+            }
+        }
+    }
+
+    /// The next row as a key, its chunk left in `handoff`.
+    // Inlined into the reorder buffer, which calls it once per row.
+    #[inline]
+    fn next_key(&mut self, handoff: &mut Handoff) -> Option<RowKey> {
+        let row = self.next_row(Some(handoff))?;
+        let chunk = self.current.as_deref()?;
+        Some(RowKey::new(
+            SimTime::from_millis(chunk.timestamps_ms()[row]),
+            self.current_number,
+            row,
+        ))
+    }
+}
+
+impl<S: ChunkSource> Iterator for EntryStream<'_, S> {
+    type Item = TraceEntry;
+
+    fn next(&mut self) -> Option<TraceEntry> {
+        let row = self.next_row(None)?;
+        self.built.incr();
+        Some(self.current.as_deref()?.entry(row))
+    }
+}
+
+/// One monitor's rows in exact `(timestamp, arrival)` order via a bounded
+/// reorder buffer: a min-heap of the 16-byte keys of the rows held back,
+/// whose derived order is that order.
+struct SortedKeys<'a, S: ChunkSource> {
+    inner: EntryStream<'a, S>,
+    lateness: SimDuration,
+    held: BinaryHeap<Reverse<RowKey>>,
+    drained: bool,
+}
+
+impl<S: ChunkSource> SortedKeys<'_, S> {
+    fn next_key(&mut self, handoff: &mut Handoff) -> Option<RowKey> {
+        loop {
+            // A row is safe to emit once the arrival stream has advanced
+            // past its timestamp by more than the recorded lateness bound:
+            // every future arrival then has a strictly later timestamp.
+            match self.held.peek() {
+                Some(&Reverse(key))
+                    if self.drained
+                        || self.inner.high_water.since(key.timestamp) > self.lateness =>
+                {
+                    self.held.pop();
+                    return Some(key);
+                }
+                None if self.drained => return None,
+                _ => {}
+            }
+
+            match self.inner.next_key(handoff) {
+                Some(key) => self.held.push(Reverse(key)),
+                None => self.drained = true,
             }
         }
     }
@@ -549,60 +717,31 @@ impl<S: ChunkSource, R: StreamRow> Iterator for EntryStream<'_, S, R> {
 /// One monitor's entries delivered in exact `(timestamp, arrival)` order via
 /// a bounded reorder buffer (see [`TraceReader::stream_monitor_sorted`]).
 ///
-/// Only the 16-byte `(timestamp, arrival)` keys of the held rows are
-/// heap-ordered; held entries sit in an arrival-order ring ([`EntryRing`]),
-/// and of a time-only row nothing but its key is held.
-pub struct SortedEntryStream<'a, S: ChunkSource, R: StreamRow = TraceEntry> {
-    inner: EntryStream<'a, S, R>,
-    lateness: SimDuration,
-    held: R::Held,
-    /// Arrival number of the next row pulled from `inner`.
-    next_seq: u64,
-    /// Min-heap over the keys of the held rows.
-    keys: BinaryHeap<Reverse<(SimTime, u64)>>,
-    drained: bool,
+/// What is held back is a row's 16-byte key; the chunks the held keys point
+/// into stay shared with the stream until the last of their rows is built.
+pub struct SortedEntryStream<'a, S: ChunkSource> {
+    keys: SortedKeys<'a, S>,
+    rows: KeyedRows,
 }
 
-impl<S: ChunkSource, R: StreamRow> SortedEntryStream<'_, S, R> {
+impl<S: ChunkSource> SortedEntryStream<'_, S> {
     /// Returns the error that ended the underlying stream early, if any.
     pub fn take_error(&mut self) -> Option<SegmentError> {
-        self.inner.take_error()
+        self.keys.inner.take_error()
     }
 
     /// Entries currently held in the reorder buffer.
     pub fn buffered(&self) -> usize {
-        self.keys.len()
+        self.keys.held.len()
     }
 }
 
-impl<S: ChunkSource, R: StreamRow> Iterator for SortedEntryStream<'_, S, R> {
-    type Item = R;
+impl<S: ChunkSource> Iterator for SortedEntryStream<'_, S> {
+    type Item = TraceEntry;
 
-    fn next(&mut self) -> Option<R> {
-        loop {
-            // An entry is safe to emit once the arrival stream has advanced
-            // past its timestamp by more than the recorded lateness bound:
-            // every future arrival then has a strictly later timestamp.
-            match self.keys.peek() {
-                Some(&Reverse((timestamp, seq)))
-                    if self.drained || self.inner.high_water.since(timestamp) > self.lateness =>
-                {
-                    self.keys.pop();
-                    return Some(R::release(&mut self.held, timestamp, seq));
-                }
-                None if self.drained => return None,
-                _ => {}
-            }
-
-            match self.inner.next() {
-                Some(row) => {
-                    self.keys.push(Reverse((row.timestamp(), self.next_seq)));
-                    self.next_seq += 1;
-                    R::hold(&mut self.held, row);
-                }
-                None => self.drained = true,
-            }
-        }
+    fn next(&mut self) -> Option<TraceEntry> {
+        let key = self.keys.next_key(&mut self.rows.handoff)?;
+        Some(self.rows.build(key))
     }
 }
 
@@ -912,11 +1051,11 @@ impl ManifestReader {
 
     /// [`ManifestReader::stream_monitor_sorted`] with a [`ChunkHook`] that
     /// sees every chunk of the chain before its rows.
-    pub(crate) fn stream_monitor_sorted_with<'a, R: StreamRow>(
+    pub(crate) fn stream_monitor_sorted_with<'a>(
         &'a self,
         monitor: usize,
         hook: Option<ChunkHook<'a>>,
-    ) -> ChainedMonitorStream<'a, R> {
+    ) -> ChainedMonitorStream<'a> {
         chain_stream(
             &self.segments[monitor],
             monitor,
@@ -939,15 +1078,16 @@ impl ManifestReader {
     }
 
     /// [`ManifestReader::stream_merged`], over every row (`None`) or over
-    /// the rows that mention a target. Targets are pushed down into the
-    /// chain decode: every chunk is still read, CRC-checked, validated in
-    /// full and matched against its index row, but the targets are then
-    /// resolved against the chunk's dictionaries and only matching rows are
-    /// materialised — a chunk whose rows name no target is pruned without
-    /// building one entry. Reorder, chain merge, prefetch and the k-way merge
-    /// are the unfiltered stream's code over fewer rows, so the result is
-    /// exactly the unfiltered stream with the other rows removed.
-    pub(crate) fn merge_chains(&self, targets: Option<Arc<RowTargets>>) -> ManifestMergedStream {
+    /// the rows `select` picks — the [`ChunkHook`] every worker's chain
+    /// stream runs. A selection is pushed down into the chain decode: every
+    /// chunk is still read, CRC-checked, validated in full and matched
+    /// against its index row, but only the selected rows are keyed and only
+    /// a chunk with a selected row is shipped — a chunk without one is
+    /// pruned without building an entry. Reorder, chain merge, prefetch and
+    /// the k-way merge are the unfiltered stream's code over fewer rows, so
+    /// the result is exactly the unfiltered stream with the other rows
+    /// removed.
+    pub(crate) fn merge_chains(&self, select: Option<ChunkSelect>) -> ManifestMergedStream {
         let mut streams: Vec<PrefetchedMonitorStream> = self
             .segments
             .iter()
@@ -957,29 +1097,37 @@ impl ManifestReader {
                     chain.clone(),
                     monitor,
                     self.skip_context(monitor),
-                    targets.clone(),
+                    select.clone(),
                 )
             })
             .collect();
-        let heads = streams.iter_mut().map(Iterator::next).collect();
+        let heads = streams
+            .iter_mut()
+            .map(PrefetchedMonitorStream::next_key)
+            .collect();
         ManifestMergedStream {
             streams,
             heads,
+            lent: None,
             merged: obs::BatchedCounter::new(obs::counter!("store.merged_entries")),
+            built: entries_built(),
         }
     }
 }
+
+/// The [`ChunkHook`] of a merged stream's workers.
+pub(crate) type ChunkSelect = Arc<dyn Fn(&SharedChunk, &mut Vec<usize>) -> bool + Send + Sync>;
 
 /// Builds the lazily-admitting chain merge over one monitor's segment
 /// readers. Free-standing so that prefetch workers, which hold their chain
 /// by `Arc` on their own thread, run exactly the code
 /// [`ManifestReader::stream_monitor_sorted`] runs on the caller's.
-fn chain_stream<'a, R: StreamRow>(
+fn chain_stream<'a>(
     readers: &'a [TraceReader<FileSource>],
     monitor: usize,
     skip: Option<(SkipLog, Vec<SegmentIdent>)>,
     hook: Option<ChunkHook<'a>>,
-) -> ChainedMonitorStream<'a, R> {
+) -> ChainedMonitorStream<'a> {
     // floors[i] = a safe lower bound on every timestamp in segments i..:
     // within a segment, an entry can precede its chunk's first timestamp
     // by at most the recorded lateness bound, and a suffix-minimum makes
@@ -1009,30 +1157,37 @@ fn chain_stream<'a, R: StreamRow>(
         error: None,
         skip,
         hook,
+        rows: KeyedRows::default(),
     }
 }
 
 /// One segment admitted to a [`ChainedMonitorStream`] merge and not yet
 /// exhausted. The invariant that `head` is always populated is what lets the
 /// chain retire exhausted streams immediately.
-struct ActiveSegment<'a, R: StreamRow> {
+struct ActiveSegment<'a> {
     /// Rotation index of the segment in its chain (the stable tie-break).
     index: usize,
-    head: R,
-    stream: SortedEntryStream<'a, FileSource, R>,
+    head: RowKey,
+    stream: SortedKeys<'a, FileSource>,
 }
 
 /// One monitor's entries across its segment chain, in exact
 /// `(timestamp, arrival)` order.
 ///
-/// Each segment's [`SortedEntryStream`] is already stably time-sorted;
+/// Each segment's sorted stream is already stably time-sorted;
 /// rotation preserves arrival order, so a stable merge preferring the earlier
 /// segment on timestamp ties reproduces the order a single unrotated segment
 /// would yield. Segments are admitted lazily by their timestamp floor and
 /// retired when exhausted (see [`ManifestReader::stream_monitor_sorted`]), so
 /// merge state is bounded by the segments overlapping the frontier, not the
 /// chain length. Yielded entries carry the *global* monitor index.
-pub struct ChainedMonitorStream<'a, R: StreamRow = TraceEntry> {
+///
+/// What the merge moves is a row's 16-byte key; as an iterator the stream
+/// builds each entry as it yields it, from the chunk the key points into.
+/// The crate's own consumers take the keys: a prefetch worker ships them,
+/// with the chunks, to the thread that builds the rows, and a run that needs
+/// only the order reads the timestamp off each.
+pub struct ChainedMonitorStream<'a> {
     monitor: usize,
     readers: &'a [TraceReader<FileSource>],
     /// Suffix-minimum timestamp floor per rotation index: no entry in
@@ -1040,7 +1195,7 @@ pub struct ChainedMonitorStream<'a, R: StreamRow = TraceEntry> {
     floors: Vec<SimTime>,
     /// Next rotation index not yet admitted to the merge.
     next_pending: usize,
-    active: Vec<ActiveSegment<'a, R>>,
+    active: Vec<ActiveSegment<'a>>,
     /// First error from a retired stream (live streams keep their own).
     error: Option<SegmentError>,
     /// [`ReadOptions::skip_corrupt`] mode: the shared skip log plus the
@@ -1050,9 +1205,12 @@ pub struct ChainedMonitorStream<'a, R: StreamRow = TraceEntry> {
     skip: Option<(SkipLog, Vec<SegmentIdent>)>,
     /// Handed to every segment stream the chain admits.
     hook: Option<ChunkHook<'a>>,
+    /// Every segment stream hands its chunks off here, so chunk numbers —
+    /// and with them keys — are the chain's.
+    rows: KeyedRows,
 }
 
-impl<R: StreamRow> ChainedMonitorStream<'_, R> {
+impl ChainedMonitorStream<'_> {
     /// Returns the first error any underlying segment stream hit, if one did.
     ///
     /// In [`ReadOptions::skip_corrupt`] mode this always returns `None` —
@@ -1062,9 +1220,11 @@ impl<R: StreamRow> ChainedMonitorStream<'_, R> {
         if self.skip.is_some() {
             return None;
         }
-        self.error
-            .take()
-            .or_else(|| self.active.iter_mut().find_map(|a| a.stream.take_error()))
+        self.error.take().or_else(|| {
+            self.active
+                .iter_mut()
+                .find_map(|a| a.stream.inner.take_error())
+        })
     }
 
     /// Routes a segment-stream failure: a skip record in degraded mode, a
@@ -1096,26 +1256,24 @@ impl<R: StreamRow> ChainedMonitorStream<'_, R> {
         obs::counter!("store.segments_admitted").incr();
         let index = self.next_pending;
         self.next_pending += 1;
-        let mut stream = self.readers[index].stream_monitor_sorted_with(0, self.hook);
-        match stream.next() {
+        let mut stream = self.readers[index].sorted_keys(0, self.hook);
+        match stream.next_key(&mut self.rows.handoff) {
             Some(head) => self.active.push(ActiveSegment {
                 index,
                 head,
                 stream,
             }),
             None => {
-                if let Some(error) = stream.take_error() {
+                if let Some(error) = stream.inner.take_error() {
                     self.note_failure(index, error);
                 }
             }
         }
     }
-}
 
-impl<R: StreamRow> Iterator for ChainedMonitorStream<'_, R> {
-    type Item = R;
-
-    fn next(&mut self) -> Option<R> {
+    /// The next row of the chain as a key; its chunk is, or was, among
+    /// [`ChainedMonitorStream::take_chunks`].
+    fn next_key(&mut self) -> Option<RowKey> {
         loop {
             // Min by (timestamp, rotation index): the earlier segment wins
             // ties, which is exactly arrival order across a rotation
@@ -1124,7 +1282,7 @@ impl<R: StreamRow> Iterator for ChainedMonitorStream<'_, R> {
                 .active
                 .iter()
                 .enumerate()
-                .map(|(pos, a)| ((a.head.timestamp(), a.index), pos))
+                .map(|(pos, a)| ((a.head.timestamp, a.index), pos))
                 .min();
             let has_pending = self.next_pending < self.readers.len();
             match candidate {
@@ -1141,26 +1299,50 @@ impl<R: StreamRow> Iterator for ChainedMonitorStream<'_, R> {
                     self.admit_next();
                 }
                 Some((_, pos)) => {
-                    let mut row = match self.active[pos].stream.next() {
-                        Some(next_head) => std::mem::replace(&mut self.active[pos].head, next_head),
+                    let segment = &mut self.active[pos];
+                    return Some(match segment.stream.next_key(&mut self.rows.handoff) {
+                        Some(next_head) => std::mem::replace(&mut segment.head, next_head),
                         None => {
                             let mut retired = self.active.swap_remove(pos);
-                            if let Some(error) = retired.stream.take_error() {
-                                let index = retired.index;
-                                self.note_failure(index, error);
+                            if let Some(error) = retired.stream.inner.take_error() {
+                                self.note_failure(retired.index, error);
                             }
                             retired.head
                         }
-                    };
-                    row.stamp(self.monitor);
-                    return Some(row);
+                    });
                 }
             }
         }
     }
+
+    /// The chunks keys were made into since the last call, in the order of
+    /// their numbers — for a consumer that resolves the keys itself.
+    fn take_chunks(&mut self) -> Vec<KeyedChunk> {
+        std::mem::take(&mut self.rows.handoff.fresh)
+    }
+
+    /// The timestamp of the next row, for a consumer that wants nothing else
+    /// of it: no chunk is kept for the key, so the chain takes each chunk
+    /// back as soon as it has read past it.
+    pub(crate) fn next_time(&mut self) -> Option<SimTime> {
+        let key = self.next_key()?;
+        self.rows.handoff.fresh.clear();
+        Some(key.timestamp)
+    }
 }
 
-/// Entries per prefetch batch. Sized near one default chunk so a batch
+impl Iterator for ChainedMonitorStream<'_> {
+    type Item = TraceEntry;
+
+    fn next(&mut self) -> Option<TraceEntry> {
+        let key = self.next_key()?;
+        let mut entry = self.rows.build(key);
+        entry.monitor = self.monitor;
+        Some(entry)
+    }
+}
+
+/// Rows per prefetch batch. Sized near one default chunk so a batch
 /// amortizes channel synchronization without holding much more memory than
 /// the chain stream's one-decoded-chunk working set.
 const PREFETCH_BATCH: usize = 2048;
@@ -1172,8 +1354,13 @@ const PREFETCH_DEPTH: usize = 2;
 
 /// What a prefetch worker ships to the merge.
 enum Prefetched {
-    /// The next batch of entries, in stream order.
-    Batch(Vec<TraceEntry>),
+    /// The next rows, in stream order, and the chunks the chain has made
+    /// keys into since the last batch: every key points into a chunk of
+    /// this batch or an earlier one.
+    Batch {
+        keys: Vec<RowKey>,
+        chunks: Vec<KeyedChunk>,
+    },
     /// The chain ended cleanly; nothing follows.
     Done,
     /// The chain ended on a storage error; nothing follows.
@@ -1183,15 +1370,18 @@ enum Prefetched {
 /// One monitor chain decoded ahead on its own worker thread.
 ///
 /// The worker runs the [`ChainedMonitorStream`] over the reader's own
-/// validated segment handles and ships entries in bounded batches over a
-/// rendezvous-depth channel, closing with an explicit done/failed message.
-/// A hangup *without* that closing message means the worker died (panic);
-/// the consumer reports it as an error rather than a clean, silently
-/// truncated stream. Dropping the stream disconnects the channel; the
-/// worker notices on its next send and exits, and `Drop` joins it.
+/// validated segment handles and ships row keys, with the chunks they point
+/// into, in bounded batches over a rendezvous-depth channel, closing with an
+/// explicit done/failed message. A hangup *without* that closing message
+/// means the worker died (panic); the consumer reports it as an error rather
+/// than a clean, silently truncated stream. Dropping the stream disconnects
+/// the channel; the worker notices on its next send and exits, and `Drop`
+/// joins it.
 struct PrefetchedMonitorStream {
     receiver: Option<mpsc::Receiver<Prefetched>>,
-    current: std::vec::IntoIter<TraceEntry>,
+    keys: std::vec::IntoIter<RowKey>,
+    /// The chunks received so far that a key still held points into.
+    ring: ChunkRing,
     error: Option<SegmentError>,
     worker: Option<std::thread::JoinHandle<()>>,
 }
@@ -1200,21 +1390,25 @@ fn spawn_prefetch(
     readers: Arc<[TraceReader<FileSource>]>,
     monitor: usize,
     skip: Option<(SkipLog, Vec<SegmentIdent>)>,
-    targets: Option<Arc<RowTargets>>,
+    select: Option<ChunkSelect>,
 ) -> PrefetchedMonitorStream {
     let (sender, receiver) = mpsc::sync_channel(PREFETCH_DEPTH);
     let worker = std::thread::spawn(move || {
-        let select = targets.as_deref().map(|targets| {
-            move |chunk: &ChunkView<'_>, rows: &mut Vec<usize>| targets.select(chunk, rows)
-        });
-        let hook = select.as_ref().map(|select| select as ChunkHook<'_>);
-        let mut stream = chain_stream::<TraceEntry>(&readers, monitor, skip, hook);
+        let hook = select.as_deref().map(|select| select as ChunkHook<'_>);
+        let mut stream = chain_stream(&readers, monitor, skip, hook);
         loop {
-            let batch: Vec<TraceEntry> = stream.by_ref().take(PREFETCH_BATCH).collect();
-            if batch.is_empty() {
+            let mut keys = Vec::with_capacity(PREFETCH_BATCH);
+            while keys.len() < PREFETCH_BATCH {
+                match stream.next_key() {
+                    Some(key) => keys.push(key),
+                    None => break,
+                }
+            }
+            if keys.is_empty() {
                 break;
             }
-            if sender.send(Prefetched::Batch(batch)).is_err() {
+            let chunks = stream.take_chunks();
+            if sender.send(Prefetched::Batch { keys, chunks }).is_err() {
                 // Consumer dropped the merge mid-stream; stop decoding.
                 return;
             }
@@ -1227,26 +1421,38 @@ fn spawn_prefetch(
     });
     PrefetchedMonitorStream {
         receiver: Some(receiver),
-        current: Vec::new().into_iter(),
+        keys: Vec::new().into_iter(),
+        ring: ChunkRing::default(),
         error: None,
         worker: Some(worker),
     }
 }
 
-impl Iterator for PrefetchedMonitorStream {
-    type Item = TraceEntry;
+impl PrefetchedMonitorStream {
+    #[inline]
+    fn next_key(&mut self) -> Option<RowKey> {
+        match self.keys.next() {
+            Some(key) => Some(key),
+            None => self.next_batch_key(),
+        }
+    }
 
-    fn next(&mut self) -> Option<TraceEntry> {
+    /// Waits for the next batch and starts on it.
+    #[cold]
+    fn next_batch_key(&mut self) -> Option<RowKey> {
         loop {
-            if let Some(entry) = self.current.next() {
-                return Some(entry);
-            }
             if self.error.is_some() {
                 return None;
             }
             let receiver = self.receiver.as_ref()?;
             match receiver.recv() {
-                Ok(Prefetched::Batch(batch)) => self.current = batch.into_iter(),
+                Ok(Prefetched::Batch { keys, mut chunks }) => {
+                    self.ring.admit(&mut chunks);
+                    self.keys = keys.into_iter();
+                    if let Some(key) = self.keys.next() {
+                        return Some(key);
+                    }
+                }
                 Ok(Prefetched::Done) => {
                     self.receiver = None;
                     return None;
@@ -1291,12 +1497,54 @@ impl Drop for PrefetchedMonitorStream {
 /// guarantee the preprocessing equivalence tests pin down. With one
 /// candidate per monitor, a linear scan beats a heap for the monitor counts
 /// deployments use (the paper ran two).
+///
+/// The merge orders 16-byte row keys. As an iterator it builds each entry as
+/// it yields it; [`ManifestMergedStream::next_row`] hands out the row where
+/// it lies instead, for a consumer that reads the chunk's columns first.
 pub struct ManifestMergedStream {
     streams: Vec<PrefetchedMonitorStream>,
-    heads: Vec<Option<TraceEntry>>,
+    heads: Vec<Option<RowKey>>,
+    /// The row [`ManifestMergedStream::next_row`] lent out last: its key is
+    /// let go — and with a chunk's last key the chunk — when the next row
+    /// is asked for.
+    lent: Option<(usize, RowKey)>,
     /// Obs progress (`store.merged_entries`), batched: one local add per
-    /// yielded entry, flushed every few thousand and on drop.
+    /// yielded row, flushed every few thousand and on drop.
     merged: obs::BatchedCounter,
+    built: obs::BatchedCounter,
+}
+
+/// One row of a [`ManifestMergedStream`], in place: the validated chunk it
+/// lies in and its index there. Nothing of it has been copied yet;
+/// [`MergedRow::entry`] builds the [`TraceEntry`].
+pub struct MergedRow<'a> {
+    /// The chunk holding the row: CRC-checked, every column validated.
+    pub chunk: &'a ChunkView<'static>,
+    /// The row's index in `chunk`.
+    pub row: usize,
+    /// The dataset-wide index of the monitor that recorded the row
+    /// ([`ChunkView::monitor`] is only the index inside the segment file).
+    pub monitor: usize,
+    /// The row's timestamp.
+    pub timestamp: SimTime,
+    /// Words the consumer may keep with the chunk: empty when the chunk's
+    /// first row is handed out, then whatever the consumer left there, for
+    /// as long as the stream holds the chunk — the place for what is worked
+    /// out once per dictionary entry instead of once per row.
+    pub memo: &'a mut Vec<u64>,
+    built: &'a mut obs::BatchedCounter,
+}
+
+impl MergedRow<'_> {
+    /// Builds the row's entry, stamped with the dataset-wide monitor index.
+    #[inline]
+    pub fn entry(self) -> TraceEntry {
+        self.built.incr();
+        TraceEntry {
+            monitor: self.monitor,
+            ..self.chunk.entry(self.row)
+        }
+    }
 }
 
 impl ManifestMergedStream {
@@ -1304,23 +1552,42 @@ impl ManifestMergedStream {
     pub fn take_error(&mut self) -> Option<SegmentError> {
         self.streams.iter_mut().find_map(|s| s.error.take())
     }
+
+    /// The next row of the merge, where it lies — what [`Iterator::next`]
+    /// builds its entry from. Both advance the same stream.
+    #[inline]
+    pub fn next_row(&mut self) -> Option<MergedRow<'_>> {
+        if let Some((monitor, key)) = self.lent.take() {
+            self.streams[monitor].ring.let_go(key);
+        }
+        let best = self
+            .heads
+            .iter()
+            .enumerate()
+            .filter_map(|(i, head)| head.map(|key| (key.timestamp, i)))
+            .min()?
+            .1;
+        let key = self.heads[best].take()?;
+        self.heads[best] = self.streams[best].next_key();
+        self.lent = Some((best, key));
+        self.merged.incr();
+        let slot = self.streams[best].ring.slot(key);
+        Some(MergedRow {
+            chunk: &slot.chunk,
+            row: key.row(),
+            monitor: best,
+            timestamp: key.timestamp,
+            memo: &mut slot.memo,
+            built: &mut self.built,
+        })
+    }
 }
 
 impl Iterator for ManifestMergedStream {
     type Item = TraceEntry;
 
     fn next(&mut self) -> Option<TraceEntry> {
-        let best = self
-            .heads
-            .iter()
-            .enumerate()
-            .filter_map(|(i, head)| head.as_ref().map(|e| (e.timestamp, i)))
-            .min()?
-            .1;
-        let entry = self.heads[best].take();
-        self.heads[best] = self.streams[best].next();
-        self.merged.incr();
-        entry
+        self.next_row().map(MergedRow::entry)
     }
 }
 
@@ -1482,24 +1749,62 @@ mod tests {
         assert_eq!(sorted, expected);
     }
 
+    /// Every chunk a stream has read, as the hook that logs them sees them.
+    type ChunkLog = Arc<Mutex<Vec<std::sync::Weak<ChunkView<'static>>>>>;
+
+    /// The chunks of `log` that somebody still holds.
+    fn alive(log: &ChunkLog) -> usize {
+        let log = log.lock().unwrap();
+        log.iter().filter(|chunk| chunk.strong_count() > 0).count()
+    }
+
     /// Streams `arrival` back through the sorted stream, checks it against a
     /// stable sort by timestamp, and returns the most entries the reorder
-    /// buffer held after any emission.
+    /// buffer held after any emission. Along the way the chunks alive are
+    /// exactly those a held row keys into, the one being read and those the
+    /// stream takes back with its next chunk, and none once it is drained.
     fn check_sorted_stream(arrival: &[TraceEntry], capacity: usize) -> usize {
         let bytes = build_segment(arrival, 1, capacity);
         let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
         let mut expected = arrival.to_vec();
         expected.sort_by_key(|e| e.timestamp);
 
-        let mut stream = reader.stream_monitor_sorted(0);
+        let log = ChunkLog::default();
+        let hook = |chunk: &SharedChunk, _rows: &mut Vec<usize>| {
+            log.lock().unwrap().push(Arc::downgrade(chunk));
+            false
+        };
+        let mut stream = SortedEntryStream {
+            keys: reader.sorted_keys(0, Some(&hook)),
+            rows: KeyedRows::default(),
+        };
         let mut peak = 0;
         let mut sorted = Vec::with_capacity(arrival.len());
+        let sample = (arrival.len() / 64).max(1);
         while let Some(entry) = stream.next() {
             sorted.push(entry);
             peak = peak.max(stream.buffered());
+            if sorted.len() % sample == 0 {
+                let mut keyed: std::collections::BTreeSet<u32> =
+                    stream.keys.held.iter().map(|key| key.0.chunk()).collect();
+                if stream.keys.inner.current.is_some() {
+                    keyed.insert(stream.keys.inner.current_number);
+                }
+                // Plus what the stream takes back when it reads on.
+                let lent = &stream.rows.handoff.lent;
+                let unkeyed = lent.iter().filter(|chunk| Arc::strong_count(chunk) == 1);
+                assert_eq!(
+                    alive(&log),
+                    keyed.len() + unkeyed.count(),
+                    "after {} rows",
+                    sorted.len()
+                );
+            }
         }
         assert!(stream.take_error().is_none());
         assert_eq!(stream.buffered(), 0);
+        assert_eq!(log.lock().unwrap().len(), reader.chunks().len());
+        assert_eq!(alive(&log), 0, "a drained stream holds no chunk");
         assert!(sorted == expected, "sorted stream is not the stable sort");
         peak
     }
@@ -1537,6 +1842,66 @@ mod tests {
         let mut arrival = vec![entry(10_000_000, 0, 0)];
         arrival.extend((1..n).map(|i| entry((i % 1_000) * 5_000 + i / 1_000, i % 251, 0)));
         assert_eq!(check_sorted_stream(&arrival, 4_096), arrival.len() - 1);
+    }
+
+    /// The heavy variant: ten times the rows in chunks of 64, so that nearly
+    /// every held row pins a chunk of its own until the drain reaches it.
+    #[test]
+    #[ignore = "2 M rows, ~31 k chunks alive at once; CI runs it in release"]
+    fn sorted_stream_survives_a_whole_trace_backward_jump_in_small_chunks() {
+        let n = 2_000_000u64;
+        let mut arrival = vec![entry(100_000_000, 0, 0)];
+        arrival.extend((1..n).map(|i| entry((i % 1_000) * 50_000 + i / 1_000, i % 251, 0)));
+        assert_eq!(check_sorted_stream(&arrival, 64), arrival.len() - 1);
+    }
+
+    /// The unit-level twin of `tests/manifest_streaming.rs`'s
+    /// `abandoned_merged_stream_leaves_the_reader_reusable`: a merged stream
+    /// dropped part-way — workers blocked on a full channel, batches queued,
+    /// rows held in reorder buffers — leaves no chunk behind once its
+    /// workers have joined.
+    #[test]
+    fn abandoned_merged_stream_frees_every_chunk() {
+        let dir = std::env::temp_dir().join(format!("tracestore-abandon-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = DatasetConfig {
+            segment: SegmentConfig {
+                chunk_capacity: 256,
+                ..SegmentConfig::default()
+            },
+            rotate_after_entries: 2_000,
+            ..DatasetConfig::default()
+        };
+        let labels = vec!["m0".into(), "m1".into(), "m2".into()];
+        let mut writer = DatasetWriter::create(&dir, labels, config).unwrap();
+        let mut rng = StdRng::seed_from_u64(21);
+        for monitor in 0..3 {
+            for i in 0..9_000u64 {
+                let ms = 1_000 + i * 40 - rng.gen_range(0..800u64);
+                writer.append(&entry(ms, i % 53, monitor)).unwrap();
+            }
+        }
+        writer.finish().unwrap();
+        let reader = ManifestReader::open(&dir).unwrap();
+
+        for taken in [0, 1, 5_000, 27_000] {
+            let log = ChunkLog::default();
+            let logged = log.clone();
+            let mut stream = reader.merge_chains(Some(Arc::new(
+                move |chunk: &SharedChunk, _rows: &mut Vec<usize>| {
+                    logged.lock().unwrap().push(Arc::downgrade(chunk));
+                    false
+                },
+            )));
+            assert_eq!(stream.by_ref().take(taken).count(), taken);
+            if taken < 27_000 {
+                assert!(alive(&log) > 0, "rows are pending, so chunks are held");
+            }
+            drop(stream);
+            assert!(!log.lock().unwrap().is_empty());
+            assert_eq!(alive(&log), 0, "after {taken} rows");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -248,6 +248,7 @@ fn request_type_code(request_type: RequestType) -> u8 {
     }
 }
 
+#[inline]
 fn request_type_from_code(code: u8) -> Result<RequestType, SegmentError> {
     Ok(match code {
         0 => RequestType::WantHave,
@@ -617,6 +618,7 @@ enum Planes<'a> {
 }
 
 impl Planes<'_> {
+    #[inline]
     fn bytes(&self) -> &[u8] {
         match self {
             Planes::Frame { frame, range } => &frame[range.clone()],
@@ -1011,11 +1013,13 @@ impl<'a> ChunkView<'a> {
     // index columns, never over a raw dictionary.
 
     /// The timestamp column (milliseconds), one per row, in append order.
+    #[inline]
     pub fn timestamps_ms(&self) -> &[u64] {
         &self.timestamps
     }
 
     /// Number of entries in the chunk's peer dictionary.
+    #[inline]
     pub fn peer_dict_len(&self) -> usize {
         self.peer_dict.len() / 32
     }
@@ -1025,25 +1029,39 @@ impl<'a> ChunkView<'a> {
     /// # Panics
     ///
     /// Panics if `index >= self.peer_dict_len()`.
+    #[inline]
     pub fn peer(&self, index: usize) -> PeerId {
+        PeerId::from_bytes(*self.peer_bytes(index))
+    }
+
+    /// The bytes of the `index`-th entry of the chunk's peer dictionary,
+    /// where they lie.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= self.peer_dict_len()`.
+    #[inline]
+    pub fn peer_bytes(&self, index: usize) -> &[u8; 32] {
         let dict = &self.planes.bytes()[self.peer_dict.clone()];
-        let bytes: [u8; 32] = dict[index * 32..][..32]
+        dict[index * 32..][..32]
             .try_into()
-            .expect("peer dictionary holds 32 bytes per entry");
-        PeerId::from_bytes(bytes)
+            .expect("peer dictionary holds 32 bytes per entry")
     }
 
     /// Per row, the index of its peer in the peer dictionary.
+    #[inline]
     pub fn peer_indexes(&self) -> &[usize] {
         &self.peer_indexes
     }
 
     /// The chunk's CID dictionary.
+    #[inline]
     pub fn cid_dict(&self) -> &[Cid] {
         &self.cid_dict
     }
 
     /// Per row, the index of its CID in [`ChunkView::cid_dict`].
+    #[inline]
     pub fn cid_indexes(&self) -> &[usize] {
         &self.cid_indexes
     }
@@ -1053,6 +1071,7 @@ impl<'a> ChunkView<'a> {
     /// # Panics
     ///
     /// Panics if `i >= self.len()`.
+    #[inline]
     pub fn request_type(&self, i: usize) -> RequestType {
         assert!(i < self.count, "entry index {i} out of range");
         request_type_from_code(self.type_plane.get(self.planes.bytes(), i))
@@ -1064,6 +1083,7 @@ impl<'a> ChunkView<'a> {
     /// # Panics
     ///
     /// Panics if `i >= self.len()`.
+    #[inline]
     pub fn flags(&self, i: usize) -> crate::record::EntryFlags {
         assert!(i < self.count, "entry index {i} out of range");
         let flags = self.flag_plane.get(self.planes.bytes(), i);
@@ -1078,6 +1098,7 @@ impl<'a> ChunkView<'a> {
     /// # Panics
     ///
     /// Panics if `i >= self.len()`.
+    #[inline]
     pub fn entry(&self, i: usize) -> TraceEntry {
         TraceEntry {
             timestamp: SimTime::from_millis(self.timestamps[i]),

@@ -65,13 +65,14 @@
 //! that is fed as before (event-time windows, any sink that implements
 //! `consume` alone). A composition needs the most any member needs, and
 //! [`AnalysisSink::consume_row`] routes each entry to the members by their
-//! kind. Timestamps come out of the same reorder buffer and chain merge as
-//! entries ([`StreamRow`](crate::reader::StreamRow)) — same release rule,
-//! same tie-breaks, so the sequence of timestamps is the entry stream's,
-//! exactly — but no 136-byte entry is built, held or moved for them. Every
-//! check is the entry path's: the chunk was read, CRC-verified,
-//! column-validated and matched against its index row by the very stream
-//! that would have materialised it.
+//! kind. Whatever is delivered, the chain stream behind it moves 16-byte row
+//! keys through one reorder buffer and one chain merge: an entry is built
+//! from its key for a `Rows::Entries` run, the timestamp is read off the key
+//! for a `Rows::Times` run — same release rule, same tie-breaks, so the
+//! sequence of timestamps is the entry stream's, exactly — and a
+//! `Rows::None` run makes no key at all. Every check is the entry path's:
+//! the chunk was read, CRC-verified, column-validated and matched against
+//! its index row before a key into it existed.
 //!
 //! # Example
 //!
@@ -113,7 +114,7 @@
 //! assert_eq!(counts, Vec::<u64>::new()); // empty dataset, no buckets
 //! ```
 
-use crate::reader::ManifestReader;
+use crate::reader::{ManifestReader, SharedChunk};
 use crate::record::TraceEntry;
 use crate::segment::{ChunkView, SegmentError};
 use crate::source::TraceSource;
@@ -339,35 +340,32 @@ impl ManifestReader {
             // borrowed from both sides, never at the same time.
             let worker_sink = RefCell::new(worker_sink);
             let count = Cell::new(0u64);
-            let offer = |chunk: &ChunkView<'_>, _rows: &mut Vec<usize>| {
+            let offer = |chunk: &SharedChunk, _rows: &mut Vec<usize>| {
                 worker_sink.borrow_mut().consume_chunk(monitor, chunk);
                 count.set(count.get() + chunk.len() as u64);
                 consumed.add(chunk.len() as u64);
                 total.add(chunk.len() as u64);
                 // A sink that is done with the chunk selects none of its
-                // rows, so none is built.
+                // rows, so no key is made into it.
                 K::ROWS == Rows::None
             };
+            let mut stream = self.stream_monitor_sorted_with(monitor, Some(&offer));
             // Entries only if some member consumes entries: a composition
             // that needs at most the times is fed from the same reorder and
-            // chain merge over bare timestamps.
-            let error = if K::ROWS == Rows::Entries {
-                let mut stream =
-                    self.stream_monitor_sorted_with::<TraceEntry>(monitor, Some(&offer));
+            // chain merge, and no entry is built for it.
+            if K::ROWS == Rows::Entries {
                 for entry in &mut stream {
                     worker_sink.borrow_mut().consume_row(entry);
                 }
-                stream.take_error()
             } else {
-                let mut stream = self.stream_monitor_sorted_with::<SimTime>(monitor, Some(&offer));
                 let mut timed = 0u64;
-                for timestamp in &mut stream {
+                while let Some(timestamp) = stream.next_time() {
                     worker_sink.borrow_mut().consume_time(monitor, timestamp);
                     timed += 1;
                 }
                 obs::counter!("store.rows_timed").add(timed);
-                stream.take_error()
-            };
+            }
+            let error = stream.take_error();
             match error {
                 Some(error) => (Err(error), count.get()),
                 None => (Ok(worker_sink.into_inner()), count.get()),

@@ -32,7 +32,7 @@
 //! (CRC damage); [`SourceEntries::take_error`] surfaces that uniformly —
 //! in-memory sources simply never report one.
 
-use crate::reader::{ManifestMergedStream, ManifestReader};
+use crate::reader::{ManifestMergedStream, ManifestReader, SharedChunk};
 use crate::record::{ConnectionRecord, MonitoringDataset, TraceEntry};
 use crate::segment::{ChunkView, SegmentError};
 use crate::sink::{run_sink, AnalysisSink};
@@ -287,7 +287,10 @@ impl TraceSource for ManifestReader {
     }
 
     fn merged_entries_matching(&self, targets: &RowTargets) -> SourceEntries {
-        SourceEntries::Manifest(self.merge_chains(Some(Arc::new(targets.clone()))))
+        let targets = targets.clone();
+        SourceEntries::Manifest(self.merge_chains(Some(Arc::new(
+            move |chunk: &SharedChunk, rows: &mut Vec<usize>| targets.select(chunk, rows),
+        ))))
     }
 
     fn run_unmerged<K>(&self, sink: K) -> Result<K::Output, SegmentError>

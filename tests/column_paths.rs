@@ -1,29 +1,33 @@
 //! The column-reading paths against the entry-reading ones.
 //!
-//! Three analyses stop short of building entries when the trace is an
-//! on-disk dataset: a `run_parallel` of chunk-capable sinks folds chunks by
-//! dictionary index (and feeds a sink that needs order nothing but the
-//! sorted timestamps), `estimate_network_size_source` reads peer
-//! dictionaries, and `run_attacks_source` pushes its targets into the chunk
-//! decode. Each must give exactly what the entry path gives — on clean datasets
+//! Four analyses read columns when the trace is an on-disk dataset: a
+//! `run_parallel` of chunk-capable sinks folds chunks by dictionary index
+//! (and feeds a sink that needs order nothing but the sorted timestamps),
+//! `estimate_network_size_source` reads peer dictionaries,
+//! `run_attacks_source` pushes its targets into the chunk decode, and
+//! `flag_source` flags each row where it lies in its chunk, keyed through
+//! hashes made once per dictionary entry, before it builds the entry. Each
+//! must give exactly what the entry path gives — on clean datasets
 //! ([`differential_case`]), on a chunk whose dictionaries hold entries no
 //! row references, and on damaged datasets (same error, same skip report).
 
 mod common;
 
 use common::{differential_case, temp_dir, write_manifest, CountSink};
+use ipfs_monitoring::bitswap::RequestType;
 use ipfs_monitoring::core::{
-    estimate_network_size, estimate_network_size_source, flag_source, run_attacks_source,
-    ActivityCountsSink, AttackScan, EntryStatsSink, PopularitySink, PreprocessConfig,
-    RequestTypeSink, SnapshotBuilder,
+    estimate_network_size, estimate_network_size_source, flag_entries, flag_source,
+    run_attacks_source, unify_and_flag, ActivityCountsSink, AttackScan, EntryStatsSink,
+    PopularitySink, PreprocessConfig, RequestTypeSink, SnapshotBuilder,
 };
 use ipfs_monitoring::simnet::time::{SimDuration, SimTime};
 use ipfs_monitoring::tracestore::crc::crc32;
 use ipfs_monitoring::tracestore::{
-    run_sink, Codec, DatasetConfig, ManifestReader, ReadOptions, RowTargets, SegmentConfig,
-    SegmentError, SkippedSegment, SliceSource, TraceEntry, TraceReader, TraceSource,
+    run_sink, ChunkView, Codec, DatasetConfig, EntryFlags, ManifestReader, MonitoringDataset,
+    ReadOptions, RowTargets, SegmentConfig, SegmentError, SkippedSegment, SliceSource, TraceEntry,
+    TraceReader, TraceSource,
 };
-use ipfs_monitoring::types::{varint, Cid, Multicodec, PeerId};
+use ipfs_monitoring::types::{varint, Cid, Country, Multiaddr, Multicodec, PeerId, Transport};
 use proptest::prelude::*;
 use std::path::Path;
 
@@ -124,6 +128,71 @@ proptest! {
         prop_assert_eq!(json(&by_chunk.1), json(&by_entry.1));
 
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+proptest! {
+    /// Rows flagged where they lie give, entry for entry, what entries
+    /// flagged after they are built give: the flagged stream of the on-disk
+    /// dataset — `raw` and `col`, several segments per monitor — against the
+    /// in-memory dataset's, with the same statistics and the same number of
+    /// keys tracked at the end; and the filtered stream, flagged, against
+    /// the whole flagged stream filtered afterwards.
+    #[test]
+    fn flagged_rows_match_flagged_entries(seed in 0u64..1_000_000) {
+        let case = differential_case(seed);
+        let config = PreprocessConfig::default();
+        let mut in_memory = flag_source(&case.dataset, config);
+        let expected: Vec<TraceEntry> = (&mut in_memory).collect();
+        let (unified, stats) = unify_and_flag(&case.dataset, config);
+        prop_assert_eq!(&unified.entries, &expected);
+        prop_assert_eq!(in_memory.stats(), stats);
+        let targets = RowTargets {
+            cids: case.targets.idw_cids.iter().cloned().collect(),
+            peers: case.targets.tnw_peers.iter().copied().collect(),
+        };
+        let expected_matching: Vec<&TraceEntry> =
+            expected.iter().filter(|entry| targets.matches(entry)).collect();
+        prop_assert!(!expected_matching.is_empty());
+
+        for codec in Codec::writable() {
+            let dir = temp_dir(&format!("flagged-{seed}-{}", codec.name()));
+            let mut layout = case.layout;
+            layout.segment.codec = codec;
+            write_manifest(&case.dataset, &dir, layout);
+            let reader = ManifestReader::open(&dir).unwrap();
+            for monitor in 0..reader.monitor_count() {
+                prop_assert!(reader.segment_count(monitor) >= 2, "layout must rotate");
+            }
+
+            let mut flagged = flag_source(&reader, config);
+            let mut rows = 0;
+            for (row, entry) in (&mut flagged).enumerate() {
+                prop_assert_eq!(&entry, &expected[row], "row {} ({})", row, codec.name());
+                rows += 1;
+            }
+            prop_assert!(flagged.take_source_error().is_none());
+            prop_assert_eq!(rows, expected.len());
+            prop_assert_eq!(flagged.stats(), stats);
+            prop_assert_eq!(flagged.tracked_keys(), in_memory.tracked_keys());
+
+            let mut matching = flag_entries(
+                reader.merged_entries_matching(&targets),
+                reader.monitor_count(),
+                config,
+            );
+            let on_disk: Vec<TraceEntry> = (&mut matching).collect();
+            prop_assert!(matching.take_source_error().is_none());
+            prop_assert_eq!(on_disk.iter().collect::<Vec<_>>(), expected_matching.clone());
+            let default_path: Vec<TraceEntry> = flag_entries(
+                case.dataset.merged_entries_matching(&targets),
+                case.dataset.monitor_count(),
+                config,
+            )
+            .collect();
+            prop_assert_eq!(&default_path, &on_disk);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }
 
@@ -241,9 +310,180 @@ fn unreferenced_dictionary_entries_change_nothing() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// One key — the same peer asking for the same CID — met at different
+/// dictionary indexes in different chunks, segments and monitors, repeated
+/// at exactly the edges of both windows with a chunk boundary in between;
+/// and a chunk whose dictionaries hold entries no row references. The part
+/// hashes are made per chunk, so none of that may show: the flags are the
+/// in-memory engine's, the edges fall where the paper puts them, and the
+/// orphans — hashed with their chunk — are never tracked as keys.
+#[test]
+fn one_key_across_chunks_segments_and_monitors_hits_the_window_edges() {
+    let hot_peer = PeerId::derived(91, 0);
+    let hot_cid = Cid::new_v1(Multicodec::DagCbor, b"hot");
+    let row = |ms: u64, monitor: usize, peer: PeerId, cid: Cid| TraceEntry {
+        timestamp: SimTime::from_millis(ms),
+        peer,
+        address: Multiaddr::new(7, 4001, Transport::Tcp, Country::De),
+        request_type: RequestType::WantHave,
+        cid,
+        monitor,
+        flags: EntryFlags::default(),
+    };
+    // The hot key per monitor as `(ms, flags expected)`: a copy at the other
+    // monitor 5 000 ms later is a duplicate and 5 001 ms later is not, a
+    // repeat at the same monitor 31 000 ms later is a re-broadcast and
+    // 31 001 ms later is not.
+    let dup = EntryFlags {
+        inter_monitor_duplicate: true,
+        rebroadcast: false,
+    };
+    let rebroadcast = EntryFlags {
+        inter_monitor_duplicate: false,
+        rebroadcast: true,
+    };
+    let hot: [&[(u64, EntryFlags)]; 2] = [
+        &[
+            (100_000, EntryFlags::default()),
+            (200_000, EntryFlags::default()),
+            (300_000, EntryFlags::default()),
+            (331_000, rebroadcast),
+            (400_000, EntryFlags::default()),
+            (431_001, EntryFlags::default()),
+        ],
+        &[(105_000, dup), (205_001, EntryFlags::default())],
+    ];
+    // Between two hot rows of a monitor, a run of rows of keys of their own
+    // whose length varies, so the hot key lands at another position of the
+    // next chunk and, in it, at another index of both dictionaries.
+    let mut dataset = MonitoringDataset::new(vec!["us".into(), "de".into()]);
+    let mut fresh = 0u64;
+    for (monitor, hot_rows) in hot.iter().enumerate() {
+        let mut clock = 90_000 + monitor as u64;
+        for (i, &(ms, _)) in hot_rows.iter().enumerate() {
+            for _ in 0..(2 + 3 * i + monitor) {
+                fresh += 1;
+                clock += 7;
+                assert!(clock < ms);
+                let peer = PeerId::derived(92, fresh);
+                let cid = Cid::new_v1(Multicodec::Raw, &fresh.to_be_bytes());
+                dataset.entries[monitor].push(row(clock, monitor, peer, cid));
+            }
+            dataset.entries[monitor].push(row(ms, monitor, hot_peer, hot_cid.clone()));
+            clock = ms;
+        }
+    }
+    // The last row of monitor 0's first chunk brings a peer and a CID of its
+    // own: the two dictionary entries the patch below orphans.
+    let chunk_capacity = 5;
+    assert_ne!(dataset.entries[0][chunk_capacity - 1].peer, hot_peer);
+    let dir = temp_dir("hot-key");
+    let layout = DatasetConfig {
+        rotate_after_entries: 2 * chunk_capacity as u64,
+        segment: SegmentConfig {
+            chunk_capacity,
+            codec: Codec::Raw,
+        },
+        ..DatasetConfig::default()
+    };
+    write_manifest(&dataset, &dir, layout);
+    let first_segment = dir.join("seg-000-00000.seg");
+    let mut bytes = std::fs::read(&first_segment).unwrap();
+    orphan_last_dictionary_entries(&mut bytes);
+    std::fs::write(&first_segment, &bytes).unwrap();
+    // What the patched dataset says: that row now repeats the chunk's first.
+    let orphaned = dataset.entries[0][chunk_capacity - 1].clone();
+    let first = dataset.entries[0][0].clone();
+    let patched = &mut dataset.entries[0][chunk_capacity - 1];
+    patched.peer = first.peer;
+    patched.cid = first.cid;
+
+    // Where the hot key sits, chunk by chunk: `(monitor, segment, peer
+    // index, CID index)`.
+    let mut seats = Vec::new();
+    for file in std::fs::read_dir(&dir).unwrap() {
+        let path = file.unwrap().path();
+        if path.extension().is_none_or(|extension| extension != "seg") {
+            continue;
+        }
+        let name = path.file_name().unwrap().to_str().unwrap().to_string();
+        let bytes = std::fs::read(&path).unwrap();
+        let segment = TraceReader::new(SliceSource::new(&bytes)).unwrap();
+        for info in segment.chunks() {
+            let frame = &bytes[info.offset as usize..(info.offset + info.len) as usize];
+            let chunk = ChunkView::parse(frame.into()).unwrap();
+            let peer = (0..chunk.peer_dict_len()).find(|&i| chunk.peer(i) == hot_peer);
+            let cid = chunk.cid_dict().iter().position(|cid| *cid == hot_cid);
+            if let (Some(peer), Some(cid)) = (peer, cid) {
+                seats.push((name[4..7].to_string(), name[8..13].to_string(), peer, cid));
+            }
+        }
+    }
+    let distinct = |of: fn(&(String, String, usize, usize)) -> String| {
+        let mut values: Vec<String> = seats.iter().map(of).collect();
+        values.sort();
+        values.dedup();
+        values.len()
+    };
+    assert_eq!(
+        distinct(|seat| seat.0.clone()),
+        2,
+        "both monitors: {seats:?}"
+    );
+    assert!(distinct(|seat| seat.1.clone()) >= 3, "segments: {seats:?}");
+    assert!(
+        distinct(|seat| seat.2.to_string()) >= 3,
+        "peer indexes: {seats:?}"
+    );
+    assert!(
+        distinct(|seat| seat.3.to_string()) >= 3,
+        "CID indexes: {seats:?}"
+    );
+    assert_eq!(
+        seats.len(),
+        8,
+        "each hot row in a chunk of its own: {seats:?}"
+    );
+
+    let config = PreprocessConfig::default();
+    let reader = ManifestReader::open(&dir).unwrap();
+    let mut flagged = flag_source(&reader, config);
+    let streamed: Vec<TraceEntry> = (&mut flagged).collect();
+    assert!(flagged.take_source_error().is_none());
+    let mut in_memory = flag_source(&dataset, config);
+    let expected: Vec<TraceEntry> = (&mut in_memory).collect();
+    assert_eq!(streamed, expected);
+    assert_eq!(flagged.stats(), in_memory.stats());
+    // No eviction in a trace this short: the keys tracked are the keys
+    // seen, and an orphan, hashed or not, is not one of them.
+    let mut keys: Vec<_> = expected.iter().map(|e| (e.peer, e.cid.clone())).collect();
+    keys.sort();
+    keys.dedup();
+    assert!(!keys.contains(&(orphaned.peer, orphaned.cid)));
+    assert_eq!(flagged.tracked_keys(), keys.len());
+    assert_eq!(in_memory.tracked_keys(), keys.len());
+
+    for (monitor, hot_rows) in hot.iter().enumerate() {
+        let found: Vec<(u64, EntryFlags)> = streamed
+            .iter()
+            .filter(|e| e.monitor == monitor && e.peer == hot_peer && e.cid == hot_cid)
+            .map(|e| (e.timestamp.as_millis(), e.flags))
+            .collect();
+        assert_eq!(&found, hot_rows, "monitor {monitor}");
+    }
+    // The patched row repeats its chunk's first row 28 ms later.
+    let repeat = streamed
+        .iter()
+        .find(|e| e.timestamp == orphaned.timestamp && e.monitor == 0)
+        .unwrap();
+    assert_eq!((repeat.peer, repeat.flags), (first.peer, rebroadcast));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Every way of reading the dataset in `dir`, as `(path name, error, skip
 /// report)`: the entry, timestamp and chunk forms of `run_parallel`, the
-/// merged stream and a filtered one.
+/// flagged stream (rows flagged in their chunks), the merged stream and a
+/// filtered one.
 fn read_every_way(
     dir: &Path,
     options: ReadOptions,
@@ -272,6 +512,12 @@ fn read_every_way(
         error_text(by_chunk.err()),
         reader.skipped_segments(),
     ));
+    let reader = ManifestReader::open_with(dir, options).unwrap();
+    let mut flagged = flag_source(&reader, PreprocessConfig::default());
+    (&mut flagged).for_each(drop);
+    let error = error_text(flagged.take_source_error());
+    drop(flagged);
+    outcomes.push(("flagged stream", error, reader.skipped_segments()));
     for (name, filtered) in [("merged stream", false), ("filtered stream", true)] {
         let reader = ManifestReader::open_with(dir, options).unwrap();
         let mut stream = if filtered {

@@ -16,7 +16,8 @@
 //!
 //! Metric state is global per test binary and the harness runs tests
 //! concurrently, so counter assertions use unique metric names or `>=`
-//! deltas, never exact global equality on shared names.
+//! deltas; the tests that assert an exact delta of a reader counter take
+//! turns ([`reading`]) with every other test that reads a dataset.
 
 mod common;
 
@@ -37,6 +38,15 @@ fn write_manifest(dataset: &MonitoringDataset, dir: &Path) {
         (dataset.total_entries() as u64 / 3).max(1),
         64,
     );
+}
+
+/// Held by a test while it reads a dataset, so that what the reader's
+/// counters moved by in between is that test's doing.
+fn reading() -> std::sync::MutexGuard<'static, ()> {
+    static READING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    READING
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Trivial associative sink: counts entries.
@@ -65,6 +75,7 @@ impl AnalysisSink for CountSink {
 /// does real work (and stay empty under `obs-off`).
 #[test]
 fn pipeline_metrics_track_real_work() {
+    let _reading = reading();
     let dataset = run_pipeline(41);
     let total = dataset.total_entries() as u64;
     assert!(total > 0, "scenario must produce observations");
@@ -118,6 +129,7 @@ fn pipeline_metrics_track_real_work() {
 /// none is counted as pruned.
 #[test]
 fn pushdown_counters_track_selected_rows_and_pruned_chunks() {
+    let _reading = reading();
     use ipfs_monitoring::tracestore::{RowTargets, TraceSource};
     let dataset = run_pipeline(44);
     let wanted = &dataset.entries[0][0];
@@ -143,7 +155,6 @@ fn pushdown_counters_track_selected_rows_and_pruned_chunks() {
             after.counters.get(name).copied().unwrap_or(0)
                 - before.counters.get(name).copied().unwrap_or(0)
         };
-        // Other tests of this binary decode concurrently, none filters.
         assert_eq!(delta("store.rows_selected"), selected);
         assert!(delta("store.entries_decoded") >= 2 * dataset.total_entries() as u64);
         assert!(delta("store.chunks_pruned") >= (dataset.total_entries() as u64).div_ceil(64));
@@ -154,6 +165,7 @@ fn pushdown_counters_track_selected_rows_and_pruned_chunks() {
 /// delivered that way; one that feeds entries accounts none.
 #[test]
 fn time_only_rows_are_counted() {
+    let _reading = reading();
     use ipfs_monitoring::core::EntryStatsSink;
     let dataset = run_pipeline(45);
     let dir = temp_dir("rows-timed");
@@ -171,7 +183,6 @@ fn time_only_rows_are_counted() {
     assert_eq!(stats.iter().map(|m| m.entries).sum::<u64>(), total);
     assert_eq!(counted, (stats, total));
     if obs::is_enabled() {
-        // No other test of this binary runs a sink that takes timestamps.
         let timed = |snapshot: &obs::Snapshot| {
             snapshot
                 .counters
@@ -183,10 +194,84 @@ fn time_only_rows_are_counted() {
     }
 }
 
+/// A `TraceEntry` is built once per row that leaves a stream as an entry —
+/// plain, flagged or filtered — and never for a run whose sinks fold chunks
+/// and take timestamps, which is what the repo benchmark's sink pass is.
+#[test]
+fn entries_are_built_once_per_row_handed_out_as_an_entry() {
+    use ipfs_monitoring::core::{
+        flag_source, ActivityCountsSink, EntryStatsSink, PopularitySink, PreprocessConfig,
+        RequestTypeSink,
+    };
+    use ipfs_monitoring::simnet::time::SimDuration;
+    use ipfs_monitoring::tracestore::{RowTargets, TraceSource};
+    let _reading = reading();
+    let dataset = run_pipeline(46);
+    let total = dataset.total_entries() as u64;
+    let wanted = &dataset.entries[0][0];
+    let targets = RowTargets {
+        cids: [wanted.cid.clone()].into(),
+        peers: [wanted.peer].into(),
+    };
+    let dir = temp_dir("entries-built");
+    write_manifest(&dataset, &dir);
+    let reader = ManifestReader::open(&dir).expect("open manifest");
+    assert_eq!(reader.total_entries(), total);
+    let counter = |name: &str| obs::snapshot().counters.get(name).copied().unwrap_or(0);
+    // What `read` moved `store.entries_built` and `store.rows_selected` by.
+    let moved = |read: &mut dyn FnMut() -> u64| {
+        let before = (
+            counter("store.entries_built"),
+            counter("store.rows_selected"),
+        );
+        let rows = read();
+        let built = counter("store.entries_built") - before.0;
+        (rows, built, counter("store.rows_selected") - before.1)
+    };
+
+    let merged = moved(&mut || reader.merged_entries().count() as u64);
+    let flagged = moved(&mut || {
+        let mut stream = flag_source(&reader, PreprocessConfig::default());
+        let rows = (&mut stream).count() as u64;
+        assert!(stream.take_source_error().is_none());
+        rows
+    });
+    let four_sinks = moved(&mut || {
+        let ((series, _), (_, stats)) = reader
+            .run_parallel((
+                (
+                    RequestTypeSink::new(SimDuration::from_hours(1)),
+                    PopularitySink::new(),
+                ),
+                (ActivityCountsSink::new(), EntryStatsSink::new()),
+            ))
+            .expect("four sinks");
+        assert!(!series.is_empty());
+        stats.iter().map(|monitor| monitor.entries).sum()
+    });
+    let filtered = moved(&mut || reader.merged_entries_matching(&targets).count() as u64);
+    let by_entry = moved(&mut || reader.run_parallel(CountSink::default()).expect("count"));
+    std::fs::remove_dir_all(&dir).ok();
+
+    assert_eq!(
+        (merged.0, flagged.0, four_sinks.0, by_entry.0),
+        (total, total, total, total)
+    );
+    assert!(filtered.0 > 0 && filtered.0 < total);
+    if obs::is_enabled() {
+        assert_eq!(merged.1, total);
+        assert_eq!(flagged.1, total);
+        assert_eq!(four_sinks.1, 0);
+        assert_eq!((filtered.1, filtered.2), (filtered.0, filtered.0));
+        assert_eq!(by_entry.1, total);
+    }
+}
+
 /// Per-monitor progress from `run_parallel_with_progress` is exact in both
 /// build flavours: it is functional accounting, not a metrics read-back.
 #[test]
 fn parallel_progress_is_exact_in_both_configs() {
+    let _reading = reading();
     let dataset = run_pipeline(42);
     let per_monitor: Vec<u64> = dataset.entries.iter().map(|e| e.len() as u64).collect();
     let dir = temp_dir("progress");
