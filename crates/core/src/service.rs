@@ -66,7 +66,7 @@ use ipfs_mon_tracestore::{
 };
 use ipfs_mon_types::Cid;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Name of the window-output directory inside the dataset directory.
 pub const WINDOW_DIR_NAME: &str = "windows";
@@ -74,6 +74,14 @@ pub const WINDOW_DIR_NAME: &str = "windows";
 /// File name of sealed window `index`.
 pub fn window_file_name(index: u64) -> String {
     format!("win-{index:08}.json")
+}
+
+/// Inverse of [`window_file_name`].
+fn parse_window_file_name(name: &str) -> Option<u64> {
+    name.strip_prefix("win-")?
+        .strip_suffix(".json")?
+        .parse()
+        .ok()
 }
 
 /// Configuration of the service loop.
@@ -233,11 +241,9 @@ pub fn format_window_line(result: &WindowResult<WindowSummary>) -> String {
     line
 }
 
-/// Shared state of the window emitter: the callback appending durable
-/// window files, suppression of windows already emitted by a previous
-/// incarnation, and the error channel back to the service loop (the
-/// callback itself cannot return one).
-struct EmitState {
+/// The window emitter: appends durable window files and suppresses windows
+/// a previous incarnation already emitted.
+struct Emitter {
     storage: Arc<dyn Storage>,
     window_dir: PathBuf,
     /// Windows `0..skip_below` are already durable from a previous run:
@@ -249,14 +255,10 @@ struct EmitState {
     skipped: u64,
     /// JSON lines of windows sealed since the last drain.
     lines: Vec<String>,
-    error: Option<SegmentError>,
 }
 
-impl EmitState {
-    fn emit(&mut self, result: WindowResult<WindowSummary>) {
-        if self.error.is_some() {
-            return;
-        }
+impl Emitter {
+    fn emit(&mut self, result: WindowResult<WindowSummary>) -> Result<(), SegmentError> {
         let index = result.bounds.index;
         assert_eq!(
             index, self.next,
@@ -267,17 +269,14 @@ impl EmitState {
         if index < self.skip_below {
             self.skipped += 1;
             obs::counter!("service.windows_skipped").incr();
-            return;
+            return Ok(());
         }
         let path = self.window_dir.join(window_file_name(index));
-        match write_file_durable(self.storage.as_ref(), &path, line.as_bytes()) {
-            Ok(()) => {
-                self.emitted += 1;
-                obs::counter!("service.windows_emitted").incr();
-                self.lines.push(line);
-            }
-            Err(error) => self.error = Some(SegmentError::Io(error)),
-        }
+        write_file_durable(self.storage.as_ref(), &path, line.as_bytes())?;
+        self.emitted += 1;
+        obs::counter!("service.windows_emitted").incr();
+        self.lines.push(line);
+        Ok(())
     }
 }
 
@@ -314,7 +313,7 @@ pub struct MonitorService {
     writer: Option<DatasetWriter>,
     tail: DatasetTail,
     sink: Option<ServiceSink>,
-    emit: Arc<Mutex<EmitState>>,
+    emit: Emitter,
     entries_ingested: u64,
 }
 
@@ -369,7 +368,7 @@ impl MonitorService {
         };
         let monitors = monitor_labels.len();
         let tail = DatasetTail::open(dir, monitors);
-        let emit = Arc::new(Mutex::new(EmitState {
+        let emit = Emitter {
             storage,
             window_dir,
             skip_below,
@@ -377,24 +376,16 @@ impl MonitorService {
             emitted: 0,
             skipped: 0,
             lines: Vec::new(),
-            error: None,
-        }));
-        let callback_emit = Arc::clone(&emit);
+        };
         let top_k = config.top_k;
         let factory: Box<dyn Fn(&WindowBounds) -> ServiceWindowAccum + Send + Sync> =
             Box::new(move |_| ServiceWindowAccum::new(top_k));
-        let sink = WindowedSink::with_callback(
+        let sink = WindowedSink::deferred(
             monitors,
             config.window,
             config.lateness,
             config.policy,
             factory,
-            move |result| {
-                callback_emit
-                    .lock()
-                    .expect("emit state poisoned")
-                    .emit(result)
-            },
         );
         obs::counter!("service.opens").incr();
         obs::gauge!("service.windows_durable").set(skip_below);
@@ -434,7 +425,29 @@ impl MonitorService {
 
     /// Windows already durable when this incarnation opened.
     pub fn windows_durable_at_open(&self) -> u64 {
-        self.emit.lock().expect("emit state poisoned").skip_below
+        self.emit.skip_below
+    }
+
+    /// Feeds the tail's new entries to the sink and emits each window the
+    /// moment its last entry seals it: a window's file is written, and its
+    /// accumulator dropped, mid-poll rather than after it. The tail's
+    /// callback cannot stop the poll, so the first write error waits in a
+    /// local and ends emission.
+    fn drain_tail(
+        tail: &mut DatasetTail,
+        sink: &mut ServiceSink,
+        emit: &mut Emitter,
+    ) -> Result<(), SegmentError> {
+        let mut failed = None;
+        tail.poll(|entry| {
+            sink.consume(entry);
+            for result in sink.take_sealed() {
+                if failed.is_none() {
+                    failed = emit.emit(result).err();
+                }
+            }
+        })?;
+        failed.map_or(Ok(()), Err)
     }
 
     /// Drives the analysis forward: decodes every newly durable chunk
@@ -442,13 +455,9 @@ impl MonitorService {
     /// windows sealed by this poll (suppressed replayed windows excluded).
     pub fn poll(&mut self) -> Result<Vec<String>, SegmentError> {
         let sink = self.sink.as_mut().expect("service already finished");
-        self.tail.poll(|entry| sink.consume(entry))?;
+        Self::drain_tail(&mut self.tail, sink, &mut self.emit)?;
         obs::counter!("service.polls").incr();
-        let mut emit = self.emit.lock().expect("emit state poisoned");
-        if let Some(error) = emit.error.take() {
-            return Err(error);
-        }
-        Ok(std::mem::take(&mut emit.lines))
+        Ok(std::mem::take(&mut self.emit.lines))
     }
 
     /// Finishes the incarnation cleanly: seals the dataset (manifest),
@@ -457,21 +466,20 @@ impl MonitorService {
         let writer = self.writer.take().expect("service already finished");
         writer.finish()?;
         let mut sink = self.sink.take().expect("service already finished");
-        self.tail.poll(|entry| sink.consume(entry))?;
+        Self::drain_tail(&mut self.tail, &mut sink, &mut self.emit)?;
         let windowed = sink.finish();
-        let mut emit = self.emit.lock().expect("emit state poisoned");
-        if let Some(error) = emit.error.take() {
-            return Err(error);
+        for result in windowed.results {
+            self.emit.emit(result)?;
         }
-        obs::gauge!("service.windows_durable").set(emit.skip_below + emit.emitted);
+        obs::gauge!("service.windows_durable").set(self.emit.skip_below + self.emit.emitted);
         Ok(ServiceReport {
-            windows_emitted: emit.emitted,
-            windows_skipped: emit.skipped,
+            windows_emitted: self.emit.emitted,
+            windows_skipped: self.emit.skipped,
             entries_ingested: self.entries_ingested,
             entries_analyzed: self.tail.entries_read(),
             late_dropped: windowed.late_dropped,
             max_open_windows: windowed.max_open_windows,
-            lines: std::mem::take(&mut emit.lines),
+            lines: self.emit.lines,
         })
     }
 }
@@ -489,13 +497,7 @@ fn sweep_window_dir(window_dir: &Path, storage: &dyn Storage) -> Result<u64, Seg
             storage.remove_file(&entry.path())?;
             continue;
         }
-        if let Some(index) = name
-            .strip_prefix("win-")
-            .and_then(|rest| rest.strip_suffix(".json"))
-            .and_then(|digits| digits.parse::<u64>().ok())
-        {
-            indexes.push(index);
-        }
+        indexes.extend(parse_window_file_name(name));
     }
     indexes.sort_unstable();
     // Dense prefix: windows are written in index order through atomic

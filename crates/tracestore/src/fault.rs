@@ -33,7 +33,7 @@
 
 use ipfs_mon_obs as obs;
 use std::io::{self, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -223,24 +223,37 @@ impl StorageFile for RetryFile {
 /// [`crate::recover::recover_dataset`].
 pub const DURABLE_TMP_SUFFIX: &str = ".tmp";
 
+/// `path` with `suffix` appended to its file name: where a replacement of
+/// `path` is staged, in the same directory so the rename is atomic.
+pub(crate) fn staging_path(path: &Path, suffix: &str) -> PathBuf {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(suffix);
+    path.with_file_name(name)
+}
+
+/// The commit half of an atomic replace: rename the staged, already fsynced
+/// `staged` over `path`, then fsync the parent directory, without which the
+/// rename itself may not survive a power loss.
+pub(crate) fn commit_replace(storage: &dyn Storage, staged: &Path, path: &Path) -> io::Result<()> {
+    storage.rename(staged, path)?;
+    if let Some(parent) = path.parent() {
+        storage.sync_dir(parent)?;
+    }
+    Ok(())
+}
+
 /// Writes `bytes` to `path` durably and atomically: write to `<path>.tmp`,
 /// fsync, rename over `path`, fsync the parent directory. A crash at any
 /// point leaves either the old file intact or the new file fully in place
 /// (plus at most one stale `.tmp`).
 pub fn write_file_durable(storage: &dyn Storage, path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
-    tmp_name.push(DURABLE_TMP_SUFFIX);
-    let tmp_path = path.with_file_name(tmp_name);
+    let staged = staging_path(path, DURABLE_TMP_SUFFIX);
     {
-        let mut file = storage.create(&tmp_path)?;
+        let mut file = storage.create(&staged)?;
         file.write_all(bytes)?;
         file.sync_all()?;
     }
-    storage.rename(&tmp_path, path)?;
-    if let Some(parent) = path.parent() {
-        storage.sync_dir(parent)?;
-    }
-    Ok(())
+    commit_replace(storage, &staged, path)
 }
 
 // ---------------------------------------------------------------------------
@@ -520,7 +533,6 @@ impl StorageFile for FaultyFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
 
     fn temp_path(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("fault-{name}-{}", std::process::id()))
@@ -534,13 +546,7 @@ mod tests {
         // Overwrite is atomic: the tmp never lingers.
         write_file_durable(&RealStorage, &path, b"world").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"world");
-        assert!(!path
-            .with_file_name({
-                let mut n = path.file_name().unwrap().to_os_string();
-                n.push(DURABLE_TMP_SUFFIX);
-                n
-            })
-            .exists());
+        assert!(!staging_path(&path, DURABLE_TMP_SUFFIX).exists());
         std::fs::remove_file(&path).ok();
     }
 

@@ -56,13 +56,12 @@
 //!   skips the k-way merge entirely.
 //! * [`window`] — event-time windowing over any sink:
 //!   [`window::WindowedSink`] slices a stream into tumbling or sliding
-//!   windows behind a cross-monitor watermark and emits sealed
-//!   [`window::WindowResult`]s eagerly (callback) or deferred, under
-//!   either driver.
-//! * [`sketch`] — bounded-memory approximate analyses for unbounded
+//!   windows behind a cross-monitor watermark and hands out sealed
+//!   [`window::WindowResult`]s as the caller takes them, under either
+//!   driver.
+//! * [`sketch`] — a bounded-memory approximate analysis for unbounded
 //!   horizons: [`sketch::SpaceSaving`] top-K with guaranteed error counts
-//!   and [`sketch::CountMinSketch`] frequency tables, with order-invariant
-//!   merges so their sinks run under `run_parallel`.
+//!   and an order-invariant merge, so its sink runs under `run_parallel`.
 //! * [`tail`] — [`tail::DatasetTail`], an incremental reader that polls a
 //!   *growing* dataset directory past per-chain byte cursors and decodes
 //!   newly flushed chunk frames — the ingest side of the continuous
@@ -106,22 +105,18 @@ pub use manifest::{
 pub use migrate::{migrate_manifest, migrate_manifest_with, MigrateReport, MIGRATE_TMP_SUFFIX};
 pub use reader::{
     ChainedMonitorStream, ChunkSource, EntryStream, FileSource, ManifestMergedStream,
-    ManifestReader, MergedRow, ReadOptions, SkippedSegment, SliceSource, SortedEntryStream,
-    TraceReader,
+    ManifestReader, MergedRow, ReadOptions, SkippedSegment, SliceSource, TraceReader,
 };
 pub use record::{ConnectionRecord, EntryFlags, MonitoringDataset, TraceEntry, UnifiedTrace};
 pub use recover::{
     recover_dataset, recover_dataset_with, QuarantineReason, QuarantinedSegment, RecoveryReport,
-    ResumeCursor, QUARANTINE_DIR_NAME, RECOVER_TMP_SUFFIX,
+    ResumeCursor, QUARANTINE_DIR_NAME,
 };
 pub use segment::{
     ChunkInfo, ChunkScratch, ChunkView, SegmentConfig, SegmentError, SegmentSummary,
 };
 pub use sink::{run_sink, AnalysisSink, ParallelProgress, Rows};
-pub use sketch::{
-    CountMinSink, CountMinSketch, FrequencySketches, HeavyHitter, HeavyHitters, SpaceSaving,
-    SpaceSavingSink, TopK,
-};
+pub use sketch::{HeavyHitter, HeavyHitters, SpaceSaving, SpaceSavingSink, TopK};
 pub use source::{RowTargets, SourceConnections, SourceEntries, TraceSource};
 pub use tail::{DatasetTail, TailPoll};
 pub use window::{

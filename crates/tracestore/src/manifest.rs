@@ -19,12 +19,15 @@
 //!   segment provides (see [`crate::reader::ManifestReader`]).
 //!
 //! ```text
-//! manifest := "IPMM" version:u8 payload crc32(payload):u32le
-//! payload  := label_count:varint (len:varint label)*
-//!             segment_count:varint segment*
+//! manifest := seal("IPMM", version, payload)
+//! payload  := labels segment_count:varint segment*
+//! labels   := label_count:varint (len:varint label)*
 //! segment  := name_len:varint name monitor:varint sequence:varint
 //!             entries:varint
 //! ```
+//!
+//! `seal` is the envelope of `crate::segment` shared with the checkpoint:
+//! magic, version byte, payload, CRC-32 of the payload.
 //!
 //! Inside a per-monitor segment file, entries and connection records carry
 //! monitor index 0 (the segment knows only its own monitor); the manifest
@@ -33,14 +36,16 @@
 //!
 //! Segment files referenced by a manifest are format-v2 segments (chunk
 //! framing with a leading per-chunk codec byte); the v1→v2 compatibility
-//! rule lives in one place, [`crate::segment::FORMAT_VERSION`]. The
-//! manifest itself carries its own version byte, independent of the segment
-//! format.
+//! rule lives in one place, on the version constant of [`crate::segment`].
+//! The manifest itself carries its own version byte, independent of the
+//! segment format.
 
-use crate::crc::crc32;
 use crate::fault::{write_file_durable, RealStorage, RetryFile, RetryPolicy, Storage, StorageFile};
 use crate::record::{ConnectionRecord, TraceEntry};
-use crate::segment::{self, SegmentConfig, SegmentError, SegmentSummary};
+use crate::segment::{
+    checked_count, decode_connections, decode_labels, encode_connections, encode_labels,
+    encode_string, seal, unseal, Cursor, SegmentConfig, SegmentError, SegmentSummary,
+};
 use crate::writer::TraceWriter;
 use ipfs_mon_obs as obs;
 use ipfs_mon_types::varint;
@@ -76,6 +81,52 @@ pub struct SegmentMeta {
     pub entries: u64,
 }
 
+impl SegmentMeta {
+    /// The file name of segment `sequence` in `monitor`'s chain — what
+    /// [`MonitorWriter`] creates, the live tail opens and crash recovery
+    /// parses back with [`SegmentMeta::parse_file_name`].
+    pub(crate) fn file_name_of(monitor: usize, sequence: u64) -> String {
+        format!("seg-{monitor:03}-{sequence:05}.seg")
+    }
+
+    /// Inverse of [`SegmentMeta::file_name_of`]: `(monitor, sequence)`, or
+    /// `None` for a file this crate did not name.
+    pub(crate) fn parse_file_name(name: &str) -> Option<(usize, u64)> {
+        let rest = name.strip_prefix("seg-")?.strip_suffix(".seg")?;
+        let (monitor, sequence) = rest.split_once('-')?;
+        Some((monitor.parse().ok()?, sequence.parse().ok()?))
+    }
+
+    /// `count:varint row*`, a row being `name_len:varint name monitor:varint
+    /// sequence:varint entries:varint` — the manifest's segment list, which
+    /// the checkpoint repeats per monitor for its sealed segments.
+    fn encode_list(rows: &[Self], payload: &mut Vec<u8>) {
+        varint::encode(rows.len() as u64, payload);
+        for row in rows {
+            encode_string(&row.file_name, payload);
+            varint::encode(row.monitor as u64, payload);
+            varint::encode(row.sequence, payload);
+            varint::encode(row.entries, payload);
+        }
+    }
+
+    /// Inverse of [`SegmentMeta::encode_list`].
+    fn decode_list(cursor: &mut Cursor<'_>) -> Result<Vec<Self>, SegmentError> {
+        // A row is at least four bytes.
+        let count = checked_count(cursor, 4, "segment")?;
+        let mut rows = Vec::with_capacity(count);
+        for _ in 0..count {
+            rows.push(Self {
+                file_name: cursor.string()?,
+                monitor: cursor.varint()? as usize,
+                sequence: cursor.varint()?,
+                entries: cursor.varint()?,
+            });
+        }
+        Ok(rows)
+    }
+}
+
 /// The index of a multi-segment dataset.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Manifest {
@@ -99,99 +150,24 @@ impl Manifest {
     /// Serializes the manifest to bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut payload = Vec::new();
-        varint::encode(self.monitor_labels.len() as u64, &mut payload);
-        for label in &self.monitor_labels {
-            varint::encode(label.len() as u64, &mut payload);
-            payload.extend_from_slice(label.as_bytes());
-        }
-        varint::encode(self.segments.len() as u64, &mut payload);
-        for segment in &self.segments {
-            varint::encode(segment.file_name.len() as u64, &mut payload);
-            payload.extend_from_slice(segment.file_name.as_bytes());
-            varint::encode(segment.monitor as u64, &mut payload);
-            varint::encode(segment.sequence, &mut payload);
-            varint::encode(segment.entries, &mut payload);
-        }
-
-        let mut out = Vec::with_capacity(payload.len() + 9);
-        out.extend_from_slice(MANIFEST_MAGIC);
-        out.push(MANIFEST_VERSION);
-        out.extend_from_slice(&payload);
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out
+        encode_labels(&self.monitor_labels, &mut payload);
+        SegmentMeta::encode_list(&self.segments, &mut payload);
+        seal(MANIFEST_MAGIC, MANIFEST_VERSION, &payload)
     }
 
     /// Parses a manifest from bytes, verifying magic, version and CRC.
     pub fn decode(bytes: &[u8]) -> Result<Self, SegmentError> {
-        if bytes.len() < 9 {
-            return Err(SegmentError::Corrupt("manifest too short".into()));
+        let mut cursor = Cursor::new(unseal(MANIFEST_MAGIC, MANIFEST_VERSION, "manifest", bytes)?);
+        let monitor_labels = decode_labels(&mut cursor)?;
+        let segments = SegmentMeta::decode_list(&mut cursor)?;
+        if let Some(stray) = segments.iter().find(|s| s.monitor >= monitor_labels.len()) {
+            return Err(SegmentError::Corrupt(format!(
+                "segment references monitor {} but the manifest has {} labels",
+                stray.monitor,
+                monitor_labels.len()
+            )));
         }
-        if &bytes[..4] != MANIFEST_MAGIC {
-            return Err(SegmentError::Corrupt("missing manifest magic".into()));
-        }
-        if bytes[4] != MANIFEST_VERSION {
-            return Err(SegmentError::UnsupportedVersion(bytes[4]));
-        }
-        let payload = &bytes[5..bytes.len() - 4];
-        let stored_crc = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().unwrap());
-        if crc32(payload) != stored_crc {
-            return Err(SegmentError::ChecksumMismatch {
-                location: "manifest".into(),
-            });
-        }
-
-        let mut pos = 0usize;
-        let take_varint = |pos: &mut usize| -> Result<u64, SegmentError> {
-            let (value, used) = varint::decode(&payload[*pos..])
-                .map_err(|e| SegmentError::Corrupt(format!("bad varint in manifest: {e:?}")))?;
-            *pos += used;
-            Ok(value)
-        };
-        let take_str = |pos: &mut usize, len: usize| -> Result<String, SegmentError> {
-            if payload.len() - *pos < len {
-                return Err(SegmentError::Corrupt("manifest string truncated".into()));
-            }
-            let s = std::str::from_utf8(&payload[*pos..*pos + len])
-                .map_err(|_| SegmentError::Corrupt("manifest string is not UTF-8".into()))?;
-            *pos += len;
-            Ok(s.to_string())
-        };
-
-        let label_count = take_varint(&mut pos)? as usize;
-        if label_count > payload.len() {
-            return Err(SegmentError::Corrupt("label count out of range".into()));
-        }
-        let mut monitor_labels = Vec::with_capacity(label_count);
-        for _ in 0..label_count {
-            let len = take_varint(&mut pos)? as usize;
-            monitor_labels.push(take_str(&mut pos, len)?);
-        }
-
-        let segment_count = take_varint(&mut pos)? as usize;
-        if segment_count > payload.len() {
-            return Err(SegmentError::Corrupt("segment count out of range".into()));
-        }
-        let mut segments = Vec::with_capacity(segment_count);
-        for _ in 0..segment_count {
-            let name_len = take_varint(&mut pos)? as usize;
-            let file_name = take_str(&mut pos, name_len)?;
-            let monitor = take_varint(&mut pos)? as usize;
-            if monitor >= monitor_labels.len() {
-                return Err(SegmentError::Corrupt(format!(
-                    "segment references monitor {monitor} but the manifest has {} labels",
-                    monitor_labels.len()
-                )));
-            }
-            let sequence = take_varint(&mut pos)?;
-            let entries = take_varint(&mut pos)?;
-            segments.push(SegmentMeta {
-                file_name,
-                monitor,
-                sequence,
-                entries,
-            });
-        }
-        if pos != payload.len() {
+        if !cursor.is_at_end() {
             return Err(SegmentError::Corrupt("trailing bytes in manifest".into()));
         }
         Ok(Manifest {
@@ -278,18 +254,16 @@ pub struct MonitorCheckpoint {
 /// [`DatasetWriter::checkpoint`].
 ///
 /// ```text
-/// checkpoint := "IPMC" version:u8 payload crc32(payload):u32le
-/// payload    := label_count:varint (len:varint label)*
-///               monitor_count:varint monitor*
-/// monitor    := index:varint sealed_count:varint sealed* open_flag:u8 [open]
-/// sealed     := name_len:varint name monitor:varint sequence:varint
-///               entries:varint                        (the manifest row)
+/// checkpoint := seal("IPMC", version, payload)
+/// payload    := labels monitor_count:varint monitor*
+/// monitor    := index:varint sealed_count:varint segment* open_flag:u8 [open]
 /// open       := name_len:varint name sequence:varint durable_bytes:varint
 ///               durable_entries:varint conn_count:varint connection*
 /// ```
 ///
-/// Connections use the segment-footer wire form. The file is written with
-/// the same tmp+fsync+rename+dir-sync protocol as the manifest, after the
+/// `seal`, `labels` and `segment` are the manifest's (see the [module
+/// docs](self)); connections use the segment-footer wire form. The file is
+/// replaced through [`write_file_durable`] like the manifest, after the
 /// open segment files themselves were fsynced — so everything a checkpoint
 /// claims durable really is.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -304,94 +278,37 @@ impl Checkpoint {
     /// Serializes the checkpoint to bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut payload = Vec::new();
-        varint::encode(self.monitor_labels.len() as u64, &mut payload);
-        for label in &self.monitor_labels {
-            varint::encode(label.len() as u64, &mut payload);
-            payload.extend_from_slice(label.as_bytes());
-        }
+        encode_labels(&self.monitor_labels, &mut payload);
         varint::encode(self.monitors.len() as u64, &mut payload);
         for monitor in &self.monitors {
             varint::encode(monitor.monitor as u64, &mut payload);
-            varint::encode(monitor.sealed.len() as u64, &mut payload);
-            for meta in &monitor.sealed {
-                varint::encode(meta.file_name.len() as u64, &mut payload);
-                payload.extend_from_slice(meta.file_name.as_bytes());
-                varint::encode(meta.monitor as u64, &mut payload);
-                varint::encode(meta.sequence, &mut payload);
-                varint::encode(meta.entries, &mut payload);
-            }
+            SegmentMeta::encode_list(&monitor.sealed, &mut payload);
             match &monitor.open {
                 None => payload.push(0),
                 Some(open) => {
                     payload.push(1);
-                    varint::encode(open.file_name.len() as u64, &mut payload);
-                    payload.extend_from_slice(open.file_name.as_bytes());
+                    encode_string(&open.file_name, &mut payload);
                     varint::encode(open.sequence, &mut payload);
                     varint::encode(open.durable_bytes, &mut payload);
                     varint::encode(open.durable_entries, &mut payload);
-                    varint::encode(open.connections.len() as u64, &mut payload);
-                    for connection in &open.connections {
-                        segment::encode_connection(connection, &mut payload);
-                    }
+                    encode_connections(&open.connections, &mut payload);
                 }
             }
         }
-
-        let mut out = Vec::with_capacity(payload.len() + 9);
-        out.extend_from_slice(CHECKPOINT_MAGIC);
-        out.push(CHECKPOINT_VERSION);
-        out.extend_from_slice(&payload);
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out
+        seal(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &payload)
     }
 
     /// Parses a checkpoint from bytes, verifying magic, version and CRC.
     pub fn decode(bytes: &[u8]) -> Result<Self, SegmentError> {
-        if bytes.len() < 9 {
-            return Err(SegmentError::Corrupt("checkpoint too short".into()));
-        }
-        if &bytes[..4] != CHECKPOINT_MAGIC {
-            return Err(SegmentError::Corrupt("missing checkpoint magic".into()));
-        }
-        if bytes[4] != CHECKPOINT_VERSION {
-            return Err(SegmentError::UnsupportedVersion(bytes[4]));
-        }
-        let payload = &bytes[5..bytes.len() - 4];
-        let stored_crc = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().unwrap());
-        if crc32(payload) != stored_crc {
-            return Err(SegmentError::ChecksumMismatch {
-                location: "checkpoint".into(),
-            });
-        }
-
-        let mut cursor = segment::Cursor::new(payload);
-        let label_count = cursor.varint()? as usize;
-        if label_count > payload.len() {
-            return Err(SegmentError::Corrupt(
-                "checkpoint label count out of range".into(),
-            ));
-        }
-        let mut monitor_labels = Vec::with_capacity(label_count);
-        for _ in 0..label_count {
-            let len = cursor.varint()? as usize;
-            let label = std::str::from_utf8(cursor.take(len)?)
-                .map_err(|_| SegmentError::Corrupt("checkpoint label is not UTF-8".into()))?;
-            monitor_labels.push(label.to_string());
-        }
-
-        let take_string = |cursor: &mut segment::Cursor<'_>| -> Result<String, SegmentError> {
-            let len = cursor.varint()? as usize;
-            let s = std::str::from_utf8(cursor.take(len)?)
-                .map_err(|_| SegmentError::Corrupt("checkpoint string is not UTF-8".into()))?;
-            Ok(s.to_string())
-        };
-
-        let monitor_count = cursor.varint()? as usize;
-        if monitor_count > payload.len() {
-            return Err(SegmentError::Corrupt(
-                "checkpoint monitor count out of range".into(),
-            ));
-        }
+        let mut cursor = Cursor::new(unseal(
+            CHECKPOINT_MAGIC,
+            CHECKPOINT_VERSION,
+            "checkpoint",
+            bytes,
+        )?);
+        let monitor_labels = decode_labels(&mut cursor)?;
+        // A monitor slice is at least an index, a sealed count and a marker.
+        let monitor_count = checked_count(&mut cursor, 3, "checkpoint monitor")?;
         let mut monitors = Vec::with_capacity(monitor_count);
         for _ in 0..monitor_count {
             let monitor = cursor.varint()? as usize;
@@ -401,50 +318,16 @@ impl Checkpoint {
                     monitor_labels.len()
                 )));
             }
-            let sealed_count = cursor.varint()? as usize;
-            if sealed_count > payload.len() {
-                return Err(SegmentError::Corrupt(
-                    "checkpoint sealed count out of range".into(),
-                ));
-            }
-            let mut sealed = Vec::with_capacity(sealed_count);
-            for _ in 0..sealed_count {
-                let file_name = take_string(&mut cursor)?;
-                let meta_monitor = cursor.varint()? as usize;
-                let sequence = cursor.varint()?;
-                let entries = cursor.varint()?;
-                sealed.push(SegmentMeta {
-                    file_name,
-                    monitor: meta_monitor,
-                    sequence,
-                    entries,
-                });
-            }
+            let sealed = SegmentMeta::decode_list(&mut cursor)?;
             let open = match cursor.byte()? {
                 0 => None,
-                1 => {
-                    let file_name = take_string(&mut cursor)?;
-                    let sequence = cursor.varint()?;
-                    let durable_bytes = cursor.varint()?;
-                    let durable_entries = cursor.varint()?;
-                    let conn_count = cursor.varint()? as usize;
-                    if conn_count > payload.len() {
-                        return Err(SegmentError::Corrupt(
-                            "checkpoint connection count out of range".into(),
-                        ));
-                    }
-                    let mut connections = Vec::with_capacity(conn_count);
-                    for _ in 0..conn_count {
-                        connections.push(segment::decode_connection(&mut cursor)?);
-                    }
-                    Some(OpenSegmentState {
-                        file_name,
-                        sequence,
-                        durable_bytes,
-                        durable_entries,
-                        connections,
-                    })
-                }
+                1 => Some(OpenSegmentState {
+                    file_name: cursor.string()?,
+                    sequence: cursor.varint()?,
+                    durable_bytes: cursor.varint()?,
+                    durable_entries: cursor.varint()?,
+                    connections: decode_connections(&mut cursor)?,
+                }),
                 other => {
                     return Err(SegmentError::Corrupt(format!(
                         "invalid checkpoint open-segment marker {other}"
@@ -487,6 +370,15 @@ impl Checkpoint {
             Ok(bytes) => Ok(Some(Self::decode(&bytes)?)),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e.into()),
+        }
+    }
+
+    /// Removes the checkpoint of a dataset directory, if there is one — once
+    /// a durable manifest supersedes it.
+    pub(crate) fn remove_from(dir: &Path, storage: &dyn Storage) -> Result<(), SegmentError> {
+        match storage.remove_file(&dir.join(CHECKPOINT_FILE_NAME)) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e.into()),
+            _ => Ok(()),
         }
     }
 
@@ -619,15 +511,10 @@ impl MonitorWriter {
         self.total_entries
     }
 
-    fn current_file_name(&self) -> String {
-        format!("seg-{:03}-{:05}.seg", self.monitor, self.sequence)
-    }
-
     fn writer(&mut self) -> Result<&mut TraceWriter<SegmentSink>, SegmentError> {
         if self.current.is_none() {
-            let file = self
-                .storage
-                .create(&self.dir.join(self.current_file_name()))?;
+            let name = SegmentMeta::file_name_of(self.monitor, self.sequence);
+            let file = self.storage.create(&self.dir.join(name))?;
             let file = RetryFile::new(file, RetryPolicy::default());
             self.current = Some(TraceWriter::new(
                 BufWriter::new(file),
@@ -680,7 +567,7 @@ impl MonitorWriter {
         let Some(writer) = self.current.take() else {
             return Ok(());
         };
-        let file_name = self.current_file_name();
+        let file_name = SegmentMeta::file_name_of(self.monitor, self.sequence);
         let (summary, sink): (SegmentSummary, SegmentSink) = writer.finish_into()?;
         let mut file = sink
             .into_inner()
@@ -706,7 +593,7 @@ impl MonitorWriter {
     /// fsync the file, and report exactly how many bytes/entries are now
     /// stable together with the footer-bound connection records.
     pub fn prepare_checkpoint(&mut self) -> Result<MonitorCheckpoint, SegmentError> {
-        let file_name = self.current_file_name();
+        let file_name = SegmentMeta::file_name_of(self.monitor, self.sequence);
         let open = match self.current.as_mut() {
             None => None,
             Some(writer) => {
@@ -949,14 +836,7 @@ impl DatasetWriter {
         let manifest_path = manifest.write_to_with(&self.dir, &*self.storage)?;
         // The durable manifest is now the authoritative index; a leftover
         // checkpoint would only describe a stale mid-flight state.
-        match self
-            .storage
-            .remove_file(&self.dir.join(CHECKPOINT_FILE_NAME))
-        {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
-        }
+        Checkpoint::remove_from(&self.dir, &*self.storage)?;
         Ok(DatasetSummary {
             segment_count: manifest.segments.len(),
             total_entries: manifest.total_entries(),
@@ -1041,6 +921,102 @@ mod tests {
             Manifest::decode(&manifest.encode()),
             Err(SegmentError::Corrupt(_))
         ));
+    }
+
+    /// XORs every payload byte of a sealed file with each of three masks,
+    /// re-seals (so the CRC vouches for the mutation and the payload parser
+    /// is what gets exercised) and decodes. Returns how many mutations
+    /// decoded cleanly and how many were refused; a refusal must be
+    /// [`SegmentError::Corrupt`], and nothing may panic.
+    fn mutation_sweep<T>(
+        magic: &[u8; 4],
+        version: u8,
+        what: &str,
+        sealed: &[u8],
+        decode: impl Fn(&[u8]) -> Result<T, SegmentError>,
+    ) -> (usize, usize) {
+        let payload = unseal(magic, version, what, sealed).unwrap();
+        let (mut clean, mut refused) = (0, 0);
+        for at in 0..payload.len() {
+            for mask in [0x01, 0x40, 0xff] {
+                let mut mutated = payload.to_vec();
+                mutated[at] ^= mask;
+                match decode(&seal(magic, version, &mutated)) {
+                    Ok(_) => clean += 1,
+                    Err(SegmentError::Corrupt(_)) => refused += 1,
+                    Err(other) => panic!("{what} byte {at} ^ {mask:#04x}: untyped {other}"),
+                }
+            }
+        }
+        (clean, refused)
+    }
+
+    #[test]
+    fn mutated_manifests_and_checkpoints_decode_or_fail_typed() {
+        let sealed = |monitor: usize, sequence: u64, entries: u64| SegmentMeta {
+            file_name: SegmentMeta::file_name_of(monitor, sequence),
+            monitor,
+            sequence,
+            entries,
+        };
+        let manifest = Manifest {
+            monitor_labels: vec!["us".into(), "de".into()],
+            segments: vec![sealed(0, 0, 1_000), sealed(0, 1, 300), sealed(1, 0, 70_000)],
+        };
+        let bytes = manifest.encode();
+        assert_eq!(Manifest::decode(&bytes).unwrap(), manifest);
+        let (clean, refused) = mutation_sweep(
+            MANIFEST_MAGIC,
+            MANIFEST_VERSION,
+            "manifest",
+            &bytes,
+            Manifest::decode,
+        );
+        assert!(clean > 0 && refused > 0, "{clean} clean, {refused} refused");
+
+        use ipfs_mon_simnet::time::SimTime;
+        use ipfs_mon_types::{Country, Multiaddr, PeerId, Transport};
+        let connection = |disconnected_at| ConnectionRecord {
+            monitor: 0,
+            peer: PeerId::derived(9, 1),
+            address: Multiaddr::new(7, 4001, Transport::Quic, Country::Jp),
+            connected_at: SimTime::from_millis(300),
+            disconnected_at,
+        };
+        let checkpoint = Checkpoint {
+            monitor_labels: manifest.monitor_labels.clone(),
+            monitors: vec![
+                MonitorCheckpoint {
+                    monitor: 0,
+                    sealed: vec![sealed(0, 0, 1_000)],
+                    open: Some(OpenSegmentState {
+                        file_name: SegmentMeta::file_name_of(0, 1),
+                        sequence: 1,
+                        durable_bytes: 40_000,
+                        durable_entries: 300,
+                        connections: vec![
+                            connection(None),
+                            connection(Some(SimTime::from_secs(9))),
+                        ],
+                    }),
+                },
+                MonitorCheckpoint {
+                    monitor: 1,
+                    sealed: Vec::new(),
+                    open: None,
+                },
+            ],
+        };
+        let bytes = checkpoint.encode();
+        assert_eq!(Checkpoint::decode(&bytes).unwrap(), checkpoint);
+        let (clean, refused) = mutation_sweep(
+            CHECKPOINT_MAGIC,
+            CHECKPOINT_VERSION,
+            "checkpoint",
+            &bytes,
+            Checkpoint::decode,
+        );
+        assert!(clean > 0 && refused > 0, "{clean} clean, {refused} refused");
     }
 
     #[test]

@@ -30,15 +30,14 @@
 //! [`SegmentError::InvalidConfig`]).
 
 use crate::codec::Codec;
-use crate::fault::{RealStorage, Storage};
+use crate::fault::{commit_replace, staging_path, RealStorage, Storage};
 use crate::manifest::{Manifest, MANIFEST_FILE_NAME};
 use crate::reader::{ChunkSource, FileSource, TraceReader};
-use crate::segment::{SegmentConfig, SegmentError};
+use crate::segment::{frame_codec_byte, SegmentConfig, SegmentError, FRAME_HEAD_LEN};
 use crate::writer::TraceWriter;
 use ipfs_mon_obs as obs;
-use ipfs_mon_types::varint;
 use std::io::BufWriter;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Suffix of the temporary file a segment is rewritten into before the
 /// atomic swap. Stale files with this suffix (from a crashed migration) are
@@ -63,29 +62,15 @@ pub struct MigrateReport {
     pub bytes_after: u64,
 }
 
-/// Reads the codec byte of one chunk frame: `payload_len:varint` followed
-/// by the payload, whose first byte names the codec.
-fn chunk_codec_byte<S: ChunkSource>(
-    source: &S,
-    offset: u64,
-    frame_len: u64,
-) -> Result<u8, SegmentError> {
-    // A length varint is at most 10 bytes; one more for the codec byte.
-    let head = source.read_at(offset, (frame_len as usize).min(11))?;
-    let (_, used) = varint::decode(&head)
-        .map_err(|e| SegmentError::Corrupt(format!("bad chunk length varint: {e:?}")))?;
-    head.get(used)
-        .copied()
-        .ok_or_else(|| SegmentError::Corrupt("chunk frame too short for codec byte".into()))
-}
-
 /// True when every chunk of the open segment already carries `target`.
 fn segment_matches<S: ChunkSource>(
     reader: &TraceReader<S>,
     target: Codec,
 ) -> Result<bool, SegmentError> {
     for info in reader.chunks() {
-        if chunk_codec_byte(reader.source(), info.offset, info.len)? != target.byte() {
+        let head_len = (info.len as usize).min(FRAME_HEAD_LEN);
+        let head = reader.source().read_at(info.offset, head_len)?;
+        if frame_codec_byte(&head)? != target.byte() {
             return Ok(false);
         }
     }
@@ -98,7 +83,7 @@ fn rewrite_segment(storage: &dyn Storage, path: &Path, target: Codec) -> Result<
     let reader = TraceReader::new(FileSource::open(path)?)?;
     let labels = reader.monitor_labels().to_vec();
 
-    let tmp_path = migrate_tmp_path(path);
+    let tmp_path = staging_path(path, MIGRATE_TMP_SUFFIX);
     let result = (|| {
         let file = storage.create(&tmp_path)?;
         let mut writer = TraceWriter::new(
@@ -131,11 +116,7 @@ fn rewrite_segment(storage: &dyn Storage, path: &Path, target: Codec) -> Result<
         drop(file);
 
         verify_identical(&reader, &tmp_path)?;
-        storage.rename(&tmp_path, path)?;
-        // Make the swap itself durable: the rename is a directory mutation.
-        if let Some(parent) = path.parent() {
-            storage.sync_dir(parent)?;
-        }
+        commit_replace(storage, &tmp_path, path)?;
         Ok(reader.total_entries())
     })();
     if result.is_err() {
@@ -182,12 +163,6 @@ fn verify_identical<S: ChunkSource>(
         }
     }
     Ok(())
-}
-
-fn migrate_tmp_path(path: &Path) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(MIGRATE_TMP_SUFFIX);
-    path.with_file_name(name)
 }
 
 /// Removes stale `*.migrate-tmp` files left by a crashed earlier run.
@@ -273,6 +248,7 @@ mod tests {
     use ipfs_mon_bitswap::RequestType;
     use ipfs_mon_simnet::time::SimTime;
     use ipfs_mon_types::{Cid, Country, Multiaddr, Multicodec, PeerId, Transport};
+    use std::path::PathBuf;
 
     fn entry(ms: u64, peer: u64, monitor: usize) -> TraceEntry {
         TraceEntry {

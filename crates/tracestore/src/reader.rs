@@ -4,8 +4,8 @@
 use crate::manifest::{Manifest, SegmentMeta};
 use crate::record::{ConnectionRecord, MonitoringDataset, TraceEntry};
 use crate::segment::{
-    decode_footer, ChunkInfo, ChunkScratch, ChunkView, Footer, SegmentError, FOOTER_MAGIC,
-    FORMAT_VERSION, HEADER_MAGIC, TRAILER_LEN,
+    check_header, decode_footer, ChunkInfo, ChunkScratch, ChunkView, Footer, SegmentError,
+    FOOTER_MAGIC, HEADER_LEN, TRAILER_LEN,
 };
 use ipfs_mon_obs as obs;
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
@@ -142,17 +142,12 @@ impl<S: ChunkSource> TraceReader<S> {
     /// Opens a segment: validates the header, locates and checks the footer.
     pub fn new(source: S) -> Result<Self, SegmentError> {
         let total_len = source.len()?;
-        let header_len = (HEADER_MAGIC.len() + 1) as u64;
+        let header_len = HEADER_LEN as u64;
         if total_len < header_len + TRAILER_LEN as u64 {
             return Err(SegmentError::Corrupt("segment too short".into()));
         }
-        let header = source.read_at(0, HEADER_MAGIC.len() + 1)?;
-        if &header[..4] != HEADER_MAGIC {
-            return Err(SegmentError::Corrupt("missing segment header magic".into()));
-        }
-        if header[4] != FORMAT_VERSION {
-            return Err(SegmentError::UnsupportedVersion(header[4]));
-        }
+        // All `HEADER_LEN` bytes are there, so the header cannot come back torn.
+        check_header(&source.read_at(0, HEADER_LEN)?)?;
 
         // Fixed-size trailer: footer CRC, footer payload length, magic.
         let trailer = source.read_at(total_len - TRAILER_LEN as u64, TRAILER_LEN)?;
@@ -256,20 +251,12 @@ impl<S: ChunkSource> TraceReader<S> {
             .unwrap_or(0)
     }
 
-    /// Streams one monitor's entries sorted by timestamp (stable: equal
-    /// timestamps keep arrival order). Arrival streams carry send-side
-    /// timestamps and are only locally out of order; a reorder buffer sized
-    /// by the lateness bound recorded at write time restores exact order with
-    /// memory proportional to the disorder window, not the trace.
-    pub fn stream_monitor_sorted(&self, monitor: usize) -> SortedEntryStream<'_, S> {
-        SortedEntryStream {
-            keys: self.sorted_keys(monitor, None),
-            rows: KeyedRows::default(),
-        }
-    }
-
-    /// The rows of [`TraceReader::stream_monitor_sorted`] as keys, with a
-    /// [`ChunkHook`] that sees every chunk before its rows.
+    /// One monitor's rows as keys sorted by timestamp (stable: equal
+    /// timestamps keep arrival order), with a [`ChunkHook`] that sees every
+    /// chunk before its rows. Arrival streams carry send-side timestamps and
+    /// are only locally out of order; a reorder buffer sized by the lateness
+    /// bound recorded at write time restores exact order with memory
+    /// proportional to the disorder window, not the trace.
     fn sorted_keys<'a>(&'a self, monitor: usize, hook: Option<ChunkHook<'a>>) -> SortedKeys<'a, S> {
         SortedKeys {
             inner: self.stream_monitor_with(monitor, hook),
@@ -711,37 +698,6 @@ impl<S: ChunkSource> SortedKeys<'_, S> {
                 None => self.drained = true,
             }
         }
-    }
-}
-
-/// One monitor's entries delivered in exact `(timestamp, arrival)` order via
-/// a bounded reorder buffer (see [`TraceReader::stream_monitor_sorted`]).
-///
-/// What is held back is a row's 16-byte key; the chunks the held keys point
-/// into stay shared with the stream until the last of their rows is built.
-pub struct SortedEntryStream<'a, S: ChunkSource> {
-    keys: SortedKeys<'a, S>,
-    rows: KeyedRows,
-}
-
-impl<S: ChunkSource> SortedEntryStream<'_, S> {
-    /// Returns the error that ended the underlying stream early, if any.
-    pub fn take_error(&mut self) -> Option<SegmentError> {
-        self.keys.inner.take_error()
-    }
-
-    /// Entries currently held in the reorder buffer.
-    pub fn buffered(&self) -> usize {
-        self.keys.held.len()
-    }
-}
-
-impl<S: ChunkSource> Iterator for SortedEntryStream<'_, S> {
-    type Item = TraceEntry;
-
-    fn next(&mut self) -> Option<TraceEntry> {
-        let key = self.keys.next_key(&mut self.rows.handoff)?;
-        Some(self.rows.build(key))
     }
 }
 
@@ -1745,8 +1701,34 @@ mod tests {
         // ...sorted stream delivers the stable time order.
         let mut expected = arrival.clone();
         expected.sort_by_key(|e| e.timestamp);
-        let sorted: Vec<TraceEntry> = reader.stream_monitor_sorted(0).collect();
+        let sorted: Vec<TraceEntry> = SortedEntries::new(&reader, None).collect();
         assert_eq!(sorted, expected);
+    }
+
+    /// One segment's monitor 0 as sorted entries: [`SortedKeys`] with each
+    /// row built where it is read, the way [`ChainedMonitorStream`] builds
+    /// the rows of a chain.
+    struct SortedEntries<'a> {
+        keys: SortedKeys<'a, SliceSource<'a>>,
+        rows: KeyedRows,
+    }
+
+    impl<'a> SortedEntries<'a> {
+        fn new(reader: &'a TraceReader<SliceSource<'a>>, hook: Option<ChunkHook<'a>>) -> Self {
+            Self {
+                keys: reader.sorted_keys(0, hook),
+                rows: KeyedRows::default(),
+            }
+        }
+    }
+
+    impl Iterator for SortedEntries<'_> {
+        type Item = TraceEntry;
+
+        fn next(&mut self) -> Option<TraceEntry> {
+            let key = self.keys.next_key(&mut self.rows.handoff)?;
+            Some(self.rows.build(key))
+        }
     }
 
     /// Every chunk a stream has read, as the hook that logs them sees them.
@@ -1774,16 +1756,13 @@ mod tests {
             log.lock().unwrap().push(Arc::downgrade(chunk));
             false
         };
-        let mut stream = SortedEntryStream {
-            keys: reader.sorted_keys(0, Some(&hook)),
-            rows: KeyedRows::default(),
-        };
+        let mut stream = SortedEntries::new(&reader, Some(&hook));
         let mut peak = 0;
         let mut sorted = Vec::with_capacity(arrival.len());
         let sample = (arrival.len() / 64).max(1);
         while let Some(entry) = stream.next() {
             sorted.push(entry);
-            peak = peak.max(stream.buffered());
+            peak = peak.max(stream.keys.held.len());
             if sorted.len() % sample == 0 {
                 let mut keyed: std::collections::BTreeSet<u32> =
                     stream.keys.held.iter().map(|key| key.0.chunk()).collect();
@@ -1801,8 +1780,8 @@ mod tests {
                 );
             }
         }
-        assert!(stream.take_error().is_none());
-        assert_eq!(stream.buffered(), 0);
+        assert!(stream.keys.inner.take_error().is_none());
+        assert!(stream.keys.held.is_empty());
         assert_eq!(log.lock().unwrap().len(), reader.chunks().len());
         assert_eq!(alive(&log), 0, "a drained stream holds no chunk");
         assert!(sorted == expected, "sorted stream is not the stable sort");

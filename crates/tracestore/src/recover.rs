@@ -6,18 +6,19 @@
 //! footer, a checkpoint newer than the manifest (or no manifest at all), and
 //! stale temp files. Recovery rebuilds the longest *prefix-consistent* view:
 //!
-//! 1. **Sweep** stale temp files (`.tmp`, `.recover-tmp`, `.migrate-tmp`) —
-//!    leftovers of interrupted atomic writes, including recovery's own.
+//! 1. **Sweep** stale temp files (`.tmp`, `.migrate-tmp`) — leftovers of
+//!    interrupted atomic replaces, including recovery's own.
 //! 2. **Anchor** on the durable metadata: the checkpoint
 //!    ([`Checkpoint`], written by [`DatasetWriter::checkpoint`]) and/or the
 //!    manifest. Either may be missing; surviving segment footers fill in
 //!    labels when both are.
 //! 3. **Salvage** every `seg-*.seg` file: an intact segment (valid footer,
 //!    every chunk CRC-valid) is kept as-is; a damaged one is truncated back
-//!    to its longest valid chunk-frame prefix and sealed with a rebuilt
-//!    footer (written via tmp + fsync + atomic rename, so recovery itself
-//!    can crash and re-run); a segment with a bad header or no valid data
-//!    is moved to `quarantine/` with a typed reason.
+//!    to its longest valid chunk-frame prefix (the walk is
+//!    `segment::walk_frames`, the one the live tail runs) and sealed with a
+//!    rebuilt footer (replaced through [`write_file_durable`], so recovery
+//!    itself can crash and re-run); a segment with a bad header or no valid
+//!    data is moved to `quarantine/` with a typed reason.
 //! 4. **Re-chain** per monitor: segments must form a contiguous sequence
 //!    run starting at 0, and only the *last* segment of a chain may be
 //!    short of its recorded entry count. Anything after a gap, a truncated
@@ -42,27 +43,19 @@
 //!
 //! [`DatasetWriter::checkpoint`]: crate::manifest::DatasetWriter::checkpoint
 
-use crate::fault::{RealStorage, Storage, StorageFile, DURABLE_TMP_SUFFIX};
-use crate::manifest::{
-    Checkpoint, Manifest, SegmentMeta, CHECKPOINT_FILE_NAME, MANIFEST_FILE_NAME,
-};
+use crate::fault::{write_file_durable, RealStorage, Storage, DURABLE_TMP_SUFFIX};
+use crate::manifest::{Checkpoint, Manifest, SegmentMeta, MANIFEST_FILE_NAME};
 use crate::migrate::MIGRATE_TMP_SUFFIX;
 use crate::reader::{SliceSource, TraceReader};
 use crate::segment::{
-    encode_footer, ChunkInfo, ChunkScratch, ChunkView, Footer, SegmentError, FORMAT_VERSION,
-    HEADER_MAGIC, TRAILER_LEN,
+    check_header, encode_footer, walk_frames, ChunkInfo, ChunkScratch, Footer, SegmentError,
+    HEADER_LEN,
 };
 use ipfs_mon_obs as obs;
 use ipfs_mon_simnet::time::SimTime;
-use ipfs_mon_types::varint;
-use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Suffix of recovery's own temp files (swept on every run, so recovery can
-/// crash mid-rebuild and re-run).
-pub const RECOVER_TMP_SUFFIX: &str = ".recover-tmp";
 /// Directory (inside the dataset directory) receiving unrecoverable
 /// segments.
 pub const QUARANTINE_DIR_NAME: &str = "quarantine";
@@ -163,13 +156,6 @@ pub struct RecoveryReport {
     pub resume: Vec<ResumeCursor>,
 }
 
-/// Parses `seg-{monitor:03}-{sequence:05}.seg`.
-fn parse_segment_name(name: &str) -> Option<(usize, u64)> {
-    let rest = name.strip_prefix("seg-")?.strip_suffix(".seg")?;
-    let (monitor, sequence) = rest.split_once('-')?;
-    Some((monitor.parse().ok()?, sequence.parse().ok()?))
-}
-
 /// How one segment file fared during salvage.
 enum Salvage {
     Intact {
@@ -186,37 +172,17 @@ enum Salvage {
     Quarantine(QuarantineReason),
 }
 
-/// Scans `bytes` for the longest prefix of CRC-valid chunk frames after the
-/// segment header. Returns the rebuilt chunk index (offsets relative to the
-/// file), the end offset of the valid prefix, and the max lateness observed.
-/// Never errors: any undecodable byte simply ends the prefix.
+/// Indexes the valid chunk-frame prefix of a segment's `bytes` (see
+/// [`walk_frames`] for where it ends). Returns the rebuilt chunk index
+/// (offsets relative to the file), the end offset of the prefix, and the max
+/// lateness observed.
 fn scan_chunk_prefix(bytes: &[u8]) -> (Vec<ChunkInfo>, usize, u64) {
     let mut infos = Vec::new();
-    let mut pos = HEADER_MAGIC.len() + 1;
     let mut high_water: Option<u64> = None;
     let mut max_lateness_ms = 0u64;
     let mut scratch = ChunkScratch::default();
-    while pos < bytes.len() {
-        let Ok((payload_len, used)) = varint::decode(&bytes[pos..]) else {
-            break;
-        };
-        let Some(frame_len) = (payload_len as usize)
-            .checked_add(used + 4)
-            .filter(|l| pos + l <= bytes.len())
-        else {
-            break;
-        };
-        let frame = &bytes[pos..pos + frame_len];
-        let view = match ChunkView::parse_with(Cow::Borrowed(frame), scratch) {
-            Ok(view) => view,
-            Err(_) => break,
-        };
+    let valid_end = walk_frames(bytes, HEADER_LEN, &mut scratch, |offset, len, view| {
         let timestamps = view.timestamps_ms();
-        let (first, last) = match (timestamps.first(), timestamps.last()) {
-            (Some(&first), Some(&last)) => (first, last),
-            // A written chunk is never empty; treat one as end-of-prefix.
-            _ => break,
-        };
         for &ts in timestamps {
             match high_water {
                 Some(high) if ts < high => {
@@ -227,17 +193,16 @@ fn scan_chunk_prefix(bytes: &[u8]) -> (Vec<ChunkInfo>, usize, u64) {
             }
         }
         infos.push(ChunkInfo {
-            offset: pos as u64,
-            len: frame_len as u64,
+            offset: offset as u64,
+            len: len as u64,
             monitor: view.monitor(),
             entries: view.len() as u64,
-            first_timestamp: SimTime::from_millis(first),
-            last_timestamp: SimTime::from_millis(last),
+            // The walk yields no empty chunk.
+            first_timestamp: SimTime::from_millis(timestamps[0]),
+            last_timestamp: SimTime::from_millis(timestamps[timestamps.len() - 1]),
         });
-        pos += frame_len;
-        scratch = view.into_scratch();
-    }
-    (infos, pos, max_lateness_ms)
+    });
+    (infos, valid_end, max_lateness_ms)
 }
 
 /// Salvages one segment file in place. `label` and `connections` feed the
@@ -249,58 +214,44 @@ fn salvage_segment(
     connections: &[crate::record::ConnectionRecord],
 ) -> Result<Salvage, SegmentError> {
     let bytes = std::fs::read(path)?;
-    if bytes.len() < HEADER_MAGIC.len() + 1 {
-        if bytes.is_empty() || HEADER_MAGIC.starts_with(&bytes[..bytes.len().min(4)]) {
-            // A torn create: nothing but (part of) the header ever landed.
-            return Ok(Salvage::Empty);
+    match check_header(&bytes) {
+        Ok(true) => {}
+        // A torn create: nothing but (part of) the header ever landed.
+        Ok(false) => return Ok(Salvage::Empty),
+        Err(error) => {
+            return Ok(Salvage::Quarantine(QuarantineReason::BadHeader(
+                error.to_string(),
+            )))
         }
-        return Ok(Salvage::Quarantine(QuarantineReason::BadHeader(
-            "file shorter than the segment header".into(),
-        )));
-    }
-    if &bytes[..HEADER_MAGIC.len()] != HEADER_MAGIC {
-        return Ok(Salvage::Quarantine(QuarantineReason::BadHeader(
-            "missing segment magic".into(),
-        )));
-    }
-    let version = bytes[HEADER_MAGIC.len()];
-    if version != FORMAT_VERSION {
-        return Ok(Salvage::Quarantine(QuarantineReason::BadHeader(format!(
-            "unsupported segment version {version}"
-        ))));
     }
 
     let (infos, valid_end, max_lateness_ms) = scan_chunk_prefix(&bytes);
 
     // Intact fast path: the footer reads back and indexes exactly the chunk
     // frames the scan validated — keep the file untouched.
-    if bytes.len() >= HEADER_MAGIC.len() + 1 + TRAILER_LEN {
-        if let Ok(reader) = TraceReader::new(SliceSource::new(&bytes)) {
-            let scanned_entries: u64 = infos.iter().map(|i| i.entries).sum();
-            if reader.chunks().len() == infos.len() && reader.total_entries() == scanned_entries {
-                let label = reader
-                    .monitor_labels()
-                    .first()
-                    .cloned()
-                    .unwrap_or_else(|| label.to_string());
-                return Ok(Salvage::Intact {
-                    entries: scanned_entries,
-                    label,
-                });
-            }
+    if let Ok(reader) = TraceReader::new(SliceSource::new(&bytes)) {
+        let scanned_entries: u64 = infos.iter().map(|i| i.entries).sum();
+        if reader.chunks().len() == infos.len() && reader.total_entries() == scanned_entries {
+            let label = reader
+                .monitor_labels()
+                .first()
+                .cloned()
+                .unwrap_or_else(|| label.to_string());
+            return Ok(Salvage::Intact {
+                entries: scanned_entries,
+                label,
+            });
         }
     }
 
     if infos.is_empty() {
-        return if valid_end == HEADER_MAGIC.len() + 1 && bytes.len() == valid_end {
+        return Ok(if bytes.len() == HEADER_LEN {
             // Exactly a header: an open segment that never spilled a chunk.
-            Ok(Salvage::Empty)
-        } else if valid_end == HEADER_MAGIC.len() + 1 {
-            // Bytes follow the header but none of them form a valid chunk.
-            Ok(Salvage::Quarantine(QuarantineReason::NoValidData))
+            Salvage::Empty
         } else {
-            unreachable!("valid_end advances only past valid chunks")
-        };
+            // Bytes follow the header but none of them form a valid chunk.
+            Salvage::Quarantine(QuarantineReason::NoValidData)
+        });
     }
 
     // Rebuild: valid chunk prefix + fresh footer, atomically swapped in.
@@ -317,22 +268,7 @@ fn salvage_segment(
     let bytes_truncated = (bytes.len() - valid_end) as u64;
     drop(bytes);
 
-    let file_name = path
-        .file_name()
-        .expect("segment paths always carry a file name")
-        .to_os_string();
-    let mut tmp_name = file_name.clone();
-    tmp_name.push(RECOVER_TMP_SUFFIX);
-    let tmp_path = path.with_file_name(tmp_name);
-    {
-        let mut file = storage.create(&tmp_path)?;
-        file.write_all(&rebuilt)?;
-        StorageFile::sync_all(&mut *file)?;
-    }
-    storage.rename(&tmp_path, path)?;
-    if let Some(parent) = path.parent() {
-        storage.sync_dir(parent)?;
-    }
+    write_file_durable(storage, path, &rebuilt)?;
     Ok(Salvage::Truncated {
         entries,
         bytes_truncated,
@@ -364,10 +300,7 @@ pub fn recover_dataset_with(
         let Ok(name) = entry.file_name().into_string() else {
             continue;
         };
-        if name.ends_with(DURABLE_TMP_SUFFIX)
-            || name.ends_with(RECOVER_TMP_SUFFIX)
-            || name.ends_with(MIGRATE_TMP_SUFFIX)
-        {
+        if name.ends_with(DURABLE_TMP_SUFFIX) || name.ends_with(MIGRATE_TMP_SUFFIX) {
             storage.remove_file(&entry.path())?;
             tmp_files_swept += 1;
         } else if name.ends_with(".seg") {
@@ -415,7 +348,7 @@ pub fn recover_dataset_with(
         storage.rename(&dir.join(name), &quarantine_dir.join(name))?;
         storage.sync_dir(&quarantine_dir)?;
         storage.sync_dir(dir)?;
-        let parsed = parse_segment_name(name);
+        let parsed = SegmentMeta::parse_file_name(name);
         obs::counter!("recover.segments_quarantined").incr();
         report.quarantined.push(QuarantinedSegment {
             file_name: name.to_string(),
@@ -430,7 +363,7 @@ pub fn recover_dataset_with(
     let mut chains: BTreeMap<usize, BTreeMap<u64, (String, u64, bool)>> = BTreeMap::new();
 
     for name in segment_files {
-        let Some((monitor, sequence)) = parse_segment_name(&name) else {
+        let Some((monitor, sequence)) = SegmentMeta::parse_file_name(&name) else {
             // A .seg file we did not write; leave it alone.
             continue;
         };
@@ -560,11 +493,7 @@ pub fn recover_dataset_with(
     };
     let manifest_unchanged = prior_manifest.as_ref() == Some(&manifest);
     report.manifest_path = manifest.write_to_with(dir, storage)?;
-    match storage.remove_file(&dir.join(CHECKPOINT_FILE_NAME)) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => return Err(e.into()),
-    }
+    Checkpoint::remove_from(dir, storage)?;
 
     report.entries_recovered = manifest.total_entries();
     report.resume = (0..labels.len())

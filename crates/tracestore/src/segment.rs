@@ -68,6 +68,34 @@ pub const FOOTER_MAGIC: &[u8; 4] = b"TSFT";
 pub const FORMAT_VERSION: u8 = 2;
 /// Size of the fixed trailer: footer CRC + footer length + magic.
 pub const TRAILER_LEN: usize = 4 + 8 + 4;
+/// Size of the header: magic + version byte. Chunk frames start here.
+pub(crate) const HEADER_LEN: usize = HEADER_MAGIC.len() + 1;
+
+/// Writes the segment header.
+pub(crate) fn write_header(sink: &mut impl std::io::Write) -> std::io::Result<()> {
+    sink.write_all(HEADER_MAGIC)?;
+    sink.write_all(&[FORMAT_VERSION])
+}
+
+/// Checks the header at the start of `bytes` (the whole file, or just its
+/// first [`HEADER_LEN`] bytes) — the one statement of what every opener
+/// accepts: the reader, the live tail and crash recovery. `Ok(true)` is a
+/// complete, valid header. `Ok(false)` is a strict prefix of one: a header
+/// still being written, or the torn create a crash leaves behind — never
+/// evidence of a foreign file. Bytes that are not the magic are
+/// [`SegmentError::Corrupt`], another build's version is
+/// [`SegmentError::UnsupportedVersion`].
+pub(crate) fn check_header(bytes: &[u8]) -> Result<bool, SegmentError> {
+    let magic = &bytes[..bytes.len().min(HEADER_MAGIC.len())];
+    if !HEADER_MAGIC.starts_with(magic) {
+        return Err(SegmentError::Corrupt("missing segment header magic".into()));
+    }
+    match bytes.get(HEADER_MAGIC.len()) {
+        None => Ok(false),
+        Some(&FORMAT_VERSION) => Ok(true),
+        Some(&version) => Err(SegmentError::UnsupportedVersion(version)),
+    }
+}
 
 /// Tuning knobs of the segment writer.
 #[derive(Debug, Clone, Copy)]
@@ -320,6 +348,14 @@ impl<'a> Cursor<'a> {
         Ok(self.take(1)?[0])
     }
 
+    /// A length-prefixed UTF-8 string.
+    pub(crate) fn string(&mut self) -> Result<String, SegmentError> {
+        let len = self.varint()? as usize;
+        std::str::from_utf8(self.take(len)?)
+            .map(str::to_string)
+            .map_err(|_| SegmentError::Corrupt("string is not UTF-8".into()))
+    }
+
     pub(crate) fn position(&self) -> usize {
         self.pos
     }
@@ -327,6 +363,12 @@ impl<'a> Cursor<'a> {
     pub(crate) fn is_at_end(&self) -> bool {
         self.pos == self.bytes.len()
     }
+}
+
+/// Writes what [`Cursor::string`] reads.
+pub(crate) fn encode_string(value: &str, out: &mut Vec<u8>) {
+    varint::encode(value.len() as u64, out);
+    out.extend_from_slice(value.as_bytes());
 }
 
 /// Out of line, so the inlined [`Cursor::varint`] carries no formatting code.
@@ -339,7 +381,7 @@ fn bad_varint(error: ipfs_mon_types::TypesError) -> SegmentError {
 /// actually remaining (each element costs at least `min_bytes` to encode), so
 /// a crafted count fails as [`SegmentError::Corrupt`] instead of panicking or
 /// aborting inside `Vec::with_capacity`.
-fn checked_count(
+pub(crate) fn checked_count(
     cursor: &mut Cursor<'_>,
     min_bytes: usize,
     what: &str,
@@ -564,6 +606,98 @@ pub(crate) fn write_frame(payload: &[u8], out: &mut Vec<u8>) {
     varint::encode(payload.len() as u64, out);
     out.extend_from_slice(payload);
     out.extend_from_slice(&crc32(payload).to_le_bytes());
+}
+
+/// How many leading bytes of a frame [`frame_codec_byte`] needs at most: a
+/// length varint is at most 10 bytes, the codec byte follows it.
+pub(crate) const FRAME_HEAD_LEN: usize = 11;
+
+/// The codec byte of a chunk frame, read from the frame's first bytes without
+/// validating anything (migration's skip check; the frame is CRC-checked when
+/// it is actually read).
+pub(crate) fn frame_codec_byte(head: &[u8]) -> Result<u8, SegmentError> {
+    let mut cursor = Cursor::new(head);
+    cursor.varint()?;
+    cursor.byte()
+}
+
+/// Walks the longest prefix of complete, valid chunk frames of `bytes` from
+/// offset `start`, handing `each` the offset, length and validated view of
+/// every frame, and returns the offset just past the last of them — what
+/// crash recovery keeps of a damaged segment and what the live tail may
+/// report of a growing one. The walk ends for good at the first frame that
+/// is incomplete, fails [`ChunkView::parse_with`] or holds no row (no writer
+/// emits one); what follows is a frame still being written, the footer, or
+/// damage, which the caller tells apart. Lengths come from untrusted bytes,
+/// so every sum is checked. `scratch` is recycled from frame to frame and
+/// left for the next walk.
+pub(crate) fn walk_frames(
+    bytes: &[u8],
+    start: usize,
+    scratch: &mut ChunkScratch,
+    mut each: impl FnMut(usize, usize, &ChunkView<'_>),
+) -> usize {
+    let mut pos = start;
+    while let Some(rest) = bytes.get(pos..) {
+        let Ok((payload_len, used)) = varint::decode(rest) else {
+            break;
+        };
+        let Some(end) = usize::try_from(payload_len)
+            .ok()
+            .and_then(|payload_len| payload_len.checked_add(used + 4))
+            .and_then(|frame_len| pos.checked_add(frame_len))
+            .filter(|&end| end <= bytes.len())
+        else {
+            break;
+        };
+        let frame = Cow::Borrowed(&bytes[pos..end]);
+        match ChunkView::parse_with(frame, std::mem::take(scratch)) {
+            Ok(view) if !view.is_empty() => {
+                each(pos, end - pos, &view);
+                *scratch = view.into_scratch();
+            }
+            _ => break,
+        }
+        pos = end;
+    }
+    pos
+}
+
+/// Wraps `payload` in the envelope of the dataset's small files (manifest,
+/// checkpoint): `magic version:u8 payload crc32(payload):u32le`.
+pub(crate) fn seal(magic: &[u8; 4], version: u8, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(payload.len() + 9);
+    out.extend_from_slice(magic);
+    out.push(version);
+    out.extend_from_slice(payload);
+    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out
+}
+
+/// Inverse of [`seal`]: the payload of a `what` file, once its magic, version
+/// and CRC have checked out.
+pub(crate) fn unseal<'a>(
+    magic: &[u8; 4],
+    version: u8,
+    what: &str,
+    bytes: &'a [u8],
+) -> Result<&'a [u8], SegmentError> {
+    if bytes.len() < 9 {
+        return Err(SegmentError::Corrupt(format!("{what} too short")));
+    }
+    if &bytes[..4] != magic {
+        return Err(SegmentError::Corrupt(format!("missing {what} magic")));
+    }
+    if bytes[4] != version {
+        return Err(SegmentError::UnsupportedVersion(bytes[4]));
+    }
+    let (payload, stored_crc) = bytes[5..].split_at(bytes.len() - 9);
+    if crc32(payload).to_le_bytes() != stored_crc {
+        return Err(SegmentError::ChecksumMismatch {
+            location: what.into(),
+        });
+    }
+    Ok(payload)
 }
 
 /// A first-appearance-order dictionary with O(1) lookup. Values are stored
@@ -1229,62 +1363,82 @@ pub(crate) struct Footer {
     pub total_entries: u64,
 }
 
-/// Serializes one connection record — the footer wire form, shared with the
-/// checkpoint format of [`crate::manifest`] so the two never diverge.
-pub(crate) fn encode_connection(connection: &ConnectionRecord, payload: &mut Vec<u8>) {
-    varint::encode(connection.monitor as u64, payload);
-    payload.extend_from_slice(connection.peer.as_bytes());
-    encode_multiaddr(&connection.address, payload);
-    varint::encode(connection.connected_at.as_millis(), payload);
-    match connection.disconnected_at {
-        Some(at) => {
-            payload.push(1);
-            varint::encode(at.as_millis(), payload);
-        }
-        None => payload.push(0),
+/// `count:varint (len:varint utf8)*` — a monitor label list as the footer,
+/// the manifest and the checkpoint all store it.
+pub(crate) fn encode_labels(labels: &[String], payload: &mut Vec<u8>) {
+    varint::encode(labels.len() as u64, payload);
+    for label in labels {
+        encode_string(label, payload);
     }
 }
 
-/// Inverse of [`encode_connection`].
-pub(crate) fn decode_connection(cursor: &mut Cursor<'_>) -> Result<ConnectionRecord, SegmentError> {
-    let monitor = cursor.varint()? as usize;
-    let peer_bytes: [u8; 32] = cursor.take(32)?.try_into().unwrap();
-    let address = decode_multiaddr(cursor.take(MULTIADDR_LEN)?)?;
-    let connected_at = SimTime::from_millis(cursor.varint()?);
-    let disconnected_at = match cursor.byte()? {
-        0 => None,
-        1 => Some(SimTime::from_millis(cursor.varint()?)),
-        other => {
-            return Err(SegmentError::Corrupt(format!(
-                "invalid disconnect marker {other}"
-            )))
+/// Inverse of [`encode_labels`].
+pub(crate) fn decode_labels(cursor: &mut Cursor<'_>) -> Result<Vec<String>, SegmentError> {
+    let count = checked_count(cursor, 1, "monitor label")?;
+    (0..count).map(|_| cursor.string()).collect()
+}
+
+/// `count:varint connection*` — a connection record list as the footer and
+/// the checkpoint's open-segment state both store it.
+pub(crate) fn encode_connections(connections: &[ConnectionRecord], payload: &mut Vec<u8>) {
+    varint::encode(connections.len() as u64, payload);
+    for connection in connections {
+        varint::encode(connection.monitor as u64, payload);
+        payload.extend_from_slice(connection.peer.as_bytes());
+        encode_multiaddr(&connection.address, payload);
+        varint::encode(connection.connected_at.as_millis(), payload);
+        match connection.disconnected_at {
+            Some(at) => {
+                payload.push(1);
+                varint::encode(at.as_millis(), payload);
+            }
+            None => payload.push(0),
         }
-    };
-    Ok(ConnectionRecord {
-        monitor,
-        peer: PeerId::from_bytes(peer_bytes),
-        address,
-        connected_at,
-        disconnected_at,
-    })
+    }
+}
+
+/// Inverse of [`encode_connections`].
+pub(crate) fn decode_connections(
+    cursor: &mut Cursor<'_>,
+) -> Result<Vec<ConnectionRecord>, SegmentError> {
+    // Minimum encoded connection: monitor varint + 32-byte peer + multiaddr +
+    // connect-time varint + disconnect marker.
+    let count = checked_count(cursor, 35 + MULTIADDR_LEN, "connection")?;
+    let mut connections = Vec::with_capacity(count);
+    for _ in 0..count {
+        let monitor = cursor.varint()? as usize;
+        let peer_bytes: [u8; 32] = cursor.take(32)?.try_into().unwrap();
+        let address = decode_multiaddr(cursor.take(MULTIADDR_LEN)?)?;
+        let connected_at = SimTime::from_millis(cursor.varint()?);
+        let disconnected_at = match cursor.byte()? {
+            0 => None,
+            1 => Some(SimTime::from_millis(cursor.varint()?)),
+            other => {
+                return Err(SegmentError::Corrupt(format!(
+                    "invalid disconnect marker {other}"
+                )))
+            }
+        };
+        connections.push(ConnectionRecord {
+            monitor,
+            peer: PeerId::from_bytes(peer_bytes),
+            address,
+            connected_at,
+            disconnected_at,
+        });
+    }
+    Ok(connections)
 }
 
 pub(crate) fn encode_footer(footer: &Footer, out: &mut Vec<u8>) {
     let mut payload = Vec::new();
-    varint::encode(footer.monitor_labels.len() as u64, &mut payload);
-    for label in &footer.monitor_labels {
-        varint::encode(label.len() as u64, &mut payload);
-        payload.extend_from_slice(label.as_bytes());
-    }
+    encode_labels(&footer.monitor_labels, &mut payload);
     debug_assert_eq!(footer.max_lateness_ms.len(), footer.monitor_labels.len());
     for &lateness in &footer.max_lateness_ms {
         varint::encode(lateness, &mut payload);
     }
 
-    varint::encode(footer.connections.len() as u64, &mut payload);
-    for connection in &footer.connections {
-        encode_connection(connection, &mut payload);
-    }
+    encode_connections(&footer.connections, &mut payload);
 
     varint::encode(footer.chunks.len() as u64, &mut payload);
     for chunk in &footer.chunks {
@@ -1307,26 +1461,14 @@ pub(crate) fn encode_footer(footer: &Footer, out: &mut Vec<u8>) {
 pub(crate) fn decode_footer(payload: &[u8]) -> Result<Footer, SegmentError> {
     let mut cursor = Cursor::new(payload);
 
-    let label_count = checked_count(&mut cursor, 1, "monitor label")?;
-    let mut monitor_labels = Vec::with_capacity(label_count);
-    for _ in 0..label_count {
-        let len = cursor.varint()? as usize;
-        let label = std::str::from_utf8(cursor.take(len)?)
-            .map_err(|_| SegmentError::Corrupt("label is not UTF-8".into()))?;
-        monitor_labels.push(label.to_string());
-    }
+    let monitor_labels = decode_labels(&mut cursor)?;
+    let label_count = monitor_labels.len();
     let mut max_lateness_ms = Vec::with_capacity(label_count);
     for _ in 0..label_count {
         max_lateness_ms.push(cursor.varint()?);
     }
 
-    // Minimum encoded connection: monitor varint + 32-byte peer + multiaddr +
-    // connect-time varint + disconnect marker.
-    let connection_count = checked_count(&mut cursor, 35 + MULTIADDR_LEN, "connection")?;
-    let mut connections = Vec::with_capacity(connection_count);
-    for _ in 0..connection_count {
-        connections.push(decode_connection(&mut cursor)?);
-    }
+    let connections = decode_connections(&mut cursor)?;
 
     // The index is what streams navigate by, so it must be self-consistent:
     // a row naming a monitor the segment does not have would be filtered out
@@ -1593,6 +1735,34 @@ mod tests {
             "chunk unexpectedly large: {} bytes",
             frame.len()
         );
+    }
+
+    #[test]
+    fn check_header_tells_a_torn_create_from_a_foreign_file() {
+        let mut header = Vec::new();
+        write_header(&mut header).unwrap();
+        assert_eq!(header.len(), HEADER_LEN);
+        // Every strict prefix of a header is one still being written — the
+        // rule recovery removes a torn create by, rather than quarantine it.
+        for len in 0..HEADER_LEN {
+            assert!(matches!(check_header(&header[..len]), Ok(false)), "{len}");
+        }
+        assert!(matches!(check_header(&header), Ok(true)));
+        header.extend_from_slice(b"whatever follows is not the header's business");
+        assert!(matches!(check_header(&header), Ok(true)));
+
+        // Wrong magic, complete or not, is never "torn".
+        for foreign in [&b"IPMX\x02"[..], b"IPX", b"\0"] {
+            assert!(matches!(
+                check_header(foreign),
+                Err(SegmentError::Corrupt(_))
+            ));
+        }
+        // Right magic, another build's version.
+        assert!(matches!(
+            check_header(b"IPMT\x01"),
+            Err(SegmentError::UnsupportedVersion(1))
+        ));
     }
 
     #[test]

@@ -1,34 +1,26 @@
-//! Approximate heavy-hitter sketches for unbounded analysis horizons:
-//! [`SpaceSaving`] (top-K with guaranteed per-key error) and
-//! [`CountMinSketch`] (fixed-size frequency table), plus the
-//! [`AnalysisSink`] wrappers [`SpaceSavingSink`] and [`CountMinSink`] that
-//! run them over trace streams — serially or under
+//! Approximate heavy hitters for unbounded analysis horizons:
+//! [`SpaceSaving`] (top-K with guaranteed per-key error), plus the
+//! [`AnalysisSink`] wrapper [`SpaceSavingSink`] that runs it over trace
+//! streams — serially or under
 //! [`run_parallel`](crate::reader::ManifestReader::run_parallel).
 //!
-//! # Why sketches
+//! # Why a sketch
 //!
 //! The exact popularity and activity analyses keep one counter per distinct
 //! CID or peer — fine for a closed dataset, unbounded for a service that
-//! never stops. Both sketches here answer the paper's "most requested
-//! CIDs / most active peers" questions in memory that depends only on the
-//! configured accuracy, never on the stream:
-//!
-//! * [`SpaceSaving`] keeps exactly `capacity` counters. Every estimate
-//!   overcounts (`count >= true`) by at most the tracked `error`
-//!   (`count - error <= true`), the error never exceeds `total / capacity`,
-//!   and any key whose true count exceeds `total / capacity` is guaranteed
-//!   to be reported.
-//! * [`CountMinSketch`] keeps a `depth x width` counter matrix. Estimates
-//!   never undercount, and overcount by more than `e * total / width` only
-//!   with probability `exp(-depth)` per query (the classical bound, under
-//!   per-row hash independence).
+//! never stops. [`SpaceSaving`] answers the paper's "most requested CIDs /
+//! most active peers" questions in memory that depends only on the
+//! configured accuracy, never on the stream: it keeps exactly `capacity`
+//! counters. Every estimate overcounts (`count >= true`) by at most the
+//! tracked `error` (`count - error <= true`), the error never exceeds
+//! `total / capacity`, and any key whose true count exceeds
+//! `total / capacity` is guaranteed to be reported.
 //!
 //! # Combine: an exact monoid over approximate state
 //!
 //! The [`AnalysisSink::combine`] contract demands associativity and
-//! commutativity up to the final output. Count-Min satisfies it trivially
-//! (element-wise matrix addition). Space-Saving does not merge exactly in
-//! its classical truncated form, so [`SpaceSaving::merge`] switches to a
+//! commutativity up to the final output. Space-Saving does not merge exactly
+//! in its classical truncated form, so [`SpaceSaving::merge`] switches to a
 //! *sealed* representation: each side is read as the estimate function
 //! `f(k) = count(k) if tracked, else absent_bound` (the bound every
 //! untracked key is known not to exceed), and the merge stores the exact
@@ -44,127 +36,6 @@ use crate::record::TraceEntry;
 use crate::sink::AnalysisSink;
 use ipfs_mon_types::{Cid, PeerId};
 use std::cmp::Ordering;
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
-
-/// A Count-Min frequency sketch: `depth` rows of `width` counters, every
-/// key hashed to one counter per row, estimates read as the row minimum.
-///
-/// Estimates never undercount. For a sketch holding `total` recorded
-/// occurrences, an estimate overcounts by more than `e * total / width`
-/// only with probability about `exp(-depth)` (per query, assuming row-hash
-/// independence); [`CountMinSketch::error_bound`] exposes that analytical
-/// bound. Merging ([`CountMinSketch::merge`]) is element-wise addition and
-/// therefore exactly associative and commutative.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CountMinSketch {
-    width: usize,
-    depth: usize,
-    counters: Vec<u64>,
-    total: u64,
-}
-
-/// Two independent 64-bit hashes of `key`, expanded per row via the
-/// Kirsch–Mitzenmacher construction. `DefaultHasher::new()` is
-/// deterministic within a build, which is all the sketches need (estimates
-/// are only ever compared against counts recorded by the same binary).
-fn base_hashes<K: Hash + ?Sized>(key: &K) -> (u64, u64) {
-    let mut h1 = DefaultHasher::new();
-    1u8.hash(&mut h1);
-    key.hash(&mut h1);
-    let mut h2 = DefaultHasher::new();
-    2u8.hash(&mut h2);
-    key.hash(&mut h2);
-    // An odd second hash keeps the row probes distinct modulo any width.
-    (h1.finish(), h2.finish() | 1)
-}
-
-impl CountMinSketch {
-    /// Creates a sketch with `width` counters per row and `depth` rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn new(width: usize, depth: usize) -> Self {
-        assert!(width > 0, "count-min width must be positive");
-        assert!(depth > 0, "count-min depth must be positive");
-        Self {
-            width,
-            depth,
-            counters: vec![0; width * depth],
-            total: 0,
-        }
-    }
-
-    /// Counters per row.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Number of rows.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
-    /// Total occurrences recorded (including merged-in sketches).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Records one occurrence of `key`.
-    pub fn record<K: Hash + ?Sized>(&mut self, key: &K) {
-        self.record_n(key, 1);
-    }
-
-    /// Records `n` occurrences of `key`.
-    pub fn record_n<K: Hash + ?Sized>(&mut self, key: &K, n: u64) {
-        let (h1, h2) = base_hashes(key);
-        for row in 0..self.depth {
-            let probe = h1.wrapping_add((row as u64 + 1).wrapping_mul(h2));
-            let idx = row * self.width + (probe % self.width as u64) as usize;
-            self.counters[idx] += n;
-        }
-        self.total += n;
-    }
-
-    /// Estimated occurrence count of `key`: the minimum counter across
-    /// rows. Never below the true count.
-    pub fn estimate<K: Hash + ?Sized>(&self, key: &K) -> u64 {
-        let (h1, h2) = base_hashes(key);
-        (0..self.depth)
-            .map(|row| {
-                let probe = h1.wrapping_add((row as u64 + 1).wrapping_mul(h2));
-                self.counters[row * self.width + (probe % self.width as u64) as usize]
-            })
-            .min()
-            .expect("depth is positive")
-    }
-
-    /// The classical additive error bound `ceil(e * total / width)`: an
-    /// estimate exceeds `true + error_bound()` only with probability about
-    /// `exp(-depth)` per query.
-    pub fn error_bound(&self) -> u64 {
-        ((std::f64::consts::E * self.total as f64) / self.width as f64).ceil() as u64
-    }
-
-    /// Adds another sketch of identical dimensions element-wise. Exactly
-    /// associative and commutative.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the dimensions differ.
-    pub fn merge(&mut self, other: Self) {
-        assert_eq!(
-            (self.width, self.depth),
-            (other.width, other.depth),
-            "count-min sketches must share dimensions to merge"
-        );
-        for (mine, theirs) in self.counters.iter_mut().zip(other.counters) {
-            *mine += theirs;
-        }
-        self.total += other.total;
-    }
-}
 
 /// One tracked Space-Saving counter: the overestimate and how much of it
 /// may be attributed to evictions rather than observed occurrences.
@@ -476,91 +347,10 @@ impl AnalysisSink for SpaceSavingSink {
     }
 }
 
-/// [`AnalysisSink`] running two [`CountMinSketch`]es over a trace stream:
-/// CID request frequencies and peer entry frequencies. The finished
-/// sketches answer point frequency queries for *any* key, which is what
-/// the per-window frequency endpoints of the monitoring service use.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CountMinSink {
-    cids: CountMinSketch,
-    peers: CountMinSketch,
-}
-
-/// Output of [`CountMinSink`]: the two finished frequency sketches.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrequencySketches {
-    /// CID request frequencies (request entries only).
-    pub cids: CountMinSketch,
-    /// Peer entry frequencies (all entries).
-    pub peers: CountMinSketch,
-}
-
-impl CountMinSink {
-    /// Creates a sink with `width x depth` sketches for CIDs and peers.
-    pub fn new(width: usize, depth: usize) -> Self {
-        Self {
-            cids: CountMinSketch::new(width, depth),
-            peers: CountMinSketch::new(width, depth),
-        }
-    }
-}
-
-impl AnalysisSink for CountMinSink {
-    type Output = FrequencySketches;
-
-    fn consume(&mut self, entry: TraceEntry) {
-        if entry.is_request() {
-            self.cids.record(&entry.cid);
-        }
-        self.peers.record(&entry.peer);
-    }
-
-    fn combine(&mut self, other: Self) {
-        self.cids.merge(other.cids);
-        self.peers.merge(other.peers);
-    }
-
-    fn finish(self) -> FrequencySketches {
-        FrequencySketches {
-            cids: self.cids,
-            peers: self.peers,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashMap;
-
-    #[test]
-    fn count_min_never_undercounts() {
-        let mut sketch = CountMinSketch::new(64, 4);
-        for i in 0..1000u64 {
-            sketch.record(&(i % 37));
-        }
-        for key in 0..37u64 {
-            let true_count = 1000 / 37 + u64::from(key < 1000 % 37);
-            assert!(sketch.estimate(&key) >= true_count);
-        }
-        assert_eq!(sketch.total(), 1000);
-    }
-
-    #[test]
-    fn count_min_merge_is_elementwise() {
-        let mut a = CountMinSketch::new(32, 3);
-        let mut b = CountMinSketch::new(32, 3);
-        for i in 0..100u64 {
-            a.record(&i);
-            b.record(&(i * 7));
-        }
-        let mut ab = a.clone();
-        ab.merge(b.clone());
-        let mut ba = b;
-        ba.merge(a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.total(), 200);
-    }
 
     #[test]
     fn space_saving_brackets_true_counts() {

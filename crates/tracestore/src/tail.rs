@@ -8,15 +8,13 @@
 //!
 //! # How it works
 //!
-//! A segment body is a self-delimiting sequence of CRC-framed chunk
-//! frames (varint payload length + payload + CRC32) starting right after
-//! the 5-byte header. The tail keeps, per monitor, the sequence number of
-//! the segment it is reading and the byte offset of the first unread
-//! frame. Each [`poll`](DatasetTail::poll) seeks to that offset, reads
-//! whatever the writer has flushed since, and walks complete, CRC-valid
-//! frames exactly like crash recovery's prefix scan — stopping at the
-//! first incomplete or undecodable byte, which is either a frame the
-//! writer is still flushing (retry next poll) or the segment footer.
+//! The tail keeps, per monitor, the sequence number of the segment it is
+//! reading and the byte offset of the first unread frame. Each
+//! [`poll`](DatasetTail::poll) seeks to that offset, reads whatever the
+//! writer has flushed since, and reports the frames of its longest valid
+//! prefix — the walk crash recovery truncates by (`segment::walk_frames`).
+//! Where the walk ends is either a frame the writer is still flushing
+//! (retry next poll) or the segment footer.
 //! The footer is distinguishable because, by the time it is written,
 //! either a higher-numbered segment file exists (segment rotation durably
 //! seals the old file *before* the new one is created) or the dataset
@@ -36,19 +34,11 @@
 //! combine contract (including the windowed sinks) consumes them
 //! unchanged.
 
-use crate::manifest::{Manifest, MANIFEST_FILE_NAME};
-use crate::segment::{ChunkScratch, ChunkView, SegmentError, FORMAT_VERSION, HEADER_MAGIC};
+use crate::manifest::{Manifest, SegmentMeta, MANIFEST_FILE_NAME};
+use crate::segment::{check_header, walk_frames, ChunkScratch, SegmentError, HEADER_LEN};
 use ipfs_mon_obs as obs;
-use ipfs_mon_types::varint;
-use std::borrow::Cow;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-
-/// The segment file name of `(monitor, sequence)` — the naming scheme of
-/// [`MonitorWriter`](crate::manifest::MonitorWriter).
-fn segment_file_name(monitor: usize, sequence: u64) -> String {
-    format!("seg-{monitor:03}-{sequence:05}.seg")
-}
 
 /// Read cursor over one monitor's segment chain.
 #[derive(Debug)]
@@ -132,7 +122,7 @@ impl DatasetTail {
     fn current_is_sealed(&self, chain: &ChainTail) -> bool {
         if self
             .dir
-            .join(segment_file_name(chain.monitor, chain.sequence + 1))
+            .join(SegmentMeta::file_name_of(chain.monitor, chain.sequence + 1))
             .exists()
         {
             return true;
@@ -162,7 +152,7 @@ impl DatasetTail {
                 let chain = &self.chains[i];
                 (chain.monitor, chain.sequence, chain.pos)
             };
-            let path = self.dir.join(segment_file_name(monitor, sequence));
+            let path = self.dir.join(SegmentMeta::file_name_of(monitor, sequence));
             let mut file = match std::fs::File::open(&path) {
                 Ok(file) => file,
                 // Not created yet — the writer has not reached this
@@ -174,46 +164,16 @@ impl DatasetTail {
             let mut bytes = Vec::new();
             file.read_to_end(&mut bytes).map_err(SegmentError::Io)?;
             drop(file);
-            let mut local = 0usize;
+            let mut start = 0usize;
             if pos == 0 {
                 // Verify the header before trusting any frame bytes.
-                let header_len = HEADER_MAGIC.len() + 1;
-                if bytes.len() < header_len {
-                    return Ok(()); // header still in flight
+                if !check_header(&bytes)? {
+                    return Ok(()); // still in flight
                 }
-                if &bytes[..HEADER_MAGIC.len()] != HEADER_MAGIC {
-                    return Err(SegmentError::Corrupt(format!(
-                        "tail: {} has no segment header",
-                        path.display()
-                    )));
-                }
-                let version = bytes[HEADER_MAGIC.len()];
-                if version != FORMAT_VERSION {
-                    return Err(SegmentError::UnsupportedVersion(version));
-                }
-                local = header_len;
+                start = HEADER_LEN;
             }
-            // Walk complete, CRC-valid chunk frames — the same prefix scan
-            // crash recovery uses.
-            loop {
-                if local >= bytes.len() {
-                    break;
-                }
-                let Ok((payload_len, used)) = varint::decode(&bytes[local..]) else {
-                    break;
-                };
-                let Some(frame_len) = (payload_len as usize)
-                    .checked_add(used + 4)
-                    .filter(|l| local + l <= bytes.len())
-                else {
-                    break;
-                };
-                let frame = &bytes[local..local + frame_len];
-                let scratch = std::mem::take(&mut self.scratch);
-                let view = match ChunkView::parse_with(Cow::Borrowed(frame), scratch) {
-                    Ok(view) => view,
-                    Err(_) => break,
-                };
+            let chain = &mut self.chains[i];
+            let local = walk_frames(&bytes, start, &mut self.scratch, |_, _, view| {
                 for j in 0..view.len() {
                     let mut entry = view.entry(j);
                     entry.monitor = monitor;
@@ -221,10 +181,8 @@ impl DatasetTail {
                 }
                 report.entries += view.len() as u64;
                 report.chunks += 1;
-                self.chains[i].entries += view.len() as u64;
-                local += frame_len;
-                self.scratch = view.into_scratch();
-            }
+                chain.entries += view.len() as u64;
+            });
             self.chains[i].pos = pos + local as u64;
             let drained = local >= bytes.len();
             if !drained && self.current_is_sealed(&self.chains[i]) {

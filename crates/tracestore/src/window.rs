@@ -1,9 +1,10 @@
 //! Event-time windowing over trace streams: [`WindowedSink`] slices any
 //! per-window accumulator (an [`AnalysisSink`]) into tumbling or sliding
 //! windows ([`WindowSpec`]), seals windows as a cross-monitor watermark
-//! passes them, and emits sealed [`WindowResult`]s — through a callback as
-//! they close (the monitoring service's mode) or collected for
-//! [`finish`](WindowedSink::finish) (the batch/parallel mode).
+//! passes them, and collects sealed [`WindowResult`]s until the caller
+//! takes them: as they close with [`take_sealed`](WindowedSink::take_sealed)
+//! (the monitoring service), or all at once from
+//! [`finish`](WindowedSink::finish) (the batch and parallel drivers).
 //!
 //! # Window semantics
 //!
@@ -51,7 +52,6 @@ use crate::sink::AnalysisSink;
 use ipfs_mon_obs as obs;
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Shape of the event-time windows: size and stride in simulated time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,24 +157,6 @@ pub struct WindowResult<O> {
     pub output: O,
 }
 
-/// Where sealed windows go.
-enum Emit<O> {
-    /// Collect into [`WindowedOutput::results`].
-    Deferred(Vec<WindowResult<O>>),
-    /// Hand each sealed window to a callback as it closes (results are not
-    /// additionally collected).
-    Callback(Arc<dyn Fn(WindowResult<O>) + Send + Sync>),
-}
-
-impl<O: Clone> Clone for Emit<O> {
-    fn clone(&self) -> Self {
-        match self {
-            Emit::Deferred(results) => Emit::Deferred(results.clone()),
-            Emit::Callback(f) => Emit::Callback(Arc::clone(f)),
-        }
-    }
-}
-
 struct OpenWindow<A> {
     accum: A,
     entries: u64,
@@ -189,14 +171,15 @@ impl<A: Clone> Clone for OpenWindow<A> {
     }
 }
 
-/// Aggregate outcome of a windowed run: the sealed windows (deferred mode
-/// only), plus accounting that holds in either mode.
+/// Aggregate outcome of a windowed run: the sealed windows not taken
+/// earlier, plus accounting over the whole run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowedOutput<O> {
-    /// Sealed windows in index order, dense from window 0. Empty when the
-    /// sink emitted through a callback.
+    /// The sealed windows [`WindowedSink::take_sealed`] has not already
+    /// handed out, in index order — dense from window 0 when it was never
+    /// called.
     pub results: Vec<WindowResult<O>>,
-    /// Total windows sealed (callback or deferred).
+    /// Total windows sealed, taken early or not.
     pub windows_sealed: u64,
     /// Entries dropped under [`LatePolicy::Drop`], counted per window
     /// assignment.
@@ -224,7 +207,8 @@ pub struct WindowedSink<A: AnalysisSink, F> {
     lateness: SimDuration,
     policy: LatePolicy,
     factory: F,
-    emit: Emit<A::Output>,
+    /// Sealed and not yet taken, in index order.
+    sealed: Vec<WindowResult<A::Output>>,
     /// Highest timestamp seen per monitor; the watermark is the minimum
     /// over all monitors minus the lateness allowance, and undefined until
     /// every monitor has reported.
@@ -249,7 +233,7 @@ where
             lateness: self.lateness,
             policy: self.policy,
             factory: self.factory.clone(),
-            emit: self.emit.clone(),
+            sealed: self.sealed.clone(),
             high_water: self.high_water.clone(),
             open: self.open.clone(),
             next_index: self.next_index,
@@ -265,13 +249,11 @@ where
     A: AnalysisSink,
     F: Fn(&WindowBounds) -> A,
 {
-    /// Creates a sink that collects sealed windows for
-    /// [`finish`](WindowedSink::finish) — the batch and `run_parallel`
-    /// mode.
-    ///
-    /// `monitors` is the number of monitor chains feeding the sink (the
-    /// watermark waits for all of them); `factory` builds the fresh
-    /// accumulator for each window.
+    /// Creates a sink over `monitors` monitor chains (the watermark waits
+    /// for all of them); `factory` builds the fresh accumulator for each
+    /// window. Sealed windows collect in the sink until
+    /// [`take_sealed`](WindowedSink::take_sealed) or
+    /// [`finish`](WindowedSink::finish) hands them out.
     pub fn deferred(
         monitors: usize,
         spec: WindowSpec,
@@ -279,53 +261,13 @@ where
         policy: LatePolicy,
         factory: F,
     ) -> Self {
-        Self::with_emit(
-            monitors,
-            spec,
-            lateness,
-            policy,
-            factory,
-            Emit::Deferred(Vec::new()),
-        )
-    }
-
-    /// Creates a sink that hands each sealed window to `callback` the
-    /// moment it closes — the monitoring service's streaming mode.
-    /// [`WindowedOutput::results`] stays empty; the callback sees every
-    /// sealed window exactly once, in index order.
-    pub fn with_callback(
-        monitors: usize,
-        spec: WindowSpec,
-        lateness: SimDuration,
-        policy: LatePolicy,
-        factory: F,
-        callback: impl Fn(WindowResult<A::Output>) + Send + Sync + 'static,
-    ) -> Self {
-        Self::with_emit(
-            monitors,
-            spec,
-            lateness,
-            policy,
-            factory,
-            Emit::Callback(Arc::new(callback)),
-        )
-    }
-
-    fn with_emit(
-        monitors: usize,
-        spec: WindowSpec,
-        lateness: SimDuration,
-        policy: LatePolicy,
-        factory: F,
-        emit: Emit<A::Output>,
-    ) -> Self {
         assert!(monitors > 0, "windowed sink needs at least one monitor");
         Self {
             spec,
             lateness,
             policy,
             factory,
-            emit,
+            sealed: Vec::new(),
             high_water: vec![None; monitors],
             open: BTreeMap::new(),
             next_index: 0,
@@ -333,6 +275,15 @@ where
             late_dropped: 0,
             max_open: 0,
         }
+    }
+
+    /// Drains the windows sealed since the last call, in index order. A
+    /// caller that drains after every entry holds no more than the windows
+    /// one entry can seal; across all calls plus
+    /// [`finish`](WindowedSink::finish) every sealed window is handed out
+    /// exactly once.
+    pub fn take_sealed(&mut self) -> Vec<WindowResult<A::Output>> {
+        std::mem::take(&mut self.sealed)
     }
 
     /// The watermark: the point up to which the event-time stream is
@@ -367,10 +318,7 @@ where
         };
         self.windows_sealed += 1;
         obs::counter!("window.sealed").incr();
-        match &mut self.emit {
-            Emit::Deferred(results) => results.push(result),
-            Emit::Callback(f) => f(result),
-        }
+        self.sealed.push(result);
         self.next_index = index + 1;
     }
 
@@ -478,10 +426,7 @@ where
         }
         obs::gauge!("window.open").set(0);
         WindowedOutput {
-            results: match self.emit {
-                Emit::Deferred(results) => results,
-                Emit::Callback(_) => Vec::new(),
-            },
+            results: self.sealed,
             windows_sealed: self.windows_sealed,
             late_dropped: self.late_dropped,
             max_open_windows: self.max_open,
@@ -633,33 +578,26 @@ mod tests {
     }
 
     #[test]
-    fn callback_mode_emits_in_index_order_exactly_once() {
+    fn take_sealed_hands_out_each_window_once_in_index_order() {
         let spec = WindowSpec::tumbling(SimDuration::from_millis(100));
-        let seen = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let sink_seen = std::sync::Arc::clone(&seen);
-        let mut sink = WindowedSink::with_callback(
-            1,
-            spec,
-            SimDuration::ZERO,
-            LatePolicy::Strict,
-            |_: &WindowBounds| Count::default(),
-            move |result| {
-                sink_seen
-                    .lock()
-                    .unwrap()
-                    .push((result.bounds.index, result.output))
-            },
-        );
-        for ms in [30, 130, 510] {
-            sink.consume(entry(ms, 0));
-        }
+        let mut sink = counting_sink(1, spec);
+        let mut seen = Vec::new();
+        let mut drain = |sealed: Vec<WindowResult<u64>>| {
+            seen.extend(sealed.into_iter().map(|r| (r.bounds.index, r.output)));
+            seen.len()
+        };
+        sink.consume(entry(30, 0));
+        assert_eq!(drain(sink.take_sealed()), 0);
+        sink.consume(entry(130, 0));
+        assert_eq!(drain(sink.take_sealed()), 1);
+        assert_eq!(drain(sink.take_sealed()), 1, "taken windows are gone");
+        sink.consume(entry(510, 0));
+        assert_eq!(drain(sink.take_sealed()), 5);
+        // `finish` returns only what was not taken: the last open window.
         let out = sink.finish();
-        assert!(out.results.is_empty());
         assert_eq!(out.windows_sealed, 6);
-        assert_eq!(
-            *seen.lock().unwrap(),
-            vec![(0, 1), (1, 1), (2, 0), (3, 0), (4, 0), (5, 1)]
-        );
+        assert_eq!(drain(out.results), 6);
+        assert_eq!(seen, vec![(0, 1), (1, 1), (2, 0), (3, 0), (4, 0), (5, 1)]);
     }
 
     #[test]

@@ -1,19 +1,14 @@
 //! The sharded, spill-as-you-go segment writer.
 //!
-//! Writes format **v2** segments exclusively (see
-//! [`crate::segment::FORMAT_VERSION`] for the v1→v2 compatibility rule):
-//! every spilled chunk is framed as
-//! `payload_len:varint · payload · crc32(payload):u32le` with the payload's
-//! first byte naming the layout ([`crate::codec`]) of the body behind it —
-//! `Raw` or `Col`, never the decode-only `Lz`, which
-//! [`TraceWriter::new`] refuses. Earlier docs described the v1 framing, which
-//! had no codec byte — the CRC of a v2 chunk covers codec byte *and* body,
-//! so a reader can never mistake one format for the other silently.
+//! Writes what [`crate::segment`] lays out — header, chunk frames, footer —
+//! and decides nothing about the bytes itself. Chunks are `Raw` or `Col`
+//! ([`crate::codec`]), never the decode-only `Lz`, which [`TraceWriter::new`]
+//! refuses.
 
 use crate::record::{ConnectionRecord, TraceEntry};
 use crate::segment::{
-    encode_chunk, encode_footer, ChunkInfo, Footer, SegmentConfig, SegmentError, SegmentSummary,
-    FORMAT_VERSION, HEADER_MAGIC,
+    encode_chunk, encode_footer, write_header, ChunkInfo, Footer, SegmentConfig, SegmentError,
+    SegmentSummary, HEADER_LEN,
 };
 use ipfs_mon_obs as obs;
 use std::io::Write;
@@ -50,12 +45,11 @@ impl<W: Write> TraceWriter<W> {
         config: SegmentConfig,
     ) -> Result<Self, SegmentError> {
         config.validate()?;
-        sink.write_all(HEADER_MAGIC)?;
-        sink.write_all(&[FORMAT_VERSION])?;
+        write_header(&mut sink)?;
         let monitors = monitor_labels.len();
         Ok(Self {
             sink,
-            offset: (HEADER_MAGIC.len() + 1) as u64,
+            offset: HEADER_LEN as u64,
             shards: vec![Vec::new(); monitors],
             high_water: vec![None; monitors],
             footer: Footer {

@@ -13,10 +13,11 @@
 //! reports exactly what it skipped).
 
 use ipfs_monitoring::bitswap::RequestType;
+use ipfs_monitoring::core::{MonitorService, ServiceConfig};
 use ipfs_monitoring::simnet::time::SimTime;
 use ipfs_monitoring::tracestore::{
     recover_dataset, recover_dataset_with, AnalysisSink, Codec, ConnectionRecord, DatasetConfig,
-    DatasetWriter, EntryFlags, FaultPlan, FaultyStorage, ManifestReader, ReadOptions,
+    DatasetTail, DatasetWriter, EntryFlags, FaultPlan, FaultyStorage, ManifestReader, ReadOptions,
     SegmentConfig, TraceEntry, TraceReader,
 };
 use ipfs_monitoring::types::{Cid, Country, Multiaddr, Multicodec, PeerId, Transport};
@@ -311,6 +312,76 @@ proptest! {
         let len = (fraction * (1 << 20) as f64) as u64;
         check_truncation(codec, len, &format!("prop-{codec_index}-{len}"));
     }
+}
+
+/// A one-monitor dataset of 100 entries whose segment is cut after its last
+/// chunk and continued with a frame length near 2^64 plus 32 zero bytes: a
+/// length that overflows `offset + frame length` instead of merely pointing
+/// past the end of the file. Returns the directory, the segment path and
+/// the length of the segment's valid prefix.
+fn crafted_length_dataset(tag: &str) -> (PathBuf, PathBuf, u64) {
+    let dir = temp_dir(tag);
+    let (path, boundaries) = single_segment_dataset(&dir, Codec::Raw, 100);
+    let valid_end = boundaries.last().unwrap().0;
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes.truncate(valid_end as usize);
+    ipfs_monitoring::types::varint::encode(u64::MAX - 64, &mut bytes);
+    bytes.extend_from_slice(&[0u8; 32]);
+    std::fs::write(&path, &bytes).unwrap();
+    (dir, path, valid_end)
+}
+
+fn first_hundred() -> Vec<Vec<TraceEntry>> {
+    vec![(0..100).map(|i| entry(i, 0)).collect()]
+}
+
+/// The walk over chunk frames ends at a crafted length without panicking, in
+/// debug (`attempt to add with overflow`) or release (a slice whose end
+/// wrapped below its start): recovery truncates to the valid prefix and
+/// keeps every entry before it.
+#[test]
+fn crafted_frame_length_is_truncated_by_recovery() {
+    let (dir, path, valid_end) = crafted_length_dataset("crafted-recover");
+    let damaged_len = std::fs::metadata(&path).unwrap().len();
+    let report = recover_dataset(&dir).expect("recovery must not fail on a crafted length");
+    assert_eq!(report.segments_truncated, 1);
+    assert_eq!(report.bytes_truncated, damaged_len - valid_end);
+    assert_eq!(report.entries_recovered, 100);
+    assert!(report.quarantined.is_empty());
+    let streamed = assert_prefix_consistent(&dir, &first_hundred(), "crafted length");
+    assert_eq!(streamed, 100);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The live tail walks the same frames: it reports exactly the entries
+/// before the crafted length and returns.
+#[test]
+fn crafted_frame_length_ends_the_tail_poll() {
+    let (dir, _, _) = crafted_length_dataset("crafted-tail");
+    let mut tail = DatasetTail::open(&dir, 1);
+    let mut seen = Vec::new();
+    let poll = tail
+        .poll(|entry| seen.push(entry))
+        .expect("the tail must not fail on a crafted length");
+    assert_eq!(poll.entries, 100);
+    assert_eq!(vec![seen], first_hundred());
+    assert_eq!(tail.poll(|_| panic!("nothing new")).unwrap().entries, 0);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The service opens over such a directory: its recovery pass truncates, its
+/// replay analyses every entry that survived.
+#[test]
+fn crafted_frame_length_does_not_stop_the_service_from_opening() {
+    let (dir, _, _) = crafted_length_dataset("crafted-service");
+    let (service, recovery) =
+        MonitorService::open(&dir, vec!["us".into()], ServiceConfig::default())
+            .expect("the service must open over a crafted length");
+    assert_eq!(recovery.segments_truncated, 1);
+    assert_eq!(recovery.entries_recovered, 100);
+    let report = service.finish().unwrap();
+    assert_eq!(report.entries_analyzed, vec![100]);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Deterministic boundary sweep of the same property: exact chunk frame

@@ -5,10 +5,8 @@
 //!    or `run_parallel`) produces exactly the results of recomputing each
 //!    window offline from the raw dataset, over random datasets, window
 //!    shapes, rotation layouts, and out-of-order inter-monitor timestamps.
-//! 2. **Sketch bounds** — [`SpaceSaving`] and
-//!    [`CountMinSketch`](ipfs_monitoring::tracestore::CountMinSketch) stay
-//!    within their analytical error bounds against exact counts, streaming
-//!    and after partitioned merges.
+//! 2. **Sketch bounds** — [`SpaceSaving`] stays within its analytical error
+//!    bounds against exact counts, streaming and after partitioned merges.
 //! 3. **Combine-order invariance** — merging sketch partials in any order
 //!    (any worker completion order `run_parallel` could exhibit) finishes
 //!    to the same output.
@@ -19,8 +17,8 @@ use common::{random_dataset, temp_dir, write_manifest_rotated};
 use ipfs_monitoring::core::{windowed_popularity, windowed_request_types, RequestTypeSink};
 use ipfs_monitoring::simnet::time::SimDuration;
 use ipfs_monitoring::tracestore::{
-    run_sink, AnalysisSink, CountMinSink, CountMinSketch, LatePolicy, ManifestReader, SpaceSaving,
-    SpaceSavingSink, TopK, WindowResult, WindowSpec,
+    run_sink, AnalysisSink, LatePolicy, ManifestReader, SpaceSaving, SpaceSavingSink, TopK,
+    WindowResult, WindowSpec,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -223,74 +221,10 @@ proptest! {
         check_top_k(&reference, &truth, draws as u64, capacity);
     }
 
-    /// Count-Min never undercounts, keeps (nearly) all estimates within
-    /// the classical `e * total / width` bound, and partitioned merges
-    /// reconstruct the single-stream sketch exactly in any order.
-    #[test]
-    fn count_min_bounds_hold_and_merge_is_exact(
-        seed in 0u64..1_000_000,
-        width in 16usize..128,
-        depth in 3usize..7,
-        keys in 1u64..300,
-        draws in 1usize..3_000,
-        parts in 1usize..5,
-        shuffle_seed: u64,
-    ) {
-        let stream = skewed_stream(seed, keys, draws);
-        let mut truth: HashMap<u64, u64> = HashMap::new();
-        for key in &stream {
-            *truth.entry(*key).or_insert(0) += 1;
-        }
-
-        let mut single = CountMinSketch::new(width, depth);
-        for key in &stream {
-            single.record(key);
-        }
-        prop_assert_eq!(single.total(), draws as u64);
-        let bound = single.error_bound();
-        let mut over_bound = 0usize;
-        for (key, &count) in &truth {
-            let estimate = single.estimate(key);
-            prop_assert!(
-                estimate >= count,
-                "undercount: key {} estimated {estimate} < true {count}", key
-            );
-            if estimate > count + bound {
-                over_bound += 1;
-            }
-        }
-        // The bound fails per query with probability ~exp(-depth) <= 5%;
-        // allow a wide (but still tail-excluding) margin over that.
-        prop_assert!(
-            over_bound <= truth.len() / 5 + 1,
-            "{over_bound} of {} estimates above the analytical bound {bound}",
-            truth.len()
-        );
-
-        // Element-wise merge: partitions rebuild the single-stream sketch
-        // exactly, whatever the merge order.
-        let mut partitions: Vec<CountMinSketch> =
-            (0..parts).map(|_| CountMinSketch::new(width, depth)).collect();
-        for (i, key) in stream.iter().enumerate() {
-            partitions[i % parts].record(key);
-        }
-        for order in [
-            (0..parts).collect::<Vec<usize>>(),
-            shuffled_order(parts, shuffle_seed),
-        ] {
-            let mut acc = partitions[order[0]].clone();
-            for &i in &order[1..] {
-                acc.merge(partitions[i].clone());
-            }
-            prop_assert_eq!(&acc, &single, "merge order {:?} diverges", &order);
-        }
-    }
-
-    /// The sketch sinks under `run_parallel` over real spilled traces:
-    /// the parallel output equals a manual per-monitor fold combined in a
-    /// shuffled completion order, Count-Min additionally equals the serial
-    /// run exactly, and the Space-Saving reports bracket the dataset's
-    /// exact per-CID/per-peer counts.
+    /// The sketch sink under `run_parallel` over real spilled traces: the
+    /// parallel output equals a manual per-monitor fold combined in a
+    /// shuffled completion order, and the Space-Saving reports bracket the
+    /// dataset's exact per-CID/per-peer counts.
     #[test]
     fn sketch_sinks_are_order_invariant_under_run_parallel(
         seed in 0u64..1_000_000,
@@ -341,18 +275,6 @@ proptest! {
         }
         check_top_k(&parallel.cids, &cid_truth, requests, capacity);
         check_top_k(&parallel.peers, &peer_truth, total, capacity);
-
-        // Count-Min: parallel equals serial exactly (element-wise sums),
-        // and never undercounts either key family.
-        let serial = run_sink(&reader, CountMinSink::new(64, 4)).unwrap();
-        let parallel_cm = reader.run_parallel(CountMinSink::new(64, 4)).unwrap();
-        prop_assert_eq!(&serial, &parallel_cm);
-        for (cid, &count) in &cid_truth {
-            prop_assert!(serial.cids.estimate(cid) >= count);
-        }
-        for (peer, &count) in &peer_truth {
-            prop_assert!(serial.peers.estimate(peer) >= count);
-        }
 
         std::fs::remove_dir_all(&dir).ok();
     }
