@@ -11,7 +11,7 @@
 //!
 //! ```text
 //! body        := mode:u8 payload
-//! mode 0      := monitor:varint count:varint
+//! mode 0      := monitor:varint count:varint     -- monitor: always 0
 //!                base:varint miniblock*          -- count-1 deltas, ≤64 each
 //!                dict_column(peer, 32-byte entries)
 //!                addr_column                     -- 8-byte entries
@@ -47,7 +47,10 @@
 //! never a panic.
 
 use crate::codec::lz_compress;
-use crate::segment::{unzigzag, zigzag, ChunkColumns, Cursor, SegmentError, MULTIADDR_LEN};
+use crate::segment::{
+    read_local_monitor, unzigzag, write_local_monitor, zigzag, ChunkColumns, Cursor, SegmentError,
+    MULTIADDR_LEN,
+};
 use ipfs_mon_types::varint;
 use std::ops::Range;
 
@@ -179,7 +182,7 @@ fn encode_2bit_plane(plane: &[u8], count: usize, out: &mut Vec<u8>) {
 /// The mode-0 payload (everything after the mode byte).
 fn encode_columnar(columns: &ChunkColumns<'_>, out: &mut Vec<u8>) {
     let count = columns.entries.len();
-    varint::encode(columns.monitor as u64, out);
+    write_local_monitor(out);
     varint::encode(count as u64, out);
     varint::encode(columns.base_ms(), out);
     let deltas: Vec<i64> = columns.timestamp_deltas().collect();
@@ -241,7 +244,6 @@ pub(crate) fn encode_columns(columns: &ChunkColumns<'_>, out: &mut Vec<u8>) {
 /// Where the verbatim dictionary regions live inside a columnar body
 /// (ranges are relative to the body slice *after* the mode byte).
 pub(crate) struct ColumnLayout {
-    pub monitor: usize,
     pub count: usize,
     pub peer_dict: Range<usize>,
     pub addr_dict: Range<usize>,
@@ -392,7 +394,7 @@ pub(crate) fn decode_columns(
     bits: &mut Vec<u64>,
 ) -> Result<ColumnLayout, SegmentError> {
     let mut cursor = Cursor::new(body);
-    let monitor = cursor.varint()? as usize;
+    read_local_monitor(&mut cursor)?;
     let count = cursor.varint()? as usize;
     if count == 0 {
         return Err(corrupt("empty columnar chunk"));
@@ -460,7 +462,6 @@ pub(crate) fn decode_columns(
         return Err(corrupt("trailing bytes after columns"));
     }
     Ok(ColumnLayout {
-        monitor,
         count,
         peer_dict,
         addr_dict,
@@ -487,7 +488,7 @@ mod tests {
             address: Multiaddr::new(addr, 4001, Transport::Tcp, Country::De),
             request_type,
             cid: Cid::new_v1(Multicodec::Raw, &[cid]),
-            monitor: 3,
+            monitor: 0,
             flags: EntryFlags::default(),
         }
     }
@@ -519,7 +520,7 @@ mod tests {
     /// (mode byte first).
     fn col_chunk(entries: &[TraceEntry]) -> (Vec<u8>, Vec<u8>) {
         let mut frame = Vec::new();
-        encode_chunk(3, entries, Codec::Col, &mut frame);
+        encode_chunk(entries, Codec::Col, &mut frame);
         let payload = frame_payload(&frame);
         assert_eq!(payload[0], Codec::Col.byte(), "chunk fell back to raw");
         let body = payload[1..].to_vec();
@@ -568,7 +569,7 @@ mod tests {
         let entries = uniform_entries(1000, 7);
         let (col, _) = col_chunk(&entries);
         let mut raw = Vec::new();
-        encode_chunk(3, &entries, Codec::Raw, &mut raw);
+        encode_chunk(&entries, Codec::Raw, &mut raw);
         assert!(
             col.len() < raw.len() / 2,
             "columnar form barely smaller: {} -> {}",
@@ -634,7 +635,7 @@ mod tests {
         // Both body forms: the encoder's pick and the plain columnar one.
         let (_, picked) = col_chunk(&entries);
         let mut plain = vec![MODE_COLUMNAR];
-        encode_columnar(&ChunkColumns::intern(3, &entries), &mut plain);
+        encode_columnar(&ChunkColumns::intern(&entries), &mut plain);
         for body in [picked, plain] {
             assert_eq!(parse_body(&body).unwrap(), entries);
             for cut in 0..body.len() {
@@ -653,7 +654,7 @@ mod tests {
         // planes behind it must be refused, not decoded.
         let entries = uniform_entries(8, 2);
         let mut raw = Vec::new();
-        encode_chunk(3, &entries, Codec::Raw, &mut raw);
+        encode_chunk(&entries, Codec::Raw, &mut raw);
         let mut body = vec![1u8];
         body.extend_from_slice(&frame_payload(&raw)[1..]);
         match parse_body(&body) {
@@ -706,7 +707,7 @@ mod tests {
         // one, but decoders accept both and this test doctors mode-0 bytes.
         let entries = uniform_entries(8, 1);
         let mut body = vec![MODE_COLUMNAR];
-        encode_columnar(&ChunkColumns::intern(3, &entries), &mut body);
+        encode_columnar(&ChunkColumns::intern(&entries), &mut body);
         assert_eq!(parse_body(&body).unwrap(), entries);
         // The flag plane is the tail: a single RLE token (run 8, value 0).
         // Inflate the run length.
@@ -715,6 +716,21 @@ mod tests {
         body[last] = 9 << 2;
         match parse_body(&body) {
             Err(SegmentError::Corrupt(what)) => assert!(what.contains("RLE run"), "{what}"),
+            other => panic!("unexpected outcome: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn body_naming_another_monitor_is_corrupt() {
+        let entries = uniform_entries(8, 2);
+        let mut body = vec![MODE_COLUMNAR];
+        encode_columnar(&ChunkColumns::intern(&entries), &mut body);
+        assert_eq!(parse_body(&body).unwrap(), entries);
+        // The stored monitor index opens the columnar payload.
+        assert_eq!(body[1], 0);
+        body[1] = 1;
+        match parse_body(&body) {
+            Err(SegmentError::Corrupt(what)) => assert!(what.contains("monitor 1"), "{what}"),
             other => panic!("unexpected outcome: {other:?}"),
         }
     }

@@ -9,8 +9,10 @@
 //!   `MonitoringDataset`, `UnifiedTrace`), moved here from `ipfs-mon-core`
 //!   (which re-exports it) so storage and methodology layers stay acyclic.
 //!   JSON persistence remains available as a debug format.
-//! * [`segment`] — an append-only, chunked, columnar segment format:
-//!   dictionary-interned peer/address/CID columns, delta+varint-encoded
+//! * [`segment`] — an append-only, chunked, columnar segment format for one
+//!   monitor's entries (the monitor index it stores is the constant 0 and is
+//!   refused when it is anything else; a dataset's manifest says which
+//!   monitor a segment belongs to): dictionary-interned peer/address/CID columns, delta+varint-encoded
 //!   timestamps, bit-packed request types and flags, a per-chunk codec byte
 //!   under a CRC32 per chunk, and a footer index describing every chunk for
 //!   random and streaming access. Decoding goes through the borrowed
@@ -28,14 +30,14 @@
 //!   manifest dataset to a target codec: segment-by-segment, verified
 //!   entry-stream-identical, with an atomic per-segment swap so readers see
 //!   a valid (possibly mixed-codec) dataset at every instant.
-//! * [`writer`] — [`writer::TraceWriter`], a sharded encoder (one shard per
-//!   monitor) that spills fixed-size chunks to any `io::Write` sink as
-//!   entries arrive, so collection runs in constant memory.
+//! * [`writer`] — [`writer::TraceWriter`], the encoder of one segment: it
+//!   spills fixed-size chunks of one monitor's entries to any `io::Write`
+//!   sink as they arrive, so collection runs in constant memory.
 //! * [`manifest`] — multi-segment datasets: one rotating segment chain per
 //!   monitor ([`manifest::MonitorWriter`]) tied together by a CRC-framed
 //!   [`manifest::Manifest`] index, written by [`manifest::DatasetWriter`].
 //! * [`reader`] — [`reader::TraceReader`], a constant-memory streaming reader
-//!   of one segment (one decoded chunk per active monitor stream) over
+//!   of one segment (one decoded chunk per active stream) over
 //!   pluggable [`reader::ChunkSource`]s ([`reader::SliceSource`] for bytes
 //!   already in memory, [`reader::FileSource`] with one positioned read per
 //!   chunk), and [`reader::ManifestReader`], a dataset spanning many

@@ -1,12 +1,12 @@
 //! Multi-segment datasets: the manifest format and the per-monitor,
 //! rotation-capable dataset writer.
 //!
-//! A single [`crate::writer::TraceWriter`] shards entries per monitor but
-//! appends from one thread into one segment — fine for a day, wrong for the
-//! paper's ten-day deployment. This module scales the write side in both
-//! directions:
+//! A single [`crate::writer::TraceWriter`] writes one monitor's entries into
+//! one segment — a building block, not a dataset: the paper's deployment ran
+//! several monitors for ten days. This module is what ties segments
+//! together:
 //!
-//! * **per-monitor segments** — every monitor writes its own segment files
+//! * **per-monitor chains** — every monitor writes its own segment files
 //!   through its own [`MonitorWriter`], so the read side can decode one
 //!   chain per worker with no shared state;
 //! * **segment rotation** — a monitor's segment is finished and a new one
@@ -29,10 +29,10 @@
 //! `seal` is the envelope of `crate::segment` shared with the checkpoint:
 //! magic, version byte, payload, CRC-32 of the payload.
 //!
-//! Inside a per-monitor segment file, entries and connection records carry
-//! monitor index 0 (the segment knows only its own monitor); the manifest
-//! maps each segment back to its global monitor index, and the reader
-//! restores it on every yielded record.
+//! Inside a segment file, entries and connection records carry monitor
+//! index 0 (the segment knows only its own monitor — see
+//! [`crate::segment`]); the manifest maps each segment back to its global
+//! monitor index, and the reader stamps it on every yielded record.
 //!
 //! Segment files referenced by a manifest are format-v2 segments (chunk
 //! framing with a leading per-chunk codec byte); the v1→v2 compatibility
@@ -518,7 +518,7 @@ impl MonitorWriter {
             let file = RetryFile::new(file, RetryPolicy::default());
             self.current = Some(TraceWriter::new(
                 BufWriter::new(file),
-                vec![self.label.clone()],
+                self.label.clone(),
                 self.config.segment,
             )?);
             self.current_entries = 0;
@@ -527,7 +527,7 @@ impl MonitorWriter {
     }
 
     /// Appends one entry. The entry's `monitor` field must match this
-    /// writer's monitor; inside the segment it is stored as local index 0.
+    /// writer's monitor; the segment does not store it.
     pub fn append(&mut self, entry: &TraceEntry) -> Result<(), SegmentError> {
         assert!(
             entry.monitor == self.monitor,
@@ -541,9 +541,7 @@ impl MonitorWriter {
         if self.current.is_some() && self.current_entries >= self.config.rotate_after_entries {
             self.rotate()?;
         }
-        let mut local = entry.clone();
-        local.monitor = 0;
-        self.writer()?.append_owned(local)?;
+        self.writer()?.append(entry)?;
         self.current_entries += 1;
         self.total_entries += 1;
         self.obs_entries.incr();
@@ -553,9 +551,7 @@ impl MonitorWriter {
 
     /// Stores a connection record in the current segment's footer.
     pub fn record_connection(&mut self, record: ConnectionRecord) -> Result<(), SegmentError> {
-        let mut local = record;
-        local.monitor = 0;
-        self.writer()?.record_connection(local);
+        self.writer()?.record_connection(record);
         Ok(())
     }
 
@@ -666,6 +662,7 @@ pub struct DatasetWriter {
     dir: PathBuf,
     storage: Arc<dyn Storage>,
     monitor_labels: Vec<String>,
+    config: DatasetConfig,
     writers: Vec<MonitorWriter>,
     entries_since_checkpoint: u64,
     checkpoints_written: u64,
@@ -715,6 +712,7 @@ impl DatasetWriter {
             dir,
             storage,
             monitor_labels,
+            config,
             writers,
             entries_since_checkpoint: 0,
             checkpoints_written: 0,
@@ -771,9 +769,7 @@ impl DatasetWriter {
         );
         self.writers[entry.monitor].append(entry)?;
         self.entries_since_checkpoint += 1;
-        if self.entries_since_checkpoint
-            >= self.writers[entry.monitor].config.checkpoint_after_entries
-        {
+        if self.entries_since_checkpoint >= self.config.checkpoint_after_entries {
             self.checkpoint()?;
         }
         Ok(())

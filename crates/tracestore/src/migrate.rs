@@ -13,7 +13,7 @@
 //!    with the target codec into `<segment>.migrate-tmp` next to the
 //!    original. Memory stays bounded by one chunk regardless of segment
 //!    size.
-//! 3. **Verify** — the temp segment is reopened and its labels, connection
+//! 3. **Verify** — the temp segment is reopened and its label, connection
 //!    records, and full entry stream are compared against the original.
 //!    Any mismatch aborts the migration with the original file intact.
 //! 4. **Swap** — the temp file is fsynced and renamed over the original.
@@ -81,26 +81,21 @@ fn segment_matches<S: ChunkSource>(
 /// atomic swap. Returns the number of entries streamed.
 fn rewrite_segment(storage: &dyn Storage, path: &Path, target: Codec) -> Result<u64, SegmentError> {
     let reader = TraceReader::new(FileSource::open(path)?)?;
-    let labels = reader.monitor_labels().to_vec();
 
     let tmp_path = staging_path(path, MIGRATE_TMP_SUFFIX);
     let result = (|| {
         let file = storage.create(&tmp_path)?;
         let mut writer = TraceWriter::new(
             BufWriter::new(file),
-            labels.clone(),
+            reader.label().to_string(),
             SegmentConfig::with_codec(target),
         )?;
-        // Manifest segments hold a single monitor chain stored as local
-        // index 0; standalone multi-monitor segments migrate just as well.
-        for monitor in 0..labels.len() {
-            let mut stream = reader.stream_monitor(monitor);
-            for entry in stream.by_ref() {
-                writer.append_owned(entry)?;
-            }
-            if let Some(error) = stream.take_error() {
-                return Err(error);
-            }
+        let mut stream = reader.stream();
+        for entry in stream.by_ref() {
+            writer.append(&entry)?;
+        }
+        if let Some(error) = stream.take_error() {
+            return Err(error);
         }
         for record in reader.connections() {
             writer.record_connection(record.clone());
@@ -136,7 +131,7 @@ fn verify_identical<S: ChunkSource>(
 ) -> Result<(), SegmentError> {
     let mismatch = |what: &str| SegmentError::Corrupt(format!("migrate verification: {what}"));
     let rewritten = TraceReader::new(FileSource::open(tmp_path)?)?;
-    if rewritten.monitor_labels() != original.monitor_labels() {
+    if rewritten.label() != original.label() {
         return Err(mismatch("monitor labels differ"));
     }
     if rewritten.connections() != original.connections() {
@@ -145,22 +140,20 @@ fn verify_identical<S: ChunkSource>(
     if rewritten.total_entries() != original.total_entries() {
         return Err(mismatch("entry counts differ"));
     }
-    for monitor in 0..original.monitor_labels().len() {
-        let mut want = original.stream_monitor(monitor);
-        let mut got = rewritten.stream_monitor(monitor);
-        loop {
-            match (want.next(), got.next()) {
-                (None, None) => break,
-                (Some(a), Some(b)) if a == b => {}
-                _ => return Err(mismatch("entry streams differ")),
-            }
+    let mut want = original.stream();
+    let mut got = rewritten.stream();
+    loop {
+        match (want.next(), got.next()) {
+            (None, None) => break,
+            (Some(a), Some(b)) if a == b => {}
+            _ => return Err(mismatch("entry streams differ")),
         }
-        if let Some(error) = want.take_error() {
-            return Err(error);
-        }
-        if let Some(error) = got.take_error() {
-            return Err(error);
-        }
+    }
+    if let Some(error) = want.take_error() {
+        return Err(error);
+    }
+    if let Some(error) = got.take_error() {
+        return Err(error);
     }
     Ok(())
 }

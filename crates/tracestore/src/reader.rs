@@ -1,8 +1,11 @@
-//! Streaming segment readers: single segments ([`TraceReader`]) and
-//! manifest-spanning multi-segment datasets ([`ManifestReader`]).
+//! Streaming segment readers: single segments ([`TraceReader`], one
+//! monitor's entries each) and manifest-spanning multi-segment datasets
+//! ([`ManifestReader`], which knows which monitor each segment belongs to and
+//! stamps that index on every record it yields — the index stored inside a
+//! segment is the constant 0, refused when it is not, and never consulted).
 
 use crate::manifest::{Manifest, SegmentMeta};
-use crate::record::{ConnectionRecord, MonitoringDataset, TraceEntry};
+use crate::record::{ConnectionRecord, TraceEntry};
 use crate::segment::{
     check_header, decode_footer, ChunkInfo, ChunkScratch, ChunkView, Footer, SegmentError,
     FOOTER_MAGIC, HEADER_LEN, TRAILER_LEN,
@@ -19,8 +22,7 @@ use std::sync::{mpsc, Arc, Mutex};
 ///
 /// Implementations exist for in-memory slices ([`SliceSource`]) and files
 /// ([`FileSource`]); both hand out independent reads from a shared `&self`,
-/// which is what lets several monitor streams walk one segment concurrently
-/// during a k-way merge.
+/// so several streams can walk one segment concurrently.
 ///
 /// `read_at` returns a [`Cow`]: sources that already hold the segment in
 /// memory lend a borrowed slice (footer and header reads copy nothing);
@@ -128,7 +130,7 @@ impl ChunkSource for FileSource {
     }
 }
 
-/// A segment opened for reading.
+/// A segment — one monitor's entries — opened for reading.
 ///
 /// Opening costs one footer read; entry data is only touched when streamed,
 /// one chunk at a time, so memory stays bounded by the chunk size times the
@@ -179,14 +181,9 @@ impl<S: ChunkSource> TraceReader<S> {
         &self.source
     }
 
-    /// The monitor labels recorded in the segment.
-    pub fn monitor_labels(&self) -> &[String] {
-        &self.footer.monitor_labels
-    }
-
-    /// Number of monitors.
-    pub fn monitor_count(&self) -> usize {
-        self.footer.monitor_labels.len()
+    /// The label of the monitor whose entries the segment holds.
+    pub fn label(&self) -> &str {
+        &self.footer.label
     }
 
     /// All connection records.
@@ -204,29 +201,19 @@ impl<S: ChunkSource> TraceReader<S> {
         self.footer.total_entries
     }
 
-    /// Streams one monitor's entries in storage (arrival) order, decoding one
-    /// chunk at a time.
-    pub fn stream_monitor(&self, monitor: usize) -> EntryStream<'_, S> {
-        self.stream_monitor_with(monitor, None)
+    /// Streams the segment's entries in storage (arrival) order, decoding
+    /// one chunk at a time. Their `monitor` is 0: a segment does not know
+    /// which monitor of a dataset it belongs to.
+    pub fn stream(&self) -> EntryStream<'_, S> {
+        self.stream_with(None)
     }
 
-    /// [`TraceReader::stream_monitor`] with a [`ChunkHook`] that sees every
-    /// chunk before its rows.
-    fn stream_monitor_with<'a>(
-        &'a self,
-        monitor: usize,
-        hook: Option<ChunkHook<'a>>,
-    ) -> EntryStream<'a, S> {
-        let chunks = self
-            .footer
-            .chunks
-            .iter()
-            .filter(|c| c.monitor == monitor)
-            .copied()
-            .collect();
+    /// [`TraceReader::stream`] with a [`ChunkHook`] that sees every chunk
+    /// before its rows.
+    fn stream_with<'a>(&'a self, hook: Option<ChunkHook<'a>>) -> EntryStream<'a, S> {
         EntryStream {
             source: &self.source,
-            chunks,
+            chunks: &self.footer.chunks,
             next_chunk: 0,
             current: None,
             current_number: 0,
@@ -241,43 +228,25 @@ impl<S: ChunkSource> TraceReader<S> {
         }
     }
 
-    /// The maximum backward timestamp jump recorded for `monitor`'s stream,
-    /// in milliseconds. Zero means the stream is already time-sorted.
-    pub fn max_lateness_ms(&self, monitor: usize) -> u64 {
-        self.footer
-            .max_lateness_ms
-            .get(monitor)
-            .copied()
-            .unwrap_or(0)
+    /// The maximum backward timestamp jump recorded for the segment's
+    /// stream, in milliseconds. Zero means the stream is already time-sorted.
+    pub fn max_lateness_ms(&self) -> u64 {
+        self.footer.max_lateness_ms
     }
 
-    /// One monitor's rows as keys sorted by timestamp (stable: equal
+    /// The segment's rows as keys sorted by timestamp (stable: equal
     /// timestamps keep arrival order), with a [`ChunkHook`] that sees every
     /// chunk before its rows. Arrival streams carry send-side timestamps and
     /// are only locally out of order; a reorder buffer sized by the lateness
     /// bound recorded at write time restores exact order with memory
     /// proportional to the disorder window, not the trace.
-    fn sorted_keys<'a>(&'a self, monitor: usize, hook: Option<ChunkHook<'a>>) -> SortedKeys<'a, S> {
+    fn sorted_keys<'a>(&'a self, hook: Option<ChunkHook<'a>>) -> SortedKeys<'a, S> {
         SortedKeys {
-            inner: self.stream_monitor_with(monitor, hook),
-            lateness: SimDuration::from_millis(self.max_lateness_ms(monitor)),
+            inner: self.stream_with(hook),
+            lateness: SimDuration::from_millis(self.max_lateness_ms()),
             held: BinaryHeap::new(),
             drained: false,
         }
-    }
-
-    /// Reconstructs the full in-memory dataset (lossless inverse of writing).
-    pub fn to_dataset(&self) -> Result<MonitoringDataset, SegmentError> {
-        let mut dataset = MonitoringDataset::new(self.footer.monitor_labels.clone());
-        for monitor in 0..self.monitor_count() {
-            let mut stream = self.stream_monitor(monitor);
-            dataset.entries[monitor].extend(&mut stream);
-            if let Some(error) = stream.take_error() {
-                return Err(error);
-            }
-        }
-        dataset.connections = self.footer.connections.clone();
-        Ok(dataset)
     }
 }
 
@@ -479,10 +448,10 @@ pub(crate) type ChunkHook<'a> = &'a dyn Fn(&SharedChunk, &mut Vec<usize>) -> boo
 /// Reads the chunk an index row names and turns it into a view — the one
 /// place every read path does so. The frame is CRC-checked and every column
 /// validated in full by [`ChunkView::parse_with`] (which recycles `scratch`),
-/// and the view is then held to what the index row promised: the row chose
-/// this chunk for its stream and announced its size, so a chunk that says
-/// otherwise must not be delivered. Only a view this returned is ever keyed
-/// into. The view owns its frame (a copy, when the source lent a borrow).
+/// and the view is then held to what the index row promised: the row
+/// announced the chunk's size, so a chunk that says otherwise must not be
+/// delivered. Only a view this returned is ever keyed into. The view owns its
+/// frame (a copy, when the source lent a borrow).
 fn load_chunk<S: ChunkSource>(
     source: &S,
     info: &ChunkInfo,
@@ -490,15 +459,12 @@ fn load_chunk<S: ChunkSource>(
 ) -> Result<ChunkView<'static>, SegmentError> {
     let frame = source.read_at(info.offset, info.len as usize)?.into_owned();
     let view = ChunkView::parse_with(Cow::Owned(frame), scratch)?;
-    if view.monitor() != info.monitor || view.len() as u64 != info.entries {
+    if view.len() as u64 != info.entries {
         return Err(SegmentError::Corrupt(format!(
-            "chunk at offset {} holds {} entries of monitor {} but its index row says {} entries \
-             of monitor {}",
+            "chunk at offset {} holds {} entries but its index row says {}",
             info.offset,
             view.len(),
-            view.monitor(),
-            info.entries,
-            info.monitor
+            info.entries
         )));
     }
     if u32::try_from(view.len()).is_err() {
@@ -517,7 +483,7 @@ fn latest(high_water: SimTime, times_ms: &[u64]) -> SimTime {
     })
 }
 
-/// Iterator over one monitor's entries, decoding chunk by chunk.
+/// Iterator over one segment's entries, decoding chunk by chunk.
 ///
 /// Each chunk is parsed into a validated [`ChunkView`] and an owned entry is
 /// materialized from it as the iterator is advanced. Inside a sorted or
@@ -529,7 +495,7 @@ fn latest(high_water: SimTime, times_ms: &[u64]) -> SimTime {
 /// after exhaustion when the distinction matters.
 pub struct EntryStream<'a, S: ChunkSource> {
     source: &'a S,
-    chunks: Vec<ChunkInfo>,
+    chunks: &'a [ChunkInfo],
     next_chunk: usize,
     current: Option<SharedChunk>,
     /// The number `current` was handed off under.
@@ -665,7 +631,7 @@ impl<S: ChunkSource> Iterator for EntryStream<'_, S> {
     }
 }
 
-/// One monitor's rows in exact `(timestamp, arrival)` order via a bounded
+/// One segment's rows in exact `(timestamp, arrival)` order via a bounded
 /// reorder buffer: a min-heap of the 16-byte keys of the rows held back,
 /// whose derived order is that order.
 struct SortedKeys<'a, S: ChunkSource> {
@@ -841,18 +807,11 @@ impl ManifestReader {
         // cannot make an ambiguous chain merge well-defined.
         let open_one = |meta: &SegmentMeta| -> Result<TraceReader<FileSource>, SegmentError> {
             let reader = TraceReader::new(FileSource::open(dir.join(&meta.file_name))?)?;
-            if reader.monitor_count() != 1 {
-                return Err(SegmentError::Corrupt(format!(
-                    "segment {} holds {} monitors, expected a per-monitor segment",
-                    meta.file_name,
-                    reader.monitor_count()
-                )));
-            }
-            if reader.monitor_labels()[0] != manifest.monitor_labels[meta.monitor] {
+            if reader.label() != manifest.monitor_labels[meta.monitor] {
                 return Err(SegmentError::Corrupt(format!(
                     "segment {} is labelled '{}' but the manifest maps it to '{}'",
                     meta.file_name,
-                    reader.monitor_labels()[0],
+                    reader.label(),
                     manifest.monitor_labels[meta.monitor]
                 )));
             }
@@ -1091,7 +1050,7 @@ fn chain_stream<'a>(
     let mut floors: Vec<SimTime> = readers
         .iter()
         .map(|reader| {
-            let lateness = reader.max_lateness_ms(0);
+            let lateness = reader.max_lateness_ms();
             reader
                 .chunks()
                 .iter()
@@ -1212,7 +1171,7 @@ impl ChainedMonitorStream<'_> {
         obs::counter!("store.segments_admitted").incr();
         let index = self.next_pending;
         self.next_pending += 1;
-        let mut stream = self.readers[index].sorted_keys(0, self.hook);
+        let mut stream = self.readers[index].sorted_keys(self.hook);
         match stream.next_key(&mut self.rows.handoff) {
             Some(head) => self.active.push(ActiveSegment {
                 index,
@@ -1478,8 +1437,8 @@ pub struct MergedRow<'a> {
     pub chunk: &'a ChunkView<'static>,
     /// The row's index in `chunk`.
     pub row: usize,
-    /// The dataset-wide index of the monitor that recorded the row
-    /// ([`ChunkView::monitor`] is only the index inside the segment file).
+    /// The dataset-wide index of the monitor that recorded the row (the
+    /// chunk does not know it).
     pub monitor: usize,
     /// The row's timestamp.
     pub timestamp: SimTime,
@@ -1572,12 +1531,11 @@ mod tests {
         }
     }
 
-    fn build_segment(entries: &[TraceEntry], monitors: usize, capacity: usize) -> Vec<u8> {
+    fn build_segment(entries: &[TraceEntry], capacity: usize) -> Vec<u8> {
         let mut bytes = Vec::new();
-        let labels = (0..monitors).map(|m| format!("m{m}")).collect();
         let mut writer = TraceWriter::new(
             &mut bytes,
-            labels,
+            "m0".into(),
             SegmentConfig {
                 chunk_capacity: capacity,
                 ..SegmentConfig::default()
@@ -1643,22 +1601,22 @@ mod tests {
     #[test]
     fn streaming_crosses_chunk_boundaries() {
         let entries: Vec<TraceEntry> = (0..97).map(|i| entry(i * 10, i, 0)).collect();
-        let bytes = build_segment(&entries, 1, 8);
+        let bytes = build_segment(&entries, 8);
         let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
         assert!(reader.chunks().len() > 10);
-        let streamed: Vec<TraceEntry> = reader.stream_monitor(0).collect();
+        let streamed: Vec<TraceEntry> = reader.stream().collect();
         assert_eq!(streamed, entries);
     }
 
     #[test]
     fn corrupt_body_is_detected_on_stream() {
         let entries: Vec<TraceEntry> = (0..20).map(|i| entry(i * 10, i, 0)).collect();
-        let mut bytes = build_segment(&entries, 1, 8);
+        let mut bytes = build_segment(&entries, 8);
         // Flip a byte inside the first chunk's payload (after the 5-byte
         // header), leaving the footer intact.
         bytes[10] ^= 0x55;
         let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
-        let mut stream = reader.stream_monitor(0);
+        let mut stream = reader.stream();
         let streamed: Vec<TraceEntry> = (&mut stream).collect();
         assert!(streamed.len() < entries.len());
         assert!(matches!(
@@ -1673,7 +1631,7 @@ mod tests {
         assert!(TraceReader::new(SliceSource::new(b"IPMT\x01")).is_err());
         assert!(TraceReader::new(SliceSource::new(&[0u8; 64])).is_err());
         let entries = vec![entry(1, 1, 0)];
-        let bytes = build_segment(&entries, 1, 8);
+        let bytes = build_segment(&entries, 8);
         assert!(TraceReader::new(SliceSource::new(&bytes[..bytes.len() - 3])).is_err());
     }
 
@@ -1690,12 +1648,12 @@ mod tests {
             entry(330, 6, 0), // 70 ms late again
             entry(500, 7, 0),
         ];
-        let bytes = build_segment(&arrival, 1, 3);
+        let bytes = build_segment(&arrival, 3);
         let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
-        assert_eq!(reader.max_lateness_ms(0), 70);
+        assert_eq!(reader.max_lateness_ms(), 70);
 
         // Raw stream preserves arrival order (lossless round-trip)...
-        let raw: Vec<TraceEntry> = reader.stream_monitor(0).collect();
+        let raw: Vec<TraceEntry> = reader.stream().collect();
         assert_eq!(raw, arrival);
 
         // ...sorted stream delivers the stable time order.
@@ -1705,7 +1663,7 @@ mod tests {
         assert_eq!(sorted, expected);
     }
 
-    /// One segment's monitor 0 as sorted entries: [`SortedKeys`] with each
+    /// One segment as sorted entries: [`SortedKeys`] with each
     /// row built where it is read, the way [`ChainedMonitorStream`] builds
     /// the rows of a chain.
     struct SortedEntries<'a> {
@@ -1716,7 +1674,7 @@ mod tests {
     impl<'a> SortedEntries<'a> {
         fn new(reader: &'a TraceReader<SliceSource<'a>>, hook: Option<ChunkHook<'a>>) -> Self {
             Self {
-                keys: reader.sorted_keys(0, hook),
+                keys: reader.sorted_keys(hook),
                 rows: KeyedRows::default(),
             }
         }
@@ -1746,7 +1704,7 @@ mod tests {
     /// exactly those a held row keys into, the one being read and those the
     /// stream takes back with its next chunk, and none once it is drained.
     fn check_sorted_stream(arrival: &[TraceEntry], capacity: usize) -> usize {
-        let bytes = build_segment(arrival, 1, capacity);
+        let bytes = build_segment(arrival, capacity);
         let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
         let mut expected = arrival.to_vec();
         expected.sort_by_key(|e| e.timestamp);
@@ -1936,7 +1894,7 @@ mod tests {
 
     #[test]
     fn overflowing_footer_length_is_corrupt_not_panic() {
-        let mut bytes = build_segment(&[entry(1, 1, 0)], 1, 8);
+        let mut bytes = build_segment(&[entry(1, 1, 0)], 8);
         // Trailer layout: crc (4) | payload length (8) | magic (4).
         let len = bytes.len();
         bytes[len - 12..len - 4].copy_from_slice(&u64::MAX.to_le_bytes());
@@ -1955,59 +1913,93 @@ mod tests {
     /// Rewrites the footer of a written segment through `doctor`, with a
     /// valid footer CRC — damage the checksum cannot catch.
     fn with_doctored_footer(bytes: &[u8], doctor: impl FnOnce(&mut Footer)) -> Vec<u8> {
-        let len = bytes.len();
-        let payload_len = u64::from_le_bytes(bytes[len - 12..len - 4].try_into().unwrap()) as usize;
-        let footer_start = len - TRAILER_LEN - payload_len;
-        let mut footer = decode_footer(&bytes[footer_start..footer_start + payload_len]).unwrap();
+        let payload = footer_payload(bytes);
+        let mut footer = decode_footer(&bytes[payload.clone()]).unwrap();
         doctor(&mut footer);
-        let mut doctored = bytes[..footer_start].to_vec();
+        let mut doctored = bytes[..payload.start].to_vec();
         crate::segment::encode_footer(&footer, &mut doctored);
         doctored
     }
 
-    /// The first error met opening `source` and draining every monitor.
+    /// Where the footer payload of a written segment lies.
+    fn footer_payload(bytes: &[u8]) -> std::ops::Range<usize> {
+        let len = bytes.len();
+        let payload_len = u64::from_le_bytes(bytes[len - 12..len - 4].try_into().unwrap()) as usize;
+        let end = len - TRAILER_LEN;
+        end - payload_len..end
+    }
+
+    /// [`with_doctored_footer`] for what a [`Footer`] cannot say: the stored
+    /// monitor index of the first index row, set to 1.
+    fn with_foreign_index_row(bytes: &[u8]) -> Vec<u8> {
+        use crate::segment::{encode_connections, encode_labels};
+        use ipfs_mon_types::varint;
+        let footer_start = footer_payload(bytes).start;
+        let mut payload = bytes[footer_payload(bytes)].to_vec();
+        let footer = decode_footer(&payload).unwrap();
+        // What precedes the index in the first row: labels, lateness,
+        // connections, the row count, the row's offset and length.
+        let mut before = Vec::new();
+        encode_labels(std::slice::from_ref(&footer.label), &mut before);
+        varint::encode(footer.max_lateness_ms, &mut before);
+        encode_connections(&footer.connections, &mut before);
+        varint::encode(footer.chunks.len() as u64, &mut before);
+        varint::encode(footer.chunks[0].offset, &mut before);
+        varint::encode(footer.chunks[0].len, &mut before);
+        assert_eq!(payload[..before.len()], before[..]);
+        assert_eq!(payload[before.len()], 0);
+        payload[before.len()] = 1;
+        let mut doctored = bytes[..footer_start].to_vec();
+        doctored.extend_from_slice(&payload);
+        doctored.extend_from_slice(&crate::crc::crc32(&payload).to_le_bytes());
+        doctored.extend_from_slice(&bytes[bytes.len() - 12..]);
+        doctored
+    }
+
+    /// The first error met opening `source` and draining it.
     fn first_error<S: ChunkSource>(source: S) -> Option<SegmentError> {
         let reader = match TraceReader::new(source) {
             Ok(reader) => reader,
             Err(error) => return Some(error),
         };
-        (0..reader.monitor_count()).find_map(|monitor| {
-            let mut stream = reader.stream_monitor(monitor);
-            (&mut stream).for_each(drop);
-            stream.take_error()
-        })
+        let mut stream = reader.stream();
+        (&mut stream).for_each(drop);
+        stream.take_error()
     }
 
     #[test]
     fn inconsistent_chunk_index_is_corrupt_not_a_shortened_stream() {
-        let entries: Vec<TraceEntry> = (0..40)
-            .map(|i| entry(i * 10, i, (i % 2) as usize))
-            .collect();
-        let bytes = build_segment(&entries, 2, 8);
+        let entries: Vec<TraceEntry> = (0..40).map(|i| entry(i * 10, i, 0)).collect();
+        let bytes = build_segment(&entries, 8);
         assert!(first_error(SliceSource::new(&bytes)).is_none());
 
         type Doctor = fn(&mut Footer);
-        let cases: [(&str, bool, Doctor); 5] = [
-            // Refused when the footer is decoded: a row naming a monitor the
-            // segment does not have, and rows that do not add up to the total.
-            ("index-monitor", true, |f| f.chunks[1].monitor = 99),
-            ("index-total", true, |f| f.total_entries += 1),
-            ("index-row", true, |f| f.chunks[1].entries -= 1),
+        let doctored = |doctor: Doctor| with_doctored_footer(&bytes, doctor);
+        let cases = [
+            // Refused when the footer is decoded: a row naming another
+            // monitor than the segment's own, and rows that do not add up to
+            // the total.
+            ("index-monitor", true, with_foreign_index_row(&bytes)),
+            ("index-total", true, doctored(|f| f.total_entries += 1)),
+            ("index-row", true, doctored(|f| f.chunks[1].entries -= 1)),
             // Self-consistent rows that disagree with the chunks they point
-            // at open fine and are refused when the chunk is decoded: a row
-            // moved to the other monitor, an entry moved between two rows.
-            ("row-monitor", false, |f| f.chunks[0].monitor = 1),
-            ("row-entries", false, |f| {
-                f.chunks[0].entries -= 1;
-                f.chunks[2].entries += 1;
-            }),
+            // at open fine and are refused when the chunk is decoded: an
+            // entry moved between two rows.
+            (
+                "row-entries",
+                false,
+                doctored(|f| {
+                    f.chunks[0].entries -= 1;
+                    f.chunks[2].entries += 1;
+                }),
+            ),
         ];
-        for (tag, refused_at_open, doctor) in cases {
-            let doctored = with_doctored_footer(&bytes, doctor);
+        for (tag, refused_at_open, doctored) in cases {
             let (path, file) = file_source(tag, &doctored);
             assert_eq!(
                 TraceReader::new(SliceSource::new(&doctored)).is_err(),
-                refused_at_open
+                refused_at_open,
+                "{tag}"
             );
             for error in [first_error(SliceSource::new(&doctored)), first_error(file)] {
                 assert!(
@@ -2022,10 +2014,10 @@ mod tests {
     #[test]
     fn file_source_roundtrip() {
         let entries: Vec<TraceEntry> = (0..50).map(|i| entry(i * 7, i % 5, 0)).collect();
-        let bytes = build_segment(&entries, 1, 16);
+        let bytes = build_segment(&entries, 16);
         let (path, source) = file_source("roundtrip", &bytes);
         let reader = TraceReader::new(source).unwrap();
-        let streamed: Vec<TraceEntry> = reader.stream_monitor(0).collect();
+        let streamed: Vec<TraceEntry> = reader.stream().collect();
         std::fs::remove_file(&path).ok();
         assert_eq!(streamed, entries);
     }

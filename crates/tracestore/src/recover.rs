@@ -195,7 +195,6 @@ fn scan_chunk_prefix(bytes: &[u8]) -> (Vec<ChunkInfo>, usize, u64) {
         infos.push(ChunkInfo {
             offset: offset as u64,
             len: len as u64,
-            monitor: view.monitor(),
             entries: view.len() as u64,
             // The walk yields no empty chunk.
             first_timestamp: SimTime::from_millis(timestamps[0]),
@@ -232,14 +231,9 @@ fn salvage_segment(
     if let Ok(reader) = TraceReader::new(SliceSource::new(&bytes)) {
         let scanned_entries: u64 = infos.iter().map(|i| i.entries).sum();
         if reader.chunks().len() == infos.len() && reader.total_entries() == scanned_entries {
-            let label = reader
-                .monitor_labels()
-                .first()
-                .cloned()
-                .unwrap_or_else(|| label.to_string());
             return Ok(Salvage::Intact {
                 entries: scanned_entries,
-                label,
+                label: reader.label().to_string(),
             });
         }
     }
@@ -257,8 +251,8 @@ fn salvage_segment(
     // Rebuild: valid chunk prefix + fresh footer, atomically swapped in.
     let entries: u64 = infos.iter().map(|i| i.entries).sum();
     let footer = Footer {
-        monitor_labels: vec![label.to_string()],
-        max_lateness_ms: vec![max_lateness_ms],
+        label: label.to_string(),
+        max_lateness_ms,
         connections: connections.to_vec(),
         chunks: infos,
         total_entries: entries,

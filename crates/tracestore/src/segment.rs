@@ -11,11 +11,19 @@
 //! footer  := payload crc32(payload):u32le payload_len:u64le "TSFT"
 //! ```
 //!
-//! Each chunk holds up to [`SegmentConfig::chunk_capacity`] entries of one
-//! monitor, in the layout named by the leading payload byte (see
-//! [`crate::codec`]). `encode_chunk` is the one place that writes them: it
-//! interns the chunk's three dictionaries and emits either the raw column
-//! planes, which store entries column-wise —
+//! A segment holds one monitor's entries — the monitors' traces meet only in
+//! the dataset ([`crate::manifest`]), which maps each segment file to its
+//! monitor. The monitor index the format stores (in every chunk body and
+//! every footer index row) is therefore the constant 0: written by
+//! `write_local_monitor`, and refused when it is anything else by
+//! `read_local_monitor`, under [`ChunkView::parse_with`] and `decode_footer`
+//! — it is never trusted, and never silently filtered on.
+//!
+//! Each chunk holds up to [`SegmentConfig::chunk_capacity`] entries, in the
+//! layout named by the leading payload byte (see [`crate::codec`]).
+//! `encode_chunk` is the one place that writes them: it interns the chunk's
+//! three dictionaries and emits either the raw column planes, which store
+//! entries column-wise —
 //!
 //! * timestamps as a varint base plus zigzag-varint deltas,
 //! * peers, addresses, and CIDs as per-chunk dictionaries (first-appearance
@@ -33,15 +41,15 @@
 //! Readers that only aggregate or filter stop at the first stage: the view's
 //! column accessors hand out the dictionaries and index columns as parsed.
 //!
-//! The footer carries the monitor labels, all connection records, the chunk
-//! index (offset, length, monitor, entry count, timestamp bounds), and the
-//! total entry count. Readers locate it via the fixed-size trailer — the
-//! trailing `payload_len` and magic — so segments stream in append-only
+//! The footer carries the monitor's label and lateness bound, all connection
+//! records, the chunk index (offset, length, entry count, timestamp bounds),
+//! and the total entry count. Readers locate it via the fixed-size trailer —
+//! the trailing `payload_len` and magic — so segments stream in append-only
 //! fashion and still open in O(footer).
 
 use crate::codec::{lz_decompress, Codec};
 use crate::crc::crc32;
-use crate::record::{ConnectionRecord, MonitoringDataset, TraceEntry};
+use crate::record::{ConnectionRecord, TraceEntry};
 use ipfs_mon_bitswap::RequestType;
 use ipfs_mon_obs as obs;
 use ipfs_mon_simnet::time::SimTime;
@@ -160,8 +168,6 @@ pub struct ChunkInfo {
     pub offset: u64,
     /// Total frame length in bytes (length prefix + payload + CRC).
     pub len: u64,
-    /// Monitor whose entries the chunk holds.
-    pub monitor: usize,
     /// Number of entries in the chunk.
     pub entries: u64,
     /// Timestamp of the first entry.
@@ -396,6 +402,24 @@ pub(crate) fn checked_count(
     Ok(count as usize)
 }
 
+/// Writes the monitor index of a chunk body or a footer index row: a segment
+/// holds one monitor's entries, so the index is the constant 0.
+pub(crate) fn write_local_monitor(out: &mut Vec<u8>) {
+    varint::encode(0, out);
+}
+
+/// Reads what [`write_local_monitor`] wrote and refuses anything else: bytes
+/// that name another monitor were not written for this segment, whatever
+/// their CRC says.
+pub(crate) fn read_local_monitor(cursor: &mut Cursor<'_>) -> Result<(), SegmentError> {
+    match cursor.varint()? {
+        0 => Ok(()),
+        monitor => Err(SegmentError::Corrupt(format!(
+            "stored index names monitor {monitor}, but a segment holds only its own monitor 0"
+        ))),
+    }
+}
+
 /// Packs values of two bits each, little-endian within bytes.
 fn pack_2bit(values: impl ExactSizeIterator<Item = u8>, out: &mut Vec<u8>) {
     let mut current = 0u8;
@@ -430,7 +454,6 @@ fn unpack_2bit(bytes: &[u8], count: usize) -> Vec<u8> {
 /// both body layouts are written from. Dictionaries are in first-appearance
 /// order so the index columns are decodable with nothing but this chunk.
 pub(crate) struct ChunkColumns<'a> {
-    pub(crate) monitor: usize,
     pub(crate) entries: &'a [TraceEntry],
     pub(crate) peer_dict: Vec<PeerId>,
     pub(crate) peer_indexes: Vec<u64>,
@@ -441,7 +464,7 @@ pub(crate) struct ChunkColumns<'a> {
 }
 
 impl<'a> ChunkColumns<'a> {
-    pub(crate) fn intern(monitor: usize, entries: &'a [TraceEntry]) -> Self {
+    pub(crate) fn intern(entries: &'a [TraceEntry]) -> Self {
         let mut peer_dict: Interner<PeerId> = Interner::default();
         let mut peer_indexes = Vec::with_capacity(entries.len());
         let mut addr_dict: Interner<Multiaddr> = Interner::default();
@@ -454,7 +477,6 @@ impl<'a> ChunkColumns<'a> {
             cid_indexes.push(cid_dict.intern(&&entry.cid));
         }
         Self {
-            monitor,
             entries,
             peer_dict: peer_dict.into_values(),
             peer_indexes,
@@ -531,7 +553,7 @@ impl<'a> ChunkColumns<'a> {
                 varint::encode(index, out);
             }
         }
-        varint::encode(self.monitor as u64, out);
+        write_local_monitor(out);
         varint::encode(self.entries.len() as u64, out);
         varint::encode(self.base_ms(), out);
         for delta in self.timestamp_deltas() {
@@ -558,12 +580,7 @@ impl<'a> ChunkColumns<'a> {
 /// codec as `store.chunk_encode_ns.*` (columnarization + layout, not the
 /// caller's sink write). Returns the frame's [`ChunkInfo`] (with `offset`
 /// left at 0 for the caller to fill in).
-pub(crate) fn encode_chunk(
-    monitor: usize,
-    entries: &[TraceEntry],
-    codec: Codec,
-    out: &mut Vec<u8>,
-) -> ChunkInfo {
+pub(crate) fn encode_chunk(entries: &[TraceEntry], codec: Codec, out: &mut Vec<u8>) -> ChunkInfo {
     assert!(!entries.is_empty(), "chunks must hold at least one entry");
     let (columnar, histogram) = match codec {
         Codec::Raw => (false, obs::histogram!("store.chunk_encode_ns.raw")),
@@ -571,7 +588,7 @@ pub(crate) fn encode_chunk(
         Codec::Lz => unreachable!("writers refuse Codec::Lz when they are configured"),
     };
     let _span = histogram.timer();
-    let columns = ChunkColumns::intern(monitor, entries);
+    let columns = ChunkColumns::intern(entries);
     let mut payload = Vec::with_capacity(entries.len() * 8);
     payload.push(Codec::Raw.byte());
     columns.write_planes(&mut payload);
@@ -593,7 +610,6 @@ pub(crate) fn encode_chunk(
     ChunkInfo {
         offset: 0,
         len: (out.len() - frame_start) as u64,
-        monitor,
         entries: entries.len() as u64,
         first_timestamp: entries[0].timestamp,
         last_timestamp: entries[entries.len() - 1].timestamp,
@@ -831,7 +847,6 @@ impl ChunkScratch {
 pub struct ChunkView<'a> {
     planes: Planes<'a>,
     codec: Codec,
-    monitor: usize,
     count: usize,
     timestamps: Vec<u64>,
     /// Dictionary slice of the peer column: `peer_count × 32` bytes inside
@@ -975,7 +990,7 @@ impl<'a> ChunkView<'a> {
         let bytes = planes.bytes();
         let mut cursor = Cursor::new(bytes);
         let span = columns.timer();
-        let monitor = cursor.varint()? as usize;
+        read_local_monitor(&mut cursor)?;
         let count = checked_count(&mut cursor, 1, "entry")?;
 
         timestamps.reserve(count);
@@ -1030,7 +1045,6 @@ impl<'a> ChunkView<'a> {
         Ok(Self {
             planes,
             codec,
-            monitor,
             count,
             timestamps,
             peer_dict,
@@ -1103,7 +1117,6 @@ impl<'a> ChunkView<'a> {
         Ok(Self {
             planes,
             codec: Codec::Col,
-            monitor: layout.monitor,
             count: layout.count,
             timestamps,
             peer_dict,
@@ -1121,11 +1134,6 @@ impl<'a> ChunkView<'a> {
     /// The codec the chunk was stored with (after any raw fallback).
     pub fn codec(&self) -> Codec {
         self.codec
-    }
-
-    /// The monitor whose entries the chunk holds.
-    pub fn monitor(&self) -> usize {
-        self.monitor
     }
 
     /// Number of entries in the chunk.
@@ -1227,7 +1235,9 @@ impl<'a> ChunkView<'a> {
         }
     }
 
-    /// Materializes the `i`-th entry as an owned [`TraceEntry`].
+    /// Materializes the `i`-th entry as an owned [`TraceEntry`]. A chunk does
+    /// not know which monitor of the dataset it belongs to: `monitor` is 0,
+    /// for the reader that knows the chain to overwrite.
     ///
     /// # Panics
     ///
@@ -1240,7 +1250,7 @@ impl<'a> ChunkView<'a> {
             address: self.addr_dict[self.addr_indexes[i]],
             request_type: self.request_type(i),
             cid: self.cid_dict[self.cid_indexes[i]].clone(),
-            monitor: self.monitor,
+            monitor: 0,
             flags: self.flags(i),
         }
     }
@@ -1351,13 +1361,14 @@ fn read_indexes(
 /// Everything a reader needs to navigate a segment.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Footer {
-    pub monitor_labels: Vec<String>,
-    /// Per monitor, the maximum backward timestamp jump (milliseconds)
-    /// observed in its entry stream. Monitors log in arrival order, but
-    /// entries carry send-side timestamps, so bounded local disorder occurs;
-    /// readers size their reorder buffers from this to deliver exactly
-    /// time-sorted streams.
-    pub max_lateness_ms: Vec<u64>,
+    /// Label of the monitor whose entries the segment holds.
+    pub label: String,
+    /// The maximum backward timestamp jump (milliseconds) observed in the
+    /// entry stream. Monitors log in arrival order, but entries carry
+    /// send-side timestamps, so bounded local disorder occurs; readers size
+    /// their reorder buffers from this to deliver exactly time-sorted
+    /// streams.
+    pub max_lateness_ms: u64,
     pub connections: Vec<ConnectionRecord>,
     pub chunks: Vec<ChunkInfo>,
     pub total_entries: u64,
@@ -1432,11 +1443,9 @@ pub(crate) fn decode_connections(
 
 pub(crate) fn encode_footer(footer: &Footer, out: &mut Vec<u8>) {
     let mut payload = Vec::new();
-    encode_labels(&footer.monitor_labels, &mut payload);
-    debug_assert_eq!(footer.max_lateness_ms.len(), footer.monitor_labels.len());
-    for &lateness in &footer.max_lateness_ms {
-        varint::encode(lateness, &mut payload);
-    }
+    // A list of one label, then one lateness bound per label.
+    encode_labels(std::slice::from_ref(&footer.label), &mut payload);
+    varint::encode(footer.max_lateness_ms, &mut payload);
 
     encode_connections(&footer.connections, &mut payload);
 
@@ -1444,7 +1453,7 @@ pub(crate) fn encode_footer(footer: &Footer, out: &mut Vec<u8>) {
     for chunk in &footer.chunks {
         varint::encode(chunk.offset, &mut payload);
         varint::encode(chunk.len, &mut payload);
-        varint::encode(chunk.monitor as u64, &mut payload);
+        write_local_monitor(&mut payload);
         varint::encode(chunk.entries, &mut payload);
         varint::encode(chunk.first_timestamp.as_millis(), &mut payload);
         varint::encode(chunk.last_timestamp.as_millis(), &mut payload);
@@ -1461,37 +1470,33 @@ pub(crate) fn encode_footer(footer: &Footer, out: &mut Vec<u8>) {
 pub(crate) fn decode_footer(payload: &[u8]) -> Result<Footer, SegmentError> {
     let mut cursor = Cursor::new(payload);
 
-    let monitor_labels = decode_labels(&mut cursor)?;
-    let label_count = monitor_labels.len();
-    let mut max_lateness_ms = Vec::with_capacity(label_count);
-    for _ in 0..label_count {
-        max_lateness_ms.push(cursor.varint()?);
-    }
+    let [label] = <[String; 1]>::try_from(decode_labels(&mut cursor)?).map_err(|labels| {
+        SegmentError::Corrupt(format!(
+            "footer holds {} monitor labels, but a segment holds one monitor's entries",
+            labels.len()
+        ))
+    })?;
+    let max_lateness_ms = cursor.varint()?;
 
     let connections = decode_connections(&mut cursor)?;
 
     // The index is what streams navigate by, so it must be self-consistent:
-    // a row naming a monitor the segment does not have would be filtered out
-    // of every stream, and rows that do not add up to the total would make
-    // the reported entry count disagree with what streams deliver.
+    // rows that do not add up to the total would make the reported entry
+    // count disagree with what streams deliver.
     let chunk_count = checked_count(&mut cursor, 6, "chunk index")?;
     let mut chunks = Vec::with_capacity(chunk_count);
     let mut indexed_entries = 0u64;
     for _ in 0..chunk_count {
+        let offset = cursor.varint()?;
+        let len = cursor.varint()?;
+        read_local_monitor(&mut cursor)?;
         let info = ChunkInfo {
-            offset: cursor.varint()?,
-            len: cursor.varint()?,
-            monitor: cursor.varint()? as usize,
+            offset,
+            len,
             entries: cursor.varint()?,
             first_timestamp: SimTime::from_millis(cursor.varint()?),
             last_timestamp: SimTime::from_millis(cursor.varint()?),
         };
-        if info.monitor >= label_count {
-            return Err(SegmentError::Corrupt(format!(
-                "chunk index names monitor {} but the segment has {label_count}",
-                info.monitor
-            )));
-        }
         indexed_entries = indexed_entries
             .checked_add(info.entries)
             .ok_or_else(|| SegmentError::Corrupt("chunk index entry counts overflow".into()))?;
@@ -1508,43 +1513,12 @@ pub(crate) fn decode_footer(payload: &[u8]) -> Result<Footer, SegmentError> {
         return Err(SegmentError::Corrupt("trailing bytes in footer".into()));
     }
     Ok(Footer {
-        monitor_labels,
+        label,
         max_lateness_ms,
         connections,
         chunks,
         total_entries,
     })
-}
-
-// ---------------------------------------------------------------------------
-// Whole-dataset conversion
-// ---------------------------------------------------------------------------
-
-impl MonitoringDataset {
-    /// Serializes the whole dataset as a segment into a byte vector. Lossless
-    /// counterpart of [`MonitoringDataset::from_segment_bytes`]; for
-    /// incremental writing use [`crate::writer::TraceWriter`].
-    pub fn to_segment_bytes(&self, config: SegmentConfig) -> Result<Vec<u8>, SegmentError> {
-        let mut out = Vec::new();
-        let mut writer =
-            crate::writer::TraceWriter::new(&mut out, self.monitor_labels.clone(), config)?;
-        for per_monitor in &self.entries {
-            for entry in per_monitor {
-                writer.append(entry)?;
-            }
-        }
-        for connection in &self.connections {
-            writer.record_connection(connection.clone());
-        }
-        writer.finish()?;
-        Ok(out)
-    }
-
-    /// Reconstructs a dataset from segment bytes.
-    pub fn from_segment_bytes(bytes: &[u8]) -> Result<Self, SegmentError> {
-        let reader = crate::reader::TraceReader::new(crate::reader::SliceSource::new(bytes))?;
-        reader.to_dataset()
-    }
 }
 
 #[cfg(test)]
@@ -1553,14 +1527,14 @@ mod tests {
     use crate::record::EntryFlags;
     use ipfs_mon_types::Multicodec;
 
-    fn entry(ms: u64, peer: u64, cid: u8, monitor: usize) -> TraceEntry {
+    fn entry(ms: u64, peer: u64, cid: u8) -> TraceEntry {
         TraceEntry {
             timestamp: SimTime::from_millis(ms),
             peer: PeerId::derived(5, peer),
             address: Multiaddr::new(0x0a00_0001 + peer as u32, 4001, Transport::Tcp, Country::De),
             request_type: RequestType::WantHave,
             cid: Cid::new_v1(Multicodec::Raw, &[cid]),
-            monitor,
+            monitor: 0,
             flags: EntryFlags::default(),
         }
     }
@@ -1568,12 +1542,11 @@ mod tests {
     #[test]
     fn chunk_roundtrip_preserves_entries() {
         let entries: Vec<TraceEntry> = (0..100)
-            .map(|i| entry(1_000 + i * 37, i % 7, (i % 5) as u8, 1))
+            .map(|i| entry(1_000 + i * 37, i % 7, (i % 5) as u8))
             .collect();
         let mut frame = Vec::new();
-        let info = encode_chunk(1, &entries, Codec::Raw, &mut frame);
+        let info = encode_chunk(&entries, Codec::Raw, &mut frame);
         assert_eq!(info.entries, 100);
-        assert_eq!(info.monitor, 1);
         assert_eq!(info.first_timestamp, entries[0].timestamp);
         assert_eq!(info.last_timestamp, entries[99].timestamp);
         let decoded = decode_chunk(&frame).unwrap();
@@ -1582,12 +1555,12 @@ mod tests {
 
     #[test]
     fn chunk_roundtrip_with_flags_and_backward_timestamps() {
-        let mut entries = vec![entry(5_000, 1, 1, 0), entry(4_000, 2, 2, 0)];
+        let mut entries = vec![entry(5_000, 1, 1), entry(4_000, 2, 2)];
         entries[0].flags.rebroadcast = true;
         entries[1].flags.inter_monitor_duplicate = true;
         entries[1].request_type = RequestType::Cancel;
         let mut frame = Vec::new();
-        encode_chunk(0, &entries, Codec::Raw, &mut frame);
+        encode_chunk(&entries, Codec::Raw, &mut frame);
         assert_eq!(decode_chunk(&frame).unwrap(), entries);
     }
 
@@ -1606,12 +1579,12 @@ mod tests {
     #[test]
     fn chunk_roundtrip_through_every_codec() {
         let entries: Vec<TraceEntry> = (0..500)
-            .map(|i| entry(1_000 + i * 13, i % 5, (i % 7) as u8, 2))
+            .map(|i| entry(1_000 + i * 13, i % 5, (i % 7) as u8))
             .collect();
         let mut frames = Vec::new();
         for codec in Codec::writable() {
             let mut frame = Vec::new();
-            let info = encode_chunk(2, &entries, codec, &mut frame);
+            let info = encode_chunk(&entries, codec, &mut frame);
             assert_eq!(info.entries, 500);
             frames.push((codec, frame));
         }
@@ -1652,13 +1625,13 @@ mod tests {
             .map(|i| {
                 let h = mix(i);
                 ms += 1 + (h >> 16) % 40;
-                entry(ms, h % 13, ((h >> 32) % 17) as u8, 0)
+                entry(ms, h % 13, ((h >> 32) % 17) as u8)
             })
             .collect();
         let mut raw = Vec::new();
-        encode_chunk(0, &entries, Codec::Raw, &mut raw);
+        encode_chunk(&entries, Codec::Raw, &mut raw);
         let mut col = Vec::new();
-        let info = encode_chunk(0, &entries, Codec::Col, &mut col);
+        let info = encode_chunk(&entries, Codec::Col, &mut col);
         assert!(
             col.len() < raw.len(),
             "col chunk not smaller: {} vs {} raw",
@@ -1672,9 +1645,9 @@ mod tests {
 
     #[test]
     fn chunk_detects_corruption() {
-        let entries = vec![entry(1, 1, 1, 0)];
+        let entries = vec![entry(1, 1, 1)];
         let mut frame = Vec::new();
-        encode_chunk(0, &entries, Codec::Raw, &mut frame);
+        encode_chunk(&entries, Codec::Raw, &mut frame);
         let mid = frame.len() / 2;
         frame[mid] ^= 0xff;
         assert!(decode_chunk(&frame).is_err());
@@ -1702,9 +1675,9 @@ mod tests {
 
     #[test]
     fn unknown_codec_byte_is_a_typed_error() {
-        let entries = vec![entry(1, 1, 1, 0)];
+        let entries = vec![entry(1, 1, 1)];
         let mut frame = Vec::new();
-        encode_chunk(0, &entries, Codec::Raw, &mut frame);
+        encode_chunk(&entries, Codec::Raw, &mut frame);
         // The codec byte is the first payload byte, right after the length
         // varint (one byte for small chunks). Rewrite it and fix the CRC so
         // the frame is undamaged — the reader must still refuse, with
@@ -1726,10 +1699,10 @@ mod tests {
         // smaller than count × full-record size (32B peer + 8B addr + ~36B
         // CID ≈ 76B/entry uncompressed).
         let entries: Vec<TraceEntry> = (0..1000)
-            .map(|i| entry(i * 10, i % 3, (i % 3) as u8, 0))
+            .map(|i| entry(i * 10, i % 3, (i % 3) as u8))
             .collect();
         let mut frame = Vec::new();
-        encode_chunk(0, &entries, Codec::Raw, &mut frame);
+        encode_chunk(&entries, Codec::Raw, &mut frame);
         assert!(
             frame.len() < 1000 * 8,
             "chunk unexpectedly large: {} bytes",
@@ -1765,13 +1738,12 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn footer_roundtrip() {
-        let footer = Footer {
-            monitor_labels: vec!["us".into(), "de".into()],
-            max_lateness_ms: vec![250, 0],
+    fn sample_footer() -> Footer {
+        Footer {
+            label: "us".into(),
+            max_lateness_ms: 250,
             connections: vec![ConnectionRecord {
-                monitor: 1,
+                monitor: 0,
                 peer: PeerId::derived(1, 2),
                 address: Multiaddr::new(1, 2, Transport::Quic, Country::Jp),
                 connected_at: SimTime::from_secs(3),
@@ -1780,13 +1752,17 @@ mod tests {
             chunks: vec![ChunkInfo {
                 offset: 5,
                 len: 100,
-                monitor: 0,
                 entries: 42,
                 first_timestamp: SimTime::from_millis(7),
                 last_timestamp: SimTime::from_millis(900),
             }],
             total_entries: 42,
-        };
+        }
+    }
+
+    #[test]
+    fn footer_roundtrip() {
+        let footer = sample_footer();
         let mut bytes = Vec::new();
         encode_footer(&footer, &mut bytes);
         assert_eq!(&bytes[bytes.len() - 4..], FOOTER_MAGIC);
@@ -1795,11 +1771,91 @@ mod tests {
                 as usize;
         let payload = &bytes[..payload_len];
         let decoded = decode_footer(payload).unwrap();
-        assert_eq!(decoded.monitor_labels, footer.monitor_labels);
+        assert_eq!(decoded.label, footer.label);
         assert_eq!(decoded.max_lateness_ms, footer.max_lateness_ms);
         assert_eq!(decoded.connections, footer.connections);
         assert_eq!(decoded.chunks, footer.chunks);
         assert_eq!(decoded.total_entries, 42);
+    }
+
+    #[test]
+    fn footer_not_of_exactly_one_monitor_is_corrupt() {
+        // The footer grammar written out by hand, so that it can say what
+        // `Footer` cannot: any number of labels (one lateness bound each),
+        // any monitor index in the index row.
+        let footer = sample_footer();
+        let payload = |labels: &[&str], row_monitor: u64| {
+            let labels: Vec<String> = labels.iter().map(|label| label.to_string()).collect();
+            let mut payload = Vec::new();
+            encode_labels(&labels, &mut payload);
+            for _ in &labels {
+                varint::encode(footer.max_lateness_ms, &mut payload);
+            }
+            encode_connections(&footer.connections, &mut payload);
+            varint::encode(1, &mut payload);
+            let row = &footer.chunks[0];
+            varint::encode(row.offset, &mut payload);
+            varint::encode(row.len, &mut payload);
+            varint::encode(row_monitor, &mut payload);
+            varint::encode(row.entries, &mut payload);
+            varint::encode(row.first_timestamp.as_millis(), &mut payload);
+            varint::encode(row.last_timestamp.as_millis(), &mut payload);
+            varint::encode(footer.total_entries, &mut payload);
+            payload
+        };
+        let mut written = Vec::new();
+        encode_footer(&footer, &mut written);
+        let well_formed = payload(&["us"], 0);
+        assert_eq!(written[..well_formed.len()], well_formed[..]);
+        assert!(decode_footer(&well_formed).is_ok());
+
+        for (labels, row_monitor) in [
+            (&[][..], 0),
+            (&["us", "de"][..], 0),
+            (&["us", "de"][..], 1),
+            (&["us"][..], 1),
+            (&["us"][..], u64::MAX),
+        ] {
+            match decode_footer(&payload(labels, row_monitor)) {
+                Err(SegmentError::Corrupt(what)) => assert!(what.contains("monitor"), "{what}"),
+                other => panic!("{labels:?}, row of monitor {row_monitor}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_naming_another_monitor_is_corrupt() {
+        let entries = vec![entry(1, 1, 1), entry(2, 2, 2)];
+        let mut frame = Vec::new();
+        encode_chunk(&entries, Codec::Raw, &mut frame);
+        assert_eq!(decode_chunk(&frame).unwrap(), entries);
+        // The stored monitor index opens the raw planes, right after the
+        // codec byte. Rewrite it under a valid CRC: every byte checks out,
+        // and the frame is still not this segment's.
+        let payload_end = frame.len() - 4;
+        let payload_start = payload_end - frame_payload(&frame).len();
+        assert_eq!(frame[payload_start + 1], 0);
+        frame[payload_start + 1] = 1;
+        let crc = crc32(&frame[payload_start..payload_end]);
+        frame[payload_end..].copy_from_slice(&crc.to_le_bytes());
+        match decode_chunk(&frame) {
+            Err(SegmentError::Corrupt(what)) => assert!(what.contains("monitor 1"), "{what}"),
+            other => panic!("a foreign monitor's frame must be corrupt: {other:?}"),
+        }
+        // So the walk recovery and the live tail share ends before it.
+        let mut segment = Vec::new();
+        write_header(&mut segment).unwrap();
+        encode_chunk(&entries, Codec::Raw, &mut segment);
+        let valid_end = segment.len();
+        segment.extend_from_slice(&frame);
+        let mut walked = 0;
+        let end = walk_frames(
+            &segment,
+            HEADER_LEN,
+            &mut ChunkScratch::default(),
+            |_, _, view| walked += view.len(),
+        );
+        assert_eq!((end, walked), (valid_end, 2));
     }
 
     #[test]

@@ -186,9 +186,8 @@ pub trait AnalysisSink {
     /// aligned with the chunks before and after it — so per chunk a sink may
     /// assume the monitor and nothing about order. `monitor` is the
     /// dataset-wide index every row of the chunk would carry in
-    /// [`TraceEntry::monitor`]; [`ChunkView::monitor`] is only the index
-    /// inside the chunk's own segment file. The default does nothing: such a
-    /// sink is fed rows.
+    /// [`TraceEntry::monitor`] (the chunk itself does not know it). The
+    /// default does nothing: such a sink is fed rows.
     fn consume_chunk(&mut self, _monitor: usize, _chunk: &ChunkView<'_>) {}
 
     /// The timestamp of one row of `monitor`, for a [`Rows::Times`] sink: a

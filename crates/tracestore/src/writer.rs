@@ -1,9 +1,11 @@
-//! The sharded, spill-as-you-go segment writer.
+//! The spill-as-you-go segment writer: one monitor's entries into one segment.
 //!
 //! Writes what [`crate::segment`] lays out — header, chunk frames, footer —
 //! and decides nothing about the bytes itself. Chunks are `Raw` or `Col`
 //! ([`crate::codec`]), never the decode-only `Lz`, which [`TraceWriter::new`]
-//! refuses.
+//! refuses. A segment holds one monitor's entries: the writer is given that
+//! monitor's label and never reads `TraceEntry::monitor` (the dataset maps
+//! the file to its monitor — see [`crate::manifest`]).
 
 use crate::record::{ConnectionRecord, TraceEntry};
 use crate::segment::{
@@ -11,103 +13,81 @@ use crate::segment::{
     SegmentSummary, HEADER_LEN,
 };
 use ipfs_mon_obs as obs;
+use ipfs_mon_simnet::time::SimTime;
 use std::io::Write;
 
-/// Writes a segment incrementally: entries are buffered per monitor (one
-/// shard each) and spilled to the sink as framed columnar **v2** chunks —
-/// length varint, then a payload opening with the codec byte of
-/// [`SegmentConfig::codec`], then the payload CRC — whenever a shard reaches
-/// the configured capacity. Memory use is bounded by
-/// `monitors × chunk_capacity` entries regardless of trace length.
+/// Writes a segment incrementally: entries are buffered and spilled to the
+/// sink as framed columnar **v2** chunks — length varint, then a payload
+/// opening with the codec byte of [`SegmentConfig::codec`], then the payload
+/// CRC — whenever the buffer reaches the configured capacity. Memory use is
+/// bounded by `chunk_capacity` entries regardless of trace length.
 ///
 /// Connection records are rare relative to entries and are kept for the
-/// footer. Call [`TraceWriter::finish`] to flush the remaining shard buffers
-/// and write the footer index; a segment without its footer is unreadable.
+/// footer. Call [`TraceWriter::finish`] to flush the remaining buffer and
+/// write the footer index; a segment without its footer is unreadable.
 pub struct TraceWriter<W: Write> {
     sink: W,
     /// Bytes written so far (chunk offsets are tracked manually so the sink
     /// only needs `Write`, not `Seek`).
     offset: u64,
-    shards: Vec<Vec<TraceEntry>>,
-    /// Highest timestamp appended so far, per monitor (for lateness
-    /// tracking).
-    high_water: Vec<Option<ipfs_mon_simnet::time::SimTime>>,
+    buffer: Vec<TraceEntry>,
+    /// Highest timestamp appended so far (for lateness tracking).
+    high_water: Option<SimTime>,
     footer: Footer,
     config: SegmentConfig,
 }
 
 impl<W: Write> TraceWriter<W> {
-    /// Creates a writer for monitors with the given labels and writes the
+    /// Creates a writer for the monitor with the given label and writes the
     /// segment header.
-    pub fn new(
-        mut sink: W,
-        monitor_labels: Vec<String>,
-        config: SegmentConfig,
-    ) -> Result<Self, SegmentError> {
+    pub fn new(mut sink: W, label: String, config: SegmentConfig) -> Result<Self, SegmentError> {
         config.validate()?;
         write_header(&mut sink)?;
-        let monitors = monitor_labels.len();
         Ok(Self {
             sink,
             offset: HEADER_LEN as u64,
-            shards: vec![Vec::new(); monitors],
-            high_water: vec![None; monitors],
+            buffer: Vec::new(),
+            high_water: None,
             footer: Footer {
-                monitor_labels,
-                max_lateness_ms: vec![0; monitors],
+                label,
                 ..Footer::default()
             },
             config,
         })
     }
 
-    /// Number of monitors (shards).
-    pub fn monitor_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Entries accepted so far (buffered or spilled).
     pub fn total_entries(&self) -> u64 {
-        self.footer.total_entries + self.shards.iter().map(|s| s.len() as u64).sum::<u64>()
+        self.footer.total_entries + self.buffer.len() as u64
     }
 
-    /// Appends one entry to its monitor's shard, spilling a chunk when the
-    /// shard is full. The entry's `monitor` field selects the shard.
+    /// Appends one entry, spilling a chunk when the buffer is full.
     pub fn append(&mut self, entry: &TraceEntry) -> Result<(), SegmentError> {
-        self.append_owned(entry.clone())
-    }
-
-    /// Like [`TraceWriter::append`], but takes ownership — callers that
-    /// already hold (or had to re-index) an owned entry skip a clone.
-    pub fn append_owned(&mut self, entry: TraceEntry) -> Result<(), SegmentError> {
-        let monitor = entry.monitor;
-        assert!(
-            monitor < self.shards.len(),
-            "entry for monitor {monitor} but the segment has {} monitors",
-            self.shards.len()
-        );
         // Monitors log in arrival order but entries carry send-side
         // timestamps, so streams can be locally out of order; record the
         // worst backward jump so readers can size exact reorder buffers.
-        match self.high_water[monitor] {
+        match self.high_water {
             Some(high) if entry.timestamp < high => {
                 let lateness = high.since(entry.timestamp).as_millis();
-                let slot = &mut self.footer.max_lateness_ms[monitor];
-                *slot = (*slot).max(lateness);
+                self.footer.max_lateness_ms = self.footer.max_lateness_ms.max(lateness);
             }
             Some(high) if entry.timestamp <= high => {}
-            _ => self.high_water[monitor] = Some(entry.timestamp),
+            _ => self.high_water = Some(entry.timestamp),
         }
-        self.shards[monitor].push(entry);
-        if self.shards[monitor].len() >= self.config.chunk_capacity {
-            self.flush_shard(monitor)?;
+        self.buffer.push(entry.clone());
+        if self.buffer.len() >= self.config.chunk_capacity {
+            self.flush_buffered()?;
         }
         Ok(())
     }
 
-    /// Stores a connection record in the footer.
+    /// Stores a connection record in the footer (as the segment's own
+    /// monitor, whatever `record.monitor` says).
     pub fn record_connection(&mut self, record: ConnectionRecord) {
-        self.footer.connections.push(record);
+        self.footer.connections.push(ConnectionRecord {
+            monitor: 0,
+            ..record
+        });
     }
 
     /// Bytes handed to the sink so far (header + spilled chunk frames). After
@@ -118,8 +98,8 @@ impl<W: Write> TraceWriter<W> {
     }
 
     /// Entries already spilled to the sink as complete chunk frames —
-    /// the durable entry count once the sink is synced (buffered shard
-    /// entries are *not* included; compare [`TraceWriter::total_entries`]).
+    /// the durable entry count once the sink is synced (buffered entries
+    /// are *not* included; compare [`TraceWriter::total_entries`]).
     pub fn spilled_entries(&self) -> u64 {
         self.footer.total_entries
     }
@@ -138,26 +118,18 @@ impl<W: Write> TraceWriter<W> {
         &mut self.sink
     }
 
-    /// Spills every non-empty shard buffer as a (possibly small) chunk, so
-    /// all accepted entries are represented in the byte stream handed to the
+    /// Spills the buffered entries as one (possibly small) chunk, so all
+    /// accepted entries are represented in the byte stream handed to the
     /// sink. Used by checkpointing to make the open segment's entries
     /// durable; frequent calls trade chunk size (and thus compression ratio)
     /// for a tighter durability horizon.
     pub fn flush_buffered(&mut self) -> Result<(), SegmentError> {
-        for monitor in 0..self.shards.len() {
-            self.flush_shard(monitor)?;
-        }
-        Ok(())
-    }
-
-    /// Encodes and spills the shard's buffered entries as one chunk.
-    fn flush_shard(&mut self, monitor: usize) -> Result<(), SegmentError> {
-        if self.shards[monitor].is_empty() {
+        if self.buffer.is_empty() {
             return Ok(());
         }
-        let entries = std::mem::take(&mut self.shards[monitor]);
         let mut frame = Vec::new();
-        let mut info: ChunkInfo = encode_chunk(monitor, &entries, self.config.codec, &mut frame);
+        let mut info: ChunkInfo = encode_chunk(&self.buffer, self.config.codec, &mut frame);
+        self.buffer.clear();
         info.offset = self.offset;
         self.sink.write_all(&frame)?;
         self.offset += frame.len() as u64;
@@ -169,7 +141,7 @@ impl<W: Write> TraceWriter<W> {
         Ok(())
     }
 
-    /// Flushes all shards, writes the footer, and returns segment statistics.
+    /// Flushes the buffer, writes the footer, and returns segment statistics.
     pub fn finish(self) -> Result<SegmentSummary, SegmentError> {
         self.finish_into().map(|(summary, _)| summary)
     }
@@ -203,17 +175,16 @@ mod tests {
     use crate::reader::{SliceSource, TraceReader};
     use crate::record::EntryFlags;
     use ipfs_mon_bitswap::RequestType;
-    use ipfs_mon_simnet::time::SimTime;
     use ipfs_mon_types::{Cid, Country, Multiaddr, Multicodec, PeerId, Transport};
 
-    fn entry(ms: u64, peer: u64, monitor: usize) -> TraceEntry {
+    fn entry(ms: u64, peer: u64) -> TraceEntry {
         TraceEntry {
             timestamp: SimTime::from_millis(ms),
             peer: PeerId::derived(9, peer),
             address: Multiaddr::new(7, 4001, Transport::Quic, Country::Us),
             request_type: RequestType::WantBlock,
             cid: Cid::new_v1(Multicodec::Raw, &peer.to_be_bytes()),
-            monitor,
+            monitor: 0,
             flags: EntryFlags::default(),
         }
     }
@@ -225,38 +196,66 @@ mod tests {
             chunk_capacity: 10,
             ..SegmentConfig::default()
         };
-        let mut writer =
-            TraceWriter::new(&mut bytes, vec!["us".into(), "de".into()], config).unwrap();
+        let mut writer = TraceWriter::new(&mut bytes, "us".into(), config).unwrap();
         for i in 0..25 {
-            writer.append(&entry(i * 100, i, 0)).unwrap();
+            writer.append(&entry(i * 100, i)).unwrap();
         }
-        for i in 0..5 {
-            writer.append(&entry(i * 100, i, 1)).unwrap();
-        }
-        assert_eq!(writer.total_entries(), 30);
+        assert_eq!(writer.spilled_entries(), 20);
+        assert_eq!(writer.total_entries(), 25);
         let summary = writer.finish().unwrap();
-        // Monitor 0: two full chunks + remainder; monitor 1: one chunk.
-        assert_eq!(summary.chunks, 4);
-        assert_eq!(summary.total_entries, 30);
+        // Two full chunks + the remainder.
+        assert_eq!(summary.chunks, 3);
+        assert_eq!(summary.total_entries, 25);
         assert_eq!(summary.bytes_written, bytes.len() as u64);
 
         let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
-        assert_eq!(reader.total_entries(), 30);
-        assert_eq!(reader.stream_monitor(0).count(), 25);
-        assert_eq!(reader.stream_monitor(1).count(), 5);
+        assert_eq!(reader.total_entries(), 25);
+        assert_eq!(reader.stream().count(), 25);
+    }
+
+    #[test]
+    fn the_monitor_field_of_what_is_appended_is_not_stored() {
+        // The writer is one monitor's: whichever dataset-wide index entries
+        // and connection records carry, the segment's bytes are the same and
+        // read back as the segment's own monitor 0.
+        let segment_of = |monitor: usize| {
+            let mut bytes = Vec::new();
+            let mut writer =
+                TraceWriter::new(&mut bytes, "de".into(), SegmentConfig::default()).unwrap();
+            for i in 0..5 {
+                let entry = TraceEntry {
+                    monitor,
+                    ..entry(i * 100, i)
+                };
+                writer.append(&entry).unwrap();
+            }
+            writer.record_connection(ConnectionRecord {
+                monitor,
+                peer: PeerId::derived(9, 1),
+                address: Multiaddr::new(7, 4001, Transport::Quic, Country::Us),
+                connected_at: SimTime::from_millis(3),
+                disconnected_at: None,
+            });
+            writer.finish().unwrap();
+            bytes
+        };
+        let bytes = segment_of(0);
+        assert_eq!(segment_of(3), bytes);
+        let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
+        assert!(reader.stream().all(|entry| entry.monitor == 0));
+        assert_eq!(reader.connections()[0].monitor, 0);
     }
 
     #[test]
     fn empty_segment_roundtrips() {
         let mut bytes = Vec::new();
-        let writer =
-            TraceWriter::new(&mut bytes, vec!["only".into()], SegmentConfig::default()).unwrap();
+        let writer = TraceWriter::new(&mut bytes, "only".into(), SegmentConfig::default()).unwrap();
         let summary = writer.finish().unwrap();
         assert_eq!(summary.total_entries, 0);
         assert_eq!(summary.chunks, 0);
         let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
-        assert_eq!(reader.monitor_labels(), ["only".to_string()]);
-        assert_eq!(reader.stream_monitor(0).count(), 0);
+        assert_eq!(reader.label(), "only");
+        assert_eq!(reader.stream().count(), 0);
     }
 
     #[test]
@@ -264,7 +263,7 @@ mod tests {
         let mut bytes = Vec::new();
         let result = TraceWriter::new(
             &mut bytes,
-            vec!["only".into()],
+            "only".into(),
             SegmentConfig {
                 chunk_capacity: 0,
                 ..SegmentConfig::default()
@@ -272,14 +271,5 @@ mod tests {
         );
         assert!(matches!(result, Err(SegmentError::InvalidConfig(_))));
         assert!(bytes.is_empty(), "nothing must be written on bad config");
-    }
-
-    #[test]
-    #[should_panic(expected = "monitor 3")]
-    fn append_rejects_unknown_monitor() {
-        let mut bytes = Vec::new();
-        let mut writer =
-            TraceWriter::new(&mut bytes, vec!["a".into()], SegmentConfig::default()).unwrap();
-        let _ = writer.append(&entry(0, 0, 3));
     }
 }

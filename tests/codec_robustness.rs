@@ -50,7 +50,7 @@ fn monitor_segment(label: &str, entries: &[TraceEntry], codec: Codec, chunk: usi
     let mut bytes = Vec::new();
     let mut writer = TraceWriter::new(
         &mut bytes,
-        vec![label.to_string()],
+        label.to_string(),
         SegmentConfig {
             chunk_capacity: chunk,
             codec,
@@ -58,9 +58,7 @@ fn monitor_segment(label: &str, entries: &[TraceEntry], codec: Codec, chunk: usi
     )
     .unwrap();
     for entry in entries {
-        let mut local = entry.clone();
-        local.monitor = 0;
-        writer.append_owned(local).unwrap();
+        writer.append(entry).unwrap();
     }
     writer.finish().unwrap();
     bytes
@@ -102,7 +100,7 @@ fn body_damage_sweep(bytes: &[u8]) -> (usize, usize) {
     let mut clean_decodes = 0usize;
     for (pos, damaged) in body_flips(bytes) {
         let reader = TraceReader::new(SliceSource::new(&damaged)).unwrap();
-        let mut stream = reader.stream_monitor(0);
+        let mut stream = reader.stream();
         let _ = (&mut stream).count();
         match stream.take_error() {
             Some(SegmentError::Corrupt(_)) | Some(SegmentError::UnknownCodec(_)) => {
@@ -195,11 +193,9 @@ fn truncation_sweep(bytes: &[u8]) {
         let Ok(reader) = TraceReader::new(SliceSource::new(&bytes[..cut])) else {
             continue;
         };
-        for monitor in 0..reader.monitor_count() {
-            let mut stream = reader.stream_monitor(monitor);
-            let _ = (&mut stream).count();
-            let _ = stream.take_error();
-        }
+        let mut stream = reader.stream();
+        let _ = (&mut stream).count();
+        let _ = stream.take_error();
     }
 }
 
@@ -220,7 +216,7 @@ fn codec_damage_surfaces_typed_errors() {
 
     let reopen = |bytes: &[u8]| -> SegmentError {
         let reader = TraceReader::new(SliceSource::new(bytes)).unwrap();
-        let mut stream = reader.stream_monitor(0);
+        let mut stream = reader.stream();
         let _ = (&mut stream).count();
         stream.take_error().expect("damaged chunk must error")
     };
@@ -681,12 +677,7 @@ fn lz_is_refused_as_a_write_target() {
     };
     refused(Codec::parse("lz").map(drop));
     refused(
-        TraceWriter::new(
-            Vec::new(),
-            vec!["m".into()],
-            SegmentConfig::with_codec(Codec::Lz),
-        )
-        .map(drop),
+        TraceWriter::new(Vec::new(), "m".into(), SegmentConfig::with_codec(Codec::Lz)).map(drop),
     );
     let dir = temp_dir("lz-refused");
     let config = DatasetConfig {

@@ -384,6 +384,104 @@ fn crafted_frame_length_does_not_stop_the_service_from_opening() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A segment holds one monitor's entries, stored as monitor 0. A frame that
+/// names another monitor under a valid CRC was not written for this
+/// segment: the live tail, crash recovery and the batch reader must give one
+/// answer about it — the segment ends before that frame — instead of the
+/// tail delivering its rows, recovery counting them as recovered, and the
+/// reader then refusing the dataset recovery just wrote.
+#[test]
+fn foreign_monitor_frame_ends_the_segment_for_tail_recovery_and_reader() {
+    use ipfs_monitoring::tracestore::crc::crc32;
+    use ipfs_monitoring::types::varint;
+
+    // A torn open segment: no footer, no manifest, frames to the end.
+    let dir = temp_dir("foreign-frame");
+    let (path, boundaries) = single_segment_dataset(&dir, Codec::Raw, 100);
+    std::fs::remove_file(dir.join(ipfs_monitoring::tracestore::MANIFEST_FILE_NAME)).unwrap();
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes.truncate(boundaries.last().unwrap().0 as usize);
+    // The third frame: length prefix, then a payload of codec byte (raw),
+    // stored monitor index, columns; then the payload's CRC. Name monitor 1
+    // and re-fix the CRC, so that nothing but the index is wrong.
+    let (frame_start, kept_entries) = boundaries[1];
+    let (payload_len, prefix_len) = varint::decode(&bytes[frame_start as usize..]).unwrap();
+    let payload =
+        frame_start as usize + prefix_len..frame_start as usize + prefix_len + payload_len as usize;
+    assert_eq!(
+        bytes[payload.start..payload.start + 2],
+        [Codec::Raw.byte(), 0]
+    );
+    bytes[payload.start + 1] = 1;
+    let crc = crc32(&bytes[payload.clone()]);
+    bytes[payload.end..payload.end + 4].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+
+    let kept: Vec<Vec<TraceEntry>> = vec![(0..kept_entries).map(|i| entry(i, 0)).collect()];
+    assert_eq!(kept_entries, 32, "two chunks of 16");
+
+    // The tail, on a copy recovery has not touched.
+    let tailed = temp_dir("foreign-frame-tail");
+    copy_dir(&dir, &tailed);
+    let mut tail = DatasetTail::open(&tailed, 1);
+    let mut seen = Vec::new();
+    let poll = tail.poll(|entry| seen.push(entry)).unwrap();
+    assert_eq!((poll.entries, poll.chunks), (kept_entries, 2));
+    assert_eq!(vec![seen], kept);
+    assert_eq!(tail.poll(|_| panic!("nothing new")).unwrap().entries, 0);
+    std::fs::remove_dir_all(&tailed).unwrap();
+
+    // Recovery keeps the same rows...
+    let report = recover_dataset(&dir).unwrap();
+    assert_eq!(report.entries_recovered, kept_entries);
+    assert_eq!(report.segments_truncated, 1);
+    assert_eq!(report.bytes_truncated, bytes.len() as u64 - frame_start);
+    assert!(report.quarantined.is_empty());
+    // ...and what it wrote opens and streams them.
+    let streamed = assert_prefix_consistent(&dir, &kept, "foreign-monitor frame");
+    assert_eq!(streamed, kept_entries);
+    assert!(recover_dataset(&dir).unwrap().clean);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The same for the footer: one that lists two monitors is refused when the
+/// segment is opened — `Corrupt`, not a panic, not a reader that then
+/// filters chunks by an index nothing checks.
+#[test]
+fn two_label_footer_is_corrupt() {
+    use ipfs_monitoring::tracestore::crc::crc32;
+    use ipfs_monitoring::tracestore::{SegmentError, SliceSource};
+    use ipfs_monitoring::types::varint;
+
+    let dir = temp_dir("two-label-footer");
+    let (path, boundaries) = single_segment_dataset(&dir, Codec::Raw, 100);
+    let sealed = std::fs::read(&path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(TraceReader::new(SliceSource::new(&sealed)).is_ok());
+
+    // footer := payload crc32(payload) payload_len:u64le magic, the payload
+    // opening with the label list and one lateness bound per label.
+    let footer_start = boundaries.last().unwrap().0 as usize;
+    let payload = &sealed[footer_start..sealed.len() - 16];
+    assert_eq!(payload[..4], [1, 2, b'u', b's']);
+    let (lateness, lateness_len) = varint::decode(&payload[4..]).unwrap();
+    let mut doctored = vec![2, 2, b'u', b's', 2, b'd', b'e'];
+    varint::encode(lateness, &mut doctored);
+    varint::encode(lateness, &mut doctored);
+    doctored.extend_from_slice(&payload[4 + lateness_len..]);
+
+    let mut bytes = sealed[..footer_start].to_vec();
+    bytes.extend_from_slice(&doctored);
+    bytes.extend_from_slice(&crc32(&doctored).to_le_bytes());
+    bytes.extend_from_slice(&(doctored.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&sealed[sealed.len() - 4..]);
+    match TraceReader::new(SliceSource::new(&bytes)) {
+        Err(SegmentError::Corrupt(what)) => assert!(what.contains("2 monitor labels"), "{what}"),
+        Ok(_) => panic!("a two-label footer must not open"),
+        Err(other) => panic!("a two-label footer must be Corrupt: {other}"),
+    }
+}
+
 /// Deterministic boundary sweep of the same property: exact chunk frame
 /// boundaries and their off-by-one neighbours, plus the degenerate lengths.
 #[test]

@@ -1,102 +1,125 @@
 //! Tracestore integration coverage.
 //!
-//! Property tests proving that arbitrary datasets round-trip losslessly
-//! through columnar segments, that the streaming analyses over a spilled
-//! dataset agree with their in-memory counterparts, and that damage to a
-//! segment is detected rather than decoded.
+//! Property tests proving that one monitor's trace round-trips losslessly
+//! through a columnar segment and a multi-monitor dataset through the
+//! segment chains behind a manifest, that the streaming analyses over a
+//! spilled dataset agree with their in-memory counterparts, and that damage
+//! to a segment is detected rather than decoded.
 
 mod common;
 
-use common::run_flagged;
-use ipfs_monitoring::bitswap::RequestType;
+use common::{differential_case, random_dataset, run_flagged, DifferentialCase};
 use ipfs_monitoring::core::{
     popularity_scores, unify_and_flag, unify_and_flag_source, ManifestCollector, MonitorCollector,
     PopularitySink, PreprocessConfig,
 };
 use ipfs_monitoring::node::Network;
-use ipfs_monitoring::simnet::time::{SimDuration, SimTime};
+use ipfs_monitoring::simnet::time::SimDuration;
 use ipfs_monitoring::tracestore::{
-    ConnectionRecord, DatasetConfig, EntryFlags, FileSource, ManifestReader, MonitoringDataset,
-    SegmentConfig, SegmentError, SliceSource, TraceEntry, TraceReader, TraceWriter,
-    MANIFEST_FILE_NAME,
+    ChunkSource, ConnectionRecord, DatasetConfig, DatasetWriter, FileSource, ManifestReader,
+    MonitoringDataset, SegmentConfig, SegmentError, SliceSource, TraceEntry, TraceReader,
+    TraceSource, TraceWriter, MANIFEST_FILE_NAME,
 };
-use ipfs_monitoring::types::{Cid, Country, Multiaddr, Multicodec, PeerId, Transport};
 use ipfs_monitoring::workload::{build_scenario, ScenarioConfig};
 use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
-/// Generates a dataset with interleaved duplicates/re-broadcasts and bounded
-/// per-monitor arrival disorder (`jitter_ms`), the delivery pattern a real
-/// monitor produces and the hardest case for the k-way merged reader.
-fn random_dataset(
-    seed: u64,
-    monitors: usize,
-    per_monitor: usize,
-    jitter_ms: u64,
-) -> MonitoringDataset {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let countries = [Country::Us, Country::De, Country::Nl, Country::Fr];
-    let transports = [Transport::Tcp, Transport::Quic, Transport::WebSocket];
-    let types = [
-        RequestType::WantHave,
-        RequestType::WantBlock,
-        RequestType::Cancel,
-    ];
-    let mut dataset = MonitoringDataset::new((0..monitors).map(|m| format!("m{m}")).collect());
-    for monitor in 0..monitors {
-        let mut clock: u64 = 0;
-        for _ in 0..per_monitor {
-            clock += rng.gen_range(0u64..2_000);
-            // Arrival order differs from timestamp order by up to the jitter.
-            let timestamp = clock.saturating_sub(rng.gen_range(0u64..=jitter_ms.max(1)));
-            dataset.entries[monitor].push(TraceEntry {
-                timestamp: SimTime::from_millis(timestamp),
-                peer: PeerId::derived(11, rng.gen_range(0u64..16)),
-                address: Multiaddr::new(
-                    rng.gen::<u32>(),
-                    4001,
-                    transports[rng.gen_range(0usize..transports.len())],
-                    countries[rng.gen_range(0usize..countries.len())],
-                ),
-                request_type: types[rng.gen_range(0usize..types.len())],
-                cid: Cid::new_v1(Multicodec::Raw, &[rng.gen_range(0u8..32)]),
-                monitor,
-                flags: EntryFlags::default(),
-            });
-        }
+/// Writes the one monitor of `dataset` — entries in arrival order, then the
+/// connection records — as one segment into `sink`.
+fn write_segment(dataset: &MonitoringDataset, config: SegmentConfig, sink: impl std::io::Write) {
+    assert_eq!(dataset.monitor_count(), 1, "a segment holds one monitor");
+    let mut writer = TraceWriter::new(sink, dataset.monitor_labels[0].clone(), config).unwrap();
+    for entry in &dataset.entries[0] {
+        writer.append(entry).unwrap();
     }
-    for _ in 0..rng.gen_range(0usize..8) {
-        let connected_at = rng.gen_range(0u64..100_000);
-        dataset.connections.push(ConnectionRecord {
-            monitor: rng.gen_range(0usize..monitors),
-            peer: PeerId::derived(11, rng.gen_range(0u64..16)),
-            address: Multiaddr::new(rng.gen::<u32>(), 4001, Transport::Tcp, Country::Us),
-            connected_at: SimTime::from_millis(connected_at),
-            disconnected_at: rng
-                .gen_bool(0.5)
-                .then(|| SimTime::from_millis(connected_at + rng.gen_range(0u64..50_000))),
-        });
+    for connection in &dataset.connections {
+        writer.record_connection(connection.clone());
     }
-    dataset
+    let summary = writer.finish().unwrap();
+    assert_eq!(summary.total_entries as usize, dataset.total_entries());
+}
+
+/// [`write_segment`] into memory.
+fn segment_bytes(dataset: &MonitoringDataset, config: SegmentConfig) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    write_segment(dataset, config, &mut bytes);
+    bytes
+}
+
+/// Everything a segment holds — label, entries in storage order, connection
+/// records — or the first error met opening or streaming it.
+fn read_segment(
+    source: impl ChunkSource,
+) -> Result<(String, Vec<TraceEntry>, Vec<ConnectionRecord>), SegmentError> {
+    let reader = TraceReader::new(source)?;
+    let mut stream = reader.stream();
+    let entries: Vec<TraceEntry> = stream.by_ref().collect();
+    match stream.take_error() {
+        Some(error) => Err(error),
+        None => Ok((
+            reader.label().to_string(),
+            entries,
+            reader.connections().to_vec(),
+        )),
+    }
+}
+
+/// Spills the case's dataset under its layout and reads it back through the
+/// manifest: labels, every monitor's stream (a stable sort of its arrivals
+/// by timestamp, stored flags included), the merged stream and the
+/// connection records (per monitor, in the order they were recorded) must
+/// be the dataset's.
+fn assert_dataset_roundtrips(case: &DifferentialCase, tag: &str) {
+    let dataset = &case.dataset;
+    let dir = common::temp_dir(tag);
+    common::write_manifest(dataset, &dir, case.layout);
+    let reader = ManifestReader::open(&dir).unwrap();
+    assert_eq!(reader.monitor_labels(), dataset.monitor_labels);
+    assert_eq!(reader.total_entries() as usize, dataset.total_entries());
+    for (monitor, arrivals) in dataset.entries.iter().enumerate() {
+        let mut expected = arrivals.clone();
+        expected.sort_by_key(|entry| entry.timestamp);
+        let mut stream = reader.stream_monitor_sorted(monitor);
+        let streamed: Vec<TraceEntry> = stream.by_ref().collect();
+        assert!(stream.take_error().is_none());
+        assert_eq!(streamed, expected, "monitor {monitor}");
+        let connections: Vec<ConnectionRecord> = reader
+            .connections()
+            .filter(|record| record.monitor == monitor)
+            .collect();
+        let expected: Vec<ConnectionRecord> = dataset
+            .connections
+            .iter()
+            .filter(|record| record.monitor == monitor)
+            .cloned()
+            .collect();
+        assert_eq!(connections, expected, "monitor {monitor}");
+    }
+    let mut merged = reader.stream_merged();
+    let streamed: Vec<TraceEntry> = merged.by_ref().collect();
+    assert!(merged.take_error().is_none());
+    assert!(
+        streamed == dataset.merged_entries().collect::<Vec<_>>(),
+        "merged stream differs from the in-memory merge"
+    );
+    drop(merged);
+    drop(reader);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 proptest! {
     #[test]
     fn segment_roundtrip_is_lossless(
         seed in 0u64..1_000_000,
-        monitors in 1usize..5,
-        per_monitor in 0usize..300,
+        entries in 0usize..300,
         jitter in 0u64..1_500,
     ) {
-        let dataset = random_dataset(seed, monitors, per_monitor, jitter);
-        let bytes = dataset
-            .to_segment_bytes(SegmentConfig { chunk_capacity: 64 , ..SegmentConfig::default() })
-            .unwrap();
-        let back = MonitoringDataset::from_segment_bytes(&bytes).unwrap();
-        prop_assert_eq!(&back.monitor_labels, &dataset.monitor_labels);
-        prop_assert_eq!(&back.entries, &dataset.entries);
-        prop_assert_eq!(&back.connections, &dataset.connections);
+        let dataset = random_dataset(seed, 1, entries, jitter);
+        let config = SegmentConfig { chunk_capacity: 64, ..SegmentConfig::default() };
+        let bytes = segment_bytes(&dataset, config);
+        let (label, entries, connections) = read_segment(SliceSource::new(&bytes)).unwrap();
+        prop_assert_eq!(&label, &dataset.monitor_labels[0]);
+        prop_assert_eq!(&entries, &dataset.entries[0]);
+        prop_assert_eq!(&connections, &dataset.connections);
     }
 
     #[test]
@@ -104,75 +127,68 @@ proptest! {
         seed in 0u64..1_000_000,
         capacity in 1usize..200,
     ) {
-        let dataset = random_dataset(seed, 2, 150, 500);
-        let bytes = dataset
-            .to_segment_bytes(SegmentConfig { chunk_capacity: capacity , ..SegmentConfig::default() })
-            .unwrap();
-        let back = MonitoringDataset::from_segment_bytes(&bytes).unwrap();
-        prop_assert_eq!(&back.entries, &dataset.entries);
+        let mut case = differential_case(seed);
+        case.layout.segment.chunk_capacity = capacity;
+        assert_dataset_roundtrips(&case, &format!("roundtrip-capacity-{seed}-{capacity}"));
     }
 }
 
 #[test]
 fn empty_dataset_roundtrips() {
-    let dataset = MonitoringDataset::new(vec!["us".into(), "de".into()]);
-    let bytes = dataset.to_segment_bytes(SegmentConfig::default()).unwrap();
-    let back = MonitoringDataset::from_segment_bytes(&bytes).unwrap();
-    assert_eq!(back.monitor_labels, dataset.monitor_labels);
-    assert!(back.entries.iter().all(Vec::is_empty));
-    assert!(back.connections.is_empty());
+    let labels = vec!["us".to_string(), "de".to_string()];
+    let dir = common::temp_dir("roundtrip-empty");
+    let summary = DatasetWriter::create(&dir, labels.clone(), DatasetConfig::default())
+        .unwrap()
+        .finish()
+        .unwrap();
+    assert_eq!(summary.segment_count, 0, "no entries, no segment files");
+    let reader = ManifestReader::open(&dir).unwrap();
+    assert_eq!(reader.monitor_labels(), labels);
+    assert_eq!(reader.total_entries(), 0);
+    assert_eq!(reader.stream_merged().count(), 0);
+    assert_eq!(reader.connections().count(), 0);
+    std::fs::remove_dir_all(&dir).ok();
+
+    // One monitor that never logged anything, as a segment of its own.
+    let dataset = MonitoringDataset::new(vec!["us".into()]);
+    let bytes = segment_bytes(&dataset, SegmentConfig::default());
+    let (label, entries, connections) = read_segment(SliceSource::new(&bytes)).unwrap();
+    assert_eq!(label, "us");
+    assert!(entries.is_empty() && connections.is_empty());
 }
 
 #[test]
 fn file_backed_segment_roundtrips() {
-    let dataset = random_dataset(42, 3, 200, 800);
+    let dataset = random_dataset(42, 1, 600, 800);
     let path =
         std::env::temp_dir().join(format!("tracestore_roundtrip_{}.seg", std::process::id()));
+    let config = SegmentConfig {
+        chunk_capacity: 128,
+        ..SegmentConfig::default()
+    };
+    write_segment(&dataset, config, std::fs::File::create(&path).unwrap());
 
-    let file = std::fs::File::create(&path).unwrap();
-    let mut writer = TraceWriter::new(
-        file,
-        dataset.monitor_labels.clone(),
-        SegmentConfig {
-            chunk_capacity: 128,
-            ..SegmentConfig::default()
-        },
-    )
-    .unwrap();
-    // Interleave monitors the way a shared collector would.
-    let mut cursors: Vec<_> = dataset.entries.iter().map(|v| v.iter()).collect();
-    let mut remaining = true;
-    while remaining {
-        remaining = false;
-        for cursor in &mut cursors {
-            if let Some(entry) = cursor.next() {
-                writer.append(entry).unwrap();
-                remaining = true;
-            }
-        }
-    }
-    for connection in &dataset.connections {
-        writer.record_connection(connection.clone());
-    }
-    let summary = writer.finish().unwrap();
-    assert_eq!(summary.total_entries as usize, dataset.total_entries());
-
-    let reader = TraceReader::new(FileSource::open(&path).unwrap()).unwrap();
-    let back = reader.to_dataset().unwrap();
-    assert_eq!(back.entries, dataset.entries);
-    assert_eq!(back.connections, dataset.connections);
+    let (_, entries, connections) = read_segment(FileSource::open(&path).unwrap()).unwrap();
+    assert_eq!(entries, dataset.entries[0]);
+    assert_eq!(connections, dataset.connections);
+    // The file holds the bytes the in-memory sink gets.
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        segment_bytes(&dataset, config)
+    );
     std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn corrupted_chunk_is_detected() {
-    let dataset = random_dataset(7, 2, 120, 0);
-    let mut bytes = dataset
-        .to_segment_bytes(SegmentConfig {
+    let dataset = random_dataset(7, 1, 240, 0);
+    let mut bytes = segment_bytes(
+        &dataset,
+        SegmentConfig {
             chunk_capacity: 64,
             ..SegmentConfig::default()
-        })
-        .unwrap();
+        },
+    );
 
     let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
     let chunk = reader.chunks()[0];
@@ -181,7 +197,7 @@ fn corrupted_chunk_is_detected() {
     let victim = chunk.offset as usize + chunk.len as usize / 2;
     bytes[victim] ^= 0xff;
 
-    match MonitoringDataset::from_segment_bytes(&bytes) {
+    match read_segment(SliceSource::new(&bytes)) {
         Err(SegmentError::ChecksumMismatch { .. }) | Err(SegmentError::Corrupt(_)) => {}
         other => panic!("corruption not detected: {other:?}"),
     }
@@ -190,7 +206,7 @@ fn corrupted_chunk_is_detected() {
 #[test]
 fn truncated_segment_is_rejected() {
     let dataset = random_dataset(8, 1, 50, 0);
-    let bytes = dataset.to_segment_bytes(SegmentConfig::default()).unwrap();
+    let bytes = segment_bytes(&dataset, SegmentConfig::default());
     assert!(TraceReader::new(SliceSource::new(&bytes[..bytes.len() - 9])).is_err());
 }
 
