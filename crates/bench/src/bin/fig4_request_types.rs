@@ -6,17 +6,14 @@
 //! curve), so the WANT_BLOCK curve decays while WANT_HAVE grows — the
 //! crossover shape of the paper's Fig. 4.
 
-use ipfs_mon_bench::{
-    print_header, print_row, run_experiment, scaled, spill_to_manifest_with, StorageFlags,
-};
+use ipfs_mon_bench::{print_header, print_row, run_experiment, scaled, spill_to_manifest};
 use ipfs_mon_core::{request_type_series, request_type_series_source};
 use ipfs_mon_node::AdoptionCurve;
 use ipfs_mon_simnet::time::SimDuration;
-use ipfs_mon_tracestore::{DatasetConfig, ManifestReader, SegmentConfig};
+use ipfs_mon_tracestore::ManifestReader;
 use ipfs_mon_workload::ScenarioConfig;
 
 fn main() {
-    let flags = StorageFlags::from_args();
     let mut config = ScenarioConfig::analysis_week(102, scaled(150));
     config.horizon = SimDuration::from_days(150);
     config.population.adoption = AdoptionCurve::fig4_default();
@@ -24,18 +21,13 @@ fn main() {
     config.workload.gateway_requests_per_hour = 20.0;
     let run = run_experiment(&config);
 
-    // The series is computed by streaming the spilled manifest under the
-    // codec the flags selected, then cross-checked against the in-memory
-    // path.
+    // The series is computed by streaming the spilled manifest, then
+    // cross-checked against the in-memory path.
     let dir = std::env::temp_dir().join(format!("fig4-manifest-{}", std::process::id()));
-    let summary = spill_to_manifest_with(
+    let summary = spill_to_manifest(
         &run.dataset,
         &dir,
-        DatasetConfig {
-            segment: SegmentConfig::with_codec(flags.codec),
-            rotate_after_entries: (run.dataset.total_entries() as u64 / 4).max(1),
-            ..DatasetConfig::default()
-        },
+        (run.dataset.total_entries() as u64 / 4).max(1),
     );
     let reader = ManifestReader::open(&summary.manifest_path).expect("open manifest");
     let streamed = request_type_series_source(&reader, SimDuration::from_days(7))
@@ -52,10 +44,8 @@ fn main() {
     print_row(
         "manifest",
         format!(
-            "{} segments, {} entries, {}",
-            summary.segment_count,
-            summary.total_entries,
-            flags.describe()
+            "{} segments, {} entries",
+            summary.segment_count, summary.total_entries
         ),
     );
     println!("  {:>6} {:>14} {:>14}", "week", "WANT_HAVE", "WANT_BLOCK");

@@ -5,33 +5,25 @@
 //! requested by a single peer), yet the power-law hypothesis is rejected
 //! (p < 0.1 for both scores).
 
-use ipfs_mon_bench::{
-    pct, print_header, print_row, run_experiment, scaled, spill_to_manifest_with, StorageFlags,
-};
+use ipfs_mon_bench::{pct, print_header, print_row, run_experiment, scaled, spill_to_manifest};
 use ipfs_mon_core::{popularity_report, unify_and_flag_source, PreprocessConfig};
 use ipfs_mon_simnet::time::SimDuration;
-use ipfs_mon_tracestore::{DatasetConfig, ManifestReader, SegmentConfig};
+use ipfs_mon_tracestore::ManifestReader;
 use ipfs_mon_workload::ScenarioConfig;
 
 fn main() {
-    let flags = StorageFlags::from_args();
     let mut config = ScenarioConfig::analysis_week(105, scaled(1_200));
     config.horizon = SimDuration::from_days(3);
     config.catalog.items = scaled(6_000);
     let run = run_experiment(&config);
 
-    // The unified trace is re-derived by streaming the spilled manifest
-    // under the selected codec and must match the in-memory preprocessing
-    // byte for byte.
+    // The unified trace is re-derived by streaming the spilled manifest and
+    // must match the in-memory preprocessing byte for byte.
     let dir = std::env::temp_dir().join(format!("fig5-manifest-{}", std::process::id()));
-    let summary = spill_to_manifest_with(
+    let summary = spill_to_manifest(
         &run.dataset,
         &dir,
-        DatasetConfig {
-            segment: SegmentConfig::with_codec(flags.codec),
-            rotate_after_entries: (run.dataset.total_entries() as u64 / 4).max(1),
-            ..DatasetConfig::default()
-        },
+        (run.dataset.total_entries() as u64 / 4).max(1),
     );
     let reader = ManifestReader::open(&summary.manifest_path).expect("open manifest");
     let (streamed, _) =
@@ -48,10 +40,8 @@ fn main() {
     print_row(
         "manifest",
         format!(
-            "{} segments, {} entries, {}",
-            summary.segment_count,
-            summary.total_entries,
-            flags.describe()
+            "{} segments, {} entries",
+            summary.segment_count, summary.total_entries
         ),
     );
     print_row("distinct CIDs observed", report.cid_count);

@@ -7,17 +7,15 @@
 //! crawler-derived size).
 
 use ipfs_mon_bench::{
-    pct, print_header, print_row, run_experiment, scaled, spill_to_manifest_with, ObsFlags,
-    StorageFlags,
+    pct, print_header, print_row, run_experiment, scaled, spill_to_manifest, ObsFlags,
 };
 use ipfs_mon_core::{coverage, estimate_network_size, estimate_network_size_source};
 use ipfs_mon_kad::Crawler;
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
-use ipfs_mon_tracestore::{DatasetConfig, ManifestReader, SegmentConfig};
+use ipfs_mon_tracestore::ManifestReader;
 use ipfs_mon_workload::ScenarioConfig;
 
 fn main() {
-    let flags = StorageFlags::from_args();
     // Heartbeats cover the whole experiment; the drop at the end of main
     // emits the final `"done":true` line (a no-op without --obs).
     let _reporter = ObsFlags::from_args().start();
@@ -32,17 +30,12 @@ fn main() {
 
     // The analysis runs from a multi-segment manifest without materializing
     // the dataset — the constant-memory path a ten-day deployment needs.
-    // The codec comes from the command line; whichever it is, the result
-    // below is asserted equal to the in-memory reference.
+    // The result below is asserted equal to the in-memory reference.
     let dir = std::env::temp_dir().join(format!("sec5c-manifest-{}", std::process::id()));
-    let summary = spill_to_manifest_with(
+    let summary = spill_to_manifest(
         &run.dataset,
         &dir,
-        DatasetConfig {
-            segment: SegmentConfig::with_codec(flags.codec),
-            rotate_after_entries: (run.dataset.total_entries() as u64 / 6).max(1),
-            ..DatasetConfig::default()
-        },
+        (run.dataset.total_entries() as u64 / 6).max(1),
     );
     let reader = ManifestReader::open(&summary.manifest_path).expect("open manifest");
     let report = estimate_network_size_source(&reader, window_start, window_end, interval)
@@ -61,10 +54,8 @@ fn main() {
     print_row(
         "manifest",
         format!(
-            "{} segments, {} entries, {}",
-            summary.segment_count,
-            summary.total_entries,
-            flags.describe()
+            "{} segments, {} entries",
+            summary.segment_count, summary.total_entries
         ),
     );
     print_row("streaming == in-memory", "verified (bit-identical report)");

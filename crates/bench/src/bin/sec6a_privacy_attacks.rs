@@ -2,20 +2,18 @@
 //! evaluated against simulation ground truth.
 
 use ipfs_mon_bench::{
-    pct, print_header, print_row, run_experiment, scaled, spill_to_manifest_with, ObsFlags,
-    StorageFlags,
+    pct, print_header, print_row, run_experiment, scaled, spill_to_manifest, ObsFlags,
 };
 use ipfs_mon_core::{
     identify_data_wanters, per_peer_request_counts, run_attacks_source, track_node_wants,
     AttackTargets, PreprocessConfig, TpiOutcome,
 };
 use ipfs_mon_simnet::time::SimDuration;
-use ipfs_mon_tracestore::{DatasetConfig, ManifestReader, SegmentConfig};
+use ipfs_mon_tracestore::ManifestReader;
 use ipfs_mon_workload::ScenarioConfig;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 fn main() {
-    let flags = StorageFlags::from_args();
     // Heartbeats cover the whole experiment; the drop at the end of main
     // emits the final `"done":true` line (a no-op without --obs).
     let _reporter = ObsFlags::from_args().start();
@@ -26,17 +24,12 @@ fn main() {
     let scenario = run.network.scenario().clone();
 
     // All trace-driven attacks run from a multi-segment manifest in one
-    // constant-memory pass; the in-memory results below only cross-check it,
-    // for whichever codec the flags selected.
+    // constant-memory pass; the in-memory results below only cross-check it.
     let dir = std::env::temp_dir().join(format!("sec6a-manifest-{}", std::process::id()));
-    let summary = spill_to_manifest_with(
+    let summary = spill_to_manifest(
         &run.dataset,
         &dir,
-        DatasetConfig {
-            segment: SegmentConfig::with_codec(flags.codec),
-            rotate_after_entries: (run.dataset.total_entries() as u64 / 5).max(1),
-            ..DatasetConfig::default()
-        },
+        (run.dataset.total_entries() as u64 / 5).max(1),
     );
     let reader = ManifestReader::open(&summary.manifest_path).expect("open manifest");
 
@@ -101,10 +94,8 @@ fn main() {
     print_row(
         "manifest",
         format!(
-            "{} segments, {} entries, {}",
-            summary.segment_count,
-            summary.total_entries,
-            flags.describe()
+            "{} segments, {} entries",
+            summary.segment_count, summary.total_entries
         ),
     );
     print_row("target CID", &cid);

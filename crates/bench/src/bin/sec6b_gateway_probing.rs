@@ -8,20 +8,17 @@
 //! functional public gateways (93 gateway node IDs in total, 13 behind one
 //! operator).
 
-use ipfs_mon_bench::{
-    print_header, print_row, run_network, scaled, spill_to_manifest_with, StorageFlags,
-};
+use ipfs_mon_bench::{print_header, print_row, run_network, scaled, spill_to_manifest};
 use ipfs_mon_core::{
     gateway_nodes_by_operator, unify_and_flag_source, GatewayProber, PreprocessConfig,
 };
 use ipfs_mon_node::Network;
 use ipfs_mon_simnet::rng::SimRng;
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
-use ipfs_mon_tracestore::{DatasetConfig, ManifestReader, SegmentConfig};
+use ipfs_mon_tracestore::ManifestReader;
 use ipfs_mon_workload::{build_scenario, ScenarioConfig};
 
 fn main() {
-    let flags = StorageFlags::from_args();
     let mut config = ScenarioConfig::analysis_week(109, scaled(500));
     config.horizon = SimDuration::from_days(1);
     config.workload.gateway_requests_per_hour = 500.0;
@@ -45,17 +42,13 @@ fn main() {
     let run = run_network(network);
 
     // The probe watch-list is evaluated against the unified trace streamed
-    // back from a spilled manifest under the selected codec, cross-checked
-    // against the in-memory preprocessing.
+    // back from a spilled manifest, cross-checked against the in-memory
+    // preprocessing.
     let dir = std::env::temp_dir().join(format!("sec6b-manifest-{}", std::process::id()));
-    let summary = spill_to_manifest_with(
+    let summary = spill_to_manifest(
         &run.dataset,
         &dir,
-        DatasetConfig {
-            segment: SegmentConfig::with_codec(flags.codec),
-            rotate_after_entries: (run.dataset.total_entries() as u64 / 4).max(1),
-            ..DatasetConfig::default()
-        },
+        (run.dataset.total_entries() as u64 / 4).max(1),
     );
     let reader = ManifestReader::open(&summary.manifest_path).expect("open manifest");
     let (streamed, _) =
@@ -73,10 +66,8 @@ fn main() {
     print_row(
         "manifest",
         format!(
-            "{} segments, {} entries, {}",
-            summary.segment_count,
-            summary.total_entries,
-            flags.describe()
+            "{} segments, {} entries",
+            summary.segment_count, summary.total_entries
         ),
     );
     println!(

@@ -3,37 +3,30 @@
 //! and gateway usage — by replaying the adversary's analyses on mitigated
 //! traces.
 
-use ipfs_mon_bench::{
-    pct, print_header, print_row, run_experiment, scaled, spill_to_manifest_with, StorageFlags,
-};
+use ipfs_mon_bench::{pct, print_header, print_row, run_experiment, scaled, spill_to_manifest};
 use ipfs_mon_core::{
     apply_countermeasure, evaluate_countermeasure, unify_and_flag_source, Countermeasure,
     PreprocessConfig,
 };
 use ipfs_mon_simnet::rng::SimRng;
 use ipfs_mon_simnet::time::SimDuration;
-use ipfs_mon_tracestore::{DatasetConfig, ManifestReader, SegmentConfig};
+use ipfs_mon_tracestore::ManifestReader;
 use ipfs_mon_workload::ScenarioConfig;
 
 fn main() {
-    let flags = StorageFlags::from_args();
     let mut config = ScenarioConfig::analysis_week(112, scaled(600));
     config.horizon = SimDuration::from_days(1);
     config.workload.mean_node_requests_per_hour = 1.5;
     let run = run_experiment(&config);
 
-    // The adversary's view is replayed from a spilled manifest under the
-    // selected codec and cross-checked against the in-memory preprocessing
-    // before the countermeasures are applied.
+    // The adversary's view is replayed from a spilled manifest and
+    // cross-checked against the in-memory preprocessing before the
+    // countermeasures are applied.
     let dir = std::env::temp_dir().join(format!("sec6c-manifest-{}", std::process::id()));
-    let summary = spill_to_manifest_with(
+    let summary = spill_to_manifest(
         &run.dataset,
         &dir,
-        DatasetConfig {
-            segment: SegmentConfig::with_codec(flags.codec),
-            rotate_after_entries: (run.dataset.total_entries() as u64 / 4).max(1),
-            ..DatasetConfig::default()
-        },
+        (run.dataset.total_entries() as u64 / 4).max(1),
     );
     let reader = ManifestReader::open(&summary.manifest_path).expect("open manifest");
     let (streamed, _) =
@@ -91,10 +84,8 @@ fn main() {
     print_row(
         "manifest",
         format!(
-            "{} segments, {} entries, {}",
-            summary.segment_count,
-            summary.total_entries,
-            flags.describe()
+            "{} segments, {} entries",
+            summary.segment_count, summary.total_entries
         ),
     );
     println!(

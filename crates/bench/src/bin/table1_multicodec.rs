@@ -4,31 +4,24 @@
 //! Raw 13.42 %, DagCBOR 0.37 %, GitRaw < 0.01 %, EthereumTx < 0.01 %,
 //! others < 0.01 %.
 
-use ipfs_mon_bench::{
-    pct, print_header, print_row, run_experiment, scaled, spill_to_manifest_with, StorageFlags,
-};
+use ipfs_mon_bench::{pct, print_header, print_row, run_experiment, scaled, spill_to_manifest};
 use ipfs_mon_core::{activity_counts_source, multicodec_shares};
 use ipfs_mon_simnet::time::SimDuration;
-use ipfs_mon_tracestore::{DatasetConfig, ManifestReader, SegmentConfig};
+use ipfs_mon_tracestore::ManifestReader;
 use ipfs_mon_workload::ScenarioConfig;
 
 fn main() {
-    let flags = StorageFlags::from_args();
     let mut config = ScenarioConfig::analysis_week(103, scaled(800));
     config.horizon = SimDuration::from_days(3);
     let run = run_experiment(&config);
 
-    // The table is computed by streaming the spilled manifest under the
-    // selected codec, cross-checked against the in-memory computation.
+    // The table is computed by streaming the spilled manifest, cross-checked
+    // against the in-memory computation.
     let dir = std::env::temp_dir().join(format!("table1-manifest-{}", std::process::id()));
-    let summary = spill_to_manifest_with(
+    let summary = spill_to_manifest(
         &run.dataset,
         &dir,
-        DatasetConfig {
-            segment: SegmentConfig::with_codec(flags.codec),
-            rotate_after_entries: (run.dataset.total_entries() as u64 / 4).max(1),
-            ..DatasetConfig::default()
-        },
+        (run.dataset.total_entries() as u64 / 4).max(1),
     );
     let reader = ManifestReader::open(&summary.manifest_path).expect("open manifest");
     let counts = activity_counts_source(&reader).expect("stream activity counts");
@@ -52,10 +45,8 @@ fn main() {
     print_row(
         "manifest",
         format!(
-            "{} segments, {} entries, {}",
-            summary.segment_count,
-            summary.total_entries,
-            flags.describe()
+            "{} segments, {} entries",
+            summary.segment_count, summary.total_entries
         ),
     );
     println!(

@@ -8,7 +8,9 @@
 //! cost. The acceptance bar of the tracestore subsystem is segment files
 //! under 50 % of the equivalent JSON.
 
-use ipfs_mon_bench::{print_header, run_experiment, scaled, spill_to_manifest_with, ObsFlags};
+use ipfs_mon_bench::{
+    print_header, run_experiment, scaled, spill_to_manifest, spill_to_manifest_with, ObsFlags,
+};
 use ipfs_mon_core::{
     flag_source, unify_and_flag, unify_and_flag_source, windowed_request_types, ActivityCountsSink,
     EntryStatsSink, PopularitySink, PreprocessConfig, RequestTypeSink,
@@ -16,9 +18,9 @@ use ipfs_mon_core::{
 use ipfs_mon_simnet::time::SimDuration;
 use ipfs_mon_tracestore::crc::crc32;
 use ipfs_mon_tracestore::{
-    recover_dataset, run_sink, ChunkScratch, ChunkSource, ChunkView, Codec, DatasetConfig,
-    DatasetWriter, FileSource, LatePolicy, Manifest, ManifestReader, MonitoringDataset,
-    SegmentConfig, TraceEntry, TraceReader, TraceSource, WindowSpec,
+    migrate_manifest, recover_dataset, run_sink, ChunkScratch, ChunkSource, ChunkView,
+    DatasetConfig, DatasetWriter, FileSource, LatePolicy, Manifest, ManifestReader,
+    MonitoringDataset, TraceEntry, TraceReader, TraceSource, WindowSpec,
 };
 use ipfs_mon_workload::ScenarioConfig;
 use std::hint::black_box;
@@ -273,14 +275,14 @@ fn main() {
     drop(reader);
     std::fs::remove_dir_all(&dir_fan_out).ok();
 
-    // Codec matrix: the same dataset behind each writable codec (raw vs
-    // col), the merged read verified bit-identical to the in-memory merged
-    // reference.
+    // Codec matrix: the same dataset as collection writes it (raw) and as
+    // compaction leaves it (col, `migrate_manifest` over the raw spill), the
+    // merged read verified bit-identical to the in-memory merged reference.
     //
     // "decode MB/s" is a *logical* throughput: the numerator is always the
     // raw-codec on-disk size so that rows are directly comparable — a codec
     // wins the column by decoding the same logical data in less wall time,
-    // not by shipping fewer bytes. (Raw is encoded first, so its size is
+    // not by shipping fewer bytes. (Raw is measured first, so its size is
     // available for every later row.)
     let rotate = (total_entries as u64 / 4).max(1);
     println!("\n  codec matrix ({total_entries} entries):");
@@ -288,27 +290,18 @@ fn main() {
         "  {:<6} {:>12} {:>13} {:>14}",
         "codec", "bytes/entry", "decode MB/s", "entries/s"
     );
+    let dir = std::env::temp_dir().join(format!("ts-bench-codec-{}", std::process::id()));
+    spill_to_manifest(dataset, &dir, rotate);
     let mut on_disk = [0u64; 2];
     // Best-of-5 pure chunk-decode wall time per codec: every chunk of every
     // segment read through `FileSource`, parsed and column-validated with
     // recycled scratch, no merge, no prefetch thread, and no per-entry
     // materialization (which costs the same for every codec) in the way.
     let mut pure_decode = [f64::INFINITY; 2];
-    for (c, codec) in Codec::writable().into_iter().enumerate() {
-        let dir = std::env::temp_dir().join(format!(
-            "ts-bench-codec-{}-{}",
-            codec.name(),
-            std::process::id()
-        ));
-        spill_to_manifest_with(
-            dataset,
-            &dir,
-            DatasetConfig {
-                segment: SegmentConfig::with_codec(codec),
-                rotate_after_entries: rotate,
-                ..DatasetConfig::default()
-            },
-        );
+    for (c, codec) in ["raw", "col"].into_iter().enumerate() {
+        if codec == "col" {
+            migrate_manifest(&dir).expect("compact the raw spill");
+        }
         on_disk[c] = std::fs::read_dir(&dir)
             .expect("read manifest dir")
             .map(|e| e.expect("dir entry").metadata().expect("metadata").len())
@@ -322,7 +315,7 @@ fn main() {
         assert_eq!(merged, reference, "matrix stream must match in-memory");
         println!(
             "  {:<6} {:>12.1} {:>13.1} {:>14.0}",
-            codec.name(),
+            codec,
             on_disk[c] as f64 / total_entries.max(1) as f64,
             mib_per_s(on_disk[0] as usize, elapsed),
             entries_per_s(total_entries, elapsed),
@@ -354,8 +347,8 @@ fn main() {
             assert_eq!(decoded, total_entries as u64, "pure decode covers dataset");
             pure_decode[c] = pure_decode[c].min(start.elapsed().as_secs_f64());
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
+    std::fs::remove_dir_all(&dir).ok();
     let [raw_bytes, col_bytes] = on_disk;
     let [raw_decode_s, col_decode_s] = pure_decode;
     println!(

@@ -1,45 +1,37 @@
-//! Offline codec migration for tracestore manifests.
+//! Offline compaction of tracestore manifests to the `Col` chunk layout.
 //!
-//! Rewrites every segment of a manifest to a target chunk codec with an
-//! atomic per-segment swap (see `ipfs_mon_tracestore::migrate_manifest`):
-//! segments already in the target codec are skipped, each rewrite is
-//! verified entry-stream-identical before it replaces the original, and a
-//! crash mid-run leaves at worst an ignored `.migrate-tmp` file behind.
+//! Collection writes `raw` chunks; this rewrites every segment of a finished
+//! manifest in `col` with an atomic per-segment swap (see
+//! `ipfs_mon_tracestore::migrate_manifest`): segments compaction would not
+//! change are skipped, each rewrite is verified entry-stream-identical before
+//! it replaces the original, and a crash mid-run leaves at worst an ignored
+//! `.migrate-tmp` file behind.
 //!
 //! ```text
-//! tracestore_migrate <manifest-dir> [--codec <raw|col>]
-//! tracestore_migrate --demo [--codec <raw|col>]
+//! tracestore_migrate <manifest-dir>
+//! tracestore_migrate --demo
 //! ```
 //!
 //! The source dataset may hold any mix of chunk layouts, including the
-//! decode-only `lz` one; only `raw` and `col` can be migrated *to*.
+//! decode-only `lz` one.
 //!
 //! `--demo` is a self-contained smoke mode for CI: it generates a small
-//! simulated trace, spills it as a `raw` manifest, migrates it to `col`, and
-//! verifies the merged entry stream is unchanged.
+//! simulated trace, spills it as a `raw` manifest (as collection writes it),
+//! compacts it to `col`, and verifies the merged entry stream is unchanged.
 
-use ipfs_mon_bench::{run_experiment, scaled, spill_to_manifest_with};
+use ipfs_mon_bench::{run_experiment, scaled, spill_to_manifest};
 use ipfs_mon_simnet::time::SimDuration;
-use ipfs_mon_tracestore::{
-    migrate_manifest, Codec, DatasetConfig, ManifestReader, SegmentConfig, TraceEntry, TraceSource,
-};
+use ipfs_mon_tracestore::{migrate_manifest, ManifestReader, TraceEntry, TraceSource};
 use ipfs_mon_workload::ScenarioConfig;
 use std::path::PathBuf;
 
-const USAGE: &str =
-    "usage: tracestore_migrate <manifest-dir> [--codec <raw|col>] | --demo [--codec <raw|col>]";
+const USAGE: &str = "usage: tracestore_migrate <manifest-dir> | --demo";
 
 fn main() {
     let mut dir: Option<PathBuf> = None;
-    let mut codec = Codec::Col;
     let mut demo = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--codec" => {
-                let name = args.next().unwrap_or_else(|| panic!("{USAGE}"));
-                codec = Codec::parse(&name).unwrap_or_else(|error| panic!("--codec: {error}"));
-            }
             "--demo" => demo = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -69,11 +61,10 @@ fn main() {
     // verification `migrate_manifest` already performs internally).
     let reference = merged_entries(&dir);
 
-    let report = migrate_manifest(&dir, codec).expect("migrate manifest");
+    let report = migrate_manifest(&dir).expect("migrate manifest");
     println!(
-        "migrated {} to codec={}: {} segments ({} rewritten, {} skipped), {} entries",
+        "migrated {} to codec=col: {} segments ({} rewritten, {} skipped), {} entries",
         dir.display(),
-        codec.name(),
         report.segments_total,
         report.segments_rewritten,
         report.segments_skipped,
@@ -97,18 +88,16 @@ fn main() {
     );
 
     if demo {
-        if codec == Codec::Col {
-            assert!(
-                report.segments_rewritten > 0,
-                "demo migration must rewrite the raw segments"
-            );
-            assert!(
-                report.bytes_after < report.bytes_before,
-                "col manifest must be smaller than the raw one it replaced"
-            );
-        }
+        assert!(
+            report.segments_rewritten > 0,
+            "demo migration must rewrite the raw segments"
+        );
+        assert!(
+            report.bytes_after < report.bytes_before,
+            "col manifest must be smaller than the raw one it replaced"
+        );
         std::fs::remove_dir_all(&dir).ok();
-        println!("migrate demo PASS (raw -> {})", codec.name());
+        println!("migrate demo PASS (raw -> col)");
     }
 }
 
@@ -117,14 +106,10 @@ fn prepare_demo_manifest(dir: &std::path::Path) {
     let mut config = ScenarioConfig::analysis_week(61, scaled(200).min(200));
     config.horizon = SimDuration::from_days(1);
     let run = run_experiment(&config);
-    let summary = spill_to_manifest_with(
+    let summary = spill_to_manifest(
         &run.dataset,
         dir,
-        DatasetConfig {
-            segment: SegmentConfig::with_codec(Codec::Raw),
-            rotate_after_entries: (run.dataset.total_entries() as u64 / 4).max(1),
-            ..DatasetConfig::default()
-        },
+        (run.dataset.total_entries() as u64 / 4).max(1),
     );
     println!(
         "demo manifest: {} segments, {} entries (codec=raw) at {}",

@@ -133,7 +133,7 @@ pub fn spill_to_manifest(
 }
 
 /// Like [`spill_to_manifest`], with full control over the dataset
-/// configuration (chunk codec included).
+/// configuration.
 pub fn spill_to_manifest_with(
     dataset: &MonitoringDataset,
     dir: &std::path::Path,
@@ -153,50 +153,6 @@ pub fn spill_to_manifest_with(
             .expect("record connection");
     }
     writer.finish().expect("finish manifest")
-}
-
-/// The storage-path choice shared by the trace-driven experiment binaries,
-/// parsed from the common command-line flag `--codec <raw|col>` — the chunk
-/// body layout for the spilled manifest.
-///
-/// Every binary that takes the flag asserts its streaming output equals
-/// the in-memory reference, so either codec is verified per run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StorageFlags {
-    /// Chunk payload codec for written segments.
-    pub codec: ipfs_mon_tracestore::Codec,
-}
-
-impl StorageFlags {
-    /// Parses the process arguments; panics with usage on unknown flags.
-    pub fn from_args() -> Self {
-        let mut flags = Self::default();
-        let mut args = std::env::args().skip(1);
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--codec" => {
-                    let name = args.next().expect("--codec needs a value (raw|col)");
-                    flags.codec = ipfs_mon_tracestore::Codec::parse(&name)
-                        .unwrap_or_else(|error| panic!("--codec: {error}"));
-                }
-                // Observability flags belong to [`ObsFlags`]; skip them (and
-                // their values) so binaries can take both flag families.
-                "--obs" | "--obs-interval" => {
-                    args.next();
-                }
-                other => panic!(
-                    "unknown flag {other:?} (expected --codec <raw|col>, --obs <path>, \
-                     --obs-interval <ms>)"
-                ),
-            }
-        }
-        flags
-    }
-
-    /// One-line description for experiment output.
-    pub fn describe(&self) -> String {
-        format!("codec={}", self.codec.name())
-    }
 }
 
 /// A [`MonitorSink`](ipfs_mon_node::MonitorSink) that folds everything it is
@@ -347,8 +303,8 @@ pub struct ObsFlags {
 
 impl ObsFlags {
     /// Parses the process arguments, ignoring flags it does not own (the
-    /// storage/scale parsers do their own strict pass over the full argv,
-    /// so unknown-flag rejection happens exactly once per binary).
+    /// scale parser does its own strict pass over the full argv, so
+    /// unknown-flag rejection happens once in the binaries that take both).
     pub fn from_args() -> Self {
         let mut flags = Self::default();
         let mut args = std::env::args().skip(1);

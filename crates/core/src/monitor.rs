@@ -360,10 +360,7 @@ mod tests {
         let mut spilling = ManifestCollector::us_de(
             &dir,
             DatasetConfig {
-                segment: ipfs_mon_tracestore::SegmentConfig {
-                    chunk_capacity: 4,
-                    ..Default::default()
-                },
+                segment: ipfs_mon_tracestore::SegmentConfig { chunk_capacity: 4 },
                 rotate_after_entries: 3,
                 ..DatasetConfig::default()
             },

@@ -22,10 +22,10 @@
 //!   without materializing the trace, in memory bounded by the number of
 //!   *active* `(peer, request type, CID)` keys inside the dedup windows
 //!   (stale keys are evicted as time advances). Storage-level choices — the
-//!   chunk payload codec, segment rotation — are wholly below this
-//!   interface: every combination delivers the same merged stream, so flags
-//!   (and every analysis downstream of them) are bit-identical across all
-//!   of them;
+//!   chunk layout (collected or compacted), segment rotation — are wholly
+//!   below this interface: every combination delivers the same merged
+//!   stream, so flags (and every analysis downstream of them) are
+//!   bit-identical across all of them;
 //! * [`unify_and_flag`] — the in-memory entry point: [`unify_and_flag_source`]
 //!   over the dataset source.
 //!
@@ -832,10 +832,7 @@ mod tests {
                 .join(format!("preprocess-oracle-{seed}-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
             let layout = DatasetConfig {
-                segment: SegmentConfig {
-                    chunk_capacity: 1 + (seed % 97) as usize,
-                    ..SegmentConfig::default()
-                },
+                segment: SegmentConfig { chunk_capacity: 1 + (seed % 97) as usize },
                 rotate_after_entries: 1_000 + seed % 1_000,
                 ..DatasetConfig::default()
             };
@@ -1076,10 +1073,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("preprocess-stream-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let config = DatasetConfig {
-            segment: SegmentConfig {
-                chunk_capacity: 16,
-                ..SegmentConfig::default()
-            },
+            segment: SegmentConfig { chunk_capacity: 16 },
             rotate_after_entries: 60,
             ..DatasetConfig::default()
         };

@@ -87,8 +87,8 @@ fn parse_window_file_name(name: &str) -> Option<u64> {
 /// Configuration of the service loop.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Collection-side configuration (rotation, checkpoint cadence,
-    /// codec). The checkpoint cadence doubles as the latency-to-answer
+    /// Collection-side configuration (rotation, checkpoint cadence, chunk
+    /// capacity). The checkpoint cadence doubles as the latency-to-answer
     /// bound: entries become tail-visible when they become durable.
     pub dataset: DatasetConfig,
     /// Window shape of the online analysis.
@@ -541,10 +541,7 @@ mod tests {
     fn config() -> ServiceConfig {
         ServiceConfig {
             dataset: DatasetConfig {
-                segment: SegmentConfig {
-                    chunk_capacity: 8,
-                    ..SegmentConfig::default()
-                },
+                segment: SegmentConfig { chunk_capacity: 8 },
                 rotate_after_entries: 40,
                 checkpoint_after_entries: 16,
             },

@@ -10,26 +10,27 @@
 //!
 //! The codec byte is per *chunk*, so one segment — and a fortiori one
 //! manifest — may freely mix layouts: readers dispatch on the byte and never
-//! consult configuration. That is what makes codec migration per-segment (or
-//! even per-chunk) a non-event for the read path, and what lets a `Col`
-//! writer fall back to raw framing for chunks that do not shrink.
+//! consult configuration. That is what makes compaction per-segment (or
+//! even per-chunk) a non-event for the read path, and what lets compaction
+//! fall back to raw framing for chunks that do not shrink.
 //!
-//! Writers emit two layouts, both produced by
-//! `segment::encode_chunk` — the one place that knows them:
+//! Who writes which byte is decided by the writer's role, not by a setting;
+//! both written layouts come from `segment::encode_chunk`, the one place
+//! that knows them:
 //!
-//! * [`Codec::Raw`] (byte 0) — the body is the column planes verbatim.
-//! * [`Codec::Col`] (byte 2) — column-aware per-plane encoding: dictionary
-//!   indexes bit-packed to the dictionary's actual width,
-//!   frame-of-reference + delta timestamps with per-miniblock bit widths,
-//!   run-length request-type/flag planes, and an LZ pass over the result
-//!   when that is strictly smaller (see [`crate::col`]). Smaller than the
-//!   planes *and* faster to decode — the read path unpacks columns in
-//!   batches instead of re-parsing per-entry varints.
-//!
-//! One more byte is decoded but never written: [`Codec::Lz`] (byte 1), the
-//! LZ pass applied to the raw planes. Datasets written before it was retired
-//! as a write target still read and still migrate to `Col`; every writer
-//! entry point refuses it with [`SegmentError::InvalidConfig`].
+//! * [`Codec::Raw`] (byte 0), written by collection — the body is the column
+//!   planes verbatim, the cheapest chunk to encode, so the live writer keeps
+//!   up with the monitors.
+//! * [`Codec::Col`] (byte 2), written by compaction
+//!   ([`crate::migrate::migrate_manifest`]) — column-aware per-plane
+//!   encoding: dictionary indexes bit-packed to the dictionary's actual
+//!   width, frame-of-reference + delta timestamps with per-miniblock bit
+//!   widths, run-length request-type/flag planes, and an LZ pass over the
+//!   result when that is strictly smaller (see [`crate::col`]). Smaller on
+//!   disk than the planes, for the months a dataset is kept.
+//! * [`Codec::Lz`] (byte 1), written by nobody — the LZ pass applied to the
+//!   raw planes. Datasets written before it was retired still read and
+//!   still compact to `Col`.
 //!
 //! Decoding is strictly validated: an unknown codec byte surfaces
 //! [`SegmentError::UnknownCodec`], and any structural damage to a compressed
@@ -50,7 +51,7 @@ pub enum Codec {
     #[default]
     Raw = 0,
     /// LZ back-reference compression over the column planes. Decode-only:
-    /// no writer emits it (see [`Codec::writable`]).
+    /// no writer emits it.
     Lz = 1,
     /// Column-aware per-plane encoding (bit-packed indexes,
     /// frame-of-reference timestamps, run-length 2-bit planes).
@@ -70,49 +71,6 @@ impl Codec {
             1 => Ok(Codec::Lz),
             2 => Ok(Codec::Col),
             other => Err(SegmentError::UnknownCodec(other)),
-        }
-    }
-
-    /// Parses a codec name as used by CLI flags (`raw` / `col`). `lz` names
-    /// a layout that is only decoded and is refused like any other
-    /// unwritable configuration.
-    pub fn parse(name: &str) -> Result<Self, SegmentError> {
-        match name {
-            "raw" => Ok(Codec::Raw),
-            "col" => Ok(Codec::Col),
-            "lz" => Codec::Lz.check_writable().map(|()| Codec::Lz),
-            other => Err(SegmentError::InvalidConfig(format!(
-                "unknown codec '{other}' (expected 'raw' or 'col')"
-            ))),
-        }
-    }
-
-    /// Human-readable codec name (inverse of [`Codec::parse`] for the
-    /// writable codecs).
-    pub fn name(self) -> &'static str {
-        match self {
-            Codec::Raw => "raw",
-            Codec::Lz => "lz",
-            Codec::Col => "col",
-        }
-    }
-
-    /// The codecs a writer can be configured with, in codec-byte order — the
-    /// canonical iteration set for benches and matrix tests.
-    pub fn writable() -> [Codec; 2] {
-        [Codec::Raw, Codec::Col]
-    }
-
-    /// Refuses [`Codec::Lz`] as a write target; every writer and the
-    /// migration entry points call this on their configuration.
-    pub(crate) fn check_writable(self) -> Result<(), SegmentError> {
-        match self {
-            Codec::Raw | Codec::Col => Ok(()),
-            Codec::Lz => Err(SegmentError::InvalidConfig(
-                "codec 'lz' is decode-only: existing lz chunks still read and migrate, \
-                 write 'col' instead (smaller on disk and faster to decode)"
-                    .into(),
-            )),
         }
     }
 }
@@ -344,18 +302,5 @@ mod tests {
             Codec::from_byte(7),
             Err(SegmentError::UnknownCodec(7))
         ));
-    }
-
-    #[test]
-    fn codec_names_roundtrip() {
-        for codec in Codec::writable() {
-            assert_eq!(Codec::parse(codec.name()).unwrap(), codec);
-        }
-        assert!(Codec::parse("zstd").is_err());
-        // `lz` still names a layout readers decode, but no writer accepts it.
-        match Codec::parse(Codec::Lz.name()) {
-            Err(SegmentError::InvalidConfig(what)) => assert!(what.contains("'col'"), "{what}"),
-            other => panic!("lz must be refused as a write target: {other:?}"),
-        }
     }
 }

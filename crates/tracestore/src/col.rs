@@ -520,7 +520,7 @@ mod tests {
     /// (mode byte first).
     fn col_chunk(entries: &[TraceEntry]) -> (Vec<u8>, Vec<u8>) {
         let mut frame = Vec::new();
-        encode_chunk(entries, Codec::Col, &mut frame);
+        encode_chunk(entries, true, &mut frame);
         let payload = frame_payload(&frame);
         assert_eq!(payload[0], Codec::Col.byte(), "chunk fell back to raw");
         let body = payload[1..].to_vec();
@@ -569,7 +569,7 @@ mod tests {
         let entries = uniform_entries(1000, 7);
         let (col, _) = col_chunk(&entries);
         let mut raw = Vec::new();
-        encode_chunk(&entries, Codec::Raw, &mut raw);
+        encode_chunk(&entries, false, &mut raw);
         assert!(
             col.len() < raw.len() / 2,
             "columnar form barely smaller: {} -> {}",
@@ -654,7 +654,7 @@ mod tests {
         // planes behind it must be refused, not decoded.
         let entries = uniform_entries(8, 2);
         let mut raw = Vec::new();
-        encode_chunk(&entries, Codec::Raw, &mut raw);
+        encode_chunk(&entries, false, &mut raw);
         let mut body = vec![1u8];
         body.extend_from_slice(&frame_payload(&raw)[1..]);
         match parse_body(&body) {

@@ -19,17 +19,19 @@
 //!   [`segment::ChunkView`] (dictionary slices + column cursors); owned
 //!   entries are materialized only at the stream boundary.
 //! * [`codec`] — the codec byte ([`codec::Codec`]) naming a chunk's body
-//!   layout. Writers emit two: `Raw` (the column planes verbatim) and `Col`
-//!   (column-aware bit-packed encoding with a vectorized batch decoder and
-//!   per-chunk raw fallback — see [`col`]). A third byte, `Lz`
+//!   layout. The writer's role picks it, no setting does: collection writes
+//!   `Raw` (the column planes verbatim, cheapest to encode), compaction
+//!   writes `Col` (column-aware bit-packed encoding with a vectorized batch
+//!   decoder and per-chunk raw fallback — see [`col`]). A third byte, `Lz`
 //!   (back-reference compression over the planes), is one legacy decode
 //!   arm: readers still accept it, no writer produces it. Layouts mix
-//!   freely within a dataset, so migration is per-segment or even
+//!   freely within a dataset, so compaction is per-segment or even
 //!   per-chunk.
-//! * [`migrate`] — [`migrate::migrate_manifest`], the offline rewrite of a
-//!   manifest dataset to a target codec: segment-by-segment, verified
-//!   entry-stream-identical, with an atomic per-segment swap so readers see
-//!   a valid (possibly mixed-codec) dataset at every instant.
+//! * [`migrate`] — [`migrate::migrate_manifest`], the offline compaction of
+//!   a finished manifest dataset to `Col`: segment-by-segment, chunk for
+//!   chunk, verified entry-stream-identical, with an atomic per-segment swap
+//!   so readers see a valid (possibly mixed-layout) dataset at every
+//!   instant.
 //! * [`writer`] — [`writer::TraceWriter`], the encoder of one segment: it
 //!   spills fixed-size chunks of one monitor's entries to any `io::Write`
 //!   sink as they arrive, so collection runs in constant memory.

@@ -1027,10 +1027,7 @@ mod tests {
             Err(SegmentError::InvalidConfig(_))
         ));
         let bad_chunks = DatasetConfig {
-            segment: SegmentConfig {
-                chunk_capacity: 0,
-                ..SegmentConfig::default()
-            },
+            segment: SegmentConfig { chunk_capacity: 0 },
             ..DatasetConfig::default()
         };
         assert!(matches!(

@@ -1,46 +1,53 @@
-//! Offline migration of a manifest dataset to a target codec.
+//! Offline compaction of a manifest dataset to the `Col` chunk layout.
 //!
-//! [`migrate_manifest`] rewrites every segment of a manifest dataset whose
-//! chunks are not already encoded with the target [`Codec`], one segment at
-//! a time:
+//! Collection writes `Raw` chunks, the cheapest to encode, so the live writer
+//! keeps up with the monitors; a finished dataset is kept for months, so
+//! [`migrate_manifest`] rewrites it in the smaller `Col` layout afterwards
+//! (see [`crate::codec`] for who writes which byte). One segment at a time:
 //!
-//! 1. **Skip check** — the per-chunk codec bytes are inspected via the
-//!    segment's footer index. A segment whose chunks all already carry the
-//!    target codec is left untouched (byte-for-byte, not just
-//!    entry-for-entry).
-//! 2. **Rewrite** — the segment's entry stream, connection records, and
-//!    monitor label are streamed through a fresh [`TraceWriter`] configured
-//!    with the target codec into `<segment>.migrate-tmp` next to the
-//!    original. Memory stays bounded by one chunk regardless of segment
-//!    size.
+//! 1. **Skip check** — a segment is left untouched (byte for byte) when
+//!    compaction would not change it: every chunk already carries `Col`, or
+//!    is a `Raw` chunk that `Col` cannot shrink — which a trial encode of
+//!    that chunk decides, affordable on this offline path. Without the
+//!    trial, such a chunk's raw fallback would be rewritten, to the same
+//!    bytes, on every run.
+//! 2. **Rewrite** — the segment's chunks, connection records and monitor
+//!    label go through a columnar [`TraceWriter`] into
+//!    `<segment>.migrate-tmp` next to the original, chunk by chunk: each
+//!    source chunk becomes exactly one compacted chunk, so raw collection
+//!    followed by compaction writes the bytes a columnar collection at the
+//!    same chunk boundaries would have. Memory stays bounded by one chunk
+//!    regardless of segment size.
 //! 3. **Verify** — the temp segment is reopened and its label, connection
 //!    records, and full entry stream are compared against the original.
-//!    Any mismatch aborts the migration with the original file intact.
+//!    Any mismatch aborts the compaction with the original file intact.
 //! 4. **Swap** — the temp file is fsynced and renamed over the original.
 //!    The rename is atomic and the file name (hence the manifest) never
-//!    changes, so a concurrent reader sees a valid — possibly mixed-codec —
-//!    dataset at every instant. A crash mid-migration leaves at most one
+//!    changes, so a concurrent reader sees a valid — possibly mixed-layout —
+//!    dataset at every instant. A crash mid-compaction leaves at most one
 //!    stale `*.migrate-tmp` file, which the next run removes.
 //!
-//! Chunk codec bytes live *inside* the per-chunk CRC, so mixed-codec
-//! datasets (including half-migrated ones) read transparently; migration is
-//! an optimization pass, never a correctness requirement. The source may
-//! hold any layout a reader accepts, legacy `Lz` chunks included; the target
-//! must be one a writer emits (`Raw` or `Col` — `Lz` is
-//! [`SegmentError::InvalidConfig`]).
+//! Chunk codec bytes live *inside* the per-chunk CRC, so mixed-layout
+//! datasets (including half-compacted ones) read transparently; compaction
+//! is an optimization pass, never a correctness requirement. The source may
+//! hold any layout a reader accepts, legacy `Lz` chunks included.
 
 use crate::codec::Codec;
 use crate::fault::{commit_replace, staging_path, RealStorage, Storage};
 use crate::manifest::{Manifest, MANIFEST_FILE_NAME};
-use crate::reader::{ChunkSource, FileSource, TraceReader};
-use crate::segment::{frame_codec_byte, SegmentConfig, SegmentError, FRAME_HEAD_LEN};
+use crate::reader::{load_chunk, ChunkSource, FileSource, TraceReader};
+use crate::record::TraceEntry;
+use crate::segment::{
+    encode_chunk, frame_codec_byte, ChunkInfo, ChunkScratch, SegmentConfig, SegmentError,
+    FRAME_HEAD_LEN,
+};
 use crate::writer::TraceWriter;
 use ipfs_mon_obs as obs;
 use std::io::BufWriter;
 use std::path::Path;
 
 /// Suffix of the temporary file a segment is rewritten into before the
-/// atomic swap. Stale files with this suffix (from a crashed migration) are
+/// atomic swap. Stale files with this suffix (from a crashed compaction) are
 /// removed on the next run and never referenced by any manifest.
 pub const MIGRATE_TMP_SUFFIX: &str = ".migrate-tmp";
 
@@ -49,53 +56,72 @@ pub const MIGRATE_TMP_SUFFIX: &str = ".migrate-tmp";
 pub struct MigrateReport {
     /// Segments listed in the manifest.
     pub segments_total: usize,
-    /// Segments rewritten to the target codec.
+    /// Segments rewritten in the `Col` layout.
     pub segments_rewritten: usize,
-    /// Segments skipped because every chunk already carried the target
-    /// codec.
+    /// Segments skipped because compaction would not change them.
     pub segments_skipped: usize,
     /// Trace entries streamed through rewritten segments.
     pub entries: u64,
-    /// Total size of all segment files before migration, in bytes.
+    /// Total size of all segment files before compaction, in bytes.
     pub bytes_before: u64,
-    /// Total size of all segment files after migration, in bytes.
+    /// Total size of all segment files after compaction, in bytes.
     pub bytes_after: u64,
 }
 
-/// True when every chunk of the open segment already carries `target`.
-fn segment_matches<S: ChunkSource>(
-    reader: &TraceReader<S>,
-    target: Codec,
-) -> Result<bool, SegmentError> {
+/// True when compaction would leave the open segment as it is: each chunk
+/// carries `Col`, or `Raw` that a trial encode shows `Col` cannot shrink.
+fn segment_is_compacted<S: ChunkSource>(reader: &TraceReader<S>) -> Result<bool, SegmentError> {
     for info in reader.chunks() {
         let head_len = (info.len as usize).min(FRAME_HEAD_LEN);
         let head = reader.source().read_at(info.offset, head_len)?;
-        if frame_codec_byte(&head)? != target.byte() {
+        let byte = frame_codec_byte(&head)?;
+        if byte == Codec::Col.byte() {
+            continue;
+        }
+        if byte != Codec::Raw.byte() || !stays_raw(reader, info)? {
             return Ok(false);
         }
     }
     Ok(true)
 }
 
-/// Rewrites one segment file to `target`, verifying the rewrite before the
-/// atomic swap. Returns the number of entries streamed.
-fn rewrite_segment(storage: &dyn Storage, path: &Path, target: Codec) -> Result<u64, SegmentError> {
+/// Whether compaction would keep the raw chunk `info` names raw.
+fn stays_raw<S: ChunkSource>(
+    reader: &TraceReader<S>,
+    info: &ChunkInfo,
+) -> Result<bool, SegmentError> {
+    let view = load_chunk(reader.source(), info, ChunkScratch::default())?;
+    let entries: Vec<TraceEntry> = view.entries().collect();
+    let mut trial = Vec::new();
+    encode_chunk(&entries, true, &mut trial);
+    Ok(frame_codec_byte(&trial)? == Codec::Raw.byte())
+}
+
+/// Rewrites one segment file in the `Col` layout, chunk for chunk,
+/// verifying the rewrite before the atomic swap. Returns the number of
+/// entries streamed.
+fn rewrite_segment(storage: &dyn Storage, path: &Path) -> Result<u64, SegmentError> {
     let reader = TraceReader::new(FileSource::open(path)?)?;
 
     let tmp_path = staging_path(path, MIGRATE_TMP_SUFFIX);
     let result = (|| {
         let file = storage.create(&tmp_path)?;
-        let mut writer = TraceWriter::new(
-            BufWriter::new(file),
-            reader.label().to_string(),
-            SegmentConfig::with_codec(target),
-        )?;
-        let mut stream = reader.stream();
-        for entry in stream.by_ref() {
-            writer.append(&entry)?;
-        }
-        if let Some(error) = stream.take_error() {
-            return Err(error);
+        // Room for the widest source chunk: the only chunk boundaries are
+        // then the `flush_buffered` after each source chunk.
+        let widest = reader.chunks().iter().map(|info| info.entries).max();
+        let config = SegmentConfig {
+            chunk_capacity: widest.unwrap_or(1).max(1) as usize,
+        };
+        let mut writer =
+            TraceWriter::new(BufWriter::new(file), reader.label().to_string(), config)?.columnar();
+        let mut scratch = ChunkScratch::default();
+        for info in reader.chunks() {
+            let view = load_chunk(reader.source(), info, scratch)?;
+            for entry in view.entries() {
+                writer.append(&entry)?;
+            }
+            writer.flush_buffered()?;
+            scratch = view.into_scratch();
         }
         for record in reader.connections() {
             writer.record_connection(record.clone());
@@ -173,21 +199,19 @@ fn sweep_stale_tmp_files(dir: &Path, storage: &dyn Storage) -> Result<(), Segmen
     Ok(())
 }
 
-/// Rewrites every segment of the manifest dataset in `dir` to `target`,
-/// segment by segment with an atomic per-segment swap (see the [module
-/// docs](self) for the exact protocol). Already-migrated segments are
-/// skipped; each rewritten segment is verified entry-stream-identical
-/// before it replaces the original. Returns what was done.
+/// Compacts every segment of the manifest dataset in `dir` to the `Col`
+/// layout, segment by segment with an atomic per-segment swap (see the
+/// [module docs](self) for the exact protocol). Segments compaction would
+/// not change are skipped, so a second run rewrites nothing; each rewritten
+/// segment is verified entry-stream-identical before it replaces the
+/// original. Returns what was done.
 ///
 /// The dataset stays readable throughout: file names never change, each
 /// swap is a same-directory rename, and readers dispatch on per-chunk codec
-/// bytes, so a crash at any point leaves a valid (possibly mixed-codec)
+/// bytes, so a crash at any point leaves a valid (possibly mixed-layout)
 /// dataset plus at most one stale temp file that the next run removes.
-pub fn migrate_manifest(
-    dir: impl AsRef<Path>,
-    target: Codec,
-) -> Result<MigrateReport, SegmentError> {
-    migrate_manifest_with(dir, target, &RealStorage)
+pub fn migrate_manifest(dir: impl AsRef<Path>) -> Result<MigrateReport, SegmentError> {
+    migrate_manifest_with(dir, &RealStorage)
 }
 
 /// [`migrate_manifest`] through an explicit [`Storage`], so the whole
@@ -196,10 +220,8 @@ pub fn migrate_manifest(
 /// leave the dataset readable, per the module docs).
 pub fn migrate_manifest_with(
     dir: impl AsRef<Path>,
-    target: Codec,
     storage: &dyn Storage,
 ) -> Result<MigrateReport, SegmentError> {
-    target.check_writable()?;
     let dir = dir.as_ref();
     let manifest = Manifest::load(dir.join(MANIFEST_FILE_NAME))?;
     sweep_stale_tmp_files(dir, storage)?;
@@ -211,14 +233,11 @@ pub fn migrate_manifest_with(
     for segment in &manifest.segments {
         let path = dir.join(&segment.file_name);
         report.bytes_before += std::fs::metadata(&path)?.len();
-        let already_done = {
-            let reader = TraceReader::new(FileSource::open(&path)?)?;
-            segment_matches(&reader, target)?
-        };
+        let already_done = segment_is_compacted(&TraceReader::new(FileSource::open(&path)?)?)?;
         if already_done {
             report.segments_skipped += 1;
         } else {
-            report.entries += rewrite_segment(storage, &path, target)?;
+            report.entries += rewrite_segment(storage, &path)?;
             report.segments_rewritten += 1;
             obs::counter!("migrate.segments_rewritten").incr();
         }
@@ -237,7 +256,7 @@ mod tests {
     use super::*;
     use crate::manifest::{DatasetConfig, DatasetWriter};
     use crate::reader::{ManifestReader, ReadOptions};
-    use crate::record::{ConnectionRecord, EntryFlags, TraceEntry};
+    use crate::record::{ConnectionRecord, EntryFlags};
     use ipfs_mon_bitswap::RequestType;
     use ipfs_mon_simnet::time::SimTime;
     use ipfs_mon_types::{Cid, Country, Multiaddr, Multicodec, PeerId, Transport};
@@ -259,12 +278,9 @@ mod tests {
         }
     }
 
-    fn write_dataset(dir: &Path, codec: Codec) -> u64 {
+    fn write_dataset(dir: &Path) -> u64 {
         let config = DatasetConfig {
-            segment: SegmentConfig {
-                chunk_capacity: 32,
-                codec,
-            },
+            segment: SegmentConfig { chunk_capacity: 32 },
             rotate_after_entries: 100,
             ..DatasetConfig::default()
         };
@@ -317,28 +333,58 @@ mod tests {
         let before = merged_entries(&dir);
         assert_eq!(before.len(), 120);
 
-        let report = migrate_manifest(&dir, Codec::Col).unwrap();
+        let report = migrate_manifest(&dir).unwrap();
         assert_eq!(report.segments_rewritten, report.segments_total);
         assert_eq!(report.segments_skipped, 0);
         assert_eq!(report.entries, 120);
 
         assert_eq!(merged_entries(&dir), before);
         // Second run is a no-op: everything already carries Col.
-        let again = migrate_manifest(&dir, Codec::Col).unwrap();
+        let again = migrate_manifest(&dir).unwrap();
         assert_eq!(again.segments_skipped, again.segments_total);
         assert_eq!(again.segments_rewritten, 0);
         assert_eq!(again.bytes_after, report.bytes_after);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A chunk `Col` cannot shrink keeps its raw framing; compaction must
+    /// then count it as compacted instead of rewriting its segment, to the
+    /// same bytes, on every run. One and two entries make a single such
+    /// chunk, 4 097 a full chunk and one such tail chunk.
+    #[test]
+    fn a_second_compaction_rewrites_nothing() {
+        for entries in [1u64, 2, 4_097] {
+            let dir = temp_dir(&format!("idempotent-{entries}"));
+            let mut writer =
+                DatasetWriter::create(&dir, vec!["us".into()], DatasetConfig::default()).unwrap();
+            for i in 0..entries {
+                writer.append(&entry(i * 7, i, 0)).unwrap();
+            }
+            writer.finish().unwrap();
+            let first = migrate_manifest(&dir).unwrap();
+            let compacted = merged_entries(&dir);
+            assert_eq!(compacted.len() as u64, entries);
+
+            let second = migrate_manifest(&dir).unwrap();
+            assert_eq!(
+                (second.segments_rewritten, second.segments_skipped),
+                (0, 1),
+                "{entries} entries"
+            );
+            assert_eq!(second.bytes_after, first.bytes_after);
+            assert_eq!(merged_entries(&dir), compacted);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
     #[test]
     fn stale_tmp_files_are_swept_and_ignored() {
         let dir = temp_dir("stale-tmp");
-        write_dataset(&dir, Codec::Raw);
+        write_dataset(&dir);
         let stale = dir.join("seg-000-00000.seg.migrate-tmp");
         std::fs::write(&stale, b"half-written junk from a crashed run").unwrap();
 
-        let report = migrate_manifest(&dir, Codec::Col).unwrap();
+        let report = migrate_manifest(&dir).unwrap();
         assert!(!stale.exists(), "stale temp file must be removed");
         assert_eq!(report.segments_rewritten, report.segments_total);
         assert!(merged_entries(&dir).len() as u64 == report.entries);
@@ -348,10 +394,10 @@ mod tests {
     #[test]
     fn failed_rewrite_leaves_original_intact() {
         let dir = temp_dir("intact");
-        write_dataset(&dir, Codec::Raw);
+        write_dataset(&dir);
         let before = merged_entries(&dir);
         // Migrating a missing dataset directory errors cleanly.
-        assert!(migrate_manifest(dir.join("nope"), Codec::Col).is_err());
+        assert!(migrate_manifest(dir.join("nope")).is_err());
         assert_eq!(merged_entries(&dir), before);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -361,7 +407,7 @@ mod tests {
         use crate::fault::{FaultPlan, FaultyStorage};
 
         let dir = temp_dir("crash-sweep");
-        write_dataset(&dir, Codec::Raw);
+        write_dataset(&dir);
         let before = merged_entries(&dir);
 
         // Learn the op budget of a clean migration, then crash at every op
@@ -369,16 +415,16 @@ mod tests {
         // exact same entries (some segments migrated, some not), and a
         // follow-up clean run must converge to a fully migrated dataset.
         let probe = FaultyStorage::new(FaultPlan::none());
-        migrate_manifest_with(&dir, Codec::Col, &probe).expect("clean migration");
+        migrate_manifest_with(&dir, &probe).expect("clean migration");
         assert_eq!(merged_entries(&dir), before);
         let total_ops = probe.ops();
         assert!(total_ops > 0, "migration must route through Storage");
 
         for crash_at in 0..total_ops {
             let fresh = temp_dir(&format!("crash-sweep-{crash_at}"));
-            write_dataset(&fresh, Codec::Raw);
+            write_dataset(&fresh);
             let faulty = FaultyStorage::new(FaultPlan::crash_at(crash_at));
-            let result = migrate_manifest_with(&fresh, Codec::Col, &faulty);
+            let result = migrate_manifest_with(&fresh, &faulty);
             assert!(
                 result.is_err(),
                 "crash at op {crash_at} must surface an error"
@@ -389,7 +435,7 @@ mod tests {
                 "dataset must stream identically after crash at op {crash_at}"
             );
             // The next (fault-free) run completes the migration.
-            migrate_manifest(&fresh, Codec::Col).expect("rerun after crash");
+            migrate_manifest(&fresh).expect("rerun after crash");
             assert_eq!(merged_entries(&fresh), before);
             std::fs::remove_dir_all(&fresh).unwrap();
         }

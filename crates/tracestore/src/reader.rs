@@ -452,7 +452,7 @@ pub(crate) type ChunkHook<'a> = &'a dyn Fn(&SharedChunk, &mut Vec<usize>) -> boo
 /// announced the chunk's size, so a chunk that says otherwise must not be
 /// delivered. Only a view this returned is ever keyed into. The view owns its
 /// frame (a copy, when the source lent a borrow).
-fn load_chunk<S: ChunkSource>(
+pub(crate) fn load_chunk<S: ChunkSource>(
     source: &S,
     info: &ChunkInfo,
     scratch: ChunkScratch,
@@ -758,9 +758,9 @@ fn record_skip(log: &SkipLog, monitor: usize, ident: &SegmentIdent, reason: Stri
 /// across the rotation boundaries before the global `(timestamp, monitor)`
 /// merge.
 ///
-/// Segments may freely mix payload codecs — each chunk carries its codec
-/// byte, so a dataset whose older segments are raw and newer ones compressed
-/// (per-segment codec migration) reads transparently.
+/// Segments may freely mix chunk layouts — each chunk carries its codec
+/// byte, so a dataset part compacted (some segments `col`, the rest still
+/// `raw` as collection wrote them) reads transparently.
 pub struct ManifestReader {
     monitor_labels: Vec<String>,
     /// Per global monitor: that monitor's segments in rotation order. Each
@@ -1538,7 +1538,6 @@ mod tests {
             "m0".into(),
             SegmentConfig {
                 chunk_capacity: capacity,
-                ..SegmentConfig::default()
             },
         )
         .unwrap();
@@ -1557,7 +1556,6 @@ mod tests {
         let config = DatasetConfig {
             segment: SegmentConfig {
                 chunk_capacity: capacity,
-                ..SegmentConfig::default()
             },
             rotate_after_entries: 3 * capacity as u64,
             ..DatasetConfig::default()
@@ -1804,7 +1802,6 @@ mod tests {
         let config = DatasetConfig {
             segment: SegmentConfig {
                 chunk_capacity: 256,
-                ..SegmentConfig::default()
             },
             rotate_after_entries: 2_000,
             ..DatasetConfig::default()

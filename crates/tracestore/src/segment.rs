@@ -22,16 +22,18 @@
 //! Each chunk holds up to [`SegmentConfig::chunk_capacity`] entries, in the
 //! layout named by the leading payload byte (see [`crate::codec`]).
 //! `encode_chunk` is the one place that writes them: it interns the chunk's
-//! three dictionaries and emits either the raw column planes, which store
-//! entries column-wise —
+//! three dictionaries and emits either the raw column planes (what
+//! collection writes), which store entries column-wise —
 //!
 //! * timestamps as a varint base plus zigzag-varint deltas,
 //! * peers, addresses, and CIDs as per-chunk dictionaries (first-appearance
 //!   order) plus varint index columns,
 //! * request types and entry flags bit-packed at two bits per entry
 //!
-//! — or the columnar body of [`crate::col`], which keeps the same
-//! dictionaries and packs every other column to its actual width.
+//! — or the columnar body of [`crate::col`] (what compaction writes), which
+//! keeps the same dictionaries and packs every other column to its actual
+//! width. Timestamps are milliseconds up to `i64::MAX`, so that every step
+//! between two of them is an `i64`; the writer refuses later ones.
 //!
 //! Decoding is split in two stages: [`ChunkView`] parses a frame into
 //! borrowed dictionary slices and column cursors (validating everything),
@@ -105,38 +107,24 @@ pub(crate) fn check_header(bytes: &[u8]) -> Result<bool, SegmentError> {
     }
 }
 
-/// Tuning knobs of the segment writer.
+/// Tuning knob of the segment writer. The chunk layout is not one: the
+/// writer's role decides it (see [`crate::codec`]).
 #[derive(Debug, Clone, Copy)]
 pub struct SegmentConfig {
     /// Maximum number of entries per chunk. Larger chunks compress better
     /// (dictionaries amortize); smaller chunks bound reader memory tighter.
     pub chunk_capacity: usize,
-    /// Body layout of newly written chunks: [`Codec::Raw`] or
-    /// [`Codec::Col`] (the decode-only [`Codec::Lz`] is refused when a
-    /// writer is created). Readers ignore this and dispatch on the
-    /// per-chunk codec byte, so datasets may mix codecs freely
-    /// (per-segment migration included).
-    pub codec: Codec,
 }
 
 impl Default for SegmentConfig {
     fn default() -> Self {
         Self {
             chunk_capacity: 4096,
-            codec: Codec::Raw,
         }
     }
 }
 
 impl SegmentConfig {
-    /// The default configuration with a different codec.
-    pub fn with_codec(codec: Codec) -> Self {
-        Self {
-            codec,
-            ..Self::default()
-        }
-    }
-
     /// What every writer checks before it writes a byte.
     pub(crate) fn validate(&self) -> Result<(), SegmentError> {
         if self.chunk_capacity == 0 {
@@ -144,7 +132,7 @@ impl SegmentConfig {
                 "chunk capacity must be positive".into(),
             ));
         }
-        self.codec.check_writable()
+        Ok(())
     }
 }
 
@@ -193,8 +181,9 @@ pub enum SegmentError {
     /// A chunk names a payload codec this build does not implement (the
     /// frame CRC was valid, so this is a version skew, not damage).
     UnknownCodec(u8),
-    /// A writer or dataset configuration is unusable (library code reports
-    /// this instead of aborting the process).
+    /// A writer or dataset configuration, or a value appended to a writer,
+    /// is unusable (library code reports this instead of aborting the
+    /// process).
     InvalidConfig(String),
 }
 
@@ -573,21 +562,21 @@ impl<'a> ChunkColumns<'a> {
 /// Encodes one monitor's buffered entries as a framed chunk, appending the
 /// frame to `out` — the one place that knows both body layouts. The raw
 /// planes are always written (in place, behind the codec byte, so the raw
-/// path copies nothing); under [`Codec::Col`] the columnar body of
+/// path copies nothing); when `columnar` (compaction) the body of
 /// [`crate::col`] replaces them unless it fails to shrink this particular
 /// chunk (the codec byte is per chunk, so readers never notice), which
-/// guarantees a `Col` segment is never larger than its raw twin. Timed per
-/// codec as `store.chunk_encode_ns.*` (columnarization + layout, not the
-/// caller's sink write). Returns the frame's [`ChunkInfo`] (with `offset`
-/// left at 0 for the caller to fill in).
-pub(crate) fn encode_chunk(entries: &[TraceEntry], codec: Codec, out: &mut Vec<u8>) -> ChunkInfo {
+/// guarantees a compacted segment is never larger than its raw twin. Timed
+/// as `store.chunk_encode_ns.raw` (collection) or `.col` (compaction):
+/// columnarization + layout, not the caller's sink write. Returns the
+/// frame's [`ChunkInfo`] (with `offset` left at 0 for the caller to fill in).
+pub(crate) fn encode_chunk(entries: &[TraceEntry], columnar: bool, out: &mut Vec<u8>) -> ChunkInfo {
     assert!(!entries.is_empty(), "chunks must hold at least one entry");
-    let (columnar, histogram) = match codec {
-        Codec::Raw => (false, obs::histogram!("store.chunk_encode_ns.raw")),
-        Codec::Col => (true, obs::histogram!("store.chunk_encode_ns.col")),
-        Codec::Lz => unreachable!("writers refuse Codec::Lz when they are configured"),
-    };
-    let _span = histogram.timer();
+    let _span = if columnar {
+        obs::histogram!("store.chunk_encode_ns.col")
+    } else {
+        obs::histogram!("store.chunk_encode_ns.raw")
+    }
+    .timer();
     let columns = ChunkColumns::intern(entries);
     let mut payload = Vec::with_capacity(entries.len() * 8);
     payload.push(Codec::Raw.byte());
@@ -629,8 +618,8 @@ pub(crate) fn write_frame(payload: &[u8], out: &mut Vec<u8>) {
 pub(crate) const FRAME_HEAD_LEN: usize = 11;
 
 /// The codec byte of a chunk frame, read from the frame's first bytes without
-/// validating anything (migration's skip check; the frame is CRC-checked when
-/// it is actually read).
+/// validating anything (compaction's skip check; the frame is CRC-checked
+/// when it is actually read).
 pub(crate) fn frame_codec_byte(head: &[u8]) -> Result<u8, SegmentError> {
     let mut cursor = Cursor::new(head);
     cursor.varint()?;
@@ -1545,7 +1534,7 @@ mod tests {
             .map(|i| entry(1_000 + i * 37, i % 7, (i % 5) as u8))
             .collect();
         let mut frame = Vec::new();
-        let info = encode_chunk(&entries, Codec::Raw, &mut frame);
+        let info = encode_chunk(&entries, false, &mut frame);
         assert_eq!(info.entries, 100);
         assert_eq!(info.first_timestamp, entries[0].timestamp);
         assert_eq!(info.last_timestamp, entries[99].timestamp);
@@ -1560,7 +1549,7 @@ mod tests {
         entries[1].flags.inter_monitor_duplicate = true;
         entries[1].request_type = RequestType::Cancel;
         let mut frame = Vec::new();
-        encode_chunk(&entries, Codec::Raw, &mut frame);
+        encode_chunk(&entries, false, &mut frame);
         assert_eq!(decode_chunk(&frame).unwrap(), entries);
     }
 
@@ -1582,9 +1571,9 @@ mod tests {
             .map(|i| entry(1_000 + i * 13, i % 5, (i % 7) as u8))
             .collect();
         let mut frames = Vec::new();
-        for codec in Codec::writable() {
+        for (codec, columnar) in [(Codec::Raw, false), (Codec::Col, true)] {
             let mut frame = Vec::new();
-            let info = encode_chunk(&entries, codec, &mut frame);
+            let info = encode_chunk(&entries, columnar, &mut frame);
             assert_eq!(info.entries, 500);
             frames.push((codec, frame));
         }
@@ -1629,9 +1618,9 @@ mod tests {
             })
             .collect();
         let mut raw = Vec::new();
-        encode_chunk(&entries, Codec::Raw, &mut raw);
+        encode_chunk(&entries, false, &mut raw);
         let mut col = Vec::new();
-        let info = encode_chunk(&entries, Codec::Col, &mut col);
+        let info = encode_chunk(&entries, true, &mut col);
         assert!(
             col.len() < raw.len(),
             "col chunk not smaller: {} vs {} raw",
@@ -1647,7 +1636,7 @@ mod tests {
     fn chunk_detects_corruption() {
         let entries = vec![entry(1, 1, 1)];
         let mut frame = Vec::new();
-        encode_chunk(&entries, Codec::Raw, &mut frame);
+        encode_chunk(&entries, false, &mut frame);
         let mid = frame.len() / 2;
         frame[mid] ^= 0xff;
         assert!(decode_chunk(&frame).is_err());
@@ -1677,7 +1666,7 @@ mod tests {
     fn unknown_codec_byte_is_a_typed_error() {
         let entries = vec![entry(1, 1, 1)];
         let mut frame = Vec::new();
-        encode_chunk(&entries, Codec::Raw, &mut frame);
+        encode_chunk(&entries, false, &mut frame);
         // The codec byte is the first payload byte, right after the length
         // varint (one byte for small chunks). Rewrite it and fix the CRC so
         // the frame is undamaged — the reader must still refuse, with
@@ -1702,7 +1691,7 @@ mod tests {
             .map(|i| entry(i * 10, i % 3, (i % 3) as u8))
             .collect();
         let mut frame = Vec::new();
-        encode_chunk(&entries, Codec::Raw, &mut frame);
+        encode_chunk(&entries, false, &mut frame);
         assert!(
             frame.len() < 1000 * 8,
             "chunk unexpectedly large: {} bytes",
@@ -1827,7 +1816,7 @@ mod tests {
     fn chunk_naming_another_monitor_is_corrupt() {
         let entries = vec![entry(1, 1, 1), entry(2, 2, 2)];
         let mut frame = Vec::new();
-        encode_chunk(&entries, Codec::Raw, &mut frame);
+        encode_chunk(&entries, false, &mut frame);
         assert_eq!(decode_chunk(&frame).unwrap(), entries);
         // The stored monitor index opens the raw planes, right after the
         // codec byte. Rewrite it under a valid CRC: every byte checks out,
@@ -1845,7 +1834,7 @@ mod tests {
         // So the walk recovery and the live tail share ends before it.
         let mut segment = Vec::new();
         write_header(&mut segment).unwrap();
-        encode_chunk(&entries, Codec::Raw, &mut segment);
+        encode_chunk(&entries, false, &mut segment);
         let valid_end = segment.len();
         segment.extend_from_slice(&frame);
         let mut walked = 0;

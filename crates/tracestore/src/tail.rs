@@ -231,7 +231,6 @@ mod tests {
         DatasetConfig {
             segment: SegmentConfig {
                 chunk_capacity: chunk,
-                ..SegmentConfig::default()
             },
             rotate_after_entries: rotate,
             ..DatasetConfig::default()

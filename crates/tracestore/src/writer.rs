@@ -1,11 +1,12 @@
 //! The spill-as-you-go segment writer: one monitor's entries into one segment.
 //!
 //! Writes what [`crate::segment`] lays out — header, chunk frames, footer —
-//! and decides nothing about the bytes itself. Chunks are `Raw` or `Col`
-//! ([`crate::codec`]), never the decode-only `Lz`, which [`TraceWriter::new`]
-//! refuses. A segment holds one monitor's entries: the writer is given that
-//! monitor's label and never reads `TraceEntry::monitor` (the dataset maps
-//! the file to its monitor — see [`crate::manifest`]).
+//! and decides nothing about the bytes itself. The chunk layout follows the
+//! writer's role ([`crate::codec`]): a writer from [`TraceWriter::new`]
+//! collects, in `Raw`; compaction ([`crate::migrate`]) turns its writer
+//! columnar and writes `Col`. A segment holds one monitor's entries: the
+//! writer is given that monitor's label and never reads `TraceEntry::monitor`
+//! (the dataset maps the file to its monitor — see [`crate::manifest`]).
 
 use crate::record::{ConnectionRecord, TraceEntry};
 use crate::segment::{
@@ -18,9 +19,9 @@ use std::io::Write;
 
 /// Writes a segment incrementally: entries are buffered and spilled to the
 /// sink as framed columnar **v2** chunks — length varint, then a payload
-/// opening with the codec byte of [`SegmentConfig::codec`], then the payload
-/// CRC — whenever the buffer reaches the configured capacity. Memory use is
-/// bounded by `chunk_capacity` entries regardless of trace length.
+/// opening with the codec byte (`Raw`, or `Col` when compacting), then the
+/// payload CRC — whenever the buffer reaches the configured capacity. Memory
+/// use is bounded by `chunk_capacity` entries regardless of trace length.
 ///
 /// Connection records are rare relative to entries and are kept for the
 /// footer. Call [`TraceWriter::finish`] to flush the remaining buffer and
@@ -35,6 +36,9 @@ pub struct TraceWriter<W: Write> {
     high_water: Option<SimTime>,
     footer: Footer,
     config: SegmentConfig,
+    /// Whether chunks go out in the `Col` layout (compaction) instead of
+    /// `Raw` (collection).
+    columnar: bool,
 }
 
 impl<W: Write> TraceWriter<W> {
@@ -53,7 +57,17 @@ impl<W: Write> TraceWriter<W> {
                 ..Footer::default()
             },
             config,
+            columnar: false,
         })
+    }
+
+    /// The same writer, spilling its chunks in the `Col` layout: how
+    /// compaction writes.
+    pub(crate) fn columnar(self) -> Self {
+        Self {
+            columnar: true,
+            ..self
+        }
     }
 
     /// Entries accepted so far (buffered or spilled).
@@ -62,7 +76,19 @@ impl<W: Write> TraceWriter<W> {
     }
 
     /// Appends one entry, spilling a chunk when the buffer is full.
+    ///
+    /// An entry timestamped after `i64::MAX` ms is refused as
+    /// [`SegmentError::InvalidConfig`] before anything is buffered: the
+    /// format stores each step between timestamps as an `i64`, so no reader
+    /// could take it back, and the chunk would take its neighbours along.
     pub fn append(&mut self, entry: &TraceEntry) -> Result<(), SegmentError> {
+        if entry.timestamp.as_millis() > i64::MAX as u64 {
+            return Err(SegmentError::InvalidConfig(format!(
+                "timestamp {} ms is past the largest a segment holds ({} ms)",
+                entry.timestamp.as_millis(),
+                i64::MAX
+            )));
+        }
         // Monitors log in arrival order but entries carry send-side
         // timestamps, so streams can be locally out of order; record the
         // worst backward jump so readers can size exact reorder buffers.
@@ -128,7 +154,7 @@ impl<W: Write> TraceWriter<W> {
             return Ok(());
         }
         let mut frame = Vec::new();
-        let mut info: ChunkInfo = encode_chunk(&self.buffer, self.config.codec, &mut frame);
+        let mut info: ChunkInfo = encode_chunk(&self.buffer, self.columnar, &mut frame);
         self.buffer.clear();
         info.offset = self.offset;
         self.sink.write_all(&frame)?;
@@ -192,10 +218,7 @@ mod tests {
     #[test]
     fn spills_chunks_at_capacity() {
         let mut bytes = Vec::new();
-        let config = SegmentConfig {
-            chunk_capacity: 10,
-            ..SegmentConfig::default()
-        };
+        let config = SegmentConfig { chunk_capacity: 10 };
         let mut writer = TraceWriter::new(&mut bytes, "us".into(), config).unwrap();
         for i in 0..25 {
             writer.append(&entry(i * 100, i)).unwrap();
@@ -247,6 +270,37 @@ mod tests {
     }
 
     #[test]
+    fn timestamps_past_i64_max_are_refused_and_the_segment_still_reads() {
+        // Each step between timestamps is stored as an `i64`: a chunk holding
+        // one of these would overflow the step, and no reader would take back
+        // its other entries either. The largest storable value is accepted.
+        let last = i64::MAX as u64;
+        for (accepted, refused) in [([5, 7, last], 1u64 << 63), ([0, last, last], u64::MAX)] {
+            let mut bytes = Vec::new();
+            let mut writer =
+                TraceWriter::new(&mut bytes, "us".into(), SegmentConfig::default()).unwrap();
+            writer.append(&entry(accepted[0], 0)).unwrap();
+            match writer.append(&entry(refused, 1)) {
+                Err(SegmentError::InvalidConfig(what)) => assert!(what.contains("timestamp")),
+                other => panic!("{refused} ms must be refused: {other:?}"),
+            }
+            for &ms in &accepted[1..] {
+                writer.append(&entry(ms, 2)).unwrap();
+            }
+            assert_eq!(writer.total_entries(), 3);
+            writer.finish().unwrap();
+
+            let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
+            let mut stream = reader.stream();
+            let read: Vec<u64> = (&mut stream)
+                .map(|entry| entry.timestamp.as_millis())
+                .collect();
+            assert!(stream.take_error().is_none());
+            assert_eq!(read, accepted);
+        }
+    }
+
+    #[test]
     fn empty_segment_roundtrips() {
         let mut bytes = Vec::new();
         let writer = TraceWriter::new(&mut bytes, "only".into(), SegmentConfig::default()).unwrap();
@@ -264,10 +318,7 @@ mod tests {
         let result = TraceWriter::new(
             &mut bytes,
             "only".into(),
-            SegmentConfig {
-                chunk_capacity: 0,
-                ..SegmentConfig::default()
-            },
+            SegmentConfig { chunk_capacity: 0 },
         );
         assert!(matches!(result, Err(SegmentError::InvalidConfig(_))));
         assert!(bytes.is_empty(), "nothing must be written on bad config");

@@ -6,18 +6,19 @@
 #
 # Every binary is a pure function of scenario seed and IPFS_MON_SCALE, so the
 # recording is byte-exact: a difference means an analysis result moved, not
-# noise. Binaries that take `--codec` run once per writable codec.
+# noise. Each binary runs once and owns tests/golden/<binary>.txt; a golden
+# file no binary produced fails the check (or is removed by --record), so a
+# stale one cannot linger.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 golden=tests/golden
 export IPFS_MON_SCALE=0.2
 
-with_codec=(fig4_request_types fig5_popularity sec5c_network_size
-    sec6a_privacy_attacks sec6b_gateway_probing sec6c_countermeasures
-    table1_multicodec)
-without_codec=(ablation_dedup_windows ablation_monitor_count
-    fig3_qq_uniformity fig6_gateway_rates sec5c_visibility table2_geography)
+bins=(ablation_dedup_windows ablation_monitor_count fig3_qq_uniformity
+    fig4_request_types fig5_popularity fig6_gateway_rates sec5c_network_size
+    sec5c_visibility sec6a_privacy_attacks sec6b_gateway_probing
+    sec6c_countermeasures table1_multicodec table2_geography)
 
 record=false
 case "${1:-}" in
@@ -33,25 +34,26 @@ out=$(mktemp)
 trap 'rm -f "$out"' EXIT
 
 failed=0
-check() { # <golden name> <binary> [args...]
-    local name=$1
-    shift
-    "$bin_dir/$1" "${@:2}" > "$out"
+for bin in "${bins[@]}"; do
+    "$bin_dir/$bin" > "$out"
     if $record; then
-        cat "$out" > "$golden/$name.txt"
-    elif ! diff -u "$golden/$name.txt" "$out"; then
-        echo "FIGURE MOVED: $name" >&2
+        cat "$out" > "$golden/$bin.txt"
+    elif ! diff -u "$golden/$bin.txt" "$out"; then
+        echo "FIGURE MOVED: $bin" >&2
         failed=1
     fi
-}
-
-for bin in "${without_codec[@]}"; do
-    check "$bin" "$bin"
 done
-for bin in "${with_codec[@]}"; do
-    for codec in raw col; do
-        check "$bin.$codec" "$bin" --codec "$codec"
-    done
+
+for file in "$golden"/*; do
+    name=$(basename "$file" .txt)
+    if [[ " ${bins[*]} " != *" $name "* ]]; then
+        if $record; then
+            rm "$file"
+        else
+            echo "STALE GOLDEN: $file (no binary produces it)" >&2
+            failed=1
+        fi
+    fi
 done
 
 if $record; then

@@ -3,12 +3,13 @@
 //! Covers the read stack behind the per-chunk codec byte: typed errors for
 //! every kind of codec-level damage (unknown codec byte, corrupted
 //! compressed body, CRC-vs-codec corruption, single-byte damage anywhere in
-//! a `col` body), mixed-codec manifests (per-segment codec migration)
-//! streaming identically to the in-memory path, equality of the merged
-//! read under both writable codecs, the offline `migrate_manifest` rewrite, the on-disk size win of
-//! `col`, byte-identity of both layouts with the commit that last wrote them
-//! through the plug-in codec layer, and the decode-only `lz` layout read
-//! from a fixture that commit wrote.
+//! a `col` body), half-compacted manifests streaming identically to the
+//! in-memory path, equality of the merged read as collection writes it
+//! (`raw`) and as compaction leaves it (`col`), the offline
+//! `migrate_manifest` compaction and its idempotence, the on-disk size win
+//! of `col`, byte-identity of both layouts with the commit that last wrote
+//! them through the plug-in codec layer, and the decode-only `lz` layout
+//! read from a fixture that commit wrote.
 
 mod common;
 
@@ -21,8 +22,8 @@ use ipfs_monitoring::core::{
 use ipfs_monitoring::simnet::time::{SimDuration, SimTime};
 use ipfs_monitoring::tracestore::{
     migrate_manifest, run_sink, Codec, DatasetConfig, Manifest, ManifestReader, MonitoringDataset,
-    RowTargets, SegmentConfig, SegmentError, SegmentMeta, SliceSource, TraceEntry, TraceReader,
-    TraceSource, TraceWriter, MIGRATE_TMP_SUFFIX,
+    RowTargets, SegmentConfig, SegmentError, SliceSource, TraceEntry, TraceReader, TraceSource,
+    MANIFEST_FILE_NAME, MIGRATE_TMP_SUFFIX,
 };
 use ipfs_monitoring::types::varint;
 use proptest::prelude::*;
@@ -44,24 +45,53 @@ fn merged_entries(dir: &Path) -> Vec<TraceEntry> {
     entries
 }
 
-/// Writes one single-monitor segment with the given codec and returns its
-/// bytes (for hand-built mixed-codec manifests).
-fn monitor_segment(label: &str, entries: &[TraceEntry], codec: Codec, chunk: usize) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    let mut writer = TraceWriter::new(
-        &mut bytes,
-        label.to_string(),
-        SegmentConfig {
+/// Collection's layout: `rotate` entries per segment, `chunk` per chunk.
+fn layout(rotate: u64, chunk: usize) -> DatasetConfig {
+    DatasetConfig {
+        segment: SegmentConfig {
             chunk_capacity: chunk,
-            codec,
         },
-    )
-    .unwrap();
-    for entry in entries {
-        writer.append(entry).unwrap();
+        rotate_after_entries: rotate,
+        ..DatasetConfig::default()
     }
-    writer.finish().unwrap();
+}
+
+/// The one segment of a one-monitor dataset of `entries` in chunks of
+/// `chunk`, compacted: `col` chunks, as `migrate_manifest` writes them.
+fn compacted_segment(tag: &str, entries: &[TraceEntry], chunk: usize) -> Vec<u8> {
+    let mut dataset = MonitoringDataset::new(vec!["m0".into()]);
+    dataset.entries[0] = entries.to_vec();
+    let dir = temp_dir(tag);
+    write_manifest(&dataset, &dir, layout(u64::MAX, chunk));
+    migrate_manifest(&dir).unwrap();
+    let bytes = std::fs::read(dir.join("seg-000-00000.seg")).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
     bytes
+}
+
+/// Spills `dataset` into `dir` and compacts every other segment of each
+/// chain (odd `monitor + sequence`) — what a compaction stopped part way,
+/// or a dataset collected across a compaction, leaves behind. Returns the
+/// number of compacted segments.
+fn half_compacted_manifest(
+    dataset: &MonitoringDataset,
+    dir: &Path,
+    config: DatasetConfig,
+) -> usize {
+    let twin = dir.with_extension("compacted");
+    write_manifest(dataset, dir, config);
+    write_manifest(dataset, &twin, config);
+    migrate_manifest(&twin).unwrap();
+    let manifest = Manifest::load(dir.join(MANIFEST_FILE_NAME)).unwrap();
+    let mut compacted = 0;
+    for meta in &manifest.segments {
+        if (meta.monitor as u64 + meta.sequence) % 2 == 1 {
+            std::fs::copy(twin.join(&meta.file_name), dir.join(&meta.file_name)).unwrap();
+            compacted += 1;
+        }
+    }
+    std::fs::remove_dir_all(&twin).ok();
+    compacted
 }
 
 /// Payload byte range (codec byte first) of a segment's first chunk frame.
@@ -126,6 +156,7 @@ fn column_reader_damage_sweep(
 ) -> (usize, usize) {
     let dir = temp_dir("column-sweep");
     write_manifest(dataset, &dir, config);
+    migrate_manifest(&dir).unwrap();
     let segment = dir.join("seg-000-00000.seg");
     let bytes = std::fs::read(&segment).unwrap();
     let sinks = || {
@@ -205,7 +236,7 @@ fn truncation_sweep(bytes: &[u8]) {
 #[test]
 fn codec_damage_surfaces_typed_errors() {
     let dataset = random_dataset(41, 1, 300, 400);
-    let bytes = monitor_segment("m0", &dataset.entries[0], Codec::Col, 64);
+    let bytes = compacted_segment("typed-damage", &dataset.entries[0], 64);
     let (payload_start, payload_end) = first_chunk_payload(&bytes);
     let crc_range = payload_end..payload_end + 4;
     assert_eq!(
@@ -253,45 +284,21 @@ fn codec_damage_surfaces_typed_errors() {
 }
 
 proptest! {
-    /// Per-segment codec migration: a hand-assembled manifest whose segment
-    /// chains alternate raw and compressed segments must stream exactly the
-    /// in-memory reference.
+    /// A half-compacted manifest — chains alternating collected (`raw`) and
+    /// compacted (`col`) segments — must stream exactly the in-memory
+    /// reference.
     #[test]
     fn mixed_codec_manifest_matches_in_memory(
         seed in 0u64..1_000_000,
         monitors in 1usize..3,
         per_monitor in 20usize..150,
         jitter in 0u64..1_500,
-        rotate in 16usize..60,
+        rotate in 16u64..60,
         chunk in 4usize..32,
     ) {
         let dataset = random_dataset(seed, monitors, per_monitor, jitter);
         let dir = temp_dir(&format!("mixed-{seed}-{monitors}-{per_monitor}"));
-        std::fs::create_dir_all(&dir).unwrap();
-
-        // Build each monitor's chain by hand, alternating the codec per
-        // rotation sequence — the migration scenario where a deployment
-        // switches codecs mid-trace.
-        let mut metas = Vec::new();
-        for (monitor, entries) in dataset.entries.iter().enumerate() {
-            for (sequence, window) in entries.chunks(rotate).enumerate() {
-                let codec = Codec::writable()[(monitor + sequence) % 2];
-                let file_name = format!("seg-{monitor:03}-{sequence:05}.seg");
-                let bytes = monitor_segment(&format!("m{monitor}"), window, codec, chunk);
-                std::fs::write(dir.join(&file_name), &bytes).unwrap();
-                metas.push(SegmentMeta {
-                    file_name,
-                    monitor,
-                    sequence: sequence as u64,
-                    entries: window.len() as u64,
-                });
-            }
-        }
-        let manifest = Manifest {
-            monitor_labels: dataset.monitor_labels.clone(),
-            segments: metas,
-        };
-        manifest.write_to(&dir).unwrap();
+        half_compacted_manifest(&dataset, &dir, layout(rotate, chunk));
 
         let (trace, stats) = unify_and_flag(&dataset, PreprocessConfig::default());
         let reader = ManifestReader::open(&dir).unwrap();
@@ -302,7 +309,7 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Either codec over a writer-produced manifest yields the merged
+    /// A writer-produced manifest, collected or compacted, yields the merged
     /// stream of the in-memory reference — the equality the experiment
     /// binaries assert per run, property-tested across shapes.
     #[test]
@@ -314,22 +321,21 @@ proptest! {
         let dataset = random_dataset(seed, 2, per_monitor, jitter);
         let reference: Vec<TraceEntry> = dataset.merged_entries().collect();
 
-        for codec in Codec::writable() {
-            let dir = temp_dir(&format!("modes-{seed}-{per_monitor}-{}", codec.name()));
-            write_manifest(&dataset, &dir, DatasetConfig {
-                segment: SegmentConfig { chunk_capacity: 16, codec },
-                rotate_after_entries: (per_monitor as u64 / 3).max(1),
-                ..DatasetConfig::default()
-            });
-            prop_assert_eq!(&merged_entries(&dir), &reference, "codec={}", codec.name());
+        for compact in [false, true] {
+            let dir = temp_dir(&format!("modes-{seed}-{per_monitor}-{compact}"));
+            write_manifest(&dataset, &dir, layout((per_monitor as u64 / 3).max(1), 16));
+            if compact {
+                migrate_manifest(&dir).unwrap();
+            }
+            prop_assert_eq!(&merged_entries(&dir), &reference, "compacted: {}", compact);
             std::fs::remove_dir_all(&dir).ok();
         }
     }
 }
 
 /// Network-size estimation and the IDW/TNW attacks — the analyses the
-/// experiment binaries run — must produce byte-identical reports whichever
-/// codec the manifest was written with.
+/// experiment binaries run — must produce byte-identical reports whether
+/// the manifest is read as collected or compacted.
 #[test]
 fn netsize_and_attacks_agree_across_all_modes() {
     let dataset = random_dataset(97, 2, 600, 600);
@@ -344,22 +350,14 @@ fn netsize_and_attacks_agree_across_all_modes() {
     let reference_idw = identify_data_wanters(&trace, &target_cid);
     let reference_tnw = track_node_wants(&trace, &target_peer);
 
-    for codec in Codec::writable() {
-        let dir = temp_dir(&format!("analyses-{}", codec.name()));
-        write_manifest(
-            &dataset,
-            &dir,
-            DatasetConfig {
-                segment: SegmentConfig {
-                    chunk_capacity: 32,
-                    codec,
-                },
-                rotate_after_entries: 200,
-                ..DatasetConfig::default()
-            },
-        );
+    for compact in [false, true] {
+        let dir = temp_dir(&format!("analyses-{compact}"));
+        write_manifest(&dataset, &dir, layout(200, 32));
+        if compact {
+            migrate_manifest(&dir).unwrap();
+        }
         let reader = ManifestReader::open(&dir).unwrap();
-        let tag = format!("codec={}", codec.name());
+        let tag = format!("compacted: {compact}");
 
         let report =
             estimate_network_size_source(&reader, window_start, window_end, interval).unwrap();
@@ -386,28 +384,18 @@ fn netsize_and_attacks_agree_across_all_modes() {
     }
 }
 
-/// `col` must make the dataset strictly smaller on disk for dictionary-heavy
-/// traces (the realistic shape: few distinct peers/CIDs per chunk,
-/// repetitive index columns).
+/// Compaction must make the dataset strictly smaller on disk for
+/// dictionary-heavy traces (the realistic shape: few distinct peers/CIDs
+/// per chunk, repetitive index columns).
 #[test]
 fn col_manifest_is_strictly_smaller_than_raw_on_disk() {
     let dataset = random_dataset(11, 2, 4_000, 800);
     let raw_dir = temp_dir("size-raw");
     let col_dir = temp_dir("size-col");
-    for (dir, codec) in [(&raw_dir, Codec::Raw), (&col_dir, Codec::Col)] {
-        write_manifest(
-            &dataset,
-            dir,
-            DatasetConfig {
-                segment: SegmentConfig {
-                    chunk_capacity: 1024,
-                    codec,
-                },
-                rotate_after_entries: 2_000,
-                ..DatasetConfig::default()
-            },
-        );
+    for dir in [&raw_dir, &col_dir] {
+        write_manifest(&dataset, dir, layout(2_000, 1024));
     }
+    migrate_manifest(&col_dir).unwrap();
     let raw_bytes = dir_bytes(&raw_dir);
     let col_bytes = dir_bytes(&col_dir);
     assert!(
@@ -430,7 +418,7 @@ fn col_manifest_is_strictly_smaller_than_raw_on_disk() {
 #[test]
 fn col_body_damage_sweep_never_panics() {
     let dataset = random_dataset(43, 1, 400, 400);
-    let bytes = monitor_segment("m0", &dataset.entries[0], Codec::Col, 64);
+    let bytes = compacted_segment("col-sweep", &dataset.entries[0], 64);
     let (payload_start, _) = first_chunk_payload(&bytes);
     assert_eq!(
         bytes[payload_start],
@@ -451,55 +439,23 @@ fn col_body_damage_sweep_never_panics() {
     // stream: the first chunk of the dataset's only segment is the chunk
     // swept above (a chunk depends on its own 64 entries only, so a shorter
     // tail behind it changes nothing), and the outcomes split the same way.
-    let config = DatasetConfig {
-        segment: SegmentConfig {
-            chunk_capacity: 64,
-            codec: Codec::Col,
-        },
-        ..DatasetConfig::default()
-    };
     let mut head = dataset;
     head.entries[0].truncate(80);
     assert_eq!(
-        column_reader_damage_sweep(&head, config),
+        column_reader_damage_sweep(&head, layout(u64::MAX, 64)),
         (typed_errors, clean_decodes)
     );
 }
 
-/// Migration round-trip: a hand-assembled manifest whose segments alternate
-/// both writable codecs is rewritten to all-`col` — the merged stream must be
-/// byte-identical before and after, already-`col` segments are skipped, a
-/// stale temp file from a crashed previous run is swept, and a second run is
-/// a no-op.
+/// Compaction round-trip: a half-compacted manifest is compacted whole —
+/// the merged stream must be byte-identical before and after, compacted
+/// segments are skipped, a stale temp file from a crashed previous run is
+/// swept, and a second run is a no-op.
 #[test]
 fn migrate_rewrites_mixed_manifest_to_col() {
     let dataset = random_dataset(59, 2, 400, 600);
     let dir = temp_dir("migrate-mixed");
-    std::fs::create_dir_all(&dir).unwrap();
-    let mut metas = Vec::new();
-    let mut col_segments = 0usize;
-    for (monitor, entries) in dataset.entries.iter().enumerate() {
-        for (sequence, window) in entries.chunks(120).enumerate() {
-            let codec = Codec::writable()[(monitor + sequence) % 2];
-            if codec == Codec::Col {
-                col_segments += 1;
-            }
-            let file_name = format!("seg-{monitor:03}-{sequence:05}.seg");
-            let bytes = monitor_segment(&format!("m{monitor}"), window, codec, 32);
-            std::fs::write(dir.join(&file_name), &bytes).unwrap();
-            metas.push(SegmentMeta {
-                file_name,
-                monitor,
-                sequence: sequence as u64,
-                entries: window.len() as u64,
-            });
-        }
-    }
-    let manifest = Manifest {
-        monitor_labels: dataset.monitor_labels.clone(),
-        segments: metas,
-    };
-    manifest.write_to(&dir).unwrap();
+    let col_segments = half_compacted_manifest(&dataset, &dir, layout(120, 32));
     // A stale temp file from a simulated crashed migration must be swept and
     // must not confuse the rewrite.
     let stale = dir.join(format!("seg-000-00000.seg{MIGRATE_TMP_SUFFIX}"));
@@ -507,7 +463,7 @@ fn migrate_rewrites_mixed_manifest_to_col() {
 
     let reference = merged_entries(&dir);
 
-    let report = migrate_manifest(&dir, Codec::Col).unwrap();
+    let report = migrate_manifest(&dir).unwrap();
     assert!(!stale.exists(), "stale temp file must be swept");
     assert_eq!(report.segments_skipped, col_segments, "col segments skip");
     assert_eq!(
@@ -523,7 +479,7 @@ fn migrate_rewrites_mixed_manifest_to_col() {
 
     // Second run: everything already col, nothing rewritten, size unchanged.
     let before = dir_bytes(&dir);
-    let second = migrate_manifest(&dir, Codec::Col).unwrap();
+    let second = migrate_manifest(&dir).unwrap();
     assert_eq!(second.segments_rewritten, 0);
     assert_eq!(second.segments_skipped, report.segments_total);
     assert_eq!(dir_bytes(&dir), before);
@@ -559,16 +515,18 @@ fn dir_digest(dir: &Path) -> u64 {
 
 /// Bridge across the removal of the plug-in codec layer: the digests below
 /// were recorded on commit `51f7942`, whose `Col` encoder serialised the raw
-/// planes, re-parsed them and re-encoded the result. Writing straight from
-/// the interned columns must produce the same bytes in every file, for both
-/// layouts. Chunk capacity 7 exercises the per-chunk raw fallback and the
-/// plain columnar body, 64 and 4 096 the LZ-compressed columnar body
-/// (rotation closes a segment every 6 000 entries, so 4 096 also yields
-/// partial chunks).
+/// planes, re-parsed them and re-encoded the result, and whose writer was
+/// told which layout to write. Collection must produce the same bytes in
+/// every file as that commit's `raw` writer, and compacting what it wrote
+/// the same bytes as that commit's `col` writer — compaction keeps every
+/// chunk boundary — after which a second compaction rewrites nothing. Chunk
+/// capacity 7 exercises the per-chunk raw fallback and the plain columnar
+/// body, 64 and 4 096 the LZ-compressed columnar body (rotation closes a
+/// segment every 6 000 entries, so 4 096 also yields partial chunks).
 #[test]
 fn encoder_output_is_byte_identical_to_the_recorded_parent() {
     const CHUNKS: [usize; 3] = [7, 64, 4_096];
-    // [dataset][codec][chunk capacity]
+    // [dataset][collected, compacted][chunk capacity]
     const RECORDED: [[[u64; 3]; 2]; 2] = [
         [
             [0xc331d6a067cf9b4b, 0x6d0bdf1f9412da24, 0x096ff84bf82733d4],
@@ -583,30 +541,18 @@ fn encoder_output_is_byte_identical_to_the_recorded_parent() {
         ("random", random_dataset(2022, 3, 9_000, 900)),
         ("simulated", simulated_dataset(7, 150)),
     ];
-    for ((name, dataset), recorded) in datasets.iter().zip(RECORDED) {
-        for (codec, recorded) in Codec::writable().into_iter().zip(recorded) {
-            for (chunk, recorded) in CHUNKS.into_iter().zip(recorded) {
-                let dir = temp_dir(&format!("bridge-{name}-{}-{chunk}", codec.name()));
-                write_manifest(
-                    dataset,
-                    &dir,
-                    DatasetConfig {
-                        segment: SegmentConfig {
-                            chunk_capacity: chunk,
-                            codec,
-                        },
-                        rotate_after_entries: 6_000,
-                        ..DatasetConfig::default()
-                    },
-                );
-                assert_eq!(
-                    dir_digest(&dir),
-                    recorded,
-                    "{name} dataset, codec {}, chunk capacity {chunk}",
-                    codec.name()
-                );
-                std::fs::remove_dir_all(&dir).ok();
-            }
+    for ((name, dataset), [collected, compacted]) in datasets.iter().zip(RECORDED) {
+        for (k, chunk) in CHUNKS.into_iter().enumerate() {
+            let dir = temp_dir(&format!("bridge-{name}-{chunk}"));
+            write_manifest(dataset, &dir, layout(6_000, chunk));
+            let context = format!("{name} dataset, chunk capacity {chunk}");
+            assert_eq!(dir_digest(&dir), collected[k], "collected: {context}");
+            migrate_manifest(&dir).unwrap();
+            assert_eq!(dir_digest(&dir), compacted[k], "compacted: {context}");
+            let again = migrate_manifest(&dir).unwrap();
+            assert_eq!(again.segments_rewritten, 0, "compacted twice: {context}");
+            assert_eq!(dir_digest(&dir), compacted[k], "compacted twice: {context}");
+            std::fs::remove_dir_all(&dir).ok();
         }
     }
 }
@@ -623,7 +569,7 @@ fn lz_fixture() -> (
 
 /// No writer emits codec byte 1 any more, but datasets that carry it must
 /// keep reading: entry-for-entry equal to the dataset they were written
-/// from, robust to damage, and migratable to `col`. Fails if the byte-1
+/// from, robust to damage, and compactable to `col`. Fails if the byte-1
 /// decode arm is removed.
 #[test]
 fn lz_fixture_reads_survives_damage_and_migrates() {
@@ -649,7 +595,7 @@ fn lz_fixture_reads_survives_damage_and_migrates() {
         truncation_sweep(&bytes);
     }
 
-    // A copy migrates to `col` with the merged stream intact.
+    // A copy compacts to `col` with the merged stream intact.
     let dir = temp_dir("lz-fixture-migrate");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -657,7 +603,7 @@ fn lz_fixture_reads_survives_damage_and_migrates() {
         let entry = entry.unwrap();
         std::fs::copy(entry.path(), dir.join(entry.file_name())).unwrap();
     }
-    let report = migrate_manifest(&dir, Codec::Col).unwrap();
+    let report = migrate_manifest(&dir).unwrap();
     assert_eq!(report.segments_rewritten, manifest.segments.len());
     assert_eq!(merged_entries(&dir), reference);
     for segment in &manifest.segments {
@@ -666,32 +612,4 @@ fn lz_fixture_reads_survives_damage_and_migrates() {
         assert_eq!(bytes[payload_start], Codec::Col.byte());
     }
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Every writer entry point refuses the decode-only codec by name.
-#[test]
-fn lz_is_refused_as_a_write_target() {
-    let refused = |result: Result<(), SegmentError>| match result {
-        Err(SegmentError::InvalidConfig(what)) => assert!(what.contains("'col'"), "{what}"),
-        other => panic!("lz must be InvalidConfig: {other:?}"),
-    };
-    refused(Codec::parse("lz").map(drop));
-    refused(
-        TraceWriter::new(Vec::new(), "m".into(), SegmentConfig::with_codec(Codec::Lz)).map(drop),
-    );
-    let dir = temp_dir("lz-refused");
-    let config = DatasetConfig {
-        segment: SegmentConfig::with_codec(Codec::Lz),
-        ..DatasetConfig::default()
-    };
-    refused(
-        ipfs_monitoring::tracestore::DatasetWriter::create(&dir, vec!["m".into()], config)
-            .map(drop),
-    );
-    assert!(
-        !dir.exists(),
-        "a refused configuration must not create files"
-    );
-    let (fixture, _) = lz_fixture();
-    refused(migrate_manifest(&fixture, Codec::Lz).map(drop));
 }

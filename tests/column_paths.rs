@@ -23,9 +23,9 @@ use ipfs_monitoring::core::{
 use ipfs_monitoring::simnet::time::{SimDuration, SimTime};
 use ipfs_monitoring::tracestore::crc::crc32;
 use ipfs_monitoring::tracestore::{
-    run_sink, ChunkView, Codec, DatasetConfig, EntryFlags, ManifestReader, MonitoringDataset,
-    ReadOptions, RowTargets, SegmentConfig, SegmentError, SkippedSegment, SliceSource, TraceEntry,
-    TraceReader, TraceSource,
+    migrate_manifest, run_sink, ChunkView, Codec, DatasetConfig, EntryFlags, ManifestReader,
+    MonitoringDataset, ReadOptions, RowTargets, SegmentConfig, SegmentError, SkippedSegment,
+    SliceSource, TraceEntry, TraceReader, TraceSource,
 };
 use ipfs_monitoring::types::{varint, Cid, Country, Multiaddr, Multicodec, PeerId, Transport};
 use proptest::prelude::*;
@@ -75,7 +75,7 @@ proptest! {
     fn column_paths_match_entry_paths(seed in 0u64..1_000_000) {
         let case = differential_case(seed);
         let dir = temp_dir(&format!("columns-{seed}"));
-        write_manifest(&case.dataset, &dir, case.layout);
+        case.spill(&dir);
         let reader = ManifestReader::open(&dir).unwrap();
         for monitor in 0..reader.monitor_count() {
             prop_assert!(reader.segment_count(monitor) >= 2, "layout must rotate");
@@ -134,7 +134,8 @@ proptest! {
 proptest! {
     /// Rows flagged where they lie give, entry for entry, what entries
     /// flagged after they are built give: the flagged stream of the on-disk
-    /// dataset — `raw` and `col`, several segments per monitor — against the
+    /// dataset — collected (`raw`) and compacted (`col`), several segments
+    /// per monitor — against the
     /// in-memory dataset's, with the same statistics and the same number of
     /// keys tracked at the end; and the filtered stream, flagged, against
     /// the whole flagged stream filtered afterwards.
@@ -155,11 +156,12 @@ proptest! {
             expected.iter().filter(|entry| targets.matches(entry)).collect();
         prop_assert!(!expected_matching.is_empty());
 
-        for codec in Codec::writable() {
-            let dir = temp_dir(&format!("flagged-{seed}-{}", codec.name()));
-            let mut layout = case.layout;
-            layout.segment.codec = codec;
-            write_manifest(&case.dataset, &dir, layout);
+        for compact in [false, true] {
+            let dir = temp_dir(&format!("flagged-{seed}-{compact}"));
+            write_manifest(&case.dataset, &dir, case.layout);
+            if compact {
+                migrate_manifest(&dir).unwrap();
+            }
             let reader = ManifestReader::open(&dir).unwrap();
             for monitor in 0..reader.monitor_count() {
                 prop_assert!(reader.segment_count(monitor) >= 2, "layout must rotate");
@@ -168,7 +170,7 @@ proptest! {
             let mut flagged = flag_source(&reader, config);
             let mut rows = 0;
             for (row, entry) in (&mut flagged).enumerate() {
-                prop_assert_eq!(&entry, &expected[row], "row {} ({})", row, codec.name());
+                prop_assert_eq!(&entry, &expected[row], "row {} (compacted: {})", row, compact);
                 rows += 1;
             }
             prop_assert!(flagged.take_source_error().is_none());
@@ -380,10 +382,7 @@ fn one_key_across_chunks_segments_and_monitors_hits_the_window_edges() {
     let dir = temp_dir("hot-key");
     let layout = DatasetConfig {
         rotate_after_entries: 2 * chunk_capacity as u64,
-        segment: SegmentConfig {
-            chunk_capacity,
-            codec: Codec::Raw,
-        },
+        segment: SegmentConfig { chunk_capacity },
         ..DatasetConfig::default()
     };
     write_manifest(&dataset, &dir, layout);
@@ -543,13 +542,11 @@ fn damage_surfaces_identically_on_every_path() {
     let dir = temp_dir("column-damage");
     let layout = DatasetConfig {
         rotate_after_entries: 100,
-        segment: SegmentConfig {
-            chunk_capacity: 16,
-            codec: Codec::Col,
-        },
+        segment: SegmentConfig { chunk_capacity: 16 },
         ..DatasetConfig::default()
     };
     write_manifest(&dataset, &dir, layout);
+    migrate_manifest(&dir).unwrap();
     // Break a middle chunk of one segment per monitor (footers stay valid).
     for file in ["seg-000-00002.seg", "seg-001-00001.seg"] {
         let path = dir.join(file);
@@ -593,7 +590,7 @@ fn damage_surfaces_identically_on_every_path() {
 fn filtered_stream_is_the_merged_stream_minus_other_rows() {
     let case = differential_case(9);
     let dir = temp_dir("filtered");
-    write_manifest(&case.dataset, &dir, case.layout);
+    case.spill(&dir);
     let reader = ManifestReader::open(&dir).unwrap();
     let targets = RowTargets {
         cids: case.targets.idw_cids.iter().cloned().collect(),

@@ -10,8 +10,8 @@ use ipfs_monitoring::core::{
 use ipfs_monitoring::node::Network;
 use ipfs_monitoring::simnet::time::SimTime;
 use ipfs_monitoring::tracestore::{
-    Codec, ConnectionRecord, DatasetConfig, DatasetWriter, EntryFlags, MonitoringDataset,
-    SegmentConfig, TraceEntry, TraceSource,
+    migrate_manifest, ConnectionRecord, DatasetConfig, DatasetWriter, EntryFlags,
+    MonitoringDataset, SegmentConfig, TraceEntry, TraceSource,
 };
 use ipfs_monitoring::types::{Cid, Country, Multiaddr, Multicodec, PeerId, Transport};
 use ipfs_monitoring::workload::{build_scenario, ScenarioConfig};
@@ -104,9 +104,11 @@ pub struct DifferentialCase {
     /// At least two monitors, arrival jitter, and stored flags on some rows
     /// (so the flag plane is read, not assumed clear).
     pub dataset: MonitoringDataset,
-    /// Rotation into several segments per monitor, small chunks, `raw` or
-    /// `col`.
+    /// Rotation into several segments per monitor, small chunks.
     pub layout: DatasetConfig,
+    /// Whether the spilled dataset is read compacted (`col` chunks, after
+    /// `migrate_manifest`) or as collection wrote it (`raw` chunks).
+    pub compact: bool,
     /// IDW: a requested CID and an absent one. TNW: a peer that requested
     /// that CID, another present peer, and an absent one.
     pub targets: AttackTargets,
@@ -129,10 +131,10 @@ pub fn differential_case(seed: u64) -> DifferentialCase {
             .max(1),
         segment: SegmentConfig {
             chunk_capacity: rng.gen_range(1usize..48),
-            codec: Codec::writable()[rng.gen_range(0usize..2)],
         },
         ..DatasetConfig::default()
     };
+    let compact = rng.gen_range(0usize..2) == 1;
     let wanted = dataset.entries[0]
         .iter()
         .find(|entry| entry.is_request())
@@ -146,7 +148,19 @@ pub fn differential_case(seed: u64) -> DifferentialCase {
     DifferentialCase {
         dataset,
         layout,
+        compact,
         targets,
+    }
+}
+
+impl DifferentialCase {
+    /// Spills the case's dataset into `dir` under its layout, compacted when
+    /// the case says so.
+    pub fn spill(&self, dir: &Path) {
+        write_manifest(&self.dataset, dir, self.layout);
+        if self.compact {
+            migrate_manifest(dir).unwrap();
+        }
     }
 }
 
@@ -194,7 +208,6 @@ pub fn write_manifest_rotated(dataset: &MonitoringDataset, dir: &Path, rotate: u
             rotate_after_entries: rotate,
             segment: SegmentConfig {
                 chunk_capacity: chunk,
-                ..SegmentConfig::default()
             },
             ..DatasetConfig::default()
         },

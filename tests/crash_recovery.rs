@@ -16,9 +16,9 @@ use ipfs_monitoring::bitswap::RequestType;
 use ipfs_monitoring::core::{MonitorService, ServiceConfig};
 use ipfs_monitoring::simnet::time::SimTime;
 use ipfs_monitoring::tracestore::{
-    recover_dataset, recover_dataset_with, AnalysisSink, Codec, ConnectionRecord, DatasetConfig,
-    DatasetTail, DatasetWriter, EntryFlags, FaultPlan, FaultyStorage, ManifestReader, ReadOptions,
-    SegmentConfig, TraceEntry, TraceReader,
+    migrate_manifest, recover_dataset, recover_dataset_with, AnalysisSink, Codec, ConnectionRecord,
+    DatasetConfig, DatasetTail, DatasetWriter, EntryFlags, FaultPlan, FaultyStorage,
+    ManifestReader, ReadOptions, SegmentConfig, TraceEntry, TraceReader,
 };
 use ipfs_monitoring::types::{Cid, Country, Multiaddr, Multicodec, PeerId, Transport};
 use proptest::prelude::*;
@@ -60,12 +60,9 @@ fn reference_per_monitor() -> Vec<Vec<TraceEntry>> {
     per_monitor
 }
 
-fn config(codec: Codec) -> DatasetConfig {
+fn config() -> DatasetConfig {
     DatasetConfig {
-        segment: SegmentConfig {
-            chunk_capacity: 16,
-            codec,
-        },
+        segment: SegmentConfig { chunk_capacity: 16 },
         rotate_after_entries: 50,
         checkpoint_after_entries: 60,
     }
@@ -83,11 +80,11 @@ fn connection(monitor: usize) -> ConnectionRecord {
 
 /// Drives a collection run against `storage` until the first error (the
 /// injected crash) or clean completion. Returns whether `finish` ran clean.
-fn drive_collection(dir: &Path, codec: Codec, storage: &FaultyStorage) -> bool {
+fn drive_collection(dir: &Path, storage: &FaultyStorage) -> bool {
     let mut writer = match DatasetWriter::create_with(
         dir,
         vec!["us".into(), "de".into()],
-        config(codec),
+        config(),
         Arc::new(storage.clone()),
     ) {
         Ok(writer) => writer,
@@ -138,77 +135,90 @@ fn assert_prefix_consistent(dir: &Path, reference: &[Vec<TraceEntry>], context: 
     streamed
 }
 
-/// The tentpole property: a matrix of ≥50 crash points — every codec, clean
-/// and torn crashes, ops spanning chunk spills, rotations, checkpoints and
-/// the final manifest write — each recovered to a prefix-consistent dataset
-/// with zero loss past the last checkpoint, and recovery idempotent.
+/// The tentpole property: a matrix of ≥50 crash points — clean and torn
+/// crashes, ops spanning chunk spills, rotations, checkpoints and the final
+/// manifest write — each recovered to a prefix-consistent dataset with zero
+/// loss past the last checkpoint, recovery idempotent, and the recovered
+/// dataset compacted to `col` with the same streams and nothing left for
+/// recovery to do.
 #[test]
 fn crash_matrix_recovers_prefix_consistent_datasets() {
     let reference = reference_per_monitor();
     let mut crash_points_tested = 0u64;
     let mut truncations_seen = 0u64;
 
-    for codec in Codec::writable() {
-        // Learn the op budget of a fault-free run, and pin the reference.
-        let clean_dir = temp_dir(&format!("clean-{codec:?}"));
-        let probe = FaultyStorage::new(FaultPlan::none());
-        assert!(
-            drive_collection(&clean_dir, codec, &probe),
-            "fault-free run must finish"
-        );
-        let total_ops = probe.ops();
-        assert!(total_ops >= 20, "run must route its I/O through Storage");
+    // Learn the op budget of a fault-free run, and pin the reference.
+    let clean_dir = temp_dir("clean");
+    let probe = FaultyStorage::new(FaultPlan::none());
+    assert!(
+        drive_collection(&clean_dir, &probe),
+        "fault-free run must finish"
+    );
+    let total_ops = probe.ops();
+    assert!(total_ops >= 20, "run must route its I/O through Storage");
+    assert_eq!(
+        assert_prefix_consistent(&clean_dir, &reference, "fault-free"),
+        ENTRIES,
+        "fault-free run must hold every entry"
+    );
+    std::fs::remove_dir_all(&clean_dir).unwrap();
+
+    // Sample crash points across the whole run; alternate clean crashes
+    // (the failing op never happens) with torn ones (the failing write
+    // lands a bogus prefix that recovery must cut back).
+    let stride = (total_ops / 54).max(1);
+    for (k, crash_at) in (0..total_ops).step_by(stride as usize).enumerate() {
+        let dir = temp_dir(&format!("crash-{crash_at}"));
+        let plan = if k % 2 == 0 {
+            FaultPlan::crash_at(crash_at)
+        } else {
+            FaultPlan::torn_at(crash_at, 0x5eed ^ crash_at)
+        };
+        let faulty = FaultyStorage::new(plan);
+        let finished = drive_collection(&dir, &faulty);
+        assert!(!finished, "crash at op {crash_at} must abort the run");
+
+        let context = format!("crash at op {crash_at}");
+        let report = recover_dataset(&dir)
+            .unwrap_or_else(|error| panic!("{context}: recovery failed: {error}"));
         assert_eq!(
-            assert_prefix_consistent(&clean_dir, &reference, "fault-free"),
-            ENTRIES,
-            "fault-free run must hold every entry"
+            report.entries_lost_after_checkpoint, 0,
+            "{context}: checkpointed entries must survive any crash"
         );
-        std::fs::remove_dir_all(&clean_dir).unwrap();
+        truncations_seen += report.segments_truncated as u64;
 
-        // Sample crash points across the whole run; alternate clean crashes
-        // (the failing op never happens) with torn ones (the failing write
-        // lands a bogus prefix that recovery must cut back).
-        let stride = (total_ops / 27).max(1);
-        for (k, crash_at) in (0..total_ops).step_by(stride as usize).enumerate() {
-            let dir = temp_dir(&format!("crash-{codec:?}-{crash_at}"));
-            let plan = if k % 2 == 0 {
-                FaultPlan::crash_at(crash_at)
-            } else {
-                FaultPlan::torn_at(crash_at, 0x5eed ^ crash_at)
-            };
-            let faulty = FaultyStorage::new(plan);
-            let finished = drive_collection(&dir, codec, &faulty);
-            assert!(!finished, "crash at op {crash_at} must abort the run");
+        let streamed = assert_prefix_consistent(&dir, &reference, &context);
+        assert_eq!(
+            streamed, report.entries_recovered,
+            "{context}: report must count exactly what streams back"
+        );
+        let durable: u64 = report.resume.iter().map(|c| c.entries_durable).sum();
+        assert_eq!(
+            durable, report.entries_recovered,
+            "{context}: resume cursors must agree with the recovered total"
+        );
 
-            let context = format!("codec {codec:?} crash at op {crash_at}");
-            let report = recover_dataset(&dir)
-                .unwrap_or_else(|error| panic!("{context}: recovery failed: {error}"));
-            assert_eq!(
-                report.entries_lost_after_checkpoint, 0,
-                "{context}: checkpointed entries must survive any crash"
-            );
-            truncations_seen += report.segments_truncated as u64;
+        // Idempotence: recovering a recovered dataset changes nothing.
+        let again = recover_dataset(&dir)
+            .unwrap_or_else(|error| panic!("{context}: second recovery failed: {error}"));
+        assert!(again.clean, "{context}: second recovery must be a no-op");
+        assert_eq!(again.entries_recovered, report.entries_recovered);
 
-            let streamed = assert_prefix_consistent(&dir, &reference, &context);
-            assert_eq!(
-                streamed, report.entries_recovered,
-                "{context}: report must count exactly what streams back"
-            );
-            let durable: u64 = report.resume.iter().map(|c| c.entries_durable).sum();
-            assert_eq!(
-                durable, report.entries_recovered,
-                "{context}: resume cursors must agree with the recovered total"
-            );
+        // What recovery keeps is a finished dataset: it compacts.
+        migrate_manifest(&dir)
+            .unwrap_or_else(|error| panic!("{context}: compaction failed: {error}"));
+        assert_eq!(
+            assert_prefix_consistent(&dir, &reference, &context),
+            streamed,
+            "{context}: compaction must keep every recovered entry"
+        );
+        assert!(
+            recover_dataset(&dir).unwrap().clean,
+            "{context}: a compacted dataset needs no recovery"
+        );
 
-            // Idempotence: recovering a recovered dataset changes nothing.
-            let again = recover_dataset(&dir)
-                .unwrap_or_else(|error| panic!("{context}: second recovery failed: {error}"));
-            assert!(again.clean, "{context}: second recovery must be a no-op");
-            assert_eq!(again.entries_recovered, report.entries_recovered);
-
-            crash_points_tested += 1;
-            std::fs::remove_dir_all(&dir).unwrap();
-        }
+        crash_points_tested += 1;
+        std::fs::remove_dir_all(&dir).unwrap();
     }
     assert!(
         crash_points_tested >= 50,
@@ -220,17 +230,15 @@ fn crash_matrix_recovers_prefix_consistent_datasets() {
     );
 }
 
-/// Writes a single-segment, single-monitor dataset and returns the segment
-/// path plus the chunk index boundaries (end offset, cumulative entries).
-fn single_segment_dataset(dir: &Path, codec: Codec, entries: u64) -> (PathBuf, Vec<(u64, u64)>) {
+/// Writes a single-segment, single-monitor dataset — compacted to `col` when
+/// `compact` — and returns the segment path plus the chunk index boundaries
+/// (end offset, cumulative entries).
+fn single_segment_dataset(dir: &Path, compact: bool, entries: u64) -> (PathBuf, Vec<(u64, u64)>) {
     let mut writer = DatasetWriter::create(
         dir,
         vec!["us".into()],
         DatasetConfig {
-            segment: SegmentConfig {
-                chunk_capacity: 16,
-                codec,
-            },
+            segment: SegmentConfig { chunk_capacity: 16 },
             rotate_after_entries: u64::MAX,
             ..DatasetConfig::default()
         },
@@ -240,6 +248,9 @@ fn single_segment_dataset(dir: &Path, codec: Codec, entries: u64) -> (PathBuf, V
         writer.append(&entry(i, 0)).unwrap();
     }
     writer.finish().unwrap();
+    if compact {
+        migrate_manifest(dir).unwrap();
+    }
     let path = dir.join("seg-000-00000.seg");
     let bytes = std::fs::read(&path).unwrap();
     let reader = TraceReader::new(ipfs_monitoring::tracestore::SliceSource::new(&bytes)).unwrap();
@@ -268,9 +279,9 @@ fn expected_after_truncation(boundaries: &[(u64, u64)], len: u64) -> u64 {
 
 /// Truncates the segment to `len`, recovers, and checks the dataset streams
 /// exactly the longest CRC-valid chunk prefix. Never panics, any `len`.
-fn check_truncation(codec: Codec, len: u64, tag: &str) {
+fn check_truncation(compact: bool, len: u64, tag: &str) {
     let dir = temp_dir(&format!("torn-{tag}"));
-    let (path, boundaries) = single_segment_dataset(&dir, codec, 200);
+    let (path, boundaries) = single_segment_dataset(&dir, compact, 200);
     let full = std::fs::metadata(&path).unwrap().len();
     let len = len.min(full);
     let expected = expected_after_truncation(&boundaries, len);
@@ -278,7 +289,7 @@ fn check_truncation(codec: Codec, len: u64, tag: &str) {
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..len as usize]).unwrap();
 
-    let context = format!("codec {codec:?} truncated to {len}/{full}");
+    let context = format!("compacted: {compact}, truncated to {len}/{full}");
     let report =
         recover_dataset(&dir).unwrap_or_else(|error| panic!("{context}: recovery failed: {error}"));
     assert_eq!(
@@ -299,18 +310,17 @@ fn check_truncation(codec: Codec, len: u64, tag: &str) {
 }
 
 proptest! {
-    /// Any byte-length truncation of a segment, any codec: recovery returns
-    /// the longest CRC-valid chunk prefix and never panics.
+    /// Any byte-length truncation of a segment, collected or compacted:
+    /// recovery returns the longest CRC-valid chunk prefix and never panics.
     #[test]
     fn torn_tail_truncation_recovers_longest_valid_prefix(
-        codec_index in 0usize..2,
+        compact in any::<bool>(),
         fraction in 0.0f64..=1.0,
     ) {
-        let codec = Codec::writable()[codec_index];
         // `check_truncation` clamps to the real file length; 1 MiB is a safe
         // upper bound for a 200-entry segment, so `fraction` spans the file.
         let len = (fraction * (1 << 20) as f64) as u64;
-        check_truncation(codec, len, &format!("prop-{codec_index}-{len}"));
+        check_truncation(compact, len, &format!("prop-{compact}-{len}"));
     }
 }
 
@@ -321,7 +331,7 @@ proptest! {
 /// the length of the segment's valid prefix.
 fn crafted_length_dataset(tag: &str) -> (PathBuf, PathBuf, u64) {
     let dir = temp_dir(tag);
-    let (path, boundaries) = single_segment_dataset(&dir, Codec::Raw, 100);
+    let (path, boundaries) = single_segment_dataset(&dir, false, 100);
     let valid_end = boundaries.last().unwrap().0;
     let mut bytes = std::fs::read(&path).unwrap();
     bytes.truncate(valid_end as usize);
@@ -397,7 +407,7 @@ fn foreign_monitor_frame_ends_the_segment_for_tail_recovery_and_reader() {
 
     // A torn open segment: no footer, no manifest, frames to the end.
     let dir = temp_dir("foreign-frame");
-    let (path, boundaries) = single_segment_dataset(&dir, Codec::Raw, 100);
+    let (path, boundaries) = single_segment_dataset(&dir, false, 100);
     std::fs::remove_file(dir.join(ipfs_monitoring::tracestore::MANIFEST_FILE_NAME)).unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
     bytes.truncate(boundaries.last().unwrap().0 as usize);
@@ -454,7 +464,7 @@ fn two_label_footer_is_corrupt() {
     use ipfs_monitoring::types::varint;
 
     let dir = temp_dir("two-label-footer");
-    let (path, boundaries) = single_segment_dataset(&dir, Codec::Raw, 100);
+    let (path, boundaries) = single_segment_dataset(&dir, false, 100);
     let sealed = std::fs::read(&path).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
     assert!(TraceReader::new(SliceSource::new(&sealed)).is_ok());
@@ -486,9 +496,9 @@ fn two_label_footer_is_corrupt() {
 /// boundaries and their off-by-one neighbours, plus the degenerate lengths.
 #[test]
 fn torn_tail_boundary_sweep() {
-    for codec in Codec::writable() {
-        let probe_dir = temp_dir(&format!("torn-probe-{codec:?}"));
-        let (path, boundaries) = single_segment_dataset(&probe_dir, codec, 200);
+    for compact in [false, true] {
+        let probe_dir = temp_dir(&format!("torn-probe-{compact}"));
+        let (path, boundaries) = single_segment_dataset(&probe_dir, compact, 200);
         let full = std::fs::metadata(&path).unwrap().len();
         std::fs::remove_dir_all(&probe_dir).unwrap();
 
@@ -497,7 +507,7 @@ fn torn_tail_boundary_sweep() {
             lengths.extend([end.saturating_sub(1), end, end + 1]);
         }
         for (k, len) in lengths.into_iter().enumerate() {
-            check_truncation(codec, len, &format!("sweep-{codec:?}-{k}"));
+            check_truncation(compact, len, &format!("sweep-{compact}-{k}"));
         }
     }
 }
@@ -530,13 +540,13 @@ impl AnalysisSink for CountSink {
 #[test]
 fn skip_corrupt_streams_damaged_dataset_with_exact_report() {
     let dir = temp_dir("skip-corrupt");
-    let mut writer =
-        DatasetWriter::create(&dir, vec!["us".into(), "de".into()], config(Codec::Col)).unwrap();
+    let mut writer = DatasetWriter::create(&dir, vec!["us".into(), "de".into()], config()).unwrap();
     for i in 0..ENTRIES {
         let monitor = (i % MONITORS as u64) as usize;
         writer.append(&entry(i, monitor)).unwrap();
     }
     writer.finish().unwrap();
+    migrate_manifest(&dir).unwrap();
 
     // Monitor 0 rotates every 50 of its 120 entries: seg 0..=2. Damage:
     // delete its middle segment, CRC-break a late chunk of its last segment
@@ -644,17 +654,14 @@ fn copy_dir(from: &Path, to: &Path) {
 fn recovery_survives_crashes_during_recovery() {
     // One damaged dataset, reused as the template for every crash point.
     let template = temp_dir("rec-crash-template");
-    let mut writer = DatasetWriter::create(
-        &template,
-        vec!["us".into(), "de".into()],
-        config(Codec::Col),
-    )
-    .unwrap();
+    let mut writer =
+        DatasetWriter::create(&template, vec!["us".into(), "de".into()], config()).unwrap();
     for i in 0..ENTRIES {
         let monitor = (i % MONITORS as u64) as usize;
         writer.append(&entry(i, monitor)).unwrap();
     }
     writer.finish().unwrap();
+    migrate_manifest(&template).unwrap();
     // Damage: cut the last third off one segment (forces a rebuild) and
     // leave a stale tmp file (forces a sweep).
     let victim = template.join("seg-001-00001.seg");

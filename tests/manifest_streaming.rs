@@ -45,7 +45,7 @@ proptest! {
         let dataset = random_dataset(seed, monitors, per_monitor, jitter);
         let dir = temp_dir(&format!("prop-{seed}-{monitors}-{per_monitor}"));
         write_manifest(&dataset, &dir, DatasetConfig {
-            segment: SegmentConfig { chunk_capacity: chunk , ..SegmentConfig::default() },
+            segment: SegmentConfig { chunk_capacity: chunk },
             rotate_after_entries: rotate,
             ..DatasetConfig::default()
         });
@@ -83,10 +83,7 @@ fn corrupted_chunk_in_manifest_segment_is_detected() {
         &dataset,
         &dir,
         DatasetConfig {
-            segment: SegmentConfig {
-                chunk_capacity: 16,
-                ..SegmentConfig::default()
-            },
+            segment: SegmentConfig { chunk_capacity: 16 },
             rotate_after_entries: 40,
             ..DatasetConfig::default()
         },
@@ -144,7 +141,6 @@ fn scenario_analyses_from_manifest_match_in_memory() {
         DatasetConfig {
             segment: SegmentConfig {
                 chunk_capacity: 128,
-                ..SegmentConfig::default()
             },
             rotate_after_entries: (dataset.total_entries() as u64 / 5).max(1),
             ..DatasetConfig::default()
@@ -224,10 +220,7 @@ fn chain_merge_keeps_bounded_active_window() {
         &dataset,
         &dir,
         DatasetConfig {
-            segment: SegmentConfig {
-                chunk_capacity: 32,
-                ..SegmentConfig::default()
-            },
+            segment: SegmentConfig { chunk_capacity: 32 },
             rotate_after_entries: 100,
             ..DatasetConfig::default()
         },
@@ -266,10 +259,7 @@ fn manifest_listing_order_is_normalized_and_duplicates_rejected() {
         &dataset,
         &dir,
         DatasetConfig {
-            segment: SegmentConfig {
-                chunk_capacity: 32,
-                ..SegmentConfig::default()
-            },
+            segment: SegmentConfig { chunk_capacity: 32 },
             rotate_after_entries: 40,
             ..DatasetConfig::default()
         },
@@ -324,10 +314,7 @@ fn all_trace_sources_yield_identical_merged_streams() {
         &dataset,
         &dir,
         DatasetConfig {
-            segment: SegmentConfig {
-                chunk_capacity: 32,
-                ..SegmentConfig::default()
-            },
+            segment: SegmentConfig { chunk_capacity: 32 },
             rotate_after_entries: 70,
             ..DatasetConfig::default()
         },

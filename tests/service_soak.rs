@@ -35,10 +35,7 @@ const POLL_EVERY: usize = 23;
 fn config() -> ServiceConfig {
     ServiceConfig {
         dataset: DatasetConfig {
-            segment: SegmentConfig {
-                chunk_capacity: 8,
-                ..SegmentConfig::default()
-            },
+            segment: SegmentConfig { chunk_capacity: 8 },
             rotate_after_entries: 37,
             checkpoint_after_entries: 11,
         },

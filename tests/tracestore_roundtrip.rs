@@ -114,7 +114,7 @@ proptest! {
         jitter in 0u64..1_500,
     ) {
         let dataset = random_dataset(seed, 1, entries, jitter);
-        let config = SegmentConfig { chunk_capacity: 64, ..SegmentConfig::default() };
+        let config = SegmentConfig { chunk_capacity: 64 };
         let bytes = segment_bytes(&dataset, config);
         let (label, entries, connections) = read_segment(SliceSource::new(&bytes)).unwrap();
         prop_assert_eq!(&label, &dataset.monitor_labels[0]);
@@ -164,7 +164,6 @@ fn file_backed_segment_roundtrips() {
         std::env::temp_dir().join(format!("tracestore_roundtrip_{}.seg", std::process::id()));
     let config = SegmentConfig {
         chunk_capacity: 128,
-        ..SegmentConfig::default()
     };
     write_segment(&dataset, config, std::fs::File::create(&path).unwrap());
 
@@ -182,13 +181,7 @@ fn file_backed_segment_roundtrips() {
 #[test]
 fn corrupted_chunk_is_detected() {
     let dataset = random_dataset(7, 1, 240, 0);
-    let mut bytes = segment_bytes(
-        &dataset,
-        SegmentConfig {
-            chunk_capacity: 64,
-            ..SegmentConfig::default()
-        },
-    );
+    let mut bytes = segment_bytes(&dataset, SegmentConfig { chunk_capacity: 64 });
 
     let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
     let chunk = reader.chunks()[0];
@@ -232,7 +225,6 @@ fn scenario_spill_matches_in_memory_pipeline() {
         let dataset_config = DatasetConfig {
             segment: SegmentConfig {
                 chunk_capacity: 256,
-                ..SegmentConfig::default()
             },
             rotate_after_entries: 1_000,
             ..DatasetConfig::default()
