@@ -63,11 +63,11 @@ fn main() {
 
     let report = migrate_manifest(&dir).expect("migrate manifest");
     println!(
-        "migrated {} to codec=col: {} segments ({} rewritten, {} skipped), {} entries",
+        "migrated {} to codec=col: {} segments ({} rewritten, {} kept), {} entries",
         dir.display(),
         report.segments_total,
         report.segments_rewritten,
-        report.segments_skipped,
+        report.segments_total - report.segments_rewritten,
         report.entries,
     );
     println!(

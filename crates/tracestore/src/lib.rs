@@ -109,7 +109,7 @@ pub use manifest::{
 pub use migrate::{migrate_manifest, migrate_manifest_with, MigrateReport, MIGRATE_TMP_SUFFIX};
 pub use reader::{
     ChainedMonitorStream, ChunkSource, EntryStream, FileSource, ManifestMergedStream,
-    ManifestReader, MergedRow, ReadOptions, SkippedSegment, SliceSource, TraceReader,
+    ManifestReader, MergedRow, SliceSource, TraceReader,
 };
 pub use record::{ConnectionRecord, EntryFlags, MonitoringDataset, TraceEntry, UnifiedTrace};
 pub use recover::{

@@ -90,11 +90,13 @@ impl SegmentMeta {
     }
 
     /// Inverse of [`SegmentMeta::file_name_of`]: `(monitor, sequence)`, or
-    /// `None` for a file this crate did not name.
+    /// `None` for a file this crate did not name — including another
+    /// spelling of the same numbers (`seg-0-0.seg`, a sign, extra padding).
     pub(crate) fn parse_file_name(name: &str) -> Option<(usize, u64)> {
         let rest = name.strip_prefix("seg-")?.strip_suffix(".seg")?;
         let (monitor, sequence) = rest.split_once('-')?;
-        Some((monitor.parse().ok()?, sequence.parse().ok()?))
+        let (monitor, sequence) = (monitor.parse().ok()?, sequence.parse().ok()?);
+        (Self::file_name_of(monitor, sequence) == name).then_some((monitor, sequence))
     }
 
     /// `count:varint row*`, a row being `name_len:varint name monitor:varint

@@ -56,10 +56,9 @@ pub const MIGRATE_TMP_SUFFIX: &str = ".migrate-tmp";
 pub struct MigrateReport {
     /// Segments listed in the manifest.
     pub segments_total: usize,
-    /// Segments rewritten in the `Col` layout.
+    /// Segments rewritten in the `Col` layout; the rest were left as they
+    /// were, because compaction would not change them.
     pub segments_rewritten: usize,
-    /// Segments skipped because compaction would not change them.
-    pub segments_skipped: usize,
     /// Trace entries streamed through rewritten segments.
     pub entries: u64,
     /// Total size of all segment files before compaction, in bytes.
@@ -234,9 +233,7 @@ pub fn migrate_manifest_with(
         let path = dir.join(&segment.file_name);
         report.bytes_before += std::fs::metadata(&path)?.len();
         let already_done = segment_is_compacted(&TraceReader::new(FileSource::open(&path)?)?)?;
-        if already_done {
-            report.segments_skipped += 1;
-        } else {
+        if !already_done {
             report.entries += rewrite_segment(storage, &path)?;
             report.segments_rewritten += 1;
             obs::counter!("migrate.segments_rewritten").incr();
@@ -255,7 +252,7 @@ pub fn migrate_manifest_with(
 mod tests {
     use super::*;
     use crate::manifest::{DatasetConfig, DatasetWriter};
-    use crate::reader::{ManifestReader, ReadOptions};
+    use crate::reader::ManifestReader;
     use crate::record::{ConnectionRecord, EntryFlags};
     use ipfs_mon_bitswap::RequestType;
     use ipfs_mon_simnet::time::SimTime;
@@ -302,7 +299,7 @@ mod tests {
     }
 
     fn merged_entries(dir: &Path) -> Vec<TraceEntry> {
-        let reader = ManifestReader::open_with(dir, ReadOptions::default()).unwrap();
+        let reader = ManifestReader::open(dir).unwrap();
         let mut stream = reader.stream_merged();
         let entries: Vec<_> = stream.by_ref().collect();
         assert!(stream.take_error().is_none());
@@ -335,13 +332,11 @@ mod tests {
 
         let report = migrate_manifest(&dir).unwrap();
         assert_eq!(report.segments_rewritten, report.segments_total);
-        assert_eq!(report.segments_skipped, 0);
         assert_eq!(report.entries, 120);
 
         assert_eq!(merged_entries(&dir), before);
         // Second run is a no-op: everything already carries Col.
         let again = migrate_manifest(&dir).unwrap();
-        assert_eq!(again.segments_skipped, again.segments_total);
         assert_eq!(again.segments_rewritten, 0);
         assert_eq!(again.bytes_after, report.bytes_after);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -367,7 +362,7 @@ mod tests {
 
             let second = migrate_manifest(&dir).unwrap();
             assert_eq!(
-                (second.segments_rewritten, second.segments_skipped),
+                (second.segments_rewritten, second.segments_total),
                 (0, 1),
                 "{entries} entries"
             );

@@ -3,6 +3,12 @@
 //! ([`ManifestReader`], which knows which monitor each segment belongs to and
 //! stamps that index on every record it yields — the index stored inside a
 //! segment is the constant 0, refused when it is not, and never consulted).
+//!
+//! A reader has one behaviour under damage: it fails. A missing, mislabelled
+//! or miscounted segment fails [`ManifestReader::open`]; damage only a decode
+//! finds ends every stream of the dataset in the same typed first error
+//! (the lowest failing monitor's). Nothing is skipped; the one repair is
+//! [`crate::recover_dataset`].
 
 use crate::manifest::{Manifest, SegmentMeta};
 use crate::record::{ConnectionRecord, TraceEntry};
@@ -16,7 +22,7 @@ use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::path::Path;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 
 /// Random-access byte source a segment is read from.
 ///
@@ -671,79 +677,6 @@ impl<S: ChunkSource> SortedKeys<'_, S> {
 // Multi-segment datasets
 // ---------------------------------------------------------------------------
 
-/// How a [`ManifestReader`] reads its segments.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReadOptions {
-    /// Degrade gracefully instead of failing the whole read when a segment
-    /// is missing, truncated or corrupt.
-    ///
-    /// With this set, a segment that fails to open or validate against the
-    /// manifest is *skipped* (recorded in
-    /// [`ManifestReader::skipped_segments`]) rather than aborting
-    /// [`ManifestReader::open_with`], and a segment whose stream
-    /// dies mid-decode (chunk CRC mismatch, I/O error) is retired from the
-    /// merge the same way instead of latching a stream error. Healthy
-    /// segments still stream in exact order; the skip report says precisely
-    /// which segments (and how many manifest-recorded entries) were lost.
-    /// This is the read-side companion to [`crate::recover_dataset`]: use it
-    /// to salvage an analysis from a damaged dataset that has not (or cannot)
-    /// be repaired in place — e.g. one whose manifest still references
-    /// quarantined segments.
-    pub skip_corrupt: bool,
-}
-
-impl ReadOptions {
-    /// Builder-style setter for [`ReadOptions::skip_corrupt`].
-    pub fn skip_corrupt(mut self, skip_corrupt: bool) -> Self {
-        self.skip_corrupt = skip_corrupt;
-        self
-    }
-}
-
-/// One segment a [`ReadOptions::skip_corrupt`] read skipped, and why.
-///
-/// Returned by [`ManifestReader::skipped_segments`]. `entries` is what the
-/// *manifest* recorded for the segment — an upper bound on what was lost
-/// (a segment skipped mid-stream already delivered part of its entries).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SkippedSegment {
-    /// File name of the segment, as recorded in the manifest.
-    pub file_name: String,
-    /// Global monitor index the manifest maps the segment to.
-    pub monitor: usize,
-    /// Rotation sequence of the segment within its monitor chain.
-    pub sequence: u64,
-    /// Entry count the manifest recorded for the segment.
-    pub entries: u64,
-    /// Human-readable description of the failure that caused the skip.
-    pub reason: String,
-}
-
-/// Shared skip report: open-time skips are recorded at construction,
-/// stream-time skips by the (concurrent) per-monitor chain streams.
-type SkipLog = Arc<Mutex<Vec<SkippedSegment>>>;
-
-/// Manifest-side identity of an opened segment, kept aligned with the
-/// reader chain so stream-time failures can be attributed in skip reports.
-#[derive(Debug, Clone)]
-struct SegmentIdent {
-    file_name: String,
-    sequence: u64,
-    entries: u64,
-}
-
-/// Records a skipped segment in the shared log (and the obs counter).
-fn record_skip(log: &SkipLog, monitor: usize, ident: &SegmentIdent, reason: String) {
-    obs::counter!("store.segments_skipped").incr();
-    log.lock().unwrap().push(SkippedSegment {
-        file_name: ident.file_name.clone(),
-        monitor,
-        sequence: ident.sequence,
-        entries: ident.entries,
-        reason,
-    });
-}
-
 /// A multi-segment dataset opened through its manifest.
 ///
 /// Every segment of the manifest is opened and validated up front (one file
@@ -767,27 +700,14 @@ pub struct ManifestReader {
     /// chain is `Arc`-shared so the prefetch workers of a merged stream
     /// read through these validated handles instead of re-opening files.
     segments: Vec<Arc<[TraceReader<FileSource>]>>,
-    /// Manifest identity of each opened segment, aligned with `segments` —
-    /// lets [`ReadOptions::skip_corrupt`] streams attribute mid-stream
-    /// failures to the right file in the skip report.
-    idents: Vec<Vec<SegmentIdent>>,
-    /// Skip report shared with every stream (and prefetch worker) the
-    /// reader spawns; only populated under [`ReadOptions::skip_corrupt`].
-    skipped: SkipLog,
-    options: ReadOptions,
     total_entries: u64,
 }
 
 impl ManifestReader {
     /// Opens a dataset from `path` — the manifest file or the directory
     /// holding it. Validates each segment's footer, label and entry count
-    /// against the manifest.
+    /// against the manifest (see the [module docs](self) on damage).
     pub fn open(path: impl AsRef<Path>) -> Result<Self, SegmentError> {
-        Self::open_with(path, ReadOptions::default())
-    }
-
-    /// Like [`ManifestReader::open`], with explicit [`ReadOptions`].
-    pub fn open_with(path: impl AsRef<Path>, options: ReadOptions) -> Result<Self, SegmentError> {
         let path = path.as_ref();
         let manifest = Manifest::load(path)?;
         let dir = if path.is_dir() {
@@ -795,16 +715,11 @@ impl ManifestReader {
         } else {
             path.parent().unwrap_or(Path::new("."))
         };
-        let skipped: SkipLog = SkipLog::default();
-        let mut keyed: Vec<Vec<(SegmentIdent, TraceReader<FileSource>)>> =
+        let mut keyed: Vec<Vec<(u64, TraceReader<FileSource>)>> =
             (0..manifest.monitor_labels.len())
                 .map(|_| Vec::new())
                 .collect();
         // Opens one segment and validates it against its manifest record.
-        // Every failure mode here is downgradeable under `skip_corrupt`;
-        // structural manifest damage (bad monitor index, duplicate rotation
-        // sequences) stays a hard error below either way — a skip report
-        // cannot make an ambiguous chain merge well-defined.
         let open_one = |meta: &SegmentMeta| -> Result<TraceReader<FileSource>, SegmentError> {
             let reader = TraceReader::new(FileSource::open(dir.join(&meta.file_name))?)?;
             if reader.label() != manifest.monitor_labels[meta.monitor] {
@@ -834,51 +749,27 @@ impl ManifestReader {
                     manifest.monitor_labels.len()
                 )));
             }
-            let ident = SegmentIdent {
-                file_name: meta.file_name.clone(),
-                sequence: meta.sequence,
-                entries: meta.entries,
-            };
-            match open_one(meta) {
-                Ok(reader) => keyed[meta.monitor].push((ident, reader)),
-                Err(error) if options.skip_corrupt => {
-                    record_skip(&skipped, meta.monitor, &ident, error.to_string());
-                }
-                Err(error) => return Err(error),
-            }
+            keyed[meta.monitor].push((meta.sequence, open_one(meta)?));
         }
         // The chain merge breaks timestamp ties by chain position, so the
         // position must be rotation order regardless of manifest listing
         // order; ambiguous (duplicate) sequences cannot be merged faithfully.
         let mut segments = Vec::with_capacity(keyed.len());
-        let mut idents = Vec::with_capacity(keyed.len());
         let mut total_entries = 0u64;
         for (monitor, mut chain) in keyed.into_iter().enumerate() {
-            chain.sort_by_key(|(ident, _)| ident.sequence);
-            if chain
-                .windows(2)
-                .any(|pair| pair[0].0.sequence == pair[1].0.sequence)
-            {
+            chain.sort_by_key(|&(sequence, _)| sequence);
+            if chain.windows(2).any(|pair| pair[0].0 == pair[1].0) {
                 return Err(SegmentError::Corrupt(format!(
                     "monitor {monitor} has segments with duplicate rotation sequences"
                 )));
             }
-            let mut chain_idents = Vec::with_capacity(chain.len());
-            let mut chain_readers = Vec::with_capacity(chain.len());
-            for (ident, reader) in chain {
-                total_entries += reader.total_entries();
-                chain_idents.push(ident);
-                chain_readers.push(reader);
-            }
-            idents.push(chain_idents);
-            segments.push(chain_readers.into());
+            let chain: Vec<_> = chain.into_iter().map(|(_, reader)| reader).collect();
+            total_entries += chain.iter().map(TraceReader::total_entries).sum::<u64>();
+            segments.push(chain.into());
         }
         Ok(Self {
             monitor_labels: manifest.monitor_labels,
             segments,
-            idents,
-            skipped,
-            options,
             total_entries,
         })
     }
@@ -894,37 +785,8 @@ impl ManifestReader {
     }
 
     /// Total entries across all segments.
-    ///
-    /// Under [`ReadOptions::skip_corrupt`] this counts only the segments
-    /// that actually opened — the honest upper bound on what streaming can
-    /// deliver, not what the manifest promised.
     pub fn total_entries(&self) -> u64 {
         self.total_entries
-    }
-
-    /// The segments a [`ReadOptions::skip_corrupt`] read skipped so far,
-    /// sorted by `(monitor, sequence)`.
-    ///
-    /// Open-time skips (missing file, unreadable footer, manifest mismatch)
-    /// are present as soon as the reader is constructed; a segment whose
-    /// stream died mid-decode appears once the stream (or a
-    /// [`ManifestReader::run_parallel`] run) has moved past it — consult the
-    /// report *after* draining a stream for the complete picture. Without
-    /// `skip_corrupt` the report is always empty: every failure is a hard
-    /// error instead.
-    pub fn skipped_segments(&self) -> Vec<SkippedSegment> {
-        let mut skipped = self.skipped.lock().unwrap().clone();
-        skipped.sort_by_key(|a| (a.monitor, a.sequence));
-        skipped
-    }
-
-    /// The skip log + segment identities for `monitor`, when (and only when)
-    /// [`ReadOptions::skip_corrupt`] is set — what a stream needs to record
-    /// and survive mid-stream segment failures.
-    fn skip_context(&self, monitor: usize) -> Option<(SkipLog, Vec<SegmentIdent>)> {
-        self.options
-            .skip_corrupt
-            .then(|| (self.skipped.clone(), self.idents[monitor].clone()))
     }
 
     /// Number of segment files backing `monitor`.
@@ -971,12 +833,7 @@ impl ManifestReader {
         monitor: usize,
         hook: Option<ChunkHook<'a>>,
     ) -> ChainedMonitorStream<'a> {
-        chain_stream(
-            &self.segments[monitor],
-            monitor,
-            self.skip_context(monitor),
-            hook,
-        )
+        chain_stream(&self.segments[monitor], monitor, hook)
     }
 
     /// Streams all entries of all monitors merged by `(timestamp, monitor)` —
@@ -1007,14 +864,7 @@ impl ManifestReader {
             .segments
             .iter()
             .enumerate()
-            .map(|(monitor, chain)| {
-                spawn_prefetch(
-                    chain.clone(),
-                    monitor,
-                    self.skip_context(monitor),
-                    select.clone(),
-                )
-            })
+            .map(|(monitor, chain)| spawn_prefetch(chain.clone(), monitor, select.clone()))
             .collect();
         let heads = streams
             .iter_mut()
@@ -1040,7 +890,6 @@ pub(crate) type ChunkSelect = Arc<dyn Fn(&SharedChunk, &mut Vec<usize>) -> bool 
 fn chain_stream<'a>(
     readers: &'a [TraceReader<FileSource>],
     monitor: usize,
-    skip: Option<(SkipLog, Vec<SegmentIdent>)>,
     hook: Option<ChunkHook<'a>>,
 ) -> ChainedMonitorStream<'a> {
     // floors[i] = a safe lower bound on every timestamp in segments i..:
@@ -1070,7 +919,6 @@ fn chain_stream<'a>(
         next_pending: 0,
         active: Vec::new(),
         error: None,
-        skip,
         hook,
         rows: KeyedRows::default(),
     }
@@ -1113,11 +961,6 @@ pub struct ChainedMonitorStream<'a> {
     active: Vec<ActiveSegment<'a>>,
     /// First error from a retired stream (live streams keep their own).
     error: Option<SegmentError>,
-    /// [`ReadOptions::skip_corrupt`] mode: the shared skip log plus the
-    /// manifest identity of each rotation index. When set, a segment whose
-    /// stream dies is recorded there and the merge continues; when `None`,
-    /// the failure latches into `error` as usual.
-    skip: Option<(SkipLog, Vec<SegmentIdent>)>,
     /// Handed to every segment stream the chain admits.
     hook: Option<ChunkHook<'a>>,
     /// Every segment stream hands its chunks off here, so chunk numbers —
@@ -1127,32 +970,12 @@ pub struct ChainedMonitorStream<'a> {
 
 impl ChainedMonitorStream<'_> {
     /// Returns the first error any underlying segment stream hit, if one did.
-    ///
-    /// In [`ReadOptions::skip_corrupt`] mode this always returns `None` —
-    /// failures are recorded as skips (see
-    /// [`ManifestReader::skipped_segments`]) instead of latching.
     pub fn take_error(&mut self) -> Option<SegmentError> {
-        if self.skip.is_some() {
-            return None;
-        }
         self.error.take().or_else(|| {
             self.active
                 .iter_mut()
                 .find_map(|a| a.stream.inner.take_error())
         })
-    }
-
-    /// Routes a segment-stream failure: a skip record in degraded mode, a
-    /// latched error otherwise.
-    fn note_failure(&mut self, index: usize, error: SegmentError) {
-        match &self.skip {
-            Some((log, idents)) => {
-                record_skip(log, self.monitor, &idents[index], error.to_string());
-            }
-            None => {
-                self.error.get_or_insert(error);
-            }
-        }
     }
 
     /// Segment streams currently open in the merge (exposed for memory
@@ -1180,7 +1003,7 @@ impl ChainedMonitorStream<'_> {
             }),
             None => {
                 if let Some(error) = stream.inner.take_error() {
-                    self.note_failure(index, error);
+                    self.error.get_or_insert(error);
                 }
             }
         }
@@ -1220,7 +1043,7 @@ impl ChainedMonitorStream<'_> {
                         None => {
                             let mut retired = self.active.swap_remove(pos);
                             if let Some(error) = retired.stream.inner.take_error() {
-                                self.note_failure(retired.index, error);
+                                self.error.get_or_insert(error);
                             }
                             retired.head
                         }
@@ -1304,13 +1127,12 @@ struct PrefetchedMonitorStream {
 fn spawn_prefetch(
     readers: Arc<[TraceReader<FileSource>]>,
     monitor: usize,
-    skip: Option<(SkipLog, Vec<SegmentIdent>)>,
     select: Option<ChunkSelect>,
 ) -> PrefetchedMonitorStream {
     let (sender, receiver) = mpsc::sync_channel(PREFETCH_DEPTH);
     let worker = std::thread::spawn(move || {
         let hook = select.as_deref().map(|select| select as ChunkHook<'_>);
-        let mut stream = chain_stream(&readers, monitor, skip, hook);
+        let mut stream = chain_stream(&readers, monitor, hook);
         loop {
             let mut keys = Vec::with_capacity(PREFETCH_BATCH);
             while keys.len() < PREFETCH_BATCH {
@@ -1688,7 +1510,7 @@ mod tests {
     }
 
     /// Every chunk a stream has read, as the hook that logs them sees them.
-    type ChunkLog = Arc<Mutex<Vec<std::sync::Weak<ChunkView<'static>>>>>;
+    type ChunkLog = Arc<std::sync::Mutex<Vec<std::sync::Weak<ChunkView<'static>>>>>;
 
     /// The chunks of `log` that somebody still holds.
     fn alive(log: &ChunkLog) -> usize {

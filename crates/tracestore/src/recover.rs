@@ -18,7 +18,10 @@
 //!    `segment::walk_frames`, the one the live tail runs) and sealed with a
 //!    rebuilt footer (replaced through [`write_file_durable`], so recovery
 //!    itself can crash and re-run); a segment with a bad header or no valid
-//!    data is moved to `quarantine/` with a typed reason.
+//!    data is moved to `quarantine/` with a typed reason. A file whose name
+//!    is not one [`SegmentMeta`] writes, or names a monitor past the
+//!    checkpoint's or manifest's labels, is not this dataset's: it is left
+//!    alone, and only a segment that salvages adds a label.
 //! 4. **Re-chain** per monitor: segments must form a contiguous sequence
 //!    run starting at 0, and only the *last* segment of a chain may be
 //!    short of its recorded entry count. Anything after a gap, a truncated
@@ -40,6 +43,11 @@
 //! nothing ([`RecoveryReport::clean`]), and a crash mid-recovery (every
 //! mutation goes through the injectable [`Storage`]) leaves a directory the
 //! next run repairs to the same final state.
+//!
+//! Recovery is the store's one answer to damage. A
+//! [`ManifestReader`](crate::reader::ManifestReader) never reads past it:
+//! every read path of a damaged dataset ends in the same first error, and
+//! after recovery every path reads the same surviving entries.
 //!
 //! [`DatasetWriter::checkpoint`]: crate::manifest::DatasetWriter::checkpoint
 
@@ -95,10 +103,10 @@ impl std::fmt::Display for QuarantineReason {
 pub struct QuarantinedSegment {
     /// File name of the segment (now under `quarantine/`).
     pub file_name: String,
-    /// The monitor the file name claims, if it parsed.
-    pub monitor: Option<usize>,
-    /// The rotation sequence the file name claims, if it parsed.
-    pub sequence: Option<u64>,
+    /// The monitor the file name claims.
+    pub monitor: usize,
+    /// The rotation sequence the file name claims.
+    pub sequence: u64,
     /// Why it could not be kept.
     pub reason: QuarantineReason,
 }
@@ -139,8 +147,7 @@ pub struct RecoveryReport {
     /// Header-only open segments removed (they held no durable data, and an
     /// empty tail segment would add nothing to the chain).
     pub segments_removed_empty: usize,
-    /// Segments moved to `quarantine/`, with reasons — the exact set a
-    /// degraded reader ([`crate::reader::ReadOptions`]) would skip.
+    /// Segments moved to `quarantine/`, with reasons.
     pub quarantined: Vec<QuarantinedSegment>,
     /// Total entries in the recovered manifest.
     pub entries_recovered: u64,
@@ -335,6 +342,7 @@ pub fn recover_dataset_with(
     let quarantine = |storage: &dyn Storage,
                       report: &mut RecoveryReport,
                       name: &str,
+                      (monitor, sequence): (usize, u64),
                       reason: QuarantineReason|
      -> Result<(), SegmentError> {
         let quarantine_dir = dir.join(QUARANTINE_DIR_NAME);
@@ -342,12 +350,11 @@ pub fn recover_dataset_with(
         storage.rename(&dir.join(name), &quarantine_dir.join(name))?;
         storage.sync_dir(&quarantine_dir)?;
         storage.sync_dir(dir)?;
-        let parsed = SegmentMeta::parse_file_name(name);
         obs::counter!("recover.segments_quarantined").incr();
         report.quarantined.push(QuarantinedSegment {
             file_name: name.to_string(),
-            monitor: parsed.map(|(m, _)| m),
-            sequence: parsed.map(|(_, s)| s),
+            monitor,
+            sequence,
             reason,
         });
         Ok(())
@@ -356,17 +363,28 @@ pub fn recover_dataset_with(
     // Surviving segments per monitor: sequence -> (file name, entries).
     let mut chains: BTreeMap<usize, BTreeMap<u64, (String, u64, bool)>> = BTreeMap::new();
 
+    // A checkpoint or manifest fixes the dataset's monitors; without either,
+    // the segments that salvage name them. The bound also keeps
+    // `monitor + 1` below from overflowing.
+    let monitor_bound = if checkpoint.is_some() || prior_manifest.is_some() {
+        labels.len()
+    } else {
+        usize::MAX
+    };
     for name in segment_files {
-        let Some((monitor, sequence)) = SegmentMeta::parse_file_name(&name) else {
-            // A .seg file we did not write; leave it alone.
+        let Some((monitor, sequence)) =
+            SegmentMeta::parse_file_name(&name).filter(|&(monitor, _)| monitor < monitor_bound)
+        else {
+            // A .seg file we did not write, or not this dataset's; leave it
+            // alone.
             continue;
         };
-        if labels.len() <= monitor {
-            labels.resize_with(monitor + 1, String::new);
-        }
-        if labels[monitor].is_empty() {
-            labels[monitor] = format!("monitor-{monitor}");
-        }
+        let fallback = format!("monitor-{monitor}");
+        let label = labels
+            .get(monitor)
+            .filter(|label| !label.is_empty())
+            .unwrap_or(&fallback)
+            .clone();
         // Footer-bound connections of the checkpoint's open segment (the
         // only segment whose connections exist nowhere else on disk).
         let open_state = checkpoint.as_ref().and_then(|c| {
@@ -377,36 +395,45 @@ pub fn recover_dataset_with(
         });
         let connections = open_state.map(|o| o.connections.as_slice()).unwrap_or(&[]);
 
-        match salvage_segment(storage, &dir.join(&name), &labels[monitor], connections)? {
-            Salvage::Intact { entries, label } => {
-                if labels[monitor] == format!("monitor-{monitor}") {
-                    labels[monitor] = label;
+        let (entries, truncated, label) =
+            match salvage_segment(storage, &dir.join(&name), &label, connections)? {
+                Salvage::Intact {
+                    entries,
+                    label: stored,
+                } => {
+                    report.segments_intact += 1;
+                    let label = if label == fallback { stored } else { label };
+                    (entries, false, label)
                 }
-                report.segments_intact += 1;
-                chains
-                    .entry(monitor)
-                    .or_default()
-                    .insert(sequence, (name, entries, false));
-            }
-            Salvage::Truncated {
-                entries,
-                bytes_truncated,
-            } => {
-                report.segments_truncated += 1;
-                report.bytes_truncated += bytes_truncated;
-                obs::counter!("recover.segments_truncated").incr();
-                obs::counter!("recover.bytes_truncated").add(bytes_truncated);
-                chains
-                    .entry(monitor)
-                    .or_default()
-                    .insert(sequence, (name, entries, true));
-            }
-            Salvage::Empty => {
-                storage.remove_file(&dir.join(&name))?;
-                report.segments_removed_empty += 1;
-            }
-            Salvage::Quarantine(reason) => quarantine(storage, &mut report, &name, reason)?,
+                Salvage::Truncated {
+                    entries,
+                    bytes_truncated,
+                } => {
+                    report.segments_truncated += 1;
+                    report.bytes_truncated += bytes_truncated;
+                    obs::counter!("recover.segments_truncated").incr();
+                    obs::counter!("recover.bytes_truncated").add(bytes_truncated);
+                    (entries, true, label)
+                }
+                Salvage::Empty => {
+                    storage.remove_file(&dir.join(&name))?;
+                    report.segments_removed_empty += 1;
+                    continue;
+                }
+                Salvage::Quarantine(reason) => {
+                    quarantine(storage, &mut report, &name, (monitor, sequence), reason)?;
+                    continue;
+                }
+            };
+        // Only a segment that salvaged names a monitor.
+        if labels.len() <= monitor {
+            labels.resize_with(monitor + 1, String::new);
         }
+        labels[monitor] = label;
+        chains
+            .entry(monitor)
+            .or_default()
+            .insert(sequence, (name, entries, truncated));
     }
 
     // --- 4. Re-chain per monitor (prefix consistency) ------------------
@@ -422,6 +449,7 @@ pub fn recover_dataset_with(
                     storage,
                     &mut report,
                     name,
+                    (*monitor, sequence),
                     QuarantineReason::ChainBroken {
                         broken_at_sequence: broken,
                     },
@@ -435,6 +463,7 @@ pub fn recover_dataset_with(
                     storage,
                     &mut report,
                     name,
+                    (*monitor, sequence),
                     QuarantineReason::ChainBroken {
                         broken_at_sequence: expected_sequence,
                     },

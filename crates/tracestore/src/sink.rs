@@ -74,6 +74,10 @@
 //! the chunk was read, CRC-verified, column-validated and matched against
 //! its index row before a key into it existed.
 //!
+//! Both drivers fail on damage with the error of the lowest failing
+//! monitor, the one the merged stream reports; neither reads past it.
+//! [`crate::recover_dataset`] is the repair.
+//!
 //! # Example
 //!
 //! ```
@@ -288,10 +292,8 @@ impl ManifestReader {
     ///
     /// If any chain ends on a storage error, the error of the
     /// lowest-numbered failing monitor is returned (deterministic regardless
-    /// of worker timing) — unless the reader was opened with
-    /// [`crate::ReadOptions::skip_corrupt`], in which case failing segments
-    /// are recorded in [`ManifestReader::skipped_segments`] and the run
-    /// completes over the healthy remainder. How far every worker got —
+    /// of worker timing), the same error the merged stream reports. How far
+    /// every worker got —
     /// including the non-failing ones — is still reported: see
     /// [`ManifestReader::run_parallel_with_progress`], which this delegates
     /// to, and the `analysis.entries.<label>` obs counters it publishes.

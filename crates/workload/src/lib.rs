@@ -25,7 +25,5 @@ pub mod scenario;
 pub use catalog::{generate_catalog, CatalogConfig, MulticodecMix};
 pub use popularity::{PopularityModel, PopularitySampler};
 pub use population::{generate_population, OperatorConfig, Population, PopulationConfig};
-pub use requests::{
-    generate_gateway_requests, generate_node_requests, lazy_workload_sources, RequestWorkloadConfig,
-};
+pub use requests::{lazy_workload_sources, RequestWorkloadConfig};
 pub use scenario::{build_scenario, build_scenario_lazy, MonitorConfig, ScenarioConfig};

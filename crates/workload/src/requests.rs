@@ -10,12 +10,11 @@
 //!   weighted by the operator's traffic share, with its own (typically more
 //!   head-heavy) popularity profile.
 //!
-//! Each stream exists in two byte-identical forms: the eager generators
-//! ([`generate_node_requests`] / [`generate_gateway_requests`]) that
-//! materialize `Vec`s, and the pull-based sources
-//! ([`lazy_workload_sources`]) that replay the *same* RNG draw sequence one
-//! event at a time, so a simulation can run arbitrarily long horizons
-//! without ever holding the full request list in memory.
+//! Each stream is generated once, by a pull-based source
+//! ([`lazy_workload_sources`]) that draws one event at a time, so a
+//! simulation can run arbitrarily long horizons without ever holding the
+//! full request list in memory. A scenario that wants the request vectors
+//! materialized ([`crate::build_scenario`]) drains the same sources.
 
 use crate::popularity::{PopularityModel, PopularitySampler};
 use ipfs_mon_node::{
@@ -57,92 +56,9 @@ impl Default for RequestWorkloadConfig {
     }
 }
 
-/// Generates node-initiated requests for the given population and catalog
-/// size.
-pub fn generate_node_requests(
-    config: &RequestWorkloadConfig,
-    nodes: &[NodeSpec],
-    catalog_size: usize,
-    rng: &mut SimRng,
-) -> Vec<RequestEvent> {
-    assert!(catalog_size > 0, "catalog must not be empty");
-    let mut sampler_rng = rng.derive("node-popularity");
-    let sampler = PopularitySampler::new(config.node_popularity, catalog_size, &mut sampler_rng);
-    let mut requests = Vec::new();
-    for (index, node) in nodes.iter().enumerate() {
-        // Gateway nodes are driven by the HTTP workload, not by local users.
-        if node.config.role.is_gateway() {
-            continue;
-        }
-        let mut node_rng = rng.derive_indexed("requests", index as u64);
-        // Per-node rate: Pareto around the configured mean.
-        let shape = config.rate_shape.max(1.05);
-        let x_min = config.mean_node_requests_per_hour * (shape - 1.0) / shape;
-        let rate_per_hour = node_rng.sample_pareto(x_min.max(1e-3), shape);
-        let mean_gap_secs = 3600.0 / rate_per_hour;
-        for session in &node.schedule.sessions {
-            let mut t = session.start;
-            loop {
-                let gap = node_rng.sample_exponential(mean_gap_secs);
-                t += SimDuration::from_secs_f64(gap);
-                if t >= session.end {
-                    break;
-                }
-                requests.push(RequestEvent {
-                    at: t,
-                    node: index,
-                    content: sampler.sample(&mut node_rng),
-                });
-            }
-        }
-    }
-    requests.sort_by_key(|r| r.at);
-    requests
-}
-
-/// Generates gateway HTTP requests over `horizon` for the given operators'
-/// traffic shares.
-pub fn generate_gateway_requests(
-    config: &RequestWorkloadConfig,
-    operator_shares: &[f64],
-    catalog_size: usize,
-    horizon: SimDuration,
-    rng: &mut SimRng,
-) -> Vec<GatewayRequestEvent> {
-    assert!(catalog_size > 0, "catalog must not be empty");
-    if operator_shares.is_empty() || config.gateway_requests_per_hour <= 0.0 {
-        return Vec::new();
-    }
-    let mut sampler_rng = rng.derive("gateway-popularity");
-    let sampler = PopularitySampler::new(config.gateway_popularity, catalog_size, &mut sampler_rng);
-    let mut stream_rng = rng.derive("gateway-arrivals");
-    let mean_gap_secs = 3600.0 / config.gateway_requests_per_hour;
-    let horizon_end = SimTime::ZERO + horizon;
-    let mut requests = Vec::new();
-    let mut t = SimTime::ZERO;
-    loop {
-        let gap = stream_rng.sample_exponential(mean_gap_secs);
-        t += SimDuration::from_secs_f64(gap);
-        if t >= horizon_end {
-            break;
-        }
-        let operator = stream_rng.sample_weighted_index(operator_shares);
-        requests.push(GatewayRequestEvent {
-            at: t,
-            operator,
-            content: sampler.sample(&mut stream_rng),
-        });
-    }
-    requests
-}
-
-/// The Poisson request process of one node, pulled one event at a time.
-///
-/// Draw-for-draw identical to the per-node body of
-/// [`generate_node_requests`]: the per-node rate is sampled on first use,
-/// then gaps and content picks alternate exactly as the eager loop drew
-/// them, so merging these sources by `(time, node rank)` reproduces the
-/// eager, stably-time-sorted request vector byte for byte.
+/// The Poisson request process of one node, pulled one event at a time:
+/// the per-node rate is drawn first, then a gap and a content pick per
+/// arrival while the node is online.
 struct NodeRequestSource {
     node: usize,
     sessions: Arc<[OnlineSession]>,
@@ -164,7 +80,7 @@ impl NodeRequestSource {
         rate_shape: f64,
     ) -> Self {
         // Per-node rate: Pareto around the configured mean (the first draw
-        // the eager generator makes from this node's stream).
+        // from this node's stream).
         let x_min = rate_mean_per_hour * (rate_shape - 1.0) / rate_shape;
         let rate_per_hour = rng.sample_pareto(x_min.max(1e-3), rate_shape);
         let t = sessions.first().map(|s| s.start).unwrap_or(SimTime::ZERO);
@@ -225,8 +141,7 @@ impl EventSource for NodeRequestSource {
     }
 }
 
-/// The global gateway HTTP arrival stream, pulled one event at a time —
-/// draw-for-draw identical to [`generate_gateway_requests`].
+/// The global gateway HTTP arrival stream, pulled one event at a time.
 struct GatewayRequestSource {
     shares: Vec<f64>,
     sampler: Arc<PopularitySampler>,
@@ -287,13 +202,12 @@ impl EventSource for GatewayRequestSource {
 
 /// Builds the full set of lazy workload sources for a scenario: one
 /// node-request source per non-gateway node in index order, followed by
-/// the gateway stream — exactly the rank order
-/// [`ipfs_mon_node::Network::with_sources`] needs to reproduce the
-/// materialized delivery sequence.
+/// the gateway stream — the rank order
+/// [`ipfs_mon_node::Network::with_sources`] breaks timestamp ties by.
 ///
-/// `node_rng` must be the `"requests"`-derived stream and `gateway_rng` the
-/// `"gateway-requests"`-derived stream of the scenario seed, the same
-/// streams the eager generators receive in `build_scenario`.
+/// `node_rng` draws the node requests and `gateway_rng` the gateway ones;
+/// a scenario passes its seed's `"requests"`- and
+/// `"gateway-requests"`-derived streams.
 pub fn lazy_workload_sources(
     config: &RequestWorkloadConfig,
     nodes: &[NodeSpec],
@@ -348,6 +262,37 @@ pub fn lazy_workload_sources(
     sources
 }
 
+/// Drains `sources` into materialized request vectors: node requests in
+/// `(time, rank)` order with each source's arrival order kept on ties, the
+/// order [`ipfs_mon_node::Network::with_sources`] delivers them in, and
+/// gateway requests as their one source yields them.
+pub(crate) fn drain_workload_sources(
+    sources: Vec<DynWorkloadSource>,
+) -> (Vec<RequestEvent>, Vec<GatewayRequestEvent>) {
+    let mut requests = Vec::new();
+    let mut gateway_requests = Vec::new();
+    for mut source in sources {
+        while let Some((at, event)) = source.next_event() {
+            match event {
+                WorkloadEvent::Request { node, content } => {
+                    requests.push(RequestEvent { at, node, content })
+                }
+                WorkloadEvent::Gateway { operator, content } => {
+                    gateway_requests.push(GatewayRequestEvent {
+                        at,
+                        operator,
+                        content,
+                    })
+                }
+            }
+        }
+    }
+    // Sources come in rank order and each yields in time order, so a stable
+    // sort by time is the `(time, rank)` merge.
+    requests.sort_by_key(|request| request.at);
+    (requests, gateway_requests)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,6 +323,48 @@ mod tests {
         }
     }
 
+    /// The node requests of `nodes`, drained from their sources.
+    fn node_requests(
+        config: &RequestWorkloadConfig,
+        nodes: &[NodeSpec],
+        catalog_size: usize,
+        seed: u64,
+    ) -> Vec<RequestEvent> {
+        let rng = SimRng::new(seed);
+        let sources = lazy_workload_sources(
+            config,
+            nodes,
+            &[],
+            catalog_size,
+            SimDuration::ZERO,
+            &rng,
+            &rng,
+        );
+        drain_workload_sources(sources).0
+    }
+
+    /// The gateway requests of `operator_shares` over `horizon`, drained
+    /// from their source.
+    fn gateway_requests(
+        config: &RequestWorkloadConfig,
+        operator_shares: &[f64],
+        catalog_size: usize,
+        horizon: SimDuration,
+        seed: u64,
+    ) -> Vec<GatewayRequestEvent> {
+        let rng = SimRng::new(seed);
+        let sources = lazy_workload_sources(
+            config,
+            &[],
+            operator_shares,
+            catalog_size,
+            horizon,
+            &rng,
+            &rng,
+        );
+        drain_workload_sources(sources).1
+    }
+
     #[test]
     fn request_count_scales_with_rate_and_duration() {
         let config = RequestWorkloadConfig {
@@ -386,8 +373,7 @@ mod tests {
             ..Default::default()
         };
         let nodes: Vec<NodeSpec> = (0..200).map(|_| node(24)).collect();
-        let mut rng = SimRng::new(1);
-        let requests = generate_node_requests(&config, &nodes, 100, &mut rng);
+        let requests = node_requests(&config, &nodes, 100, 1);
         // ≈ 200 nodes * 24 h * ~3.5..4 req/h (Pareto mean ≈ configured mean).
         let expected = 200.0 * 24.0 * 4.0;
         let actual = requests.len() as f64;
@@ -401,8 +387,7 @@ mod tests {
     fn requests_fall_within_online_sessions() {
         let config = RequestWorkloadConfig::default();
         let nodes = vec![node(5)];
-        let mut rng = SimRng::new(2);
-        let requests = generate_node_requests(&config, &nodes, 50, &mut rng);
+        let requests = node_requests(&config, &nodes, 50, 2);
         for r in &requests {
             assert!(r.at < SimTime::ZERO + SimDuration::from_hours(5));
             assert_eq!(r.node, 0);
@@ -414,8 +399,7 @@ mod tests {
     fn gateway_nodes_generate_no_local_requests() {
         let config = RequestWorkloadConfig::default();
         let nodes = vec![gateway_node(), node(24)];
-        let mut rng = SimRng::new(3);
-        let requests = generate_node_requests(&config, &nodes, 10, &mut rng);
+        let requests = node_requests(&config, &nodes, 10, 3);
         assert!(requests.iter().all(|r| r.node == 1));
     }
 
@@ -423,8 +407,7 @@ mod tests {
     fn requests_are_time_sorted() {
         let config = RequestWorkloadConfig::default();
         let nodes: Vec<NodeSpec> = (0..50).map(|_| node(12)).collect();
-        let mut rng = SimRng::new(4);
-        let requests = generate_node_requests(&config, &nodes, 100, &mut rng);
+        let requests = node_requests(&config, &nodes, 100, 4);
         for pair in requests.windows(2) {
             assert!(pair[0].at <= pair[1].at);
         }
@@ -436,14 +419,7 @@ mod tests {
             gateway_requests_per_hour: 2_000.0,
             ..Default::default()
         };
-        let mut rng = SimRng::new(5);
-        let requests = generate_gateway_requests(
-            &config,
-            &[0.8, 0.2],
-            100,
-            SimDuration::from_hours(24),
-            &mut rng,
-        );
+        let requests = gateway_requests(&config, &[0.8, 0.2], 100, SimDuration::from_hours(24), 5);
         assert!(!requests.is_empty());
         let op0 = requests.iter().filter(|r| r.operator == 0).count() as f64;
         let share = op0 / requests.len() as f64;
@@ -456,107 +432,7 @@ mod tests {
             gateway_requests_per_hour: 0.0,
             ..Default::default()
         };
-        let mut rng = SimRng::new(6);
-        assert!(generate_gateway_requests(
-            &config,
-            &[1.0],
-            10,
-            SimDuration::from_hours(1),
-            &mut rng
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn lazy_sources_replay_eager_streams_exactly() {
-        use ipfs_mon_simnet::churn::ChurnModel;
-
-        let config = RequestWorkloadConfig {
-            gateway_requests_per_hour: 300.0,
-            ..Default::default()
-        };
-        let horizon = SimDuration::from_hours(24);
-        let churn = ChurnModel::default();
-        let parent = SimRng::new(41);
-        let mut nodes: Vec<NodeSpec> = (0..20)
-            .map(|i| {
-                let mut node_rng = parent.derive_indexed("churn", i);
-                NodeSpec {
-                    schedule: churn.schedule(&mut node_rng, horizon),
-                    ..node(24)
-                }
-            })
-            .collect();
-        nodes.push(gateway_node());
-        let shares = [0.7, 0.3];
-        let catalog = 60;
-
-        let rng = SimRng::new(17);
-        let mut eager_rng = rng.derive("requests");
-        let eager = generate_node_requests(&config, &nodes, catalog, &mut eager_rng);
-        let mut eager_gw_rng = rng.derive("gateway-requests");
-        let eager_gw =
-            generate_gateway_requests(&config, &shares, catalog, horizon, &mut eager_gw_rng);
-
-        let mut sources = lazy_workload_sources(
-            &config,
-            &nodes,
-            &shares,
-            catalog,
-            horizon,
-            &rng.derive("requests"),
-            &rng.derive("gateway-requests"),
-        );
-        // One source per non-gateway node, plus the gateway stream.
-        assert_eq!(sources.len(), 21);
-
-        // Drain each source; a rank-stable merge must reproduce the eager,
-        // stably time-sorted request vector byte for byte.
-        let mut merged: Vec<(SimTime, usize, WorkloadEvent)> = Vec::new();
-        for (rank, source) in sources.iter_mut().enumerate() {
-            let mut last = SimTime::ZERO;
-            while let Some(t) = source.peek_time() {
-                let (at, event) = source.next_event().expect("peek implies event");
-                assert_eq!(at, t);
-                assert!(at >= last, "nondecreasing within a source");
-                last = at;
-                merged.push((at, rank, event));
-            }
-            assert_eq!(source.next_event(), None);
-        }
-        merged.sort_by_key(|&(t, rank, _)| (t, rank));
-
-        let node_events: Vec<&(SimTime, usize, WorkloadEvent)> = merged
-            .iter()
-            .filter(|(_, _, e)| matches!(e, WorkloadEvent::Request { .. }))
-            .collect();
-        assert_eq!(node_events.len(), eager.len());
-        for (lazy, eager) in node_events.iter().zip(&eager) {
-            assert_eq!(lazy.0, eager.at);
-            assert_eq!(
-                lazy.2,
-                WorkloadEvent::Request {
-                    node: eager.node,
-                    content: eager.content
-                }
-            );
-        }
-
-        let gw_events: Vec<&(SimTime, usize, WorkloadEvent)> = merged
-            .iter()
-            .filter(|(_, _, e)| matches!(e, WorkloadEvent::Gateway { .. }))
-            .collect();
-        assert_eq!(gw_events.len(), eager_gw.len());
-        for (lazy, eager) in gw_events.iter().zip(&eager_gw) {
-            assert_eq!(lazy.0, eager.at);
-            assert_eq!(
-                lazy.2,
-                WorkloadEvent::Gateway {
-                    operator: eager.operator,
-                    content: eager.content
-                }
-            );
-        }
+        assert!(gateway_requests(&config, &[1.0], 10, SimDuration::from_hours(1), 6).is_empty());
     }
 
     #[test]
@@ -587,8 +463,7 @@ mod tests {
             ..Default::default()
         };
         let nodes: Vec<NodeSpec> = (0..300).map(|_| node(24)).collect();
-        let mut rng = SimRng::new(7);
-        let requests = generate_node_requests(&config, &nodes, 200, &mut rng);
+        let requests = node_requests(&config, &nodes, 200, 7);
         let mut per_node = vec![0usize; 300];
         for r in &requests {
             per_node[r.node] += 1;

@@ -7,9 +7,7 @@
 
 use crate::catalog::{generate_catalog, CatalogConfig};
 use crate::population::{generate_population, PopulationConfig};
-use crate::requests::{
-    generate_gateway_requests, generate_node_requests, lazy_workload_sources, RequestWorkloadConfig,
-};
+use crate::requests::{drain_workload_sources, lazy_workload_sources, RequestWorkloadConfig};
 use ipfs_mon_node::{DynWorkloadSource, MonitorSpec, Scenario, ScenarioParams};
 use ipfs_mon_simnet::rng::SimRng;
 use ipfs_mon_simnet::time::SimDuration;
@@ -103,79 +101,17 @@ impl ScenarioConfig {
     }
 }
 
-/// Everything both scenario builders share before the request workload: the
-/// generated population, catalog, operator traffic shares, and an assembled
-/// scenario shell carrying them. Keeping this in one place guarantees the
-/// eager and lazy builders stay draw-identical on every stream except the
-/// request ones.
-struct ScenarioBase {
-    rng: SimRng,
-    scenario: Scenario,
-    operator_shares: Vec<f64>,
-}
-
-fn build_scenario_base(config: &ScenarioConfig) -> ScenarioBase {
-    let rng = SimRng::new(config.seed);
-
-    let mut population_rng = rng.derive("population");
-    let population = generate_population(&config.population, config.horizon, &mut population_rng);
-
-    let mut catalog_rng = rng.derive("catalog");
-    let catalog = generate_catalog(&config.catalog, population.nodes.len(), &mut catalog_rng);
-
-    let operator_shares: Vec<f64> = population
-        .operators
-        .iter()
-        .map(|op| op.traffic_share.max(0.0))
-        .collect();
-
-    let mut scenario = Scenario::new(config.seed, config.horizon);
-    scenario.nodes = population.nodes;
-    scenario.operators = population.operators;
-    scenario.content = catalog;
-    scenario.params = config.params;
-    scenario.monitors = config
-        .monitors
-        .iter()
-        .map(|m| MonitorSpec::new(m.label.clone(), m.country, m.attach_probability))
-        .collect();
-    ScenarioBase {
-        rng,
-        scenario,
-        operator_shares,
-    }
-}
-
-/// Builds an executable scenario from a configuration.
+/// Builds an executable scenario from a configuration, its request vectors
+/// drained from the sources [`build_scenario_lazy`] returns.
 pub fn build_scenario(config: &ScenarioConfig) -> Scenario {
-    let ScenarioBase {
-        rng,
-        mut scenario,
-        operator_shares,
-    } = build_scenario_base(config);
-
-    let mut request_rng = rng.derive("requests");
-    scenario.requests = generate_node_requests(
-        &config.workload,
-        &scenario.nodes,
-        scenario.content.len(),
-        &mut request_rng,
-    );
-    let mut gateway_rng = rng.derive("gateway-requests");
-    scenario.gateway_requests = generate_gateway_requests(
-        &config.workload,
-        &operator_shares,
-        scenario.content.len(),
-        config.horizon,
-        &mut gateway_rng,
-    );
+    let (mut scenario, sources) = build_scenario_lazy(config);
+    (scenario.requests, scenario.gateway_requests) = drain_workload_sources(sources);
     scenario
 }
 
 /// Builds a scenario whose request workload is generated *lazily*: the
 /// returned scenario carries empty request vectors, and the accompanying
-/// sources replay the exact RNG streams [`build_scenario`] would have drawn,
-/// one event at a time. Feeding them to
+/// sources draw the requests one event at a time. Feeding them to
 /// [`ipfs_mon_node::Network::with_sources`] yields a monitor trace
 /// byte-identical to running the eagerly built scenario, with memory bounded
 /// by the population instead of `population × horizon`.
@@ -205,11 +141,30 @@ pub fn build_scenario(config: &ScenarioConfig) -> Scenario {
 /// assert_eq!(eager_sink.observations, lazy_sink.observations);
 /// ```
 pub fn build_scenario_lazy(config: &ScenarioConfig) -> (Scenario, Vec<DynWorkloadSource>) {
-    let ScenarioBase {
-        rng,
-        scenario,
-        operator_shares,
-    } = build_scenario_base(config);
+    let rng = SimRng::new(config.seed);
+
+    let mut population_rng = rng.derive("population");
+    let population = generate_population(&config.population, config.horizon, &mut population_rng);
+
+    let mut catalog_rng = rng.derive("catalog");
+    let catalog = generate_catalog(&config.catalog, population.nodes.len(), &mut catalog_rng);
+
+    let operator_shares: Vec<f64> = population
+        .operators
+        .iter()
+        .map(|op| op.traffic_share.max(0.0))
+        .collect();
+
+    let mut scenario = Scenario::new(config.seed, config.horizon);
+    scenario.nodes = population.nodes;
+    scenario.operators = population.operators;
+    scenario.content = catalog;
+    scenario.params = config.params;
+    scenario.monitors = config
+        .monitors
+        .iter()
+        .map(|m| MonitorSpec::new(m.label.clone(), m.country, m.attach_probability))
+        .collect();
 
     let sources = lazy_workload_sources(
         &config.workload,

@@ -9,7 +9,8 @@
 //! hashes made once per dictionary entry, before it builds the entry. Each
 //! must give exactly what the entry path gives — on clean datasets
 //! ([`differential_case`]), on a chunk whose dictionaries hold entries no
-//! row references, and on damaged datasets (same error, same skip report).
+//! row references, and on damaged datasets (the same first error, and after
+//! recovery the same entries).
 
 mod common;
 
@@ -23,13 +24,12 @@ use ipfs_monitoring::core::{
 use ipfs_monitoring::simnet::time::{SimDuration, SimTime};
 use ipfs_monitoring::tracestore::crc::crc32;
 use ipfs_monitoring::tracestore::{
-    migrate_manifest, run_sink, ChunkView, Codec, DatasetConfig, EntryFlags, ManifestReader,
-    MonitoringDataset, ReadOptions, RowTargets, SegmentConfig, SegmentError, SkippedSegment,
-    SliceSource, TraceEntry, TraceReader, TraceSource,
+    migrate_manifest, recover_dataset, run_sink, ChunkView, Codec, DatasetConfig, EntryFlags,
+    ManifestReader, MonitoringDataset, RowTargets, SegmentConfig, SegmentError, SliceSource,
+    SourceEntries, TraceEntry, TraceReader, TraceSource,
 };
 use ipfs_monitoring::types::{varint, Cid, Country, Multiaddr, Multicodec, PeerId, Transport};
 use proptest::prelude::*;
-use std::path::Path;
 
 const START: SimTime = SimTime::ZERO;
 const INTERVAL: SimDuration = SimDuration::from_mins(2);
@@ -479,63 +479,58 @@ fn one_key_across_chunks_segments_and_monitors_hits_the_window_edges() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Every way of reading the dataset in `dir`, as `(path name, error, skip
-/// report)`: the entry, timestamp and chunk forms of `run_parallel`, the
-/// flagged stream (rows flagged in their chunks), the merged stream and a
-/// filtered one.
-fn read_every_way(
-    dir: &Path,
-    options: ReadOptions,
+/// Every way of reading `source`, as `(path name, output or error)`: the
+/// entry, timestamp and chunk forms of `run_unmerged` (`run_parallel` on
+/// disk), the flagged stream (rows flagged in their chunks on disk), the
+/// merged stream and a filtered one. An output is shown with `{:?}`, so the
+/// outcomes of two sources compare path by path.
+fn read_every_way<S: TraceSource>(
+    source: &S,
     targets: &RowTargets,
-) -> Vec<(&'static str, Option<String>, Vec<SkippedSegment>)> {
-    let error_text = |error: Option<SegmentError>| error.map(|error| error.to_string());
-    let mut outcomes = Vec::new();
-    let reader = ManifestReader::open_with(dir, options).unwrap();
-    let by_entry = reader.run_parallel(CountSink::default());
-    outcomes.push((
-        "entry run",
-        error_text(by_entry.err()),
-        reader.skipped_segments(),
-    ));
-    let reader = ManifestReader::open_with(dir, options).unwrap();
-    let by_time = reader.run_parallel(EntryStatsSink::new());
-    outcomes.push((
-        "time run",
-        error_text(by_time.err()),
-        reader.skipped_segments(),
-    ));
-    let reader = ManifestReader::open_with(dir, options).unwrap();
-    let by_chunk = reader.run_parallel((PopularitySink::new(), ActivityCountsSink::new()));
-    outcomes.push((
-        "chunk run",
-        error_text(by_chunk.err()),
-        reader.skipped_segments(),
-    ));
-    let reader = ManifestReader::open_with(dir, options).unwrap();
-    let mut flagged = flag_source(&reader, PreprocessConfig::default());
-    (&mut flagged).for_each(drop);
-    let error = error_text(flagged.take_source_error());
-    drop(flagged);
-    outcomes.push(("flagged stream", error, reader.skipped_segments()));
-    for (name, filtered) in [("merged stream", false), ("filtered stream", true)] {
-        let reader = ManifestReader::open_with(dir, options).unwrap();
-        let mut stream = if filtered {
-            reader.merged_entries_matching(targets)
-        } else {
-            reader.merged_entries()
-        };
-        (&mut stream).for_each(drop);
-        let error = error_text(stream.take_error());
-        drop(stream);
-        outcomes.push((name, error, reader.skipped_segments()));
+) -> Vec<(&'static str, Result<String, String>)> {
+    fn shown<T: std::fmt::Debug>(result: Result<T, SegmentError>) -> Result<String, String> {
+        result
+            .map(|output| format!("{output:?}"))
+            .map_err(|error| error.to_string())
     }
-    outcomes
+    fn drain(mut stream: SourceEntries) -> Result<String, String> {
+        let entries: Vec<TraceEntry> = (&mut stream).collect();
+        shown(stream.take_error().map_or(Ok(entries), Err))
+    }
+    let mut flagged = flag_source(source, PreprocessConfig::default());
+    let entries: Vec<TraceEntry> = (&mut flagged).collect();
+    let flagged = shown(flagged.take_source_error().map_or(Ok(entries), Err));
+    vec![
+        (
+            "entry run",
+            shown(source.run_unmerged(CountSink::default())),
+        ),
+        (
+            "time run",
+            shown(source.run_unmerged(EntryStatsSink::new())),
+        ),
+        (
+            "chunk run",
+            // Outputs without a hash map, so that `{:?}` is deterministic.
+            shown(source.run_unmerged((
+                RequestTypeSink::new(SimDuration::from_secs(30)),
+                ActivityCountsSink::new(),
+            ))),
+        ),
+        ("flagged stream", flagged),
+        ("merged stream", drain(source.merged_entries())),
+        (
+            "filtered stream",
+            drain(source.merged_entries_matching(targets)),
+        ),
+    ]
 }
 
-/// A chunk that fails its CRC fails every path the same way: the same first
-/// error without `skip_corrupt` (the lowest failing monitor's), the same
-/// skip report with it — also for chunks a filtered stream would have
-/// pruned, because pruning happens after validation.
+/// A chunk that fails its CRC fails every path the same way, with the same
+/// first error (the lowest failing monitor's) — also for chunks a filtered
+/// stream would have pruned, because pruning happens after validation.
+/// After `recover_dataset`, every path succeeds and reads exactly the
+/// entries the recovered merged stream holds.
 #[test]
 fn damage_surfaces_identically_on_every_path() {
     let dataset = common::random_dataset(5, 2, 400, 500);
@@ -557,30 +552,40 @@ fn damage_surfaces_identically_on_every_path() {
     }
     // Targets absent from the dataset: the filtered stream prunes every
     // chunk, and must still have validated each one first.
-    let targets = RowTargets {
+    let absent = RowTargets {
         cids: Default::default(),
         peers: [PeerId::derived(1, 1)].into(),
     };
 
-    let strict = read_every_way(&dir, ReadOptions::default(), &targets);
-    let (_, first_error, _) = &strict[0];
-    assert!(first_error.is_some(), "damage must surface");
-    for (path, error, skipped) in &strict {
-        assert_eq!(error, first_error, "{path}");
-        assert!(skipped.is_empty(), "{path}");
+    let strict = read_every_way(&ManifestReader::open(&dir).unwrap(), &absent);
+    let (_, first_error) = &strict[0];
+    assert!(first_error.is_err(), "damage must surface");
+    for (path, outcome) in &strict {
+        assert_eq!(outcome, first_error, "{path}");
     }
 
-    let degraded = read_every_way(&dir, ReadOptions::default().skip_corrupt(true), &targets);
-    let (_, _, first_report) = &degraded[0];
-    let named: Vec<(usize, u64)> = first_report
-        .iter()
-        .map(|s| (s.monitor, s.sequence))
-        .collect();
-    assert_eq!(named, vec![(0, 2), (1, 1)]);
-    for (path, error, skipped) in &degraded {
-        assert_eq!(error, &None, "{path}");
-        assert_eq!(skipped, first_report, "{path}");
+    let report = recover_dataset(&dir).unwrap();
+    assert_eq!(report.segments_truncated, 2, "one CRC-broken segment each");
+    let reader = ManifestReader::open(&dir).unwrap();
+    // What survived, as an in-memory dataset: each path's entry-reading
+    // reference.
+    let mut survived = MonitoringDataset::new(reader.monitor_labels().to_vec());
+    let mut stream = reader.merged_entries();
+    for entry in &mut stream {
+        survived.entries[entry.monitor].push(entry);
     }
+    assert!(stream.take_error().is_none());
+    assert!(survived.entries.iter().all(|entries| !entries.is_empty()));
+    assert!(survived.total_entries() < dataset.total_entries());
+    let present = RowTargets {
+        cids: Default::default(),
+        peers: [PeerId::derived(29, 3)].into(),
+    };
+    let recovered = read_every_way(&reader, &present);
+    for (path, outcome) in &recovered {
+        assert!(outcome.is_ok(), "{path}: {outcome:?}");
+    }
+    assert_eq!(recovered, read_every_way(&survived, &present));
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -8,9 +8,9 @@
 //! and recovery itself must be idempotent and re-runnable after being
 //! crashed mid-repair. Complemented by the byte-level torn-tail property
 //! (any truncation of a segment file recovers the longest CRC-valid chunk
-//! prefix and never panics) and the read-side degradation mode
-//! (`ReadOptions::skip_corrupt` streams a damaged dataset end to end and
-//! reports exactly what it skipped).
+//! prefix and never panics), one damaged dataset recovered with an exact
+//! report, and stray files named like segments that recovery must leave
+//! alone.
 
 use ipfs_monitoring::bitswap::RequestType;
 use ipfs_monitoring::core::{MonitorService, ServiceConfig};
@@ -18,7 +18,7 @@ use ipfs_monitoring::simnet::time::SimTime;
 use ipfs_monitoring::tracestore::{
     migrate_manifest, recover_dataset, recover_dataset_with, AnalysisSink, Codec, ConnectionRecord,
     DatasetConfig, DatasetTail, DatasetWriter, EntryFlags, FaultPlan, FaultyStorage,
-    ManifestReader, ReadOptions, SegmentConfig, TraceEntry, TraceReader,
+    ManifestReader, QuarantineReason, SegmentConfig, TraceEntry, TraceReader,
 };
 use ipfs_monitoring::types::{Cid, Country, Multiaddr, Multicodec, PeerId, Transport};
 use proptest::prelude::*;
@@ -533,27 +533,31 @@ impl AnalysisSink for CountSink {
     }
 }
 
-/// `ReadOptions::skip_corrupt` streams a damaged dataset end to end —
-/// deleted, truncated, and CRC-corrupted segments — through the merged
-/// stream and the parallel driver, and reports exactly which segments were
-/// skipped.
-#[test]
-fn skip_corrupt_streams_damaged_dataset_with_exact_report() {
-    let dir = temp_dir("skip-corrupt");
-    let mut writer = DatasetWriter::create(&dir, vec!["us".into(), "de".into()], config()).unwrap();
+/// The fault-free two-monitor dataset, finished and compacted: each monitor
+/// rotates every 50 of its 120 entries, so segments 0..=2 per monitor.
+fn compacted_dataset(dir: &Path) {
+    let mut writer = DatasetWriter::create(dir, vec!["us".into(), "de".into()], config()).unwrap();
     for i in 0..ENTRIES {
         let monitor = (i % MONITORS as u64) as usize;
         writer.append(&entry(i, monitor)).unwrap();
     }
     writer.finish().unwrap();
-    migrate_manifest(&dir).unwrap();
+    migrate_manifest(dir).unwrap();
+}
 
-    // Monitor 0 rotates every 50 of its 120 entries: seg 0..=2. Damage:
-    // delete its middle segment, CRC-break a late chunk of its last segment
-    // (footer stays valid, so the damage only surfaces mid-stream), and
-    // truncate monitor 1's first segment so it fails at open.
-    let deleted = dir.join("seg-000-00001.seg");
-    std::fs::remove_file(&deleted).unwrap();
+/// A damaged dataset — one segment deleted, one CRC-broken mid-stream, one
+/// truncated — fails to open, and recovery is the one repair: an exact
+/// report of what it quarantined and lost, then a dataset every read path
+/// streams the surviving prefix of.
+#[test]
+fn damaged_dataset_recovers_with_exact_report() {
+    let dir = temp_dir("damaged");
+    compacted_dataset(&dir);
+
+    // Damage: delete monitor 0's middle segment, CRC-break a late chunk of
+    // its last segment (footer stays valid, so only a decode finds it), and
+    // truncate monitor 1's first segment to a header and five more bytes.
+    std::fs::remove_file(dir.join("seg-000-00001.seg")).unwrap();
 
     let corrupted = dir.join("seg-000-00002.seg");
     let mut bytes = std::fs::read(&corrupted).unwrap();
@@ -563,9 +567,7 @@ fn skip_corrupt_streams_damaged_dataset_with_exact_report() {
         chunks.len() >= 2,
         "need a chunk to survive before the damage"
     );
-    let target = &chunks[1];
-    let salvageable_entries: u64 = chunks[..1].iter().map(|c| c.entries).sum();
-    let flip_at = (target.offset + target.len / 2) as usize;
+    let flip_at = (chunks[1].offset + chunks[1].len / 2) as usize;
     drop(reader);
     bytes[flip_at] ^= 0x40;
     std::fs::write(&corrupted, &bytes).unwrap();
@@ -574,68 +576,95 @@ fn skip_corrupt_streams_damaged_dataset_with_exact_report() {
     let head = std::fs::read(&truncated).unwrap();
     std::fs::write(&truncated, &head[..10]).unwrap();
 
-    // Without the option, the damage is a hard open error.
-    assert!(ManifestReader::open(&dir).is_err());
+    assert!(ManifestReader::open(&dir).is_err(), "damage fails the open");
 
-    let reference = reference_per_monitor();
-    // Monitor 0: seg 0 (entries 0..50 of the monitor) + the valid chunk
-    // prefix of seg 2 (entries 100..100+salvageable). Monitor 1: seg 0 is
-    // gone at open, segs 1..=2 stream whole.
-    let expected_m0: Vec<TraceEntry> = reference[0][..50]
+    let report = recover_dataset(&dir).unwrap();
+    let quarantined: Vec<_> = report
+        .quarantined
         .iter()
-        .chain(&reference[0][100..100 + salvageable_entries as usize])
-        .cloned()
+        .map(|q| {
+            (
+                q.monitor,
+                q.sequence,
+                q.file_name.as_str(),
+                q.reason.clone(),
+            )
+        })
         .collect();
-    let expected_m1: Vec<TraceEntry> = reference[1][50..].to_vec();
-
-    let options = ReadOptions::default().skip_corrupt(true);
-    let reader = ManifestReader::open_with(&dir, options).unwrap();
-
-    // Open-time skips are visible immediately.
-    let at_open = reader.skipped_segments();
+    let broken_at = |broken_at_sequence| QuarantineReason::ChainBroken { broken_at_sequence };
     assert_eq!(
-        at_open
-            .iter()
-            .map(|s| (s.monitor, s.sequence))
-            .collect::<Vec<_>>(),
-        vec![(0, 1), (1, 0)],
-        "open-time report must name the deleted and truncated segments"
-    );
-
-    let mut stream = reader.stream_merged();
-    let entries: Vec<TraceEntry> = stream.by_ref().collect();
-    assert!(stream.take_error().is_none(), "degraded mode never errors");
-    drop(stream);
-
-    let merged_m0: Vec<_> = entries.iter().filter(|e| e.monitor == 0).cloned().collect();
-    let merged_m1: Vec<_> = entries.iter().filter(|e| e.monitor == 1).cloned().collect();
-    assert_eq!(merged_m0, expected_m0);
-    assert_eq!(merged_m1, expected_m1);
-
-    // After the drain the report also carries the mid-stream casualty.
-    let skipped = reader.skipped_segments();
-    assert_eq!(
-        skipped
-            .iter()
-            .map(|s| (s.monitor, s.sequence, s.file_name.as_str()))
-            .collect::<Vec<_>>(),
+        quarantined,
         vec![
-            (0, 1, "seg-000-00001.seg"),
-            (0, 2, "seg-000-00002.seg"),
-            (1, 0, "seg-001-00000.seg"),
+            (1, 0, "seg-001-00000.seg", QuarantineReason::NoValidData),
+            (0, 2, "seg-000-00002.seg", broken_at(1)),
+            (1, 1, "seg-001-00001.seg", broken_at(0)),
+            (1, 2, "seg-001-00002.seg", broken_at(0)),
         ],
         "report must be exact"
     );
-    for skip in &skipped {
-        assert!(!skip.reason.is_empty(), "every skip carries a reason");
-    }
+    assert_eq!(report.segments_truncated, 1, "the CRC-broken segment");
+    assert_eq!(report.entries_lost_after_checkpoint, 190);
+    assert_eq!(report.entries_recovered, 50);
 
-    // The parallel analysis driver degrades the same way.
-    let reader = ManifestReader::open_with(&dir, options).unwrap();
-    let total = reader.run_parallel(CountSink::default()).unwrap();
-    assert_eq!(total, (expected_m0.len() + expected_m1.len()) as u64);
-    assert_eq!(reader.skipped_segments().len(), 3);
+    // Monitor 0 keeps its first segment; monitor 1 keeps nothing.
+    let reference = reference_per_monitor();
+    let reader = ManifestReader::open(&dir).unwrap();
+    let mut stream = reader.stream_merged();
+    let entries: Vec<TraceEntry> = stream.by_ref().collect();
+    assert!(stream.take_error().is_none());
+    drop(stream);
+    assert_eq!(entries, reference[0][..50]);
+    assert_eq!(reader.run_parallel(CountSink::default()).unwrap(), 50);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A stray file named like a segment that recovery did not write, next to
+/// a finished dataset, is not this dataset's: recovery leaves it and every
+/// real segment alone, and the labels stay the dataset's two. The names:
+/// a monitor index at `usize::MAX` (so `index + 1` overflows — run in both
+/// profiles, where overflow fails differently), one far past the labels,
+/// and an unpadded spelling of `seg-000-00000.seg`.
+fn check_stray_segment_name(name: &str, tag: &str) {
+    let dir = temp_dir(tag);
+    compacted_dataset(&dir);
+    let mut before: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|item| {
+            let path = item.unwrap().path();
+            let bytes = std::fs::read(&path).unwrap();
+            (path, bytes)
+        })
+        .collect();
+    before.sort();
+    std::fs::write(dir.join(name), b"junk").unwrap();
+
+    let report = recover_dataset(&dir).unwrap_or_else(|error| panic!("{name}: {error}"));
+    assert_eq!(report.manifest.monitor_labels, ["us", "de"], "{name}");
+    assert_eq!(report.resume.len(), MONITORS, "{name}");
+    assert!(report.quarantined.is_empty(), "{name}");
+    assert!(report.clean, "{name}");
+    assert_eq!(std::fs::read(dir.join(name)).unwrap(), b"junk", "{name}");
+    for (path, bytes) in &before {
+        assert_eq!(&std::fs::read(path).unwrap(), bytes, "{name}: {path:?}");
+    }
+    let streamed = assert_prefix_consistent(&dir, &reference_per_monitor(), name);
+    assert_eq!(streamed, ENTRIES, "{name}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn stray_segment_name_at_usize_max_is_left_alone() {
+    check_stray_segment_name("seg-18446744073709551615-00000.seg", "stray-max");
+}
+
+#[test]
+fn stray_segment_name_past_the_labels_is_left_alone() {
+    check_stray_segment_name("seg-999999-00000.seg", "stray-past-labels");
+}
+
+#[test]
+fn stray_unpadded_segment_name_is_left_alone() {
+    check_stray_segment_name("seg-0-0.seg", "stray-unpadded");
 }
 
 fn copy_dir(from: &Path, to: &Path) {
@@ -654,14 +683,7 @@ fn copy_dir(from: &Path, to: &Path) {
 fn recovery_survives_crashes_during_recovery() {
     // One damaged dataset, reused as the template for every crash point.
     let template = temp_dir("rec-crash-template");
-    let mut writer =
-        DatasetWriter::create(&template, vec!["us".into(), "de".into()], config()).unwrap();
-    for i in 0..ENTRIES {
-        let monitor = (i % MONITORS as u64) as usize;
-        writer.append(&entry(i, monitor)).unwrap();
-    }
-    writer.finish().unwrap();
-    migrate_manifest(&template).unwrap();
+    compacted_dataset(&template);
     // Damage: cut the last third off one segment (forces a rebuild) and
     // leave a stale tmp file (forces a sweep).
     let victim = template.join("seg-001-00001.seg");
