@@ -2,12 +2,13 @@
 //! window sizes (5 s inter-monitor duplicate window, 31 s re-broadcast
 //! window).
 
-use ipfs_mon_bench::{pct, print_header, run_experiment, scaled};
+use ipfs_mon_bench::{no_args, pct, print_header, run_experiment, scaled};
 use ipfs_mon_core::{unify_and_flag, PreprocessConfig};
 use ipfs_mon_simnet::time::SimDuration;
 use ipfs_mon_workload::ScenarioConfig;
 
 fn main() {
+    no_args();
     let mut config = ScenarioConfig::analysis_week(111, scaled(800));
     config.horizon = SimDuration::from_days(1);
     // A higher unresolvable fraction produces more 30 s re-broadcasts.

@@ -1,13 +1,14 @@
 //! Ablation A2 (Sec. IV-C / VI-A1): effect of the number of monitoring nodes
 //! on coverage and on the committee-occupancy network-size estimate.
 
-use ipfs_mon_bench::{pct, print_header, run_experiment, scaled};
+use ipfs_mon_bench::{no_args, pct, print_header, run_experiment, scaled};
 use ipfs_mon_core::estimate_network_size;
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
 use ipfs_mon_types::Country;
 use ipfs_mon_workload::{MonitorConfig, ScenarioConfig};
 
 fn main() {
+    no_args();
     print_header("Ablation — number of monitors r (coverage and estimation error)");
     println!(
         "  {:>4} {:>16} {:>18} {:>18}",

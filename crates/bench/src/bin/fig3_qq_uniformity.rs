@@ -6,12 +6,13 @@
 //! network-size estimators.
 
 use ipfs_mon_analysis::{qq_against_uniform, qq_uniform_deviation};
-use ipfs_mon_bench::{print_header, print_row, run_experiment, scaled};
+use ipfs_mon_bench::{no_args, print_header, print_row, run_experiment, scaled};
 use ipfs_mon_core::peer_id_positions;
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
 use ipfs_mon_workload::ScenarioConfig;
 
 fn main() {
+    no_args();
     let mut config = ScenarioConfig::analysis_week(101, scaled(2_000));
     config.horizon = SimDuration::from_days(2);
     config.workload.mean_node_requests_per_hour = 0.5;

@@ -6,7 +6,7 @@
 //! curve), so the WANT_BLOCK curve decays while WANT_HAVE grows — the
 //! crossover shape of the paper's Fig. 4.
 
-use ipfs_mon_bench::{print_header, print_row, run_experiment, scaled, spill_to_manifest};
+use ipfs_mon_bench::{no_args, print_header, print_row, run_experiment, scaled, spill_to_manifest};
 use ipfs_mon_core::{request_type_series, request_type_series_source};
 use ipfs_mon_node::AdoptionCurve;
 use ipfs_mon_simnet::time::SimDuration;
@@ -14,6 +14,7 @@ use ipfs_mon_tracestore::ManifestReader;
 use ipfs_mon_workload::ScenarioConfig;
 
 fn main() {
+    no_args();
     let mut config = ScenarioConfig::analysis_week(102, scaled(150));
     config.horizon = SimDuration::from_days(150);
     config.population.adoption = AdoptionCurve::fig4_default();

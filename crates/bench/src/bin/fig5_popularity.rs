@@ -5,13 +5,16 @@
 //! requested by a single peer), yet the power-law hypothesis is rejected
 //! (p < 0.1 for both scores).
 
-use ipfs_mon_bench::{pct, print_header, print_row, run_experiment, scaled, spill_to_manifest};
+use ipfs_mon_bench::{
+    no_args, pct, print_header, print_row, run_experiment, scaled, spill_to_manifest,
+};
 use ipfs_mon_core::{popularity_report, unify_and_flag_source, PreprocessConfig};
 use ipfs_mon_simnet::time::SimDuration;
 use ipfs_mon_tracestore::ManifestReader;
 use ipfs_mon_workload::ScenarioConfig;
 
 fn main() {
+    no_args();
     let mut config = ScenarioConfig::analysis_week(105, scaled(1_200));
     config.horizon = SimDuration::from_days(3);
     config.catalog.items = scaled(6_000);

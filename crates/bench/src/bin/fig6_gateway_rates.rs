@@ -6,12 +6,13 @@
 //! of requests, and a single operator is responsible for most gateway
 //! traffic.
 
-use ipfs_mon_bench::{gateway_peer_sets, print_header, print_row, run_experiment, scaled};
+use ipfs_mon_bench::{gateway_peer_sets, no_args, print_header, print_row, run_experiment, scaled};
 use ipfs_mon_core::origin_group_rates;
 use ipfs_mon_simnet::time::SimDuration;
 use ipfs_mon_workload::ScenarioConfig;
 
 fn main() {
+    no_args();
     let mut config = ScenarioConfig::analysis_week(106, scaled(1_000));
     config.horizon = SimDuration::from_days(3);
     // Gateways serve a lot of HTTP traffic; only cache misses/revalidations

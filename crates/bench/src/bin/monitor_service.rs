@@ -19,7 +19,10 @@
 //! size, default 30), plus the common `--obs`/`--obs-interval` heartbeat
 //! flags.
 
-use ipfs_mon_bench::{print_header, print_row, run_experiment, scaled, ObsFlags};
+use ipfs_mon_bench::{
+    args_or_exit, flag_value, parse_flags, print_header, print_row, run_experiment, scaled,
+    ObsFlags,
+};
 use ipfs_mon_core::{
     window_file_name, MonitorService, ServiceConfig, TraceSource, WINDOW_DIR_NAME,
 };
@@ -31,58 +34,42 @@ use ipfs_mon_tracestore::{
 use ipfs_mon_workload::ScenarioConfig;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
 
 struct ServiceFlags {
     dir: PathBuf,
     kill_at: Option<u64>,
     window_mins: u64,
+    obs: ObsFlags,
 }
 
 impl ServiceFlags {
-    fn from_args() -> Self {
-        let mut dir = None;
-        let mut kill_at = None;
-        let mut window_mins = 30;
-        let mut args = std::env::args().skip(1);
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--dir" => dir = Some(PathBuf::from(args.next().expect("--dir needs a path"))),
-                "--kill-at" => {
-                    kill_at = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .expect("--kill-at needs an operation number"),
-                    );
-                }
-                "--window-mins" => {
-                    window_mins = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--window-mins needs a positive integer");
-                }
-                // Observability flags belong to [`ObsFlags`]; skip them
-                // (and their values) so the binary takes both families.
-                "--obs" | "--obs-interval" => {
-                    args.next();
-                }
-                other => panic!(
-                    "unknown flag {other:?} (expected --dir <path>, --kill-at <op>, \
-                     --window-mins <m>, --obs <path>, --obs-interval <ms>)"
-                ),
+    const USAGE: &'static str = "--dir <path> [--kill-at <op>] [--window-mins <m>] \
+                                 [--obs <path>|-] [--obs-interval <ms>]";
+
+    fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        let (mut dir, mut kill_at, mut window_mins) = (None, None, 30);
+        let mut obs = ObsFlags::default();
+        parse_flags(args, |arg, rest| {
+            match arg {
+                "--dir" => dir = Some(flag_value(arg, rest)?),
+                "--kill-at" => kill_at = Some(flag_value(arg, rest)?),
+                "--window-mins" => window_mins = flag_value(arg, rest)?,
+                _ => return obs.take(arg, rest),
             }
-        }
-        Self {
-            dir: dir.expect("--dir <path> is required"),
+            Ok(true)
+        })?;
+        Ok(Self {
+            dir: dir.ok_or("--dir <path> is required")?,
             kill_at,
             window_mins,
-        }
+            obs,
+        })
     }
 }
 
 fn main() {
-    let reporter = ObsFlags::from_args().start();
-    let flags = ServiceFlags::from_args();
+    let flags = args_or_exit(ServiceFlags::USAGE, ServiceFlags::parse);
+    let reporter = flags.obs.start();
 
     // The feed is a deterministic simulation: every incarnation of the
     // service regenerates the same trace, so a restart knows exactly
@@ -115,11 +102,7 @@ fn main() {
     };
 
     print_header("monitor_service — continuous monitoring loop");
-    let start = Instant::now();
-    let outcome = run_service(&flags, &dataset, labels, config, storage);
-    let elapsed = start.elapsed().as_secs_f64();
-
-    match outcome {
+    match run_service(&flags, &dataset, labels, config, storage) {
         Ok(report) => {
             print_row("entries in feed", total_entries);
             print_row("entries ingested this run", report.entries_ingested);
@@ -130,11 +113,6 @@ fn main() {
             print_row("windows emitted this run", report.windows_emitted);
             print_row("windows skipped (already durable)", report.windows_skipped);
             print_row("max open windows (memory bound)", report.max_open_windows);
-            let windows_total = report.windows_emitted + report.windows_skipped;
-            println!(
-                "BENCH_monitor_service.json {{\"mode\":\"service\",\"entries\":{total_entries},\"windows\":{windows_total},\"emitted\":{},\"skipped\":{},\"max_open_windows\":{},\"elapsed_s\":{elapsed:.3}}}",
-                report.windows_emitted, report.windows_skipped, report.max_open_windows
-            );
             if let Some(reporter) = reporter {
                 reporter.stop();
             }

@@ -7,7 +7,7 @@
 //! crawler-derived size).
 
 use ipfs_mon_bench::{
-    pct, print_header, print_row, run_experiment, scaled, spill_to_manifest, ObsFlags,
+    args_or_exit, pct, print_header, print_row, run_experiment, scaled, spill_to_manifest, ObsFlags,
 };
 use ipfs_mon_core::{coverage, estimate_network_size, estimate_network_size_source};
 use ipfs_mon_kad::Crawler;
@@ -18,7 +18,7 @@ use ipfs_mon_workload::ScenarioConfig;
 fn main() {
     // Heartbeats cover the whole experiment; the drop at the end of main
     // emits the final `"done":true` line (a no-op without --obs).
-    let _reporter = ObsFlags::from_args().start();
+    let _reporter = args_or_exit(ObsFlags::USAGE, ObsFlags::parse).start();
     let mut config = ScenarioConfig::analysis_week(107, scaled(3_000));
     config.horizon = SimDuration::from_days(7);
     config.workload.mean_node_requests_per_hour = 0.3;

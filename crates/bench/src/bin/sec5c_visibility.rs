@@ -14,13 +14,15 @@
 //! --horizon-days 7`, ten times the default event volume — keep simulator
 //! memory bounded by the population.
 
-use ipfs_mon_bench::{print_header, run_experiment_lazy, scaled, ScaleFlags};
+use ipfs_mon_bench::{args_or_exit, print_header, run_experiment_lazy, scaled, ScaleFlags};
 use ipfs_mon_kad::Crawler;
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
 use ipfs_mon_workload::ScenarioConfig;
 
 fn main() {
-    let scale = ScaleFlags::from_args(scaled(1_500), 3);
+    let scale = args_or_exit(ScaleFlags::USAGE, |args| {
+        ScaleFlags::parse(args, scaled(1_500), 3)
+    });
 
     print_header("Sec. V-C — monitor vs crawler visibility by DHT-client share");
     println!(

@@ -2,7 +2,7 @@
 //! evaluated against simulation ground truth.
 
 use ipfs_mon_bench::{
-    pct, print_header, print_row, run_experiment, scaled, spill_to_manifest, ObsFlags,
+    args_or_exit, pct, print_header, print_row, run_experiment, scaled, spill_to_manifest, ObsFlags,
 };
 use ipfs_mon_core::{
     identify_data_wanters, per_peer_request_counts, run_attacks_source, track_node_wants,
@@ -16,7 +16,7 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 fn main() {
     // Heartbeats cover the whole experiment; the drop at the end of main
     // emits the final `"done":true` line (a no-op without --obs).
-    let _reporter = ObsFlags::from_args().start();
+    let _reporter = args_or_exit(ObsFlags::USAGE, ObsFlags::parse).start();
     let mut config = ScenarioConfig::analysis_week(108, scaled(600));
     config.horizon = SimDuration::from_days(2);
     config.workload.mean_node_requests_per_hour = 1.5;

@@ -8,7 +8,7 @@
 //! functional public gateways (93 gateway node IDs in total, 13 behind one
 //! operator).
 
-use ipfs_mon_bench::{print_header, print_row, run_network, scaled, spill_to_manifest};
+use ipfs_mon_bench::{no_args, print_header, print_row, run_network, scaled, spill_to_manifest};
 use ipfs_mon_core::{
     gateway_nodes_by_operator, unify_and_flag_source, GatewayProber, PreprocessConfig,
 };
@@ -19,6 +19,7 @@ use ipfs_mon_tracestore::ManifestReader;
 use ipfs_mon_workload::{build_scenario, ScenarioConfig};
 
 fn main() {
+    no_args();
     let mut config = ScenarioConfig::analysis_week(109, scaled(500));
     config.horizon = SimDuration::from_days(1);
     config.workload.gateway_requests_per_hour = 500.0;

@@ -3,7 +3,9 @@
 //! and gateway usage — by replaying the adversary's analyses on mitigated
 //! traces.
 
-use ipfs_mon_bench::{pct, print_header, print_row, run_experiment, scaled, spill_to_manifest};
+use ipfs_mon_bench::{
+    no_args, pct, print_header, print_row, run_experiment, scaled, spill_to_manifest,
+};
 use ipfs_mon_core::{
     apply_countermeasure, evaluate_countermeasure, unify_and_flag_source, Countermeasure,
     PreprocessConfig,
@@ -14,6 +16,7 @@ use ipfs_mon_tracestore::ManifestReader;
 use ipfs_mon_workload::ScenarioConfig;
 
 fn main() {
+    no_args();
     let mut config = ScenarioConfig::analysis_week(112, scaled(600));
     config.horizon = SimDuration::from_days(1);
     config.workload.mean_node_requests_per_hour = 1.5;

@@ -4,13 +4,16 @@
 //! Raw 13.42 %, DagCBOR 0.37 %, GitRaw < 0.01 %, EthereumTx < 0.01 %,
 //! others < 0.01 %.
 
-use ipfs_mon_bench::{pct, print_header, print_row, run_experiment, scaled, spill_to_manifest};
+use ipfs_mon_bench::{
+    no_args, pct, print_header, print_row, run_experiment, scaled, spill_to_manifest,
+};
 use ipfs_mon_core::{activity_counts_source, multicodec_shares};
 use ipfs_mon_simnet::time::SimDuration;
 use ipfs_mon_tracestore::ManifestReader;
 use ipfs_mon_workload::ScenarioConfig;
 
 fn main() {
+    no_args();
     let mut config = ScenarioConfig::analysis_week(103, scaled(800));
     config.horizon = SimDuration::from_days(3);
     let run = run_experiment(&config);

@@ -4,12 +4,13 @@
 //! Paper (April 30 – May 6 2021): US 45.65 %, NL 13.85 %, DE 12.72 %,
 //! CA 7.61 %, FR 6.64 %, others < 13.60 %.
 
-use ipfs_mon_bench::{pct, print_header, run_experiment, scaled};
+use ipfs_mon_bench::{no_args, pct, print_header, run_experiment, scaled};
 use ipfs_mon_core::country_shares;
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
 use ipfs_mon_workload::ScenarioConfig;
 
 fn main() {
+    no_args();
     let mut config = ScenarioConfig::analysis_week(104, scaled(1_500));
     config.horizon = SimDuration::from_days(3);
     let run = run_experiment(&config);

@@ -1,4 +1,4 @@
-//! Shared harness code for the experiment binaries and benchmarks.
+//! Shared harness code for the experiment binaries.
 //!
 //! Every table and figure of the paper has a dedicated binary under
 //! `src/bin/`; they all follow the same recipe — build a scenario, run the
@@ -7,8 +7,11 @@
 //! the helpers in this crate.
 //!
 //! Experiment scale can be adjusted with the `IPFS_MON_SCALE` environment
-//! variable (a positive float multiplying node counts; default 1.0), so the
-//! same binaries serve quick smoke runs and larger reproductions.
+//! variable (a finite positive float multiplying node counts; default 1.0),
+//! so the same binaries serve quick smoke runs and larger reproductions.
+//! Each binary parses its arguments once, through [`args_or_exit`]: an
+//! argument it does not act on, or an `IPFS_MON_SCALE` it cannot use, stops
+//! it with its usage line before anything is simulated.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -122,24 +125,11 @@ pub fn spill_to_manifest(
     dir: &std::path::Path,
     rotate_after_entries: u64,
 ) -> ipfs_mon_tracestore::DatasetSummary {
-    spill_to_manifest_with(
-        dataset,
-        dir,
-        ipfs_mon_tracestore::DatasetConfig {
-            rotate_after_entries,
-            ..ipfs_mon_tracestore::DatasetConfig::default()
-        },
-    )
-}
-
-/// Like [`spill_to_manifest`], with full control over the dataset
-/// configuration.
-pub fn spill_to_manifest_with(
-    dataset: &MonitoringDataset,
-    dir: &std::path::Path,
-    config: ipfs_mon_tracestore::DatasetConfig,
-) -> ipfs_mon_tracestore::DatasetSummary {
-    use ipfs_mon_tracestore::DatasetWriter;
+    use ipfs_mon_tracestore::{DatasetConfig, DatasetWriter};
+    let config = DatasetConfig {
+        rotate_after_entries,
+        ..DatasetConfig::default()
+    };
     let mut writer = DatasetWriter::create(dir, dataset.monitor_labels.clone(), config)
         .expect("create dataset dir");
     for per_monitor in &dataset.entries {
@@ -155,87 +145,63 @@ pub fn spill_to_manifest_with(
     writer.finish().expect("finish manifest")
 }
 
-/// A [`MonitorSink`](ipfs_mon_node::MonitorSink) that folds everything it is
-/// fed into one order-sensitive digest instead of storing it. Lets benchmarks
-/// assert that two execution paths produced byte-identical monitor traces
-/// without holding millions of observations in memory (which would distort
-/// the measurement being taken).
-#[derive(Debug)]
-pub struct HashingSink {
-    hasher: std::collections::hash_map::DefaultHasher,
-    observations: u64,
-    connection_events: u64,
+/// Checks `IPFS_MON_SCALE`, then parses the process arguments (the program
+/// name excluded) with `parse`. On an error, prints it and the usage line —
+/// the program name followed by `usage`, the flags the binary takes — to
+/// stderr and exits with status 2.
+pub fn args_or_exit<T>(usage: &str, parse: impl FnOnce(std::env::Args) -> Result<T, String>) -> T {
+    let mut args = std::env::args();
+    let path = std::path::PathBuf::from(args.next().unwrap_or_default());
+    let program = path.file_name().unwrap_or_default().to_string_lossy();
+    scale_from_env()
+        .and_then(|_| parse(args))
+        .unwrap_or_else(|error| {
+            exit_with(format!("{program}: {error}\nusage: {program} {usage}").trim_end())
+        })
 }
 
-impl Default for HashingSink {
-    fn default() -> Self {
-        Self::new()
-    }
+/// [`args_or_exit`] for a binary that takes no arguments.
+pub fn no_args() {
+    args_or_exit("", |args| parse_flags(args, |_, _| Ok(false)));
 }
 
-impl HashingSink {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        Self {
-            hasher: std::collections::hash_map::DefaultHasher::new(),
-            observations: 0,
-            connection_events: 0,
+/// Walks `args`, offering each to `take` along with the rest of the list,
+/// from which `take` reads the argument's value. `take` returns whether it
+/// acted on the argument; one it did not act on ends the walk with an error.
+pub fn parse_flags(
+    args: impl IntoIterator<Item = String>,
+    mut take: impl FnMut(&str, &mut dyn Iterator<Item = String>) -> Result<bool, String>,
+) -> Result<(), String> {
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        if !take(&arg, &mut args)? {
+            return Err(format!("unexpected argument {arg:?}"));
         }
     }
-
-    /// Order-sensitive digest over everything recorded so far.
-    pub fn digest(&self) -> u64 {
-        use std::hash::Hasher;
-        self.hasher.finish()
-    }
-
-    /// Number of wantlist observations recorded.
-    pub fn observations(&self) -> u64 {
-        self.observations
-    }
-
-    /// Number of connect/disconnect events recorded.
-    pub fn connection_events(&self) -> u64 {
-        self.connection_events
-    }
+    Ok(())
 }
 
-impl ipfs_mon_node::MonitorSink for HashingSink {
-    fn record(&mut self, monitor: usize, observation: ipfs_mon_node::BitswapObservation) {
-        use std::hash::Hash;
-        (monitor, observation).hash(&mut self.hasher);
-        self.observations += 1;
-    }
-
-    fn peer_connected(
-        &mut self,
-        monitor: usize,
-        peer: ipfs_mon_types::PeerId,
-        address: ipfs_mon_types::Multiaddr,
-        at: ipfs_mon_simnet::time::SimTime,
-    ) {
-        use std::hash::Hash;
-        (0u8, monitor, peer, address, at).hash(&mut self.hasher);
-        self.connection_events += 1;
-    }
-
-    fn peer_disconnected(
-        &mut self,
-        monitor: usize,
-        peer: ipfs_mon_types::PeerId,
-        at: ipfs_mon_simnet::time::SimTime,
-    ) {
-        use std::hash::Hash;
-        (1u8, monitor, peer, at).hash(&mut self.hasher);
-        self.connection_events += 1;
-    }
+/// The value after `flag`, taken from `rest` and parsed.
+pub fn flag_value<T: std::str::FromStr>(
+    flag: &str,
+    rest: &mut dyn Iterator<Item = String>,
+) -> Result<T, String> {
+    let value = rest.next().ok_or_else(|| format!("{flag} needs a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: cannot use {value:?}"))
 }
 
-/// Scenario-scale choices shared by the simulation-heavy binaries, parsed
-/// from the common command-line flags `--population <n>` and
-/// `--horizon-days <d>` (on top of the `IPFS_MON_SCALE` environment
-/// variable, which scales the population default).
-#[derive(Debug, Clone, Copy)]
+fn exit_with(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2)
+}
+
+/// Scenario-scale choices of the simulation-heavy binaries, parsed from
+/// `--population <n>` and `--horizon-days <d>` (on top of the
+/// `IPFS_MON_SCALE` environment variable, which scales the population
+/// default).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScaleFlags {
     /// Number of ordinary nodes in the scenario.
     pub population: usize,
@@ -244,47 +210,33 @@ pub struct ScaleFlags {
 }
 
 impl ScaleFlags {
-    /// Parses the process arguments against the given defaults (the
-    /// population default is already `IPFS_MON_SCALE`-scaled by the caller);
-    /// panics with usage on unknown flags.
-    pub fn from_args(default_population: usize, default_horizon_days: u64) -> Self {
+    /// The flags [`ScaleFlags::parse`] takes, for [`args_or_exit`].
+    pub const USAGE: &'static str = "[--population <n>] [--horizon-days <d>]";
+
+    /// Parses `args` against the given defaults (the population default is
+    /// already `IPFS_MON_SCALE`-scaled by the caller).
+    pub fn parse(
+        args: impl IntoIterator<Item = String>,
+        default_population: usize,
+        default_horizon_days: u64,
+    ) -> Result<Self, String> {
         let mut flags = Self {
             population: default_population,
             horizon_days: default_horizon_days,
         };
-        let mut args = std::env::args().skip(1);
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--population" => {
-                    flags.population = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--population needs a positive integer");
-                }
-                "--horizon-days" => {
-                    flags.horizon_days = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--horizon-days needs a positive integer");
-                }
-                // Observability flags belong to [`ObsFlags`]; skip them (and
-                // their values) so binaries can take both flag families.
-                "--obs" | "--obs-interval" => {
-                    args.next();
-                }
-                other => {
-                    panic!(
-                        "unknown flag {other:?} (expected --population <n>, --horizon-days <d>, \
-                         --obs <path>, --obs-interval <ms>)"
-                    )
-                }
+        parse_flags(args, |arg, rest| {
+            match arg {
+                "--population" => flags.population = flag_value(arg, rest)?,
+                "--horizon-days" => flags.horizon_days = flag_value(arg, rest)?,
+                _ => return Ok(false),
             }
-        }
-        flags
+            Ok(true)
+        })?;
+        Ok(flags)
     }
 }
 
-/// Heartbeat telemetry flags shared by every bench/example binary:
+/// Heartbeat telemetry flags:
 ///
 /// * `--obs <path>` — stream JSONL heartbeat lines to `path` (`-` for
 ///   stdout) while the run is in flight;
@@ -293,7 +245,7 @@ impl ScaleFlags {
 ///
 /// See `docs/OBSERVABILITY.md` for the heartbeat schema. With no `--obs`
 /// flag, [`ObsFlags::start`] starts nothing and the run is unchanged.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ObsFlags {
     /// Heartbeat destination (`-` = stdout); `None` disables the reporter.
     pub path: Option<String>,
@@ -302,28 +254,30 @@ pub struct ObsFlags {
 }
 
 impl ObsFlags {
-    /// Parses the process arguments, ignoring flags it does not own (the
-    /// scale parser does its own strict pass over the full argv, so
-    /// unknown-flag rejection happens once in the binaries that take both).
-    pub fn from_args() -> Self {
-        let mut flags = Self::default();
-        let mut args = std::env::args().skip(1);
-        while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--obs" => {
-                    flags.path = Some(args.next().expect("--obs needs a path (or - for stdout)"));
-                }
-                "--obs-interval" => {
-                    flags.interval_ms = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .expect("--obs-interval needs milliseconds"),
-                    );
-                }
-                _ => {}
-            }
+    /// The flags [`ObsFlags::parse`] takes, for [`args_or_exit`].
+    pub const USAGE: &'static str = "[--obs <path>|-] [--obs-interval <ms>]";
+
+    /// Acts on `arg` if it is `--obs` or `--obs-interval`, taking its value
+    /// from `rest`, and returns whether it did — so a binary with flags of
+    /// its own parses these in the same walk ([`parse_flags`]).
+    pub fn take(
+        &mut self,
+        arg: &str,
+        rest: &mut dyn Iterator<Item = String>,
+    ) -> Result<bool, String> {
+        match arg {
+            "--obs" => self.path = Some(flag_value(arg, rest)?),
+            "--obs-interval" => self.interval_ms = Some(flag_value(arg, rest)?),
+            _ => return Ok(false),
         }
-        flags
+        Ok(true)
+    }
+
+    /// Parses the arguments of a binary whose only flags are these.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        let mut flags = Self::default();
+        parse_flags(args, |arg, rest| flags.take(arg, rest))?;
+        Ok(flags)
     }
 
     /// Starts the heartbeat reporter if `--obs` was given. Hold the returned
@@ -344,13 +298,25 @@ impl ObsFlags {
     }
 }
 
-/// Scale factor from the `IPFS_MON_SCALE` environment variable (default 1.0).
+/// Scale factor from the `IPFS_MON_SCALE` environment variable (default
+/// 1.0). A value that is set but is not a finite positive number stops the
+/// binary with status 2 ([`args_or_exit`] checks it first, with the usage
+/// line).
 pub fn scale_factor() -> f64 {
-    std::env::var("IPFS_MON_SCALE")
+    scale_from_env().unwrap_or_else(|error| exit_with(&error))
+}
+
+fn scale_from_env() -> Result<f64, String> {
+    std::env::var_os("IPFS_MON_SCALE")
+        .map_or(Ok(1.0), |value| parse_scale(&value.to_string_lossy()))
+}
+
+fn parse_scale(value: &str) -> Result<f64, String> {
+    value
+        .parse::<f64>()
         .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .filter(|v| *v > 0.0)
-        .unwrap_or(1.0)
+        .filter(|scale| scale.is_finite() && *scale > 0.0)
+        .ok_or_else(|| format!("IPFS_MON_SCALE={value:?} is not a finite positive number"))
 }
 
 /// Applies the scale factor to a node count.
@@ -380,6 +346,10 @@ pub use ipfs_mon_core::MonitoringDataset as Dataset;
 mod tests {
     use super::*;
 
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
     #[test]
     fn small_experiment_runs_end_to_end() {
         let config = ScenarioConfig::small_test(3);
@@ -404,5 +374,60 @@ mod tests {
     fn scale_helpers() {
         assert!(scaled(100) >= 10);
         assert_eq!(pct(0.5432), "54.32%");
+    }
+
+    #[test]
+    fn scale_flags_take_their_own_flags_and_nothing_else() {
+        let parse = |line| ScaleFlags::parse(args(line), 1_500, 3);
+        let defaults = ScaleFlags {
+            population: 1_500,
+            horizon_days: 3,
+        };
+        assert_eq!(parse(""), Ok(defaults));
+        assert_eq!(
+            parse("--population 40 --horizon-days 1"),
+            Ok(ScaleFlags {
+                population: 40,
+                horizon_days: 1
+            })
+        );
+        // A flag of another family is not skipped: the binary would not act
+        // on it.
+        assert!(parse("--population 40 --obs -").is_err());
+        assert!(parse("--codec col").is_err());
+        assert!(parse("--population").is_err());
+        assert!(parse("--horizon-days one").is_err());
+    }
+
+    #[test]
+    fn obs_flags_take_their_own_flags_and_nothing_else() {
+        assert_eq!(ObsFlags::parse(args("")), Ok(ObsFlags::default()));
+        assert_eq!(
+            ObsFlags::parse(args("--obs - --obs-interval 200")),
+            Ok(ObsFlags {
+                path: Some("-".into()),
+                interval_ms: Some(200)
+            })
+        );
+        assert!(ObsFlags::parse(args("--population 5000 --codec col")).is_err());
+        assert!(ObsFlags::parse(args("--obs")).is_err());
+        assert!(ObsFlags::parse(args("--obs-interval soon")).is_err());
+    }
+
+    #[test]
+    fn a_binary_without_flags_refuses_every_argument() {
+        let none = |line| parse_flags(args(line), |_, _| Ok(false));
+        assert_eq!(none(""), Ok(()));
+        assert_eq!(none("--obs -"), Err("unexpected argument \"--obs\"".into()));
+        assert!(none("positional").is_err());
+    }
+
+    #[test]
+    fn scale_must_be_a_finite_positive_number() {
+        assert_eq!(parse_scale("0.05"), Ok(0.05));
+        assert_eq!(parse_scale("8"), Ok(8.0));
+        for refused in ["0,05", "", "0", "-1", "inf", "NaN", "1e400"] {
+            assert!(parse_scale(refused).is_err(), "{refused:?} accepted");
+        }
     }
 }

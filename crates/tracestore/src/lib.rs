@@ -71,9 +71,9 @@
 //!   newly flushed chunk frames — the ingest side of the continuous
 //!   monitoring service in `ipfs-mon-core`.
 //!
-//! A round-trip through a segment is lossless, and measured segments are a
-//! fraction of the size of the equivalent JSON (see the `tracestore_bench`
-//! binary in `ipfs-mon-bench`).
+//! A round-trip through a segment is lossless, and collected segments are a
+//! fraction of the size of the equivalent JSON: the workspace's
+//! `codec_robustness` test holds them under half of it.
 
 #![warn(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -116,9 +116,7 @@ pub use recover::{
     recover_dataset, recover_dataset_with, QuarantineReason, QuarantinedSegment, RecoveryReport,
     ResumeCursor, QUARANTINE_DIR_NAME,
 };
-pub use segment::{
-    ChunkInfo, ChunkScratch, ChunkView, SegmentConfig, SegmentError, SegmentSummary,
-};
+pub use segment::{ChunkInfo, ChunkView, SegmentConfig, SegmentError, SegmentSummary};
 pub use sink::{run_sink, AnalysisSink, ParallelProgress, Rows};
 pub use sketch::{HeavyHitter, HeavyHitters, SpaceSaving, SpaceSavingSink, TopK};
 pub use source::{RowTargets, SourceConnections, SourceEntries, TraceSource};

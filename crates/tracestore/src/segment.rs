@@ -16,7 +16,7 @@
 //! monitor. The monitor index the format stores (in every chunk body and
 //! every footer index row) is therefore the constant 0: written by
 //! `write_local_monitor`, and refused when it is anything else by
-//! `read_local_monitor`, under [`ChunkView::parse_with`] and `decode_footer`
+//! `read_local_monitor`, under [`ChunkView::parse`] and `decode_footer`
 //! — it is never trusted, and never silently filtered on.
 //!
 //! Each chunk holds up to [`SegmentConfig::chunk_capacity`] entries, in the
@@ -792,7 +792,7 @@ impl PackedPlane {
 /// chain decode reuses one set of allocations instead of paying `Vec` churn
 /// per chunk.
 #[derive(Default)]
-pub struct ChunkScratch {
+pub(crate) struct ChunkScratch {
     planes: Vec<u8>,
     timestamps: Vec<u64>,
     peer_indexes: Vec<usize>,
@@ -874,7 +874,7 @@ impl<'a> ChunkView<'a> {
     /// recovered from the previous chunk via [`ChunkView::into_scratch`])
     /// provides every column buffer the view fills, so chain decodes reuse
     /// one set of allocations. On error the scratch is dropped.
-    pub fn parse_with(
+    pub(crate) fn parse_with(
         frame: Cow<'a, [u8]>,
         mut scratch: ChunkScratch,
     ) -> Result<Self, SegmentError> {
@@ -1252,7 +1252,7 @@ impl<'a> ChunkView<'a> {
 
     /// Recovers the view's recyclable allocations for the next
     /// [`ChunkView::parse_with`].
-    pub fn into_scratch(self) -> ChunkScratch {
+    pub(crate) fn into_scratch(self) -> ChunkScratch {
         let mut scratch = self.spare;
         if let Planes::Owned(planes) = self.planes {
             scratch.planes = planes;

@@ -7,7 +7,7 @@
 //! in-memory path, equality of the merged read as collection writes it
 //! (`raw`) and as compaction leaves it (`col`), the offline
 //! `migrate_manifest` compaction and its idempotence, the on-disk size win
-//! of `col`, byte-identity of both layouts with the commit that last wrote
+//! of `col` (and of collected segments over JSON), byte-identity of both layouts with the commit that last wrote
 //! them through the plug-in codec layer, and the decode-only `lz` layout
 //! read from a fixture that commit wrote.
 
@@ -384,33 +384,52 @@ fn netsize_and_attacks_agree_across_all_modes() {
     }
 }
 
-/// Compaction must make the dataset strictly smaller on disk for
+/// Compaction must make the dataset strictly smaller on disk, both for
 /// dictionary-heavy traces (the realistic shape: few distinct peers/CIDs
-/// per chunk, repetitive index columns).
+/// per chunk, repetitive index columns) and for a simulated trace, and must
+/// read back identically. Collection's own segment files must already be
+/// under half the size of the dataset's JSON — the storage format's
+/// acceptance bar.
 #[test]
 fn col_manifest_is_strictly_smaller_than_raw_on_disk() {
-    let dataset = random_dataset(11, 2, 4_000, 800);
-    let raw_dir = temp_dir("size-raw");
-    let col_dir = temp_dir("size-col");
-    for dir in [&raw_dir, &col_dir] {
-        write_manifest(&dataset, dir, layout(2_000, 1024));
+    let datasets = [
+        ("random", random_dataset(11, 2, 4_000, 800)),
+        ("simulated", simulated_dataset(7, 150)),
+    ];
+    for (name, dataset) in &datasets {
+        let raw_dir = temp_dir(&format!("size-raw-{name}"));
+        let col_dir = temp_dir(&format!("size-col-{name}"));
+        for dir in [&raw_dir, &col_dir] {
+            write_manifest(dataset, dir, layout(2_000, 1024));
+        }
+        migrate_manifest(&col_dir).unwrap();
+
+        let json_bytes = dataset.to_json().unwrap().len() as u64;
+        let segment_bytes: u64 = Manifest::load(raw_dir.join(MANIFEST_FILE_NAME))
+            .unwrap()
+            .segments
+            .iter()
+            .map(|meta| raw_dir.join(&meta.file_name).metadata().unwrap().len())
+            .sum();
+        assert!(
+            2 * segment_bytes < json_bytes,
+            "{name}: collected segments ({segment_bytes} B) not under half the JSON ({json_bytes} B)"
+        );
+        let raw_bytes = dir_bytes(&raw_dir);
+        let col_bytes = dir_bytes(&col_dir);
+        assert!(
+            col_bytes < raw_bytes,
+            "{name}: col manifest not smaller: {col_bytes} vs {raw_bytes} raw"
+        );
+
+        let reader = ManifestReader::open(&col_dir).unwrap();
+        let (streamed, _) = unify_and_flag_source(&reader, PreprocessConfig::default()).unwrap();
+        let (trace, _) = unify_and_flag(dataset, PreprocessConfig::default());
+        assert_eq!(streamed.entries, trace.entries, "{name}");
+
+        std::fs::remove_dir_all(&raw_dir).ok();
+        std::fs::remove_dir_all(&col_dir).ok();
     }
-    migrate_manifest(&col_dir).unwrap();
-    let raw_bytes = dir_bytes(&raw_dir);
-    let col_bytes = dir_bytes(&col_dir);
-    assert!(
-        col_bytes < raw_bytes,
-        "col manifest not smaller: {col_bytes} vs {raw_bytes} raw"
-    );
-
-    // And it still reads back identically.
-    let reader = ManifestReader::open(&col_dir).unwrap();
-    let (streamed, _) = unify_and_flag_source(&reader, PreprocessConfig::default()).unwrap();
-    let (trace, _) = unify_and_flag(&dataset, PreprocessConfig::default());
-    assert_eq!(streamed.entries, trace.entries);
-
-    std::fs::remove_dir_all(&raw_dir).ok();
-    std::fs::remove_dir_all(&col_dir).ok();
 }
 
 /// [`body_damage_sweep`] over a `col` chunk body: truncated bit-pack runs,
