@@ -5,12 +5,9 @@
 //! requested by a single peer), yet the power-law hypothesis is rejected
 //! (p < 0.1 for both scores).
 
-use ipfs_mon_bench::{
-    no_args, pct, print_header, print_row, run_experiment, scaled, spill_to_manifest,
-};
-use ipfs_mon_core::{popularity_report, unify_and_flag_source, PreprocessConfig};
+use ipfs_mon_bench::{no_args, pct, print_header, print_row, run_experiment, scaled};
+use ipfs_mon_core::popularity_report;
 use ipfs_mon_simnet::time::SimDuration;
-use ipfs_mon_tracestore::ManifestReader;
 use ipfs_mon_workload::ScenarioConfig;
 
 fn main() {
@@ -19,34 +16,9 @@ fn main() {
     config.horizon = SimDuration::from_days(3);
     config.catalog.items = scaled(6_000);
     let run = run_experiment(&config);
-
-    // The unified trace is re-derived by streaming the spilled manifest and
-    // must match the in-memory preprocessing byte for byte.
-    let dir = std::env::temp_dir().join(format!("fig5-manifest-{}", std::process::id()));
-    let summary = spill_to_manifest(
-        &run.dataset,
-        &dir,
-        (run.dataset.total_entries() as u64 / 4).max(1),
-    );
-    let reader = ManifestReader::open(&summary.manifest_path).expect("open manifest");
-    let (streamed, _) =
-        unify_and_flag_source(&reader, PreprocessConfig::default()).expect("stream manifest");
-    std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(
-        streamed.entries, run.trace.entries,
-        "streamed unified trace must equal the in-memory path"
-    );
-
-    let report = popularity_report(&streamed, 60, 105);
+    let report = popularity_report(&run.trace, 60, 105);
 
     print_header("Fig. 5 — content popularity (unified, deduplicated trace)");
-    print_row(
-        "manifest",
-        format!(
-            "{} segments, {} entries",
-            summary.segment_count, summary.total_entries
-        ),
-    );
     print_row("distinct CIDs observed", report.cid_count);
     print_row(
         "CIDs requested by exactly one peer",

@@ -20,8 +20,8 @@
 //! flags.
 
 use ipfs_mon_bench::{
-    args_or_exit, flag_value, parse_flags, print_header, print_row, run_experiment, scaled,
-    ObsFlags,
+    args_or_exit, duration_value, flag_value, parse_flags, print_header, print_row, run_experiment,
+    scaled, ObsFlags,
 };
 use ipfs_mon_core::{
     window_file_name, MonitorService, ServiceConfig, TraceSource, WINDOW_DIR_NAME,
@@ -53,11 +53,16 @@ impl ServiceFlags {
             match arg {
                 "--dir" => dir = Some(flag_value(arg, rest)?),
                 "--kill-at" => kill_at = Some(flag_value(arg, rest)?),
-                "--window-mins" => window_mins = flag_value(arg, rest)?,
+                "--window-mins" => {
+                    window_mins = duration_value(arg, rest, SimDuration::from_mins(1))?;
+                }
                 _ => return obs.take(arg, rest),
             }
             Ok(true)
         })?;
+        if window_mins == 0 {
+            return Err("--window-mins must be at least 1".into());
+        }
         Ok(Self {
             dir: dir.ok_or("--dir <path> is required")?,
             kill_at,
@@ -225,5 +230,32 @@ fn print_unreported_windows(dir: &Path, already_printed: u64) {
             Ok(line) => println!("WINDOW {line}"),
             Err(_) => break,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<ServiceFlags, String> {
+        ServiceFlags::parse(line.split_whitespace().map(String::from))
+    }
+
+    #[test]
+    fn service_flags_refuse_a_window_the_service_cannot_use() {
+        let flags = parse("--dir d --window-mins 5 --kill-at 60").unwrap();
+        assert_eq!(
+            (flags.dir, flags.kill_at, flags.window_mins),
+            (PathBuf::from("d"), Some(60), 5)
+        );
+        assert_eq!(parse("--dir d").unwrap().window_mins, 30);
+        // `WindowSpec::tumbling` panics on a zero window, after the
+        // simulation has run: refuse it while parsing.
+        assert!(parse("--dir d --window-mins 0").is_err());
+        // Minutes whose milliseconds overflow `u64` would wrap the window.
+        let max_mins = u64::MAX / 60_000;
+        assert!(parse(&format!("--dir d --window-mins {max_mins}")).is_ok());
+        assert!(parse(&format!("--dir d --window-mins {}", max_mins + 1)).is_err());
+        assert!(parse("--window-mins 5").is_err());
     }
 }

@@ -7,12 +7,11 @@
 //! crawler-derived size).
 
 use ipfs_mon_bench::{
-    args_or_exit, pct, print_header, print_row, run_experiment, scaled, spill_to_manifest, ObsFlags,
+    args_or_exit, pct, print_header, print_row, run_experiment, scaled, ObsFlags,
 };
-use ipfs_mon_core::{coverage, estimate_network_size, estimate_network_size_source};
+use ipfs_mon_core::{coverage, estimate_network_size};
 use ipfs_mon_kad::Crawler;
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
-use ipfs_mon_tracestore::ManifestReader;
 use ipfs_mon_workload::ScenarioConfig;
 
 fn main() {
@@ -27,38 +26,7 @@ fn main() {
     let window_start = SimTime::ZERO + SimDuration::from_hours(12);
     let window_end = SimTime::ZERO + config.horizon;
     let interval = SimDuration::from_hours(12);
-
-    // The analysis runs from a multi-segment manifest without materializing
-    // the dataset — the constant-memory path a ten-day deployment needs.
-    // The result below is asserted equal to the in-memory reference.
-    let dir = std::env::temp_dir().join(format!("sec5c-manifest-{}", std::process::id()));
-    let summary = spill_to_manifest(
-        &run.dataset,
-        &dir,
-        (run.dataset.total_entries() as u64 / 6).max(1),
-    );
-    let reader = ManifestReader::open(&summary.manifest_path).expect("open manifest");
-    let report = estimate_network_size_source(&reader, window_start, window_end, interval)
-        .expect("streaming estimation");
-
-    // Cross-check: the streaming report must equal the in-memory one.
-    let in_memory = estimate_network_size(&run.dataset, window_start, window_end, interval);
-    assert_eq!(
-        serde_json::to_string(&report).unwrap(),
-        serde_json::to_string(&in_memory).unwrap(),
-        "streaming netsize must equal the in-memory path"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-
-    print_header("Sec. V-C — streaming dataset layer");
-    print_row(
-        "manifest",
-        format!(
-            "{} segments, {} entries",
-            summary.segment_count, summary.total_entries
-        ),
-    );
-    print_row("streaming == in-memory", "verified (bit-identical report)");
+    let report = estimate_network_size(&run.dataset, window_start, window_end, interval);
 
     // DHT crawl at mid-week, as the comparison baseline.
     let crawl_at = SimTime::ZERO + SimDuration::from_days(3);

@@ -2,14 +2,12 @@
 //! evaluated against simulation ground truth.
 
 use ipfs_mon_bench::{
-    args_or_exit, pct, print_header, print_row, run_experiment, scaled, spill_to_manifest, ObsFlags,
+    args_or_exit, pct, print_header, print_row, run_experiment, scaled, ObsFlags,
 };
 use ipfs_mon_core::{
-    identify_data_wanters, per_peer_request_counts, run_attacks_source, track_node_wants,
-    AttackTargets, PreprocessConfig, TpiOutcome,
+    per_peer_request_counts, run_attacks_source, AttackTargets, PreprocessConfig, TpiOutcome,
 };
 use ipfs_mon_simnet::time::SimDuration;
-use ipfs_mon_tracestore::ManifestReader;
 use ipfs_mon_workload::ScenarioConfig;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
@@ -22,16 +20,6 @@ fn main() {
     config.workload.mean_node_requests_per_hour = 1.5;
     let run = run_experiment(&config);
     let scenario = run.network.scenario().clone();
-
-    // All trace-driven attacks run from a multi-segment manifest in one
-    // constant-memory pass; the in-memory results below only cross-check it.
-    let dir = std::env::temp_dir().join(format!("sec6a-manifest-{}", std::process::id()));
-    let summary = spill_to_manifest(
-        &run.dataset,
-        &dir,
-        (run.dataset.total_entries() as u64 / 5).max(1),
-    );
-    let reader = ManifestReader::open(&summary.manifest_path).expect("open manifest");
 
     // Ground truth: which nodes issued a user request for which content.
     // Ordered maps: the targets below are picked by iterating these, and the
@@ -66,10 +54,10 @@ fn main() {
         }
     }
 
-    // One streaming pass over the manifest evaluates IDW and TNW together;
-    // TPI probes query the live network.
+    // One pass over the dataset evaluates IDW and TNW together; TPI probes
+    // query the live network.
     let suite = run_attacks_source(
-        &reader,
+        &run.dataset,
         PreprocessConfig::default(),
         &AttackTargets {
             idw_cids: vec![cid.clone()],
@@ -78,26 +66,13 @@ fn main() {
         },
         Some(&run.network),
     )
-    .expect("streaming attack suite");
-    std::fs::remove_dir_all(&dir).ok();
+    .expect("attack suite");
 
     let wanters = &suite.idw[&cid];
-    assert_eq!(
-        wanters,
-        &identify_data_wanters(&run.trace, &cid),
-        "streaming IDW must equal the in-memory path"
-    );
     let identified: HashSet<_> = wanters.iter().map(|w| w.peer).collect();
     let true_positives = identified.intersection(truth_wanters).count();
 
-    print_header("IDW — Identifying Data Wanters (streamed from manifest)");
-    print_row(
-        "manifest",
-        format!(
-            "{} segments, {} entries",
-            summary.segment_count, summary.total_entries
-        ),
-    );
+    print_header("IDW — Identifying Data Wanters");
     print_row("target CID", &cid);
     print_row("ground-truth requesters", truth_wanters.len());
     print_row("identified by the attack", identified.len());
@@ -116,11 +91,6 @@ fn main() {
 
     // --- TNW: track the most active observed node.
     let profile = &suite.tnw[target_peer];
-    assert_eq!(
-        profile,
-        &track_node_wants(&run.trace, target_peer),
-        "streaming TNW must equal the in-memory path"
-    );
     let target_node = run.network.node_of_peer(target_peer);
     let truth_cids = target_node
         .and_then(|n| truth_by_node.get(&n))

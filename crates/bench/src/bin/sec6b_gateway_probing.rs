@@ -8,14 +8,11 @@
 //! functional public gateways (93 gateway node IDs in total, 13 behind one
 //! operator).
 
-use ipfs_mon_bench::{no_args, print_header, print_row, run_network, scaled, spill_to_manifest};
-use ipfs_mon_core::{
-    gateway_nodes_by_operator, unify_and_flag_source, GatewayProber, PreprocessConfig,
-};
+use ipfs_mon_bench::{no_args, print_header, print_row, run_network, scaled};
+use ipfs_mon_core::{gateway_nodes_by_operator, GatewayProber};
 use ipfs_mon_node::Network;
 use ipfs_mon_simnet::rng::SimRng;
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
-use ipfs_mon_tracestore::ManifestReader;
 use ipfs_mon_workload::{build_scenario, ScenarioConfig};
 
 fn main() {
@@ -42,35 +39,10 @@ fn main() {
     let truth = network.gateway_ground_truth();
     let run = run_network(network);
 
-    // The probe watch-list is evaluated against the unified trace streamed
-    // back from a spilled manifest, cross-checked against the in-memory
-    // preprocessing.
-    let dir = std::env::temp_dir().join(format!("sec6b-manifest-{}", std::process::id()));
-    let summary = spill_to_manifest(
-        &run.dataset,
-        &dir,
-        (run.dataset.total_entries() as u64 / 4).max(1),
-    );
-    let reader = ManifestReader::open(&summary.manifest_path).expect("open manifest");
-    let (streamed, _) =
-        unify_and_flag_source(&reader, PreprocessConfig::default()).expect("stream manifest");
-    std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(
-        streamed.entries, run.trace.entries,
-        "streamed unified trace must equal the in-memory path"
-    );
-
-    let results = prober.evaluate(&streamed);
+    let results = prober.evaluate(&run.trace);
     let by_operator = gateway_nodes_by_operator(&results);
 
     print_header("Sec. VI-B — gateway probing results");
-    print_row(
-        "manifest",
-        format!(
-            "{} segments, {} entries",
-            summary.segment_count, summary.total_entries
-        ),
-    );
     println!(
         "  {:<22} {:>12} {:>12} {:>12} {:>10}",
         "operator", "http works", "truth nodes", "discovered", "correct"

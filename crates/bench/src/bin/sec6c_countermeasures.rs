@@ -3,16 +3,10 @@
 //! and gateway usage — by replaying the adversary's analyses on mitigated
 //! traces.
 
-use ipfs_mon_bench::{
-    no_args, pct, print_header, print_row, run_experiment, scaled, spill_to_manifest,
-};
-use ipfs_mon_core::{
-    apply_countermeasure, evaluate_countermeasure, unify_and_flag_source, Countermeasure,
-    PreprocessConfig,
-};
+use ipfs_mon_bench::{no_args, pct, print_header, run_experiment, scaled};
+use ipfs_mon_core::{apply_countermeasure, evaluate_countermeasure, Countermeasure};
 use ipfs_mon_simnet::rng::SimRng;
 use ipfs_mon_simnet::time::SimDuration;
-use ipfs_mon_tracestore::ManifestReader;
 use ipfs_mon_workload::ScenarioConfig;
 
 fn main() {
@@ -21,24 +15,6 @@ fn main() {
     config.horizon = SimDuration::from_days(1);
     config.workload.mean_node_requests_per_hour = 1.5;
     let run = run_experiment(&config);
-
-    // The adversary's view is replayed from a spilled manifest and
-    // cross-checked against the in-memory preprocessing before the
-    // countermeasures are applied.
-    let dir = std::env::temp_dir().join(format!("sec6c-manifest-{}", std::process::id()));
-    let summary = spill_to_manifest(
-        &run.dataset,
-        &dir,
-        (run.dataset.total_entries() as u64 / 4).max(1),
-    );
-    let reader = ManifestReader::open(&summary.manifest_path).expect("open manifest");
-    let (streamed, _) =
-        unify_and_flag_source(&reader, PreprocessConfig::default()).expect("stream manifest");
-    std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(
-        streamed.entries, run.trace.entries,
-        "streamed unified trace must equal the in-memory path"
-    );
 
     let cases: Vec<(&str, Countermeasure)> = vec![
         (
@@ -84,24 +60,17 @@ fn main() {
     ];
 
     print_header("Sec. VI-C — countermeasure design space (lower = better privacy)");
-    print_row(
-        "manifest",
-        format!(
-            "{} segments, {} entries",
-            summary.segment_count, summary.total_entries
-        ),
-    );
     println!(
         "  {:<34} {:>12} {:>12} {:>12} {:>10}",
         "countermeasure", "TNW link.", "IDW prec.", "CID visib.", "overhead"
     );
     // Baseline.
     let baseline = ipfs_mon_core::MitigatedTrace {
-        trace: streamed.clone(),
+        trace: run.trace.clone(),
         traffic_overhead: 0.0,
         forced_reconnections: 0,
     };
-    let eval = evaluate_countermeasure(&streamed, &baseline);
+    let eval = evaluate_countermeasure(&run.trace, &baseline);
     println!(
         "  {:<34} {:>12} {:>12} {:>12} {:>10}",
         "none (baseline)",
@@ -112,8 +81,8 @@ fn main() {
     );
     for (name, countermeasure) in cases {
         let mut rng = SimRng::new(0xC0FFEE);
-        let mitigated = apply_countermeasure(&streamed, countermeasure, &mut rng);
-        let eval = evaluate_countermeasure(&streamed, &mitigated);
+        let mitigated = apply_countermeasure(&run.trace, countermeasure, &mut rng);
+        let eval = evaluate_countermeasure(&run.trace, &mitigated);
         println!(
             "  {:<34} {:>12} {:>12} {:>12} {:>10}",
             name,

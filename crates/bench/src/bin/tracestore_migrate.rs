@@ -15,46 +15,52 @@
 //! The source dataset may hold any mix of chunk layouts, including the
 //! decode-only `lz` one.
 //!
-//! `--demo` is a self-contained smoke mode for CI: it generates a small
-//! simulated trace, spills it as a `raw` manifest (as collection writes it),
-//! compacts it to `col`, and verifies the merged entry stream is unchanged.
+//! `--demo` is a self-contained smoke mode for CI: it collects a small
+//! simulated trace straight into a `raw` manifest (through
+//! `ManifestCollector`, as collection writes it), compacts it to `col`, and
+//! verifies the merged entry stream is unchanged.
 
-use ipfs_mon_bench::{run_experiment, scaled, spill_to_manifest};
+use ipfs_mon_bench::{args_or_exit, parse_flags, scaled};
+use ipfs_mon_core::ManifestCollector;
+use ipfs_mon_node::Network;
 use ipfs_mon_simnet::time::SimDuration;
-use ipfs_mon_tracestore::{migrate_manifest, ManifestReader, TraceEntry, TraceSource};
-use ipfs_mon_workload::ScenarioConfig;
-use std::path::PathBuf;
+use ipfs_mon_tracestore::{
+    migrate_manifest, DatasetConfig, ManifestReader, TraceEntry, TraceSource,
+};
+use ipfs_mon_workload::{build_scenario, ScenarioConfig};
+use std::path::{Path, PathBuf};
 
-const USAGE: &str = "usage: tracestore_migrate <manifest-dir> | --demo";
+/// Entries per segment of the demo dataset: at any scale the demo runs, each
+/// monitor's chain spans several segments, so compaction swaps more than one.
+const DEMO_ROTATE_AFTER_ENTRIES: u64 = 8_192;
+
+/// The manifest directory to compact, or `None` for `--demo`.
+fn parse(args: impl IntoIterator<Item = String>) -> Result<Option<PathBuf>, String> {
+    let (mut dir, mut demo) = (None, false);
+    parse_flags(args, |arg, _| {
+        match arg {
+            "--demo" => demo = true,
+            _ if arg.starts_with('-') || dir.is_some() => return Ok(false),
+            path => dir = Some(PathBuf::from(path)),
+        }
+        Ok(true)
+    })?;
+    match (dir, demo) {
+        (Some(dir), false) => Ok(Some(dir)),
+        (None, true) => Ok(None),
+        _ => Err("give either a manifest directory or --demo".into()),
+    }
+}
 
 fn main() {
-    let mut dir: Option<PathBuf> = None;
-    let mut demo = false;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--demo" => demo = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                return;
-            }
-            flag if flag.starts_with("--") => panic!("unknown flag {flag:?}\n{USAGE}"),
-            path => {
-                assert!(dir.is_none(), "more than one manifest dir given\n{USAGE}");
-                dir = Some(PathBuf::from(path));
-            }
-        }
-    }
-
-    let dir = match (dir, demo) {
-        (None, true) => {
-            let dir = std::env::temp_dir().join(format!("ts-migrate-demo-{}", std::process::id()));
-            std::fs::remove_dir_all(&dir).ok();
-            prepare_demo_manifest(&dir);
-            dir
-        }
-        (Some(dir), false) => dir,
-        _ => panic!("{USAGE}"),
-    };
+    let dir = args_or_exit("<manifest-dir> | --demo", parse);
+    let demo = dir.is_none();
+    let dir = dir.unwrap_or_else(|| {
+        let dir = std::env::temp_dir().join(format!("ts-migrate-demo-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        collect_demo_manifest(&dir);
+        dir
+    });
 
     // Snapshot the logical content before migrating so the post-migration
     // stream can be verified end to end (on top of the per-segment
@@ -101,16 +107,19 @@ fn main() {
     }
 }
 
-/// Generates a small two-monitor trace and spills it as a `raw` manifest.
-fn prepare_demo_manifest(dir: &std::path::Path) {
+/// Collects a small two-monitor trace into a `raw` manifest at `dir`.
+fn collect_demo_manifest(dir: &Path) {
     let mut config = ScenarioConfig::analysis_week(61, scaled(200).min(200));
     config.horizon = SimDuration::from_days(1);
-    let run = run_experiment(&config);
-    let summary = spill_to_manifest(
-        &run.dataset,
-        dir,
-        (run.dataset.total_entries() as u64 / 4).max(1),
-    );
+    let scenario = build_scenario(&config);
+    let labels = scenario.monitors.iter().map(|m| m.label.clone()).collect();
+    let dataset = DatasetConfig {
+        rotate_after_entries: DEMO_ROTATE_AFTER_ENTRIES,
+        ..DatasetConfig::default()
+    };
+    let mut collector = ManifestCollector::new(labels, dir, dataset).expect("create dataset dir");
+    Network::new(scenario).run(&mut collector);
+    let summary = collector.finish().expect("finish manifest");
     println!(
         "demo manifest: {} segments, {} entries (codec=raw) at {}",
         summary.segment_count,
@@ -119,7 +128,7 @@ fn prepare_demo_manifest(dir: &std::path::Path) {
     );
 }
 
-fn merged_entries(dir: &std::path::Path) -> Vec<TraceEntry> {
+fn merged_entries(dir: &Path) -> Vec<TraceEntry> {
     let reader = ManifestReader::open(dir).expect("open manifest");
     let mut stream = reader.merged_entries();
     let entries: Vec<TraceEntry> = (&mut stream).collect();

@@ -12,6 +12,11 @@
 //! Each binary parses its arguments once, through [`args_or_exit`]: an
 //! argument it does not act on, or an `IPFS_MON_SCALE` it cannot use, stops
 //! it with its usage line before anything is simulated.
+//!
+//! A figure binary computes each number once, from the [`ExperimentRun`] it
+//! holds. That a dataset read back from disk yields the same numbers is held
+//! by the tests (`tests/manifest_streaming.rs`, `tests/parallel_analysis.rs`,
+//! `tests/column_paths.rs`), not re-checked on every run.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -21,6 +26,7 @@ use ipfs_mon_core::{
     UnifiedTrace,
 };
 use ipfs_mon_node::{Network, RunReport};
+use ipfs_mon_simnet::time::SimDuration;
 use ipfs_mon_types::PeerId;
 use ipfs_mon_workload::{build_scenario, build_scenario_lazy, ScenarioConfig};
 use std::collections::HashSet;
@@ -114,37 +120,6 @@ pub fn gateway_peer_sets(network: &Network) -> (HashSet<PeerId>, HashSet<PeerId>
     (all, dominant)
 }
 
-/// Spills a dataset into a fresh multi-segment manifest directory (per-monitor
-/// segment chains rotated every `rotate_after_entries` entries) and returns
-/// the summary. Experiments use this to re-run their analyses from a
-/// [`ipfs_mon_tracestore::ManifestReader`]-backed
-/// [`ipfs_mon_tracestore::TraceSource`] and assert streaming/in-memory
-/// equivalence; the caller owns (and should remove) the directory.
-pub fn spill_to_manifest(
-    dataset: &MonitoringDataset,
-    dir: &std::path::Path,
-    rotate_after_entries: u64,
-) -> ipfs_mon_tracestore::DatasetSummary {
-    use ipfs_mon_tracestore::{DatasetConfig, DatasetWriter};
-    let config = DatasetConfig {
-        rotate_after_entries,
-        ..DatasetConfig::default()
-    };
-    let mut writer = DatasetWriter::create(dir, dataset.monitor_labels.clone(), config)
-        .expect("create dataset dir");
-    for per_monitor in &dataset.entries {
-        for entry in per_monitor {
-            writer.append(entry).expect("append entry");
-        }
-    }
-    for connection in &dataset.connections {
-        writer
-            .record_connection(connection.clone())
-            .expect("record connection");
-    }
-    writer.finish().expect("finish manifest")
-}
-
 /// Checks `IPFS_MON_SCALE`, then parses the process arguments (the program
 /// name excluded) with `parse`. On an error, prints it and the usage line —
 /// the program name followed by `usage`, the flags the binary takes — to
@@ -192,6 +167,21 @@ pub fn flag_value<T: std::str::FromStr>(
         .map_err(|_| format!("{flag}: cannot use {value:?}"))
 }
 
+/// The value after `flag`, a whole number of `unit`s — refused when its
+/// milliseconds do not fit the `u64` a [`SimDuration`] holds, which
+/// `SimDuration::from_mins`/`from_days` would overflow.
+pub fn duration_value(
+    flag: &str,
+    rest: &mut dyn Iterator<Item = String>,
+    unit: SimDuration,
+) -> Result<u64, String> {
+    let count: u64 = flag_value(flag, rest)?;
+    match count.checked_mul(unit.as_millis()) {
+        Some(_) => Ok(count),
+        None => Err(format!("{flag}: {count} overflows the simulated clock")),
+    }
+}
+
 fn exit_with(message: &str) -> ! {
     eprintln!("{message}");
     std::process::exit(2)
@@ -227,7 +217,9 @@ impl ScaleFlags {
         parse_flags(args, |arg, rest| {
             match arg {
                 "--population" => flags.population = flag_value(arg, rest)?,
-                "--horizon-days" => flags.horizon_days = flag_value(arg, rest)?,
+                "--horizon-days" => {
+                    flags.horizon_days = duration_value(arg, rest, SimDuration::from_days(1))?;
+                }
                 _ => return Ok(false),
             }
             Ok(true)
@@ -378,7 +370,7 @@ mod tests {
 
     #[test]
     fn scale_flags_take_their_own_flags_and_nothing_else() {
-        let parse = |line| ScaleFlags::parse(args(line), 1_500, 3);
+        let parse = |line: &str| ScaleFlags::parse(args(line), 1_500, 3);
         let defaults = ScaleFlags {
             population: 1_500,
             horizon_days: 3,
@@ -397,6 +389,14 @@ mod tests {
         assert!(parse("--codec col").is_err());
         assert!(parse("--population").is_err());
         assert!(parse("--horizon-days one").is_err());
+        // Days whose milliseconds overflow `u64` would wrap the horizon.
+        let max_days = u64::MAX / 86_400_000;
+        assert_eq!(
+            parse(&format!("--horizon-days {max_days}")).map(|f| f.horizon_days),
+            Ok(max_days)
+        );
+        assert!(parse(&format!("--horizon-days {}", max_days + 1)).is_err());
+        assert!(parse(&format!("--horizon-days {}", u64::MAX)).is_err());
     }
 
     #[test]

@@ -78,9 +78,8 @@ pub use service::{
     ServiceWindowAccum, WindowSummary, WINDOW_DIR_NAME,
 };
 pub use sinks::{
-    activity_counts_source, entry_stats_source, popularity_scores_source,
-    request_type_series_source, ActivityCounts, ActivityCountsSink, EntryStatsSink,
-    MonitorEntryStats, PopularitySink, RequestTypeSink,
+    ActivityCounts, ActivityCountsSink, EntryStatsSink, MonitorEntryStats, PopularitySink,
+    RequestTypeSink,
 };
 pub use trace::{
     ConnectionRecord, EntryFlags, MonitoringDataset, TraceEntry, TraceSource, UnifiedTrace,

@@ -2,8 +2,8 @@
 //! engine ([`AnalysisSink`]).
 //!
 //! Each sink here is the *canonical* implementation of its analysis; every
-//! analysis has exactly two entry points — the sink (driven by
-//! [`run_sink`], the `*_source` helpers below, or per monitor via
+//! analysis has exactly two entry points — the sink (driven over any trace
+//! source by [`run_sink`](ipfs_mon_tracestore::run_sink), or per monitor via
 //! [`ManifestReader::run_parallel`](ipfs_mon_tracestore::ManifestReader::run_parallel))
 //! and the in-memory function over an already-flagged trace
 //! (`request_type_series`, `popularity_scores`, `per_peer_request_counts`,
@@ -29,7 +29,7 @@ use crate::trace::TraceEntry;
 use ipfs_mon_analysis::StreamSummary;
 use ipfs_mon_bitswap::RequestType;
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
-use ipfs_mon_tracestore::{run_sink, AnalysisSink, ChunkView, Rows, SegmentError, TraceSource};
+use ipfs_mon_tracestore::{AnalysisSink, ChunkView, Rows};
 use ipfs_mon_types::{Multicodec, PeerId};
 use std::collections::BTreeMap;
 
@@ -117,16 +117,6 @@ impl AnalysisSink for RequestTypeSink {
     }
 }
 
-/// One request-type series per monitor from any trace source — the serial
-/// reference [`RequestTypeSink`] execution. Row `m` equals
-/// [`crate::activity::request_type_series`] on monitor `m`'s raw entries.
-pub fn request_type_series_source<T: TraceSource>(
-    source: &T,
-    bucket: SimDuration,
-) -> Result<Vec<RequestTypeSeries>, SegmentError> {
-    run_sink(source, RequestTypeSink::new(bucket))
-}
-
 // ---------------------------------------------------------------------------
 // Popularity (Sec. V-E)
 // ---------------------------------------------------------------------------
@@ -190,14 +180,6 @@ impl AnalysisSink for PopularitySink {
     fn finish(self) -> PopularityScores {
         self.accumulator.finish()
     }
-}
-
-/// Popularity scores from any trace source — the serial reference
-/// [`PopularitySink`] execution.
-pub fn popularity_scores_source<T: TraceSource>(
-    source: &T,
-) -> Result<PopularityScores, SegmentError> {
-    run_sink(source, PopularitySink::new())
 }
 
 // ---------------------------------------------------------------------------
@@ -337,12 +319,6 @@ impl AnalysisSink for ActivityCountsSink {
             cancels: self.cancels,
         }
     }
-}
-
-/// Activity counts from any trace source — the serial reference
-/// [`ActivityCountsSink`] execution.
-pub fn activity_counts_source<T: TraceSource>(source: &T) -> Result<ActivityCounts, SegmentError> {
-    run_sink(source, ActivityCountsSink::new())
 }
 
 // ---------------------------------------------------------------------------
@@ -545,14 +521,6 @@ impl AnalysisSink for EntryStatsSink {
             .map(StatsAccum::finish)
             .collect()
     }
-}
-
-/// Per-monitor descriptive statistics from any trace source — the serial
-/// reference [`EntryStatsSink`] execution.
-pub fn entry_stats_source<T: TraceSource>(
-    source: &T,
-) -> Result<Vec<MonitorEntryStats>, SegmentError> {
-    run_sink(source, EntryStatsSink::new())
 }
 
 #[cfg(test)]

@@ -20,10 +20,9 @@ mod common;
 
 use common::{differential_case, run_flagged, DifferentialCase};
 use ipfs_monitoring::core::{
-    activity_counts_source, entry_stats_source, multicodec_shares, per_peer_request_counts,
-    popularity_scores, request_type_series, request_type_series_source, unify_and_flag,
-    ActivityCountsSink, AnalysisSink, EntryStatsSink, PopularitySink, PreprocessConfig,
-    RequestTypeSink,
+    multicodec_shares, per_peer_request_counts, popularity_scores, request_type_series,
+    unify_and_flag, ActivityCountsSink, AnalysisSink, EntryStatsSink, PopularitySink,
+    PreprocessConfig, RequestTypeSink,
 };
 use ipfs_monitoring::simnet::time::SimDuration;
 use ipfs_monitoring::tracestore::{run_sink, ManifestReader};
@@ -113,7 +112,7 @@ proptest! {
 
         // Request-type series: row m equals the in-memory per-monitor analysis.
         let bucket = SimDuration::from_hours(1);
-        let series = request_type_series_source(&reader, bucket).unwrap();
+        let series = run_sink(&reader, RequestTypeSink::new(bucket)).unwrap();
         prop_assert_eq!(series.len(), monitors);
         for (m, row) in series.iter().enumerate() {
             prop_assert_eq!(row, &request_type_series(dataset, m, bucket), "monitor {}", m);
@@ -129,11 +128,11 @@ proptest! {
 
         // Over the unflagged stream the multicodec rows equal the in-memory
         // Table I computation.
-        let counts = activity_counts_source(&reader).unwrap();
+        let counts = run_sink(&reader, ActivityCountsSink::new()).unwrap();
         prop_assert_eq!(&counts.multicodec, &multicodec_shares(dataset));
 
         // Entry stats: per-monitor counts reconcile with the dataset.
-        let stats = entry_stats_source(&reader).unwrap();
+        let stats = run_sink(&reader, EntryStatsSink::new()).unwrap();
         prop_assert_eq!(stats.len(), monitors);
         for (m, s) in stats.iter().enumerate() {
             prop_assert_eq!(s.entries as usize, dataset.entries[m].len(), "monitor {}", m);

@@ -278,8 +278,7 @@ fn scenario_spill_matches_in_memory_pipeline() {
 fn streaming_analysis_variants_match_in_memory() {
     use ipfs_monitoring::analysis::{summarize, summarize_stream, Ecdf};
     use ipfs_monitoring::core::{
-        per_peer_request_counts, request_type_series, request_type_series_source,
-        ActivityCountsSink,
+        per_peer_request_counts, request_type_series, run_sink, ActivityCountsSink, RequestTypeSink,
     };
 
     let dataset = random_dataset(99, 2, 400, 1_000);
@@ -296,7 +295,7 @@ fn streaming_analysis_variants_match_in_memory() {
 
     // Fig. 4 request-type series of every monitor from the raw stream.
     let bucket = SimDuration::from_secs(60);
-    let streamed_series = request_type_series_source(&reader, bucket).unwrap();
+    let streamed_series = run_sink(&reader, RequestTypeSink::new(bucket)).unwrap();
     for (monitor, series) in streamed_series.iter().enumerate() {
         assert_eq!(
             series.rows,
