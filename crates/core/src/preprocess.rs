@@ -43,9 +43,10 @@
 //! key's slots to a free list, so the arena is bounded by the largest live
 //! population, not by the trace.
 //!
-//! A key is filed under a hash built from parts: `H(peer)` and `H(cid)` by a
-//! keyed fold-multiply word hasher (instead of SipHash), then those two and
-//! the request type folded once more under the same seeds. The parts are what
+//! A key is filed under a hash built from parts: `H(peer)` and `H(cid)` by
+//! the keyed fold-multiply word hasher of [`ipfs_mon_tracestore::hash`]
+//! (instead of SipHash), then those two and the request type folded once more
+//! under the same seeds. The parts are what
 //! an on-disk dataset lets the engine share: a chunk stores each distinct
 //! peer and CID once, so [`FlaggedStream`] over a manifest source hashes a
 //! chunk's two dictionaries when it meets the chunk's first row and every
@@ -57,9 +58,9 @@
 //! the same table.
 //!
 //! Peer IDs and CIDs are outside input. The hasher's two seeds are random per
-//! engine (from [`RandomState`]), never leave it (the part hashes of a chunk
-//! are made by the engine on its own thread and kept where only its stream
-//! can reach them), and no other map takes this hasher: without the seeds,
+//! engine ([`WordHashBuilder::random`]), never leave it (the part hashes of a
+//! chunk are made by the engine on its own thread and kept where only its
+//! stream can reach them), and no other map shares them: without the seeds,
 //! keys cannot be chosen to collide. And a hash only ever *places* a key:
 //! every hit compares the whole key — peer, request type, CID — so two keys
 //! that do share a hash are two keys. The engine this replaced —
@@ -69,11 +70,12 @@
 use crate::trace::{EntryFlags, MonitoringDataset, TraceEntry, UnifiedTrace};
 use ipfs_mon_bitswap::RequestType;
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
-use ipfs_mon_tracestore::{ChunkView, MergedRow, SegmentError, SourceEntries, TraceSource};
+use ipfs_mon_tracestore::{
+    ChunkView, MergedRow, SegmentError, SourceEntries, TraceSource, WordHashBuilder,
+};
 use ipfs_mon_types::{Cid, PeerId};
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
-use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
@@ -224,95 +226,6 @@ impl Hasher for HashedOnce {
 
 /// Entries processed between evictions of stale window state.
 const EVICTION_PERIOD: usize = 8192;
-
-/// `a × b` as 128 bits, the two halves xor-ed together: every bit of either
-/// factor reaches every bit of the result.
-#[inline]
-fn fold_multiply(a: u64, b: u64) -> u64 {
-    let product = u128::from(a) * u128::from(b);
-    product as u64 ^ (product >> 64) as u64
-}
-
-/// The flagging engine's hasher: one fold-multiply per 8-byte word of what it
-/// is fed (the construction `foldhash` is built on), keyed by the two seeds
-/// of its [`WordHashBuilder`]. It makes the part hashes — of a peer, of a CID
-/// — and folds them into the hash a key is filed under. The default SipHash
-/// cost more than everything else the engine does to a row put together.
-struct WordHasher {
-    state: u64,
-    multiplier: u64,
-}
-
-impl Hasher for WordHasher {
-    #[inline]
-    fn write_u64(&mut self, word: u64) {
-        self.state = fold_multiply(self.state ^ word, self.multiplier);
-    }
-
-    // What a derived `Hash` feeds besides byte strings: slice lengths and
-    // enum discriminants.
-    #[inline]
-    fn write_usize(&mut self, word: usize) {
-        self.write_u64(word as u64);
-    }
-
-    #[inline]
-    fn write_isize(&mut self, word: isize) {
-        self.write_u64(word as u64);
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            self.write_u64(u64::from_le_bytes(word.try_into().expect("8-byte chunk")));
-        }
-        let tail = words.remainder();
-        if !tail.is_empty() {
-            let mut word = [0u8; 8];
-            word[..tail.len()].copy_from_slice(tail);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.state
-    }
-}
-
-/// Seeds of one engine's [`WordHasher`]s, drawn from the standard library's
-/// per-process randomness when the engine is created. Peer IDs and CIDs come
-/// out of trace files, so the table must not hash them with anything a file's
-/// author could know: without the seeds, keys cannot be chosen to collide.
-#[derive(Debug, Clone)]
-struct WordHashBuilder {
-    initial: u64,
-    multiplier: u64,
-}
-
-impl WordHashBuilder {
-    fn random() -> Self {
-        let random = RandomState::new();
-        Self {
-            initial: random.hash_one(0u8),
-            // An even multiplier would shift the low bits out of every product.
-            multiplier: random.hash_one(1u8) | 1,
-        }
-    }
-}
-
-impl BuildHasher for WordHashBuilder {
-    type Hasher = WordHasher;
-
-    #[inline]
-    fn build_hasher(&self) -> WordHasher {
-        WordHasher {
-            state: self.initial,
-            multiplier: self.multiplier,
-        }
-    }
-}
 
 /// The window-flagging engine shared by the in-memory and streaming paths.
 ///
@@ -866,10 +779,7 @@ mod tests {
     fn keys_that_share_a_hash_are_told_apart() {
         let (monitors, entries) = oracle_case(3);
         let config = PreprocessConfig::default();
-        let colliding = WordHashBuilder {
-            initial: 0,
-            multiplier: 0,
-        };
+        let colliding = WordHashBuilder::from_seeds(0, 0);
         let mut engine = StreamingPreprocessor::with_hasher(monitors, config, colliding);
         let mut oracle = OracleEngine::new(monitors, config);
         for original in &entries[..1_500] {

@@ -27,27 +27,33 @@
 //! # Exactly-once window output
 //!
 //! Every sealed window is written as its own durable file
-//! (`windows/win-<index>.json`, via
-//! [`write_file_durable`]:
-//! tmp + fsync + atomic rename) *in index order*. That makes the window
-//! directory itself the restart state:
+//! (`windows/win-<index>.json`). The windows one poll seals are made durable
+//! together, in one group commit ([`write_files_durable`]): each file is
+//! staged as a `.tmp`, written and fsynced; then the staged files are renamed
+//! *in index order*; then `windows/` is fsynced once. Only after that fsync
+//! do their lines join what [`MonitorService::poll`] returns. That makes the
+//! window directory itself the restart state:
 //!
-//! * the files present after a crash are always a dense prefix
-//!   `win-0 .. win-(n-1)` — window `n` crashed before its rename, so it
-//!   was never visible;
-//! * on restart the service counts that prefix, replays the recovered
+//! * after a crash, the files present start with a dense prefix
+//!   `win-0 .. win-(n-1)`. A process kill mid-commit leaves a prefix of the
+//!   batch renamed; a power loss before the directory fsync may lose any
+//!   subset of the batch's renames, which can leave a gap. Either way no
+//!   line of that batch was returned yet;
+//! * on restart the service counts the dense prefix, replays the recovered
 //!   chains through a fresh windowed sink, and *suppresses* the first `n`
 //!   sealed windows instead of re-writing them — no duplicates;
-//! * the replay re-derives window `n` and everything after it from
-//!   exactly the bytes that survived the crash — no gaps. The tail only
-//!   ever feeds *durable* bytes to the sink, so a window sealed before
-//!   the crash was computed from data that is still there after it.
+//! * the replay re-derives window `n` and everything after it (overwriting
+//!   any file past a gap) from exactly the bytes that survived the crash —
+//!   no gaps. The tail only ever feeds *durable* bytes to the sink, so a
+//!   window sealed before the crash was computed from data that is still
+//!   there after it.
 //!
 //! Re-derived windows are bit-identical to the pre-crash ones as long as
 //! the lateness allowance covers each chain's arrival disorder (zero for
 //! the in-order collectors); the `service_soak` integration test
-//! kill/restarts the service at every storage operation and asserts the
-//! concatenated output equals a fault-free run's, byte for byte.
+//! kill/restarts the service at sampled storage operations, and at every
+//! operation of a multi-window commit, and asserts the concatenated output
+//! equals a fault-free run's, byte for byte.
 //!
 //! [`ResumeCursor`]: ipfs_mon_tracestore::recover::ResumeCursor
 
@@ -55,7 +61,7 @@ use crate::trace::TraceEntry;
 use ipfs_mon_bitswap::RequestType;
 use ipfs_mon_obs as obs;
 use ipfs_mon_simnet::time::SimDuration;
-use ipfs_mon_tracestore::fault::write_file_durable;
+use ipfs_mon_tracestore::fault::write_files_durable;
 use ipfs_mon_tracestore::recover::{recover_dataset_with, RecoveryReport};
 use ipfs_mon_tracestore::sketch::{HeavyHitter, SpaceSaving};
 use ipfs_mon_tracestore::window::{
@@ -241,8 +247,9 @@ pub fn format_window_line(result: &WindowResult<WindowSummary>) -> String {
     line
 }
 
-/// The window emitter: appends durable window files and suppresses windows
-/// a previous incarnation already emitted.
+/// The window emitter: collects the windows one drain seals, makes them
+/// durable in one group commit, and suppresses windows a previous
+/// incarnation already emitted.
 struct Emitter {
     storage: Arc<dyn Storage>,
     window_dir: PathBuf,
@@ -253,29 +260,45 @@ struct Emitter {
     next: u64,
     emitted: u64,
     skipped: u64,
-    /// JSON lines of windows sealed since the last drain.
+    /// Sealed windows not yet durable, in index order: `(file, line)`.
+    pending: Vec<(PathBuf, String)>,
+    /// JSON lines of committed windows not yet handed to the caller.
     lines: Vec<String>,
 }
 
 impl Emitter {
-    fn emit(&mut self, result: WindowResult<WindowSummary>) -> Result<(), SegmentError> {
+    fn emit(&mut self, result: WindowResult<WindowSummary>) {
         let index = result.bounds.index;
         assert_eq!(
             index, self.next,
             "windowed sink sealed out of order (dense emission invariant)"
         );
         self.next += 1;
-        let line = format_window_line(&result);
         if index < self.skip_below {
             self.skipped += 1;
             obs::counter!("service.windows_skipped").incr();
-            return Ok(());
+            return;
         }
         let path = self.window_dir.join(window_file_name(index));
-        write_file_durable(self.storage.as_ref(), &path, line.as_bytes())?;
-        self.emitted += 1;
-        obs::counter!("service.windows_emitted").incr();
-        self.lines.push(line);
+        self.pending.push((path, format_window_line(&result)));
+    }
+
+    /// Makes every pending window durable in one group commit, then hands
+    /// its lines to the caller. On error nothing pending is surfaced; it
+    /// stays pending, in order.
+    fn commit(&mut self) -> Result<(), SegmentError> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        {
+            let _span = obs::histogram!("service.window_commit_ns").timer();
+            write_files_durable(self.storage.as_ref(), &self.pending)?;
+        }
+        obs::counter!("service.window_commits").incr();
+        obs::counter!("service.windows_emitted").add(self.pending.len() as u64);
+        self.emitted += self.pending.len() as u64;
+        self.lines
+            .extend(self.pending.drain(..).map(|(_, line)| line));
         Ok(())
     }
 }
@@ -375,6 +398,7 @@ impl MonitorService {
             next: 0,
             emitted: 0,
             skipped: 0,
+            pending: Vec::new(),
             lines: Vec::new(),
         };
         let top_k = config.top_k;
@@ -428,31 +452,30 @@ impl MonitorService {
         self.emit.skip_below
     }
 
-    /// Feeds the tail's new entries to the sink and emits each window the
-    /// moment its last entry seals it: a window's file is written, and its
-    /// accumulator dropped, mid-poll rather than after it. The tail's
-    /// callback cannot stop the poll, so the first write error waits in a
-    /// local and ends emission.
+    /// Feeds the tail's new entries to the sink, collecting each window the
+    /// moment its last entry seals it (its accumulator is dropped mid-poll,
+    /// not after it), then commits the collected windows in one group
+    /// commit. Windows sealed before a tail error are committed before the
+    /// error is returned.
     fn drain_tail(
         tail: &mut DatasetTail,
         sink: &mut ServiceSink,
         emit: &mut Emitter,
     ) -> Result<(), SegmentError> {
-        let mut failed = None;
-        tail.poll(|entry| {
+        let polled = tail.poll(|entry| {
             sink.consume(entry);
             for result in sink.take_sealed() {
-                if failed.is_none() {
-                    failed = emit.emit(result).err();
-                }
+                emit.emit(result);
             }
-        })?;
-        failed.map_or(Ok(()), Err)
+        });
+        emit.commit()?;
+        polled.map(drop)
     }
 
     /// Drives the analysis forward: decodes every newly durable chunk
     /// frame into the windowed sink and returns the JSON lines of the
-    /// windows sealed by this poll (suppressed replayed windows excluded).
+    /// windows sealed by this poll (suppressed replayed windows excluded),
+    /// each already durable in `windows/`.
     pub fn poll(&mut self) -> Result<Vec<String>, SegmentError> {
         let sink = self.sink.as_mut().expect("service already finished");
         Self::drain_tail(&mut self.tail, sink, &mut self.emit)?;
@@ -469,8 +492,9 @@ impl MonitorService {
         Self::drain_tail(&mut self.tail, &mut sink, &mut self.emit)?;
         let windowed = sink.finish();
         for result in windowed.results {
-            self.emit.emit(result)?;
+            self.emit.emit(result);
         }
+        self.emit.commit()?;
         obs::gauge!("service.windows_durable").set(self.emit.skip_below + self.emit.emitted);
         Ok(ServiceReport {
             windows_emitted: self.emit.emitted,
@@ -500,9 +524,11 @@ fn sweep_window_dir(window_dir: &Path, storage: &dyn Storage) -> Result<u64, Seg
         indexes.extend(parse_window_file_name(name));
     }
     indexes.sort_unstable();
-    // Dense prefix: windows are written in index order through atomic
-    // renames, so a gap can only follow external tampering; everything
-    // past it is re-derived (and overwritten) rather than trusted.
+    // Dense prefix: a group commit renames in index order, so a killed
+    // process leaves no gap, but a power loss before the commit's directory
+    // fsync can drop any of its renames (and so can external tampering).
+    // None of that batch's lines was surfaced: everything past the first
+    // gap is re-derived (and overwritten) rather than trusted.
     let mut dense = 0u64;
     for index in indexes {
         if index == dense {
@@ -519,7 +545,7 @@ mod tests {
     use super::*;
     use crate::trace::EntryFlags;
     use ipfs_mon_simnet::time::SimTime;
-    use ipfs_mon_tracestore::SegmentConfig;
+    use ipfs_mon_tracestore::{FaultPlan, FaultyStorage, SegmentConfig};
     use ipfs_mon_types::{Country, Multiaddr, Multicodec, PeerId, Transport};
 
     fn entry(ms: u64, monitor: usize) -> TraceEntry {
@@ -587,6 +613,104 @@ mod tests {
                     .unwrap();
             assert_eq!(&on_disk, line);
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Feeds 100 entries 30 ms apart through one monitor (segments of 40
+    /// entries) and checkpoints: the next poll seals windows 0 and 1 and
+    /// commits them together.
+    fn open_and_feed(dir: &Path, storage: FaultyStorage) -> MonitorService {
+        let (mut service, _) =
+            MonitorService::open_with(dir, vec!["solo".into()], config(), Arc::new(storage))
+                .unwrap();
+        for i in 0..100u64 {
+            service.ingest(&entry(i * 30, 0)).unwrap();
+        }
+        service.checkpoint().unwrap();
+        service
+    }
+
+    /// A tail error mid-poll does not strand the windows sealed before it:
+    /// they are committed, then the error is returned, and their lines wait
+    /// for the caller's next successful poll.
+    #[test]
+    fn windows_sealed_before_a_tail_error_are_committed_first() {
+        let dir = temp_dir("tail-error");
+        std::fs::remove_dir_all(&dir).ok();
+        let mut service = open_and_feed(&dir, FaultyStorage::new(FaultPlan::none()));
+        // The first segment alone seals window 0; the second one's header
+        // is damaged.
+        let second = dir.join("seg-000-00001.seg");
+        let mut bytes = std::fs::read(&second).unwrap();
+        bytes[..4].copy_from_slice(b"XXXX");
+        std::fs::write(&second, bytes).unwrap();
+
+        let err = service.poll().unwrap_err();
+        assert!(matches!(err, SegmentError::Corrupt(_)), "{err}");
+        let window_dir = dir.join(WINDOW_DIR_NAME);
+        let names: Vec<String> = std::fs::read_dir(&window_dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        assert_eq!(names, vec![window_file_name(0)]);
+        assert_eq!(service.emit.emitted, 1);
+        let on_disk = std::fs::read_to_string(window_dir.join(window_file_name(0))).unwrap();
+        assert_eq!(service.emit.lines, vec![on_disk]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A group commit that fails surfaces none of its lines — at whichever
+    /// of its operations the storage dies — and one that fails without
+    /// killing the storage keeps its windows pending for the next poll, so
+    /// each line is still surfaced exactly once, in order.
+    #[test]
+    fn a_failed_commit_surfaces_no_line() {
+        let dir = temp_dir("commit-ref");
+        std::fs::remove_dir_all(&dir).ok();
+        let counter = FaultyStorage::new(FaultPlan::none());
+        let mut service = open_and_feed(&dir, counter.clone());
+        let before = counter.ops();
+        let reference = service.poll().unwrap();
+        assert_eq!(reference.len(), 2, "want a two-window commit");
+        let commit_ops = before..counter.ops();
+        assert_eq!(commit_ops.end - commit_ops.start, 3 * 2 + 2 + 1);
+        let mut reference_all = reference.clone();
+        reference_all.extend(service.finish().unwrap().lines);
+        std::fs::remove_dir_all(&dir).ok();
+
+        for k in commit_ops.clone() {
+            let dir = temp_dir(&format!("commit-crash-{k}"));
+            std::fs::remove_dir_all(&dir).ok();
+            let mut service = open_and_feed(&dir, FaultyStorage::new(FaultPlan::crash_at(k)));
+            assert!(service.poll().is_err(), "crash at op {k}");
+            assert!(service.emit.lines.is_empty(), "crash at op {k}");
+            assert_eq!(service.emit.emitted, 0);
+            assert!(service.poll().is_err() && service.emit.lines.is_empty());
+            std::fs::remove_dir_all(&dir).ok();
+        }
+
+        let dir = temp_dir("commit-enospc");
+        std::fs::remove_dir_all(&dir).ok();
+        let mut service = open_and_feed(
+            &dir,
+            FaultyStorage::new(FaultPlan {
+                enospc_at_op: Some(commit_ops.start + 1),
+                ..FaultPlan::default()
+            }),
+        );
+        let err = service.poll().unwrap_err();
+        assert!(
+            matches!(&err, SegmentError::Io(e) if e.raw_os_error() == Some(28)),
+            "{err}"
+        );
+        assert!(service.emit.lines.is_empty());
+        let mut lines = service.poll().unwrap();
+        assert_eq!(
+            lines, reference,
+            "the retried commit surfaces the batch once"
+        );
+        lines.extend(service.finish().unwrap().lines);
+        assert_eq!(lines, reference_all);
         std::fs::remove_dir_all(&dir).ok();
     }
 

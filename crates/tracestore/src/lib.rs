@@ -63,6 +63,9 @@
 //!   windows behind a cross-monitor watermark and hands out sealed
 //!   [`window::WindowResult`]s as the caller takes them, under either
 //!   driver.
+//! * [`hash`] — [`hash::WordHashBuilder`], the keyed fold-multiply hasher
+//!   every map of peer IDs and CIDs takes (chunk dictionaries here, the
+//!   flagging engine in `ipfs-mon-core`), seeded at random per map.
 //! * [`sketch`] — a bounded-memory approximate analysis for unbounded
 //!   horizons: [`sketch::SpaceSaving`] top-K with guaranteed error counts
 //!   and an order-invariant merge, so its sink runs under `run_parallel`.
@@ -83,6 +86,7 @@ pub mod codec;
 pub mod col;
 pub mod crc;
 pub mod fault;
+pub mod hash;
 pub mod manifest;
 pub mod migrate;
 pub mod reader;
@@ -98,9 +102,10 @@ pub mod writer;
 
 pub use codec::Codec;
 pub use fault::{
-    is_transient, with_retry, write_file_durable, CrashMode, FaultPlan, FaultyStorage, RealStorage,
-    RetryFile, RetryPolicy, Storage, StorageFile,
+    is_transient, with_retry, write_file_durable, write_files_durable, CrashMode, FaultPlan,
+    FaultyStorage, RealStorage, RetryFile, RetryPolicy, Storage, StorageFile,
 };
+pub use hash::WordHashBuilder;
 pub use manifest::{
     Checkpoint, DatasetConfig, DatasetSummary, DatasetWriter, Manifest, MonitorCheckpoint,
     MonitorSummary, MonitorWriter, OpenSegmentState, SegmentMeta, CHECKPOINT_FILE_NAME,

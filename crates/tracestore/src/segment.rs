@@ -51,6 +51,7 @@
 
 use crate::codec::{lz_decompress, Codec};
 use crate::crc::crc32;
+use crate::hash::WordHashBuilder;
 use crate::record::{ConnectionRecord, TraceEntry};
 use ipfs_mon_bitswap::RequestType;
 use ipfs_mon_obs as obs;
@@ -454,11 +455,14 @@ pub(crate) struct ChunkColumns<'a> {
 
 impl<'a> ChunkColumns<'a> {
     pub(crate) fn intern(entries: &'a [TraceEntry]) -> Self {
-        let mut peer_dict: Interner<PeerId> = Interner::default();
+        // Peers, addresses and CIDs are outside input: keyed hashing, seeds
+        // drawn per chunk.
+        let hasher = WordHashBuilder::random();
+        let mut peer_dict: Interner<PeerId> = Interner::new(hasher.clone());
         let mut peer_indexes = Vec::with_capacity(entries.len());
-        let mut addr_dict: Interner<Multiaddr> = Interner::default();
+        let mut addr_dict: Interner<Multiaddr> = Interner::new(hasher.clone());
         let mut addr_indexes = Vec::with_capacity(entries.len());
-        let mut cid_dict: Interner<&Cid> = Interner::default();
+        let mut cid_dict: Interner<&Cid> = Interner::new(hasher);
         let mut cid_indexes = Vec::with_capacity(entries.len());
         for entry in entries {
             peer_indexes.push(peer_dict.intern(&entry.peer));
@@ -509,9 +513,8 @@ impl<'a> ChunkColumns<'a> {
     pub(crate) fn write_cid_dict(&self, out: &mut Vec<u8>) {
         varint::encode(self.cid_dict.len() as u64, out);
         for cid in &self.cid_dict {
-            let bytes = cid.to_bytes();
-            varint::encode(bytes.len() as u64, out);
-            out.extend_from_slice(&bytes);
+            varint::encode(cid.encoded_len() as u64, out);
+            cid.write_bytes(out);
         }
     }
 
@@ -710,18 +713,16 @@ pub(crate) fn unseal<'a>(
 /// lookup map and one for the output vector); the first-appearance order is
 /// recovered from the slot numbers when the dictionary is serialized.
 struct Interner<T> {
-    indexes: std::collections::HashMap<T, u64>,
-}
-
-impl<T> Default for Interner<T> {
-    fn default() -> Self {
-        Self {
-            indexes: std::collections::HashMap::new(),
-        }
-    }
+    indexes: std::collections::HashMap<T, u64, WordHashBuilder>,
 }
 
 impl<T: Clone + Eq + std::hash::Hash> Interner<T> {
+    fn new(hasher: WordHashBuilder) -> Self {
+        Self {
+            indexes: std::collections::HashMap::with_hasher(hasher),
+        }
+    }
+
     fn intern(&mut self, value: &T) -> u64 {
         if let Some(&index) = self.indexes.get(value) {
             return index;
@@ -1551,6 +1552,41 @@ mod tests {
         let mut frame = Vec::new();
         encode_chunk(&entries, false, &mut frame);
         assert_eq!(decode_chunk(&frame).unwrap(), entries);
+    }
+
+    /// A CID whose binary form is longer than 127 bytes (a two-byte length
+    /// prefix in the dictionary) and a CIDv0 round-trip through both written
+    /// layouts, and the raw chunk stores the long one as prefix + `to_bytes`.
+    #[test]
+    fn chunk_with_a_long_cid_roundtrips() {
+        let long = Cid::from_parts(
+            ipfs_mon_types::CidVersion::V1,
+            Multicodec::Raw,
+            ipfs_mon_types::Multihash::identity(&[0x5a; 200]),
+        )
+        .unwrap();
+        let mut entries: Vec<TraceEntry> =
+            (0..40).map(|i| entry(1_000 + i, i % 3, i as u8)).collect();
+        for (i, slot) in entries.iter_mut().enumerate().step_by(3) {
+            slot.cid = if i % 2 == 0 {
+                long.clone()
+            } else {
+                Cid::new_v0(&[i as u8])
+            };
+        }
+        for columnar in [false, true] {
+            let mut frame = Vec::new();
+            encode_chunk(&entries, columnar, &mut frame);
+            assert_eq!(
+                decode_chunk(&frame).unwrap(),
+                entries,
+                "columnar {columnar}"
+            );
+            if !columnar {
+                let stored = [&[0xcd, 0x01][..], &long.to_bytes()].concat();
+                assert!(frame.windows(stored.len()).any(|w| w == stored));
+            }
+        }
     }
 
     /// Re-frames a raw chunk as writers before the `Lz` retirement did: the

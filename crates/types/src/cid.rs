@@ -102,17 +102,28 @@ impl Cid {
     /// Binary representation. CIDv0 is the bare multihash; CIDv1 is
     /// `<version varint><codec varint><multihash>`.
     pub fn to_bytes(&self) -> Vec<u8> {
-        match self.version {
-            CidVersion::V0 => self.hash.to_bytes(),
-            CidVersion::V1 => {
-                let mh = self.hash.to_bytes();
-                let mut out = Vec::with_capacity(4 + mh.len());
-                varint::encode(1, &mut out);
-                varint::encode(self.codec.code(), &mut out);
-                out.extend_from_slice(&mh);
-                out
-            }
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.write_bytes(&mut out);
+        out
+    }
+
+    /// Appends the [`Cid::to_bytes`] form to `out`, allocating nothing of
+    /// its own — how a trace chunk writes its CID dictionary.
+    pub fn write_bytes(&self, out: &mut Vec<u8>) {
+        if self.version == CidVersion::V1 {
+            varint::encode(1, out);
+            varint::encode(self.codec.code(), out);
         }
+        self.hash.write_bytes(out);
+    }
+
+    /// Length of the [`Cid::to_bytes`] form.
+    pub fn encoded_len(&self) -> usize {
+        let prefix = match self.version {
+            CidVersion::V0 => 0,
+            CidVersion::V1 => varint::encoded_len(1) + varint::encoded_len(self.codec.code()),
+        };
+        prefix + self.hash.encoded_len()
     }
 
     /// Parses a CID from its binary representation.
@@ -265,6 +276,37 @@ mod tests {
             Cid::new_v1(Multicodec::DagCbor, b"a"),
             "same data, different codec must differ"
         );
+    }
+
+    /// `write_bytes` and `encoded_len` are `to_bytes` without the vector, and
+    /// `to_bytes` is still the byte layout it always was: a CIDv0, a CIDv1,
+    /// and a heap digest whose length needs a two-byte varint.
+    #[test]
+    fn write_bytes_and_encoded_len_match_to_bytes() {
+        let digest = crate::sha256::sha256(b"x");
+        let long = vec![0x5a; 200];
+        let cases = [
+            (Cid::new_v0(b"x"), [&[0x12, 0x20][..], &digest].concat()),
+            (
+                Cid::new_v1(Multicodec::Raw, b"x"),
+                [&[0x01, 0x55, 0x12, 0x20][..], &digest].concat(),
+            ),
+            (
+                Cid::from_parts(CidVersion::V1, Multicodec::Raw, Multihash::identity(&long))
+                    .unwrap(),
+                [&[0x01, 0x55, 0x00, 0xc8, 0x01][..], &long].concat(),
+            ),
+        ];
+        for (cid, expected) in cases {
+            assert_eq!(cid.to_bytes(), expected, "{cid:?}");
+            assert_eq!(cid.encoded_len(), expected.len(), "{cid:?}");
+            assert_eq!(cid.hash().encoded_len(), cid.hash().to_bytes().len());
+            let mut out = vec![0xee];
+            cid.write_bytes(&mut out);
+            assert_eq!(out[0], 0xee, "write_bytes appends");
+            assert_eq!(&out[1..], &expected[..], "{cid:?}");
+            assert_eq!(Cid::from_bytes(&expected).unwrap(), cid);
+        }
     }
 
     #[test]

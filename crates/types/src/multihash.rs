@@ -186,12 +186,24 @@ impl Multihash {
 
     /// Serializes to the canonical `<varint code><varint len><digest>` form.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let digest = self.digest.as_slice();
-        let mut out = Vec::with_capacity(2 + digest.len());
-        varint::encode(self.code, &mut out);
-        varint::encode(digest.len() as u64, &mut out);
-        out.extend_from_slice(digest);
+        let mut out = Vec::with_capacity(self.encoded_len());
+        self.write_bytes(&mut out);
         out
+    }
+
+    /// Appends the [`Multihash::to_bytes`] form to `out`, allocating nothing
+    /// of its own.
+    pub fn write_bytes(&self, out: &mut Vec<u8>) {
+        let digest = self.digest.as_slice();
+        varint::encode(self.code, out);
+        varint::encode(digest.len() as u64, out);
+        out.extend_from_slice(digest);
+    }
+
+    /// Length of the [`Multihash::to_bytes`] form.
+    pub fn encoded_len(&self) -> usize {
+        let digest = self.digest.as_slice().len();
+        varint::encoded_len(self.code) + varint::encoded_len(digest as u64) + digest
     }
 
     /// Parses a multihash from the front of `input`, returning it together

@@ -24,6 +24,7 @@ use ipfs_monitoring::tracestore::{
     SegmentConfig, SegmentError, Storage, TraceSource, WindowSpec,
 };
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -31,6 +32,10 @@ use std::sync::Arc;
 /// rotation and auto-checkpoint cadences below so crashes land in every
 /// phase combination.
 const POLL_EVERY: usize = 23;
+
+/// An incarnation's first poll waits for this many entries, so it seals
+/// several windows at once: a multi-window group commit for the sweep.
+const FIRST_POLL_AFTER: usize = 5 * POLL_EVERY;
 
 fn config() -> ServiceConfig {
     ServiceConfig {
@@ -60,7 +65,7 @@ fn run_incarnation(
     storage: Arc<dyn Storage>,
     collected: &mut Vec<String>,
 ) -> Result<ServiceReport, SegmentError> {
-    let result = feed(dir, dataset, storage, collected);
+    let result = feed(dir, dataset, storage, collected, None);
     if result.is_err() {
         loop {
             let path = dir
@@ -75,11 +80,20 @@ fn run_incarnation(
     result
 }
 
+/// The storage operations one poll issued and the lines it returned.
+struct PollOps {
+    ops: Range<u64>,
+    lines: usize,
+}
+
+/// One incarnation without the death-drain. With a `probe` (the storage the
+/// service writes through), logs every poll's [`PollOps`].
 fn feed(
     dir: &Path,
     dataset: &MonitoringDataset,
     storage: Arc<dyn Storage>,
     collected: &mut Vec<String>,
+    mut probe: Option<(&FaultyStorage, &mut Vec<PollOps>)>,
 ) -> Result<ServiceReport, SegmentError> {
     let (mut service, recovery) =
         MonitorService::open_with(dir, dataset.monitor_labels.clone(), config(), storage)?;
@@ -98,7 +112,7 @@ fn feed(
     };
 
     let mut fed = vec![0u64; dataset.monitor_labels.len()];
-    let mut since_poll = 0usize;
+    let (mut ingested, mut since_poll) = (0usize, 0usize);
     for entry in dataset.merged_entries() {
         let n = &mut fed[entry.monitor];
         *n += 1;
@@ -106,11 +120,20 @@ fn feed(
             continue; // already durable from the previous incarnation
         }
         service.ingest(&entry)?;
+        ingested += 1;
         since_poll += 1;
-        if since_poll >= POLL_EVERY {
+        if since_poll >= POLL_EVERY && ingested >= FIRST_POLL_AFTER {
             since_poll = 0;
             service.checkpoint()?;
-            collected.extend(service.poll()?);
+            let before = probe.as_ref().map_or(0, |(storage, _)| storage.ops());
+            let lines = service.poll()?;
+            if let Some((storage, polls)) = probe.as_mut() {
+                polls.push(PollOps {
+                    ops: before..storage.ops(),
+                    lines: lines.len(),
+                });
+            }
+            collected.extend(lines);
         }
     }
     let report = service.finish()?;
@@ -132,11 +155,12 @@ fn window_dir_snapshot(dir: &Path) -> BTreeMap<String, String> {
 }
 
 /// Fault-free reference run plus a storage-operation count for the same
-/// workload (the count bounds the kill-point sweep).
+/// workload (the count bounds the kill-point sweep) and the operations of
+/// the first poll that commits two windows or more.
 fn reference(
     dataset: &MonitoringDataset,
     tag: &str,
-) -> (Vec<String>, BTreeMap<String, String>, u64) {
+) -> (Vec<String>, BTreeMap<String, String>, u64, Range<u64>) {
     let ref_dir = fresh_dir(&format!("{tag}-ref"));
     let mut ref_lines = Vec::new();
     let report = run_incarnation(&ref_dir, dataset, Arc::new(RealStorage), &mut ref_lines)
@@ -155,11 +179,13 @@ fn reference(
     let counter = Arc::new(FaultyStorage::new(FaultPlan::none()));
     let count_dir = fresh_dir(&format!("{tag}-count"));
     let mut count_lines = Vec::new();
-    run_incarnation(
+    let mut polls = Vec::new();
+    feed(
         &count_dir,
         dataset,
         Arc::clone(&counter) as Arc<dyn Storage>,
         &mut count_lines,
+        Some((&counter, &mut polls)),
     )
     .expect("operation-counting run");
     assert_eq!(count_lines, ref_lines, "counting run must match reference");
@@ -170,13 +196,31 @@ fn reference(
         "expected a substantial run, {total_ops} ops"
     );
 
-    (ref_lines, ref_windows, total_ops)
+    // A poll's storage operations are its group commit: per window a
+    // create, a write and an fsync, a rename each, one directory fsync.
+    for poll in &polls {
+        let n = poll.lines as u64;
+        let expected = if n == 0 { 0 } else { 4 * n + 1 };
+        assert_eq!(
+            poll.ops.end - poll.ops.start,
+            expected,
+            "poll of {n} windows"
+        );
+    }
+    let multi = polls
+        .iter()
+        .find(|poll| poll.lines >= 2)
+        .expect("a poll that commits two windows or more")
+        .ops
+        .clone();
+
+    (ref_lines, ref_windows, total_ops, multi)
 }
 
 #[test]
 fn soak_kill_restart_at_sampled_ops_is_exactly_once() {
     let dataset = random_dataset(0x50AB, 3, 220, 0);
-    let (ref_lines, ref_windows, total_ops) = reference(&dataset, "soak");
+    let (ref_lines, ref_windows, total_ops, multi) = reference(&dataset, "soak");
 
     // Sweep kill points across the whole operation range (0-based, so a
     // fault-free run uses ops 0..total_ops), plus the very first ops
@@ -185,6 +229,9 @@ fn soak_kill_restart_at_sampled_ops_is_exactly_once() {
     let step = (total_ops / 24).max(1);
     let mut kill_points: Vec<u64> = (0..total_ops).step_by(step as usize).collect();
     kill_points.extend([1, 2, total_ops - 2, total_ops - 1]);
+    // Every operation of a multi-window group commit: each staged write,
+    // each rename (a prefix of the batch landed) and the directory fsync.
+    kill_points.extend(multi);
     kill_points.sort_unstable();
     kill_points.dedup();
 
@@ -231,7 +278,7 @@ fn soak_kill_restart_at_sampled_ops_is_exactly_once() {
 #[test]
 fn soak_cascading_kills_then_clean_restart_converges() {
     let dataset = random_dataset(0xCA5C, 2, 260, 0);
-    let (ref_lines, ref_windows, total_ops) = reference(&dataset, "cascade");
+    let (ref_lines, ref_windows, total_ops, _) = reference(&dataset, "cascade");
 
     let dir = fresh_dir("soak-cascade");
     let mut lines = Vec::new();
