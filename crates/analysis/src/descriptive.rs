@@ -106,30 +106,6 @@ pub fn shares<L: Clone>(counts: &[(L, u64)]) -> Vec<(L, f64)> {
         .collect()
 }
 
-/// Pearson correlation coefficient of two equally long samples. Returns
-/// `None` when undefined (length mismatch, fewer than two points, or zero
-/// variance).
-pub fn pearson_correlation(xs: &[f64], ys: &[f64]) -> Option<f64> {
-    if xs.len() != ys.len() || xs.len() < 2 {
-        return None;
-    }
-    let n = xs.len() as f64;
-    let mx = xs.iter().sum::<f64>() / n;
-    let my = ys.iter().sum::<f64>() / n;
-    let mut cov = 0.0;
-    let mut vx = 0.0;
-    let mut vy = 0.0;
-    for (x, y) in xs.iter().zip(ys) {
-        cov += (x - mx) * (y - my);
-        vx += (x - mx).powi(2);
-        vy += (y - my).powi(2);
-    }
-    if vx == 0.0 || vy == 0.0 {
-        return None;
-    }
-    Some(cov / (vx * vy).sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,21 +138,5 @@ mod tests {
     fn shares_of_zero_counts() {
         let shares = shares(&[("a", 0u64), ("b", 0)]);
         assert!(shares.iter().all(|(_, s)| *s == 0.0));
-    }
-
-    #[test]
-    fn correlation_of_linear_data_is_one() {
-        let xs: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let ys: Vec<f64> = xs.iter().map(|x| 3.0 * x + 1.0).collect();
-        assert!((pearson_correlation(&xs, &ys).unwrap() - 1.0).abs() < 1e-12);
-        let ys_neg: Vec<f64> = xs.iter().map(|x| -x).collect();
-        assert!((pearson_correlation(&xs, &ys_neg).unwrap() + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn correlation_undefined_cases() {
-        assert!(pearson_correlation(&[1.0], &[2.0]).is_none());
-        assert!(pearson_correlation(&[1.0, 2.0], &[2.0]).is_none());
-        assert!(pearson_correlation(&[1.0, 1.0], &[2.0, 3.0]).is_none());
     }
 }

@@ -116,21 +116,21 @@ pub fn committee_estimate(m: usize, r: usize, w: f64) -> Result<f64, EstimateErr
     Ok(0.5 * (lo + hi))
 }
 
-/// Expected number of distinct peers observed by `r` monitors of `w`
-/// connections each in a population of `n` (the forward model of eq. 2/3).
-/// Useful for validating the estimator and for power analyses.
-pub fn expected_distinct(n: f64, r: usize, w: f64) -> f64 {
-    if n <= 0.0 {
-        return 0.0;
-    }
-    let w = w.min(n);
-    n * (1.0 - (1.0 - w / n).powi(r as i32))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Expected number of distinct peers observed by `r` monitors of `w`
+    /// connections each in a population of `n` (the forward model of eq. 2/3).
+    /// The estimator must invert it.
+    fn expected_distinct(n: f64, r: usize, w: f64) -> f64 {
+        if n <= 0.0 {
+            return 0.0;
+        }
+        let w = w.min(n);
+        n * (1.0 - (1.0 - w / n).powi(r as i32))
+    }
 
     #[test]
     fn two_monitor_exact_case() {

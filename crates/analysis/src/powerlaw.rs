@@ -13,8 +13,6 @@
 //!    sets from the fitted model (plus the empirical body below `x_min`),
 //!    re-fit each, and count how often the synthetic KS distance exceeds the
 //!    observed one. `p < 0.1` → the power law is rejected.
-//!
-//! A log-normal moment fit is provided as the comparison model.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -194,24 +192,6 @@ pub fn goodness_of_fit(
     })
 }
 
-/// Moment fit of a log-normal distribution (`μ`, `σ` of `ln X`), the
-/// comparison model for the popularity distributions.
-pub fn fit_lognormal(samples: &[f64]) -> Option<(f64, f64)> {
-    let logs: Vec<f64> = samples
-        .iter()
-        .copied()
-        .filter(|&x| x > 0.0)
-        .map(f64::ln)
-        .collect();
-    if logs.len() < 2 {
-        return None;
-    }
-    let n = logs.len() as f64;
-    let mu = logs.iter().sum::<f64>() / n;
-    let sigma2 = logs.iter().map(|l| (l - mu).powi(2)).sum::<f64>() / n;
-    Some((mu, sigma2.sqrt()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,19 +282,5 @@ mod tests {
     #[test]
     fn fit_requires_enough_samples() {
         assert!(fit_power_law(&[1.0, 2.0, 3.0], 10).is_none());
-    }
-
-    #[test]
-    fn lognormal_fit_recovers_parameters() {
-        let samples: Vec<f64> = lognormal_samples(50_000, 2.0, 0.5, 17);
-        let (mu, sigma) = fit_lognormal(&samples).unwrap();
-        // Rounding to integers biases things slightly; stay coarse.
-        assert!((mu - 2.0).abs() < 0.15, "mu {mu}");
-        assert!((sigma - 0.5).abs() < 0.15, "sigma {sigma}");
-    }
-
-    #[test]
-    fn lognormal_fit_ignores_nonpositive() {
-        assert!(fit_lognormal(&[0.0, -1.0]).is_none());
     }
 }

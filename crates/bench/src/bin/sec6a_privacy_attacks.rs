@@ -38,15 +38,23 @@ fn main() {
     }
 
     // --- Attack targets: the content item with the most ground-truth
-    // requesters (IDW), the most active observed node (TNW), and up to 200
-    // (node, content) pairs (TPI).
+    // requesters (IDW), the most active observed non-gateway node (TNW), and
+    // up to 200 (node, content) pairs (TPI). A gateway requests on behalf of
+    // its HTTP users, so the scenario holds no node-level ground truth to
+    // check its TNW profile against.
     let (&target_content, truth_wanters) = truth_by_content
         .iter()
         .max_by_key(|(_, peers)| peers.len())
         .expect("workload has requests");
     let cid = run.network.content_root(target_content).clone();
     let per_peer = per_peer_request_counts(&run.trace);
-    let (target_peer, observed_count) = per_peer.first().expect("trace has requests");
+    let (target_peer, observed_count, target_node) = per_peer
+        .iter()
+        .find_map(|(peer, count)| {
+            let node = run.network.node_of_peer(peer)?;
+            (!scenario.nodes[node].config.role.is_gateway()).then_some((peer, count, node))
+        })
+        .expect("trace has requests from a non-gateway node");
     let mut tpi_probes = Vec::new();
     for (node, contents) in truth_by_node.iter().take(100) {
         for &content in contents.iter().take(2) {
@@ -89,19 +97,32 @@ fn main() {
         "recall < 100% is expected: cache hits and offline periods hide requests",
     );
 
-    // --- TNW: track the most active observed node.
+    // --- TNW: track the most active observed non-gateway node.
     let profile = &suite.tnw[target_peer];
-    let target_node = run.network.node_of_peer(target_peer);
-    let truth_cids = target_node
-        .and_then(|n| truth_by_node.get(&n))
-        .map(|s| s.len())
-        .unwrap_or(0);
+    let truth_contents = truth_by_node.get(&target_node);
+    let truth_roots: HashSet<_> = truth_contents
+        .into_iter()
+        .flatten()
+        .map(|&content| run.network.content_root(content))
+        .collect();
+    let tracked_outside_truth = profile
+        .wants
+        .keys()
+        .filter(|cid| !truth_roots.contains(cid))
+        .count();
 
-    print_header("TNW — Tracking Node Wants (most active observed node)");
+    print_header("TNW — Tracking Node Wants (most active observed non-gateway node)");
     print_row("target peer", target_peer);
     print_row("observed primary requests", observed_count);
     print_row("distinct CIDs tracked", profile.distinct_cids());
-    print_row("ground-truth distinct contents requested", truth_cids);
+    print_row(
+        "ground-truth distinct contents requested",
+        truth_contents.map_or(0, BTreeSet::len),
+    );
+    print_row(
+        "tracked CIDs outside the ground truth",
+        tracked_outside_truth,
+    );
 
     // --- TPI: probe 200 (node, content) pairs and compare with ground truth.
     print_header("TPI — Testing for Past Interests");

@@ -1,4 +1,4 @@
-//! The local block store: caching, pinning and garbage collection.
+//! The local block store: caching and garbage collection.
 //!
 //! IPFS nodes cache every block they download (up to a configurable limit,
 //! 10 GB by default) and serve cached blocks to other peers. This cooperative
@@ -6,115 +6,41 @@
 //! paper's "Testing for Past Interests" (TPI) attack: whether a node answers a
 //! request for a CID reveals whether it recently downloaded that CID.
 //!
-//! Pinned CIDs are exempt from garbage collection; unpinned blocks are evicted
-//! least-recently-used when the store exceeds its capacity.
+//! Blocks are evicted least-recently-used when the store exceeds its
+//! capacity.
 
 use crate::block::Block;
 use ipfs_mon_simnet::time::SimTime;
 use ipfs_mon_types::Cid;
-use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Default cache capacity used by kubo (10 GB).
 pub const DEFAULT_CAPACITY: u64 = 10 * 1024 * 1024 * 1024;
 
-/// Configuration of a block store.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct BlockstoreConfig {
-    /// Maximum total logical size of unpinned + pinned blocks before GC runs.
-    pub capacity: u64,
-    /// If false, the store never garbage-collects (pinning-only services).
-    pub gc_enabled: bool,
-}
-
-impl Default for BlockstoreConfig {
-    fn default() -> Self {
-        Self {
-            capacity: DEFAULT_CAPACITY,
-            gc_enabled: true,
-        }
-    }
-}
-
-/// Statistics about store activity, used by cache-behaviour experiments.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BlockstoreStats {
-    /// Number of `get`/`has` lookups that found the block.
-    pub hits: u64,
-    /// Number of lookups that missed.
-    pub misses: u64,
-    /// Number of blocks evicted by garbage collection.
-    pub evictions: u64,
-}
-
-impl BlockstoreStats {
-    /// Cache hit ratio in `[0, 1]`; zero when no lookups happened.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// A node's local block store.
 #[derive(Debug, Clone)]
 pub struct Blockstore {
-    config: BlockstoreConfig,
+    /// Maximum total logical size of the stored blocks before eviction runs.
+    capacity: u64,
     blocks: HashMap<Cid, Block>,
     /// Last access time per block, for LRU eviction.
     last_access: HashMap<Cid, SimTime>,
-    pinned: HashSet<Cid>,
     total_size: u64,
-    stats: BlockstoreStats,
 }
 
 impl Blockstore {
-    /// Creates a store with the default 10 GB capacity.
-    pub fn new() -> Self {
-        Self::with_config(BlockstoreConfig::default())
-    }
-
-    /// Creates a store with a custom configuration.
-    pub fn with_config(config: BlockstoreConfig) -> Self {
+    /// Creates an empty store holding at most `capacity` bytes of blocks.
+    pub fn with_capacity(capacity: u64) -> Self {
         Self {
-            config,
+            capacity,
             blocks: HashMap::new(),
             last_access: HashMap::new(),
-            pinned: HashSet::new(),
             total_size: 0,
-            stats: BlockstoreStats::default(),
         }
     }
 
-    /// The store configuration.
-    pub fn config(&self) -> &BlockstoreConfig {
-        &self.config
-    }
-
-    /// Current total logical size of stored blocks.
-    pub fn total_size(&self) -> u64 {
-        self.total_size
-    }
-
-    /// Number of stored blocks.
-    pub fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Returns true if the store holds no blocks.
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
-    }
-
-    /// Access statistics.
-    pub fn stats(&self) -> BlockstoreStats {
-        self.stats
-    }
-
-    /// Inserts a block (idempotent) and runs GC if the capacity is exceeded.
+    /// Inserts a block (idempotent; a repeat put refreshes its LRU time) and
+    /// evicts if the capacity is exceeded.
     pub fn put(&mut self, block: Block, now: SimTime) {
         let cid = block.cid().clone();
         if self.blocks.contains_key(&cid) {
@@ -124,64 +50,17 @@ impl Blockstore {
         self.total_size += block.logical_size();
         self.blocks.insert(cid.clone(), block);
         self.last_access.insert(cid, now);
-        if self.config.gc_enabled && self.total_size > self.config.capacity {
-            self.collect_garbage(now);
+        if self.total_size > self.capacity {
+            self.evict_lru();
         }
     }
 
-    /// Looks up a block, updating LRU and hit/miss statistics.
-    pub fn get(&mut self, cid: &Cid, now: SimTime) -> Option<Block> {
-        match self.blocks.get(cid) {
-            Some(block) => {
-                self.stats.hits += 1;
-                self.last_access.insert(cid.clone(), now);
-                Some(block.clone())
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Returns true if the block is present. Counts towards hit/miss
-    /// statistics and refreshes LRU, because in IPFS a `WANT_HAVE` lookup is
-    /// an access like any other.
-    pub fn has(&mut self, cid: &Cid, now: SimTime) -> bool {
-        let present = self.blocks.contains_key(cid);
-        if present {
-            self.stats.hits += 1;
-            self.last_access.insert(cid.clone(), now);
-        } else {
-            self.stats.misses += 1;
-        }
-        present
-    }
-
-    /// Non-mutating presence check that does not touch statistics or LRU.
+    /// Presence check.
     pub fn contains(&self, cid: &Cid) -> bool {
         self.blocks.contains_key(cid)
     }
 
-    /// Pins a CID, exempting it from garbage collection. The block need not
-    /// be present yet.
-    pub fn pin(&mut self, cid: &Cid) {
-        self.pinned.insert(cid.clone());
-    }
-
-    /// Removes a pin.
-    pub fn unpin(&mut self, cid: &Cid) {
-        self.pinned.remove(cid);
-    }
-
-    /// Returns true if the CID is pinned.
-    pub fn is_pinned(&self, cid: &Cid) -> bool {
-        self.pinned.contains(cid)
-    }
-
-    /// Removes a specific block (e.g. a user clearing a problematic item, one
-    /// of the countermeasures discussed in Sec. VI-C).
-    pub fn remove(&mut self, cid: &Cid) -> bool {
+    fn remove(&mut self, cid: &Cid) -> bool {
         if let Some(block) = self.blocks.remove(cid) {
             self.total_size -= block.logical_size();
             self.last_access.remove(cid);
@@ -191,22 +70,13 @@ impl Blockstore {
         }
     }
 
-    /// All stored CIDs.
-    pub fn cids(&self) -> impl Iterator<Item = &Cid> {
-        self.blocks.keys()
-    }
-
-    /// Evicts least-recently-used unpinned blocks until the store fits within
-    /// capacity again.
-    pub fn collect_garbage(&mut self, _now: SimTime) {
-        if self.total_size <= self.config.capacity {
-            return;
-        }
-        // Sort unpinned blocks by last access (oldest first).
+    /// Evicts least-recently-used blocks until the store fits within capacity
+    /// again.
+    fn evict_lru(&mut self) {
+        // Oldest access first.
         let mut candidates: Vec<(SimTime, Cid)> = self
             .blocks
             .keys()
-            .filter(|cid| !self.pinned.contains(*cid))
             .map(|cid| {
                 (
                     self.last_access.get(cid).copied().unwrap_or(SimTime::ZERO),
@@ -216,19 +86,11 @@ impl Blockstore {
             .collect();
         candidates.sort();
         for (_, cid) in candidates {
-            if self.total_size <= self.config.capacity {
+            if self.total_size <= self.capacity {
                 break;
             }
-            if self.remove(&cid) {
-                self.stats.evictions += 1;
-            }
+            self.remove(&cid);
         }
-    }
-}
-
-impl Default for Blockstore {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -246,113 +108,54 @@ mod tests {
     }
 
     #[test]
-    fn put_get_roundtrip() {
-        let mut store = Blockstore::new();
+    fn put_then_contains() {
+        let mut store = Blockstore::with_capacity(DEFAULT_CAPACITY);
         let block = Block::new(Multicodec::Raw, b"data".to_vec());
-        let cid = block.cid().clone();
+        assert!(!store.contains(block.cid()));
         store.put(block.clone(), t(0));
-        assert_eq!(store.get(&cid, t(1)), Some(block));
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.total_size(), 4);
-        assert_eq!(store.stats().hits, 1);
-    }
-
-    #[test]
-    fn missing_block_counts_as_miss() {
-        let mut store = Blockstore::new();
-        let cid = Cid::new_v1(Multicodec::Raw, b"nope");
-        assert!(store.get(&cid, t(0)).is_none());
-        assert!(!store.has(&cid, t(0)));
-        assert_eq!(store.stats().misses, 2);
-        assert_eq!(store.stats().hit_ratio(), 0.0);
+        assert!(store.contains(block.cid()));
+        assert!(!store.contains(&Cid::new_v1(Multicodec::Raw, b"nope")));
+        assert_eq!(store.blocks.len(), 1);
+        assert_eq!(store.total_size, 4);
     }
 
     #[test]
     fn duplicate_put_does_not_double_count() {
-        let mut store = Blockstore::new();
+        let mut store = Blockstore::with_capacity(DEFAULT_CAPACITY);
         let block = synthetic(1, 100);
         store.put(block.clone(), t(0));
         store.put(block, t(1));
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.total_size(), 100);
+        assert_eq!(store.blocks.len(), 1);
+        assert_eq!(store.total_size, 100);
     }
 
     #[test]
-    fn gc_evicts_lru_unpinned_blocks() {
-        let mut store = Blockstore::with_config(BlockstoreConfig {
-            capacity: 250,
-            gc_enabled: true,
-        });
+    fn evicts_least_recently_used_block() {
+        let mut store = Blockstore::with_capacity(250);
         let a = synthetic(1, 100);
         let b = synthetic(2, 100);
         let c = synthetic(3, 100);
         store.put(a.clone(), t(0));
         store.put(b.clone(), t(1));
         // Touch `a` so `b` becomes the LRU block.
-        store.get(a.cid(), t(2));
+        store.put(a.clone(), t(2));
         store.put(c.clone(), t(3));
         assert!(store.contains(a.cid()), "recently used survives");
         assert!(!store.contains(b.cid()), "LRU block evicted");
         assert!(store.contains(c.cid()));
-        assert_eq!(store.stats().evictions, 1);
-        assert!(store.total_size() <= 250);
-    }
-
-    #[test]
-    fn pinned_blocks_survive_gc() {
-        let mut store = Blockstore::with_config(BlockstoreConfig {
-            capacity: 150,
-            gc_enabled: true,
-        });
-        let a = synthetic(1, 100);
-        let b = synthetic(2, 100);
-        store.put(a.clone(), t(0));
-        store.pin(a.cid());
-        store.put(b.clone(), t(1));
-        assert!(store.contains(a.cid()), "pinned block survives");
-        assert!(
-            !store.contains(b.cid()),
-            "unpinned newer block evicted instead"
-        );
-        assert!(store.is_pinned(a.cid()));
-        store.unpin(a.cid());
-        assert!(!store.is_pinned(a.cid()));
-    }
-
-    #[test]
-    fn gc_disabled_allows_overflow() {
-        let mut store = Blockstore::with_config(BlockstoreConfig {
-            capacity: 50,
-            gc_enabled: false,
-        });
-        store.put(synthetic(1, 100), t(0));
-        store.put(synthetic(2, 100), t(1));
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.total_size(), 200);
+        assert_eq!(store.total_size, 200);
     }
 
     #[test]
     fn remove_updates_size() {
-        let mut store = Blockstore::new();
+        let mut store = Blockstore::with_capacity(DEFAULT_CAPACITY);
         let block = synthetic(1, 77);
         let cid = block.cid().clone();
         store.put(block, t(0));
         assert!(store.remove(&cid));
         assert!(!store.remove(&cid));
-        assert_eq!(store.total_size(), 0);
-        assert!(store.is_empty());
-    }
-
-    #[test]
-    fn hit_ratio_reflects_access_pattern() {
-        let mut store = Blockstore::new();
-        let block = synthetic(1, 10);
-        let cid = block.cid().clone();
-        store.put(block, t(0));
-        for i in 0..9 {
-            store.has(&cid, t(i));
-        }
-        store.has(&Cid::new_v1(Multicodec::Raw, b"missing"), t(10));
-        assert!((store.stats().hit_ratio() - 0.9).abs() < 1e-9);
+        assert_eq!(store.total_size, 0);
+        assert!(store.blocks.is_empty());
+        assert!(store.last_access.is_empty());
     }
 }

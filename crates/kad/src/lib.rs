@@ -1,15 +1,13 @@
 //! Kademlia DHT substrate for the IPFS monitoring suite.
 //!
-//! IPFS uses a Kademlia-based DHT to store provider records (which peers hold
-//! which CIDs) and peer routing information. This crate implements the pieces
-//! the reproduction needs:
+//! IPFS uses a Kademlia-based DHT for peer routing and provider records. The
+//! reproduction needs only what the paper compares its monitors against: a
+//! crawl of the DHT's k-buckets.
 //!
 //! * [`routing_table`] — per-node k-buckets over the XOR metric,
-//! * [`provider_store`] — CID → provider records with TTL expiry,
 //! * [`mode`] — the DHT server / DHT client distinction introduced in IPFS
 //!   v0.5 (clients use the DHT but are invisible to crawls),
 //! * [`view`] — the query-side abstraction over the DHT,
-//! * [`lookup`] — iterative closest-peer lookups,
 //! * [`crawler`] — the DHT crawler the paper compares its monitor against,
 //!   reproducing the crawler's characteristic biases (counts stale entries,
 //!   misses client nodes).
@@ -18,15 +16,11 @@
 #![forbid(unsafe_code)]
 
 pub mod crawler;
-pub mod lookup;
 pub mod mode;
-pub mod provider_store;
 pub mod routing_table;
 pub mod view;
 
 pub use crawler::{CrawlResult, Crawler, CrawlerConfig};
-pub use lookup::{iterative_find_node, LookupConfig, LookupResult};
 pub use mode::DhtMode;
-pub use provider_store::{ProviderRecord, ProviderStore, DEFAULT_PROVIDER_TTL};
 pub use routing_table::{BucketEntry, RoutingTable, DEFAULT_K};
 pub use view::{DhtView, StaticView};

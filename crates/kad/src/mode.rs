@@ -30,16 +30,6 @@ impl DhtMode {
     pub fn is_client(self) -> bool {
         matches!(self, DhtMode::Client)
     }
-
-    /// The mode the IPFS software would pick given whether the node found
-    /// itself publicly connectable (the "AutoNAT" decision).
-    pub fn from_reachability(publicly_reachable: bool) -> Self {
-        if publicly_reachable {
-            DhtMode::Server
-        } else {
-            DhtMode::Client
-        }
-    }
 }
 
 impl std::fmt::Display for DhtMode {
@@ -54,12 +44,6 @@ impl std::fmt::Display for DhtMode {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn reachability_maps_to_mode() {
-        assert_eq!(DhtMode::from_reachability(true), DhtMode::Server);
-        assert_eq!(DhtMode::from_reachability(false), DhtMode::Client);
-    }
 
     #[test]
     fn predicates() {

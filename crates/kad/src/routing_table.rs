@@ -121,27 +121,9 @@ impl RoutingTable {
         self.entries().map(|e| e.peer).collect()
     }
 
-    /// The `count` stored peers closest (by XOR distance) to `target`.
-    pub fn closest_peers(&self, target: &PeerId, count: usize) -> Vec<PeerId> {
-        let mut peers: Vec<PeerId> = self.entries().map(|e| e.peer).collect();
-        peers.sort_by_key(|p| p.distance(target));
-        peers.truncate(count);
-        peers
-    }
-
     /// Number of peers in the bucket with the given index (0..256).
     pub fn bucket_len(&self, index: usize) -> usize {
         self.buckets.get(index).map(Vec::len).unwrap_or(0)
-    }
-
-    /// Indices of non-empty buckets, useful for the periodic refresh logic.
-    pub fn non_empty_buckets(&self) -> Vec<usize> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| !b.is_empty())
-            .map(|(i, _)| i)
-            .collect()
     }
 }
 
@@ -205,33 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn closest_peers_are_sorted_by_distance() {
-        let mut rt = RoutingTable::with_default_k(pid(0));
-        for i in 1..200u64 {
-            rt.insert(pid(i), true);
-        }
-        let target = pid(5000);
-        let closest = rt.closest_peers(&target, 20);
-        assert_eq!(closest.len(), 20);
-        for pair in closest.windows(2) {
-            assert!(pair[0].distance(&target) <= pair[1].distance(&target));
-        }
-        // The closest returned peer must be at least as close as any stored peer.
-        let best = closest[0].distance(&target);
-        for p in rt.peers() {
-            assert!(best <= p.distance(&target) || closest.contains(&p));
-        }
-    }
-
-    #[test]
-    fn closest_peers_with_fewer_stored_than_requested() {
-        let mut rt = RoutingTable::with_default_k(pid(0));
-        rt.insert(pid(1), true);
-        rt.insert(pid(2), false);
-        assert_eq!(rt.closest_peers(&pid(9), 20).len(), 2);
-    }
-
-    #[test]
     #[should_panic(expected = "bucket capacity must be positive")]
     fn zero_k_panics() {
         RoutingTable::new(pid(0), 0);
@@ -250,18 +205,6 @@ mod tests {
             prop_assert_eq!(rt.len(), inserted.len());
             for &i in &inserted {
                 prop_assert!(rt.contains(&pid(i)));
-            }
-        }
-
-        #[test]
-        fn closest_is_subset_of_entries(ids in proptest::collection::vec(1u64..10_000, 1..100), target in 0u64..10_000) {
-            let mut rt = RoutingTable::with_default_k(pid(0));
-            for &i in &ids {
-                rt.insert(pid(i), true);
-            }
-            let all: std::collections::HashSet<PeerId> = rt.peers().into_iter().collect();
-            for p in rt.closest_peers(&pid(target), 7) {
-                prop_assert!(all.contains(&p));
             }
         }
     }

@@ -1,10 +1,10 @@
 //! Abstraction over "what a DHT query can see".
 //!
-//! The crawler and the iterative lookup do not own the network; they query it.
-//! [`DhtView`] is the minimal interface they need: which peers exist, whether
-//! a peer answers DHT queries (server mode, online, reachable), and what its
-//! routing table contains. The full node simulation in `ipfs-mon-node`
-//! implements this trait; tests use the in-memory [`StaticView`].
+//! The crawler does not own the network; it queries it. [`DhtView`] is the
+//! minimal interface it needs: which peers exist, whether a peer answers DHT
+//! queries (server mode, online, reachable), and what its routing table
+//! contains. The full node simulation in `ipfs-mon-node` implements this
+//! trait; tests use the in-memory [`StaticView`].
 
 use crate::routing_table::RoutingTable;
 use ipfs_mon_types::PeerId;
@@ -23,15 +23,6 @@ pub trait DhtView {
 
     /// The peers stored in `peer`'s routing table, if `peer` is responsive.
     fn bucket_entries(&self, peer: &PeerId) -> Option<Vec<PeerId>>;
-
-    /// The `count` peers in `peer`'s routing table closest to `target`, if
-    /// `peer` is responsive.
-    fn closest_peers(&self, peer: &PeerId, target: &PeerId, count: usize) -> Option<Vec<PeerId>> {
-        let mut entries = self.bucket_entries(peer)?;
-        entries.sort_by_key(|p| p.distance(target));
-        entries.truncate(count);
-        Some(entries)
-    }
 }
 
 /// A fixed, in-memory DHT view for tests and self-contained experiments.
@@ -125,21 +116,5 @@ mod tests {
         assert!(view.bucket_entries(&pid(0)).is_none(), "offline server");
         assert!(view.bucket_entries(&pid(1)).is_none(), "client");
         assert!(view.bucket_entries(&pid(9)).is_none(), "unknown peer");
-    }
-
-    #[test]
-    fn closest_peers_default_impl_sorts_by_distance() {
-        let mut view = StaticView::new();
-        let mut table = RoutingTable::with_default_k(pid(0));
-        for i in 1..60 {
-            table.insert(pid(i), true);
-        }
-        view.add_peer(table, true, true);
-        let target = pid(1000);
-        let closest = view.closest_peers(&pid(0), &target, 5).unwrap();
-        assert_eq!(closest.len(), 5);
-        for pair in closest.windows(2) {
-            assert!(pair[0].distance(&target) <= pair[1].distance(&target));
-        }
     }
 }

@@ -23,9 +23,8 @@
 //! regular peer as an individual event: whether a neighbour or DHT provider
 //! can serve a block is decided with a connectivity model instead. This keeps
 //! multi-thousand-node, multi-week runs tractable while preserving the
-//! monitor-visible message stream. The `ipfs-mon-bitswap` crate contains the
-//! full per-message protocol engine, which is exercised by its own tests and
-//! by the quickstart example.
+//! monitor-visible message stream, which is all that passive monitoring
+//! records.
 //!
 //! # Event loop
 //!
@@ -73,7 +72,7 @@ use crate::counters::SimCounter;
 use crate::gateway::{CacheOutcome, GatewayCache, GatewayCacheConfig};
 use crate::spec::{ContentSpec, GatewayRequestEvent, RequestEvent, Scenario, WorkloadEvent};
 use ipfs_mon_bitswap::{ProtocolVersion, RequestType};
-use ipfs_mon_blockstore::{Blockstore, BlockstoreConfig};
+use ipfs_mon_blockstore::Blockstore;
 use ipfs_mon_kad::{DhtView, RoutingTable};
 use ipfs_mon_obs as obs;
 use ipfs_mon_simnet::churn::{ChurnEvent, ScheduleCursor};
@@ -317,10 +316,7 @@ impl Network {
             node_addrs.push(address);
             nodes.push(NodeState {
                 online: false,
-                blockstore: Blockstore::with_config(BlockstoreConfig {
-                    capacity: spec.config.cache_capacity,
-                    gc_enabled: true,
-                }),
+                blockstore: Blockstore::with_capacity(spec.config.cache_capacity),
                 gateway_cache: if spec.config.role.is_gateway() {
                     Some(GatewayCache::new(GatewayCacheConfig::default()))
                 } else {

@@ -12,9 +12,9 @@
 //!   reporter (`docs/OBSERVABILITY.md`); compile with `--features obs-off`
 //!   to strip every probe,
 //! * [`simnet`] — deterministic discrete-event simulation kernel,
-//! * [`kad`] — Kademlia DHT substrate and the crawler baseline,
-//! * [`bitswap`] — the Bitswap protocol engine and wire format,
-//! * [`blockstore`] — blocks, Merkle DAGs and the local block cache,
+//! * [`kad`] — Kademlia k-buckets and the DHT crawler baseline,
+//! * [`bitswap`] — Bitswap request types and protocol generations,
+//! * [`blockstore`] — blocks, Merkle DAGs and the local LRU block cache,
 //! * [`node`] — the full node/network model (scenarios, gateways, monitors'
 //!   observation stream),
 //! * [`workload`] — scenario/workload generation,
