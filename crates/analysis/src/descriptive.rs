@@ -93,19 +93,6 @@ pub struct StreamSummary {
     pub max: f64,
 }
 
-/// Computes the share (fraction summing to 1) of each labelled count. Used for
-/// Table I (multicodec shares) and Table II (country shares).
-pub fn shares<L: Clone>(counts: &[(L, u64)]) -> Vec<(L, f64)> {
-    let total: u64 = counts.iter().map(|(_, c)| c).sum();
-    if total == 0 {
-        return counts.iter().map(|(l, _)| (l.clone(), 0.0)).collect();
-    }
-    counts
-        .iter()
-        .map(|(l, c)| (l.clone(), *c as f64 / total as f64))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,19 +111,5 @@ mod tests {
     #[test]
     fn summary_of_empty_is_none() {
         assert!(summarize(&[]).is_none());
-    }
-
-    #[test]
-    fn shares_sum_to_one() {
-        let shares = shares(&[("a", 86), ("b", 13), ("c", 1)]);
-        let total: f64 = shares.iter().map(|(_, s)| s).sum();
-        assert!((total - 1.0).abs() < 1e-12);
-        assert!((shares[0].1 - 0.86).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shares_of_zero_counts() {
-        let shares = shares(&[("a", 0u64), ("b", 0)]);
-        assert!(shares.iter().all(|(_, s)| *s == 0.0));
     }
 }

@@ -37,10 +37,7 @@ impl PopularityScores {
     /// The `k` most popular CIDs by the given score (`true` = URP).
     pub fn top_k(&self, k: usize, by_urp: bool) -> Vec<(Cid, u64)> {
         let map = if by_urp { &self.urp } else { &self.rrp };
-        let mut entries: Vec<(Cid, u64)> = map.iter().map(|(c, &v)| (c.clone(), v)).collect();
-        entries.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        entries.truncate(k);
-        entries
+        rank_top_k(map.iter().map(|(c, &v)| (c.clone(), v)).collect(), k)
     }
 
     /// ECDF of the RRP scores.
@@ -62,6 +59,23 @@ impl PopularityScores {
         let singles = self.urp.values().filter(|&&v| v == 1).count();
         singles as f64 / self.urp.len() as f64
     }
+}
+
+/// The first `k` of `counts` ranked by count descending, key ascending — the
+/// one ranking rule of every top-K report over exact counts. Keys are
+/// distinct, so the order is total and the result independent of the input
+/// order.
+pub(crate) fn rank_top_k<K: Ord>(mut counts: Vec<(K, u64)>, k: usize) -> Vec<(K, u64)> {
+    let rank = |a: &(K, u64), b: &(K, u64)| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0));
+    if k < counts.len() {
+        // Only the first `k` need sorting.
+        if k > 0 {
+            counts.select_nth_unstable_by(k - 1, rank);
+        }
+        counts.truncate(k);
+    }
+    counts.sort_unstable_by(rank);
+    counts
 }
 
 /// Incremental per-CID score aggregation shared by the in-memory

