@@ -26,13 +26,6 @@ impl Ecdf {
         Self::new(counts.into_iter().map(|c| c as f64).collect())
     }
 
-    /// Builds an ECDF by draining a sample stream, e.g. scores computed on
-    /// the fly from a tracestore segment. (The samples must be collected —
-    /// quantiles need the sorted set — but the *source* need not be resident.)
-    pub fn from_samples<I: IntoIterator<Item = f64>>(samples: I) -> Self {
-        Self::new(samples.into_iter().collect())
-    }
-
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.sorted.len()
@@ -41,21 +34,6 @@ impl Ecdf {
     /// Returns true if the ECDF holds no samples.
     pub fn is_empty(&self) -> bool {
         self.sorted.is_empty()
-    }
-
-    /// The sorted samples.
-    pub fn samples(&self) -> &[f64] {
-        &self.sorted
-    }
-
-    /// `F(x)`: the fraction of samples `<= x`.
-    pub fn eval(&self, x: f64) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        // Index of the first element strictly greater than x.
-        let count = self.sorted.partition_point(|&s| s <= x);
-        count as f64 / self.sorted.len() as f64
     }
 
     /// The `q`-quantile (`0 <= q <= 1`) using the nearest-rank method.
@@ -84,14 +62,6 @@ impl Ecdf {
             i = j;
         }
         points
-    }
-
-    /// Sample mean.
-    pub fn mean(&self) -> f64 {
-        if self.sorted.is_empty() {
-            return 0.0;
-        }
-        self.sorted.iter().sum::<f64>() / self.sorted.len() as f64
     }
 }
 
@@ -129,16 +99,6 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn eval_matches_definition() {
-        let ecdf = Ecdf::new(vec![1.0, 2.0, 2.0, 3.0]);
-        assert_eq!(ecdf.eval(0.5), 0.0);
-        assert_eq!(ecdf.eval(1.0), 0.25);
-        assert_eq!(ecdf.eval(2.0), 0.75);
-        assert_eq!(ecdf.eval(2.5), 0.75);
-        assert_eq!(ecdf.eval(10.0), 1.0);
-    }
-
-    #[test]
     fn quantiles_nearest_rank() {
         let ecdf = Ecdf::from_counts(1..=100u64);
         assert_eq!(ecdf.quantile(0.0), Some(1.0));
@@ -151,7 +111,6 @@ mod tests {
     fn empty_ecdf_behaviour() {
         let ecdf = Ecdf::new(vec![]);
         assert!(ecdf.is_empty());
-        assert_eq!(ecdf.eval(1.0), 0.0);
         assert_eq!(ecdf.quantile(0.5), None);
         assert!(ecdf.curve().is_empty());
     }
@@ -195,15 +154,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn eval_is_monotone(samples in proptest::collection::vec(0.0f64..1000.0, 1..200),
-                            a in 0.0f64..1000.0, b in 0.0f64..1000.0) {
-            let ecdf = Ecdf::new(samples);
-            let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-            prop_assert!(ecdf.eval(lo) <= ecdf.eval(hi));
-            prop_assert!(ecdf.eval(hi) <= 1.0);
-        }
-
         #[test]
         fn quantile_is_a_sample(samples in proptest::collection::vec(-50.0f64..50.0, 1..100),
                                 q in 0.0f64..1.0) {

@@ -12,10 +12,12 @@
 //! [`DatasetTail`] over the segment chains. From then on the caller feeds
 //! entries with [`MonitorService::ingest`] (collection: appended,
 //! rotated, checkpointed per [`DatasetConfig`]) and calls
-//! [`MonitorService::poll`] whenever it wants answers: the tail decodes
-//! every newly *durable* chunk frame into the windowed analysis sink,
-//! which seals windows behind the cross-monitor watermark and emits one
-//! [`WindowSummary`] JSON line per window. [`MonitorService::finish`]
+//! [`MonitorService::poll`] whenever it wants answers: the tail validates
+//! every newly *durable* chunk frame and hands the chunk to the windowed
+//! analysis sink, which routes its rows to their windows, counts each
+//! window's share of the chunk per dictionary index, seals windows behind
+//! the cross-monitor watermark and emits one [`WindowSummary`] JSON line per
+//! window. [`MonitorService::finish`]
 //! writes the final manifest, drains the tail, and seals the remaining
 //! windows.
 //!
@@ -70,8 +72,8 @@ use ipfs_mon_tracestore::window::{
     LatePolicy, WindowBounds, WindowResult, WindowSpec, WindowedSink,
 };
 use ipfs_mon_tracestore::{
-    AnalysisSink, DatasetConfig, DatasetTail, DatasetWriter, RealStorage, SegmentError, Storage,
-    WordHashBuilder,
+    AnalysisSink, ChunkView, DatasetConfig, DatasetTail, DatasetWriter, RealStorage, SegmentError,
+    Storage, WordHashBuilder,
 };
 use ipfs_mon_types::Cid;
 use std::collections::HashMap;
@@ -164,6 +166,36 @@ impl AnalysisSink for ServiceWindowAccum {
         }
         if entry.is_request() {
             *self.cid_requests.entry(entry.cid).or_insert(0) += 1;
+        }
+    }
+
+    /// Request types come from the type plane; requests are counted per CID
+    /// dictionary index, so the window's map is touched once per distinct
+    /// CID the rows request.
+    fn consume_rows(&mut self, _monitor: usize, chunk: &ChunkView<'_>, rows: &[usize]) {
+        let mut requests = vec![0u64; chunk.cid_dict().len()];
+        let cids = chunk.cid_indexes();
+        for &row in rows {
+            match chunk.request_type(row) {
+                RequestType::WantHave => self.want_have += 1,
+                RequestType::WantBlock => self.want_block += 1,
+                RequestType::Cancel => {
+                    self.cancel += 1;
+                    continue;
+                }
+            }
+            requests[cids[row]] += 1;
+        }
+        for (cid, n) in chunk.cid_dict().iter().zip(requests) {
+            if n == 0 {
+                continue;
+            }
+            match self.cid_requests.get_mut(cid) {
+                Some(count) => *count += n,
+                None => {
+                    self.cid_requests.insert(cid.clone(), n);
+                }
+            }
         }
     }
 
@@ -436,18 +468,18 @@ impl MonitorService {
         self.emit.skip_below
     }
 
-    /// Feeds the tail's new entries to the sink, collecting each window the
-    /// moment its last entry seals it (its accumulator is dropped mid-poll,
-    /// not after it), then commits the collected windows in one group
-    /// commit. Windows sealed before a tail error are committed before the
-    /// error is returned.
+    /// Feeds the tail's new chunks to the sink, collecting the windows each
+    /// chunk seals as soon as it is routed (their accumulators are dropped
+    /// mid-poll, not after it), then commits the collected windows in one
+    /// group commit. Windows sealed before a tail error are committed before
+    /// the error is returned.
     fn drain_tail(
         tail: &mut DatasetTail,
         sink: &mut ServiceSink,
         emit: &mut Emitter,
     ) -> Result<(), SegmentError> {
-        let polled = tail.poll(|entry| {
-            sink.consume(entry);
+        let polled = tail.poll_chunks(|monitor, chunk| {
+            sink.consume_chunk_rows(monitor, chunk);
             for result in sink.take_sealed() {
                 emit.emit(result);
             }
@@ -881,6 +913,61 @@ mod tests {
                 prop_assert_eq!(window.output.want_block, of(RequestType::WantBlock));
                 prop_assert_eq!(window.output.cancel, of(RequestType::Cancel));
             }
+        }
+
+        /// Windows fed the tail's chunks through
+        /// [`WindowedSink::consume_chunk_rows`] — the service's path, counting
+        /// CIDs per dictionary index — seal the lines that `consume` over the
+        /// same rows seals, chunk for chunk.
+        #[test]
+        fn chunk_rows_seal_the_lines_entries_seal(
+            steps in arb_chain_steps(),
+            chunk_capacity in 1usize..40,
+            top_k in 1usize..12,
+        ) {
+            let chains = chains_of(steps);
+            let dir = temp_dir("chunk-rows");
+            std::fs::remove_dir_all(&dir).ok();
+            let labels = (0..chains.len()).map(|chain| chain.to_string()).collect();
+            let dataset = DatasetConfig {
+                segment: SegmentConfig { chunk_capacity },
+                ..DatasetConfig::default()
+            };
+            let mut writer = DatasetWriter::create(&dir, labels, dataset).unwrap();
+            for entry in chains.concat() {
+                writer.append(&entry).unwrap();
+            }
+            writer.finish().unwrap();
+            let sink = || {
+                WindowedSink::deferred(
+                    chains.len(),
+                    WindowSpec::tumbling(SimDuration::from_millis(WINDOW_MS)),
+                    SimDuration::ZERO,
+                    LatePolicy::Strict,
+                    move |_: &WindowBounds| ServiceWindowAccum::new(top_k),
+                )
+            };
+            let (mut by_rows, mut by_entries) = (sink(), sink());
+            let lines = |sealed: Vec<WindowResult<WindowSummary>>| -> Vec<String> {
+                sealed.iter().map(format_window_line).collect()
+            };
+            let mut tail = DatasetTail::open(&dir, chains.len());
+            let mut batches = Vec::new();
+            tail.poll_chunks(|monitor, chunk| {
+                by_rows.consume_chunk_rows(monitor, chunk);
+                for j in 0..chunk.len() {
+                    let mut entry = chunk.entry(j);
+                    entry.monitor = monitor;
+                    by_entries.consume(entry);
+                }
+                batches.push((lines(by_rows.take_sealed()), lines(by_entries.take_sealed())));
+            })
+            .unwrap();
+            std::fs::remove_dir_all(&dir).ok();
+            for (by_rows, by_entries) in batches {
+                prop_assert_eq!(by_rows, by_entries);
+            }
+            prop_assert_eq!(lines(by_rows.finish().results), lines(by_entries.finish().results));
         }
 
         /// The same entries fed chain by chain — as a restart replays them —

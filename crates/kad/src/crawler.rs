@@ -185,8 +185,12 @@ mod tests {
     fn crawl_misses_dht_clients() {
         let (view, servers) = build_network(100, 50, 0);
         let result = Crawler::new().crawl(&view, &servers[..2]);
-        // 150 peers exist, but the crawl can only ever see the 100 servers.
-        assert_eq!(view.len(), 150);
+        // The 50 clients answer too, but the crawl can only ever see the 100
+        // servers.
+        let clients: Vec<PeerId> = (0..50).map(|c| pid(2_000_000 + c)).collect();
+        assert!(clients
+            .iter()
+            .all(|id| view.is_responsive(id) && !view.is_server(id)));
         assert_eq!(result.discovered_count(), 100);
     }
 

@@ -52,21 +52,6 @@ impl StaticView {
     pub fn set_responsive(&mut self, peer: &PeerId, responsive: bool) {
         self.responsive.insert(*peer, responsive);
     }
-
-    /// Number of peers registered in the view.
-    pub fn len(&self) -> usize {
-        self.tables.len()
-    }
-
-    /// Returns true if no peers are registered.
-    pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
-    }
-
-    /// Mutable access to a peer's routing table (test setup convenience).
-    pub fn table_mut(&mut self, peer: &PeerId) -> Option<&mut RoutingTable> {
-        self.tables.get_mut(peer)
-    }
 }
 
 impl DhtView for StaticView {

@@ -147,6 +147,9 @@ impl Observer {
 
     /// Applies one work item to the sink. Items of one node must arrive in
     /// event order; that is the only ordering the observer relies on.
+    // Its one caller is the event loop: inlined there in whichever crate
+    // instantiates the loop for its sink, however that crate's code is split.
+    #[inline]
     pub(super) fn execute<S: MonitorSink>(
         &mut self,
         core: &ScenarioCore,

@@ -13,7 +13,7 @@
 use crate::manifest::{Manifest, SegmentMeta};
 use crate::record::{ConnectionRecord, TraceEntry};
 use crate::segment::{
-    check_header, decode_footer, ChunkInfo, ChunkScratch, ChunkView, Footer, SegmentError,
+    check_header, decode_footer_frame, ChunkInfo, ChunkScratch, ChunkView, Footer, SegmentError,
     FOOTER_MAGIC, HEADER_LEN, TRAILER_LEN,
 };
 use ipfs_mon_obs as obs;
@@ -162,7 +162,6 @@ impl<S: ChunkSource> TraceReader<S> {
         if &trailer[12..16] != FOOTER_MAGIC {
             return Err(SegmentError::Corrupt("missing footer magic".into()));
         }
-        let stored_crc = u32::from_le_bytes(trailer[0..4].try_into().unwrap());
         let payload_len = u64::from_le_bytes(trailer[4..12].try_into().unwrap());
         let footer_start = (TRAILER_LEN as u64)
             .checked_add(payload_len)
@@ -171,14 +170,9 @@ impl<S: ChunkSource> TraceReader<S> {
         if footer_start < header_len {
             return Err(SegmentError::Corrupt("footer overlaps header".into()));
         }
-        let payload = source.read_at(footer_start, payload_len as usize)?;
-        if crate::crc::crc32(&payload) != stored_crc {
-            return Err(SegmentError::ChecksumMismatch {
-                location: "footer".into(),
-            });
-        }
-        let footer = decode_footer(payload.as_ref())?;
-        drop(payload);
+        let footer_bytes = source.read_at(footer_start, (total_len - footer_start) as usize)?;
+        let footer = decode_footer_frame(&footer_bytes)?;
+        drop(footer_bytes);
         Ok(Self { source, footer })
     }
 
@@ -1333,7 +1327,7 @@ mod tests {
     use super::*;
     use crate::manifest::{DatasetConfig, DatasetWriter};
     use crate::record::EntryFlags;
-    use crate::segment::SegmentConfig;
+    use crate::segment::{decode_footer, SegmentConfig};
     use crate::writer::TraceWriter;
     use ipfs_mon_bitswap::RequestType;
     use ipfs_mon_simnet::time::SimTime;

@@ -1457,6 +1457,28 @@ pub(crate) fn encode_footer(footer: &Footer, out: &mut Vec<u8>) {
     out.extend_from_slice(FOOTER_MAGIC);
 }
 
+/// Decodes `bytes` as exactly one footer as [`encode_footer`] writes it —
+/// payload, CRC, length, magic, with nothing before or after it.
+pub(crate) fn decode_footer_frame(bytes: &[u8]) -> Result<Footer, SegmentError> {
+    let payload_len = bytes
+        .len()
+        .checked_sub(TRAILER_LEN)
+        .ok_or_else(|| SegmentError::Corrupt("footer too short".into()))?;
+    let (payload, trailer) = bytes.split_at(payload_len);
+    if &trailer[12..] != FOOTER_MAGIC {
+        return Err(SegmentError::Corrupt("missing footer magic".into()));
+    }
+    if trailer[4..12] != (payload_len as u64).to_le_bytes() {
+        return Err(SegmentError::Corrupt("footer length out of range".into()));
+    }
+    if trailer[..4] != crc32(payload).to_le_bytes() {
+        return Err(SegmentError::ChecksumMismatch {
+            location: "footer".into(),
+        });
+    }
+    decode_footer(payload)
+}
+
 pub(crate) fn decode_footer(payload: &[u8]) -> Result<Footer, SegmentError> {
     let mut cursor = Cursor::new(payload);
 

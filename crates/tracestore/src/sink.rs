@@ -53,7 +53,15 @@
 //!   distinct key, instead of hashing the same 32- or 36-byte key for every
 //!   row;
 //! * **per timestamp** ([`AnalysisSink::consume_time`]): one monitor's
-//!   timestamps in the order its entries would arrive in, and nothing else.
+//!   timestamps in the order its entries would arrive in, and nothing else;
+//! * **per chunk rows** ([`AnalysisSink::consume_rows`]): some rows of one
+//!   validated chunk, by index, in the order `consume` would see them as
+//!   entries. The windowed sink feeds a window's accumulator this way
+//!   ([`WindowedSink::consume_chunk_rows`](crate::window::WindowedSink::consume_chunk_rows)):
+//!   the rows are the window's share of a chunk, so the accumulator may
+//!   count them per dictionary index like `consume_chunk` does, and must
+//!   reach the state `consume` reaches over them. The default materialises
+//!   each row and calls `consume`.
 //!
 //! [`ManifestReader::run_parallel`] is the driver that reads chunks: it
 //! decodes each chunk once, offers it to the sink, and then delivers what
@@ -201,6 +209,19 @@ pub trait AnalysisSink {
     /// latest one: rows are held back until they are in order).
     fn consume_time(&mut self, _monitor: usize, _timestamp: SimTime) {}
 
+    /// Folds `rows` of one validated chunk of `monitor` — row indexes, in the
+    /// order [`AnalysisSink::consume`] would see them as entries — to the
+    /// state `consume` reaches over those entries. The default materialises
+    /// each row (with `monitor` set) and calls `consume`; a multiset
+    /// aggregate overrides it to count per dictionary index instead.
+    fn consume_rows(&mut self, monitor: usize, chunk: &ChunkView<'_>, rows: &[usize]) {
+        for &row in rows {
+            let mut entry = chunk.entry(row);
+            entry.monitor = monitor;
+            self.consume(entry);
+        }
+    }
+
     /// One row of a chunk that was offered to
     /// [`AnalysisSink::consume_chunk`], as an entry: the sink takes of it
     /// what its [`AnalysisSink::ROWS`] says it still needs. Provided — only
@@ -240,6 +261,11 @@ impl<A: AnalysisSink, B: AnalysisSink> AnalysisSink for (A, B) {
     fn consume_time(&mut self, monitor: usize, timestamp: SimTime) {
         self.0.consume_time(monitor, timestamp);
         self.1.consume_time(monitor, timestamp);
+    }
+
+    fn consume_rows(&mut self, monitor: usize, chunk: &ChunkView<'_>, rows: &[usize]) {
+        self.0.consume_rows(monitor, chunk, rows);
+        self.1.consume_rows(monitor, chunk, rows);
     }
 
     fn consume_row(&mut self, entry: TraceEntry) {

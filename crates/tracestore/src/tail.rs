@@ -1,6 +1,6 @@
 //! Incremental tailing of a *growing* dataset directory: [`DatasetTail`]
 //! polls each monitor's segment chain past a per-chain byte cursor,
-//! decodes every newly flushed chunk frame, and hands the entries to a
+//! validates every newly flushed chunk frame, and hands each chunk to a
 //! callback — without ever opening the dataset through
 //! [`ManifestReader`](crate::reader::ManifestReader), which validates
 //! complete segments and therefore cannot read a chain that is still being
@@ -10,17 +10,26 @@
 //!
 //! The tail keeps, per monitor, the sequence number of the segment it is
 //! reading and the byte offset of the first unread frame. Each
-//! [`poll`](DatasetTail::poll) seeks to that offset, reads whatever the
-//! writer has flushed since, and reports the frames of its longest valid
-//! prefix — the walk crash recovery truncates by (`segment::walk_frames`).
+//! [`poll_chunks`](DatasetTail::poll_chunks) seeks to that offset, reads
+//! whatever the writer has flushed since, and reports the frames of its
+//! longest valid prefix — the walk crash recovery truncates by
+//! (`segment::walk_frames`) — as validated [`ChunkView`]s: CRC-checked,
+//! every column parsed, rows in stored (arrival) order.
+//! [`poll`](DatasetTail::poll) is the same walk with each row materialised
+//! as a [`TraceEntry`].
+//!
 //! Where the walk ends is either a frame the writer is still flushing
-//! (retry next poll) or the segment footer.
-//! The footer is distinguishable because, by the time it is written,
+//! (retry next poll) or the segment footer. The segment is sealed once
 //! either a higher-numbered segment file exists (segment rotation durably
 //! seals the old file *before* the new one is created) or the dataset
-//! manifest lists the segment as sealed (the manifest is written at
+//! manifest lists it (the manifest is written at
 //! [`finish`](crate::manifest::DatasetWriter::finish), and crash recovery
-//! rebuilds it over re-sealed chains).
+//! rebuilds it over re-sealed chains). A sealed segment's bytes are final,
+//! so the tail reads them again once it knows, and what follows its last
+//! frame must then be exactly its footer, indexing exactly the chunks and
+//! entries the tail read from it; anything else — a damaged chunk, a
+//! damaged or missing footer — fails the poll with
+//! [`SegmentError::Corrupt`] instead of skipping the rest of the segment.
 //!
 //! Because the tail reads only bytes the writer flushed to the file, the
 //! entries it reports are exactly the entries that survive a crash at
@@ -28,14 +37,20 @@
 //! truncation) — which is what lets the monitoring service rebuild its
 //! windows deterministically after a restart.
 //!
-//! Entries are reported in per-monitor chain order — the same order
+//! Chunks are reported in per-monitor chain order — the same order
 //! [`run_parallel`](crate::reader::ManifestReader::run_parallel) workers
 //! see — so any [`AnalysisSink`](crate::sink::AnalysisSink) honouring the
 //! combine contract (including the windowed sinks) consumes them
-//! unchanged.
+//! unchanged, row by row or, through
+//! [`WindowedSink::consume_chunk_rows`](crate::window::WindowedSink::consume_chunk_rows),
+//! chunk by chunk.
 
 use crate::manifest::{Manifest, SegmentMeta, MANIFEST_FILE_NAME};
-use crate::segment::{check_header, walk_frames, ChunkScratch, SegmentError, HEADER_LEN};
+use crate::record::TraceEntry;
+use crate::segment::{
+    check_header, decode_footer_frame, walk_frames, ChunkScratch, ChunkView, SegmentError,
+    HEADER_LEN,
+};
 use ipfs_mon_obs as obs;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -51,9 +66,13 @@ struct ChainTail {
     pos: u64,
     /// Entries emitted from this chain so far.
     entries: u64,
+    /// Chunks and entries read from the current segment: what its footer
+    /// must index.
+    segment_chunks: u64,
+    segment_entries: u64,
 }
 
-/// Outcome of one [`DatasetTail::poll`].
+/// Outcome of one [`DatasetTail::poll_chunks`] (or [`DatasetTail::poll`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TailPoll {
     /// Entries newly decoded and reported this poll.
@@ -75,8 +94,7 @@ pub struct DatasetTail {
 impl DatasetTail {
     /// Opens a tail over `dir` for `monitors` chains, starting every
     /// cursor at the beginning of segment 0. Nothing is read until the
-    /// first [`poll`](DatasetTail::poll); segment files do not need to
-    /// exist yet.
+    /// first poll; segment files do not need to exist yet.
     pub fn open(dir: impl AsRef<Path>, monitors: usize) -> Self {
         Self {
             dir: dir.as_ref().to_path_buf(),
@@ -86,6 +104,8 @@ impl DatasetTail {
                     sequence: 0,
                     pos: 0,
                     entries: 0,
+                    segment_chunks: 0,
+                    segment_entries: 0,
                 })
                 .collect(),
             scratch: ChunkScratch::default(),
@@ -98,12 +118,14 @@ impl DatasetTail {
     }
 
     /// Reads every chain forward as far as complete, CRC-valid frames
-    /// allow, reporting each decoded entry (with its global monitor index
-    /// restored) to `f`. Safe to call any number of times; each entry is
-    /// reported exactly once across polls.
-    pub fn poll(
+    /// allow, reporting each validated chunk to `f` with the dataset-wide
+    /// index of its monitor. Safe to call any number of times; each chunk
+    /// is reported exactly once across polls, and a chain's chunks in chain
+    /// order. On error, the chunks read before the damage have been
+    /// reported.
+    pub fn poll_chunks(
         &mut self,
-        mut f: impl FnMut(crate::record::TraceEntry),
+        mut f: impl FnMut(usize, &ChunkView<'_>),
     ) -> Result<TailPoll, SegmentError> {
         let mut report = TailPoll::default();
         for i in 0..self.chains.len() {
@@ -111,7 +133,20 @@ impl DatasetTail {
         }
         obs::counter!("tail.polls").incr();
         obs::counter!("tail.entries").add(report.entries);
+        obs::counter!("tail.chunks").add(report.chunks);
         Ok(report)
+    }
+
+    /// [`DatasetTail::poll_chunks`] with every row materialised as an
+    /// entry (its global monitor index restored), in stored order.
+    pub fn poll(&mut self, mut f: impl FnMut(TraceEntry)) -> Result<TailPoll, SegmentError> {
+        self.poll_chunks(|monitor, view| {
+            for j in 0..view.len() {
+                let mut entry = view.entry(j);
+                entry.monitor = monitor;
+                f(entry);
+            }
+        })
     }
 
     /// Whether the segment `chain` is reading has been sealed: rotation
@@ -145,8 +180,11 @@ impl DatasetTail {
         &mut self,
         i: usize,
         report: &mut TailPoll,
-        f: &mut impl FnMut(crate::record::TraceEntry),
+        f: &mut impl FnMut(usize, &ChunkView<'_>),
     ) -> Result<(), SegmentError> {
+        // Whether the current segment was known to be sealed before its
+        // bytes were read: then they are final.
+        let mut sealed = false;
         loop {
             let (monitor, sequence, pos) = {
                 let chain = &self.chains[i];
@@ -174,31 +212,58 @@ impl DatasetTail {
             }
             let chain = &mut self.chains[i];
             let local = walk_frames(&bytes, start, &mut self.scratch, |_, _, view| {
-                for j in 0..view.len() {
-                    let mut entry = view.entry(j);
-                    entry.monitor = monitor;
-                    f(entry);
-                }
-                report.entries += view.len() as u64;
+                f(monitor, view);
+                let rows = view.len() as u64;
+                report.entries += rows;
                 report.chunks += 1;
-                chain.entries += view.len() as u64;
+                chain.entries += rows;
+                chain.segment_chunks += 1;
+                chain.segment_entries += rows;
             });
-            self.chains[i].pos = pos + local as u64;
-            let drained = local >= bytes.len();
-            if !drained && self.current_is_sealed(&self.chains[i]) {
-                // The undecodable remainder is the footer of a sealed
-                // segment: advance to the next one in the chain.
-                self.chains[i].sequence += 1;
-                self.chains[i].pos = 0;
-                report.segments_advanced += 1;
-                obs::counter!("tail.segments_advanced").incr();
+            chain.pos = pos + local as u64;
+            if !sealed {
+                if local >= bytes.len() || !self.current_is_sealed(&self.chains[i]) {
+                    // Fully drained (wait for more data) or mid-frame of an
+                    // open segment (the writer will complete it).
+                    return Ok(());
+                }
+                // Sealed since the read: read the rest again, final now.
+                sealed = true;
                 continue;
             }
-            // Either fully drained (wait for more data) or mid-frame of an
-            // open segment (the writer will complete it).
-            return Ok(());
+            let chain = &mut self.chains[i];
+            check_sealed_remainder(&bytes[local..], chain).map_err(|error| {
+                SegmentError::Corrupt(format!(
+                    "{}: sealed segment damaged after {} chunks: {error}",
+                    path.display(),
+                    chain.segment_chunks
+                ))
+            })?;
+            chain.sequence += 1;
+            chain.pos = 0;
+            chain.segment_chunks = 0;
+            chain.segment_entries = 0;
+            report.segments_advanced += 1;
+            obs::counter!("tail.segments_advanced").incr();
+            sealed = false;
         }
     }
+}
+
+/// Checks that `rest`, what follows the last valid frame of a sealed
+/// segment, is exactly its footer and indexes exactly the chunks and
+/// entries `chain` read from the segment.
+fn check_sealed_remainder(rest: &[u8], chain: &ChainTail) -> Result<(), SegmentError> {
+    let footer = decode_footer_frame(rest)?;
+    let indexed = (footer.chunks.len() as u64, footer.total_entries);
+    let read = (chain.segment_chunks, chain.segment_entries);
+    if indexed != read {
+        return Err(SegmentError::Corrupt(format!(
+            "the footer indexes {} chunks of {} entries, the segment holds {} of {}",
+            indexed.0, indexed.1, read.0, read.1
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -277,6 +342,52 @@ mod tests {
                 .collect();
             assert_eq!(got, want, "monitor {m}");
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `poll_chunks` and `poll` over the same growing dataset report the
+    /// same rows in the same order, and the same `TailPoll`, poll for poll.
+    #[test]
+    fn chunk_and_entry_polls_report_the_same_rows() {
+        let dir = temp_dir("chunks-vs-entries");
+        std::fs::remove_dir_all(&dir).ok();
+        let labels = vec!["a".to_string(), "b".to_string()];
+        let mut writer = DatasetWriter::create(&dir, labels, config(5, 17)).unwrap();
+        let (mut by_chunks, mut by_entries) =
+            (DatasetTail::open(&dir, 2), DatasetTail::open(&dir, 2));
+        let mut polls = 0;
+        let mut compare = |by_chunks: &mut DatasetTail, by_entries: &mut DatasetTail| {
+            let (mut rows, mut chunks) = (Vec::new(), 0u64);
+            let chunk_poll = by_chunks
+                .poll_chunks(|monitor, view| {
+                    chunks += 1;
+                    rows.extend(view.entries().map(|mut entry| {
+                        entry.monitor = monitor;
+                        entry
+                    }));
+                })
+                .unwrap();
+            let mut entries = Vec::new();
+            let entry_poll = by_entries.poll(|entry| entries.push(entry)).unwrap();
+            assert_eq!(rows, entries);
+            assert_eq!(chunk_poll, entry_poll);
+            assert_eq!(chunk_poll.chunks, chunks);
+            polls += 1;
+        };
+        for i in 0..120u64 {
+            writer
+                .append(&entry(i * 7 % 50 + i, (i % 3 % 2) as usize))
+                .unwrap();
+            if i % 11 == 0 {
+                writer.checkpoint().unwrap();
+                compare(&mut by_chunks, &mut by_entries);
+            }
+        }
+        writer.finish().unwrap();
+        compare(&mut by_chunks, &mut by_entries);
+        assert_eq!(polls, 12);
+        assert_eq!(by_chunks.entries_read(), by_entries.entries_read());
+        assert_eq!(by_chunks.entries_read().iter().sum::<u64>(), 120);
         std::fs::remove_dir_all(&dir).ok();
     }
 

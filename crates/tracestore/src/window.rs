@@ -46,8 +46,24 @@
 //! deployments where lateness indicates a configuration bug. With
 //! `allowed_lateness` at least the dataset's recorded arrival disorder, no
 //! entry is ever late.
+//!
+//! # Entries or chunk rows
+//!
+//! Rows reach the windows one at a time through [`AnalysisSink::consume`]
+//! (an owned entry, folded into its windows at once) or a chunk at a time
+//! through [`WindowedSink::consume_chunk_rows`] (a validated chunk from
+//! [`DatasetTail::poll_chunks`](crate::tail::DatasetTail::poll_chunks), rows
+//! in stored order). Both route every row through the same step — window
+//! assignment, late check, high-water mark, sealing — in row order, so both
+//! reach the same state row for row. The chunk path only defers the fold:
+//! each window collects the indexes of its rows of the chunk and hands them
+//! to its accumulator's [`AnalysisSink::consume_rows`] in one call, before
+//! the window seals and at the end of the chunk. An accumulator that counts
+//! per dictionary index there touches its own maps once per distinct key,
+//! not once per row.
 
 use crate::record::TraceEntry;
+use crate::segment::ChunkView;
 use crate::sink::AnalysisSink;
 use ipfs_mon_obs as obs;
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
@@ -171,6 +187,10 @@ impl<A: Clone> Clone for OpenWindow<A> {
     }
 }
 
+/// The chunk being routed, with its monitor: whose held rows a window folds
+/// before it seals.
+type Routing<'c, 'v> = Option<(usize, &'c ChunkView<'v>)>;
+
 /// Aggregate outcome of a windowed run: the sealed windows not taken
 /// earlier, plus accounting over the whole run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -219,6 +239,9 @@ pub struct WindowedSink<A: AnalysisSink, F> {
     windows_sealed: u64,
     late_dropped: u64,
     max_open: usize,
+    /// Per open window handed rows of the chunk being routed, those rows,
+    /// not folded yet, in first-touch order; empty between chunks.
+    held: Vec<(u64, Vec<usize>)>,
 }
 
 impl<A, F> Clone for WindowedSink<A, F>
@@ -240,6 +263,7 @@ where
             windows_sealed: self.windows_sealed,
             late_dropped: self.late_dropped,
             max_open: self.max_open,
+            held: self.held.clone(),
         }
     }
 }
@@ -274,6 +298,7 @@ where
             windows_sealed: 0,
             late_dropped: 0,
             max_open: 0,
+            held: Vec::new(),
         }
     }
 
@@ -305,7 +330,44 @@ where
         self.open.len()
     }
 
-    fn seal_one(&mut self, index: u64) {
+    /// Window `index`, opened with a fresh accumulator if it is not open.
+    fn open_window(&mut self, index: u64) -> &mut OpenWindow<A> {
+        self.open.entry(index).or_insert_with(|| OpenWindow {
+            accum: (self.factory)(&self.spec.bounds(index)),
+            entries: 0,
+        })
+    }
+
+    /// Holds `row` of the chunk being routed for open window `index`: the
+    /// chunk path's fold step.
+    fn hold(&mut self, index: u64, row: usize) {
+        // A chunk's rows mostly go to the window the previous row went to.
+        if let Some((_, rows)) = self.held.iter_mut().rev().find(|(held, _)| *held == index) {
+            rows.push(row);
+            return;
+        }
+        self.open_window(index);
+        self.held.push((index, vec![row]));
+    }
+
+    /// Folds the rows of `chunk` held for window `index` into it, if any.
+    fn fold_held(&mut self, index: u64, monitor: usize, chunk: &ChunkView<'_>) {
+        let Some(at) = self.held.iter().position(|(held, _)| *held == index) else {
+            return;
+        };
+        let (_, rows) = self.held.swap_remove(at);
+        let window = self
+            .open
+            .get_mut(&index)
+            .expect("held rows belong to an open window");
+        window.accum.consume_rows(monitor, chunk, &rows);
+        window.entries += rows.len() as u64;
+    }
+
+    fn seal_one(&mut self, index: u64, routing: Routing<'_, '_>) {
+        if let Some((monitor, chunk)) = routing {
+            self.fold_held(index, monitor, chunk);
+        }
         let bounds = self.spec.bounds(index);
         let window = self.open.remove(&index).unwrap_or_else(|| OpenWindow {
             accum: (self.factory)(&bounds),
@@ -325,24 +387,34 @@ where
     /// Seals every window whose end the watermark has passed. Emission is
     /// dense: indexes below the highest sealable window seal too, empty or
     /// not.
-    fn advance(&mut self) {
+    fn advance(&mut self, routing: Routing<'_, '_>) {
         let Some(watermark) = self.watermark() else {
             return;
         };
         while self.spec.bounds(self.next_index).end <= watermark {
-            self.seal_one(self.next_index);
+            self.seal_one(self.next_index, routing);
         }
         obs::gauge!("window.open").set(self.open.len() as u64);
     }
 
-    fn consume_entry(&mut self, entry: &TraceEntry) {
-        let monitor = entry.monitor;
+    /// The one routing step of a row of `monitor` at `timestamp`, whichever
+    /// way it came in: `fold` hands the row to each open window it falls in
+    /// (by index), a sealed window counts it late; then the monitor's
+    /// high-water mark moves and every window the watermark passed seals,
+    /// folding the rows of the `routing` chunk held for it first.
+    fn route(
+        &mut self,
+        monitor: usize,
+        timestamp: SimTime,
+        routing: Routing<'_, '_>,
+        mut fold: impl FnMut(&mut Self, u64),
+    ) {
         assert!(
             monitor < self.high_water.len(),
             "entry for monitor {monitor} but the windowed sink was built for {} monitors",
             self.high_water.len()
         );
-        for index in self.spec.windows_containing(entry.timestamp) {
+        for index in self.spec.windows_containing(timestamp) {
             if index < self.next_index {
                 match self.policy {
                     LatePolicy::Drop => {
@@ -351,23 +423,38 @@ where
                     }
                     LatePolicy::Strict => panic!(
                         "late entry at {} ms for sealed window {index} (strict late policy)",
-                        entry.timestamp.as_millis()
+                        timestamp.as_millis()
                     ),
                 }
                 continue;
             }
-            let window = self.open.entry(index).or_insert_with(|| OpenWindow {
-                accum: (self.factory)(&self.spec.bounds(index)),
-                entries: 0,
-            });
-            window.accum.consume(entry.clone());
-            window.entries += 1;
+            fold(self, index);
         }
         self.max_open = self.max_open.max(self.open.len());
-        if self.high_water[monitor] < Some(entry.timestamp) {
-            self.high_water[monitor] = Some(entry.timestamp);
+        if self.high_water[monitor] < Some(timestamp) {
+            self.high_water[monitor] = Some(timestamp);
         }
-        self.advance();
+        self.advance(routing);
+    }
+
+    /// Routes every row of `chunk`, a validated chunk of `monitor`, in
+    /// stored (arrival) order, to exactly the state
+    /// [`consume`](AnalysisSink::consume) reaches over `chunk.entry(j)` for
+    /// `j` ascending (with `monitor` set): the same windows open and seal at
+    /// the same rows, the same rows count late, `max_open_windows` is the
+    /// same. Each window's rows of the chunk are held and folded in one
+    /// [`consume_rows`](AnalysisSink::consume_rows) call, in row order,
+    /// before the window seals or else when the chunk ends.
+    pub fn consume_chunk_rows(&mut self, monitor: usize, chunk: &ChunkView<'_>) {
+        let routing = Some((monitor, chunk));
+        for (row, &ms) in chunk.timestamps_ms().iter().enumerate() {
+            self.route(monitor, SimTime::from_millis(ms), routing, |sink, index| {
+                sink.hold(index, row);
+            });
+        }
+        while let Some(&(index, _)) = self.held.last() {
+            self.fold_held(index, monitor, chunk);
+        }
     }
 }
 
@@ -379,7 +466,11 @@ where
     type Output = WindowedOutput<A::Output>;
 
     fn consume(&mut self, entry: TraceEntry) {
-        self.consume_entry(&entry);
+        self.route(entry.monitor, entry.timestamp, None, |sink, index| {
+            let window = sink.open_window(index);
+            window.accum.consume(entry.clone());
+            window.entries += 1;
+        });
     }
 
     /// Merges the partial state of another windowed sink over the same
@@ -421,7 +512,7 @@ where
     fn finish(mut self) -> WindowedOutput<A::Output> {
         if let Some((&last, _)) = self.open.iter().next_back() {
             while self.next_index <= last {
-                self.seal_one(self.next_index);
+                self.seal_one(self.next_index, None);
             }
         }
         obs::gauge!("window.open").set(0);
@@ -598,6 +689,157 @@ mod tests {
         assert_eq!(out.windows_sealed, 6);
         assert_eq!(drain(out.results), 6);
         assert_eq!(seen, vec![(0, 1), (1, 1), (2, 0), (3, 0), (4, 0), (5, 1)]);
+    }
+
+    /// Logs every entry its window consumed, in order; rows come through
+    /// the default [`AnalysisSink::consume_rows`].
+    #[derive(Clone, Default)]
+    struct Log(Vec<TraceEntry>);
+
+    impl AnalysisSink for Log {
+        type Output = Vec<TraceEntry>;
+
+        fn consume(&mut self, entry: TraceEntry) {
+            self.0.push(entry);
+        }
+
+        fn combine(&mut self, other: Self) {
+            self.0.extend(other.0);
+        }
+
+        fn finish(self) -> Vec<TraceEntry> {
+            self.0
+        }
+    }
+
+    /// [`Count`] that folds chunk rows without building entries.
+    #[derive(Clone, Default)]
+    struct RowCount(u64);
+
+    impl AnalysisSink for RowCount {
+        type Output = u64;
+
+        fn consume(&mut self, _entry: TraceEntry) {
+            self.0 += 1;
+        }
+
+        fn consume_rows(&mut self, _monitor: usize, _chunk: &ChunkView<'_>, rows: &[usize]) {
+            self.0 += rows.len() as u64;
+        }
+
+        fn combine(&mut self, other: Self) {
+            self.0 += other.0;
+        }
+
+        fn finish(self) -> u64 {
+            self.0
+        }
+    }
+
+    /// A monitor's row at `ms`; `cid` and `kind` vary the columns.
+    fn row(ms: u64, monitor: usize, cid: u8, kind: u8) -> TraceEntry {
+        TraceEntry {
+            request_type: match kind {
+                0 => RequestType::WantHave,
+                1 => RequestType::WantBlock,
+                _ => RequestType::Cancel,
+            },
+            cid: Cid::new_v1(Multicodec::Raw, &[cid]),
+            ..entry(ms, monitor)
+        }
+    }
+
+    /// Per row `(monitor, gap_ms, back_ms, cid, kind)`: each monitor's clock
+    /// moves on by `gap_ms`, and the row is stamped up to 240 ms before it —
+    /// past the lateness allowance, so some rows are late.
+    type Rows = Vec<(usize, u64, u64, u8, u8)>;
+
+    /// Each monitor's rows cut into chunks at the given sizes (cycled), and
+    /// the chunks interleaved across monitors by `picks`, each monitor's in
+    /// order: the frames the tail hands out, in one order it may.
+    fn chunked(
+        monitors: usize,
+        rows: Rows,
+        cuts: &[usize],
+        picks: &[usize],
+    ) -> Vec<(usize, Vec<u8>)> {
+        let mut clocks = vec![0u64; monitors];
+        let mut per_monitor = vec![Vec::new(); monitors];
+        for (monitor, gap, back, cid, kind) in rows {
+            let monitor = monitor % monitors;
+            clocks[monitor] += gap;
+            let ms = clocks[monitor].saturating_sub(back);
+            per_monitor[monitor].push(row(ms, monitor, cid, kind));
+        }
+        let mut chunks: Vec<std::collections::VecDeque<Vec<u8>>> =
+            vec![Default::default(); monitors];
+        let mut cut = cuts.iter().cycle();
+        for (monitor, rows) in per_monitor.iter().enumerate() {
+            let mut rest = &rows[..];
+            while !rest.is_empty() {
+                let (head, tail) = rest.split_at((*cut.next().unwrap()).min(rest.len()));
+                let mut frame = Vec::new();
+                crate::segment::encode_chunk(head, false, &mut frame);
+                chunks[monitor].push_back(frame);
+                rest = tail;
+            }
+        }
+        let mut order = Vec::new();
+        let mut pick = picks.iter().cycle();
+        loop {
+            let open: Vec<usize> = (0..monitors).filter(|&m| !chunks[m].is_empty()).collect();
+            if open.is_empty() {
+                return order;
+            }
+            let monitor = open[pick.next().unwrap() % open.len()];
+            order.push((monitor, chunks[monitor].pop_front().unwrap()));
+        }
+    }
+
+    proptest::proptest! {
+        /// Routing a chunk's rows reaches the state `consume` reaches over
+        /// the chunk's entries in stored order: the same windows sealed at
+        /// every chunk boundary, the same late drops, the same peak of open
+        /// windows, the same output.
+        #[test]
+        fn chunk_rows_route_like_entries(
+            monitors in 1usize..4,
+            rows in proptest::collection::vec((0usize..4, 0u64..60, 0u64..240, 0u8..6, 0u8..3), 0..400),
+            cuts in proptest::collection::vec(1usize..40, 1..8),
+            picks in proptest::collection::vec(0usize..4, 1..8),
+            size in 1u64..300,
+            hops in 1u64..4,
+            lateness in 0u64..120,
+        ) {
+            let spec = WindowSpec::sliding(
+                SimDuration::from_millis(size),
+                SimDuration::from_millis(size.div_ceil(hops)),
+            );
+            let sink = || {
+                WindowedSink::deferred(
+                    monitors,
+                    spec,
+                    SimDuration::from_millis(lateness),
+                    LatePolicy::Drop,
+                    |_: &WindowBounds| (Log::default(), RowCount::default()),
+                )
+            };
+            let (mut by_rows, mut by_entries) = (sink(), sink());
+            for (monitor, frame) in chunked(monitors, rows, &cuts, &picks) {
+                let view = ChunkView::parse(std::borrow::Cow::Borrowed(&frame)).unwrap();
+                by_rows.consume_chunk_rows(monitor, &view);
+                for j in 0..view.len() {
+                    let mut entry = view.entry(j);
+                    entry.monitor = monitor;
+                    by_entries.consume(entry);
+                }
+                proptest::prop_assert_eq!(by_rows.take_sealed(), by_entries.take_sealed());
+                proptest::prop_assert_eq!(by_rows.late_dropped, by_entries.late_dropped);
+                proptest::prop_assert_eq!(by_rows.max_open, by_entries.max_open);
+                proptest::prop_assert_eq!(by_rows.watermark(), by_entries.watermark());
+            }
+            proptest::prop_assert_eq!(by_rows.finish(), by_entries.finish());
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use ipfs_monitoring::simnet::time::SimTime;
 use ipfs_monitoring::tracestore::{
     migrate_manifest, recover_dataset, recover_dataset_with, AnalysisSink, Codec, ConnectionRecord,
     DatasetConfig, DatasetTail, DatasetWriter, EntryFlags, FaultPlan, FaultyStorage,
-    ManifestReader, QuarantineReason, SegmentConfig, TraceEntry, TraceReader,
+    ManifestReader, QuarantineReason, SegmentConfig, SegmentError, TraceEntry, TraceReader,
 };
 use ipfs_monitoring::types::{Cid, Country, Multiaddr, Multicodec, PeerId, Transport};
 use proptest::prelude::*;
@@ -364,18 +364,144 @@ fn crafted_frame_length_is_truncated_by_recovery() {
 }
 
 /// The live tail walks the same frames: it reports exactly the entries
-/// before the crafted length and returns.
+/// before the crafted length, then — the manifest lists the segment as
+/// sealed, so the crafted bytes stand where its footer must be — fails the
+/// poll as corrupt instead of panicking or moving past the segment, on
+/// every poll after too.
 #[test]
 fn crafted_frame_length_ends_the_tail_poll() {
     let (dir, _, _) = crafted_length_dataset("crafted-tail");
     let mut tail = DatasetTail::open(&dir, 1);
     let mut seen = Vec::new();
-    let poll = tail
+    let err = tail
         .poll(|entry| seen.push(entry))
-        .expect("the tail must not fail on a crafted length");
-    assert_eq!(poll.entries, 100);
+        .expect_err("a sealed segment without its footer is corrupt");
+    assert!(matches!(err, SegmentError::Corrupt(_)), "{err}");
     assert_eq!(vec![seen], first_hundred());
-    assert_eq!(tail.poll(|_| panic!("nothing new")).unwrap().entries, 0);
+    assert_eq!(tail.entries_read(), vec![100]);
+    let again = tail.poll(|_| panic!("nothing new")).unwrap_err();
+    assert!(matches!(again, SegmentError::Corrupt(_)), "{again}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// 80 entries of one monitor in chunks of 10, rotated at 50: the sealed
+/// `seg-000-00000` holds five chunks and the footer, `seg-000-00001` the
+/// rest. Returns the sealed segment's path and its chunk index.
+fn rotated_dataset(dir: &Path, service: Option<&mut MonitorService>) -> (PathBuf, Vec<(u64, u64)>) {
+    match service {
+        Some(service) => {
+            for i in 0..80 {
+                service.ingest(&entry(i, 0)).unwrap();
+            }
+            service.checkpoint().unwrap();
+        }
+        None => {
+            let mut writer =
+                DatasetWriter::create(dir, vec!["us".into()], rotated_config()).unwrap();
+            for i in 0..80 {
+                writer.append(&entry(i, 0)).unwrap();
+            }
+            writer.checkpoint().unwrap();
+        }
+    }
+    let path = dir.join("seg-000-00000.seg");
+    assert!(dir.join("seg-000-00001.seg").exists(), "rotated at 50");
+    let bytes = std::fs::read(&path).unwrap();
+    let reader = TraceReader::new(ipfs_monitoring::tracestore::SliceSource::new(&bytes)).unwrap();
+    let chunks = reader
+        .chunks()
+        .iter()
+        .map(|info| (info.offset, info.len))
+        .collect();
+    (path, chunks)
+}
+
+fn rotated_config() -> DatasetConfig {
+    DatasetConfig {
+        segment: SegmentConfig { chunk_capacity: 10 },
+        rotate_after_entries: 50,
+        checkpoint_after_entries: u64::MAX,
+    }
+}
+
+fn flip_byte(path: &Path, at: u64) {
+    let mut bytes = std::fs::read(path).unwrap();
+    bytes[at as usize] ^= 0x5a;
+    std::fs::write(path, bytes).unwrap();
+}
+
+/// A damaged sealed segment fails the tail typed, after reporting the
+/// chunks before the damage, instead of skipping the rest of the segment:
+/// a flipped byte in its fourth chunk (30 entries before it) or in its
+/// footer (all 50 before it), and its fourth chunk cut out whole (the walk
+/// reaches the intact footer, which indexes one chunk and 10 entries more
+/// than the 40 before it). Polling again fails the same way.
+#[test]
+fn damaged_sealed_segment_fails_the_tail_poll() {
+    let sites: [(&str, Vec<u64>); 3] = [
+        ("chunk", (0..30).collect()),
+        ("footer", (0..50).collect()),
+        ("cut", (0..30).chain(40..50).collect()),
+    ];
+    for (site, reported) in sites {
+        let dir = temp_dir(&format!("sealed-damage-{site}"));
+        let (path, chunks) = rotated_dataset(&dir, None);
+        assert_eq!(chunks.len(), 5);
+        let (fourth, len) = chunks[3];
+        match site {
+            "chunk" => flip_byte(&path, fourth + len / 2),
+            "footer" => flip_byte(&path, chunks[4].0 + chunks[4].1 + 2),
+            _ => {
+                let mut bytes = std::fs::read(&path).unwrap();
+                bytes.drain(fourth as usize..(fourth + len) as usize);
+                std::fs::write(&path, bytes).unwrap();
+            }
+        }
+        let mut tail = DatasetTail::open(&dir, 1);
+        let mut seen = Vec::new();
+        let err = tail.poll(|entry| seen.push(entry)).unwrap_err();
+        assert!(matches!(err, SegmentError::Corrupt(_)), "{site}: {err}");
+        let want: Vec<TraceEntry> = reported.into_iter().map(|i| entry(i, 0)).collect();
+        assert_eq!(seen, want, "{site}");
+        let again = tail.poll(|_| panic!("{site}: nothing new")).unwrap_err();
+        assert!(matches!(again, SegmentError::Corrupt(_)), "{site}: {again}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// The same damage under the service: its poll fails typed, and the windows
+/// the rows before the damage sealed are durable first.
+#[test]
+fn damaged_sealed_segment_fails_the_service_poll() {
+    use ipfs_monitoring::core::{window_file_name, WINDOW_DIR_NAME};
+    use ipfs_monitoring::simnet::time::SimDuration;
+    use ipfs_monitoring::tracestore::{LatePolicy, WindowSpec};
+
+    let dir = temp_dir("sealed-damage-service");
+    let config = ServiceConfig {
+        dataset: rotated_config(),
+        // Ten entries, 10 ms apart, per window.
+        window: WindowSpec::tumbling(SimDuration::from_millis(100)),
+        lateness: SimDuration::ZERO,
+        policy: LatePolicy::Strict,
+        top_k: 4,
+    };
+    let (mut service, _) = MonitorService::open(&dir, vec!["us".into()], config).unwrap();
+    let (path, chunks) = rotated_dataset(&dir, Some(&mut service));
+    flip_byte(&path, chunks[3].0 + chunks[3].1 / 2);
+
+    let err = service.poll().unwrap_err();
+    assert!(matches!(err, SegmentError::Corrupt(_)), "{err}");
+    // Entries 0..30 passed windows 0 and 1; window 2 waits for entry 30.
+    let window_dir = dir.join(WINDOW_DIR_NAME);
+    let mut names: Vec<String> = std::fs::read_dir(&window_dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    assert_eq!(names, vec![window_file_name(0), window_file_name(1)]);
+    let again = service.poll().unwrap_err();
+    assert!(matches!(again, SegmentError::Corrupt(_)), "{again}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -320,8 +320,13 @@ fn streaming_analysis_variants_match_in_memory() {
     assert_eq!(skipped.count, 2);
     assert_eq!((skipped.min, skipped.max), (1.0, 3.0));
 
+    /// An ECDF built by draining a sample stream (collected: quantiles need
+    /// the sorted set, but the source need not be resident).
+    fn ecdf_from_samples(samples: impl IntoIterator<Item = f64>) -> Ecdf {
+        Ecdf::new(samples.into_iter().collect())
+    }
     let ecdf_batch = Ecdf::new(samples.clone());
-    let ecdf_stream = Ecdf::from_samples(samples.iter().copied());
+    let ecdf_stream = ecdf_from_samples(samples.iter().copied());
     assert_eq!(ecdf_stream.len(), ecdf_batch.len());
     for q in [0.1, 0.5, 0.9] {
         assert_eq!(ecdf_stream.quantile(q), ecdf_batch.quantile(q));
