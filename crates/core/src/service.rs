@@ -444,6 +444,11 @@ impl MonitorService {
     /// Appends one entry to the collection side (rotation and
     /// checkpointing per [`DatasetConfig`]). The entry becomes visible to
     /// the analysis once durable — at the next checkpoint or rotation.
+    ///
+    /// After the writer's first I/O error, this, [`MonitorService::checkpoint`]
+    /// and [`MonitorService::finish`] return that error (the writer is
+    /// ended; reopening the service recovers and resumes), while
+    /// [`MonitorService::poll`] keeps serving the windows of what is durable.
     pub fn ingest(&mut self, entry: &TraceEntry) -> Result<(), SegmentError> {
         self.writer
             .as_mut()

@@ -917,9 +917,10 @@ impl Network {
             Resolution::Unresolved => {}
         }
 
-        // Cache the root block (logical size of the whole DAG) and become a
-        // provider if re-providing is enabled.
-        let root_block = self.core.scenario.content[content].dag.root_block().clone();
+        // Cache the root block (counted at its own logical size: the whole
+        // item for a single-block DAG, the encoded node for a chunked file or
+        // a directory) and become a provider if re-providing is enabled.
+        let root_block = self.core.scenario.content[content].dag.root_block();
         self.nodes[node].blockstore.put(root_block, now);
         if self.core.scenario.nodes[node].config.reprovide {
             self.providers.insert_node(content, node);

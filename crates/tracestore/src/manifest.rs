@@ -49,7 +49,7 @@ use crate::segment::{
 use crate::writer::TraceWriter;
 use ipfs_mon_obs as obs;
 use ipfs_mon_types::varint;
-use std::io::{BufWriter, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -660,6 +660,15 @@ pub struct DatasetSummary {
 /// entries and connection records to their monitor's chain;
 /// [`DatasetWriter::checkpoint`] seals a crash-recovery point, and
 /// [`DatasetWriter::finish`] closes everything and writes the manifest.
+///
+/// The first I/O error ends the writer: the frame, footer or checkpoint it
+/// was writing may be partly on disk and the entries it carried are no
+/// longer buffered, so every later `append`, `record_connection`,
+/// `checkpoint` and `finish` returns that error (`store.writer_failed`
+/// counts the deaths). [`crate::recover::recover_dataset`] and
+/// [`DatasetWriter::resume`] are the repair. A refused entry
+/// ([`SegmentError::InvalidConfig`]) changes nothing on disk and leaves the
+/// writer usable.
 pub struct DatasetWriter {
     dir: PathBuf,
     storage: Arc<dyn Storage>,
@@ -668,6 +677,8 @@ pub struct DatasetWriter {
     writers: Vec<MonitorWriter>,
     entries_since_checkpoint: u64,
     checkpoints_written: u64,
+    /// Kind and text of the I/O error that ended the writer.
+    failed: Option<(io::ErrorKind, String)>,
 }
 
 impl DatasetWriter {
@@ -718,6 +729,7 @@ impl DatasetWriter {
             writers,
             entries_since_checkpoint: 0,
             checkpoints_written: 0,
+            failed: None,
         })
     }
 
@@ -769,7 +781,7 @@ impl DatasetWriter {
             entry.monitor,
             self.writers.len()
         );
-        self.writers[entry.monitor].append(entry)?;
+        self.guarded(|this| this.writers[entry.monitor].append(entry))?;
         self.entries_since_checkpoint += 1;
         if self.entries_since_checkpoint >= self.config.checkpoint_after_entries {
             self.checkpoint()?;
@@ -782,6 +794,10 @@ impl DatasetWriter {
     /// and the exact durable prefix of each open segment. After this
     /// returns, a crash loses at most the entries appended since.
     pub fn checkpoint(&mut self) -> Result<PathBuf, SegmentError> {
+        self.guarded(Self::write_checkpoint)
+    }
+
+    fn write_checkpoint(&mut self) -> Result<PathBuf, SegmentError> {
         let _span = obs::histogram!("store.checkpoint_ns").timer();
         let monitors = self
             .writers
@@ -812,15 +828,18 @@ impl DatasetWriter {
             record.monitor,
             self.writers.len()
         );
-        self.writers[record.monitor].record_connection(record)
+        self.guarded(|this| this.writers[record.monitor].record_connection(record))
     }
 
     /// Closes all segment chains, durably writes the manifest file, removes
     /// any in-flight checkpoint (the manifest supersedes it), and returns
     /// the dataset summary.
-    pub fn finish(self) -> Result<DatasetSummary, SegmentError> {
-        let parts = self
-            .writers
+    pub fn finish(mut self) -> Result<DatasetSummary, SegmentError> {
+        self.guarded(Self::close)
+    }
+
+    fn close(&mut self) -> Result<DatasetSummary, SegmentError> {
+        let parts = std::mem::take(&mut self.writers)
             .into_iter()
             .map(MonitorWriter::finish)
             .collect::<Result<Vec<_>, _>>()?;
@@ -828,7 +847,7 @@ impl DatasetWriter {
             parts.iter().flat_map(|p| p.segments.clone()).collect();
         segments.sort_by_key(|s| (s.monitor, s.sequence));
         let manifest = Manifest {
-            monitor_labels: self.monitor_labels,
+            monitor_labels: std::mem::take(&mut self.monitor_labels),
             segments,
         };
         let manifest_path = manifest.write_to_with(&self.dir, &*self.storage)?;
@@ -842,6 +861,23 @@ impl DatasetWriter {
             manifest,
             manifest_path,
         })
+    }
+
+    /// Runs `op` on a live writer and ends the writer on its first I/O
+    /// error; once ended, returns that error again without running `op`.
+    fn guarded<T>(
+        &mut self,
+        op: impl FnOnce(&mut Self) -> Result<T, SegmentError>,
+    ) -> Result<T, SegmentError> {
+        if let Some((kind, what)) = &self.failed {
+            return Err(SegmentError::Io(io::Error::new(*kind, what.clone())));
+        }
+        let result = op(self);
+        if let Err(SegmentError::Io(error)) = &result {
+            self.failed = Some((error.kind(), error.to_string()));
+            obs::counter!("store.writer_failed").incr();
+        }
+        result
     }
 }
 

@@ -26,6 +26,10 @@ use std::io::Write;
 /// Connection records are rare relative to entries and are kept for the
 /// footer. Call [`TraceWriter::finish`] to flush the remaining buffer and
 /// write the footer index; a segment without its footer is unreadable.
+///
+/// A sink error leaves part of a frame behind and drops the chunk's
+/// entries from the buffer: the writer must not be used after one
+/// ([`crate::manifest::DatasetWriter`] ends itself on its first).
 pub struct TraceWriter<W: Write> {
     sink: W,
     /// Bytes written so far (chunk offsets are tracked manually so the sink

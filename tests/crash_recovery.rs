@@ -854,3 +854,198 @@ fn recovery_survives_crashes_during_recovery() {
     std::fs::remove_dir_all(&template).unwrap();
     std::fs::remove_dir_all(&reference_dir).unwrap();
 }
+
+/// One monitor, chunks of 600, no rotation and no automatic checkpoint: the
+/// ENOSPC script appends 3 000 entries, checkpoints after every 1 000, then
+/// finishes.
+fn enospc_config() -> DatasetConfig {
+    DatasetConfig {
+        segment: SegmentConfig {
+            chunk_capacity: 600,
+        },
+        rotate_after_entries: u64::MAX,
+        checkpoint_after_entries: u64::MAX,
+    }
+}
+
+const SCRIPT_ENTRIES: u64 = 3_000;
+
+/// What one run of the ENOSPC script was told.
+struct ScriptRun {
+    /// Appends that returned `Ok`.
+    acknowledged: u64,
+    /// Appends the last checkpoint that returned `Ok` covered.
+    checkpointed: u64,
+    /// Whether `finish` returned `Ok`.
+    finished: bool,
+}
+
+/// Runs the ENOSPC script against `storage`, asserting that once a call
+/// fails every later call fails with the same error.
+fn run_enospc_script(dir: &Path, storage: &FaultyStorage) -> ScriptRun {
+    let mut run = ScriptRun {
+        acknowledged: 0,
+        checkpointed: 0,
+        finished: false,
+    };
+    let Ok(mut writer) = DatasetWriter::create_with(
+        dir,
+        vec!["us".into()],
+        enospc_config(),
+        Arc::new(storage.clone()),
+    ) else {
+        return run;
+    };
+    let mut first_error: Option<String> = None;
+    let mut answered = |result: Result<(), SegmentError>, call: &str| match (result, &first_error) {
+        (Ok(()), None) => true,
+        (Ok(()), Some(error)) => panic!("{call} returned Ok after the writer failed with {error}"),
+        (Err(error), None) => {
+            first_error = Some(error.to_string());
+            false
+        }
+        (Err(error), Some(first)) => {
+            assert_eq!(
+                &error.to_string(),
+                first,
+                "{call} must repeat the first error"
+            );
+            false
+        }
+    };
+    for i in 0..SCRIPT_ENTRIES {
+        if answered(writer.append(&entry(i, 0)), "append") {
+            run.acknowledged += 1;
+        }
+        if (i + 1) % 1_000 == 0 && answered(writer.checkpoint().map(drop), "checkpoint") {
+            run.checkpointed = run.acknowledged;
+        }
+    }
+    run.finished = answered(writer.finish().map(drop), "finish");
+    run
+}
+
+/// ENOSPC at every storage operation of the script, one at a time. A
+/// failed write may leave part of a frame on disk and its entries are no
+/// longer buffered, so the writer must not carry on as if the stream were
+/// whole: each run either finishes with every append recoverable, or fails
+/// for good at its first error — and then recovery still finds everything
+/// the last successful checkpoint covered and nothing that was not
+/// acknowledged.
+#[test]
+fn enospc_sweep_ends_the_writer_at_its_first_failed_write() {
+    let reference = vec![(0..SCRIPT_ENTRIES).map(|i| entry(i, 0)).collect::<Vec<_>>()];
+    let clean_dir = temp_dir("enospc-clean");
+    let probe = FaultyStorage::new(FaultPlan::none());
+    let clean = run_enospc_script(&clean_dir, &probe);
+    assert!(clean.finished && clean.acknowledged == SCRIPT_ENTRIES);
+    let total_ops = probe.ops();
+    std::fs::remove_dir_all(&clean_dir).unwrap();
+
+    let mut failed_runs = 0;
+    for k in 0..total_ops {
+        let dir = temp_dir(&format!("enospc-{k}"));
+        let run = run_enospc_script(
+            &dir,
+            &FaultyStorage::new(FaultPlan {
+                enospc_at_op: Some(k),
+                ..FaultPlan::default()
+            }),
+        );
+        let context = format!("ENOSPC at op {k}");
+        let report = recover_dataset(&dir)
+            .unwrap_or_else(|error| panic!("{context}: recovery failed: {error}"));
+        let recovered = assert_prefix_consistent(&dir, &reference, &context);
+        assert_eq!(recovered, report.entries_recovered, "{context}");
+        if run.finished {
+            assert_eq!(
+                recovered, run.acknowledged,
+                "{context}: finish vouched for it"
+            );
+        } else {
+            failed_runs += 1;
+            assert_eq!(report.entries_lost_after_checkpoint, 0, "{context}");
+            assert!(
+                (run.checkpointed..=run.acknowledged).contains(&recovered),
+                "{context}: recovered {recovered}, checkpointed {}, acknowledged {}",
+                run.checkpointed,
+                run.acknowledged
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    assert_eq!(failed_runs, total_ops, "every op's ENOSPC must surface");
+}
+
+/// The service whose writer hit ENOSPC: `ingest`, `checkpoint` and
+/// `finish` return the error, while `poll` still serves the windows of the
+/// entries that were durable before it.
+#[test]
+fn enospc_ends_the_service_writer_but_poll_serves_durable_windows() {
+    use ipfs_monitoring::core::{window_file_name, WINDOW_DIR_NAME};
+    use ipfs_monitoring::simnet::time::SimDuration;
+    use ipfs_monitoring::tracestore::{LatePolicy, WindowSpec};
+
+    let config = ServiceConfig {
+        dataset: DatasetConfig {
+            segment: SegmentConfig { chunk_capacity: 10 },
+            rotate_after_entries: u64::MAX,
+            checkpoint_after_entries: u64::MAX,
+        },
+        // Ten entries, 10 ms apart, per window.
+        window: WindowSpec::tumbling(SimDuration::from_millis(100)),
+        lateness: SimDuration::ZERO,
+        policy: LatePolicy::Strict,
+        top_k: 4,
+    };
+    // The first 50 entries are checkpointed; ENOSPC hits the next storage
+    // operation, the write the second checkpoint flushes.
+    let durable_after = |storage: &FaultyStorage, dir: &Path| {
+        let (mut service, _) = MonitorService::open_with(
+            dir,
+            vec!["us".into()],
+            config.clone(),
+            Arc::new(storage.clone()),
+        )
+        .unwrap();
+        for i in 0..50 {
+            service.ingest(&entry(i, 0)).unwrap();
+        }
+        service.checkpoint().unwrap();
+        service
+    };
+    let probe_dir = temp_dir("enospc-service-probe");
+    let probe = FaultyStorage::new(FaultPlan::none());
+    drop(durable_after(&probe, &probe_dir));
+    let first_op_after = probe.ops();
+    std::fs::remove_dir_all(&probe_dir).unwrap();
+
+    let dir = temp_dir("enospc-service");
+    let storage = FaultyStorage::new(FaultPlan {
+        enospc_at_op: Some(first_op_after),
+        ..FaultPlan::default()
+    });
+    let mut service = durable_after(&storage, &dir);
+    for i in 50..80 {
+        service.ingest(&entry(i, 0)).unwrap();
+    }
+    let error = service.checkpoint().unwrap_err().to_string();
+    assert!(error.contains("os error 28"), "{error}");
+    assert_eq!(
+        service.ingest(&entry(80, 0)).unwrap_err().to_string(),
+        error
+    );
+    assert_eq!(service.checkpoint().unwrap_err().to_string(), error);
+
+    // Entries 0..50 are durable: windows 0..=3 seal, window 4 waits.
+    let lines = service.poll().expect("poll serves what is durable");
+    assert_eq!(lines.len(), 4);
+    for (i, line) in lines.iter().enumerate() {
+        let on_disk =
+            std::fs::read_to_string(dir.join(WINDOW_DIR_NAME).join(window_file_name(i as u64)))
+                .unwrap();
+        assert_eq!(&on_disk, line);
+    }
+    assert_eq!(service.finish().unwrap_err().to_string(), error);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
