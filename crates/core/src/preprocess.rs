@@ -22,7 +22,7 @@
 //!   without materializing the trace, in memory bounded by the number of
 //!   *active* `(peer, request type, CID)` keys inside the dedup windows
 //!   (stale keys are evicted as time advances). Storage-level choices — the
-//!   chunk layout (collected or compacted), segment rotation — are wholly
+//!   chunk capacity, segment rotation — are wholly
 //!   below this interface: every combination delivers the same merged
 //!   stream, so flags (and every analysis downstream of them) are
 //!   bit-identical across all of them;

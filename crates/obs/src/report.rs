@@ -10,7 +10,7 @@
 //!  "counters":{"sim.events":28500000},
 //!  "rates":{"sim.events":9.5e6},
 //!  "gauges":{"sim.pending":120000},
-//!  "histograms":{"store.chunk_decode_ns.lz":
+//!  "histograms":{"store.chunk_decode_ns":
 //!      {"count":412,"mean":52000.0,"p50":48000.0,"p90":91000.0,
 //!       "p99":130000.0,"max":262143}}}
 //! ```

@@ -1,10 +1,9 @@
-//! The `Col` layout (codec byte 2): column-aware per-plane encoding.
+//! The chunk body layout (codec byte 2): column-aware per-plane encoding.
 //!
-//! Where the raw layout stores every column as per-entry varints, `Col`
-//! re-encodes each column with a representation matched to its actual value
+//! Each column is stored in a representation matched to its actual value
 //! distribution, and the decoder unpacks fixed-width bit runs in
 //! branch-light batches straight into the reader's scratch columns instead
-//! of re-parsing per-entry varints. `segment::encode_chunk` hands
+//! of parsing per-entry varints. `segment::encode_chunk` hands
 //! `encode_columns` the interned columns of a chunk; `decode_columns` is
 //! the read path's inverse, called by
 //! [`ChunkView::parse`](crate::segment::ChunkView::parse).
@@ -17,9 +16,6 @@
 //!                addr_column                     -- 8-byte entries
 //!                dict_column(cid, length-prefixed entries)
 //!                packed2(request types) packed2(flags)
-//! mode 2      := lz(mode-0 payload) — emitted when the LZ pass over the
-//!                columnar bytes is strictly smaller (highly repetitive
-//!                index or timestamp columns)
 //! miniblock   := min:zigzag-varint width:u8 bits(delta - min, width)
 //! dict_column := len:varint dict_bytes bits(index, ceil(log2(len)))
 //! addr_column := len:varint dict_bytes
@@ -39,27 +35,21 @@
 //! pick run-length tokens when strictly smaller than the packed bytes (flag
 //! planes are usually one run; request-type planes usually are not).
 //!
-//! Mode byte 1 is retired: it framed the raw planes verbatim inside a `Col`
-//! body, a form no writer ever emitted (a chunk that does not shrink is
-//! framed `Raw` instead), and is refused as an unknown mode. Decoding is
-//! strictly validated: truncated bit runs, out-of-range dictionary indexes,
-//! and RLE runs past the entry count all surface [`SegmentError::Corrupt`],
-//! never a panic.
+//! Mode 0 is the only mode. Mode bytes 1 (the raw planes verbatim) and 2
+//! (an LZ pass over the mode-0 payload) are retired and refused as unknown
+//! modes, like any other. Decoding is strictly validated: truncated bit
+//! runs, out-of-range dictionary indexes, and RLE runs past the entry count
+//! all surface [`SegmentError::Corrupt`], never a panic.
 
-use crate::codec::lz_compress;
 use crate::segment::{
-    read_local_monitor, unzigzag, write_local_monitor, zigzag, ChunkColumns, Cursor, SegmentError,
-    MULTIADDR_LEN,
+    read_local_monitor, unzigzag, write_local_monitor, zigzag, ChunkColumns, ChunkScratch, Cursor,
+    SegmentError, MULTIADDR_LEN,
 };
 use ipfs_mon_types::varint;
 use std::ops::Range;
 
-/// Leading body byte of a columnar-encoded chunk.
-pub(crate) const MODE_COLUMNAR: u8 = 0;
-/// Leading body byte of an LZ-compressed columnar chunk (emitted when the
-/// compressed columnar form is strictly smaller than the plain one — highly
-/// repetitive index or timestamp columns).
-pub(crate) const MODE_COLUMNAR_LZ: u8 = 2;
+/// Leading body byte of every chunk body.
+const MODE_COLUMNAR: u8 = 0;
 /// Deltas per timestamp miniblock (one frame-of-reference + width each).
 const MINIBLOCK: usize = 64;
 /// 2-bit plane sub-mode byte: run-length tokens.
@@ -179,8 +169,10 @@ fn encode_2bit_plane(plane: &[u8], count: usize, out: &mut Vec<u8>) {
     }
 }
 
-/// The mode-0 payload (everything after the mode byte).
-fn encode_columnar(columns: &ChunkColumns<'_>, out: &mut Vec<u8>) {
+/// Appends the body of `columns` — the mode byte, then the mode-0 payload —
+/// to `out`.
+pub(crate) fn encode_columns(columns: &ChunkColumns<'_>, out: &mut Vec<u8>) {
+    out.push(MODE_COLUMNAR);
     let count = columns.entries.len();
     write_local_monitor(out);
     varint::encode(count as u64, out);
@@ -218,33 +210,13 @@ fn encode_columnar(columns: &ChunkColumns<'_>, out: &mut Vec<u8>) {
     encode_2bit_plane(&plane, count, out);
 }
 
-/// Appends the `Col` body of `columns` — mode byte, then the columnar
-/// payload or its LZ-compressed form — to `out`.
-pub(crate) fn encode_columns(columns: &ChunkColumns<'_>, out: &mut Vec<u8>) {
-    let start = out.len();
-    out.push(MODE_COLUMNAR);
-    encode_columnar(columns, out);
-    // Columnar packing removes per-value redundancy; an LZ pass on top
-    // removes cross-value repetition (cyclic index patterns, constant-step
-    // timestamps across miniblocks). Keep whichever is strictly smaller —
-    // decoders dispatch on the mode byte.
-    let mut lz = Vec::with_capacity(out.len() - start);
-    lz.push(MODE_COLUMNAR_LZ);
-    lz_compress(&out[start + 1..], &mut lz);
-    if lz.len() < out.len() - start {
-        out.truncate(start);
-        out.extend_from_slice(&lz);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Decoding: columnar body into scratch columns
 // ---------------------------------------------------------------------------
 
-/// Where the verbatim dictionary regions live inside a columnar body
-/// (ranges are relative to the body slice *after* the mode byte).
+/// Where the verbatim dictionary regions live inside a body (ranges are
+/// relative to the body, mode byte included).
 pub(crate) struct ColumnLayout {
-    pub count: usize,
     pub peer_dict: Range<usize>,
     pub addr_dict: Range<usize>,
     pub cid_dict: Range<usize>,
@@ -378,22 +350,29 @@ fn decode_2bit_plane(
     Ok(())
 }
 
-/// Decodes a columnar body (after the mode byte) directly into the caller's
-/// scratch columns — the production read path. `bits` is a reusable unpack
-/// workspace. Returns where the verbatim dictionary regions live so the
-/// chunk view can borrow them straight out of the frame.
-#[allow(clippy::too_many_arguments)]
+/// Decodes a body (mode byte first) directly into the caller's scratch
+/// columns — the production read path; `columns.bits` is the reusable
+/// unpack workspace, and the dictionaries are left to the caller. Returns
+/// where the verbatim dictionary regions live so the chunk view can borrow
+/// them straight out of the frame.
 pub(crate) fn decode_columns(
     body: &[u8],
-    timestamps: &mut Vec<u64>,
-    peer_indexes: &mut Vec<usize>,
-    addr_indexes: &mut Vec<usize>,
-    cid_indexes: &mut Vec<usize>,
-    type_plane: &mut Vec<u8>,
-    flag_plane: &mut Vec<u8>,
-    bits: &mut Vec<u64>,
+    columns: &mut ChunkScratch,
 ) -> Result<ColumnLayout, SegmentError> {
+    let ChunkScratch {
+        timestamps,
+        peer_indexes,
+        addr_indexes,
+        cid_indexes,
+        type_plane,
+        flag_plane,
+        bits,
+        ..
+    } = columns;
     let mut cursor = Cursor::new(body);
+    if cursor.byte()? != MODE_COLUMNAR {
+        return Err(corrupt("unknown mode byte"));
+    }
     read_local_monitor(&mut cursor)?;
     let count = cursor.varint()? as usize;
     if count == 0 {
@@ -462,7 +441,6 @@ pub(crate) fn decode_columns(
         return Err(corrupt("trailing bytes after columns"));
     }
     Ok(ColumnLayout {
-        count,
         peer_dict,
         addr_dict,
         cid_dict,
@@ -473,7 +451,7 @@ pub(crate) fn decode_columns(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::Codec;
+    use crate::codec::CHUNK_CODEC;
     use crate::record::{EntryFlags, TraceEntry};
     use crate::segment::{encode_chunk, frame_payload, write_frame, ChunkView};
     use ipfs_mon_bitswap::RequestType;
@@ -516,21 +494,21 @@ mod tests {
             .collect()
     }
 
-    /// Frames `entries` as a `Col` chunk and returns the frame with its body
-    /// (mode byte first).
+    /// Frames `entries` as a chunk and returns the frame with its body (mode
+    /// byte first).
     fn col_chunk(entries: &[TraceEntry]) -> (Vec<u8>, Vec<u8>) {
         let mut frame = Vec::new();
-        encode_chunk(entries, true, &mut frame);
+        encode_chunk(entries, &mut frame);
         let payload = frame_payload(&frame);
-        assert_eq!(payload[0], Codec::Col.byte(), "chunk fell back to raw");
+        assert_eq!(payload[0], CHUNK_CODEC);
         let body = payload[1..].to_vec();
         (frame, body)
     }
 
-    /// Parses a `Col` chunk built around `body` (valid CRC, so only the body
+    /// Parses a chunk built around `body` (valid CRC, so only the body
     /// decides the outcome).
     fn parse_body(body: &[u8]) -> Result<Vec<TraceEntry>, SegmentError> {
-        let mut payload = vec![Codec::Col.byte()];
+        let mut payload = vec![CHUNK_CODEC];
         payload.extend_from_slice(body);
         let mut frame = Vec::new();
         write_frame(&payload, &mut frame);
@@ -540,7 +518,6 @@ mod tests {
     fn roundtrip(entries: &[TraceEntry]) -> Vec<u8> {
         let (frame, body) = col_chunk(entries);
         let view = ChunkView::parse(Cow::Borrowed(&frame)).unwrap();
-        assert_eq!(view.codec(), Codec::Col);
         let decoded: Vec<TraceEntry> = view.entries().collect();
         assert_eq!(decoded, entries, "col round-trip mismatch");
         body
@@ -553,29 +530,10 @@ mod tests {
                 if dicts > count {
                     continue;
                 }
-                // Periodic `i % dicts` columns may favor the LZ'd columnar
-                // form; decoders accept both.
                 let body = roundtrip(&uniform_entries(count, dicts));
-                assert!(
-                    body[0] == MODE_COLUMNAR || body[0] == MODE_COLUMNAR_LZ,
-                    "count={count} dicts={dicts}"
-                );
+                assert_eq!(body[0], MODE_COLUMNAR, "count={count} dicts={dicts}");
             }
         }
-    }
-
-    #[test]
-    fn columnar_beats_verbatim_on_typical_planes() {
-        let entries = uniform_entries(1000, 7);
-        let (col, _) = col_chunk(&entries);
-        let mut raw = Vec::new();
-        encode_chunk(&entries, false, &mut raw);
-        assert!(
-            col.len() < raw.len() / 2,
-            "columnar form barely smaller: {} -> {}",
-            raw.len(),
-            col.len()
-        );
     }
 
     #[test]
@@ -632,34 +590,30 @@ mod tests {
     #[test]
     fn truncated_bodies_error_never_panic() {
         let entries = uniform_entries(300, 7);
-        // Both body forms: the encoder's pick and the plain columnar one.
-        let (_, picked) = col_chunk(&entries);
-        let mut plain = vec![MODE_COLUMNAR];
-        encode_columnar(&ChunkColumns::intern(&entries), &mut plain);
-        for body in [picked, plain] {
-            assert_eq!(parse_body(&body).unwrap(), entries);
-            for cut in 0..body.len() {
-                match parse_body(&body[..cut]) {
-                    Ok(decoded) => assert_ne!(decoded, entries),
-                    Err(SegmentError::Corrupt(_)) => {}
-                    Err(other) => panic!("unexpected error kind: {other}"),
-                }
+        let (_, body) = col_chunk(&entries);
+        assert_eq!(parse_body(&body).unwrap(), entries);
+        for cut in 0..body.len() {
+            match parse_body(&body[..cut]) {
+                Ok(decoded) => assert_ne!(decoded, entries),
+                Err(SegmentError::Corrupt(_)) => {}
+                Err(other) => panic!("unexpected error kind: {other}"),
             }
         }
     }
 
     #[test]
     fn retired_verbatim_mode_byte_is_corrupt() {
-        // Mode byte 1 used to frame raw planes inside a `Col` body. Valid
-        // planes behind it must be refused, not decoded.
-        let entries = uniform_entries(8, 2);
-        let mut raw = Vec::new();
-        encode_chunk(&entries, false, &mut raw);
-        let mut body = vec![1u8];
-        body.extend_from_slice(&frame_payload(&raw)[1..]);
-        match parse_body(&body) {
-            Err(SegmentError::Corrupt(what)) => assert!(what.contains("mode byte"), "{what}"),
-            other => panic!("mode byte 1 must be corrupt: {other:?}"),
+        // Mode byte 1 used to frame raw planes, mode byte 2 an LZ pass over
+        // the mode-0 payload. Behind either, a valid payload must be
+        // refused, not decoded.
+        let (_, body) = col_chunk(&uniform_entries(8, 2));
+        for mode in [1u8, 2] {
+            let mut retired = body.clone();
+            retired[0] = mode;
+            match parse_body(&retired) {
+                Err(SegmentError::Corrupt(what)) => assert!(what.contains("mode byte"), "{what}"),
+                other => panic!("mode byte {mode} must be corrupt: {other:?}"),
+            }
         }
         assert!(matches!(parse_body(&[]), Err(SegmentError::Corrupt(_))));
         assert!(matches!(parse_body(&[9]), Err(SegmentError::Corrupt(_))));
@@ -703,11 +657,8 @@ mod tests {
 
     #[test]
     fn rle_run_past_entry_count_is_corrupt() {
-        // Force the plain columnar form: the encoder may prefer the LZ'd
-        // one, but decoders accept both and this test doctors mode-0 bytes.
         let entries = uniform_entries(8, 1);
-        let mut body = vec![MODE_COLUMNAR];
-        encode_columnar(&ChunkColumns::intern(&entries), &mut body);
+        let (_, mut body) = col_chunk(&entries);
         assert_eq!(parse_body(&body).unwrap(), entries);
         // The flag plane is the tail: a single RLE token (run 8, value 0).
         // Inflate the run length.
@@ -723,10 +674,9 @@ mod tests {
     #[test]
     fn body_naming_another_monitor_is_corrupt() {
         let entries = uniform_entries(8, 2);
-        let mut body = vec![MODE_COLUMNAR];
-        encode_columnar(&ChunkColumns::intern(&entries), &mut body);
+        let (_, mut body) = col_chunk(&entries);
         assert_eq!(parse_body(&body).unwrap(), entries);
-        // The stored monitor index opens the columnar payload.
+        // The stored monitor index opens the mode-0 payload.
         assert_eq!(body[1], 0);
         body[1] = 1;
         match parse_body(&body) {

@@ -9,7 +9,7 @@
 //!
 //! * [`Storage`] / [`StorageFile`] — the small trait pair wrapping file
 //!   create/write/fsync/rename/remove/dir-sync. [`MonitorWriter`],
-//!   [`DatasetWriter`], checkpointing, recovery and migration route every
+//!   [`DatasetWriter`], checkpointing and recovery route every
 //!   mutation through it ([`crate::writer::TraceWriter`] writes through the
 //!   storage-backed sink its owner hands it).
 //! * [`RealStorage`] — the production implementation: plain `std::fs`.
@@ -223,23 +223,13 @@ impl StorageFile for RetryFile {
 /// [`crate::recover::recover_dataset`].
 pub const DURABLE_TMP_SUFFIX: &str = ".tmp";
 
-/// `path` with `suffix` appended to its file name: where a replacement of
-/// `path` is staged, in the same directory so the rename is atomic.
-pub(crate) fn staging_path(path: &Path, suffix: &str) -> PathBuf {
+/// `path` with [`DURABLE_TMP_SUFFIX`] appended to its file name: where a
+/// replacement of `path` is staged, in the same directory so the rename is
+/// atomic.
+pub(crate) fn staging_path(path: &Path) -> PathBuf {
     let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(suffix);
+    name.push(DURABLE_TMP_SUFFIX);
     path.with_file_name(name)
-}
-
-/// The commit half of an atomic replace: rename the staged, already fsynced
-/// `staged` over `path`, then fsync the parent directory, without which the
-/// rename itself may not survive a power loss.
-pub(crate) fn commit_replace(storage: &dyn Storage, staged: &Path, path: &Path) -> io::Result<()> {
-    storage.rename(staged, path)?;
-    if let Some(parent) = path.parent() {
-        storage.sync_dir(parent)?;
-    }
-    Ok(())
 }
 
 /// Writes `bytes` to `path` durably and atomically: a group commit of one
@@ -270,7 +260,7 @@ pub fn write_files_durable<P: AsRef<Path>, B: AsRef<[u8]>>(
     let mut staged = Vec::with_capacity(files.len());
     for (path, bytes) in files {
         let path = path.as_ref();
-        let tmp = staging_path(path, DURABLE_TMP_SUFFIX);
+        let tmp = staging_path(path);
         let mut file = storage.create(&tmp)?;
         file.write_all(bytes.as_ref())?;
         file.sync_all()?;
@@ -581,7 +571,7 @@ mod tests {
         // Overwrite is atomic: the tmp never lingers.
         write_file_durable(&RealStorage, &path, b"world").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"world");
-        assert!(!staging_path(&path, DURABLE_TMP_SUFFIX).exists());
+        assert!(!staging_path(&path).exists());
         std::fs::remove_file(&path).ok();
     }
 

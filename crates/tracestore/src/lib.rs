@@ -12,26 +12,17 @@
 //! * [`segment`] — an append-only, chunked, columnar segment format for one
 //!   monitor's entries (the monitor index it stores is the constant 0 and is
 //!   refused when it is anything else; a dataset's manifest says which
-//!   monitor a segment belongs to): dictionary-interned peer/address/CID columns, delta+varint-encoded
-//!   timestamps, bit-packed request types and flags, a per-chunk codec byte
-//!   under a CRC32 per chunk, and a footer index describing every chunk for
-//!   random and streaming access. Decoding goes through the borrowed
-//!   [`segment::ChunkView`] (dictionary slices + column cursors); owned
-//!   entries are materialized only at the stream boundary.
-//! * [`codec`] — the codec byte ([`codec::Codec`]) naming a chunk's body
-//!   layout. The writer's role picks it, no setting does: collection writes
-//!   `Raw` (the column planes verbatim, cheapest to encode), compaction
-//!   writes `Col` (column-aware bit-packed encoding with a vectorized batch
-//!   decoder and per-chunk raw fallback — see [`col`]). A third byte, `Lz`
-//!   (back-reference compression over the planes), is one legacy decode
-//!   arm: readers still accept it, no writer produces it. Layouts mix
-//!   freely within a dataset, so compaction is per-segment or even
-//!   per-chunk.
-//! * [`migrate`] — [`migrate::migrate_manifest`], the offline compaction of
-//!   a finished manifest dataset to `Col`: segment-by-segment, chunk for
-//!   chunk, verified entry-stream-identical, with an atomic per-segment swap
-//!   so readers see a valid (possibly mixed-layout) dataset at every
-//!   instant.
+//!   monitor a segment belongs to): per-chunk dictionaries of peers,
+//!   addresses and CIDs, a CRC32 per chunk, and a footer index describing
+//!   every chunk for random and streaming access. Decoding goes through the
+//!   borrowed [`segment::ChunkView`] (dictionary slices + column cursors);
+//!   owned entries are materialized only at the stream boundary.
+//! * [`col`] — the one chunk body layout, written by collection and read
+//!   everywhere: dictionary indexes bit-packed to the dictionary's actual
+//!   width, frame-of-reference + delta timestamps, run-length 2-bit planes,
+//!   and a batch decoder that unpacks them straight into the reader's
+//!   columns. [`codec`] names it in every frame with one accepted byte
+//!   ([`codec::CHUNK_CODEC`]); any other byte is refused.
 //! * [`writer`] — [`writer::TraceWriter`], the encoder of one segment: it
 //!   spills fixed-size chunks of one monitor's entries to any `io::Write`
 //!   sink as they arrive, so collection runs in constant memory.
@@ -88,7 +79,6 @@ pub mod crc;
 pub mod fault;
 pub mod hash;
 pub mod manifest;
-pub mod migrate;
 pub mod reader;
 pub mod record;
 pub mod recover;
@@ -100,7 +90,6 @@ pub mod tail;
 pub mod window;
 pub mod writer;
 
-pub use codec::Codec;
 pub use fault::{
     is_transient, with_retry, write_file_durable, write_files_durable, CrashMode, FaultPlan,
     FaultyStorage, RealStorage, RetryFile, RetryPolicy, Storage, StorageFile,
@@ -111,7 +100,6 @@ pub use manifest::{
     MonitorSummary, MonitorWriter, OpenSegmentState, SegmentMeta, CHECKPOINT_FILE_NAME,
     MANIFEST_FILE_NAME,
 };
-pub use migrate::{migrate_manifest, migrate_manifest_with, MigrateReport, MIGRATE_TMP_SUFFIX};
 pub use reader::{
     ChainedMonitorStream, ChunkSource, EntryStream, FileSource, ManifestMergedStream,
     ManifestReader, MergedRow, SliceSource, TraceReader,

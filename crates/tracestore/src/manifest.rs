@@ -34,9 +34,9 @@
 //! [`crate::segment`]); the manifest maps each segment back to its global
 //! monitor index, and the reader stamps it on every yielded record.
 //!
-//! Segment files referenced by a manifest are format-v2 segments (chunk
-//! framing with a leading per-chunk codec byte); the v1→v2 compatibility
-//! rule lives in one place, on the version constant of [`crate::segment`].
+//! Segment files referenced by a manifest are segments of the current
+//! format version; the compatibility rule lives in one place, on the
+//! version constant of [`crate::segment`].
 //! The manifest itself carries its own version byte, independent of the
 //! segment format.
 

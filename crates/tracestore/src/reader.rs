@@ -684,10 +684,6 @@ impl<S: ChunkSource> SortedKeys<'_, S> {
 /// per-monitor chain merge re-establishes exact `(timestamp, arrival)` order
 /// across the rotation boundaries before the global `(timestamp, monitor)`
 /// merge.
-///
-/// Segments may freely mix chunk layouts — each chunk carries its codec
-/// byte, so a dataset part compacted (some segments `col`, the rest still
-/// `raw` as collection wrote them) reads transparently.
 pub struct ManifestReader {
     monitor_labels: Vec<String>,
     /// Per global monitor: that monitor's segments in rotation order. Each

@@ -6,8 +6,8 @@
 //! footer, a checkpoint newer than the manifest (or no manifest at all), and
 //! stale temp files. Recovery rebuilds the longest *prefix-consistent* view:
 //!
-//! 1. **Sweep** stale temp files (`.tmp`, `.migrate-tmp`) — leftovers of
-//!    interrupted atomic replaces, including recovery's own.
+//! 1. **Sweep** stale `.tmp` files — leftovers of interrupted atomic
+//!    replaces, including recovery's own.
 //! 2. **Anchor** on the durable metadata: the checkpoint
 //!    ([`Checkpoint`], written by [`DatasetWriter::checkpoint`]) and/or the
 //!    manifest. Either may be missing; surviving segment footers fill in
@@ -53,7 +53,6 @@
 
 use crate::fault::{write_file_durable, RealStorage, Storage, DURABLE_TMP_SUFFIX};
 use crate::manifest::{Checkpoint, Manifest, SegmentMeta, MANIFEST_FILE_NAME};
-use crate::migrate::MIGRATE_TMP_SUFFIX;
 use crate::reader::{SliceSource, TraceReader};
 use crate::segment::{
     check_header, encode_footer, walk_frames, ChunkInfo, ChunkScratch, Footer, SegmentError,
@@ -264,10 +263,15 @@ fn salvage_segment(
         chunks: infos,
         total_entries: entries,
     };
-    let mut rebuilt = bytes[..valid_end].to_vec();
-    encode_footer(&footer, &mut rebuilt);
     let bytes_truncated = (bytes.len() - valid_end) as u64;
-    drop(bytes);
+    let mut footer_bytes = Vec::new();
+    encode_footer(&footer, &mut footer_bytes);
+    // The kept prefix and its footer go out in the buffer the file was read
+    // into: no second copy of the prefix, and room for exactly the footer.
+    let mut rebuilt = bytes;
+    rebuilt.truncate(valid_end);
+    rebuilt.reserve_exact(footer_bytes.len());
+    rebuilt.extend_from_slice(&footer_bytes);
 
     write_file_durable(storage, path, &rebuilt)?;
     Ok(Salvage::Truncated {
@@ -301,7 +305,7 @@ pub fn recover_dataset_with(
         let Ok(name) = entry.file_name().into_string() else {
             continue;
         };
-        if name.ends_with(DURABLE_TMP_SUFFIX) || name.ends_with(MIGRATE_TMP_SUFFIX) {
+        if name.ends_with(DURABLE_TMP_SUFFIX) {
             storage.remove_file(&entry.path())?;
             tmp_files_swept += 1;
         } else if name.ends_with(".seg") {

@@ -19,19 +19,11 @@
 //! `read_local_monitor`, under [`ChunkView::parse`] and `decode_footer`
 //! — it is never trusted, and never silently filtered on.
 //!
-//! Each chunk holds up to [`SegmentConfig::chunk_capacity`] entries, in the
-//! layout named by the leading payload byte (see [`crate::codec`]).
-//! `encode_chunk` is the one place that writes them: it interns the chunk's
-//! three dictionaries and emits either the raw column planes (what
-//! collection writes), which store entries column-wise —
-//!
-//! * timestamps as a varint base plus zigzag-varint deltas,
-//! * peers, addresses, and CIDs as per-chunk dictionaries (first-appearance
-//!   order) plus varint index columns,
-//! * request types and entry flags bit-packed at two bits per entry
-//!
-//! — or the columnar body of [`crate::col`] (what compaction writes), which
-//! keeps the same dictionaries and packs every other column to its actual
+//! Each chunk holds up to [`SegmentConfig::chunk_capacity`] entries in the
+//! one body layout, [`crate::col`], named by the leading payload byte (see
+//! [`crate::codec`]). `encode_chunk` is the one place that writes them: it
+//! interns the chunk's three dictionaries (peers, addresses and CIDs, in
+//! first-appearance order) and packs every other column to its actual
 //! width. Timestamps are milliseconds up to `i64::MAX`, so that every step
 //! between two of them is an `i64`; the writer refuses later ones.
 //!
@@ -49,7 +41,7 @@
 //! the trailing `payload_len` and magic — so segments stream in append-only
 //! fashion and still open in O(footer).
 
-use crate::codec::{lz_decompress, Codec};
+use crate::codec::{self, CHUNK_CODEC};
 use crate::crc::crc32;
 use crate::hash::WordHashBuilder;
 use crate::record::{ConnectionRecord, TraceEntry};
@@ -66,17 +58,18 @@ pub const HEADER_MAGIC: &[u8; 4] = b"IPMT";
 pub const FOOTER_MAGIC: &[u8; 4] = b"TSFT";
 /// Current format version.
 ///
-/// **The v1→v2 compatibility rule** (the single normative statement — the
-/// writer, manifest and reader docs all defer here): version 2 added the
-/// per-chunk codec byte as the first payload byte, inside the chunk CRC.
-/// Writers only produce v2. Readers dispatch on the per-chunk codec byte,
-/// so v2 datasets may mix codecs freely — but v1 segments (no codec byte)
-/// are *refused* at open with [`SegmentError::UnsupportedVersion`] rather
-/// than silently misparsed; re-encode them through a v1 build's reader if
-/// any still exist. Manifests are unversioned against this change: a
-/// manifest only names segment files, so a dataset is migrated segment by
-/// segment.
-pub const FORMAT_VERSION: u8 = 2;
+/// **The compatibility rule** (the single normative statement — the writer,
+/// manifest and reader docs all defer here): writers only produce this
+/// version, and a segment of any other version is *refused* at open with
+/// [`SegmentError::UnsupportedVersion`] rather than misparsed. Version 2
+/// added the per-chunk codec byte as the first payload byte, inside the
+/// chunk CRC, and let one segment mix chunk layouts (`Raw`, `Lz` and `Col`).
+/// Version 3 has one layout, `Col` without its LZ mode, and one accepted
+/// codec byte, so a v2 segment — possibly holding chunks this build cannot
+/// decode — is refused whole instead of read up to its first such chunk
+/// (recovery moves it to quarantine untouched). Manifests are unversioned
+/// against this change: a manifest only names segment files.
+pub const FORMAT_VERSION: u8 = 3;
 /// Size of the fixed trailer: footer CRC + footer length + magic.
 pub const TRAILER_LEN: usize = 4 + 8 + 4;
 /// Size of the header: magic + version byte. Chunk frames start here.
@@ -108,8 +101,8 @@ pub(crate) fn check_header(bytes: &[u8]) -> Result<bool, SegmentError> {
     }
 }
 
-/// Tuning knob of the segment writer. The chunk layout is not one: the
-/// writer's role decides it (see [`crate::codec`]).
+/// Tuning knob of the segment writer. The chunk layout is not one: there is
+/// only [`crate::col`].
 #[derive(Debug, Clone, Copy)]
 pub struct SegmentConfig {
     /// Maximum number of entries per chunk. Larger chunks compress better
@@ -429,20 +422,14 @@ fn pack_2bit(values: impl ExactSizeIterator<Item = u8>, out: &mut Vec<u8>) {
     }
 }
 
-#[cfg(test)]
-fn unpack_2bit(bytes: &[u8], count: usize) -> Vec<u8> {
-    (0..count)
-        .map(|i| (bytes[i / 4] >> ((i % 4) * 2)) & 0b11)
-        .collect()
-}
-
 // ---------------------------------------------------------------------------
 // Chunk encoding
 // ---------------------------------------------------------------------------
 
 /// One chunk's entries with their three dictionaries interned — the columns
-/// both body layouts are written from. Dictionaries are in first-appearance
-/// order so the index columns are decodable with nothing but this chunk.
+/// the body of [`crate::col`] is written from. Dictionaries are in
+/// first-appearance order so the index columns are decodable with nothing
+/// but this chunk.
 pub(crate) struct ChunkColumns<'a> {
     pub(crate) entries: &'a [TraceEntry],
     pub(crate) peer_dict: Vec<PeerId>,
@@ -493,7 +480,7 @@ impl<'a> ChunkColumns<'a> {
             .map(|pair| pair[1].timestamp.as_millis() as i64 - pair[0].timestamp.as_millis() as i64)
     }
 
-    /// `len:varint` + 32 bytes per peer — how both layouts open the column.
+    /// `len:varint` + 32 bytes per peer.
     pub(crate) fn write_peer_dict(&self, out: &mut Vec<u8>) {
         varint::encode(self.peer_dict.len() as u64, out);
         for peer in &self.peer_dict {
@@ -537,66 +524,20 @@ impl<'a> ChunkColumns<'a> {
             out,
         );
     }
-
-    /// The raw layout: every column as varints, in one pass.
-    fn write_planes(&self, out: &mut Vec<u8>) {
-        fn write_indexes(indexes: &[u64], out: &mut Vec<u8>) {
-            for &index in indexes {
-                varint::encode(index, out);
-            }
-        }
-        write_local_monitor(out);
-        varint::encode(self.entries.len() as u64, out);
-        varint::encode(self.base_ms(), out);
-        for delta in self.timestamp_deltas() {
-            varint::encode(zigzag(delta), out);
-        }
-        self.write_peer_dict(out);
-        write_indexes(&self.peer_indexes, out);
-        self.write_addr_dict(out);
-        write_indexes(&self.addr_indexes, out);
-        self.write_cid_dict(out);
-        write_indexes(&self.cid_indexes, out);
-        self.write_type_plane(out);
-        self.write_flag_plane(out);
-    }
 }
 
 /// Encodes one monitor's buffered entries as a framed chunk, appending the
-/// frame to `out` — the one place that knows both body layouts. The raw
-/// planes are always written (in place, behind the codec byte, so the raw
-/// path copies nothing); when `columnar` (compaction) the body of
-/// [`crate::col`] replaces them unless it fails to shrink this particular
-/// chunk (the codec byte is per chunk, so readers never notice), which
-/// guarantees a compacted segment is never larger than its raw twin. Timed
-/// as `store.chunk_encode_ns.raw` (collection) or `.col` (compaction):
-/// columnarization + layout, not the caller's sink write. Returns the
-/// frame's [`ChunkInfo`] (with `offset` left at 0 for the caller to fill in).
-pub(crate) fn encode_chunk(entries: &[TraceEntry], columnar: bool, out: &mut Vec<u8>) -> ChunkInfo {
+/// frame to `out` — the one place that writes a chunk: the codec byte, then
+/// the body of [`crate::col`]. Timed as `store.chunk_encode_ns`: interning +
+/// column encoding, not the caller's sink write. Returns the frame's
+/// [`ChunkInfo`] (with `offset` left at 0 for the caller to fill in).
+pub(crate) fn encode_chunk(entries: &[TraceEntry], out: &mut Vec<u8>) -> ChunkInfo {
     assert!(!entries.is_empty(), "chunks must hold at least one entry");
-    let _span = if columnar {
-        obs::histogram!("store.chunk_encode_ns.col")
-    } else {
-        obs::histogram!("store.chunk_encode_ns.raw")
-    }
-    .timer();
+    let _span = obs::histogram!("store.chunk_encode_ns").timer();
     let columns = ChunkColumns::intern(entries);
     let mut payload = Vec::with_capacity(entries.len() * 8);
-    payload.push(Codec::Raw.byte());
-    columns.write_planes(&mut payload);
-
-    // Planes above the decoder's declared-length ceiling stay raw (raw has
-    // no ceiling), so self-written segments always read back.
-    let planes_len = payload.len() - 1;
-    if columnar && planes_len <= crate::codec::MAX_DECODED_LEN {
-        let mut body = Vec::with_capacity(planes_len + 1);
-        body.push(Codec::Col.byte());
-        crate::col::encode_columns(&columns, &mut body);
-        if body.len() <= planes_len {
-            payload = body;
-        }
-    }
-
+    payload.push(CHUNK_CODEC);
+    crate::col::encode_columns(&columns, &mut payload);
     let frame_start = out.len();
     write_frame(&payload, out);
     ChunkInfo {
@@ -614,19 +555,6 @@ pub(crate) fn write_frame(payload: &[u8], out: &mut Vec<u8>) {
     varint::encode(payload.len() as u64, out);
     out.extend_from_slice(payload);
     out.extend_from_slice(&crc32(payload).to_le_bytes());
-}
-
-/// How many leading bytes of a frame [`frame_codec_byte`] needs at most: a
-/// length varint is at most 10 bytes, the codec byte follows it.
-pub(crate) const FRAME_HEAD_LEN: usize = 11;
-
-/// The codec byte of a chunk frame, read from the frame's first bytes without
-/// validating anything (compaction's skip check; the frame is CRC-checked
-/// when it is actually read).
-pub(crate) fn frame_codec_byte(head: &[u8]) -> Result<u8, SegmentError> {
-    let mut cursor = Cursor::new(head);
-    cursor.varint()?;
-    cursor.byte()
 }
 
 /// Walks the longest prefix of complete, valid chunk frames of `bytes` from
@@ -744,71 +672,28 @@ impl<T: Clone + Eq + std::hash::Hash> Interner<T> {
     }
 }
 
-/// The decoded column planes a [`ChunkView`] reads from: borrowed straight
-/// out of the frame for raw chunks (zero-copy when the frame itself is
-/// borrowed, e.g. from a `SliceSource`), owned for decompressed ones.
-enum Planes<'a> {
-    /// Raw codec: the planes are a sub-range of the frame.
-    Frame {
-        frame: Cow<'a, [u8]>,
-        range: Range<usize>,
-    },
-    /// Compressing codec: the planes were decompressed into a fresh buffer.
-    Owned(Vec<u8>),
-}
-
-impl Planes<'_> {
-    #[inline]
-    fn bytes(&self) -> &[u8] {
-        match self {
-            Planes::Frame { frame, range } => &frame[range.clone()],
-            Planes::Owned(planes) => planes,
-        }
-    }
-}
-
-/// A packed 2-bit per-entry plane (request types or flags): either a range
-/// of the planes bytes (raw layouts) or an owned buffer (columnar chunks
-/// expand their run-length plane into packed form once per chunk).
-enum PackedPlane {
-    InPlanes(Range<usize>),
-    Owned(Vec<u8>),
-}
-
-impl PackedPlane {
-    #[inline]
-    fn get(&self, planes: &[u8], i: usize) -> u8 {
-        let byte = match self {
-            PackedPlane::InPlanes(range) => planes[range.start + i / 4],
-            PackedPlane::Owned(bytes) => bytes[i / 4],
-        };
-        (byte >> ((i % 4) * 2)) & 0b11
-    }
-}
-
 /// Recyclable decode allocations: every column a [`ChunkView`] materializes,
-/// plus the decompression buffer and the bit-unpack workspace. Streaming
-/// readers pass the previous chunk's scratch into
-/// [`ChunkView::parse_with`] (via [`ChunkView::into_scratch`]), so a long
-/// chain decode reuses one set of allocations instead of paying `Vec` churn
-/// per chunk.
+/// plus the bit-unpack workspace. Streaming readers pass the previous
+/// chunk's scratch into [`ChunkView::parse_with`] (via
+/// [`ChunkView::into_scratch`]), so a long chain decode reuses one set of
+/// allocations instead of paying `Vec` churn per chunk.
 #[derive(Default)]
 pub(crate) struct ChunkScratch {
-    planes: Vec<u8>,
-    timestamps: Vec<u64>,
-    peer_indexes: Vec<usize>,
-    addr_indexes: Vec<usize>,
-    cid_indexes: Vec<usize>,
-    addr_dict: Vec<Multiaddr>,
-    cid_dict: Vec<Cid>,
-    type_plane: Vec<u8>,
-    flag_plane: Vec<u8>,
-    bits: Vec<u64>,
+    pub(crate) timestamps: Vec<u64>,
+    pub(crate) peer_indexes: Vec<usize>,
+    pub(crate) addr_indexes: Vec<usize>,
+    pub(crate) cid_indexes: Vec<usize>,
+    pub(crate) addr_dict: Vec<Multiaddr>,
+    pub(crate) cid_dict: Vec<Cid>,
+    /// The packed 2-bit request-type and flag planes (run-length planes are
+    /// expanded into packed form once per chunk).
+    pub(crate) type_plane: Vec<u8>,
+    pub(crate) flag_plane: Vec<u8>,
+    pub(crate) bits: Vec<u64>,
 }
 
 impl ChunkScratch {
     fn clear(&mut self) {
-        self.planes.clear();
         self.timestamps.clear();
         self.peer_indexes.clear();
         self.addr_indexes.clear();
@@ -824,7 +709,7 @@ impl ChunkScratch {
 /// A fully validated, lazily materialized view of one chunk.
 ///
 /// Parsing decodes each dictionary *once* (peer bytes stay as a borrowed
-/// slice of the planes; addresses and CIDs — which need validation anyway —
+/// slice of the frame; addresses and CIDs — which need validation anyway —
 /// are decoded into per-chunk vectors) and keeps the per-entry columns as
 /// indexes plus the packed 2-bit planes. Owned [`TraceEntry`]s are
 /// materialized per entry via [`ChunkView::entry`], so a streaming reader
@@ -835,38 +720,20 @@ impl ChunkScratch {
 /// [`ChunkView::peer_indexes`], …) for consumers that count per dictionary
 /// index or select rows without building entries.
 pub struct ChunkView<'a> {
-    planes: Planes<'a>,
-    codec: Codec,
-    count: usize,
-    timestamps: Vec<u64>,
+    /// The frame, borrowed straight from the source buffer when the source
+    /// handed out a borrow (e.g. a `SliceSource`).
+    frame: Cow<'a, [u8]>,
     /// Dictionary slice of the peer column: `peer_count × 32` bytes inside
-    /// the planes.
+    /// the frame.
     peer_dict: Range<usize>,
-    peer_indexes: Vec<usize>,
-    addr_dict: Vec<Multiaddr>,
-    addr_indexes: Vec<usize>,
-    cid_dict: Vec<Cid>,
-    cid_indexes: Vec<usize>,
-    /// Column cursors of the packed 2-bit request-type / flag planes.
-    type_plane: PackedPlane,
-    flag_plane: PackedPlane,
-    /// Allocations not consumed by this chunk's layout, held for recycling.
-    spare: ChunkScratch,
-}
-
-/// Per-codec stage histogram for chunk decoding (`store.chunk_decode_ns.*`).
-fn decode_stage_histogram(codec: Codec) -> obs::Histogram {
-    match codec {
-        Codec::Raw => obs::histogram!("store.chunk_decode_ns.raw"),
-        Codec::Lz => obs::histogram!("store.chunk_decode_ns.lz"),
-        Codec::Col => obs::histogram!("store.chunk_decode_ns.col"),
-    }
+    /// The decoded columns, one row each (dictionaries aside).
+    columns: ChunkScratch,
 }
 
 impl<'a> ChunkView<'a> {
     /// Parses and validates a framed chunk (starting at the length prefix).
-    /// Checks the CRC, resolves the codec byte, decodes the planes, and
-    /// validates every column — after this, materialization cannot fail.
+    /// Checks the CRC and the codec byte, then decodes and validates every
+    /// column — after this, materialization cannot fail.
     pub fn parse(frame: Cow<'a, [u8]>) -> Result<Self, SegmentError> {
         Self::parse_with(frame, ChunkScratch::default())
     }
@@ -877,27 +744,18 @@ impl<'a> ChunkView<'a> {
     /// one set of allocations. On error the scratch is dropped.
     pub(crate) fn parse_with(
         frame: Cow<'a, [u8]>,
-        mut scratch: ChunkScratch,
+        mut columns: ChunkScratch,
     ) -> Result<Self, SegmentError> {
+        // Decode-stage span. It covers the checksum pass — the one step that
+        // touches every payload byte — and so encloses the sub-spans below.
+        let _span = obs::histogram!("store.chunk_decode_ns").timer();
         // Frame envelope: length prefix, payload (codec byte + body), CRC.
         let frame_bytes: &[u8] = frame.as_ref();
         let mut cursor = Cursor::new(frame_bytes);
         let payload_len = cursor.varint()? as usize;
-        let payload_start = cursor.pos;
+        let body_start = cursor.position() + 1;
         let payload = cursor.take(payload_len)?;
         let stored_crc = u32::from_le_bytes(cursor.take(4)?.try_into().unwrap());
-        // Decode-stage span, split per codec. It covers the checksum pass —
-        // the one step that touches every payload byte — so it is chosen
-        // from the codec byte before that byte is verified; a byte naming no
-        // codec gets no span and is refused below, after the checksum.
-        let codec = match payload.first() {
-            Some(&byte) => Codec::from_byte(byte),
-            None => Err(SegmentError::Corrupt("empty chunk payload".into())),
-        };
-        let _span = codec
-            .as_ref()
-            .ok()
-            .map(|&codec| decode_stage_histogram(codec).timer());
         let crc_span = obs::histogram!("store.chunk_crc_ns").timer();
         if crc32(payload) != stored_crc {
             return Err(SegmentError::ChecksumMismatch {
@@ -908,232 +766,46 @@ impl<'a> ChunkView<'a> {
         if !cursor.is_at_end() {
             return Err(SegmentError::Corrupt("trailing bytes after chunk".into()));
         }
-        let codec = codec?;
-        let body_range = payload_start + 1..payload_start + payload_len;
-        scratch.clear();
-        match codec {
-            // Raw planes live inside the frame — record the range and keep
-            // the frame, borrowing straight from the source buffer when the
-            // source handed out a borrow.
-            Codec::Raw => Self::parse_planes(
-                Planes::Frame {
-                    range: body_range,
-                    frame,
-                },
-                codec,
-                scratch,
-            ),
-            // The one legacy arm: LZ over the raw planes, written by earlier
-            // versions only. Decompress into the recycled buffer.
-            Codec::Lz => {
-                let mut planes = std::mem::take(&mut scratch.planes);
-                lz_decompress(&frame_bytes[body_range], &mut planes)?;
-                Self::parse_planes(Planes::Owned(planes), codec, scratch)
-            }
-            // Columnar bodies decode straight into the view's columns.
-            Codec::Col => match frame_bytes.get(body_range.start).copied() {
-                Some(crate::col::MODE_COLUMNAR) => Self::parse_columnar(
-                    Planes::Frame {
-                        range: body_range,
-                        frame,
-                    },
-                    1,
-                    scratch,
-                ),
-                Some(crate::col::MODE_COLUMNAR_LZ) => {
-                    // LZ-compressed columnar body: decompress into the
-                    // recycled buffer, then decode columns from it.
-                    let mut columnar = std::mem::take(&mut scratch.planes);
-                    lz_decompress(
-                        &frame_bytes[body_range.start + 1..body_range.end],
-                        &mut columnar,
-                    )?;
-                    Self::parse_columnar(Planes::Owned(columnar), 0, scratch)
-                }
-                // Mode byte 1 was a verbatim-planes body no writer ever
-                // emitted; it is refused like any other unknown mode.
-                _ => Err(SegmentError::Corrupt(
-                    "col body: missing or unknown mode byte".into(),
-                )),
-            },
-        }
-    }
+        let Some((&codec_byte, body)) = payload.split_first() else {
+            return Err(SegmentError::Corrupt("empty chunk payload".into()));
+        };
+        codec::check(codec_byte)?;
 
-    /// Validates raw column planes — the body of `Raw` chunks and what a
-    /// legacy `Lz` body decompresses to — so `entry()` is infallible
-    /// afterwards.
-    fn parse_planes(
-        planes: Planes<'a>,
-        codec: Codec,
-        mut scratch: ChunkScratch,
-    ) -> Result<Self, SegmentError> {
-        let mut timestamps = std::mem::take(&mut scratch.timestamps);
-        let mut peer_indexes = std::mem::take(&mut scratch.peer_indexes);
-        let mut addr_indexes = std::mem::take(&mut scratch.addr_indexes);
-        let mut cid_indexes = std::mem::take(&mut scratch.cid_indexes);
-        let mut addr_dict = std::mem::take(&mut scratch.addr_dict);
-        let mut cid_dict = std::mem::take(&mut scratch.cid_dict);
-
-        // Raw planes interleave columns and dictionaries, so the columns
-        // span is recorded once per column run between dictionaries.
-        let columns = obs::histogram!("store.chunk_columns_ns");
-        let bytes = planes.bytes();
-        let mut cursor = Cursor::new(bytes);
-        let span = columns.timer();
-        read_local_monitor(&mut cursor)?;
-        let count = checked_count(&mut cursor, 1, "entry")?;
-
-        timestamps.reserve(count);
-        let base = cursor.varint()?;
-        timestamps.push(base);
-        let mut previous = base as i64;
-        for _ in 1..count {
-            // Checked: crafted deltas must surface as Corrupt, not as a
-            // debug overflow panic (or a silent release-build wrap).
-            previous = previous
-                .checked_add(unzigzag(cursor.varint()?))
-                .ok_or_else(|| SegmentError::Corrupt("timestamp delta overflow".into()))?;
-            if previous < 0 {
-                return Err(SegmentError::Corrupt("negative timestamp".into()));
-            }
-            timestamps.push(previous as u64);
-        }
-
-        let peer_count = checked_count(&mut cursor, 32, "peer dictionary")?;
-        let peer_dict_start = cursor.pos;
-        cursor.take(peer_count * 32)?;
-        let peer_dict = peer_dict_start..cursor.pos;
-        read_indexes(&mut cursor, count, peer_count, "peer", &mut peer_indexes)?;
-        drop(span);
-
-        let addr_count = checked_count(&mut cursor, MULTIADDR_LEN, "address dictionary")?;
-        read_addr_dict(&mut cursor, addr_count, &mut addr_dict)?;
-        let span = columns.timer();
-        read_indexes(&mut cursor, count, addr_count, "address", &mut addr_indexes)?;
-        drop(span);
-
-        let cid_count = checked_count(&mut cursor, 2, "CID dictionary")?;
-        read_cid_dict(&mut cursor, cid_count, &mut cid_dict)?;
-        let span = columns.timer();
-        read_indexes(&mut cursor, count, cid_count, "CID", &mut cid_indexes)?;
-
-        let type_plane = cursor.pos..cursor.pos + count.div_ceil(4);
-        let type_bytes = cursor.take(count.div_ceil(4))?;
-        for i in 0..count {
-            request_type_from_code((type_bytes[i / 4] >> ((i % 4) * 2)) & 0b11)?;
-        }
-        let flag_plane = cursor.pos..cursor.pos + count.div_ceil(4);
-        cursor.take(count.div_ceil(4))?;
-        if !cursor.is_at_end() {
-            return Err(SegmentError::Corrupt("trailing bytes in payload".into()));
-        }
-        drop(span);
-
-        obs::counter!("store.chunks_decoded").incr();
-        obs::counter!("store.entries_decoded").add(count as u64);
-
-        Ok(Self {
-            planes,
-            codec,
-            count,
-            timestamps,
-            peer_dict,
-            peer_indexes,
-            addr_dict,
-            addr_indexes,
-            cid_dict,
-            cid_indexes,
-            type_plane: PackedPlane::InPlanes(type_plane),
-            flag_plane: PackedPlane::InPlanes(flag_plane),
-            spare: scratch,
-        })
-    }
-
-    /// Decodes a columnar `Col` body straight into the view's columns — no
-    /// intermediate plane bytes are materialized. `planes` holds the
-    /// columnar bytes (inside the frame for plain columnar bodies, an owned
-    /// decompressed buffer for LZ-compressed ones); `offset` is where they
-    /// start within `planes.bytes()`.
-    fn parse_columnar(
-        planes: Planes<'a>,
-        offset: usize,
-        mut scratch: ChunkScratch,
-    ) -> Result<Self, SegmentError> {
-        let mut timestamps = std::mem::take(&mut scratch.timestamps);
-        let mut peer_indexes = std::mem::take(&mut scratch.peer_indexes);
-        let mut addr_indexes = std::mem::take(&mut scratch.addr_indexes);
-        let mut cid_indexes = std::mem::take(&mut scratch.cid_indexes);
-        let mut addr_dict = std::mem::take(&mut scratch.addr_dict);
-        let mut cid_dict = std::mem::take(&mut scratch.cid_dict);
-        let mut type_plane = std::mem::take(&mut scratch.type_plane);
-        let mut flag_plane = std::mem::take(&mut scratch.flag_plane);
-        let mut bits = std::mem::take(&mut scratch.bits);
-
-        // The columnar bytes; layout ranges are relative to them.
-        let body = &planes.bytes()[offset..];
+        // The columns decode straight into the recycled buffers; layout
+        // ranges are relative to the body.
+        columns.clear();
         let columns_span = obs::histogram!("store.chunk_columns_ns").timer();
-        let layout = crate::col::decode_columns(
-            body,
-            &mut timestamps,
-            &mut peer_indexes,
-            &mut addr_indexes,
-            &mut cid_indexes,
-            &mut type_plane,
-            &mut flag_plane,
-            &mut bits,
-        )?;
+        let layout = crate::col::decode_columns(body, &mut columns)?;
         drop(columns_span);
-
-        // Decode (and validate) the address and CID dictionaries from their
-        // verbatim regions, exactly as the raw plane parser does.
         read_addr_dict(
             &mut Cursor::new(&body[layout.addr_dict.clone()]),
             layout.addr_dict.len() / MULTIADDR_LEN,
-            &mut addr_dict,
+            &mut columns.addr_dict,
         )?;
         read_cid_dict(
             &mut Cursor::new(&body[layout.cid_dict.clone()]),
             layout.cid_dict_len,
-            &mut cid_dict,
+            &mut columns.cid_dict,
         )?;
 
         obs::counter!("store.chunks_decoded").incr();
-        obs::counter!("store.entries_decoded").add(layout.count as u64);
+        obs::counter!("store.entries_decoded").add(columns.timestamps.len() as u64);
 
-        scratch.bits = bits;
-        // The borrowed peer dictionary range indexes planes.bytes(), which
-        // starts `offset` bytes before the columnar bytes.
-        let peer_dict = offset + layout.peer_dict.start..offset + layout.peer_dict.end;
         Ok(Self {
-            planes,
-            codec: Codec::Col,
-            count: layout.count,
-            timestamps,
-            peer_dict,
-            peer_indexes,
-            addr_dict,
-            addr_indexes,
-            cid_dict,
-            cid_indexes,
-            type_plane: PackedPlane::Owned(type_plane),
-            flag_plane: PackedPlane::Owned(flag_plane),
-            spare: scratch,
+            peer_dict: body_start + layout.peer_dict.start..body_start + layout.peer_dict.end,
+            frame,
+            columns,
         })
-    }
-
-    /// The codec the chunk was stored with (after any raw fallback).
-    pub fn codec(&self) -> Codec {
-        self.codec
     }
 
     /// Number of entries in the chunk.
     pub fn len(&self) -> usize {
-        self.count
+        self.columns.timestamps.len()
     }
 
-    /// Whether the chunk holds no entries (never true for written chunks).
+    /// Whether the chunk holds no entries (never true for a parsed chunk).
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.len() == 0
     }
 
     // Column accessors. Everything below reads columns `parse_with` has
@@ -1147,7 +819,7 @@ impl<'a> ChunkView<'a> {
     /// The timestamp column (milliseconds), one per row, in append order.
     #[inline]
     pub fn timestamps_ms(&self) -> &[u64] {
-        &self.timestamps
+        &self.columns.timestamps
     }
 
     /// Number of entries in the chunk's peer dictionary.
@@ -1174,7 +846,7 @@ impl<'a> ChunkView<'a> {
     /// Panics if `index >= self.peer_dict_len()`.
     #[inline]
     pub fn peer_bytes(&self, index: usize) -> &[u8; 32] {
-        let dict = &self.planes.bytes()[self.peer_dict.clone()];
+        let dict = &self.frame[self.peer_dict.clone()];
         dict[index * 32..][..32]
             .try_into()
             .expect("peer dictionary holds 32 bytes per entry")
@@ -1183,19 +855,19 @@ impl<'a> ChunkView<'a> {
     /// Per row, the index of its peer in the peer dictionary.
     #[inline]
     pub fn peer_indexes(&self) -> &[usize] {
-        &self.peer_indexes
+        &self.columns.peer_indexes
     }
 
     /// The chunk's CID dictionary.
     #[inline]
     pub fn cid_dict(&self) -> &[Cid] {
-        &self.cid_dict
+        &self.columns.cid_dict
     }
 
     /// Per row, the index of its CID in [`ChunkView::cid_dict`].
     #[inline]
     pub fn cid_indexes(&self) -> &[usize] {
-        &self.cid_indexes
+        &self.columns.cid_indexes
     }
 
     /// The request type of row `i`.
@@ -1205,8 +877,8 @@ impl<'a> ChunkView<'a> {
     /// Panics if `i >= self.len()`.
     #[inline]
     pub fn request_type(&self, i: usize) -> RequestType {
-        assert!(i < self.count, "entry index {i} out of range");
-        request_type_from_code(self.type_plane.get(self.planes.bytes(), i))
+        assert!(i < self.len(), "entry index {i} out of range");
+        request_type_from_code(two_bits(&self.columns.type_plane, i))
             .expect("request types validated in parse")
     }
 
@@ -1217,8 +889,8 @@ impl<'a> ChunkView<'a> {
     /// Panics if `i >= self.len()`.
     #[inline]
     pub fn flags(&self, i: usize) -> crate::record::EntryFlags {
-        assert!(i < self.count, "entry index {i} out of range");
-        let flags = self.flag_plane.get(self.planes.bytes(), i);
+        assert!(i < self.len(), "entry index {i} out of range");
+        let flags = two_bits(&self.columns.flag_plane, i);
         crate::record::EntryFlags {
             inter_monitor_duplicate: flags & 0b01 != 0,
             rebroadcast: flags & 0b10 != 0,
@@ -1234,12 +906,13 @@ impl<'a> ChunkView<'a> {
     /// Panics if `i >= self.len()`.
     #[inline]
     pub fn entry(&self, i: usize) -> TraceEntry {
+        let columns = &self.columns;
         TraceEntry {
-            timestamp: SimTime::from_millis(self.timestamps[i]),
-            peer: self.peer(self.peer_indexes[i]),
-            address: self.addr_dict[self.addr_indexes[i]],
+            timestamp: SimTime::from_millis(columns.timestamps[i]),
+            peer: self.peer(columns.peer_indexes[i]),
+            address: columns.addr_dict[columns.addr_indexes[i]],
             request_type: self.request_type(i),
-            cid: self.cid_dict[self.cid_indexes[i]].clone(),
+            cid: columns.cid_dict[columns.cid_indexes[i]].clone(),
             monitor: 0,
             flags: self.flags(i),
         }
@@ -1248,30 +921,20 @@ impl<'a> ChunkView<'a> {
     /// Every entry of the chunk in append order, each materialized at the
     /// moment it is yielded.
     pub fn entries(&self) -> impl ExactSizeIterator<Item = TraceEntry> + '_ {
-        (0..self.count).map(|i| self.entry(i))
+        (0..self.len()).map(|i| self.entry(i))
     }
 
     /// Recovers the view's recyclable allocations for the next
     /// [`ChunkView::parse_with`].
     pub(crate) fn into_scratch(self) -> ChunkScratch {
-        let mut scratch = self.spare;
-        if let Planes::Owned(planes) = self.planes {
-            scratch.planes = planes;
-        }
-        scratch.timestamps = self.timestamps;
-        scratch.peer_indexes = self.peer_indexes;
-        scratch.addr_indexes = self.addr_indexes;
-        scratch.cid_indexes = self.cid_indexes;
-        scratch.addr_dict = self.addr_dict;
-        scratch.cid_dict = self.cid_dict;
-        if let PackedPlane::Owned(plane) = self.type_plane {
-            scratch.type_plane = plane;
-        }
-        if let PackedPlane::Owned(plane) = self.flag_plane {
-            scratch.flag_plane = plane;
-        }
-        scratch
+        self.columns
     }
+}
+
+/// Entry `i` of a packed 2-bit plane.
+#[inline]
+fn two_bits(plane: &[u8], i: usize) -> u8 {
+    (plane[i / 4] >> ((i % 4) * 2)) & 0b11
 }
 
 /// The payload (codec byte first) of a chunk frame written by
@@ -1291,8 +954,7 @@ pub(crate) fn decode_chunk(frame: &[u8]) -> Result<Vec<TraceEntry>, SegmentError
     Ok(view.entries().collect())
 }
 
-/// Decodes (and validates) `count` address dictionary entries — the same
-/// bytes in both layouts.
+/// Decodes (and validates) `count` address dictionary entries.
 fn read_addr_dict(
     cursor: &mut Cursor<'_>,
     count: usize,
@@ -1306,8 +968,7 @@ fn read_addr_dict(
     Ok(())
 }
 
-/// Decodes (and validates) `count` length-prefixed CID dictionary entries —
-/// the same bytes in both layouts.
+/// Decodes (and validates) `count` length-prefixed CID dictionary entries.
 fn read_cid_dict(
     cursor: &mut Cursor<'_>,
     count: usize,
@@ -1320,26 +981,6 @@ fn read_cid_dict(
         let cid = Cid::from_bytes(cursor.take(len)?)
             .map_err(|e| SegmentError::Corrupt(format!("bad CID in dictionary: {e:?}")))?;
         dict.push(cid);
-    }
-    Ok(())
-}
-
-fn read_indexes(
-    cursor: &mut Cursor<'_>,
-    count: usize,
-    dict_len: usize,
-    what: &str,
-    indexes: &mut Vec<usize>,
-) -> Result<(), SegmentError> {
-    indexes.reserve(count);
-    for _ in 0..count {
-        let index = cursor.varint()? as usize;
-        if index >= dict_len {
-            return Err(SegmentError::Corrupt(format!(
-                "{what} index {index} out of range (dictionary holds {dict_len})"
-            )));
-        }
-        indexes.push(index);
     }
     Ok(())
 }
@@ -1557,7 +1198,7 @@ mod tests {
             .map(|i| entry(1_000 + i * 37, i % 7, (i % 5) as u8))
             .collect();
         let mut frame = Vec::new();
-        let info = encode_chunk(&entries, false, &mut frame);
+        let info = encode_chunk(&entries, &mut frame);
         assert_eq!(info.entries, 100);
         assert_eq!(info.first_timestamp, entries[0].timestamp);
         assert_eq!(info.last_timestamp, entries[99].timestamp);
@@ -1572,13 +1213,13 @@ mod tests {
         entries[1].flags.inter_monitor_duplicate = true;
         entries[1].request_type = RequestType::Cancel;
         let mut frame = Vec::new();
-        encode_chunk(&entries, false, &mut frame);
+        encode_chunk(&entries, &mut frame);
         assert_eq!(decode_chunk(&frame).unwrap(), entries);
     }
 
     /// A CID whose binary form is longer than 127 bytes (a two-byte length
-    /// prefix in the dictionary) and a CIDv0 round-trip through both written
-    /// layouts, and the raw chunk stores the long one as prefix + `to_bytes`.
+    /// prefix in the dictionary) and a CIDv0 round-trip, and the chunk stores
+    /// the long one as prefix + `to_bytes`.
     #[test]
     fn chunk_with_a_long_cid_roundtrips() {
         let long = Cid::from_parts(
@@ -1596,105 +1237,45 @@ mod tests {
                 Cid::new_v0(&[i as u8])
             };
         }
-        for columnar in [false, true] {
-            let mut frame = Vec::new();
-            encode_chunk(&entries, columnar, &mut frame);
-            assert_eq!(
-                decode_chunk(&frame).unwrap(),
-                entries,
-                "columnar {columnar}"
-            );
-            if !columnar {
-                let stored = [&[0xcd, 0x01][..], &long.to_bytes()].concat();
-                assert!(frame.windows(stored.len()).any(|w| w == stored));
-            }
-        }
-    }
-
-    /// Re-frames a raw chunk as writers before the `Lz` retirement did: the
-    /// LZ pass over the planes behind codec byte 1.
-    fn legacy_lz_frame(raw_frame: &[u8]) -> Vec<u8> {
-        let payload = frame_payload(raw_frame);
-        assert_eq!(payload[0], Codec::Raw.byte());
-        let mut lz = vec![Codec::Lz.byte()];
-        crate::codec::lz_compress(&payload[1..], &mut lz);
         let mut frame = Vec::new();
-        write_frame(&lz, &mut frame);
-        frame
+        encode_chunk(&entries, &mut frame);
+        assert_eq!(decode_chunk(&frame).unwrap(), entries);
+        let stored = [&[0xcd, 0x01][..], &long.to_bytes()].concat();
+        assert!(frame.windows(stored.len()).any(|w| w == stored));
     }
 
     #[test]
     fn chunk_roundtrip_through_every_codec() {
-        let entries: Vec<TraceEntry> = (0..500)
-            .map(|i| entry(1_000 + i * 13, i % 5, (i % 7) as u8))
-            .collect();
-        let mut frames = Vec::new();
-        for (codec, columnar) in [(Codec::Raw, false), (Codec::Col, true)] {
-            let mut frame = Vec::new();
-            let info = encode_chunk(&entries, columnar, &mut frame);
-            assert_eq!(info.entries, 500);
-            frames.push((codec, frame));
-        }
-        // The decode-only layout, between the two written ones so the
-        // recycled scratch crosses every borrowed/owned planes transition.
-        let lz = legacy_lz_frame(&frames[0].1);
-        assert!(lz.len() < frames[0].1.len(), "lz frame not smaller");
-        frames.insert(1, (Codec::Lz, lz));
-
+        // The one layout, through both entry points; the recycled scratch
+        // goes from a large chunk to a small one and back.
+        let chunk = |len: u64| -> Vec<TraceEntry> {
+            (0..len)
+                .map(|i| entry(1_000 + i * 13, i % 5, (i % 7) as u8))
+                .collect()
+        };
         let mut scratch = ChunkScratch::default();
-        for (codec, frame) in &frames {
-            let view = ChunkView::parse(Cow::Borrowed(frame)).unwrap();
-            assert_eq!(view.codec(), *codec);
-            assert_eq!(view.len(), 500);
+        for entries in [chunk(500), chunk(3), chunk(500)] {
+            let mut frame = Vec::new();
+            let info = encode_chunk(&entries, &mut frame);
+            assert_eq!(info.entries, entries.len() as u64);
+            assert_eq!(frame_payload(&frame)[0], CHUNK_CODEC);
+            let view = ChunkView::parse(Cow::Borrowed(&frame)).unwrap();
+            assert_eq!(view.len(), entries.len());
             let decoded: Vec<TraceEntry> = view.entries().collect();
-            assert_eq!(decoded, entries, "codec {codec:?} round-trip");
+            assert_eq!(decoded, entries);
             // Same result through the scratch-recycling entry point.
-            let view = ChunkView::parse_with(Cow::Borrowed(frame), scratch).unwrap();
+            let view = ChunkView::parse_with(Cow::Borrowed(&frame), scratch).unwrap();
             let recycled: Vec<TraceEntry> = view.entries().collect();
-            assert_eq!(recycled, entries, "codec {codec:?} scratch round-trip");
+            assert_eq!(recycled, entries);
             scratch = view.into_scratch();
         }
-    }
-
-    #[test]
-    fn col_chunks_are_smaller_than_raw_on_dictionary_heavy_data() {
-        // Pseudorandom draws (full-avalanche splitmix64): periodic or
-        // quasi-periodic `i % k`-style selections are a best case for LZ
-        // back-references that real traces never offer.
-        fn mix(mut z: u64) -> u64 {
-            z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-        let mut ms = 0u64;
-        let entries: Vec<TraceEntry> = (0..2000u64)
-            .map(|i| {
-                let h = mix(i);
-                ms += 1 + (h >> 16) % 40;
-                entry(ms, h % 13, ((h >> 32) % 17) as u8)
-            })
-            .collect();
-        let mut raw = Vec::new();
-        encode_chunk(&entries, false, &mut raw);
-        let mut col = Vec::new();
-        let info = encode_chunk(&entries, true, &mut col);
-        assert!(
-            col.len() < raw.len(),
-            "col chunk not smaller: {} vs {} raw",
-            col.len(),
-            raw.len()
-        );
-        assert_eq!(info.entries, 2000);
-        let view = ChunkView::parse(Cow::Borrowed(&col)).unwrap();
-        assert_eq!(view.codec(), Codec::Col);
     }
 
     #[test]
     fn chunk_detects_corruption() {
         let entries = vec![entry(1, 1, 1)];
         let mut frame = Vec::new();
-        encode_chunk(&entries, false, &mut frame);
+        encode_chunk(&entries, &mut frame);
         let mid = frame.len() / 2;
         frame[mid] ^= 0xff;
         assert!(decode_chunk(&frame).is_err());
@@ -1702,16 +1283,15 @@ mod tests {
 
     #[test]
     fn overflowing_timestamp_delta_is_corrupt_not_panic() {
-        // Hand-craft planes whose second delta pushes the accumulator past
-        // i64::MAX: base = i64::MAX, delta = +1. The CRC is valid, so the
-        // failure must come from the checked accumulation, as Corrupt.
-        let mut planes = Vec::new();
-        varint::encode(0, &mut planes); // monitor
-        varint::encode(2, &mut planes); // count
-        varint::encode(i64::MAX as u64, &mut planes); // timestamp base
-        varint::encode(zigzag(1), &mut planes); // delta overflowing i64
-        let mut payload = vec![Codec::Raw.byte()];
-        payload.extend_from_slice(&planes);
+        // Hand-craft a body whose second timestamp pushes the accumulator
+        // past i64::MAX: base = i64::MAX, delta = +1. The CRC is valid, so
+        // the failure must come from the checked accumulation, as Corrupt.
+        let mut payload = vec![CHUNK_CODEC, 0]; // codec byte, mode 0
+        varint::encode(0, &mut payload); // monitor
+        varint::encode(2, &mut payload); // count
+        varint::encode(i64::MAX as u64, &mut payload); // timestamp base
+        varint::encode(zigzag(1), &mut payload); // miniblock min: +1
+        payload.push(0); // width 0: every delta is the min
         let mut frame = Vec::new();
         write_frame(&payload, &mut frame);
         assert!(matches!(
@@ -1724,20 +1304,23 @@ mod tests {
     fn unknown_codec_byte_is_a_typed_error() {
         let entries = vec![entry(1, 1, 1)];
         let mut frame = Vec::new();
-        encode_chunk(&entries, false, &mut frame);
+        encode_chunk(&entries, &mut frame);
         // The codec byte is the first payload byte, right after the length
         // varint (one byte for small chunks). Rewrite it and fix the CRC so
         // the frame is undamaged — the reader must still refuse, with
-        // UnknownCodec rather than a checksum error.
+        // UnknownCodec rather than a checksum error. That holds for the
+        // bytes of the retired layouts (0 raw, 1 LZ) as for any other.
         let len_prefix = 1;
-        frame[len_prefix] = 0x7f;
         let payload_end = frame.len() - 4;
-        let crc = crc32(&frame[len_prefix..payload_end]);
-        frame[payload_end..].copy_from_slice(&crc.to_le_bytes());
-        assert!(matches!(
-            decode_chunk(&frame),
-            Err(SegmentError::UnknownCodec(0x7f))
-        ));
+        for byte in [0x7f, 0, 1] {
+            frame[len_prefix] = byte;
+            let crc = crc32(&frame[len_prefix..payload_end]);
+            frame[payload_end..].copy_from_slice(&crc.to_le_bytes());
+            assert!(
+                matches!(decode_chunk(&frame), Err(SegmentError::UnknownCodec(b)) if b == byte),
+                "{byte}"
+            );
+        }
     }
 
     #[test]
@@ -1749,7 +1332,7 @@ mod tests {
             .map(|i| entry(i * 10, i % 3, (i % 3) as u8))
             .collect();
         let mut frame = Vec::new();
-        encode_chunk(&entries, false, &mut frame);
+        encode_chunk(&entries, &mut frame);
         assert!(
             frame.len() < 1000 * 8,
             "chunk unexpectedly large: {} bytes",
@@ -1778,11 +1361,14 @@ mod tests {
                 Err(SegmentError::Corrupt(_))
             ));
         }
-        // Right magic, another build's version.
-        assert!(matches!(
-            check_header(b"IPMT\x01"),
-            Err(SegmentError::UnsupportedVersion(1))
-        ));
+        // Right magic, another build's version: v1 (no codec byte) and v2
+        // (chunks in layouts this build no longer reads).
+        for version in [1u8, 2, FORMAT_VERSION + 1] {
+            assert!(matches!(
+                check_header(&[b'I', b'P', b'M', b'T', version]),
+                Err(SegmentError::UnsupportedVersion(v)) if v == version
+            ));
+        }
     }
 
     fn sample_footer() -> Footer {
@@ -1874,15 +1460,15 @@ mod tests {
     fn chunk_naming_another_monitor_is_corrupt() {
         let entries = vec![entry(1, 1, 1), entry(2, 2, 2)];
         let mut frame = Vec::new();
-        encode_chunk(&entries, false, &mut frame);
+        encode_chunk(&entries, &mut frame);
         assert_eq!(decode_chunk(&frame).unwrap(), entries);
-        // The stored monitor index opens the raw planes, right after the
-        // codec byte. Rewrite it under a valid CRC: every byte checks out,
-        // and the frame is still not this segment's.
+        // The stored monitor index opens the body's payload, right after the
+        // codec and mode bytes. Rewrite it under a valid CRC: every byte
+        // checks out, and the frame is still not this segment's.
         let payload_end = frame.len() - 4;
         let payload_start = payload_end - frame_payload(&frame).len();
-        assert_eq!(frame[payload_start + 1], 0);
-        frame[payload_start + 1] = 1;
+        assert_eq!(frame[payload_start + 2], 0);
+        frame[payload_start + 2] = 1;
         let crc = crc32(&frame[payload_start..payload_end]);
         frame[payload_end..].copy_from_slice(&crc.to_le_bytes());
         match decode_chunk(&frame) {
@@ -1892,7 +1478,7 @@ mod tests {
         // So the walk recovery and the live tail share ends before it.
         let mut segment = Vec::new();
         write_header(&mut segment).unwrap();
-        encode_chunk(&entries, false, &mut segment);
+        encode_chunk(&entries, &mut segment);
         let valid_end = segment.len();
         segment.extend_from_slice(&frame);
         let mut walked = 0;
@@ -1928,6 +1514,7 @@ mod tests {
         let mut packed = Vec::new();
         pack_2bit(values.iter().copied(), &mut packed);
         assert_eq!(packed.len(), 3);
-        assert_eq!(unpack_2bit(&packed, values.len()), values);
+        let unpacked: Vec<u8> = (0..values.len()).map(|i| two_bits(&packed, i)).collect();
+        assert_eq!(unpacked, values);
     }
 }

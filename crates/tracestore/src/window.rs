@@ -779,7 +779,7 @@ mod tests {
             while !rest.is_empty() {
                 let (head, tail) = rest.split_at((*cut.next().unwrap()).min(rest.len()));
                 let mut frame = Vec::new();
-                crate::segment::encode_chunk(head, false, &mut frame);
+                crate::segment::encode_chunk(head, &mut frame);
                 chunks[monitor].push_back(frame);
                 rest = tail;
             }

@@ -1,12 +1,10 @@
 //! The spill-as-you-go segment writer: one monitor's entries into one segment.
 //!
-//! Writes what [`crate::segment`] lays out — header, chunk frames, footer —
-//! and decides nothing about the bytes itself. The chunk layout follows the
-//! writer's role ([`crate::codec`]): a writer from [`TraceWriter::new`]
-//! collects, in `Raw`; compaction ([`crate::migrate`]) turns its writer
-//! columnar and writes `Col`. A segment holds one monitor's entries: the
-//! writer is given that monitor's label and never reads `TraceEntry::monitor`
-//! (the dataset maps the file to its monitor — see [`crate::manifest`]).
+//! Writes what [`crate::segment`] lays out — header, chunk frames in the one
+//! layout of [`crate::col`], footer — and decides nothing about the bytes
+//! itself. A segment holds one monitor's entries: the writer is given that
+//! monitor's label and never reads `TraceEntry::monitor` (the dataset maps
+//! the file to its monitor — see [`crate::manifest`]).
 
 use crate::record::{ConnectionRecord, TraceEntry};
 use crate::segment::{
@@ -18,10 +16,10 @@ use ipfs_mon_simnet::time::SimTime;
 use std::io::Write;
 
 /// Writes a segment incrementally: entries are buffered and spilled to the
-/// sink as framed columnar **v2** chunks — length varint, then a payload
-/// opening with the codec byte (`Raw`, or `Col` when compacting), then the
-/// payload CRC — whenever the buffer reaches the configured capacity. Memory
-/// use is bounded by `chunk_capacity` entries regardless of trace length.
+/// sink as framed columnar chunks — length varint, then a payload opening
+/// with the codec byte, then the payload CRC — whenever the buffer reaches
+/// the configured capacity. Memory use is bounded by `chunk_capacity`
+/// entries regardless of trace length.
 ///
 /// Connection records are rare relative to entries and are kept for the
 /// footer. Call [`TraceWriter::finish`] to flush the remaining buffer and
@@ -40,9 +38,6 @@ pub struct TraceWriter<W: Write> {
     high_water: Option<SimTime>,
     footer: Footer,
     config: SegmentConfig,
-    /// Whether chunks go out in the `Col` layout (compaction) instead of
-    /// `Raw` (collection).
-    columnar: bool,
 }
 
 impl<W: Write> TraceWriter<W> {
@@ -61,17 +56,7 @@ impl<W: Write> TraceWriter<W> {
                 ..Footer::default()
             },
             config,
-            columnar: false,
         })
-    }
-
-    /// The same writer, spilling its chunks in the `Col` layout: how
-    /// compaction writes.
-    pub(crate) fn columnar(self) -> Self {
-        Self {
-            columnar: true,
-            ..self
-        }
     }
 
     /// Entries accepted so far (buffered or spilled).
@@ -158,7 +143,7 @@ impl<W: Write> TraceWriter<W> {
             return Ok(());
         }
         let mut frame = Vec::new();
-        let mut info: ChunkInfo = encode_chunk(&self.buffer, self.columnar, &mut frame);
+        let mut info: ChunkInfo = encode_chunk(&self.buffer, &mut frame);
         self.buffer.clear();
         info.offset = self.offset;
         self.sink.write_all(&frame)?;

@@ -22,11 +22,12 @@ use ipfs_monitoring::core::{
     PopularitySink, PreprocessConfig, RequestTypeSink, SnapshotBuilder,
 };
 use ipfs_monitoring::simnet::time::{SimDuration, SimTime};
+use ipfs_monitoring::tracestore::codec::CHUNK_CODEC;
 use ipfs_monitoring::tracestore::crc::crc32;
 use ipfs_monitoring::tracestore::{
-    migrate_manifest, recover_dataset, run_sink, ChunkView, Codec, DatasetConfig, EntryFlags,
-    ManifestReader, MonitoringDataset, RowTargets, SegmentConfig, SegmentError, SliceSource,
-    SourceEntries, TraceEntry, TraceReader, TraceSource,
+    recover_dataset, run_sink, ChunkView, DatasetConfig, EntryFlags, ManifestReader,
+    MonitoringDataset, RowTargets, SegmentConfig, SegmentError, SliceSource, SourceEntries,
+    TraceEntry, TraceReader, TraceSource,
 };
 use ipfs_monitoring::types::{varint, Cid, Country, Multiaddr, Multicodec, PeerId, Transport};
 use proptest::prelude::*;
@@ -134,9 +135,8 @@ proptest! {
 proptest! {
     /// Rows flagged where they lie give, entry for entry, what entries
     /// flagged after they are built give: the flagged stream of the on-disk
-    /// dataset — collected (`raw`) and compacted (`col`), several segments
-    /// per monitor — against the
-    /// in-memory dataset's, with the same statistics and the same number of
+    /// dataset — several segments per monitor — against the in-memory
+    /// dataset's, with the same statistics and the same number of
     /// keys tracked at the end; and the filtered stream, flagged, against
     /// the whole flagged stream filtered afterwards.
     #[test]
@@ -156,98 +156,102 @@ proptest! {
             expected.iter().filter(|entry| targets.matches(entry)).collect();
         prop_assert!(!expected_matching.is_empty());
 
-        for compact in [false, true] {
-            let dir = temp_dir(&format!("flagged-{seed}-{compact}"));
-            write_manifest(&case.dataset, &dir, case.layout);
-            if compact {
-                migrate_manifest(&dir).unwrap();
-            }
-            let reader = ManifestReader::open(&dir).unwrap();
-            for monitor in 0..reader.monitor_count() {
-                prop_assert!(reader.segment_count(monitor) >= 2, "layout must rotate");
-            }
-
-            let mut flagged = flag_source(&reader, config);
-            let mut rows = 0;
-            for (row, entry) in (&mut flagged).enumerate() {
-                prop_assert_eq!(&entry, &expected[row], "row {} (compacted: {})", row, compact);
-                rows += 1;
-            }
-            prop_assert!(flagged.take_source_error().is_none());
-            prop_assert_eq!(rows, expected.len());
-            prop_assert_eq!(flagged.stats(), stats);
-            prop_assert_eq!(flagged.tracked_keys(), in_memory.tracked_keys());
-
-            let mut matching = flag_entries(
-                reader.merged_entries_matching(&targets),
-                reader.monitor_count(),
-                config,
-            );
-            let on_disk: Vec<TraceEntry> = (&mut matching).collect();
-            prop_assert!(matching.take_source_error().is_none());
-            prop_assert_eq!(on_disk.iter().collect::<Vec<_>>(), expected_matching.clone());
-            let default_path: Vec<TraceEntry> = flag_entries(
-                case.dataset.merged_entries_matching(&targets),
-                case.dataset.monitor_count(),
-                config,
-            )
-            .collect();
-            prop_assert_eq!(&default_path, &on_disk);
-            std::fs::remove_dir_all(&dir).ok();
+        let dir = temp_dir(&format!("flagged-{seed}"));
+        write_manifest(&case.dataset, &dir, case.layout);
+        let reader = ManifestReader::open(&dir).unwrap();
+        for monitor in 0..reader.monitor_count() {
+            prop_assert!(reader.segment_count(monitor) >= 2, "layout must rotate");
         }
+
+        let mut flagged = flag_source(&reader, config);
+        let mut rows = 0;
+        for (row, entry) in (&mut flagged).enumerate() {
+            prop_assert_eq!(&entry, &expected[row], "row {}", row);
+            rows += 1;
+        }
+        prop_assert!(flagged.take_source_error().is_none());
+        prop_assert_eq!(rows, expected.len());
+        prop_assert_eq!(flagged.stats(), stats);
+        prop_assert_eq!(flagged.tracked_keys(), in_memory.tracked_keys());
+
+        let mut matching = flag_entries(
+            reader.merged_entries_matching(&targets),
+            reader.monitor_count(),
+            config,
+        );
+        let on_disk: Vec<TraceEntry> = (&mut matching).collect();
+        prop_assert!(matching.take_source_error().is_none());
+        prop_assert_eq!(on_disk.iter().collect::<Vec<_>>(), expected_matching.clone());
+        let default_path: Vec<TraceEntry> = flag_entries(
+            case.dataset.merged_entries_matching(&targets),
+            case.dataset.monitor_count(),
+            config,
+        )
+        .collect();
+        prop_assert_eq!(&default_path, &on_disk);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
-/// Re-points the last row's peer and CID index of a segment's first (raw)
-/// chunk at dictionary entry 0 and repairs the chunk CRC: not one other byte
-/// moves, but the last entry of both dictionaries — which that row had
-/// introduced — is now referenced by no row.
+/// Re-points the last row's peer and CID index of a segment's first chunk at
+/// dictionary entry 0 and repairs the chunk CRC: not one other byte moves,
+/// but the last entry of both dictionaries — which that row had introduced —
+/// is now referenced by no row. The walk follows the chunk body grammar of
+/// `tracestore::col`: the index columns are bit-packed at the width their
+/// dictionary's length gives, so clearing the row's bits keeps every width.
 fn orphan_last_dictionary_entries(bytes: &mut [u8]) {
-    let frame = TraceReader::new(SliceSource::new(bytes)).unwrap().chunks()[0].offset as usize;
-    let mut pos = frame;
-    let read = |pos: &mut usize| {
+    fn read(bytes: &[u8], pos: &mut usize) -> usize {
         let (value, used) = varint::decode(&bytes[*pos..]).unwrap();
         *pos += used;
         value as usize
-    };
-    let payload_len = read(&mut pos);
+    }
+    let width_of = |dict_len: usize| (usize::BITS - (dict_len - 1).leading_zeros()) as usize;
+    let frame = TraceReader::new(SliceSource::new(bytes)).unwrap().chunks()[0].offset as usize;
+    let mut pos = frame;
+    let payload_len = read(bytes, &mut pos);
     let payload = pos..pos + payload_len;
-    assert_eq!(bytes[pos], Codec::Raw.byte(), "the patch reads raw planes");
-    pos += 1;
-    let _monitor = read(&mut pos);
-    let count = read(&mut pos);
-    for _ in 0..count {
-        read(&mut pos); // timestamp base, then deltas
+    assert_eq!(bytes[pos], CHUNK_CODEC);
+    assert_eq!(bytes[pos + 1], 0, "mode 0");
+    pos += 2;
+    let _monitor = read(bytes, &mut pos);
+    let count = read(bytes, &mut pos);
+    read(bytes, &mut pos); // timestamp base
+    for block in (0..count - 1).step_by(64) {
+        read(bytes, &mut pos); // miniblock min
+        let width = bytes[pos] as usize;
+        pos += 1 + ((count - 1 - block).min(64) * width).div_ceil(8);
     }
-    let mut last_index_at = [0usize; 3];
-    for (dictionary, at) in last_index_at.iter_mut().enumerate() {
-        let entries = read(&mut pos);
-        match dictionary {
-            0 => pos += entries * 32, // peers
-            1 => pos += entries * 8,  // addresses
-            _ => {
-                for _ in 0..entries {
-                    let len = read(&mut pos); // CIDs are length-prefixed
-                    pos += len;
-                }
-            }
-        }
-        for _ in 0..count - 1 {
-            read(&mut pos);
-        }
-        *at = pos;
-        let last = read(&mut pos);
-        if dictionary != 1 {
-            assert_eq!(
-                last,
-                entries - 1,
-                "the last row introduces a dictionary entry"
-            );
-            assert!((1..128).contains(&last), "a one-byte index");
+    let peers = read(bytes, &mut pos);
+    pos += peers * 32;
+    let peer_column = (pos, peers);
+    pos += (count * width_of(peers)).div_ceil(8);
+    let addresses = read(bytes, &mut pos);
+    pos += addresses * 8;
+    assert_eq!(bytes[pos], 0, "the address column carries its own indexes");
+    pos += 1 + (count * width_of(addresses)).div_ceil(8);
+    let cids = read(bytes, &mut pos);
+    for _ in 0..cids {
+        let len = read(bytes, &mut pos); // CIDs are length-prefixed
+        pos += len;
+    }
+    for (start, entries) in [peer_column, (pos, cids)] {
+        let width = width_of(entries);
+        let bits = (count - 1) * width..count * width;
+        let bit = |at: usize| (bytes[start + at / 8] >> (at % 8)) & 1;
+        let last: usize = bits
+            .clone()
+            .map(|at| (bit(at) as usize) << (at - bits.start))
+            .sum();
+        assert_eq!(
+            last,
+            entries - 1,
+            "the last row introduces a dictionary entry"
+        );
+        assert!(last >= 1, "entry 0 is another row's");
+        for at in bits {
+            bytes[start + at / 8] &= !(1 << (at % 8));
         }
     }
-    bytes[last_index_at[0]] = 0;
-    bytes[last_index_at[2]] = 0;
     let crc = crc32(&bytes[payload.clone()]);
     bytes[payload.end..payload.end + 4].copy_from_slice(&crc.to_le_bytes());
 }
@@ -541,7 +545,6 @@ fn damage_surfaces_identically_on_every_path() {
         ..DatasetConfig::default()
     };
     write_manifest(&dataset, &dir, layout);
-    migrate_manifest(&dir).unwrap();
     // Break a middle chunk of one segment per monitor (footers stay valid).
     for file in ["seg-000-00002.seg", "seg-001-00001.seg"] {
         let path = dir.join(file);

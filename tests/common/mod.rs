@@ -10,8 +10,8 @@ use ipfs_monitoring::core::{
 use ipfs_monitoring::node::Network;
 use ipfs_monitoring::simnet::time::SimTime;
 use ipfs_monitoring::tracestore::{
-    migrate_manifest, ConnectionRecord, DatasetConfig, DatasetWriter, EntryFlags,
-    MonitoringDataset, SegmentConfig, TraceEntry, TraceSource,
+    ConnectionRecord, DatasetConfig, DatasetWriter, EntryFlags, MonitoringDataset, SegmentConfig,
+    TraceEntry, TraceSource,
 };
 use ipfs_monitoring::types::{Cid, Country, Multiaddr, Multicodec, PeerId, Transport};
 use ipfs_monitoring::workload::{build_scenario, ScenarioConfig};
@@ -99,16 +99,13 @@ pub fn random_dataset(
 
 /// One case of the differential suites that hold the column-reading paths
 /// (chunk-level sink runs, filtered streams) to the entry-reading ones: a
-/// dataset, the on-disk layout to spill it with, and attack targets.
+/// dataset, the dataset configuration to spill it with, and attack targets.
 pub struct DifferentialCase {
     /// At least two monitors, arrival jitter, and stored flags on some rows
     /// (so the flag plane is read, not assumed clear).
     pub dataset: MonitoringDataset,
     /// Rotation into several segments per monitor, small chunks.
     pub layout: DatasetConfig,
-    /// Whether the spilled dataset is read compacted (`col` chunks, after
-    /// `migrate_manifest`) or as collection wrote it (`raw` chunks).
-    pub compact: bool,
     /// IDW: a requested CID and an absent one. TNW: a peer that requested
     /// that CID, another present peer, and an absent one.
     pub targets: AttackTargets,
@@ -134,7 +131,6 @@ pub fn differential_case(seed: u64) -> DifferentialCase {
         },
         ..DatasetConfig::default()
     };
-    let compact = rng.gen_range(0usize..2) == 1;
     let wanted = dataset.entries[0]
         .iter()
         .find(|entry| entry.is_request())
@@ -148,19 +144,14 @@ pub fn differential_case(seed: u64) -> DifferentialCase {
     DifferentialCase {
         dataset,
         layout,
-        compact,
         targets,
     }
 }
 
 impl DifferentialCase {
-    /// Spills the case's dataset into `dir` under its layout, compacted when
-    /// the case says so.
+    /// Spills the case's dataset into `dir` under its layout.
     pub fn spill(&self, dir: &Path) {
         write_manifest(&self.dataset, dir, self.layout);
-        if self.compact {
-            migrate_manifest(dir).unwrap();
-        }
     }
 }
 

@@ -16,9 +16,9 @@ use ipfs_monitoring::bitswap::RequestType;
 use ipfs_monitoring::core::{MonitorService, ServiceConfig};
 use ipfs_monitoring::simnet::time::SimTime;
 use ipfs_monitoring::tracestore::{
-    migrate_manifest, recover_dataset, recover_dataset_with, AnalysisSink, Codec, ConnectionRecord,
-    DatasetConfig, DatasetTail, DatasetWriter, EntryFlags, FaultPlan, FaultyStorage,
-    ManifestReader, QuarantineReason, SegmentConfig, SegmentError, TraceEntry, TraceReader,
+    recover_dataset, recover_dataset_with, AnalysisSink, ConnectionRecord, DatasetConfig,
+    DatasetTail, DatasetWriter, EntryFlags, FaultPlan, FaultyStorage, ManifestReader,
+    QuarantineReason, SegmentConfig, SegmentError, TraceEntry, TraceReader,
 };
 use ipfs_monitoring::types::{Cid, Country, Multiaddr, Multicodec, PeerId, Transport};
 use proptest::prelude::*;
@@ -138,9 +138,7 @@ fn assert_prefix_consistent(dir: &Path, reference: &[Vec<TraceEntry>], context: 
 /// The tentpole property: a matrix of ≥50 crash points — clean and torn
 /// crashes, ops spanning chunk spills, rotations, checkpoints and the final
 /// manifest write — each recovered to a prefix-consistent dataset with zero
-/// loss past the last checkpoint, recovery idempotent, and the recovered
-/// dataset compacted to `col` with the same streams and nothing left for
-/// recovery to do.
+/// loss past the last checkpoint, and recovery idempotent.
 #[test]
 fn crash_matrix_recovers_prefix_consistent_datasets() {
     let reference = reference_per_monitor();
@@ -204,19 +202,6 @@ fn crash_matrix_recovers_prefix_consistent_datasets() {
         assert!(again.clean, "{context}: second recovery must be a no-op");
         assert_eq!(again.entries_recovered, report.entries_recovered);
 
-        // What recovery keeps is a finished dataset: it compacts.
-        migrate_manifest(&dir)
-            .unwrap_or_else(|error| panic!("{context}: compaction failed: {error}"));
-        assert_eq!(
-            assert_prefix_consistent(&dir, &reference, &context),
-            streamed,
-            "{context}: compaction must keep every recovered entry"
-        );
-        assert!(
-            recover_dataset(&dir).unwrap().clean,
-            "{context}: a compacted dataset needs no recovery"
-        );
-
         crash_points_tested += 1;
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -230,10 +215,9 @@ fn crash_matrix_recovers_prefix_consistent_datasets() {
     );
 }
 
-/// Writes a single-segment, single-monitor dataset — compacted to `col` when
-/// `compact` — and returns the segment path plus the chunk index boundaries
-/// (end offset, cumulative entries).
-fn single_segment_dataset(dir: &Path, compact: bool, entries: u64) -> (PathBuf, Vec<(u64, u64)>) {
+/// Writes a single-segment, single-monitor dataset and returns the segment
+/// path plus the chunk index boundaries (end offset, cumulative entries).
+fn single_segment_dataset(dir: &Path, entries: u64) -> (PathBuf, Vec<(u64, u64)>) {
     let mut writer = DatasetWriter::create(
         dir,
         vec!["us".into()],
@@ -248,9 +232,6 @@ fn single_segment_dataset(dir: &Path, compact: bool, entries: u64) -> (PathBuf, 
         writer.append(&entry(i, 0)).unwrap();
     }
     writer.finish().unwrap();
-    if compact {
-        migrate_manifest(dir).unwrap();
-    }
     let path = dir.join("seg-000-00000.seg");
     let bytes = std::fs::read(&path).unwrap();
     let reader = TraceReader::new(ipfs_monitoring::tracestore::SliceSource::new(&bytes)).unwrap();
@@ -279,9 +260,9 @@ fn expected_after_truncation(boundaries: &[(u64, u64)], len: u64) -> u64 {
 
 /// Truncates the segment to `len`, recovers, and checks the dataset streams
 /// exactly the longest CRC-valid chunk prefix. Never panics, any `len`.
-fn check_truncation(compact: bool, len: u64, tag: &str) {
+fn check_truncation(len: u64, tag: &str) {
     let dir = temp_dir(&format!("torn-{tag}"));
-    let (path, boundaries) = single_segment_dataset(&dir, compact, 200);
+    let (path, boundaries) = single_segment_dataset(&dir, 200);
     let full = std::fs::metadata(&path).unwrap().len();
     let len = len.min(full);
     let expected = expected_after_truncation(&boundaries, len);
@@ -289,7 +270,7 @@ fn check_truncation(compact: bool, len: u64, tag: &str) {
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..len as usize]).unwrap();
 
-    let context = format!("compacted: {compact}, truncated to {len}/{full}");
+    let context = format!("truncated to {len}/{full}");
     let report =
         recover_dataset(&dir).unwrap_or_else(|error| panic!("{context}: recovery failed: {error}"));
     assert_eq!(
@@ -310,17 +291,14 @@ fn check_truncation(compact: bool, len: u64, tag: &str) {
 }
 
 proptest! {
-    /// Any byte-length truncation of a segment, collected or compacted:
-    /// recovery returns the longest CRC-valid chunk prefix and never panics.
+    /// Any byte-length truncation of a segment: recovery returns the longest
+    /// CRC-valid chunk prefix and never panics.
     #[test]
-    fn torn_tail_truncation_recovers_longest_valid_prefix(
-        compact in any::<bool>(),
-        fraction in 0.0f64..=1.0,
-    ) {
+    fn torn_tail_truncation_recovers_longest_valid_prefix(fraction in 0.0f64..=1.0) {
         // `check_truncation` clamps to the real file length; 1 MiB is a safe
         // upper bound for a 200-entry segment, so `fraction` spans the file.
         let len = (fraction * (1 << 20) as f64) as u64;
-        check_truncation(compact, len, &format!("prop-{compact}-{len}"));
+        check_truncation(len, &format!("prop-{len}"));
     }
 }
 
@@ -331,7 +309,7 @@ proptest! {
 /// the length of the segment's valid prefix.
 fn crafted_length_dataset(tag: &str) -> (PathBuf, PathBuf, u64) {
     let dir = temp_dir(tag);
-    let (path, boundaries) = single_segment_dataset(&dir, false, 100);
+    let (path, boundaries) = single_segment_dataset(&dir, 100);
     let valid_end = boundaries.last().unwrap().0;
     let mut bytes = std::fs::read(&path).unwrap();
     bytes.truncate(valid_end as usize);
@@ -533,22 +511,22 @@ fn foreign_monitor_frame_ends_the_segment_for_tail_recovery_and_reader() {
 
     // A torn open segment: no footer, no manifest, frames to the end.
     let dir = temp_dir("foreign-frame");
-    let (path, boundaries) = single_segment_dataset(&dir, false, 100);
+    let (path, boundaries) = single_segment_dataset(&dir, 100);
     std::fs::remove_file(dir.join(ipfs_monitoring::tracestore::MANIFEST_FILE_NAME)).unwrap();
     let mut bytes = std::fs::read(&path).unwrap();
     bytes.truncate(boundaries.last().unwrap().0 as usize);
-    // The third frame: length prefix, then a payload of codec byte (raw),
-    // stored monitor index, columns; then the payload's CRC. Name monitor 1
-    // and re-fix the CRC, so that nothing but the index is wrong.
+    // The third frame: length prefix, then a payload of codec byte, mode
+    // byte, stored monitor index, columns; then the payload's CRC. Name
+    // monitor 1 and re-fix the CRC, so that nothing but the index is wrong.
     let (frame_start, kept_entries) = boundaries[1];
     let (payload_len, prefix_len) = varint::decode(&bytes[frame_start as usize..]).unwrap();
     let payload =
         frame_start as usize + prefix_len..frame_start as usize + prefix_len + payload_len as usize;
     assert_eq!(
-        bytes[payload.start..payload.start + 2],
-        [Codec::Raw.byte(), 0]
+        bytes[payload.start..payload.start + 3],
+        [ipfs_monitoring::tracestore::codec::CHUNK_CODEC, 0, 0]
     );
-    bytes[payload.start + 1] = 1;
+    bytes[payload.start + 2] = 1;
     let crc = crc32(&bytes[payload.clone()]);
     bytes[payload.end..payload.end + 4].copy_from_slice(&crc.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
@@ -590,7 +568,7 @@ fn two_label_footer_is_corrupt() {
     use ipfs_monitoring::types::varint;
 
     let dir = temp_dir("two-label-footer");
-    let (path, boundaries) = single_segment_dataset(&dir, false, 100);
+    let (path, boundaries) = single_segment_dataset(&dir, 100);
     let sealed = std::fs::read(&path).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
     assert!(TraceReader::new(SliceSource::new(&sealed)).is_ok());
@@ -622,20 +600,56 @@ fn two_label_footer_is_corrupt() {
 /// boundaries and their off-by-one neighbours, plus the degenerate lengths.
 #[test]
 fn torn_tail_boundary_sweep() {
-    for compact in [false, true] {
-        let probe_dir = temp_dir(&format!("torn-probe-{compact}"));
-        let (path, boundaries) = single_segment_dataset(&probe_dir, compact, 200);
-        let full = std::fs::metadata(&path).unwrap().len();
-        std::fs::remove_dir_all(&probe_dir).unwrap();
+    let probe_dir = temp_dir("torn-probe");
+    let (path, boundaries) = single_segment_dataset(&probe_dir, 200);
+    let full = std::fs::metadata(&path).unwrap().len();
+    std::fs::remove_dir_all(&probe_dir).unwrap();
 
-        let mut lengths = vec![0, 1, 4, 5, 6, full.saturating_sub(1), full];
-        for &(end, _) in &boundaries {
-            lengths.extend([end.saturating_sub(1), end, end + 1]);
-        }
-        for (k, len) in lengths.into_iter().enumerate() {
-            check_truncation(compact, len, &format!("sweep-{compact}-{k}"));
-        }
+    let mut lengths = vec![0, 1, 4, 5, 6, full.saturating_sub(1), full];
+    for &(end, _) in &boundaries {
+        lengths.extend([end.saturating_sub(1), end, end + 1]);
     }
+    for (k, len) in lengths.into_iter().enumerate() {
+        check_truncation(len, &format!("sweep-{k}"));
+    }
+}
+
+/// A segment of the previous format version — v2, whose chunks may be in
+/// layouts this build no longer decodes — is not a torn segment to cut back
+/// to its first undecodable chunk: recovery moves it to `quarantine/` byte
+/// for byte, as a bad header, and keeps nothing of it in the dataset.
+#[test]
+fn v2_segment_is_quarantined_byte_identical() {
+    let dir = temp_dir("v2-segment");
+    let (path, _) = single_segment_dataset(&dir, 100);
+    let mut bytes = std::fs::read(&path).unwrap();
+    assert_eq!(&bytes[..4], b"IPMT");
+    bytes[4] = 2;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let report = recover_dataset(&dir).unwrap();
+    assert_eq!(report.quarantined.len(), 1, "{report:?}");
+    let quarantined = &report.quarantined[0];
+    assert_eq!(
+        (
+            quarantined.file_name.as_str(),
+            quarantined.monitor,
+            quarantined.sequence
+        ),
+        ("seg-000-00000.seg", 0, 0)
+    );
+    match &quarantined.reason {
+        QuarantineReason::BadHeader(detail) => assert!(detail.contains("version 2"), "{detail}"),
+        other => panic!("a v2 segment is a bad header, not {other:?}"),
+    }
+    assert_eq!(report.entries_recovered, 0);
+    assert_eq!(report.segments_truncated, 0);
+    assert!(!path.exists());
+    assert_eq!(
+        std::fs::read(dir.join("quarantine/seg-000-00000.seg")).unwrap(),
+        bytes
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[derive(Clone, Default)]
@@ -659,16 +673,15 @@ impl AnalysisSink for CountSink {
     }
 }
 
-/// The fault-free two-monitor dataset, finished and compacted: each monitor
-/// rotates every 50 of its 120 entries, so segments 0..=2 per monitor.
-fn compacted_dataset(dir: &Path) {
+/// The fault-free two-monitor dataset, finished: each monitor rotates every
+/// 50 of its 120 entries, so segments 0..=2 per monitor.
+fn finished_dataset(dir: &Path) {
     let mut writer = DatasetWriter::create(dir, vec!["us".into(), "de".into()], config()).unwrap();
     for i in 0..ENTRIES {
         let monitor = (i % MONITORS as u64) as usize;
         writer.append(&entry(i, monitor)).unwrap();
     }
     writer.finish().unwrap();
-    migrate_manifest(dir).unwrap();
 }
 
 /// A damaged dataset — one segment deleted, one CRC-broken mid-stream, one
@@ -678,7 +691,7 @@ fn compacted_dataset(dir: &Path) {
 #[test]
 fn damaged_dataset_recovers_with_exact_report() {
     let dir = temp_dir("damaged");
-    compacted_dataset(&dir);
+    finished_dataset(&dir);
 
     // Damage: delete monitor 0's middle segment, CRC-break a late chunk of
     // its last segment (footer stays valid, so only a decode finds it), and
@@ -752,7 +765,7 @@ fn damaged_dataset_recovers_with_exact_report() {
 /// and an unpadded spelling of `seg-000-00000.seg`.
 fn check_stray_segment_name(name: &str, tag: &str) {
     let dir = temp_dir(tag);
-    compacted_dataset(&dir);
+    finished_dataset(&dir);
     let mut before: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(&dir)
         .unwrap()
         .map(|item| {
@@ -809,7 +822,7 @@ fn copy_dir(from: &Path, to: &Path) {
 fn recovery_survives_crashes_during_recovery() {
     // One damaged dataset, reused as the template for every crash point.
     let template = temp_dir("rec-crash-template");
-    compacted_dataset(&template);
+    finished_dataset(&template);
     // Damage: cut the last third off one segment (forces a rebuild) and
     // leave a stale tmp file (forces a sweep).
     let victim = template.join("seg-001-00001.seg");

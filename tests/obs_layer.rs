@@ -101,15 +101,9 @@ fn pipeline_metrics_track_real_work() {
         assert!(delta("store.entries_decoded") >= total);
         assert!(after.counters.get("sim.events").copied().unwrap_or(0) > 0);
         assert!(after.counters.get("ingest.entries").copied().unwrap_or(0) >= total);
-        let decode = after
-            .histograms
-            .iter()
-            .filter(|(name, _)| name.starts_with("store.chunk_decode_ns."))
-            .map(|(_, h)| h.count)
-            .sum::<u64>();
-        assert!(decode >= 1, "decode stage histogram must have samples");
-        // Its sub-spans fire on every chunk, whatever the codec.
+        // The decode stage and its sub-spans fire on every chunk.
         for name in [
+            "store.chunk_decode_ns",
             "store.chunk_crc_ns",
             "store.chunk_columns_ns",
             "store.chunk_dict_ns",

@@ -2,7 +2,7 @@
 //!
 //! Property tests over the differential suites' one generator
 //! (`common::differential_case`: several monitors, rotated segments, small
-//! chunks, collected or compacted) proving, for every ported analysis
+//! chunks) proving, for every ported analysis
 //! (request-type series, popularity, activity counts, descriptive stats):
 //!
 //! 1. **driver equivalence and combine-order invariance** — each sink under
