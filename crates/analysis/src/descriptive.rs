@@ -1,9 +1,7 @@
 //! Basic descriptive statistics used throughout the experiment reports.
 
-use serde::{Deserialize, Serialize};
-
 /// Summary statistics of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of samples.
     pub count: usize,
@@ -79,7 +77,7 @@ pub fn summarize_stream<I: IntoIterator<Item = f64>>(samples: I) -> Option<Strea
 
 /// Summary statistics computable in one streaming pass (no median — that
 /// needs the full sample; see [`Summary`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamSummary {
     /// Number of samples.
     pub count: usize,

@@ -4,10 +4,8 @@
 //! URP); Fig. 3 compares the distribution of monitor-connected peer IDs to the
 //! uniform distribution with a QQ plot. This module provides both primitives.
 
-use serde::{Deserialize, Serialize};
-
 /// An empirical cumulative distribution function over `f64` samples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }

@@ -14,10 +14,8 @@
 //! the population — the paper validates this with the Fig. 3 QQ plot and
 //! discusses the biases that remain.
 
-use serde::{Deserialize, Serialize};
-
 /// Errors produced by the estimators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum EstimateError {
     /// The monitors share no peers, so the population is unbounded from the

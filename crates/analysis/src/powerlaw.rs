@@ -16,10 +16,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Result of fitting a power law to a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerLawFit {
     /// Estimated exponent `α`.
     pub alpha: f64,
@@ -32,7 +31,7 @@ pub struct PowerLawFit {
 }
 
 /// Result of the full goodness-of-fit test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GoodnessOfFit {
     /// The fit on the observed data.
     pub fit: PowerLawFit,

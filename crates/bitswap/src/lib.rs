@@ -12,12 +12,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use serde::{Deserialize, Serialize};
-
 /// The request types distinguished by the monitoring pipeline, mirroring the
 /// `request_type` column of the paper's trace tuples and the classification in
 /// Fig. 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum RequestType {
     /// A `WANT_HAVE` wantlist entry.
     WantHave,
@@ -51,7 +49,7 @@ impl std::fmt::Display for RequestType {
 }
 
 /// Which generation of the Bitswap protocol a node speaks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProtocolVersion {
     /// Pre-v0.5 behaviour: no inventory mechanism, data is requested directly
     /// with `WANT_BLOCK` broadcasts.
@@ -68,16 +66,14 @@ mod tests {
     #[test]
     fn request_type_classification() {
         let cases = [
-            (RequestType::WantHave, true, "WANT_HAVE", "\"WantHave\""),
-            (RequestType::WantBlock, true, "WANT_BLOCK", "\"WantBlock\""),
-            (RequestType::Cancel, false, "CANCEL", "\"Cancel\""),
+            (RequestType::WantHave, true, "WANT_HAVE"),
+            (RequestType::WantBlock, true, "WANT_BLOCK"),
+            (RequestType::Cancel, false, "CANCEL"),
         ];
-        for (kind, is_request, label, json) in cases {
+        for (kind, is_request, label) in cases {
             assert_eq!(kind.is_request(), is_request, "{kind:?}");
             assert_eq!(kind.label(), label);
             assert_eq!(kind.to_string(), label);
-            assert_eq!(serde_json::to_string(&kind).unwrap(), json);
-            assert_eq!(serde_json::from_str::<RequestType>(json).unwrap(), kind);
         }
     }
 }

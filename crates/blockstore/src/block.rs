@@ -9,10 +9,9 @@
 //! accounting use the logical size.
 
 use ipfs_mon_types::{Cid, Multicodec};
-use serde::{Deserialize, Serialize};
 
 /// A content-addressed block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
     cid: Cid,
     data: Vec<u8>,

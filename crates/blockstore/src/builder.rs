@@ -10,7 +10,6 @@
 use crate::block::Block;
 use crate::dag::{DagLink, DagNode};
 use ipfs_mon_types::{Cid, Multicodec};
-use serde::{Deserialize, Serialize};
 
 /// Default UnixFS chunk size (256 KiB).
 pub const DEFAULT_CHUNK_SIZE: u64 = 256 * 1024;
@@ -19,7 +18,7 @@ pub const DEFAULT_CHUNK_SIZE: u64 = 256 * 1024;
 pub const DEFAULT_MAX_LINKS: usize = 174;
 
 /// A fully built DAG: the root CID plus every block of the DAG.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BuiltDag {
     /// CID of the DAG root (what users request and monitors observe).
     pub root: Cid,

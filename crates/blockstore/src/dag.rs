@@ -13,10 +13,9 @@
 
 use crate::block::Block;
 use ipfs_mon_types::{varint, Cid, Multicodec, TypesError};
-use serde::{Deserialize, Serialize};
 
 /// A link from a DAG node to a child block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DagLink {
     /// Link name (file name within a directory, empty for file chunks).
     pub name: String,
@@ -27,7 +26,7 @@ pub struct DagLink {
 }
 
 /// An interior Merkle-DAG node.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct DagNode {
     /// Outgoing links, in order.
     pub links: Vec<DagLink>,

@@ -17,11 +17,10 @@ use ipfs_mon_bitswap::RequestType;
 use ipfs_mon_simnet::metrics::BucketedSeries;
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
 use ipfs_mon_types::{Country, Multicodec, PeerId};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
 
 /// Requests per time bucket, per request type (Fig. 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RequestTypeSeries {
     /// Bucket width used.
     pub bucket: SimDuration,
@@ -177,7 +176,7 @@ pub fn country_shares(
 }
 
 /// Request-rate series by origin group for Fig. 6.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OriginGroupRates {
     /// Bucket width the rates are computed over.
     pub bucket: SimDuration,

@@ -31,7 +31,6 @@ use ipfs_mon_simnet::time::SimTime;
 use ipfs_mon_tracestore::{RowTargets, SegmentError, TraceSource};
 use ipfs_mon_types::{Cid, Multicodec, PeerId};
 use rand::RngCore;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 // ---------------------------------------------------------------------------
@@ -39,7 +38,7 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 // ---------------------------------------------------------------------------
 
 /// One observation supporting an IDW result: a peer asked for the target CID.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WanterObservation {
     /// The requesting peer.
     pub peer: PeerId,
@@ -61,7 +60,7 @@ pub fn identify_data_wanters(trace: &UnifiedTrace, cid: &Cid) -> Vec<WanterObser
 // ---------------------------------------------------------------------------
 
 /// The request profile of one tracked node.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NodeWantProfile {
     /// CIDs the node requested, with all observed request times.
     pub wants: BTreeMap<Cid, Vec<SimTime>>,
@@ -92,7 +91,7 @@ pub fn track_node_wants(trace: &UnifiedTrace, target: &PeerId) -> NodeWantProfil
 // ---------------------------------------------------------------------------
 
 /// Outcome of a TPI probe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TpiOutcome {
     /// The target answered the probe: the data is in its cache, so it was
     /// requested (or published) via that node in the recent past.
@@ -258,7 +257,7 @@ pub fn run_attacks_source<T: TraceSource>(
 // ---------------------------------------------------------------------------
 
 /// One prepared gateway probe (Sec. VI-B1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GatewayProbe {
     /// Name of the probed gateway operator.
     pub operator_name: String,
@@ -271,7 +270,7 @@ pub struct GatewayProbe {
 }
 
 /// Result of evaluating a probe against the collected trace.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GatewayProbeResult {
     /// The probe this result belongs to.
     pub probe: GatewayProbe,

@@ -27,11 +27,10 @@ use ipfs_mon_simnet::rng::SimRng;
 use ipfs_mon_simnet::time::SimDuration;
 use ipfs_mon_types::{Cid, Multicodec, PeerId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// A privacy countermeasure from the Sec. VI-C design space.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Countermeasure {
     /// Nodes rotate their peer ID every `interval`.
     NodeIdRotation {
@@ -61,7 +60,7 @@ pub enum Countermeasure {
 
 /// The adversary-visible trace after applying a countermeasure, plus overhead
 /// accounting.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MitigatedTrace {
     /// What the monitors observe once the countermeasure is deployed.
     pub trace: UnifiedTrace,
@@ -73,7 +72,7 @@ pub struct MitigatedTrace {
 }
 
 /// Effectiveness metrics of a countermeasure against the three attacks.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CountermeasureEvaluation {
     /// Mean fraction of a node's requests still linkable to a single observed
     /// identity (TNW strength; 1.0 = fully trackable).

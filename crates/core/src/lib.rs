@@ -30,9 +30,8 @@
 //!    incremental tailing, and windowed analysis into one restart-proof
 //!    process with exactly-once window output.
 //!
-//! Data is fed in either from the bundled network simulator
-//! (`ipfs-mon-node`, via [`monitor::MonitorCollector`]) or from persisted JSON
-//! traces.
+//! Data is fed in from the bundled network simulator (`ipfs-mon-node`, via
+//! [`monitor::MonitorCollector`]), live or through a dataset written to disk.
 
 #![warn(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

@@ -16,11 +16,10 @@
 use crate::trace::UnifiedTrace;
 use ipfs_mon_analysis::{goodness_of_fit, Ecdf, GoodnessOfFit};
 use ipfs_mon_types::{Cid, PeerId};
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Popularity scores for every CID observed in a trace.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PopularityScores {
     /// Raw request popularity per CID.
     pub rrp: HashMap<Cid, u64>,
@@ -137,7 +136,7 @@ pub fn popularity_scores(trace: &UnifiedTrace) -> PopularityScores {
 
 /// Full popularity analysis: scores, ECDF curves and power-law tests for both
 /// metrics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PopularityReport {
     /// Number of distinct CIDs.
     pub cid_count: usize,
@@ -325,10 +324,7 @@ mod tests {
             .expect("enough samples")
             .p_value;
         assert!(p_value > 0.0 && p_value < 1.0, "p = {p_value}");
-        assert_eq!(
-            serde_json::to_string(&first).unwrap(),
-            serde_json::to_string(&second).unwrap()
-        );
+        assert_eq!(format!("{first:?}"), format!("{second:?}"));
     }
 
     #[test]

@@ -74,13 +74,12 @@ use ipfs_mon_tracestore::{
     ChunkView, MergedRow, SegmentError, SourceEntries, TraceSource, WordHashBuilder,
 };
 use ipfs_mon_types::{Cid, PeerId};
-use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
 /// Preprocessing configuration.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct PreprocessConfig {
     /// Window within which the same entry at *different* monitors counts as a
     /// duplicate of one broadcast (paper: 5 s).
@@ -100,7 +99,7 @@ impl Default for PreprocessConfig {
 }
 
 /// Statistics of one preprocessing pass.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PreprocessStats {
     /// Total entries in the unified trace.
     pub total: usize,
@@ -794,7 +793,7 @@ mod tests {
         assert_eq!(engine.stats(), oracle.stats);
     }
 
-    /// A dataset file is outside input: an entry's stored `monitor` may name
+    /// A dataset is outside input: an entry's stored `monitor` may name
     /// a monitor the dataset does not have, and there may be more entry
     /// vectors than labels. Flagging goes by the vector an entry sits in.
     #[test]
@@ -808,8 +807,6 @@ mod tests {
         doctored.entries[0][1].monitor = 7;
         doctored.entries[1][0].monitor = usize::MAX;
         doctored.monitor_labels.truncate(1);
-        let doctored = MonitoringDataset::from_json(&doctored.to_json().unwrap()).unwrap();
-        assert_eq!(doctored.entries[0][1].monitor, 7);
 
         let (expected, expected_stats) = unify_and_flag(&corrected, PreprocessConfig::default());
         let (trace, stats) = unify_and_flag(&doctored, PreprocessConfig::default());

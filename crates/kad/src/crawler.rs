@@ -20,11 +20,10 @@
 
 use crate::view::DhtView;
 use ipfs_mon_types::PeerId;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashSet, VecDeque};
 
 /// Result of one crawl of the DHT.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CrawlResult {
     /// Every peer ID that appeared in any queried routing table (plus the
     /// bootstrap peers). Includes stale/offline entries.
@@ -52,7 +51,7 @@ impl CrawlResult {
 }
 
 /// Configuration of a crawl.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CrawlerConfig {
     /// Upper bound on routing-table queries per crawl, to bound work on very
     /// large simulated networks.

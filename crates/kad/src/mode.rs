@@ -7,10 +7,8 @@
 //! cannot be enumerated by crawling, but they *do* broadcast Bitswap requests,
 //! so passive monitors see them.
 
-use serde::{Deserialize, Serialize};
-
 /// How a node participates in the DHT.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DhtMode {
     /// Publicly reachable node: stores records, answers queries, appears in
     /// other peers' k-buckets.

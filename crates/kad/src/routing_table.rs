@@ -7,13 +7,12 @@
 //! why crawling under-counts the network while passive monitoring does not.
 
 use ipfs_mon_types::peer_id::{PeerId, PEER_ID_BITS};
-use serde::{Deserialize, Serialize};
 
 /// Default replication parameter (bucket capacity) used by IPFS.
 pub const DEFAULT_K: usize = 20;
 
 /// An entry in a k-bucket.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BucketEntry {
     /// The peer occupying the slot.
     pub peer: PeerId,
@@ -24,7 +23,7 @@ pub struct BucketEntry {
 }
 
 /// A Kademlia routing table for one local peer.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RoutingTable {
     local: PeerId,
     k: usize,

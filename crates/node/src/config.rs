@@ -3,10 +3,9 @@
 use ipfs_mon_bitswap::ProtocolVersion;
 use ipfs_mon_kad::DhtMode;
 use ipfs_mon_simnet::time::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// What kind of participant a simulated node is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeRole {
     /// An ordinary user-operated node ("homegrown" in the paper's Fig. 6).
     Regular,
@@ -30,7 +29,7 @@ impl NodeRole {
 }
 
 /// Static configuration of one simulated node.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct NodeConfig {
     /// The node's role in the network.
     pub role: NodeRole,

@@ -15,11 +15,10 @@
 
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
 use ipfs_mon_types::Cid;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Outcome of an HTTP request hitting the gateway cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOutcome {
     /// Served from cache; no Bitswap request is generated.
     Hit,
@@ -39,7 +38,7 @@ impl CacheOutcome {
 }
 
 /// Configuration of the gateway's HTTP cache.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct GatewayCacheConfig {
     /// Time-to-live after which cached content must be revalidated.
     pub ttl: SimDuration,
@@ -142,7 +141,7 @@ impl GatewayCache {
 }
 
 /// One public gateway operator as it appears on the public gateway list.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GatewayOperator {
     /// DNS-style name of the gateway ("gateway.example.org").
     pub name: String,

@@ -83,13 +83,12 @@ use ipfs_mon_simnet::source::EventSource;
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
 use ipfs_mon_types::{Cid, Country, Multiaddr, PeerId};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 /// One Bitswap wantlist entry as received by a monitor: the raw material of
 /// the paper's `(timestamp, node_ID, address, request_type, CID)` tuples.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct BitswapObservation {
     /// Arrival time at the monitor.
     pub timestamp: SimTime,
@@ -228,7 +227,7 @@ enum SourceState {
 }
 
 /// Summary of a completed run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// Event and outcome counters.
     pub counters: Counters,

@@ -14,10 +14,9 @@ use ipfs_mon_simnet::churn::NodeSchedule;
 use ipfs_mon_simnet::region::LatencyModel;
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
 use ipfs_mon_types::Country;
-use serde::{Deserialize, Serialize};
 
 /// Specification of one simulated (non-monitor) node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NodeSpec {
     /// Static node configuration (role, DHT mode, caching, …).
     pub config: NodeConfig,
@@ -33,7 +32,7 @@ pub struct NodeSpec {
 }
 
 /// Specification of one passive monitoring node.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MonitorSpec {
     /// Short label ("us", "de") used in reports.
     pub label: String,
@@ -56,7 +55,7 @@ impl MonitorSpec {
 }
 
 /// One content item in the catalog.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ContentSpec {
     /// The built DAG (root CID plus blocks).
     pub dag: BuiltDag,
@@ -75,7 +74,7 @@ impl ContentSpec {
 }
 
 /// A node-initiated ("homegrown") user request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestEvent {
     /// When the user asks their node for the content.
     pub at: SimTime,
@@ -86,7 +85,7 @@ pub struct RequestEvent {
 }
 
 /// An HTTP request arriving at a public gateway operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GatewayRequestEvent {
     /// When the HTTP request arrives.
     pub at: SimTime,
@@ -118,7 +117,7 @@ pub enum WorkloadEvent {
 }
 
 /// Tunable global parameters of a scenario.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ScenarioParams {
     /// Re-broadcast interval for unresolved wants (30 s in IPFS).
     pub rebroadcast_interval: SimDuration,
@@ -143,7 +142,7 @@ impl Default for ScenarioParams {
 }
 
 /// A complete simulation scenario.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Scenario {
     /// Seed every random decision of the run derives from.
     pub seed: u64,

@@ -10,10 +10,9 @@
 use ipfs_mon_bitswap::ProtocolVersion;
 use ipfs_mon_simnet::rng::SimRng;
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Per-node protocol upgrade schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UpgradeSchedule {
     /// The instant the node switches from legacy to modern Bitswap. `None`
     /// means the node never upgrades within the simulated horizon.
@@ -49,7 +48,7 @@ impl UpgradeSchedule {
 /// is exponentially distributed with mean `mean_upgrade_delay` (fast adopters
 /// upgrade within days, stragglers take months), which reproduces the gradual
 /// crossover visible in Fig. 4.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct AdoptionCurve {
     /// When the WANT_HAVE-capable release ships.
     pub release_at: SimTime,

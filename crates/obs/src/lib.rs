@@ -15,7 +15,7 @@
 //!   record wall-clock nanoseconds into a histogram when dropped. Hot loops
 //!   sample (e.g. 1 in 1024 events) so the span cost stays in the noise.
 //! - **Heartbeat reporter** ([`report::Reporter`]): a background thread that
-//!   periodically serializes a [`metrics::Snapshot`] as one JSON line —
+//!   periodically writes a [`metrics::Snapshot`] as one JSON line —
 //!   counters, per-second rates, gauges, histogram quantiles, and an
 //!   `events_per_sec` progress figure — to a file or stdout. A final line is
 //!   always emitted on shutdown so even sub-interval runs produce telemetry.

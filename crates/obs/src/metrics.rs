@@ -32,8 +32,6 @@
 //! operations are silently ignored — the pipeline registers a few dozen
 //! metrics, so hitting the ceiling means a naming bug, not a sizing problem.
 
-use serde::content::{struct_field, Content};
-use serde::{DeError, Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Number of histogram buckets: one for zero plus one per power of two.
@@ -335,32 +333,10 @@ macro_rules! histogram {
 // Snapshots
 // ---------------------------------------------------------------------------
 
-/// Serializes a string-keyed map as a JSON object (the vendored serde's
-/// blanket `BTreeMap` impl emits `[[k, v], …]` pair sequences, which would
-/// make heartbeat lines ungreppable by metric name).
-pub(crate) fn string_map_content<V: Serialize>(map: &BTreeMap<String, V>) -> Content {
-    Content::Map(
-        map.iter()
-            .map(|(name, value)| (name.clone(), value.to_content()))
-            .collect(),
-    )
-}
-
-fn string_map_from<V: Deserialize>(content: &Content) -> Result<BTreeMap<String, V>, DeError> {
-    let entries = content
-        .as_map()
-        .ok_or_else(|| DeError::msg("expected metric object"))?;
-    entries
-        .iter()
-        .map(|(name, value)| Ok((name.clone(), V::from_content(value)?)))
-        .collect()
-}
-
 /// A point-in-time aggregation of every registered metric across all shards.
 ///
-/// Serializes to/from JSON via the workspace serde; the heartbeat reporter
-/// derives its line format from this. Counter totals can lag live
-/// [`BatchedCounter`]s by up to one batch.
+/// The heartbeat reporter builds its lines from this. Counter totals can lag
+/// live [`BatchedCounter`]s by up to one batch.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     /// Counter totals by name (all registered counters, including zeros).
@@ -371,34 +347,8 @@ pub struct Snapshot {
     pub histograms: BTreeMap<String, HistogramSnapshot>,
 }
 
-impl Serialize for Snapshot {
-    fn to_content(&self) -> Content {
-        Content::Map(vec![
-            ("counters".to_string(), string_map_content(&self.counters)),
-            ("gauges".to_string(), string_map_content(&self.gauges)),
-            (
-                "histograms".to_string(),
-                string_map_content(&self.histograms),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for Snapshot {
-    fn from_content(content: &Content) -> Result<Self, DeError> {
-        let entries = content
-            .as_map()
-            .ok_or_else(|| DeError::msg("expected snapshot object"))?;
-        Ok(Self {
-            counters: string_map_from(struct_field(entries, "counters")?)?,
-            gauges: string_map_from(struct_field(entries, "gauges")?)?,
-            histograms: string_map_from(struct_field(entries, "histograms")?)?,
-        })
-    }
-}
-
 /// Aggregated state of one histogram.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HistogramSnapshot {
     /// Total samples recorded.
     pub count: u64,
@@ -744,24 +694,6 @@ mod tests {
                 (0..4).map(|t| t * 1000 * 100).sum::<u64>() + 4 * 4950
             );
         }
-    }
-
-    #[test]
-    fn snapshot_roundtrips_through_json() {
-        let mut snap = Snapshot::default();
-        snap.counters.insert("a.b".into(), 17);
-        snap.gauges.insert("g".into(), 3);
-        snap.histograms.insert(
-            "h".into(),
-            HistogramSnapshot {
-                count: 5,
-                sum: 500,
-                buckets: vec![(0, 1), (7, 4)],
-            },
-        );
-        let json = serde_json::to_string(&snap).unwrap();
-        let back: Snapshot = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, snap);
     }
 
     #[test]

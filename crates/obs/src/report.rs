@@ -141,7 +141,7 @@ impl Drop for Reporter {
 #[cfg(not(feature = "obs-off"))]
 mod live {
     use super::ReporterConfig;
-    use crate::metrics::{string_map_content, HistogramSnapshot, Snapshot};
+    use crate::metrics::{HistogramSnapshot, Snapshot};
     use serde::content::Content;
     use serde::Serialize;
     use std::collections::BTreeMap;
@@ -162,6 +162,17 @@ mod live {
         rates: BTreeMap<String, f64>,
         gauges: BTreeMap<String, u64>,
         histograms: BTreeMap<String, HistogramSummary>,
+    }
+
+    /// A string-keyed map as a JSON object (the vendored serde's blanket
+    /// `BTreeMap` impl emits `[[k, v], …]` pair sequences, which would make
+    /// heartbeat lines ungreppable by metric name).
+    fn string_map_content<V: Serialize>(map: &BTreeMap<String, V>) -> Content {
+        Content::Map(
+            map.iter()
+                .map(|(name, value)| (name.clone(), value.to_content()))
+                .collect(),
+        )
     }
 
     // Hand-written so the metric maps serialize as JSON objects keyed by

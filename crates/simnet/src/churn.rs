@@ -10,10 +10,9 @@
 
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the per-node churn process.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ChurnModel {
     /// Fraction of nodes that are effectively always online (stable servers,
     /// gateways, pinning services).
@@ -102,7 +101,7 @@ impl ChurnModel {
 }
 
 /// One contiguous online interval of a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OnlineSession {
     /// When the node comes online.
     pub start: SimTime,
@@ -118,7 +117,7 @@ impl OnlineSession {
 }
 
 /// The full online/offline schedule of a node over the simulated horizon.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NodeSchedule {
     /// Whether the node was classified as a stable, always-online node.
     pub stable: bool,

@@ -5,11 +5,10 @@
 //! harness then prints them next to the paper's numbers.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A set of named counters.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Counters {
     values: BTreeMap<String, u64>,
 }
@@ -137,7 +136,7 @@ impl<C: CounterId> TypedCounters<C> {
 
 /// A time series of counts bucketed by a fixed-width window (e.g. requests per
 /// hour, as used for Fig. 6, or per day, as used for Fig. 4).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BucketedSeries {
     bucket_width: SimDuration,
     buckets: BTreeMap<u64, u64>,

@@ -9,11 +9,10 @@
 use crate::rng::SimRng;
 use crate::time::SimDuration;
 use ipfs_mon_types::{Country, Multiaddr};
-use serde::{Deserialize, Serialize};
 
 /// A weighted mix of countries from which simulated peers draw their
 /// location.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CountryMix {
     entries: Vec<(Country, f64)>,
 }
@@ -85,7 +84,7 @@ impl CountryMix {
 /// on different continents. The absolute values are coarse, but they produce
 /// realistic *spreads* between the arrival times of the same broadcast at two
 /// monitors, which is what the preprocessing windows (5 s, 31 s) react to.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct LatencyModel {
     /// Mean one-way latency between peers in the same country.
     pub same_country_ms: f64,

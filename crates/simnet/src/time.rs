@@ -6,19 +6,14 @@
 //! 31 s re-broadcast detection window, hourly rate buckets, daily activity
 //! buckets — are expressed in this unit.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Sub};
 
 /// A point in simulated time, in milliseconds since the start of the run.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SimTime(u64);
 
 /// A span of simulated time, in milliseconds.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SimDuration(u64);
 
 impl SimTime {

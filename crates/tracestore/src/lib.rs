@@ -2,13 +2,12 @@
 //!
 //! The paper's real deployment logged hundreds of millions of Bitswap
 //! wantlist entries over ten days. Keeping every [`record::TraceEntry`] in
-//! memory (and persisting JSON) caps experiments far below that scale; this
+//! memory caps experiments far below that scale; this
 //! crate provides the storage layer that removes the cap:
 //!
 //! * [`record`] — the trace data model (`TraceEntry`, `ConnectionRecord`,
 //!   `MonitoringDataset`, `UnifiedTrace`), moved here from `ipfs-mon-core`
 //!   (which re-exports it) so storage and methodology layers stay acyclic.
-//!   JSON persistence remains available as a debug format.
 //! * [`segment`] — an append-only, chunked, columnar segment format for one
 //!   monitor's entries (the monitor index it stores is the constant 0 and is
 //!   refused when it is anything else; a dataset's manifest says which
@@ -66,8 +65,9 @@
 //!   monitoring service in `ipfs-mon-core`.
 //!
 //! A round-trip through a segment is lossless, and collected segments are a
-//! fraction of the size of the equivalent JSON: the workspace's
-//! `codec_robustness` test holds them under half of it.
+//! fraction of the size of the same dataset as JSON: the workspace's
+//! `codec_robustness` test holds them under half of that size, recorded when
+//! the JSON writer was deleted.
 
 #![warn(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

@@ -149,7 +149,7 @@ impl Manifest {
         self.segments.iter().filter(move |s| s.monitor == monitor)
     }
 
-    /// Serializes the manifest to bytes.
+    /// Encodes the manifest as bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut payload = Vec::new();
         encode_labels(&self.monitor_labels, &mut payload);
@@ -277,7 +277,7 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Serializes the checkpoint to bytes.
+    /// Encodes the checkpoint as bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut payload = Vec::new();
         encode_labels(&self.monitor_labels, &mut payload);

@@ -4,9 +4,8 @@
 //! `(timestamp, node_ID, address, request_type, CID)` tuples (Sec. IV-A).
 //! After preprocessing, entries additionally carry flags marking inter-monitor
 //! duplicates and same-monitor re-broadcasts (Sec. IV-B). This module defines
-//! those records and the in-memory trace containers, plus JSON persistence as
-//! a human-readable debug format. The compact columnar segment format in
-//! [`crate::segment`] is the scalable on-disk representation.
+//! those records and the in-memory trace containers. The compact columnar
+//! segment format in [`crate::segment`] is their one on-disk representation.
 //!
 //! The module lives in `ipfs-mon-tracestore` (the storage subsystem owns the
 //! record types); `ipfs_mon_core::trace` re-exports everything, so consumers
@@ -15,10 +14,9 @@
 use ipfs_mon_bitswap::RequestType;
 use ipfs_mon_simnet::time::SimTime;
 use ipfs_mon_types::{Cid, Multiaddr, PeerId};
-use serde::{Deserialize, Serialize};
 
 /// Flags attached to a trace entry by preprocessing.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EntryFlags {
     /// The same `(peer, request type, CID)` entry was already received by a
     /// *different* monitor within the inter-monitor duplicate window (5 s).
@@ -39,7 +37,7 @@ impl EntryFlags {
 
 /// One wantlist entry as recorded by a monitor (before or after
 /// preprocessing).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEntry {
     /// Arrival time at the monitor.
     pub timestamp: SimTime,
@@ -66,7 +64,7 @@ impl TraceEntry {
 }
 
 /// A connection observed by a monitor: who connected, when, and until when.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConnectionRecord {
     /// Monitor that held the connection.
     pub monitor: usize,
@@ -90,7 +88,7 @@ impl ConnectionRecord {
 
 /// The raw output of one monitoring deployment: per-monitor Bitswap entries
 /// plus connection logs.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MonitoringDataset {
     /// Human-readable monitor labels ("us", "de").
     pub monitor_labels: Vec<String>,
@@ -144,21 +142,11 @@ impl MonitoringDataset {
             .map(|c| c.peer)
             .collect()
     }
-
-    /// Serializes the dataset to JSON.
-    pub fn to_json(&self) -> serde_json::Result<String> {
-        serde_json::to_string(self)
-    }
-
-    /// Deserializes a dataset from JSON.
-    pub fn from_json(json: &str) -> serde_json::Result<Self> {
-        serde_json::from_str(json)
-    }
 }
 
 /// A unified, preprocessed trace: entries from all monitors merged into one
 /// time-ordered stream with duplicate/re-broadcast flags set.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct UnifiedTrace {
     /// All entries in timestamp order.
     pub entries: Vec<TraceEntry>,
@@ -183,16 +171,6 @@ impl UnifiedTrace {
     /// Primary entries that are requests (wants, not cancels).
     pub fn primary_requests(&self) -> impl Iterator<Item = &TraceEntry> {
         self.primary_entries().filter(|e| e.is_request())
-    }
-
-    /// Serializes the trace to JSON.
-    pub fn to_json(&self) -> serde_json::Result<String> {
-        serde_json::to_string(self)
-    }
-
-    /// Deserializes a trace from JSON.
-    pub fn from_json(json: &str) -> serde_json::Result<Self> {
-        serde_json::from_str(json)
     }
 }
 
@@ -285,20 +263,5 @@ mod tests {
         assert_eq!(trace.len(), 3);
         assert_eq!(trace.primary_entries().count(), 2);
         assert_eq!(trace.primary_requests().count(), 1);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let mut ds = MonitoringDataset::new(vec!["us".into()]);
-        ds.entries[0].push(entry(1, 1, 0));
-        let json = ds.to_json().unwrap();
-        let parsed = MonitoringDataset::from_json(&json).unwrap();
-        assert_eq!(parsed.entries[0], ds.entries[0]);
-
-        let trace = UnifiedTrace {
-            entries: vec![entry(1, 1, 0)],
-        };
-        let parsed = UnifiedTrace::from_json(&trace.to_json().unwrap()).unwrap();
-        assert_eq!(parsed.entries, trace.entries);
     }
 }

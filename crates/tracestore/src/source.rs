@@ -243,7 +243,7 @@ impl TraceSource for MonitoringDataset {
         &self.monitor_labels
     }
 
-    /// A dataset read from JSON may hold more entry vectors than labels.
+    /// A dataset built field by field may hold more entry vectors than labels.
     fn monitor_count(&self) -> usize {
         self.monitor_labels.len().max(self.entries.len())
     }

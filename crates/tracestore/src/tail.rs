@@ -153,27 +153,25 @@ impl DatasetTail {
     /// creates the next segment file only after durably sealing the
     /// current one, and a manifest only ever *lists* sealed segments — a
     /// manifest that merely exists (e.g. rebuilt by recovery while a
-    /// resumed writer grows new segments) seals nothing by itself.
-    fn current_is_sealed(&self, chain: &ChainTail) -> bool {
+    /// resumed writer grows new segments) seals nothing by itself. The
+    /// manifest is only ever replaced whole, by rename, so a manifest that
+    /// does not load is damage and fails the poll.
+    fn current_is_sealed(&self, chain: &ChainTail) -> Result<bool, SegmentError> {
         if self
             .dir
             .join(SegmentMeta::file_name_of(chain.monitor, chain.sequence + 1))
             .exists()
         {
-            return true;
+            return Ok(true);
         }
-        let manifest_path = self.dir.join(MANIFEST_FILE_NAME);
-        if !manifest_path.exists() {
-            return false;
+        match Manifest::load(self.dir.join(MANIFEST_FILE_NAME)) {
+            Ok(manifest) => Ok(manifest
+                .segments
+                .iter()
+                .any(|s| s.monitor == chain.monitor && s.sequence == chain.sequence)),
+            Err(SegmentError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
+            Err(e) => Err(e),
         }
-        Manifest::load(&manifest_path)
-            .map(|manifest| {
-                manifest
-                    .segments
-                    .iter()
-                    .any(|s| s.monitor == chain.monitor && s.sequence == chain.sequence)
-            })
-            .unwrap_or(false)
     }
 
     fn poll_chain(
@@ -222,7 +220,7 @@ impl DatasetTail {
             });
             chain.pos = pos + local as u64;
             if !sealed {
-                if local >= bytes.len() || !self.current_is_sealed(&self.chains[i]) {
+                if local >= bytes.len() || !self.current_is_sealed(&self.chains[i])? {
                     // Fully drained (wait for more data) or mid-frame of an
                     // open segment (the writer will complete it).
                     return Ok(());
@@ -411,6 +409,43 @@ mod tests {
         // A second poll reports nothing new.
         let again = tail.poll(|_| count += 1).unwrap();
         assert_eq!(again.entries, 0);
+        assert_eq!(count, 23);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The manifest is replaced only whole, so one that does not load is
+    /// damage: the poll fails instead of treating the last segment as
+    /// open and never checking its footer.
+    #[test]
+    fn damaged_manifest_fails_the_poll() {
+        let dir = temp_dir("bad-manifest");
+        std::fs::remove_dir_all(&dir).ok();
+        let mut writer =
+            DatasetWriter::create(&dir, vec!["solo".to_string()], config(2, 5)).unwrap();
+        for i in 0..23u64 {
+            writer.append(&entry(i, 0)).unwrap();
+        }
+        writer.finish().unwrap();
+        let path = dir.join(MANIFEST_FILE_NAME);
+        let intact = std::fs::read(&path).unwrap();
+        let mut damaged = intact.clone();
+        damaged[intact.len() / 2] ^= 0x01;
+        std::fs::write(&path, &damaged).unwrap();
+
+        let mut tail = DatasetTail::open(&dir, 1);
+        let mut count = 0u64;
+        let error = tail.poll(|_| count += 1).unwrap_err();
+        assert!(
+            matches!(&error, SegmentError::ChecksumMismatch { location } if location == "manifest"),
+            "{error:?}"
+        );
+        // Every chunk read before the damage was reported.
+        assert_eq!(count, 23);
+
+        // Repaired, the next poll seals the last segment and reports nothing new.
+        std::fs::write(&path, &intact).unwrap();
+        let report = tail.poll(|_| count += 1).unwrap();
+        assert_eq!((report.entries, report.segments_advanced), (0, 1));
         assert_eq!(count, 23);
         std::fs::remove_dir_all(&dir).ok();
     }

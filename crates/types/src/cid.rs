@@ -11,10 +11,9 @@ use crate::error::TypesError;
 use crate::multicodec::Multicodec;
 use crate::multihash::Multihash;
 use crate::varint;
-use serde::{Deserialize, Serialize};
 
 /// CID version.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum CidVersion {
     /// Legacy CIDv0: implicit dag-pb codec, implicit SHA-256, base58btc string.
     V0,
@@ -35,7 +34,7 @@ pub enum CidVersion {
 /// assert!(cid.verifies(b"hello world"));
 /// assert!(cid.to_string().starts_with('b')); // multibase base32 prefix
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Cid {
     version: CidVersion,
     codec: Multicodec,

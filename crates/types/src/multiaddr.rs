@@ -8,10 +8,9 @@
 
 use crate::error::TypesError;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Transport protocol of a connection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Transport {
     /// TCP with a yamux/mplex-style stream muxer.
     Tcp,
@@ -35,7 +34,7 @@ impl Transport {
 /// Two-letter country codes used by the geography analysis. The set mirrors
 /// the countries broken out in Table II plus an aggregate for the rest of the
 /// world.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[non_exhaustive]
 pub enum Country {
     /// United States.
@@ -106,7 +105,7 @@ impl std::fmt::Display for Country {
 
 /// A simplified multiaddr: IP literal, port, transport, and the country the IP
 /// geolocates to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Multiaddr {
     /// IPv4 address packed as a `u32` (the simulation only uses IPv4).
     pub ip: u32,

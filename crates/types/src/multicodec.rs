@@ -7,11 +7,10 @@
 //! codecs.
 
 use crate::error::TypesError;
-use serde::{Deserialize, Serialize};
 
 /// Content encodings distinguishable from a CID, following the multicodec
 /// table used by IPFS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[non_exhaustive]
 pub enum Multicodec {
     /// `dag-pb` (0x70): MerkleDAG protobuf nodes — files and directories.

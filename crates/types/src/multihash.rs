@@ -8,7 +8,6 @@
 use crate::error::TypesError;
 use crate::sha256;
 use crate::varint;
-use serde::{Deserialize, Serialize};
 
 /// Multihash code for SHA2-256.
 pub const SHA2_256_CODE: u64 = 0x12;
@@ -16,7 +15,7 @@ pub const SHA2_256_CODE: u64 = 0x12;
 pub const IDENTITY_CODE: u64 = 0x00;
 
 /// The hash function identified by a multihash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HashAlgorithm {
     /// SHA2-256, the IPFS default.
     Sha2_256,
@@ -114,21 +113,8 @@ impl std::hash::Hash for Digest {
     }
 }
 
-// Wire-compatible with the previous `Vec<u8>` field: a sequence of bytes.
-impl Serialize for Digest {
-    fn to_content(&self) -> serde::content::Content {
-        self.as_slice().to_content()
-    }
-}
-
-impl Deserialize for Digest {
-    fn from_content(content: &serde::content::Content) -> Result<Self, serde::DeError> {
-        Vec::<u8>::from_content(content).map(|bytes| Digest::new(&bytes))
-    }
-}
-
 /// A self-describing hash digest.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Multihash {
     code: u64,
     digest: Digest,
@@ -184,7 +170,7 @@ impl Multihash {
         self.digest.as_slice()
     }
 
-    /// Serializes to the canonical `<varint code><varint len><digest>` form.
+    /// Encodes to the canonical `<varint code><varint len><digest>` form.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
         self.write_bytes(&mut out);

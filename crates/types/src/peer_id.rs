@@ -10,7 +10,6 @@ use crate::encoding;
 use crate::error::TypesError;
 use crate::sha256;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Number of bytes in a peer ID.
 pub const PEER_ID_LEN: usize = 32;
@@ -18,7 +17,7 @@ pub const PEER_ID_LEN: usize = 32;
 pub const PEER_ID_BITS: usize = PEER_ID_LEN * 8;
 
 /// A 256-bit node identifier in the Kademlia key space.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PeerId([u8; PEER_ID_LEN]);
 
 impl PeerId {
@@ -165,7 +164,7 @@ impl std::fmt::Debug for Distance {
 /// A simulated keypair. Real IPFS peers hold Ed25519 or RSA keys; for the
 /// simulation only the mapping `public key → peer ID` matters, so the key
 /// material is random bytes and the peer ID is its SHA-256 hash.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Keypair {
     public: [u8; 32],
     secret: [u8; 32],

@@ -11,14 +11,13 @@ use ipfs_mon_blockstore::{build_file, build_typed_item};
 use ipfs_mon_node::ContentSpec;
 use ipfs_mon_simnet::rng::SimRng;
 use ipfs_mon_types::Multicodec;
-use serde::{Deserialize, Serialize};
 
 /// Relative frequency of each multicodec among catalog items.
 ///
 /// Note: Table I reports *request* shares, which are driven by both the
 /// catalog mix and popularity; the defaults below yield request shares close
 /// to the paper's once the popularity model is applied.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MulticodecMix {
     /// `(codec, weight)` entries.
     pub entries: Vec<(Multicodec, f64)>,
@@ -50,7 +49,7 @@ impl MulticodecMix {
 }
 
 /// Configuration of the content catalog.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CatalogConfig {
     /// Number of content items.
     pub items: usize,

@@ -12,10 +12,9 @@
 //! the workload is ROADMAP open item 2.
 
 use ipfs_mon_simnet::rng::SimRng;
-use serde::{Deserialize, Serialize};
 
 /// How popularity weights are assigned to catalog items.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PopularityModel {
     /// Zipf weights `1 / rank^s`.
     Zipf {

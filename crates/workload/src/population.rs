@@ -13,10 +13,9 @@ use ipfs_mon_simnet::region::CountryMix;
 use ipfs_mon_simnet::rng::SimRng;
 use ipfs_mon_simnet::time::SimDuration;
 use ipfs_mon_types::Country;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one gateway operator to generate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OperatorConfig {
     /// DNS-style name.
     pub name: String,
@@ -32,7 +31,7 @@ pub struct OperatorConfig {
 }
 
 /// Configuration of the node population.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PopulationConfig {
     /// Number of ordinary (non-gateway) nodes.
     pub nodes: usize,

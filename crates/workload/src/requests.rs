@@ -24,11 +24,10 @@ use ipfs_mon_simnet::churn::OnlineSession;
 use ipfs_mon_simnet::rng::SimRng;
 use ipfs_mon_simnet::source::EventSource;
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Configuration of the request workload.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RequestWorkloadConfig {
     /// Mean request rate per node, in requests per hour of online time.
     pub mean_node_requests_per_hour: f64,

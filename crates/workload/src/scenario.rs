@@ -12,10 +12,9 @@ use ipfs_mon_node::{DynWorkloadSource, MonitorSpec, Scenario, ScenarioParams};
 use ipfs_mon_simnet::rng::SimRng;
 use ipfs_mon_simnet::time::SimDuration;
 use ipfs_mon_types::Country;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one monitor deployment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MonitorConfig {
     /// Label used in reports ("us", "de").
     pub label: String,
@@ -26,7 +25,7 @@ pub struct MonitorConfig {
 }
 
 /// Full configuration of a generated scenario.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScenarioConfig {
     /// Master seed.
     pub seed: u64,

@@ -62,10 +62,6 @@ fn snapshot_builder(monitors: usize) -> SnapshotBuilder {
     SnapshotBuilder::new(monitors, START, window_end(), INTERVAL)
 }
 
-fn json<T: serde::Serialize>(value: &T) -> String {
-    serde_json::to_string(value).unwrap()
-}
-
 proptest! {
     /// On any dataset and layout: the filtered attack scan equals the scan
     /// of the whole flagged trace, whichever source it runs over; network
@@ -101,7 +97,7 @@ proptest! {
         let from_columns =
             estimate_network_size_source(&reader, START, window_end(), INTERVAL).unwrap();
         let reference = estimate_network_size(&case.dataset, START, window_end(), INTERVAL);
-        prop_assert_eq!(json(&from_columns), json(&reference));
+        prop_assert_eq!(format!("{from_columns:?}"), format!("{reference:?}"));
 
         // The benchmark's composition: fed chunks and sorted timestamps.
         let expected = run_sink(&reader, four_sinks()).unwrap();
@@ -126,7 +122,7 @@ proptest! {
         let by_chunk = reader.run_parallel(pair.clone()).unwrap();
         let by_entry = run_sink(&reader, pair).unwrap();
         prop_assert_eq!(&by_chunk.0, &by_entry.0);
-        prop_assert_eq!(json(&by_chunk.1), json(&by_entry.1));
+        prop_assert_eq!(format!("{:?}", by_chunk.1), format!("{:?}", by_entry.1));
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -299,7 +295,7 @@ fn unreferenced_dictionary_entries_change_nothing() {
 
     let netsize = estimate_network_size_source(&reader, START, window_end(), INTERVAL).unwrap();
     let reference = estimate_network_size(&dataset, START, window_end(), INTERVAL);
-    assert_eq!(json(&netsize), json(&reference));
+    assert_eq!(format!("{netsize:?}"), format!("{reference:?}"));
     let active: std::collections::HashSet<_> =
         dataset.entries[0].iter().map(|entry| entry.peer).collect();
     assert_eq!(netsize.bitswap_active_per_monitor[0], active.len());

@@ -168,10 +168,7 @@ fn scenario_analyses_from_manifest_match_in_memory() {
     let interval = SimDuration::from_mins(30);
     let batch = estimate_network_size(&dataset, start, end, interval);
     let stream = estimate_network_size_source(&reader, start, end, interval).unwrap();
-    assert_eq!(
-        serde_json::to_string(&stream).unwrap(),
-        serde_json::to_string(&batch).unwrap()
-    );
+    assert_eq!(format!("{stream:?}"), format!("{batch:?}"));
 
     // Privacy attacks (Sec. VI-A): IDW + TNW from the manifest in one pass.
     let target_cid = trace

@@ -1,10 +1,15 @@
-//! Persistence and stability of the trace formats.
+//! Stability of a trace across the segment store: preprocessing a dataset
+//! read back from disk gives what preprocessing it in memory gives.
 
+mod common;
+
+use common::{temp_dir, write_manifest_rotated};
 use ipfs_monitoring::core::{
-    unify_and_flag, MonitorCollector, MonitoringDataset, PreprocessConfig, UnifiedTrace,
+    flag_source, unify_and_flag, MonitorCollector, MonitoringDataset, PreprocessConfig,
 };
 use ipfs_monitoring::node::Network;
 use ipfs_monitoring::simnet::time::SimDuration;
+use ipfs_monitoring::tracestore::{ManifestReader, TraceEntry};
 use ipfs_monitoring::workload::{build_scenario, ScenarioConfig};
 
 fn small_dataset(seed: u64) -> MonitoringDataset {
@@ -17,32 +22,18 @@ fn small_dataset(seed: u64) -> MonitoringDataset {
 }
 
 #[test]
-fn dataset_json_roundtrip_preserves_everything() {
-    let dataset = small_dataset(600);
-    assert!(dataset.total_entries() > 0);
-    let json = dataset.to_json().unwrap();
-    let parsed = MonitoringDataset::from_json(&json).unwrap();
-    assert_eq!(parsed.monitor_labels, dataset.monitor_labels);
-    assert_eq!(parsed.entries, dataset.entries);
-    assert_eq!(parsed.connections, dataset.connections);
-}
-
-#[test]
-fn unified_trace_json_roundtrip_preserves_flags() {
-    let dataset = small_dataset(601);
-    let (trace, stats) = unify_and_flag(&dataset, PreprocessConfig::default());
-    let parsed = UnifiedTrace::from_json(&trace.to_json().unwrap()).unwrap();
-    assert_eq!(parsed.entries, trace.entries);
-    assert_eq!(parsed.primary_entries().count(), stats.primary);
-}
-
-#[test]
 fn preprocessing_is_idempotent_on_reloaded_data() {
     let dataset = small_dataset(602);
-    let json = dataset.to_json().unwrap();
-    let reloaded = MonitoringDataset::from_json(&json).unwrap();
+    assert!(dataset.total_entries() > 0);
+    let dir = temp_dir("reloaded");
+    write_manifest_rotated(&dataset, &dir, 500, 64);
+    let reader = ManifestReader::open(&dir).unwrap();
+
     let (a, sa) = unify_and_flag(&dataset, PreprocessConfig::default());
-    let (b, sb) = unify_and_flag(&reloaded, PreprocessConfig::default());
-    assert_eq!(a.entries, b.entries);
-    assert_eq!(sa, sb);
+    let mut stream = flag_source(&reader, PreprocessConfig::default());
+    let b: Vec<TraceEntry> = (&mut stream).collect();
+    assert!(stream.take_source_error().is_none());
+    assert_eq!(a.entries, b);
+    assert_eq!(sa, stream.stats());
+    std::fs::remove_dir_all(&dir).ok();
 }
