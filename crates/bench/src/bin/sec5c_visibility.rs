@@ -7,14 +7,12 @@
 //! the same qualitative gap.
 //!
 //! `--population <n>` and `--horizon-days <d>` override the default scale
-//! (1 500 nodes × 3 days, times `IPFS_MON_SCALE`). The experiment runs on the
-//! lazy event loop ([`run_experiment_lazy`]): requests are drawn while the
-//! simulation executes and no request vector is ever materialized, so
-//! order-of-magnitude larger scenarios — e.g. `--population 15000
-//! --horizon-days 7`, ten times the default event volume — keep simulator
-//! memory bounded by the population.
+//! (1 500 nodes × 3 days, times `IPFS_MON_SCALE`). Requests are drawn while
+//! the simulation executes ([`run_experiment`]), so order-of-magnitude larger
+//! scenarios — e.g. `--population 15000 --horizon-days 7`, ten times the
+//! default event volume — keep simulator memory bounded by the population.
 
-use ipfs_mon_bench::{args_or_exit, print_header, run_experiment_lazy, scaled, ScaleFlags};
+use ipfs_mon_bench::{args_or_exit, print_header, run_experiment, scaled, ScaleFlags};
 use ipfs_mon_kad::Crawler;
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
 use ipfs_mon_workload::ScenarioConfig;
@@ -38,7 +36,7 @@ fn main() {
         config.horizon = SimDuration::from_days(scale.horizon_days);
         config.population.client_fraction = *client_fraction;
         config.workload.mean_node_requests_per_hour = 0.3;
-        let run = run_experiment_lazy(&config);
+        let run = run_experiment(&config);
 
         let monitor_uniques: std::collections::HashSet<_> = (0..run.dataset.monitor_count())
             .flat_map(|m| run.dataset.peers_connected_to(m).into_iter())

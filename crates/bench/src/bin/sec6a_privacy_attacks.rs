@@ -8,7 +8,7 @@ use ipfs_mon_core::{
     per_peer_request_counts, run_attacks_source, AttackTargets, PreprocessConfig, TpiOutcome,
 };
 use ipfs_mon_simnet::time::SimDuration;
-use ipfs_mon_workload::ScenarioConfig;
+use ipfs_mon_workload::{build_scenario_lazy, drain_workload_sources, ScenarioConfig};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 fn main() {
@@ -19,14 +19,16 @@ fn main() {
     config.horizon = SimDuration::from_days(2);
     config.workload.mean_node_requests_per_hour = 1.5;
     let run = run_experiment(&config);
-    let scenario = run.network.scenario().clone();
+    let scenario = run.network.scenario();
 
-    // Ground truth: which nodes issued a user request for which content.
+    // Ground truth: which nodes issued a user request for which content — the
+    // requests the run drew, drained from a second copy of its sources.
     // Ordered maps: the targets below are picked by iterating these, and the
     // printed rows must not depend on hash order.
+    let (requests, _) = drain_workload_sources(build_scenario_lazy(&config).1);
     let mut truth_by_content: BTreeMap<usize, HashSet<_>> = BTreeMap::new();
     let mut truth_by_node: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
-    for request in &scenario.requests {
+    for request in &requests {
         truth_by_content
             .entry(request.content)
             .or_default()

@@ -13,15 +13,15 @@ use ipfs_mon_core::{gateway_nodes_by_operator, GatewayProber};
 use ipfs_mon_node::Network;
 use ipfs_mon_simnet::rng::SimRng;
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
-use ipfs_mon_workload::{build_scenario, ScenarioConfig};
+use ipfs_mon_workload::{build_scenario_lazy, ScenarioConfig};
 
 fn main() {
     no_args();
     let mut config = ScenarioConfig::analysis_week(109, scaled(500));
     config.horizon = SimDuration::from_days(1);
     config.workload.gateway_requests_per_hour = 500.0;
-    let scenario = build_scenario(&config);
-    let mut network = Network::new(scenario);
+    let (scenario, sources) = build_scenario_lazy(&config);
+    let mut network = Network::with_sources(scenario, sources);
 
     // Repeat the probe a few times per operator (the paper probes regularly).
     let mut prober = GatewayProber::new();

@@ -28,7 +28,7 @@ use ipfs_mon_core::{
 use ipfs_mon_node::{Network, RunReport};
 use ipfs_mon_simnet::time::SimDuration;
 use ipfs_mon_types::PeerId;
-use ipfs_mon_workload::{build_scenario, build_scenario_lazy, ScenarioConfig};
+use ipfs_mon_workload::{build_scenario_lazy, ScenarioConfig};
 use std::collections::HashSet;
 
 /// Everything an experiment typically needs after a simulation run.
@@ -46,20 +46,10 @@ pub struct ExperimentRun {
 }
 
 /// Builds and runs a scenario end to end with the standard monitoring
-/// pipeline attached.
+/// pipeline attached. The request workload is drawn while the simulation
+/// runs (`build_scenario_lazy` + [`Network::with_sources`]), so memory stays
+/// bounded by the population, whatever the horizon.
 pub fn run_experiment(config: &ScenarioConfig) -> ExperimentRun {
-    let scenario = build_scenario(config);
-    let labels: Vec<String> = scenario.monitors.iter().map(|m| m.label.clone()).collect();
-    let network = Network::new(scenario);
-    run_network_with_labels(network, labels)
-}
-
-/// Like [`run_experiment`], but the request workload is generated lazily
-/// while the simulation runs (`build_scenario_lazy` +
-/// [`Network::with_sources`]): no request vector is ever materialized, so
-/// memory stays bounded by the population even for order-of-magnitude larger
-/// horizons. The monitor trace is byte-identical to [`run_experiment`].
-pub fn run_experiment_lazy(config: &ScenarioConfig) -> ExperimentRun {
     let (scenario, sources) = build_scenario_lazy(config);
     let labels: Vec<String> = scenario.monitors.iter().map(|m| m.label.clone()).collect();
     let network = Network::with_sources(scenario, sources);

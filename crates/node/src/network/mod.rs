@@ -28,16 +28,16 @@
 //!
 //! # Event loop
 //!
-//! Churn schedules and the request vectors feed the run through per-process
-//! cursors ([`ScheduleCursor`] per node, one cursor per request vector, plus
-//! any external [`EventSource`]-backed processes registered via
+//! Churn schedules and the request workload feed the run through
+//! per-process cursors ([`ScheduleCursor`] per node, plus the
+//! [`EventSource`]-backed processes registered via
 //! [`Network::with_sources`]), merged on demand by a small head-heap. Only
 //! *runtime* events (re-broadcasts, retrieval completions, attack
 //! injections) live in the scheduler — a hierarchical timer wheel — so the
 //! pending set scales with concurrency, not with `population × horizon`.
-//! Timestamp ties between sources are broken by source rank (node order,
-//! then user requests, then gateway requests, then external sources), and
-//! source events at an instant precede runtime events at the same instant.
+//! Timestamp ties between sources are broken by source rank (churn in node
+//! order, then sources in the order given), and source events at an instant
+//! precede runtime events at the same instant.
 //! That is the FIFO order a scheduler delivers when every source is drained
 //! into it, in rank order, before the run; this module's tests keep exactly
 //! that drained run as the reference the loop is compared against.
@@ -206,22 +206,11 @@ enum NetEvent {
 pub type DynWorkloadSource = Box<dyn EventSource<Event = WorkloadEvent> + Send>;
 
 /// One lazy initial-event process of a run. Ranks (vector order) break
-/// timestamp ties: churn sources come first in node order, then the two
-/// request vectors, then external sources.
+/// timestamp ties: churn sources come first in node order, then external
+/// sources in the order given.
 enum SourceState {
     /// Churn transitions of one node, read straight off its schedule.
     Churn { node: usize, cursor: ScheduleCursor },
-    /// Cursor over `scenario.requests`; `order` holds a stable-by-time
-    /// permutation when the vector is not already time-sorted.
-    Requests {
-        cursor: usize,
-        order: Option<Box<[u32]>>,
-    },
-    /// Cursor over `scenario.gateway_requests`.
-    GatewayRequests {
-        cursor: usize,
-        order: Option<Box<[u32]>>,
-    },
     /// An external pull-based process (lazy workload generation).
     External(DynWorkloadSource),
 }
@@ -273,9 +262,10 @@ pub struct Network {
 }
 
 impl Network {
-    /// Builds the runtime state for a scenario. Initial events (churn and the
-    /// request vectors) are pulled lazily during [`Network::run`]; memory
-    /// stays proportional to the population, not the horizon.
+    /// Builds the runtime state for a scenario with no request workload:
+    /// churn only, plus whatever is injected with
+    /// [`Network::schedule_request`] and
+    /// [`Network::schedule_gateway_request`].
     ///
     /// # Panics
     ///
@@ -284,11 +274,10 @@ impl Network {
         Self::with_sources(scenario, Vec::new())
     }
 
-    /// Builds a network fed by additional external event sources on top of
-    /// whatever the scenario's own vectors contain. Sources rank after churn
-    /// and the scenario vectors for timestamp tie-breaking, in the order
-    /// given — pass node-request sources first, then gateway streams, to
-    /// mirror the layout of the scenario vectors.
+    /// Builds a network whose requests come from `external`, each source
+    /// pulled one event at a time during [`Network::run`]: memory stays
+    /// proportional to the population, not the horizon. Sources rank after
+    /// churn for timestamp tie-breaking, in the order given.
     ///
     /// # Panics
     ///
@@ -379,18 +368,6 @@ impl Network {
                     cursor: ScheduleCursor::new(),
                 });
             }
-        }
-        if !scenario.requests.is_empty() {
-            sources.push(SourceState::Requests {
-                cursor: 0,
-                order: stable_time_order(&scenario.requests, |r| r.at),
-            });
-        }
-        if !scenario.gateway_requests.is_empty() {
-            sources.push(SourceState::GatewayRequests {
-                cursor: 0,
-                order: stable_time_order(&scenario.gateway_requests, |r| r.at),
-            });
         }
         sources.extend(external.into_iter().map(SourceState::External));
 
@@ -1001,13 +978,6 @@ fn source_state_peek(source: &SourceState, scenario: &Scenario) -> Option<SimTim
         SourceState::Churn { node, cursor } => {
             cursor.peek(&scenario.nodes[*node].schedule).map(|(t, _)| t)
         }
-        SourceState::Requests { cursor, order } => {
-            cursor_index(scenario.requests.len(), *cursor, order).map(|i| scenario.requests[i].at)
-        }
-        SourceState::GatewayRequests { cursor, order } => {
-            cursor_index(scenario.gateway_requests.len(), *cursor, order)
-                .map(|i| scenario.gateway_requests[i].at)
-        }
         SourceState::External(source) => source.peek_time(),
     }
 }
@@ -1024,30 +994,6 @@ fn source_state_pop(source: &mut SourceState, scenario: &Scenario) -> Option<(Si
             };
             Some((t, event))
         }
-        SourceState::Requests { cursor, order } => {
-            let index = cursor_index(scenario.requests.len(), *cursor, order)?;
-            *cursor += 1;
-            let r = scenario.requests[index];
-            Some((
-                r.at,
-                NetEvent::UserRequest {
-                    node: r.node,
-                    content: r.content,
-                },
-            ))
-        }
-        SourceState::GatewayRequests { cursor, order } => {
-            let index = cursor_index(scenario.gateway_requests.len(), *cursor, order)?;
-            *cursor += 1;
-            let r = scenario.gateway_requests[index];
-            Some((
-                r.at,
-                NetEvent::GatewayHttp {
-                    operator: r.operator,
-                    content: r.content,
-                },
-            ))
-        }
         SourceState::External(source) => {
             let (t, event) = source.next_event()?;
             let event = match event {
@@ -1059,33 +1005,6 @@ fn source_state_pop(source: &mut SourceState, scenario: &Scenario) -> Option<(Si
             Some((t, event))
         }
     }
-}
-
-/// Resolves a vector cursor to the element index it points at — through the
-/// stable time permutation when one exists — or `None` past the end. Both
-/// request-vector source kinds peek and pop through this one helper so their
-/// ordering logic cannot drift apart.
-fn cursor_index(len: usize, cursor: usize, order: &Option<Box<[u32]>>) -> Option<usize> {
-    match order {
-        Some(order) => order.get(cursor).map(|&i| i as usize),
-        None => (cursor < len).then_some(cursor),
-    }
-}
-
-/// Stable permutation of `items` by timestamp, or `None` when they are
-/// already sorted (the generated workloads always are). Ties keep vector
-/// order.
-fn stable_time_order<T>(items: &[T], at: impl Fn(&T) -> SimTime) -> Option<Box<[u32]>> {
-    assert!(
-        u32::try_from(items.len()).is_ok(),
-        "request vectors above u32::MAX entries are not supported"
-    );
-    if items.windows(2).all(|w| at(&w[0]) <= at(&w[1])) {
-        return None;
-    }
-    let mut order: Vec<u32> = (0..items.len() as u32).collect();
-    order.sort_by_key(|&i| at(&items[i as usize]));
-    Some(order.into_boxed_slice())
 }
 
 /// A [`DhtView`] over the network frozen at a particular instant, used by the
@@ -1183,13 +1102,12 @@ mod tests {
 
     #[test]
     fn request_produces_want_and_cancel_observations() {
-        let mut scenario = base_scenario(5);
-        scenario.requests.push(RequestEvent {
+        let request = RequestEvent {
             at: SimTime::from_secs(60),
             node: 3,
             content: 0,
-        });
-        let mut network = Network::new(scenario);
+        };
+        let mut network = fed(base_scenario(5), vec![request], vec![]);
         let requester = network.peer_id(3);
         let mut sink = RecordingSink::new(1);
         let report = network.run(&mut sink);
@@ -1216,18 +1134,19 @@ mod tests {
 
     #[test]
     fn cached_content_suppresses_second_request() {
-        let mut scenario = base_scenario(3);
-        scenario.requests.push(RequestEvent {
-            at: SimTime::from_secs(60),
-            node: 1,
-            content: 0,
-        });
-        scenario.requests.push(RequestEvent {
-            at: SimTime::from_secs(1200),
-            node: 1,
-            content: 0,
-        });
-        let mut network = Network::new(scenario);
+        let requests = vec![
+            RequestEvent {
+                at: SimTime::from_secs(60),
+                node: 1,
+                content: 0,
+            },
+            RequestEvent {
+                at: SimTime::from_secs(1200),
+                node: 1,
+                content: 0,
+            },
+        ];
+        let mut network = fed(base_scenario(3), requests, vec![]);
         let mut sink = RecordingSink::new(1);
         let report = network.run(&mut sink);
         assert_eq!(report.counters.get("requests_cache_hit"), 1);
@@ -1241,13 +1160,12 @@ mod tests {
 
     #[test]
     fn unresolvable_content_is_rebroadcast_until_timeout() {
-        let mut scenario = base_scenario(3);
-        scenario.requests.push(RequestEvent {
+        let request = RequestEvent {
             at: SimTime::from_secs(60),
             node: 1,
             content: 1, // no providers
-        });
-        let mut network = Network::new(scenario);
+        };
+        let mut network = fed(base_scenario(3), vec![request], vec![]);
         let mut sink = RecordingSink::new(1);
         let report = network.run(&mut sink);
         // want_timeout is 10 min, re-broadcast every 30 s → 19 re-broadcasts
@@ -1264,18 +1182,19 @@ mod tests {
 
     #[test]
     fn downloader_becomes_provider_for_subsequent_requests() {
-        let mut scenario = base_scenario(4);
-        scenario.requests.push(RequestEvent {
-            at: SimTime::from_secs(60),
-            node: 1,
-            content: 0,
-        });
-        scenario.requests.push(RequestEvent {
-            at: SimTime::from_secs(600),
-            node: 2,
-            content: 0,
-        });
-        let mut network = Network::new(scenario);
+        let requests = vec![
+            RequestEvent {
+                at: SimTime::from_secs(60),
+                node: 1,
+                content: 0,
+            },
+            RequestEvent {
+                at: SimTime::from_secs(600),
+                node: 2,
+                content: 0,
+            },
+        ];
+        let mut network = fed(base_scenario(4), requests, vec![]);
         let mut sink = RecordingSink::new(1);
         let report = network.run(&mut sink);
         assert_eq!(report.counters.get("cancels"), 2);
@@ -1287,12 +1206,12 @@ mod tests {
     fn legacy_nodes_emit_want_block() {
         let mut scenario = base_scenario(3);
         scenario.nodes[1].upgrade = UpgradeSchedule::never();
-        scenario.requests.push(RequestEvent {
+        let request = RequestEvent {
             at: SimTime::from_secs(60),
             node: 1,
             content: 0,
-        });
-        let mut network = Network::new(scenario);
+        };
+        let mut network = fed(scenario, vec![request], vec![]);
         let mut sink = RecordingSink::new(1);
         network.run(&mut sink);
         assert!(sink.observations[0]
@@ -1310,12 +1229,12 @@ mod tests {
             stable: false,
             sessions: vec![],
         };
-        scenario.requests.push(RequestEvent {
+        let request = RequestEvent {
             at: SimTime::from_secs(60),
             node: 1,
             content: 0,
-        });
-        let mut network = Network::new(scenario);
+        };
+        let mut network = fed(scenario, vec![request], vec![]);
         let mut sink = RecordingSink::new(1);
         let report = network.run(&mut sink);
         assert_eq!(report.counters.get("requests_while_offline"), 1);
@@ -1346,12 +1265,12 @@ mod tests {
             dag: build_file(999, 100, 1024, 4),
             initial_providers: vec![],
         });
-        scenario.requests.push(RequestEvent {
+        let request = RequestEvent {
             at: SimTime::from_secs(100),
             node: 2,
             content: 2,
-        });
-        let mut network = Network::new(scenario);
+        };
+        let mut network = fed(scenario, vec![request], vec![]);
         network.register_monitor_provider(0, 2);
         let mut sink = RecordingSink::new(1);
         let report = network.run(&mut sink);
@@ -1380,16 +1299,12 @@ mod tests {
             .push(GatewayOperator::new("gateway.example", vec![gw_index], 1.0));
         // Three HTTP requests for the same content in quick succession: one
         // miss (Bitswap visible) followed by cache hits (invisible).
-        for secs in [100, 200, 300] {
-            scenario
-                .gateway_requests
-                .push(crate::spec::GatewayRequestEvent {
-                    at: SimTime::from_secs(secs),
-                    operator: 0,
-                    content: 0,
-                });
-        }
-        let mut network = Network::new(scenario);
+        let gateway = [100, 200, 300].map(|secs| GatewayRequestEvent {
+            at: SimTime::from_secs(secs),
+            operator: 0,
+            content: 0,
+        });
+        let mut network = fed(scenario, vec![], gateway.into());
         let mut sink = RecordingSink::new(1);
         let report = network.run(&mut sink);
         assert_eq!(report.counters.get("gateway_cache_misses"), 1);
@@ -1426,26 +1341,24 @@ mod tests {
     #[test]
     fn run_is_deterministic_for_a_seed() {
         let build = || {
-            let mut scenario = base_scenario(8);
-            for secs in [60, 120, 180, 240] {
-                scenario.requests.push(RequestEvent {
-                    at: SimTime::from_secs(secs),
-                    node: (secs / 60) as usize % 8,
-                    content: (secs / 120) as usize % 2,
-                });
-            }
-            scenario
+            let requests = [60, 120, 180, 240].map(|secs| RequestEvent {
+                at: SimTime::from_secs(secs),
+                node: (secs / 60) as usize % 8,
+                content: (secs / 120) as usize % 2,
+            });
+            fed(base_scenario(8), requests.into(), vec![])
         };
         let mut sink_a = RecordingSink::new(1);
         let mut sink_b = RecordingSink::new(1);
-        Network::new(build()).run(&mut sink_a);
-        Network::new(build()).run(&mut sink_b);
+        build().run(&mut sink_a);
+        build().run(&mut sink_b);
         assert_eq!(sink_a.observations, sink_b.observations);
     }
 
     /// Scenario with churn, user requests and gateway traffic — every event
-    /// kind at once — for the comparisons against [`drained`].
-    fn busy_scenario(seed: u64) -> Scenario {
+    /// kind at once — for the comparisons against [`drained`]: the scenario,
+    /// its user requests and its gateway requests, each list in time order.
+    fn busy_scenario(seed: u64) -> (Scenario, Vec<RequestEvent>, Vec<GatewayRequestEvent>) {
         let horizon = SimDuration::from_hours(3);
         let mut scenario = Scenario::new(seed, horizon);
         for i in 0..12 {
@@ -1492,13 +1405,15 @@ mod tests {
             initial_providers: vec![],
         });
         // Requests, some at the exact instants of churn transitions.
-        for (i, secs) in [40, 80, 120, 3_040, 3_080, 5_000, 5_000].iter().enumerate() {
-            scenario.requests.push(RequestEvent {
+        let requests = [40, 80, 120, 3_040, 3_080, 5_000, 5_000]
+            .iter()
+            .enumerate()
+            .map(|(i, secs)| RequestEvent {
                 at: SimTime::from_secs(*secs),
                 node: i % 12,
                 content: i % 2,
-            });
-        }
+            })
+            .collect();
         let horizon2 = scenario.horizon;
         scenario.nodes.push(NodeSpec {
             config: NodeConfig::gateway(),
@@ -1511,16 +1426,18 @@ mod tests {
         scenario
             .operators
             .push(GatewayOperator::new("gw.example", vec![gw], 1.0));
-        for secs in [100, 3_040, 6_000] {
-            scenario
-                .gateway_requests
-                .push(crate::spec::GatewayRequestEvent {
-                    at: SimTime::from_secs(secs),
-                    operator: 0,
-                    content: 0,
-                });
-        }
-        scenario
+        let gateway = [100, 3_040, 6_000].map(|secs| GatewayRequestEvent {
+            at: SimTime::from_secs(secs),
+            operator: 0,
+            content: 0,
+        });
+        (scenario, requests, gateway.into())
+    }
+
+    /// [`busy_scenario`] as a network fed by its requests.
+    fn busy(seed: u64) -> Network {
+        let (scenario, requests, gateway) = busy_scenario(seed);
+        fed(scenario, requests, gateway)
     }
 
     /// The reference the event loop is held to: every source drained, in
@@ -1542,19 +1459,23 @@ mod tests {
         (sink, report)
     }
 
-    /// `busy_scenario` with both request vectors moved into external sources.
-    fn externally_fed(seed: u64) -> Network {
-        let mut scenario = busy_scenario(seed);
-        let requests = std::mem::take(&mut scenario.requests).into_iter().map(|r| {
+    /// A network over `scenario` fed `requests`, then `gateway`, as two
+    /// external sources: the layout `build_scenario_lazy` gives a run, node
+    /// requests ranked before the gateway stream. Each list must be in time
+    /// order.
+    fn fed(
+        scenario: Scenario,
+        requests: Vec<RequestEvent>,
+        gateway: Vec<GatewayRequestEvent>,
+    ) -> Network {
+        let requests = requests.into_iter().map(|r| {
             let (node, content) = (r.node, r.content);
             (r.at, WorkloadEvent::Request { node, content })
         });
-        let gateway = std::mem::take(&mut scenario.gateway_requests)
-            .into_iter()
-            .map(|r| {
-                let (operator, content) = (r.operator, r.content);
-                (r.at, WorkloadEvent::Gateway { operator, content })
-            });
+        let gateway = gateway.into_iter().map(|r| {
+            let (operator, content) = (r.operator, r.content);
+            (r.at, WorkloadEvent::Gateway { operator, content })
+        });
         Network::with_sources(
             scenario,
             vec![
@@ -1567,40 +1488,34 @@ mod tests {
     #[test]
     fn all_execution_modes_produce_identical_traces() {
         for seed in [7, 21, 99] {
-            let (reference_sink, reference) = record(drained(Network::new(busy_scenario(seed))));
-            for (feed, network) in [
-                ("scenario vectors", Network::new(busy_scenario(seed))),
-                ("external sources", externally_fed(seed)),
-                ("drained external sources", drained(externally_fed(seed))),
-            ] {
-                let (sink, report) = record(network);
-                assert_eq!(
-                    sink.observations, reference_sink.observations,
-                    "observations diverge for seed {seed} fed by {feed}"
-                );
-                assert_eq!(
-                    sink.connections, reference_sink.connections,
-                    "connections diverge for seed {seed} fed by {feed}"
-                );
-                assert_eq!(report.events_processed, reference.events_processed);
-                assert_eq!(report.counters, reference.counters);
-            }
+            let (reference_sink, reference) = record(drained(busy(seed)));
+            let (sink, report) = record(busy(seed));
+            assert_eq!(
+                sink.observations, reference_sink.observations,
+                "observations diverge for seed {seed}"
+            );
+            assert_eq!(
+                sink.connections, reference_sink.connections,
+                "connections diverge for seed {seed}"
+            );
+            assert_eq!(report.events_processed, reference.events_processed);
+            assert_eq!(report.counters, reference.counters);
         }
     }
 
     #[test]
     fn lazy_mode_keeps_pending_set_small() {
-        let mut scenario = busy_scenario(5);
+        let (scenario, mut requests, gateway) = busy_scenario(5);
         // Many more requests so the drained pending set dwarfs concurrency.
-        for i in 0..2_000u64 {
-            scenario.requests.push(RequestEvent {
-                at: SimTime::from_secs(10 + i * 5),
-                node: (i % 12) as usize,
-                content: (i % 2) as usize,
-            });
-        }
-        let (_, materialized) = record(drained(Network::new(scenario.clone())));
-        let (_, lazy) = record(Network::new(scenario));
+        requests.extend((0..2_000u64).map(|i| RequestEvent {
+            at: SimTime::from_secs(10 + i * 5),
+            node: (i % 12) as usize,
+            content: (i % 2) as usize,
+        }));
+        requests.sort_by_key(|r| r.at);
+        let build = || fed(scenario.clone(), requests.clone(), gateway.clone());
+        let (_, materialized) = record(drained(build()));
+        let (_, lazy) = record(build());
         assert_eq!(materialized.events_processed, lazy.events_processed);
         assert!(
             materialized.peak_pending >= 2_000,
@@ -1613,42 +1528,6 @@ mod tests {
             lazy.peak_pending,
             materialized.peak_pending
         );
-    }
-
-    #[test]
-    fn unsorted_request_vectors_replay_in_materialized_order() {
-        let mut scenario = base_scenario(6);
-        // Deliberately unsorted, with a timestamp tie: a scheduler delivers
-        // ties in vector order, and the request cursor must match.
-        scenario.requests = vec![
-            RequestEvent {
-                at: SimTime::from_secs(600),
-                node: 1,
-                content: 0,
-            },
-            RequestEvent {
-                at: SimTime::from_secs(60),
-                node: 2,
-                content: 0,
-            },
-            RequestEvent {
-                at: SimTime::from_secs(600),
-                node: 3,
-                content: 1,
-            },
-        ];
-        // The reference schedules the vector as it stands, not through the
-        // cursor's permutation.
-        let mut reference = drained(Network::new(Scenario {
-            requests: Vec::new(),
-            ..scenario.clone()
-        }));
-        for r in &scenario.requests {
-            reference.schedule_request(*r);
-        }
-        let (lazy_sink, _) = record(Network::new(scenario));
-        let (materialized_sink, _) = record(reference);
-        assert_eq!(lazy_sink.observations, materialized_sink.observations);
     }
 
     #[test]
@@ -1669,8 +1548,8 @@ mod tests {
             });
             record(network)
         };
-        let (lazy_sink, lazy_report) = inject(Network::new(busy_scenario(3)));
-        let (seed_sink, seed_report) = inject(drained(Network::new(busy_scenario(3))));
+        let (lazy_sink, lazy_report) = inject(busy(3));
+        let (seed_sink, seed_report) = inject(drained(busy(3)));
         assert_eq!(lazy_sink.observations, seed_sink.observations);
         assert_eq!(lazy_sink.connections, seed_sink.connections);
         assert_eq!(lazy_report.events_processed, seed_report.events_processed);
@@ -1680,7 +1559,7 @@ mod tests {
     fn probe_content_added_at_runtime_is_observable_in_sharded_mode() {
         // add_content + register_monitor_provider after build: the
         // gateway-probing flow.
-        let mut network = Network::new(busy_scenario(11));
+        let mut network = busy(11);
         let content = network.add_content(ContentSpec {
             dag: build_file(7_777, 100, 1024, 4),
             initial_providers: vec![],
@@ -1717,11 +1596,11 @@ mod tests {
                 }],
             };
         }
-        scenario.requests.push(RequestEvent {
+        let request = RequestEvent {
             at: t,
             node: 1,
             content: 0,
-        });
+        };
         let run_twice = |mut network: Network| {
             // A runtime-queue event at `t`, older than anything the run will
             // schedule.
@@ -1747,7 +1626,8 @@ mod tests {
             (sink, seen, first, second, roots)
         };
 
-        let (sink, seen, first, second, roots) = run_twice(Network::new(scenario.clone()));
+        let (sink, seen, first, second, roots) =
+            run_twice(fed(scenario.clone(), vec![request], vec![]));
         // Churn before requests: node 1 was online for both of its requests.
         assert_eq!(first.counters.get("requests_while_offline"), 0);
         assert_eq!(first.counters.get("requests_total"), 2);
@@ -1769,7 +1649,7 @@ mod tests {
             .iter()
             .all(|o| o.timestamp >= late));
 
-        let (reference_sink, ..) = run_twice(drained(Network::new(scenario)));
+        let (reference_sink, ..) = run_twice(drained(fed(scenario, vec![request], vec![])));
         assert_eq!(sink.observations, reference_sink.observations);
         assert_eq!(sink.connections, reference_sink.connections);
     }

@@ -1,10 +1,12 @@
 //! Scenario specifications: the declarative input to a network simulation.
 //!
-//! A [`Scenario`] bundles everything a run needs — the node population (with
-//! churn schedules, countries, protocol-upgrade times), the content catalog,
-//! the request workload (node-initiated and gateway/HTTP-initiated), the
-//! gateway operators, and the monitoring setup. The `ipfs-mon-workload` crate
-//! generates scenarios; [`crate::network::Network`] executes them.
+//! A [`Scenario`] bundles the world a run happens in — the node population
+//! (with churn schedules, countries, protocol-upgrade times), the content
+//! catalog, the gateway operators, and the monitoring setup. The request
+//! workload (node-initiated and gateway/HTTP-initiated) is not part of it:
+//! it reaches a run as event sources yielding [`WorkloadEvent`]s (see
+//! [`crate::network::Network::with_sources`]). The `ipfs-mon-workload` crate
+//! generates both; [`crate::network::Network`] executes them.
 
 use crate::config::NodeConfig;
 use crate::gateway::GatewayOperator;
@@ -156,10 +158,6 @@ pub struct Scenario {
     pub operators: Vec<GatewayOperator>,
     /// The content catalog.
     pub content: Vec<ContentSpec>,
-    /// Node-initiated requests.
-    pub requests: Vec<RequestEvent>,
-    /// Gateway/HTTP-initiated requests.
-    pub gateway_requests: Vec<GatewayRequestEvent>,
     /// Global tunables.
     pub params: ScenarioParams,
 }
@@ -174,8 +172,6 @@ impl Scenario {
             monitors: Vec::new(),
             operators: Vec::new(),
             content: Vec::new(),
-            requests: Vec::new(),
-            gateway_requests: Vec::new(),
             params: ScenarioParams::default(),
         }
     }
@@ -188,43 +184,12 @@ impl Scenario {
             .count()
     }
 
-    /// Basic sanity checks: indices in requests/operators must be in range and
-    /// request times within the horizon. Returns a list of problems (empty if
-    /// the scenario is consistent).
+    /// Basic sanity checks: indices in operators and content providers must be
+    /// in range, attach probabilities in `[0, 1]` and node sessions in time
+    /// order. Returns a list of problems (empty if the scenario is
+    /// consistent).
     pub fn validate(&self) -> Vec<String> {
         let mut problems = Vec::new();
-        let horizon_end = SimTime::ZERO + self.horizon;
-        for (i, r) in self.requests.iter().enumerate() {
-            if r.node >= self.nodes.len() {
-                problems.push(format!(
-                    "request {i} references node {} out of range",
-                    r.node
-                ));
-            }
-            if r.content >= self.content.len() {
-                problems.push(format!(
-                    "request {i} references content {} out of range",
-                    r.content
-                ));
-            }
-            if r.at > horizon_end {
-                problems.push(format!("request {i} scheduled after the horizon"));
-            }
-        }
-        for (i, r) in self.gateway_requests.iter().enumerate() {
-            if r.operator >= self.operators.len() {
-                problems.push(format!(
-                    "gateway request {i} references operator {} out of range",
-                    r.operator
-                ));
-            }
-            if r.content >= self.content.len() {
-                problems.push(format!(
-                    "gateway request {i} references content {} out of range",
-                    r.content
-                ));
-            }
-        }
         for (i, op) in self.operators.iter().enumerate() {
             for &idx in &op.node_indices {
                 if idx >= self.nodes.len() {
@@ -302,11 +267,6 @@ mod tests {
             dag: build_file(1, 1000, 256 * 1024, 174),
             initial_providers: vec![0],
         });
-        scenario.requests.push(RequestEvent {
-            at: SimTime::from_secs(10),
-            node: 0,
-            content: 0,
-        });
         scenario
     }
 
@@ -318,20 +278,13 @@ mod tests {
     #[test]
     fn out_of_range_indices_are_reported() {
         let mut s = tiny_scenario();
-        s.requests.push(RequestEvent {
-            at: SimTime::from_secs(5),
-            node: 99,
-            content: 42,
-        });
-        s.gateway_requests.push(GatewayRequestEvent {
-            at: SimTime::from_secs(5),
-            operator: 0,
-            content: 0,
-        });
+        s.content[0].initial_providers.push(99);
+        s.operators.push(GatewayOperator::new("gw", vec![42], 1.0));
         let problems = s.validate();
-        assert!(problems.iter().any(|p| p.contains("node 99")));
-        assert!(problems.iter().any(|p| p.contains("content 42")));
-        assert!(problems.iter().any(|p| p.contains("operator 0")));
+        assert!(problems.iter().any(|p| p.contains("provider 99")));
+        assert!(problems
+            .iter()
+            .any(|p| p.contains("operator 0 references node 42")));
     }
 
     #[test]

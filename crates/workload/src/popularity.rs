@@ -5,11 +5,12 @@
 //! highly skewed (over 80 % of CIDs are requested by a single peer) but — per
 //! the Clauset–Shalizi–Newman test — **not** power-law distributed. To let the
 //! experiments reproduce both the skew and the non-power-law shape, this
-//! module offers several weight models: Zipf, log-normal, and a mixture with a
-//! flattened tail (the default). The default does not reproduce the paper's
-//! rejection yet: the Fig. 5 golden (`IPFS_MON_SCALE=0.2`) prints `p=0.317
-//! rejected=false` for RRP and `p=0.533 rejected=false` for URP. Calibrating
-//! the workload is ROADMAP open item 2.
+//! module offers two weight models: Zipf (the gateway workload's) and a
+//! log-normal head with a flattened tail (the node workload's, and the paper
+//! default). The default does not reproduce the paper's rejection yet: the
+//! Fig. 5 golden (`IPFS_MON_SCALE=0.2`) prints `p=0.317 rejected=false` for
+//! RRP and `p=0.533 rejected=false` for URP. Calibrating the workload is
+//! ROADMAP open item 2.
 
 use ipfs_mon_simnet::rng::SimRng;
 
@@ -21,12 +22,6 @@ pub enum PopularityModel {
         /// Zipf exponent (1.0 is the classic harmonic profile).
         exponent: f64,
     },
-    /// Log-normal weights: a few very popular items, a long body, no strict
-    /// scale-freeness.
-    LogNormal {
-        /// `σ` of the underlying normal (larger = more skew).
-        sigma: f64,
-    },
     /// The default for reproducing the paper: a log-normal head combined with
     /// a large uniform-weight tail of barely requested items. Heavily skewed,
     /// but not yet rejected by the power-law test (see the module doc).
@@ -36,8 +31,6 @@ pub enum PopularityModel {
         /// `σ` of the head's log-normal weights.
         sigma: f64,
     },
-    /// All items equally popular (for control experiments).
-    Uniform,
 }
 
 impl PopularityModel {
@@ -72,11 +65,6 @@ impl PopularitySampler {
                     *w = 1.0 / ((rank + 1) as f64).powf(exponent);
                 }
             }
-            PopularityModel::LogNormal { sigma } => {
-                for w in weights.iter_mut() {
-                    *w = rng.sample_lognormal(0.0, sigma);
-                }
-            }
             PopularityModel::SkewedMixture {
                 head_fraction,
                 sigma,
@@ -91,9 +79,6 @@ impl PopularitySampler {
                         *w = 0.05;
                     }
                 }
-            }
-            PopularityModel::Uniform => {
-                weights.iter_mut().for_each(|w| *w = 1.0);
             }
         }
         let mut cumulative = Vec::with_capacity(items);
@@ -160,14 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn uniform_model_is_flat() {
-        let counts = request_counts(PopularityModel::Uniform, 100, 100_000, 2);
-        let min = *counts.iter().min().unwrap() as f64;
-        let max = *counts.iter().max().unwrap() as f64;
-        assert!(max / min < 1.5, "min {min} max {max}");
-    }
-
-    #[test]
     fn skewed_mixture_is_heavily_skewed() {
         let counts = request_counts(PopularityModel::paper_default(), 5_000, 20_000, 3);
         let mut sorted = counts.clone();
@@ -196,8 +173,7 @@ mod tests {
     #[test]
     fn sample_indices_in_range() {
         let mut rng = SimRng::new(5);
-        let sampler =
-            PopularitySampler::new(PopularityModel::LogNormal { sigma: 2.0 }, 37, &mut rng);
+        let sampler = PopularitySampler::new(PopularityModel::paper_default(), 37, &mut rng);
         for _ in 0..1000 {
             assert!(sampler.sample(&mut rng) < 37);
         }
@@ -207,7 +183,7 @@ mod tests {
     #[should_panic(expected = "catalog must not be empty")]
     fn empty_catalog_panics() {
         let mut rng = SimRng::new(6);
-        PopularitySampler::new(PopularityModel::Uniform, 0, &mut rng);
+        PopularitySampler::new(PopularityModel::Zipf { exponent: 1.0 }, 0, &mut rng);
     }
 
     #[test]

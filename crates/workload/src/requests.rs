@@ -13,8 +13,9 @@
 //! Each stream is generated once, by a pull-based source
 //! ([`lazy_workload_sources`]) that draws one event at a time, so a
 //! simulation can run arbitrarily long horizons without ever holding the
-//! full request list in memory. A scenario that wants the request vectors
-//! materialized ([`crate::build_scenario`]) drains the same sources.
+//! full request list in memory. Where the whole list is wanted — the ground
+//! truth the attack experiments check against — [`drain_workload_sources`]
+//! drains a second copy of the same sources.
 
 use crate::popularity::{PopularityModel, PopularitySampler};
 use ipfs_mon_node::{
@@ -261,11 +262,13 @@ pub fn lazy_workload_sources(
     sources
 }
 
-/// Drains `sources` into materialized request vectors: node requests in
+/// Drains `sources` into the request log of a run: node requests in
 /// `(time, rank)` order with each source's arrival order kept on ties, the
 /// order [`ipfs_mon_node::Network::with_sources`] delivers them in, and
-/// gateway requests as their one source yields them.
-pub(crate) fn drain_workload_sources(
+/// gateway requests as their one source yields them. Over the sources of
+/// [`crate::build_scenario_lazy`] it is the ground truth of what the run's
+/// users asked for; the attack experiments check their findings against it.
+pub fn drain_workload_sources(
     sources: Vec<DynWorkloadSource>,
 ) -> (Vec<RequestEvent>, Vec<GatewayRequestEvent>) {
     let mut requests = Vec::new();

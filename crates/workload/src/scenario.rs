@@ -1,13 +1,14 @@
 //! End-to-end scenario building.
 //!
 //! [`ScenarioConfig`] bundles the population, catalog, workload and monitoring
-//! parameters; [`build_scenario`] turns it into an executable
-//! [`Scenario`]. Every experiment binary in `ipfs-mon-bench` starts from one
-//! of the presets here and tweaks the knobs relevant to its table or figure.
+//! parameters; [`build_scenario_lazy`] turns it into an executable
+//! [`Scenario`] and the event sources that draw its requests. Every
+//! experiment binary in `ipfs-mon-bench` starts from one of the presets here
+//! and tweaks the knobs relevant to its table or figure.
 
 use crate::catalog::{generate_catalog, CatalogConfig};
 use crate::population::{generate_population, PopulationConfig};
-use crate::requests::{drain_workload_sources, lazy_workload_sources, RequestWorkloadConfig};
+use crate::requests::{lazy_workload_sources, RequestWorkloadConfig};
 use ipfs_mon_node::{DynWorkloadSource, MonitorSpec, Scenario, ScenarioParams};
 use ipfs_mon_simnet::rng::SimRng;
 use ipfs_mon_simnet::time::SimDuration;
@@ -100,44 +101,31 @@ impl ScenarioConfig {
     }
 }
 
-/// Builds an executable scenario from a configuration, its request vectors
-/// drained from the sources [`build_scenario_lazy`] returns.
-pub fn build_scenario(config: &ScenarioConfig) -> Scenario {
-    let (mut scenario, sources) = build_scenario_lazy(config);
-    (scenario.requests, scenario.gateway_requests) = drain_workload_sources(sources);
-    scenario
-}
-
-/// Builds a scenario whose request workload is generated *lazily*: the
-/// returned scenario carries empty request vectors, and the accompanying
-/// sources draw the requests one event at a time. Feeding them to
-/// [`ipfs_mon_node::Network::with_sources`] yields a monitor trace
-/// byte-identical to running the eagerly built scenario, with memory bounded
-/// by the population instead of `population × horizon`.
+/// Builds an executable scenario from a configuration, together with the
+/// event sources that draw its request workload one event at a time while
+/// [`ipfs_mon_node::Network::with_sources`] runs it: memory stays bounded by
+/// the population instead of `population × horizon`. The sources of a second
+/// call, drained with [`crate::drain_workload_sources`], are the run's
+/// request log, in the order the run delivers it.
 ///
 /// ```
 /// use ipfs_mon_node::{Network, RecordingSink};
 /// use ipfs_mon_simnet::time::SimDuration;
-/// use ipfs_mon_workload::{build_scenario, build_scenario_lazy, ScenarioConfig};
+/// use ipfs_mon_workload::{build_scenario_lazy, drain_workload_sources, ScenarioConfig};
 ///
 /// let mut config = ScenarioConfig::small_test(7);
 /// config.population.nodes = 20;
 /// config.catalog.items = 40;
 /// config.horizon = SimDuration::from_hours(1);
 ///
-/// // Eager: the whole request vector is materialized up front…
-/// let eager = build_scenario(&config);
-/// assert!(!eager.requests.is_empty());
-/// let mut eager_sink = RecordingSink::new(eager.monitors.len());
-/// Network::new(eager).run(&mut eager_sink);
-///
-/// // …lazy: no vectors at all, the same events drawn while running.
 /// let (scenario, sources) = build_scenario_lazy(&config);
-/// assert!(scenario.requests.is_empty() && scenario.gateway_requests.is_empty());
-/// let mut lazy_sink = RecordingSink::new(scenario.monitors.len());
-/// Network::with_sources(scenario, sources).run(&mut lazy_sink);
+/// let mut sink = RecordingSink::new(scenario.monitors.len());
+/// let report = Network::with_sources(scenario, sources).run(&mut sink);
+/// assert!(sink.total_observations() > 0);
 ///
-/// assert_eq!(eager_sink.observations, lazy_sink.observations);
+/// // The same draws as a log: every gateway HTTP request the run handled.
+/// let (_, gateway) = drain_workload_sources(build_scenario_lazy(&config).1);
+/// assert_eq!(report.counters.get("gateway_http_requests"), gateway.len() as u64);
 /// ```
 pub fn build_scenario_lazy(config: &ScenarioConfig) -> (Scenario, Vec<DynWorkloadSource>) {
     let rng = SimRng::new(config.seed);
@@ -180,23 +168,89 @@ pub fn build_scenario_lazy(config: &ScenarioConfig) -> (Scenario, Vec<DynWorkloa
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::drain_workload_sources;
+    use ipfs_mon_node::{GatewayRequestEvent, Network, RecordingSink, RequestEvent, WorkloadEvent};
+    use ipfs_mon_simnet::source::EventSource;
+    use ipfs_mon_simnet::time::SimTime;
+    use std::sync::{Arc, Mutex};
+
+    /// A workload source that logs every event a run pulls from it.
+    struct Logged {
+        inner: DynWorkloadSource,
+        log: Arc<Mutex<Vec<(SimTime, WorkloadEvent)>>>,
+    }
+
+    impl EventSource for Logged {
+        type Event = WorkloadEvent;
+
+        fn peek_time(&self) -> Option<SimTime> {
+            self.inner.peek_time()
+        }
+
+        fn next_event(&mut self) -> Option<(SimTime, WorkloadEvent)> {
+            let event = self.inner.next_event()?;
+            self.log.lock().expect("log lock").push(event);
+            Some(event)
+        }
+    }
+
+    /// The attack experiments take their ground truth from
+    /// `drain_workload_sources(build_scenario_lazy(&config).1)`: it must be
+    /// exactly the requests a run of the same config pulls, in pull order.
+    #[test]
+    fn drained_sources_are_the_requests_a_run_pulls() {
+        let config = ScenarioConfig::small_test(23);
+        let (scenario, sources) = build_scenario_lazy(&config);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let logged = sources
+            .into_iter()
+            .map(|inner| {
+                let log = Arc::clone(&log);
+                Box::new(Logged { inner, log }) as DynWorkloadSource
+            })
+            .collect();
+        let mut sink = RecordingSink::new(scenario.monitors.len());
+        Network::with_sources(scenario, logged).run(&mut sink);
+
+        let (mut requests, mut gateway) = (Vec::new(), Vec::new());
+        for &(at, event) in log.lock().expect("log lock").iter() {
+            match event {
+                WorkloadEvent::Request { node, content } => {
+                    requests.push(RequestEvent { at, node, content })
+                }
+                WorkloadEvent::Gateway { operator, content } => gateway.push(GatewayRequestEvent {
+                    at,
+                    operator,
+                    content,
+                }),
+            }
+        }
+        assert!(!requests.is_empty() && !gateway.is_empty());
+        assert_eq!(
+            (requests, gateway),
+            drain_workload_sources(build_scenario_lazy(&config).1)
+        );
+    }
 
     #[test]
     fn small_test_scenario_is_consistent() {
-        let scenario = build_scenario(&ScenarioConfig::small_test(7));
+        let (scenario, sources) = build_scenario_lazy(&ScenarioConfig::small_test(7));
         assert!(scenario.validate().is_empty(), "{:?}", scenario.validate());
         assert_eq!(scenario.monitors.len(), 2);
-        assert!(!scenario.requests.is_empty());
-        assert!(!scenario.gateway_requests.is_empty());
+        let (requests, gateway_requests) = drain_workload_sources(sources);
+        assert!(!requests.is_empty());
+        assert!(!gateway_requests.is_empty());
         assert!(scenario.nodes.len() > 300, "gateway nodes appended");
     }
 
     #[test]
     fn scenario_generation_is_deterministic() {
-        let a = build_scenario(&ScenarioConfig::small_test(11));
-        let b = build_scenario(&ScenarioConfig::small_test(11));
-        assert_eq!(a.requests, b.requests);
-        assert_eq!(a.gateway_requests, b.gateway_requests);
+        let (a, a_sources) = build_scenario_lazy(&ScenarioConfig::small_test(11));
+        let (b, b_sources) = build_scenario_lazy(&ScenarioConfig::small_test(11));
+        assert_eq!(
+            drain_workload_sources(a_sources),
+            drain_workload_sources(b_sources)
+        );
         assert_eq!(a.content.len(), b.content.len());
         assert_eq!(
             a.content.first().map(|c| c.dag.root.clone()),
@@ -206,8 +260,8 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let a = build_scenario(&ScenarioConfig::small_test(1));
-        let b = build_scenario(&ScenarioConfig::small_test(2));
+        let (a, _) = build_scenario_lazy(&ScenarioConfig::small_test(1));
+        let (b, _) = build_scenario_lazy(&ScenarioConfig::small_test(2));
         assert_ne!(
             a.content.first().map(|c| c.dag.root.clone()),
             b.content.first().map(|c| c.dag.root.clone())
@@ -215,33 +269,13 @@ mod tests {
     }
 
     #[test]
-    fn lazy_scenario_runs_byte_identical_to_eager() {
-        use ipfs_mon_node::{Network, RecordingSink};
-
-        let config = ScenarioConfig::small_test(23);
-        let eager = build_scenario(&config);
-        let monitor_count = eager.monitors.len();
-        let mut eager_sink = RecordingSink::new(monitor_count);
-        let eager_report = Network::new(eager).run(&mut eager_sink);
-
-        let (lazy, sources) = build_scenario_lazy(&config);
-        assert!(lazy.requests.is_empty() && lazy.gateway_requests.is_empty());
-        let mut lazy_sink = RecordingSink::new(monitor_count);
-        let lazy_report = Network::with_sources(lazy, sources).run(&mut lazy_sink);
-
-        assert_eq!(eager_sink.observations, lazy_sink.observations);
-        assert_eq!(eager_sink.connections, lazy_sink.connections);
-        assert_eq!(eager_report.events_processed, lazy_report.events_processed);
-    }
-
-    #[test]
     fn analysis_week_spans_seven_days() {
         let config = ScenarioConfig::analysis_week(3, 500);
         assert_eq!(config.horizon, SimDuration::from_days(7));
-        let scenario = build_scenario(&config);
+        let (scenario, sources) = build_scenario_lazy(&config);
         assert!(scenario.validate().is_empty());
         // Requests spread across the whole week.
-        let last = scenario.requests.last().unwrap().at;
+        let last = drain_workload_sources(sources).0.last().unwrap().at;
         assert!(last > ipfs_mon_simnet::time::SimTime::ZERO + SimDuration::from_days(6));
     }
 }

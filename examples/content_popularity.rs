@@ -8,14 +8,14 @@ use ipfs_monitoring::core::{
 };
 use ipfs_monitoring::node::Network;
 use ipfs_monitoring::simnet::time::SimDuration;
-use ipfs_monitoring::workload::{build_scenario, ScenarioConfig};
+use ipfs_monitoring::workload::{build_scenario_lazy, ScenarioConfig};
 
 fn main() {
     let mut config = ScenarioConfig::analysis_week(11, 800);
     config.horizon = SimDuration::from_days(2);
     config.catalog.items = 4_000;
-    let scenario = build_scenario(&config);
-    let mut network = Network::new(scenario);
+    let (scenario, sources) = build_scenario_lazy(&config);
+    let mut network = Network::with_sources(scenario, sources);
     let mut collector = MonitorCollector::us_de();
     network.run(&mut collector);
     let (trace, _) = unify_and_flag(&collector.into_dataset(), PreprocessConfig::default());

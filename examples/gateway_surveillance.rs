@@ -10,15 +10,15 @@ use ipfs_monitoring::core::{
 use ipfs_monitoring::node::Network;
 use ipfs_monitoring::simnet::rng::SimRng;
 use ipfs_monitoring::simnet::time::{SimDuration, SimTime};
-use ipfs_monitoring::workload::{build_scenario, ScenarioConfig};
+use ipfs_monitoring::workload::{build_scenario_lazy, ScenarioConfig};
 use std::collections::HashSet;
 
 fn main() {
     let mut config = ScenarioConfig::analysis_week(13, 500);
     config.horizon = SimDuration::from_days(1);
     config.workload.gateway_requests_per_hour = 800.0;
-    let scenario = build_scenario(&config);
-    let mut network = Network::new(scenario);
+    let (scenario, sources) = build_scenario_lazy(&config);
+    let mut network = Network::with_sources(scenario, sources);
 
     // Step 1 (probing): unique random block per operator, monitor registered
     // as the only DHT provider, HTTP request through the gateway.

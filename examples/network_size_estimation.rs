@@ -9,14 +9,14 @@ use ipfs_monitoring::core::{
 use ipfs_monitoring::kad::Crawler;
 use ipfs_monitoring::node::Network;
 use ipfs_monitoring::simnet::time::{SimDuration, SimTime};
-use ipfs_monitoring::workload::{build_scenario, ScenarioConfig};
+use ipfs_monitoring::workload::{build_scenario_lazy, ScenarioConfig};
 
 fn main() {
     let mut config = ScenarioConfig::analysis_week(7, 1_500);
     config.horizon = SimDuration::from_days(2);
     config.workload.mean_node_requests_per_hour = 0.3;
-    let scenario = build_scenario(&config);
-    let mut network = Network::new(scenario);
+    let (scenario, sources) = build_scenario_lazy(&config);
+    let mut network = Network::with_sources(scenario, sources);
     let mut collector = MonitorCollector::us_de();
     network.run(&mut collector);
     let dataset = collector.into_dataset();

@@ -12,26 +12,30 @@ use ipfs_monitoring::core::{
 use ipfs_monitoring::node::Network;
 use ipfs_monitoring::simnet::time::{SimDuration, SimTime};
 use ipfs_monitoring::tracestore::{DatasetConfig, ManifestReader};
-use ipfs_monitoring::workload::{build_scenario, ScenarioConfig};
+use ipfs_monitoring::workload::{build_scenario_lazy, ScenarioConfig};
 
 fn main() {
     // 1. Describe the world: ~300 nodes, gateways, two monitors (us, de),
-    //    a content catalog and six hours of user activity.
+    //    a content catalog and six hours of user activity, drawn request by
+    //    request while the simulation runs.
     let config = ScenarioConfig::small_test(2024);
-    let scenario = build_scenario(&config);
+    let (scenario, sources) = build_scenario_lazy(&config);
     println!(
-        "scenario: {} nodes, {} content items, {} user requests",
+        "scenario: {} nodes, {} content items",
         scenario.nodes.len(),
         scenario.content.len(),
-        scenario.requests.len()
     );
 
     // 2. Execute it with a trace collector attached to the monitors.
-    let mut network = Network::new(scenario);
+    let mut network = Network::with_sources(scenario, sources);
     let mut collector = MonitorCollector::us_de();
     let report = network.run(&mut collector);
     let dataset = collector.into_dataset();
-    println!("simulation processed {} events", report.events_processed);
+    println!(
+        "simulation processed {} events, {} requests at online nodes",
+        report.events_processed,
+        report.counters.get("requests_total")
+    );
     println!(
         "monitors recorded {} raw Bitswap entries",
         dataset.total_entries()
@@ -73,8 +77,8 @@ fn main() {
     let dataset_dir = std::env::temp_dir().join("quickstart_trace");
     let mut spilling = ManifestCollector::us_de(&dataset_dir, DatasetConfig::default())
         .expect("open dataset writer");
-    let mut network = Network::new(build_scenario(&config));
-    network.run(&mut spilling);
+    let (scenario, sources) = build_scenario_lazy(&config);
+    Network::with_sources(scenario, sources).run(&mut spilling);
     let summary = spilling.finish().expect("finish dataset");
     println!(
         "spilled {} entries to {} ({} bytes, {:.1} bytes/entry, {} segments)",

@@ -14,7 +14,7 @@ use ipfs_monitoring::tracestore::{
     TraceEntry, TraceSource,
 };
 use ipfs_monitoring::types::{Cid, Country, Multiaddr, Multicodec, PeerId, Transport};
-use ipfs_monitoring::workload::{build_scenario, ScenarioConfig};
+use ipfs_monitoring::workload::{build_scenario_lazy, ScenarioConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
@@ -212,6 +212,13 @@ pub fn scenario_config(seed: u64, nodes: usize) -> ScenarioConfig {
     config
 }
 
+/// The network of `config`, fed by the sources that draw its requests while
+/// it runs.
+pub fn simulated_network(config: &ScenarioConfig) -> Network {
+    let (scenario, sources) = build_scenario_lazy(config);
+    Network::with_sources(scenario, sources)
+}
+
 /// Runs the simulation pipeline end to end and returns the raw per-monitor
 /// dataset — the realistic (simulator-shaped) counterpart of
 /// [`random_dataset`].
@@ -219,7 +226,7 @@ pub fn simulated_dataset(seed: u64, nodes: usize) -> MonitoringDataset {
     let config = scenario_config(seed, nodes);
     let labels: Vec<String> = config.monitors.iter().map(|m| m.label.clone()).collect();
     let mut collector = MonitorCollector::new(labels);
-    Network::new(build_scenario(&config)).run(&mut collector);
+    simulated_network(&config).run(&mut collector);
     collector.into_dataset()
 }
 

@@ -8,7 +8,7 @@ use ipfs_monitoring::core::{
 use ipfs_monitoring::node::Network;
 use ipfs_monitoring::simnet::time::{SimDuration, SimTime};
 use ipfs_monitoring::types::{Country, Multicodec};
-use ipfs_monitoring::workload::{build_scenario, ScenarioConfig};
+use ipfs_monitoring::workload::{build_scenario_lazy, ScenarioConfig};
 
 struct Pipeline {
     network: Network,
@@ -21,9 +21,9 @@ fn run_pipeline(seed: u64, nodes: usize, days: u64) -> Pipeline {
     let mut config = ScenarioConfig::analysis_week(seed, nodes);
     config.horizon = SimDuration::from_days(days);
     config.workload.mean_node_requests_per_hour = 1.0;
-    let scenario = build_scenario(&config);
+    let (scenario, sources) = build_scenario_lazy(&config);
     assert!(scenario.validate().is_empty());
-    let mut network = Network::new(scenario);
+    let mut network = Network::with_sources(scenario, sources);
     let mut collector = MonitorCollector::us_de();
     network.run(&mut collector);
     let dataset = collector.into_dataset();

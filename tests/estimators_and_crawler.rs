@@ -7,7 +7,7 @@ use ipfs_monitoring::kad::Crawler;
 use ipfs_monitoring::node::Network;
 use ipfs_monitoring::simnet::churn::ChurnModel;
 use ipfs_monitoring::simnet::time::{SimDuration, SimTime};
-use ipfs_monitoring::workload::{build_scenario, ScenarioConfig};
+use ipfs_monitoring::workload::{build_scenario_lazy, ScenarioConfig};
 
 fn stable_network(seed: u64, nodes: usize, attach: f64) -> (Network, MonitorCollector) {
     let mut config = ScenarioConfig::analysis_week(seed, nodes);
@@ -17,7 +17,8 @@ fn stable_network(seed: u64, nodes: usize, attach: f64) -> (Network, MonitorColl
     for monitor in &mut config.monitors {
         monitor.attach_probability = attach;
     }
-    let mut network = Network::new(build_scenario(&config));
+    let (scenario, sources) = build_scenario_lazy(&config);
+    let mut network = Network::with_sources(scenario, sources);
     let mut collector = MonitorCollector::us_de();
     network.run(&mut collector);
     (network, collector)
@@ -68,7 +69,8 @@ fn crawler_sees_servers_but_not_clients_while_monitors_see_both() {
     config.population.churn = ChurnModel::always_online();
     config.population.client_fraction = 0.5;
     config.workload.mean_node_requests_per_hour = 0.5;
-    let mut network = Network::new(build_scenario(&config));
+    let (scenario, sources) = build_scenario_lazy(&config);
+    let mut network = Network::with_sources(scenario, sources);
     let mut collector = MonitorCollector::us_de();
     network.run(&mut collector);
     let dataset = collector.into_dataset();

@@ -3,7 +3,7 @@
 //! binary-heap execution path through golden digests.
 
 use ipfs_monitoring::blockstore::build_file;
-use ipfs_monitoring::core::{GatewayProber, MonitorCollector};
+use ipfs_monitoring::core::GatewayProber;
 use ipfs_monitoring::node::{
     BitswapObservation, ContentSpec, MonitorSink, Network, RecordingSink, RequestEvent,
 };
@@ -11,11 +11,11 @@ use ipfs_monitoring::simnet::rng::SimRng;
 use ipfs_monitoring::simnet::time::{SimDuration, SimTime};
 use ipfs_monitoring::simnet::ChurnModel;
 use ipfs_monitoring::types::{Multiaddr, PeerId};
-use ipfs_monitoring::workload::{build_scenario, build_scenario_lazy, ScenarioConfig};
+use ipfs_monitoring::workload::{build_scenario_lazy, drain_workload_sources, ScenarioConfig};
 use std::hash::{Hash, Hasher};
 
 mod common;
-use common::scenario_config;
+use common::{scenario_config, simulated_network};
 
 /// FNV-1a over the `Hash` byte stream of everything a sink is fed, in feed
 /// order. std's `DefaultHasher` algorithm is unspecified; a committed
@@ -179,74 +179,39 @@ fn seed_baseline_golden(case: Bridge) -> Golden {
 }
 
 /// (a) The bridge across the removal of the seed's execution path: the one
-/// event loop reproduces the seed baseline's trace digest, event count and
-/// counters, whether fed from scenario vectors or from generated sources.
+/// event loop, fed from generated sources, reproduces the seed baseline's
+/// trace digest, event count and counters.
 #[test]
 fn execution_modes_agree_across_seeds() {
     for case in [Bridge::Plain, Bridge::AlwaysOnline, Bridge::Probed] {
-        let config = case.config();
-        let golden = seed_baseline_golden(case);
-
-        let mut network = Network::new(build_scenario(&config));
+        let mut network = simulated_network(&case.config());
         case.prepare(&mut network);
-        assert_eq!(golden_of(network), golden, "{case:?}, scenario vectors");
-
-        let (scenario, sources) = build_scenario_lazy(&config);
-        let mut network = Network::with_sources(scenario, sources);
-        case.prepare(&mut network);
-        assert_eq!(golden_of(network), golden, "{case:?}, generated sources");
-    }
-}
-
-/// (b) Fully-lazy workload generation (no request vectors anywhere) yields a
-/// byte-identical monitor trace to the pre-materialized scenario, across
-/// seeds and churn models, including through the standard collector.
-#[test]
-fn lazy_generation_is_byte_identical_across_seeds_and_churn() {
-    for (seed, always_online) in [(5u64, false), (6, true), (91, false)] {
-        let mut config = scenario_config(seed, 120);
-        if always_online {
-            config.population.churn = ChurnModel::always_online();
-        }
-        let labels: Vec<String> = config.monitors.iter().map(|m| m.label.clone()).collect();
-
-        let mut eager_collector = MonitorCollector::new(labels.clone());
-        let eager_report = Network::new(build_scenario(&config)).run(&mut eager_collector);
-        let eager_dataset = eager_collector.into_dataset();
-
-        let (scenario, sources) = build_scenario_lazy(&config);
-        assert!(scenario.requests.is_empty());
-        assert!(scenario.gateway_requests.is_empty());
-        let mut lazy_collector = MonitorCollector::new(labels);
-        let lazy_report = Network::with_sources(scenario, sources).run(&mut lazy_collector);
-        let lazy_dataset = lazy_collector.into_dataset();
-
-        assert_eq!(eager_dataset.entries, lazy_dataset.entries, "seed {seed}");
-        assert_eq!(
-            eager_dataset.connections, lazy_dataset.connections,
-            "seed {seed}"
-        );
-        assert_eq!(eager_report.events_processed, lazy_report.events_processed);
-        // The whole datasets, labels included, are equal too.
-        assert_eq!(eager_dataset, lazy_dataset, "seed {seed}");
+        assert_eq!(golden_of(network), seed_baseline_golden(case), "{case:?}");
     }
 }
 
 /// The pending set stays proportional to live sources, not to the number of
-/// events the run will deliver.
+/// events the run will deliver. Every node is two live sources (churn and
+/// its request process), so the horizon must be long enough for its events
+/// to outnumber them: at 6 h the 250 nodes' 1 782 initial events are under
+/// four times the peak of 494, at 24 h 5 920 are over eleven times the peak
+/// of 533, and at 48 h the peak is 535.
 #[test]
 fn lazy_pending_tracks_concurrency_not_horizon() {
-    let config = scenario_config(33, 250);
-    let scenario = build_scenario(&config);
+    let mut config = scenario_config(33, 250);
+    config.horizon = SimDuration::from_hours(24);
+    let (scenario, sources) = build_scenario_lazy(&config);
     // What a scheduler would hold with every initial event queued up front.
+    let (requests, gateway_requests) = drain_workload_sources(build_scenario_lazy(&config).1);
     let initial_events = scenario
         .nodes
         .iter()
         .map(|n| 2 * n.schedule.sessions.len())
         .sum::<usize>()
-        + scenario.requests.len()
-        + scenario.gateway_requests.len();
-    let lazy = Network::new(scenario).run(&mut RecordingSink::new(config.monitors.len()));
+        + requests.len()
+        + gateway_requests.len();
+    let lazy = Network::with_sources(scenario, sources)
+        .run(&mut RecordingSink::new(config.monitors.len()));
     assert!(
         initial_events > lazy.peak_pending * 4,
         "{initial_events} initial events vs lazy peak pending {}",
@@ -260,14 +225,13 @@ fn lazy_pending_tracks_concurrency_not_horizon() {
     );
 }
 
-/// (c) Mid-run request injection — the gateway-probing attack tooling —
+/// (b) Mid-run request injection — the gateway-probing attack tooling —
 /// lands probes at the same instants and discovers the same peers as on the
 /// seed path (constants recorded at commit `50ddedf` under its
 /// seed-baseline options).
 #[test]
 fn gateway_probing_injection_matches_seed_path_in_lazy_mode() {
-    let config = scenario_config(44, 150);
-    let mut network = Network::new(build_scenario(&config));
+    let mut network = simulated_network(&scenario_config(44, 150));
     let mut prober = GatewayProber::new();
     prober.probe_all_operators(
         &mut network,

@@ -9,19 +9,18 @@
 
 mod common;
 
-use common::{random_dataset, temp_dir, write_manifest, write_manifest_rotated};
+use common::{random_dataset, simulated_network, temp_dir, write_manifest, write_manifest_rotated};
 use ipfs_monitoring::core::{
     estimate_network_size, estimate_network_size_source, identify_data_wanters, run_attacks_source,
     track_node_wants, unify_and_flag, unify_and_flag_source, AttackTargets, ManifestCollector,
     MonitorCollector, PreprocessConfig,
 };
-use ipfs_monitoring::node::Network;
 use ipfs_monitoring::simnet::time::{SimDuration, SimTime};
 use ipfs_monitoring::tracestore::{
     ConnectionRecord, DatasetConfig, ManifestReader, SegmentConfig, TraceEntry, TraceReader,
     TraceSource,
 };
-use ipfs_monitoring::workload::{build_scenario, ScenarioConfig};
+use ipfs_monitoring::workload::ScenarioConfig;
 use proptest::prelude::*;
 
 fn sorted_connections(mut records: Vec<ConnectionRecord>) -> Vec<ConnectionRecord> {
@@ -131,7 +130,7 @@ fn scenario_analyses_from_manifest_match_in_memory() {
     config.horizon = SimDuration::from_hours(2);
 
     let mut in_memory = MonitorCollector::us_de();
-    Network::new(build_scenario(&config)).run(&mut in_memory);
+    simulated_network(&config).run(&mut in_memory);
     let dataset = in_memory.into_dataset();
     assert!(dataset.total_entries() > 0);
 
@@ -147,7 +146,7 @@ fn scenario_analyses_from_manifest_match_in_memory() {
         },
     )
     .unwrap();
-    let mut network = Network::new(build_scenario(&config));
+    let mut network = simulated_network(&config);
     network.run(&mut collector);
     let summary = collector.finish().unwrap();
     assert_eq!(summary.total_entries as usize, dataset.total_entries());

@@ -5,23 +5,27 @@ use ipfs_monitoring::core::{
     gateway_nodes_by_operator, identify_data_wanters, test_past_interest, track_node_wants,
     unify_and_flag, GatewayProber, MonitorCollector, PreprocessConfig, TpiOutcome,
 };
-use ipfs_monitoring::node::Network;
+use ipfs_monitoring::node::{Network, RequestEvent};
 use ipfs_monitoring::simnet::rng::SimRng;
 use ipfs_monitoring::simnet::time::{SimDuration, SimTime};
-use ipfs_monitoring::workload::{build_scenario, ScenarioConfig};
+use ipfs_monitoring::workload::{build_scenario_lazy, drain_workload_sources, ScenarioConfig};
 use std::collections::{HashMap, HashSet};
 
-fn build_network(seed: u64, nodes: usize) -> Network {
+/// The network, and the user requests its run draws: the ground truth the
+/// attacks are checked against.
+fn build_network(seed: u64, nodes: usize) -> (Network, Vec<RequestEvent>) {
     let mut config = ScenarioConfig::analysis_week(seed, nodes);
     config.horizon = SimDuration::from_days(1);
     config.workload.mean_node_requests_per_hour = 1.5;
     config.workload.gateway_requests_per_hour = 300.0;
-    Network::new(build_scenario(&config))
+    let (scenario, sources) = build_scenario_lazy(&config);
+    let (requests, _) = drain_workload_sources(build_scenario_lazy(&config).1);
+    (Network::with_sources(scenario, sources), requests)
 }
 
 #[test]
 fn gateway_probing_discovers_only_true_gateway_nodes() {
-    let mut network = build_network(700, 400);
+    let (mut network, _) = build_network(700, 400);
     let mut prober = GatewayProber::new();
     let mut rng = SimRng::new(1);
     // Two probing rounds over all operators.
@@ -81,15 +85,14 @@ fn gateway_probing_discovers_only_true_gateway_nodes() {
 
 #[test]
 fn idw_and_tnw_match_ground_truth_requests() {
-    let mut network = build_network(701, 300);
-    let scenario = network.scenario().clone();
+    let (mut network, requests) = build_network(701, 300);
     let mut collector = MonitorCollector::us_de();
     network.run(&mut collector);
     let (trace, _) = unify_and_flag(&collector.into_dataset(), PreprocessConfig::default());
 
     // Ground truth request sets.
     let mut truth_by_content: HashMap<usize, HashSet<_>> = HashMap::new();
-    for request in &scenario.requests {
+    for request in &requests {
         truth_by_content
             .entry(request.content)
             .or_default()
@@ -97,7 +100,7 @@ fn idw_and_tnw_match_ground_truth_requests() {
     }
 
     // Gateway nodes also issue Bitswap requests (driven by the HTTP
-    // workload, not by scenario.requests), so they are legitimate wanters the
+    // workload, not by user requests), so they are legitimate wanters the
     // node-level ground truth does not cover.
     let gateway_peers: HashSet<_> = network
         .gateway_ground_truth()
@@ -130,8 +133,7 @@ fn idw_and_tnw_match_ground_truth_requests() {
         .find(|p| !gateway_peers.contains(p))
         .expect("at least one homegrown requester");
     let node = network.node_of_peer(&target).unwrap();
-    let requested_contents: HashSet<_> = scenario
-        .requests
+    let requested_contents: HashSet<_> = requests
         .iter()
         .filter(|r| r.node == node)
         .map(|r| network.content_root(r.content).clone())
@@ -148,14 +150,13 @@ fn idw_and_tnw_match_ground_truth_requests() {
 
 #[test]
 fn tpi_probe_agrees_with_cache_state() {
-    let mut network = build_network(702, 200);
-    let scenario = network.scenario().clone();
+    let (mut network, requests) = build_network(702, 200);
     let mut collector = MonitorCollector::us_de();
     network.run(&mut collector);
 
     let mut probes = 0;
     let mut positives = 0;
-    for request in scenario.requests.iter().take(300) {
+    for request in requests.iter().take(300) {
         let cid = network.content_root(request.content);
         let outcome = test_past_interest(&network, request.node, cid);
         let cached = network.node_has_block(request.node, cid);
@@ -170,6 +171,6 @@ fn tpi_probe_agrees_with_cache_state() {
 
     // Content that nobody requested from an idle node is not cached.
     let unrequested = network.content_root(0);
-    let idle_node = scenario.requests.iter().map(|r| r.node).max().unwrap_or(0);
+    let idle_node = requests.iter().map(|r| r.node).max().unwrap_or(0);
     let _ = test_past_interest(&network, idle_node, unrequested);
 }

@@ -3,21 +3,19 @@
 
 mod common;
 
-use common::{temp_dir, write_manifest_rotated};
+use common::{simulated_network, temp_dir, write_manifest_rotated};
 use ipfs_monitoring::core::{
     flag_source, unify_and_flag, MonitorCollector, MonitoringDataset, PreprocessConfig,
 };
-use ipfs_monitoring::node::Network;
 use ipfs_monitoring::simnet::time::SimDuration;
 use ipfs_monitoring::tracestore::{ManifestReader, TraceEntry};
-use ipfs_monitoring::workload::{build_scenario, ScenarioConfig};
+use ipfs_monitoring::workload::ScenarioConfig;
 
 fn small_dataset(seed: u64) -> MonitoringDataset {
     let mut config = ScenarioConfig::small_test(seed);
     config.horizon = SimDuration::from_hours(2);
-    let mut network = Network::new(build_scenario(&config));
     let mut collector = MonitorCollector::us_de();
-    network.run(&mut collector);
+    simulated_network(&config).run(&mut collector);
     collector.into_dataset()
 }
 

@@ -8,19 +8,18 @@
 
 mod common;
 
-use common::{differential_case, random_dataset, run_flagged, DifferentialCase};
+use common::{differential_case, random_dataset, run_flagged, simulated_network, DifferentialCase};
 use ipfs_monitoring::core::{
     popularity_scores, unify_and_flag, unify_and_flag_source, ManifestCollector, MonitorCollector,
     PopularitySink, PreprocessConfig,
 };
-use ipfs_monitoring::node::Network;
 use ipfs_monitoring::simnet::time::SimDuration;
 use ipfs_monitoring::tracestore::{
     ChunkSource, ConnectionRecord, DatasetConfig, DatasetWriter, FileSource, ManifestReader,
     MonitoringDataset, SegmentConfig, SegmentError, SliceSource, TraceEntry, TraceReader,
     TraceSource, TraceWriter, MANIFEST_FILE_NAME,
 };
-use ipfs_monitoring::workload::{build_scenario, ScenarioConfig};
+use ipfs_monitoring::workload::ScenarioConfig;
 use proptest::prelude::*;
 
 /// Writes the one monitor of `dataset` — entries in arrival order, then the
@@ -213,7 +212,7 @@ fn scenario_spill_matches_in_memory_pipeline() {
     config.horizon = SimDuration::from_hours(2);
 
     let mut in_memory = MonitorCollector::us_de();
-    Network::new(build_scenario(&config)).run(&mut in_memory);
+    simulated_network(&config).run(&mut in_memory);
     let dataset = in_memory.into_dataset();
     assert!(dataset.total_entries() > 0);
 
@@ -230,7 +229,7 @@ fn scenario_spill_matches_in_memory_pipeline() {
             ..DatasetConfig::default()
         };
         let mut spilling = ManifestCollector::us_de(&dir, dataset_config).unwrap();
-        Network::new(build_scenario(&config)).run(&mut spilling);
+        simulated_network(&config).run(&mut spilling);
         let summary = spilling.finish().unwrap();
         (dir, summary)
     };
