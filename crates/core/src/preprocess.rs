@@ -459,12 +459,12 @@ pub fn unify_and_flag(
 /// The lazily flagged merged stream of a [`TraceSource`]: yields the
 /// source's `(timestamp, monitor)`-ordered entries with flags set, without
 /// materializing the trace. See [`flag_source`].
-pub struct FlaggedStream {
-    inner: SourceEntries,
+pub struct FlaggedStream<'a> {
+    inner: SourceEntries<'a>,
     preprocessor: StreamingPreprocessor,
 }
 
-impl FlaggedStream {
+impl FlaggedStream<'_> {
     /// Statistics over the entries yielded so far (complete once the stream
     /// is exhausted).
     pub fn stats(&self) -> PreprocessStats {
@@ -487,7 +487,7 @@ impl FlaggedStream {
     }
 }
 
-impl Iterator for FlaggedStream {
+impl Iterator for FlaggedStream<'_> {
     type Item = TraceEntry;
 
     fn next(&mut self) -> Option<TraceEntry> {
@@ -505,12 +505,16 @@ impl Iterator for FlaggedStream {
         self.preprocessor.flag(&mut entry);
         Some(entry)
     }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.inner.size_hint()
+    }
 }
 
 /// Opens a flagged stream over any [`TraceSource`] — the universal
 /// preprocessing entry point: the same call handles an in-memory dataset or
 /// an on-disk manifest dataset.
-pub fn flag_source<T: TraceSource>(source: &T, config: PreprocessConfig) -> FlaggedStream {
+pub fn flag_source<T: TraceSource>(source: &T, config: PreprocessConfig) -> FlaggedStream<'_> {
     flag_entries(source.merged_entries(), source.monitor_count(), config)
 }
 
@@ -523,10 +527,10 @@ pub fn flag_source<T: TraceSource>(source: &T, config: PreprocessConfig) -> Flag
 /// in order, and eviction only ever drops keys too old to matter. Only the
 /// [`FlaggedStream::stats`] then describe the filtered stream, not the trace.
 pub fn flag_entries(
-    entries: SourceEntries,
+    entries: SourceEntries<'_>,
     monitors: usize,
     config: PreprocessConfig,
-) -> FlaggedStream {
+) -> FlaggedStream<'_> {
     FlaggedStream {
         inner: entries,
         preprocessor: StreamingPreprocessor::new(monitors, config),

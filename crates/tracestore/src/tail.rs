@@ -8,13 +8,17 @@
 //!
 //! # How it works
 //!
-//! The tail keeps, per monitor, the sequence number of the segment it is
-//! reading and the byte offset of the first unread frame. Each
-//! [`poll_chunks`](DatasetTail::poll_chunks) seeks to that offset, reads
-//! whatever the writer has flushed since, and reports the frames of its
-//! longest valid prefix — the walk crash recovery truncates by
-//! (`segment::walk_frames`) — as validated [`ChunkView`]s: CRC-checked,
-//! every column parsed, rows in stored (arrival) order.
+//! The tail keeps, per monitor, the segment it is reading open, the byte
+//! offset of the first unconsumed frame, and one buffer. Each
+//! [`poll_chunks`](DatasetTail::poll_chunks) reads on from the open file
+//! whatever the writer has flushed since, in pieces of a fixed size, and
+//! reports the frames of its longest valid prefix — the walk crash recovery
+//! truncates by (`segment::walk_frames`) — as validated [`ChunkView`]s:
+//! CRC-checked, every column parsed, rows in stored (arrival) order. A
+//! frame is reported as soon as its last byte is in, and a partial one
+//! waits in the buffer for the next piece or poll, so the buffer holds at
+//! most the largest frame (or the footer) plus one piece — not the
+//! segment, even on a restart's replay of a finished one.
 //! [`poll`](DatasetTail::poll) is the same walk with each row materialised
 //! as a [`TraceEntry`].
 //!
@@ -25,10 +29,10 @@
 //! manifest lists it (the manifest is written at
 //! [`finish`](crate::manifest::DatasetWriter::finish), and crash recovery
 //! rebuilds it over re-sealed chains). A sealed segment's bytes are final,
-//! so the tail reads them again once it knows, and what follows its last
-//! frame must then be exactly its footer, indexing exactly the chunks and
-//! entries the tail read from it; anything else — a damaged chunk, a
-//! damaged or missing footer — fails the poll with
+//! so the tail reads the rest of the file once it knows, and what follows
+//! its last frame must then be exactly its footer, indexing exactly the
+//! chunks and entries the tail read from it; anything else — a damaged
+//! chunk, a damaged or missing footer — fails the poll with
 //! [`SegmentError::Corrupt`] instead of skipping the rest of the segment.
 //!
 //! Because the tail reads only bytes the writer flushed to the file, the
@@ -44,6 +48,17 @@
 //! unchanged, row by row or, through
 //! [`WindowedSink::consume_chunk_rows`](crate::window::WindowedSink::consume_chunk_rows),
 //! chunk by chunk.
+//!
+//! Every byte the tail parses comes from disk, so the module denies
+//! indexing, `unwrap`, `expect` and `panic!`: a bad byte is a
+//! [`SegmentError`], never a panic.
+
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 
 use crate::manifest::{Manifest, SegmentMeta, MANIFEST_FILE_NAME};
 use crate::record::TraceEntry;
@@ -52,8 +67,13 @@ use crate::segment::{
     HEADER_LEN,
 };
 use ipfs_mon_obs as obs;
-use std::io::{Read, Seek, SeekFrom};
+use std::fs::File;
+use std::io::{ErrorKind, Read};
 use std::path::{Path, PathBuf};
+
+/// Bytes the tail asks of a segment file per read. A chain's buffer holds
+/// at most one unconsumed frame (or the footer) plus one such piece.
+const READ_PIECE: usize = 64 * 1024;
 
 /// Read cursor over one monitor's segment chain.
 #[derive(Debug)]
@@ -61,9 +81,15 @@ struct ChainTail {
     monitor: usize,
     /// Sequence of the segment currently being read.
     sequence: u64,
-    /// Byte offset of the first unread byte in that segment (0 = header
-    /// not yet verified).
+    /// The open segment `sequence`, read up to `pos + pending.len()`; `None`
+    /// until the file exists, and again once the segment is sealed.
+    file: Option<File>,
+    /// Byte offset of `pending[0]` in that segment: the first unconsumed
+    /// byte (0 = header not yet verified).
     pos: u64,
+    /// Bytes read but not yet consumed — a frame the writer is still
+    /// flushing, or the footer. Retained across polls and segments.
+    pending: Vec<u8>,
     /// Entries emitted from this chain so far.
     entries: u64,
     /// Chunks and entries read from the current segment: what its footer
@@ -102,7 +128,9 @@ impl DatasetTail {
                 .map(|monitor| ChainTail {
                     monitor,
                     sequence: 0,
+                    file: None,
                     pos: 0,
+                    pending: Vec::new(),
                     entries: 0,
                     segment_chunks: 0,
                     segment_entries: 0,
@@ -128,8 +156,8 @@ impl DatasetTail {
         mut f: impl FnMut(usize, &ChunkView<'_>),
     ) -> Result<TailPoll, SegmentError> {
         let mut report = TailPoll::default();
-        for i in 0..self.chains.len() {
-            self.poll_chain(i, &mut report, &mut f)?;
+        for chain in &mut self.chains {
+            poll_chain(&self.dir, chain, &mut self.scratch, &mut report, &mut f)?;
         }
         obs::counter!("tail.polls").incr();
         obs::counter!("tail.entries").add(report.entries);
@@ -148,104 +176,140 @@ impl DatasetTail {
             }
         })
     }
+}
 
-    /// Whether the segment `chain` is reading has been sealed: rotation
-    /// creates the next segment file only after durably sealing the
-    /// current one, and a manifest only ever *lists* sealed segments — a
-    /// manifest that merely exists (e.g. rebuilt by recovery while a
-    /// resumed writer grows new segments) seals nothing by itself. The
-    /// manifest is only ever replaced whole, by rename, so a manifest that
-    /// does not load is damage and fails the poll.
-    fn current_is_sealed(&self, chain: &ChainTail) -> Result<bool, SegmentError> {
-        if self
-            .dir
-            .join(SegmentMeta::file_name_of(chain.monitor, chain.sequence + 1))
-            .exists()
-        {
-            return Ok(true);
-        }
-        match Manifest::load(self.dir.join(MANIFEST_FILE_NAME)) {
-            Ok(manifest) => Ok(manifest
-                .segments
-                .iter()
-                .any(|s| s.monitor == chain.monitor && s.sequence == chain.sequence)),
-            Err(SegmentError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(e),
-        }
+/// Whether the segment `chain` is reading has been sealed: rotation creates
+/// the next segment file only after durably sealing the current one, and a
+/// manifest only ever *lists* sealed segments — a manifest that merely
+/// exists (e.g. rebuilt by recovery while a resumed writer grows new
+/// segments) seals nothing by itself. The manifest is only ever replaced
+/// whole, by rename, so a manifest that does not load is damage and fails
+/// the poll.
+fn current_is_sealed(dir: &Path, chain: &ChainTail) -> Result<bool, SegmentError> {
+    if dir
+        .join(SegmentMeta::file_name_of(chain.monitor, chain.sequence + 1))
+        .exists()
+    {
+        return Ok(true);
     }
+    match Manifest::load(dir.join(MANIFEST_FILE_NAME)) {
+        Ok(manifest) => Ok(manifest
+            .segments
+            .iter()
+            .any(|s| s.monitor == chain.monitor && s.sequence == chain.sequence)),
+        Err(SegmentError::Io(e)) if e.kind() == ErrorKind::NotFound => Ok(false),
+        Err(e) => Err(e),
+    }
+}
 
-    fn poll_chain(
-        &mut self,
-        i: usize,
-        report: &mut TailPoll,
-        f: &mut impl FnMut(usize, &ChunkView<'_>),
-    ) -> Result<(), SegmentError> {
-        // Whether the current segment was known to be sealed before its
-        // bytes were read: then they are final.
-        let mut sealed = false;
-        loop {
-            let (monitor, sequence, pos) = {
-                let chain = &self.chains[i];
-                (chain.monitor, chain.sequence, chain.pos)
-            };
-            let path = self.dir.join(SegmentMeta::file_name_of(monitor, sequence));
-            let mut file = match std::fs::File::open(&path) {
-                Ok(file) => file,
+/// Reads `chain` forward through as many segments as are complete. The
+/// segment being read stays open, and the bytes of a frame the writer is
+/// still flushing wait in `chain.pending` for the next poll. Segment files
+/// only grow while a tail follows them — recovery, which truncates, runs
+/// before the service opens its tail — so reading on from the open file
+/// sees what a fresh read from `pos` would.
+fn poll_chain(
+    dir: &Path,
+    chain: &mut ChainTail,
+    scratch: &mut ChunkScratch,
+    report: &mut TailPoll,
+    f: &mut impl FnMut(usize, &ChunkView<'_>),
+) -> Result<(), SegmentError> {
+    loop {
+        let path = dir.join(SegmentMeta::file_name_of(chain.monitor, chain.sequence));
+        if chain.file.is_none() {
+            chain.file = match File::open(&path) {
+                Ok(file) => Some(file),
                 // Not created yet — the writer has not reached this
                 // sequence (or has not flushed the header). Retry later.
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+                Err(e) if e.kind() == ErrorKind::NotFound => return Ok(()),
                 Err(e) => return Err(SegmentError::Io(e)),
             };
-            file.seek(SeekFrom::Start(pos)).map_err(SegmentError::Io)?;
-            let mut bytes = Vec::new();
-            file.read_to_end(&mut bytes).map_err(SegmentError::Io)?;
-            drop(file);
-            let mut start = 0usize;
-            if pos == 0 {
-                // Verify the header before trusting any frame bytes.
-                if !check_header(&bytes)? {
-                    return Ok(()); // still in flight
-                }
-                start = HEADER_LEN;
+        }
+        read_available(chain, scratch, report, f)?;
+        if chain.pos == 0 || chain.pending.is_empty() || !current_is_sealed(dir, chain)? {
+            // Header still in flight, fully drained (wait for more data) or
+            // mid-frame of an open segment (the writer will complete it).
+            return Ok(());
+        }
+        // Sealed since the read: the rest of the file is final now.
+        read_available(chain, scratch, report, f)?;
+        check_sealed_remainder(&chain.pending, chain).map_err(|error| {
+            SegmentError::Corrupt(format!(
+                "{}: sealed segment damaged after {} chunks: {error}",
+                path.display(),
+                chain.segment_chunks
+            ))
+        })?;
+        chain.sequence += 1;
+        chain.file = None;
+        chain.pos = 0;
+        chain.pending.clear();
+        chain.segment_chunks = 0;
+        chain.segment_entries = 0;
+        report.segments_advanced += 1;
+        obs::counter!("tail.segments_advanced").incr();
+    }
+}
+
+/// Reads `chain`'s open segment to its current end one [`READ_PIECE`] at a
+/// time, verifying the header first and reporting each complete valid frame
+/// as soon as its last byte is in. What is left in `chain.pending` is the
+/// longest valid frame prefix's remainder: a partial frame, the footer, or
+/// damage.
+fn read_available(
+    chain: &mut ChainTail,
+    scratch: &mut ChunkScratch,
+    report: &mut TailPoll,
+    f: &mut impl FnMut(usize, &ChunkView<'_>),
+) -> Result<(), SegmentError> {
+    let Some(file) = chain.file.as_mut() else {
+        return Ok(());
+    };
+    loop {
+        let read = read_piece(file, &mut chain.pending).map_err(SegmentError::Io)?;
+        let mut start = 0;
+        if chain.pos == 0 {
+            // Verify the header before trusting any frame bytes.
+            match check_header(&chain.pending)? {
+                true => start = HEADER_LEN,
+                false if read == 0 => return Ok(()), // still in flight
+                false => continue,
             }
-            let chain = &mut self.chains[i];
-            let local = walk_frames(&bytes, start, &mut self.scratch, |_, _, view| {
-                f(monitor, view);
-                let rows = view.len() as u64;
-                report.entries += rows;
-                report.chunks += 1;
-                chain.entries += rows;
-                chain.segment_chunks += 1;
-                chain.segment_entries += rows;
-            });
-            chain.pos = pos + local as u64;
-            if !sealed {
-                if local >= bytes.len() || !self.current_is_sealed(&self.chains[i])? {
-                    // Fully drained (wait for more data) or mid-frame of an
-                    // open segment (the writer will complete it).
-                    return Ok(());
-                }
-                // Sealed since the read: read the rest again, final now.
-                sealed = true;
-                continue;
-            }
-            let chain = &mut self.chains[i];
-            check_sealed_remainder(&bytes[local..], chain).map_err(|error| {
-                SegmentError::Corrupt(format!(
-                    "{}: sealed segment damaged after {} chunks: {error}",
-                    path.display(),
-                    chain.segment_chunks
-                ))
-            })?;
-            chain.sequence += 1;
-            chain.pos = 0;
-            chain.segment_chunks = 0;
-            chain.segment_entries = 0;
-            report.segments_advanced += 1;
-            obs::counter!("tail.segments_advanced").incr();
-            sealed = false;
+        }
+        let monitor = chain.monitor;
+        let end = walk_frames(&chain.pending, start, scratch, |_, _, view| {
+            f(monitor, view);
+            let rows = view.len() as u64;
+            report.entries += rows;
+            report.chunks += 1;
+            chain.entries += rows;
+            chain.segment_chunks += 1;
+            chain.segment_entries += rows;
+        });
+        chain.pending.drain(..end);
+        chain.pos += end as u64;
+        if read == 0 {
+            return Ok(());
         }
     }
+}
+
+/// Appends up to [`READ_PIECE`] bytes of `file` to `buf` and returns how
+/// many. The buffer grows to exactly what it holds plus one piece, never by
+/// doubling.
+fn read_piece(file: &mut File, buf: &mut Vec<u8>) -> std::io::Result<usize> {
+    let held = buf.len();
+    buf.reserve_exact(READ_PIECE);
+    buf.resize(held + READ_PIECE, 0);
+    let read = loop {
+        match file.read(buf.get_mut(held..).unwrap_or_default()) {
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            read => break read,
+        }
+    };
+    buf.truncate(held + *read.as_ref().unwrap_or(&0));
+    read
 }
 
 /// Checks that `rest`, what follows the last valid frame of a sealed
@@ -264,6 +328,7 @@ fn check_sealed_remainder(rest: &[u8], chain: &ChainTail) -> Result<(), SegmentE
     Ok(())
 }
 
+#[allow(clippy::indexing_slicing, clippy::unwrap_used, clippy::panic)]
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,6 +513,45 @@ mod tests {
         assert_eq!((report.entries, report.segments_advanced), (0, 1));
         assert_eq!(count, 23);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The restart replay reads a finished segment of many chunks from
+    /// position 0 in one poll. The chain's buffer then holds at most the
+    /// largest frame plus one read piece — not the segment — whether frames
+    /// are far smaller than a piece or span several pieces.
+    #[test]
+    fn restart_replay_holds_one_frame_plus_one_piece() {
+        for chunk in [64, 4096] {
+            let dir = temp_dir(&format!("bounded-{chunk}"));
+            std::fs::remove_dir_all(&dir).ok();
+            let mut writer =
+                DatasetWriter::create(&dir, vec!["solo".to_string()], config(chunk, u64::MAX))
+                    .unwrap();
+            for i in 0..20_000u64 {
+                writer.append(&entry(i, 0)).unwrap();
+            }
+            writer.finish().unwrap();
+            let segment = std::fs::read(dir.join(SegmentMeta::file_name_of(0, 0))).unwrap();
+            let reader =
+                crate::reader::TraceReader::new(crate::reader::SliceSource::new(&segment)).unwrap();
+            let largest = reader.chunks().iter().map(|c| c.len).max().unwrap() as usize;
+            assert!(segment.len() > 2 * (largest + READ_PIECE), "chunk {chunk}");
+
+            let mut tail = DatasetTail::open(&dir, 1);
+            let mut seen = 0u64;
+            let report = tail.poll(|e| {
+                assert_eq!(e.timestamp.as_millis(), seen);
+                seen += 1;
+            });
+            assert_eq!(report.unwrap().segments_advanced, 1, "chunk {chunk}");
+            assert_eq!(seen, 20_000, "chunk {chunk}");
+            let capacity = tail.chains[0].pending.capacity();
+            assert!(
+                capacity <= largest + READ_PIECE,
+                "chunk {chunk}: {capacity} B held, largest frame {largest} B"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]
