@@ -5,12 +5,13 @@
 //! pipeline observable while it runs. Three pieces:
 //!
 //! - **Metrics core** ([`metrics`]): named counters, gauges, and log2-bucketed
-//!   histograms behind a per-thread-shard registry. The hot path is a relaxed
-//!   `fetch_add` on a thread-local shard — no locks, no contention between
-//!   worker threads — and [`snapshot`] aggregates every shard on demand. This
-//!   generalizes the `TypedCounters` pattern from `ipfs-mon-simnet` to
-//!   process-wide, dynamically named metrics shared by ingest, decode,
-//!   analysis, and simulation.
+//!   histograms in one process-wide set of `static` atomics. The hot path is
+//!   a relaxed `fetch_add` — no locks — and [`snapshot`] loads every
+//!   registered metric on demand; its memory is fixed, however many threads
+//!   come and go. Hot loops batch or sample, so threads sharing an atomic
+//!   rarely meet on it. This generalizes the `TypedCounters` pattern from
+//!   `ipfs-mon-simnet` to process-wide, dynamically named metrics shared by
+//!   ingest, decode, analysis, and simulation.
 //! - **Stage-timing spans** ([`Histogram::timer`]): cheap RAII timers that
 //!   record wall-clock nanoseconds into a histogram when dropped. Hot loops
 //!   sample (e.g. 1 in 1024 events) so the span cost stays in the noise.
@@ -19,17 +20,6 @@
 //!   counters, per-second rates, gauges, histogram quantiles, and an
 //!   `events_per_sec` progress figure — to a file or stdout. A final line is
 //!   always emitted on shutdown so even sub-interval runs produce telemetry.
-//!
-//! # The `obs-off` feature
-//!
-//! Building with `--features obs-off` compiles the entire crate to no-ops:
-//! counters vanish, [`SpanTimer`] never reads the clock, [`snapshot`] returns
-//! an empty snapshot, and [`report::Reporter`] writes nothing. Downstream
-//! crates forward the feature, so one flag strips instrumentation from the
-//! whole workspace. [`is_enabled`] reports which flavor was compiled in —
-//! tests and benches use it to label output and to gate metric-value
-//! assertions. Instrumented and `obs-off` builds must produce byte-identical
-//! analysis and simulation results; only the telemetry differs.
 //!
 //! # Example
 //!
@@ -43,17 +33,15 @@
 //!     entries.add(100 + batch);
 //! }
 //! let snap = obs::snapshot();
-//! if obs::is_enabled() {
-//!     assert_eq!(snap.counters["doc.entries"], 406);
-//!     assert_eq!(snap.histograms["doc.decode_ns"].count, 4);
-//! }
+//! assert_eq!(snap.counters["doc.entries"], 406);
+//! assert_eq!(snap.histograms["doc.decode_ns"].count, 4);
 //! ```
 
 pub mod metrics;
 pub mod report;
 
 pub use metrics::{
-    bucket_bounds, bucket_index, counter, gauge, histogram, is_enabled, snapshot, BatchedCounter,
-    Counter, Gauge, Histogram, HistogramSnapshot, Snapshot, SpanTimer,
+    bucket_bounds, bucket_index, counter, gauge, histogram, snapshot, BatchedCounter, Counter,
+    Gauge, Histogram, HistogramSnapshot, Snapshot, SpanTimer,
 };
 pub use report::{Reporter, ReporterConfig};

@@ -1,20 +1,23 @@
-//! Lock-free counters, gauges, and log2 histograms behind a per-thread-shard
-//! registry.
+//! Lock-free counters, gauges, and log2 histograms in one process-wide set
+//! of atomics.
 //!
 //! # Design
 //!
 //! Metric *names* are registered once through a mutex-guarded name table
 //! (registration is rare — typically a handful of times per process, cached
 //! at the call site via [`crate::counter!`] and friends). The returned
-//! handles are plain `Copy` indices. Metric *updates* go to a thread-local
-//! shard of preallocated atomics and use only `Relaxed` `fetch_add`, so
-//! concurrent writers on different threads never touch the same cache line
-//! for counter traffic and never block. [`snapshot`] walks every shard ever
-//! registered (an `Arc` per thread, kept alive by the registry even after
-//! the thread exits) and sums.
+//! handles are plain `Copy` indices into one `static` array of `AtomicU64`
+//! per kind: counters, gauges, histogram counts, sums and buckets. Metric
+//! *updates* are a relaxed `fetch_add` (or `store`, for a gauge) on that
+//! array and never block; [`snapshot`] loads it. The arrays are fixed-size
+//! statics, so the registry holds the same memory however many threads
+//! touch it or exit.
 //!
-//! Gauges are the exception: last-write-wins has no meaning per shard, so
-//! gauges are single global atomics.
+//! Writers on different threads share those atomics. That is cheap because
+//! every hot site batches or samples: a [`BatchedCounter`] touches its
+//! atomic once per [`BatchedCounter::BATCH`] increments, per-event spans are
+//! sampled 1 in 1024, and everything else fires once per chunk, per poll or
+//! per pass.
 //!
 //! # Histograms
 //!
@@ -26,38 +29,37 @@
 //!
 //! # Capacity
 //!
-//! Shards are preallocated at fixed capacities (`256` counters, `64` gauges,
-//! `128` histograms) so a shard created before a metric is registered can
-//! still store it. Registration past capacity returns a *dead* handle whose
+//! The arrays have fixed capacities (`256` counters, `64` gauges, `128`
+//! histograms). Registration past capacity returns a *dead* handle whose
 //! operations are silently ignored — the pipeline registers a few dozen
 //! metrics, so hitting the ceiling means a naming bug, not a sizing problem.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Mutex;
 
 /// Number of histogram buckets: one for zero plus one per power of two.
 pub const BUCKETS: usize = 65;
 
-#[cfg(not(feature = "obs-off"))]
 const MAX_COUNTERS: usize = 256;
-#[cfg(not(feature = "obs-off"))]
 const MAX_GAUGES: usize = 64;
-#[cfg(not(feature = "obs-off"))]
 const MAX_HISTOGRAMS: usize = 128;
 
 /// Handle index marking a metric that could not be registered (name table
 /// full). All operations on a dead handle are no-ops.
-#[cfg(not(feature = "obs-off"))]
 const DEAD: u16 = u16::MAX;
 
-/// Reports whether this build carries live instrumentation (`true`) or was
-/// compiled with the `obs-off` feature (`false`).
-///
-/// Use it to label bench output and to gate assertions on metric values;
-/// never to change pipeline behavior — instrumented and `obs-off` builds
-/// must produce identical results.
-pub const fn is_enabled() -> bool {
-    cfg!(not(feature = "obs-off"))
-}
+static COUNTERS: [AtomicU64; MAX_COUNTERS] = [const { AtomicU64::new(0) }; MAX_COUNTERS];
+static GAUGES: [AtomicU64; MAX_GAUGES] = [const { AtomicU64::new(0) }; MAX_GAUGES];
+static HIST_COUNTS: [AtomicU64; MAX_HISTOGRAMS] = [const { AtomicU64::new(0) }; MAX_HISTOGRAMS];
+static HIST_SUMS: [AtomicU64; MAX_HISTOGRAMS] = [const { AtomicU64::new(0) }; MAX_HISTOGRAMS];
+/// `MAX_HISTOGRAMS × BUCKETS`, row-major by histogram index.
+static HIST_BUCKETS: [AtomicU64; MAX_HISTOGRAMS * BUCKETS] =
+    [const { AtomicU64::new(0) }; MAX_HISTOGRAMS * BUCKETS];
+
+static COUNTER_NAMES: Mutex<Vec<String>> = Mutex::new(Vec::new());
+static GAUGE_NAMES: Mutex<Vec<String>> = Mutex::new(Vec::new());
+static HISTOGRAM_NAMES: Mutex<Vec<String>> = Mutex::new(Vec::new());
 
 /// Returns the `[low, high]` value range covered by a histogram bucket.
 ///
@@ -80,6 +82,13 @@ pub fn bucket_index(value: u64) -> usize {
     }
 }
 
+/// The atomic behind a live handle, or `None` for a dead one ([`DEAD`] is
+/// past the end of every array).
+#[inline]
+fn slot(array: &[AtomicU64], idx: u16) -> Option<&AtomicU64> {
+    array.get(usize::from(idx))
+}
+
 // ---------------------------------------------------------------------------
 // Handles
 // ---------------------------------------------------------------------------
@@ -88,22 +97,20 @@ pub fn bucket_index(value: u64) -> usize {
 ///
 /// Obtain one with [`counter`] (or the caching [`crate::counter!`] macro) and
 /// bump it with [`Counter::add`] / [`Counter::incr`]. For per-event hot loops
-/// wrap it in a [`BatchedCounter`] so the shared shard is only touched every
+/// wrap it in a [`BatchedCounter`] so the shared atomic is only touched every
 /// few thousand increments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Counter {
-    #[cfg_attr(feature = "obs-off", allow(dead_code))]
     idx: u16,
 }
 
 impl Counter {
-    /// Adds `n` to the counter (relaxed, on this thread's shard).
+    /// Adds `n` to the counter (relaxed).
     #[inline]
     pub fn add(self, n: u64) {
-        #[cfg(not(feature = "obs-off"))]
-        live::counter_add(self.idx, n);
-        #[cfg(feature = "obs-off")]
-        let _ = n;
+        if let Some(total) = slot(&COUNTERS, self.idx) {
+            total.fetch_add(n, Relaxed);
+        }
     }
 
     /// Adds 1 to the counter.
@@ -113,11 +120,9 @@ impl Counter {
     }
 }
 
-/// A last-write-wins gauge backed by one global atomic (not sharded, because
-/// "last write" across shards is meaningless).
+/// A last-write-wins gauge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Gauge {
-    #[cfg_attr(feature = "obs-off", allow(dead_code))]
     idx: u16,
 }
 
@@ -125,19 +130,15 @@ impl Gauge {
     /// Stores `value` (relaxed).
     #[inline]
     pub fn set(self, value: u64) {
-        #[cfg(not(feature = "obs-off"))]
-        live::gauge_set(self.idx, value);
-        #[cfg(feature = "obs-off")]
-        let _ = value;
+        if let Some(gauge) = slot(&GAUGES, self.idx) {
+            gauge.store(value, Relaxed);
+        }
     }
 
-    /// Loads the current value (relaxed). Always 0 under `obs-off`.
+    /// Loads the current value (relaxed).
     #[inline]
     pub fn get(self) -> u64 {
-        #[cfg(not(feature = "obs-off"))]
-        return live::gauge_get(self.idx);
-        #[cfg(feature = "obs-off")]
-        0
+        slot(&GAUGES, self.idx).map_or(0, |gauge| gauge.load(Relaxed))
     }
 }
 
@@ -145,30 +146,28 @@ impl Gauge {
 /// for stage timings — name the metric `*_ns` to say so).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Histogram {
-    #[cfg_attr(feature = "obs-off", allow(dead_code))]
     idx: u16,
 }
 
 impl Histogram {
-    /// Records one sample (three relaxed `fetch_add`s on this thread's
-    /// shard: count, sum, bucket).
+    /// Records one sample (three relaxed `fetch_add`s: count, sum, bucket).
     #[inline]
     pub fn record(self, value: u64) {
-        #[cfg(not(feature = "obs-off"))]
-        live::histogram_record(self.idx, value);
-        #[cfg(feature = "obs-off")]
-        let _ = value;
+        let Some(count) = slot(&HIST_COUNTS, self.idx) else {
+            return;
+        };
+        let i = self.idx as usize;
+        count.fetch_add(1, Relaxed);
+        HIST_SUMS[i].fetch_add(value, Relaxed);
+        HIST_BUCKETS[i * BUCKETS + bucket_index(value)].fetch_add(1, Relaxed);
     }
 
     /// Starts an RAII span: the elapsed wall time in nanoseconds is recorded
-    /// into this histogram when the returned [`SpanTimer`] drops. Under
-    /// `obs-off` the timer never reads the clock.
+    /// into this histogram when the returned [`SpanTimer`] drops.
     #[inline]
     pub fn timer(self) -> SpanTimer {
         SpanTimer {
-            #[cfg(not(feature = "obs-off"))]
             hist: self,
-            #[cfg(not(feature = "obs-off"))]
             start: std::time::Instant::now(),
         }
     }
@@ -179,37 +178,32 @@ impl Histogram {
 #[must_use = "a span timer records on drop; binding it to _ discards the span immediately"]
 #[derive(Debug)]
 pub struct SpanTimer {
-    #[cfg(not(feature = "obs-off"))]
     hist: Histogram,
-    #[cfg(not(feature = "obs-off"))]
     start: std::time::Instant,
 }
 
 impl Drop for SpanTimer {
     fn drop(&mut self) {
-        #[cfg(not(feature = "obs-off"))]
         self.hist
             .record(u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX));
     }
 }
 
 /// A counter front-end that accumulates locally and flushes to the shared
-/// shard every [`BatchedCounter::BATCH`] increments (and on drop).
+/// atomic every [`BatchedCounter::BATCH`] increments (and on drop).
 ///
 /// Use this for per-event hot loops — the simulator dispatches ~10M events/s,
-/// where even a thread-local relaxed `fetch_add` per event would be a
-/// measurable tax. The flush granularity means [`snapshot`] can lag the true
-/// total by up to `BATCH - 1` per live `BatchedCounter`.
+/// where even a relaxed `fetch_add` per event would be a measurable tax. The
+/// flush granularity means [`snapshot`] can lag the true total by up to
+/// `BATCH - 1` per live `BatchedCounter`.
 #[derive(Debug)]
 pub struct BatchedCounter {
-    #[cfg_attr(feature = "obs-off", allow(dead_code))]
     counter: Counter,
-    #[cfg_attr(feature = "obs-off", allow(dead_code))]
     local: u64,
 }
 
 impl BatchedCounter {
-    /// Increments between flushes to the shared shard.
+    /// Increments between flushes to the shared atomic.
     pub const BATCH: u64 = 4096;
 
     /// Wraps a counter handle.
@@ -221,15 +215,10 @@ impl BatchedCounter {
     /// [`BatchedCounter::BATCH`].
     #[inline]
     pub fn add(&mut self, n: u64) {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            self.local += n;
-            if self.local >= Self::BATCH {
-                self.flush();
-            }
+        self.local += n;
+        if self.local >= Self::BATCH {
+            self.flush();
         }
-        #[cfg(feature = "obs-off")]
-        let _ = n;
     }
 
     /// Adds 1 locally.
@@ -238,14 +227,11 @@ impl BatchedCounter {
         self.add(1);
     }
 
-    /// Pushes the local tally to the shared shard.
+    /// Pushes the local tally to the shared atomic.
     pub fn flush(&mut self) {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            if self.local > 0 {
-                self.counter.add(self.local);
-                self.local = 0;
-            }
+        if self.local > 0 {
+            self.counter.add(self.local);
+            self.local = 0;
         }
     }
 }
@@ -260,43 +246,39 @@ impl Drop for BatchedCounter {
 // Registration
 // ---------------------------------------------------------------------------
 
+/// Looks `name` up in `table`, appending it if there is room; returns its
+/// index or [`DEAD`].
+fn register(table: &Mutex<Vec<String>>, cap: usize, name: &str) -> u16 {
+    let mut names = table.lock().unwrap();
+    if let Some(i) = names.iter().position(|n| n == name) {
+        return i as u16;
+    }
+    if names.len() >= cap {
+        return DEAD;
+    }
+    names.push(name.to_string());
+    (names.len() - 1) as u16
+}
+
 /// Registers (or looks up) a counter by name. Registration takes a mutex;
 /// cache the handle — see [`crate::counter!`].
 pub fn counter(name: &str) -> Counter {
-    #[cfg(not(feature = "obs-off"))]
-    return Counter {
-        idx: live::register(live::MetricKind::Counter, name),
-    };
-    #[cfg(feature = "obs-off")]
-    {
-        let _ = name;
-        Counter { idx: 0 }
+    Counter {
+        idx: register(&COUNTER_NAMES, MAX_COUNTERS, name),
     }
 }
 
 /// Registers (or looks up) a gauge by name.
 pub fn gauge(name: &str) -> Gauge {
-    #[cfg(not(feature = "obs-off"))]
-    return Gauge {
-        idx: live::register(live::MetricKind::Gauge, name),
-    };
-    #[cfg(feature = "obs-off")]
-    {
-        let _ = name;
-        Gauge { idx: 0 }
+    Gauge {
+        idx: register(&GAUGE_NAMES, MAX_GAUGES, name),
     }
 }
 
 /// Registers (or looks up) a histogram by name.
 pub fn histogram(name: &str) -> Histogram {
-    #[cfg(not(feature = "obs-off"))]
-    return Histogram {
-        idx: live::register(live::MetricKind::Histogram, name),
-    };
-    #[cfg(feature = "obs-off")]
-    {
-        let _ = name;
-        Histogram { idx: 0 }
+    Histogram {
+        idx: register(&HISTOGRAM_NAMES, MAX_HISTOGRAMS, name),
     }
 }
 
@@ -333,7 +315,7 @@ macro_rules! histogram {
 // Snapshots
 // ---------------------------------------------------------------------------
 
-/// A point-in-time aggregation of every registered metric across all shards.
+/// A point-in-time reading of every registered metric.
 ///
 /// The heartbeat reporter builds its lines from this. Counter totals can lag
 /// live [`BatchedCounter`]s by up to one batch.
@@ -406,180 +388,34 @@ impl HistogramSnapshot {
     }
 }
 
-/// Aggregates every shard into a [`Snapshot`]. Takes the registry mutexes
-/// briefly (to copy the name table and shard list) but never blocks metric
-/// writers, which only touch their own shard's atomics.
+/// Loads every registered metric into a [`Snapshot`]. Takes the name-table
+/// mutexes briefly but never blocks metric writers.
 pub fn snapshot() -> Snapshot {
-    #[cfg(not(feature = "obs-off"))]
-    return live::snapshot();
-    #[cfg(feature = "obs-off")]
-    Snapshot::default()
-}
+    let counter_names = COUNTER_NAMES.lock().unwrap().clone();
+    let gauge_names = GAUGE_NAMES.lock().unwrap().clone();
+    let histogram_names = HISTOGRAM_NAMES.lock().unwrap().clone();
 
-// ---------------------------------------------------------------------------
-// Live implementation (compiled out under obs-off)
-// ---------------------------------------------------------------------------
-
-#[cfg(not(feature = "obs-off"))]
-mod live {
-    use super::{
-        HistogramSnapshot, Snapshot, BUCKETS, DEAD, MAX_COUNTERS, MAX_GAUGES, MAX_HISTOGRAMS,
-    };
-    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-    use std::sync::{Arc, Mutex, OnceLock};
-
-    pub(super) enum MetricKind {
-        Counter,
-        Gauge,
-        Histogram,
+    let mut snap = Snapshot::default();
+    for (name, total) in counter_names.into_iter().zip(&COUNTERS) {
+        snap.counters.insert(name, total.load(Relaxed));
     }
-
-    /// One thread's slice of every counter and histogram, preallocated at
-    /// full capacity so metrics registered after the shard was created still
-    /// have a slot.
-    struct Shard {
-        counters: Vec<AtomicU64>,
-        hist_counts: Vec<AtomicU64>,
-        hist_sums: Vec<AtomicU64>,
-        /// `MAX_HISTOGRAMS × BUCKETS`, row-major by histogram index.
-        hist_buckets: Vec<AtomicU64>,
+    for (name, value) in gauge_names.into_iter().zip(&GAUGES) {
+        snap.gauges.insert(name, value.load(Relaxed));
     }
-
-    impl Shard {
-        fn new() -> Self {
-            let zeros = |n: usize| (0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
-            Self {
-                counters: zeros(MAX_COUNTERS),
-                hist_counts: zeros(MAX_HISTOGRAMS),
-                hist_sums: zeros(MAX_HISTOGRAMS),
-                hist_buckets: zeros(MAX_HISTOGRAMS * BUCKETS),
-            }
-        }
-    }
-
-    struct Registry {
-        counter_names: Mutex<Vec<String>>,
-        gauge_names: Mutex<Vec<String>>,
-        histogram_names: Mutex<Vec<String>>,
-        /// Gauges are global (not sharded): last write wins.
-        gauge_values: Vec<AtomicU64>,
-        /// Every shard ever created; the `Arc` keeps totals from exited
-        /// threads alive.
-        shards: Mutex<Vec<Arc<Shard>>>,
-    }
-
-    fn registry() -> &'static Registry {
-        static REGISTRY: OnceLock<Registry> = OnceLock::new();
-        REGISTRY.get_or_init(|| Registry {
-            counter_names: Mutex::new(Vec::new()),
-            gauge_names: Mutex::new(Vec::new()),
-            histogram_names: Mutex::new(Vec::new()),
-            gauge_values: (0..MAX_GAUGES).map(|_| AtomicU64::new(0)).collect(),
-            shards: Mutex::new(Vec::new()),
-        })
-    }
-
-    thread_local! {
-        static SHARD: Arc<Shard> = {
-            let shard = Arc::new(Shard::new());
-            registry().shards.lock().unwrap().push(shard.clone());
-            shard
+    for (i, name) in histogram_names.into_iter().enumerate() {
+        let row = &HIST_BUCKETS[i * BUCKETS..(i + 1) * BUCKETS];
+        let hist = HistogramSnapshot {
+            count: HIST_COUNTS[i].load(Relaxed),
+            sum: HIST_SUMS[i].load(Relaxed),
+            buckets: (0u8..)
+                .zip(row)
+                .map(|(bucket, count)| (bucket, count.load(Relaxed)))
+                .filter(|&(_, count)| count > 0)
+                .collect(),
         };
+        snap.histograms.insert(name, hist);
     }
-
-    pub(super) fn register(kind: MetricKind, name: &str) -> u16 {
-        let reg = registry();
-        let (table, cap) = match kind {
-            MetricKind::Counter => (&reg.counter_names, MAX_COUNTERS),
-            MetricKind::Gauge => (&reg.gauge_names, MAX_GAUGES),
-            MetricKind::Histogram => (&reg.histogram_names, MAX_HISTOGRAMS),
-        };
-        let mut names = table.lock().unwrap();
-        if let Some(i) = names.iter().position(|n| n == name) {
-            return i as u16;
-        }
-        if names.len() >= cap {
-            return DEAD;
-        }
-        names.push(name.to_string());
-        (names.len() - 1) as u16
-    }
-
-    #[inline]
-    pub(super) fn counter_add(idx: u16, n: u64) {
-        if idx == DEAD {
-            return;
-        }
-        SHARD.with(|s| s.counters[idx as usize].fetch_add(n, Relaxed));
-    }
-
-    #[inline]
-    pub(super) fn gauge_set(idx: u16, value: u64) {
-        if idx == DEAD {
-            return;
-        }
-        registry().gauge_values[idx as usize].store(value, Relaxed);
-    }
-
-    #[inline]
-    pub(super) fn gauge_get(idx: u16) -> u64 {
-        if idx == DEAD {
-            return 0;
-        }
-        registry().gauge_values[idx as usize].load(Relaxed)
-    }
-
-    #[inline]
-    pub(super) fn histogram_record(idx: u16, value: u64) {
-        if idx == DEAD {
-            return;
-        }
-        let bucket = super::bucket_index(value);
-        SHARD.with(|s| {
-            let i = idx as usize;
-            s.hist_counts[i].fetch_add(1, Relaxed);
-            s.hist_sums[i].fetch_add(value, Relaxed);
-            s.hist_buckets[i * BUCKETS + bucket].fetch_add(1, Relaxed);
-        });
-    }
-
-    pub(super) fn snapshot() -> Snapshot {
-        let reg = registry();
-        let counter_names = reg.counter_names.lock().unwrap().clone();
-        let gauge_names = reg.gauge_names.lock().unwrap().clone();
-        let histogram_names = reg.histogram_names.lock().unwrap().clone();
-        let shards = reg.shards.lock().unwrap().clone();
-
-        let mut snap = Snapshot::default();
-        for (i, name) in counter_names.into_iter().enumerate() {
-            let total = shards
-                .iter()
-                .map(|s| s.counters[i].load(Relaxed))
-                .fold(0u64, u64::wrapping_add);
-            snap.counters.insert(name, total);
-        }
-        for (i, name) in gauge_names.into_iter().enumerate() {
-            snap.gauges.insert(name, reg.gauge_values[i].load(Relaxed));
-        }
-        for (i, name) in histogram_names.into_iter().enumerate() {
-            let mut hist = HistogramSnapshot::default();
-            for shard in &shards {
-                hist.count = hist.count.wrapping_add(shard.hist_counts[i].load(Relaxed));
-                hist.sum = hist.sum.wrapping_add(shard.hist_sums[i].load(Relaxed));
-            }
-            for bucket in 0..BUCKETS {
-                let count = shards
-                    .iter()
-                    .map(|s| s.hist_buckets[i * BUCKETS + bucket].load(Relaxed))
-                    .fold(0u64, u64::wrapping_add);
-                if count > 0 {
-                    hist.buckets.push((bucket as u8, count));
-                }
-            }
-            snap.histograms.insert(name, hist);
-        }
-        snap
-    }
+    snap
 }
 
 #[cfg(test)]
@@ -626,11 +462,7 @@ mod tests {
             }
         });
         c.add(5);
-        if is_enabled() {
-            assert_eq!(snapshot().counters["test.metrics.threads"], 4005);
-        } else {
-            assert!(snapshot().counters.is_empty());
-        }
+        assert_eq!(snapshot().counters["test.metrics.threads"], 4005);
     }
 
     #[test]
@@ -638,12 +470,8 @@ mod tests {
         let g = gauge("test.metrics.gauge");
         g.set(7);
         g.set(42);
-        if is_enabled() {
-            assert_eq!(g.get(), 42);
-            assert_eq!(snapshot().gauges["test.metrics.gauge"], 42);
-        } else {
-            assert_eq!(g.get(), 0);
-        }
+        assert_eq!(g.get(), 42);
+        assert_eq!(snapshot().gauges["test.metrics.gauge"], 42);
     }
 
     #[test]
@@ -684,16 +512,14 @@ mod tests {
             }
         });
         let snap = snapshot();
-        if is_enabled() {
-            let hist = &snap.histograms["test.metrics.hist"];
-            assert_eq!(hist.count, 400);
-            let bucket_total: u64 = hist.buckets.iter().map(|&(_, c)| c).sum();
-            assert_eq!(bucket_total, 400);
-            assert_eq!(
-                hist.sum,
-                (0..4).map(|t| t * 1000 * 100).sum::<u64>() + 4 * 4950
-            );
-        }
+        let hist = &snap.histograms["test.metrics.hist"];
+        assert_eq!(hist.count, 400);
+        let bucket_total: u64 = hist.buckets.iter().map(|&(_, c)| c).sum();
+        assert_eq!(bucket_total, 400);
+        assert_eq!(
+            hist.sum,
+            (0..4).map(|t| t * 1000 * 100).sum::<u64>() + 4 * 4950
+        );
     }
 
     #[test]
@@ -704,14 +530,10 @@ mod tests {
             for _ in 0..10 {
                 batched.incr();
             }
-            if is_enabled() {
-                // Below the batch threshold: nothing visible yet.
-                assert_eq!(snapshot().counters["test.metrics.batched"], 0);
-            }
+            // Below the batch threshold: nothing visible yet.
+            assert_eq!(snapshot().counters["test.metrics.batched"], 0);
         }
-        if is_enabled() {
-            assert_eq!(snapshot().counters["test.metrics.batched"], 10);
-        }
+        assert_eq!(snapshot().counters["test.metrics.batched"], 10);
     }
 
     #[test]
@@ -721,9 +543,7 @@ mod tests {
             let _span = h.timer();
             std::hint::black_box(0u64);
         }
-        if is_enabled() {
-            assert_eq!(snapshot().histograms["test.metrics.span"].count, 1);
-        }
+        assert_eq!(snapshot().histograms["test.metrics.span"].count, 1);
     }
 
     #[test]

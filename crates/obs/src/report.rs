@@ -29,13 +29,16 @@
 //! On [`Reporter::stop`] (or drop) a final line with `"done":true` is always
 //! emitted, so runs shorter than one interval still produce telemetry — the
 //! CI smoke tests rely on this.
-//!
-//! Under the `obs-off` feature the reporter is inert: constructors succeed
-//! but no thread is spawned and nothing is written (not even the output
-//! file).
 
+use crate::metrics::{HistogramSnapshot, Snapshot};
+use serde::content::Content;
+use serde::Serialize;
+use std::collections::BTreeMap;
 use std::io::Write;
-use std::time::Duration;
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Configuration for a [`Reporter`].
 #[derive(Debug, Clone)]
@@ -76,40 +79,33 @@ impl ReporterConfig {
 /// process prints its own summary; dropping the handle stops it too.
 #[derive(Debug)]
 pub struct Reporter {
-    #[cfg(not(feature = "obs-off"))]
-    inner: Option<live::Inner>,
+    stop: Arc<AtomicBool>,
+    handle: Option<JoinHandle<()>>,
 }
 
 impl Reporter {
     /// Spawns a reporter writing JSONL heartbeats to `writer`.
     pub fn to_writer(writer: Box<dyn Write + Send>, config: ReporterConfig) -> Self {
-        #[cfg(not(feature = "obs-off"))]
-        return Self {
-            inner: Some(live::Inner::spawn(writer, config)),
-        };
-        #[cfg(feature = "obs-off")]
-        {
-            let _ = (writer, config);
-            Self {}
+        let stop = Arc::new(AtomicBool::new(false));
+        let flag = stop.clone();
+        let handle = std::thread::Builder::new()
+            .name("obs-reporter".to_string())
+            .spawn(move || run(writer, config, flag))
+            .expect("spawn obs reporter thread");
+        Self {
+            stop,
+            handle: Some(handle),
         }
     }
 
     /// Spawns a reporter writing to the file at `path` (created if missing,
-    /// truncated if present). Under `obs-off` the file is not even created.
+    /// truncated if present).
     pub fn to_file(path: &std::path::Path, config: ReporterConfig) -> std::io::Result<Self> {
-        #[cfg(not(feature = "obs-off"))]
-        {
-            let file = std::fs::File::create(path)?;
-            Ok(Self::to_writer(
-                Box::new(std::io::BufWriter::new(file)),
-                config,
-            ))
-        }
-        #[cfg(feature = "obs-off")]
-        {
-            let _ = (path, config);
-            Ok(Self {})
-        }
+        let file = std::fs::File::create(path)?;
+        Ok(Self::to_writer(
+            Box::new(std::io::BufWriter::new(file)),
+            config,
+        ))
     }
 
     /// Spawns a reporter writing to stdout (each line written atomically, so
@@ -120,225 +116,183 @@ impl Reporter {
 
     /// Emits the final `"done":true` heartbeat, flushes, and joins the
     /// background thread.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        #[cfg(not(feature = "obs-off"))]
-        if let Some(inner) = self.inner.take() {
-            inner.stop();
-        }
+    pub fn stop(self) {
+        drop(self);
     }
 }
 
 impl Drop for Reporter {
     fn drop(&mut self) {
-        self.shutdown();
+        if let Some(handle) = self.handle.take() {
+            self.stop.store(true, Relaxed);
+            let _ = handle.join();
+        }
     }
 }
 
-#[cfg(not(feature = "obs-off"))]
-mod live {
-    use super::ReporterConfig;
-    use crate::metrics::{HistogramSnapshot, Snapshot};
-    use serde::content::Content;
-    use serde::Serialize;
-    use std::collections::BTreeMap;
-    use std::io::Write;
-    use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
-    use std::sync::Arc;
-    use std::thread::JoinHandle;
-    use std::time::{Duration, Instant};
+/// One heartbeat line; the wire format documented on the module.
+struct Heartbeat {
+    heartbeat: u64,
+    uptime_s: f64,
+    interval_s: f64,
+    done: bool,
+    events_per_sec: f64,
+    counters: BTreeMap<String, u64>,
+    rates: BTreeMap<String, f64>,
+    gauges: BTreeMap<String, u64>,
+    histograms: BTreeMap<String, HistogramSummary>,
+}
 
-    /// One heartbeat line; the wire format documented on the module.
-    struct Heartbeat {
-        heartbeat: u64,
-        uptime_s: f64,
-        interval_s: f64,
-        done: bool,
-        events_per_sec: f64,
-        counters: BTreeMap<String, u64>,
-        rates: BTreeMap<String, f64>,
-        gauges: BTreeMap<String, u64>,
-        histograms: BTreeMap<String, HistogramSummary>,
+/// A string-keyed map as a JSON object (the vendored serde's blanket
+/// `BTreeMap` impl emits `[[k, v], …]` pair sequences, which would make
+/// heartbeat lines ungreppable by metric name).
+fn string_map_content<V: Serialize>(map: &BTreeMap<String, V>) -> Content {
+    Content::Map(
+        map.iter()
+            .map(|(name, value)| (name.clone(), value.to_content()))
+            .collect(),
+    )
+}
+
+// Hand-written so the metric maps serialize as JSON objects keyed by
+// metric name (see `string_map_content`) rather than pair sequences.
+impl Serialize for Heartbeat {
+    fn to_content(&self) -> Content {
+        Content::Map(vec![
+            ("heartbeat".to_string(), Content::U64(self.heartbeat)),
+            ("uptime_s".to_string(), Content::F64(self.uptime_s)),
+            ("interval_s".to_string(), Content::F64(self.interval_s)),
+            ("done".to_string(), Content::Bool(self.done)),
+            (
+                "events_per_sec".to_string(),
+                Content::F64(self.events_per_sec),
+            ),
+            ("counters".to_string(), string_map_content(&self.counters)),
+            ("rates".to_string(), string_map_content(&self.rates)),
+            ("gauges".to_string(), string_map_content(&self.gauges)),
+            (
+                "histograms".to_string(),
+                string_map_content(&self.histograms),
+            ),
+        ])
     }
+}
 
-    /// A string-keyed map as a JSON object (the vendored serde's blanket
-    /// `BTreeMap` impl emits `[[k, v], …]` pair sequences, which would make
-    /// heartbeat lines ungreppable by metric name).
-    fn string_map_content<V: Serialize>(map: &BTreeMap<String, V>) -> Content {
-        Content::Map(
-            map.iter()
-                .map(|(name, value)| (name.clone(), value.to_content()))
-                .collect(),
-        )
-    }
+#[derive(Serialize)]
+struct HistogramSummary {
+    count: u64,
+    mean: f64,
+    p50: f64,
+    p90: f64,
+    p99: f64,
+    max: u64,
+}
 
-    // Hand-written so the metric maps serialize as JSON objects keyed by
-    // metric name (see `string_map_content`) rather than pair sequences.
-    impl Serialize for Heartbeat {
-        fn to_content(&self) -> Content {
-            Content::Map(vec![
-                ("heartbeat".to_string(), Content::U64(self.heartbeat)),
-                ("uptime_s".to_string(), Content::F64(self.uptime_s)),
-                ("interval_s".to_string(), Content::F64(self.interval_s)),
-                ("done".to_string(), Content::Bool(self.done)),
-                (
-                    "events_per_sec".to_string(),
-                    Content::F64(self.events_per_sec),
-                ),
-                ("counters".to_string(), string_map_content(&self.counters)),
-                ("rates".to_string(), string_map_content(&self.rates)),
-                ("gauges".to_string(), string_map_content(&self.gauges)),
-                (
-                    "histograms".to_string(),
-                    string_map_content(&self.histograms),
-                ),
-            ])
+impl HistogramSummary {
+    fn from_snapshot(hist: &HistogramSnapshot) -> Self {
+        Self {
+            count: hist.count,
+            mean: hist.mean(),
+            p50: hist.quantile(0.5),
+            p90: hist.quantile(0.9),
+            p99: hist.quantile(0.99),
+            max: hist.max_bound(),
         }
     }
+}
 
-    #[derive(Serialize)]
-    struct HistogramSummary {
-        count: u64,
-        mean: f64,
-        p50: f64,
-        p90: f64,
-        p99: f64,
-        max: u64,
-    }
-
-    impl HistogramSummary {
-        fn from_snapshot(hist: &HistogramSnapshot) -> Self {
-            Self {
-                count: hist.count,
-                mean: hist.mean(),
-                p50: hist.quantile(0.5),
-                p90: hist.quantile(0.9),
-                p99: hist.quantile(0.99),
-                max: hist.max_bound(),
-            }
-        }
-    }
-
-    #[derive(Debug)]
-    pub(super) struct Inner {
-        stop: Arc<AtomicBool>,
-        handle: JoinHandle<()>,
-    }
-
-    impl Inner {
-        pub(super) fn spawn(writer: Box<dyn Write + Send>, config: ReporterConfig) -> Self {
-            let stop = Arc::new(AtomicBool::new(false));
-            let flag = stop.clone();
-            let handle = std::thread::Builder::new()
-                .name("obs-reporter".to_string())
-                .spawn(move || run(writer, config, flag))
-                .expect("spawn obs reporter thread");
-            Self { stop, handle }
-        }
-
-        pub(super) fn stop(self) {
-            self.stop.store(true, Relaxed);
-            let _ = self.handle.join();
-        }
-    }
-
-    fn run(mut writer: Box<dyn Write + Send>, config: ReporterConfig, stop: Arc<AtomicBool>) {
-        let start = Instant::now();
-        let mut seq = 0u64;
-        let mut prev_counters: BTreeMap<String, u64> = BTreeMap::new();
-        let mut prev_at = start;
-        loop {
-            let deadline = prev_at + config.interval;
-            let mut done = stop.load(Relaxed);
-            while !done {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                // Sleep in short slices so stop() returns promptly even with
-                // long intervals.
-                std::thread::sleep((deadline - now).min(Duration::from_millis(20)));
-                done = stop.load(Relaxed);
-            }
-
-            seq += 1;
+fn run(mut writer: Box<dyn Write + Send>, config: ReporterConfig, stop: Arc<AtomicBool>) {
+    let start = Instant::now();
+    let mut seq = 0u64;
+    let mut prev_counters: BTreeMap<String, u64> = BTreeMap::new();
+    let mut prev_at = start;
+    loop {
+        let deadline = prev_at + config.interval;
+        let mut done = stop.load(Relaxed);
+        while !done {
             let now = Instant::now();
-            let dt = now.duration_since(prev_at).as_secs_f64().max(1e-9);
-            let snap = crate::snapshot();
-            let line = heartbeat_line(seq, start, now, dt, done, &snap, &prev_counters, &config);
-            // Telemetry is best-effort: a broken pipe must not kill the run.
-            let _ = writer.write_all(line.as_bytes());
-            let _ = writer.flush();
-            prev_counters = snap.counters;
-            prev_at = now;
-            if done {
-                return;
+            if now >= deadline {
+                break;
             }
+            // Sleep in short slices so stop() returns promptly even with
+            // long intervals.
+            std::thread::sleep((deadline - now).min(Duration::from_millis(20)));
+            done = stop.load(Relaxed);
         }
-    }
 
-    #[allow(clippy::too_many_arguments)]
-    fn heartbeat_line(
-        seq: u64,
-        start: Instant,
-        now: Instant,
-        dt: f64,
-        done: bool,
-        snap: &Snapshot,
-        prev_counters: &BTreeMap<String, u64>,
-        config: &ReporterConfig,
-    ) -> String {
-        let mut rates = BTreeMap::new();
-        for (name, &total) in &snap.counters {
-            let delta = total.saturating_sub(prev_counters.get(name).copied().unwrap_or(0));
-            if delta > 0 {
-                rates.insert(name.clone(), delta as f64 / dt);
-            }
+        seq += 1;
+        let now = Instant::now();
+        let dt = now.duration_since(prev_at).as_secs_f64().max(1e-9);
+        let snap = crate::snapshot();
+        let line = heartbeat_line(seq, start, now, dt, done, &snap, &prev_counters, &config);
+        // Telemetry is best-effort: a broken pipe must not kill the run.
+        let _ = writer.write_all(line.as_bytes());
+        let _ = writer.flush();
+        prev_counters = snap.counters;
+        prev_at = now;
+        if done {
+            return;
         }
-        // Prefer the first priority counter that moved this interval — a
-        // multi-phase run (simulate, then decode, then analyze) hands the
-        // progress figure from phase to phase. Fall back to the first with
-        // any total, so a finished/idle phase reports an honest 0.
-        let events_per_sec = config
-            .progress_counters
-            .iter()
-            .find(|name| rates.contains_key(*name))
-            .or_else(|| {
-                config
-                    .progress_counters
-                    .iter()
-                    .find(|name| snap.counters.get(*name).copied().unwrap_or(0) > 0)
-            })
-            .and_then(|name| rates.get(name).copied())
-            .unwrap_or(0.0);
-        let beat = Heartbeat {
-            heartbeat: seq,
-            uptime_s: now.duration_since(start).as_secs_f64(),
-            interval_s: dt,
-            done,
-            events_per_sec,
-            counters: snap.counters.clone(),
-            rates,
-            gauges: snap.gauges.clone(),
-            histograms: snap
-                .histograms
-                .iter()
-                .map(|(name, hist)| (name.clone(), HistogramSummary::from_snapshot(hist)))
-                .collect(),
-        };
-        let mut line = serde_json::to_string(&beat).expect("heartbeat serializes");
-        line.push('\n');
-        line
     }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn heartbeat_line(
+    seq: u64,
+    start: Instant,
+    now: Instant,
+    dt: f64,
+    done: bool,
+    snap: &Snapshot,
+    prev_counters: &BTreeMap<String, u64>,
+    config: &ReporterConfig,
+) -> String {
+    let mut rates = BTreeMap::new();
+    for (name, &total) in &snap.counters {
+        let delta = total.saturating_sub(prev_counters.get(name).copied().unwrap_or(0));
+        if delta > 0 {
+            rates.insert(name.clone(), delta as f64 / dt);
+        }
+    }
+    // Prefer the first priority counter that moved this interval — a
+    // multi-phase run (simulate, then decode, then analyze) hands the
+    // progress figure from phase to phase. Fall back to the first with
+    // any total, so a finished/idle phase reports an honest 0.
+    let events_per_sec = config
+        .progress_counters
+        .iter()
+        .find(|name| rates.contains_key(*name))
+        .or_else(|| {
+            config
+                .progress_counters
+                .iter()
+                .find(|name| snap.counters.get(*name).copied().unwrap_or(0) > 0)
+        })
+        .and_then(|name| rates.get(name).copied())
+        .unwrap_or(0.0);
+    let beat = Heartbeat {
+        heartbeat: seq,
+        uptime_s: now.duration_since(start).as_secs_f64(),
+        interval_s: dt,
+        done,
+        events_per_sec,
+        counters: snap.counters.clone(),
+        rates,
+        gauges: snap.gauges.clone(),
+        histograms: snap
+            .histograms
+            .iter()
+            .map(|(name, hist)| (name.clone(), HistogramSummary::from_snapshot(hist)))
+            .collect(),
+    };
+    let mut line = serde_json::to_string(&beat).expect("heartbeat serializes");
+    line.push('\n');
+    line
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::is_enabled;
     use std::sync::{Arc, Mutex};
 
     /// A `Write` that appends into a shared buffer.
@@ -364,17 +318,13 @@ mod tests {
         crate::counter("test.report.progress").add(50);
         reporter.stop();
         let out = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        if is_enabled() {
-            let last = out.lines().last().expect("at least one heartbeat line");
-            assert!(last.contains("\"done\":true"), "final line: {last}");
-            assert!(last.contains("\"events_per_sec\""), "final line: {last}");
-            assert!(
-                last.contains("\"test.report.progress\":50"),
-                "final line: {last}"
-            );
-        } else {
-            assert!(out.is_empty(), "obs-off reporter must write nothing");
-        }
+        let last = out.lines().last().expect("at least one heartbeat line");
+        assert!(last.contains("\"done\":true"), "final line: {last}");
+        assert!(last.contains("\"events_per_sec\""), "final line: {last}");
+        assert!(
+            last.contains("\"test.report.progress\":50"),
+            "final line: {last}"
+        );
     }
 
     #[test]
@@ -391,15 +341,13 @@ mod tests {
         crate::counter("test.report.prio_present").add(1000);
         reporter.stop();
         let out = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        if is_enabled() {
-            let last = out.lines().last().unwrap();
-            let field = last
-                .split("\"events_per_sec\":")
-                .nth(1)
-                .and_then(|rest| rest.split(&[',', '}'][..]).next())
-                .unwrap();
-            let rate: f64 = field.parse().unwrap();
-            assert!(rate > 0.0, "events_per_sec = {rate} in {last}");
-        }
+        let last = out.lines().last().unwrap();
+        let field = last
+            .split("\"events_per_sec\":")
+            .nth(1)
+            .and_then(|rest| rest.split(&[',', '}'][..]).next())
+            .unwrap();
+        let rate: f64 = field.parse().unwrap();
+        assert!(rate > 0.0, "events_per_sec = {rate} in {last}");
     }
 }

@@ -110,7 +110,7 @@ pub use recover::{
     ResumeCursor, QUARANTINE_DIR_NAME,
 };
 pub use segment::{ChunkInfo, ChunkView, SegmentConfig, SegmentError, SegmentSummary};
-pub use sink::{run_sink, AnalysisSink, ParallelProgress, Rows};
+pub use sink::{run_sink, AnalysisSink, Rows};
 pub use sketch::{HeavyHitter, HeavyHitters, SpaceSaving, SpaceSavingSink, TopK};
 pub use source::{RowTargets, SourceConnections, SourceEntries, TraceSource};
 pub use tail::{DatasetTail, TailPoll};

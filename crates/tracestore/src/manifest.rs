@@ -39,6 +39,17 @@
 //! version constant of [`crate::segment`].
 //! The manifest itself carries its own version byte, independent of the
 //! segment format.
+//!
+//! The manifest and checkpoint bytes this module parses come from disk, so
+//! it denies indexing, `unwrap`, `expect` and `panic!`: a bad byte is a
+//! [`SegmentError`], never a panic.
+
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 
 use crate::fault::{write_file_durable, RealStorage, RetryFile, RetryPolicy, Storage, StorageFile};
 use crate::record::{ConnectionRecord, TraceEntry};
@@ -514,18 +525,22 @@ impl MonitorWriter {
     }
 
     fn writer(&mut self) -> Result<&mut TraceWriter<SegmentSink>, SegmentError> {
-        if self.current.is_none() {
-            let name = SegmentMeta::file_name_of(self.monitor, self.sequence);
-            let file = self.storage.create(&self.dir.join(name))?;
-            let file = RetryFile::new(file, RetryPolicy::default());
-            self.current = Some(TraceWriter::new(
-                BufWriter::new(file),
-                self.label.clone(),
-                self.config.segment,
-            )?);
-            self.current_entries = 0;
-        }
-        Ok(self.current.as_mut().expect("just opened"))
+        let writer = match self.current.take() {
+            Some(writer) => writer,
+            None => {
+                let name = SegmentMeta::file_name_of(self.monitor, self.sequence);
+                let file = self.storage.create(&self.dir.join(name))?;
+                let file = RetryFile::new(file, RetryPolicy::default());
+                let writer = TraceWriter::new(
+                    BufWriter::new(file),
+                    self.label.clone(),
+                    self.config.segment,
+                )?;
+                self.current_entries = 0;
+                writer
+            }
+        };
+        Ok(self.current.insert(writer))
     }
 
     /// Appends one entry. The entry's `monitor` field must match this
@@ -781,7 +796,9 @@ impl DatasetWriter {
             entry.monitor,
             self.writers.len()
         );
-        self.guarded(|this| this.writers[entry.monitor].append(entry))?;
+        #[allow(clippy::indexing_slicing)] // `entry.monitor` is in range: asserted above
+        let append = |this: &mut Self| this.writers[entry.monitor].append(entry);
+        self.guarded(append)?;
         self.entries_since_checkpoint += 1;
         if self.entries_since_checkpoint >= self.config.checkpoint_after_entries {
             self.checkpoint()?;
@@ -828,7 +845,9 @@ impl DatasetWriter {
             record.monitor,
             self.writers.len()
         );
-        self.guarded(|this| this.writers[record.monitor].record_connection(record))
+        #[allow(clippy::indexing_slicing)] // `record.monitor` is in range: asserted above
+        let store = move |this: &mut Self| this.writers[record.monitor].record_connection(record);
+        self.guarded(store)
     }
 
     /// Closes all segment chains, durably writes the manifest file, removes
@@ -881,6 +900,12 @@ impl DatasetWriter {
     }
 }
 
+#[allow(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 #[cfg(test)]
 mod tests {
     use super::*;

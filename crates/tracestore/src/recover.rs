@@ -50,6 +50,17 @@
 //! after recovery every path reads the same surviving entries.
 //!
 //! [`DatasetWriter::checkpoint`]: crate::manifest::DatasetWriter::checkpoint
+//!
+//! Every byte recovery parses comes from a possibly damaged disk, so the
+//! module denies indexing, `unwrap`, `expect` and `panic!`: a bad byte is a
+//! [`SegmentError`] or a quarantine, never a panic.
+
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 
 use crate::fault::{write_file_durable, RealStorage, Storage, DURABLE_TMP_SUFFIX};
 use crate::manifest::{Checkpoint, Manifest, SegmentMeta, MANIFEST_FILE_NAME};
@@ -202,9 +213,9 @@ fn scan_chunk_prefix(bytes: &[u8]) -> (Vec<ChunkInfo>, usize, u64) {
             offset: offset as u64,
             len: len as u64,
             entries: view.len() as u64,
-            // The walk yields no empty chunk.
-            first_timestamp: SimTime::from_millis(timestamps[0]),
-            last_timestamp: SimTime::from_millis(timestamps[timestamps.len() - 1]),
+            // The walk yields no empty chunk; one would index as 0..=0.
+            first_timestamp: SimTime::from_millis(timestamps.first().copied().unwrap_or(0)),
+            last_timestamp: SimTime::from_millis(timestamps.last().copied().unwrap_or(0)),
         });
     });
     (infos, valid_end, max_lateness_ms)
@@ -430,10 +441,12 @@ pub fn recover_dataset_with(
                 }
             };
         // Only a segment that salvaged names a monitor.
-        if labels.len() <= monitor {
-            labels.resize_with(monitor + 1, String::new);
+        if let Some(slot) = labels.get_mut(monitor) {
+            *slot = label;
+        } else {
+            labels.resize_with(monitor, String::new);
+            labels.push(label);
         }
-        labels[monitor] = label;
         chains
             .entry(monitor)
             .or_default()
@@ -523,15 +536,17 @@ pub fn recover_dataset_with(
     Checkpoint::remove_from(dir, storage)?;
 
     report.entries_recovered = manifest.total_entries();
-    report.resume = (0..labels.len())
-        .map(|monitor| {
+    report.resume = labels
+        .iter()
+        .enumerate()
+        .map(|(monitor, label)| {
             let (entries_durable, next_sequence) = recovered_per_monitor
                 .get(&monitor)
                 .copied()
                 .unwrap_or((0, 0));
             ResumeCursor {
                 monitor,
-                label: labels[monitor].clone(),
+                label: label.clone(),
                 next_sequence,
                 entries_durable,
             }

@@ -132,7 +132,7 @@ use crate::segment::{ChunkView, SegmentError};
 use crate::source::TraceSource;
 use ipfs_mon_obs as obs;
 use ipfs_mon_simnet::time::SimTime;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 
 /// What a sink still needs of a chunk's rows once
 /// [`AnalysisSink::consume_chunk`] has seen the chunk — the least first, so a
@@ -318,44 +318,24 @@ impl ManifestReader {
     ///
     /// If any chain ends on a storage error, the error of the
     /// lowest-numbered failing monitor is returned (deterministic regardless
-    /// of worker timing), the same error the merged stream reports. How far
-    /// every worker got —
-    /// including the non-failing ones — is still reported: see
-    /// [`ManifestReader::run_parallel_with_progress`], which this delegates
-    /// to, and the `analysis.entries.<label>` obs counters it publishes.
-    pub fn run_parallel<K>(&self, sink: K) -> Result<K::Output, SegmentError>
-    where
-        K: AnalysisSink + Clone + Send,
-    {
-        self.run_parallel_with_progress(sink).result
-    }
-
-    /// Like [`ManifestReader::run_parallel`], but never swallows worker
-    /// progress: the returned [`ParallelProgress`] carries the number of
-    /// entries each monitor's worker consumed, whether the run succeeded or
-    /// not. On error, workers that did not fail still report their counts —
-    /// a partially corrupt dataset shows exactly how far each chain got.
+    /// of worker timing), the same error the merged stream reports.
     ///
-    /// The counts are also published to the obs registry: the
-    /// `analysis.entries` counter totals all workers, and every monitor adds
-    /// its count to `analysis.entries.<label>`, so heartbeat snapshots show
-    /// per-monitor analysis progress while the run is still in flight (the
-    /// per-entry accounting is batched; totals are exact once the run
-    /// returns).
-    pub fn run_parallel_with_progress<K>(&self, sink: K) -> ParallelProgress<K::Output>
+    /// Progress goes to the obs registry: the `analysis.entries` counter
+    /// totals all workers, and every monitor adds the entries it consumed to
+    /// `analysis.entries.<label>` — error or not, so a partially corrupt
+    /// dataset shows how far each chain got — and heartbeat snapshots show
+    /// per-monitor progress while the run is still in flight.
+    pub fn run_parallel<K>(&self, sink: K) -> Result<K::Output, SegmentError>
     where
         K: AnalysisSink + Clone + Send,
     {
         let monitors = self.monitor_count();
         if monitors == 0 {
-            return ParallelProgress {
-                result: Ok(sink.finish()),
-                entries_consumed: Vec::new(),
-            };
+            return Ok(sink.finish());
         }
         // One worker's chain pass. Shared by the single-monitor (inline) and
         // multi-monitor (scoped threads) paths so both report identically.
-        let run_chain = |monitor: usize, worker_sink: K| -> (Result<K, SegmentError>, u64) {
+        let run_chain = |monitor: usize, worker_sink: K| -> Result<K, SegmentError> {
             let _span = obs::histogram!("analysis.worker_pass_ns").timer();
             let consumed = obs::counter(&format!(
                 "analysis.entries.{}",
@@ -366,10 +346,8 @@ impl ManifestReader {
             // validated and hands out the rows afterwards, so the sink is
             // borrowed from both sides, never at the same time.
             let worker_sink = RefCell::new(worker_sink);
-            let count = Cell::new(0u64);
             let offer = |chunk: &SharedChunk, _rows: &mut Vec<usize>| {
                 worker_sink.borrow_mut().consume_chunk(monitor, chunk);
-                count.set(count.get() + chunk.len() as u64);
                 consumed.add(chunk.len() as u64);
                 total.add(chunk.len() as u64);
                 // A sink that is done with the chunk selects none of its
@@ -392,13 +370,12 @@ impl ManifestReader {
                 }
                 obs::counter!("store.rows_timed").add(timed);
             }
-            let error = stream.take_error();
-            match error {
-                Some(error) => (Err(error), count.get()),
-                None => (Ok(worker_sink.into_inner()), count.get()),
+            match stream.take_error() {
+                Some(error) => Err(error),
+                None => Ok(worker_sink.into_inner()),
             }
         };
-        let results: Vec<(Result<K, SegmentError>, u64)> = if monitors == 1 {
+        let results: Vec<Result<K, SegmentError>> = if monitors == 1 {
             vec![run_chain(0, sink.clone())]
         } else {
             std::thread::scope(|scope| {
@@ -415,19 +392,9 @@ impl ManifestReader {
                     .collect()
             })
         };
-        let entries_consumed: Vec<u64> = results.iter().map(|(_, count)| *count).collect();
         let mut combined: Option<K> = None;
-        for (result, _) in results {
-            let part = match result {
-                Ok(part) => part,
-                Err(error) => {
-                    obs::counter!("analysis.workers_failed").incr();
-                    return ParallelProgress {
-                        result: Err(error),
-                        entries_consumed,
-                    };
-                }
-            };
+        for result in results {
+            let part = result.inspect_err(|_| obs::counter!("analysis.workers_failed").incr())?;
             match combined.as_mut() {
                 None => combined = Some(part),
                 Some(acc) => {
@@ -436,25 +403,8 @@ impl ManifestReader {
                 }
             }
         }
-        ParallelProgress {
-            result: Ok(combined.unwrap_or(sink).finish()),
-            entries_consumed,
-        }
+        Ok(combined.unwrap_or(sink).finish())
     }
-}
-
-/// Outcome of [`ManifestReader::run_parallel_with_progress`]: the sink
-/// result plus how far every worker got, error or not.
-#[derive(Debug)]
-pub struct ParallelProgress<T> {
-    /// The combined, finished sink output — or the error of the
-    /// lowest-numbered failing monitor, exactly as
-    /// [`ManifestReader::run_parallel`] reports it.
-    pub result: Result<T, SegmentError>,
-    /// Entries consumed per monitor (indexed by global monitor), recorded
-    /// even for workers whose chain later failed and for workers that
-    /// succeeded while another monitor failed.
-    pub entries_consumed: Vec<u64>,
 }
 
 #[cfg(test)]
@@ -520,7 +470,9 @@ mod tests {
             std::process::id(),
             monitors
         ));
-        let labels: Vec<String> = (0..monitors).map(|m| format!("m{m}")).collect();
+        // Labels unique to the test, so its `analysis.entries.<label>`
+        // counters count only its own runs.
+        let labels: Vec<String> = (0..monitors).map(|m| format!("{label}.m{m}")).collect();
         let mut writer = DatasetWriter::create(
             &dir,
             labels,
@@ -632,18 +584,25 @@ mod tests {
         assert_eq!(entries.0, vec![90, 90]);
     }
 
-    #[test]
-    fn run_parallel_with_progress_counts_every_monitor() {
-        let dir = build_manifest_dir("progress", 3, 150);
-        let reader = ManifestReader::open(&dir).unwrap();
-        let progress = reader.run_parallel_with_progress(ProbeSink::default());
-        std::fs::remove_dir_all(&dir).ok();
-        assert_eq!(progress.entries_consumed, vec![150, 150, 150]);
-        assert_eq!(progress.result.unwrap().0, vec![150, 150, 150]);
+    /// What `analysis.entries.<label>` has counted so far.
+    fn entries_counted(label: &str) -> u64 {
+        obs::snapshot().counters[&format!("analysis.entries.{label}")]
     }
 
     #[test]
-    fn run_parallel_with_progress_keeps_counts_on_error() {
+    fn run_parallel_counts_every_monitor() {
+        let dir = build_manifest_dir("progress", 3, 150);
+        let reader = ManifestReader::open(&dir).unwrap();
+        let result = reader.run_parallel(ProbeSink::default());
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(result.unwrap().0, vec![150, 150, 150]);
+        for m in 0..3 {
+            assert_eq!(entries_counted(&format!("progress.m{m}")), 150);
+        }
+    }
+
+    #[test]
+    fn run_parallel_keeps_counts_on_error() {
         let dir = build_manifest_dir("progress-err", 2, 120);
         // Damage one monitor's segment body; the file name carries the
         // monitor index (`seg-<monitor>-<sequence>.seg`).
@@ -667,14 +626,16 @@ mod tests {
         bytes[10] ^= 0x55;
         std::fs::write(&victim, &bytes).unwrap();
         let reader = ManifestReader::open(&dir).unwrap();
-        let progress = reader.run_parallel_with_progress(ProbeSink::default());
+        let result = reader.run_parallel(ProbeSink::default());
         std::fs::remove_dir_all(&dir).ok();
-        assert!(progress.result.is_err());
-        assert_eq!(progress.entries_consumed.len(), 2);
+        assert!(result.is_err());
         // The failing chain stopped early; the healthy one still reports a
         // full pass instead of being swallowed by the error.
-        assert!(progress.entries_consumed[failed_monitor] < 120);
-        assert_eq!(progress.entries_consumed[1 - failed_monitor], 120);
+        assert!(entries_counted(&format!("progress-err.m{failed_monitor}")) < 120);
+        assert_eq!(
+            entries_counted(&format!("progress-err.m{}", 1 - failed_monitor)),
+            120
+        );
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! * [`types`] — peer IDs, CIDs, multihashes, multicodecs, multiaddrs,
 //! * [`obs`] — the runtime observability layer: lock-free counters, gauges
 //!   and log2 histograms, stage-timing spans, and the JSONL heartbeat
-//!   reporter (`docs/OBSERVABILITY.md`); compile with `--features obs-off`
-//!   to strip every probe,
+//!   reporter (`docs/OBSERVABILITY.md`),
 //! * [`simnet`] — deterministic discrete-event simulation kernel,
 //! * [`kad`] — Kademlia k-buckets and the DHT crawler baseline,
 //! * [`bitswap`] — Bitswap request types and protocol generations,

@@ -3,16 +3,15 @@
 //!
 //! * metric handles registered across layers actually track real work
 //!   (simulation events, decoded chunks, analysis entries);
-//! * per-monitor analysis progress (`run_parallel_with_progress`) is exact
-//!   in both build flavours, instrumented and `obs-off`;
+//! * per-monitor analysis progress (the `analysis.entries.<label>`
+//!   counters a `run_parallel` publishes) is exact;
 //! * the instrumentation is output-passive — the pipeline produces
 //!   byte-identical traces with a live heartbeat reporter sampling
-//!   concurrently and with none at all (so an `obs-off` build, which strips
-//!   the probes entirely, trivially produces the same bytes; CI runs this
-//!   whole suite in both configurations);
+//!   concurrently and with none at all;
 //! * heartbeat JSONL lines parse and carry the documented fields;
 //! * histogram bucket/quantile contracts hold through the public API;
-//! * snapshots round-trip through JSON.
+//! * the metric catalog in docs/OBSERVABILITY.md names exactly the metrics
+//!   the crates register.
 //!
 //! Metric state is global per test binary and the harness runs tests
 //! concurrently, so counter assertions use unique metric names or `>=`
@@ -72,7 +71,7 @@ impl AnalysisSink for CountSink {
 }
 
 /// The cross-layer counters and stage histograms move when the pipeline
-/// does real work (and stay empty under `obs-off`).
+/// does real work.
 #[test]
 fn pipeline_metrics_track_real_work() {
     let _reading = reading();
@@ -84,37 +83,31 @@ fn pipeline_metrics_track_real_work() {
     write_manifest(&dataset, &dir);
     let reader = ManifestReader::open(&dir).expect("open manifest");
     let before = obs::snapshot();
-    let progress = reader.run_parallel_with_progress(CountSink::default());
-    assert_eq!(progress.result.expect("analysis"), total);
+    let counted = reader.run_parallel(CountSink::default());
+    assert_eq!(counted.expect("analysis"), total);
     let after = obs::snapshot();
     std::fs::remove_dir_all(&dir).ok();
 
-    if obs::is_enabled() {
-        let delta = |name: &str| {
-            after.counters.get(name).copied().unwrap_or(0)
-                - before.counters.get(name).copied().unwrap_or(0)
-        };
-        // `>=` because other tests in this binary drive the same global
-        // counters concurrently.
-        assert!(delta("analysis.entries") >= total);
-        assert!(delta("store.chunks_decoded") >= 1);
-        assert!(delta("store.entries_decoded") >= total);
-        assert!(after.counters.get("sim.events").copied().unwrap_or(0) > 0);
-        assert!(after.counters.get("ingest.entries").copied().unwrap_or(0) >= total);
-        // The decode stage and its sub-spans fire on every chunk.
-        for name in [
-            "store.chunk_decode_ns",
-            "store.chunk_crc_ns",
-            "store.chunk_columns_ns",
-            "store.chunk_dict_ns",
-        ] {
-            let samples = after.histograms.get(name).map_or(0, |h| h.count);
-            assert!(samples >= 1, "{name} must have samples");
-        }
-    } else {
-        assert!(after.counters.is_empty());
-        assert!(after.histograms.is_empty());
-        assert!(after.gauges.is_empty());
+    let delta = |name: &str| {
+        after.counters.get(name).copied().unwrap_or(0)
+            - before.counters.get(name).copied().unwrap_or(0)
+    };
+    // `>=` because other tests in this binary drive the same global
+    // counters concurrently.
+    assert!(delta("analysis.entries") >= total);
+    assert!(delta("store.chunks_decoded") >= 1);
+    assert!(delta("store.entries_decoded") >= total);
+    assert!(after.counters.get("sim.events").copied().unwrap_or(0) > 0);
+    assert!(after.counters.get("ingest.entries").copied().unwrap_or(0) >= total);
+    // The decode stage and its sub-spans fire on every chunk.
+    for name in [
+        "store.chunk_decode_ns",
+        "store.chunk_crc_ns",
+        "store.chunk_columns_ns",
+        "store.chunk_dict_ns",
+    ] {
+        let samples = after.histograms.get(name).map_or(0, |h| h.count);
+        assert!(samples >= 1, "{name} must have samples");
     }
 }
 
@@ -144,15 +137,13 @@ fn pushdown_counters_track_selected_rows_and_pruned_chunks() {
 
     assert!(selected > 0 && selected < dataset.total_entries() as u64);
     assert_eq!(nothing, 0);
-    if obs::is_enabled() {
-        let delta = |name: &str| {
-            after.counters.get(name).copied().unwrap_or(0)
-                - before.counters.get(name).copied().unwrap_or(0)
-        };
-        assert_eq!(delta("store.rows_selected"), selected);
-        assert!(delta("store.entries_decoded") >= 2 * dataset.total_entries() as u64);
-        assert!(delta("store.chunks_pruned") >= (dataset.total_entries() as u64).div_ceil(64));
-    }
+    let delta = |name: &str| {
+        after.counters.get(name).copied().unwrap_or(0)
+            - before.counters.get(name).copied().unwrap_or(0)
+    };
+    assert_eq!(delta("store.rows_selected"), selected);
+    assert!(delta("store.entries_decoded") >= 2 * dataset.total_entries() as u64);
+    assert!(delta("store.chunks_pruned") >= (dataset.total_entries() as u64).div_ceil(64));
 }
 
 /// A `run_parallel` that feeds its sink timestamps accounts every row it
@@ -176,16 +167,14 @@ fn time_only_rows_are_counted() {
     let total = dataset.total_entries() as u64;
     assert_eq!(stats.iter().map(|m| m.entries).sum::<u64>(), total);
     assert_eq!(counted, (stats, total));
-    if obs::is_enabled() {
-        let timed = |snapshot: &obs::Snapshot| {
-            snapshot
-                .counters
-                .get("store.rows_timed")
-                .copied()
-                .unwrap_or(0)
-        };
-        assert_eq!(timed(&after) - timed(&before), total);
-    }
+    let timed = |snapshot: &obs::Snapshot| {
+        snapshot
+            .counters
+            .get("store.rows_timed")
+            .copied()
+            .unwrap_or(0)
+    };
+    assert_eq!(timed(&after) - timed(&before), total);
 }
 
 /// A `TraceEntry` is built once per row that leaves a stream as an entry —
@@ -252,38 +241,45 @@ fn entries_are_built_once_per_row_handed_out_as_an_entry() {
         (total, total, total, total)
     );
     assert!(filtered.0 > 0 && filtered.0 < total);
-    if obs::is_enabled() {
-        assert_eq!(merged.1, total);
-        assert_eq!(flagged.1, total);
-        assert_eq!(four_sinks.1, 0);
-        assert_eq!((filtered.1, filtered.2), (filtered.0, filtered.0));
-        assert_eq!(by_entry.1, total);
-    }
+    assert_eq!(merged.1, total);
+    assert_eq!(flagged.1, total);
+    assert_eq!(four_sinks.1, 0);
+    assert_eq!((filtered.1, filtered.2), (filtered.0, filtered.0));
+    assert_eq!(by_entry.1, total);
 }
 
-/// Per-monitor progress from `run_parallel_with_progress` is exact in both
-/// build flavours: it is functional accounting, not a metrics read-back.
+/// Per-monitor progress from `run_parallel` is exact: each monitor's
+/// `analysis.entries.<label>` counter moves by that monitor's entry count.
 #[test]
-fn parallel_progress_is_exact_in_both_configs() {
+fn parallel_progress_is_exact_per_monitor() {
     let _reading = reading();
     let dataset = run_pipeline(42);
     let per_monitor: Vec<u64> = dataset.entries.iter().map(|e| e.len() as u64).collect();
     let dir = temp_dir("progress");
     write_manifest(&dataset, &dir);
     let reader = ManifestReader::open(&dir).expect("open manifest");
-    let progress = reader.run_parallel_with_progress(CountSink::default());
+    let consumed = |snapshot: &obs::Snapshot| -> Vec<u64> {
+        reader
+            .monitor_labels()
+            .iter()
+            .map(|label| {
+                let name = format!("analysis.entries.{label}");
+                snapshot.counters.get(&name).copied().unwrap_or(0)
+            })
+            .collect()
+    };
+    let before = consumed(&obs::snapshot());
+    let counted = reader.run_parallel(CountSink::default());
+    let after = consumed(&obs::snapshot());
     std::fs::remove_dir_all(&dir).ok();
-    assert_eq!(
-        progress.result.expect("analysis"),
-        per_monitor.iter().sum::<u64>()
-    );
-    assert_eq!(progress.entries_consumed, per_monitor);
+    assert_eq!(counted.expect("analysis"), per_monitor.iter().sum::<u64>());
+    let moved: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
+    assert_eq!(moved, per_monitor);
 }
 
 /// Output passivity: the pipeline's dataset is identical whether a
 /// heartbeat reporter is actively sampling the registry or no reporter
-/// exists at all. Run under both default and `obs-off` features, this is
-/// the identity property the `obs-off` feature promises.
+/// exists at all.
 #[test]
 fn instrumentation_is_output_passive() {
     let quiet = run_pipeline(43);
@@ -301,7 +297,7 @@ fn instrumentation_is_output_passive() {
 }
 
 /// Heartbeat lines are valid JSON with the documented fields; the final
-/// line carries `done: true`. Under `obs-off` no file is even created.
+/// line carries `done: true`.
 #[test]
 fn heartbeat_lines_parse_and_finish_with_done() {
     let path = temp_dir("heartbeat").with_extension("jsonl");
@@ -316,10 +312,6 @@ fn heartbeat_lines_parse_and_finish_with_done() {
     std::thread::sleep(std::time::Duration::from_millis(40));
     reporter.stop();
 
-    if !obs::is_enabled() {
-        assert!(!path.exists(), "obs-off must not create heartbeat files");
-        return;
-    }
     let text = std::fs::read_to_string(&path).expect("heartbeat file");
     std::fs::remove_file(&path).ok();
     let lines: Vec<&str> = text.lines().collect();
@@ -369,26 +361,22 @@ fn histogram_bucket_and_quantile_contract() {
         hist.record(v);
     }
     let snapshot = obs::snapshot();
-    if obs::is_enabled() {
-        let h = snapshot
-            .histograms
-            .get("test.obs_layer.quantiles")
-            .expect("recorded histogram");
-        assert_eq!(h.count, 7);
-        assert_eq!(h.sum, 1 + 3 + 7 + 90 + 90 + 4096 + 70_000);
-        let quantiles: Vec<f64> = [0.0, 0.25, 0.5, 0.75, 0.9, 1.0]
-            .iter()
-            .map(|&q| h.quantile(q))
-            .collect();
-        for pair in quantiles.windows(2) {
-            assert!(pair[0] <= pair[1], "quantiles must be monotone");
-        }
-        assert!(quantiles[0] >= 1.0);
-        assert!(*quantiles.last().unwrap() <= h.max_bound() as f64);
-        assert!((h.mean() - (h.sum as f64 / 7.0)).abs() < 1e-9);
-    } else {
-        assert!(snapshot.histograms.is_empty());
+    let h = snapshot
+        .histograms
+        .get("test.obs_layer.quantiles")
+        .expect("recorded histogram");
+    assert_eq!(h.count, 7);
+    assert_eq!(h.sum, 1 + 3 + 7 + 90 + 90 + 4096 + 70_000);
+    let quantiles: Vec<f64> = [0.0, 0.25, 0.5, 0.75, 0.9, 1.0]
+        .iter()
+        .map(|&q| h.quantile(q))
+        .collect();
+    for pair in quantiles.windows(2) {
+        assert!(pair[0] <= pair[1], "quantiles must be monotone");
     }
+    assert!(quantiles[0] >= 1.0);
+    assert!(*quantiles.last().unwrap() <= h.max_bound() as f64);
+    assert!((h.mean() - (h.sum as f64 / 7.0)).abs() < 1e-9);
 }
 
 /// Every `.rs` file under `dir`, recursively.
