@@ -6,15 +6,16 @@
 //! paper's "Testing for Past Interests" (TPI) attack: whether a node answers a
 //! request for a CID reveals whether it recently downloaded that CID.
 //!
-//! The store is an LRU index of the CIDs a node holds: each carries its
-//! block's logical size and its last access time, and nothing reads a
-//! payload back. Blocks are evicted least-recently-used (ties broken by CID)
-//! when the store exceeds its capacity.
+//! The store is an LRU index of the blocks a node holds: each carries its
+//! logical size and its last access time, and nothing reads a payload back.
+//! A block is named by a `u32` key the caller hands out, one per CID, so a
+//! lookup hashes an integer rather than a CID. Blocks are evicted
+//! least-recently-used, ties broken by CID, when the store exceeds its
+//! capacity.
 
-use crate::block::Block;
 use ipfs_mon_simnet::time::SimTime;
+use ipfs_mon_simnet::IndexMap;
 use ipfs_mon_types::Cid;
-use std::collections::HashMap;
 
 /// Default cache capacity used by kubo (10 GB).
 pub const DEFAULT_CAPACITY: u64 = 10 * 1024 * 1024 * 1024;
@@ -24,8 +25,8 @@ pub const DEFAULT_CAPACITY: u64 = 10 * 1024 * 1024 * 1024;
 pub struct Blockstore {
     /// Maximum total logical size of the stored blocks before eviction runs.
     capacity: u64,
-    /// Logical size and last access time of every held block.
-    held: HashMap<Cid, (u64, SimTime)>,
+    /// Logical size and last access time of every held block, by key.
+    held: IndexMap<(u64, SimTime)>,
     total_size: u64,
 }
 
@@ -34,45 +35,45 @@ impl Blockstore {
     pub fn with_capacity(capacity: u64) -> Self {
         Self {
             capacity,
-            held: HashMap::new(),
+            held: IndexMap::default(),
             total_size: 0,
         }
     }
 
-    /// Inserts a block (idempotent; a repeat put refreshes its LRU time) and
-    /// evicts if the capacity is exceeded.
-    pub fn put(&mut self, block: &Block, now: SimTime) {
-        if let Some((_, last_access)) = self.held.get_mut(block.cid()) {
+    /// Inserts the block `key` of logical size `size` (idempotent; a repeat
+    /// put refreshes its LRU time) and evicts if the capacity is exceeded.
+    /// `cid_of` names the CID of a held key, for eviction's tiebreak.
+    pub fn put<'c>(&mut self, key: u32, size: u64, now: SimTime, cid_of: impl Fn(u32) -> &'c Cid) {
+        if let Some((_, last_access)) = self.held.get_mut(&key) {
             *last_access = now;
             return;
         }
-        self.total_size += block.logical_size();
-        self.held
-            .insert(block.cid().clone(), (block.logical_size(), now));
+        self.total_size += size;
+        self.held.insert(key, (size, now));
         if self.total_size > self.capacity {
-            self.evict_lru();
+            self.evict_lru(cid_of);
         }
     }
 
     /// Presence check.
-    pub fn contains(&self, cid: &Cid) -> bool {
-        self.held.contains_key(cid)
+    pub fn contains(&self, key: u32) -> bool {
+        self.held.contains_key(&key)
     }
 
     /// Evicts blocks in ascending `(last access, CID)` order until the store
     /// fits within capacity again.
-    fn evict_lru(&mut self) {
-        let mut candidates: Vec<(SimTime, Cid)> = self
+    fn evict_lru<'c>(&mut self, cid_of: impl Fn(u32) -> &'c Cid) {
+        let mut candidates: Vec<(SimTime, &Cid, u32)> = self
             .held
             .iter()
-            .map(|(cid, &(_, last_access))| (last_access, cid.clone()))
+            .map(|(&key, &(_, last_access))| (last_access, cid_of(key), key))
             .collect();
-        candidates.sort();
-        for (_, cid) in candidates {
+        candidates.sort_unstable();
+        for (_, _, key) in candidates {
             if self.total_size <= self.capacity {
                 break;
             }
-            let (size, _) = self.held.remove(&cid).expect("candidate is held");
+            let (size, _) = self.held.remove(&key).expect("candidate is held");
             self.total_size -= size;
         }
     }
@@ -81,6 +82,7 @@ impl Blockstore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::Block;
     use ipfs_mon_types::Multicodec;
     use proptest::prelude::*;
 
@@ -92,14 +94,20 @@ mod tests {
         SimTime::from_secs(secs)
     }
 
+    /// Puts `blocks[key]`, keyed by its index in `blocks`.
+    fn put(store: &mut Blockstore, blocks: &[Block], key: u32, now: SimTime) {
+        let size = blocks[key as usize].logical_size();
+        store.put(key, size, now, |k| blocks[k as usize].cid());
+    }
+
     #[test]
     fn put_then_contains() {
         let mut store = Blockstore::with_capacity(DEFAULT_CAPACITY);
-        let block = Block::new(Multicodec::Raw, b"data".to_vec());
-        assert!(!store.contains(block.cid()));
-        store.put(&block, t(0));
-        assert!(store.contains(block.cid()));
-        assert!(!store.contains(&Cid::new_v1(Multicodec::Raw, b"nope")));
+        let blocks = [Block::new(Multicodec::Raw, b"data".to_vec())];
+        assert!(!store.contains(0));
+        put(&mut store, &blocks, 0, t(0));
+        assert!(store.contains(0));
+        assert!(!store.contains(1));
         assert_eq!(store.held.len(), 1);
         assert_eq!(store.total_size, 4);
     }
@@ -107,9 +115,9 @@ mod tests {
     #[test]
     fn duplicate_put_does_not_double_count() {
         let mut store = Blockstore::with_capacity(DEFAULT_CAPACITY);
-        let block = synthetic(1, 100);
-        store.put(&block, t(0));
-        store.put(&block, t(1));
+        let blocks = [synthetic(1, 100)];
+        put(&mut store, &blocks, 0, t(0));
+        put(&mut store, &blocks, 0, t(1));
         assert_eq!(store.held.len(), 1);
         assert_eq!(store.total_size, 100);
     }
@@ -117,17 +125,16 @@ mod tests {
     #[test]
     fn evicts_least_recently_used_block() {
         let mut store = Blockstore::with_capacity(250);
-        let a = synthetic(1, 100);
-        let b = synthetic(2, 100);
-        let c = synthetic(3, 100);
-        store.put(&a, t(0));
-        store.put(&b, t(1));
+        let blocks = [synthetic(1, 100), synthetic(2, 100), synthetic(3, 100)];
+        let (a, b, c) = (0, 1, 2);
+        put(&mut store, &blocks, a, t(0));
+        put(&mut store, &blocks, b, t(1));
         // Touch `a` so `b` becomes the LRU block.
-        store.put(&a, t(2));
-        store.put(&c, t(3));
-        assert!(store.contains(a.cid()), "recently used survives");
-        assert!(!store.contains(b.cid()), "LRU block evicted");
-        assert!(store.contains(c.cid()));
+        put(&mut store, &blocks, a, t(2));
+        put(&mut store, &blocks, c, t(3));
+        assert!(store.contains(a), "recently used survives");
+        assert!(!store.contains(b), "LRU block evicted");
+        assert!(store.contains(c));
         assert_eq!(store.total_size, 200);
     }
 
@@ -165,9 +172,10 @@ mod tests {
 
     proptest! {
         /// `put`, `contains`, the size accounting and the eviction order
-        /// agree with the model over random operations on at most 8 CIDs.
-        /// Time advances by 0 or 1 s per operation, so many blocks share a
-        /// last access time and eviction falls to the CID tiebreak.
+        /// agree with the CID-keyed model over random operations on at most
+        /// 8 blocks, keyed by their index. Time advances by 0 or 1 s per
+        /// operation, so many blocks share a last access time and eviction
+        /// falls to the CID tiebreak, whose order is not the keys' order.
         #[test]
         fn store_matches_a_brute_force_lru_list(
             sizes in proptest::collection::vec(50u64..=150, 8..9),
@@ -186,15 +194,15 @@ mod tests {
                 now += step;
                 let block = &blocks[index];
                 if is_put {
-                    store.put(block, t(now));
+                    put(&mut store, &blocks, index as u32, t(now));
                     model.put(block, t(now), capacity);
                 } else {
-                    prop_assert_eq!(store.contains(block.cid()), model.contains(block.cid()));
+                    prop_assert_eq!(store.contains(index as u32), model.contains(block.cid()));
                 }
                 prop_assert_eq!(store.total_size, model.total_size());
                 prop_assert!(store.total_size <= capacity);
-                for block in &blocks {
-                    prop_assert_eq!(store.contains(block.cid()), model.contains(block.cid()));
+                for (key, block) in (0u32..).zip(&blocks) {
+                    prop_assert_eq!(store.contains(key), model.contains(block.cid()));
                 }
             }
         }

@@ -14,8 +14,8 @@
 //! nodes of one operator, mirroring the public gateway list used in Sec. VI-B.
 
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
+use ipfs_mon_simnet::IndexMap;
 use ipfs_mon_types::Cid;
-use std::collections::HashMap;
 
 /// Outcome of an HTTP request hitting the gateway cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,15 +55,13 @@ impl Default for GatewayCacheConfig {
     }
 }
 
-/// The HTTP-side cache of one gateway node.
+/// The HTTP-side cache of one gateway node. Content is named by a `u32` key
+/// the caller hands out, one per CID.
 #[derive(Debug, Clone)]
 pub struct GatewayCache {
     config: GatewayCacheConfig,
-    /// CID → last time the content was fetched/validated.
-    entries: HashMap<Cid, SimTime>,
-    hits: u64,
-    revalidations: u64,
-    misses: u64,
+    /// Key → last time the content was fetched/validated.
+    entries: IndexMap<SimTime>,
 }
 
 impl GatewayCache {
@@ -71,47 +69,47 @@ impl GatewayCache {
     pub fn new(config: GatewayCacheConfig) -> Self {
         Self {
             config,
-            entries: HashMap::new(),
-            hits: 0,
-            revalidations: 0,
-            misses: 0,
+            entries: IndexMap::default(),
         }
     }
 
-    /// Looks up `cid` for an HTTP request arriving at `now` and updates the
-    /// cache state accordingly.
-    pub fn request(&mut self, cid: &Cid, now: SimTime) -> CacheOutcome {
-        match self.entries.get(cid) {
-            Some(&fetched_at) if now.since(fetched_at) < self.config.ttl => {
-                self.hits += 1;
-                CacheOutcome::Hit
-            }
-            Some(_) => {
-                self.revalidations += 1;
-                self.entries.insert(cid.clone(), now);
+    /// Looks up `key` for an HTTP request arriving at `now` and updates the
+    /// cache state accordingly. `cid_of` names the CID of a cached key, for
+    /// eviction's tiebreak.
+    pub fn request<'c>(
+        &mut self,
+        key: u32,
+        now: SimTime,
+        cid_of: impl Fn(u32) -> &'c Cid,
+    ) -> CacheOutcome {
+        match self.entries.get_mut(&key) {
+            Some(fetched_at) if now.since(*fetched_at) < self.config.ttl => CacheOutcome::Hit,
+            Some(fetched_at) => {
+                *fetched_at = now;
                 CacheOutcome::Revalidate
             }
             None => {
-                self.misses += 1;
-                self.insert(cid.clone(), now);
+                self.insert(key, now, cid_of);
                 CacheOutcome::Miss
             }
         }
     }
 
-    fn insert(&mut self, cid: Cid, now: SimTime) {
+    fn insert<'c>(&mut self, key: u32, now: SimTime, cid_of: impl Fn(u32) -> &'c Cid) {
         if self.entries.len() >= self.config.max_entries {
-            // Evict the stalest entry (linear scan is fine at simulation scale).
+            // Evict the stalest entry, ties broken by CID so the victim does
+            // not depend on the map's iteration order (a linear scan is fine
+            // at simulation scale).
             if let Some(oldest) = self
                 .entries
                 .iter()
-                .min_by_key(|(_, &t)| t)
-                .map(|(c, _)| c.clone())
+                .min_by_key(|&(&key, &fetched_at)| (fetched_at, cid_of(key)))
+                .map(|(&key, _)| key)
             {
                 self.entries.remove(&oldest);
             }
         }
-        self.entries.insert(cid, now);
+        self.entries.insert(key, now);
     }
 
     /// Number of cached CIDs.
@@ -122,21 +120,6 @@ impl GatewayCache {
     /// Returns true if the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Fraction of requests served straight from cache.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.revalidations + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// `(hits, revalidations, misses)` counters.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (self.hits, self.revalidations, self.misses)
     }
 }
 
@@ -182,6 +165,14 @@ mod tests {
         Cid::new_v1(Multicodec::Raw, &[n])
     }
 
+    /// Requests `key`, whose CID is `cid(key)`.
+    fn request(cache: &mut GatewayCache, key: u8, secs: u64) -> CacheOutcome {
+        let cids: Vec<Cid> = (0..=u8::MAX).map(cid).collect();
+        cache.request(u32::from(key), SimTime::from_secs(secs), |k| {
+            &cids[k as usize]
+        })
+    }
+
     fn cache_with_ttl(secs: u64) -> GatewayCache {
         GatewayCache::new(GatewayCacheConfig {
             ttl: SimDuration::from_secs(secs),
@@ -192,24 +183,12 @@ mod tests {
     #[test]
     fn miss_then_hit_then_revalidate() {
         let mut cache = cache_with_ttl(100);
-        assert_eq!(
-            cache.request(&cid(1), SimTime::from_secs(0)),
-            CacheOutcome::Miss
-        );
-        assert_eq!(
-            cache.request(&cid(1), SimTime::from_secs(50)),
-            CacheOutcome::Hit
-        );
-        assert_eq!(
-            cache.request(&cid(1), SimTime::from_secs(150)),
-            CacheOutcome::Revalidate
-        );
+        assert_eq!(request(&mut cache, 1, 0), CacheOutcome::Miss);
+        assert_eq!(request(&mut cache, 1, 50), CacheOutcome::Hit);
+        assert_eq!(request(&mut cache, 1, 150), CacheOutcome::Revalidate);
         // Revalidation refreshes the TTL.
-        assert_eq!(
-            cache.request(&cid(1), SimTime::from_secs(200)),
-            CacheOutcome::Hit
-        );
-        assert_eq!(cache.counters(), (2, 1, 1));
+        assert_eq!(request(&mut cache, 1, 200), CacheOutcome::Hit);
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
@@ -222,10 +201,10 @@ mod tests {
     #[test]
     fn hit_ratio_converges_for_repeated_requests() {
         let mut cache = cache_with_ttl(1_000_000);
-        for i in 0..100 {
-            cache.request(&cid(1), SimTime::from_secs(i));
-        }
-        assert!(cache.hit_ratio() > 0.98);
+        let hits = (0..100)
+            .filter(|&secs| request(&mut cache, 1, secs) == CacheOutcome::Hit)
+            .count();
+        assert_eq!(hits, 99);
     }
 
     #[test]
@@ -235,9 +214,34 @@ mod tests {
             max_entries: 10,
         });
         for i in 0..50u8 {
-            cache.request(&cid(i), SimTime::from_secs(i as u64));
+            request(&mut cache, i, u64::from(i));
         }
         assert!(cache.len() <= 10);
+    }
+
+    #[test]
+    fn eviction_ties_go_to_the_lower_cid() {
+        // Two entries fetched at one instant, for every pair of keys in both
+        // insertion orders: a third key evicts the lower CID, whatever order
+        // the map iterates in.
+        for first in 0..8 {
+            for second in (0..8).filter(|&k| k != first) {
+                let mut cache = GatewayCache::new(GatewayCacheConfig {
+                    ttl: SimDuration::from_hours(1),
+                    max_entries: 2,
+                });
+                request(&mut cache, first, 0);
+                request(&mut cache, second, 0);
+                assert_eq!(request(&mut cache, 100, 1), CacheOutcome::Miss);
+                let (low, high) = if cid(first) < cid(second) {
+                    (first, second)
+                } else {
+                    (second, first)
+                };
+                assert_eq!(request(&mut cache, high, 2), CacheOutcome::Hit);
+                assert_eq!(request(&mut cache, low, 2), CacheOutcome::Miss);
+            }
+        }
     }
 
     #[test]

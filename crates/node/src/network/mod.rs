@@ -45,13 +45,14 @@
 //! # Structure: scenario core, runtime state, observation half
 //!
 //! ```text
-//!  ScenarioCore           scenario, identities, routing tables, latency
-//!  (core.rs, immutable)   table, observation RNG base
+//!  ScenarioCore           scenario, identities, routing tables (on first
+//!  (core.rs, immutable)   crawl), latency table, observation RNG base
 //!          │
 //!          ▼
 //!  runtime state          online flags, block stores, gateway caches,
-//!  (state.rs, mutable)    provider index, pending-want slab, counters,
-//!          │               runtime queue, decision RNG stream
+//!  (state.rs, mutable)    content keys, provider index with online counts,
+//!          │               pending-want slab, counters, runtime queue,
+//!          │               decision RNG stream
 //!          ▼
 //!  observation half       monitor-link rows + per-node observation RNG
 //!  (observe.rs)           streams → sink records
@@ -67,13 +68,13 @@ mod state;
 
 use self::core::ScenarioCore;
 use self::observe::{ObsWork, Observer};
-use self::state::{NodeState, PendingSlab, ProviderIndex};
+use self::state::{ContentKeys, NodeState, PendingSlab, ProviderIndex};
 use crate::counters::SimCounter;
 use crate::gateway::{CacheOutcome, GatewayCache, GatewayCacheConfig};
 use crate::spec::{ContentSpec, GatewayRequestEvent, RequestEvent, Scenario, WorkloadEvent};
 use ipfs_mon_bitswap::{ProtocolVersion, RequestType};
 use ipfs_mon_blockstore::Blockstore;
-use ipfs_mon_kad::{DhtView, RoutingTable};
+use ipfs_mon_kad::DhtView;
 use ipfs_mon_obs as obs;
 use ipfs_mon_simnet::churn::{ChurnEvent, ScheduleCursor};
 use ipfs_mon_simnet::metrics::{Counters, TypedCounters};
@@ -84,7 +85,9 @@ use ipfs_mon_simnet::time::{SimDuration, SimTime};
 use ipfs_mon_types::{Cid, Country, Multiaddr, PeerId};
 use rand::Rng;
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::OnceLock;
 
 /// One Bitswap wantlist entry as received by a monitor: the raw material of
 /// the paper's `(timestamp, node_ID, address, request_type, CID)` tuples.
@@ -235,8 +238,11 @@ pub struct Network {
     /// Scenario-immutable state (see `core.rs`).
     core: ScenarioCore,
     nodes: Vec<NodeState>,
-    /// Providers per content index (flat sorted node lists + monitor masks).
+    /// Providers per content index (flat sorted node lists, online counts,
+    /// monitor masks).
     providers: ProviderIndex,
+    /// Block-store and gateway-cache key of each content item.
+    keys: ContentKeys,
     /// Outstanding wants of all nodes, in one slab.
     pending: PendingSlab,
     /// Runtime events: re-broadcasts, retrieval completions, injections.
@@ -322,42 +328,12 @@ impl Network {
             .map(|m| Multiaddr::random_in_country(&mut id_rng, m.country))
             .collect();
 
-        // Initial providers.
-        let mut providers = ProviderIndex::new(monitor_ids.len());
+        // Initial providers (every node starts offline) and content keys.
+        let mut providers = ProviderIndex::new(nodes.len(), monitor_ids.len());
+        let mut keys = ContentKeys::default();
         for c in &scenario.content {
-            providers.push_content(&c.initial_providers);
-        }
-        let root_index: HashMap<Cid, usize> = scenario
-            .content
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.dag.root.clone(), i))
-            .collect();
-
-        // Routing tables for DHT servers: each server knows a random set of
-        // other servers (clients are never inserted — the crawler bias).
-        let mut table_rng = root.derive("routing-tables");
-        let server_indices: Vec<usize> = scenario
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.config.dht_mode.is_server())
-            .map(|(i, _)| i)
-            .collect();
-        let mut routing_tables = HashMap::new();
-        for &i in &server_indices {
-            let mut table = RoutingTable::with_default_k(node_peers[i]);
-            let neighbour_target = 150.min(server_indices.len().saturating_sub(1));
-            let mut inserted = 0;
-            let mut attempts = 0;
-            while inserted < neighbour_target && attempts < neighbour_target * 8 {
-                attempts += 1;
-                let j = server_indices[table_rng.gen_range(0..server_indices.len())];
-                if j != i && table.insert(node_peers[j], true) {
-                    inserted += 1;
-                }
-            }
-            routing_tables.insert(i, table);
+            providers.push_content(&c.initial_providers, |_| false);
+            keys.push(&c.dag.root);
         }
 
         let mut sources = Vec::new();
@@ -384,8 +360,7 @@ impl Network {
             node_addrs,
             monitor_ids,
             monitor_addrs,
-            root_index,
-            routing_tables,
+            routing_tables: OnceLock::new(),
             peer_index,
             latency,
             obs_base,
@@ -395,6 +370,7 @@ impl Network {
             core,
             nodes,
             providers,
+            keys,
             pending,
             queue: Scheduler::new(),
             sources,
@@ -477,7 +453,9 @@ impl Network {
     /// ("Testing for Past Interests") attack extracts by sending a probe
     /// request to the target.
     pub fn node_has_block(&self, index: usize, cid: &Cid) -> bool {
-        self.nodes[index].blockstore.contains(cid)
+        self.keys
+            .of_root(cid)
+            .is_some_and(|key| self.nodes[index].blockstore.contains(key))
     }
 
     /// Peer IDs of all nodes run by gateway operators (ground truth for the
@@ -502,10 +480,12 @@ impl Network {
     /// Adds a new content item at runtime (used by probing attacks that
     /// generate fresh random blocks). Returns its content index.
     pub fn add_content(&mut self, spec: ContentSpec) -> usize {
-        self.providers.push_content(&spec.initial_providers);
+        let nodes = &self.nodes;
+        self.providers
+            .push_content(&spec.initial_providers, |i| nodes[i].online);
         self.pending.ensure_nodes(self.nodes.len());
         let index = self.core.scenario.content.len();
-        self.core.root_index.insert(spec.dag.root.clone(), index);
+        self.keys.push(&spec.dag.root);
         self.core.scenario.content.push(spec);
         index
     }
@@ -540,17 +520,14 @@ impl Network {
     }
 
     /// Peer IDs of online DHT servers, usable as crawl bootstrap peers.
+    /// Every server has a routing table, so this needs none built.
     pub fn online_server_peers(&self, at: SimTime, limit: usize) -> Vec<PeerId> {
         self.core
             .scenario
             .nodes
             .iter()
             .enumerate()
-            .filter(|(i, s)| {
-                s.config.dht_mode.is_server()
-                    && s.schedule.online_at(at)
-                    && self.core.routing_tables.contains_key(i)
-            })
+            .filter(|(_, s)| s.config.dht_mode.is_server() && s.schedule.online_at(at))
             .map(|(i, _)| self.core.node_peers[i])
             .take(limit)
             .collect()
@@ -566,17 +543,23 @@ impl Network {
     // ------------------------------------------------------------------
 
     /// Takes the event of the source at the top of the head-heap, refreshes
-    /// the heap entry, and syncs the queue clock.
+    /// the heap entry in place, and syncs the queue clock.
     fn take_source_head(&mut self) -> (SimTime, NetEvent) {
-        let Reverse((t, rank)) = self.heads.pop().expect("head checked by caller");
+        let mut head = self.heads.peek_mut().expect("head checked by caller");
+        let Reverse((t, rank)) = *head;
         let source = &mut self.sources[rank as usize];
         let scenario = &self.core.scenario;
         let (at, event) = source_state_pop(source, scenario)
             .expect("a head entry implies a pending source event");
         debug_assert_eq!(at, t, "head time must match the source peek");
-        if let Some(next) = source_state_peek(source, scenario) {
-            debug_assert!(next >= at, "sources must yield nondecreasing times");
-            self.heads.push(Reverse((next, rank)));
+        match source_state_peek(source, scenario) {
+            Some(next) => {
+                debug_assert!(next >= at, "sources must yield nondecreasing times");
+                *head = Reverse((next, rank));
+            }
+            None => {
+                PeekMut::pop(head);
+            }
         }
         // Keep the queue clock in step so past-scheduling (attack tooling)
         // clamps to the time of the latest event, whichever side it came from.
@@ -685,6 +668,7 @@ impl Network {
             return;
         }
         self.nodes[i].online = true;
+        self.providers.set_online(i, true);
         self.online_count += 1;
         if !self.ever_online[i] {
             self.ever_online[i] = true;
@@ -699,6 +683,7 @@ impl Network {
             return;
         }
         self.nodes[i].online = false;
+        self.providers.set_online(i, false);
         self.online_count = self.online_count.saturating_sub(1);
         self.counters.incr(SimCounter::NodeOfflineEvents);
         self.pending.clear_node(i);
@@ -730,7 +715,7 @@ impl Network {
         if !via_gateway_revalidation
             && self.nodes[node]
                 .blockstore
-                .contains(self.core.content_root(content))
+                .contains(self.keys.of_content(content))
         {
             self.counters.incr(SimCounter::RequestsCacheHit);
             return;
@@ -779,17 +764,12 @@ impl Network {
     /// Decides how (and whether) an outstanding want gets resolved, and
     /// schedules either the completion or the next re-broadcast.
     fn resolve(&mut self, node: usize, content: usize, now: SimTime) {
-        // One linear pass over the sorted provider list: how many online
-        // provider *nodes* there are. The monitor-provider pick is a
+        // How many online provider *nodes* there are besides the requester:
+        // a count kept up to date on churn. The monitor-provider pick is a
         // trailing-zeros scan of the content's monitor mask — deterministic
         // lowest-index, unlike the seed's hash-set iteration order.
-        let mut provider_nodes = 0u32;
-        for &p in self.providers.node_providers(content) {
-            let i = p as usize;
-            if i != node && self.nodes[i].online {
-                provider_nodes += 1;
-            }
-        }
+        debug_assert!(self.nodes[node].online, "only online nodes resolve");
+        let provider_nodes = self.providers.online_providers_besides(content, node);
         let monitor_provider = self.providers.first_monitor(content);
 
         let resolution = if provider_nodes == 0 && monitor_provider.is_none() {
@@ -897,9 +877,15 @@ impl Network {
         // item for a single-block DAG, the encoded node for a chunked file or
         // a directory) and become a provider if re-providing is enabled.
         let root_block = self.core.scenario.content[content].dag.root_block();
-        self.nodes[node].blockstore.put(root_block, now);
-        if self.core.scenario.nodes[node].config.reprovide {
-            self.providers.insert_node(content, node);
+        let core = &self.core;
+        self.nodes[node].blockstore.put(
+            self.keys.of_content(content),
+            root_block.logical_size(),
+            now,
+            |key| core.content_root(key as usize),
+        );
+        if core.scenario.nodes[node].config.reprovide {
+            self.providers.insert_node(content, node, true);
         }
 
         // CANCEL goes out to every peer that received the want broadcast —
@@ -941,11 +927,14 @@ impl Network {
             .nth(cursor % online)
             .expect("count checked above");
 
+        let core = &self.core;
         let outcome = self.nodes[node]
             .gateway_cache
             .as_mut()
             .expect("gateway nodes have an HTTP cache")
-            .request(self.core.content_root(content), now);
+            .request(self.keys.of_content(content), now, |key| {
+                core.content_root(key as usize)
+            });
         match outcome {
             CacheOutcome::Hit => {
                 self.counters.incr(SimCounter::GatewayCacheHits);
@@ -1044,7 +1033,7 @@ impl DhtView for NetworkDhtView<'_> {
         let index = self.network.node_of_peer(peer)?;
         self.network
             .core
-            .routing_tables
+            .routing_tables()
             .get(&index)
             .map(|t| t.peers())
     }

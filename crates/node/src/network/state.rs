@@ -1,5 +1,6 @@
 //! Runtime-mutable simulation state: per-node flags and caches, the
-//! link/provider bit matrices, and the flat pending-want slab.
+//! link/provider bit matrices, the flat pending-want slab, and the keys the
+//! block stores and gateway caches name content by.
 //!
 //! Everything in this module changes while a run executes, in contrast to the
 //! scenario-immutable [`ScenarioCore`](super::core::ScenarioCore). The
@@ -9,8 +10,13 @@
 //! * [`BitMatrix`] — one bit per (row, column) pair in `stride` consecutive
 //!   words per row; backs both the node↔monitor link matrix and the
 //!   per-content monitor-provider masks,
-//! * [`ProviderIndex`] — sorted flat provider lists per content item plus a
-//!   monitor bitmask, replacing the seed's `Vec<HashSet<ProviderRef>>`,
+//! * [`ProviderIndex`] — sorted flat provider lists per content item, a
+//!   count of the online providers of each item kept up to date on churn,
+//!   and a monitor bitmask, replacing the seed's `Vec<HashSet<ProviderRef>>`:
+//!   resolving a want reads one count instead of scanning the providers,
+//! * [`ContentKeys`] — each content item's key in the block stores and
+//!   gateway caches: the index of the first item with its root CID, so a
+//!   cache probe hashes an integer, not a CID,
 //! * [`PendingSlab`] — all outstanding wants of all nodes in one entry pool
 //!   threaded into intrusive per-node lists, replacing one
 //!   `HashMap<usize, SimTime>` per node.
@@ -18,6 +24,8 @@
 use crate::gateway::GatewayCache;
 use ipfs_mon_blockstore::Blockstore;
 use ipfs_mon_simnet::time::SimTime;
+use ipfs_mon_types::Cid;
+use std::collections::HashMap;
 
 /// Internal per-node runtime state. Identity (peer ID, address, country) is
 /// scenario-immutable and lives in the shared
@@ -103,43 +111,77 @@ pub(super) fn set_bits(mut word: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// Who provides each content item: a sorted flat list of provider *nodes*
-/// plus a bitmask of monitor providers per content index.
+/// Who provides each content item: a sorted flat list of provider *nodes*,
+/// how many of them are online, and a bitmask of monitor providers per
+/// content index.
 ///
 /// The seed kept a `HashSet<ProviderRef>` per content item; `resolve` then
 /// paid a bucket walk per provider on every (re)broadcast of popular content.
-/// Here the node scan is a linear pass over a sorted `Vec<u32>` and the
-/// monitor-provider pick is a trailing-zeros scan — and, unlike `HashSet`
+/// Here the online providers are counted as nodes come and go (each node
+/// keeps the list of items it provides), so `resolve` reads one number, and
+/// the monitor-provider pick is a trailing-zeros scan — unlike `HashSet`
 /// iteration order, "first monitor provider" is well defined (lowest monitor
 /// index).
 #[derive(Debug, Clone)]
 pub(super) struct ProviderIndex {
     node_lists: Vec<Vec<u32>>,
+    /// Online members of each content item's node list.
+    online: Vec<u32>,
+    /// The content items each node provides: `node_lists` transposed.
+    provided: Vec<Vec<u32>>,
     monitor_masks: BitMatrix,
 }
 
 impl ProviderIndex {
-    pub(super) fn new(monitors: usize) -> Self {
+    pub(super) fn new(nodes: usize, monitors: usize) -> Self {
         Self {
             node_lists: Vec::new(),
+            online: Vec::new(),
+            provided: vec![Vec::new(); nodes],
             monitor_masks: BitMatrix::new(0, monitors),
         }
     }
 
-    /// Appends a content item with the given initial provider nodes.
-    pub(super) fn push_content(&mut self, initial: &[usize]) {
+    /// Appends a content item with the given initial provider nodes, of
+    /// which those `is_online` says are online count as online.
+    pub(super) fn push_content(&mut self, initial: &[usize], is_online: impl Fn(usize) -> bool) {
+        let content = self.node_lists.len() as u32;
         let mut list: Vec<u32> = initial.iter().map(|&i| i as u32).collect();
         list.sort_unstable();
         list.dedup();
+        for &node in &list {
+            self.provided[node as usize].push(content);
+        }
+        let online = list
+            .iter()
+            .filter(|&&node| is_online(node as usize))
+            .count();
+        self.online.push(online as u32);
         self.node_lists.push(list);
         self.monitor_masks.push_row();
     }
 
-    /// Registers `node` as a provider for `content` (idempotent).
-    pub(super) fn insert_node(&mut self, content: usize, node: usize) {
+    /// Registers `node`, online or not, as a provider for `content`
+    /// (idempotent).
+    pub(super) fn insert_node(&mut self, content: usize, node: usize, online: bool) {
         let list = &mut self.node_lists[content];
         if let Err(pos) = list.binary_search(&(node as u32)) {
             list.insert(pos, node as u32);
+            self.provided[node].push(content as u32);
+            self.online[content] += u32::from(online);
+        }
+    }
+
+    /// Counts `node` going online (`true`) or offline in every item it
+    /// provides. Called once per transition.
+    pub(super) fn set_online(&mut self, node: usize, online: bool) {
+        for &content in &self.provided[node] {
+            let count = &mut self.online[content as usize];
+            if online {
+                *count += 1;
+            } else {
+                *count -= 1;
+            }
         }
     }
 
@@ -149,15 +191,55 @@ impl ProviderIndex {
     }
 
     /// The provider nodes of `content`, sorted by node index.
-    #[inline]
+    #[cfg(test)]
     pub(super) fn node_providers(&self, content: usize) -> &[u32] {
         &self.node_lists[content]
+    }
+
+    /// How many online nodes other than `requester` (itself online)
+    /// provide `content`.
+    #[inline]
+    pub(super) fn online_providers_besides(&self, content: usize, requester: usize) -> u32 {
+        let own = self.node_lists[content]
+            .binary_search(&(requester as u32))
+            .is_ok();
+        self.online[content] - u32::from(own)
     }
 
     /// The lowest-index monitor provider of `content`, if any.
     #[inline]
     pub(super) fn first_monitor(&self, content: usize) -> Option<usize> {
         self.monitor_masks.first_set(content)
+    }
+}
+
+/// The key each content item has in the block stores and gateway caches:
+/// the index of the first item with its root CID. Items that share a root
+/// CID share one key, so they share one cache entry, as they did when the
+/// caches were keyed by CID.
+#[derive(Debug, Clone, Default)]
+pub(super) struct ContentKeys {
+    by_root: HashMap<Cid, u32>,
+    of_content: Vec<u32>,
+}
+
+impl ContentKeys {
+    /// Assigns the next content item, with root CID `root`, its key.
+    pub(super) fn push(&mut self, root: &Cid) {
+        let next = self.of_content.len() as u32;
+        let key = *self.by_root.entry(root.clone()).or_insert(next);
+        self.of_content.push(key);
+    }
+
+    /// The key of content item `content`.
+    #[inline]
+    pub(super) fn of_content(&self, content: usize) -> u32 {
+        self.of_content[content]
+    }
+
+    /// The key of the content whose root CID is `root`, if any.
+    pub(super) fn of_root(&self, root: &Cid) -> Option<u32> {
+        self.by_root.get(root).copied()
     }
 }
 
@@ -275,6 +357,8 @@ impl PendingSlab {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipfs_mon_types::Multicodec;
+    use proptest::prelude::*;
 
     #[test]
     fn bit_matrix_set_test_clear() {
@@ -303,12 +387,13 @@ mod tests {
 
     #[test]
     fn provider_index_sorts_and_dedupes() {
-        let mut p = ProviderIndex::new(8);
-        p.push_content(&[5, 1, 5, 3]);
+        let mut p = ProviderIndex::new(6, 8);
+        p.push_content(&[5, 1, 5, 3], |_| false);
         assert_eq!(p.node_providers(0), &[1, 3, 5]);
-        p.insert_node(0, 3);
-        p.insert_node(0, 2);
+        p.insert_node(0, 3, false);
+        p.insert_node(0, 2, false);
         assert_eq!(p.node_providers(0), &[1, 2, 3, 5]);
+        assert_eq!(p.provided[3], [0]);
         assert_eq!(p.first_monitor(0), None);
         p.insert_monitor(0, 6);
         p.insert_monitor(0, 2);
@@ -336,5 +421,150 @@ mod tests {
         slab.insert(1, 43, t(5));
         assert_eq!(slab.entries.len(), 3);
         assert_eq!(slab.get(1, 42), Some(t(4)));
+    }
+
+    const NODES: usize = 8;
+
+    /// One step of a provider-index run: a churn transition, a download
+    /// that makes a node a provider, or a content item added with initial
+    /// providers.
+    #[derive(Debug, Clone)]
+    enum ProviderOp {
+        Online(usize),
+        Offline(usize),
+        Provide { content: usize, node: usize },
+        AddContent(Vec<usize>),
+    }
+
+    /// Decodes a raw `(kind, node, content, providers)` draw into an op.
+    fn provider_op((kind, node, content, providers): (u8, usize, usize, Vec<usize>)) -> ProviderOp {
+        match kind {
+            0 => ProviderOp::Online(node),
+            1 => ProviderOp::Offline(node),
+            2 => ProviderOp::Provide { content, node },
+            _ => ProviderOp::AddContent(providers),
+        }
+    }
+
+    /// A CID-keyed LRU store, the reference for the keyed one: every held
+    /// root CID with its size and last access, evicting the least
+    /// `(last access, CID)` one at a time.
+    #[derive(Default)]
+    struct CidLru {
+        held: Vec<(Cid, u64, SimTime)>,
+    }
+
+    impl CidLru {
+        fn put(&mut self, cid: &Cid, size: u64, now: SimTime, capacity: u64) {
+            if let Some(held) = self.held.iter_mut().find(|(held, ..)| held == cid) {
+                held.2 = now;
+                return;
+            }
+            self.held.push((cid.clone(), size, now));
+            while self.held.iter().map(|&(_, size, _)| size).sum::<u64>() > capacity {
+                let oldest = (0..self.held.len())
+                    .min_by_key(|&i| (self.held[i].2, &self.held[i].0))
+                    .expect("over capacity means something is held");
+                self.held.remove(oldest);
+            }
+        }
+
+        fn contains(&self, cid: &Cid) -> bool {
+            self.held.iter().any(|(held, ..)| held == cid)
+        }
+    }
+
+    proptest! {
+        /// After every step of random churn, provider registrations and
+        /// content additions, the counted online providers of every item,
+        /// as seen by every online requester, equal a scan of its provider
+        /// list — the scan `resolve` made before providers were counted.
+        #[test]
+        fn online_provider_counts_match_a_scan(
+            initial in proptest::collection::vec(proptest::collection::vec(0..NODES, 0..5), 1..4),
+            raw_ops in proptest::collection::vec(
+                (0u8..4, 0..NODES, 0usize..64, proptest::collection::vec(0..NODES, 0..5)),
+                1..80,
+            ),
+        ) {
+            let mut online = [false; NODES];
+            let mut index = ProviderIndex::new(NODES, 2);
+            for providers in &initial {
+                index.push_content(providers, |_| false);
+            }
+            for op in raw_ops.into_iter().map(provider_op) {
+                match op {
+                    ProviderOp::Online(node) if !online[node] => {
+                        online[node] = true;
+                        index.set_online(node, true);
+                    }
+                    ProviderOp::Offline(node) if online[node] => {
+                        online[node] = false;
+                        index.set_online(node, false);
+                    }
+                    ProviderOp::Online(_) | ProviderOp::Offline(_) => {}
+                    ProviderOp::Provide { content, node } => {
+                        let content = content % index.node_lists.len();
+                        index.insert_node(content, node, online[node]);
+                    }
+                    ProviderOp::AddContent(providers) => {
+                        index.push_content(&providers, |node| online[node]);
+                    }
+                }
+                for content in 0..index.node_lists.len() {
+                    for requester in (0..NODES).filter(|&node| online[node]) {
+                        let scanned = index
+                            .node_providers(content)
+                            .iter()
+                            .filter(|&&p| p as usize != requester && online[p as usize])
+                            .count() as u32;
+                        prop_assert_eq!(
+                            index.online_providers_besides(content, requester),
+                            scanned
+                        );
+                    }
+                }
+            }
+        }
+
+        /// A block store keyed by [`ContentKeys`] answers like a CID-keyed
+        /// LRU store, over content items of which the last two always share
+        /// one root CID (others may too), both per content item and per
+        /// root CID (how `node_has_block` asks). Time advances by 0 or 1 s
+        /// per step, so eviction often falls to the CID tiebreak.
+        #[test]
+        fn keyed_store_answers_like_a_cid_keyed_lru(
+            root_of in proptest::collection::vec(0usize..4, 6..7),
+            sizes in proptest::collection::vec(50u64..=150, 4..5),
+            capacity_blocks in 2u64..=4,
+            ops in proptest::collection::vec((0usize..6, 0u64..=1), 1..64),
+        ) {
+            let mut root_of = root_of;
+            root_of[5] = root_of[4];
+            let roots: Vec<Cid> = (0u8..4).map(|n| Cid::new_v1(Multicodec::Raw, &[n])).collect();
+            let content_roots: Vec<&Cid> = root_of.iter().map(|&r| &roots[r]).collect();
+            let mut keys = ContentKeys::default();
+            for root in &content_roots {
+                keys.push(root);
+            }
+            prop_assert_eq!(keys.of_content(5), keys.of_content(4));
+            let capacity = capacity_blocks * 100;
+            let mut store = Blockstore::with_capacity(capacity);
+            let mut model = CidLru::default();
+            let mut now = SimTime::ZERO;
+            for (content, step) in ops {
+                now += ipfs_mon_simnet::time::SimDuration::from_secs(step);
+                let size = sizes[root_of[content]];
+                store.put(keys.of_content(content), size, now, |key| content_roots[key as usize]);
+                model.put(content_roots[content], size, now, capacity);
+                for (content, root) in content_roots.iter().enumerate() {
+                    prop_assert_eq!(store.contains(keys.of_content(content)), model.contains(root));
+                }
+                for root in &roots {
+                    let held = keys.of_root(root).is_some_and(|key| store.contains(key));
+                    prop_assert_eq!(held, model.contains(root));
+                }
+            }
+        }
     }
 }

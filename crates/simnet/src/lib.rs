@@ -8,6 +8,7 @@
 //! * [`scheduler`] — a deterministic discrete-event queue (a hierarchical
 //!   timer wheel),
 //! * [`source`] — pull-based event sources for lazy event generation,
+//! * [`index_map`] — hash maps keyed by dense content or node indices,
 //! * [`rng`] — seeded randomness with labelled sub-streams,
 //! * [`region`] — country mixes (GeoIP substitute) and an inter-region
 //!   latency model,
@@ -23,6 +24,7 @@
 #![forbid(unsafe_code)]
 
 pub mod churn;
+pub mod index_map;
 pub mod metrics;
 pub mod region;
 pub mod rng;
@@ -33,10 +35,11 @@ pub mod time;
 pub use churn::{
     ChurnEvent, ChurnModel, NodeSchedule, OnlineSession, ScheduleCursor, ScheduleSource,
 };
+pub use index_map::IndexMap;
 pub use metrics::{BucketedSeries, CounterId, Counters, TypedCounters};
 pub use region::{CountryMix, LatencyModel, LatencyTable};
 pub use rng::SimRng;
-pub use scheduler::{EventId, Scheduler};
+pub use scheduler::Scheduler;
 pub use source::{EventSource, IterSource};
 pub use time::{SimDuration, SimTime};
 

@@ -12,10 +12,10 @@
 //! [`Scheduler`] is a hierarchical timer wheel (256-slot levels starting at
 //! millisecond granularity, 256× coarser per level, plus an overflow heap
 //! for the very far future). `schedule_at`/`pop` are O(1) amortized,
-//! `peek_time` is a cached O(1) field read, and cancelled events are
-//! tracked by a sliding per-sequence bit window whose memory is bounded by
-//! the *live* sequence span, not by the run length. The original
-//! `BinaryHeap + HashSet`-tombstone implementation lives on in this module's
+//! `peek_time` is a cached O(1) field read. A scheduled event cannot be
+//! cancelled: no caller needs it (a handler that finds its want resolved
+//! simply returns), so `schedule_at` and `pop` keep no per-event liveness
+//! state. The original `BinaryHeap` implementation lives on in this module's
 //! tests, where a property test drives both in lockstep to prove the
 //! delivery order identical.
 //!
@@ -39,84 +39,6 @@ use crate::time::{SimDuration, SimTime};
 use ipfs_mon_obs as obs;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
-
-/// Handle identifying a scheduled event, usable for cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventId(u64);
-
-// ---------------------------------------------------------------------------
-// Sliding alive-bit window over sequence numbers.
-// ---------------------------------------------------------------------------
-
-/// Tracks which sequence numbers are still pending (scheduled, neither
-/// delivered nor cancelled) in a sliding bitmap.
-///
-/// Sequence numbers are dense and mostly short-lived, so the window only
-/// spans `[base, next)` where `base` trails the oldest live sequence: memory
-/// is O(live span / 64) words, and it shrinks again as old events drain.
-/// This replaces the seed implementation's cancellation `HashSet`, which
-/// leaked one entry forever for every cancel of an already-delivered id.
-#[derive(Debug, Default)]
-struct SeqWindow {
-    /// First sequence number covered by `words`.
-    base: u64,
-    /// Bitmap words; bit `i` of word `w` covers sequence `base + 64w + i`.
-    words: VecDeque<u64>,
-}
-
-impl SeqWindow {
-    /// Marks a freshly issued sequence number as pending.
-    fn mark(&mut self, seq: u64) {
-        debug_assert!(seq >= self.base);
-        let idx = (seq - self.base) as usize;
-        let word = idx / 64;
-        while self.words.len() <= word {
-            self.words.push_back(0);
-        }
-        self.words[word] |= 1 << (idx % 64);
-    }
-
-    /// Returns true if `seq` is still pending.
-    fn contains(&self, seq: u64) -> bool {
-        if seq < self.base {
-            return false;
-        }
-        let idx = (seq - self.base) as usize;
-        let word = idx / 64;
-        word < self.words.len() && self.words[word] & (1 << (idx % 64)) != 0
-    }
-
-    /// Clears `seq` if pending; returns whether it was. Compacts the front of
-    /// the window so memory tracks the live span.
-    fn clear(&mut self, seq: u64) -> bool {
-        if seq < self.base {
-            return false;
-        }
-        let idx = (seq - self.base) as usize;
-        let word = idx / 64;
-        if word >= self.words.len() || self.words[word] & (1 << (idx % 64)) == 0 {
-            return false;
-        }
-        self.words[word] &= !(1 << (idx % 64));
-        // Compact fully-settled leading words, but keep the last word: the
-        // issue frontier (the next sequence to be handed out) always lies
-        // within or directly after it, and `base` must never pass it.
-        while self.words.len() > 1 && self.words.front() == Some(&0) {
-            self.words.pop_front();
-            self.base += 64;
-        }
-        true
-    }
-
-    /// Number of bitmap words currently resident (for memory assertions).
-    fn resident_words(&self) -> usize {
-        self.words.len()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Timer-wheel scheduler.
-// ---------------------------------------------------------------------------
 
 /// Bits per wheel level: each level has 256 slots. Wider levels mean fewer
 /// cascade hops per event (at most one per nonzero 8-bit group of its delay).
@@ -145,11 +67,6 @@ impl SlotBitmap {
         self.0[slot / 64] &= !(1 << (slot % 64));
     }
 
-    #[inline]
-    fn is_empty(&self) -> bool {
-        self.0.iter().all(|&w| w == 0)
-    }
-
     /// First occupied slot with index `>= from`, if any.
     #[inline]
     fn first_from(&self, from: usize) -> Option<usize> {
@@ -176,10 +93,11 @@ impl SlotBitmap {
     }
 }
 
+/// A wheel entry. Within a slot, entries keep their scheduling order, so no
+/// sequence number is needed.
 #[derive(Debug)]
 struct WheelEntry<E> {
     at: u64,
-    seq: u64,
     payload: E,
 }
 
@@ -240,8 +158,8 @@ pub struct Scheduler<E> {
     /// `slots[k * SLOTS + s]`. Level-0 slots hold events of one exact
     /// millisecond, so FIFO within a slot is FIFO within a timestamp.
     slots: Vec<VecDeque<WheelEntry<E>>>,
-    /// Per-level occupancy bitmap (a set bit may cover only cancelled
-    /// entries; they are reaped when the search passes over them).
+    /// Per-level occupancy bitmap: a bit is set exactly while its slot
+    /// holds an entry.
     occupied: [SlotBitmap; LEVELS],
     /// Events beyond the wheel horizon, ordered by `(at, seq)`.
     overflow: BinaryHeap<Reverse<OverflowEntry<E>>>,
@@ -252,13 +170,7 @@ pub struct Scheduler<E> {
     /// Current simulated time (last delivered event, or `advance_to`).
     now: SimTime,
     next_seq: u64,
-    /// Pending-and-alive markers per sequence number.
-    alive: SeqWindow,
-    /// Number of cancelled entries still physically parked in a slot or the
-    /// overflow heap. While zero — the common case, simulations rarely
-    /// cancel — every structural walk skips its liveness checks entirely.
-    dead_entries: usize,
-    /// Number of pending (non-cancelled) events.
+    /// Number of pending events.
     pending: usize,
     delivered: u64,
     /// Exact timestamp of the earliest pending event — maintained on every
@@ -282,8 +194,6 @@ impl<E> Scheduler<E> {
             cursor: 0,
             now: SimTime::ZERO,
             next_seq: 0,
-            alive: SeqWindow::default(),
-            dead_entries: 0,
             pending: 0,
             delivered: 0,
             cached_next: None,
@@ -302,20 +212,14 @@ impl<E> Scheduler<E> {
         self.delivered
     }
 
-    /// Number of pending events (cancelled events are not counted).
+    /// Number of pending events.
     pub fn pending(&self) -> usize {
         self.pending
     }
 
-    /// Returns true if no live events remain.
+    /// Returns true if no events remain.
     pub fn is_empty(&self) -> bool {
         self.pending == 0
-    }
-
-    /// Number of bitmap words resident in the cancellation window — bounded
-    /// by the live sequence span, exposed for memory tests.
-    pub fn alive_window_words(&self) -> usize {
-        self.alive.resident_words()
     }
 
     /// Advances the clock without delivering an event. Used by the lazy
@@ -334,43 +238,30 @@ impl<E> Scheduler<E> {
     ///
     /// Scheduling in the past is clamped to the current time: the event will
     /// be delivered next, preserving causality.
-    pub fn schedule_at(&mut self, at: SimTime, payload: E) -> EventId {
+    pub fn schedule_at(&mut self, at: SimTime, payload: E) {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.alive.mark(seq);
         self.pending += 1;
         let at_ms = at.as_millis();
         self.cached_next = Some(match self.cached_next {
             Some(t) => t.min(at_ms),
             None => at_ms,
         });
-        self.insert(WheelEntry {
-            at: at_ms,
-            seq,
-            payload,
-        });
-        EventId(seq)
+        if level_of(self.cursor, at_ms) >= LEVELS {
+            self.overflow.push(Reverse(OverflowEntry {
+                at: at_ms,
+                seq,
+                payload,
+            }));
+        } else {
+            self.insert(WheelEntry { at: at_ms, payload });
+        }
     }
 
     /// Schedules `payload` for `delay` after the current time.
-    pub fn schedule_after(&mut self, delay: SimDuration, payload: E) -> EventId {
+    pub fn schedule_after(&mut self, delay: SimDuration, payload: E) {
         self.schedule_at(self.now + delay, payload)
-    }
-
-    /// Cancels a previously scheduled event. Returns true if the event was
-    /// still pending; ids of already-delivered (or already-cancelled) events
-    /// are rejected and leave no trace behind.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.next_seq || !self.alive.clear(id.0) {
-            return false;
-        }
-        self.pending -= 1;
-        // The cancelled entry still sits in its slot (it is dropped when the
-        // search passes over it); only the cached minimum needs refreshing.
-        self.dead_entries += 1;
-        self.cached_next = self.scan_min();
-        true
     }
 
     /// Pops the next event, advancing the clock to its timestamp.
@@ -383,8 +274,6 @@ impl<E> Scheduler<E> {
         self.cursor = entry.at;
         self.pending -= 1;
         self.delivered += 1;
-        let cleared = self.alive.clear(entry.seq);
-        debug_assert!(cleared, "delivered events must have been alive");
         self.cached_next = self.scan_min();
         Some((at, entry.payload))
     }
@@ -397,24 +286,18 @@ impl<E> Scheduler<E> {
         self.pop()
     }
 
-    /// Timestamp of the next pending (non-cancelled) event, if any. O(1).
+    /// Timestamp of the next pending event, if any. O(1).
     pub fn peek_time(&self) -> Option<SimTime> {
         self.cached_next.map(SimTime::from_millis)
     }
 
     // -- internals ---------------------------------------------------------
 
+    /// Files an entry within the wheel's span under its level and slot.
     fn insert(&mut self, entry: WheelEntry<E>) {
         debug_assert!(entry.at >= self.cursor);
         let level = level_of(self.cursor, entry.at);
-        if level >= LEVELS {
-            self.overflow.push(Reverse(OverflowEntry {
-                at: entry.at,
-                seq: entry.seq,
-                payload: entry.payload,
-            }));
-            return;
-        }
+        debug_assert!(level < LEVELS, "beyond the wheel: overflow heap");
         let slot = (entry.at >> (LEVEL_BITS as u64 * level as u64)) as usize % SLOTS;
         self.slots[level * SLOTS + slot].push_back(entry);
         self.occupied[level].set(slot);
@@ -434,15 +317,10 @@ impl<E> Scheduler<E> {
             // only), so an unbatched counter bump is fine here.
             obs::counter!("sched.overflow_promotions").incr();
             let Reverse(e) = self.overflow.pop().expect("peeked");
-            if self.dead_entries == 0 || self.alive.contains(e.seq) {
-                self.insert(WheelEntry {
-                    at: e.at,
-                    seq: e.seq,
-                    payload: e.payload,
-                });
-            } else {
-                self.dead_entries -= 1;
-            }
+            self.insert(WheelEntry {
+                at: e.at,
+                payload: e.payload,
+            });
         }
     }
 
@@ -452,8 +330,8 @@ impl<E> Scheduler<E> {
     }
 
     /// Advances the wheel until the earliest pending event sits in a level-0
-    /// slot, then removes and returns it. Cancelled entries encountered on
-    /// the way are dropped. Only called with at least one pending event.
+    /// slot, then removes and returns it. Only called with at least one
+    /// pending event.
     fn position_and_take(&mut self) -> Option<WheelEntry<E>> {
         loop {
             self.drain_overflow();
@@ -461,28 +339,12 @@ impl<E> Scheduler<E> {
             // the cursor's position in the current level-0 window.
             let i0 = self.cursor_slot(0);
             if let Some(slot) = self.occupied[0].first_from(i0 as usize) {
-                if self.dead_entries > 0 {
-                    while let Some(front) = self.slots[slot].front() {
-                        if self.alive.contains(front.seq) {
-                            break;
-                        }
-                        self.slots[slot].pop_front();
-                        self.dead_entries -= 1;
-                    }
-                }
                 let queue = &mut self.slots[slot];
-                match queue.pop_front() {
-                    Some(entry) => {
-                        if queue.is_empty() {
-                            self.occupied[0].clear(slot);
-                        }
-                        return Some(entry);
-                    }
-                    None => {
-                        self.occupied[0].clear(slot);
-                        continue;
-                    }
+                let entry = queue.pop_front().expect("an occupied slot holds an entry");
+                if queue.is_empty() {
+                    self.occupied[0].clear(slot);
                 }
+                return Some(entry);
             }
             // Level 0 exhausted: cascade the first occupied slot of the
             // lowest occupied level into the levels below it.
@@ -501,18 +363,8 @@ impl<E> Scheduler<E> {
                 // worst, so the counter stays off the per-pop hot path.
                 obs::counter!("sched.cascades").incr();
                 self.cursor = base;
-                if self.dead_entries == 0 {
-                    for entry in entries {
-                        self.insert(entry);
-                    }
-                } else {
-                    for entry in entries {
-                        if self.alive.contains(entry.seq) {
-                            self.insert(entry);
-                        } else {
-                            self.dead_entries -= 1;
-                        }
-                    }
+                for entry in entries {
+                    self.insert(entry);
                 }
                 cascaded = true;
                 break;
@@ -532,77 +384,21 @@ impl<E> Scheduler<E> {
     }
 
     /// Exact timestamp of the earliest pending event without advancing the
-    /// wheel. Reaps cancelled entries it passes over, but never moves
-    /// `cursor`, so it is safe to call between deliveries.
-    fn scan_min(&mut self) -> Option<u64> {
-        loop {
-            let i0 = self.cursor_slot(0);
-            if let Some(slot) = self.occupied[0].first_from(i0 as usize) {
-                if self.dead_entries > 0 {
-                    while let Some(front) = self.slots[slot].front() {
-                        if self.alive.contains(front.seq) {
-                            break;
-                        }
-                        self.slots[slot].pop_front();
-                        self.dead_entries -= 1;
-                    }
-                }
-                // All entries of a level-0 slot share one timestamp.
-                match self.slots[slot].front() {
-                    Some(front) => return Some(front.at),
-                    None => {
-                        self.occupied[0].clear(slot);
-                        continue;
-                    }
-                }
-            }
-            for level in 1..LEVELS {
-                let Some(slot) = self.occupied[level].first_after(self.cursor_slot(level) as usize)
-                else {
-                    continue;
-                };
-                // The first occupied slot of the lowest occupied level holds
-                // the minimum; within the slot the earliest timestamp wins.
-                // With tombstones outstanding, take the minimum over live
-                // entries only (without rewriting the queue — parked dead
-                // entries are dropped when the slot cascades).
-                let idx = level * SLOTS + slot;
-                if self.dead_entries > 0 {
-                    let alive = &self.alive;
-                    let min = self.slots[idx]
-                        .iter()
-                        .filter(|e| alive.contains(e.seq))
-                        .map(|e| e.at)
-                        .min();
-                    if let Some(at) = min {
-                        return Some(at);
-                    }
-                    // Every entry in the slot was cancelled: reap them all.
-                    self.dead_entries -= self.slots[idx].len();
-                    self.slots[idx].clear();
-                    self.occupied[level].clear(slot);
-                    break; // rescan from level 0 (bitmap changed)
-                }
-                let queue = &self.slots[idx];
-                if queue.is_empty() {
-                    self.occupied[level].clear(slot);
-                    break; // rescan from level 0 (bitmap changed)
-                }
-                return queue.iter().map(|e| e.at).min();
-            }
-            // Either a slot was emptied above (rescan) or the wheel is empty.
-            if self.occupied.iter().all(|m| m.is_empty()) {
-                // Only the overflow heap remains; skip cancelled heads.
-                while let Some(Reverse(head)) = self.overflow.peek() {
-                    if self.dead_entries == 0 || self.alive.contains(head.seq) {
-                        return Some(head.at);
-                    }
-                    self.overflow.pop();
-                    self.dead_entries -= 1;
-                }
-                return None;
+    /// wheel: the front of the first occupied level-0 slot, else the
+    /// earliest entry of the first occupied slot of the lowest occupied
+    /// level, else the overflow head (overflow events all lie beyond the
+    /// wheel's span).
+    fn scan_min(&self) -> Option<u64> {
+        if let Some(slot) = self.occupied[0].first_from(self.cursor_slot(0) as usize) {
+            // All entries of a level-0 slot share one timestamp.
+            return self.slots[slot].front().map(|e| e.at);
+        }
+        for level in 1..LEVELS {
+            if let Some(slot) = self.occupied[level].first_after(self.cursor_slot(level) as usize) {
+                return self.slots[level * SLOTS + slot].iter().map(|e| e.at).min();
             }
         }
+        self.overflow.peek().map(|Reverse(head)| head.at)
     }
 }
 
@@ -638,14 +434,12 @@ mod tests {
     }
 
     /// The seed scheduler, the oracle of the lockstep property test: a
-    /// `BinaryHeap` ordered by `(time, seq)` with a `HashSet` of
-    /// cancellation tombstones and an O(n) `peek_time`.
+    /// `BinaryHeap` ordered by `(time, seq)` with an O(n) `peek_time`.
     #[derive(Debug)]
     struct BaselineScheduler<E> {
         queue: BinaryHeap<Reverse<ScheduledEvent<E>>>,
         now: SimTime,
         next_seq: u64,
-        cancelled: std::collections::HashSet<u64>,
         delivered: u64,
     }
 
@@ -655,7 +449,6 @@ mod tests {
                 queue: BinaryHeap::new(),
                 now: SimTime::ZERO,
                 next_seq: 0,
-                cancelled: std::collections::HashSet::new(),
                 delivered: 0,
             }
         }
@@ -669,61 +462,33 @@ mod tests {
         }
 
         /// Schedules `payload` for the absolute time `at` (clamped to `now`).
-        fn schedule_at(&mut self, at: SimTime, payload: E) -> EventId {
+        fn schedule_at(&mut self, at: SimTime, payload: E) {
             let at = at.max(self.now);
             let seq = self.next_seq;
             self.next_seq += 1;
             self.queue
                 .push(Reverse(ScheduledEvent { at, seq, payload }));
-            EventId(seq)
-        }
-
-        /// Cancels a previously scheduled event. Note the seed quirk this
-        /// implementation preserves: cancelling an already-delivered id
-        /// returns true and leaks a tombstone ([`Scheduler::cancel`] fixes
-        /// both).
-        fn cancel(&mut self, id: EventId) -> bool {
-            if id.0 >= self.next_seq {
-                return false;
-            }
-            self.cancelled.insert(id.0)
         }
 
         fn pop(&mut self) -> Option<(SimTime, E)> {
-            while let Some(Reverse(event)) = self.queue.pop() {
-                if self.cancelled.remove(&event.seq) {
-                    continue;
-                }
-                debug_assert!(event.at >= self.now, "time must be monotone");
-                self.now = event.at;
-                self.delivered += 1;
-                return Some((event.at, event.payload));
-            }
-            None
+            let Reverse(event) = self.queue.pop()?;
+            debug_assert!(event.at >= self.now, "time must be monotone");
+            self.now = event.at;
+            self.delivered += 1;
+            Some((event.at, event.payload))
         }
 
         fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-            loop {
-                let head_at = self.queue.peek().map(|Reverse(e)| (e.at, e.seq))?;
-                if head_at.0 > deadline {
-                    return None;
-                }
-                if self.cancelled.contains(&head_at.1) {
-                    self.queue.pop();
-                    self.cancelled.remove(&head_at.1);
-                    continue;
-                }
-                return self.pop();
+            let Reverse(head) = self.queue.peek()?;
+            if head.at > deadline {
+                return None;
             }
+            self.pop()
         }
 
-        /// Timestamp of the next pending (non-cancelled) event, if any.
+        /// Timestamp of the next pending event, if any.
         fn peek_time(&self) -> Option<SimTime> {
-            self.queue
-                .iter()
-                .filter(|Reverse(e)| !self.cancelled.contains(&e.seq))
-                .map(|Reverse(e)| e.at)
-                .min()
+            self.queue.iter().map(|Reverse(e)| e.at).min()
         }
     }
 
@@ -782,39 +547,6 @@ mod tests {
     }
 
     #[test]
-    fn cancellation_drops_event() {
-        let mut sched = Scheduler::new();
-        let keep = sched.schedule_at(SimTime::from_secs(1), "keep");
-        let drop_ = sched.schedule_at(SimTime::from_secs(2), "drop");
-        assert!(sched.cancel(drop_));
-        assert!(!sched.cancel(EventId(999)), "unknown id");
-        let order: Vec<&str> = std::iter::from_fn(|| sched.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!["keep"]);
-        let _ = keep;
-    }
-
-    #[test]
-    fn cancel_of_delivered_id_is_rejected() {
-        // Regression for the seed tombstone leak: cancelling an id that was
-        // already delivered must be a no-op returning false, and repeated
-        // cancels of the same pending id must only succeed once.
-        let mut sched = Scheduler::new();
-        let a = sched.schedule_at(SimTime::from_secs(1), "a");
-        let b = sched.schedule_at(SimTime::from_secs(2), "b");
-        assert_eq!(sched.pop(), Some((SimTime::from_secs(1), "a")));
-        assert!(!sched.cancel(a), "delivered ids are stale");
-        assert_eq!(sched.pending(), 1);
-        assert!(sched.cancel(b));
-        assert!(!sched.cancel(b), "double cancel");
-        assert_eq!(sched.pending(), 0);
-        assert!(sched.is_empty());
-        assert_eq!(sched.pop(), None);
-        // The alive window compacts down to its frontier word once nothing
-        // is pending.
-        assert!(sched.alive_window_words() <= 1);
-    }
-
-    #[test]
     fn pop_until_respects_deadline() {
         let mut sched = Scheduler::new();
         sched.schedule_at(SimTime::from_secs(1), 1);
@@ -828,15 +560,6 @@ mod tests {
             sched.pop_until(SimTime::from_secs(10)),
             Some((SimTime::from_secs(5), 5))
         );
-    }
-
-    #[test]
-    fn peek_time_ignores_cancelled() {
-        let mut sched = Scheduler::new();
-        let a = sched.schedule_at(SimTime::from_secs(1), "a");
-        sched.schedule_at(SimTime::from_secs(2), "b");
-        sched.cancel(a);
-        assert_eq!(sched.peek_time(), Some(SimTime::from_secs(2)));
     }
 
     #[test]
@@ -896,7 +619,6 @@ mod tests {
     #[derive(Debug, Clone)]
     enum Op64 {
         Schedule(u64),
-        Cancel(usize),
         Pop,
         PopUntil(u64),
     }
@@ -911,8 +633,7 @@ mod tests {
             2 | 3 => Op64::Schedule(value as u64 * 4096),
             // Up to ~8 simulated years: deep into the overflow heap.
             4 => Op64::Schedule(value as u64 * (1 << 19)),
-            5 => Op64::Cancel(value as usize),
-            6 | 7 => Op64::Pop,
+            5..=7 => Op64::Pop,
             8 => Op64::PopUntil(value as u64),
             _ => Op64::PopUntil(value as u64 * 4096),
         }
@@ -935,25 +656,8 @@ mod tests {
             prop_assert_eq!(count, times.len());
         }
 
-        #[test]
-        fn cancelled_events_never_delivered(n in 1usize..100, cancel_every in 1usize..5) {
-            let mut sched = Scheduler::new();
-            let mut cancelled = Vec::new();
-            for i in 0..n {
-                let id = sched.schedule_at(SimTime::from_millis(i as u64 % 17), i);
-                if i % cancel_every == 0 {
-                    sched.cancel(id);
-                    cancelled.push(i);
-                }
-            }
-            let delivered: Vec<usize> = std::iter::from_fn(|| sched.pop().map(|(_, e)| e)).collect();
-            for c in cancelled {
-                prop_assert!(!delivered.contains(&c));
-            }
-        }
-
-        /// The tentpole property: on arbitrary interleavings of schedules,
-        /// cancels and pops, the timer wheel delivers exactly the sequence
+        /// The tentpole property: on arbitrary interleavings of schedules
+        /// and pops, the timer wheel delivers exactly the sequence
         /// the seed heap scheduler delivered, with identical peek times.
         #[test]
         fn wheel_matches_baseline_on_random_interleavings(
@@ -962,53 +666,17 @@ mod tests {
             let ops: Vec<Op64> = raw_ops.iter().map(|&(k, v)| decode_op(k, v)).collect();
             let mut wheel = Scheduler::new();
             let mut baseline = BaselineScheduler::new();
-            let mut ids = Vec::new();
-            let mut id_of_payload = std::collections::HashMap::new();
-            // Ids that are settled (delivered, or already cancelled once):
-            // the wheel rejects further cancels of those, while the seed
-            // implementation may re-insert a tombstone after a pop reaped
-            // the previous one — exactly the leak the wheel fixes.
-            let mut settled_ids = std::collections::HashSet::new();
             for (i, op) in ops.iter().enumerate() {
                 match *op {
                     Op64::Schedule(ms) => {
                         let at = SimTime::from_millis(ms);
-                        let a = wheel.schedule_at(at, i);
-                        let b = baseline.schedule_at(at, i);
-                        prop_assert_eq!(a, b, "id assignment must match");
-                        ids.push(a);
-                        id_of_payload.insert(i, a);
+                        wheel.schedule_at(at, i);
+                        baseline.schedule_at(at, i);
                     }
-                    Op64::Cancel(pick) => {
-                        if let Some(&id) = ids.get(pick % ids.len().max(1)) {
-                            let a = wheel.cancel(id);
-                            let b = baseline.cancel(id);
-                            if settled_ids.contains(&id) {
-                                prop_assert!(!a, "wheel must reject stale ids");
-                            } else {
-                                prop_assert_eq!(a, b);
-                                if a {
-                                    settled_ids.insert(id);
-                                }
-                            }
-                        }
-                    }
-                    Op64::Pop => {
-                        let a = wheel.pop();
-                        let b = baseline.pop();
-                        prop_assert_eq!(&a, &b);
-                        if let Some((_, idx)) = a {
-                            settled_ids.insert(id_of_payload[&idx]);
-                        }
-                    }
+                    Op64::Pop => prop_assert_eq!(wheel.pop(), baseline.pop()),
                     Op64::PopUntil(ms) => {
                         let deadline = SimTime::from_millis(ms);
-                        let a = wheel.pop_until(deadline);
-                        let b = baseline.pop_until(deadline);
-                        prop_assert_eq!(&a, &b);
-                        if let Some((_, idx)) = a {
-                            settled_ids.insert(id_of_payload[&idx]);
-                        }
+                        prop_assert_eq!(wheel.pop_until(deadline), baseline.pop_until(deadline));
                     }
                 }
                 prop_assert_eq!(wheel.peek_time(), baseline.peek_time());

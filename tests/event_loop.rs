@@ -4,6 +4,7 @@
 
 use ipfs_monitoring::blockstore::build_file;
 use ipfs_monitoring::core::GatewayProber;
+use ipfs_monitoring::kad::{Crawler, DhtView};
 use ipfs_monitoring::node::{
     BitswapObservation, ContentSpec, MonitorSink, Network, RecordingSink, RequestEvent,
 };
@@ -188,6 +189,71 @@ fn execution_modes_agree_across_seeds() {
         case.prepare(&mut network);
         assert_eq!(golden_of(network), seed_baseline_golden(case), "{case:?}");
     }
+}
+
+/// Order-sensitive FNV-1a digest of `value`'s `Hash` byte stream.
+fn digest_of(value: impl Hash) -> u64 {
+    let mut hasher = Fnv(0xcbf2_9ce4_8422_2325);
+    value.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// The TPI ground truth after the `Probed` run: whether each node holds the
+/// root block of each content item (runtime-added probes included), node
+/// by node. Recorded at commit `abe38fc`, whose block stores and gateway
+/// caches were keyed by CID.
+#[test]
+fn block_store_contents_are_pinned() {
+    let case = Bridge::Probed;
+    let mut network = simulated_network(&case.config());
+    case.prepare(&mut network);
+    network.run(&mut DigestSink::new());
+    let contents = network.scenario().content.len();
+    let held: Vec<Vec<bool>> = (0..network.node_count())
+        .map(|node| {
+            (0..contents)
+                .map(|content| network.node_has_block(node, network.content_root(content)))
+                .collect()
+        })
+        .collect();
+    let total: usize = held.iter().flatten().filter(|&&h| h).count();
+    assert_eq!((total, digest_of(&held)), (366, 13033094212042011073));
+}
+
+/// What a §V-C crawl sees at a fixed instant: the bootstrap peers, every
+/// node's answer to a bucket query, and the crawl's discovered, responded
+/// and unresponsive sets (sorted) with its query count. Recorded at commit
+/// `abe38fc`, which built every routing table with the network.
+#[test]
+fn dht_crawl_is_pinned() {
+    let network = simulated_network(&Bridge::Plain.config());
+    let at = SimTime::ZERO + SimDuration::from_hours(3);
+    let view = network.dht_view_at(at);
+    let bootstrap = network.online_server_peers(at, 5);
+    let buckets: Vec<Option<Vec<PeerId>>> = (0..network.node_count())
+        .map(|node| view.bucket_entries(&network.peer_id(node)))
+        .collect();
+    let crawl = Crawler::new().crawl(&view, &bootstrap);
+    let sorted = |set: &std::collections::HashSet<PeerId>| {
+        let mut peers: Vec<PeerId> = set.iter().copied().collect();
+        peers.sort_unstable();
+        peers
+    };
+    let (discovered, responded, unresponsive) = (
+        sorted(&crawl.discovered),
+        sorted(&crawl.responded),
+        sorted(&crawl.unresponsive),
+    );
+    assert_eq!(
+        (
+            discovered.len(),
+            responded.len(),
+            crawl.queries,
+            digest_of((&bootstrap, &buckets)),
+            digest_of((&discovered, &responded, &unresponsive)),
+        ),
+        (87, 41, 87, 15684793188588168409, 2371342512416401781)
+    );
 }
 
 /// The pending set stays proportional to live sources, not to the number of
