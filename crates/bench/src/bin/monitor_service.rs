@@ -3,8 +3,8 @@
 //! [`MonitorService`] over a dataset
 //! directory — crash recovery, resumed collection, incremental tailing,
 //! and windowed analysis in one loop. Each sealed window prints as a
-//! `WINDOW {...}` JSON line (and is durably persisted under
-//! `<dir>/windows/`).
+//! `WINDOW {...}` JSON line (made durable in `<dir>/windows.log` first, and
+//! written to `<dir>/windows/` as a file of its own).
 //!
 //! The binary is restart-proof end to end: run it with `--kill-at <op>`
 //! to crash the storage layer at the N-th operation (the process exits
@@ -23,9 +23,7 @@ use ipfs_mon_bench::{
     args_or_exit, duration_value, flag_value, parse_flags, print_header, print_row, run_experiment,
     scaled, ObsFlags,
 };
-use ipfs_mon_core::{
-    window_file_name, MonitorService, ServiceConfig, TraceSource, WINDOW_DIR_NAME,
-};
+use ipfs_mon_core::{read_window_log, MonitorService, ServiceConfig, TraceSource};
 use ipfs_mon_simnet::time::SimDuration;
 use ipfs_mon_tracestore::{
     DatasetConfig, FaultPlan, FaultyStorage, LatePolicy, RealStorage, SegmentError, Storage,
@@ -208,29 +206,27 @@ fn run_service(
             Ok(report)
         }
         Err(error) => {
-            // A window's file can commit durably right before the crash,
-            // in which case its line never reached stdout (and the next
-            // incarnation will skip the window as already emitted). The
-            // durable directory is the source of truth — surface whatever
-            // it holds beyond what was printed, so the concatenation of
-            // WINDOW lines across incarnations stays exactly-once.
-            print_unreported_windows(&flags.dir, printed);
+            // A window can become durable in the log right before the
+            // crash, in which case its line never reached stdout (and the
+            // next incarnation will skip the window as already emitted).
+            // The log is the source of truth — surface whatever it holds
+            // beyond what was printed, so the concatenation of WINDOW lines
+            // across incarnations stays exactly-once.
+            print_unreported_windows(&flags.dir, printed)?;
             Err(error)
         }
     }
 }
 
-/// Prints `WINDOW` lines for durable window files that the dying
-/// incarnation committed but never surfaced. Window files hold exactly
+/// Prints `WINDOW` lines for the logged windows that the dying
+/// incarnation made durable but never surfaced. A log frame holds exactly
 /// the bytes `poll` would have returned, so this is a faithful replay.
-fn print_unreported_windows(dir: &Path, already_printed: u64) {
-    for index in already_printed.. {
-        let path = dir.join(WINDOW_DIR_NAME).join(window_file_name(index));
-        match std::fs::read_to_string(&path) {
-            Ok(line) => println!("WINDOW {line}"),
-            Err(_) => break,
-        }
+fn print_unreported_windows(dir: &Path, already_printed: u64) -> Result<(), SegmentError> {
+    let logged = read_window_log(dir)?;
+    for line in logged.iter().skip(already_printed as usize) {
+        println!("WINDOW {line}");
     }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -47,6 +47,7 @@ pub mod preprocess;
 pub mod service;
 pub mod sinks;
 pub mod trace;
+pub mod window_log;
 pub mod windowed;
 
 pub use activity::{
@@ -73,8 +74,8 @@ pub use preprocess::{
     PreprocessConfig, PreprocessStats, StreamingPreprocessor,
 };
 pub use service::{
-    format_window_line, window_file_name, MonitorService, ServiceConfig, ServiceReport,
-    ServiceWindowAccum, WindowSummary, WINDOW_DIR_NAME,
+    format_window_line, MonitorService, ServiceConfig, ServiceReport, ServiceWindowAccum,
+    WindowSummary,
 };
 pub use sinks::{
     ActivityCounts, ActivityCountsSink, EntryStatsSink, MonitorEntryStats, PopularitySink,
@@ -83,6 +84,7 @@ pub use sinks::{
 pub use trace::{
     ConnectionRecord, EntryFlags, MonitoringDataset, TraceEntry, TraceSource, UnifiedTrace,
 };
+pub use window_log::{read_window_log, window_file_name, WINDOW_DIR_NAME, WINDOW_LOG_NAME};
 pub use windowed::{
     netsize_window_factory, popularity_window_factory, request_type_window_factory,
     windowed_netsize, windowed_popularity, windowed_request_types,

@@ -30,43 +30,53 @@
 //!
 //! # Exactly-once window output
 //!
-//! Every sealed window is written as its own durable file
-//! (`windows/win-<index>.json`). The windows one poll seals are made durable
-//! together, in one group commit ([`write_files_durable`]): each file is
-//! staged as a `.tmp`, written and fsynced; then the staged files are renamed
-//! *in index order*; then `windows/` is fsynced once. Only after that fsync
-//! do their lines join what [`MonitorService::poll`] returns. That makes the
-//! window directory itself the restart state:
+//! Every sealed window is one frame of the append-only window log,
+//! `windows.log` (see [`window_log`](crate::window_log) for its format).
+//! The windows one poll seals are appended together, in one write and one
+//! fsync; only after that fsync do their lines join what
+//! [`MonitorService::poll`] returns. That makes the log the restart state:
 //!
-//! * after a crash, the files present start with a dense prefix
-//!   `win-0 .. win-(n-1)`. A process kill mid-commit leaves a prefix of the
-//!   batch renamed; a power loss before the directory fsync may lose any
-//!   subset of the batch's renames, which can leave a gap. Either way no
-//!   line of that batch was returned yet;
-//! * on restart the service counts the dense prefix, replays the recovered
-//!   chains through a fresh windowed sink, and *suppresses* the first `n`
-//!   sealed windows instead of re-writing them — no duplicates;
-//! * the replay re-derives window `n` and everything after it (overwriting
-//!   any file past a gap) from exactly the bytes that survived the crash —
-//!   no gaps. The tail only ever feeds *durable* bytes to the sink, so a
-//!   window sealed before the crash was computed from data that is still
-//!   there after it.
+//! * after a crash, the log is its longest valid frame prefix, windows
+//!   `0 .. n`. A kill or power loss mid-append leaves a torn tail, which
+//!   open cuts; a frame of that append may survive whole, but none of its
+//!   lines was returned yet, and
+//!   [`read_window_log`](crate::window_log::read_window_log) reads exactly
+//!   the prefix open keeps;
+//! * on restart the service replays the recovered chains through a fresh
+//!   windowed sink and *suppresses* the first `n` sealed windows instead of
+//!   appending them again — no duplicates;
+//! * the replay re-derives window `n` and everything after it from exactly
+//!   the bytes that survived the crash — no gaps. The tail only ever feeds
+//!   *durable* bytes to the sink, so a window sealed before the crash was
+//!   computed from data that is still there after it.
+//!
+//! A failed append leaves its windows pending, to be appended by the next
+//! poll after the log is cut back to its durable prefix.
+//!
+//! Each window is also a file, `windows/win-<index>.json`, holding its line
+//! byte for byte: a view of the log, written by one helper thread after the
+//! frame is durable, without staging or fsync. A file can lag the log — a
+//! killed process does not wait for the helper — but never leads it, and
+//! [`MonitorService::open`] rewrites every logged window whose file is
+//! missing or differs; [`MonitorService::finish`] returns with every file
+//! written. The helper's first I/O error is returned by the next `poll` and
+//! by `finish`.
 //!
 //! Re-derived windows are bit-identical to the pre-crash ones as long as
 //! the lateness allowance covers each chain's arrival disorder (zero for
 //! the in-order collectors); the `service_soak` integration test
 //! kill/restarts the service at sampled storage operations, and at every
-//! operation of a multi-window commit, and asserts the concatenated output
+//! operation of a multi-window append, and asserts the concatenated output
 //! equals a fault-free run's, byte for byte.
 //!
 //! [`ResumeCursor`]: ipfs_mon_tracestore::recover::ResumeCursor
 
 use crate::popularity::rank_top_k;
 use crate::trace::TraceEntry;
+use crate::window_log::{window_file_name, FileView, WindowLog, WINDOW_DIR_NAME};
 use ipfs_mon_bitswap::RequestType;
 use ipfs_mon_obs as obs;
 use ipfs_mon_simnet::time::SimDuration;
-use ipfs_mon_tracestore::fault::write_files_durable;
 use ipfs_mon_tracestore::recover::{recover_dataset_with, RecoveryReport};
 use ipfs_mon_tracestore::window::{
     LatePolicy, WindowBounds, WindowResult, WindowSpec, WindowedSink,
@@ -77,24 +87,8 @@ use ipfs_mon_tracestore::{
 };
 use ipfs_mon_types::Cid;
 use std::collections::HashMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
-
-/// Name of the window-output directory inside the dataset directory.
-pub const WINDOW_DIR_NAME: &str = "windows";
-
-/// File name of sealed window `index`.
-pub fn window_file_name(index: u64) -> String {
-    format!("win-{index:08}.json")
-}
-
-/// Inverse of [`window_file_name`].
-fn parse_window_file_name(name: &str) -> Option<u64> {
-    name.strip_prefix("win-")?
-        .strip_suffix(".json")?
-        .parse()
-        .ok()
-}
 
 /// Configuration of the service loop.
 #[derive(Debug, Clone)]
@@ -258,21 +252,21 @@ pub fn format_window_line(result: &WindowResult<WindowSummary>) -> String {
     line
 }
 
-/// The window emitter: collects the windows one drain seals, makes them
-/// durable in one group commit, and suppresses windows a previous
-/// incarnation already emitted.
+/// The window emitter: collects the windows one drain seals, appends them
+/// to the log in one write and one fsync, queues their files, and
+/// suppresses windows a previous incarnation already logged.
 struct Emitter {
-    storage: Arc<dyn Storage>,
-    window_dir: PathBuf,
-    /// Windows `0..skip_below` are already durable from a previous run:
-    /// re-derived, verified dense, but not re-written.
+    log: WindowLog,
+    view: FileView,
+    /// Windows `0..skip_below` were logged by a previous run: re-derived,
+    /// but not appended again.
     skip_below: u64,
     /// Next window index expected from the sink (sealing is dense).
     next: u64,
     emitted: u64,
     skipped: u64,
-    /// Sealed windows not yet durable, in index order: `(file, line)`.
-    pending: Vec<(PathBuf, String)>,
+    /// Lines of sealed windows not yet durable, in index order.
+    pending: Vec<String>,
     /// JSON lines of committed windows not yet handed to the caller.
     lines: Vec<String>,
 }
@@ -290,26 +284,30 @@ impl Emitter {
             obs::counter!("service.windows_skipped").incr();
             return;
         }
-        let path = self.window_dir.join(window_file_name(index));
-        self.pending.push((path, format_window_line(&result)));
+        self.pending.push(format_window_line(&result));
     }
 
-    /// Makes every pending window durable in one group commit, then hands
-    /// its lines to the caller. On error nothing pending is surfaced; it
-    /// stays pending, in order.
+    /// Makes every pending window durable in one log append, hands its
+    /// lines to the caller and queues its files. On a failed append nothing
+    /// pending is surfaced; it stays pending, in order.
     fn commit(&mut self) -> Result<(), SegmentError> {
         if self.pending.is_empty() {
             return Ok(());
         }
+        let first = self.log.windows();
         {
             let _span = obs::histogram!("service.window_commit_ns").timer();
-            write_files_durable(self.storage.as_ref(), &self.pending)?;
+            self.log.append(&self.pending)?;
         }
+        let n = self.pending.len();
         obs::counter!("service.window_commits").incr();
-        obs::counter!("service.windows_emitted").add(self.pending.len() as u64);
-        self.emitted += self.pending.len() as u64;
-        self.lines
-            .extend(self.pending.drain(..).map(|(_, line)| line));
+        obs::counter!("service.windows_emitted").add(n as u64);
+        self.emitted += n as u64;
+        self.lines.append(&mut self.pending);
+        let committed = &self.lines[self.lines.len() - n..];
+        for (index, line) in (first..).zip(committed) {
+            self.view.write(index, line.clone())?;
+        }
         Ok(())
     }
 }
@@ -318,9 +316,9 @@ impl Emitter {
 /// [`MonitorService::finish`].
 #[derive(Debug)]
 pub struct ServiceReport {
-    /// Windows written durably by *this* incarnation.
+    /// Windows appended to the log by *this* incarnation.
     pub windows_emitted: u64,
-    /// Windows re-derived but suppressed (already durable before this
+    /// Windows re-derived but suppressed (already in the log before this
     /// incarnation started).
     pub windows_skipped: u64,
     /// Entries appended through [`MonitorService::ingest`] this
@@ -380,9 +378,20 @@ impl MonitorService {
         let dir = dir.as_ref();
         storage.create_dir_all(dir)?;
         let recovery = recover_dataset_with(dir, storage.as_ref())?;
+        let (log, logged) = WindowLog::open(dir, Arc::clone(&storage))?;
         let window_dir = dir.join(WINDOW_DIR_NAME);
         storage.create_dir_all(&window_dir)?;
-        let skip_below = sweep_window_dir(&window_dir, storage.as_ref())?;
+        let view = FileView::start(window_dir.clone())?;
+        let skip_below = log.windows();
+        let mut rebuilt = 0;
+        for (index, line) in (0..).zip(logged) {
+            let path = window_dir.join(window_file_name(index));
+            if std::fs::read(path).ok().as_deref() != Some(line.as_bytes()) {
+                view.write(index, line)?;
+                rebuilt += 1;
+            }
+        }
+        obs::counter!("service.window_files_rebuilt").add(rebuilt);
 
         let writer = if recovery.manifest.monitor_labels.is_empty() {
             DatasetWriter::create_with(
@@ -408,8 +417,8 @@ impl MonitorService {
         let monitors = monitor_labels.len();
         let tail = DatasetTail::open(dir, monitors);
         let emit = Emitter {
-            storage,
-            window_dir,
+            log,
+            view,
             skip_below,
             next: 0,
             emitted: 0,
@@ -468,7 +477,7 @@ impl MonitorService {
         Ok(())
     }
 
-    /// Windows already durable when this incarnation opened.
+    /// Windows the log held when this incarnation opened.
     pub fn windows_durable_at_open(&self) -> u64 {
         self.emit.skip_below
     }
@@ -476,7 +485,7 @@ impl MonitorService {
     /// Feeds the tail's new chunks to the sink, collecting the windows each
     /// chunk seals as soon as it is routed (their accumulators are dropped
     /// mid-poll, not after it), then commits the collected windows in one
-    /// group commit. Windows sealed before a tail error are committed before
+    /// log append. Windows sealed before a tail error are committed before
     /// the error is returned.
     fn drain_tail(
         tail: &mut DatasetTail,
@@ -496,8 +505,12 @@ impl MonitorService {
     /// Drives the analysis forward: decodes every newly durable chunk
     /// frame into the windowed sink and returns the JSON lines of the
     /// windows sealed by this poll (suppressed replayed windows excluded),
-    /// each already durable in `windows/`.
+    /// each already durable in the window log.
+    ///
+    /// Once the thread writing the window files has failed, returns its
+    /// first error without polling.
     pub fn poll(&mut self) -> Result<Vec<String>, SegmentError> {
+        self.emit.view.check()?;
         let sink = self.sink.as_mut().expect("service already finished");
         Self::drain_tail(&mut self.tail, sink, &mut self.emit)?;
         obs::counter!("service.polls").incr();
@@ -505,7 +518,8 @@ impl MonitorService {
     }
 
     /// Finishes the incarnation cleanly: seals the dataset (manifest),
-    /// drains the tail, seals every remaining window, and reports.
+    /// drains the tail, seals every remaining window, waits for every window
+    /// file to be written, and reports.
     pub fn finish(mut self) -> Result<ServiceReport, SegmentError> {
         let writer = self.writer.take().expect("service already finished");
         writer.finish()?;
@@ -516,6 +530,7 @@ impl MonitorService {
             self.emit.emit(result);
         }
         self.emit.commit()?;
+        self.emit.view.close()?;
         obs::gauge!("service.windows_durable").set(self.emit.skip_below + self.emit.emitted);
         Ok(ServiceReport {
             windows_emitted: self.emit.emitted,
@@ -529,47 +544,17 @@ impl MonitorService {
     }
 }
 
-/// Scans the window directory: sweeps stale durable-write temp files and
-/// returns the length of the dense `win-0..n` prefix already present —
-/// the windows a previous incarnation made durable.
-fn sweep_window_dir(window_dir: &Path, storage: &dyn Storage) -> Result<u64, SegmentError> {
-    let mut indexes = Vec::new();
-    for entry in std::fs::read_dir(window_dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if name.ends_with(".tmp") {
-            storage.remove_file(&entry.path())?;
-            continue;
-        }
-        indexes.extend(parse_window_file_name(name));
-    }
-    indexes.sort_unstable();
-    // Dense prefix: a group commit renames in index order, so a killed
-    // process leaves no gap, but a power loss before the commit's directory
-    // fsync can drop any of its renames (and so can external tampering).
-    // None of that batch's lines was surfaced: everything past the first
-    // gap is re-derived (and overwritten) rather than trusted.
-    let mut dense = 0u64;
-    for index in indexes {
-        if index == dense {
-            dense += 1;
-        } else {
-            break;
-        }
-    }
-    Ok(dense)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::trace::EntryFlags;
+    use crate::window_log::{push_frame, read_window_log, WINDOW_LOG_NAME};
     use ipfs_mon_simnet::time::SimTime;
     use ipfs_mon_tracestore::{FaultPlan, FaultyStorage, SegmentConfig};
     use ipfs_mon_types::{Country, Multiaddr, Multicodec, PeerId, Transport};
     use proptest::prelude::*;
     use std::collections::BTreeMap;
+    use std::path::PathBuf;
 
     fn entry(ms: u64, monitor: usize) -> TraceEntry {
         TraceEntry {
@@ -629,12 +614,10 @@ mod tests {
         assert_eq!(report.entries_ingested, 400);
         assert_eq!(report.entries_analyzed, vec![200, 200]);
         assert_eq!(lines.len(), 8);
+        assert_eq!(read_window_log(&dir).unwrap(), lines);
+        assert_eq!(window_files(&dir), lines);
         for (i, line) in lines.iter().enumerate() {
             assert!(line.starts_with(&format!("{{\"index\":{i},")));
-            let on_disk =
-                std::fs::read_to_string(dir.join(WINDOW_DIR_NAME).join(window_file_name(i as u64)))
-                    .unwrap();
-            assert_eq!(&on_disk, line);
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -670,22 +653,38 @@ mod tests {
 
         let err = service.poll().unwrap_err();
         assert!(matches!(err, SegmentError::Corrupt(_)), "{err}");
-        let window_dir = dir.join(WINDOW_DIR_NAME);
-        let names: Vec<String> = std::fs::read_dir(&window_dir)
-            .unwrap()
-            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
-            .collect();
-        assert_eq!(names, vec![window_file_name(0)]);
         assert_eq!(service.emit.emitted, 1);
-        let on_disk = std::fs::read_to_string(window_dir.join(window_file_name(0))).unwrap();
-        assert_eq!(service.emit.lines, vec![on_disk]);
+        let logged = read_window_log(&dir).unwrap();
+        assert_eq!(service.emit.lines, logged);
+        assert_eq!(logged.len(), 1);
+        drop(service);
+        assert_eq!(window_files(&dir), logged);
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A group commit that fails surfaces none of its lines — at whichever
-    /// of its operations the storage dies — and one that fails without
+    /// The window files of `dir`, which must be exactly `win-0 .. win-n`,
+    /// in index order.
+    fn window_files(dir: &Path) -> Vec<String> {
+        let window_dir = dir.join(WINDOW_DIR_NAME);
+        let mut names: Vec<String> = std::fs::read_dir(&window_dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        let want: Vec<String> = (0..names.len() as u64).map(window_file_name).collect();
+        assert_eq!(names, want);
+        names
+            .iter()
+            .map(|name| std::fs::read_to_string(window_dir.join(name)).unwrap())
+            .collect()
+    }
+
+    /// A log append that fails surfaces none of its lines — at whichever
+    /// of its two operations the storage dies, cleanly or torn, what the
+    /// log keeps is a prefix of the reference — and one that fails without
     /// killing the storage keeps its windows pending for the next poll, so
-    /// each line is still surfaced exactly once, in order.
+    /// each line is surfaced, logged and written to its file exactly once,
+    /// in order.
     #[test]
     fn a_failed_commit_surfaces_no_line() {
         let dir = temp_dir("commit-ref");
@@ -696,44 +695,225 @@ mod tests {
         let reference = service.poll().unwrap();
         assert_eq!(reference.len(), 2, "want a two-window commit");
         let commit_ops = before..counter.ops();
-        assert_eq!(commit_ops.end - commit_ops.start, 3 * 2 + 2 + 1);
+        assert_eq!(commit_ops.end - commit_ops.start, 2, "one write, one fsync");
         let mut reference_all = reference.clone();
         reference_all.extend(service.finish().unwrap().lines);
         std::fs::remove_dir_all(&dir).ok();
 
         for k in commit_ops.clone() {
-            let dir = temp_dir(&format!("commit-crash-{k}"));
-            std::fs::remove_dir_all(&dir).ok();
-            let mut service = open_and_feed(&dir, FaultyStorage::new(FaultPlan::crash_at(k)));
-            assert!(service.poll().is_err(), "crash at op {k}");
-            assert!(service.emit.lines.is_empty(), "crash at op {k}");
-            assert_eq!(service.emit.emitted, 0);
-            assert!(service.poll().is_err() && service.emit.lines.is_empty());
-            std::fs::remove_dir_all(&dir).ok();
+            for (mode, plan) in [
+                ("clean", FaultPlan::crash_at(k)),
+                ("torn", FaultPlan::torn_at(k, k)),
+            ] {
+                let dir = temp_dir(&format!("commit-crash-{mode}-{k}"));
+                std::fs::remove_dir_all(&dir).ok();
+                let mut service = open_and_feed(&dir, FaultyStorage::new(plan));
+                assert!(service.poll().is_err(), "{mode} crash at op {k}");
+                assert!(service.emit.lines.is_empty(), "{mode} crash at op {k}");
+                assert_eq!(service.emit.emitted, 0);
+                assert!(service.poll().is_err() && service.emit.lines.is_empty());
+                drop(service);
+                let logged = read_window_log(&dir).unwrap();
+                assert!(reference_all.starts_with(&logged), "{mode} crash at op {k}");
+                std::fs::remove_dir_all(&dir).ok();
+            }
         }
 
-        let dir = temp_dir("commit-enospc");
+        for k in commit_ops {
+            let dir = temp_dir(&format!("commit-enospc-{k}"));
+            std::fs::remove_dir_all(&dir).ok();
+            let mut service = open_and_feed(
+                &dir,
+                FaultyStorage::new(FaultPlan {
+                    enospc_at_op: Some(k),
+                    ..FaultPlan::default()
+                }),
+            );
+            let err = service.poll().unwrap_err();
+            assert!(
+                matches!(&err, SegmentError::Io(e) if e.raw_os_error() == Some(28)),
+                "{err}"
+            );
+            assert!(service.emit.lines.is_empty());
+            let mut lines = service.poll().unwrap();
+            assert_eq!(
+                lines, reference,
+                "ENOSPC at op {k}: the retried append surfaces the batch once"
+            );
+            lines.extend(service.finish().unwrap().lines);
+            assert_eq!(lines, reference_all);
+            assert_eq!(
+                read_window_log(&dir).unwrap(),
+                reference_all,
+                "ENOSPC at op {k}"
+            );
+            assert_eq!(window_files(&dir), reference_all, "ENOSPC at op {k}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// Copies the files of `from` (and of its `windows/`) into a fresh `to`.
+    fn copy_dataset(from: &Path, to: &Path) {
+        std::fs::remove_dir_all(to).ok();
+        for sub in ["", WINDOW_DIR_NAME] {
+            std::fs::create_dir_all(to.join(sub)).unwrap();
+            for entry in std::fs::read_dir(from.join(sub)).unwrap() {
+                let entry = entry.unwrap();
+                if entry.file_type().unwrap().is_file() {
+                    std::fs::copy(entry.path(), to.join(sub).join(entry.file_name())).unwrap();
+                }
+            }
+        }
+    }
+
+    /// A torn window log: the service dies at the fsync of its last append,
+    /// whose frames are all written, and the log's last frame is then cut
+    /// at every length and has every line byte flipped under a re-fixed
+    /// CRC. The next incarnation keeps the longest valid prefix — what
+    /// [`read_window_log`] drains for the dead one — so the lines
+    /// concatenated across the two incarnations are the reference's, the
+    /// log ends up holding them and every file is byte-exact. A flip that
+    /// leaves the line UTF-8 makes a well-formed frame (its CRC is right):
+    /// the new incarnation keeps it as window `n - 1`, appends nothing for
+    /// it, and its file follows the log.
+    #[test]
+    fn a_torn_window_log_keeps_its_longest_valid_prefix() {
+        let dir = temp_dir("torn-log-ref");
         std::fs::remove_dir_all(&dir).ok();
+        let counter = FaultyStorage::new(FaultPlan::none());
+        let mut service = open_and_feed(&dir, counter.clone());
+        let mut reference = service.poll().unwrap();
+        reference.extend(service.finish().unwrap().lines);
+        let last_fsync = counter.ops() - 1;
+        std::fs::remove_dir_all(&dir).ok();
+
+        // The dead incarnation: its finish appends the last windows and dies
+        // at their fsync.
+        let crashed = temp_dir("torn-log-crashed");
+        std::fs::remove_dir_all(&crashed).ok();
         let mut service = open_and_feed(
-            &dir,
-            FaultyStorage::new(FaultPlan {
-                enospc_at_op: Some(commit_ops.start + 1),
-                ..FaultPlan::default()
-            }),
+            &crashed,
+            FaultyStorage::new(FaultPlan::crash_at(last_fsync)),
         );
-        let err = service.poll().unwrap_err();
+        let surfaced = service.poll().unwrap();
+        assert!(service.finish().is_err());
         assert!(
-            matches!(&err, SegmentError::Io(e) if e.raw_os_error() == Some(28)),
-            "{err}"
+            surfaced.len() < reference.len(),
+            "want an unsurfaced append"
         );
-        assert!(service.emit.lines.is_empty());
+        let log_path = crashed.join(WINDOW_LOG_NAME);
+        let log = std::fs::read(&log_path).unwrap();
+        let mut frames = Vec::new();
+        for (index, line) in (0..).zip(&reference) {
+            push_frame(index, line.as_bytes(), &mut frames);
+        }
+        assert_eq!(log, frames, "every frame written, none synced");
+        let last = reference.len() - 1;
+        let mut head = Vec::new();
+        for (index, line) in (0..).zip(&reference[..last]) {
+            push_frame(index, line.as_bytes(), &mut head);
+        }
+        let mut damaged_logs: Vec<(String, Vec<u8>)> = (head.len()..log.len())
+            .map(|cut| (format!("cut at {cut}"), log[..cut].to_vec()))
+            .collect();
+        for at in 0..reference[last].len() {
+            for mask in [0x01u8, 0x80] {
+                let mut line = reference[last].clone().into_bytes();
+                line[at] ^= mask;
+                // The frame's CRC is computed over the flipped line.
+                let mut damaged = head.clone();
+                push_frame(last as u64, &line, &mut damaged);
+                damaged_logs.push((format!("line byte {at} ^ {mask:#x}"), damaged));
+            }
+        }
+
+        let mut kept_forged = 0;
+        for (case, damaged) in damaged_logs {
+            let dir = temp_dir("torn-log-case");
+            copy_dataset(&crashed, &dir);
+            std::fs::write(dir.join(WINDOW_LOG_NAME), &damaged).unwrap();
+            // The dead incarnation's drain, then the next incarnation.
+            let mut lines = surfaced.clone();
+            let drained = read_window_log(&dir).unwrap();
+            lines.extend(drained[surfaced.len()..].iter().cloned());
+            let (service, _) = MonitorService::open(&dir, vec!["solo".into()], config()).unwrap();
+            assert_eq!(
+                service.windows_durable_at_open(),
+                drained.len() as u64,
+                "{case}"
+            );
+            lines.extend(service.finish().unwrap().lines);
+            let mut want = reference.clone();
+            if drained.len() == reference.len() {
+                kept_forged += 1;
+                assert_ne!(drained[last], reference[last], "{case}");
+                want[last] = drained[last].clone();
+            } else {
+                assert_eq!(drained.len(), last, "{case}");
+            }
+            assert_eq!(lines, want, "{case}");
+            assert_eq!(read_window_log(&dir).unwrap(), want, "{case}");
+            assert_eq!(window_files(&dir), want, "{case}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        assert_eq!(kept_forged, reference[last].len(), "only the UTF-8 flips");
+        std::fs::remove_dir_all(&crashed).ok();
+    }
+
+    /// Window files deleted, truncated or overwritten between incarnations
+    /// are rewritten byte-exact from the log when the service opens.
+    #[test]
+    fn window_log_rebuilds_damaged_window_files_at_open() {
+        let dir = temp_dir("rebuild");
+        std::fs::remove_dir_all(&dir).ok();
+        let mut service = open_and_feed(&dir, FaultyStorage::new(FaultPlan::none()));
         let mut lines = service.poll().unwrap();
-        assert_eq!(
-            lines, reference,
-            "the retried commit surfaces the batch once"
-        );
         lines.extend(service.finish().unwrap().lines);
-        assert_eq!(lines, reference_all);
+        assert!(lines.len() >= 3, "{} windows", lines.len());
+        let file = |i: u64| dir.join(WINDOW_DIR_NAME).join(window_file_name(i));
+        std::fs::remove_file(file(0)).unwrap();
+        std::fs::write(file(1), &lines[1][..lines[1].len() / 2]).unwrap();
+        std::fs::write(file(2), lines[2].replace("index", "INDEX")).unwrap();
+        let (service, _) = MonitorService::open(&dir, vec!["solo".into()], config()).unwrap();
+        assert_eq!(
+            service.finish().unwrap().windows_skipped,
+            lines.len() as u64
+        );
+        assert_eq!(window_files(&dir), lines);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The file view's helper fails on a directory squatting on a window
+    /// file's name: `finish` returns its I/O error, and the log has the
+    /// window all the same.
+    #[test]
+    fn window_log_view_error_is_returned_by_finish() {
+        let dir = temp_dir("squat");
+        std::fs::remove_dir_all(&dir).ok();
+        let (mut service, _) = MonitorService::open(&dir, vec!["solo".into()], config()).unwrap();
+        std::fs::create_dir(dir.join(WINDOW_DIR_NAME).join(window_file_name(0))).unwrap();
+        for i in 0..100u64 {
+            service.ingest(&entry(i * 30, 0)).unwrap();
+        }
+        let err = service.finish().unwrap_err();
+        assert!(matches!(err, SegmentError::Io(_)), "{err}");
+        assert!(err.to_string().contains(&window_file_name(0)), "{err}");
+        assert!(!read_window_log(&dir).unwrap().is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A directory whose window files have no log beside them is refused
+    /// whole.
+    #[test]
+    fn window_files_without_a_window_log_are_refused() {
+        let dir = temp_dir("no-log");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(dir.join(WINDOW_DIR_NAME)).unwrap();
+        std::fs::write(dir.join(WINDOW_DIR_NAME).join(window_file_name(0)), "{}").unwrap();
+        let err = MonitorService::open(&dir, vec!["solo".into()], config())
+            .err()
+            .expect("window files without a log must be refused");
+        assert!(matches!(err, SegmentError::UnsupportedLayout(_)), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

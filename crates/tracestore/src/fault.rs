@@ -232,53 +232,37 @@ pub(crate) fn staging_path(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// Writes `bytes` to `path` durably and atomically: a group commit of one
-/// file (see [`write_files_durable`]). A crash at any point leaves either the
-/// old file intact or the new file fully in place (plus at most one stale
-/// `.tmp`).
+/// Writes `bytes` to `path` durably and atomically (see [`replace_durable`]).
+/// A crash at any point leaves either the old file intact or the new file
+/// fully in place (plus at most one stale `.tmp`).
 pub fn write_file_durable(storage: &dyn Storage, path: &Path, bytes: &[u8]) -> io::Result<()> {
-    write_files_durable(storage, &[(path, bytes)])
+    replace_durable(storage, path, bytes).map(drop)
 }
 
-/// Writes every `(path, bytes)` pair durably and atomically, as one group
-/// commit: each file is staged as `<path>.tmp`, written, fsynced and closed;
-/// then the staged files are renamed over their targets in slice order; then
-/// each parent directory is fsynced once. A batch of `n` files in one
-/// directory costs `3n` staging operations, `n` renames and one directory
-/// sync, where `n` single-file writes would cost `n` directory syncs.
+/// Replaces `path` with `bytes` durably and atomically and returns the new
+/// file's open handle, positioned after `bytes`, for appends: stages the
+/// bytes as `<path>.tmp`, writes and fsyncs them, renames the staged file
+/// over `path` and fsyncs the parent directory — five storage operations
+/// (four when `bytes` is empty, which issues no write).
 ///
-/// A crash at any point leaves every target either as it was or holding
-/// exactly its new bytes, plus stray `.tmp` files. Which targets were
-/// replaced depends on how the process died: after a kill, the renames that
-/// ran form a prefix of the slice; after a power loss before the directory
-/// sync, any subset of them may be lost. Nothing is durable until this
-/// returns `Ok`.
-pub fn write_files_durable<P: AsRef<Path>, B: AsRef<[u8]>>(
+/// A crash at any point leaves `path` either as it was or holding exactly
+/// `bytes`, plus at most one stray `.tmp`. Nothing is durable until this
+/// returns `Ok`; what is appended through the handle afterwards is durable
+/// once the handle's `sync_all` returns.
+pub fn replace_durable(
     storage: &dyn Storage,
-    files: &[(P, B)],
-) -> io::Result<()> {
-    let mut staged = Vec::with_capacity(files.len());
-    for (path, bytes) in files {
-        let path = path.as_ref();
-        let tmp = staging_path(path);
-        let mut file = storage.create(&tmp)?;
-        file.write_all(bytes.as_ref())?;
-        file.sync_all()?;
-        staged.push((tmp, path));
-    }
-    let mut parents: Vec<&Path> = Vec::new();
-    for (tmp, path) in &staged {
-        storage.rename(tmp, path)?;
-        if let Some(parent) = path.parent() {
-            if !parents.contains(&parent) {
-                parents.push(parent);
-            }
-        }
-    }
-    for parent in parents {
+    path: &Path,
+    bytes: &[u8],
+) -> io::Result<Box<dyn StorageFile>> {
+    let tmp = staging_path(path);
+    let mut file = storage.create(&tmp)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    storage.rename(&tmp, path)?;
+    if let Some(parent) = path.parent() {
         storage.sync_dir(parent)?;
     }
-    Ok(())
+    Ok(file)
 }
 
 // ---------------------------------------------------------------------------
@@ -583,94 +567,66 @@ mod tests {
         dir
     }
 
-    /// The three-file batch the group-commit tests write.
-    fn batch(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
-        (0..3u8)
-            .map(|i| {
-                (
-                    dir.join(format!("win-{i}.json")),
-                    vec![b'a' + i; 10 + usize::from(i)],
-                )
-            })
-            .collect()
-    }
-
     #[test]
-    fn a_group_commit_costs_three_ops_per_file_a_rename_each_and_one_dir_sync() {
-        for n in [1, 3, 7] {
-            let dir = temp_dir(&format!("group-ops-{n}"));
-            let files: Vec<_> = (0..n)
-                .map(|i| (dir.join(format!("f{i}")), [i as u8]))
-                .collect();
-            let storage = FaultyStorage::new(FaultPlan::none());
-            write_files_durable(&storage, &files).unwrap();
-            assert_eq!(storage.ops(), 3 * n + n + 1, "{n} files");
-            for (path, bytes) in &files {
-                assert_eq!(std::fs::read(path).unwrap(), bytes);
-            }
-            std::fs::remove_dir_all(&dir).ok();
-        }
-        // A single-file write is the same protocol.
-        let dir = temp_dir("group-ops-single");
+    fn a_durable_replace_costs_five_ops_and_its_handle_appends() {
+        let dir = temp_dir("replace-ops");
+        let path = dir.join("log");
         let storage = FaultyStorage::new(FaultPlan::none());
-        write_file_durable(&storage, &dir.join("one"), b"bytes").unwrap();
+        let mut file = replace_durable(&storage, &path, b"head").unwrap();
         assert_eq!(storage.ops(), 5);
+        file.write_all(b"+tail").unwrap();
+        file.sync_all().unwrap();
+        assert_eq!(storage.ops(), 7);
+        assert_eq!(std::fs::read(&path).unwrap(), b"head+tail");
+        assert!(!staging_path(&path).exists());
+        // An empty replacement issues no write.
+        let storage = FaultyStorage::new(FaultPlan::none());
+        drop(replace_durable(&storage, &path, b"").unwrap());
+        assert_eq!(storage.ops(), 4);
+        assert_eq!(std::fs::read(&path).unwrap(), b"");
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Kill a three-file group commit at every one of its operations, cleanly
-    /// and with a torn write: every target is absent or holds exactly its new
-    /// bytes, the targets that landed are a prefix of the batch (a killed
-    /// process renames in order), and nothing but `.tmp` strays is left.
+    /// Kill a durable replace at every one of its operations, cleanly and
+    /// with a torn write: the target holds its old bytes while the rename
+    /// (op 3) has not run and exactly its new bytes once it has, and
+    /// nothing but the `.tmp` stray is ever left beside it.
     #[test]
-    fn write_files_durable_survives_a_crash_at_every_op() {
-        let total = 3 * 3 + 3 + 1;
-        for k in 0..total {
+    fn write_file_durable_survives_a_crash_at_every_op() {
+        let (old, new) = (b"old bytes".as_slice(), b"the new bytes".as_slice());
+        for k in 0..5 {
             for (mode, plan) in [
                 ("clean", FaultPlan::crash_at(k)),
                 ("torn", FaultPlan::torn_at(k, k)),
             ] {
-                let dir = temp_dir(&format!("group-crash-{mode}-{k}"));
-                let files = batch(&dir);
+                let dir = temp_dir(&format!("replace-crash-{mode}-{k}"));
+                let path = dir.join("target");
+                std::fs::write(&path, old).unwrap();
                 let storage = FaultyStorage::new(plan);
-                let err = write_files_durable(&storage, &files).unwrap_err();
+                let err = write_file_durable(&storage, &path, new).unwrap_err();
                 assert!(is_crash_error(&err), "{mode} crash at op {k}: {err}");
-                let landed: Vec<bool> = files
-                    .iter()
-                    .map(|(path, bytes)| match std::fs::read(path) {
-                        Ok(on_disk) => {
-                            assert_eq!(&on_disk, bytes, "{mode} crash at op {k}");
-                            true
-                        }
-                        Err(e) => {
-                            assert_eq!(e.kind(), io::ErrorKind::NotFound);
-                            false
-                        }
-                    })
-                    .collect();
-                // Renames are ops 9, 10 and 11; the directory sync is op 12.
-                let renamed = k.saturating_sub(9);
-                let prefix: Vec<bool> = (0..3).map(|i| i < renamed).collect();
-                assert_eq!(landed, prefix, "{mode} crash at op {k}");
+                let want = if k <= 3 { old } else { new };
+                assert_eq!(
+                    std::fs::read(&path).unwrap(),
+                    want,
+                    "{mode} crash at op {k}"
+                );
                 for entry in std::fs::read_dir(&dir).unwrap() {
                     let name = entry.unwrap().file_name().into_string().unwrap();
-                    let target = files.iter().any(|(path, _)| path.ends_with(&name));
                     assert!(
-                        target || name.ends_with(DURABLE_TMP_SUFFIX),
+                        name == "target" || name.ends_with(DURABLE_TMP_SUFFIX),
                         "{mode} crash at op {k}: stray {name}"
                     );
                 }
                 std::fs::remove_dir_all(&dir).ok();
             }
         }
-        // Past the last operation nothing crashes and every file is in place.
-        let dir = temp_dir("group-crash-none");
-        let files = batch(&dir);
-        write_files_durable(&FaultyStorage::new(FaultPlan::crash_at(total)), &files).unwrap();
-        for (path, bytes) in &files {
-            assert_eq!(&std::fs::read(path).unwrap(), bytes);
-        }
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 3);
+        // Past the last operation nothing crashes and no stray is left.
+        let dir = temp_dir("replace-crash-none");
+        let path = dir.join("target");
+        write_file_durable(&FaultyStorage::new(FaultPlan::crash_at(5)), &path, new).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), new);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -91,7 +91,7 @@ pub mod window;
 pub mod writer;
 
 pub use fault::{
-    is_transient, with_retry, write_file_durable, write_files_durable, CrashMode, FaultPlan,
+    is_transient, replace_durable, with_retry, write_file_durable, CrashMode, FaultPlan,
     FaultyStorage, RealStorage, RetryFile, RetryPolicy, Storage, StorageFile,
 };
 pub use hash::WordHashBuilder;

@@ -179,6 +179,9 @@ pub enum SegmentError {
     /// is unusable (library code reports this instead of aborting the
     /// process).
     InvalidConfig(String),
+    /// A directory holds files in an on-disk layout this build no longer
+    /// reads (refused whole rather than written over).
+    UnsupportedLayout(String),
 }
 
 impl std::fmt::Display for SegmentError {
@@ -196,6 +199,9 @@ impl std::fmt::Display for SegmentError {
                 write!(f, "unknown chunk codec byte {byte}")
             }
             SegmentError::InvalidConfig(what) => write!(f, "invalid configuration: {what}"),
+            SegmentError::UnsupportedLayout(what) => {
+                write!(f, "unsupported on-disk layout: {what}")
+            }
         }
     }
 }

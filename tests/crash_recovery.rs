@@ -451,7 +451,7 @@ fn damaged_sealed_segment_fails_the_tail_poll() {
 /// the rows before the damage sealed are durable first.
 #[test]
 fn damaged_sealed_segment_fails_the_service_poll() {
-    use ipfs_monitoring::core::{window_file_name, WINDOW_DIR_NAME};
+    use ipfs_monitoring::core::{read_window_log, window_file_name, WINDOW_DIR_NAME};
     use ipfs_monitoring::simnet::time::SimDuration;
     use ipfs_monitoring::tracestore::{LatePolicy, WindowSpec};
 
@@ -471,6 +471,15 @@ fn damaged_sealed_segment_fails_the_service_poll() {
     let err = service.poll().unwrap_err();
     assert!(matches!(err, SegmentError::Corrupt(_)), "{err}");
     // Entries 0..30 passed windows 0 and 1; window 2 waits for entry 30.
+    let logged = read_window_log(&dir).unwrap();
+    assert_eq!(logged.len(), 2);
+    for (i, line) in logged.iter().enumerate() {
+        assert!(line.starts_with(&format!("{{\"index\":{i},")), "{line}");
+    }
+    let again = service.poll().unwrap_err();
+    assert!(matches!(again, SegmentError::Corrupt(_)), "{again}");
+    // The window files follow the log once the service is gone.
+    drop(service);
     let window_dir = dir.join(WINDOW_DIR_NAME);
     let mut names: Vec<String> = std::fs::read_dir(&window_dir)
         .unwrap()
@@ -478,8 +487,10 @@ fn damaged_sealed_segment_fails_the_service_poll() {
         .collect();
     names.sort();
     assert_eq!(names, vec![window_file_name(0), window_file_name(1)]);
-    let again = service.poll().unwrap_err();
-    assert!(matches!(again, SegmentError::Corrupt(_)), "{again}");
+    for (i, line) in logged.iter().enumerate() {
+        let on_disk = std::fs::read_to_string(window_dir.join(&names[i])).unwrap();
+        assert_eq!(&on_disk, line);
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -995,7 +1006,7 @@ fn enospc_sweep_ends_the_writer_at_its_first_failed_write() {
 /// entries that were durable before it.
 #[test]
 fn enospc_ends_the_service_writer_but_poll_serves_durable_windows() {
-    use ipfs_monitoring::core::{window_file_name, WINDOW_DIR_NAME};
+    use ipfs_monitoring::core::{read_window_log, window_file_name, WINDOW_DIR_NAME};
     use ipfs_monitoring::simnet::time::SimDuration;
     use ipfs_monitoring::tracestore::{LatePolicy, WindowSpec};
 
@@ -1053,12 +1064,14 @@ fn enospc_ends_the_service_writer_but_poll_serves_durable_windows() {
     // Entries 0..50 are durable: windows 0..=3 seal, window 4 waits.
     let lines = service.poll().expect("poll serves what is durable");
     assert_eq!(lines.len(), 4);
+    assert_eq!(read_window_log(&dir).unwrap(), lines);
+    assert_eq!(service.finish().unwrap_err().to_string(), error);
+    // The failed finish still waited for the window files.
     for (i, line) in lines.iter().enumerate() {
         let on_disk =
             std::fs::read_to_string(dir.join(WINDOW_DIR_NAME).join(window_file_name(i as u64)))
                 .unwrap();
         assert_eq!(&on_disk, line);
     }
-    assert_eq!(service.finish().unwrap_err().to_string(), error);
     std::fs::remove_dir_all(&dir).unwrap();
 }

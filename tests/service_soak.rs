@@ -7,16 +7,16 @@
 //! The harness mirrors the `monitor_service` bench binary: each
 //! incarnation re-feeds the deterministic dataset minus what the previous
 //! incarnation made durable, polls on a cadence deliberately misaligned
-//! with the rotation/checkpoint cadences, and — when it dies — drains any
-//! window files that committed durably before the crash but whose lines
-//! never surfaced (window file bytes equal the line `poll` would have
-//! returned, so the drain is a faithful replay).
+//! with the rotation/checkpoint cadences, and — when it dies — drains the
+//! windows its log made durable before the crash but whose lines never
+//! surfaced (a log frame holds the line `poll` would have returned, so the
+//! drain is a faithful replay).
 
 mod common;
 
 use common::{fresh_dir, random_dataset};
 use ipfs_monitoring::core::{
-    window_file_name, MonitorService, ServiceConfig, ServiceReport, WINDOW_DIR_NAME,
+    read_window_log, MonitorService, ServiceConfig, ServiceReport, WINDOW_DIR_NAME,
 };
 use ipfs_monitoring::simnet::time::SimDuration;
 use ipfs_monitoring::tracestore::{
@@ -34,7 +34,7 @@ use std::sync::Arc;
 const POLL_EVERY: usize = 23;
 
 /// An incarnation's first poll waits for this many entries, so it seals
-/// several windows at once: a multi-window group commit for the sweep.
+/// several windows at once: a multi-window log append for the sweep.
 const FIRST_POLL_AFTER: usize = 5 * POLL_EVERY;
 
 fn config() -> ServiceConfig {
@@ -55,10 +55,10 @@ fn config() -> ServiceConfig {
 }
 
 /// Runs one service incarnation over `dataset`, appending every surfaced
-/// WINDOW line to `collected`. On failure, drains window files that
-/// committed durably but were never surfaced — exactly what the bench
-/// binary does when a run dies — so `collected` always equals the durable
-/// window set at the incarnation boundary.
+/// WINDOW line to `collected`. On failure, drains the logged windows that
+/// were never surfaced — exactly what the bench binary does when a run
+/// dies — so `collected` always equals the durable window set at the
+/// incarnation boundary.
 fn run_incarnation(
     dir: &Path,
     dataset: &MonitoringDataset,
@@ -67,15 +67,12 @@ fn run_incarnation(
 ) -> Result<ServiceReport, SegmentError> {
     let result = feed(dir, dataset, storage, collected, None);
     if result.is_err() {
-        loop {
-            let path = dir
-                .join(WINDOW_DIR_NAME)
-                .join(window_file_name(collected.len() as u64));
-            match std::fs::read_to_string(&path) {
-                Ok(line) => collected.push(line),
-                Err(_) => break,
-            }
-        }
+        let logged = read_window_log(dir).expect("readable window log");
+        assert!(
+            logged.starts_with(collected),
+            "the log must start with every surfaced line"
+        );
+        collected.extend_from_slice(&logged[collected.len()..]);
     }
     result
 }
@@ -156,7 +153,7 @@ fn window_dir_snapshot(dir: &Path) -> BTreeMap<String, String> {
 
 /// Fault-free reference run plus a storage-operation count for the same
 /// workload (the count bounds the kill-point sweep) and the operations of
-/// the first poll that commits two windows or more.
+/// the first poll that appends two windows or more.
 fn reference(
     dataset: &MonitoringDataset,
     tag: &str,
@@ -174,6 +171,10 @@ fn reference(
     );
     let ref_windows = window_dir_snapshot(&ref_dir);
     assert_eq!(ref_windows.len(), ref_lines.len());
+    assert_eq!(
+        read_window_log(&ref_dir).expect("readable window log"),
+        ref_lines
+    );
     std::fs::remove_dir_all(&ref_dir).ok();
 
     let counter = Arc::new(FaultyStorage::new(FaultPlan::none()));
@@ -196,11 +197,11 @@ fn reference(
         "expected a substantial run, {total_ops} ops"
     );
 
-    // A poll's storage operations are its group commit: per window a
-    // create, a write and an fsync, a rename each, one directory fsync.
+    // A poll's storage operations are its log append: one write and one
+    // fsync, however many windows it seals.
     for poll in &polls {
         let n = poll.lines as u64;
-        let expected = if n == 0 { 0 } else { 4 * n + 1 };
+        let expected = if n == 0 { 0 } else { 2 };
         assert_eq!(
             poll.ops.end - poll.ops.start,
             expected,
@@ -210,7 +211,7 @@ fn reference(
     let multi = polls
         .iter()
         .find(|poll| poll.lines >= 2)
-        .expect("a poll that commits two windows or more")
+        .expect("a poll that appends two windows or more")
         .ops
         .clone();
 
@@ -229,47 +230,60 @@ fn soak_kill_restart_at_sampled_ops_is_exactly_once() {
     let step = (total_ops / 24).max(1);
     let mut kill_points: Vec<u64> = (0..total_ops).step_by(step as usize).collect();
     kill_points.extend([1, 2, total_ops - 2, total_ops - 1]);
-    // Every operation of a multi-window group commit: each staged write,
-    // each rename (a prefix of the batch landed) and the directory fsync.
-    kill_points.extend(multi);
+    kill_points.extend(multi.clone());
     kill_points.sort_unstable();
     kill_points.dedup();
+    let mut plans: Vec<(String, FaultPlan)> = kill_points
+        .into_iter()
+        .map(|kill| (format!("kill at op {kill}"), FaultPlan::crash_at(kill)))
+        .collect();
+    // Every operation of a multi-window log append — its write and its
+    // fsync — also as a torn write: a seeded prefix of the append's bytes
+    // lands, so the log ends in a partial frame (or at a frame boundary
+    // inside the batch) that the next open cuts.
+    for kill in multi {
+        for seed in 0..4 {
+            plans.push((
+                format!("torn kill at op {kill}, seed {seed}"),
+                FaultPlan::torn_at(kill, seed),
+            ));
+        }
+    }
 
-    for kill in kill_points {
-        let dir = fresh_dir(&format!("soak-kill-{kill}"));
+    for (case, plan) in plans {
+        let dir = fresh_dir("soak-kill");
         let mut lines = Vec::new();
 
-        let faulty = Arc::new(FaultyStorage::new(FaultPlan::crash_at(kill)));
+        let faulty = Arc::new(FaultyStorage::new(plan));
         let died = run_incarnation(
             &dir,
             &dataset,
             Arc::clone(&faulty) as Arc<dyn Storage>,
             &mut lines,
         );
-        assert!(
-            died.is_err(),
-            "kill at op {kill} must abort the incarnation"
-        );
-        assert!(
-            faulty.crashed(),
-            "kill at op {kill} must be the injected crash"
-        );
+        assert!(died.is_err(), "{case} must abort the incarnation");
+        assert!(faulty.crashed(), "{case} must be the injected crash");
 
         let report = run_incarnation(&dir, &dataset, Arc::new(RealStorage), &mut lines)
-            .unwrap_or_else(|e| panic!("restart after kill at op {kill} failed: {e}"));
+            .unwrap_or_else(|e| panic!("restart after {case} failed: {e}"));
         assert_eq!(
             (report.windows_emitted + report.windows_skipped) as usize,
             ref_lines.len(),
-            "kill at op {kill}: restart must account for every window"
+            "{case}: restart must account for every window"
         );
         assert_eq!(
             lines, ref_lines,
-            "kill at op {kill}: concatenated WINDOW lines across incarnations diverged"
+            "{case}: concatenated WINDOW lines across incarnations diverged"
+        );
+        assert_eq!(
+            read_window_log(&dir).expect("readable window log"),
+            ref_lines,
+            "{case}: the window log diverged"
         );
         assert_eq!(
             window_dir_snapshot(&dir),
             ref_windows,
-            "kill at op {kill}: durable window files diverged"
+            "{case}: window files diverged"
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -314,6 +328,11 @@ fn soak_cascading_kills_then_clean_restart_converges() {
         ref_lines.len()
     );
     assert_eq!(lines, ref_lines, "cascade: WINDOW lines diverged");
+    assert_eq!(
+        read_window_log(&dir).expect("readable window log"),
+        ref_lines,
+        "cascade: the window log diverged"
+    );
     assert_eq!(
         window_dir_snapshot(&dir),
         ref_windows,
