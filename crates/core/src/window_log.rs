@@ -18,7 +18,7 @@
 //! is UTF-8; whatever follows is a torn append or damage and is not part of
 //! it. [`read_window_log`] is the one reader.
 //!
-//! [`WindowLog::open`] copies that prefix to a staged file and renames it
+//! `WindowLog::open` copies that prefix to a staged file and renames it
 //! over the log — once per incarnation, which also cuts a torn tail — and
 //! keeps the staged file's handle for every later append: the windows one
 //! poll seals are one write and one fsync.
@@ -26,7 +26,7 @@
 //! # The view
 //!
 //! `windows/win-<index>.json` ([`window_file_name`]) holds window `index`'s
-//! line, byte for byte. [`FileView`] writes these files on one helper
+//! line, byte for byte. `FileView` writes these files on one helper
 //! thread with plain `std::fs` — no staging, no fsync, outside the
 //! `Storage` seam — after their frames are durable, so a file can lag the
 //! log (a killed process does not wait for the helper) but never leads it;

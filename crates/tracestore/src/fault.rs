@@ -352,7 +352,8 @@ pub fn crash_error() -> io::Error {
 }
 
 /// True when `error` is (or wraps) the injected-crash error.
-pub fn is_crash_error(error: &io::Error) -> bool {
+#[cfg(test)]
+fn is_crash_error(error: &io::Error) -> bool {
     error.to_string().contains(CRASH_MSG)
 }
 

@@ -29,15 +29,17 @@
 //!   monitor ([`manifest::MonitorWriter`]) tied together by a CRC-framed
 //!   [`manifest::Manifest`] index, written by [`manifest::DatasetWriter`].
 //! * [`reader`] — [`reader::TraceReader`], a constant-memory streaming reader
-//!   of one segment (one decoded chunk per active stream) over
-//!   pluggable [`reader::ChunkSource`]s ([`reader::SliceSource`] for bytes
-//!   already in memory, [`reader::FileSource`] with one positioned read per
-//!   chunk), and [`reader::ManifestReader`], a dataset spanning many
-//!   segments behind its manifest: per-monitor chain streams plus the k-way
-//!   merged stream that yields all entries ordered by
-//!   `(timestamp, monitor)` — exactly the order the preprocessing windows of
-//!   `ipfs-mon-core` expect — with each monitor chain decoded ahead on its
-//!   own bounded prefetch worker.
+//!   of one segment file (one decoded chunk per active stream) that reads
+//!   every chunk frame in order and holds frame *i* to footer index row *i*,
+//!   and [`reader::ManifestReader`], a dataset spanning many segments behind
+//!   its manifest: per-monitor chain streams plus the k-way merged stream
+//!   that yields all entries ordered by `(timestamp, monitor)` — exactly the
+//!   order the preprocessing windows of `ipfs-mon-core` expect — with each
+//!   monitor chain decoded ahead on its own bounded prefetch worker. The
+//!   reader, the [`tail`] and [`recover`] all walk frames through one
+//!   crate-internal segment cursor (`cursor::SegmentCursor`: positioned
+//!   reads into one buffer of at most a frame plus a 64 KiB piece); each is
+//!   a stopping rule over it.
 //! * [`source`] — the [`source::TraceSource`] trait: one streaming interface
 //!   (labels + merged entries + connection records) over the in-memory
 //!   dataset and the on-disk manifest dataset, so every analysis runs
@@ -76,6 +78,7 @@
 pub mod codec;
 pub mod col;
 pub mod crc;
+mod cursor;
 pub mod fault;
 pub mod hash;
 pub mod manifest;
@@ -101,8 +104,7 @@ pub use manifest::{
     MANIFEST_FILE_NAME,
 };
 pub use reader::{
-    ChainedMonitorStream, ChunkSource, EntryStream, FileSource, ManifestMergedStream,
-    ManifestReader, MergedRow, SliceSource, TraceReader,
+    ChainedMonitorStream, EntryStream, ManifestMergedStream, ManifestReader, MergedRow, TraceReader,
 };
 pub use record::{ConnectionRecord, EntryFlags, MonitoringDataset, TraceEntry, UnifiedTrace};
 pub use recover::{
@@ -118,3 +120,23 @@ pub use window::{
     LatePolicy, WindowBounds, WindowResult, WindowSpec, WindowedOutput, WindowedSink,
 };
 pub use writer::TraceWriter;
+
+/// Helpers the crate's unit tests share.
+#[cfg(test)]
+mod test_segment {
+    /// Opens `bytes` as a segment file of its own: how tests read a segment
+    /// they built or damaged in memory. The file is removed once it is open.
+    pub(crate) fn reader_of(bytes: &[u8]) -> Result<crate::TraceReader, crate::SegmentError> {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "tracestore-segment-{}-{}.seg",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::write(&path, bytes)?;
+        let reader = crate::TraceReader::open(&path);
+        std::fs::remove_file(&path).ok();
+        reader
+    }
+}

@@ -4,181 +4,68 @@
 //! stamps that index on every record it yields — the index stored inside a
 //! segment is the constant 0, refused when it is not, and never consulted).
 //!
+//! A stream reads its segment one way, the way the live tail and crash
+//! recovery do: through the crate's segment cursor (`cursor::SegmentCursor`,
+//! positioned reads into one buffer of at most a frame plus a 64 KiB piece),
+//! every chunk frame in order up to the footer. Its stopping rule is the
+//! footer's index: frame *i* must be index row *i* — the same offset, length
+//! and entry count — and the footer must start where the last frame ends. A
+//! frame that is not ends the stream in that frame's own typed error, before
+//! any of its rows.
+//!
 //! A reader has one behaviour under damage: it fails. A missing, mislabelled
 //! or miscounted segment fails [`ManifestReader::open`]; damage only a decode
 //! finds ends every stream of the dataset in the same typed first error
 //! (the lowest failing monitor's). Nothing is skipped; the one repair is
 //! [`crate::recover_dataset`].
+//!
+//! A reader parses bytes from disk, so the module denies indexing, `unwrap`,
+//! `expect` and `panic!`; each site left names the invariant that makes it
+//! safe.
 
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
+
+use crate::cursor::{check_row, read_footer, SegmentCursor};
 use crate::manifest::{Manifest, SegmentMeta};
 use crate::record::{ConnectionRecord, TraceEntry};
-use crate::segment::{
-    check_header, decode_footer_frame, ChunkInfo, ChunkScratch, ChunkView, Footer, SegmentError,
-    FOOTER_MAGIC, HEADER_LEN, TRAILER_LEN,
-};
+use crate::segment::{ChunkInfo, ChunkScratch, ChunkView, Footer, SegmentError, HEADER_LEN};
 use ipfs_mon_obs as obs;
 use ipfs_mon_simnet::time::{SimDuration, SimTime};
-use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::fs::File;
 use std::path::Path;
 use std::sync::{mpsc, Arc};
 
-/// Random-access byte source a segment is read from.
-///
-/// Implementations exist for in-memory slices ([`SliceSource`]) and files
-/// ([`FileSource`]); both hand out independent reads from a shared `&self`,
-/// so several streams can walk one segment concurrently.
-///
-/// `read_at` returns a [`Cow`]: sources that already hold the segment in
-/// memory lend a borrowed slice (footer and header reads copy nothing);
-/// file-backed sources return an owned buffer. A chunk read through a
-/// stream owns its frame either way — it outlives the borrow, shared with
-/// whoever builds its rows — so an in-memory source pays one copy of the frame there
-/// and a file-backed one none.
-// `len` is fallible (file metadata) — a paired `is_empty` would be too, and a
-// zero-length source is just a corrupt segment, so the lint buys nothing here.
-#[allow(clippy::len_without_is_empty)]
-pub trait ChunkSource {
-    /// Reads exactly `len` bytes starting at `offset`.
-    fn read_at(&self, offset: u64, len: usize) -> Result<Cow<'_, [u8]>, SegmentError>;
-
-    /// Total length of the segment in bytes.
-    fn len(&self) -> Result<u64, SegmentError>;
-}
-
-/// A segment held in memory.
-#[derive(Debug, Clone, Copy)]
-pub struct SliceSource<'a> {
-    bytes: &'a [u8],
-}
-
-impl<'a> SliceSource<'a> {
-    /// Wraps a byte slice.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Self { bytes }
-    }
-}
-
-impl ChunkSource for SliceSource<'_> {
-    fn read_at(&self, offset: u64, len: usize) -> Result<Cow<'_, [u8]>, SegmentError> {
-        let start = offset as usize;
-        let end = start
-            .checked_add(len)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or_else(|| SegmentError::Corrupt("read past end of segment".into()))?;
-        Ok(Cow::Borrowed(&self.bytes[start..end]))
-    }
-
-    fn len(&self) -> Result<u64, SegmentError> {
-        Ok(self.bytes.len() as u64)
-    }
-}
-
-/// A segment stored in a file. Every read is one bounds-checked positioned
-/// (`pread`-style) read, so the source serves multiple concurrent streams
-/// from `&self`; caching is left to the OS page cache.
-#[derive(Debug)]
-pub struct FileSource {
-    file: std::fs::File,
-    /// Segment files are immutable once finished; the length is fixed at
-    /// open time.
-    len: u64,
-}
-
-impl FileSource {
-    /// Opens a segment file for reading.
-    pub fn open(path: impl AsRef<std::path::Path>) -> Result<Self, SegmentError> {
-        Self::from_file(std::fs::File::open(path)?)
-    }
-
-    /// Wraps an already-open file.
-    pub fn from_file(file: std::fs::File) -> Result<Self, SegmentError> {
-        let len = file.metadata()?.len();
-        Ok(Self { file, len })
-    }
-
-    /// One positioned read straight from the file.
-    #[cfg(unix)]
-    fn pread(&self, offset: u64, len: usize) -> Result<Vec<u8>, SegmentError> {
-        use std::os::unix::fs::FileExt;
-        let mut buf = vec![0u8; len];
-        self.file.read_exact_at(&mut buf, offset)?;
-        Ok(buf)
-    }
-
-    /// Fallback: clone the handle so `&self` suffices; the clone seeks
-    /// independently and is short-lived and exclusive here.
-    #[cfg(not(unix))]
-    fn pread(&self, offset: u64, len: usize) -> Result<Vec<u8>, SegmentError> {
-        use std::io::{Read, Seek, SeekFrom};
-        let mut file = self.file.try_clone()?;
-        file.seek(SeekFrom::Start(offset))?;
-        let mut buf = vec![0u8; len];
-        file.read_exact(&mut buf)?;
-        Ok(buf)
-    }
-}
-
-impl ChunkSource for FileSource {
-    fn read_at(&self, offset: u64, len: usize) -> Result<Cow<'_, [u8]>, SegmentError> {
-        if offset
-            .checked_add(len as u64)
-            .is_none_or(|end| end > self.len)
-        {
-            return Err(SegmentError::Corrupt("read past end of segment".into()));
-        }
-        Ok(Cow::Owned(self.pread(offset, len)?))
-    }
-
-    fn len(&self) -> Result<u64, SegmentError> {
-        Ok(self.len)
-    }
-}
-
 /// A segment — one monitor's entries — opened for reading.
 ///
-/// Opening costs one footer read; entry data is only touched when streamed,
-/// one chunk at a time, so memory stays bounded by the chunk size times the
-/// number of concurrently active streams.
-pub struct TraceReader<S: ChunkSource> {
-    source: S,
+/// Opening costs three positioned reads: header, trailer and footer. Entry
+/// data is only touched when streamed, one chunk at a time, so memory stays
+/// bounded by the chunk size times the number of concurrently active
+/// streams, which share the reader's file.
+pub struct TraceReader {
+    file: File,
     footer: Footer,
+    /// Where the footer starts, which is where the last chunk frame ends.
+    footer_start: u64,
 }
 
-impl<S: ChunkSource> TraceReader<S> {
-    /// Opens a segment: validates the header, locates and checks the footer.
-    pub fn new(source: S) -> Result<Self, SegmentError> {
-        let total_len = source.len()?;
-        let header_len = HEADER_LEN as u64;
-        if total_len < header_len + TRAILER_LEN as u64 {
-            return Err(SegmentError::Corrupt("segment too short".into()));
-        }
-        // All `HEADER_LEN` bytes are there, so the header cannot come back torn.
-        check_header(&source.read_at(0, HEADER_LEN)?)?;
-
-        // Fixed-size trailer: footer CRC, footer payload length, magic.
-        let trailer = source.read_at(total_len - TRAILER_LEN as u64, TRAILER_LEN)?;
-        if &trailer[12..16] != FOOTER_MAGIC {
-            return Err(SegmentError::Corrupt("missing footer magic".into()));
-        }
-        let payload_len = u64::from_le_bytes(trailer[4..12].try_into().unwrap());
-        let footer_start = (TRAILER_LEN as u64)
-            .checked_add(payload_len)
-            .and_then(|tail_len| total_len.checked_sub(tail_len))
-            .ok_or_else(|| SegmentError::Corrupt("footer length out of range".into()))?;
-        if footer_start < header_len {
-            return Err(SegmentError::Corrupt("footer overlaps header".into()));
-        }
-        let footer_bytes = source.read_at(footer_start, (total_len - footer_start) as usize)?;
-        let footer = decode_footer_frame(&footer_bytes)?;
-        drop(footer_bytes);
-        Ok(Self { source, footer })
-    }
-
-    /// The byte source the reader opened.
-    pub fn source(&self) -> &S {
-        &self.source
+impl TraceReader {
+    /// Opens the segment file at `path`: validates the header, locates and
+    /// checks the footer.
+    pub fn open(path: impl AsRef<Path>) -> Result<Self, SegmentError> {
+        let file = File::open(path)?;
+        let (footer_start, footer) = read_footer(&file)?;
+        Ok(Self {
+            file,
+            footer,
+            footer_start,
+        })
     }
 
     /// The label of the monitor whose entries the segment holds.
@@ -204,16 +91,17 @@ impl<S: ChunkSource> TraceReader<S> {
     /// Streams the segment's entries in storage (arrival) order, decoding
     /// one chunk at a time. Their `monitor` is 0: a segment does not know
     /// which monitor of a dataset it belongs to.
-    pub fn stream(&self) -> EntryStream<'_, S> {
+    pub fn stream(&self) -> EntryStream<'_> {
         self.stream_with(None)
     }
 
     /// [`TraceReader::stream`] with a [`ChunkHook`] that sees every chunk
     /// before its rows.
-    fn stream_with<'a>(&'a self, hook: Option<ChunkHook<'a>>) -> EntryStream<'a, S> {
+    fn stream_with<'a>(&'a self, hook: Option<ChunkHook<'a>>) -> EntryStream<'a> {
+        let end = Some(self.footer_start);
         EntryStream {
-            source: &self.source,
-            chunks: &self.footer.chunks,
+            frames: SegmentCursor::new(&self.file, HEADER_LEN as u64, end, Vec::new()),
+            index: &self.footer.chunks,
             next_chunk: 0,
             current: None,
             current_number: 0,
@@ -240,7 +128,7 @@ impl<S: ChunkSource> TraceReader<S> {
     /// are only locally out of order; a reorder buffer sized by the lateness
     /// bound recorded at write time restores exact order with memory
     /// proportional to the disorder window, not the trace.
-    fn sorted_keys<'a>(&'a self, hook: Option<ChunkHook<'a>>) -> SortedKeys<'a, S> {
+    fn sorted_keys<'a>(&'a self, hook: Option<ChunkHook<'a>>) -> SortedKeys<'a> {
         SortedKeys {
             inner: self.stream_with(hook),
             lateness: SimDuration::from_millis(self.max_lateness_ms()),
@@ -271,7 +159,7 @@ struct RowKey {
 }
 
 impl RowKey {
-    /// The key of row `row` — below `u32::MAX`, as [`load_chunk`] sees to —
+    /// The key of row `row` — below `u32::MAX`, as [`EntryStream`] sees to —
     /// of chunk number `chunk`.
     fn new(timestamp: SimTime, chunk: u32, row: usize) -> Self {
         Self {
@@ -344,9 +232,9 @@ impl Handoff {
     fn reclaim(&mut self) -> ChunkScratch {
         let mut scratch = None;
         let mut at = 0;
-        while at < self.lent.len() {
+        while let Some(chunk) = self.lent.get(at) {
             // Nobody else can clone a chunk this holds the last reference to.
-            if Arc::strong_count(&self.lent[at]) > 1 {
+            if Arc::strong_count(chunk) > 1 {
                 at += 1;
             } else if let Ok(chunk) = Arc::try_unwrap(self.lent.swap_remove(at)) {
                 scratch.get_or_insert_with(|| chunk.into_scratch());
@@ -376,6 +264,9 @@ impl ChunkRing {
     }
 
     /// The chunk of a key that is still held.
+    // A key's chunk is admitted before the key is handed out, and its slot
+    // stays until the last key into it is let go.
+    #[allow(clippy::indexing_slicing, clippy::expect_used)]
     #[inline]
     fn slot(&mut self, key: RowKey) -> &mut KeyedChunk {
         self.slots[key.chunk().wrapping_sub(self.first) as usize]
@@ -384,6 +275,7 @@ impl ChunkRing {
     }
 
     /// Lets go of `key`, and of its chunk with the last key into it.
+    #[allow(clippy::indexing_slicing)] // The held-chunk invariant of `slot`.
     #[inline]
     fn let_go(&mut self, key: RowKey) {
         let slot = self.slot(key);
@@ -436,7 +328,7 @@ fn entries_built() -> obs::BatchedCounter {
 }
 
 /// A stream's per-chunk callback: it sees every chunk the stream has read —
-/// after [`load_chunk`] has validated it, before a key into it exists.
+/// validated and held to its index row, before a key into it exists.
 ///
 /// The hook may read the chunk's columns, and it decides which rows the
 /// stream goes on to yield: it returns `true` after writing their indexes
@@ -444,37 +336,6 @@ fn entries_built() -> obs::BatchedCounter {
 /// sink run offers the chunk to its sink here; a filtered stream resolves
 /// its targets against the chunk's dictionaries here.
 pub(crate) type ChunkHook<'a> = &'a dyn Fn(&SharedChunk, &mut Vec<usize>) -> bool;
-
-/// Reads the chunk an index row names and turns it into a view — the one
-/// place every read path does so. The frame is CRC-checked and every column
-/// validated in full by [`ChunkView::parse_with`] (which recycles `scratch`),
-/// and the view is then held to what the index row promised: the row
-/// announced the chunk's size, so a chunk that says otherwise must not be
-/// delivered. Only a view this returned is ever keyed into. The view owns its
-/// frame (a copy, when the source lent a borrow).
-pub(crate) fn load_chunk<S: ChunkSource>(
-    source: &S,
-    info: &ChunkInfo,
-    scratch: ChunkScratch,
-) -> Result<ChunkView<'static>, SegmentError> {
-    let frame = source.read_at(info.offset, info.len as usize)?.into_owned();
-    let view = ChunkView::parse_with(Cow::Owned(frame), scratch)?;
-    if view.len() as u64 != info.entries {
-        return Err(SegmentError::Corrupt(format!(
-            "chunk at offset {} holds {} entries but its index row says {}",
-            info.offset,
-            view.len(),
-            info.entries
-        )));
-    }
-    if u32::try_from(view.len()).is_err() {
-        return Err(SegmentError::Corrupt(format!(
-            "chunk at offset {} holds more rows than a row key addresses",
-            info.offset
-        )));
-    }
-    Ok(view)
-}
 
 /// `high_water` raised to the latest of `times_ms`.
 fn latest(high_water: SimTime, times_ms: &[u64]) -> SimTime {
@@ -493,9 +354,11 @@ fn latest(high_water: SimTime, times_ms: &[u64]) -> SimTime {
 /// Decode failures (which chunk CRCs make vanishingly unlikely short of
 /// actual corruption) end the stream early; check [`EntryStream::take_error`]
 /// after exhaustion when the distinction matters.
-pub struct EntryStream<'a, S: ChunkSource> {
-    source: &'a S,
-    chunks: &'a [ChunkInfo],
+pub struct EntryStream<'a> {
+    /// The segment's frames, read in order up to the footer.
+    frames: SegmentCursor<&'a File>,
+    /// The footer's index: row `i` is what frame `i` must be.
+    index: &'a [ChunkInfo],
     next_chunk: usize,
     current: Option<SharedChunk>,
     /// The number `current` was handed off under.
@@ -518,7 +381,7 @@ pub struct EntryStream<'a, S: ChunkSource> {
     built: obs::BatchedCounter,
 }
 
-impl<S: ChunkSource> EntryStream<'_, S> {
+impl EntryStream<'_> {
     /// Returns the error that ended the stream early, if any.
     pub fn take_error(&mut self) -> Option<SegmentError> {
         self.error.take()
@@ -531,18 +394,9 @@ impl<S: ChunkSource> EntryStream<'_, S> {
         if let Some(view) = &previous {
             // Rows the hook left out still happened: account for their times
             // before the chunk goes.
-            let unseen = &view.timestamps_ms()[self.watermarked..];
-            self.high_water = latest(self.high_water, unseen);
+            let unseen = view.timestamps_ms().get(self.watermarked..);
+            self.high_water = latest(self.high_water, unseen.unwrap_or_default());
         }
-        let Some(&info) = self.chunks.get(self.next_chunk) else {
-            // Nothing is left to decode into a chunk taken back: from here
-            // on a chunk goes with the last key into it.
-            if let Some(handoff) = handoff {
-                handoff.lent.clear();
-            }
-            return false;
-        };
-        self.next_chunk += 1;
         // Recycle column allocations: of the previous chunk if no key was
         // made into it, else of a chunk handed off earlier whose keys are
         // all gone.
@@ -551,8 +405,23 @@ impl<S: ChunkSource> EntryStream<'_, S> {
             .map(ChunkView::into_scratch)
             .or_else(|| handoff.as_deref_mut().map(Handoff::reclaim))
             .unwrap_or_default();
-        let loaded = load_chunk(self.source, &info, scratch).and_then(|view| {
-            let chunk = Arc::new(view);
+        // The stopping rule: frame `i` must be index row `i`, and the frames
+        // end where the footer starts with no row left over. This is the one
+        // place a read path turns a frame into a chunk; only a chunk it
+        // returned is ever keyed into.
+        let (index, at) = (self.index, self.next_chunk);
+        let loaded = self.frames.next_frame(scratch).and_then(|frame| {
+            let Some((frame, view)) = frame else {
+                return check_row(index, at, None).map(|()| None);
+            };
+            check_row(index, at, Some(&frame))?;
+            if u32::try_from(view.len()).is_err() {
+                return Err(SegmentError::Corrupt(
+                    "more rows than a row key addresses".into(),
+                ));
+            }
+            self.next_chunk += 1;
+            let chunk = Arc::new(view.into_owned());
             self.selected.clear();
             self.filtered = self
                 .hook
@@ -562,19 +431,27 @@ impl<S: ChunkSource> EntryStream<'_, S> {
             } else {
                 chunk.len()
             };
-            // `load_chunk` bounds a chunk's rows by `u32::MAX`.
-            self.current_number = match handoff {
+            // The rows of a chunk are below `u32::MAX`, as checked above.
+            self.current_number = match handoff.as_deref_mut() {
                 Some(handoff) if rows > 0 => handoff.register(&chunk, rows as u32)?,
                 _ => 0,
             };
-            Ok(chunk)
+            Ok(Some(chunk))
         });
         match loaded {
-            Ok(chunk) => {
+            Ok(Some(chunk)) => {
                 self.cursor = 0;
                 self.watermarked = 0;
                 self.current = Some(chunk);
                 true
+            }
+            Ok(None) => {
+                // Nothing is left to decode into a chunk taken back: from
+                // here on a chunk goes with the last key into it.
+                if let Some(handoff) = handoff {
+                    handoff.lent.clear();
+                }
+                false
             }
             Err(error) => {
                 self.error = Some(error);
@@ -595,8 +472,9 @@ impl<S: ChunkSource> EntryStream<'_, S> {
                 };
                 if let Some(row) = row {
                     self.cursor += 1;
-                    let passed = &view.timestamps_ms()[self.watermarked..=row];
-                    self.high_water = latest(self.high_water, passed);
+                    // Rows are selected in ascending order, past `watermarked`.
+                    let passed = view.timestamps_ms().get(self.watermarked..=row);
+                    self.high_water = latest(self.high_water, passed.unwrap_or_default());
                     self.watermarked = row + 1;
                     return Some(row);
                 }
@@ -612,16 +490,16 @@ impl<S: ChunkSource> EntryStream<'_, S> {
     #[inline]
     fn next_key(&mut self, handoff: &mut Handoff) -> Option<RowKey> {
         let row = self.next_row(Some(handoff))?;
-        let chunk = self.current.as_deref()?;
+        let timestamp = *self.current.as_deref()?.timestamps_ms().get(row)?;
         Some(RowKey::new(
-            SimTime::from_millis(chunk.timestamps_ms()[row]),
+            SimTime::from_millis(timestamp),
             self.current_number,
             row,
         ))
     }
 }
 
-impl<S: ChunkSource> Iterator for EntryStream<'_, S> {
+impl Iterator for EntryStream<'_> {
     type Item = TraceEntry;
 
     fn next(&mut self) -> Option<TraceEntry> {
@@ -634,14 +512,14 @@ impl<S: ChunkSource> Iterator for EntryStream<'_, S> {
 /// One segment's rows in exact `(timestamp, arrival)` order via a bounded
 /// reorder buffer: a min-heap of the 16-byte keys of the rows held back,
 /// whose derived order is that order.
-struct SortedKeys<'a, S: ChunkSource> {
-    inner: EntryStream<'a, S>,
+struct SortedKeys<'a> {
+    inner: EntryStream<'a>,
     lateness: SimDuration,
     held: BinaryHeap<Reverse<RowKey>>,
     drained: bool,
 }
 
-impl<S: ChunkSource> SortedKeys<'_, S> {
+impl SortedKeys<'_> {
     fn next_key(&mut self, handoff: &mut Handoff) -> Option<RowKey> {
         loop {
             // A row is safe to emit once the arrival stream has advanced
@@ -689,7 +567,7 @@ pub struct ManifestReader {
     /// Per global monitor: that monitor's segments in rotation order. Each
     /// chain is `Arc`-shared so the prefetch workers of a merged stream
     /// read through these validated handles instead of re-opening files.
-    segments: Vec<Arc<[TraceReader<FileSource>]>>,
+    segments: Vec<Arc<[TraceReader]>>,
     total_entries: u64,
 }
 
@@ -705,56 +583,37 @@ impl ManifestReader {
         } else {
             path.parent().unwrap_or(Path::new("."))
         };
-        let mut keyed: Vec<Vec<(u64, TraceReader<FileSource>)>> =
-            (0..manifest.monitor_labels.len())
-                .map(|_| Vec::new())
-                .collect();
-        // Opens one segment and validates it against its manifest record.
-        let open_one = |meta: &SegmentMeta| -> Result<TraceReader<FileSource>, SegmentError> {
-            let reader = TraceReader::new(FileSource::open(dir.join(&meta.file_name))?)?;
-            if reader.label() != manifest.monitor_labels[meta.monitor] {
-                return Err(SegmentError::Corrupt(format!(
-                    "segment {} is labelled '{}' but the manifest maps it to '{}'",
-                    meta.file_name,
-                    reader.label(),
-                    manifest.monitor_labels[meta.monitor]
-                )));
-            }
-            if reader.total_entries() != meta.entries {
-                return Err(SegmentError::Corrupt(format!(
-                    "segment {} holds {} entries but the manifest records {}",
-                    meta.file_name,
-                    reader.total_entries(),
-                    meta.entries
-                )));
-            }
-            Ok(reader)
-        };
-        for meta in &manifest.segments {
-            if meta.monitor >= manifest.monitor_labels.len() {
-                return Err(SegmentError::Corrupt(format!(
-                    "segment {} references monitor {} but the manifest has {} labels",
-                    meta.file_name,
-                    meta.monitor,
-                    manifest.monitor_labels.len()
-                )));
-            }
-            keyed[meta.monitor].push((meta.sequence, open_one(meta)?));
-        }
-        // The chain merge breaks timestamp ties by chain position, so the
-        // position must be rotation order regardless of manifest listing
-        // order; ambiguous (duplicate) sequences cannot be merged faithfully.
-        let mut segments = Vec::with_capacity(keyed.len());
+        let mut segments = Vec::with_capacity(manifest.monitor_labels.len());
         let mut total_entries = 0u64;
-        for (monitor, mut chain) in keyed.into_iter().enumerate() {
-            chain.sort_by_key(|&(sequence, _)| sequence);
-            if chain.windows(2).any(|pair| pair[0].0 == pair[1].0) {
+        for (monitor, label) in manifest.monitor_labels.iter().enumerate() {
+            // The chain merge breaks timestamp ties by chain position, so the
+            // position must be rotation order regardless of manifest listing
+            // order; ambiguous (duplicate) sequences cannot be merged
+            // faithfully.
+            let mut metas: Vec<&SegmentMeta> = manifest.segments_of(monitor).collect();
+            metas.sort_by_key(|meta| meta.sequence);
+            if metas
+                .windows(2)
+                .any(|pair| matches!(pair, [a, b] if a.sequence == b.sequence))
+            {
                 return Err(SegmentError::Corrupt(format!(
                     "monitor {monitor} has segments with duplicate rotation sequences"
                 )));
             }
-            let chain: Vec<_> = chain.into_iter().map(|(_, reader)| reader).collect();
-            total_entries += chain.iter().map(TraceReader::total_entries).sum::<u64>();
+            // Each segment is validated against its manifest record.
+            let mut chain = Vec::with_capacity(metas.len());
+            for meta in metas {
+                let reader = TraceReader::open(dir.join(&meta.file_name))?;
+                let (stored, entries) = (reader.label(), reader.total_entries());
+                if (stored, entries) != (label.as_str(), meta.entries) {
+                    return Err(SegmentError::Corrupt(format!(
+                        "segment {} holds {entries} entries labelled '{stored}', but the manifest records {} labelled '{label}'",
+                        meta.file_name, meta.entries
+                    )));
+                }
+                total_entries += meta.entries;
+                chain.push(reader);
+            }
             segments.push(chain.into());
         }
         Ok(Self {
@@ -780,6 +639,11 @@ impl ManifestReader {
     }
 
     /// Number of segment files backing `monitor`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `monitor >= self.monitor_count()`.
+    #[allow(clippy::indexing_slicing)] // The documented panic, as a slice index.
     pub fn segment_count(&self, monitor: usize) -> usize {
         self.segments[monitor].len()
     }
@@ -812,12 +676,17 @@ impl ManifestReader {
     /// exhausted streams are retired immediately. Rotation makes segments
     /// nearly time-disjoint, so the working set stays at the few segments
     /// overlapping the frontier instead of the whole chain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `monitor >= self.monitor_count()`.
     pub fn stream_monitor_sorted(&self, monitor: usize) -> ChainedMonitorStream<'_> {
         self.stream_monitor_sorted_with(monitor, None)
     }
 
     /// [`ManifestReader::stream_monitor_sorted`] with a [`ChunkHook`] that
     /// sees every chunk of the chain before its rows.
+    #[allow(clippy::indexing_slicing)] // The documented panic, as a slice index.
     pub(crate) fn stream_monitor_sorted_with<'a>(
         &'a self,
         monitor: usize,
@@ -878,7 +747,7 @@ pub(crate) type ChunkSelect = Arc<dyn Fn(&SharedChunk, &mut Vec<usize>) -> bool 
 /// by `Arc` on their own thread, run exactly the code
 /// [`ManifestReader::stream_monitor_sorted`] runs on the caller's.
 fn chain_stream<'a>(
-    readers: &'a [TraceReader<FileSource>],
+    readers: &'a [TraceReader],
     monitor: usize,
     hook: Option<ChunkHook<'a>>,
 ) -> ChainedMonitorStream<'a> {
@@ -899,8 +768,10 @@ fn chain_stream<'a>(
                 .unwrap_or(SimTime::ZERO)
         })
         .collect();
-    for i in (0..floors.len().saturating_sub(1)).rev() {
-        floors[i] = floors[i].min(floors[i + 1]);
+    let mut later: Option<SimTime> = None;
+    for floor in floors.iter_mut().rev() {
+        *floor = later.map_or(*floor, |later| later.min(*floor));
+        later = Some(*floor);
     }
     ChainedMonitorStream {
         monitor,
@@ -921,7 +792,7 @@ struct ActiveSegment<'a> {
     /// Rotation index of the segment in its chain (the stable tie-break).
     index: usize,
     head: RowKey,
-    stream: SortedKeys<'a, FileSource>,
+    stream: SortedKeys<'a>,
 }
 
 /// One monitor's entries across its segment chain, in exact
@@ -942,7 +813,7 @@ struct ActiveSegment<'a> {
 /// only the order reads the timestamp off each.
 pub struct ChainedMonitorStream<'a> {
     monitor: usize,
-    readers: &'a [TraceReader<FileSource>],
+    readers: &'a [TraceReader],
     /// Suffix-minimum timestamp floor per rotation index: no entry in
     /// segments `i..` can be earlier than `floors[i]`.
     floors: Vec<SimTime>,
@@ -976,6 +847,7 @@ impl ChainedMonitorStream<'_> {
 
     /// Opens the next pending segment; an immediately-exhausted (empty or
     /// broken) stream is retired on the spot.
+    #[allow(clippy::indexing_slicing)] // Called only while a segment is pending.
     fn admit_next(&mut self) {
         // Chain-merge stage span: admission (open + first decode of the next
         // rotation segment) is where the merge machinery spends its time;
@@ -1023,11 +895,14 @@ impl ChainedMonitorStream<'_> {
                 // before emitting. (`<=` is conservative: at equality the
                 // rotation-index tie-break would order the candidate first
                 // anyway, but admitting early is always correct.)
-                Some(((ts, _), _)) if has_pending && self.floors[self.next_pending] <= ts => {
+                Some(((ts, _), _))
+                    if has_pending
+                        && self.floors.get(self.next_pending).is_some_and(|&f| f <= ts) =>
+                {
                     self.admit_next();
                 }
                 Some((_, pos)) => {
-                    let segment = &mut self.active[pos];
+                    let segment = self.active.get_mut(pos)?;
                     return Some(match segment.stream.next_key(&mut self.rows.handoff) {
                         Some(next_head) => std::mem::replace(&mut segment.head, next_head),
                         None => {
@@ -1115,7 +990,7 @@ struct PrefetchedMonitorStream {
 }
 
 fn spawn_prefetch(
-    readers: Arc<[TraceReader<FileSource>]>,
+    readers: Arc<[TraceReader]>,
     monitor: usize,
     select: Option<ChunkSelect>,
 ) -> PrefetchedMonitorStream {
@@ -1285,7 +1160,9 @@ impl ManifestMergedStream {
     #[inline]
     pub fn next_row(&mut self) -> Option<MergedRow<'_>> {
         if let Some((monitor, key)) = self.lent.take() {
-            self.streams[monitor].ring.let_go(key);
+            if let Some(stream) = self.streams.get_mut(monitor) {
+                stream.ring.let_go(key);
+            }
         }
         let best = self
             .heads
@@ -1294,11 +1171,12 @@ impl ManifestMergedStream {
             .filter_map(|(i, head)| head.map(|key| (key.timestamp, i)))
             .min()?
             .1;
-        let key = self.heads[best].take()?;
-        self.heads[best] = self.streams[best].next_key();
+        let (head, stream) = (self.heads.get_mut(best)?, self.streams.get_mut(best)?);
+        let key = head.take()?;
+        *head = stream.next_key();
         self.lent = Some((best, key));
         self.merged.incr();
-        let slot = self.streams[best].ring.slot(key);
+        let slot = stream.ring.slot(key);
         Some(MergedRow {
             chunk: &slot.chunk,
             row: key.row(),
@@ -1318,12 +1196,19 @@ impl Iterator for ManifestMergedStream {
     }
 }
 
+#[allow(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic
+)]
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::manifest::{DatasetConfig, DatasetWriter};
     use crate::record::EntryFlags;
-    use crate::segment::{decode_footer, SegmentConfig};
+    use crate::segment::{decode_footer, SegmentConfig, TRAILER_LEN};
+    use crate::test_segment::reader_of;
     use crate::writer::TraceWriter;
     use ipfs_mon_bitswap::RequestType;
     use ipfs_mon_simnet::time::SimTime;
@@ -1412,7 +1297,7 @@ mod tests {
     fn streaming_crosses_chunk_boundaries() {
         let entries: Vec<TraceEntry> = (0..97).map(|i| entry(i * 10, i, 0)).collect();
         let bytes = build_segment(&entries, 8);
-        let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
+        let reader = reader_of(&bytes).unwrap();
         assert!(reader.chunks().len() > 10);
         let streamed: Vec<TraceEntry> = reader.stream().collect();
         assert_eq!(streamed, entries);
@@ -1425,7 +1310,7 @@ mod tests {
         // Flip a byte inside the first chunk's payload (after the 5-byte
         // header), leaving the footer intact.
         bytes[10] ^= 0x55;
-        let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
+        let reader = reader_of(&bytes).unwrap();
         let mut stream = reader.stream();
         let streamed: Vec<TraceEntry> = (&mut stream).collect();
         assert!(streamed.len() < entries.len());
@@ -1437,12 +1322,12 @@ mod tests {
 
     #[test]
     fn truncated_or_garbage_segments_are_rejected() {
-        assert!(TraceReader::new(SliceSource::new(b"")).is_err());
-        assert!(TraceReader::new(SliceSource::new(b"IPMT\x01")).is_err());
-        assert!(TraceReader::new(SliceSource::new(&[0u8; 64])).is_err());
+        assert!(reader_of(b"").is_err());
+        assert!(reader_of(b"IPMT\x01").is_err());
+        assert!(reader_of(&[0u8; 64]).is_err());
         let entries = vec![entry(1, 1, 0)];
         let bytes = build_segment(&entries, 8);
-        assert!(TraceReader::new(SliceSource::new(&bytes[..bytes.len() - 3])).is_err());
+        assert!(reader_of(&bytes[..bytes.len() - 3]).is_err());
     }
 
     #[test]
@@ -1459,7 +1344,7 @@ mod tests {
             entry(500, 7, 0),
         ];
         let bytes = build_segment(&arrival, 3);
-        let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
+        let reader = reader_of(&bytes).unwrap();
         assert_eq!(reader.max_lateness_ms(), 70);
 
         // Raw stream preserves arrival order (lossless round-trip)...
@@ -1477,12 +1362,12 @@ mod tests {
     /// row built where it is read, the way [`ChainedMonitorStream`] builds
     /// the rows of a chain.
     struct SortedEntries<'a> {
-        keys: SortedKeys<'a, SliceSource<'a>>,
+        keys: SortedKeys<'a>,
         rows: KeyedRows,
     }
 
     impl<'a> SortedEntries<'a> {
-        fn new(reader: &'a TraceReader<SliceSource<'a>>, hook: Option<ChunkHook<'a>>) -> Self {
+        fn new(reader: &'a TraceReader, hook: Option<ChunkHook<'a>>) -> Self {
             Self {
                 keys: reader.sorted_keys(hook),
                 rows: KeyedRows::default(),
@@ -1515,7 +1400,7 @@ mod tests {
     /// stream takes back with its next chunk, and none once it is drained.
     fn check_sorted_stream(arrival: &[TraceEntry], capacity: usize) -> usize {
         let bytes = build_segment(arrival, capacity);
-        let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
+        let reader = reader_of(&bytes).unwrap();
         let mut expected = arrival.to_vec();
         expected.sort_by_key(|e| e.timestamp);
 
@@ -1673,50 +1558,13 @@ mod tests {
         assert_eq!(merged_via_manifest("merge-jitter", &arrival, 16), reference);
     }
 
-    /// Writes `bytes` to a fresh temp file and opens it as a [`FileSource`].
-    fn file_source(tag: &str, bytes: &[u8]) -> (std::path::PathBuf, FileSource) {
-        let path =
-            std::env::temp_dir().join(format!("tracestore-{tag}-{}.seg", std::process::id()));
-        std::fs::write(&path, bytes).unwrap();
-        let source = FileSource::open(&path).unwrap();
-        (path, source)
-    }
-
-    #[test]
-    fn reads_are_borrowed_and_bounds_checked() {
-        let bytes = [1u8, 2, 3, 4, 5];
-        let slice = SliceSource::new(&bytes);
-        let (path, file) = file_source("bounds", &bytes);
-        assert!(matches!(slice.read_at(1, 3).unwrap(), Cow::Borrowed(_)));
-        assert!(matches!(file.read_at(1, 3).unwrap(), Cow::Owned(_)));
-        for source in [&slice as &dyn ChunkSource, &file] {
-            assert_eq!(source.len().unwrap(), 5);
-            assert_eq!(source.read_at(1, 3).unwrap().as_ref(), &[2, 3, 4]);
-            assert_eq!(source.read_at(0, 5).unwrap().as_ref(), &bytes);
-            assert!(source.read_at(5, 0).unwrap().is_empty());
-            assert!(source.read_at(3, 3).is_err());
-            assert!(source.read_at(6, 0).is_err());
-            assert!(source.read_at(u64::MAX, 1).is_err());
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
     #[test]
     fn overflowing_footer_length_is_corrupt_not_panic() {
         let mut bytes = build_segment(&[entry(1, 1, 0)], 8);
         // Trailer layout: crc (4) | payload length (8) | magic (4).
         let len = bytes.len();
         bytes[len - 12..len - 4].copy_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(
-            TraceReader::new(SliceSource::new(&bytes)),
-            Err(SegmentError::Corrupt(_))
-        ));
-        let (path, file) = file_source("footer-overflow", &bytes);
-        assert!(matches!(
-            TraceReader::new(file),
-            Err(SegmentError::Corrupt(_))
-        ));
-        std::fs::remove_file(&path).ok();
+        assert!(matches!(reader_of(&bytes), Err(SegmentError::Corrupt(_))));
     }
 
     /// Rewrites the footer of a written segment through `doctor`, with a
@@ -1765,9 +1613,9 @@ mod tests {
         doctored
     }
 
-    /// The first error met opening `source` and draining it.
-    fn first_error<S: ChunkSource>(source: S) -> Option<SegmentError> {
-        let reader = match TraceReader::new(source) {
+    /// The first error met opening `bytes` and draining them.
+    fn first_error(bytes: &[u8]) -> Option<SegmentError> {
+        let reader = match reader_of(bytes) {
             Ok(reader) => reader,
             Err(error) => return Some(error),
         };
@@ -1780,7 +1628,7 @@ mod tests {
     fn inconsistent_chunk_index_is_corrupt_not_a_shortened_stream() {
         let entries: Vec<TraceEntry> = (0..40).map(|i| entry(i * 10, i, 0)).collect();
         let bytes = build_segment(&entries, 8);
-        assert!(first_error(SliceSource::new(&bytes)).is_none());
+        assert!(first_error(&bytes).is_none());
 
         type Doctor = fn(&mut Footer);
         let doctored = |doctor: Doctor| with_doctored_footer(&bytes, doctor);
@@ -1804,30 +1652,12 @@ mod tests {
             ),
         ];
         for (tag, refused_at_open, doctored) in cases {
-            let (path, file) = file_source(tag, &doctored);
-            assert_eq!(
-                TraceReader::new(SliceSource::new(&doctored)).is_err(),
-                refused_at_open,
-                "{tag}"
+            assert_eq!(reader_of(&doctored).is_err(), refused_at_open, "{tag}");
+            let error = first_error(&doctored);
+            assert!(
+                matches!(error, Some(SegmentError::Corrupt(_))),
+                "{tag}: {error:?}"
             );
-            for error in [first_error(SliceSource::new(&doctored)), first_error(file)] {
-                assert!(
-                    matches!(error, Some(SegmentError::Corrupt(_))),
-                    "{tag}: {error:?}"
-                );
-            }
-            std::fs::remove_file(&path).ok();
         }
-    }
-
-    #[test]
-    fn file_source_roundtrip() {
-        let entries: Vec<TraceEntry> = (0..50).map(|i| entry(i * 7, i % 5, 0)).collect();
-        let bytes = build_segment(&entries, 16);
-        let (path, source) = file_source("roundtrip", &bytes);
-        let reader = TraceReader::new(source).unwrap();
-        let streamed: Vec<TraceEntry> = reader.stream().collect();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(streamed, entries);
     }
 }

@@ -119,11 +119,6 @@ impl MonitoringDataset {
         self.entries.iter().map(Vec::len).sum()
     }
 
-    /// Unique peers seen (in Bitswap entries) by monitor `monitor`.
-    pub fn peers_seen_by(&self, monitor: usize) -> std::collections::HashSet<PeerId> {
-        self.entries[monitor].iter().map(|e| e.peer).collect()
-    }
-
     /// Unique peers that were *connected* to monitor `monitor` at any point.
     pub fn peers_connected_to(&self, monitor: usize) -> std::collections::HashSet<PeerId> {
         self.connections
@@ -234,8 +229,6 @@ mod tests {
         ds.entries[0].push(entry(2, 2, 0));
         ds.entries[1].push(entry(3, 2, 1));
         assert_eq!(ds.total_entries(), 3);
-        assert_eq!(ds.peers_seen_by(0).len(), 2);
-        assert_eq!(ds.peers_seen_by(1).len(), 1);
 
         ds.connections.push(ConnectionRecord {
             monitor: 0,

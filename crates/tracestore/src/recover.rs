@@ -12,13 +12,17 @@
 //!    ([`Checkpoint`], written by [`DatasetWriter::checkpoint`]) and/or the
 //!    manifest. Either may be missing; surviving segment footers fill in
 //!    labels when both are.
-//! 3. **Salvage** every `seg-*.seg` file: an intact segment (valid footer,
-//!    every chunk CRC-valid) is kept as-is; a damaged one is truncated back
-//!    to its longest valid chunk-frame prefix (the walk is
-//!    `segment::walk_frames`, the one the live tail runs) and sealed with a
-//!    rebuilt footer (replaced through [`write_file_durable`], so recovery
-//!    itself can crash and re-run); a segment with a bad header or no valid
-//!    data is moved to `quarantine/` with a typed reason. A file whose name
+//! 3. **Salvage** every `seg-*.seg` file. Its stopping rule over the
+//!    crate's segment cursor (`cursor::SegmentCursor`, the one the live tail
+//!    and the batch reader read frames with) is the first invalid frame: the
+//!    walk reads the segment in 64 KiB pieces into one buffer, never the
+//!    whole file. An intact segment — its footer starts where the valid
+//!    frames end and indexes them row by row, the check the tail seals a
+//!    segment by — is kept as-is; any other is truncated back to its longest
+//!    valid chunk-frame prefix and sealed with the index the walk rebuilt
+//!    (replaced through [`write_file_durable`], so recovery itself can crash
+//!    and re-run); a segment with a bad header or no valid data is moved to
+//!    `quarantine/` with a typed reason. A file whose name
 //!    is not one [`SegmentMeta`] writes, or names a monitor past the
 //!    checkpoint's or manifest's labels, is not this dataset's: it is left
 //!    alone, and only a segment that salvages adds a label.
@@ -62,16 +66,13 @@
     clippy::panic
 )]
 
+use crate::cursor::SegmentCursor;
 use crate::fault::{write_file_durable, RealStorage, Storage, DURABLE_TMP_SUFFIX};
-use crate::manifest::{Checkpoint, Manifest, SegmentMeta, MANIFEST_FILE_NAME};
-use crate::reader::{SliceSource, TraceReader};
-use crate::segment::{
-    check_header, encode_footer, walk_frames, ChunkInfo, ChunkScratch, Footer, SegmentError,
-    HEADER_LEN,
-};
+use crate::manifest::{Checkpoint, Manifest, SegmentMeta};
+use crate::segment::{encode_footer, ChunkScratch, Footer, SegmentError, HEADER_LEN};
 use ipfs_mon_obs as obs;
-use ipfs_mon_simnet::time::SimTime;
 use std::collections::BTreeMap;
+use std::fs::File;
 use std::path::{Path, PathBuf};
 
 /// Directory (inside the dataset directory) receiving unrecoverable
@@ -138,7 +139,7 @@ pub struct ResumeCursor {
 }
 
 /// What [`recover_dataset`] did and found.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
     /// True when the directory was already consistent: nothing truncated,
     /// quarantined or removed, and the existing manifest already described
@@ -179,9 +180,12 @@ enum Salvage {
         entries: u64,
         label: String,
     },
+    /// Cut back to its valid frames: `rebuilt` is the kept prefix and the
+    /// footer that indexes it, staged for one durable replace.
     Truncated {
         entries: u64,
         bytes_truncated: u64,
+        rebuilt: Vec<u8>,
     },
     /// Header-only (or shorter-than-header but magic-clean-prefix) open
     /// segment holding zero durable entries.
@@ -189,74 +193,48 @@ enum Salvage {
     Quarantine(QuarantineReason),
 }
 
-/// Indexes the valid chunk-frame prefix of a segment's `bytes` (see
-/// [`walk_frames`] for where it ends). Returns the rebuilt chunk index
-/// (offsets relative to the file), the end offset of the prefix, and the max
-/// lateness observed.
-fn scan_chunk_prefix(bytes: &[u8]) -> (Vec<ChunkInfo>, usize, u64) {
-    let mut infos = Vec::new();
-    let mut high_water: Option<u64> = None;
-    let mut max_lateness_ms = 0u64;
-    let mut scratch = ChunkScratch::default();
-    let valid_end = walk_frames(bytes, HEADER_LEN, &mut scratch, |offset, len, view| {
-        let timestamps = view.timestamps_ms();
-        for &ts in timestamps {
-            match high_water {
-                Some(high) if ts < high => {
-                    max_lateness_ms = max_lateness_ms.max(high - ts);
-                }
-                Some(high) if ts <= high => {}
-                _ => high_water = Some(ts),
-            }
-        }
-        infos.push(ChunkInfo {
-            offset: offset as u64,
-            len: len as u64,
-            entries: view.len() as u64,
-            // The walk yields no empty chunk; one would index as 0..=0.
-            first_timestamp: SimTime::from_millis(timestamps.first().copied().unwrap_or(0)),
-            last_timestamp: SimTime::from_millis(timestamps.last().copied().unwrap_or(0)),
-        });
-    });
-    (infos, valid_end, max_lateness_ms)
-}
-
-/// Salvages one segment file in place. `label` and `connections` feed the
-/// rebuilt footer when the original footer is gone.
+/// Decides how a segment file of `len` bytes salvages, reading it through
+/// `frames`, which stands at its offset 0; its stopping rule is the first
+/// frame that is not complete and valid. It writes nothing: the caller acts
+/// on the verdict once the file is closed. `label` and `connections` feed
+/// the rebuilt footer when the original footer is gone.
 fn salvage_segment(
-    storage: &dyn Storage,
-    path: &Path,
+    frames: &mut SegmentCursor<&File>,
+    len: u64,
     label: &str,
     connections: &[crate::record::ConnectionRecord],
 ) -> Result<Salvage, SegmentError> {
-    let bytes = std::fs::read(path)?;
-    match check_header(&bytes) {
+    match frames.header() {
         Ok(true) => {}
         // A torn create: nothing but (part of) the header ever landed.
         Ok(false) => return Ok(Salvage::Empty),
+        Err(SegmentError::Io(error)) => return Err(SegmentError::Io(error)),
         Err(error) => {
-            return Ok(Salvage::Quarantine(QuarantineReason::BadHeader(
-                error.to_string(),
-            )))
+            let reason = QuarantineReason::BadHeader(error.to_string());
+            return Ok(Salvage::Quarantine(reason));
         }
     }
-
-    let (infos, valid_end, max_lateness_ms) = scan_chunk_prefix(&bytes);
-
-    // Intact fast path: the footer reads back and indexes exactly the chunk
-    // frames the scan validated — keep the file untouched.
-    if let Ok(reader) = TraceReader::new(SliceSource::new(&bytes)) {
-        let scanned_entries: u64 = infos.iter().map(|i| i.entries).sum();
-        if reader.chunks().len() == infos.len() && reader.total_entries() == scanned_entries {
-            return Ok(Salvage::Intact {
-                entries: scanned_entries,
-                label: reader.label().to_string(),
-            });
+    let (mut chunks, mut high_water, mut max_lateness_ms) = (Vec::new(), 0u64, 0);
+    frames.walk(&mut ChunkScratch::default(), |frame, view| {
+        for &ts in view.timestamps_ms() {
+            max_lateness_ms = high_water.saturating_sub(ts).max(max_lateness_ms);
+            high_water = high_water.max(ts);
         }
-    }
+        chunks.push(frame);
+    })?;
 
-    if infos.is_empty() {
-        return Ok(if bytes.len() == HEADER_LEN {
+    // Intact: the footer starts where the valid frames end and indexes
+    // exactly them — keep the file untouched.
+    match frames.check_sealed(&chunks) {
+        Ok(footer) => {
+            let (entries, label) = (footer.total_entries, footer.label);
+            return Ok(Salvage::Intact { entries, label });
+        }
+        Err(SegmentError::Io(error)) => return Err(SegmentError::Io(error)),
+        Err(_) => {}
+    }
+    if chunks.is_empty() {
+        return Ok(if len == HEADER_LEN as u64 {
             // Exactly a header: an open segment that never spilled a chunk.
             Salvage::Empty
         } else {
@@ -266,28 +244,24 @@ fn salvage_segment(
     }
 
     // Rebuild: valid chunk prefix + fresh footer, atomically swapped in.
-    let entries: u64 = infos.iter().map(|i| i.entries).sum();
+    let entries: u64 = chunks.iter().map(|i| i.entries).sum();
     let footer = Footer {
         label: label.to_string(),
         max_lateness_ms,
         connections: connections.to_vec(),
-        chunks: infos,
+        chunks,
         total_entries: entries,
     };
-    let bytes_truncated = (bytes.len() - valid_end) as u64;
     let mut footer_bytes = Vec::new();
     encode_footer(&footer, &mut footer_bytes);
-    // The kept prefix and its footer go out in the buffer the file was read
-    // into: no second copy of the prefix, and room for exactly the footer.
-    let mut rebuilt = bytes;
-    rebuilt.truncate(valid_end);
-    rebuilt.reserve_exact(footer_bytes.len());
+    // The kept prefix and its footer are staged in one buffer of exactly
+    // their size, for one durable replace.
+    let mut rebuilt = frames.prefix(footer_bytes.len())?;
     rebuilt.extend_from_slice(&footer_bytes);
-
-    write_file_durable(storage, path, &rebuilt)?;
     Ok(Salvage::Truncated {
         entries,
-        bytes_truncated,
+        bytes_truncated: len - frames.offset(),
+        rebuilt,
     })
 }
 
@@ -339,19 +313,9 @@ pub fn recover_dataset_with(
 
     // --- 3. Salvage every segment file ---------------------------------
     let mut report = RecoveryReport {
-        clean: false,
-        manifest: Manifest::default(),
-        manifest_path: dir.join(MANIFEST_FILE_NAME),
         segments_scanned: segment_files.len(),
-        segments_intact: 0,
-        segments_truncated: 0,
-        segments_removed_empty: 0,
-        quarantined: Vec::new(),
-        entries_recovered: 0,
-        entries_lost_after_checkpoint: 0,
-        bytes_truncated: 0,
         tmp_files_swept,
-        resume: Vec::new(),
+        ..RecoveryReport::default()
     };
 
     let quarantine = |storage: &dyn Storage,
@@ -410,36 +374,46 @@ pub fn recover_dataset_with(
         });
         let connections = open_state.map(|o| o.connections.as_slice()).unwrap_or(&[]);
 
-        let (entries, truncated, label) =
-            match salvage_segment(storage, &dir.join(&name), &label, connections)? {
-                Salvage::Intact {
-                    entries,
-                    label: stored,
-                } => {
-                    report.segments_intact += 1;
-                    let label = if label == fallback { stored } else { label };
-                    (entries, false, label)
-                }
-                Salvage::Truncated {
-                    entries,
-                    bytes_truncated,
-                } => {
-                    report.segments_truncated += 1;
-                    report.bytes_truncated += bytes_truncated;
-                    obs::counter!("recover.segments_truncated").incr();
-                    obs::counter!("recover.bytes_truncated").add(bytes_truncated);
-                    (entries, true, label)
-                }
-                Salvage::Empty => {
-                    storage.remove_file(&dir.join(&name))?;
-                    report.segments_removed_empty += 1;
-                    continue;
-                }
-                Salvage::Quarantine(reason) => {
-                    quarantine(storage, &mut report, &name, (monitor, sequence), reason)?;
-                    continue;
-                }
-            };
+        let path = dir.join(&name);
+        // The file is closed before any verdict is acted on: nothing replaces,
+        // removes or moves a segment that is still open.
+        let salvage = {
+            let file = File::open(&path)?;
+            let len = file.metadata()?.len();
+            let frames = &mut SegmentCursor::new(&file, 0, Some(len), Vec::new());
+            salvage_segment(frames, len, &label, connections)?
+        };
+        let (entries, truncated, label) = match salvage {
+            Salvage::Intact {
+                entries,
+                label: stored,
+            } => {
+                report.segments_intact += 1;
+                let label = if label == fallback { stored } else { label };
+                (entries, false, label)
+            }
+            Salvage::Truncated {
+                entries,
+                bytes_truncated,
+                rebuilt,
+            } => {
+                write_file_durable(storage, &path, &rebuilt)?;
+                report.segments_truncated += 1;
+                report.bytes_truncated += bytes_truncated;
+                obs::counter!("recover.segments_truncated").incr();
+                obs::counter!("recover.bytes_truncated").add(bytes_truncated);
+                (entries, true, label)
+            }
+            Salvage::Empty => {
+                storage.remove_file(&path)?;
+                report.segments_removed_empty += 1;
+                continue;
+            }
+            Salvage::Quarantine(reason) => {
+                quarantine(storage, &mut report, &name, (monitor, sequence), reason)?;
+                continue;
+            }
+        };
         // Only a segment that salvaged names a monitor.
         if let Some(slot) = labels.get_mut(monitor) {
             *slot = label;
@@ -461,30 +435,13 @@ pub fn recover_dataset_with(
         let mut broken_at: Option<u64> = None;
         let mut entries_total = 0u64;
         for (&sequence, (name, entries, truncated)) in chain {
-            if let Some(broken) = broken_at {
-                quarantine(
-                    storage,
-                    &mut report,
-                    name,
-                    (*monitor, sequence),
-                    QuarantineReason::ChainBroken {
-                        broken_at_sequence: broken,
-                    },
-                )?;
-                continue;
-            }
             if sequence != expected_sequence {
                 // Gap: everything from here on is unreachable prefix-wise.
-                broken_at = Some(expected_sequence);
-                quarantine(
-                    storage,
-                    &mut report,
-                    name,
-                    (*monitor, sequence),
-                    QuarantineReason::ChainBroken {
-                        broken_at_sequence: expected_sequence,
-                    },
-                )?;
+                broken_at.get_or_insert(expected_sequence);
+            }
+            if let Some(broken_at_sequence) = broken_at {
+                let reason = QuarantineReason::ChainBroken { broken_at_sequence };
+                quarantine(storage, &mut report, name, (*monitor, sequence), reason)?;
                 continue;
             }
             // A sealed segment recorded with more entries than it now holds
@@ -584,8 +541,79 @@ fn recorded_entries(
             .find(|s| s.sequence == sequence)
             .map(|s| s.entries)
     });
-    match (from_checkpoint, from_manifest) {
-        (Some(a), Some(b)) => Some(a.max(b)),
-        (a, b) => a.or(b),
+    // The larger of the two, where both say one.
+    from_checkpoint.max(from_manifest)
+}
+
+#[allow(clippy::indexing_slicing, clippy::unwrap_used, clippy::panic)]
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cursor::READ_PIECE;
+    use crate::manifest::{DatasetConfig, DatasetWriter};
+    use crate::record::{EntryFlags, TraceEntry};
+    use crate::segment::SegmentConfig;
+    use ipfs_mon_bitswap::RequestType;
+    use ipfs_mon_simnet::time::SimTime;
+    use ipfs_mon_types::{Cid, Country, Multiaddr, Multicodec, PeerId, Transport};
+
+    /// Recovering a finished dataset walks each segment through one cursor
+    /// buffer of at most the largest frame plus one read piece — not the
+    /// file — whether frames are far smaller than a piece or span several;
+    /// the footer it checks the walk against is read on its own. The twin of
+    /// `tail::tests::restart_replay_holds_one_frame_plus_one_piece`.
+    #[test]
+    fn recovery_holds_one_frame_plus_one_piece() {
+        for chunk in [64, 4096] {
+            let dir = std::env::temp_dir()
+                .join(format!("ts-recover-bounded-{chunk}-{}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            let config = DatasetConfig {
+                segment: SegmentConfig {
+                    chunk_capacity: chunk,
+                },
+                rotate_after_entries: u64::MAX,
+                ..DatasetConfig::default()
+            };
+            let mut writer = DatasetWriter::create(&dir, vec!["solo".into()], config).unwrap();
+            for i in 0..20_000u64 {
+                writer
+                    .append(&TraceEntry {
+                        timestamp: SimTime::from_millis(i),
+                        peer: PeerId::derived(4, i),
+                        address: Multiaddr::new(1, 4001, Transport::Tcp, Country::Us),
+                        request_type: RequestType::WantBlock,
+                        cid: Cid::new_v1(Multicodec::Raw, &i.to_le_bytes()),
+                        monitor: 0,
+                        flags: EntryFlags::default(),
+                    })
+                    .unwrap();
+            }
+            writer.finish().unwrap();
+            let path = dir.join(SegmentMeta::file_name_of(0, 0));
+            let reader = crate::reader::TraceReader::open(&path).unwrap();
+            let largest = reader.chunks().iter().map(|c| c.len).max().unwrap() as usize;
+
+            let file = File::open(&path).unwrap();
+            let len = file.metadata().unwrap().len();
+            assert!(len as usize > 2 * (largest + READ_PIECE), "chunk {chunk}");
+            let mut frames = SegmentCursor::new(&file, 0, Some(len), Vec::new());
+            match salvage_segment(&mut frames, len, "solo", &[]).unwrap() {
+                Salvage::Intact { entries, label } => {
+                    assert_eq!((entries, label.as_str()), (20_000, "solo"), "chunk {chunk}");
+                }
+                _ => panic!("chunk {chunk}: a finished segment is intact"),
+            }
+            let capacity = frames.into_buffer().capacity();
+            assert!(
+                capacity <= largest + READ_PIECE,
+                "chunk {chunk}: {capacity} B held, largest frame {largest} B"
+            );
+
+            let report = recover_dataset(&dir).unwrap();
+            assert!(report.clean, "chunk {chunk}");
+            assert_eq!(report.segments_intact, 1, "chunk {chunk}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }

@@ -563,48 +563,6 @@ pub(crate) fn write_frame(payload: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(&crc32(payload).to_le_bytes());
 }
 
-/// Walks the longest prefix of complete, valid chunk frames of `bytes` from
-/// offset `start`, handing `each` the offset, length and validated view of
-/// every frame, and returns the offset just past the last of them — what
-/// crash recovery keeps of a damaged segment and what the live tail may
-/// report of a growing one. The walk ends for good at the first frame that
-/// is incomplete, fails [`ChunkView::parse_with`] or holds no row (no writer
-/// emits one); what follows is a frame still being written, the footer, or
-/// damage, which the caller tells apart. Lengths come from untrusted bytes,
-/// so every sum is checked. `scratch` is recycled from frame to frame and
-/// left for the next walk.
-pub(crate) fn walk_frames(
-    bytes: &[u8],
-    start: usize,
-    scratch: &mut ChunkScratch,
-    mut each: impl FnMut(usize, usize, &ChunkView<'_>),
-) -> usize {
-    let mut pos = start;
-    while let Some(rest) = bytes.get(pos..) {
-        let Ok((payload_len, used)) = varint::decode(rest) else {
-            break;
-        };
-        let Some(end) = usize::try_from(payload_len)
-            .ok()
-            .and_then(|payload_len| payload_len.checked_add(used + 4))
-            .and_then(|frame_len| pos.checked_add(frame_len))
-            .filter(|&end| end <= bytes.len())
-        else {
-            break;
-        };
-        let frame = Cow::Borrowed(&bytes[pos..end]);
-        match ChunkView::parse_with(frame, std::mem::take(scratch)) {
-            Ok(view) if !view.is_empty() => {
-                each(pos, end - pos, &view);
-                *scratch = view.into_scratch();
-            }
-            _ => break,
-        }
-        pos = end;
-    }
-    pos
-}
-
 /// Wraps `payload` in the envelope of the dataset's small files (manifest,
 /// checkpoint): `magic version:u8 payload crc32(payload):u32le`.
 pub(crate) fn seal(magic: &[u8; 4], version: u8, payload: &[u8]) -> Vec<u8> {
@@ -726,8 +684,9 @@ impl ChunkScratch {
 /// [`ChunkView::peer_indexes`], …) for consumers that count per dictionary
 /// index or select rows without building entries.
 pub struct ChunkView<'a> {
-    /// The frame, borrowed straight from the source buffer when the source
-    /// handed out a borrow (e.g. a `SliceSource`).
+    /// The frame: borrowed from a [`crate::cursor::SegmentCursor`]'s buffer
+    /// while a walk looks at it, owned once the batch reader keeps the chunk
+    /// ([`ChunkView::into_owned`]).
     frame: Cow<'a, [u8]>,
     /// Dictionary slice of the peer column: `peer_count × 32` bytes inside
     /// the frame.
@@ -935,6 +894,16 @@ impl<'a> ChunkView<'a> {
     pub(crate) fn into_scratch(self) -> ChunkScratch {
         self.columns
     }
+
+    /// The view with its frame copied out of the buffer it borrows, so that
+    /// it outlives that buffer. Nothing is parsed again.
+    pub(crate) fn into_owned(self) -> ChunkView<'static> {
+        ChunkView {
+            frame: Cow::Owned(self.frame.into_owned()),
+            peer_dict: self.peer_dict,
+            columns: self.columns,
+        }
+    }
 }
 
 /// Entry `i` of a packed 2-bit plane.
@@ -1104,6 +1073,19 @@ pub(crate) fn encode_footer(footer: &Footer, out: &mut Vec<u8>) {
     out.extend_from_slice(FOOTER_MAGIC);
 }
 
+/// The length of the footer that `trailer`, the last [`TRAILER_LEN`] bytes of
+/// a segment, closes — payload, CRC and trailer — once the magic checks out:
+/// how every reader finds the footer of a sealed segment.
+pub(crate) fn footer_len(trailer: &[u8; TRAILER_LEN]) -> Result<u64, SegmentError> {
+    let [_, _, _, _, len @ .., m0, m1, m2, m3] = *trailer;
+    if &[m0, m1, m2, m3] != FOOTER_MAGIC {
+        return Err(SegmentError::Corrupt("missing footer magic".into()));
+    }
+    u64::from_le_bytes(len)
+        .checked_add(TRAILER_LEN as u64)
+        .ok_or_else(|| SegmentError::Corrupt("footer length out of range".into()))
+}
+
 /// Decodes `bytes` as exactly one footer as [`encode_footer`] writes it —
 /// payload, CRC, length, magic, with nothing before or after it.
 pub(crate) fn decode_footer_frame(bytes: &[u8]) -> Result<Footer, SegmentError> {
@@ -1112,10 +1094,8 @@ pub(crate) fn decode_footer_frame(bytes: &[u8]) -> Result<Footer, SegmentError> 
         .checked_sub(TRAILER_LEN)
         .ok_or_else(|| SegmentError::Corrupt("footer too short".into()))?;
     let (payload, trailer) = bytes.split_at(payload_len);
-    if &trailer[12..] != FOOTER_MAGIC {
-        return Err(SegmentError::Corrupt("missing footer magic".into()));
-    }
-    if trailer[4..12] != (payload_len as u64).to_le_bytes() {
+    let trailer: &[u8; TRAILER_LEN] = trailer.try_into().expect("split at the trailer");
+    if footer_len(trailer)? != bytes.len() as u64 {
         return Err(SegmentError::Corrupt("footer length out of range".into()));
     }
     if trailer[..4] != crc32(payload).to_le_bytes() {
@@ -1481,20 +1461,6 @@ mod tests {
             Err(SegmentError::Corrupt(what)) => assert!(what.contains("monitor 1"), "{what}"),
             other => panic!("a foreign monitor's frame must be corrupt: {other:?}"),
         }
-        // So the walk recovery and the live tail share ends before it.
-        let mut segment = Vec::new();
-        write_header(&mut segment).unwrap();
-        encode_chunk(&entries, &mut segment);
-        let valid_end = segment.len();
-        segment.extend_from_slice(&frame);
-        let mut walked = 0;
-        let end = walk_frames(
-            &segment,
-            HEADER_LEN,
-            &mut ChunkScratch::default(),
-            |_, _, view| walked += view.len(),
-        );
-        assert_eq!((end, walked), (valid_end, 2));
     }
 
     #[test]

@@ -222,26 +222,7 @@ impl Iterator for MemoryMerge<'_> {
 /// The connection-record stream of a [`TraceSource`]. Connection records are
 /// footer metadata — orders of magnitude rarer than entries — so the stream
 /// is infallible: any damage already surfaced when the source was opened.
-pub struct SourceConnections<'a> {
-    inner: Box<dyn Iterator<Item = ConnectionRecord> + 'a>,
-}
-
-impl<'a> SourceConnections<'a> {
-    /// Wraps a concrete record iterator.
-    pub fn new(records: impl Iterator<Item = ConnectionRecord> + 'a) -> Self {
-        Self {
-            inner: Box::new(records),
-        }
-    }
-}
-
-impl Iterator for SourceConnections<'_> {
-    type Item = ConnectionRecord;
-
-    fn next(&mut self) -> Option<ConnectionRecord> {
-        self.inner.next()
-    }
-}
+pub type SourceConnections<'a> = Box<dyn Iterator<Item = ConnectionRecord> + 'a>;
 
 /// A readable trace, wherever it lives.
 ///
@@ -351,7 +332,7 @@ impl TraceSource for MonitoringDataset {
     }
 
     fn connection_records(&self) -> SourceConnections<'_> {
-        SourceConnections::new(self.connections.iter().cloned())
+        Box::new(self.connections.iter().cloned())
     }
 
     fn entry_count(&self) -> Option<u64> {
@@ -383,7 +364,7 @@ impl TraceSource for ManifestReader {
     }
 
     fn connection_records(&self) -> SourceConnections<'_> {
-        SourceConnections::new(self.connections())
+        Box::new(self.connections())
     }
 
     fn entry_count(&self) -> Option<u64> {

@@ -8,19 +8,18 @@
 //!
 //! # How it works
 //!
-//! The tail keeps, per monitor, the segment it is reading open, the byte
-//! offset of the first unconsumed frame, and one buffer. Each
+//! The tail keeps, per monitor, one segment cursor (`cursor::SegmentCursor`,
+//! the one the batch reader and crash recovery walk frames with) over the
+//! segment it is reading. Its stopping rule is the flushed end: each
 //! [`poll_chunks`](DatasetTail::poll_chunks) reads on from the open file
-//! whatever the writer has flushed since, in pieces of a fixed size, and
-//! reports the frames of its longest valid prefix — the walk crash recovery
-//! truncates by (`segment::walk_frames`) — as validated [`ChunkView`]s:
-//! CRC-checked, every column parsed, rows in stored (arrival) order. A
-//! frame is reported as soon as its last byte is in, and a partial one
-//! waits in the buffer for the next piece or poll, so the buffer holds at
-//! most the largest frame (or the footer) plus one piece — not the
-//! segment, even on a restart's replay of a finished one.
-//! [`poll`](DatasetTail::poll) is the same walk with each row materialised
-//! as a [`TraceEntry`].
+//! whatever the writer has flushed since, in 64 KiB pieces, and reports every
+//! frame the cursor validates as a [`ChunkView`]: CRC-checked, every column
+//! parsed, rows in stored (arrival) order. A frame is reported as soon as its
+//! last byte is in, and a partial one waits in the cursor's buffer for the
+//! next piece or poll, so the buffer holds at most the largest frame (or the
+//! footer) plus one piece — not the segment, even on a restart's replay of a
+//! finished one. [`poll`](DatasetTail::poll) is the same walk with each row
+//! materialised as a [`TraceEntry`].
 //!
 //! Where the walk ends is either a frame the writer is still flushing
 //! (retry next poll) or the segment footer. The segment is sealed once
@@ -29,11 +28,12 @@
 //! manifest lists it (the manifest is written at
 //! [`finish`](crate::manifest::DatasetWriter::finish), and crash recovery
 //! rebuilds it over re-sealed chains). A sealed segment's bytes are final,
-//! so the tail reads the rest of the file once it knows, and what follows
-//! its last frame must then be exactly its footer, indexing exactly the
-//! chunks and entries the tail read from it; anything else — a damaged
-//! chunk, a damaged or missing footer — fails the poll with
-//! [`SegmentError::Corrupt`] instead of skipping the rest of the segment.
+//! so the tail reads on once it knows, and the cursor's sealed-segment check
+//! — the one recovery keeps a segment untouched by — must then pass: the
+//! footer starts where the last frame ends and indexes the frames the tail
+//! read, row by row. Anything else — a damaged chunk, a damaged, missing or
+//! mismatched footer — fails the poll with [`SegmentError::Corrupt`] instead
+//! of skipping the rest of the segment.
 //!
 //! Because the tail reads only bytes the writer flushed to the file, the
 //! entries it reports are exactly the entries that survive a crash at
@@ -60,42 +60,30 @@
     clippy::panic
 )]
 
+use crate::cursor::SegmentCursor;
 use crate::manifest::{Manifest, SegmentMeta, MANIFEST_FILE_NAME};
 use crate::record::TraceEntry;
-use crate::segment::{
-    check_header, decode_footer_frame, walk_frames, ChunkScratch, ChunkView, SegmentError,
-    HEADER_LEN,
-};
+use crate::segment::{ChunkInfo, ChunkScratch, ChunkView, SegmentError};
 use ipfs_mon_obs as obs;
 use std::fs::File;
-use std::io::{ErrorKind, Read};
+use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 
-/// Bytes the tail asks of a segment file per read. A chain's buffer holds
-/// at most one unconsumed frame (or the footer) plus one such piece.
-const READ_PIECE: usize = 64 * 1024;
-
 /// Read cursor over one monitor's segment chain.
-#[derive(Debug)]
+#[derive(Default)]
 struct ChainTail {
     monitor: usize,
     /// Sequence of the segment currently being read.
     sequence: u64,
-    /// The open segment `sequence`, read up to `pos + pending.len()`; `None`
-    /// until the file exists, and again once the segment is sealed.
-    file: Option<File>,
-    /// Byte offset of `pending[0]` in that segment: the first unconsumed
-    /// byte (0 = header not yet verified).
-    pos: u64,
-    /// Bytes read but not yet consumed — a frame the writer is still
-    /// flushing, or the footer. Retained across polls and segments.
-    pending: Vec<u8>,
+    /// Over the open segment `sequence`; `None` until the file exists, and
+    /// again once the segment is sealed.
+    frames: Option<SegmentCursor<File>>,
+    /// The cursor's buffer while no segment is open, kept for the next one.
+    buffer: Vec<u8>,
     /// Entries emitted from this chain so far.
     entries: u64,
-    /// Chunks and entries read from the current segment: what its footer
-    /// must index.
-    segment_chunks: u64,
-    segment_entries: u64,
+    /// The frames read from the current segment: what its footer must index.
+    walked: Vec<ChunkInfo>,
 }
 
 /// Outcome of one [`DatasetTail::poll_chunks`] (or [`DatasetTail::poll`]).
@@ -127,13 +115,7 @@ impl DatasetTail {
             chains: (0..monitors)
                 .map(|monitor| ChainTail {
                     monitor,
-                    sequence: 0,
-                    file: None,
-                    pos: 0,
-                    pending: Vec::new(),
-                    entries: 0,
-                    segment_chunks: 0,
-                    segment_entries: 0,
+                    ..ChainTail::default()
                 })
                 .collect(),
             scratch: ChunkScratch::default(),
@@ -185,18 +167,16 @@ impl DatasetTail {
 /// segments) seals nothing by itself. The manifest is only ever replaced
 /// whole, by rename, so a manifest that does not load is damage and fails
 /// the poll.
-fn current_is_sealed(dir: &Path, chain: &ChainTail) -> Result<bool, SegmentError> {
-    if dir
-        .join(SegmentMeta::file_name_of(chain.monitor, chain.sequence + 1))
-        .exists()
-    {
+fn current_is_sealed(dir: &Path, monitor: usize, sequence: u64) -> Result<bool, SegmentError> {
+    let next = dir.join(SegmentMeta::file_name_of(monitor, sequence + 1));
+    if next.exists() {
         return Ok(true);
     }
     match Manifest::load(dir.join(MANIFEST_FILE_NAME)) {
         Ok(manifest) => Ok(manifest
             .segments
             .iter()
-            .any(|s| s.monitor == chain.monitor && s.sequence == chain.sequence)),
+            .any(|s| s.monitor == monitor && s.sequence == sequence)),
         Err(SegmentError::Io(e)) if e.kind() == ErrorKind::NotFound => Ok(false),
         Err(e) => Err(e),
     }
@@ -204,10 +184,10 @@ fn current_is_sealed(dir: &Path, chain: &ChainTail) -> Result<bool, SegmentError
 
 /// Reads `chain` forward through as many segments as are complete. The
 /// segment being read stays open, and the bytes of a frame the writer is
-/// still flushing wait in `chain.pending` for the next poll. Segment files
-/// only grow while a tail follows them — recovery, which truncates, runs
-/// before the service opens its tail — so reading on from the open file
-/// sees what a fresh read from `pos` would.
+/// still flushing wait in its cursor for the next poll. Segment files only
+/// grow while a tail follows them — recovery, which truncates, runs before
+/// the service opens its tail — so reading on from the open file sees what
+/// a fresh read from the cursor's offset would.
 fn poll_chain(
     dir: &Path,
     chain: &mut ChainTail,
@@ -217,121 +197,64 @@ fn poll_chain(
 ) -> Result<(), SegmentError> {
     loop {
         let path = dir.join(SegmentMeta::file_name_of(chain.monitor, chain.sequence));
-        if chain.file.is_none() {
-            chain.file = match File::open(&path) {
-                Ok(file) => Some(file),
+        let frames = match &mut chain.frames {
+            Some(frames) => frames,
+            None => match File::open(&path) {
+                Ok(file) => {
+                    let buffer = std::mem::take(&mut chain.buffer);
+                    chain
+                        .frames
+                        .insert(SegmentCursor::new(file, 0, None, buffer))
+                }
                 // Not created yet — the writer has not reached this
                 // sequence (or has not flushed the header). Retry later.
                 Err(e) if e.kind() == ErrorKind::NotFound => return Ok(()),
                 Err(e) => return Err(SegmentError::Io(e)),
-            };
+            },
+        };
+        if !frames.header()? {
+            return Ok(()); // still in flight
         }
-        read_available(chain, scratch, report, f)?;
-        if chain.pos == 0 || chain.pending.is_empty() || !current_is_sealed(dir, chain)? {
-            // Header still in flight, fully drained (wait for more data) or
-            // mid-frame of an open segment (the writer will complete it).
+        let (monitor, walked, entries) = (chain.monitor, &mut chain.walked, &mut chain.entries);
+        let mut walk = |frames: &mut SegmentCursor<File>| {
+            frames.walk(scratch, |frame, view| {
+                f(monitor, view);
+                report.entries += frame.entries;
+                report.chunks += 1;
+                *entries += frame.entries;
+                walked.push(frame);
+            })
+        };
+        walk(frames)?;
+        if frames.buffered() == 0 || !current_is_sealed(dir, monitor, chain.sequence)? {
+            // Fully drained (wait for more data) or mid-frame of an open
+            // segment (the writer will complete it).
             return Ok(());
         }
         // Sealed since the read: the rest of the file is final now.
-        read_available(chain, scratch, report, f)?;
-        check_sealed_remainder(&chain.pending, chain).map_err(|error| {
+        walk(frames)?;
+        frames.check_sealed(walked).map_err(|error| {
             SegmentError::Corrupt(format!(
                 "{}: sealed segment damaged after {} chunks: {error}",
                 path.display(),
-                chain.segment_chunks
+                walked.len()
             ))
         })?;
+        if let Some(frames) = chain.frames.take() {
+            chain.buffer = frames.into_buffer();
+        }
         chain.sequence += 1;
-        chain.file = None;
-        chain.pos = 0;
-        chain.pending.clear();
-        chain.segment_chunks = 0;
-        chain.segment_entries = 0;
+        chain.walked.clear();
         report.segments_advanced += 1;
         obs::counter!("tail.segments_advanced").incr();
     }
-}
-
-/// Reads `chain`'s open segment to its current end one [`READ_PIECE`] at a
-/// time, verifying the header first and reporting each complete valid frame
-/// as soon as its last byte is in. What is left in `chain.pending` is the
-/// longest valid frame prefix's remainder: a partial frame, the footer, or
-/// damage.
-fn read_available(
-    chain: &mut ChainTail,
-    scratch: &mut ChunkScratch,
-    report: &mut TailPoll,
-    f: &mut impl FnMut(usize, &ChunkView<'_>),
-) -> Result<(), SegmentError> {
-    let Some(file) = chain.file.as_mut() else {
-        return Ok(());
-    };
-    loop {
-        let read = read_piece(file, &mut chain.pending).map_err(SegmentError::Io)?;
-        let mut start = 0;
-        if chain.pos == 0 {
-            // Verify the header before trusting any frame bytes.
-            match check_header(&chain.pending)? {
-                true => start = HEADER_LEN,
-                false if read == 0 => return Ok(()), // still in flight
-                false => continue,
-            }
-        }
-        let monitor = chain.monitor;
-        let end = walk_frames(&chain.pending, start, scratch, |_, _, view| {
-            f(monitor, view);
-            let rows = view.len() as u64;
-            report.entries += rows;
-            report.chunks += 1;
-            chain.entries += rows;
-            chain.segment_chunks += 1;
-            chain.segment_entries += rows;
-        });
-        chain.pending.drain(..end);
-        chain.pos += end as u64;
-        if read == 0 {
-            return Ok(());
-        }
-    }
-}
-
-/// Appends up to [`READ_PIECE`] bytes of `file` to `buf` and returns how
-/// many. The buffer grows to exactly what it holds plus one piece, never by
-/// doubling.
-fn read_piece(file: &mut File, buf: &mut Vec<u8>) -> std::io::Result<usize> {
-    let held = buf.len();
-    buf.reserve_exact(READ_PIECE);
-    buf.resize(held + READ_PIECE, 0);
-    let read = loop {
-        match file.read(buf.get_mut(held..).unwrap_or_default()) {
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            read => break read,
-        }
-    };
-    buf.truncate(held + *read.as_ref().unwrap_or(&0));
-    read
-}
-
-/// Checks that `rest`, what follows the last valid frame of a sealed
-/// segment, is exactly its footer and indexes exactly the chunks and
-/// entries `chain` read from the segment.
-fn check_sealed_remainder(rest: &[u8], chain: &ChainTail) -> Result<(), SegmentError> {
-    let footer = decode_footer_frame(rest)?;
-    let indexed = (footer.chunks.len() as u64, footer.total_entries);
-    let read = (chain.segment_chunks, chain.segment_entries);
-    if indexed != read {
-        return Err(SegmentError::Corrupt(format!(
-            "the footer indexes {} chunks of {} entries, the segment holds {} of {}",
-            indexed.0, indexed.1, read.0, read.1
-        )));
-    }
-    Ok(())
 }
 
 #[allow(clippy::indexing_slicing, clippy::unwrap_used, clippy::panic)]
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cursor::READ_PIECE;
     use crate::manifest::{DatasetConfig, DatasetWriter};
     use crate::record::{EntryFlags, TraceEntry};
     use crate::segment::SegmentConfig;
@@ -531,11 +454,11 @@ mod tests {
                 writer.append(&entry(i, 0)).unwrap();
             }
             writer.finish().unwrap();
-            let segment = std::fs::read(dir.join(SegmentMeta::file_name_of(0, 0))).unwrap();
-            let reader =
-                crate::reader::TraceReader::new(crate::reader::SliceSource::new(&segment)).unwrap();
+            let path = dir.join(SegmentMeta::file_name_of(0, 0));
+            let reader = crate::reader::TraceReader::open(&path).unwrap();
             let largest = reader.chunks().iter().map(|c| c.len).max().unwrap() as usize;
-            assert!(segment.len() > 2 * (largest + READ_PIECE), "chunk {chunk}");
+            let segment_len = std::fs::metadata(&path).unwrap().len() as usize;
+            assert!(segment_len > 2 * (largest + READ_PIECE), "chunk {chunk}");
 
             let mut tail = DatasetTail::open(&dir, 1);
             let mut seen = 0u64;
@@ -545,7 +468,7 @@ mod tests {
             });
             assert_eq!(report.unwrap().segments_advanced, 1, "chunk {chunk}");
             assert_eq!(seen, 20_000, "chunk {chunk}");
-            let capacity = tail.chains[0].pending.capacity();
+            let capacity = tail.chains[0].buffer.capacity();
             assert!(
                 capacity <= largest + READ_PIECE,
                 "chunk {chunk}: {capacity} B held, largest frame {largest} B"

@@ -325,11 +325,6 @@ where
         min.map(|m| SimTime::from_millis(m.as_millis().saturating_sub(self.lateness.as_millis())))
     }
 
-    /// Currently open (unsealed, non-empty) windows.
-    pub fn open_windows(&self) -> usize {
-        self.open.len()
-    }
-
     /// Window `index`, opened with a fresh accumulator if it is not open.
     fn open_window(&mut self, index: u64) -> &mut OpenWindow<A> {
         self.open.entry(index).or_insert_with(|| OpenWindow {

@@ -187,8 +187,8 @@ impl<W: Write> TraceWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reader::{SliceSource, TraceReader};
     use crate::record::EntryFlags;
+    use crate::test_segment::reader_of;
     use ipfs_mon_bitswap::RequestType;
     use ipfs_mon_types::{Cid, Country, Multiaddr, Multicodec, PeerId, Transport};
 
@@ -220,7 +220,7 @@ mod tests {
         assert_eq!(summary.total_entries, 25);
         assert_eq!(summary.bytes_written, bytes.len() as u64);
 
-        let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
+        let reader = reader_of(&bytes).unwrap();
         assert_eq!(reader.total_entries(), 25);
         assert_eq!(reader.stream().count(), 25);
     }
@@ -253,7 +253,7 @@ mod tests {
         };
         let bytes = segment_of(0);
         assert_eq!(segment_of(3), bytes);
-        let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
+        let reader = reader_of(&bytes).unwrap();
         assert!(reader.stream().all(|entry| entry.monitor == 0));
         assert_eq!(reader.connections()[0].monitor, 0);
     }
@@ -279,7 +279,7 @@ mod tests {
             assert_eq!(writer.total_entries(), 3);
             writer.finish().unwrap();
 
-            let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
+            let reader = reader_of(&bytes).unwrap();
             let mut stream = reader.stream();
             let read: Vec<u64> = (&mut stream)
                 .map(|entry| entry.timestamp.as_millis())
@@ -296,7 +296,7 @@ mod tests {
         let summary = writer.finish().unwrap();
         assert_eq!(summary.total_entries, 0);
         assert_eq!(summary.chunks, 0);
-        let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
+        let reader = reader_of(&bytes).unwrap();
         assert_eq!(reader.label(), "only");
         assert_eq!(reader.stream().count(), 0);
     }

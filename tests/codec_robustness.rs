@@ -11,7 +11,9 @@
 
 mod common;
 
-use common::{random_dataset, simulated_dataset, temp_dir, write_manifest, CountSink};
+use common::{
+    random_dataset, segment_reader, simulated_dataset, temp_dir, write_manifest, CountSink,
+};
 use ipfs_monitoring::core::{
     estimate_network_size, estimate_network_size_source, identify_data_wanters, run_attacks_source,
     track_node_wants, unify_and_flag, ActivityCountsSink, AttackTargets, EntryStatsSink,
@@ -21,8 +23,7 @@ use ipfs_monitoring::simnet::time::{SimDuration, SimTime};
 use ipfs_monitoring::tracestore::codec::CHUNK_CODEC;
 use ipfs_monitoring::tracestore::{
     run_sink, DatasetConfig, Manifest, ManifestReader, MonitoringDataset, RowTargets,
-    SegmentConfig, SegmentError, SliceSource, TraceEntry, TraceReader, TraceSource,
-    MANIFEST_FILE_NAME,
+    SegmentConfig, SegmentError, TraceEntry, TraceSource, MANIFEST_FILE_NAME,
 };
 use ipfs_monitoring::types::varint;
 use proptest::prelude::*;
@@ -62,7 +63,7 @@ fn collected_segment(tag: &str, entries: &[TraceEntry], chunk: usize) -> Vec<u8>
 
 /// Payload byte range (codec byte first) of a segment's first chunk frame.
 fn first_chunk_payload(bytes: &[u8]) -> (usize, usize) {
-    let reader = TraceReader::new(SliceSource::new(bytes)).unwrap();
+    let reader = segment_reader(bytes).unwrap();
     let frame_start = reader.chunks()[0].offset as usize;
     // Skip the length varint; the payload's first byte is the codec byte,
     // then the body.
@@ -95,7 +96,7 @@ fn body_damage_sweep(bytes: &[u8]) -> (usize, usize) {
     let mut typed_errors = 0usize;
     let mut clean_decodes = 0usize;
     for (pos, damaged) in body_flips(bytes) {
-        let reader = TraceReader::new(SliceSource::new(&damaged)).unwrap();
+        let reader = segment_reader(&damaged).unwrap();
         let mut stream = reader.stream();
         let _ = (&mut stream).count();
         match stream.take_error() {
@@ -186,7 +187,7 @@ fn column_reader_damage_sweep(
 /// typed error or a clean end — never a panic.
 fn truncation_sweep(bytes: &[u8]) {
     for cut in 0..bytes.len() {
-        let Ok(reader) = TraceReader::new(SliceSource::new(&bytes[..cut])) else {
+        let Ok(reader) = segment_reader(&bytes[..cut]) else {
             continue;
         };
         let mut stream = reader.stream();
@@ -207,7 +208,7 @@ fn codec_damage_surfaces_typed_errors() {
     assert_eq!(bytes[payload_start], CHUNK_CODEC);
 
     let reopen = |bytes: &[u8]| -> SegmentError {
-        let reader = TraceReader::new(SliceSource::new(bytes)).unwrap();
+        let reader = segment_reader(bytes).unwrap();
         let mut stream = reader.stream();
         let _ = (&mut stream).count();
         stream.take_error().expect("damaged chunk must error")
@@ -429,7 +430,7 @@ fn v2_segment_is_refused_at_open() {
     std::fs::write(&path, &bytes).unwrap();
 
     assert!(matches!(
-        TraceReader::new(SliceSource::new(&bytes)),
+        segment_reader(&bytes),
         Err(SegmentError::UnsupportedVersion(2))
     ));
     assert!(matches!(

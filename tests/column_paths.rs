@@ -14,7 +14,7 @@
 
 mod common;
 
-use common::{differential_case, temp_dir, write_manifest, CountSink};
+use common::{differential_case, segment_reader, temp_dir, write_manifest, CountSink};
 use ipfs_monitoring::bitswap::RequestType;
 use ipfs_monitoring::core::{
     estimate_network_size, estimate_network_size_source, flag_entries, flag_source,
@@ -26,8 +26,8 @@ use ipfs_monitoring::tracestore::codec::CHUNK_CODEC;
 use ipfs_monitoring::tracestore::crc::crc32;
 use ipfs_monitoring::tracestore::{
     recover_dataset, run_sink, ChunkView, DatasetConfig, EntryFlags, ManifestReader,
-    MonitoringDataset, RowTargets, SegmentConfig, SegmentError, SliceSource, SourceEntries,
-    TraceEntry, TraceReader, TraceSource,
+    MonitoringDataset, RowTargets, SegmentConfig, SegmentError, SourceEntries, TraceEntry,
+    TraceSource,
 };
 use ipfs_monitoring::types::{varint, Cid, Country, Multiaddr, Multicodec, PeerId, Transport};
 use proptest::prelude::*;
@@ -202,7 +202,7 @@ fn orphan_last_dictionary_entries(bytes: &mut [u8]) {
         value as usize
     }
     let width_of = |dict_len: usize| (usize::BITS - (dict_len - 1).leading_zeros()) as usize;
-    let frame = TraceReader::new(SliceSource::new(bytes)).unwrap().chunks()[0].offset as usize;
+    let frame = segment_reader(bytes).unwrap().chunks()[0].offset as usize;
     let mut pos = frame;
     let payload_len = read(bytes, &mut pos);
     let payload = pos..pos + payload_len;
@@ -407,7 +407,7 @@ fn one_key_across_chunks_segments_and_monitors_hits_the_window_edges() {
         }
         let name = path.file_name().unwrap().to_str().unwrap().to_string();
         let bytes = std::fs::read(&path).unwrap();
-        let segment = TraceReader::new(SliceSource::new(&bytes)).unwrap();
+        let segment = segment_reader(&bytes).unwrap();
         for info in segment.chunks() {
             let frame = &bytes[info.offset as usize..(info.offset + info.len) as usize];
             let chunk = ChunkView::parse(frame.into()).unwrap();
@@ -545,7 +545,7 @@ fn damage_surfaces_identically_on_every_path() {
     for file in ["seg-000-00002.seg", "seg-001-00001.seg"] {
         let path = dir.join(file);
         let mut bytes = std::fs::read(&path).unwrap();
-        let chunk = TraceReader::new(SliceSource::new(&bytes)).unwrap().chunks()[3];
+        let chunk = segment_reader(&bytes).unwrap().chunks()[3];
         bytes[(chunk.offset + chunk.len / 2) as usize] ^= 0x20;
         std::fs::write(&path, &bytes).unwrap();
     }

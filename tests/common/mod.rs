@@ -11,7 +11,7 @@ use ipfs_monitoring::node::Network;
 use ipfs_monitoring::simnet::time::SimTime;
 use ipfs_monitoring::tracestore::{
     ConnectionRecord, DatasetConfig, DatasetWriter, EntryFlags, MonitoringDataset, SegmentConfig,
-    TraceEntry, TraceSource,
+    SegmentError, TraceEntry, TraceReader, TraceSource,
 };
 use ipfs_monitoring::types::{Cid, Country, Multiaddr, Multicodec, PeerId, Transport};
 use ipfs_monitoring::workload::{build_scenario_lazy, ScenarioConfig};
@@ -33,6 +33,22 @@ pub fn fresh_dir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+/// Opens `bytes` as a segment file of its own: how the suites read a segment
+/// they built or damaged in memory. The file is removed once it is open.
+pub fn segment_reader(bytes: &[u8]) -> Result<TraceReader, SegmentError> {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "it-segment-{}-{}.seg",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::write(&path, bytes).unwrap();
+    let reader = TraceReader::open(&path);
+    std::fs::remove_file(&path).ok();
+    reader
 }
 
 /// Random multi-monitor dataset with bounded per-monitor arrival disorder:

@@ -17,7 +17,7 @@ use ipfs_monitoring::core::{MonitorService, ServiceConfig};
 use ipfs_monitoring::simnet::time::SimTime;
 use ipfs_monitoring::tracestore::{
     recover_dataset, recover_dataset_with, AnalysisSink, ConnectionRecord, DatasetConfig,
-    DatasetTail, DatasetWriter, EntryFlags, FaultPlan, FaultyStorage, ManifestReader,
+    DatasetTail, DatasetWriter, EntryFlags, FaultPlan, FaultyStorage, Manifest, ManifestReader,
     QuarantineReason, SegmentConfig, SegmentError, TraceEntry, TraceReader,
 };
 use ipfs_monitoring::types::{Cid, Country, Multiaddr, Multicodec, PeerId, Transport};
@@ -26,7 +26,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 mod common;
-use common::fresh_dir as temp_dir;
+use common::{fresh_dir as temp_dir, segment_reader};
 
 const MONITORS: usize = 2;
 const ENTRIES: u64 = 240;
@@ -234,7 +234,7 @@ fn single_segment_dataset(dir: &Path, entries: u64) -> (PathBuf, Vec<(u64, u64)>
     writer.finish().unwrap();
     let path = dir.join("seg-000-00000.seg");
     let bytes = std::fs::read(&path).unwrap();
-    let reader = TraceReader::new(ipfs_monitoring::tracestore::SliceSource::new(&bytes)).unwrap();
+    let reader = segment_reader(&bytes).unwrap();
     let mut cumulative = 0u64;
     let boundaries = reader
         .chunks()
@@ -385,7 +385,7 @@ fn rotated_dataset(dir: &Path, service: Option<&mut MonitorService>) -> (PathBuf
     let path = dir.join("seg-000-00000.seg");
     assert!(dir.join("seg-000-00001.seg").exists(), "rotated at 50");
     let bytes = std::fs::read(&path).unwrap();
-    let reader = TraceReader::new(ipfs_monitoring::tracestore::SliceSource::new(&bytes)).unwrap();
+    let reader = segment_reader(&bytes).unwrap();
     let chunks = reader
         .chunks()
         .iter()
@@ -509,64 +509,271 @@ fn crafted_frame_length_does_not_stop_the_service_from_opening() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The damage [`foreign_monitor_frame_ends_the_segment_for_tail_recovery_and_reader`]
+/// does to one chunk frame.
+#[derive(Debug, Clone, Copy)]
+enum FrameDamage {
+    /// One payload byte flipped, the CRC left as it was.
+    Flip,
+    /// The stored monitor index set to 1, the CRC re-fixed.
+    ForeignMonitor,
+    /// The length prefix set to the file's length: past its end.
+    PastEnd,
+}
+
 /// A segment holds one monitor's entries, stored as monitor 0. A frame that
 /// names another monitor under a valid CRC was not written for this
 /// segment: the live tail, crash recovery and the batch reader must give one
 /// answer about it — the segment ends before that frame — instead of the
 /// tail delivering its rows, recovery counting them as recovered, and the
-/// reader then refusing the dataset recovery just wrote.
+/// reader then refusing the dataset recovery just wrote. The same answer
+/// holds at every frame of the segment and for two more kinds of damage: a
+/// flipped payload byte under a stale CRC, and a length prefix that points
+/// past the end of the file.
 #[test]
 fn foreign_monitor_frame_ends_the_segment_for_tail_recovery_and_reader() {
     use ipfs_monitoring::tracestore::crc::crc32;
     use ipfs_monitoring::types::varint;
 
-    // A torn open segment: no footer, no manifest, frames to the end.
-    let dir = temp_dir("foreign-frame");
-    let (path, boundaries) = single_segment_dataset(&dir, 100);
-    std::fs::remove_file(dir.join(ipfs_monitoring::tracestore::MANIFEST_FILE_NAME)).unwrap();
-    let mut bytes = std::fs::read(&path).unwrap();
-    bytes.truncate(boundaries.last().unwrap().0 as usize);
-    // The third frame: length prefix, then a payload of codec byte, mode
-    // byte, stored monitor index, columns; then the payload's CRC. Name
-    // monitor 1 and re-fix the CRC, so that nothing but the index is wrong.
-    let (frame_start, kept_entries) = boundaries[1];
-    let (payload_len, prefix_len) = varint::decode(&bytes[frame_start as usize..]).unwrap();
-    let payload =
-        frame_start as usize + prefix_len..frame_start as usize + prefix_len + payload_len as usize;
+    let probe = temp_dir("foreign-frame-probe");
+    let frames = single_segment_dataset(&probe, 100).1.len();
+    std::fs::remove_dir_all(&probe).unwrap();
+    assert_eq!(frames, 7, "six chunks of 16 and one of 4");
+    for damaged in 0..frames {
+        for damage in [
+            FrameDamage::Flip,
+            FrameDamage::ForeignMonitor,
+            FrameDamage::PastEnd,
+        ] {
+            let context = format!("{damage:?} at frame {damaged}");
+            // A torn open segment: no footer, no manifest, frames to the end.
+            let dir = temp_dir(&format!("foreign-frame-{damaged}-{damage:?}"));
+            let (path, boundaries) = single_segment_dataset(&dir, 100);
+            std::fs::remove_file(dir.join(ipfs_monitoring::tracestore::MANIFEST_FILE_NAME))
+                .unwrap();
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes.truncate(boundaries.last().unwrap().0 as usize);
+            // The frame: length prefix, then a payload of codec byte, mode
+            // byte, stored monitor index, columns; then the payload's CRC.
+            let (frame_start, kept_entries) = match damaged {
+                0 => (5, 0),
+                _ => boundaries[damaged - 1],
+            };
+            let (payload_len, prefix_len) = varint::decode(&bytes[frame_start as usize..]).unwrap();
+            let payload = frame_start as usize + prefix_len
+                ..frame_start as usize + prefix_len + payload_len as usize;
+            assert_eq!(
+                bytes[payload.start..payload.start + 3],
+                [ipfs_monitoring::tracestore::codec::CHUNK_CODEC, 0, 0]
+            );
+            match damage {
+                FrameDamage::Flip => bytes[(payload.start + payload.end) / 2] ^= 0x5a,
+                // Name monitor 1 and re-fix the CRC, so that nothing but the
+                // index is wrong.
+                FrameDamage::ForeignMonitor => {
+                    bytes[payload.start + 2] = 1;
+                    let crc = crc32(&bytes[payload.clone()]);
+                    bytes[payload.end..payload.end + 4].copy_from_slice(&crc.to_le_bytes());
+                }
+                FrameDamage::PastEnd => {
+                    let mut prefix = Vec::new();
+                    varint::encode(bytes.len() as u64, &mut prefix);
+                    bytes.splice(
+                        frame_start as usize..frame_start as usize + prefix_len,
+                        prefix,
+                    );
+                }
+            }
+            std::fs::write(&path, &bytes).unwrap();
+            let kept: Vec<Vec<TraceEntry>> = vec![(0..kept_entries).map(|i| entry(i, 0)).collect()];
+
+            // The tail, on a copy recovery has not touched.
+            let tailed = temp_dir(&format!("foreign-frame-tail-{damaged}-{damage:?}"));
+            copy_dir(&dir, &tailed);
+            let mut tail = DatasetTail::open(&tailed, 1);
+            let mut seen = Vec::new();
+            let poll = tail.poll(|entry| seen.push(entry)).unwrap();
+            assert_eq!(
+                (poll.entries, poll.chunks),
+                (kept_entries, damaged as u64),
+                "{context}"
+            );
+            assert_eq!(vec![seen], kept, "{context}");
+            assert_eq!(tail.poll(|_| panic!("nothing new")).unwrap().entries, 0);
+            std::fs::remove_dir_all(&tailed).unwrap();
+
+            // Recovery keeps the same rows...
+            let report = recover_dataset(&dir).unwrap();
+            assert_eq!(report.entries_recovered, kept_entries, "{context}");
+            if damaged == 0 {
+                let reasons: Vec<_> = report.quarantined.iter().map(|q| &q.reason).collect();
+                assert_eq!(reasons, [&QuarantineReason::NoValidData], "{context}");
+            } else {
+                assert_eq!(report.segments_truncated, 1, "{context}");
+                assert_eq!(
+                    report.bytes_truncated,
+                    bytes.len() as u64 - frame_start,
+                    "{context}"
+                );
+                assert!(report.quarantined.is_empty(), "{context}");
+            }
+            // ...and what it wrote opens and streams them.
+            let streamed = assert_prefix_consistent(&dir, &kept, &context);
+            assert_eq!(streamed, kept_entries, "{context}");
+            assert!(recover_dataset(&dir).unwrap().clean, "{context}");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+}
+
+/// A 48-entry segment in chunks of 16 whose footer index says something
+/// else than its frames, under a valid footer CRC: `doctor` rewrites the
+/// index rows `(offset, len, entries, first ms, last ms)` and the total.
+/// Returns the directory, the segment path and its intact bytes.
+fn doctored_index_dataset(
+    tag: &str,
+    doctor: impl FnOnce(&mut Vec<(u64, u64, u64, u64, u64)>, &mut u64),
+) -> (PathBuf, PathBuf, Vec<u8>) {
+    use ipfs_monitoring::tracestore::crc::crc32;
+    use ipfs_monitoring::types::varint;
+
+    let dir = temp_dir(tag);
+    let (path, boundaries) = single_segment_dataset(&dir, 48);
+    let intact = std::fs::read(&path).unwrap();
+    let reader = segment_reader(&intact).unwrap();
+    assert!(reader.connections().is_empty());
+    let mut rows: Vec<_> = reader
+        .chunks()
+        .iter()
+        .map(|c| {
+            let (first, last) = (c.first_timestamp, c.last_timestamp);
+            (
+                c.offset,
+                c.len,
+                c.entries,
+                first.as_millis(),
+                last.as_millis(),
+            )
+        })
+        .collect();
+    assert_eq!(rows.len(), 3);
+    // footer := payload crc32(payload) payload_len:u64le "TSFT", the payload
+    // being the label list, the lateness bound, the connection list, the
+    // index rows (the stored monitor 0 after offset and length) and the
+    // total.
+    let footer = |rows: &[(u64, u64, u64, u64, u64)], total: u64| {
+        let mut payload = vec![1, 2, b'u', b's'];
+        varint::encode(reader.max_lateness_ms(), &mut payload);
+        varint::encode(0, &mut payload);
+        varint::encode(rows.len() as u64, &mut payload);
+        for &(offset, len, entries, first, last) in rows {
+            for value in [offset, len, 0, entries, first, last] {
+                varint::encode(value, &mut payload);
+            }
+        }
+        varint::encode(total, &mut payload);
+        let mut bytes = payload.clone();
+        bytes.extend_from_slice(&crc32(&payload).to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(b"TSFT");
+        bytes
+    };
+    let frames_end = boundaries.last().unwrap().0 as usize;
     assert_eq!(
-        bytes[payload.start..payload.start + 3],
-        [ipfs_monitoring::tracestore::codec::CHUNK_CODEC, 0, 0]
+        intact[frames_end..],
+        footer(&rows, 48),
+        "the footer as written"
     );
-    bytes[payload.start + 2] = 1;
-    let crc = crc32(&bytes[payload.clone()]);
-    bytes[payload.end..payload.end + 4].copy_from_slice(&crc.to_le_bytes());
-    std::fs::write(&path, &bytes).unwrap();
+    let mut total = 48;
+    doctor(&mut rows, &mut total);
+    let mut doctored = intact[..frames_end].to_vec();
+    doctored.extend_from_slice(&footer(&rows, total));
+    std::fs::write(&path, &doctored).unwrap();
+    (dir, path, intact)
+}
 
-    let kept: Vec<Vec<TraceEntry>> = vec![(0..kept_entries).map(|i| entry(i, 0)).collect()];
-    assert_eq!(kept_entries, 32, "two chunks of 16");
+/// A footer index that does not match the frames it indexes, under valid
+/// CRCs: (a) chunk 0's row in chunk 2's place, counts unchanged, and (b) the
+/// last chunk's row dropped, the total with it. The three readers agree
+/// that the segment is not what its footer says: the batch reader refuses
+/// it `Corrupt` before any row of the mismatched frame — through
+/// `TraceReader` and through `ManifestReader`, whose manifest records what
+/// the footer says — the tail fails its poll once the segment is sealed,
+/// and recovery does not call it intact but reseals it with the index it
+/// walked, after which every read path streams all 48 entries.
+#[test]
+fn footer_index_must_match_the_frames_for_reader_tail_and_recovery() {
+    type Doctor = fn(&mut Vec<(u64, u64, u64, u64, u64)>, &mut u64);
+    let cases: [(&str, Doctor, u64); 2] = [
+        ("index-row-swapped", |rows, _| rows[2] = rows[0], 48),
+        (
+            "index-row-dropped",
+            |rows, total| {
+                *total -= rows.pop().unwrap().2;
+            },
+            32,
+        ),
+    ];
+    let all: Vec<TraceEntry> = (0..48).map(|i| entry(i, 0)).collect();
+    for (tag, doctor, indexed) in cases {
+        let (dir, path, intact) = doctored_index_dataset(tag, doctor);
+        if indexed != 48 {
+            let mut manifest = Manifest::load(&dir).unwrap();
+            manifest.segments[0].entries = indexed;
+            manifest.write_to(&dir).unwrap();
+        }
 
-    // The tail, on a copy recovery has not touched.
-    let tailed = temp_dir("foreign-frame-tail");
-    copy_dir(&dir, &tailed);
-    let mut tail = DatasetTail::open(&tailed, 1);
-    let mut seen = Vec::new();
-    let poll = tail.poll(|entry| seen.push(entry)).unwrap();
-    assert_eq!((poll.entries, poll.chunks), (kept_entries, 2));
-    assert_eq!(vec![seen], kept);
-    assert_eq!(tail.poll(|_| panic!("nothing new")).unwrap().entries, 0);
-    std::fs::remove_dir_all(&tailed).unwrap();
+        // The batch reader: the two frames the index matches, then Corrupt.
+        let reader = TraceReader::open(&path).unwrap();
+        let mut stream = reader.stream();
+        let streamed: Vec<TraceEntry> = stream.by_ref().collect();
+        assert_eq!(streamed, all[..32], "{tag}");
+        let error = stream.take_error();
+        assert!(
+            matches!(error, Some(SegmentError::Corrupt(_))),
+            "{tag}: {error:?}"
+        );
+        let dataset = ManifestReader::open(&dir).unwrap();
+        let mut merged = dataset.stream_merged();
+        let streamed: Vec<TraceEntry> = merged.by_ref().collect();
+        assert!(streamed.len() <= 32, "{tag}: a row of the third frame");
+        assert_eq!(streamed, all[..streamed.len()], "{tag}");
+        let error = merged.take_error();
+        assert!(
+            matches!(error, Some(SegmentError::Corrupt(_))),
+            "{tag}: {error:?}"
+        );
+        drop(merged);
+        let mut chain = dataset.stream_monitor_sorted(0);
+        assert_eq!(chain.by_ref().count(), 32, "{tag}");
+        assert!(matches!(chain.take_error(), Some(SegmentError::Corrupt(_))));
+        let counted = dataset.run_parallel(CountSink::default());
+        assert!(matches!(counted, Err(SegmentError::Corrupt(_))), "{tag}");
 
-    // Recovery keeps the same rows...
-    let report = recover_dataset(&dir).unwrap();
-    assert_eq!(report.entries_recovered, kept_entries);
-    assert_eq!(report.segments_truncated, 1);
-    assert_eq!(report.bytes_truncated, bytes.len() as u64 - frame_start);
-    assert!(report.quarantined.is_empty());
-    // ...and what it wrote opens and streams them.
-    let streamed = assert_prefix_consistent(&dir, &kept, "foreign-monitor frame");
-    assert_eq!(streamed, kept_entries);
-    assert!(recover_dataset(&dir).unwrap().clean);
-    std::fs::remove_dir_all(&dir).unwrap();
+        // The tail reads every frame as it comes, then fails to seal.
+        let mut tail = DatasetTail::open(&dir, 1);
+        let mut seen = Vec::new();
+        let error = tail.poll(|entry| seen.push(entry)).unwrap_err();
+        assert!(matches!(error, SegmentError::Corrupt(_)), "{tag}: {error}");
+        assert_eq!(seen, all, "{tag}");
+        let again = tail.poll(|_| panic!("{tag}: nothing new")).unwrap_err();
+        assert!(matches!(again, SegmentError::Corrupt(_)), "{tag}: {again}");
+
+        // Recovery reseals the segment with the index of its frames: the
+        // bytes it was written with.
+        let report = recover_dataset(&dir).unwrap();
+        assert_eq!(report.segments_intact, 0, "{tag}");
+        assert_eq!(report.segments_truncated, 1, "{tag}");
+        assert_eq!(report.entries_recovered, 48, "{tag}");
+        assert_eq!(report.entries_lost_after_checkpoint, 0, "{tag}");
+        assert_eq!(std::fs::read(&path).unwrap(), intact, "{tag}");
+        assert_eq!(
+            assert_prefix_consistent(&dir, std::slice::from_ref(&all), tag),
+            48
+        );
+        assert!(recover_dataset(&dir).unwrap().clean, "{tag}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 /// The same for the footer: one that lists two monitors is refused when the
@@ -575,14 +782,14 @@ fn foreign_monitor_frame_ends_the_segment_for_tail_recovery_and_reader() {
 #[test]
 fn two_label_footer_is_corrupt() {
     use ipfs_monitoring::tracestore::crc::crc32;
-    use ipfs_monitoring::tracestore::{SegmentError, SliceSource};
+    use ipfs_monitoring::tracestore::SegmentError;
     use ipfs_monitoring::types::varint;
 
     let dir = temp_dir("two-label-footer");
     let (path, boundaries) = single_segment_dataset(&dir, 100);
     let sealed = std::fs::read(&path).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
-    assert!(TraceReader::new(SliceSource::new(&sealed)).is_ok());
+    assert!(segment_reader(&sealed).is_ok());
 
     // footer := payload crc32(payload) payload_len:u64le magic, the payload
     // opening with the label list and one lateness bound per label.
@@ -600,7 +807,7 @@ fn two_label_footer_is_corrupt() {
     bytes.extend_from_slice(&crc32(&doctored).to_le_bytes());
     bytes.extend_from_slice(&(doctored.len() as u64).to_le_bytes());
     bytes.extend_from_slice(&sealed[sealed.len() - 4..]);
-    match TraceReader::new(SliceSource::new(&bytes)) {
+    match segment_reader(&bytes) {
         Err(SegmentError::Corrupt(what)) => assert!(what.contains("2 monitor labels"), "{what}"),
         Ok(_) => panic!("a two-label footer must not open"),
         Err(other) => panic!("a two-label footer must be Corrupt: {other}"),
@@ -711,7 +918,7 @@ fn damaged_dataset_recovers_with_exact_report() {
 
     let corrupted = dir.join("seg-000-00002.seg");
     let mut bytes = std::fs::read(&corrupted).unwrap();
-    let reader = TraceReader::new(ipfs_monitoring::tracestore::SliceSource::new(&bytes)).unwrap();
+    let reader = segment_reader(&bytes).unwrap();
     let chunks: Vec<_> = reader.chunks().to_vec();
     assert!(
         chunks.len() >= 2,

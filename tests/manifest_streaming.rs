@@ -91,8 +91,7 @@ fn corrupted_chunk_in_manifest_segment_is_detected() {
     // Locate a chunk inside one of monitor 1's segment files and flip a
     // payload byte, leaving header and footer intact.
     let victim = dir.join("seg-001-00001.seg");
-    let reader =
-        TraceReader::new(ipfs_monitoring::tracestore::FileSource::open(&victim).unwrap()).unwrap();
+    let reader = TraceReader::open(&victim).unwrap();
     let chunk = reader.chunks()[0];
     drop(reader);
     let mut bytes = std::fs::read(&victim).unwrap();

@@ -15,9 +15,9 @@ use ipfs_monitoring::core::{
 };
 use ipfs_monitoring::simnet::time::SimDuration;
 use ipfs_monitoring::tracestore::{
-    ChunkSource, ConnectionRecord, DatasetConfig, DatasetWriter, FileSource, ManifestReader,
-    MonitoringDataset, SegmentConfig, SegmentError, SliceSource, TraceEntry, TraceReader,
-    TraceSource, TraceWriter, MANIFEST_FILE_NAME,
+    ConnectionRecord, DatasetConfig, DatasetWriter, ManifestReader, MonitoringDataset,
+    SegmentConfig, SegmentError, TraceEntry, TraceReader, TraceSource, TraceWriter,
+    MANIFEST_FILE_NAME,
 };
 use ipfs_monitoring::workload::ScenarioConfig;
 use proptest::prelude::*;
@@ -47,9 +47,9 @@ fn segment_bytes(dataset: &MonitoringDataset, config: SegmentConfig) -> Vec<u8> 
 /// Everything a segment holds — label, entries in storage order, connection
 /// records — or the first error met opening or streaming it.
 fn read_segment(
-    source: impl ChunkSource,
+    opened: Result<TraceReader, SegmentError>,
 ) -> Result<(String, Vec<TraceEntry>, Vec<ConnectionRecord>), SegmentError> {
-    let reader = TraceReader::new(source)?;
+    let reader = opened?;
     let mut stream = reader.stream();
     let entries: Vec<TraceEntry> = stream.by_ref().collect();
     match stream.take_error() {
@@ -115,7 +115,7 @@ proptest! {
         let dataset = random_dataset(seed, 1, entries, jitter);
         let config = SegmentConfig { chunk_capacity: 64 };
         let bytes = segment_bytes(&dataset, config);
-        let (label, entries, connections) = read_segment(SliceSource::new(&bytes)).unwrap();
+        let (label, entries, connections) = read_segment(common::segment_reader(&bytes)).unwrap();
         prop_assert_eq!(&label, &dataset.monitor_labels[0]);
         prop_assert_eq!(&entries, &dataset.entries[0]);
         prop_assert_eq!(&connections, &dataset.connections);
@@ -151,7 +151,7 @@ fn empty_dataset_roundtrips() {
     // One monitor that never logged anything, as a segment of its own.
     let dataset = MonitoringDataset::new(vec!["us".into()]);
     let bytes = segment_bytes(&dataset, SegmentConfig::default());
-    let (label, entries, connections) = read_segment(SliceSource::new(&bytes)).unwrap();
+    let (label, entries, connections) = read_segment(common::segment_reader(&bytes)).unwrap();
     assert_eq!(label, "us");
     assert!(entries.is_empty() && connections.is_empty());
 }
@@ -166,7 +166,7 @@ fn file_backed_segment_roundtrips() {
     };
     write_segment(&dataset, config, std::fs::File::create(&path).unwrap());
 
-    let (_, entries, connections) = read_segment(FileSource::open(&path).unwrap()).unwrap();
+    let (_, entries, connections) = read_segment(TraceReader::open(&path)).unwrap();
     assert_eq!(entries, dataset.entries[0]);
     assert_eq!(connections, dataset.connections);
     // The file holds the bytes the in-memory sink gets.
@@ -182,14 +182,14 @@ fn corrupted_chunk_is_detected() {
     let dataset = random_dataset(7, 1, 240, 0);
     let mut bytes = segment_bytes(&dataset, SegmentConfig { chunk_capacity: 64 });
 
-    let reader = TraceReader::new(SliceSource::new(&bytes)).unwrap();
+    let reader = common::segment_reader(&bytes).unwrap();
     let chunk = reader.chunks()[0];
     drop(reader);
     // Flip one payload byte past the frame's length prefix.
     let victim = chunk.offset as usize + chunk.len as usize / 2;
     bytes[victim] ^= 0xff;
 
-    match read_segment(SliceSource::new(&bytes)) {
+    match read_segment(common::segment_reader(&bytes)) {
         Err(SegmentError::ChecksumMismatch { .. }) | Err(SegmentError::Corrupt(_)) => {}
         other => panic!("corruption not detected: {other:?}"),
     }
@@ -199,7 +199,7 @@ fn corrupted_chunk_is_detected() {
 fn truncated_segment_is_rejected() {
     let dataset = random_dataset(8, 1, 50, 0);
     let bytes = segment_bytes(&dataset, SegmentConfig::default());
-    assert!(TraceReader::new(SliceSource::new(&bytes[..bytes.len() - 9])).is_err());
+    assert!(common::segment_reader(&bytes[..bytes.len() - 9]).is_err());
 }
 
 /// End-to-end: the same simulated scenario collected by the in-memory
